@@ -2,24 +2,24 @@
 // specification: the software bus, every module instance (interpreted from
 // module-language sources, automatically prepared for reconfiguration when
 // their specification declares points), and two TCP listeners — one for
-// remote module attachments, one for the reconfiguration control plane
-// (drive it with reconfigctl).
+// remote attachments to the bus, one for the operator plane: every
+// reconfiguration and monitoring op over HTTP (drive it with reconfigctl
+// or curl; /metrics, /healthz and the rest live there too).
 //
 //	polybus -spec app.mil -srcdir ./modules [-app name] \
-//	        [-listen 127.0.0.1:7007] [-control 127.0.0.1:7008] \
-//	        [-obs-addr 127.0.0.1:7009] [-pprof] [-trace-sample 100] \
-//	        [-record 4096] [-record-spill run.rec] [-preflight] \
-//	        [-duration 30s] [-sleepunit 10ms]
+//	        [-listen 127.0.0.1:7007] [-control 127.0.0.1:7008] [-pprof] \
+//	        [-trace-sample 100] [-record 4096] [-record-spill run.rec] \
+//	        [-preflight] [-duration 30s] [-sleepunit 10ms]
 //
-// Module sources are read from <srcdir>/<module>/*.go. Modules without a
-// source directory must be attached remotely (their instances wait for a
-// TCP attachment).
+// Module sources are read from <srcdir>/<module>/*.go.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"net"
+	"net/http"
+	_ "net/http/pprof" // registers on http.DefaultServeMux, mounted only with -pprof
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -45,9 +45,8 @@ func run(args []string) error {
 		srcDir     = fs.String("srcdir", "", "directory of per-module source directories (required)")
 		appName    = fs.String("app", "", "application name (default: the sole one)")
 		listenAddr = fs.String("listen", "", "TCP address for remote module attachments")
-		ctlAddr    = fs.String("control", "", "TCP address for the reconfiguration control plane")
-		obsAddr    = fs.String("obs-addr", "", "HTTP address for /metrics, /healthz, /traces, /timeseries, /health/{inst}, /events")
-		obsPprof   = fs.Bool("pprof", false, "also mount /debug/pprof on the observability address (requires -obs-addr)")
+		ctlAddr    = fs.String("control", "", "HTTP address for the operator plane: every reconfigctl op, /metrics, /healthz, ...")
+		pprofOn    = fs.Bool("pprof", false, "also mount /debug/pprof on the operator plane (requires -control)")
 		traceSmpl  = fs.Int("trace-sample", 0, "sample 1-in-N message traces into the flight recorder (0 = off)")
 		traceBuf   = fs.Int("trace-buffer", 0, "flight recorder capacity in spans (0 = default)")
 		recordBuf  = fs.Int("record", 0, "record every delivered message into a ring of this capacity (0 = off)")
@@ -115,37 +114,9 @@ func run(args []string) error {
 		fmt.Printf("recording: ring capacity %d, preflight replay %v\n", rec.Cap(), *preflight)
 	}
 
-	// Launch local instances; instances whose module has no local source
-	// wait for a remote attachment.
-	remoteWait := []string{}
-	for _, inst := range app.Application.Instances {
-		if _, ok := cfg.Sources[inst.Module]; !ok {
-			remoteWait = append(remoteWait, inst.Name)
-			continue
-		}
-		if inst.Replicated() {
-			for i := 1; i <= inst.Replicas; i++ {
-				member := fmt.Sprintf("%s.%d", inst.Name, i)
-				if err := app.Launch(member); err != nil {
-					return err
-				}
-				fmt.Println("launched", member)
-			}
-			app.Supervisor(inst.Name).Start()
-			continue
-		}
-		if err := app.Launch(inst.Name); err != nil {
-			return err
-		}
-		fmt.Println("launched", inst.Name)
+	if err := app.Start(); err != nil {
+		return err
 	}
-	if len(remoteWait) > 0 {
-		fmt.Println("waiting for remote attachments:", strings.Join(remoteWait, ", "))
-	}
-	// The launch loop above replaces App.Start (it skips instances that
-	// wait for remote attachments), so arm the rollup roller here the way
-	// App.Start would; app.Stop stops it on the way out.
-	app.Timeseries().Start()
 
 	if *listenAddr != "" {
 		l, err := net.Listen("tcp", *listenAddr)
@@ -161,24 +132,14 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		ctl := app.ServeControl(l)
+		ctl := app.Serve(l)
 		defer ctl.Close()
-		fmt.Println("control plane on", ctl.Addr())
-	}
-	if *obsAddr != "" {
-		l, err := net.Listen("tcp", *obsAddr)
-		if err != nil {
-			return err
+		if *pprofOn {
+			ctl.Handle("/debug/pprof/", http.DefaultServeMux)
 		}
-		var opts []reconf.ObsOption
-		if *obsPprof {
-			opts = append(opts, reconf.WithPprof())
-		}
-		obs := app.ServeObs(l, opts...)
-		defer obs.Close()
-		fmt.Println("observability on", obs.Addr())
-	} else if *obsPprof {
-		return fmt.Errorf("-pprof requires -obs-addr")
+		fmt.Println("operator plane on", ctl.Addr())
+	} else if *pprofOn {
+		return fmt.Errorf("-pprof requires -control")
 	}
 
 	sigs := make(chan os.Signal, 1)

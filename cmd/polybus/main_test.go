@@ -56,7 +56,6 @@ func TestPolybusServesAndIsControllable(t *testing.T) {
 	specFile, srcDir := writeApp(t)
 	ctlAddr := freePort(t)
 	busAddr := freePort(t)
-	obsAddr := freePort(t)
 
 	done := make(chan error, 1)
 	go func() {
@@ -65,60 +64,57 @@ func TestPolybusServesAndIsControllable(t *testing.T) {
 			"-srcdir", srcDir,
 			"-control", ctlAddr,
 			"-listen", busAddr,
-			"-obs-addr", obsAddr,
 			"-trace-sample", "1",
 			"-duration", "4s",
 			"-sleepunit", "1ms",
 		})
 	}()
 
-	// Wait for the control plane.
-	var client *reconf.ControlClient
+	// Wait for the operator plane.
+	client := reconf.NewClient(ctlAddr, 200*time.Millisecond)
+	client.Text = true
 	deadline := time.Now().Add(5 * time.Second)
+	var topo string
 	for {
 		var err error
-		client, err = reconf.DialControl(ctlAddr, 200*time.Millisecond)
-		if err == nil {
+		if topo, err = client.Call("topology"); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("control plane never came up: %v", err)
+			t.Fatalf("operator plane never came up: %v", err)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	defer client.Close()
-
-	topo, err := client.Topology()
-	if err != nil || !strings.Contains(topo, "instance compute (module compute)") {
-		t.Fatalf("topology = %q, %v", topo, err)
+	if !strings.Contains(topo, "instance compute (module compute)") {
+		t.Fatalf("topology = %q", topo)
 	}
 
 	// Migrate compute while the application serves.
 	time.Sleep(100 * time.Millisecond)
-	if _, err := client.Move("compute", "compute2", "machineB"); err != nil {
+	if _, err := client.Call("move", "compute", "compute2", "machineB"); err != nil {
 		t.Fatalf("remote move: %v", err)
 	}
-	topo, err = client.Topology()
+	topo, err := client.Call("topology")
 	if err != nil || !strings.Contains(topo, "instance compute2 (module compute) on machineB") {
 		t.Fatalf("post-move topology = %q, %v", topo, err)
 	}
-	trace, err := client.Trace()
-	if err != nil || len(trace) == 0 {
+	trace, err := client.Call("trace")
+	if err != nil || trace == "" || strings.Contains(trace, "no reconfigurations yet") {
 		t.Fatalf("trace = %v, %v", trace, err)
 	}
-	stats, err := client.Stats()
+	stats, err := client.Call("stats")
 	if err != nil || !strings.Contains(stats, `"rebinds": 1`) {
 		t.Fatalf("stats = %q, %v", stats, err)
 	}
 
-	// The observability endpoint serves Prometheus metrics and health.
-	metrics := obsGet(t, "http://"+obsAddr+"/metrics")
+	// The same listener serves Prometheus metrics and health.
+	metrics := obsGet(t, "http://"+ctlAddr+"/metrics")
 	for _, want := range []string{"bus_delivered_total", "bus_rebinds_total 1", "reconfig_tx_total_ns_count"} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	if got := obsGet(t, "http://"+obsAddr+"/healthz"); !strings.Contains(got, "ok") {
+	if got := obsGet(t, "http://"+ctlAddr+"/healthz"); !strings.Contains(got, "ok") {
 		t.Errorf("/healthz = %q, want ok", got)
 	}
 

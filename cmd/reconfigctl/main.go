@@ -1,58 +1,26 @@
-// Command reconfigctl drives dynamic reconfigurations against a running
-// polybus application over its control plane.
+// Command reconfigctl drives a running polybus application over its
+// operator plane (polybus -control): a generic client of the one op table
+// the application serves. Every op is a command, its parameters are the
+// positional arguments, and the output is the op's human rendering — or
+// the indented JSON document, for ops that have none.
 //
 //	reconfigctl -addr 127.0.0.1:7008 topology
-//	reconfigctl -addr 127.0.0.1:7008 instances
-//	reconfigctl -addr 127.0.0.1:7008 [-dry-run] move <inst> <newName> <machine>
-//	reconfigctl -addr 127.0.0.1:7008 [-dry-run] replace <inst> <newName> [machine] [module]
-//	reconfigctl -addr 127.0.0.1:7008 [-dry-run] update <inst> <newName> <module>
-//	reconfigctl -addr 127.0.0.1:7008 replicate <inst> <newName> [machine]
-//	reconfigctl -addr 127.0.0.1:7008 remove <inst>
+//	reconfigctl -addr 127.0.0.1:7008 [-dry-run] move <inst> <new> <machine>
 //	reconfigctl -addr 127.0.0.1:7008 trace [txid]
-//	reconfigctl -addr 127.0.0.1:7008 stats
-//	reconfigctl -addr 127.0.0.1:7008 replicas
-//	reconfigctl -addr 127.0.0.1:7008 record [on|off]
-//	reconfigctl -addr 127.0.0.1:7008 replay <inst>
 //	reconfigctl -addr 127.0.0.1:7008 watch [-interval 2s] [-count 1] [-windows 5]
-//	reconfigctl -addr 127.0.0.1:7008 timeseries [metric] [windows]
-//	reconfigctl -addr 127.0.0.1:7008 health <inst> [baseline,baseline...]
-//	reconfigctl -addr 127.0.0.1:7008 events [cursor]
+//
+// Run it without a command for the full list, generated from the table.
 //
 // The replacement-family commands (move, replace, update) run as a
 // transaction on the application side: every primitive journals a
 // compensating inverse, and a failure at any step rolls the system back
 // to its pre-reconfiguration state. The transaction's step trace — and,
-// on failure, the rollback report — is printed after the command. With
-// -dry-run the planned step sequence is printed without executing it.
+// on failure, the rollback report — is printed either way. With -dry-run
+// the planned step sequence is printed without executing it.
 //
-// `stats` prints a JSON snapshot: bus counters, the telemetry registry
-// (per-interface message counts, queue depths, per-module flag-check and
-// state-transfer timings), and the retained transaction IDs. `trace`
-// prints the primitive audit trail; `trace <txid>` prints that
-// transaction's span timeline (quiesce wait, state move, rebind, restore
-// wait, commit or rollback) with its step trace.
-//
-// `replicas` prints the health of every supervised replica group as JSON:
-// live members with their heartbeat counter and queued backlog, dead
-// members awaiting rebuild, and the supervision counters (detections,
-// recoveries, busy-retries, failures).
-//
-// `record` prints the record ring's status as JSON (capacity, retained
-// records, per-queue delivery sequences, memory bound); `record on` and
-// `record off` toggle recording at runtime. `replay <inst>` replays the
-// recorded window against the instance's module in-process on the
-// application side and prints the reproduction report — whether the
-// replayed output sequence matches the recorded one byte-for-byte.
-//
-// `watch` renders a per-instance table of the windowed telemetry —
-// delivery rate, queued backlog, error rate, sustained p99 delivery
-// latency and health verdict — aggregated over the last -windows rolled
-// windows; with -count 0 it refreshes every -interval until interrupted.
-// `timeseries` lists the rolled metric names, or prints one metric's
-// retained windows as JSON. `health <inst>` prints the instance's
-// structured verdict with its evidence windows (the optional second
-// argument overrides the baseline peers, comma-separated). `events`
-// prints the structured event log after the given cursor.
+// `watch` renders a per-instance table of the windowed telemetry,
+// aggregated over the last -windows rolled windows; with -count 0 it
+// refreshes every -interval until interrupted.
 package main
 
 import (
@@ -60,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro"
@@ -75,7 +42,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("reconfigctl", flag.ContinueOnError)
-	addr := fs.String("addr", "127.0.0.1:7008", "control plane address")
+	addr := fs.String("addr", "127.0.0.1:7008", "operator plane address (polybus -control)")
 	timeout := fs.Duration("timeout", 5*time.Second, "dial timeout")
 	dryRun := fs.Bool("dry-run", false, "print the replacement plan without executing it (move/replace/update)")
 	if err := fs.Parse(args); err != nil {
@@ -83,216 +50,43 @@ func run(args []string) error {
 	}
 	rest := fs.Args()
 	if len(rest) == 0 {
-		return fmt.Errorf("no command (topology|instances|move|replace|update|replicate|remove|trace|stats|replicas|record|replay|watch|timeseries|health|events)")
+		return fmt.Errorf("no command; commands:\n%s", reconf.Usage())
 	}
+	c := reconf.NewClient(*addr, *timeout)
+	c.Text = true
+	cmd, params := rest[0], rest[1:]
 
-	c, err := reconf.DialControl(*addr, *timeout)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-
-	arg := func(i int) string {
-		if i < len(rest) {
-			return rest[i]
-		}
-		return ""
-	}
-	need := func(n int) error {
-		if len(rest) < n+1 {
-			return fmt.Errorf("%s: missing arguments", rest[0])
-		}
-		return nil
-	}
-	// plan prints the step sequence a replacement-family command would run.
-	plan := func(inst, newName, machine, module string) error {
-		steps, err := c.Plan(inst, newName, machine, module)
-		if err != nil {
-			return err
-		}
-		fmt.Println("plan (dry run, nothing executed):")
-		for _, s := range steps {
-			fmt.Println(" ", s)
-		}
-		return nil
-	}
-	// report prints the transaction trace, then surfaces the script error.
-	report := func(tx *reconf.TxReport, err error) error {
-		if tx != nil {
-			fmt.Print(tx.Format())
-		}
-		return err
-	}
-
-	switch rest[0] {
-	case "topology":
-		topo, err := c.Topology()
-		if err != nil {
-			return err
-		}
-		fmt.Println(topo)
-	case "instances":
-		insts, err := c.Instances()
-		if err != nil {
-			return err
-		}
-		fmt.Println(strings.Join(insts, "\n"))
-	case "move":
-		if err := need(3); err != nil {
-			return err
-		}
-		if *dryRun {
-			return plan(arg(1), arg(2), arg(3), "")
-		}
-		if err := report(c.Move(arg(1), arg(2), arg(3))); err != nil {
-			return err
-		}
-		fmt.Println("moved", arg(1), "->", arg(2), "on", arg(3))
-	case "replace":
-		if err := need(2); err != nil {
-			return err
-		}
-		if *dryRun {
-			return plan(arg(1), arg(2), arg(3), arg(4))
-		}
-		if err := report(c.Replace(arg(1), arg(2), arg(3), arg(4))); err != nil {
-			return err
-		}
-		fmt.Println("replaced", arg(1), "->", arg(2))
-	case "update":
-		if err := need(3); err != nil {
-			return err
-		}
-		if *dryRun {
-			return plan(arg(1), arg(2), "", arg(3))
-		}
-		if err := report(c.Update(arg(1), arg(2), arg(3))); err != nil {
-			return err
-		}
-		fmt.Println("updated", arg(1), "->", arg(2), "running module", arg(3))
-	case "replicate":
-		if err := need(2); err != nil {
-			return err
-		}
-		if err := c.Replicate(arg(1), arg(2), arg(3)); err != nil {
-			return err
-		}
-		fmt.Println("replicated", arg(1), "->", arg(2))
-	case "remove":
-		if err := need(1); err != nil {
-			return err
-		}
-		if err := c.Remove(arg(1)); err != nil {
-			return err
-		}
-		fmt.Println("removed", arg(1))
-	case "trace":
-		if txid := arg(1); txid != "" {
-			lines, err := c.TraceTx(txid)
-			if err != nil {
-				return err
-			}
-			fmt.Println(strings.Join(lines, "\n"))
-			return nil
-		}
-		trace, err := c.Trace()
-		if err != nil {
-			return err
-		}
-		fmt.Println(reconf.FormatTrace(trace))
-	case "stats":
-		stats, err := c.Stats()
-		if err != nil {
-			return err
-		}
-		fmt.Println(stats)
-	case "replicas":
-		reps, err := c.Replicas()
-		if err != nil {
-			return err
-		}
-		fmt.Println(reps)
-	case "record":
-		mode := arg(1)
-		if mode != "" && mode != "on" && mode != "off" {
-			return fmt.Errorf("record: want on, off or no argument, got %q", mode)
-		}
-		status, err := c.Record(mode)
-		if err != nil {
-			return err
-		}
-		fmt.Println(status)
-	case "replay":
-		if err := need(1); err != nil {
-			return err
-		}
-		rep, err := c.Replay(arg(1))
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep)
-	case "watch":
+	count := 1
+	var interval time.Duration
+	switch {
+	case cmd == "watch":
 		wfs := flag.NewFlagSet("watch", flag.ContinueOnError)
-		interval := wfs.Duration("interval", 2*time.Second, "refresh interval between iterations")
-		count := wfs.Int("count", 1, "iterations to print; <=0 repeats until interrupted")
+		wfs.DurationVar(&interval, "interval", 2*time.Second, "refresh interval between iterations")
+		wfs.IntVar(&count, "count", 1, "iterations to print; <=0 repeats until interrupted")
 		windows := wfs.Int("windows", 0, "rolled windows to aggregate per row (0 = server default)")
-		if err := wfs.Parse(rest[1:]); err != nil {
+		if err := wfs.Parse(params); err != nil {
 			return err
 		}
-		for i := 0; *count <= 0 || i < *count; i++ {
-			if i > 0 {
-				time.Sleep(*interval)
-				fmt.Println()
-			}
-			tbl, err := c.Watch(*windows)
-			if err != nil {
-				return err
-			}
-			fmt.Println(tbl)
+		params = nil
+		if *windows > 0 {
+			params = []string{strconv.Itoa(*windows)}
 		}
-	case "timeseries":
-		k := 0
-		if v := arg(2); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return fmt.Errorf("timeseries: windows must be an integer, got %q", v)
-			}
-			k = n
+	case *dryRun && (cmd == "move" || cmd == "replace" || cmd == "update"):
+		if cmd == "update" && len(params) == 3 {
+			params = []string{params[0], params[1], "", params[2]} // update's third argument is the module
 		}
-		doc, err := c.Timeseries(arg(1), k)
+		cmd = "plan"
+	}
+	for i := 0; count <= 0 || i < count; i++ {
+		if i > 0 {
+			time.Sleep(interval)
+			fmt.Println()
+		}
+		out, err := c.Call(cmd, params...)
+		fmt.Print(out) // the server ends every body with a newline
 		if err != nil {
 			return err
 		}
-		fmt.Println(doc)
-	case "health":
-		if err := need(1); err != nil {
-			return err
-		}
-		var baseline []string
-		if b := arg(2); b != "" {
-			baseline = strings.Split(b, ",")
-		}
-		verdict, err := c.Health(arg(1), baseline)
-		if err != nil {
-			return err
-		}
-		fmt.Println(verdict)
-	case "events":
-		var since uint64
-		if v := arg(1); v != "" {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return fmt.Errorf("events: cursor must be a non-negative integer, got %q", v)
-			}
-			since = n
-		}
-		doc, err := c.Events(since)
-		if err != nil {
-			return err
-		}
-		fmt.Println(doc)
-	default:
-		return fmt.Errorf("unknown command %q", rest[0])
 	}
 	return nil
 }

@@ -1,14 +1,15 @@
 package reconf
 
 import (
-	"encoding/gob"
-	"encoding/json"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
+	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/bus"
@@ -16,64 +17,173 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/evlog"
 	"repro/internal/telemetry/health"
+	"repro/internal/telemetry/trace"
 )
 
-// The control protocol lets an operator tool (cmd/reconfigctl) drive
-// reconfigurations against a running application from another process:
-// one gob-framed request/response pair per operation.
+// The operator plane is one table: every operation an operator can run
+// against a live application — reconfiguration scripts and monitoring reads
+// alike — is a row of ops. Serve (obs.go) puts the table on an HTTP mux;
+// Client.Call and cmd/reconfigctl drive it by name. Nothing else knows the
+// list of operations.
 
-type ctlRequest struct {
-	Op      string // topology|instances|move|replace|update|replicate|remove|plan|trace|stats|replicas|record|replay|watch|timeseries|health|events
-	Inst    string // instance name; for "trace", an optional transaction ID; for "record", on|off|"" (status); for "watch"/"events", a numeric argument; for "timeseries", a metric name
-	NewName string // for "health", a comma-separated baseline override; for "timeseries", a window count
-	Machine string
-	Module  string
+// opArgs are one call's arguments by parameter name, as the form they
+// travel in; absent reads as "".
+type opArgs = url.Values
+
+type op struct {
+	name   string // also the URL path
+	params string // positional order, "<required> [optional]"; with the name, the usage line
+	// mutating reports whether a call with these arguments changes the
+	// system; such calls must be POSTed. nil: the op only reads.
+	mutating func(opArgs) bool
+	// budget bounds how long a call may legitimately run; nil: well inside
+	// the server's default write deadline.
+	budget func(*App, opArgs) time.Duration
+	// run answers the result document, or an error (the result is then
+	// ignored; a failure that still has a document says so in an opError).
+	run func(*App, opArgs) (any, error)
+	// text renders the result for Accept: text/plain; nil (or an empty
+	// rendering): the indented JSON document is the human form too.
+	text func(any) string
 }
 
-type ctlResponse struct {
-	Err  string
-	Text string
-	List []string
-	Tx   *TxReport // replacement ops: the transaction's step/rollback report
+var ops = []op{
+	{name: "topology", run: func(a *App, _ opArgs) (any, error) { return a.Topology(), nil }, text: asIs},
+	{name: "instances", run: func(a *App, _ opArgs) (any, error) { return a.bus.Instances(), nil }, text: joined},
+	{name: "move", params: "<inst> <new> <machine>", mutating: always, budget: txBudget, run: opReplace, text: txText},
+	{name: "replace", params: "<inst> <new> [machine] [module]", mutating: always, budget: txBudget, run: opReplace, text: txText},
+	{name: "update", params: "<inst> <new> <module>", mutating: always, budget: txBudget, run: opReplace, text: txText},
+	{name: "plan", params: "<inst> <new> [machine] [module]", run: func(a *App, args opArgs) (any, error) {
+		return a.PlanReplace(args.Get("inst"), replaceOptions(args))
+	}, text: func(v any) string {
+		return "plan (dry run, nothing executed):\n  " + strings.Join(v.([]string), "\n  ")
+	}},
+	{name: "replicate", params: "<inst> <new> [machine]", mutating: always, run: func(a *App, args opArgs) (any, error) {
+		return "replicated " + args.Get("inst") + " -> " + args.Get("new"), a.Replicate(args.Get("inst"), args.Get("new"), args.Get("machine"))
+	}, text: asIs},
+	{name: "remove", params: "<inst>", mutating: always, run: func(a *App, args opArgs) (any, error) {
+		return "removed " + args.Get("inst"), a.Remove(args.Get("inst"))
+	}, text: asIs},
+	{name: "trace", params: "[id]", run: opTrace, text: traceText},
+	{name: "traces", run: func(a *App, _ opArgs) (any, error) {
+		return append([]*trace.SpanRecord{}, a.FlightRecorder().Snapshot()...), nil
+	}},
+	{name: "stats", run: opStats},
+	{name: "metrics", run: opMetrics},
+	{name: "healthz", run: opReady},
+	{name: "readyz", run: opReady},
+	{name: "replicas", run: func(a *App, _ opArgs) (any, error) { return a.ReplicaSets(), nil }},
+	{name: "record", params: "[enable]", mutating: func(args opArgs) bool { return args.Get("enable") != "" }, run: opRecord},
+	{name: "replay", params: "<inst>", run: func(a *App, args opArgs) (any, error) { return a.ReplayRecorded(args.Get("inst"), nil) }},
+	{name: "watch", params: "[window]", run: func(a *App, args opArgs) (any, error) {
+		k, err := count(args, "window", 31)
+		if err != nil {
+			return nil, err
+		}
+		return a.WatchTable(int(k)), nil
+	}, text: asIs},
+	{name: "timeseries", params: "[metric] [window]", run: opTimeseries},
+	{name: "health", params: "<inst> [baseline]", run: opHealth},
+	{name: "events", params: "[since] [wait]", run: opEvents},
 }
 
-// TxReport mirrors reconfig.TxResult across the control connection: the
-// forward step trace, whether the transaction committed, and the
-// compensations replayed if it rolled back.
+func findOp(name string) *op {
+	if i := slices.IndexFunc(ops, func(o op) bool { return o.name == name }); i >= 0 {
+		return &ops[i]
+	}
+	return nil
+}
+
+// Usage lists every op with its parameters, one per line — the command
+// reference of cmd/reconfigctl and the body of the server's 404.
+func Usage() string {
+	var b strings.Builder
+	for i := range ops {
+		fmt.Fprintf(&b, "  %s\n", ops[i].usage())
+	}
+	return b.String()
+}
+
+func (o *op) usage() string { return strings.TrimSpace(o.name + " " + o.params) }
+
+func (o *op) paramNames() (names []string, required int) {
+	for _, f := range strings.Fields(o.params) {
+		names = append(names, strings.Trim(f, "<>[]"))
+		if f[0] == '<' {
+			required++ // required parameters always precede optional ones
+		}
+	}
+	return names, required
+}
+
+// check refuses arguments the op does not declare and calls missing a
+// required one, both with the op's usage line. It is the only argument
+// validation shared by every transport; value parsing lives in the ops.
+func (o *op) check(args opArgs) error {
+	names, required := o.paramNames()
+	for k := range args {
+		if !slices.Contains(names, k) {
+			return fail(http.StatusBadRequest, "%s: unknown parameter %q\nusage: %s", o.name, k, o.usage())
+		}
+	}
+	for _, n := range names[:required] {
+		if args.Get(n) == "" {
+			return fail(http.StatusBadRequest, "%s: missing <%s>\nusage: %s", o.name, n, o.usage())
+		}
+	}
+	return nil
+}
+
+// opError is an op failure with the HTTP status that classifies it and,
+// for a replacement that ran and failed, the report to answer with.
+type opError struct {
+	status int
+	msg    string
+	result any
+}
+
+func (e *opError) Error() string { return e.msg }
+
+func fail(status int, format string, a ...any) error {
+	return &opError{status: status, msg: fmt.Sprintf(format, a...)}
+}
+
+// count parses a non-negative integer argument of at most the given bit
+// size; absent is 0.
+func count(args opArgs, name string, bits int) (uint64, error) {
+	v := args.Get(name)
+	if v == "" {
+		return 0, nil
+	}
+	n, err := strconv.ParseUint(v, 10, bits)
+	if err != nil {
+		return 0, fail(http.StatusBadRequest, "%s must be a non-negative integer, got %q", name, v)
+	}
+	return n, nil
+}
+
+func always(opArgs) bool { return true }
+
+func asIs(v any) string { return v.(string) }
+
+func joined(v any) string { return strings.Join(v.([]string), "\n") }
+
+// ---- replacement family ----
+
+// TxReport is the result document of the replacement ops: the forward step
+// trace, whether the transaction committed, and the compensations replayed
+// if it rolled back.
 type TxReport struct {
-	TxID       string // tracer transaction ID, usable with `reconfigctl trace <txid>`
-	Steps      []string
-	Committed  bool
-	RolledBack bool
-	Rollback   []TxRollbackStep
-	Err        string
-}
-
-// TxRollbackStep is one compensation of a rolled-back transaction.
-type TxRollbackStep struct {
-	Action string
-	Err    string
-}
-
-func txReport(res *reconfig.TxResult) *TxReport {
-	if res == nil {
-		return nil
-	}
-	r := &TxReport{TxID: res.TxID, Steps: res.Steps, Committed: res.Committed, RolledBack: res.RolledBack}
-	for _, s := range res.Rollback {
-		r.Rollback = append(r.Rollback, TxRollbackStep{Action: s.Action, Err: s.Err})
-	}
-	if res.Err != nil {
-		r.Err = res.Err.Error()
-	}
-	return r
+	TxID       string                  `json:"txid"` // usable with the trace op
+	Steps      []string                `json:"steps"`
+	Committed  bool                    `json:"committed"`
+	RolledBack bool                    `json:"rolled_back"`
+	Rollback   []reconfig.RollbackStep `json:"rollback,omitempty"`
+	Err        string                  `json:"err,omitempty"`
 }
 
 // Format renders the report for operator display.
 func (r *TxReport) Format() string {
-	if r == nil {
-		return ""
-	}
 	var b strings.Builder
 	if r.TxID != "" {
 		fmt.Fprintf(&b, "transaction %s\n", r.TxID)
@@ -100,264 +210,226 @@ func (r *TxReport) Format() string {
 	return b.String()
 }
 
-// statsSnapshot is the JSON document returned by the "stats" control op:
-// coarse bus counters, the full telemetry registry snapshot (per-interface
-// message counters, queue-depth gauges, capture/restore histograms), and
-// the transaction IDs with retained span timelines.
-type statsSnapshot struct {
-	Bus          bus.Stats          `json:"bus"`
-	Telemetry    telemetry.Snapshot `json:"telemetry"`
-	Transactions []string           `json:"transactions,omitempty"`
+func txText(v any) string { return v.(*TxReport).Format() }
+
+func replaceOptions(args opArgs) reconfig.ReplaceOptions {
+	return reconfig.ReplaceOptions{NewName: args.Get("new"), Machine: args.Get("machine"), Module: args.Get("module")}
 }
 
-// ControlServer serves control requests for one App.
-type ControlServer struct {
-	app *App
-	l   net.Listener
-
-	mu        sync.Mutex
-	conns     map[net.Conn]struct{}
-	closeOnce sync.Once
-}
-
-// ServeControl starts a control server on l.
-func (a *App) ServeControl(l net.Listener) *ControlServer {
-	s := &ControlServer{app: a, l: l, conns: map[net.Conn]struct{}{}}
-	go s.acceptLoop() //archlint:spawn accept loop; exits when the listener closes
-	return s
-}
-
-// Addr returns the listener address.
-func (s *ControlServer) Addr() net.Addr { return s.l.Addr() }
-
-// Close stops the server. Idempotent.
-func (s *ControlServer) Close() error {
-	var err error
-	s.closeOnce.Do(func() {
-		err = s.l.Close()
-		s.mu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.mu.Unlock()
-	})
-	return err
-}
-
-func (s *ControlServer) acceptLoop() {
-	for {
-		conn, err := s.l.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		go s.serve(conn) //archlint:spawn per-connection handler; exits on conn close, tracked in s.conns
+// opReplace runs a replacement-family script (move, replace and update
+// differ only in the parameters they declare) as a transaction and answers
+// with its report, so the operator sees the step trace and any rollback
+// even when the reconfiguration failed.
+func opReplace(a *App, args opArgs) (any, error) {
+	res, err := a.ReplaceTx(args.Get("inst"), replaceOptions(args))
+	if res == nil {
+		return nil, err
 	}
-}
-
-func (s *ControlServer) serve(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	for {
-		var req ctlRequest
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		if err := enc.Encode(s.handle(req)); err != nil {
-			return
-		}
+	rep := &TxReport{TxID: res.TxID, Steps: res.Steps, Committed: res.Committed, RolledBack: res.RolledBack, Rollback: res.Rollback}
+	if res.Err != nil {
+		rep.Err = res.Err.Error()
 	}
+	if err != nil {
+		return nil, &opError{status: statusOf(err), msg: err.Error(), result: rep}
+	}
+	return rep, nil
 }
 
-func (s *ControlServer) handle(req ctlRequest) ctlResponse {
-	a := s.app
-	fail := func(err error) ctlResponse { return ctlResponse{Err: err.Error()} }
-	switch req.Op {
-	case "topology":
-		return ctlResponse{Text: a.Topology()}
-	case "instances":
-		return ctlResponse{List: a.bus.Instances()}
-	case "move":
-		return s.replaceTx(req.Inst, reconfig.ReplaceOptions{NewName: req.NewName, Machine: req.Machine})
-	case "replace":
-		return s.replaceTx(req.Inst, reconfig.ReplaceOptions{NewName: req.NewName, Machine: req.Machine, Module: req.Module})
-	case "update":
-		return s.replaceTx(req.Inst, reconfig.ReplaceOptions{NewName: req.NewName, Module: req.Module})
-	case "plan":
-		steps, err := a.PlanReplace(req.Inst, reconfig.ReplaceOptions{NewName: req.NewName, Machine: req.Machine, Module: req.Module})
+// txBudget is the longest a replacement can legitimately wait: every bound
+// of the transaction's resolved Timeouts, back to back.
+func txBudget(a *App, args opArgs) time.Duration {
+	t := a.fillTimeouts(replaceOptions(args)).Timeouts
+	return t.Quiesce + t.StateMove + t.RestoreAck + t.Rollback
+}
+
+// ---- reads ----
+
+// txTimeline is the document of the trace op for a transaction id.
+type txTimeline struct {
+	ID       string   `json:"id"`
+	Timeline []string `json:"timeline"`
+}
+
+// opTrace answers the primitive audit trail without an id, a transaction's
+// span timeline for "tx-0001", and a message trace's retained spans for a
+// numeric id: decimal as in the JSON spans, 0x-prefixed hex as in quiesce
+// annotations, or bare hex.
+func opTrace(a *App, args opArgs) (any, error) {
+	id := args.Get("id")
+	if id == "" {
+		return append([]string{}, a.Trace()...), nil
+	}
+	if strings.HasPrefix(id, "tx-") {
+		lines, err := a.TraceTx(id)
 		if err != nil {
-			return fail(err)
+			return nil, fail(http.StatusNotFound, "%v", err)
 		}
-		return ctlResponse{List: steps}
-	case "replicate":
-		if err := a.Replicate(req.Inst, req.NewName, req.Machine); err != nil {
-			return fail(err)
+		return txTimeline{id, lines}, nil
+	}
+	n, err := strconv.ParseUint(id, 0, 64) // decimal or 0x-prefixed
+	if err != nil {
+		n, err = strconv.ParseUint(id, 16, 64)
+	}
+	if err != nil {
+		return nil, fail(http.StatusBadRequest, "bad trace id: %s", id)
+	}
+	spans := a.FlightRecorder().ByTrace(n)
+	if len(spans) == 0 {
+		return nil, fail(http.StatusNotFound, "no retained spans for trace %d", n)
+	}
+	return map[string]any{"trace_id": n, "spans": spans}, nil
+}
+
+func traceText(v any) string {
+	switch v := v.(type) {
+	case []string:
+		return FormatTrace(v)
+	case txTimeline:
+		return strings.Join(v.Timeline, "\n")
+	}
+	return "" // a message trace has no rendering beyond its JSON
+}
+
+// FormatTrace renders a trace for operator display.
+func FormatTrace(trace []string) string {
+	if len(trace) == 0 {
+		return "(no reconfigurations yet)"
+	}
+	return strings.Join(trace, "\n")
+}
+
+// opStats answers the coarse bus counters, the full telemetry registry
+// snapshot, and the transaction IDs with retained span timelines.
+func opStats(a *App, _ opArgs) (any, error) {
+	// Sort the transaction list: maps already marshal with sorted keys, and
+	// golden tests want the whole document byte-stable across runs.
+	txids := a.prims.Tracer().IDs()
+	sort.Strings(txids)
+	return map[string]any{"bus": a.bus.Stats(), "telemetry": a.Telemetry().Snapshot(), "transactions": txids}, nil
+}
+
+// rawText is a result that is text in every representation (Prometheus
+// exposition, probe answers), written as is whatever the client accepts.
+type rawText string
+
+// opMetrics renders the full telemetry registry plus the bus activity
+// counters in the Prometheus text exposition format, with per-instance
+// labels (bus_iface_delivered{instance,interface}, ...).
+func opMetrics(a *App, _ opArgs) (any, error) {
+	var w strings.Builder
+	st := a.bus.Stats()
+	counter := func(name string, v int64) { fmt.Fprintf(&w, "# TYPE %s counter\n%s %d\n", name, name, v) }
+	counter("bus_delivered_total", st.Delivered)
+	counter("bus_dropped_total", st.Dropped)
+	counter("bus_rebinds_total", st.Rebinds)
+	counter("bus_signals_total", st.Signals)
+	counter("bus_moves_total", st.Moves)
+	fmt.Fprintf(&w, "# TYPE bus_snapshot_version gauge\nbus_snapshot_version %d\n", st.SnapshotVersion)
+	if rec := a.FlightRecorder(); rec != nil {
+		fmt.Fprintf(&w, "# TYPE trace_recorder_spans gauge\ntrace_recorder_spans %d\n", rec.Len())
+		fmt.Fprintf(&w, "# TYPE trace_recorder_recorded_total counter\ntrace_recorder_recorded_total %d\n", rec.Recorded())
+		fmt.Fprintf(&w, "# TYPE trace_recorder_memory_bound_bytes gauge\ntrace_recorder_memory_bound_bytes %d\n", rec.MemoryBound())
+	}
+	telemetry.WritePrometheus(&w, a.Telemetry(), bus.PromLabelRules()...)
+	return rawText(w.String()), nil
+}
+
+// opReady is liveness and readiness at once: "ok", or 503 "reconfiguring"
+// while a transactional reconfiguration is in flight (in this
+// single-process reproduction the two probes collapse to one signal).
+func opReady(a *App, _ opArgs) (any, error) {
+	if a.prims.ReconfigActive() {
+		return nil, fail(http.StatusServiceUnavailable, "reconfiguring")
+	}
+	return rawText("ok\n"), nil
+}
+
+func opRecord(a *App, args opArgs) (any, error) {
+	switch v := args.Get("enable"); v {
+	case "":
+	case "on", "off":
+		if err := a.SetRecording(v == "on"); err != nil {
+			return nil, err
 		}
-	case "remove":
-		if err := a.Remove(req.Inst); err != nil {
-			return fail(err)
-		}
-	case "trace":
-		// Without an argument the op returns the primitive audit trail;
-		// with a transaction ID it returns that transaction's span timeline.
-		if req.Inst != "" {
-			lines, err := a.TraceTx(req.Inst)
-			if err != nil {
-				return fail(err)
-			}
-			return ctlResponse{List: lines}
-		}
-		return ctlResponse{List: a.Trace()}
-	case "stats":
-		// Sort the transaction list: map-backed telemetry fields already
-		// marshal with sorted keys, and golden tests want the whole stats
-		// document byte-stable across runs.
-		txids := a.prims.Tracer().IDs()
-		sort.Strings(txids)
-		data, err := json.MarshalIndent(statsSnapshot{
-			Bus:          a.bus.Stats(),
-			Telemetry:    a.Telemetry().Snapshot(),
-			Transactions: txids,
-		}, "", "  ")
-		if err != nil {
-			return fail(err)
-		}
-		return ctlResponse{Text: string(data)}
-	case "replicas":
-		data, err := json.MarshalIndent(a.ReplicaSets(), "", "  ")
-		if err != nil {
-			return fail(err)
-		}
-		return ctlResponse{Text: string(data)}
-	case "record":
-		switch req.Inst {
-		case "":
-		case "on":
-			if err := a.SetRecording(true); err != nil {
-				return fail(err)
-			}
-		case "off":
-			if err := a.SetRecording(false); err != nil {
-				return fail(err)
-			}
-		default:
-			return ctlResponse{Err: fmt.Sprintf("reconf: record: want on, off or empty, got %q", req.Inst)}
-		}
-		data, err := json.MarshalIndent(a.RecordStatus(), "", "  ")
-		if err != nil {
-			return fail(err)
-		}
-		return ctlResponse{Text: string(data)}
-	case "replay":
-		rep, err := a.ReplayRecorded(req.Inst, nil)
-		if err != nil {
-			return fail(err)
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return fail(err)
-		}
-		return ctlResponse{Text: string(data)}
-	case "watch":
-		k := 0
-		if req.Inst != "" {
-			n, err := strconv.Atoi(req.Inst)
-			if err != nil || n < 0 {
-				return ctlResponse{Err: fmt.Sprintf("reconf: watch: window count must be a non-negative integer, got %q", req.Inst)}
-			}
-			k = n
-		}
-		return ctlResponse{Text: a.WatchTable(k)}
-	case "timeseries":
-		if req.Inst == "" {
-			data, err := json.MarshalIndent(map[string]any{
-				"window_ns": int64(a.roller.Window()),
-				"windows":   a.roller.Depth(),
-				"rolled":    a.roller.Rolled(),
-				"metrics":   a.roller.Names(),
-			}, "", "  ")
-			if err != nil {
-				return fail(err)
-			}
-			return ctlResponse{Text: string(data)}
-		}
-		k := 0
-		if req.NewName != "" {
-			n, err := strconv.Atoi(req.NewName)
-			if err != nil || n < 0 {
-				return ctlResponse{Err: fmt.Sprintf("reconf: timeseries: window count must be a non-negative integer, got %q", req.NewName)}
-			}
-			k = n
-		}
-		series, ok := a.roller.Query(req.Inst, k)
-		if !ok {
-			return ctlResponse{Err: fmt.Sprintf("reconf: timeseries: no series for metric %q", req.Inst)}
-		}
-		data, err := json.MarshalIndent(series, "", "  ")
-		if err != nil {
-			return fail(err)
-		}
-		return ctlResponse{Text: string(data)}
-	case "health":
-		if _, err := a.bus.Info(req.Inst); err != nil {
-			return fail(err)
-		}
-		var baseline []string
-		for _, p := range strings.Split(req.NewName, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				baseline = append(baseline, p)
-			}
-		}
-		data, err := json.MarshalIndent(a.Health(req.Inst, baseline), "", "  ")
-		if err != nil {
-			return fail(err)
-		}
-		return ctlResponse{Text: string(data)}
-	case "events":
-		var since uint64
-		if req.Inst != "" {
-			n, err := strconv.ParseUint(req.Inst, 10, 64)
-			if err != nil {
-				return ctlResponse{Err: fmt.Sprintf("reconf: events: cursor must be a non-negative integer, got %q", req.Inst)}
-			}
-			since = n
-		}
-		recs := a.events.Since(since)
-		if recs == nil {
-			recs = []evlog.Record{}
-		}
-		data, err := json.MarshalIndent(map[string]any{
-			"cursor": a.events.Cursor(),
-			"events": recs,
-		}, "", "  ")
-		if err != nil {
-			return fail(err)
-		}
-		return ctlResponse{Text: string(data)}
 	default:
-		return ctlResponse{Err: fmt.Sprintf("reconf: unknown control op %q", req.Op)}
+		return nil, fail(http.StatusBadRequest, "record: enable must be on or off, got %q", v)
 	}
-	return ctlResponse{Text: "ok"}
+	return a.RecordStatus(), nil
+}
+
+// opTimeseries serves the windowed rollups: without a metric the listing
+// of live series, with one its retained windows, optionally capped to the
+// trailing `window` of them.
+func opTimeseries(a *App, args opArgs) (any, error) {
+	k, err := count(args, "window", 31)
+	if err != nil {
+		return nil, err
+	}
+	metric := args.Get("metric")
+	if metric == "" {
+		return map[string]any{
+			"window_ns": int64(a.roller.Window()),
+			"windows":   a.roller.Depth(),
+			"rolled":    a.roller.Rolled(),
+			"metrics":   a.roller.Names(),
+		}, nil
+	}
+	series, ok := a.roller.Query(metric, int(k))
+	if !ok {
+		return nil, fail(http.StatusNotFound, "timeseries: no series for metric %q", metric)
+	}
+	return series, nil
+}
+
+// opHealth answers an instance's structured verdict with its evidence
+// windows; baseline=a,b overrides the default baseline (the instance's
+// live replica-group peers).
+func opHealth(a *App, args opArgs) (any, error) {
+	if _, err := a.bus.Info(args.Get("inst")); err != nil {
+		return nil, err
+	}
+	baseline := strings.FieldsFunc(args.Get("baseline"), func(r rune) bool { return r == ',' || r == ' ' })
+	return a.Health(args.Get("inst"), baseline), nil
+}
+
+// maxEventWait caps the events long-poll, keeping every request bounded
+// well under the server's write deadline.
+const maxEventWait = 30 * time.Second
+
+// opEvents serves the structured event log after the exclusive cursor
+// `since`; wait=seconds long-polls until a fresh record arrives or the wait
+// elapses (empty list).
+func opEvents(a *App, args opArgs) (any, error) {
+	since, err := count(args, "since", 64)
+	if err != nil {
+		return nil, err
+	}
+	var wait time.Duration
+	if v := args.Get("wait"); v != "" {
+		secs, err := strconv.ParseFloat(v, 64)
+		if err != nil || !(secs >= 0) { // NaN fails the comparison too
+			return nil, fail(http.StatusBadRequest, "wait must be non-negative seconds, got %q", v)
+		}
+		wait = maxEventWait
+		if secs < maxEventWait.Seconds() {
+			wait = time.Duration(secs * float64(time.Second))
+		}
+	}
+	recs := a.events.Since(since)
+	if len(recs) == 0 && wait > 0 {
+		recs = a.events.Wait(since, wait)
+	}
+	return map[string]any{"cursor": a.events.Cursor(), "events": append([]evlog.Record{}, recs...)}, nil
 }
 
 // WatchTable renders the operator's one-screen view of the windowed
 // telemetry: per instance, the delivery rate, queued backlog, error rate,
 // sustained p99 delivery latency and health verdict over the last k rolled
-// windows (default 5). Served by the "watch" control op for
-// `reconfigctl watch`.
+// windows (default 5). The watch op serves it for `reconfigctl watch`.
 func (a *App) WatchTable(k int) string {
 	if k <= 0 {
 		k = 5
 	}
-	snap := a.Telemetry().Snapshot()
 	var b strings.Builder
 	fmt.Fprintf(&b, "window=%s rolled=%d\n", a.roller.Window(), a.roller.Rolled())
 	fmt.Fprintf(&b, "%-24s %12s %8s %10s %12s  %s\n",
@@ -385,217 +457,89 @@ func (a *App) WatchTable(k int) string {
 		if latObs > 0 {
 			p99s = time.Duration(p99).String()
 		}
+		backlog := 0
+		if info, err := a.bus.Info(inst); err == nil { // an instance deleted since the listing has none
+			for _, n := range info.Pending {
+				backlog += n
+			}
+		}
 		fmt.Fprintf(&b, "%-24s %12.1f %8d %10.2f %12s  %s\n",
-			inst, rate(delivered), queueDepth(snap, inst), rate(errs), p99s, a.Health(inst, nil).Level)
+			inst, rate(delivered), backlog, rate(errs), p99s, a.Health(inst, nil).Level)
 	}
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// queueDepth sums the live queue-depth gauges attributed to inst. Instance
-// names may contain dots ("pool.1"), so the dotless interface segment is
-// peeled off the right-hand side before comparing.
-func queueDepth(snap telemetry.Snapshot, inst string) int64 {
-	var total int64
-	for name, v := range snap.Gauges {
-		rest := strings.TrimPrefix(name, "bus.iface.")
-		if rest == name || !strings.HasSuffix(rest, ".queue_depth") {
-			continue
+// ---- client ----
+
+// Client runs ops against a served application (App.Serve) over HTTP.
+type Client struct {
+	// Text asks for the human rendering (Accept: text/plain) instead of
+	// the JSON document.
+	Text bool
+
+	base string
+	http *http.Client
+}
+
+// NewClient returns a client for the operator plane at addr (host:port);
+// dialTimeout bounds each connection attempt. Calls themselves are not
+// bounded — a replacement legitimately waits out its quiesce.
+func NewClient(addr string, dialTimeout time.Duration) *Client {
+	return &Client{base: "http://" + addr + "/", http: &http.Client{Transport: &http.Transport{
+		DialContext:       (&net.Dialer{Timeout: dialTimeout}).DialContext,
+		DisableKeepAlives: true, // one short-lived connection per op: nothing to Close
+	}}}
+}
+
+// Call runs one op with positional arguments in the order of the table's
+// params (see Usage; "" skips an optional one) and returns the response
+// body: the JSON result document, or its text rendering when c.Text. A
+// failed op returns an error carrying the server's message — and, for a
+// replacement that ran, the body still holds the transaction report.
+func (c *Client) Call(name string, positional ...string) (string, error) {
+	o := findOp(name)
+	if o == nil {
+		return "", fmt.Errorf("reconf: unknown op %q; ops:\n%s", name, Usage())
+	}
+	names, _ := o.paramNames()
+	if len(positional) > len(names) {
+		return "", fmt.Errorf("reconf: %s: too many arguments\nusage: %s", name, o.usage())
+	}
+	args := opArgs{}
+	for i, v := range positional {
+		if v != "" {
+			args.Set(names[i], v)
 		}
-		rest = strings.TrimSuffix(rest, ".queue_depth")
-		if i := strings.LastIndexByte(rest, '.'); i > 0 && rest[:i] == inst {
-			total += v
+	}
+	if err := o.check(args); err != nil {
+		return "", fmt.Errorf("reconf: %w", err)
+	}
+	method := http.MethodGet
+	if o.mutating != nil && o.mutating(args) {
+		method = http.MethodPost
+	}
+	req, err := http.NewRequest(method, c.base+name+"?"+args.Encode(), nil)
+	if err != nil {
+		return "", fmt.Errorf("reconf: control %s: %w", name, err)
+	}
+	if c.Text {
+		req.Header.Set("Accept", "text/plain")
+	}
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return "", fmt.Errorf("reconf: control %s: %w", name, err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return "", fmt.Errorf("reconf: control %s: %w", name, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		msg := resp.Header.Get(errorHeader)
+		if msg == "" { // a plain failure: the body is the message
+			msg, data = strings.TrimSpace(string(data)), nil
 		}
+		return string(data), fmt.Errorf("reconf: control: %s", msg)
 	}
-	return total
-}
-
-// replaceTx runs a replacement-family script and ships the transaction
-// report alongside the outcome, so the operator tool can show the step
-// trace and any rollback even for a failed reconfiguration.
-func (s *ControlServer) replaceTx(inst string, opts reconfig.ReplaceOptions) ctlResponse {
-	res, err := s.app.ReplaceTx(inst, opts)
-	resp := ctlResponse{Tx: txReport(res)}
-	if err != nil {
-		resp.Err = err.Error()
-	} else {
-		resp.Text = "ok"
-	}
-	return resp
-}
-
-// ControlClient drives a remote application.
-type ControlClient struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	mu   sync.Mutex
-}
-
-// DialControl connects to a control server.
-func DialControl(addr string, timeout time.Duration) (*ControlClient, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("reconf: dial control %s: %w", addr, err)
-	}
-	return &ControlClient{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
-}
-
-// Close releases the connection.
-func (c *ControlClient) Close() error { return c.conn.Close() }
-
-func (c *ControlClient) call(req ctlRequest) (ctlResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.enc.Encode(req); err != nil {
-		return ctlResponse{}, fmt.Errorf("reconf: control send: %w", err)
-	}
-	var resp ctlResponse
-	if err := c.dec.Decode(&resp); err != nil {
-		return ctlResponse{}, fmt.Errorf("reconf: control recv: %w", err)
-	}
-	if resp.Err != "" {
-		// The response still carries any transaction report.
-		return resp, fmt.Errorf("reconf: control: %s", resp.Err)
-	}
-	return resp, nil
-}
-
-// Topology fetches the remote Figure 1 view.
-func (c *ControlClient) Topology() (string, error) {
-	resp, err := c.call(ctlRequest{Op: "topology"})
-	return resp.Text, err
-}
-
-// Instances lists remote instances.
-func (c *ControlClient) Instances() ([]string, error) {
-	resp, err := c.call(ctlRequest{Op: "instances"})
-	return resp.List, err
-}
-
-// Move relocates an instance remotely.
-func (c *ControlClient) Move(inst, newName, machine string) (*TxReport, error) {
-	resp, err := c.call(ctlRequest{Op: "move", Inst: inst, NewName: newName, Machine: machine})
-	return resp.Tx, err
-}
-
-// Replace runs the replacement script remotely.
-func (c *ControlClient) Replace(inst, newName, machine, module string) (*TxReport, error) {
-	resp, err := c.call(ctlRequest{Op: "replace", Inst: inst, NewName: newName, Machine: machine, Module: module})
-	return resp.Tx, err
-}
-
-// Update swaps a module implementation remotely.
-func (c *ControlClient) Update(inst, newName, module string) (*TxReport, error) {
-	resp, err := c.call(ctlRequest{Op: "update", Inst: inst, NewName: newName, Module: module})
-	return resp.Tx, err
-}
-
-// Plan fetches the step sequence a replacement would perform, without
-// executing it.
-func (c *ControlClient) Plan(inst, newName, machine, module string) ([]string, error) {
-	resp, err := c.call(ctlRequest{Op: "plan", Inst: inst, NewName: newName, Machine: machine, Module: module})
-	return resp.List, err
-}
-
-// Replicate adds a replica remotely.
-func (c *ControlClient) Replicate(inst, newName, machine string) error {
-	_, err := c.call(ctlRequest{Op: "replicate", Inst: inst, NewName: newName, Machine: machine})
-	return err
-}
-
-// Remove deletes an instance remotely.
-func (c *ControlClient) Remove(inst string) error {
-	_, err := c.call(ctlRequest{Op: "remove", Inst: inst})
-	return err
-}
-
-// Trace fetches the remote primitive audit trail.
-func (c *ControlClient) Trace() ([]string, error) {
-	resp, err := c.call(ctlRequest{Op: "trace"})
-	return resp.List, err
-}
-
-// TraceTx fetches the span timeline of one remote transaction by ID.
-func (c *ControlClient) TraceTx(txid string) ([]string, error) {
-	resp, err := c.call(ctlRequest{Op: "trace", Inst: txid})
-	return resp.List, err
-}
-
-// Stats fetches the remote statistics snapshot as an indented JSON
-// document (see statsSnapshot).
-func (c *ControlClient) Stats() (string, error) {
-	resp, err := c.call(ctlRequest{Op: "stats"})
-	return resp.Text, err
-}
-
-// Replicas fetches the remote replica-group health snapshot as an indented
-// JSON document (see reconfig.ReplicaSetStatus).
-func (c *ControlClient) Replicas() (string, error) {
-	resp, err := c.call(ctlRequest{Op: "replicas"})
-	return resp.Text, err
-}
-
-// Record drives the remote record ring: mode "on"/"off" toggles it, ""
-// just fetches status. Returns the status as indented JSON (see
-// RecordStatus).
-func (c *ControlClient) Record(mode string) (string, error) {
-	resp, err := c.call(ctlRequest{Op: "record", Inst: mode})
-	return resp.Text, err
-}
-
-// Replay replays the remote record ring's window against an instance's
-// module in-process on the remote side and returns the reproduction
-// report as indented JSON (see ReplayReport).
-func (c *ControlClient) Replay(inst string) (string, error) {
-	resp, err := c.call(ctlRequest{Op: "replay", Inst: inst})
-	return resp.Text, err
-}
-
-// Watch fetches the remote per-instance telemetry table aggregated over
-// the last k rolled windows (k <= 0 uses the server default).
-func (c *ControlClient) Watch(k int) (string, error) {
-	req := ctlRequest{Op: "watch"}
-	if k > 0 {
-		req.Inst = strconv.Itoa(k)
-	}
-	resp, err := c.call(req)
-	return resp.Text, err
-}
-
-// Timeseries fetches windowed rollups as indented JSON: with an empty
-// metric, the series listing; otherwise that metric's retained windows,
-// optionally capped to the trailing k (k <= 0 returns all retained).
-func (c *ControlClient) Timeseries(metric string, k int) (string, error) {
-	req := ctlRequest{Op: "timeseries", Inst: metric}
-	if k > 0 {
-		req.NewName = strconv.Itoa(k)
-	}
-	resp, err := c.call(req)
-	return resp.Text, err
-}
-
-// Health fetches an instance's structured health verdict as indented JSON.
-// An empty baseline defaults to the instance's live replica-group peers.
-func (c *ControlClient) Health(inst string, baseline []string) (string, error) {
-	resp, err := c.call(ctlRequest{Op: "health", Inst: inst, NewName: strings.Join(baseline, ",")})
-	return resp.Text, err
-}
-
-// Events fetches the structured event log after the exclusive cursor as
-// indented JSON ({cursor, events}).
-func (c *ControlClient) Events(since uint64) (string, error) {
-	req := ctlRequest{Op: "events"}
-	if since > 0 {
-		req.Inst = strconv.FormatUint(since, 10)
-	}
-	resp, err := c.call(req)
-	return resp.Text, err
-}
-
-// FormatTrace renders a trace for operator display.
-func FormatTrace(trace []string) string {
-	if len(trace) == 0 {
-		return "(no reconfigurations yet)"
-	}
-	return strings.Join(trace, "\n")
+	return string(data), nil
 }

@@ -3,10 +3,51 @@ package reconf
 import (
 	"encoding/json"
 	"net"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
+
+// serveOps serves an App's operator plane on an ephemeral port and returns
+// its base URL and a client asking for JSON documents.
+func serveOps(t *testing.T, app *App) (string, *Client) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := app.Serve(l)
+	t.Cleanup(func() { srv.Close() })
+	return "http://" + srv.Addr().String(), NewClient(srv.Addr().String(), time.Second)
+}
+
+// callInto runs an op and decodes its JSON document — present on success
+// and beside a failed replacement's error — into v.
+func callInto(t *testing.T, c *Client, v any, op string, args ...string) error {
+	t.Helper()
+	doc, err := c.Call(op, args...)
+	if doc != "" {
+		if jerr := json.Unmarshal([]byte(doc), v); jerr != nil {
+			t.Fatalf("%s %v: not JSON: %v\n%s", op, args, jerr, doc)
+		}
+	}
+	return err
+}
+
+func callTx(t *testing.T, c *Client, op string, args ...string) (*TxReport, error) {
+	t.Helper()
+	var tx *TxReport
+	err := callInto(t, c, &tx, op, args...)
+	return tx, err
+}
+
+func callList(t *testing.T, c *Client, op string, args ...string) ([]string, error) {
+	t.Helper()
+	var list []string
+	err := callInto(t, c, &list, op, args...)
+	return list, err
+}
 
 func TestControlProtocol(t *testing.T) {
 	app := loadMonitor(t, 0)
@@ -15,28 +56,13 @@ func TestControlProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer app.Stop()
+	_, c := serveOps(t, app)
 
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := app.ServeControl(l)
-	defer srv.Close()
-	if srv.Addr() == nil {
-		t.Fatal("no address")
-	}
-
-	c, err := DialControl(srv.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	topo, err := c.Topology()
-	if err != nil || !strings.Contains(topo, "instance compute (module compute)") {
+	var topo string
+	if err := callInto(t, c, &topo, "topology"); err != nil || !strings.Contains(topo, "instance compute (module compute)") {
 		t.Errorf("topology = %q, %v", topo, err)
 	}
-	insts, err := c.Instances()
+	insts, err := callList(t, c, "instances")
 	if err != nil || len(insts) != 3 {
 		t.Errorf("instances = %v, %v", insts, err)
 	}
@@ -48,7 +74,7 @@ func TestControlProtocol(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		d.temperature(10)
 	}()
-	tx, err := c.Move("compute", "compute2", "machineB")
+	tx, err := callTx(t, c, "move", "compute", "compute2", "machineB")
 	if err != nil {
 		t.Fatalf("remote move: %v", err)
 	}
@@ -66,17 +92,19 @@ func TestControlProtocol(t *testing.T) {
 	}
 
 	// The transaction ID resolves to a span timeline over the control plane.
-	timeline, err := c.TraceTx(tx.TxID)
-	if err != nil {
+	var timeline struct {
+		Timeline []string `json:"timeline"`
+	}
+	if err := callInto(t, c, &timeline, "trace", tx.TxID); err != nil {
 		t.Fatalf("remote trace %s: %v", tx.TxID, err)
 	}
-	joined := strings.Join(timeline, "\n")
+	joined := strings.Join(timeline.Timeline, "\n")
 	for _, want := range []string{tx.TxID, "committed", "quiesce_wait", "state_move", "rebind", "restore_wait", "steps:"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("timeline missing %q:\n%s", want, joined)
 		}
 	}
-	if _, err := c.TraceTx("tx-9999"); err == nil {
+	if _, err := c.Call("trace", "tx-9999"); err == nil {
 		t.Error("trace of unknown txid accepted")
 	}
 	d.temperature(30)
@@ -84,7 +112,7 @@ func TestControlProtocol(t *testing.T) {
 		t.Errorf("moved computation = %g", got)
 	}
 
-	trace, err := c.Trace()
+	trace, err := callList(t, c, "trace")
 	if err != nil || len(trace) == 0 {
 		t.Errorf("trace = %v, %v", trace, err)
 	}
@@ -95,7 +123,7 @@ func TestControlProtocol(t *testing.T) {
 		t.Error("empty trace formatting")
 	}
 	// Stats is a JSON document with bus counters, telemetry, and txids.
-	stats, err := c.Stats()
+	stats, err := c.Call("stats")
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
@@ -128,7 +156,7 @@ func TestControlProtocol(t *testing.T) {
 	}
 
 	// A dry-run plan lists the transactional step sequence.
-	steps, err := c.Plan("compute2", "compute3", "machineA", "")
+	steps, err := callList(t, c, "plan", "compute2", "compute3", "machineA")
 	if err != nil {
 		t.Fatalf("remote plan: %v", err)
 	}
@@ -139,27 +167,27 @@ func TestControlProtocol(t *testing.T) {
 		}
 	}
 	// Planning must not have executed anything.
-	if insts, _ := c.Instances(); len(insts) != 3 {
+	if insts, _ := callList(t, c, "instances"); len(insts) != 3 {
 		t.Errorf("plan executed something: instances = %v", insts)
 	}
 
 	// Error paths.
-	if _, err := c.Move("ghost", "g2", "m"); err == nil {
+	if _, err := c.Call("move", "ghost", "g2", "m"); err == nil {
 		t.Error("remote move of ghost accepted")
 	}
-	if _, err := c.Plan("ghost", "g2", "m", ""); err == nil {
+	if _, err := c.Call("plan", "ghost", "g2", "m"); err == nil {
 		t.Error("remote plan of ghost accepted")
 	}
-	if err := c.Remove("ghost"); err == nil {
+	if _, err := c.Call("remove", "ghost"); err == nil {
 		t.Error("remote remove of ghost accepted")
 	}
-	if err := c.Replicate("compute2", "computeB", "machineC"); err != nil {
+	if _, err := c.Call("replicate", "compute2", "computeB", "machineC"); err != nil {
 		t.Errorf("remote replicate: %v", err)
 	}
-	if err := c.Remove("computeB"); err != nil {
+	if _, err := c.Call("remove", "computeB"); err != nil {
 		t.Errorf("remote remove: %v", err)
 	}
-	if _, err := c.call(ctlRequest{Op: "frobnicate"}); err == nil {
+	if _, err := c.Call("frobnicate"); err == nil {
 		t.Error("unknown op accepted")
 	}
 }
@@ -177,20 +205,10 @@ func TestControlObservabilityOps(t *testing.T) {
 	app.Timeseries().Roll()
 	app.Timeseries().Roll()
 
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := app.ServeControl(l)
-	defer srv.Close()
-	c, err := DialControl(srv.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	_, c := serveOps(t, app)
 
-	tbl, err := c.Watch(0)
-	if err != nil {
+	var tbl string
+	if err := callInto(t, c, &tbl, "watch"); err != nil {
 		t.Fatalf("watch: %v", err)
 	}
 	for _, want := range []string{"INSTANCE", "DELIVERED/S", "QDEPTH", "HEALTH", "display", "healthy"} {
@@ -198,7 +216,7 @@ func TestControlObservabilityOps(t *testing.T) {
 			t.Errorf("watch table missing %q:\n%s", want, tbl)
 		}
 	}
-	listing, err := c.Timeseries("", 0)
+	listing, err := c.Call("timeseries")
 	if err != nil {
 		t.Fatalf("timeseries listing: %v", err)
 	}
@@ -218,7 +236,7 @@ func TestControlObservabilityOps(t *testing.T) {
 	if !found {
 		t.Fatalf("timeseries listing lacks %s: %v", metric, names.Metrics)
 	}
-	doc, err := c.Timeseries(metric, 1)
+	doc, err := c.Call("timeseries", metric, "1")
 	if err != nil {
 		t.Fatalf("timeseries %s: %v", metric, err)
 	}
@@ -234,11 +252,11 @@ func TestControlObservabilityOps(t *testing.T) {
 	if series.Kind != "counter" || len(series.Points) != 1 {
 		t.Errorf("series = kind %s with %d points, want counter with 1 window", series.Kind, len(series.Points))
 	}
-	if _, err := c.Timeseries("no.such.metric", 0); err == nil {
+	if _, err := c.Call("timeseries", "no.such.metric"); err == nil {
 		t.Error("timeseries of unknown metric accepted")
 	}
 
-	verdictDoc, err := c.Health("display", nil)
+	verdictDoc, err := c.Call("health", "display")
 	if err != nil {
 		t.Fatalf("health: %v", err)
 	}
@@ -252,11 +270,11 @@ func TestControlObservabilityOps(t *testing.T) {
 	if verdict.Instance != "display" || verdict.Level == "" {
 		t.Errorf("verdict = %+v, want instance display with a level", verdict)
 	}
-	if _, err := c.Health("ghost", nil); err == nil {
+	if _, err := c.Call("health", "ghost"); err == nil {
 		t.Error("health of unknown instance accepted")
 	}
 
-	eventsDoc, err := c.Events(0)
+	eventsDoc, err := c.Call("events")
 	if err != nil {
 		t.Fatalf("events: %v", err)
 	}
@@ -279,7 +297,7 @@ func TestControlObservabilityOps(t *testing.T) {
 	if !sawBus {
 		t.Errorf("events lack a bus add-instance record:\n%s", eventsDoc)
 	}
-	tailDoc, err := c.Events(events.Cursor)
+	tailDoc, err := c.Call("events", strconv.FormatUint(events.Cursor, 10))
 	if err != nil {
 		t.Fatalf("events since cursor: %v", err)
 	}
@@ -295,8 +313,8 @@ func TestControlObservabilityOps(t *testing.T) {
 }
 
 func TestDialControlFailure(t *testing.T) {
-	if _, err := DialControl("127.0.0.1:1", 100*time.Millisecond); err == nil {
-		t.Error("dial to closed port succeeded")
+	if _, err := NewClient("127.0.0.1:1", 100*time.Millisecond).Call("topology"); err == nil {
+		t.Error("call to closed port succeeded")
 	}
 }
 
@@ -306,7 +324,10 @@ func TestControlServerCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := app.ServeControl(l)
+	srv := app.Serve(l)
+	if srv.Addr() == nil {
+		t.Fatal("no address")
+	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}

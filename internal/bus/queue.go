@@ -204,18 +204,22 @@ func (q *msgQueue) push(m Message, version uint64) error {
 // can never land traffic on an abandoned route. The fence is checked after
 // the claim: a producer ordered before a detach-and-drain's tail capture
 // owns a slot the drain settles, one ordered after it observes the raised
-// fence and abandons the claim — either way exactly once.
+// fence and abandons the claim — either way exactly once. The fence is
+// tested before closed: every close is preceded by a detach, so a writer
+// holding a pre-rebind snapshot that reaches the old queue after
+// DeleteInstance must re-route (errStaleRoute), not have ErrQueueClosed
+// read as "receiver gone" and the message dropped.
 //
 //archlint:hotpath
 func (q *msgQueue) pushRouted(m Message, version uint64) error {
 	s := q.claim()
-	if q.closed.Load() {
-		s.state.Store(slotDead)
-		return ErrQueueClosed
-	}
 	if version <= q.fence.Load() {
 		s.state.Store(slotDead)
 		return errStaleRoute
+	}
+	if q.closed.Load() {
+		s.state.Store(slotDead)
+		return ErrQueueClosed
 	}
 	s.msg = m
 	s.ver = version

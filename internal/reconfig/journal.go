@@ -13,11 +13,11 @@ package reconfig
 type RollbackStep struct {
 	// Action names the compensation ("inverse_rebind", "release_old",
 	// "delete_clone", "release_guard").
-	Action string
+	Action string `json:"action"`
 	// Err is the compensation's own failure, empty when it succeeded.
 	// A failed compensation does not stop the replay: the remaining
 	// inverses still run, and every failure is reported.
-	Err string
+	Err string `json:"err,omitempty"`
 }
 
 // TxResult is the outcome of one transactional reconfiguration script.

@@ -2,331 +2,166 @@ package reconf
 
 import (
 	"encoding/json"
-	"fmt"
-	"log"
+	"errors"
+	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/bus"
-	"repro/internal/telemetry"
-	"repro/internal/telemetry/evlog"
-	"repro/internal/telemetry/trace"
 )
 
-// This file is the HTTP observability surface of an App — the pull
-// counterpart of the reconfigctl push protocol (control.go). Endpoints:
-//
-//	/metrics     the full telemetry registry plus the bus activity counters,
-//	             in the Prometheus text exposition format with per-instance
-//	             labels (bus_iface_delivered{instance,interface}, ...)
-//	/healthz     liveness/readiness: 200 "ok", or 503 "reconfiguring" while
-//	/readyz      a transactional reconfiguration is in flight (in this
-//	             single-process reproduction the two collapse to one signal)
-//	/traces      the flight recorder's retained delivery spans, as JSON
-//	/trace/{id}  one causal chain ("tx-0001" renders a transaction's span
-//	             timeline; a numeric ID returns that message trace's spans)
-//	/replicas    every supervised replica group: live members with heartbeat
-//	             and backlog, corpses awaiting rebuild, supervision counters
-//	/record      the record ring's status; ?enable=on|off toggles recording
-//	/replay/{id} replay the recorded window against instance id's module
-//	             in-process and report whether the outputs reproduce
-//	/timeseries  windowed rollups: no params lists metric names; ?metric=
-//	             returns its windows (?window= caps how many)
-//	/health/{i}  instance i's structured verdict (?baseline=a,b overrides
-//	             the default peer baseline)
-//	/events      the structured event log from ?since= (exclusive cursor);
-//	             ?wait=seconds long-polls for fresh events
-//	/debug/pprof runtime profiling, only when enabled with WithPprof
-type ObsServer struct {
+// This file serves the op table (control.go) over HTTP — the one operator
+// listener of an App. Every op answers at /<name>, arguments as form values
+// in the query or the body; /<name>/<value> supplies the first parameter in
+// the path (/trace/tx-0001, /replay/filter, /health/pool.1). Results are
+// indented JSON, or the op's human rendering under Accept: text/plain.
+// Calls that change the system must be POSTed; GET on one is 405.
+
+const (
+	// maxOpBody caps a request body: op arguments are a handful of names.
+	maxOpBody = 64 << 10
+	// errorHeader carries the error message when a failed op still answers
+	// with a result document (a rolled-back replacement's report).
+	errorHeader = "Reconf-Error"
+)
+
+// Server is a running operator listener.
+type Server struct {
 	srv *http.Server
 	l   net.Listener
+	mux *http.ServeMux
 }
 
-// ObsOption configures ServeObs.
-type ObsOption func(*obsConfig)
+// Serve starts serving the operator plane on l. Close the returned server
+// to stop. The write timeout leaves room for the events long-poll plus
+// response transfer; ops that can legitimately run longer extend it by
+// their budget.
+func (a *App) Serve(l net.Listener) *Server { return a.serve(l, maxEventWait+30*time.Second) }
 
-type obsConfig struct {
-	pprof bool
-}
-
-// WithPprof mounts net/http/pprof under /debug/pprof/ on the obs mux. Off
-// by default: profiling endpoints expose stacks and heap contents, so they
-// are opt-in (polybus -pprof).
-func WithPprof() ObsOption {
-	return func(c *obsConfig) { c.pprof = true }
-}
-
-// ServeObs starts serving the observability endpoints on l. Close the
-// returned server to stop.
-func (a *App) ServeObs(l net.Listener, opts ...ObsOption) *ObsServer {
-	var cfg obsConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", a.handleMetrics)
-	mux.HandleFunc("/healthz", a.handleHealth)
-	mux.HandleFunc("/readyz", a.handleHealth)
-	mux.HandleFunc("/traces", a.handleTraces)
-	mux.HandleFunc("/trace/", a.handleTrace)
-	mux.HandleFunc("/replicas", a.handleReplicas)
-	mux.HandleFunc("/record", a.handleRecord)
-	mux.HandleFunc("/replay/", a.handleReplay)
-	mux.HandleFunc("/timeseries", a.handleTimeseries)
-	mux.HandleFunc("/health/", a.handleInstanceHealth)
-	mux.HandleFunc("/events", a.handleEvents)
-	if cfg.pprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
+func (a *App) serve(l net.Listener, writeTimeout time.Duration) *Server {
+	mux := a.opMux(writeTimeout)
 	// Slowloris hardening: a client must finish its headers and body
-	// promptly. WriteTimeout leaves room for the /events long-poll (capped
-	// at maxEventWait) plus response transfer.
+	// promptly, and a response that is not written in time is cut off.
 	srv := &http.Server{
 		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       15 * time.Second,
-		WriteTimeout:      maxEventWait + 30*time.Second,
+		WriteTimeout:      writeTimeout,
 	}
 	go func() { _ = srv.Serve(l) }() //archlint:spawn HTTP server; exits when srv.Close is called
-	return &ObsServer{srv: srv, l: l}
+	return &Server{srv: srv, l: l, mux: mux}
 }
 
 // Addr returns the listener address.
-func (o *ObsServer) Addr() net.Addr { return o.l.Addr() }
+func (s *Server) Addr() net.Addr { return s.l.Addr() }
 
 // Close stops the server and closes the listener.
-func (o *ObsServer) Close() error { return o.srv.Close() }
+func (s *Server) Close() error { return s.srv.Close() }
 
-func (a *App) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	st := a.bus.Stats()
-	for _, c := range []struct {
-		name string
-		v    int64
-	}{
-		{"bus_delivered_total", st.Delivered},
-		{"bus_dropped_total", st.Dropped},
-		{"bus_rebinds_total", st.Rebinds},
-		{"bus_signals_total", st.Signals},
-		{"bus_moves_total", st.Moves},
-	} {
-		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", c.name, c.name, c.v)
-	}
-	fmt.Fprintf(w, "# TYPE bus_snapshot_version gauge\nbus_snapshot_version %d\n", st.SnapshotVersion)
-	if rec := a.FlightRecorder(); rec != nil {
-		fmt.Fprintf(w, "# TYPE trace_recorder_spans gauge\ntrace_recorder_spans %d\n", rec.Len())
-		fmt.Fprintf(w, "# TYPE trace_recorder_recorded_total counter\ntrace_recorder_recorded_total %d\n", rec.Recorded())
-		fmt.Fprintf(w, "# TYPE trace_recorder_memory_bound_bytes gauge\ntrace_recorder_memory_bound_bytes %d\n", rec.MemoryBound())
-	}
-	telemetry.WritePrometheus(w, a.Telemetry(), bus.PromLabelRules()...)
-}
+// Handle mounts an extra handler beside the ops (polybus -pprof mounts
+// /debug/pprof/ this way: profiling exposes stacks and heap contents, so it
+// is never part of the table).
+func (s *Server) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
 
-func (a *App) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	if a.prims.ReconfigActive() {
-		http.Error(w, "reconfiguring", http.StatusServiceUnavailable)
-		return
-	}
-	fmt.Fprintln(w, "ok")
-}
-
-func (a *App) handleTraces(w http.ResponseWriter, _ *http.Request) {
-	spans := a.FlightRecorder().Snapshot()
-	if spans == nil {
-		spans = []*trace.SpanRecord{}
-	}
-	writeJSON(w, spans)
-}
-
-func (a *App) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/trace/")
-	if strings.HasPrefix(id, "tx-") {
-		lines, err := a.TraceTx(id)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		writeJSON(w, map[string]any{"id": id, "timeline": lines})
-		return
-	}
-	// Quiesce annotations render message trace IDs as 0x-prefixed hex so
-	// they can't be misread as the decimal form the JSON spans use; accept
-	// both, plus bare hex as a convenience for IDs with letters in them.
-	var n uint64
-	var err error
-	if rest, isHex := strings.CutPrefix(id, "0x"); isHex {
-		n, err = strconv.ParseUint(rest, 16, 64)
-	} else {
-		n, err = strconv.ParseUint(id, 10, 64)
-		if err != nil {
-			n, err = strconv.ParseUint(id, 16, 64)
+// opMux registers every op of the table — and, for ops that take
+// arguments, the path form of the first — anything else is 404 with the
+// table's usage.
+func (a *App) opMux(writeTimeout time.Duration) *http.ServeMux {
+	mux := http.NewServeMux()
+	for i := range ops {
+		h := a.opHandler(&ops[i], writeTimeout)
+		mux.Handle("/"+ops[i].name, h)
+		if ops[i].params != "" {
+			mux.Handle("/"+ops[i].name+"/", h)
 		}
 	}
-	if err != nil {
-		http.Error(w, "bad trace id: "+id, http.StatusBadRequest)
-		return
-	}
-	spans := a.FlightRecorder().ByTrace(n)
-	if len(spans) == 0 {
-		http.Error(w, fmt.Sprintf("no retained spans for trace %d", n), http.StatusNotFound)
-		return
-	}
-	writeJSON(w, map[string]any{"trace_id": n, "spans": spans})
-}
-
-func (a *App) handleReplicas(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, a.ReplicaSets())
-}
-
-func (a *App) handleRecord(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Query().Get("enable") {
-	case "":
-	case "on", "true", "1":
-		if err := a.SetRecording(true); err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-	case "off", "false", "0":
-		if err := a.SetRecording(false); err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-	default:
-		http.Error(w, "enable must be on or off", http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, a.RecordStatus())
-}
-
-func (a *App) handleReplay(w http.ResponseWriter, r *http.Request) {
-	inst := strings.TrimPrefix(r.URL.Path, "/replay/")
-	if inst == "" {
-		http.Error(w, "usage: /replay/{instance}", http.StatusBadRequest)
-		return
-	}
-	rep, err := a.ReplayRecorded(inst, nil)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	writeJSON(w, rep)
-}
-
-// handleTimeseries serves windowed rollups. Without ?metric= it lists the
-// live series names; with one it returns the metric's retained windows,
-// optionally capped by ?window= (a count of trailing windows).
-func (a *App) handleTimeseries(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	metric := q.Get("metric")
-	if metric == "" {
-		writeJSON(w, map[string]any{
-			"window_ns": int64(a.roller.Window()),
-			"windows":   a.roller.Depth(),
-			"rolled":    a.roller.Rolled(),
-			"metrics":   a.roller.Names(),
-		})
-		return
-	}
-	k := 0
-	for _, key := range []string{"window", "windows"} {
-		if v := q.Get(key); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				http.Error(w, "window must be a non-negative window count", http.StatusBadRequest)
-				return
-			}
-			k = n
-		}
-	}
-	s, ok := a.roller.Query(metric, k)
-	if !ok {
-		http.Error(w, "no series for metric "+metric, http.StatusNotFound)
-		return
-	}
-	writeJSON(w, s)
-}
-
-// handleInstanceHealth serves /health/{instance}: the structured verdict
-// with its evidence windows. ?baseline=a,b overrides the default baseline
-// (the instance's live replica-group peers).
-func (a *App) handleInstanceHealth(w http.ResponseWriter, r *http.Request) {
-	inst := strings.TrimPrefix(r.URL.Path, "/health/")
-	if inst == "" {
-		http.Error(w, "usage: /health/{instance}", http.StatusBadRequest)
-		return
-	}
-	var baseline []string
-	if b := r.URL.Query().Get("baseline"); b != "" {
-		for _, p := range strings.Split(b, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				baseline = append(baseline, p)
-			}
-		}
-	}
-	if _, err := a.bus.Info(inst); err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	writeJSON(w, a.Health(inst, baseline))
-}
-
-// maxEventWait caps the /events long-poll, keeping every request bounded
-// well under the server's WriteTimeout.
-const maxEventWait = 30 * time.Second
-
-// handleEvents serves the structured event log from an exclusive cursor:
-// /events?since=N returns records with seq > N. ?wait=seconds long-polls
-// until a fresh record arrives or the wait elapses (empty list).
-func (a *App) handleEvents(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	var since uint64
-	if v := q.Get("since"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			http.Error(w, "since must be an event cursor", http.StatusBadRequest)
-			return
-		}
-		since = n
-	}
-	var wait time.Duration
-	if v := q.Get("wait"); v != "" {
-		secs, err := strconv.ParseFloat(v, 64)
-		if err != nil || secs < 0 {
-			http.Error(w, "wait must be non-negative seconds", http.StatusBadRequest)
-			return
-		}
-		wait = time.Duration(secs * float64(time.Second))
-		if wait > maxEventWait {
-			wait = maxEventWait
-		}
-	}
-	recs := a.events.Since(since)
-	if len(recs) == 0 && wait > 0 {
-		recs = a.events.Wait(since, wait)
-	}
-	if recs == nil {
-		recs = []evlog.Record{}
-	}
-	writeJSON(w, map[string]any{
-		"cursor": a.events.Cursor(),
-		"events": recs,
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "unknown op "+r.URL.Path+"; ops:\n"+Usage(), http.StatusNotFound)
 	})
+	return mux
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		// The usual cause is a client hanging up mid-response; the error
-		// is invisible to the client either way, so log it.
-		log.Printf("obs: encode response: %v", err)
+func (a *App) opHandler(o *op, writeTimeout time.Duration) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, maxOpBody)
+		if err := r.ParseForm(); err != nil { // malformed, or over the cap
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		args := r.Form
+		if rest := strings.TrimPrefix(r.URL.Path, "/"+o.name+"/"); rest != r.URL.Path && rest != "" {
+			names, _ := o.paramNames()
+			args.Set(names[0], rest)
+		}
+		if o.mutating != nil && o.mutating(args) && r.Method != http.MethodPost {
+			w.Header().Set("Allow", "POST")
+			http.Error(w, o.name+" changes the system: use POST", http.StatusMethodNotAllowed)
+			return
+		}
+		err := o.check(args)
+		var v any
+		if err == nil {
+			if o.budget != nil {
+				// The server-wide deadline is shorter than this op may
+				// legitimately wait; give the connection the op's own.
+				deadline := time.Now().Add(o.budget(a, args) + writeTimeout)
+				rc := http.NewResponseController(w)
+				_ = rc.SetReadDeadline(deadline)  // unsupported only by a test recorder,
+				_ = rc.SetWriteDeadline(deadline) // which has no deadline to extend
+			}
+			v, err = o.run(a, args)
+		}
+		writeResult(w, r, o, v, err)
 	}
+}
+
+// statusOf classifies an op failure: what the op said itself, 404 for an
+// unknown instance, and otherwise 409 — the request was understood and the
+// system's current state refused it.
+func statusOf(err error) int {
+	var oe *opError
+	switch {
+	case errors.As(err, &oe):
+		return oe.status
+	case errors.Is(err, bus.ErrNoInstance):
+		return http.StatusNotFound
+	}
+	return http.StatusConflict
+}
+
+func writeResult(w http.ResponseWriter, r *http.Request, o *op, v any, err error) {
+	status := http.StatusOK
+	if err != nil {
+		status = statusOf(err)
+		var oe *opError
+		if !errors.As(err, &oe) || oe.result == nil {
+			http.Error(w, err.Error(), status)
+			return
+		}
+		v = oe.result
+		w.Header().Set(errorHeader, err.Error())
+	}
+	var body string
+	if raw, isRaw := v.(rawText); isRaw {
+		body = string(raw)
+	} else if o.text != nil && strings.Contains(r.Header.Get("Accept"), "text/plain") {
+		body = o.text(v)
+	}
+	ctype := "text/plain; charset=utf-8"
+	if body == "" {
+		data, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			http.Error(w, "encode result: "+err.Error(), http.StatusInternalServerError)
+			return
+		}
+		body, ctype = string(data), "application/json"
+	}
+	if !strings.HasSuffix(body, "\n") {
+		body += "\n"
+	}
+	w.Header().Set("Content-Type", ctype)
+	w.WriteHeader(status)
+	_, _ = io.WriteString(w, body) // the usual cause is a client hanging up mid-response
 }

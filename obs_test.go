@@ -16,24 +16,33 @@ import (
 	"repro/internal/telemetry/trace"
 )
 
-// serveObs starts an App's observability endpoint on an ephemeral port and
-// returns its base URL.
+// serveObs starts an App's operator plane on an ephemeral port and returns
+// its base URL, for tests that speak plain HTTP to it.
 func serveObs(t *testing.T, app *App) string {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := app.ServeObs(l)
-	t.Cleanup(func() { srv.Close() })
-	return "http://" + srv.Addr().String()
+	base, _ := serveOps(t, app)
+	return base
 }
 
 func httpGet(t *testing.T, url string) (int, string) {
 	t.Helper()
-	resp, err := http.Get(url)
+	return httpDo(t, http.MethodGet, url)
+}
+
+func httpPost(t *testing.T, url string) (int, string) {
+	t.Helper()
+	return httpDo(t, http.MethodPost, url)
+}
+
+func httpDo(t *testing.T, method, url string) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, nil)
 	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
@@ -114,6 +123,12 @@ func TestObsHealthFlipsDuringQuiesce(t *testing.T) {
 		t.Errorf("/healthz during quiesce = %d %q, want 503 reconfiguring", code, body)
 	}
 
+	// Readiness flips when the transaction begins; release the module only
+	// once the reconfiguration request is out, or it passes its point
+	// unsignalled and blocks on a temperature nobody sends.
+	for i := 0; i < 1000 && app.Bus().Stats().Signals == 0; i++ {
+		time.Sleep(time.Millisecond)
+	}
 	d.temperature(60)
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -327,7 +342,7 @@ func TestObsServerTimeoutsSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := app.ServeObs(l)
+	srv := app.Serve(l)
 	t.Cleanup(func() { srv.Close() })
 	if srv.srv.ReadHeaderTimeout <= 0 || srv.srv.ReadTimeout <= 0 || srv.srv.WriteTimeout <= 0 {
 		t.Errorf("obs server timeouts unset: header=%v read=%v write=%v",

@@ -114,8 +114,8 @@ type Config struct {
 	StallAfter time.Duration
 	// RecordBuffer enables the record/replay subsystem: every delivered
 	// message is appended to a bounded ring of this capacity (recording
-	// starts on; toggle via the /record obs endpoint or the control
-	// plane). 0 leaves recording unconfigured — the zero-cost default.
+	// starts on; toggle via the record op). 0 leaves recording
+	// unconfigured — the zero-cost default.
 	RecordBuffer int
 	// RecordSpill optionally streams every record to a writer as gob
 	// frames (cmd/mhreplay reads the stream back). Meaningful only with
@@ -813,8 +813,7 @@ func (a *App) Supervisor(group string) *reconfig.Supervisor {
 
 // ReplicaSets snapshots every supervised replica group — members with
 // heartbeat and backlog, corpses awaiting rebuild, supervision counters —
-// sorted by group name. Served over HTTP as /replicas and by the control
-// plane's "replicas" op.
+// sorted by group name. Served by the replicas op.
 func (a *App) ReplicaSets() []reconfig.ReplicaSetStatus {
 	a.mu.Lock()
 	sups := make([]*reconfig.Supervisor, 0, len(a.sups))

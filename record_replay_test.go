@@ -12,7 +12,6 @@ package reconf
 
 import (
 	"encoding/json"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -349,19 +348,25 @@ func TestRecordObsEndpoints(t *testing.T) {
 		t.Errorf("/record queues missing filter.in: %+v", st.Queues)
 	}
 
-	code, body = httpGet(t, base+"/record?enable=off")
+	if code, _ := httpGet(t, base+"/record?enable=off"); code != http.StatusMethodNotAllowed {
+		t.Errorf("GET /record?enable=off -> %d, want 405: a GET must not flip recording", code)
+	}
+	if !h.app.Recorder().Enabled() {
+		t.Error("GET /record?enable=off disabled recording")
+	}
+	code, body = httpPost(t, base+"/record?enable=off")
 	if code != http.StatusOK || !strings.Contains(body, `"enabled": false`) {
-		t.Errorf("/record?enable=off -> %d %s", code, body)
+		t.Errorf("POST /record?enable=off -> %d %s", code, body)
 	}
 	h.drive(6)
 	if got := h.app.Recorder().Recorded(); got != 4 {
 		t.Errorf("recorded while disabled: %d", got)
 	}
-	code, _ = httpGet(t, base+"/record?enable=on")
+	code, _ = httpPost(t, base+"/record?enable=on")
 	if code != http.StatusOK {
 		t.Errorf("/record?enable=on -> %d", code)
 	}
-	if code, _ := httpGet(t, base+"/record?enable=sideways"); code != http.StatusBadRequest {
+	if code, _ := httpPost(t, base+"/record?enable=sideways"); code != http.StatusBadRequest {
 		t.Errorf("bad enable value -> %d", code)
 	}
 
@@ -394,7 +399,7 @@ func TestRecordObsUnconfigured(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, `"configured": false`) {
 		t.Errorf("/record on unconfigured app -> %d %s", code, body)
 	}
-	if code, _ := httpGet(t, base+"/record?enable=on"); code != http.StatusConflict {
+	if code, _ := httpPost(t, base+"/record?enable=on"); code != http.StatusConflict {
 		t.Errorf("enable on unconfigured app -> %d", code)
 	}
 }
@@ -402,40 +407,30 @@ func TestRecordObsUnconfigured(t *testing.T) {
 // TestControlRecordReplay: the control plane's record and replay ops.
 func TestControlRecordReplay(t *testing.T) {
 	h := loadPipe(t, false)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := h.app.ServeControl(l)
-	t.Cleanup(func() { srv.Close() })
-	c, err := DialControl(srv.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
+	_, c := serveOps(t, h.app)
 
 	h.drive(7, 3)
 
-	status, err := c.Record("")
+	status, err := c.Call("record")
 	if err != nil || !strings.Contains(status, `"recorded": 4`) {
 		t.Errorf("record status = %q, %v", status, err)
 	}
-	status, err = c.Record("off")
+	status, err = c.Call("record", "off")
 	if err != nil || !strings.Contains(status, `"enabled": false`) {
 		t.Errorf("record off = %q, %v", status, err)
 	}
-	if _, err := c.Record("on"); err != nil {
+	if _, err := c.Call("record", "on"); err != nil {
 		t.Errorf("record on: %v", err)
 	}
 
-	rep, err := c.Replay("filter")
+	rep, err := c.Call("replay", "filter")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(rep, `"match": true`) {
 		t.Errorf("control replay report = %s", rep)
 	}
-	if _, err := c.Replay("ghost"); err == nil {
+	if _, err := c.Call("replay", "ghost"); err == nil {
 		t.Error("replay of unknown instance accepted")
 	}
 }

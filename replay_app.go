@@ -6,9 +6,8 @@ package reconf
 // running code — replaying an instance's inputs against a module body in
 // a sandbox (internal/replay/rerun) — and wires the result in three
 // places: ReplayRecorded (the offline reproduction behind cmd/mhreplay
-// and the /replay/{id} obs endpoint), preflightReplay (the opt-in gate
-// ReplaceTx runs between restore_wait and commit), and RecordStatus (the
-// /record endpoint and the control plane's record op).
+// and the replay op), preflightReplay (the opt-in gate ReplaceTx runs
+// between restore_wait and commit), and RecordStatus (the record op).
 
 import (
 	"fmt"
@@ -52,8 +51,8 @@ func (a *App) RecordStatus() RecordStatus {
 	return st
 }
 
-// SetRecording toggles the record ring at runtime (the /record endpoint
-// and `reconfigctl record on|off`).
+// SetRecording toggles the record ring at runtime (the record op:
+// `reconfigctl record on|off`).
 func (a *App) SetRecording(on bool) error {
 	if a.recorder == nil {
 		return fmt.Errorf("reconf: recording not configured (set Config.RecordBuffer)")
@@ -133,8 +132,8 @@ type ReplayReport struct {
 // ReplayRecorded re-runs a recorded window against the named instance's
 // own module in-process and diffs the replayed output sequence against
 // the recorded one — the reproduction check behind cmd/mhreplay and the
-// /replay/{id} obs endpoint. The window defaults to the current ring
-// contents when recs is nil.
+// replay op. The window defaults to the current ring contents when recs
+// is nil.
 func (a *App) ReplayRecorded(instance string, recs []replay.Record) (*ReplayReport, error) {
 	if recs == nil {
 		if a.recorder == nil {

@@ -21,6 +21,14 @@ go vet ./...
 echo "== archlint ./... (self-hosting architectural invariants)"
 go run ./cmd/archlint ./...
 
+echo "== bench/ harness (its own module: the root go test never compiles it)"
+# A root-API change that breaks the frozen benchmark harness must fail
+# here, not in the benchmark driver.
+(cd bench && go vet ./... && go test ./...)
+
+echo "== non-test Go lines (ROADMAP aim 2: this number goes down)"
+find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './bench/out/*' -print0 | xargs -0 cat | wc -l
+
 echo "== go test -race ./internal/bus/... ./internal/quiesce/... ./internal/reconfig/... ./internal/mh/..."
 go test -race ./internal/bus/... ./internal/quiesce/... ./internal/reconfig/... ./internal/mh/...
 

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"net"
 	"os"
 	"sort"
 	"strings"
@@ -410,18 +409,8 @@ func TestReplicasObservability(t *testing.T) {
 	}
 	check("/replicas", body)
 
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := h.app.ServeControl(l)
-	defer srv.Close()
-	c, err := DialControl(srv.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	doc, err := c.Replicas()
+	_, c := serveOps(t, h.app)
+	doc, err := c.Call("replicas")
 	if err != nil {
 		t.Fatal(err)
 	}
