@@ -4,9 +4,10 @@ test:
 	go build ./... && go test ./...
 
 # Architectural invariants: the self-hosting archlint run (AL001-AL014:
-# trace confinement, locking discipline, snapshot protocol, hot-path
-# allocations, journaled mutations, spawn sites, layering, record-append
-# confinement, observability-ring write confinement).
+# locking discipline, snapshot protocol, hot-path allocations, journaled
+# mutations, spawn sites, layering, the bus ring protocol, and one
+# table-driven method-confinement pass serving AL002 trace minting, AL012
+# record appends and AL014 observability-ring writes).
 .PHONY: lint
 lint:
 	go run ./cmd/archlint ./...

@@ -33,9 +33,8 @@ func benchMonitorApp(tb testing.TB, mode transform.CaptureMode, instrument bool)
 			"display": func(rt *mh.Runtime) {},
 			"sensor":  func(rt *mh.Runtime) {},
 		},
-		Mode:         mode,
-		SleepUnit:    time.Microsecond,
-		StateTimeout: 30 * time.Second,
+		Mode:      mode,
+		SleepUnit: time.Microsecond,
 	})
 	if err != nil {
 		tb.Fatal(err)

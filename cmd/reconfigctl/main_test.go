@@ -12,6 +12,7 @@ import (
 
 	"repro"
 	"repro/internal/fixtures"
+	"repro/internal/reconfig"
 )
 
 func startApp(t *testing.T) (*reconf.App, string) {
@@ -26,7 +27,7 @@ func startApp(t *testing.T) (*reconf.App, string) {
 			"display": fixtures.Display(4, 1000, 1, nil),
 		},
 		SleepUnit:    100 * time.Microsecond,
-		StateTimeout: 10 * time.Second,
+		Timeouts:     reconfig.Timeouts{StateMove: 10 * time.Second},
 		TraceSample:  1,
 		RecordBuffer: 256,
 	})

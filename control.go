@@ -66,7 +66,8 @@ var ops = []op{
 	}, text: asIs},
 	{name: "trace", params: "[id]", run: opTrace, text: traceText},
 	{name: "traces", run: func(a *App, _ opArgs) (any, error) {
-		return append([]*trace.SpanRecord{}, a.FlightRecorder().Snapshot()...), nil
+		rec := a.FlightRecorder()
+		return truncated(map[string]any{"spans": append([]*trace.SpanRecord{}, rec.Snapshot()...)}, rec.Overwritten() > 0), nil
 	}},
 	{name: "stats", run: opStats},
 	{name: "metrics", run: opMetrics},
@@ -238,7 +239,7 @@ func opReplace(a *App, args opArgs) (any, error) {
 // txBudget is the longest a replacement can legitimately wait: every bound
 // of the transaction's resolved Timeouts, back to back.
 func txBudget(a *App, args opArgs) time.Duration {
-	t := a.fillTimeouts(replaceOptions(args)).Timeouts
+	t := a.fillOptions(replaceOptions(args)).Timeouts
 	return t.Quiesce + t.StateMove + t.RestoreAck + t.Rollback
 }
 
@@ -327,8 +328,13 @@ func opMetrics(a *App, _ opArgs) (any, error) {
 	fmt.Fprintf(&w, "# TYPE bus_snapshot_version gauge\nbus_snapshot_version %d\n", st.SnapshotVersion)
 	if rec := a.FlightRecorder(); rec != nil {
 		fmt.Fprintf(&w, "# TYPE trace_recorder_spans gauge\ntrace_recorder_spans %d\n", rec.Len())
-		fmt.Fprintf(&w, "# TYPE trace_recorder_recorded_total counter\ntrace_recorder_recorded_total %d\n", rec.Recorded())
+		counter("trace_recorder_recorded_total", rec.Recorded())
+		counter("trace_recorder_overwritten_total", int64(rec.Overwritten()))
 		fmt.Fprintf(&w, "# TYPE trace_recorder_memory_bound_bytes gauge\ntrace_recorder_memory_bound_bytes %d\n", rec.MemoryBound())
+	}
+	counter("event_log_overwritten_total", int64(a.events.Overwritten()))
+	if a.recorder != nil {
+		counter("record_ring_overwritten_total", int64(a.recorder.Overwritten()))
 	}
 	telemetry.WritePrometheus(&w, a.Telemetry(), bus.PromLabelRules()...)
 	return rawText(w.String()), nil
@@ -392,6 +398,16 @@ func opHealth(a *App, args opArgs) (any, error) {
 	return a.Health(args.Get("inst"), baseline), nil
 }
 
+// truncated stamps doc when the ring it was read from has already
+// overwritten part of the window the call asked for, so an operator can
+// tell a complete answer from the surviving tail of one.
+func truncated(doc map[string]any, lost bool) map[string]any {
+	if lost {
+		doc["truncated"] = true
+	}
+	return doc
+}
+
 // maxEventWait caps the events long-poll, keeping every request bounded
 // well under the server's write deadline.
 const maxEventWait = 30 * time.Second
@@ -415,11 +431,9 @@ func opEvents(a *App, args opArgs) (any, error) {
 			wait = time.Duration(secs * float64(time.Second))
 		}
 	}
-	recs := a.events.Since(since)
-	if len(recs) == 0 && wait > 0 {
-		recs = a.events.Wait(since, wait)
-	}
-	return map[string]any{"cursor": a.events.Cursor(), "events": append([]evlog.Record{}, recs...)}, nil
+	recs := a.events.Wait(since, wait) // what is already there, else whatever arrives within wait
+	return truncated(map[string]any{"cursor": a.events.Cursor(), "events": append([]*evlog.Record{}, recs...)},
+		since < a.events.Overwritten()), nil
 }
 
 // WatchTable renders the operator's one-screen view of the windowed

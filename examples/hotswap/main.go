@@ -16,6 +16,7 @@ import (
 
 	"repro"
 	"repro/internal/mh"
+	"repro/internal/reconfig"
 )
 
 const spec = `
@@ -156,8 +157,8 @@ func run() error {
 				}
 			},
 		},
-		SleepUnit:    time.Millisecond,
-		StateTimeout: 10 * time.Second,
+		SleepUnit: time.Millisecond,
+		Timeouts:  reconfig.Timeouts{StateMove: 10 * time.Second},
 	})
 	if err != nil {
 		return err

@@ -18,6 +18,7 @@ import (
 	"repro"
 	"repro/internal/codec"
 	"repro/internal/fixtures"
+	"repro/internal/reconfig"
 )
 
 func main() {
@@ -35,8 +36,8 @@ func run() error {
 			"sensor":  {Files: map[string]string{"sensor.go": fixtures.SensorSource}},
 			"display": {Files: map[string]string{"display.go": fixtures.DisplaySource}},
 		},
-		SleepUnit:    time.Millisecond,
-		StateTimeout: 10 * time.Second,
+		SleepUnit: time.Millisecond,
+		Timeouts:  reconfig.Timeouts{StateMove: 10 * time.Second},
 	})
 	if err != nil {
 		return err

@@ -211,7 +211,7 @@ func run() error {
 			},
 		},
 		SleepUnit:       time.Millisecond,
-		StateTimeout:    10 * time.Second,
+		Timeouts:        reconfig.Timeouts{StateMove: 10 * time.Second},
 		RecordBuffer:    4096,
 		PreflightReplay: true,
 	})

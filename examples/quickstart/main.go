@@ -11,6 +11,7 @@ import (
 
 	"repro"
 	"repro/internal/fixtures"
+	"repro/internal/reconfig"
 )
 
 func main() {
@@ -33,8 +34,8 @@ func run() error {
 			"sensor":  fixtures.Sensor(fixtures.SensorConfig{Interval: 1}),
 			"display": fixtures.Display(4, 6, 1, results),
 		},
-		SleepUnit:    time.Millisecond,
-		StateTimeout: 10 * time.Second,
+		SleepUnit: time.Millisecond,
+		Timeouts:  reconfig.Timeouts{StateMove: 10 * time.Second},
 	})
 	if err != nil {
 		return err

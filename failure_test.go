@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fixtures"
 	"repro/internal/mh"
+	"repro/internal/reconfig"
 )
 
 // incompatibleV2 has a different procedure shape (extra local, different
@@ -65,8 +66,8 @@ module computeV2 {
 			"display": func(rt *mh.Runtime) {},
 			"sensor":  func(rt *mh.Runtime) {},
 		},
-		SleepUnit:    time.Microsecond,
-		StateTimeout: 10 * time.Second,
+		SleepUnit: time.Microsecond,
+		Timeouts:  reconfig.Timeouts{StateMove: 10 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,8 +142,8 @@ module computeV2 {
 			"display": func(rt *mh.Runtime) {},
 			"sensor":  func(rt *mh.Runtime) {},
 		},
-		SleepUnit:    time.Microsecond,
-		StateTimeout: 10 * time.Second,
+		SleepUnit: time.Microsecond,
+		Timeouts:  reconfig.Timeouts{StateMove: 10 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

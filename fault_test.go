@@ -105,6 +105,7 @@ func TestReplaceRollbackFaultMatrix(t *testing.T) {
 		stateMove time.Duration // 0 = config default
 	}{
 		{"bus.addinstance", faultinject.Error, 0},
+		{"reconfig.preflight", faultinject.Error, 0},
 		{"bus.signal", faultinject.Error, 0},
 		// A dropped signal is a lost SIGHUP: the caller saw success, the
 		// module never heard. The transaction aborts on the state-move
@@ -130,8 +131,9 @@ func TestReplaceRollbackFaultMatrix(t *testing.T) {
 
 			feed()
 			res, err := app.ReplaceTx("compute", reconfig.ReplaceOptions{
-				NewName:  "compute2",
-				Timeouts: reconfig.Timeouts{StateMove: tc.stateMove},
+				NewName:   "compute2",
+				Timeouts:  reconfig.Timeouts{StateMove: tc.stateMove},
+				Preflight: func(old, new string) error { return nil },
 			})
 			if err == nil {
 				t.Fatalf("replace succeeded despite fault at %s", tc.site)

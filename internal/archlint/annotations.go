@@ -109,3 +109,26 @@ func isHotpath(fd *ast.FuncDecl) bool {
 	}
 	return false
 }
+
+// spawnPass enforces AL009: every go statement is an allowlisted spawn
+// site, annotated //archlint:spawn <reason> on its line or the line above.
+// Unannotated goroutines are how leaks and orphaned workers enter a
+// long-lived reconfigurable process.
+func (a *analysis) spawnPass() {
+	for _, p := range a.mod.pkgs {
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				g, ok := n.(*ast.GoStmt)
+				if !ok {
+					return true
+				}
+				pos := a.mod.fset.Position(g.Pos())
+				if !a.ann.spawnAllowed(pos.Filename, pos.Line) {
+					a.diag(CodeSpawn, g.Pos(),
+						"go statement without //archlint:spawn annotation: goroutine spawn sites are allowlisted")
+				}
+				return true
+			})
+		}
+	}
+}

@@ -96,12 +96,8 @@ type Config struct {
 // are derived from the module path so the fixtures (module "repro") and the
 // real repository share one rule set.
 type rules struct {
-	busPkg        string // the message bus: owns routing snapshots and Bus.mu
-	tracePkg      string // the trace clock: the only other legal minting site
-	reconfigPkg   string // the transaction layer: mutations must be journaled
-	replayPkg     string // the record ring: appends confined to bus delivery
-	evlogPkg      string // the event log: appends confined to its feeders
-	timeseriesPkg string // the window roller: rolls confined to its own loop
+	busPkg      string // the message bus: owns routing snapshots and Bus.mu
+	reconfigPkg string // the transaction layer: mutations must be journaled
 
 	// layers is the architectural DAG for AL010: a package may import only
 	// packages at its own layer or below. Unlisted packages (top-level
@@ -118,13 +114,10 @@ type rules struct {
 func defaultRules(modPath string) *rules {
 	p := func(s string) string { return modPath + "/" + s }
 	return &rules{
-		busPkg:        p("internal/bus"),
-		tracePkg:      p("internal/telemetry/trace"),
-		reconfigPkg:   p("internal/reconfig"),
-		replayPkg:     p("internal/replay"),
-		evlogPkg:      p("internal/telemetry/evlog"),
-		timeseriesPkg: p("internal/telemetry/timeseries"),
+		busPkg:      p("internal/bus"),
+		reconfigPkg: p("internal/reconfig"),
 		layers: map[string]int{
+			p("internal/ring"):                 5,
 			p("internal/telemetry"):            10,
 			p("internal/telemetry/trace"):      10,
 			p("internal/telemetry/evlog"):      10,
@@ -200,10 +193,8 @@ func Run(cfg Config) (*diag.Report, error) {
 		ann:    collectAnnotations(m),
 	}
 	a.typeErrorPass()
-	a.tracePass()
-	a.recordPass()
+	a.confinePass()
 	a.ringPass()
-	a.obsRingPass()
 	a.mutexPass()
 	a.snapshotPass()
 	a.hotpathPass()

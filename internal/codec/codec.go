@@ -58,18 +58,6 @@ var (
 	ErrLimit = errors.New("codec: decode limit exceeded")
 )
 
-// ByName returns the named codec. Known names are "portable" and "gob".
-func ByName(name string) (Codec, error) {
-	switch name {
-	case "portable", "":
-		return Portable{}, nil
-	case "gob":
-		return Gob{}, nil
-	default:
-		return nil, fmt.Errorf("codec: unknown codec %q", name)
-	}
-}
-
 // Default is the codec used when none is specified.
 func Default() Codec { return Portable{} }
 

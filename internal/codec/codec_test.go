@@ -44,16 +44,7 @@ func sampleState() *state.State {
 
 func allCodecs() []Codec { return []Codec{Portable{}, Gob{}} }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"portable", "gob", ""} {
-		c, err := ByName(name)
-		if err != nil || c == nil {
-			t.Errorf("ByName(%q): %v", name, err)
-		}
-	}
-	if _, err := ByName("xml"); err == nil {
-		t.Error("unknown codec accepted")
-	}
+func TestDefaultIsPortable(t *testing.T) {
 	if Default().Name() != "portable" {
 		t.Errorf("Default() = %s", Default().Name())
 	}

@@ -36,18 +36,18 @@ type ReplaceOptions struct {
 	// reconfiguration. An aborting transaction releases any still held,
 	// so a failed script never leaves a module frozen.
 	Guards []*quiesce.Guard
-	// Preflight, when set, runs between the clone's restore confirmation
-	// and the commit point — the last moment the transaction is still
-	// fully reversible. A non-nil error vetoes the cutover: the
-	// transaction aborts through the journaled rollback and the old
-	// module keeps running. The record/replay subsystem wires its
+	// Preflight, when set, runs once the clone is registered and before
+	// the old module is signalled, so its run time stays out of the window
+	// in which the stage is stopped. A non-nil error vetoes the
+	// replacement: the transaction aborts and the old module, never
+	// disturbed, keeps running. The record/replay subsystem wires its
 	// replay-the-recorded-tail gate here (Config.PreflightReplay).
 	Preflight func(old, new string) error
-	// HealthNote, when set, is evaluated alongside Preflight and its
-	// result recorded as a health_check span note in the transaction
-	// trace — the candidate-vs-incumbent verdict an operator reads from
-	// `reconfigctl trace <txid>`. Purely observational: it never vetoes
-	// (use Preflight for that).
+	// HealthNote, when set, is evaluated once the clone has confirmed its
+	// restore, and its result recorded as a health_check span note in the
+	// transaction trace — the candidate-vs-incumbent verdict an operator
+	// reads from `reconfigctl trace <txid>`. Purely observational: it
+	// never vetoes (use Preflight for that).
 	HealthNote func(old, new string) string
 }
 

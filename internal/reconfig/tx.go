@@ -36,8 +36,10 @@ func DefaultTimeouts() Timeouts {
 }
 
 // WithDefaults fills zero fields from DefaultTimeouts.
-func (t Timeouts) WithDefaults() Timeouts {
-	d := DefaultTimeouts()
+func (t Timeouts) WithDefaults() Timeouts { return t.Or(DefaultTimeouts()) }
+
+// Or fills t's zero fields from d: what a caller set wins.
+func (t Timeouts) Or(d Timeouts) Timeouts {
 	if t.StateMove <= 0 {
 		t.StateMove = d.StateMove
 	}
@@ -305,6 +307,22 @@ func ReplaceTx(p *Primitives, launcher Launcher, old string, opts ReplaceOptions
 		p.log("%s", line)
 	}
 
+	// Pre-flight gate: substitutability is decided before the substitute
+	// serves. The candidate is vetted (against recorded traffic, or whatever
+	// the caller supplied) before the old module hears of the replacement: a
+	// veto has only the clone's registration to undo, and however long the
+	// check runs, it runs outside the window in which the stage is stopped.
+	if opts.Preflight != nil {
+		tx.StartSpan("preflight_replay")
+		err := p.bus.Faults().Fire("reconfig.preflight")
+		if err == nil {
+			err = opts.Preflight(old, opts.NewName)
+		}
+		if err != nil {
+			return abort(fmt.Errorf("preflight %s -> %s: %w", old, opts.NewName, err))
+		}
+	}
+
 	// Ask the old module to divulge at its next reconfiguration point and
 	// wait for its state. The quiesce_wait span is the paper's interruption
 	// latency: the old module runs until its next reconfiguration point.
@@ -369,19 +387,6 @@ func ReplaceTx(p *Primitives, launcher Launcher, old string, opts ReplaceOptions
 		tx.Annotate("health_check " + opts.HealthNote(old, opts.NewName))
 	}
 
-	// Pre-flight gate: the restored clone is vetted against recorded
-	// traffic (or whatever check the caller supplied) while every step is
-	// still journaled — a veto aborts through the same rollback as any
-	// step failure, so a divergent candidate never reaches commit.
-	if opts.Preflight != nil {
-		tx.StartSpan("preflight_replay")
-		if err := p.bus.Faults().Fire("reconfig.preflight"); err != nil {
-			return abort(fmt.Errorf("preflight %s -> %s: %w", old, opts.NewName, err))
-		}
-		if err := opts.Preflight(old, opts.NewName); err != nil {
-			return abort(fmt.Errorf("preflight %s -> %s: %w", old, opts.NewName, err))
-		}
-	}
 	j.discard()
 	res.Committed = true
 	tx.StartSpan("commit_tail")
@@ -432,6 +437,9 @@ func PlanReplace(p *Primitives, old string, opts ReplaceOptions) ([]string, erro
 			plan.spec.Name, plan.spec.Module, plan.spec.Machine, plan.spec.Status),
 	}
 	steps = append(steps, plan.lines...)
+	if opts.Preflight != nil {
+		steps = append(steps, fmt.Sprintf("preflight %s -> %s", old, opts.NewName))
+	}
 	steps = append(steps,
 		fmt.Sprintf("signal_reconfig %s", old),
 		fmt.Sprintf("await_divulged %s", old),

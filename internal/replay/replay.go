@@ -22,19 +22,20 @@
 package replay
 
 import (
+	"encoding/gob"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
+	"repro/internal/ring"
 	"repro/internal/telemetry/trace"
 )
 
 // Record is one delivered message.
 type Record struct {
-	// Seq is the log's global sequence, assigned at append; snapshots sort
-	// by it, oldest first. It is causally consistent: a record that
+	// Seq is the log's global sequence, assigned at append; snapshots are
+	// in its order, oldest first. It is causally consistent: a record that
 	// happened-before another (same queue, or linked by a trace hop) has
 	// the smaller Seq.
 	Seq uint64 `json:"seq"`
@@ -73,15 +74,14 @@ func endpointIface(ep string) string {
 	return ""
 }
 
-// Log is the record ring: a fixed-size lock-free ring of the most recent
-// deliveries, modeled on the trace flight recorder. Appending pays one
-// atomic increment and one atomic pointer swap; readers snapshot without
-// blocking writers. Recording starts disabled — the bus hook checks one
+// Log is the record ring: the most recent deliveries in an internal/ring
+// (lock-free appends, readers never block writers) plus what recording
+// adds to it — the on switch, per-queue sequences, payload accounting and
+// the spill stream. Recording starts disabled — the bus hook checks one
 // atomic bool and the disabled path allocates nothing.
 type Log struct {
-	slots  []atomic.Pointer[Record]
-	cursor atomic.Uint64
-	on     atomic.Bool
+	recs *ring.Ring[Record]
+	on   atomic.Bool
 
 	// retained tracks payload bytes currently held by ring slots, so
 	// MemoryBound reflects actual payload retention (payload size is not
@@ -97,7 +97,7 @@ type Log struct {
 	// spill, when set, receives every record as a gob frame, serialized by
 	// spillMu. The first write error sticks and stops further spilling.
 	spillMu  sync.Mutex
-	spill    *spillWriter
+	spill    *gob.Encoder
 	spillErr error
 }
 
@@ -105,16 +105,17 @@ type Log struct {
 // (minimum 16, default 4096 when capacity <= 0). Recording starts
 // disabled; call Enable.
 func NewLog(capacity int) *Log {
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	if capacity < 16 {
-		capacity = 16
-	}
 	return &Log{
-		slots:  make([]atomic.Pointer[Record], capacity),
+		recs:   ring.New(capacity, 4096, func(r *Record) *uint64 { return &r.Seq }),
 		queues: map[string]*QueueLog{},
 	}
+}
+
+func (l *Log) buf() *ring.Ring[Record] {
+	if l == nil {
+		return nil
+	}
+	return l.recs
 }
 
 // Enable turns recording on (nil-safe no-op).
@@ -136,44 +137,28 @@ func (l *Log) Disable() {
 func (l *Log) Enabled() bool { return l != nil && l.on.Load() }
 
 // Cap returns the ring's fixed capacity (0 on nil).
-func (l *Log) Cap() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.slots)
-}
+func (l *Log) Cap() int { return l.buf().Cap() }
 
 // Recorded returns the total number of deliveries ever appended (0 on
 // nil); it can exceed Cap once the ring wraps.
-func (l *Log) Recorded() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.cursor.Load()
-}
+func (l *Log) Recorded() uint64 { return l.buf().Cursor() }
 
 // Len returns the number of records currently retained (0 on nil).
-func (l *Log) Len() int {
-	if l == nil {
-		return 0
-	}
-	n := l.cursor.Load()
-	if n > uint64(len(l.slots)) {
-		return len(l.slots)
-	}
-	return int(n)
-}
+func (l *Log) Len() int { return l.buf().Len() }
+
+// Overwritten returns how many recorded deliveries the ring no longer
+// holds: nonzero means a Snapshot is not the whole recording.
+func (l *Log) Overwritten() uint64 { return l.buf().Overwritten() }
 
 // MemoryBound returns the ring's current retained memory in bytes: the
-// slot array, one Record per occupied slot, and the payload bytes those
-// records hold. Unlike the trace recorder the payloads dominate, so the
-// bound is tracked live rather than derived from the capacity.
+// slot array, one Record per slot, and the payload bytes the retained
+// records hold. Unlike the trace recorder the payloads dominate, so that
+// part is tracked live rather than derived from the capacity.
 func (l *Log) MemoryBound() int {
 	if l == nil {
 		return 0
 	}
-	per := int(unsafe.Sizeof(Record{})) + int(unsafe.Sizeof(atomic.Pointer[Record]{}))
-	return len(l.slots)*per + int(l.retained.Load())
+	return l.recs.MemoryBound() + int(l.retained.Load())
 }
 
 // Queue interns and returns the append handle for one destination
@@ -195,19 +180,17 @@ func (l *Log) Queue(instance, iface string) *QueueLog {
 	return q
 }
 
-// Snapshot returns the retained records sorted by global sequence, oldest
+// Snapshot returns the retained records in global-sequence order, oldest
 // first (nil on nil or empty).
 func (l *Log) Snapshot() []Record {
-	if l == nil {
+	ps := l.buf().Since(0)
+	if len(ps) == 0 {
 		return nil
 	}
-	out := make([]Record, 0, len(l.slots))
-	for i := range l.slots {
-		if r := l.slots[i].Load(); r != nil {
-			out = append(out, *r)
-		}
+	out := make([]Record, len(ps))
+	for i, p := range ps {
+		out[i] = *p
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 
@@ -233,24 +216,6 @@ type QueueSeq struct {
 	Seq      uint64 `json:"seq"`
 }
 
-// append assigns the global sequence, publishes the record to the ring and
-// spills it. Called with a fully-built record the caller will not reuse.
-func (l *Log) append(r *Record) {
-	seq := l.cursor.Add(1)
-	r.Seq = seq
-	old := l.slots[(seq-1)%uint64(len(l.slots))].Swap(r)
-	delta := int64(len(r.Data))
-	if old != nil {
-		delta -= int64(len(old.Data))
-	}
-	l.retained.Add(delta)
-	l.spillMu.Lock()
-	if l.spill != nil && l.spillErr == nil {
-		l.spillErr = l.spill.write(r)
-	}
-	l.spillMu.Unlock()
-}
-
 // QueueLog is the per-destination-queue append handle the bus resolves at
 // AddInstance and invokes under the destination queue's mutex — that lock
 // is what makes QSeq the queue's true delivery order. A nil handle is a
@@ -269,12 +234,23 @@ func (q *QueueLog) Append(fromInst, fromIface string, data []byte, tc trace.Cont
 	if q == nil || !q.log.on.Load() {
 		return
 	}
-	q.log.append(&Record{
+	l := q.log
+	r := &Record{
 		QSeq:  q.seq.Add(1),
 		Epoch: epoch,
 		From:  fromInst + "." + fromIface,
 		To:    q.to,
 		Trace: tc,
 		Data:  append([]byte(nil), data...),
-	})
+	}
+	delta := int64(len(r.Data))
+	if _, old := l.recs.Put(r); old != nil {
+		delta -= int64(len(old.Data))
+	}
+	l.retained.Add(delta)
+	l.spillMu.Lock()
+	if l.spill != nil && l.spillErr == nil {
+		l.spillErr = l.spill.Encode(r)
+	}
+	l.spillMu.Unlock()
 }

@@ -28,23 +28,6 @@ type spillHeader struct {
 	Version int
 }
 
-// spillWriter frames records onto one writer.
-type spillWriter struct {
-	enc *gob.Encoder
-}
-
-func newSpillWriter(w io.Writer) (*spillWriter, error) {
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(spillHeader{Magic: spillMagic, Version: spillVersion}); err != nil {
-		return nil, fmt.Errorf("replay: spill header: %w", err)
-	}
-	return &spillWriter{enc: enc}, nil
-}
-
-func (s *spillWriter) write(r *Record) error {
-	return s.enc.Encode(r)
-}
-
 // SetSpill starts spilling every subsequent append to w as gob frames,
 // writing the stream header immediately. Pass nil to stop spilling. The
 // log does not close w.
@@ -58,11 +41,11 @@ func (l *Log) SetSpill(w io.Writer) error {
 		l.spill = nil
 		return nil
 	}
-	sw, err := newSpillWriter(w)
-	if err != nil {
-		return err
+	enc := gob.NewEncoder(w)
+	if err := enc.Encode(spillHeader{Magic: spillMagic, Version: spillVersion}); err != nil {
+		return fmt.Errorf("replay: spill header: %w", err)
 	}
-	l.spill, l.spillErr = sw, nil
+	l.spill, l.spillErr = enc, nil
 	return nil
 }
 

@@ -8,19 +8,15 @@
 // log sees each event exactly once even across reconnects, and a slow
 // reader loses old events rather than stalling writers.
 //
-// The ring is the same shape as the trace flight recorder: a cursor
-// allocates sequence numbers with one atomic add, and each record is
-// published with one atomic pointer store into slot (seq-1) % cap. Readers
-// sort a snapshot by sequence; records overwritten mid-snapshot simply
-// drop out.
+// The ring itself is internal/ring, shared with the trace flight recorder
+// and the record log; what this package adds is the event vocabulary and
+// the timestamp.
 package evlog
 
 import (
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
-	"unsafe"
+
+	"repro/internal/ring"
 )
 
 // Record is one event. Seq is assigned by Append and is strictly
@@ -35,125 +31,41 @@ type Record struct {
 	TraceIDs []uint64 `json:"trace_ids,omitempty"`
 }
 
-// Log is the bounded event ring. All methods are safe on a nil receiver,
-// so "event log disabled" is just a nil *Log.
-type Log struct {
-	slots  []atomic.Pointer[Record]
-	cursor atomic.Uint64
-
-	// notify is closed and replaced on every append; long-pollers capture
-	// the current channel before checking the cursor so a concurrent append
-	// can never slip between check and wait.
-	mu     sync.Mutex
-	notify chan struct{}
-}
+// Log is the bounded event ring under the log's own method set. All
+// methods are safe on a nil receiver, so "event log disabled" is just a nil
+// *Log.
+type Log ring.Ring[Record]
 
 // NewLog returns a log retaining the last capacity events (default 1024,
 // minimum 16).
 func NewLog(capacity int) *Log {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	if capacity < 16 {
-		capacity = 16
-	}
-	return &Log{
-		slots:  make([]atomic.Pointer[Record], capacity),
-		notify: make(chan struct{}),
-	}
+	return (*Log)(ring.New(capacity, 1024, func(r *Record) *uint64 { return &r.Seq }))
 }
 
+func (l *Log) buf() *ring.Ring[Record] { return (*ring.Ring[Record])(l) }
+
 // Append records one event, assigning its sequence number and stamping
-// TimeNs if unset. It is lock-free with respect to other appenders (the
-// notification swap takes a mutex no reader's fast path holds) and safe on
-// a nil log.
+// TimeNs if unset.
 func (l *Log) Append(rec Record) uint64 {
-	if l == nil {
-		return 0
-	}
-	seq := l.cursor.Add(1)
-	rec.Seq = seq
 	if rec.TimeNs == 0 {
 		rec.TimeNs = time.Now().UnixNano()
 	}
-	l.slots[(seq-1)%uint64(len(l.slots))].Store(&rec)
-
-	l.mu.Lock()
-	close(l.notify)
-	l.notify = make(chan struct{})
-	l.mu.Unlock()
+	seq, _ := l.buf().Put(&rec)
 	return seq
 }
 
 // Since returns every retained record with Seq > after, oldest first.
-func (l *Log) Since(after uint64) []Record {
-	if l == nil {
-		return nil
-	}
-	out := make([]Record, 0, len(l.slots))
-	for i := range l.slots {
-		p := l.slots[i].Load()
-		if p != nil && p.Seq > after {
-			out = append(out, *p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
+func (l *Log) Since(after uint64) []*Record { return l.buf().Since(after) }
 
 // Wait blocks until at least one record with Seq > after exists (returning
-// all of them) or timeout elapses (returning nil). A long-poll primitive:
-// the notification channel is captured before the cursor check, so an
-// append racing the check wakes the waiter rather than being missed.
-func (l *Log) Wait(after uint64, timeout time.Duration) []Record {
-	if l == nil {
-		return nil
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		l.mu.Lock()
-		ch := l.notify
-		l.mu.Unlock()
-		if recs := l.Since(after); len(recs) > 0 {
-			return recs
-		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return nil
-		}
-		t := time.NewTimer(remain)
-		select {
-		case <-ch:
-			t.Stop()
-		case <-t.C:
-			return nil
-		}
-	}
+// all of them) or timeout elapses (returning nil): the long-poll primitive.
+func (l *Log) Wait(after uint64, timeout time.Duration) []*Record {
+	return l.buf().Wait(after, timeout)
 }
 
 // Cursor returns the sequence number of the newest event (0 when empty).
-func (l *Log) Cursor() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.cursor.Load()
-}
+func (l *Log) Cursor() uint64 { return l.buf().Cursor() }
 
-// Cap returns the ring capacity in events.
-func (l *Log) Cap() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.slots)
-}
-
-// MemoryBound returns the fixed upper bound, in bytes, of the ring's slot
-// array plus fully populated records (excluding variable-length strings).
-func (l *Log) MemoryBound() int {
-	if l == nil {
-		return 0
-	}
-	var rec Record
-	per := int(unsafe.Sizeof(l.slots[0])) + int(unsafe.Sizeof(rec))
-	return per * len(l.slots)
-}
+// Overwritten returns how many events the ring no longer holds: a read
+// from a cursor below it has lost records.
+func (l *Log) Overwritten() uint64 { return l.buf().Overwritten() }

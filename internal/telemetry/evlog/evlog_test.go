@@ -62,7 +62,7 @@ func TestRingOverwrite(t *testing.T) {
 func TestWaitWakesOnAppend(t *testing.T) {
 	l := NewLog(16)
 	l.Append(Record{Kind: "old"})
-	done := make(chan []Record, 1)
+	done := make(chan []*Record, 1)
 	go func() { done <- l.Wait(1, 5*time.Second) }()
 	time.Sleep(10 * time.Millisecond)
 	l.Append(Record{Kind: "fresh"})
@@ -136,21 +136,7 @@ func TestNilLog(t *testing.T) {
 	if l.Since(0) != nil || l.Wait(0, time.Millisecond) != nil {
 		t.Error("nil reads returned records")
 	}
-	if l.Cursor() != 0 || l.Cap() != 0 || l.MemoryBound() != 0 {
+	if l.Cursor() != 0 || l.Overwritten() != 0 {
 		t.Error("nil accessors returned nonzero")
-	}
-}
-
-func TestMemoryBound(t *testing.T) {
-	l := NewLog(1024)
-	if l.MemoryBound() <= 0 {
-		t.Fatal("zero memory bound")
-	}
-	before := l.MemoryBound()
-	for i := 0; i < 5000; i++ {
-		l.Append(Record{Kind: "e"})
-	}
-	if l.MemoryBound() != before {
-		t.Error("memory bound changed with appends; must be fixed at construction")
 	}
 }

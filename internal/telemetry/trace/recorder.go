@@ -1,16 +1,16 @@
 package trace
 
 import (
-	"sort"
-	"sync/atomic"
-	"unsafe"
+	"slices"
+
+	"repro/internal/ring"
 )
 
 // SpanRecord is one completed delivery span: a message's life from the
 // send that stamped it to the read that consumed it.
 type SpanRecord struct {
 	// Seq is the recorder's global sequence number, assigned at Record;
-	// snapshots sort by it, oldest first.
+	// snapshots are in its order, oldest first.
 	Seq     uint64 `json:"seq"`
 	TraceID uint64 `json:"trace_id"`
 	SpanID  uint64 `json:"span_id"`
@@ -22,106 +22,47 @@ type SpanRecord struct {
 	EndNs   int64  `json:"end_ns"`
 }
 
-// DurationNs returns the span length in nanoseconds.
-func (s *SpanRecord) DurationNs() int64 { return s.EndNs - s.StartNs }
-
-// Recorder is the flight recorder: a fixed-size lock-free ring of the most
-// recent sampled delivery spans. Writers pay one atomic increment and one
-// atomic pointer store — no lock, no coordination with readers — and the
-// memory bound is fixed at construction (capacity slots; old spans are
-// overwritten). The zero-capacity recorder is not useful; NewRecorder
-// enforces a minimum.
-type Recorder struct {
-	slots  []atomic.Pointer[SpanRecord]
-	cursor atomic.Uint64
-}
+// Recorder is the flight recorder: the ring of the most recent sampled
+// delivery spans (internal/ring — lock-free writers, memory bound fixed at
+// construction, old spans overwritten) under the recorder's own method set.
+// All methods are safe on a nil receiver: tracing off is a nil *Recorder.
+type Recorder ring.Ring[SpanRecord]
 
 // NewRecorder returns a recorder retaining the capacity most recent spans
 // (minimum 16, default 4096 when capacity <= 0).
 func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	if capacity < 16 {
-		capacity = 16
-	}
-	return &Recorder{slots: make([]atomic.Pointer[SpanRecord], capacity)}
+	return (*Recorder)(ring.New(capacity, 4096, func(s *SpanRecord) *uint64 { return &s.Seq }))
 }
 
-// Cap returns the recorder's fixed capacity (0 on nil).
-func (r *Recorder) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.slots)
-}
+func (r *Recorder) buf() *ring.Ring[SpanRecord] { return (*ring.Ring[SpanRecord])(r) }
 
-// Len returns the number of spans currently retained (0 on nil).
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	n := r.cursor.Load()
-	if n > uint64(len(r.slots)) {
-		return len(r.slots)
-	}
-	return int(n)
-}
+// Cap returns the recorder's fixed capacity.
+func (r *Recorder) Cap() int { return r.buf().Cap() }
 
-// Recorded returns the total number of spans ever recorded (0 on nil).
-func (r *Recorder) Recorded() int64 {
-	if r == nil {
-		return 0
-	}
-	return int64(r.cursor.Load())
-}
+// Len returns the number of spans currently retained.
+func (r *Recorder) Len() int { return r.buf().Len() }
 
-// MemoryBound returns the recorder's worst-case retained memory in bytes:
-// the slot array plus one SpanRecord per slot (string payloads are bounded
-// by endpoint-name length and excluded; they are interned by the bus).
-func (r *Recorder) MemoryBound() int {
-	if r == nil {
-		return 0
-	}
-	per := int(unsafe.Sizeof(SpanRecord{})) + int(unsafe.Sizeof(atomic.Pointer[SpanRecord]{}))
-	return len(r.slots) * per
-}
+// Recorded returns the total number of spans ever recorded.
+func (r *Recorder) Recorded() int64 { return int64(r.buf().Cursor()) }
+
+// Overwritten returns how many recorded spans the ring no longer holds.
+func (r *Recorder) Overwritten() uint64 { return r.buf().Overwritten() }
+
+// MemoryBound returns the recorder's worst-case retained memory in bytes
+// (string payloads are bounded by endpoint-name length and excluded; they
+// are interned by the bus).
+func (r *Recorder) MemoryBound() int { return r.buf().MemoryBound() }
 
 // Record stores one span, overwriting the oldest when the ring is full.
 // Safe for concurrent use; the caller must not mutate s afterwards.
-func (r *Recorder) Record(s *SpanRecord) {
-	if r == nil {
-		return
-	}
-	seq := r.cursor.Add(1)
-	s.Seq = seq
-	r.slots[(seq-1)%uint64(len(r.slots))].Store(s)
-}
+func (r *Recorder) Record(s *SpanRecord) { r.buf().Put(s) }
 
-// Snapshot returns the retained spans sorted by sequence, oldest first.
-// Under concurrent writers the snapshot is a consistent set of recently
-// published records, not an atomic cut — standard for a flight recorder.
-func (r *Recorder) Snapshot() []*SpanRecord {
-	if r == nil {
-		return nil
-	}
-	out := make([]*SpanRecord, 0, len(r.slots))
-	for i := range r.slots {
-		if s := r.slots[i].Load(); s != nil {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
+// Snapshot returns the retained spans oldest first. Under concurrent
+// writers it is a consistent set of recently published records, not an
+// atomic cut — standard for a flight recorder.
+func (r *Recorder) Snapshot() []*SpanRecord { return r.buf().Since(0) }
 
 // ByTrace returns the retained spans of one trace, oldest first.
 func (r *Recorder) ByTrace(traceID uint64) []*SpanRecord {
-	var out []*SpanRecord
-	for _, s := range r.Snapshot() {
-		if s.TraceID == traceID {
-			out = append(out, s)
-		}
-	}
-	return out
+	return slices.DeleteFunc(r.Snapshot(), func(s *SpanRecord) bool { return s.TraceID != traceID })
 }

@@ -152,10 +152,10 @@ func loadMonitorSampled(t *testing.T) *App {
 			"display": func(rt *mh.Runtime) {},
 			"sensor":  func(rt *mh.Runtime) {},
 		},
-		SleepUnit:    time.Microsecond,
-		StateTimeout: 10 * time.Second,
-		TraceSample:  1,
-		TraceBuffer:  256,
+		SleepUnit:   time.Microsecond,
+		Timeouts:    reconfig.Timeouts{StateMove: 10 * time.Second},
+		TraceSample: 1,
+		TraceBuffer: 256,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,9 +185,16 @@ func TestObsTracesEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/traces returned %d", code)
 	}
-	var spans []trace.SpanRecord
-	if err := json.Unmarshal([]byte(body), &spans); err != nil {
-		t.Fatalf("/traces is not a span array: %v\n%s", err, body)
+	var doc struct {
+		Spans     []trace.SpanRecord `json:"spans"`
+		Truncated bool               `json:"truncated"`
+	}
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("/traces is not a span document: %v\n%s", err, body)
+	}
+	spans := doc.Spans
+	if doc.Truncated {
+		t.Errorf("/traces claims truncation after %d spans", len(spans))
 	}
 	if len(spans) == 0 {
 		t.Fatal("/traces is empty after a sampled roundtrip")

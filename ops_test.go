@@ -2,6 +2,7 @@ package reconf
 
 import (
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/fixtures"
 	"repro/internal/mh"
 	"repro/internal/reconfig"
+	"repro/internal/telemetry/evlog"
 )
 
 // loadMonitorTimeouts is loadMonitor with every reconfiguration bound set
@@ -199,6 +202,110 @@ func TestReplaceOutlivesServerWriteTimeout(t *testing.T) {
 		t.Errorf("held move report = %+v, want committed", tx)
 	}
 	finishComputation(t, d)
+}
+
+// TestRingsAdmitLosses drives the three ring-backed read ops over 16-slot
+// rings: an answer whose window is still wholly retained carries no
+// "truncated", one whose window starts before the oldest retained sequence
+// carries "truncated": true, and the metrics op counts what was overwritten.
+func TestRingsAdmitLosses(t *testing.T) {
+	app, err := Load(Config{
+		SpecText: fixtures.MonitorSpec,
+		Sources: map[string]ModuleSource{
+			"compute": {Files: map[string]string{"compute.go": fixtures.ComputeSource}},
+		},
+		Native: map[string]NativeModule{
+			"display": func(rt *mh.Runtime) {},
+			"sensor":  func(rt *mh.Runtime) {},
+		},
+		SleepUnit:    time.Microsecond,
+		TraceSample:  1,
+		TraceBuffer:  16,
+		RecordBuffer: 16,
+		EventBuffer:  16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(app.Stop)
+	d := newDriver(t, app)
+	if err := app.Launch("compute"); err != nil {
+		t.Fatal(err)
+	}
+	// stamped calls an op as the server would and reports its "truncated".
+	stamped := func(name string, kv ...string) bool {
+		t.Helper()
+		args := url.Values{}
+		for i := 0; i < len(kv); i += 2 {
+			args.Set(kv[i], kv[i+1])
+		}
+		res, err := findOp(name).run(app, args)
+		if err != nil {
+			t.Fatalf("%s %v: %v", name, kv, err)
+		}
+		raw, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Truncated bool `json:"truncated"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatalf("%s answer is not a document: %v\n%s", name, err, raw)
+		}
+		return doc.Truncated
+	}
+	roundtrips := func(n int) {
+		for i := 0; i < n; i++ {
+			d.request(1)
+			d.temperature(50)
+			if got := d.response(); got != 50 {
+				t.Fatalf("response = %g, want 50", got)
+			}
+		}
+	}
+
+	roundtrips(1) // three deliveries: well inside 16 slots
+	firstEvents := app.Events().Cursor()
+	if firstEvents == 0 || firstEvents > 16 {
+		t.Fatalf("Load left %d events; the test needs 1..16", firstEvents)
+	}
+	for _, call := range [][]string{{"traces"}, {"replay", "inst", "compute"}, {"events"}} {
+		if stamped(call[0], call[1:]...) {
+			t.Errorf("%v claims truncation before its ring wrapped", call)
+		}
+	}
+
+	roundtrips(8) // 27 deliveries: both message-path rings have wrapped
+	for i := 0; i < 20; i++ {
+		app.Events().Append(evlog.Record{Source: "test", Kind: "tick"})
+	}
+	if !stamped("traces") {
+		t.Error("traces over a wrapped recorder is not stamped truncated")
+	}
+	if !stamped("replay", "inst", "compute") {
+		t.Error("replay of a wrapped record ring is not stamped truncated")
+	}
+	if !stamped("events") || !stamped("events", "since", strconv.FormatUint(firstEvents, 10)) {
+		t.Error("events from an overwritten cursor is not stamped truncated")
+	}
+	if retained := app.Events().Cursor() - 16; stamped("events", "since", strconv.FormatUint(retained, 10)) {
+		t.Errorf("events since %d (oldest retained is %d) claims truncation", retained, retained+1)
+	}
+
+	res, err := findOp("metrics").run(app, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range map[string]uint64{
+		"trace_recorder_overwritten_total": app.FlightRecorder().Overwritten(),
+		"event_log_overwritten_total":      app.Events().Overwritten(),
+		"record_ring_overwritten_total":    app.Recorder().Overwritten(),
+	} {
+		if line := fmt.Sprintf("\n%s %d\n", name, n); n == 0 || !strings.Contains(string(res.(rawText)), line) {
+			t.Errorf("metrics lacks %q (want a nonzero count)", line)
+		}
+	}
 }
 
 // TestReadmeEndpointTable keeps the README's endpoint table and the op

@@ -83,10 +83,6 @@ type Config struct {
 	SleepUnit time.Duration
 	// Codec overrides the wire/state codec (default portable).
 	Codec codec.Codec
-	// StateTimeout bounds how long a reconfiguration waits for a module
-	// to reach a reconfiguration point (default 30s). It predates
-	// Timeouts and, when set, overrides Timeouts.StateMove.
-	StateTimeout time.Duration
 	// Timeouts bounds every wait of the reconfiguration layer — state
 	// move, restore confirmation, rollback compensations, quiescence.
 	// Zero fields take reconfig.DefaultTimeouts (30s each); individual
@@ -121,12 +117,12 @@ type Config struct {
 	// frames (cmd/mhreplay reads the stream back). Meaningful only with
 	// RecordBuffer > 0; the writer is not closed by the App.
 	RecordSpill io.Writer
-	// PreflightReplay arms the replay gate on every replacement: between
-	// the clone's restore confirmation and commit, the recorded input
-	// window of the old instance is replayed against both the old and the
-	// candidate module in-process, and the transaction aborts through the
-	// journaled rollback if their output sequences diverge. Requires
-	// RecordBuffer > 0.
+	// PreflightReplay arms the replay gate on every replacement: once the
+	// candidate is registered and before the old instance is signalled,
+	// the old instance's recorded input window is replayed against both
+	// the old and the candidate module in-process, and the transaction
+	// aborts — the candidate never having served — if their output
+	// sequences diverge. Requires RecordBuffer > 0.
 	PreflightReplay bool
 	// TimeseriesWindow is the windowed-telemetry rollup period (default
 	// 1s): the background roller samples every registry atomic once per
@@ -205,11 +201,6 @@ func Load(cfg Config) (*App, error) {
 		cfg.Codec = codec.Default()
 	}
 	cfg.Timeouts = cfg.Timeouts.WithDefaults()
-	if cfg.StateTimeout == 0 {
-		cfg.StateTimeout = cfg.Timeouts.StateMove
-	} else {
-		cfg.Timeouts.StateMove = cfg.StateTimeout
-	}
 	spec, err := mil.ParseAndValidate(cfg.SpecText)
 	if err != nil {
 		return nil, err
@@ -498,25 +489,32 @@ func (a *App) bridgeBusEvent(e bus.Event) {
 	})
 }
 
+// preparedFor resolves the module behind an instance: named by the
+// Load-time table for originals and replica members, by the bus for script-
+// created clones (asked each time: a name may come back under another module).
+func (a *App) preparedFor(instance string) (*PreparedModule, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	modName, ok := a.instMod[instance]
+	if !ok {
+		info, err := a.bus.Info(instance)
+		if err != nil {
+			return nil, err
+		}
+		modName = info.Module
+	}
+	if pm := a.modules[modName]; pm != nil {
+		return pm, nil
+	}
+	return nil, fmt.Errorf("unknown module %s", modName)
+}
+
 // Launch implements reconfig.Launcher: it starts the runtime of a
 // registered instance.
 func (a *App) Launch(instance string) error {
-	a.mu.Lock()
-	modName, ok := a.instMod[instance]
-	if !ok {
-		// A clone created by a script: resolve its module from the bus.
-		info, err := a.bus.Info(instance)
-		if err != nil {
-			a.mu.Unlock()
-			return fmt.Errorf("reconf: launch %s: %w", instance, err)
-		}
-		modName = info.Module
-		a.instMod[instance] = modName
-	}
-	pm := a.modules[modName]
-	a.mu.Unlock()
-	if pm == nil {
-		return fmt.Errorf("reconf: launch %s: unknown module %s", instance, modName)
+	pm, err := a.preparedFor(instance)
+	if err != nil {
+		return fmt.Errorf("reconf: launch %s: %w", instance, err)
 	}
 
 	port, err := a.bus.Attach(instance)
@@ -526,7 +524,7 @@ func (a *App) Launch(instance string) error {
 	opts := []mh.Option{
 		mh.WithSleepUnit(a.cfg.SleepUnit),
 		mh.WithCodec(a.cfg.Codec),
-		mh.WithStateTimeout(a.cfg.StateTimeout),
+		mh.WithStateTimeout(a.cfg.Timeouts.StateMove),
 		mh.WithTelemetry(a.bus.Telemetry()),
 	}
 	sup := a.supervisorFor(instance)
@@ -672,22 +670,13 @@ func (a *App) AttachDriver(instance string) (bus.Port, error) {
 
 // ---- reconfiguration scripts ----
 
-// fillTimeouts merges the application's configured bounds into per-call
-// options: fields a caller set win, everything else inherits the config.
-func (a *App) fillTimeouts(opts reconfig.ReplaceOptions) reconfig.ReplaceOptions {
-	t := &opts.Timeouts
-	c := a.cfg.Timeouts
-	if t.StateMove <= 0 {
-		t.StateMove = c.StateMove
-	}
-	if t.RestoreAck <= 0 {
-		t.RestoreAck = c.RestoreAck
-	}
-	if t.Rollback <= 0 {
-		t.Rollback = c.Rollback
-	}
-	if t.Quiesce <= 0 {
-		t.Quiesce = c.Quiesce
+// fillOptions merges the application's configured bounds and replay gate
+// into per-call options: fields a caller set win, everything else inherits
+// the config.
+func (a *App) fillOptions(opts reconfig.ReplaceOptions) reconfig.ReplaceOptions {
+	opts.Timeouts = opts.Timeouts.Or(a.cfg.Timeouts)
+	if opts.Preflight == nil && a.cfg.PreflightReplay {
+		opts.Preflight = a.preflightReplay
 	}
 	return opts
 }
@@ -708,10 +697,7 @@ func (a *App) Replace(inst string, opts reconfig.ReplaceOptions) error {
 // full result: the forward step trace, whether it committed, and — on
 // abort — the compensations replayed to restore the old configuration.
 func (a *App) ReplaceTx(inst string, opts reconfig.ReplaceOptions) (*reconfig.TxResult, error) {
-	opts = a.fillTimeouts(opts)
-	if opts.Preflight == nil && a.cfg.PreflightReplay {
-		opts.Preflight = a.preflightReplay
-	}
+	opts = a.fillOptions(opts)
 	if opts.HealthNote == nil {
 		// Candidate vs the instance it replaces: both exist at the
 		// health_check span, so the note captures the comparison the
@@ -737,7 +723,7 @@ func (a *App) ReplaceTx(inst string, opts reconfig.ReplaceOptions) (*reconfig.Tx
 // PlanReplace returns the steps ReplaceTx would perform, without executing
 // any of them (the dry-run behind reconfigctl -dry-run).
 func (a *App) PlanReplace(inst string, opts reconfig.ReplaceOptions) ([]string, error) {
-	return reconfig.PlanReplace(a.prims, inst, a.fillTimeouts(opts))
+	return reconfig.PlanReplace(a.prims, inst, a.fillOptions(opts))
 }
 
 // Update swaps in a new module implementation, carrying state across.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/fixtures"
 	"repro/internal/mh"
+	"repro/internal/reconfig"
 	"repro/internal/state"
 	"repro/internal/transform"
 )
@@ -28,9 +29,9 @@ func loadMonitor(t *testing.T, mode transform.CaptureMode) *App {
 			"display": func(rt *mh.Runtime) {},
 			"sensor":  func(rt *mh.Runtime) {},
 		},
-		Mode:         mode,
-		SleepUnit:    time.Microsecond,
-		StateTimeout: 10 * time.Second,
+		Mode:      mode,
+		SleepUnit: time.Microsecond,
+		Timeouts:  reconfig.Timeouts{StateMove: 10 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -254,8 +255,8 @@ func TestFullNativePipeline(t *testing.T) {
 			"sensor":  fixtures.Sensor(fixtures.SensorConfig{Interval: 1}),
 			"display": fixtures.Display(4, requests, 1, results),
 		},
-		SleepUnit:    100 * time.Microsecond,
-		StateTimeout: 10 * time.Second,
+		SleepUnit: 100 * time.Microsecond,
+		Timeouts:  reconfig.Timeouts{StateMove: 10 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ package reconf
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
 	"os/exec"
@@ -134,7 +135,7 @@ func loadPipe(t *testing.T, preflight bool) *pipeHarness {
 			"psink":   func(rt *mh.Runtime) {},
 		},
 		SleepUnit:       time.Microsecond,
-		StateTimeout:    10 * time.Second,
+		Timeouts:        reconfig.Timeouts{StateMove: 10 * time.Second},
 		RecordBuffer:    1024,
 		PreflightReplay: preflight,
 	})
@@ -301,6 +302,60 @@ func TestPreflightReplayRollback(t *testing.T) {
 	h.drive(21, 34)
 }
 
+// TestPreflightVetoBeforeCandidateServes: the gate runs while the old module
+// is still the only one bound. The callback plays the gate: it pushes live
+// traffic at the stage, collects the outputs, then vetoes. Every output
+// must carry the old module's function — a candidate that was already
+// launched and bound when the gate ran would have answered instead, and the
+// rollback could not take those answers back.
+func TestPreflightVetoBeforeCandidateServes(t *testing.T) {
+	h := loadPipe(t, false)
+	h.drive(2, 6, 11)
+	before := snapshotConfig(t, h.app)
+
+	// Lets the filter reach its reconfiguration point should the signal
+	// already be pending when the gate runs.
+	released := make(chan struct{})
+	go func() {
+		defer close(released)
+		time.Sleep(30 * time.Millisecond)
+		h.send(40)
+	}()
+	vals := []int{5, 17, 3, 29, 8, 1, 13, 21}
+	var got []int
+	res, err := h.app.ReplaceTx("filter", reconfig.ReplaceOptions{
+		NewName: "filter2", Module: "filterBad",
+		Preflight: func(old, new string) error {
+			<-released
+			got = append(got, h.recv())
+			for _, v := range vals {
+				h.send(v)
+			}
+			for range vals {
+				got = append(got, h.recv())
+			}
+			return errors.New("vetoed")
+		},
+	})
+	if err == nil || res == nil || !res.RolledBack || res.Committed {
+		t.Fatalf("tx result = %+v, err = %v; want a veto rolled back", res, err)
+	}
+	for i, v := range append([]int{40}, vals...) {
+		if i >= len(got) || got[i] != v*3+1 {
+			t.Fatalf("outputs while the gate ran = %v; output %d is not the old module's %d*3+1", got, i, v)
+		}
+	}
+	for _, step := range res.Rollback {
+		if step.Action == "inverse_rebind" || step.Action == "release_old" {
+			t.Errorf("veto rolled back %s: the gate ran after the old module was disturbed", step.Action)
+		}
+	}
+	assertSnapshotsEqual(t, before, snapshotConfig(t, h.app))
+	// Nothing was duplicated or left behind: the next outputs are exactly
+	// the next inputs'.
+	h.drive(21, 34)
+}
+
 // assertSnapshotsEqual compares two configuration snapshots field by field
 // (pending counts may legitimately differ only by zero entries).
 func assertSnapshotsEqual(t *testing.T, before, after cfgSnapshot) {
@@ -460,7 +515,7 @@ func TestMhreplayCLIReproduces(t *testing.T) {
 			"psink":   func(rt *mh.Runtime) {},
 		},
 		SleepUnit:    time.Microsecond,
-		StateTimeout: 10 * time.Second,
+		Timeouts:     reconfig.Timeouts{StateMove: 10 * time.Second},
 		RecordBuffer: 1024,
 		RecordSpill:  spill,
 	})

@@ -7,7 +7,7 @@ package reconf
 // a sandbox (internal/replay/rerun) — and wires the result in three
 // places: ReplayRecorded (the offline reproduction behind cmd/mhreplay
 // and the replay op), preflightReplay (the opt-in gate ReplaceTx runs
-// between restore_wait and commit), and RecordStatus (the record op).
+// before it signals the old module), and RecordStatus (the record op).
 
 import (
 	"fmt"
@@ -65,44 +65,20 @@ func (a *App) SetRecording(on bool) error {
 	return nil
 }
 
-// moduleOf resolves the module name behind an instance — the Load-time
-// table for originals and replica members, the bus for clones created by
-// scripts.
-func (a *App) moduleOf(instance string) (string, error) {
-	a.mu.Lock()
-	mod, ok := a.instMod[instance]
-	a.mu.Unlock()
-	if ok {
-		return mod, nil
-	}
-	info, err := a.bus.Info(instance)
+// sandboxFor builds the rerun body for the module behind an instance: the
+// native function directly, or a fresh interpreter over the prepared
+// program. Each call returns an independent body — replay runs never share
+// state with the live instance or with each other.
+func (a *App) sandboxFor(instance string) (rerun.Module, error) {
+	pm, err := a.preparedFor(instance)
 	if err != nil {
-		return "", err
-	}
-	return info.Module, nil
-}
-
-// sandboxModule builds the rerun body for a module: the native function
-// directly, or a fresh interpreter over the prepared program. Each call
-// returns an independent body — replay runs never share state with the
-// live instance or with each other.
-func (a *App) sandboxModule(modName string) (rerun.Module, error) {
-	a.mu.Lock()
-	pm, ok := a.modules[modName]
-	a.mu.Unlock()
-	if !ok {
-		return rerun.Module{}, fmt.Errorf("reconf: no module %s", modName)
+		return rerun.Module{}, fmt.Errorf("reconf: %w", err)
 	}
 	if pm.Native != nil {
-		body := pm.Native
-		return rerun.Module{Name: modName, Body: func(rt *mh.Runtime) { body(rt) }}, nil
+		return rerun.Module{Name: pm.Name, Body: func(rt *mh.Runtime) { pm.Native(rt) }}, nil
 	}
-	if pm.Prog == nil {
-		return rerun.Module{}, fmt.Errorf("reconf: module %s has no runnable body", modName)
-	}
-	prog, info := pm.Prog, pm.Info
-	return rerun.Module{Name: modName, Body: func(rt *mh.Runtime) {
-		_, _ = interp.New(prog, info, rt).Run()
+	return rerun.Module{Name: pm.Name, Body: func(rt *mh.Runtime) {
+		_, _ = interp.New(pm.Prog, pm.Info, rt).Run()
 	}}, nil
 }
 
@@ -127,6 +103,9 @@ type ReplayReport struct {
 	States int `json:"states,omitempty"`
 	// Err reports a non-clean termination of the module body.
 	Err string `json:"err,omitempty"`
+	// Truncated is set when the window came from a ring that had already
+	// overwritten its oldest deliveries: the replay starts mid-stream.
+	Truncated bool `json:"truncated,omitempty"`
 }
 
 // ReplayRecorded re-runs a recorded window against the named instance's
@@ -135,17 +114,14 @@ type ReplayReport struct {
 // replay op. The window defaults to the current ring contents when recs
 // is nil.
 func (a *App) ReplayRecorded(instance string, recs []replay.Record) (*ReplayReport, error) {
+	lost := false // the ring had already overwritten part of the recording
 	if recs == nil {
 		if a.recorder == nil {
 			return nil, fmt.Errorf("reconf: recording not configured (set Config.RecordBuffer)")
 		}
-		recs = a.recorder.Snapshot()
+		recs, lost = a.recorder.Snapshot(), a.recorder.Overwritten() > 0
 	}
-	modName, err := a.moduleOf(instance)
-	if err != nil {
-		return nil, err
-	}
-	mod, err := a.sandboxModule(modName)
+	mod, err := a.sandboxFor(instance)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +137,7 @@ func (a *App) ReplayRecorded(instance string, recs []replay.Record) (*ReplayRepo
 	div := replay.DiffOutputs(want, res.Outputs)
 	return &ReplayReport{
 		Instance:   instance,
-		Module:     modName,
+		Module:     mod.Name,
 		Window:     res.Window,
 		Consumed:   res.Consumed,
 		Expected:   len(want),
@@ -170,35 +146,28 @@ func (a *App) ReplayRecorded(instance string, recs []replay.Record) (*ReplayRepo
 		Divergence: div,
 		States:     len(res.States),
 		Err:        res.Err,
+		Truncated:  lost,
 	}, nil
 }
 
-// preflightReplay is the replay gate ReplaceTx runs between the clone's
-// restore confirmation and commit when Config.PreflightReplay is set: the
-// old instance's recorded input window is replayed against the old module
-// and the candidate module from identical initial conditions, and any
-// divergence in their output sequences vetoes the cutover (the
-// transaction aborts through the journaled rollback; the old module keeps
-// serving). An empty window passes trivially — there is nothing to vet.
+// preflightReplay is the replay gate ReplaceTx runs ahead of
+// signal_reconfig when Config.PreflightReplay is set: the old instance's
+// recorded input window is replayed against the old module and the
+// candidate module from identical initial conditions — no live clone is
+// involved — and any divergence in their output sequences vetoes the
+// replacement (the transaction aborts; the old module, never signalled,
+// keeps serving). An empty window passes trivially: nothing to vet.
 func (a *App) preflightReplay(old, new string) error {
 	recs := a.recorder.Snapshot()
 	window := replay.InputsTo(recs, old)
 	if len(window) == 0 {
 		return nil
 	}
-	oldModName, err := a.moduleOf(old)
+	oldMod, err := a.sandboxFor(old)
 	if err != nil {
 		return fmt.Errorf("replay gate: %w", err)
 	}
-	newModName, err := a.moduleOf(new)
-	if err != nil {
-		return fmt.Errorf("replay gate: %w", err)
-	}
-	oldMod, err := a.sandboxModule(oldModName)
-	if err != nil {
-		return fmt.Errorf("replay gate: %w", err)
-	}
-	newMod, err := a.sandboxModule(newModName)
+	newMod, err := a.sandboxFor(new)
 	if err != nil {
 		return fmt.Errorf("replay gate: %w", err)
 	}
@@ -212,11 +181,11 @@ func (a *App) preflightReplay(old, new string) error {
 		return fmt.Errorf("replay gate: candidate run: %w", err)
 	}
 	if newRes.Err != "" {
-		return fmt.Errorf("replay gate: candidate %s terminated: %s", newModName, newRes.Err)
+		return fmt.Errorf("replay gate: candidate %s terminated: %s", newMod.Name, newRes.Err)
 	}
 	if div := replay.DiffOutputs(oldRes.Outputs, newRes.Outputs); div != nil {
 		return fmt.Errorf("replay gate: candidate %s diverges from %s over %d recorded inputs: %s",
-			newModName, oldModName, len(window), div)
+			newMod.Name, oldMod.Name, len(window), div)
 	}
 	return nil
 }

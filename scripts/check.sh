@@ -29,8 +29,8 @@ echo "== bench/ harness (its own module: the root go test never compiles it)"
 echo "== non-test Go lines (ROADMAP aim 2: this number goes down)"
 find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './bench/out/*' -print0 | xargs -0 cat | wc -l
 
-echo "== go test -race ./internal/bus/... ./internal/quiesce/... ./internal/reconfig/... ./internal/mh/..."
-go test -race ./internal/bus/... ./internal/quiesce/... ./internal/reconfig/... ./internal/mh/...
+echo "== go test -race ./internal/bus/... ./internal/quiesce/... ./internal/reconfig/... ./internal/mh/... ./internal/ring/..."
+go test -race ./internal/bus/... ./internal/quiesce/... ./internal/reconfig/... ./internal/mh/... ./internal/ring/...
 
 echo "== fault-injection matrix (kill Replace at every failpoint, twice, racy)"
 go test -run 'Fault|Rollback|Concurrent' -race -count=2 ./...
