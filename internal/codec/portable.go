@@ -41,37 +41,33 @@ func (Portable) EncodeState(s *state.State) ([]byte, error) {
 	if s == nil {
 		return nil, fmt.Errorf("codec: nil state")
 	}
-	var buf bytes.Buffer
-	buf.Write(portableMagic[:])
-	w := newWriter(&buf)
-	w.uvarint(uint64(s.Version))
-	w.str(s.Module)
-	w.str(s.Machine)
-	w.uvarint(uint64(len(s.Frames)))
+	var err error
+	b := append(make([]byte, 0, 256), portableMagic[:]...)
+	b = binary.AppendUvarint(b, uint64(s.Version))
+	b = appendStr(b, s.Module)
+	b = appendStr(b, s.Machine)
+	b = binary.AppendUvarint(b, uint64(len(s.Frames)))
 	for _, f := range s.Frames {
-		w.str(f.Func)
-		w.varint(int64(f.Location))
-		w.uvarint(uint64(len(f.Vars)))
-		for _, v := range f.Vars {
-			w.str(v.Name)
-			if err := w.value(v.Value, 0); err != nil {
+		b = appendStr(b, f.Func)
+		b = binary.AppendVarint(b, int64(f.Location))
+		b = binary.AppendUvarint(b, uint64(len(f.Vars)))
+		for i := range f.Vars {
+			if b, err = appendValue(appendStr(b, f.Vars[i].Name), &f.Vars[i].Value, 0); err != nil {
 				return nil, err
 			}
 		}
 	}
-	w.uvarint(uint64(len(s.Heap)))
-	for _, h := range s.Heap {
-		w.str(h.Key)
-		if err := w.value(h.Value, 0); err != nil {
+	b = binary.AppendUvarint(b, uint64(len(s.Heap)))
+	for i := range s.Heap {
+		if b, err = appendValue(appendStr(b, s.Heap[i].Key), &s.Heap[i].Value, 0); err != nil {
 			return nil, err
 		}
 	}
-	w.uvarint(uint64(len(s.Meta)))
+	b = binary.AppendUvarint(b, uint64(len(s.Meta)))
 	for _, k := range sortedKeys(s.Meta) {
-		w.str(k)
-		w.str(s.Meta[k])
+		b = appendStr(appendStr(b, k), s.Meta[k])
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // DecodeState implements Codec.
@@ -169,14 +165,16 @@ func (Portable) DecodeState(data []byte) (*state.State, error) {
 	return s, nil
 }
 
-// EncodeValue implements Codec.
+// EncodeValue implements Codec. The value is built in a scratch buffer on
+// the stack and leaves as one exact-size allocation: the payload of a bus
+// message is retained by the queues and rings it passes through.
 func (Portable) EncodeValue(v state.Value) ([]byte, error) {
-	var buf bytes.Buffer
-	w := newWriter(&buf)
-	if err := w.value(v, 0); err != nil {
+	var scratch [64]byte
+	b, err := appendValue(scratch[:0], &v, 0)
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return append(make([]byte, 0, len(b)), b...), nil
 }
 
 // DecodeValue implements Codec.
@@ -194,68 +192,49 @@ func (Portable) DecodeValue(data []byte) (state.Value, error) {
 
 // ---- low-level writer ----
 
-type writer struct {
-	w   *bytes.Buffer
-	tmp [binary.MaxVarintLen64]byte
+func appendStr(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-func newWriter(buf *bytes.Buffer) *writer { return &writer{w: buf} }
-
-func (w *writer) uvarint(u uint64) {
-	n := binary.PutUvarint(w.tmp[:], u)
-	w.w.Write(w.tmp[:n])
-}
-
-func (w *writer) varint(i int64) {
-	n := binary.PutVarint(w.tmp[:], i)
-	w.w.Write(w.tmp[:n])
-}
-
-func (w *writer) str(s string) {
-	w.uvarint(uint64(len(s)))
-	w.w.WriteString(s)
-}
-
-func (w *writer) value(v state.Value, depth int) error {
+// appendValue takes the value by address: a state.Value is fourteen words,
+// and copying one per level was a fifth of the encoder's time.
+func appendValue(b []byte, v *state.Value, depth int) ([]byte, error) {
 	if depth > maxDepth {
-		return fmt.Errorf("codec: value nested deeper than %d", maxDepth)
+		return nil, fmt.Errorf("codec: value nested deeper than %d", maxDepth)
 	}
-	w.w.WriteByte(byte(v.Kind))
+	var err error
+	b = append(b, byte(v.Kind))
 	switch v.Kind {
 	case state.KindBool:
 		if v.Bool {
-			w.w.WriteByte(1)
+			b = append(b, 1)
 		} else {
-			w.w.WriteByte(0)
+			b = append(b, 0)
 		}
 	case state.KindInt:
-		w.varint(v.Int)
+		b = binary.AppendVarint(b, v.Int)
 	case state.KindFloat:
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], math.Float64bits(v.Float))
-		w.w.Write(b[:])
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(v.Float))
 	case state.KindString:
-		w.str(v.Str)
+		b = appendStr(b, v.Str)
 	case state.KindList:
-		w.uvarint(uint64(len(v.List)))
-		for _, e := range v.List {
-			if err := w.value(e, depth+1); err != nil {
-				return err
+		b = binary.AppendUvarint(b, uint64(len(v.List)))
+		for i := range v.List {
+			if b, err = appendValue(b, &v.List[i], depth+1); err != nil {
+				return nil, err
 			}
 		}
 	case state.KindStruct:
-		w.str(v.Type)
-		w.uvarint(uint64(len(v.Fields)))
-		for _, f := range v.Fields {
-			w.str(f.Name)
-			if err := w.value(f.Value, depth+1); err != nil {
-				return err
+		b = binary.AppendUvarint(appendStr(b, v.Type), uint64(len(v.Fields)))
+		for i := range v.Fields {
+			if b, err = appendValue(appendStr(b, v.Fields[i].Name), &v.Fields[i].Value, depth+1); err != nil {
+				return nil, err
 			}
 		}
 	default:
-		return fmt.Errorf("codec: cannot encode value of kind %v", v.Kind)
+		return nil, fmt.Errorf("codec: cannot encode value of kind %v", v.Kind)
 	}
-	return nil
+	return b, nil
 }
 
 // ---- low-level reader ----

@@ -1,38 +1,49 @@
 package interp
 
 import (
-	"errors"
 	"fmt"
-	"go/ast"
 	"go/token"
-	"strconv"
+	"math"
+	"runtime"
 
 	"repro/internal/lang"
 	"repro/internal/mh"
+	"repro/internal/state"
 )
 
-// Interp executes one module program against one participation runtime.
+// Interp runs one lowered module program against one participation
+// runtime. It holds everything that changes while the program runs; the
+// Lowered program it executes is shared and immutable.
 type Interp struct {
-	prog     *lang.Program
-	info     *lang.Info
-	rt       *mh.Runtime
-	maxSteps int64
-	steps    int64
+	low   *Lowered
+	rt    *mh.Runtime
+	limit int64 // on steps; MaxInt64 when unbounded
+	steps int64
+	tuple []state.Value // stack of outgoing mh.Write tuples under construction
 }
 
 // Option configures the interpreter.
 type Option func(*Interp)
 
-// WithMaxSteps bounds the number of executed statements (0 = unbounded).
+// WithMaxSteps bounds the number of executed instructions (0 = unbounded).
 // Tests use it to catch accidental non-termination.
-func WithMaxSteps(n int64) Option { return func(in *Interp) { in.maxSteps = n } }
+func WithMaxSteps(n int64) Option { return func(in *Interp) { in.limit = n } }
 
-// New builds an interpreter for a checked program. rt may be nil for pure
-// programs that never touch mh (the property-test harness).
+// New lowers a checked program and binds an interpreter to it. rt may be
+// nil for pure programs that never touch mh (the property-test harness).
+// Hosts that run one program many times Lower it once and Bind per run.
 func New(prog *lang.Program, info *lang.Info, rt *mh.Runtime, opts ...Option) *Interp {
-	in := &Interp{prog: prog, info: info, rt: rt}
+	return Lower(prog, info).Bind(rt, opts...)
+}
+
+// Bind builds an interpreter that runs the lowered program against rt.
+func (l *Lowered) Bind(rt *mh.Runtime, opts ...Option) *Interp {
+	in := &Interp{low: l, rt: rt}
 	for _, o := range opts {
 		o(in)
+	}
+	if in.limit <= 0 {
+		in.limit = math.MaxInt64
 	}
 	return in
 }
@@ -53,7 +64,23 @@ func (e *Error) Error() string {
 }
 
 func (in *Interp) failf(pos token.Pos, format string, args ...any) {
-	panic(&Error{Pos: in.prog.Fset.Position(pos), Msg: fmt.Sprintf(format, args...)})
+	panic(&Error{Pos: in.low.fset.Position(pos), Msg: fmt.Sprintf(format, args...)})
+}
+
+// recovered sorts a recovered panic value into a termination or a module
+// error; anything that is neither is re-raised. A Go run-time fault inside
+// lowered code (a make with an absurd size, a value of the wrong kind
+// handed to Call) is the module's fault, not the host's.
+func recovered(rec any) (*mh.Termination, error) {
+	switch v := rec.(type) {
+	case mh.Termination:
+		return &v, nil
+	case *Error:
+		return nil, v
+	case runtime.Error:
+		return nil, &Error{Msg: v.Error()}
+	}
+	panic(rec)
 }
 
 // Run executes the program's main procedure. A clean exit (main returned or
@@ -62,19 +89,11 @@ func (in *Interp) failf(pos token.Pos, format string, args ...any) {
 func (in *Interp) Run() (term *mh.Termination, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			switch v := rec.(type) {
-			case mh.Termination:
-				term = &v
-			case *Error:
-				err = v
-			default:
-				panic(rec)
-			}
+			term, err = recovered(rec)
 		}
 	}()
-	in.steps = 0
-	_, callErr := in.call("main", nil, token.NoPos)
-	return term, callErr
+	_, err = in.call("main", nil)
+	return nil, err
 }
 
 // Call invokes a named function with runtime values (int, float64, bool,
@@ -83,954 +102,50 @@ func (in *Interp) Run() (term *mh.Termination, err error) {
 func (in *Interp) Call(fn string, args ...any) (results []any, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			switch v := rec.(type) {
-			case mh.Termination:
-				err = v
-			case *Error:
-				err = v
-			default:
-				panic(rec)
+			var term *mh.Termination
+			if term, err = recovered(rec); term != nil {
+				err = *term
 			}
 		}
 	}()
-	in.steps = 0
-	return in.call(fn, args, token.NoPos)
+	return in.call(fn, args)
 }
 
-func (in *Interp) call(name string, args []any, pos token.Pos) ([]any, error) {
-	fn, ok := in.prog.Funcs[name]
+func (in *Interp) call(name string, args []any) ([]any, error) {
+	c, ok := in.low.funcs[name]
 	if !ok {
 		return nil, fmt.Errorf("interp: no function %s", name)
 	}
-	if len(args) != len(fn.Params) {
-		return nil, fmt.Errorf("interp: %s takes %d arguments, got %d", name, len(fn.Params), len(args))
+	if len(args) != len(c.params) {
+		return nil, fmt.Errorf("interp: %s takes %d arguments, got %d", name, len(c.params), len(args))
 	}
-	env := &env{in: in, fn: fn}
-	env.push()
-	for i, p := range fn.Params {
-		env.declare(p.Name, copyVal(args[i]))
+	in.steps = 0
+	in.tuple = in.tuple[:0]
+	fr := in.newFrame(c)
+	for i, p := range c.params {
+		if !p.setAny(fr, copyVal(args[i])) {
+			return nil, fmt.Errorf("interp: %s argument %d is %s, want %s", name, i+1, formatValue(args[i]), p.typ)
+		}
 	}
-	fl := in.execStmts(env, fn.Decl.Body.List)
-	switch fl.kind {
-	case flowNone, flowReturn:
-		return fl.results, nil
-	case flowGoto:
-		in.failf(pos, "goto %s escaped function %s", fl.label, name)
+	in.exec(c, fr)
+	var results []any
+	for _, r := range c.results {
+		results = append(results, r.getAny(fr))
 	}
-	return nil, nil
+	return results, nil
 }
 
-// ---- environments ----
-
-type env struct {
-	in     *Interp
-	fn     *lang.Func
-	scopes []map[string]cell
+func (in *Interp) newFrame(c *code) *frame {
+	return &frame{in: in, s: make([]slot, c.nslots)}
 }
 
-func (e *env) push() { e.scopes = append(e.scopes, map[string]cell{}) }
-func (e *env) pop()  { e.scopes = e.scopes[:len(e.scopes)-1] }
-
-func (e *env) declare(name string, v any) {
-	if name == "_" {
-		return
-	}
-	e.scopes[len(e.scopes)-1][name] = &varCell{v: v}
-}
-
-func (e *env) lookup(name string) cell {
-	for i := len(e.scopes) - 1; i >= 0; i-- {
-		if c, ok := e.scopes[i][name]; ok {
-			return c
+// exec runs one activation of c to its return.
+func (in *Interp) exec(c *code, fr *frame) {
+	ins := c.ins
+	for pc := 0; pc >= 0; {
+		if in.steps++; in.steps > in.limit {
+			in.failf(c.pos[pc], "step limit of %d exceeded (non-terminating program?)", in.limit)
 		}
-	}
-	return nil
-}
-
-// ---- control flow ----
-
-type flowKind int
-
-const (
-	flowNone flowKind = iota
-	flowReturn
-	flowBreak
-	flowContinue
-	flowGoto
-)
-
-type flow struct {
-	kind    flowKind
-	label   string
-	results []any
-}
-
-var flowNorm = flow{}
-
-// execStmts runs a statement list, resolving gotos whose labels are
-// declared at this level.
-func (in *Interp) execStmts(env *env, list []ast.Stmt) flow {
-	labels := map[string]int{}
-	for i, s := range list {
-		for ls, ok := s.(*ast.LabeledStmt); ok; ls, ok = s.(*ast.LabeledStmt) {
-			labels[ls.Label.Name] = i
-			s = ls.Stmt
-		}
-	}
-	pc := 0
-	for pc < len(list) {
-		fl := in.execStmt(env, list[pc])
-		switch fl.kind {
-		case flowNone:
-			pc++
-		case flowGoto:
-			if idx, ok := labels[fl.label]; ok {
-				pc = idx
-			} else {
-				return fl
-			}
-		default:
-			return fl
-		}
-	}
-	return flowNorm
-}
-
-func (in *Interp) step(s ast.Stmt) {
-	in.steps++
-	if in.maxSteps > 0 && in.steps > in.maxSteps {
-		in.failf(s.Pos(), "step limit of %d exceeded (non-terminating program?)", in.maxSteps)
-	}
-}
-
-func (in *Interp) execStmt(env *env, s ast.Stmt) flow {
-	in.step(s)
-	switch st := s.(type) {
-	case *ast.LabeledStmt:
-		return in.execLabeled(env, st)
-	case *ast.DeclStmt:
-		in.execDecl(env, st)
-		return flowNorm
-	case *ast.AssignStmt:
-		in.execAssign(env, st)
-		return flowNorm
-	case *ast.IncDecStmt:
-		c := in.lvalue(env, st.X)
-		switch v := c.get().(type) {
-		case int:
-			if st.Tok == token.INC {
-				c.set(v + 1)
-			} else {
-				c.set(v - 1)
-			}
-		case float64:
-			if st.Tok == token.INC {
-				c.set(v + 1)
-			} else {
-				c.set(v - 1)
-			}
-		default:
-			in.failf(st.Pos(), "%s on non-numeric %s", st.Tok, formatValue(v))
-		}
-		return flowNorm
-	case *ast.ExprStmt:
-		in.eval(env, st.X)
-		return flowNorm
-	case *ast.IfStmt:
-		env.push()
-		defer env.pop()
-		if st.Init != nil {
-			if fl := in.execStmt(env, st.Init); fl.kind != flowNone {
-				return fl
-			}
-		}
-		if in.evalBool(env, st.Cond) {
-			return in.execBlock(env, st.Body)
-		}
-		if st.Else != nil {
-			return in.execStmt(env, st.Else)
-		}
-		return flowNorm
-	case *ast.ForStmt:
-		return in.execFor(env, st, "")
-	case *ast.RangeStmt:
-		return in.execRange(env, st, "")
-	case *ast.SwitchStmt:
-		return in.execSwitch(env, st, "")
-	case *ast.BranchStmt:
-		switch st.Tok {
-		case token.GOTO:
-			return flow{kind: flowGoto, label: st.Label.Name}
-		case token.BREAK:
-			fl := flow{kind: flowBreak}
-			if st.Label != nil {
-				fl.label = st.Label.Name
-			}
-			return fl
-		case token.CONTINUE:
-			fl := flow{kind: flowContinue}
-			if st.Label != nil {
-				fl.label = st.Label.Name
-			}
-			return fl
-		}
-		in.failf(st.Pos(), "unsupported branch %s", st.Tok)
-	case *ast.ReturnStmt:
-		fl := flow{kind: flowReturn}
-		for _, e := range st.Results {
-			v := in.eval(env, e)
-			if tup, ok := v.(tupleVal); ok {
-				for _, tv := range tup {
-					fl.results = append(fl.results, copyVal(tv))
-				}
-				continue
-			}
-			fl.results = append(fl.results, copyVal(v))
-		}
-		return fl
-	case *ast.BlockStmt:
-		return in.execBlock(env, st)
-	case *ast.EmptyStmt:
-		return flowNorm
-	}
-	in.failf(s.Pos(), "unsupported statement %T", s)
-	return flowNorm
-}
-
-func (in *Interp) execBlock(env *env, b *ast.BlockStmt) flow {
-	env.push()
-	defer env.pop()
-	return in.execStmts(env, b.List)
-}
-
-func (in *Interp) execLabeled(env *env, ls *ast.LabeledStmt) flow {
-	switch inner := ls.Stmt.(type) {
-	case *ast.ForStmt:
-		return in.execFor(env, inner, ls.Label.Name)
-	case *ast.RangeStmt:
-		return in.execRange(env, inner, ls.Label.Name)
-	case *ast.SwitchStmt:
-		return in.execSwitch(env, inner, ls.Label.Name)
-	default:
-		return in.execStmt(env, ls.Stmt)
-	}
-}
-
-func (in *Interp) execFor(env *env, st *ast.ForStmt, label string) flow {
-	env.push()
-	defer env.pop()
-	if st.Init != nil {
-		if fl := in.execStmt(env, st.Init); fl.kind != flowNone {
-			return fl
-		}
-	}
-	for {
-		in.step(st)
-		if st.Cond != nil && !in.evalBool(env, st.Cond) {
-			return flowNorm
-		}
-		fl := in.execBlock(env, st.Body)
-		switch fl.kind {
-		case flowNone, flowContinue:
-			if fl.kind == flowContinue && fl.label != "" && fl.label != label {
-				return fl
-			}
-		case flowBreak:
-			if fl.label == "" || fl.label == label {
-				return flowNorm
-			}
-			return fl
-		default:
-			return fl
-		}
-		if st.Post != nil {
-			if fl := in.execStmt(env, st.Post); fl.kind != flowNone {
-				return fl
-			}
-		}
-	}
-}
-
-func (in *Interp) execRange(env *env, st *ast.RangeStmt, label string) flow {
-	xv := in.eval(env, st.X)
-	sl, ok := xv.([]any)
-	if !ok && xv != nil {
-		in.failf(st.X.Pos(), "range over non-slice %s", formatValue(xv))
-	}
-	env.push()
-	defer env.pop()
-	for i := 0; i < len(sl); i++ {
-		in.step(st)
-		env.push()
-		if st.Key != nil {
-			env.declare(st.Key.(*ast.Ident).Name, i)
-		}
-		if st.Value != nil {
-			env.declare(st.Value.(*ast.Ident).Name, copyVal(sl[i]))
-		}
-		fl := in.execBlock(env, st.Body)
-		env.pop()
-		switch fl.kind {
-		case flowNone, flowContinue:
-			if fl.kind == flowContinue && fl.label != "" && fl.label != label {
-				return fl
-			}
-		case flowBreak:
-			if fl.label == "" || fl.label == label {
-				return flowNorm
-			}
-			return fl
-		default:
-			return fl
-		}
-	}
-	return flowNorm
-}
-
-func (in *Interp) execSwitch(env *env, st *ast.SwitchStmt, label string) flow {
-	env.push()
-	defer env.pop()
-	if st.Init != nil {
-		if fl := in.execStmt(env, st.Init); fl.kind != flowNone {
-			return fl
-		}
-	}
-	var tag any
-	hasTag := st.Tag != nil
-	if hasTag {
-		tag = in.eval(env, st.Tag)
-	}
-	var chosen *ast.CaseClause
-	var deflt *ast.CaseClause
-	for _, clause := range st.Body.List {
-		cc := clause.(*ast.CaseClause)
-		if cc.List == nil {
-			deflt = cc
-			continue
-		}
-		for _, e := range cc.List {
-			if hasTag {
-				if in.equalValues(tag, in.eval(env, e), e.Pos()) {
-					chosen = cc
-					break
-				}
-			} else if in.evalBool(env, e) {
-				chosen = cc
-				break
-			}
-		}
-		if chosen != nil {
-			break
-		}
-	}
-	if chosen == nil {
-		chosen = deflt
-	}
-	if chosen == nil {
-		return flowNorm
-	}
-	env.push()
-	fl := in.execStmts(env, chosen.Body)
-	env.pop()
-	if fl.kind == flowBreak && (fl.label == "" || fl.label == label) {
-		return flowNorm
-	}
-	return fl
-}
-
-func (in *Interp) execDecl(env *env, st *ast.DeclStmt) {
-	gd := st.Decl.(*ast.GenDecl)
-	for _, spec := range gd.Specs {
-		vs := spec.(*ast.ValueSpec)
-		var declared lang.Type
-		if vs.Type != nil {
-			t, err := in.prog.ResolveType(vs.Type)
-			if err != nil {
-				in.failf(vs.Pos(), "%v", err)
-			}
-			declared = t
-		}
-		for i, id := range vs.Names {
-			if len(vs.Values) > i {
-				env.declare(id.Name, copyVal(in.eval(env, vs.Values[i])))
-			} else {
-				env.declare(id.Name, zeroValue(declared))
-			}
-		}
-	}
-}
-
-func (in *Interp) execAssign(env *env, st *ast.AssignStmt) {
-	switch st.Tok {
-	case token.DEFINE:
-		if len(st.Rhs) == 1 && len(st.Lhs) > 1 {
-			v := in.eval(env, st.Rhs[0])
-			tup, ok := v.(tupleVal)
-			if !ok || len(tup) != len(st.Lhs) {
-				in.failf(st.Pos(), "cannot destructure %s", formatValue(v))
-			}
-			for i, lhs := range st.Lhs {
-				env.declare(lhs.(*ast.Ident).Name, copyVal(tup[i]))
-			}
-			return
-		}
-		for i, lhs := range st.Lhs {
-			env.declare(lhs.(*ast.Ident).Name, copyVal(in.eval(env, st.Rhs[i])))
-		}
-	case token.ASSIGN:
-		if len(st.Rhs) == 1 && len(st.Lhs) > 1 {
-			v := in.eval(env, st.Rhs[0])
-			tup, ok := v.(tupleVal)
-			if !ok || len(tup) != len(st.Lhs) {
-				in.failf(st.Pos(), "cannot destructure %s", formatValue(v))
-			}
-			for i, lhs := range st.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok && id.Name == "_" {
-					continue
-				}
-				in.lvalue(env, lhs).set(copyVal(tup[i]))
-			}
-			return
-		}
-		// Go evaluates all RHS before assigning (a, b = b, a works).
-		vals := make([]any, len(st.Rhs))
-		for i, rhs := range st.Rhs {
-			vals[i] = copyVal(in.eval(env, rhs))
-		}
-		for i, lhs := range st.Lhs {
-			if id, ok := lhs.(*ast.Ident); ok && id.Name == "_" {
-				continue
-			}
-			in.lvalue(env, lhs).set(vals[i])
-		}
-	default: // op-assign
-		c := in.lvalue(env, st.Lhs[0])
-		op := assignOpBinary(st.Tok)
-		v := in.binop(op, c.get(), in.eval(env, st.Rhs[0]), st.Pos())
-		c.set(v)
-	}
-}
-
-func assignOpBinary(tok token.Token) token.Token {
-	switch tok {
-	case token.ADD_ASSIGN:
-		return token.ADD
-	case token.SUB_ASSIGN:
-		return token.SUB
-	case token.MUL_ASSIGN:
-		return token.MUL
-	case token.QUO_ASSIGN:
-		return token.QUO
-	case token.REM_ASSIGN:
-		return token.REM
-	case token.AND_ASSIGN:
-		return token.AND
-	case token.OR_ASSIGN:
-		return token.OR
-	case token.XOR_ASSIGN:
-		return token.XOR
-	case token.SHL_ASSIGN:
-		return token.SHL
-	case token.SHR_ASSIGN:
-		return token.SHR
-	case token.AND_NOT_ASSIGN:
-		return token.AND_NOT
-	default:
-		return token.ILLEGAL
-	}
-}
-
-// ---- lvalues ----
-
-func (in *Interp) lvalue(env *env, e ast.Expr) cell {
-	switch x := e.(type) {
-	case *ast.Ident:
-		c := env.lookup(x.Name)
-		if c == nil {
-			in.failf(x.Pos(), "undeclared variable %s", x.Name)
-		}
-		return c
-	case *ast.ParenExpr:
-		return in.lvalue(env, x.X)
-	case *ast.StarExpr:
-		v := in.eval(env, x.X)
-		c, ok := v.(cell)
-		if !ok || c == nil {
-			in.failf(x.Pos(), "dereference of nil or non-pointer %s", formatValue(v))
-		}
-		return c
-	case *ast.IndexExpr:
-		xv := in.eval(env, x.X)
-		sl, ok := xv.([]any)
-		if !ok {
-			in.failf(x.Pos(), "index of non-slice %s", formatValue(xv))
-		}
-		i := in.evalInt(env, x.Index)
-		if i < 0 || i >= len(sl) {
-			in.failf(x.Pos(), "index %d out of range [0:%d]", i, len(sl))
-		}
-		return sliceCell{s: sl, i: i}
-	case *ast.SelectorExpr:
-		sv := in.structOperand(env, x.X)
-		idx := sv.fieldIndex(x.Sel.Name)
-		if idx < 0 {
-			in.failf(x.Sel.Pos(), "%s has no field %s", sv.typ, x.Sel.Name)
-		}
-		return fieldCell{sv: sv, i: idx}
-	}
-	in.failf(e.Pos(), "not an assignable expression")
-	return nil
-}
-
-// structOperand resolves the struct value an expression denotes, following
-// one pointer level (Go's auto-deref in selectors).
-func (in *Interp) structOperand(env *env, e ast.Expr) *structVal {
-	v := in.eval(env, e)
-	if c, ok := v.(cell); ok {
-		if c == nil {
-			in.failf(e.Pos(), "field access through nil pointer")
-		}
-		v = c.get()
-	}
-	sv, ok := v.(*structVal)
-	if !ok {
-		in.failf(e.Pos(), "field access on non-struct %s", formatValue(v))
-	}
-	return sv
-}
-
-// tupleVal carries a multi-value call result between expressions.
-type tupleVal []any
-
-// ---- expressions ----
-
-func (in *Interp) eval(env *env, e ast.Expr) any {
-	switch x := e.(type) {
-	case *ast.BasicLit:
-		return in.evalLit(x)
-	case *ast.Ident:
-		switch x.Name {
-		case "true":
-			return true
-		case "false":
-			return false
-		}
-		c := env.lookup(x.Name)
-		if c == nil {
-			in.failf(x.Pos(), "undeclared variable %s", x.Name)
-		}
-		return c.get()
-	case *ast.ParenExpr:
-		return in.eval(env, x.X)
-	case *ast.UnaryExpr:
-		switch x.Op {
-		case token.SUB:
-			switch v := in.eval(env, x.X).(type) {
-			case int:
-				return -v
-			case float64:
-				return -v
-			default:
-				in.failf(x.Pos(), "negation of %s", formatValue(v))
-			}
-		case token.ADD:
-			return in.eval(env, x.X)
-		case token.NOT:
-			return !in.evalBool(env, x.X)
-		case token.AND:
-			return cell(in.lvalue(env, x.X))
-		}
-		in.failf(x.Pos(), "unsupported unary %s", x.Op)
-	case *ast.BinaryExpr:
-		if x.Op == token.LAND {
-			return in.evalBool(env, x.X) && in.evalBool(env, x.Y)
-		}
-		if x.Op == token.LOR {
-			return in.evalBool(env, x.X) || in.evalBool(env, x.Y)
-		}
-		return in.binop(x.Op, in.eval(env, x.X), in.eval(env, x.Y), x.Pos())
-	case *ast.CallExpr:
-		return in.evalCall(env, x)
-	case *ast.IndexExpr:
-		xv := in.eval(env, x.X)
-		sl, ok := xv.([]any)
-		if !ok {
-			in.failf(x.Pos(), "index of non-slice %s", formatValue(xv))
-		}
-		i := in.evalInt(env, x.Index)
-		if i < 0 || i >= len(sl) {
-			in.failf(x.Pos(), "index %d out of range [0:%d]", i, len(sl))
-		}
-		return sl[i]
-	case *ast.SliceExpr:
-		return in.evalSlice(env, x)
-	case *ast.StarExpr:
-		v := in.eval(env, x.X)
-		c, ok := v.(cell)
-		if !ok || c == nil {
-			in.failf(x.Pos(), "dereference of nil or non-pointer %s", formatValue(v))
-		}
-		return c.get()
-	case *ast.SelectorExpr:
-		sv := in.structOperand(env, x.X)
-		idx := sv.fieldIndex(x.Sel.Name)
-		if idx < 0 {
-			in.failf(x.Sel.Pos(), "%s has no field %s", sv.typ, x.Sel.Name)
-		}
-		return sv.fields[idx]
-	case *ast.CompositeLit:
-		return in.evalComposite(env, x)
-	}
-	in.failf(e.Pos(), "unsupported expression %T", e)
-	return nil
-}
-
-func (in *Interp) evalLit(lit *ast.BasicLit) any {
-	switch lit.Kind {
-	case token.INT:
-		// The checker records FloatType when an untyped int literal
-		// adopted a float context (f + 1).
-		if t := in.info.TypeOf(lit); t != nil && t.Equal(lang.FloatType) {
-			f, _ := strconv.ParseFloat(lit.Value, 64)
-			return f
-		}
-		n, err := strconv.ParseInt(lit.Value, 0, 64)
-		if err != nil {
-			in.failf(lit.Pos(), "bad int literal %s", lit.Value)
-		}
-		return int(n)
-	case token.FLOAT:
-		f, err := strconv.ParseFloat(lit.Value, 64)
-		if err != nil {
-			in.failf(lit.Pos(), "bad float literal %s", lit.Value)
-		}
-		return f
-	case token.STRING:
-		s, err := strconv.Unquote(lit.Value)
-		if err != nil {
-			in.failf(lit.Pos(), "bad string literal")
-		}
-		return s
-	}
-	in.failf(lit.Pos(), "unsupported literal %s", lit.Kind)
-	return nil
-}
-
-func (in *Interp) evalBool(env *env, e ast.Expr) bool {
-	v := in.eval(env, e)
-	b, ok := v.(bool)
-	if !ok {
-		in.failf(e.Pos(), "condition is %s, not bool", formatValue(v))
-	}
-	return b
-}
-
-func (in *Interp) evalInt(env *env, e ast.Expr) int {
-	v := in.eval(env, e)
-	i, ok := v.(int)
-	if !ok {
-		in.failf(e.Pos(), "%s is not an int", formatValue(v))
-	}
-	return i
-}
-
-func (in *Interp) equalValues(a, b any, pos token.Pos) bool {
-	switch av := a.(type) {
-	case int:
-		bv, ok := b.(int)
-		return ok && av == bv
-	case float64:
-		bv, ok := b.(float64)
-		return ok && av == bv
-	case bool:
-		bv, ok := b.(bool)
-		return ok && av == bv
-	case string:
-		bv, ok := b.(string)
-		return ok && av == bv
-	default:
-		in.failf(pos, "values of type %T are not comparable", a)
-		return false
-	}
-}
-
-func (in *Interp) binop(op token.Token, a, b any, pos token.Pos) any {
-	switch av := a.(type) {
-	case int:
-		bv, ok := b.(int)
-		if !ok {
-			in.failf(pos, "mixed operands %s and %s", formatValue(a), formatValue(b))
-		}
-		switch op {
-		case token.ADD:
-			return av + bv
-		case token.SUB:
-			return av - bv
-		case token.MUL:
-			return av * bv
-		case token.QUO:
-			if bv == 0 {
-				in.failf(pos, "integer division by zero")
-			}
-			return av / bv
-		case token.REM:
-			if bv == 0 {
-				in.failf(pos, "integer modulo by zero")
-			}
-			return av % bv
-		case token.AND:
-			return av & bv
-		case token.OR:
-			return av | bv
-		case token.XOR:
-			return av ^ bv
-		case token.AND_NOT:
-			return av &^ bv
-		case token.SHL:
-			if bv < 0 || bv > 63 {
-				in.failf(pos, "shift count %d out of range", bv)
-			}
-			return av << bv
-		case token.SHR:
-			if bv < 0 || bv > 63 {
-				in.failf(pos, "shift count %d out of range", bv)
-			}
-			return av >> bv
-		case token.EQL:
-			return av == bv
-		case token.NEQ:
-			return av != bv
-		case token.LSS:
-			return av < bv
-		case token.LEQ:
-			return av <= bv
-		case token.GTR:
-			return av > bv
-		case token.GEQ:
-			return av >= bv
-		}
-	case float64:
-		bv, ok := b.(float64)
-		if !ok {
-			in.failf(pos, "mixed operands %s and %s", formatValue(a), formatValue(b))
-		}
-		switch op {
-		case token.ADD:
-			return av + bv
-		case token.SUB:
-			return av - bv
-		case token.MUL:
-			return av * bv
-		case token.QUO:
-			return av / bv
-		case token.EQL:
-			return av == bv
-		case token.NEQ:
-			return av != bv
-		case token.LSS:
-			return av < bv
-		case token.LEQ:
-			return av <= bv
-		case token.GTR:
-			return av > bv
-		case token.GEQ:
-			return av >= bv
-		}
-	case string:
-		bv, ok := b.(string)
-		if !ok {
-			in.failf(pos, "mixed operands %s and %s", formatValue(a), formatValue(b))
-		}
-		switch op {
-		case token.ADD:
-			return av + bv
-		case token.EQL:
-			return av == bv
-		case token.NEQ:
-			return av != bv
-		case token.LSS:
-			return av < bv
-		case token.LEQ:
-			return av <= bv
-		case token.GTR:
-			return av > bv
-		case token.GEQ:
-			return av >= bv
-		}
-	case bool:
-		bv, ok := b.(bool)
-		if !ok {
-			in.failf(pos, "mixed operands %s and %s", formatValue(a), formatValue(b))
-		}
-		switch op {
-		case token.EQL:
-			return av == bv
-		case token.NEQ:
-			return av != bv
-		}
-	}
-	in.failf(pos, "operator %s not defined on %s", op, formatValue(a))
-	return nil
-}
-
-func (in *Interp) evalSlice(env *env, x *ast.SliceExpr) any {
-	xv := in.eval(env, x.X)
-	lo := 0
-	if x.Low != nil {
-		lo = in.evalInt(env, x.Low)
-	}
-	switch v := xv.(type) {
-	case []any:
-		hi := len(v)
-		if x.High != nil {
-			hi = in.evalInt(env, x.High)
-		}
-		if lo < 0 || hi < lo || hi > cap(v) {
-			in.failf(x.Pos(), "slice bounds [%d:%d] out of range (len %d cap %d)", lo, hi, len(v), cap(v))
-		}
-		return v[lo:hi]
-	case string:
-		hi := len(v)
-		if x.High != nil {
-			hi = in.evalInt(env, x.High)
-		}
-		if lo < 0 || hi < lo || hi > len(v) {
-			in.failf(x.Pos(), "string bounds [%d:%d] out of range (len %d)", lo, hi, len(v))
-		}
-		return v[lo:hi]
-	default:
-		in.failf(x.Pos(), "slice of %s", formatValue(xv))
-		return nil
-	}
-}
-
-func (in *Interp) evalComposite(env *env, x *ast.CompositeLit) any {
-	t, err := in.prog.ResolveType(x.Type)
-	if err != nil {
-		in.failf(x.Pos(), "%v", err)
-	}
-	switch tt := t.(type) {
-	case lang.Slice:
-		out := make([]any, 0, len(x.Elts))
-		for _, el := range x.Elts {
-			out = append(out, copyVal(in.eval(env, el)))
-		}
-		return out
-	case *lang.Struct:
-		sv := zeroValue(tt).(*structVal)
-		if len(x.Elts) == 0 {
-			return sv
-		}
-		if _, keyed := x.Elts[0].(*ast.KeyValueExpr); keyed {
-			for _, el := range x.Elts {
-				kv := el.(*ast.KeyValueExpr)
-				idx := sv.fieldIndex(kv.Key.(*ast.Ident).Name)
-				sv.fields[idx] = copyVal(in.eval(env, kv.Value))
-			}
-		} else {
-			for i, el := range x.Elts {
-				sv.fields[i] = copyVal(in.eval(env, el))
-			}
-		}
-		return sv
-	}
-	in.failf(x.Pos(), "unsupported composite literal")
-	return nil
-}
-
-func (in *Interp) evalCall(env *env, call *ast.CallExpr) any {
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		return in.evalMHCall(env, call, fun.Sel.Name)
-	case *ast.Ident:
-		switch fun.Name {
-		case "int":
-			switch v := in.eval(env, call.Args[0]).(type) {
-			case int:
-				return v
-			case float64:
-				return int(v)
-			default:
-				in.failf(call.Pos(), "int() of %s", formatValue(v))
-			}
-		case "float64":
-			switch v := in.eval(env, call.Args[0]).(type) {
-			case int:
-				return float64(v)
-			case float64:
-				return v
-			default:
-				in.failf(call.Pos(), "float64() of %s", formatValue(v))
-			}
-		case "len":
-			switch v := in.eval(env, call.Args[0]).(type) {
-			case []any:
-				return len(v)
-			case string:
-				return len(v)
-			default:
-				in.failf(call.Pos(), "len of %s", formatValue(v))
-			}
-		case "cap":
-			switch v := in.eval(env, call.Args[0]).(type) {
-			case []any:
-				return cap(v)
-			default:
-				in.failf(call.Pos(), "cap of %s", formatValue(v))
-			}
-		case "append":
-			base := in.eval(env, call.Args[0])
-			sl, _ := base.([]any)
-			for _, a := range call.Args[1:] {
-				sl = append(sl, copyVal(in.eval(env, a)))
-			}
-			return sl
-		case "make":
-			n := in.evalInt(env, call.Args[1])
-			capN := n
-			if len(call.Args) == 3 {
-				capN = in.evalInt(env, call.Args[2])
-			}
-			if n < 0 || capN < n {
-				in.failf(call.Pos(), "make with invalid sizes %d, %d", n, capN)
-			}
-			t, err := in.prog.ResolveType(call.Args[0])
-			if err != nil {
-				in.failf(call.Pos(), "%v", err)
-			}
-			elem := t.(lang.Slice).Elem
-			out := make([]any, n, capN)
-			for i := range out {
-				out[i] = zeroValue(elem)
-			}
-			return out
-		default:
-			return in.evalUserCall(env, call, fun.Name)
-		}
-	}
-	in.failf(call.Pos(), "unsupported call")
-	return nil
-}
-
-func (in *Interp) evalUserCall(env *env, call *ast.CallExpr, name string) any {
-	args := make([]any, len(call.Args))
-	for i, a := range call.Args {
-		args[i] = in.eval(env, a)
-	}
-	results, err := in.call(name, args, call.Pos())
-	if err != nil {
-		var ie *Error
-		if errors.As(err, &ie) {
-			panic(ie)
-		}
-		in.failf(call.Pos(), "%v", err)
-	}
-	switch len(results) {
-	case 0:
-		return nil
-	case 1:
-		return results[0]
-	default:
-		return tupleVal(results)
+		pc = ins[pc](fr)
 	}
 }

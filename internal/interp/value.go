@@ -1,6 +1,29 @@
-// Package interp is a tree-walking interpreter for the module language
-// (internal/lang): it executes module programs — original or transformed —
-// as bus-attached, single-threaded modules entirely in-process.
+// Package interp executes module-language programs (internal/lang) —
+// original or transformed — as bus-attached, single-threaded modules
+// entirely in-process. It works in two phases: Lower resolves a checked
+// program once into slot-indexed closures, and an Interp runs that lowered
+// program against one participation runtime.
+//
+// Lowering does everything that depends only on the program text. Every
+// parameter and local becomes a frame-slot index (block scoping and
+// shadowing are already resolved by the checker's definitions, so a scope
+// push costs nothing at run time); literals are parsed once; operators are
+// picked from the checker's static types; mh.<primitive> calls are bound to
+// their runtime method with interface names, &local targets, pointee types,
+// capture-variable names and format strings fixed; user calls are bound to
+// the callee's lowered body; structured control flow, labels, goto, break
+// and continue all become jumps inside one flat instruction array per
+// procedure. A Lowered program is immutable and may be run by any number of
+// interpreters concurrently (a module and its clone, the members of a
+// replica group, a replay sandbox): frames, the step counter and the
+// runtime live in the Interp.
+//
+// The address-taken rule: a variable whose address is taken (&v anywhere
+// but directly as an mh.Read/mh.Restore target) lives in a heap cell of its
+// own rather than in its frame slot, and gets a fresh cell each time its
+// declaration executes — so a pointer kept across loop iterations keeps
+// pointing at that iteration's variable, and a pointer that outlives the
+// call keeps its pointee alive without pinning the frame.
 //
 // The interpreter exists for two reasons. First, it makes the whole
 // distributed application of the paper hermetic: every example and test
@@ -29,6 +52,9 @@ import (
 //	[]T            -> []any (reference semantics, like Go slices)
 //	struct         -> *structVal (value semantics enforced by copyVal)
 //	*T             -> cell (an assignable location)
+//
+// In a frame slot (lower.go) int, float64 and bool variables are held
+// unboxed; everything else is held as one of the values above.
 
 // structVal is a struct value. It is heap-allocated so interior pointers
 // (&t.X) work; value semantics are restored by copying at every store.
@@ -38,23 +64,13 @@ type structVal struct {
 	fields []any
 }
 
-func (s *structVal) fieldIndex(name string) int {
-	for i, n := range s.names {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// cell is an assignable storage location — what a pointer value denotes and
-// what the environment maps variables to.
+// cell is an assignable storage location — what a pointer value denotes.
 type cell interface {
 	get() any
 	set(any)
 }
 
-// varCell is a plain variable slot.
+// varCell holds an address-taken variable (see the package comment).
 type varCell struct{ v any }
 
 func (c *varCell) get() any  { return c.v }

@@ -1,58 +1,26 @@
 package mh
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
-	"repro/internal/bus"
 	"repro/internal/state"
 )
 
 // This file exposes the runtime's primitives at the abstract-value level,
 // for hosts (the module-subset interpreter) that hold state.Value operands
-// directly instead of native Go variables. The flag and state-transfer
-// logic is shared with the native API in mh.go.
+// directly instead of native Go variables. They are entry points to the
+// same paths as the native API in mh.go (receive and send; WriteAbstract
+// sits next to Write there), not copies of them.
 
 // ReadAbstract blocks for the next message on iface and returns its decoded
 // abstract value. The bool result is false if an error was recorded.
 func (r *Runtime) ReadAbstract(iface string) (state.Value, bool) {
-	r.pollSignals()
-	m, err := r.port.Read(iface)
-	if err != nil {
-		if errors.Is(err, bus.ErrStopped) {
-			r.failFatal(err)
-			return state.Value{}, false
-		}
-		r.record(fmt.Errorf("mh: read %s: %w", iface, err))
-		return state.Value{}, false
+	v, ok := r.receive(iface)
+	if ok {
+		r.tickOp()
 	}
-	v, err := r.codec.DecodeValue(m.Data)
-	if err != nil {
-		r.record(fmt.Errorf("mh: decode message on %s: %w", iface, err))
-		return state.Value{}, false
-	}
-	r.tickOp()
-	return v, true
-}
-
-// WriteAbstract emits an abstract value on iface.
-func (r *Runtime) WriteAbstract(iface string, v state.Value) {
-	r.pollSignals()
-	data, err := r.codec.EncodeValue(v)
-	if err != nil {
-		r.record(fmt.Errorf("mh: encode message for %s: %w", iface, err))
-		return
-	}
-	if err := r.port.Write(iface, data); err != nil {
-		if errors.Is(err, bus.ErrStopped) {
-			r.failFatal(err)
-			return
-		}
-		r.record(fmt.Errorf("mh: write %s: %w", iface, err))
-		return
-	}
-	r.tickOp()
+	return v, ok
 }
 
 // CaptureAbstract appends one frame with named abstract variables.

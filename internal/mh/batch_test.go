@@ -27,6 +27,7 @@ func newDualBus(t *testing.T) *bus.Bus {
 			{Name: "ctl", Dir: bus.In}}},
 		{Name: "sa", Module: "sink", Interfaces: []bus.IfaceSpec{{Name: "in", Dir: bus.In}}},
 		{Name: "sb", Module: "sink", Interfaces: []bus.IfaceSpec{{Name: "in", Dir: bus.In}}},
+		{Name: "drv", Module: "driver", Interfaces: []bus.IfaceSpec{{Name: "out", Dir: bus.Out}}},
 	} {
 		if err := b.AddInstance(spec); err != nil {
 			t.Fatal(err)
@@ -35,6 +36,7 @@ func newDualBus(t *testing.T) *bus.Bus {
 	for _, bind := range [][2]bus.Endpoint{
 		{{Instance: "dual", Interface: "a"}, {Instance: "sa", Interface: "in"}},
 		{{Instance: "dual", Interface: "b"}, {Instance: "sb", Interface: "in"}},
+		{{Instance: "drv", Interface: "out"}, {Instance: "dual", Interface: "ctl"}},
 	} {
 		if err := b.AddBinding(bind[0], bind[1]); err != nil {
 			t.Fatal(err)
@@ -154,5 +156,42 @@ func TestWriteBatchOrderAcrossWindows(t *testing.T) {
 		if v != int64(i) {
 			t.Fatalf("message %d = %d; batching reordered the stream", i, v)
 		}
+	}
+}
+
+// TestWriteBatchWindowAbstractEntryPoints drives the window through the
+// entry points the interpreter uses. They are the same path as Read and
+// Write, so the window holds for interpreted modules too: WriteAbstract
+// joins it, a full window flushes, and ReadAbstract — a control handoff
+// like Read — flushes a partial one before it blocks for input.
+func TestWriteBatchWindowAbstractEntryPoints(t *testing.T) {
+	b := newDualBus(t)
+	rt := attachRT(t, b, "dual", WithWriteBatch(3))
+	rt.Init()
+	sa, err := b.Attach("sa")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rt.WriteAbstract("a", state.IntValue(1))
+	rt.WriteAbstract("a", state.IntValue(2))
+	if n := pending(t, sa, "in"); n != 0 {
+		t.Fatalf("window leaked early: %d messages on the bus", n)
+	}
+	rt.WriteAbstract("a", state.IntValue(3))
+	if got := drainInts(t, sa, "in"); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("full-window flush delivered %v, want [1 2 3]", got)
+	}
+
+	rt.WriteAbstract("a", state.IntValue(4))
+	writeOn(t, b, "drv", "out", 7)
+	if v, ok := rt.ReadAbstract("ctl"); !ok || v.Int != 7 {
+		t.Fatalf("ReadAbstract = %v, %v; want 7", v, ok)
+	}
+	if got := drainInts(t, sa, "in"); len(got) != 1 || got[0] != 4 {
+		t.Fatalf("ReadAbstract flush delivered %v, want [4]", got)
+	}
+	if err := rt.Err(); err != nil {
+		t.Fatalf("runtime error: %v", err)
 	}
 }

@@ -158,6 +158,8 @@ type Runtime struct {
 	batchIface string
 	batch      [][]byte
 	bw         bus.BatchTracedWriter
+
+	tuple []state.Value // scratch for the outgoing tuple of a Write
 }
 
 // New wraps a bus port in a participation runtime.
@@ -277,34 +279,50 @@ func (r *Runtime) pollSignals() {
 // ptrs (mh_read). With one pointer the payload is the bare value; with
 // several it must be a tuple (list) of the same arity.
 func (r *Runtime) Read(iface string, ptrs ...any) {
+	v, ok := r.receive(iface)
+	if !ok {
+		return
+	}
+	// The values land before the operation is ticked: a checkpoint taken
+	// on this tick must see the message it has consumed.
+	r.storeInto(iface, &v, ptrs)
+	r.tickOp()
+}
+
+// receive is the one read path, under Read and ReadAbstract alike: poll
+// for signals, flush the write-batching window (a module that waits for
+// input has handed off control), take the next message, remember its
+// trace context for the writes it causes, decode it. The caller ticks the
+// operation once the value is where the module will look for it.
+func (r *Runtime) receive(iface string) (state.Value, bool) {
 	r.pollSignals()
 	r.Flush()
 	m, err := r.port.Read(iface)
 	if err != nil {
 		if errors.Is(err, bus.ErrStopped) {
 			r.failFatal(err)
-			return
+			return state.Value{}, false
 		}
 		r.record(fmt.Errorf("mh: read %s: %w", iface, err))
-		return
+		return state.Value{}, false
 	}
 	r.msgCtx = m.Trace
-	r.decodeInto(iface, m.Data, ptrs)
-	r.tickOp()
+	v, err := r.codec.DecodeValue(m.Data)
+	if err != nil {
+		r.record(fmt.Errorf("mh: decode message on %s: %w", iface, err))
+		r.tickOp() // consumed all the same, and the caller has nothing to store first
+		return state.Value{}, false
+	}
+	return v, true
 }
 
 // TraceContext returns the causal context of the last message this runtime
 // read (the zero Context before any read, or on an untraced bus).
 func (r *Runtime) TraceContext() bus.TraceContext { return r.msgCtx }
 
-func (r *Runtime) decodeInto(iface string, data []byte, ptrs []any) {
-	v, err := r.codec.DecodeValue(data)
-	if err != nil {
-		r.record(fmt.Errorf("mh: decode message on %s: %w", iface, err))
-		return
-	}
+func (r *Runtime) storeInto(iface string, v *state.Value, ptrs []any) {
 	if len(ptrs) == 1 {
-		if err := state.ToGo(v, ptrs[0]); err != nil {
+		if err := state.ToGo(*v, ptrs[0]); err != nil {
 			r.record(fmt.Errorf("mh: read %s: %w", iface, err))
 		}
 		return
@@ -322,15 +340,44 @@ func (r *Runtime) decodeInto(iface string, data []byte, ptrs []any) {
 }
 
 // Write emits values on iface (mh_write). One value is sent bare; several
-// are sent as a tuple.
+// are sent as a tuple, built in the runtime's scratch: a module is
+// single-threaded and the codec does not retain what it encodes, so the
+// next Write reuses it.
 func (r *Runtime) Write(iface string, vals ...any) {
-	r.pollSignals()
-	v, err := packValues(vals)
+	var v state.Value
+	var err error
+	if len(vals) == 1 {
+		v, err = state.FromGo(vals[0])
+	} else {
+		r.tuple = r.tuple[:0]
+		for i, val := range vals {
+			var e state.Value
+			if e, err = state.FromGo(val); err != nil {
+				err = fmt.Errorf("value %d: %w", i, err)
+				break
+			}
+			r.tuple = append(r.tuple, e)
+		}
+		v = state.Value{Kind: state.KindList, Type: "tuple", List: r.tuple}
+	}
 	if err != nil {
 		r.record(fmt.Errorf("mh: write %s: %w", iface, err))
 		return
 	}
-	data, err := r.codec.EncodeValue(v)
+	r.send(iface, &v)
+}
+
+// WriteAbstract emits an abstract value on iface.
+func (r *Runtime) WriteAbstract(iface string, v state.Value) { r.send(iface, &v) }
+
+// send is the one write path, under Write and WriteAbstract alike: poll
+// for signals, encode — the payload is a fresh allocation, the bus's
+// queues and rings retain it — then either join the write-batching window
+// or leave at once, carrying the trace context of the message that caused
+// this one.
+func (r *Runtime) send(iface string, v *state.Value) {
+	r.pollSignals()
+	data, err := r.codec.EncodeValue(*v)
 	if err != nil {
 		r.record(fmt.Errorf("mh: encode message for %s: %w", iface, err))
 		return
@@ -386,21 +433,6 @@ func (r *Runtime) Flush() {
 		}
 		r.record(fmt.Errorf("mh: write %s: %w", iface, err))
 	}
-}
-
-func packValues(vals []any) (state.Value, error) {
-	if len(vals) == 1 {
-		return state.FromGo(vals[0])
-	}
-	out := state.Value{Kind: state.KindList, Type: "tuple", List: make([]state.Value, len(vals))}
-	for i, val := range vals {
-		v, err := state.FromGo(val)
-		if err != nil {
-			return state.Value{}, fmt.Errorf("value %d: %w", i, err)
-		}
-		out.List[i] = v
-	}
-	return out, nil
 }
 
 // QueryIfMsgs reports whether a message is queued on iface

@@ -12,8 +12,18 @@ import (
 // abstract state (Section 3 of the paper: pointers must be translated into
 // an abstract format; we capture the pointee).
 func FromGo(v any) (Value, error) {
-	if v == nil {
+	// The scalars every message is made of skip reflection.
+	switch x := v.(type) {
+	case nil:
 		return Value{}, fmt.Errorf("state: cannot capture nil value")
+	case int:
+		return IntValue(int64(x)), nil
+	case float64:
+		return FloatValue(x), nil
+	case bool:
+		return BoolValue(x), nil
+	case string:
+		return StringValue(x), nil
 	}
 	return fromReflect(reflect.ValueOf(v), 0)
 }
@@ -76,6 +86,31 @@ func fromReflect(rv reflect.Value, depth int) (Value, error) {
 // ptr must be a non-nil pointer to a module-subset type; the abstract value
 // must be assignable to it (ints narrow with overflow checking).
 func ToGo(val Value, ptr any) error {
+	// As in FromGo: a pointer to a scalar of the value's own kind is stored
+	// through directly; everything else, mismatches included, takes the
+	// reflective path and its diagnostics.
+	switch p := ptr.(type) {
+	case *int:
+		if p != nil && val.Kind == KindInt && int64(int(val.Int)) == val.Int {
+			*p = int(val.Int)
+			return nil
+		}
+	case *float64:
+		if p != nil && val.Kind == KindFloat {
+			*p = val.Float
+			return nil
+		}
+	case *bool:
+		if p != nil && val.Kind == KindBool {
+			*p = val.Bool
+			return nil
+		}
+	case *string:
+		if p != nil && val.Kind == KindString {
+			*p = val.Str
+			return nil
+		}
+	}
 	rv := reflect.ValueOf(ptr)
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
 		return fmt.Errorf("state: restore target must be a non-nil pointer, got %T", ptr)

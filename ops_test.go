@@ -266,6 +266,9 @@ func TestRingsAdmitLosses(t *testing.T) {
 	}
 
 	roundtrips(1) // three deliveries: well inside 16 slots
+	// Load's topology events reach the log through the bus's asynchronous
+	// observer mailbox; a round trip can finish before the first lands.
+	app.Events().Wait(0, 5*time.Second)
 	firstEvents := app.Events().Cursor()
 	if firstEvents == 0 || firstEvents > 16 {
 		t.Fatalf("Load left %d events; the test needs 1..16", firstEvents)

@@ -155,6 +155,11 @@ type PreparedModule struct {
 	Info   *lang.Info
 	Output *transform.Output // nil for unprepared/native modules
 	Native NativeModule
+	// Lowered is the program resolved for execution, once, at Load (nil
+	// for native modules). Every launch — the original, each clone of a
+	// Replace, each healed replica, each replay sandbox — binds a runtime
+	// to this one immutable value.
+	Lowered *interp.Lowered
 }
 
 // Instrumented reports whether the module carries participation code.
@@ -381,7 +386,7 @@ func (a *App) prepareModule(m *mil.Module) (*PreparedModule, error) {
 		if err != nil {
 			return nil, fmt.Errorf("reconf: module %s: %w", m.Name, err)
 		}
-		pm.Prog, pm.Info = prog, info
+		pm.Prog, pm.Info, pm.Lowered = prog, info, interp.Lower(prog, info)
 		return pm, nil
 	}
 
@@ -420,7 +425,7 @@ func (a *App) prepareModule(m *mil.Module) (*PreparedModule, error) {
 			return nil, fmt.Errorf("reconf: module %s: specification declares point %s but the source has no mh.ReconfigPoint(%q)", m.Name, pt.Label, pt.Label)
 		}
 	}
-	pm.Prog, pm.Info = out.Prog, out.Info
+	pm.Prog, pm.Info, pm.Lowered = out.Prog, out.Info, interp.Lower(out.Prog, out.Info)
 	pm.Output = out
 	return pm, nil
 }
@@ -547,7 +552,7 @@ func (a *App) Launch(instance string) error {
 		}()
 		return nil
 	}
-	in := interp.New(pm.Prog, pm.Info, rt)
+	in := pm.Lowered.Bind(rt)
 	go func() { //archlint:spawn interpreted instance body; reports exit on ri.done
 		_, err := in.Run()
 		ri.done <- a.reportExit(sup, instance, a.finishInstance(rt, err))

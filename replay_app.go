@@ -12,7 +12,6 @@ package reconf
 import (
 	"fmt"
 
-	"repro/internal/interp"
 	"repro/internal/mh"
 	"repro/internal/replay"
 	"repro/internal/replay/rerun"
@@ -66,7 +65,7 @@ func (a *App) SetRecording(on bool) error {
 }
 
 // sandboxFor builds the rerun body for the module behind an instance: the
-// native function directly, or a fresh interpreter over the prepared
+// native function directly, or a fresh interpreter over the lowered
 // program. Each call returns an independent body — replay runs never share
 // state with the live instance or with each other.
 func (a *App) sandboxFor(instance string) (rerun.Module, error) {
@@ -78,7 +77,7 @@ func (a *App) sandboxFor(instance string) (rerun.Module, error) {
 		return rerun.Module{Name: pm.Name, Body: func(rt *mh.Runtime) { pm.Native(rt) }}, nil
 	}
 	return rerun.Module{Name: pm.Name, Body: func(rt *mh.Runtime) {
-		_, _ = interp.New(pm.Prog, pm.Info, rt).Run()
+		_, _ = pm.Lowered.Bind(rt).Run()
 	}}, nil
 }
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Tier-2 verification: static vetting plus race-detector runs of the
-# concurrency-heavy packages (the message bus and the quiescence
-# protocol). Tier-1 (go build ./... && go test ./...) stays the gate for
+# concurrency-heavy packages (the message bus, the quiescence protocol, and
+# the interpreter, whose lowered programs are shared across goroutines). Tier-1 (go build ./... && go test ./...) stays the gate for
 # every change; run this before touching the runtime or shipping a PR.
 set -eu
 
@@ -29,8 +29,11 @@ echo "== bench/ harness (its own module: the root go test never compiles it)"
 echo "== non-test Go lines (ROADMAP aim 2: this number goes down)"
 find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './bench/out/*' -print0 | xargs -0 cat | wc -l
 
-echo "== go test -race ./internal/bus/... ./internal/quiesce/... ./internal/reconfig/... ./internal/mh/... ./internal/ring/..."
-go test -race ./internal/bus/... ./internal/quiesce/... ./internal/reconfig/... ./internal/mh/... ./internal/ring/...
+echo "== go test -race ./internal/bus/... ./internal/quiesce/... ./internal/reconfig/... ./internal/mh/... ./internal/ring/... ./internal/interp/..."
+go test -race ./internal/bus/... ./internal/quiesce/... ./internal/reconfig/... ./internal/mh/... ./internal/ring/... ./internal/interp/...
+
+echo "== one lowered program under eight interpreters (the state a module shares with its clones and replicas, racy x10)"
+go test -race -count=10 -run TestLoweredProgramSharedAcrossGoroutines ./internal/interp/
 
 echo "== fault-injection matrix (kill Replace at every failpoint, twice, racy)"
 go test -run 'Fault|Rollback|Concurrent' -race -count=2 ./...

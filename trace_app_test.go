@@ -7,8 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/faultinject"
 	"repro/internal/reconfig"
+	"repro/internal/state"
 )
 
 // TestQuiesceAnnotatedWithQueuedTraces is the acceptance criterion for
@@ -103,4 +105,88 @@ func TestQueueDepthGaugesConsistentAfterRollback(t *testing.T) {
 		}
 	}
 	finishComputation(t, d)
+}
+
+// TestTraceChainCrossesInterpretedModule is the regression test for causal
+// traces breaking at every module loaded from Config.Sources: the abstract
+// read dropped the incoming trace context and the abstract write never
+// offered one, so the stage's output opened a fresh root (TraceID 2, Hops 0,
+// one span in the recorder). One message source.out -> stage -> sink.in
+// must be one chain: the same trace id, one hop, two recorded spans.
+func TestTraceChainCrossesInterpretedModule(t *testing.T) {
+	app, err := Load(Config{
+		SpecText: `
+module source {
+  source = "./source" ::
+  define interface out pattern = {integer} ::
+}
+module stage {
+  source = "./stage" ::
+  use interface in pattern = {integer} ::
+  define interface out pattern = {integer} ::
+  reconfiguration point = {R} ::
+}
+module sink {
+  source = "./sink" ::
+  use interface in pattern = {integer} ::
+}
+module pipeline {
+  instance source
+  instance stage
+  instance sink
+  bind "source out" "stage in"
+  bind "stage out" "sink in"
+}
+`,
+		Sources: map[string]ModuleSource{"stage": {Files: map[string]string{"stage.go": `package stage
+
+func main() {
+	var x int
+	mh.Init()
+	for {
+		mh.ReconfigPoint("R")
+		mh.Read("in", &x)
+		mh.Write("out", x+1)
+	}
+}
+`}}},
+		// The two ends are driven from the test and never launched.
+		Native:      map[string]NativeModule{"source": nil, "sink": nil},
+		TraceSample: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer app.Stop()
+	if err := app.Launch("stage"); err != nil {
+		t.Fatal(err)
+	}
+	src, err := app.AttachDriver("source")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := app.AttachDriver("sink")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := codec.Default().EncodeValue(state.IntValue(41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Write("out", data); err != nil {
+		t.Fatal(err)
+	}
+	m, err := dst.Read("in")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := codec.Default().DecodeValue(m.Data); err != nil || v.Int != 42 {
+		t.Fatalf("sink read %v, %v; want 42", v, err)
+	}
+	if m.Trace.TraceID != 1 || m.Trace.Hops != 1 || m.Trace.Parent == 0 {
+		t.Errorf("message reached the sink with %+v; want the source's trace 1, one hop on, with a parent span", m.Trace)
+	}
+	if spans := app.FlightRecorder().ByTrace(m.Trace.TraceID); len(spans) != 2 {
+		t.Errorf("trace %d has %d recorded spans, want 2 (source->stage, stage->sink)", m.Trace.TraceID, len(spans))
+	}
 }
