@@ -223,8 +223,23 @@ func TestCompiledModuleMigration(t *testing.T) {
 		t.Errorf("migrated answer = %v, want %v", v.Float, want)
 	}
 
-	// Process 2 keeps serving.
+	// Process 2 keeps serving. Figure 3's compute drains a sensor reading
+	// whenever it polls and finds no request pending, so the reading is fed
+	// only once the request has been consumed: sent back to back, the
+	// reading can be the one drained and the request then waits for good.
 	sendInt(disp, "temper", 1)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		info, err := b.Info("compute2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Pending["display"] == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("process 2 never consumed the request")
+		}
+	}
 	sendInt(sens, "out", 55)
 	m, err = disp.Read("temper")
 	if err != nil {

@@ -85,8 +85,7 @@ type TraceContext = trace.Context
 
 // Message is one datum in flight: who sent it, the codec-encoded payload,
 // and the trace context the bus stamped at send. The zero Trace means
-// untraced; gob omits it from the wire, so frames from peers without
-// tracing decode unchanged (and vice versa).
+// untraced, and costs one byte on the wire.
 type Message struct {
 	From  Endpoint
 	Data  []byte

@@ -27,6 +27,11 @@ const (
 	EventAddGroup
 	EventJoinGroup
 	EventLeaveGroup
+	// EventConnClosed: the TCP server ended a connection for a reason other
+	// than the peer hanging up — no hello within the deadline, a malformed
+	// or oversized frame, a socket error. Detail carries the peer address
+	// and the reason; Instance is the attached instance, if it got that far.
+	EventConnClosed
 
 	// numEventKinds bounds the enum for exhaustiveness tests; keep it last.
 	numEventKinds
@@ -49,6 +54,7 @@ var eventNames = map[EventKind]string{
 	EventAddGroup:       "add-group",
 	EventJoinGroup:      "join-group",
 	EventLeaveGroup:     "leave-group",
+	EventConnClosed:     "conn-closed",
 }
 
 // String names the event kind.

@@ -1,185 +1,428 @@
 package bus
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/faultinject"
 	"repro/internal/telemetry"
 )
 
-// This file implements the wire protocol that lets a module attach to the
-// bus from another OS process — the reproduction's stand-in for POLYLITH's
-// heterogeneous hosts. The protocol is a small full-duplex RPC over one TCP
-// connection, gob-framed:
+// This file is the wire protocol that lets a module attach to the bus from
+// another OS process — the reproduction's stand-in for POLYLITH's
+// heterogeneous hosts: one TCP connection per attached instance, a Server
+// on the bus's side and a RemotePort (a Port) on the module's.
 //
-//	client -> server: clientFrame (hello first, then requests)
-//	server -> client: serverFrame (hello ack, responses, pushed signals,
-//	                   deletion notice)
+// FRAMES. Both directions carry the length-prefixed frames of
+// internal/codec (a 4-byte big-endian body length, at most codec.MaxFrame).
+// A body is an opcode byte and that opcode's fields, written with the
+// portable format's own primitives (layouts below is this grammar as data):
 //
-// Blocking operations (Read, AwaitState) are served in per-request
-// goroutines so one blocked read never stalls the connection.
+//	str   := len(uvarint) bytes
+//	id    := uvarint               names the call a reply answers, never 0
+//	n     := zig-zag varint
+//	trace := 00                    the zero TraceContext
+//	       | 01 traceID(uvarint) spanID(uvarint) parent(uvarint)
+//	            hops(uvarint) flags(uvarint) sentNs(n)
+//
+//	client -> server
+//	  01 hello           instance(str)
+//	  02 write           iface(str) trace data(str)
+//	  03 writebatch      iface(str) trace count(uvarint) data(str)*count
+//	  04 read            id iface(str)
+//	  05 tryread         id iface(str)
+//	  06 pending         id iface(str)
+//	  07 divulge         id data(str)
+//	  08 awaitstate      id timeoutMs(n)
+//	  09 confirmrestore  id errtext(str)      "" = restored
+//	  0a sync            id
+//	server -> client
+//	  0b hello    name(str) machine(str) status(str) count(uvarint) (iface(str) dir(1))*count
+//	  0c ok       id                          also a tryread that found nothing
+//	  0d msg      id from.instance(str) from.interface(str) trace data(str)
+//	  0e count    id queued(n)
+//	  0f data     id data(str)
+//	  10 err      id errkind(n) text(str)     id 0: a posted write failed
+//	  11 signal   kind(n)
+//	  12 deleted
+//
+// A connection opens with hello and its ack (or an err and a close); a
+// malformed frame, an unknown opcode or an oversized length prefix closes
+// the connection it arrived on and nothing else (EventConnClosed).
+//
+// ORDER. The server applies a connection's frames strictly in arrival
+// order, on the connection's own goroutine: everything that cannot block is
+// answered there, and only a read on an empty queue and awaitstate park in a
+// goroutine of their own. write and writebatch are posted: they carry no id,
+// get no reply, and RemotePort.Write returns once the kernel has the frame.
+// So, on one port, whatever follows a write observes it (Write; Pending,
+// Write; Divulge, Write; Read) and any completed round trip is a barrier for
+// everything posted before it; across ports nothing is promised — a Write
+// that has returned may not yet be visible to another port's Pending
+// (POLYLITH's mh_write never promised it either). What a write can be
+// refused for statically — ErrNoInterface, ErrDirection — the client checks
+// against the hello ack's interface table and returns at once; what depends
+// on the topology when the write is applied (ErrUnbound, ErrNoInstance)
+// comes back as an err frame with id 0 and is returned, once, by the port's
+// next Write, SendBatch, Read, TryRead or Pending, or by Close — never by
+// Divulge, AwaitState or ConfirmRestore, whose own outcome must not be
+// mistaken.
+//
+// A message leaves a bus queue only for a Read or TryRead the port's caller
+// has issued — there is no read-ahead, because Rebind's queue moves,
+// Pending and the quiesce drain test all mean "queued at the bus". The one
+// exception: a Read abandoned by CallTimeout stays parked at the server, and
+// the reply it eventually gets is kept on the port for the next Read or
+// TryRead of that interface (Pending counts it).
 
-type clientFrame struct {
-	ID        uint64
-	Op        string // "hello","write","writebatch","read","tryread","pending","divulge","awaitstate","confirmrestore"
-	Instance  string // hello only
-	Iface     string
-	Data      []byte // payload; for confirmrestore, the error text ("" = success)
-	TimeoutMs int64
-	// Trace carries the causal parent of a "write". Gob omits zero-valued
-	// struct fields and drops fields unknown to the receiver, so frames from
-	// pre-trace peers decode unchanged and pre-trace peers ignore this field
-	// (pinned by the golden-bytes test in tcp_test.go).
-	Trace TraceContext
-	// Batch carries the payloads of a "writebatch": one frame, one routing
-	// pass on the serving bus. Like Trace, gob's zero-field omission keeps
-	// plain-write frames byte-identical to pre-batch peers.
-	Batch [][]byte
-}
-
-// Frame staging buffers and frame structs are pooled so the steady-state
-// wire path allocates nothing per message beyond what gob itself needs:
-// each Encode stages into a pooled bytes.Buffer (reaching the socket in a
-// single Write), and the frame value handed to gob is a pooled pointer so
-// the interface conversion does not heap-allocate a fresh frame per call.
-var (
-	encBufPool      = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	clientFramePool = sync.Pool{New: func() any { return new(clientFrame) }}
-	serverFramePool = sync.Pool{New: func() any { return new(serverFrame) }}
+// Opcodes. The client's double as the bus.rpc.<op> counter vocabulary;
+// index 0 counts frames the server could not decode.
+const (
+	opHello byte = iota + 1
+	opWrite
+	opWriteBatch
+	opRead
+	opTryRead
+	opPending
+	opDivulge
+	opAwaitState
+	opConfirmRestore
+	opSync
+	rHello
+	rOK
+	rMsg
+	rCount
+	rData
+	rErr
+	rSignal
+	rDeleted
+	numOps
 )
 
-// connEncoder serializes gob frames onto one connection through a pooled
-// staging buffer. The gob encoder must stay bound to the stream for its
-// lifetime (type descriptors are sent once), so it is constructed over the
-// connEncoder itself; encode() points the writes at a pooled buffer and
-// flushes the finished frame to the socket in one Write.
-type connEncoder struct {
-	mu  sync.Mutex
-	enc *gob.Encoder
-	dst io.Writer
-	buf *bytes.Buffer // staging target, set for the duration of one encode
+var opNames = [rHello]string{"unknown", "hello", "write", "writebatch", "read", "tryread",
+	"pending", "divulge", "awaitstate", "confirmrestore", "sync"}
+
+// Fields a frame can carry, and which of them each opcode does, in order.
+const (
+	fID    = iota // frame.ID
+	fName         // frame.Name, interned
+	fFrom         // frame.From, both halves interned
+	fTrace        // frame.Trace
+	fData         // frame.Data, a view
+	fBatch        // frame.Batch, views
+	fN            // frame.N
+	fText         // frame.Text
+	fHello        // frame.Hello
+)
+
+var layouts = [numOps][]byte{
+	opHello:          {fName},
+	opWrite:          {fName, fTrace, fData},
+	opWriteBatch:     {fName, fTrace, fBatch},
+	opRead:           {fID, fName},
+	opTryRead:        {fID, fName},
+	opPending:        {fID, fName},
+	opDivulge:        {fID, fData},
+	opAwaitState:     {fID, fN},
+	opConfirmRestore: {fID, fData},
+	opSync:           {fID},
+	rHello:           {fHello},
+	rOK:              {fID},
+	rMsg:             {fID, fFrom, fTrace, fData},
+	rCount:           {fID, fN},
+	rData:            {fID, fData},
+	rErr:             {fID, fN, fText},
+	rSignal:          {fN},
+	rDeleted:         {},
 }
 
-func newConnEncoder(conn io.Writer) *connEncoder {
-	ce := &connEncoder{dst: conn}
-	ce.enc = gob.NewEncoder(ce)
-	return ce
-}
+const (
+	// helloTimeout is how long an accepted connection may take to say hello
+	// (the HTTP plane's ReadHeaderTimeout); closeTimeout bounds Close's
+	// barrier on a port without a CallTimeout.
+	helloTimeout = 5 * time.Second
+	closeTimeout = 2 * time.Second
+	// Limits on counts a peer states. A longer batch goes as several frames.
+	maxWireBatch  = 1 << 10
+	maxWireIfaces = 1 << 10
+	// maxIdleWireBuf is the most an encode buffer keeps between frames,
+	// maxInterned the most sender names a port remembers.
+	maxIdleWireBuf = 64 << 10
+	maxInterned    = 256
+)
 
-// Write implements io.Writer for the inner gob encoder: bytes land in the
-// current staging buffer.
-func (ce *connEncoder) Write(p []byte) (int, error) { return ce.buf.Write(p) }
+var errMalformed = fmt.Errorf("%w: malformed frame", codec.ErrCorrupt)
 
-func (ce *connEncoder) encode(v any) error {
-	ce.mu.Lock()
-	defer ce.mu.Unlock()
-	buf := encBufPool.Get().(*bytes.Buffer)
-	ce.buf = buf
-	err := ce.enc.Encode(v)
-	ce.buf = nil
-	if err == nil {
-		_, err = ce.dst.Write(buf.Bytes())
-	}
-	buf.Reset()
-	encBufPool.Put(buf)
-	return err
+// frame is a decoded frame of either direction. Decoded Data and Batch
+// alias the connection's read buffer: whoever retains them copies them.
+type frame struct {
+	Op    byte
+	ID    uint64 // round trips and their replies; 0 elsewhere
+	Name  string // hello: the instance; requests: the interface
+	From  Endpoint
+	Trace TraceContext
+	Data  []byte // payload, state, or confirmrestore's error text
+	Batch [][]byte
+	N     int64 // awaitstate: timeout ms; count: queued; err, signal: the kind
+	Text  string
+	Hello *helloAck
 }
 
 type helloAck struct {
-	Name    string
-	Machine string
-	Status  string
+	Name, Machine, Status string
+	Ifaces                []IfaceSpec
 }
 
-type serverFrame struct {
-	ID      uint64
-	Hello   *helloAck
-	Err     string
-	ErrKind string // sentinel key, see errKind/errFromKind
-	Msg     *Message
-	OK      bool
-	N       int
-	Data    []byte
-	Signal  *Signal
-	Deleted bool
+//archlint:hotpath
+func appendFrame(b []byte, f *frame) []byte {
+	b = append(b, f.Op)
+	for _, field := range layouts[f.Op] {
+		switch field {
+		case fID:
+			b = binary.AppendUvarint(b, f.ID)
+		case fName:
+			b = codec.AppendStr(b, f.Name)
+		case fFrom:
+			b = codec.AppendStr(b, f.From.Instance)
+			b = codec.AppendStr(b, f.From.Interface)
+		case fTrace:
+			if f.Trace == (TraceContext{}) {
+				b = append(b, 0)
+				break
+			}
+			b = append(b, 1)
+			for _, u := range [...]uint64{f.Trace.TraceID, f.Trace.SpanID, f.Trace.Parent, uint64(f.Trace.Hops), uint64(f.Trace.Flags)} {
+				b = binary.AppendUvarint(b, u)
+			}
+			b = binary.AppendVarint(b, f.Trace.SentNs)
+		case fData:
+			b = codec.AppendStr(b, f.Data)
+		case fBatch:
+			b = binary.AppendUvarint(b, uint64(len(f.Batch)))
+			for _, data := range f.Batch {
+				b = codec.AppendStr(b, data)
+			}
+		case fN:
+			b = binary.AppendVarint(b, f.N)
+		case fText:
+			b = codec.AppendStr(b, f.Text)
+		case fHello:
+			b = codec.AppendStr(b, f.Hello.Name)
+			b = codec.AppendStr(b, f.Hello.Machine)
+			b = codec.AppendStr(b, f.Hello.Status)
+			b = binary.AppendUvarint(b, uint64(len(f.Hello.Ifaces)))
+			for _, ifc := range f.Hello.Ifaces {
+				b = codec.AppendStr(b, ifc.Name)
+				b = append(b, byte(ifc.Dir))
+			}
+		}
+	}
+	return b
 }
 
-// errKind maps bus sentinels to stable wire keys so errors.Is keeps working
-// across the connection.
-func errKind(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case errors.Is(err, ErrStopped):
-		return "stopped"
-	case errors.Is(err, ErrTimeout):
-		return "timeout"
-	case errors.Is(err, ErrUnbound):
-		return "unbound"
-	case errors.Is(err, ErrDirection):
-		return "direction"
-	case errors.Is(err, ErrNoInterface):
-		return "nointerface"
-	case errors.Is(err, ErrNoInstance):
-		return "noinstance"
-	default:
-		return "other"
+// decodeFrame decodes body into f, reusing f.Batch's backing array; intern
+// turns the bytes of an instance or interface name into a string, so that
+// the steady state allocates none.
+//
+//archlint:hotpath
+func decodeFrame(body []byte, f *frame, intern func([]byte) string) error {
+	r := codec.NewReader(body)
+	op, err := r.Byte()
+	if err != nil {
+		return err
+	}
+	if int(op) >= len(layouts) || layouts[op] == nil {
+		return errMalformed
+	}
+	*f = frame{Op: op, Batch: f.Batch[:0]}
+	var name []byte
+	for _, field := range layouts[op] {
+		switch field {
+		case fID:
+			f.ID, err = r.Uvarint()
+		case fName:
+			name, err = r.Bytes()
+			f.Name = intern(name)
+		case fFrom:
+			if name, err = r.Bytes(); err == nil {
+				f.From.Instance = intern(name)
+				name, err = r.Bytes()
+				f.From.Interface = intern(name)
+			}
+		case fTrace:
+			err = readTrace(r, &f.Trace)
+		case fData:
+			f.Data, err = r.Bytes()
+		case fBatch:
+			var n uint64
+			if n, err = r.Uvarint(); err == nil && n > maxWireBatch {
+				err = errMalformed
+			}
+			for ; n > 0 && err == nil; n-- {
+				var data []byte
+				data, err = r.Bytes()
+				f.Batch = append(f.Batch, data)
+			}
+		case fN:
+			f.N, err = r.Varint()
+		case fText:
+			f.Text, err = r.Str()
+		case fHello:
+			f.Hello, err = readHelloAck(r)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if r.Rem() != 0 {
+		return errMalformed
+	}
+	return nil
+}
+
+//archlint:hotpath
+func readTrace(r *codec.Reader, t *TraceContext) error {
+	tag, err := r.Byte()
+	if err != nil || tag == 0 {
+		return err
+	}
+	var hops, flags uint64
+	for _, u := range [...]*uint64{&t.TraceID, &t.SpanID, &t.Parent, &hops, &flags} {
+		if *u, err = r.Uvarint(); err != nil {
+			return err
+		}
+	}
+	if tag != 1 || hops > 1<<32-1 || flags > 1<<32-1 {
+		return errMalformed
+	}
+	t.Hops, t.Flags = uint32(hops), uint32(flags)
+	t.SentNs, err = r.Varint()
+	return err
+}
+
+func readHelloAck(r *codec.Reader) (*helloAck, error) {
+	h := &helloAck{}
+	var err error
+	for _, s := range [...]*string{&h.Name, &h.Machine, &h.Status} {
+		if *s, err = r.Str(); err != nil {
+			return nil, err
+		}
+	}
+	n, err := r.Uvarint()
+	if err == nil && n > maxWireIfaces {
+		err = errMalformed
+	}
+	for ; n > 0 && err == nil; n-- {
+		var ifc IfaceSpec
+		var dir byte
+		if ifc.Name, err = r.Str(); err == nil {
+			dir, err = r.Byte()
+		}
+		ifc.Dir = Direction(dir)
+		h.Ifaces = append(h.Ifaces, ifc)
+	}
+	return h, err
+}
+
+// asString is the intern function of a decode that happens once.
+func asString(b []byte) string { return string(b) }
+
+// retain copies a payload out of a connection's read buffer: the one
+// allocation a message costs on its way into a bus queue, which keeps it.
+func retain(p []byte) []byte { return append([]byte(nil), p...) }
+
+// retainBatch does retain's job for a whole batch with one allocation,
+// carved into the payloads in place.
+func retainBatch(batch [][]byte) {
+	total := 0
+	for _, p := range batch {
+		total += len(p)
+	}
+	buf := make([]byte, total)
+	for i, p := range batch {
+		n := copy(buf, p)
+		batch[i], buf = buf[:n:n], buf[n:]
 	}
 }
 
-func errFromKind(kind, msg string) error {
-	var sentinel error
-	switch kind {
-	case "":
-		return nil
-	case "stopped":
-		sentinel = ErrStopped
-	case "timeout":
-		sentinel = ErrTimeout
-	case "unbound":
-		sentinel = ErrUnbound
-	case "direction":
-		sentinel = ErrDirection
-	case "nointerface":
-		sentinel = ErrNoInterface
-	case "noinstance":
-		sentinel = ErrNoInstance
-	default:
-		return errors.New(msg)
-	}
-	return fmt.Errorf("%w (remote: %s)", sentinel, msg)
+// frameWriter puts one frame at a time on a socket, through one reusable
+// encode buffer.
+type frameWriter struct {
+	conn net.Conn
+	mu   sync.Mutex
+	buf  []byte
 }
 
-// rpcOps is the fixed RPC vocabulary, used to pre-resolve per-op counters.
-var rpcOps = []string{"write", "writebatch", "read", "tryread", "pending", "divulge", "awaitstate", "confirmrestore"}
+// write sends f; a positive timeout bounds the socket write.
+//
+//archlint:hotpath
+func (w *frameWriter) write(f *frame, timeout time.Duration) error {
+	w.mu.Lock()
+	b := codec.BeginFrame(w.buf)
+	b = appendFrame(b, f)
+	err := codec.EndFrame(b)
+	if err == nil {
+		if timeout > 0 {
+			_ = w.conn.SetWriteDeadline(time.Now().Add(timeout))
+		}
+		_, err = w.conn.Write(b)
+	}
+	if cap(b) > maxIdleWireBuf {
+		b = nil
+	}
+	w.buf = b
+	w.mu.Unlock()
+	return err
+}
+
+// Error kinds of an err frame: bus sentinels cross the wire as a number so
+// errors.Is keeps working on the far side; kind 0 carries text alone.
+var wireErrs = [...]error{1: ErrStopped, ErrTimeout, ErrUnbound, ErrDirection, ErrNoInterface, ErrNoInstance}
+
+func errKind(err error) int64 {
+	for kind := 1; kind < len(wireErrs); kind++ {
+		if errors.Is(err, wireErrs[kind]) {
+			return int64(kind)
+		}
+	}
+	return 0
+}
+
+func errFromKind(kind int64, text string) error {
+	if kind <= 0 || kind >= int64(len(wireErrs)) {
+		return errors.New(text)
+	}
+	return fmt.Errorf("%w (remote: %s)", wireErrs[kind], text)
+}
 
 // Server accepts TCP attachments for a bus.
 type Server struct {
-	bus *Bus
-	l   net.Listener
-	rpc map[string]*telemetry.Counter // per-op request counters (nil values = no-op)
+	bus          *Bus
+	l            net.Listener
+	helloTimeout time.Duration
+	rpc          [rHello]*telemetry.Counter // frames handled, by opcode (nil = no-op)
 
 	mu        sync.Mutex
 	conns     map[net.Conn]struct{}
-	done      chan struct{}
 	closeOnce sync.Once
 }
 
 // NewServer starts serving attachments on l. Close the server to stop.
-func NewServer(b *Bus, l net.Listener) *Server {
-	s := &Server{bus: b, l: l, conns: map[net.Conn]struct{}{}, done: make(chan struct{})}
-	s.rpc = make(map[string]*telemetry.Counter, len(rpcOps)+1)
-	for _, op := range rpcOps {
-		s.rpc[op] = b.Telemetry().Counter("bus.rpc." + op)
+func NewServer(b *Bus, l net.Listener) *Server { return newServer(b, l, helloTimeout) }
+
+func newServer(b *Bus, l net.Listener, helloTimeout time.Duration) *Server {
+	s := &Server{bus: b, l: l, helloTimeout: helloTimeout, conns: map[net.Conn]struct{}{}}
+	for op, name := range opNames {
+		s.rpc[op] = b.Telemetry().Counter("bus.rpc." + name)
 	}
-	s.rpc["unknown"] = b.Telemetry().Counter("bus.rpc.unknown")
 	go s.acceptLoop() //archlint:spawn accept loop; exits when the listener closes
 	return s
 }
@@ -191,7 +434,6 @@ func (s *Server) Addr() net.Addr { return s.l.Addr() }
 func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
-		close(s.done)
 		err = s.l.Close()
 		s.mu.Lock()
 		for c := range s.conns {
@@ -215,167 +457,225 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// serverConn is one accepted connection and the attachment it serves.
+type serverConn struct {
+	s   *Server
+	w   frameWriter
+	att *Attachment // nil until hello
+}
+
 func (s *Server) serveConn(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	dec := gob.NewDecoder(conn)
-	enc := newConnEncoder(conn)
-	send := func(f serverFrame) error {
-		pf := serverFramePool.Get().(*serverFrame)
-		*pf = f
-		err := enc.encode(pf)
-		*pf = serverFrame{}
-		serverFramePool.Put(pf)
-		return err
-	}
-
-	// Handshake.
-	var hello clientFrame
-	if err := dec.Decode(&hello); err != nil {
-		return
-	}
-	if hello.Op != "hello" {
-		_ = send(serverFrame{ID: hello.ID, Err: "expected hello", ErrKind: "other"})
-		return
-	}
-	att, err := s.bus.Attach(hello.Instance)
-	if err != nil {
-		_ = send(serverFrame{ID: hello.ID, Err: err.Error(), ErrKind: errKind(err)})
-		return
-	}
-	if err := send(serverFrame{ID: hello.ID, Hello: &helloAck{
-		Name: att.Name(), Machine: att.Machine(), Status: att.Status(),
-	}}); err != nil {
-		return
-	}
-
-	// Push signals and the deletion notice.
-	stopPush := make(chan struct{})
-	defer close(stopPush)
-	go func() { //archlint:spawn signal push pump; exits via stopPush on handshake teardown
-		for {
-			select {
-			case sig, ok := <-att.Signals():
-				if !ok {
-					return
-				}
-				if err := send(serverFrame{Signal: &sig}); err != nil {
-					return
-				}
-			case <-att.doneChan():
-				_ = send(serverFrame{Deleted: true})
-				return
-			case <-stopPush:
-				return
-			}
+	c := &serverConn{s: s, w: frameWriter{conn: conn}}
+	err := c.serve(codec.NewFrameReader(conn))
+	conn.Close()
+	s.mu.Lock()
+	delete(s.conns, conn)
+	s.mu.Unlock()
+	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+		e := Event{Kind: EventConnClosed, Detail: fmt.Sprintf("%s: %v", conn.RemoteAddr(), err)}
+		if c.att != nil {
+			e.Instance = c.att.Name()
 		}
-	}()
-
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		var req clientFrame
-		if err := dec.Decode(&req); err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				// Connection torn down; nothing to report to.
-				_ = err
-			}
-			return
-		}
-		wg.Add(1)
-		go func(req clientFrame) { //archlint:spawn per-request handler; joined via wg before conn teardown
-			defer wg.Done()
-			_ = send(s.handle(att, req))
-		}(req)
+		s.bus.emit(e)
 	}
 }
 
-func (s *Server) handle(att *Attachment, req clientFrame) serverFrame {
-	if c, ok := s.rpc[req.Op]; ok {
-		c.Inc()
-	} else {
-		s.rpc["unknown"].Inc()
+// serve runs the connection to its end and returns what ended it.
+func (c *serverConn) serve(fr *codec.FrameReader) error {
+	intern := c.intern
+	var f frame
+
+	// Handshake, under the hello deadline.
+	_ = c.w.conn.SetReadDeadline(time.Now().Add(c.s.helloTimeout))
+	body, err := fr.Next()
+	if err != nil {
+		return fmt.Errorf("no hello: %w", err)
 	}
-	resp := serverFrame{ID: req.ID}
-	fail := func(err error) serverFrame {
-		resp.Err = err.Error()
-		resp.ErrKind = errKind(err)
-		return resp
+	if err := decodeFrame(body, &f, intern); err != nil || f.Op != opHello {
+		err = errors.New("expected hello")
+		c.sendErr(0, err)
+		return err
 	}
-	switch req.Op {
-	case "write":
-		if err := att.WriteTraced(req.Iface, req.Data, req.Trace); err != nil {
-			return fail(err)
-		}
-	case "writebatch":
-		if err := att.WriteBatchTraced(req.Iface, req.Batch, req.Trace); err != nil {
-			return fail(err)
-		}
-	case "read":
-		m, err := att.Read(req.Iface)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Msg = &m
-		resp.OK = true
-	case "tryread":
-		m, ok, err := att.TryRead(req.Iface)
-		if err != nil {
-			return fail(err)
-		}
-		resp.OK = ok
-		if ok {
-			resp.Msg = &m
-		}
-	case "pending":
-		n, err := att.Pending(req.Iface)
-		if err != nil {
-			return fail(err)
-		}
-		resp.N = n
-	case "divulge":
-		if err := att.Divulge(req.Data); err != nil {
-			return fail(err)
-		}
-	case "awaitstate":
-		data, err := att.AwaitState(time.Duration(req.TimeoutMs) * time.Millisecond)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Data = data
-	case "confirmrestore":
-		var restoreErr error
-		if len(req.Data) > 0 {
-			restoreErr = errors.New(string(req.Data))
-		}
-		if err := att.ConfirmRestore(restoreErr); err != nil {
-			return fail(err)
-		}
-	default:
-		return fail(fmt.Errorf("bus: unknown rpc op %q", req.Op))
+	if c.att, err = c.s.bus.Attach(f.Name); err != nil {
+		c.sendErr(0, err) // refused, not malformed: the dialer reports it
+		return nil
 	}
-	return resp
+	_ = c.w.conn.SetReadDeadline(time.Time{})
+	c.s.rpc[opHello].Inc()
+	c.send(&frame{Op: rHello, Hello: &helloAck{
+		Name: c.att.Name(), Machine: c.att.Machine(), Status: c.att.Status(),
+		Ifaces: c.att.inst.ifaceSpecs(),
+	}})
+
+	stopPush := make(chan struct{})
+	defer close(stopPush)
+	go c.pushSignals(stopPush) //archlint:spawn signal push pump; exits via stopPush when the connection ends
+
+	for {
+		if body, err = fr.Next(); err != nil {
+			return err
+		}
+		if err = decodeFrame(body, &f, intern); err == nil && (f.Op >= rHello || f.Op == opHello) {
+			err = errMalformed // a server's frame, or a second hello
+		}
+		if err != nil {
+			c.s.rpc[0].Inc()
+			return err
+		}
+		c.dispatch(&f)
+	}
+}
+
+// ifaceSpecs returns the instance's declared interfaces, fixed at
+// AddInstance (the lock is for spec's one mutable field, the status).
+func (in *instance) ifaceSpecs() []IfaceSpec {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.spec.Interfaces
+}
+
+// intern names an interface by the attachment's own copy of the string.
+func (c *serverConn) intern(b []byte) string {
+	if c.att != nil {
+		if ifc, ok := c.att.inst.ifaces[string(b)]; ok {
+			return ifc.spec.Name
+		}
+	}
+	return string(b)
+}
+
+// pushSignals forwards control signals and the deletion notice.
+func (c *serverConn) pushSignals(stop <-chan struct{}) {
+	for {
+		select {
+		case sig, ok := <-c.att.Signals():
+			if !ok {
+				return
+			}
+			c.send(&frame{Op: rSignal, N: int64(sig.Kind)})
+		case <-c.att.doneChan():
+			c.send(&frame{Op: rDeleted})
+			return
+		case <-stop:
+			return
+		}
+	}
+}
+
+// dispatch applies one request, on the connection's goroutine: nothing here
+// blocks (bus queues are unbounded, and a fenced write's slow path holds
+// Bus.mu only across a push), so the next frame is never kept waiting.
+//
+//archlint:hotpath
+func (c *serverConn) dispatch(f *frame) {
+	c.s.rpc[f.Op].Inc()
+	r := frame{Op: rOK, ID: f.ID}
+	var err error
+	switch f.Op {
+	case opWrite:
+		if err = c.att.WriteTraced(f.Name, retain(f.Data), f.Trace); err == nil {
+			return
+		}
+	case opWriteBatch:
+		retainBatch(f.Batch)
+		if err = c.att.WriteBatchTraced(f.Name, f.Batch, f.Trace); err == nil {
+			return
+		}
+	case opRead, opTryRead:
+		var m Message
+		var ok bool
+		if m, ok, err = c.att.TryRead(f.Name); ok {
+			r.Op, r.From, r.Trace, r.Data = rMsg, m.From, m.Trace, m.Data
+		} else if err == nil && f.Op == opRead {
+			c.park(f.Op, f.ID, f.Name, 0)
+			return
+		}
+	case opPending:
+		var n int
+		n, err = c.att.Pending(f.Name)
+		r.Op, r.N = rCount, int64(n)
+	case opDivulge:
+		err = c.att.Divulge(retain(f.Data))
+	case opAwaitState:
+		c.park(f.Op, f.ID, "", f.N)
+		return
+	case opConfirmRestore:
+		err = c.att.ConfirmRestore(restoreOutcome(f.Data))
+	case opSync: // nothing to apply: the answer is the barrier
+	}
+	if err != nil {
+		c.sendErr(f.ID, err)
+		return
+	}
+	c.send(&r)
+}
+
+func restoreOutcome(text []byte) error {
+	if len(text) == 0 {
+		return nil
+	}
+	return errors.New(string(text))
+}
+
+// park serves the two calls that can block off the connection's goroutine.
+func (c *serverConn) park(op byte, id uint64, iface string, timeoutMs int64) {
+	go func() { //archlint:spawn parked read or awaitstate; exits when its wait ends: a message, installed state, the timeout, or the instance's deletion
+		r := frame{Op: rMsg, ID: id}
+		var err error
+		if op == opRead {
+			var m Message
+			m, err = c.att.Read(iface)
+			r.From, r.Trace, r.Data = m.From, m.Trace, m.Data
+		} else {
+			r.Op = rData
+			r.Data, err = c.att.AwaitState(time.Duration(timeoutMs) * time.Millisecond)
+		}
+		if err != nil {
+			c.sendErr(id, err)
+			return
+		}
+		c.send(&r)
+	}()
+}
+
+func (c *serverConn) sendErr(id uint64, err error) {
+	c.send(&frame{Op: rErr, ID: id, N: errKind(err), Text: err.Error()})
+}
+
+// send writes one frame. A failed socket write is not reported — the read
+// side of the connection sees the same death and ends it — but a reply too
+// large to frame ends the connection here rather than leave its caller
+// waiting.
+//
+//archlint:hotpath
+func (c *serverConn) send(f *frame) {
+	if err := c.w.write(f, 0); err != nil && errors.Is(err, codec.ErrLimit) {
+		c.w.conn.Close()
+	}
 }
 
 // RemotePort is a Port backed by a TCP connection to a bus Server.
 type RemotePort struct {
-	conn        net.Conn
-	enc         *connEncoder
+	w           frameWriter
 	hello       helloAck
+	dirs        map[string]Direction // the hello ack's interface table
 	callTimeout time.Duration
 	faults      *faultinject.Set
 
+	// postErr is the failure of a posted write, owed to the next data call.
+	postErr atomic.Pointer[error]
+
 	mu      sync.Mutex
 	nextID  uint64
-	waiting map[uint64]chan serverFrame
+	waiting map[uint64]chan frame
+	spare   chan frame // the last reply channel emptied, for the next call
+	// orphans holds, by interface and oldest first, the reply channels of
+	// reads whose caller gave up (CallTimeout): still registered in waiting,
+	// adopted by the next Read or TryRead instead of asking again.
+	orphans map[string][]chan frame
 	signals chan Signal
 	deleted bool
 	closed  bool
-	readErr error
 }
 
 var _ Port = (*RemotePort)(nil)
@@ -388,10 +688,11 @@ type DialOptions struct {
 	// Backoff is the wait before the first retry; it doubles per attempt.
 	// Defaults to 50ms when Retries > 0.
 	Backoff time.Duration
-	// CallTimeout bounds each RPC round trip. 0 disables the bound — the
-	// right choice for module data-plane ports, whose Read legitimately
-	// blocks until traffic arrives. Control-plane callers set it so a hung
-	// or partitioned peer surfaces as ErrTimeout instead of a stall.
+	// CallTimeout bounds each round trip, the handshake included, and the
+	// socket write of every frame, so a hung or partitioned peer — or one
+	// that stopped reading — surfaces as ErrTimeout instead of a stall. 0
+	// disables the bound: the right choice for module data-plane ports,
+	// whose Read legitimately blocks until traffic arrives.
 	CallTimeout time.Duration
 	// Faults is the failpoint set for the tcp.dial and tcp.call sites;
 	// nil means faultinject.Default().
@@ -432,127 +733,294 @@ func DialPortWith(addr, instance string, opts DialOptions) (*RemotePort, error) 
 		backoff *= 2
 	}
 	p := &RemotePort{
-		conn:        conn,
-		enc:         newConnEncoder(conn),
+		w:           frameWriter{conn: conn},
 		callTimeout: opts.CallTimeout,
 		faults:      faults,
-		waiting:     map[uint64]chan serverFrame{},
-		signals:     make(chan Signal, 16),
+		dirs:        map[string]Direction{},
+		waiting:     map[uint64]chan frame{},
+		orphans:     map[string][]chan frame{},
+		signals:     make(chan Signal, 16), // signals coalesce past this many unread
 	}
-	dec := gob.NewDecoder(conn)
 	// Handshake synchronously before starting the demux loop.
-	if err := p.enc.encode(&clientFrame{ID: 0, Op: "hello", Instance: instance}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("bus: hello: %w", err)
+	if p.callTimeout > 0 {
+		_ = conn.SetReadDeadline(time.Now().Add(p.callTimeout))
 	}
-	var ack serverFrame
-	if err := dec.Decode(&ack); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("bus: hello ack: %w", err)
+	fr := codec.NewFrameReader(conn)
+	var ack frame
+	err = p.w.write(&frame{Op: opHello, Name: instance}, p.callTimeout)
+	if err == nil {
+		var body []byte
+		if body, err = fr.Next(); err == nil {
+			err = decodeFrame(body, &ack, asString)
+		}
 	}
-	if ack.Err != "" {
-		conn.Close()
-		return nil, fmt.Errorf("bus: attach %s: %w", instance, errFromKind(ack.ErrKind, ack.Err))
+	switch {
+	case err != nil:
+		err = fmt.Errorf("bus: hello: %w", err)
+	case ack.Op == rErr:
+		err = fmt.Errorf("bus: attach %s: %w", instance, errFromKind(ack.N, ack.Text))
+	case ack.Op != rHello:
+		err = errors.New("bus: malformed hello ack")
 	}
-	if ack.Hello == nil {
+	if err != nil {
 		conn.Close()
-		return nil, errors.New("bus: malformed hello ack")
+		return nil, err
 	}
+	_ = conn.SetReadDeadline(time.Time{})
 	p.hello = *ack.Hello
-	go p.demux(dec) //archlint:spawn client demux; exits when the connection closes
+	for _, ifc := range p.hello.Ifaces {
+		p.dirs[ifc.Name] = ifc.Dir
+	}
+	go p.demux(fr) //archlint:spawn client demux; exits when the connection closes
 	return p, nil
 }
 
-func (p *RemotePort) demux(dec *gob.Decoder) {
+// demux reads the server's frames: replies go to the call that waits for
+// them, everything unsolicited is recorded on the port.
+func (p *RemotePort) demux(fr *codec.FrameReader) {
+	names := map[string]string{}
+	intern := func(b []byte) string {
+		if s, ok := names[string(b)]; ok {
+			return s
+		}
+		if len(names) >= maxInterned {
+			clear(names)
+		}
+		s := string(b)
+		names[s] = s
+		return s
+	}
+	var f frame
 	for {
-		var f serverFrame
-		if err := dec.Decode(&f); err != nil {
-			p.mu.Lock()
-			p.closed = true
-			p.readErr = err
-			for _, ch := range p.waiting {
-				close(ch)
-			}
-			p.waiting = map[uint64]chan serverFrame{}
-			p.mu.Unlock()
-			return
+		body, err := fr.Next()
+		if err == nil {
+			err = decodeFrame(body, &f, intern)
+		}
+		if err != nil {
+			break
 		}
 		switch {
-		case f.Signal != nil:
+		case f.Op == rSignal:
 			select {
-			case p.signals <- *f.Signal:
+			case p.signals <- Signal{Kind: SignalKind(f.N)}:
 			default: // coalesce
 			}
-		case f.Deleted:
+		case f.Op == rDeleted:
 			p.mu.Lock()
 			p.deleted = true
 			p.mu.Unlock()
+		case f.Op == rErr && f.ID == 0:
+			werr := errFromKind(f.N, f.Text)
+			p.postErr.CompareAndSwap(nil, &werr)
 		default:
+			f.Data = retain(f.Data)
 			p.mu.Lock()
 			ch, ok := p.waiting[f.ID]
-			if ok {
-				delete(p.waiting, f.ID)
-			}
+			delete(p.waiting, f.ID)
 			p.mu.Unlock()
 			if ok {
-				ch <- f
+				ch <- f // buffered, and an id is answered once
 			}
 		}
 	}
+	p.w.conn.Close()
+	p.mu.Lock()
+	p.closed = true
+	for id, ch := range p.waiting {
+		close(ch)
+		delete(p.waiting, id)
+	}
+	p.mu.Unlock()
 }
 
-// Close tears down the connection. Blocked calls fail with ErrStopped.
-func (p *RemotePort) Close() error { return p.conn.Close() }
-
-func (p *RemotePort) call(req clientFrame) (serverFrame, error) {
-	if err := p.faults.Fire("tcp.call"); err != nil {
-		return serverFrame{}, fmt.Errorf("bus: rpc %s: %w", req.Op, err)
+// transmit writes one frame to the socket.
+//
+//archlint:hotpath
+func (p *RemotePort) transmit(f *frame) error {
+	if err := p.w.write(f, p.callTimeout); err != nil {
+		return p.sendFailed(err)
 	}
-	ch := make(chan serverFrame, 1)
+	return nil
+}
+
+// sendFailed names a failed transmit. A socket write that timed out may have
+// left half a frame on the stream, so the connection goes with it.
+func (p *RemotePort) sendFailed(err error) error {
+	switch {
+	case errors.Is(err, codec.ErrLimit):
+		return err
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		p.w.conn.Close()
+		return fmt.Errorf("bus: send: %w after %v: the peer is not reading", ErrTimeout, p.callTimeout)
+	}
+	return fmt.Errorf("%w: send: %v", ErrStopped, err)
+}
+
+func (p *RemotePort) fire(op byte) error {
+	if err := p.faults.Fire("tcp.call"); err != nil {
+		return fmt.Errorf("bus: rpc %s: %w", opNames[op], err)
+	}
+	return nil
+}
+
+// takePostErr returns, once, the failure of a posted write.
+//
+//archlint:hotpath
+func (p *RemotePort) takePostErr() error {
+	if p.postErr.Load() == nil {
+		return nil
+	}
+	if e := p.postErr.Swap(nil); e != nil {
+		return *e
+	}
+	return nil
+}
+
+// post sends a write on its way without waiting for anything: it checks
+// what can be checked here — the interface against the hello ack's table,
+// an earlier write's failure — and hands the frame to the kernel.
+//
+//archlint:hotpath
+func (p *RemotePort) post(f *frame) error {
+	if dir, ok := p.dirs[f.Name]; !ok || !dir.Sends() {
+		return p.staticWriteErr(f.Name, dir, ok)
+	}
+	if err := p.takePostErr(); err != nil {
+		return err
+	}
+	if err := p.fire(f.Op); err != nil {
+		return err
+	}
+	return p.transmit(f)
+}
+
+// staticWriteErr words the refusals exactly as the bus does.
+func (p *RemotePort) staticWriteErr(iface string, dir Direction, known bool) error {
+	if !known {
+		return fmt.Errorf("%w: %s.%s", ErrNoInterface, p.hello.Name, iface)
+	}
+	return fmt.Errorf("%w: write on %s.%s (%s)", ErrDirection, p.hello.Name, iface, dir)
+}
+
+// start registers a reply channel under a fresh id and sends the request.
+func (p *RemotePort) start(f *frame) (chan frame, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return serverFrame{}, fmt.Errorf("%w: connection closed", ErrStopped)
+		return nil, fmt.Errorf("%w: connection closed", ErrStopped)
+	}
+	ch := p.spare
+	if p.spare = nil; ch == nil {
+		ch = make(chan frame, 1)
 	}
 	p.nextID++
-	req.ID = p.nextID
-	p.waiting[req.ID] = ch
+	f.ID = p.nextID
+	p.waiting[f.ID] = ch
 	p.mu.Unlock()
-
-	pf := clientFramePool.Get().(*clientFrame)
-	*pf = req
-	err := p.enc.encode(pf)
-	*pf = clientFrame{}
-	clientFramePool.Put(pf)
-	if err != nil {
+	if err := p.transmit(f); err != nil {
 		p.mu.Lock()
-		delete(p.waiting, req.ID)
+		delete(p.waiting, f.ID)
 		p.mu.Unlock()
-		return serverFrame{}, fmt.Errorf("%w: send: %v", ErrStopped, err)
+		return nil, err
 	}
+	return ch, nil
+}
+
+// await waits for the reply to f on ch, for at most timeout if positive.
+// Giving up on a read does not unregister it: its reply may carry a message
+// the server has popped for this port, so the channel is kept for the next
+// Read or TryRead of the interface to adopt.
+func (p *RemotePort) await(ch chan frame, f *frame, timeout time.Duration) (frame, error) {
 	var timeoutC <-chan time.Time
-	if p.callTimeout > 0 {
-		timer := time.NewTimer(p.callTimeout)
+	if timeout > 0 {
+		timer := time.NewTimer(timeout)
 		defer timer.Stop()
 		timeoutC = timer.C
 	}
 	select {
-	case f, ok := <-ch:
-		if !ok {
-			return serverFrame{}, fmt.Errorf("%w: connection closed", ErrStopped)
+	case r, ok := <-ch:
+		if ok { // answered, so unregistered and empty: the next call's
+			p.mu.Lock()
+			p.spare = ch
+			p.mu.Unlock()
 		}
-		if f.Err != "" {
-			return serverFrame{}, errFromKind(f.ErrKind, f.Err)
-		}
-		return f, nil
+		return reply(r, ok)
 	case <-timeoutC:
-		// Abandon the call; ch is buffered so a late response from the
-		// demux loop is simply dropped.
 		p.mu.Lock()
-		delete(p.waiting, req.ID)
+		if f.Op == opRead || f.Op == opTryRead {
+			p.orphans[f.Name] = append(p.orphans[f.Name], ch)
+		} else {
+			delete(p.waiting, f.ID)
+		}
 		p.mu.Unlock()
-		return serverFrame{}, fmt.Errorf("bus: rpc %s: %w after %v", req.Op, ErrTimeout, p.callTimeout)
+		return frame{}, fmt.Errorf("bus: rpc %s: %w after %v", opNames[f.Op], ErrTimeout, timeout)
 	}
+}
+
+// reply interprets what a reply channel yielded.
+func reply(r frame, ok bool) (frame, error) {
+	switch {
+	case !ok:
+		return frame{}, fmt.Errorf("%w: connection closed", ErrStopped)
+	case r.Op == rErr:
+		return frame{}, errFromKind(r.N, r.Text)
+	}
+	return r, nil
+}
+
+// call is one round trip.
+func (p *RemotePort) call(f *frame) (frame, error) {
+	if err := p.fire(f.Op); err != nil {
+		return frame{}, err
+	}
+	ch, err := p.start(f)
+	if err != nil {
+		return frame{}, err
+	}
+	return p.await(ch, f, p.callTimeout)
+}
+
+// adopt takes over the oldest abandoned read of iface: wait says whether
+// one whose reply has not arrived yet counts (Read) or is left (TryRead).
+func (p *RemotePort) adopt(iface string, wait bool) chan frame {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	q := p.orphans[iface]
+	if len(q) == 0 || (!wait && len(q[0]) == 0) {
+		return nil
+	}
+	p.orphans[iface] = q[1:]
+	return q[0]
+}
+
+// Close is a barrier — a sync round trip, bounded — and then tears the
+// connection down: when it returns the bus has applied every write the port
+// had posted, and the failure one of them is owed is Close's. (A socket
+// closed with unread frames in it is reset, which can take the last writes
+// with it.) Blocked calls fail with ErrStopped.
+func (p *RemotePort) Close() error {
+	timeout := p.callTimeout
+	if timeout <= 0 {
+		timeout = closeTimeout
+	}
+	f := frame{Op: opSync}
+	ch, err := p.start(&f)
+	if err == nil {
+		_, err = p.await(ch, &f, timeout)
+	}
+	if errors.Is(err, ErrStopped) {
+		err = nil // a dead connection has no barrier to offer
+	}
+	if err == nil {
+		err = p.takePostErr()
+	}
+	if cerr := p.w.conn.Close(); err == nil {
+		err = cerr
+	}
+	p.mu.Lock()
+	p.closed = true // Done from here on; demux fails the calls still waiting
+	p.mu.Unlock()
+	return err
 }
 
 // Name implements Port.
@@ -564,74 +1032,113 @@ func (p *RemotePort) Machine() string { return p.hello.Machine }
 // Status implements Port.
 func (p *RemotePort) Status() string { return p.hello.Status }
 
-// Write implements Port.
+// Write implements Port. It returns when the frame has been handed to the
+// kernel; see the ordering rule at the top of this file.
+//
+//archlint:hotpath
 func (p *RemotePort) Write(iface string, data []byte) error {
-	_, err := p.call(clientFrame{Op: "write", Iface: iface, Data: data})
-	return err
+	return p.WriteTraced(iface, data, TraceContext{})
 }
 
 // WriteTraced implements TracedWriter: the parent context crosses the wire
 // in the frame and the serving bus stamps the child span, so causal chains
 // survive the TCP hop.
+//
+//archlint:hotpath
 func (p *RemotePort) WriteTraced(iface string, data []byte, parent TraceContext) error {
-	_, err := p.call(clientFrame{Op: "write", Iface: iface, Data: data, Trace: parent})
-	return err
+	f := frame{Op: opWrite, Name: iface, Data: data, Trace: parent}
+	return p.post(&f)
 }
 
 // SendBatch implements Port: the whole batch crosses the wire in one frame
-// and the serving bus routes it in one pass, so the RPC round trip — the
-// dominant cost of a remote write — is also amortized over the batch.
+// and the serving bus routes it in one pass.
+//
+//archlint:hotpath
 func (p *RemotePort) SendBatch(iface string, batch [][]byte) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	_, err := p.call(clientFrame{Op: "writebatch", Iface: iface, Batch: batch})
-	return err
+	return p.WriteBatchTraced(iface, batch, TraceContext{})
 }
 
 // WriteBatchTraced implements BatchTracedWriter over the wire.
+//
+//archlint:hotpath
 func (p *RemotePort) WriteBatchTraced(iface string, batch [][]byte, parent TraceContext) error {
-	if len(batch) == 0 {
-		return nil
+	for len(batch) > 0 {
+		n := min(len(batch), maxWireBatch)
+		f := frame{Op: opWriteBatch, Name: iface, Batch: batch[:n], Trace: parent}
+		if err := p.post(&f); err != nil {
+			return err
+		}
+		batch = batch[n:]
 	}
-	_, err := p.call(clientFrame{Op: "writebatch", Iface: iface, Batch: batch, Trace: parent})
-	return err
+	return nil
 }
 
 // Read implements Port.
 func (p *RemotePort) Read(iface string) (Message, error) {
-	f, err := p.call(clientFrame{Op: "read", Iface: iface})
-	if err != nil {
-		return Message{}, err
+	err := p.takePostErr()
+	if err == nil {
+		err = p.fire(opRead)
 	}
-	if f.Msg == nil {
-		return Message{}, errors.New("bus: malformed read response")
+	f := frame{Op: opRead, Name: iface}
+	for err == nil {
+		ch := p.adopt(iface, true)
+		adopted := ch != nil
+		if !adopted {
+			if ch, err = p.start(&f); err != nil {
+				break
+			}
+		}
+		var r frame
+		if r, err = p.await(ch, &f, p.callTimeout); err == nil && r.Op == rMsg {
+			return Message{From: r.From, Data: r.Data, Trace: r.Trace}, nil
+		}
+		if err == nil && !adopted {
+			err = errors.New("bus: malformed read response")
+		}
+		// An adopted tryread that had found nothing: ask afresh.
 	}
-	return *f.Msg, nil
+	return Message{}, err
 }
 
 // TryRead implements Port.
 func (p *RemotePort) TryRead(iface string) (Message, bool, error) {
-	f, err := p.call(clientFrame{Op: "tryread", Iface: iface})
-	if err != nil {
+	if err := p.takePostErr(); err != nil {
 		return Message{}, false, err
 	}
-	if !f.OK {
-		return Message{}, false, nil
+	var r frame
+	var err error
+	if ch := p.adopt(iface, false); ch != nil {
+		late, ok := <-ch
+		r, err = reply(late, ok)
 	}
-	if f.Msg == nil {
-		return Message{}, false, errors.New("bus: malformed tryread response")
+	if err == nil && r.Op != rMsg {
+		r, err = p.call(&frame{Op: opTryRead, Name: iface})
 	}
-	return *f.Msg, true, nil
+	if err == nil && r.Op != rMsg {
+		err = p.takePostErr() // a round trip that found nothing is still a barrier
+	}
+	return Message{From: r.From, Data: r.Data, Trace: r.Trace}, err == nil && r.Op == rMsg, err
 }
 
 // Pending implements Port.
 func (p *RemotePort) Pending(iface string) (int, error) {
-	f, err := p.call(clientFrame{Op: "pending", Iface: iface})
+	if err := p.takePostErr(); err != nil {
+		return 0, err
+	}
+	r, err := p.call(&frame{Op: opPending, Name: iface})
+	if err == nil {
+		err = p.takePostErr()
+	}
 	if err != nil {
 		return 0, err
 	}
-	return f.N, nil
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := int(r.N)
+	for _, ch := range p.orphans[iface] {
+		n += len(ch) // an abandoned read's reply, waiting for the next Read
+	}
+	return n, nil
 }
 
 // TakeSignal implements Port.
@@ -646,28 +1153,25 @@ func (p *RemotePort) TakeSignal() (Signal, bool) {
 
 // Divulge implements Port.
 func (p *RemotePort) Divulge(data []byte) error {
-	_, err := p.call(clientFrame{Op: "divulge", Data: data})
+	_, err := p.call(&frame{Op: opDivulge, Data: data})
 	return err
 }
 
 // ConfirmRestore reports the outcome of this clone's restoration to the
 // remote bus (see Attachment.ConfirmRestore).
 func (p *RemotePort) ConfirmRestore(restoreErr error) error {
-	var data []byte
+	var text []byte
 	if restoreErr != nil {
-		data = []byte(restoreErr.Error())
+		text = []byte(restoreErr.Error())
 	}
-	_, err := p.call(clientFrame{Op: "confirmrestore", Data: data})
+	_, err := p.call(&frame{Op: opConfirmRestore, Data: text})
 	return err
 }
 
 // AwaitState implements Port.
 func (p *RemotePort) AwaitState(timeout time.Duration) ([]byte, error) {
-	f, err := p.call(clientFrame{Op: "awaitstate", TimeoutMs: int64(timeout / time.Millisecond)})
-	if err != nil {
-		return nil, err
-	}
-	return f.Data, nil
+	r, err := p.call(&frame{Op: opAwaitState, N: int64(timeout / time.Millisecond)})
+	return r.Data, err
 }
 
 // Done implements Port.

@@ -2,14 +2,15 @@ package bus
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/replay"
 )
 
@@ -78,26 +79,40 @@ func TestRemoteDoubleAttach(t *testing.T) {
 	}
 }
 
+// TestRemoteReadWrite pins the ordering rule: a write is posted, whatever
+// follows it on the same port observes it, and a completed round trip on the
+// writer's port makes everything posted before it visible to other ports.
 func TestRemoteReadWrite(t *testing.T) {
 	_, s := startServer(t)
 	disp := dial(t, s, "display")
 	comp := dial(t, s, "compute")
 
-	if err := disp.Write("temper", []byte("req")); err != nil {
+	const burst = 20
+	for i := 0; i < burst; i++ {
+		if err := disp.Write("temper", []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := disp.Pending("temper"); err != nil { // any round trip is a barrier
 		t.Fatal(err)
 	}
-	n, err := comp.Pending("display")
-	if err != nil || n != 1 {
-		t.Fatalf("Pending = %d, %v", n, err)
+	if n, err := comp.Pending("display"); err != nil || n != burst {
+		t.Fatalf("Pending after the writer's round trip = %d, %v; want %d", n, err, burst)
 	}
-	m, err := comp.Read("display")
-	if err != nil || string(m.Data) != "req" {
-		t.Fatalf("Read = %+v, %v", m, err)
+	for i := 0; i < burst; i++ {
+		m, err := comp.Read("display")
+		if err != nil || len(m.Data) != 1 || int(m.Data[0]) != i {
+			t.Fatalf("Read %d = %+v, %v", i, m, err)
+		}
+		if m.From != (Endpoint{"display", "temper"}) {
+			t.Errorf("From = %v", m.From)
+		}
 	}
-	if m.From != (Endpoint{"display", "temper"}) {
-		t.Errorf("From = %v", m.From)
-	}
+
 	if err := comp.Write("display", []byte("resp")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := comp.Pending("display"); err != nil {
 		t.Fatal(err)
 	}
 	m, ok, err := disp.TryRead("temper")
@@ -106,6 +121,31 @@ func TestRemoteReadWrite(t *testing.T) {
 	}
 	if _, ok, err := disp.TryRead("temper"); err != nil || ok {
 		t.Errorf("empty TryRead = %t, %v", ok, err)
+	}
+}
+
+// TestRemoteCloseIsBarrier: Close after a burst of posted writes loses none.
+func TestRemoteCloseIsBarrier(t *testing.T) {
+	b, s := startServer(t)
+	disp, err := DialPort(s.Addr().String(), "display")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const burst = 500
+	for i := 0; i < burst; i++ {
+		if err := disp.Write("temper", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := disp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	info, err := b.Info("compute")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Pending["display"] != burst {
+		t.Errorf("after Close %d of %d writes are queued", info.Pending["display"], burst)
 	}
 }
 
@@ -140,8 +180,13 @@ func TestRemoteBlockingRead(t *testing.T) {
 	}
 }
 
+// TestRemoteErrorMapping pins which write failures are synchronous and which
+// arrive later: the interface table came with the hello ack, so a bad
+// interface or direction is refused on the spot; an unbound interface is
+// only known to the bus when it applies the write, so the write returns nil
+// and the port's next data call returns ErrUnbound, once.
 func TestRemoteErrorMapping(t *testing.T) {
-	_, s := startServer(t)
+	b, s := startServer(t)
 	comp := dial(t, s, "compute")
 	if err := comp.Write("sensor", nil); !errors.Is(err, ErrDirection) {
 		t.Errorf("direction error: %v", err)
@@ -149,12 +194,44 @@ func TestRemoteErrorMapping(t *testing.T) {
 	if err := comp.Write("ghost", nil); !errors.Is(err, ErrNoInterface) {
 		t.Errorf("nointerface error: %v", err)
 	}
+	if err := comp.SendBatch("ghost", [][]byte{nil}); !errors.Is(err, ErrNoInterface) {
+		t.Errorf("nointerface error on a batch: %v", err)
+	}
 	if err := comp.Write("display", nil); err != nil {
 		// display.temper receives; this should succeed.
 		t.Errorf("bound write: %v", err)
 	}
+	if _, err := comp.Pending("display"); err != nil {
+		t.Errorf("nothing failed, yet the next round trip reports %v", err)
+	}
 	if _, err := comp.AwaitState(30 * time.Millisecond); !errors.Is(err, ErrTimeout) {
 		t.Errorf("timeout error: %v", err)
+	}
+
+	if err := b.DeleteBinding(Endpoint{"display", "temper"}, Endpoint{"compute", "display"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := comp.Write("display", nil); err != nil {
+		t.Fatalf("unbound write: %v, want nil (the failure is the next call's)", err)
+	}
+	for i := 0; i < 3; i++ {
+		_, err := comp.Pending("display")
+		if i == 0 && !errors.Is(err, ErrUnbound) {
+			t.Errorf("the call after an unbound write: %v, want ErrUnbound", err)
+		}
+		if i > 0 && err != nil {
+			t.Errorf("call %d after an unbound write: %v, want the failure reported once", i+1, err)
+		}
+	}
+	// Control calls never carry a data write's failure.
+	if err := comp.Write("display", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := comp.Divulge([]byte("s")); err != nil {
+		t.Errorf("Divulge after an unbound write: %v", err)
+	}
+	if err := comp.Close(); !errors.Is(err, ErrUnbound) {
+		t.Errorf("Close after an unbound write: %v, want ErrUnbound", err)
 	}
 }
 
@@ -274,144 +351,139 @@ func TestErrKindRoundTrip(t *testing.T) {
 	for _, sentinel := range []error{ErrStopped, ErrTimeout, ErrUnbound, ErrDirection, ErrNoInterface, ErrNoInstance} {
 		kind := errKind(sentinel)
 		back := errFromKind(kind, sentinel.Error())
-		if !errors.Is(back, sentinel) {
-			t.Errorf("sentinel %v did not survive the wire (kind %q)", sentinel, kind)
+		if kind == 0 || !errors.Is(back, sentinel) {
+			t.Errorf("sentinel %v did not survive the wire (kind %d)", sentinel, kind)
 		}
 	}
-	if errFromKind("", "") != nil {
-		t.Error("empty kind should be nil error")
-	}
-	if err := errFromKind("other", "boom"); err == nil || err.Error() != "boom" {
+	if err := errFromKind(0, "boom"); err == nil || err.Error() != "boom" {
 		t.Errorf("other kind = %v", err)
 	}
-	if errKind(nil) != "" {
-		t.Error("nil error kind")
+	if err := errFromKind(200, "from a newer peer"); err == nil || err.Error() != "from a newer peer" {
+		t.Errorf("unknown kind = %v", err)
 	}
-	if errKind(errors.New("x")) != "other" {
+	if errKind(errors.New("x")) != 0 {
 		t.Error("unknown error kind")
 	}
 }
 
-// ---- wire-format compatibility ----------------------------------------
+// ---- wire format ------------------------------------------------------
 //
-// The Trace field added to clientFrame and Message must not break framing
-// against peers built before it existed. Gob omits zero-valued fields and
-// skips fields unknown to the receiver, so compatibility holds in both
-// directions; the golden bytes below were captured from the pre-trace
-// encoder and pin the backward direction against regression.
+// One frame per opcode each way, the expected bytes written out by hand from
+// the grammar in tcp.go's header comment (length prefix included), not
+// produced by the encoder: a change of format is a diff of this table.
 
-// preTrace* mirror the wire structs exactly as they were before the Trace
-// field existed (gob matches struct fields by name, not type name).
-type preTraceClientFrame struct {
-	ID        uint64
-	Op        string
-	Instance  string
-	Iface     string
-	Data      []byte
-	TimeoutMs int64
+var goldenTrace = TraceContext{TraceID: 9, SpanID: 4, Parent: 3, Hops: 2, Flags: 1, SentNs: 123}
+
+var goldenFrames = []struct {
+	name string
+	f    frame
+	want string
+}{
+	// client -> server
+	{"hello", frame{Op: opHello, Name: "compute"},
+		"00000009  01  07 636f6d70757465"},
+	{"write", frame{Op: opWrite, Name: "out", Data: []byte("payload")},
+		"0000000e  02  03 6f7574  00  07 7061796c6f6164"},
+	{"write traced", frame{Op: opWrite, Name: "out", Data: []byte("payload"), Trace: goldenTrace},
+		"00000015  02  03 6f7574  01 09 04 03 02 01 f601  07 7061796c6f6164"}, // zig-zag 123 = 246
+	{"writebatch", frame{Op: opWriteBatch, Name: "out", Batch: [][]byte{[]byte("a"), []byte("bc")}},
+		"0000000c  03  03 6f7574  00  02  01 61  02 6263"},
+	{"read", frame{Op: opRead, ID: 7, Name: "in"}, "00000005  04 07  02 696e"},
+	{"tryread", frame{Op: opTryRead, ID: 7, Name: "in"}, "00000005  05 07  02 696e"},
+	{"pending", frame{Op: opPending, ID: 300, Name: "in"}, "00000006  06 ac02  02 696e"},
+	{"divulge", frame{Op: opDivulge, ID: 7, Data: []byte("st")}, "00000005  07 07  02 7374"},
+	{"awaitstate", frame{Op: opAwaitState, ID: 7, N: 250}, "00000004  08 07  f403"}, // zig-zag 250 = 500
+	{"confirmrestore ok", frame{Op: opConfirmRestore, ID: 7}, "00000003  09 07  00"},
+	{"confirmrestore failed", frame{Op: opConfirmRestore, ID: 7, Data: []byte("no")}, "00000005  09 07  02 6e6f"},
+	{"sync", frame{Op: opSync, ID: 7}, "00000002  0a 07"},
+	// server -> client
+	{"hello ack", frame{Op: rHello, Hello: &helloAck{Name: "compute", Machine: "m2", Status: StatusClone,
+		Ifaces: []IfaceSpec{{Name: "display", Dir: InOut}, {Name: "sensor", Dir: In}}}},
+		"00000024  0b  07 636f6d70757465  02 6d32  05 636c6f6e65  02  07 646973706c6179 03  06 73656e736f72 01"},
+	{"ok", frame{Op: rOK, ID: 7}, "00000002  0c 07"},
+	{"msg", frame{Op: rMsg, ID: 7, From: Endpoint{"sensor", "out"}, Data: []byte("payload")},
+		"00000016  0d 07  06 73656e736f72  03 6f7574  00  07 7061796c6f6164"},
+	{"msg traced", frame{Op: rMsg, ID: 7, From: Endpoint{"sensor", "out"}, Data: []byte("p"), Trace: goldenTrace},
+		"00000017  0d 07  06 73656e736f72  03 6f7574  01 09 04 03 02 01 f601  01 70"},
+	{"count", frame{Op: rCount, ID: 7, N: 3}, "00000003  0e 07 06"},
+	{"data", frame{Op: rData, ID: 7, Data: []byte("st")}, "00000005  0f 07  02 7374"},
+	{"err", frame{Op: rErr, ID: 7, N: 2, Text: "late"}, "00000008  10 07 04  04 6c617465"},
+	{"posted write failed", frame{Op: rErr, N: 3, Text: "x"}, "00000005  10 00 06  01 78"},
+	{"signal", frame{Op: rSignal, N: int64(SignalReconfig)}, "00000002  11 02"},
+	{"deleted", frame{Op: rDeleted}, "00000001  12"},
 }
 
-type preTraceMessage struct {
-	From Endpoint
-	Data []byte
-}
-
-type preTraceServerFrame struct {
-	ID      uint64
-	Hello   *helloAck
-	Err     string
-	ErrKind string
-	Msg     *preTraceMessage
-	OK      bool
-	N       int
-	Data    []byte
-	Signal  *Signal
-	Deleted bool
-}
-
-// Gob streams of clientFrame{ID: 7, Op: "write", Iface: "out",
-// Data: "payload", TimeoutMs: 250} and serverFrame{ID: 7, Msg:
-// &Message{From: sensor.out, Data: "payload"}, OK: true, N: 3} as encoded
-// before the Trace field existed.
-const (
-	goldenPreTraceClientWrite = "547f0301010b636c69656e744672616d6501ff800001060102494401060001024f70010c000108496e7374616e6365010c0001054966616365010c00010444617461010a00010954696d656f75744d7301040000001eff8001070105777269746502036f757401077061796c6f616401fe01f400"
-	goldenPreTraceServerMsg   = "76ff810301010b7365727665724672616d6501ff8200010a01024944010600010548656c6c6f01ff84000103457272010c0001074572724b696e64010c0001034d736701ff860001024f4b01020001014e010400010444617461010a0001065369676e616c01ff8a00010744656c65746564010200000036ff830301010868656c6c6f41636b01ff8400010301044e616d65010c0001074d616368696e65010c000106537461747573010c00000028ff85030101074d65737361676501ff86000102010446726f6d01ff8800010444617461010a00000031ff8703010108456e64706f696e7401ff880001020108496e7374616e6365010c000109496e74657266616365010c0000001dff89030101065369676e616c01ff8a00010101044b696e64010400000023ff8201070401010673656e736f7201036f75740001077061796c6f6164000101010600"
-)
-
-// TestWireFormatBackwardCompat decodes the golden pre-trace byte streams
-// under the current types: every field survives and Trace is zero.
-func TestWireFormatBackwardCompat(t *testing.T) {
-	raw, err := hex.DecodeString(goldenPreTraceClientWrite)
+func goldenBytes(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(strings.Join(strings.Fields(s), ""))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("bad hex in the golden table: %v", err)
 	}
-	var cf clientFrame
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&cf); err != nil {
-		t.Fatalf("pre-trace clientFrame no longer decodes: %v", err)
-	}
-	wantCF := clientFrame{ID: 7, Op: "write", Iface: "out", Data: []byte("payload"), TimeoutMs: 250}
-	if !reflect.DeepEqual(cf, wantCF) {
-		t.Errorf("decoded clientFrame = %+v, want %+v", cf, wantCF)
-	}
+	return b
+}
 
-	raw, err = hex.DecodeString(goldenPreTraceServerMsg)
-	if err != nil {
-		t.Fatal(err)
+// sameFrame compares frames as the wire can tell them apart: nil and empty
+// payloads are one.
+func sameFrame(a, b frame) bool {
+	if len(a.Batch) == 0 && len(b.Batch) == 0 {
+		a.Batch, b.Batch = nil, nil
 	}
-	var sf serverFrame
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&sf); err != nil {
-		t.Fatalf("pre-trace serverFrame no longer decodes: %v", err)
+	a.Data, b.Data = append([]byte{}, a.Data...), append([]byte{}, b.Data...)
+	return reflect.DeepEqual(a, b)
+}
+
+func TestWireFormatGolden(t *testing.T) {
+	seen := map[byte]bool{}
+	for _, tt := range goldenFrames {
+		t.Run(tt.name, func(t *testing.T) {
+			seen[tt.f.Op] = true
+			want := goldenBytes(t, tt.want)
+			got := appendFrame(codec.BeginFrame(nil), &tt.f)
+			if err := codec.EndFrame(got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("encoded % x\n   want % x", got, want)
+			}
+			var back frame
+			if err := decodeFrame(want[4:], &back, asString); err != nil {
+				t.Fatal(err)
+			}
+			if !sameFrame(back, tt.f) {
+				t.Errorf("decoded %+v, want %+v", back, tt.f)
+			}
+		})
 	}
-	if sf.ID != 7 || !sf.OK || sf.N != 3 {
-		t.Errorf("decoded serverFrame = %+v", sf)
-	}
-	wantMsg := Message{From: Endpoint{"sensor", "out"}, Data: []byte("payload")}
-	if sf.Msg == nil || !reflect.DeepEqual(*sf.Msg, wantMsg) {
-		t.Errorf("decoded Msg = %+v, want %+v (with zero Trace)", sf.Msg, wantMsg)
+	for op := opHello; op < numOps; op++ {
+		if !seen[op] {
+			t.Errorf("opcode %#x has no golden frame", op)
+		}
 	}
 }
 
-// TestWireFormatForwardCompat encodes current frames — with and without a
-// trace context — and decodes them under the pre-trace mirror types, as an
-// old peer would.
-func TestWireFormatForwardCompat(t *testing.T) {
-	encode := func(v any) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			t.Fatal(err)
+// FuzzFrame feeds the decoder what a socket can: it may not panic or take
+// more than the frame gives it, and whatever it accepts must survive the
+// encoder unchanged.
+func FuzzFrame(f *testing.F) {
+	for _, tt := range goldenFrames {
+		f.Add(appendFrame(nil, &tt.f))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var fr, again frame
+		if err := decodeFrame(body, &fr, asString); err != nil {
+			return
 		}
-		return buf.Bytes()
-	}
-	wantCF := preTraceClientFrame{ID: 7, Op: "write", Iface: "out", Data: []byte("payload"), TimeoutMs: 250}
-
-	for name, frame := range map[string]clientFrame{
-		"untraced": {ID: 7, Op: "write", Iface: "out", Data: []byte("payload"), TimeoutMs: 250},
-		"traced": {ID: 7, Op: "write", Iface: "out", Data: []byte("payload"), TimeoutMs: 250,
-			Trace: TraceContext{TraceID: 9, SpanID: 4, Hops: 2, Flags: 1, SentNs: 123}},
-	} {
-		var got preTraceClientFrame
-		if err := gob.NewDecoder(bytes.NewReader(encode(frame))).Decode(&got); err != nil {
-			t.Fatalf("%s frame does not decode for an old peer: %v", name, err)
+		held := len(fr.Data)
+		for _, p := range fr.Batch {
+			held += len(p)
 		}
-		if !reflect.DeepEqual(got, wantCF) {
-			t.Errorf("%s frame decoded as %+v, want %+v", name, got, wantCF)
+		if held > len(body) || len(fr.Batch) > maxWireBatch || (fr.Hello != nil && len(fr.Hello.Ifaces) > maxWireIfaces) {
+			t.Fatalf("a %d-byte frame decoded to %+v", len(body), fr)
 		}
-	}
-
-	sf := serverFrame{ID: 7, OK: true, N: 3, Msg: &Message{
-		From:  Endpoint{"sensor", "out"},
-		Data:  []byte("payload"),
-		Trace: TraceContext{TraceID: 9, SpanID: 5, SentNs: 456},
-	}}
-	var got preTraceServerFrame
-	if err := gob.NewDecoder(bytes.NewReader(encode(sf))).Decode(&got); err != nil {
-		t.Fatalf("traced serverFrame does not decode for an old peer: %v", err)
-	}
-	wantSF := preTraceServerFrame{ID: 7, OK: true, N: 3,
-		Msg: &preTraceMessage{From: Endpoint{"sensor", "out"}, Data: []byte("payload")}}
-	if !reflect.DeepEqual(got, wantSF) {
-		t.Errorf("traced serverFrame decoded as %+v, want %+v", got, wantSF)
-	}
+		if err := decodeFrame(appendFrame(nil, &fr), &again, asString); err != nil || !sameFrame(fr, again) {
+			t.Fatalf("frame %+v came back as %+v, %v", fr, again, err)
+		}
+	})
 }
 
 // TestRecordedWireDeliveryRoundTrips closes the loop between the wire

@@ -1,10 +1,8 @@
 package codec
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
-	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -254,40 +252,6 @@ func TestFormatFor(t *testing.T) {
 	}
 	if _, err := FormatFor([]state.Value{{}}); err == nil {
 		t.Error("invalid kind accepted")
-	}
-}
-
-func TestFraming(t *testing.T) {
-	var buf bytes.Buffer
-	c := Portable{}
-	in := sampleState()
-	if err := WriteTo(&buf, c, in); err != nil {
-		t.Fatal(err)
-	}
-	// Append a second state to prove framing separates them.
-	in2 := sampleState()
-	in2.Module = "other"
-	if err := WriteTo(&buf, c, in2); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(&buf)
-	readFull := func(b []byte) error { _, err := io.ReadFull(br, b); return err }
-	out, err := ReadFrom(br, c, readFull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !in.Equal(out) {
-		t.Error("framed round trip mismatch")
-	}
-	out2, err := ReadFrom(br, c, readFull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out2.Module != "other" {
-		t.Errorf("second frame module = %s", out2.Module)
-	}
-	if _, err := ReadFrom(br, c, readFull); err == nil {
-		t.Error("read past end succeeded")
 	}
 }
 

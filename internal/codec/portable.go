@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/state"
@@ -44,28 +43,28 @@ func (Portable) EncodeState(s *state.State) ([]byte, error) {
 	var err error
 	b := append(make([]byte, 0, 256), portableMagic[:]...)
 	b = binary.AppendUvarint(b, uint64(s.Version))
-	b = appendStr(b, s.Module)
-	b = appendStr(b, s.Machine)
+	b = AppendStr(b, s.Module)
+	b = AppendStr(b, s.Machine)
 	b = binary.AppendUvarint(b, uint64(len(s.Frames)))
 	for _, f := range s.Frames {
-		b = appendStr(b, f.Func)
+		b = AppendStr(b, f.Func)
 		b = binary.AppendVarint(b, int64(f.Location))
 		b = binary.AppendUvarint(b, uint64(len(f.Vars)))
 		for i := range f.Vars {
-			if b, err = appendValue(appendStr(b, f.Vars[i].Name), &f.Vars[i].Value, 0); err != nil {
+			if b, err = appendValue(AppendStr(b, f.Vars[i].Name), &f.Vars[i].Value, 0); err != nil {
 				return nil, err
 			}
 		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.Heap)))
 	for i := range s.Heap {
-		if b, err = appendValue(appendStr(b, s.Heap[i].Key), &s.Heap[i].Value, 0); err != nil {
+		if b, err = appendValue(AppendStr(b, s.Heap[i].Key), &s.Heap[i].Value, 0); err != nil {
 			return nil, err
 		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.Meta)))
 	for _, k := range sortedKeys(s.Meta) {
-		b = appendStr(appendStr(b, k), s.Meta[k])
+		b = AppendStr(AppendStr(b, k), s.Meta[k])
 	}
 	return b, nil
 }
@@ -75,20 +74,20 @@ func (Portable) DecodeState(data []byte) (*state.State, error) {
 	if len(data) < len(portableMagic) || !bytes.Equal(data[:4], portableMagic[:]) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	r := newReader(data[4:])
+	r := NewReader(data[4:])
 	s := &state.State{Meta: map[string]string{}}
-	ver, err := r.uvarint()
+	ver, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
 	s.Version = int(ver)
-	if s.Module, err = r.str(); err != nil {
+	if s.Module, err = r.Str(); err != nil {
 		return nil, err
 	}
-	if s.Machine, err = r.str(); err != nil {
+	if s.Machine, err = r.Str(); err != nil {
 		return nil, err
 	}
-	nframes, err := r.uvarint()
+	nframes, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
@@ -98,15 +97,15 @@ func (Portable) DecodeState(data []byte) (*state.State, error) {
 	s.Frames = make([]state.Frame, nframes)
 	for i := range s.Frames {
 		f := &s.Frames[i]
-		if f.Func, err = r.str(); err != nil {
+		if f.Func, err = r.Str(); err != nil {
 			return nil, err
 		}
-		loc, err := r.varint()
+		loc, err := r.Varint()
 		if err != nil {
 			return nil, err
 		}
 		f.Location = int(loc)
-		nvars, err := r.uvarint()
+		nvars, err := r.Uvarint()
 		if err != nil {
 			return nil, err
 		}
@@ -115,7 +114,7 @@ func (Portable) DecodeState(data []byte) (*state.State, error) {
 		}
 		f.Vars = make([]state.Var, nvars)
 		for j := range f.Vars {
-			if f.Vars[j].Name, err = r.str(); err != nil {
+			if f.Vars[j].Name, err = r.Str(); err != nil {
 				return nil, err
 			}
 			if f.Vars[j].Value, err = r.value(0); err != nil {
@@ -123,7 +122,7 @@ func (Portable) DecodeState(data []byte) (*state.State, error) {
 			}
 		}
 	}
-	nheap, err := r.uvarint()
+	nheap, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +132,7 @@ func (Portable) DecodeState(data []byte) (*state.State, error) {
 	if nheap > 0 {
 		s.Heap = make([]state.HeapObject, nheap)
 		for i := range s.Heap {
-			if s.Heap[i].Key, err = r.str(); err != nil {
+			if s.Heap[i].Key, err = r.Str(); err != nil {
 				return nil, err
 			}
 			if s.Heap[i].Value, err = r.value(0); err != nil {
@@ -141,7 +140,7 @@ func (Portable) DecodeState(data []byte) (*state.State, error) {
 			}
 		}
 	}
-	nmeta, err := r.uvarint()
+	nmeta, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
@@ -149,18 +148,18 @@ func (Portable) DecodeState(data []byte) (*state.State, error) {
 		return nil, fmt.Errorf("%w: %d meta entries", ErrLimit, nmeta)
 	}
 	for i := uint64(0); i < nmeta; i++ {
-		k, err := r.str()
+		k, err := r.Str()
 		if err != nil {
 			return nil, err
 		}
-		v, err := r.str()
+		v, err := r.Str()
 		if err != nil {
 			return nil, err
 		}
 		s.Meta[k] = v
 	}
-	if r.rem() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.rem())
+	if r.Rem() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Rem())
 	}
 	return s, nil
 }
@@ -179,20 +178,22 @@ func (Portable) EncodeValue(v state.Value) ([]byte, error) {
 
 // DecodeValue implements Codec.
 func (Portable) DecodeValue(data []byte) (state.Value, error) {
-	r := newReader(data)
+	r := NewReader(data)
 	v, err := r.value(0)
 	if err != nil {
 		return state.Value{}, err
 	}
-	if r.rem() != 0 {
-		return state.Value{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.rem())
+	if r.Rem() != 0 {
+		return state.Value{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Rem())
 	}
 	return v, nil
 }
 
 // ---- low-level writer ----
 
-func appendStr(b []byte, s string) []byte {
+// AppendStr appends the grammar's str: a uvarint length and the bytes. The
+// bus wire frames (internal/bus/tcp.go) are built from the same primitive.
+func AppendStr[T ~string | ~[]byte](b []byte, s T) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
@@ -216,7 +217,7 @@ func appendValue(b []byte, v *state.Value, depth int) ([]byte, error) {
 	case state.KindFloat:
 		b = binary.BigEndian.AppendUint64(b, math.Float64bits(v.Float))
 	case state.KindString:
-		b = appendStr(b, v.Str)
+		b = AppendStr(b, v.Str)
 	case state.KindList:
 		b = binary.AppendUvarint(b, uint64(len(v.List)))
 		for i := range v.List {
@@ -225,9 +226,9 @@ func appendValue(b []byte, v *state.Value, depth int) ([]byte, error) {
 			}
 		}
 	case state.KindStruct:
-		b = binary.AppendUvarint(appendStr(b, v.Type), uint64(len(v.Fields)))
+		b = binary.AppendUvarint(AppendStr(b, v.Type), uint64(len(v.Fields)))
 		for i := range v.Fields {
-			if b, err = appendValue(appendStr(b, v.Fields[i].Name), &v.Fields[i].Value, depth+1); err != nil {
+			if b, err = appendValue(AppendStr(b, v.Fields[i].Name), &v.Fields[i].Value, depth+1); err != nil {
 				return nil, err
 			}
 		}
@@ -239,16 +240,23 @@ func appendValue(b []byte, v *state.Value, depth int) ([]byte, error) {
 
 // ---- low-level reader ----
 
-type reader struct {
+// Reader walks an encoded buffer with the format's bounds checks: every
+// method fails with ErrTruncated, ErrCorrupt or ErrLimit instead of reading
+// past the end. The value and state decoders and the bus's frame decoders
+// all read through it, so there is one set of checks.
+type Reader struct {
 	data []byte
 	off  int
 }
 
-func newReader(data []byte) *reader { return &reader{data: data} }
+// NewReader returns a Reader over data.
+func NewReader(data []byte) *Reader { return &Reader{data: data} }
 
-func (r *reader) rem() int { return len(r.data) - r.off }
+// Rem returns the number of unread bytes.
+func (r *Reader) Rem() int { return len(r.data) - r.off }
 
-func (r *reader) byte() (byte, error) {
+// Byte reads one byte.
+func (r *Reader) Byte() (byte, error) {
 	if r.off >= len(r.data) {
 		return 0, ErrTruncated
 	}
@@ -257,8 +265,8 @@ func (r *reader) byte() (byte, error) {
 	return b, nil
 }
 
-func (r *reader) take(n int) ([]byte, error) {
-	if n < 0 || r.rem() < n {
+func (r *Reader) take(n int) ([]byte, error) {
+	if n < 0 || r.Rem() < n {
 		return nil, ErrTruncated
 	}
 	b := r.data[r.off : r.off+n]
@@ -266,7 +274,8 @@ func (r *reader) take(n int) ([]byte, error) {
 	return b, nil
 }
 
-func (r *reader) uvarint() (uint64, error) {
+// Uvarint reads an unsigned varint.
+func (r *Reader) Uvarint() (uint64, error) {
 	u, n := binary.Uvarint(r.data[r.off:])
 	if n <= 0 {
 		if n == 0 {
@@ -278,7 +287,8 @@ func (r *reader) uvarint() (uint64, error) {
 	return u, nil
 }
 
-func (r *reader) varint() (int64, error) {
+// Varint reads a zig-zag varint.
+func (r *Reader) Varint() (int64, error) {
 	i, n := binary.Varint(r.data[r.off:])
 	if n <= 0 {
 		if n == 0 {
@@ -290,8 +300,20 @@ func (r *reader) varint() (int64, error) {
 	return i, nil
 }
 
-func (r *reader) str() (string, error) {
-	n, err := r.uvarint()
+// Bytes reads a str as a view into the buffer: valid only as long as the
+// buffer is, so a caller that retains it copies it. A view allocates
+// nothing, so the buffer's own length is the only bound it needs.
+func (r *Reader) Bytes() ([]byte, error) {
+	n, err := r.Uvarint()
+	if err != nil {
+		return nil, err
+	}
+	return r.take(int(n)) // a length past the buffer, or past int, is truncation
+}
+
+// Str reads a str into a string of its own.
+func (r *Reader) Str() (string, error) {
+	n, err := r.Uvarint()
 	if err != nil {
 		return "", err
 	}
@@ -305,18 +327,18 @@ func (r *reader) str() (string, error) {
 	return string(b), nil
 }
 
-func (r *reader) value(depth int) (state.Value, error) {
+func (r *Reader) value(depth int) (state.Value, error) {
 	if depth > maxDepth {
 		return state.Value{}, fmt.Errorf("%w: value nested deeper than %d", ErrLimit, maxDepth)
 	}
-	kb, err := r.byte()
+	kb, err := r.Byte()
 	if err != nil {
 		return state.Value{}, err
 	}
 	v := state.Value{Kind: state.Kind(kb)}
 	switch v.Kind {
 	case state.KindBool:
-		b, err := r.byte()
+		b, err := r.Byte()
 		if err != nil {
 			return state.Value{}, err
 		}
@@ -325,7 +347,7 @@ func (r *reader) value(depth int) (state.Value, error) {
 		}
 		v.Bool = b == 1
 	case state.KindInt:
-		if v.Int, err = r.varint(); err != nil {
+		if v.Int, err = r.Varint(); err != nil {
 			return state.Value{}, err
 		}
 	case state.KindFloat:
@@ -335,11 +357,11 @@ func (r *reader) value(depth int) (state.Value, error) {
 		}
 		v.Float = math.Float64frombits(binary.BigEndian.Uint64(b))
 	case state.KindString:
-		if v.Str, err = r.str(); err != nil {
+		if v.Str, err = r.Str(); err != nil {
 			return state.Value{}, err
 		}
 	case state.KindList:
-		n, err := r.uvarint()
+		n, err := r.Uvarint()
 		if err != nil {
 			return state.Value{}, err
 		}
@@ -355,10 +377,10 @@ func (r *reader) value(depth int) (state.Value, error) {
 			}
 		}
 	case state.KindStruct:
-		if v.Type, err = r.str(); err != nil {
+		if v.Type, err = r.Str(); err != nil {
 			return state.Value{}, err
 		}
-		n, err := r.uvarint()
+		n, err := r.Uvarint()
 		if err != nil {
 			return state.Value{}, err
 		}
@@ -368,7 +390,7 @@ func (r *reader) value(depth int) (state.Value, error) {
 		if n > 0 {
 			v.Fields = make([]state.Field, n)
 			for i := range v.Fields {
-				if v.Fields[i].Name, err = r.str(); err != nil {
+				if v.Fields[i].Name, err = r.Str(); err != nil {
 					return state.Value{}, err
 				}
 				if v.Fields[i].Value, err = r.value(depth + 1); err != nil {
@@ -394,36 +416,4 @@ func sortedKeys(m map[string]string) []string {
 		}
 	}
 	return keys
-}
-
-// WriteTo streams an encoded state to w with a length prefix, for TCP
-// transports that need framing.
-func WriteTo(w io.Writer, c Codec, s *state.State) error {
-	data, err := c.EncodeState(s)
-	if err != nil {
-		return err
-	}
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(data)))
-	if _, err := w.Write(hdr[:n]); err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
-// ReadFrom reads one length-prefixed encoded state from r.
-func ReadFrom(r io.ByteReader, c Codec, readFull func([]byte) error) (*state.State, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > maxStringLen*4 {
-		return nil, fmt.Errorf("%w: framed state of %d bytes", ErrLimit, n)
-	}
-	buf := make([]byte, n)
-	if err := readFull(buf); err != nil {
-		return nil, err
-	}
-	return c.DecodeState(buf)
 }

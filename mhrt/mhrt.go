@@ -15,6 +15,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"os/signal"
 	"strconv"
@@ -102,8 +104,17 @@ func Main(rt *MH, body func()) {
 		}
 	}()
 	term := mh.Run(body)
+	// Writes are posted, not acknowledged: closing the port is the barrier
+	// that gets the module's last ones applied before the process exits.
+	err := rt.Err()
+	if c, ok := rt.Port().(io.Closer); ok {
+		// A connection the bus has already dropped has nothing to flush.
+		if cerr := c.Close(); err == nil && !errors.Is(cerr, net.ErrClosed) {
+			err = cerr
+		}
+	}
 	dumpTelemetry(rt)
-	if err := rt.Err(); err != nil && !errors.Is(err, bus.ErrStopped) {
+	if err != nil && !errors.Is(err, bus.ErrStopped) {
 		fmt.Fprintln(os.Stderr, "module error:", err)
 		os.Exit(1)
 	}

@@ -38,6 +38,11 @@ go test -race -count=10 -run TestLoweredProgramSharedAcrossGoroutines ./internal
 echo "== fault-injection matrix (kill Replace at every failpoint, twice, racy)"
 go test -run 'Fault|Rollback|Concurrent' -race -count=2 ./...
 
+echo "== fuzzers on what a socket or a state file feeds (10 s each: wire frames, portable values and states)"
+go test -run '^$' -fuzz '^FuzzFrame$' -fuzztime 10s ./internal/bus/
+go test -run '^$' -fuzz '^FuzzDecodeValue$' -fuzztime 10s ./internal/codec/
+go test -run '^$' -fuzz '^FuzzDecodeState$' -fuzztime 10s ./internal/codec/
+
 echo "== replace latency artifact (with and without injected faults)"
 RECONFIG_BENCH_JSON="$PWD/BENCH_reconfig_latency.json" \
 	go test -run TestRollbackLatencyArtifact -count=1 .
@@ -74,11 +79,6 @@ go run ./cmd/perfgate -baseline "$baseline" \
 	-current BENCH_bus_throughput.json -overhead BENCH_overhead.json \
 	-timeseries BENCH_timeseries_overhead.json
 rm -f "$baseline"
-
-echo "== wire overhead artifact (TCP write path allocs/msg, pooled frames and encode buffers)"
-RECONFIG_WIRE_OVERHEAD_JSON="$PWD/BENCH_wire_overhead.json" \
-	go test -run TestWirePathAllocs -count=1 ./internal/bus/
-cat BENCH_wire_overhead.json
 
 echo "== trace overhead artifact (message path: tracing off / unsampled / sampled)"
 RECONFIG_TRACE_OVERHEAD_JSON="$PWD/BENCH_trace_overhead.json" \
