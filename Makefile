@@ -19,8 +19,8 @@ check:
 	./scripts/check.sh
 
 # Benchmark artifacts: replace latency, steady-state overhead, multi-sender
-# bus throughput, trace overhead, record/replay overhead, and windowed
-# rollup overhead, written as BENCH_*.json in the repo root.
+# bus throughput and windowed rollup overhead, written as BENCH_*.json in
+# the repo root.
 .PHONY: bench
 bench:
 	RECONFIG_BENCH_JSON="$(CURDIR)/BENCH_reconfig_latency.json" \
@@ -29,9 +29,5 @@ bench:
 		go test -run TestOverheadArtifact -count=1 .
 	RECONFIG_BUS_THROUGHPUT_JSON="$(CURDIR)/BENCH_bus_throughput.json" \
 		go test -run TestBusThroughputArtifact -count=1 .
-	RECONFIG_TRACE_OVERHEAD_JSON="$(CURDIR)/BENCH_trace_overhead.json" \
-		go test -run TestTraceOverheadArtifact -count=1 .
-	RECONFIG_REPLAY_OVERHEAD_JSON="$(CURDIR)/BENCH_replay_overhead.json" \
-		go test -run TestReplayOverheadArtifact -count=1 .
 	RECONFIG_TIMESERIES_JSON="$(CURDIR)/BENCH_timeseries_overhead.json" \
 		go test -run TestTimeseriesOverheadArtifact -count=1 .

@@ -274,11 +274,12 @@ func opTrace(a *App, args opArgs) (any, error) {
 	if err != nil {
 		return nil, fail(http.StatusBadRequest, "bad trace id: %s", id)
 	}
-	spans := a.FlightRecorder().ByTrace(n)
+	rec := a.FlightRecorder()
+	spans := rec.ByTrace(n)
 	if len(spans) == 0 {
 		return nil, fail(http.StatusNotFound, "no retained spans for trace %d", n)
 	}
-	return map[string]any{"trace_id": n, "spans": spans}, nil
+	return truncated(map[string]any{"trace_id": n, "spans": spans}, rec.Overwritten() > 0), nil
 }
 
 func traceText(v any) string {

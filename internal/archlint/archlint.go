@@ -144,12 +144,12 @@ func defaultRules(modPath string) *rules {
 				"port.go":   nil,
 			},
 			// Queueing sits above routing: it may use the shared message
-			// vocabulary (the Message type and its fields — the record hook
-			// reads them to describe a delivery) and the stale-route
-			// sentinel, nothing else.
+			// vocabulary (the Message type and what the record hook reads
+			// to describe a delivery: payload, trace context and the
+			// sender's interned name) and the stale-route sentinel, nothing
+			// else.
 			"queue.go": {
-				"bus.go": {"Message", "Endpoint", "TraceContext",
-					"From", "Instance", "Interface", "Data", "Trace"},
+				"bus.go":     {"Message", "Data", "Trace", "sender"},
 				"routing.go": {"errStaleRoute"},
 				"attach.go":  nil,
 				"tcp.go":     nil,

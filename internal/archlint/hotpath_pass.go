@@ -13,10 +13,11 @@ import (
 //
 // Flagged constructs: closures capturing enclosing variables, explicit and
 // implicit interface conversions (calls, assignments, returns), any call
-// into fmt, make/new, append except the amortized self-append form
-// x = append(x, ...), non-constant string concatenation, and
-// string<->[]byte/[]rune conversions. The check is intra-procedural by
-// contract: cold branches belong in separate, unannotated helpers.
+// into fmt, make/new, the address of a composite literal, append except the
+// amortized self-append form x = append(x, ...), non-constant string
+// concatenation, and string<->[]byte/[]rune conversions. The check is
+// intra-procedural by contract: cold branches belong in separate,
+// unannotated helpers.
 func (a *analysis) hotpathPass() {
 	for _, p := range a.checked() {
 		for _, f := range p.files {
@@ -47,6 +48,11 @@ func (a *analysis) checkHotpath(p *pkg, fd *ast.FuncDecl) {
 			}
 		case *ast.CallExpr:
 			a.checkHotpathCall(p, fd, x, stack)
+		case *ast.UnaryExpr:
+			if _, lit := ast.Unparen(x.X).(*ast.CompositeLit); lit && x.Op == token.AND {
+				a.diag(CodeHotpathAlloc, x.Pos(),
+					"&composite literal allocates in hot path %s", fd.Name.Name)
+			}
 		case *ast.BinaryExpr:
 			if x.Op == token.ADD && isStringType(p, x) && p.info.Types[x].Value == nil {
 				a.diag(CodeHotpathAlloc, x.OpPos,

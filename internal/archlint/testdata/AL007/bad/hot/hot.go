@@ -22,3 +22,14 @@ func Bad(xs []int, n int, name string) string {
 	sink = n
 	return s + name + string(buf)
 }
+
+// point is a record the path below allocates one at a time.
+type point struct{ x, y int }
+
+// BadRecord takes the address of a composite literal: the record allocated
+// per call that handing records out of a block exists to avoid.
+//
+//archlint:hotpath
+func BadRecord(n int) *point {
+	return &point{x: n}
+}

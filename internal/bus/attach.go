@@ -107,16 +107,16 @@ func (a *Attachment) WriteBatchTraced(ifaceName string, batch [][]byte, parent T
 //
 //archlint:hotpath
 func (a *Attachment) Read(ifaceName string) (Message, error) {
-	q, err := a.recvQueue(ifaceName)
+	ifc, err := a.recvIface(ifaceName)
 	if err != nil {
 		return Message{}, err
 	}
-	m, err := q.pop()
+	m, err := ifc.queue.pop()
 	if errors.Is(err, ErrQueueClosed) {
 		return Message{}, ErrStopped
 	}
 	if err == nil {
-		a.recordDelivery(ifaceName, m)
+		a.recordDelivery(ifc, &m)
 	}
 	return m, err
 }
@@ -126,50 +126,51 @@ func (a *Attachment) Read(ifaceName string) (Message, error) {
 //
 //archlint:hotpath
 func (a *Attachment) TryRead(ifaceName string) (Message, bool, error) {
-	q, err := a.recvQueue(ifaceName)
+	ifc, err := a.recvIface(ifaceName)
 	if err != nil {
 		return Message{}, false, err
 	}
-	m, ok, err := q.tryPop()
+	m, ok, err := ifc.queue.tryPop()
 	if errors.Is(err, ErrQueueClosed) {
 		return Message{}, false, ErrStopped
 	}
 	if err == nil && ok {
-		a.recordDelivery(ifaceName, m)
+		a.recordDelivery(ifc, &m)
 	}
 	return m, ok, err
 }
 
 // recordDelivery closes the message's delivery span in the flight recorder
-// and attributes the send-to-read latency to this receiving endpoint's
+// and attributes the send-to-read latency to the receiving endpoint's
 // histogram. A no-op unless the context is sampled (only sampled messages
-// carry a send timestamp) — the unsampled read path pays one flag test,
-// mirroring the paper's claim about the transformation's steady-state cost.
-func (a *Attachment) recordDelivery(ifaceName string, m Message) {
+// carry a send timestamp) and this bus records — the unsampled read path
+// pays one flag test, mirroring the paper's claim about the
+// transformation's steady-state cost, and neither it nor a sampled message
+// read on a bus with no recorder reads the clock.
+//
+//archlint:hotpath
+func (a *Attachment) recordDelivery(ifc *iface, m *Message) {
 	if !m.Trace.Sampled() {
 		return
 	}
-	to := Endpoint{Instance: a.inst.spec.Name, Interface: ifaceName}
-	now := time.Now().UnixNano()
-	a.bus.tracer.RecordDelivery(m.Trace, m.From.String(), to.String(), now)
-	if m.Trace.SentNs != 0 {
-		if ifc := a.inst.ifaces[ifaceName]; ifc != nil {
-			ifc.latency.ObserveNs(now - m.Trace.SentNs)
-		}
+	if end := a.bus.tracer.RecordDelivery(m.Trace, m.sender(), ifc.name); end != 0 && m.Trace.SentNs != 0 {
+		ifc.latency.ObserveNs(end - m.Trace.SentNs)
 	}
 }
 
 // Pending returns the number of messages queued on the named interface
 // (mh_query_ifmsgs).
 func (a *Attachment) Pending(ifaceName string) (int, error) {
-	q, err := a.recvQueue(ifaceName)
+	ifc, err := a.recvIface(ifaceName)
 	if err != nil {
 		return 0, err
 	}
-	return q.length(), nil
+	return ifc.queue.length(), nil
 }
 
-func (a *Attachment) recvQueue(ifaceName string) (*msgQueue, error) {
+// recvIface resolves a receiving interface of this instance: one with a
+// queue.
+func (a *Attachment) recvIface(ifaceName string) (*iface, error) {
 	ifc, ok := a.inst.ifaces[ifaceName]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoInterface, a.inst.spec.Name, ifaceName)
@@ -177,7 +178,7 @@ func (a *Attachment) recvQueue(ifaceName string) (*msgQueue, error) {
 	if ifc.queue == nil {
 		return nil, fmt.Errorf("%w: read on %s.%s (%s)", ErrDirection, a.inst.spec.Name, ifaceName, ifc.spec.Dir)
 	}
-	return ifc.queue, nil
+	return ifc, nil
 }
 
 // Signals returns the control-signal channel. The module runtime drains it

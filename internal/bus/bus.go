@@ -90,6 +90,21 @@ type Message struct {
 	From  Endpoint
 	Data  []byte
 	Trace TraceContext
+
+	// src is the interface the message was written on, set by the write
+	// path and kept by every queue the message moves through, so the
+	// delivery hooks record the sender's interned name instead of building
+	// From.String() per delivery. Nil on a message the bus did not route.
+	src *iface
+}
+
+// sender returns the interned "instance.interface" name of the interface
+// the message was written on.
+func (m *Message) sender() string {
+	if m.src == nil {
+		return ""
+	}
+	return m.src.name
 }
 
 // IfaceSpec declares one interface when registering an instance.
@@ -178,6 +193,7 @@ type Binding struct {
 
 type iface struct {
 	spec  IfaceSpec
+	name  string    // "instance.interface", built once at AddInstance
 	queue *msgQueue // incoming messages, nil for pure-Out interfaces
 
 	// Telemetry handles resolved once at AddInstance; nil (no-op) when the
@@ -476,7 +492,7 @@ func (b *Bus) AddInstance(spec InstanceSpec) error {
 		if _, dup := in.ifaces[is.Name]; dup {
 			return fmt.Errorf("bus: instance %s declares interface %s twice", spec.Name, is.Name)
 		}
-		ifc := &iface{spec: is}
+		ifc := &iface{spec: is, name: spec.Name + "." + is.Name}
 		if is.Dir.Receives() {
 			ifc.queue = newMsgQueue()
 		}
@@ -492,8 +508,8 @@ func (b *Bus) AddInstance(spec InstanceSpec) error {
 		// Resolve telemetry handles once, after validation, off the message
 		// path. On a telemetry-free bus these stay nil and the counters are
 		// no-ops.
-		for name, ifc := range in.ifaces {
-			prefix := "bus.iface." + spec.Name + "." + name
+		for _, ifc := range in.ifaces {
+			prefix := "bus.iface." + ifc.name
 			if ifc.spec.Dir.Sends() {
 				ifc.sent = b.telem.Counter(prefix + ".sent")
 			}
@@ -508,7 +524,7 @@ func (b *Bus) AddInstance(spec InstanceSpec) error {
 				// reusing a name (rollback resurrect) continues the same
 				// recorded delivery sequence. Nil recorder → nil handle →
 				// no-op appends.
-				q.rec = b.recorder.Queue(spec.Name, name)
+				q.rec = b.recorder.Queue(ifc.name)
 			}
 		}
 		d.instances[spec.Name] = in
@@ -1143,7 +1159,7 @@ func (b *Bus) QueuedMessages(name string) ([]QueuedMessage, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoInstance, name)
 	}
-	now := b.clock().UnixNano()
+	now := trace.Now() // the clock SentNs was read off
 	names := make([]string, 0, len(in.ifaces))
 	for n := range in.ifaces {
 		names = append(names, n)
@@ -1248,7 +1264,7 @@ func (b *Bus) writeTraced(from Endpoint, data []byte, parent TraceContext) error
 	if len(rs.targets) == 0 {
 		return b.writeUnboundErr(from)
 	}
-	msg := Message{From: from, Data: data}
+	msg := Message{From: from, Data: data, src: rs.src}
 	if b.tracer != nil {
 		msg.Trace = b.tracer.Stamp(parent)
 	}
@@ -1314,7 +1330,7 @@ func (b *Bus) writeBatchTraced(from Endpoint, batch [][]byte, parent TraceContex
 	}
 	var delivered int64
 	for i, data := range batch {
-		msg := Message{From: from, Data: data, Trace: tr}
+		msg := Message{From: from, Data: data, Trace: tr, src: rs.src}
 		if tr.TraceID != 0 {
 			msg.Trace.SpanID = tr.SpanID + uint64(i)
 		}

@@ -290,7 +290,7 @@ func (q *msgQueue) take() (qitem, bool) {
 //
 //archlint:hotpath
 func (q *msgQueue) record(it qitem) {
-	q.rec.Append(it.msg.From.Instance, it.msg.From.Interface, it.msg.Data, it.msg.Trace, it.ver)
+	q.rec.Append(it.msg.sender(), it.msg.Data, it.msg.Trace, it.ver)
 }
 
 // pop removes and returns the oldest message, blocking until one is

@@ -117,6 +117,15 @@ func TestRecordPayloadAndEpoch(t *testing.T) {
 	if !r.Trace.Valid() {
 		t.Error("bus did not stamp a trace context on the recorded delivery")
 	}
+	if r.From != "src.out" || r.To != "dst.in" {
+		t.Errorf("recorded endpoints %s -> %s, want src.out -> dst.in", r.From, r.To)
+	}
+	// The record owns its bytes: neither the writer's buffer nor the slice
+	// the reader was handed reaches them.
+	payload[0], m.Data[1] = 0xAA, 0xBB
+	if got := log.Snapshot()[0].Data; string(got) != "\x00\xff\x7fgob" {
+		t.Errorf("recorded payload changed to %x under the writer's or the reader's hands", got)
+	}
 }
 
 // TestRecordDisabledAndNil: a disabled log records nothing; a bus without

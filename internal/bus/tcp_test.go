@@ -547,7 +547,7 @@ func TestRecordedWireDeliveryRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	spill.Enable()
-	spill.Queue("compute", "display").Append("display", "temper", recs[0].Data, recs[0].Trace, recs[0].Epoch)
+	spill.Queue("compute.display").Append("display.temper", recs[0].Data, recs[0].Trace, recs[0].Epoch)
 	decoded, err := replay.ReadLog(&buf)
 	if err != nil {
 		t.Fatal(err)

@@ -363,7 +363,7 @@ func TestReplaceValidation(t *testing.T) {
 		t.Error("unknown instance accepted")
 	}
 	// Duplicate new name.
-	if err := Replace(w.p, w, "compute", ReplaceOptions{NewName: "display", Timeout: time.Second}); err == nil {
+	if err := Replace(w.p, w, "compute", ReplaceOptions{NewName: "display", Timeouts: Timeouts{StateMove: time.Second}}); err == nil {
 		t.Error("duplicate new name accepted")
 	}
 }
@@ -373,7 +373,7 @@ func TestReplaceTimesOutWithoutParticipation(t *testing.T) {
 	// reach a reconfiguration point, so the state move times out and the
 	// script fails (module-level atomicity would be needed instead).
 	w := newMonitorWorld(t)
-	err := Replace(w.p, w, "compute", ReplaceOptions{NewName: "c2", Timeout: 50 * time.Millisecond})
+	err := Replace(w.p, w, "compute", ReplaceOptions{NewName: "c2", Timeouts: Timeouts{StateMove: 50 * time.Millisecond}})
 	if err == nil || !errors.Is(err, bus.ErrTimeout) {
 		t.Errorf("err = %v, want timeout", err)
 	}

@@ -23,10 +23,6 @@ type ReplaceOptions struct {
 	// Module optionally substitutes a different module implementation
 	// (software maintenance: v2 replacing v1). Empty keeps the module.
 	Module string
-	// Timeout bounds the wait for the old module to reach a
-	// reconfiguration point and divulge. It predates Timeouts and, when
-	// set, overrides Timeouts.StateMove.
-	Timeout time.Duration
 	// Timeouts bounds every wait of the transaction; zero fields take
 	// DefaultTimeouts.
 	Timeouts Timeouts
@@ -66,9 +62,9 @@ func Replace(p *Primitives, launcher Launcher, old string, opts ReplaceOptions) 
 // machine"). It is Replace with only the MACHINE attribute changed.
 func Move(p *Primitives, launcher Launcher, inst, newName, machine string, timeout time.Duration) error {
 	return Replace(p, launcher, inst, ReplaceOptions{
-		NewName: newName,
-		Machine: machine,
-		Timeout: timeout,
+		NewName:  newName,
+		Machine:  machine,
+		Timeouts: Timeouts{StateMove: timeout},
 	})
 }
 
@@ -78,9 +74,9 @@ func Move(p *Primitives, launcher Launcher, inst, newName, machine string, timeo
 // sets at the reconfiguration points).
 func Update(p *Primitives, launcher Launcher, inst, newName, newModule string, timeout time.Duration) error {
 	return Replace(p, launcher, inst, ReplaceOptions{
-		NewName: newName,
-		Module:  newModule,
-		Timeout: timeout,
+		NewName:  newName,
+		Module:   newModule,
+		Timeouts: Timeouts{StateMove: timeout},
 	})
 }
 

@@ -250,9 +250,6 @@ func ReplaceTx(p *Primitives, launcher Launcher, old string, opts ReplaceOptions
 		return fail(fmt.Errorf("reconfig: replace %s: NewName must differ", old))
 	}
 	t := opts.Timeouts.WithDefaults()
-	if opts.Timeout > 0 {
-		t.StateMove = opts.Timeout
-	}
 	if !p.txMu.TryLock() {
 		return fail(fmt.Errorf("reconfig: replace %s: %w", old, ErrReconfigBusy))
 	}

@@ -78,7 +78,10 @@ func endpointIface(ep string) string {
 // (lock-free appends, readers never block writers) plus what recording
 // adds to it — the on switch, per-queue sequences, payload accounting and
 // the spill stream. Recording starts disabled — the bus hook checks one
-// atomic bool and the disabled path allocates nothing.
+// atomic bool and the disabled path allocates nothing; enabled, an append
+// takes its record from the ring's current block and its payload copy from
+// the queue's current chunk, so it allocates only when one of them is used
+// up.
 type Log struct {
 	recs *ring.Ring[Record]
 	on   atomic.Bool
@@ -96,6 +99,9 @@ type Log struct {
 
 	// spill, when set, receives every record as a gob frame, serialized by
 	// spillMu. The first write error sticks and stops further spilling.
+	// spilling mirrors spill != nil, so an append with no spill stream
+	// skips the mutex.
+	spilling atomic.Bool
 	spillMu  sync.Mutex
 	spill    *gob.Encoder
 	spillErr error
@@ -151,25 +157,40 @@ func (l *Log) Len() int { return l.buf().Len() }
 func (l *Log) Overwritten() uint64 { return l.buf().Overwritten() }
 
 // MemoryBound returns the ring's current retained memory in bytes: the
-// slot array, one Record per slot, and the payload bytes the retained
-// records hold. Unlike the trace recorder the payloads dominate, so that
-// part is tracked live rather than derived from the capacity.
+// ring's own fixed bound (Cap 8-byte slots plus Cap/64 + 1 blocks of 64
+// Records, see ring.MemoryBound), the payload bytes the retained records
+// hold, and two payload chunks per queue that has recorded a small payload.
+// Unlike the trace recorder the payloads dominate, so that part is tracked
+// live rather than derived from the capacity. The chunk term is what carving
+// can pin beyond the live bytes: a chunk lives until the last payload carved
+// from it is overwritten, so a queue holds the dead head of its oldest chunk
+// and the unused tail of its current one, under one chunk each. Not counted:
+// the up to maxCarved-1 bytes at a chunk's end that the next payload did not
+// fit in. From and To are the bus's interned interface names and excluded.
 func (l *Log) MemoryBound() int {
 	if l == nil {
 		return 0
 	}
-	return l.recs.MemoryBound() + int(l.retained.Load())
+	carving := 0
+	l.qmu.Lock()
+	for _, q := range l.queues {
+		if q.chunk.Load() != nil {
+			carving++
+		}
+	}
+	l.qmu.Unlock()
+	return l.recs.MemoryBound() + int(l.retained.Load()) + 2*chunkBytes*carving
 }
 
-// Queue interns and returns the append handle for one destination
-// endpoint. Nil-safe: a nil log returns a nil handle, whose Append is a
-// no-op — the same nil-receiver discipline as the telemetry counters, so
-// the bus resolves handles unconditionally at AddInstance.
-func (l *Log) Queue(instance, iface string) *QueueLog {
+// Queue interns and returns the append handle for one destination endpoint,
+// named "instance.interface". Nil-safe: a nil log returns a nil handle,
+// whose Append is a no-op — the same nil-receiver discipline as the
+// telemetry counters, so the bus resolves handles unconditionally at
+// AddInstance.
+func (l *Log) Queue(ep string) *QueueLog {
 	if l == nil {
 		return nil
 	}
-	ep := instance + "." + iface
 	l.qmu.Lock()
 	defer l.qmu.Unlock()
 	q, ok := l.queues[ep]
@@ -224,33 +245,90 @@ type QueueLog struct {
 	log *Log
 	to  string
 	seq atomic.Uint64
+
+	// chunk is the allocation small payload copies are currently carved
+	// from; nil until the first, replaced (never refilled) when used up.
+	chunk atomic.Pointer[chunk]
 }
 
-// Append records one delivery to this queue. data is copied; the caller's
-// buffer is never retained. Must be called with the destination queue's
-// lock held (the bus queueing layer is the only legal caller — archlint
-// AL012 pins it there).
-func (q *QueueLog) Append(fromInst, fromIface string, data []byte, tc trace.Context, epoch uint64) {
+// Payload copies of at most maxCarved bytes are carved from a chunkBytes
+// allocation shared by one queue's consecutive records; a larger payload
+// gets an allocation of its own.
+const (
+	chunkBytes = 4096
+	maxCarved  = 1024
+)
+
+// chunk is one shared payload allocation, handed out left to right by a
+// bump offset and never reused, like the ring's record blocks.
+type chunk struct {
+	off atomic.Uint32 // bytes handed out (may overshoot chunkBytes)
+	buf [chunkBytes]byte
+}
+
+// Append records one delivery to this queue: from is the sending endpoint's
+// "instance.interface" name, retained as passed (the bus passes the name it
+// interned at AddInstance). data is copied; the caller's buffer is never
+// retained, and the copy is private to the record — carved from the queue's
+// chunk with its capacity clipped, so no other record's bytes are reachable
+// from it. QSeq is the queue's delivery order only when the caller holds the
+// destination queue's lock (the bus queueing layer is the only legal caller —
+// archlint AL012 pins it there); the carving itself is lock-free, because a
+// re-registered endpoint shares this handle with its predecessor's draining
+// queue.
+//
+//archlint:hotpath
+func (q *QueueLog) Append(from string, data []byte, tc trace.Context, epoch uint64) {
 	if q == nil || !q.log.on.Load() {
 		return
 	}
 	l := q.log
-	r := &Record{
-		QSeq:  q.seq.Add(1),
-		Epoch: epoch,
-		From:  fromInst + "." + fromIface,
-		To:    q.to,
-		Trace: tc,
-		Data:  append([]byte(nil), data...),
-	}
-	delta := int64(len(r.Data))
+	r := l.recs.Alloc()
+	r.QSeq = q.seq.Add(1)
+	r.Epoch = epoch
+	r.From = from
+	r.To = q.to
+	r.Trace = tc
+	r.Data = q.copyPayload(data)
+	delta := int64(len(data))
 	if _, old := l.recs.Put(r); old != nil {
 		delta -= int64(len(old.Data))
 	}
 	l.retained.Add(delta)
-	l.spillMu.Lock()
-	if l.spill != nil && l.spillErr == nil {
-		l.spillErr = l.spill.Encode(r)
+	if l.spilling.Load() {
+		l.spillRecord(r)
 	}
-	l.spillMu.Unlock()
 }
+
+// copyPayload returns the record's private copy of data (nil for none).
+//
+//archlint:hotpath
+func (q *QueueLog) copyPayload(data []byte) []byte {
+	if len(data) == 0 {
+		return nil
+	}
+	if len(data) > maxCarved {
+		return copyLarge(data)
+	}
+	n := uint32(len(data))
+	for {
+		c := q.chunk.Load()
+		if c != nil {
+			if end := c.off.Add(n); end <= chunkBytes {
+				p := c.buf[end-n : end : end]
+				copy(p, data)
+				return p
+			}
+		}
+		q.refill(c)
+	}
+}
+
+// refill replaces the used-up chunk. The cold half of copyPayload: a loser
+// of the race drops its chunk untouched.
+func (q *QueueLog) refill(used *chunk) {
+	q.chunk.CompareAndSwap(used, new(chunk))
+}
+
+// copyLarge gives a payload too big to carve its own allocation.
+func copyLarge(data []byte) []byte { return append([]byte(nil), data...) }

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/telemetry/trace"
 )
@@ -33,27 +35,27 @@ func TestNilLogIsNoOp(t *testing.T) {
 	if l.Snapshot() != nil || l.QueueSeqs() != nil {
 		t.Error("nil log returns records")
 	}
-	q := l.Queue("a", "b")
+	q := l.Queue("a.b")
 	if q != nil {
 		t.Fatal("nil log returned a non-nil queue handle")
 	}
-	q.Append("x", "y", []byte("data"), trace.Context{}, 1) // must not panic
+	q.Append("x.y", []byte("data"), trace.Context{}, 1) // must not panic
 }
 
 func TestAppendDisabledRecordsNothing(t *testing.T) {
 	l := NewLog(16)
-	q := l.Queue("dst", "in")
-	q.Append("src", "out", []byte("dropped"), trace.Context{}, 1)
+	q := l.Queue("dst.in")
+	q.Append("src.out", []byte("dropped"), trace.Context{}, 1)
 	if l.Recorded() != 0 || l.Len() != 0 {
 		t.Error("disabled log recorded")
 	}
 	l.Enable()
-	q.Append("src", "out", []byte("kept"), trace.Context{}, 1)
+	q.Append("src.out", []byte("kept"), trace.Context{}, 1)
 	if l.Recorded() != 1 {
 		t.Errorf("recorded = %d, want 1", l.Recorded())
 	}
 	l.Disable()
-	q.Append("src", "out", []byte("dropped again"), trace.Context{}, 1)
+	q.Append("src.out", []byte("dropped again"), trace.Context{}, 1)
 	if l.Recorded() != 1 {
 		t.Error("disabled log kept recording")
 	}
@@ -67,9 +69,9 @@ func TestAppendDisabledRecordsNothing(t *testing.T) {
 func TestRingEvictionAndSequences(t *testing.T) {
 	l := NewLog(16)
 	l.Enable()
-	q := l.Queue("dst", "in")
+	q := l.Queue("dst.in")
 	for i := 1; i <= 40; i++ {
-		q.Append("src", "out", []byte(fmt.Sprintf("m%02d", i)), trace.Context{}, 7)
+		q.Append("src.out", []byte(fmt.Sprintf("m%02d", i)), trace.Context{}, 7)
 	}
 	if l.Recorded() != 40 {
 		t.Errorf("recorded = %d, want 40", l.Recorded())
@@ -105,15 +107,15 @@ func TestRingEvictionAndSequences(t *testing.T) {
 func TestQueueHandleInterning(t *testing.T) {
 	l := NewLog(16)
 	l.Enable()
-	q1 := l.Queue("dst", "in")
-	q1.Append("src", "out", []byte("a"), trace.Context{}, 1)
+	q1 := l.Queue("dst.in")
+	q1.Append("src.out", []byte("a"), trace.Context{}, 1)
 	// A re-registered instance (clone reusing the name after rollback)
 	// resolves the same handle and continues the same delivery sequence.
-	q2 := l.Queue("dst", "in")
+	q2 := l.Queue("dst.in")
 	if q1 != q2 {
 		t.Fatal("re-resolved queue handle is a different object")
 	}
-	q2.Append("src", "out", []byte("b"), trace.Context{}, 1)
+	q2.Append("src.out", []byte("b"), trace.Context{}, 1)
 	recs := l.Snapshot()
 	if len(recs) != 2 || recs[0].QSeq != 1 || recs[1].QSeq != 2 {
 		t.Errorf("qseqs = %+v", recs)
@@ -124,32 +126,84 @@ func TestMemoryBoundTracksPayloads(t *testing.T) {
 	l := NewLog(16)
 	l.Enable()
 	empty := l.MemoryBound()
-	q := l.Queue("dst", "in")
-	big := make([]byte, 1024)
+	q := l.Queue("dst.in")
+	// Over maxCarved: each payload is its own allocation, no chunk taken.
+	big := make([]byte, 2048)
 	for i := 0; i < 16; i++ {
-		q.Append("src", "out", big, trace.Context{}, 1)
+		q.Append("src.out", big, trace.Context{}, 1)
 	}
-	if got := l.MemoryBound(); got != empty+16*1024 {
-		t.Errorf("memory bound with 16 KiB retained = %d, want %d", got, empty+16*1024)
+	if got := l.MemoryBound(); got != empty+16*2048 {
+		t.Errorf("memory bound with 32 KiB retained = %d, want %d", got, empty+16*2048)
 	}
-	// Overwriting with small payloads releases the large ones.
+	// Overwriting with small payloads releases the large ones; the small
+	// ones are carved, which charges the queue its two chunks.
 	for i := 0; i < 16; i++ {
-		q.Append("src", "out", []byte{1}, trace.Context{}, 1)
+		q.Append("src.out", []byte{1}, trace.Context{}, 1)
 	}
-	if got := l.MemoryBound(); got != empty+16 {
-		t.Errorf("memory bound after eviction = %d, want %d", got, empty+16)
+	if got := l.MemoryBound(); got != empty+16+2*chunkBytes {
+		t.Errorf("memory bound after eviction = %d, want %d", got, empty+16+2*chunkBytes)
+	}
+}
+
+// TestMemoryBoundFormula laps a ring three times from two queues with
+// carved payloads and checks MemoryBound against the documented formula
+// term by term.
+func TestMemoryBoundFormula(t *testing.T) {
+	const capacity, payload = 256, 48
+	l := NewLog(capacity)
+	l.Enable()
+	qs := []*QueueLog{l.Queue("a.in"), l.Queue("b.in")}
+	data := make([]byte, payload)
+	for i := 0; i < 3*capacity; i++ {
+		qs[i%2].Append("src.out", data, trace.Context{}, 1)
+	}
+	var rec Record
+	block := 8 + 64*int(unsafe.Sizeof(rec)) // bump index + 64 records
+	want := capacity*8 + (capacity/64+1)*block + capacity*payload + 2*2*chunkBytes
+	if got := l.MemoryBound(); got != want {
+		t.Errorf("MemoryBound after 3 laps = %d, want %d (slots + blocks + payloads + 2 chunks per queue)", got, want)
 	}
 }
 
 func TestAppendCopiesPayload(t *testing.T) {
 	l := NewLog(16)
 	l.Enable()
-	q := l.Queue("dst", "in")
+	q := l.Queue("dst.in")
 	buf := []byte("original")
-	q.Append("src", "out", buf, trace.Context{}, 1)
+	q.Append("src.out", buf, trace.Context{}, 1)
+	q.Append("src.out", []byte("neighbour"), trace.Context{}, 1)
 	copy(buf, "CLOBBER!")
-	if got := string(l.Snapshot()[0].Data); got != "original" {
+	recs := l.Snapshot()
+	if got := string(recs[0].Data); got != "original" {
 		t.Errorf("record shares the caller's buffer: %q", got)
+	}
+	// The two copies sit side by side in one chunk; growing the first must
+	// reallocate, not run into the second.
+	_ = append(recs[0].Data, "OVERRUN!!"...)
+	if got := string(l.Snapshot()[1].Data); got != "neighbour" {
+		t.Errorf("append to one record's payload overwrote the next: %q", got)
+	}
+}
+
+// TestAppendCarvesAcrossChunks fills several chunks with payloads of every
+// carved size and a few too large to carve: each record reads back exactly
+// its own bytes.
+func TestAppendCarvesAcrossChunks(t *testing.T) {
+	l := NewLog(4096)
+	l.Enable()
+	q := l.Queue("dst.in")
+	sizes := []int{0, 1, 7, 64, 1000, maxCarved, maxCarved + 1, 5000}
+	const rounds = 40
+	for i := 0; i < rounds*len(sizes); i++ {
+		q.Append("src.out", bytes.Repeat([]byte{byte(i)}, sizes[i%len(sizes)]), trace.Context{}, 1)
+	}
+	for i, r := range l.Snapshot() {
+		if want := bytes.Repeat([]byte{byte(i)}, sizes[i%len(sizes)]); !bytes.Equal(r.Data, want) {
+			t.Fatalf("record %d: %d bytes of %#x, want %d of %#x", i, len(r.Data), r.Data[:min(len(r.Data), 1)], len(want), byte(i))
+		}
+		if (len(r.Data) == 0) != (r.Data == nil) {
+			t.Fatalf("record %d: empty payload recorded as non-nil", i)
+		}
 	}
 }
 
@@ -160,10 +214,10 @@ func TestSpillRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Enable()
-	q := l.Queue("compute", "sensor")
+	q := l.Queue("compute.sensor")
 	tc := trace.Context{TraceID: 42, SpanID: 7, Parent: 3, Hops: 2, Flags: 1, SentNs: 99}
-	q.Append("sensor", "out", []byte("one"), tc, 5)
-	q.Append("sensor", "out", nil, trace.Context{}, 5)
+	q.Append("sensor.out", []byte("one"), tc, 5)
+	q.Append("sensor.out", nil, trace.Context{}, 5)
 	if err := l.SpillErr(); err != nil {
 		t.Fatal(err)
 	}
@@ -194,9 +248,9 @@ func TestSpillOutlivesRingEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Enable()
-	q := l.Queue("dst", "in")
+	q := l.Queue("dst.in")
 	for i := 0; i < 50; i++ {
-		q.Append("src", "out", []byte{byte(i)}, trace.Context{}, 1)
+		q.Append("src.out", []byte{byte(i)}, trace.Context{}, 1)
 	}
 	got, err := ReadLog(&buf)
 	if err != nil {
@@ -263,9 +317,9 @@ func TestSpillGoldenBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Enable()
-	q := l.Queue("compute", "sensor")
-	q.Append("sensor", "out", []byte("payload"), want[0].Trace, 3)
-	q.Append("sensor", "out", []byte{0x01, 0x02}, trace.Context{}, 3)
+	q := l.Queue("compute.sensor")
+	q.Append("sensor.out", []byte("payload"), want[0].Trace, 3)
+	q.Append("sensor.out", []byte{0x01, 0x02}, trace.Context{}, 3)
 	if got := hex.EncodeToString(buf.Bytes()); got != goldenSpillStream {
 		t.Errorf("encoder output changed:\n got %s\nwant %s", got, goldenSpillStream)
 	}
@@ -387,15 +441,50 @@ func TestDiffOutputs(t *testing.T) {
 	}
 }
 
+// TestConcurrentAppendSharedHandle: an endpoint re-registered under the
+// same name shares its handle with the predecessor's still-draining queue,
+// so appends to one handle can run under two different queue locks. The
+// carving must hold up on its own: every retained payload is whole, and no
+// two records share bytes.
+func TestConcurrentAppendSharedHandle(t *testing.T) {
+	const writers, per = 4, 3000
+	l := NewLog(writers * per)
+	l.Enable()
+	q := l.Queue("dst.in")
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() { //archlint:spawn test writer; joined via wg below
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				q.Append("src.out", bytes.Repeat([]byte{byte(w + 1)}, 1+i%97), trace.Context{}, 1)
+			}
+		}()
+	}
+	wg.Wait()
+	recs := l.Snapshot()
+	if len(recs) != writers*per {
+		t.Fatalf("retained %d records, want %d", len(recs), writers*per)
+	}
+	for _, r := range recs {
+		if len(r.Data) == 0 || !bytes.Equal(r.Data, bytes.Repeat(r.Data[:1], len(r.Data))) {
+			t.Fatalf("record %d: payload torn across writers: %x", r.Seq, r.Data)
+		}
+		for i := range r.Data {
+			r.Data[i] = 0 // a byte shared with a later record fails its check above
+		}
+	}
+}
+
 func TestConcurrentAppendSnapshot(t *testing.T) {
 	l := NewLog(64)
 	l.Enable()
 	done := make(chan struct{})
 	go func() { //archlint:spawn test writer; joined via done below
 		defer close(done)
-		q := l.Queue("dst", "in")
+		q := l.Queue("dst.in")
 		for i := 0; i < 500; i++ {
-			q.Append("src", "out", []byte{byte(i)}, trace.Context{}, 1)
+			q.Append("src.out", []byte{byte(i)}, trace.Context{}, 1)
 		}
 	}()
 	for i := 0; i < 50; i++ {

@@ -39,6 +39,7 @@ func (l *Log) SetSpill(w io.Writer) error {
 	defer l.spillMu.Unlock()
 	if w == nil {
 		l.spill = nil
+		l.spilling.Store(false)
 		return nil
 	}
 	enc := gob.NewEncoder(w)
@@ -46,7 +47,19 @@ func (l *Log) SetSpill(w io.Writer) error {
 		return fmt.Errorf("replay: spill header: %w", err)
 	}
 	l.spill, l.spillErr = enc, nil
+	l.spilling.Store(true)
 	return nil
+}
+
+// spillRecord writes one appended record to the spill stream, if one is
+// (still) set. The cold half of QueueLog.Append: it runs only while
+// spilling is on.
+func (l *Log) spillRecord(r *Record) {
+	l.spillMu.Lock()
+	if l.spill != nil && l.spillErr == nil {
+		l.spillErr = l.spill.Encode(r)
+	}
+	l.spillMu.Unlock()
 }
 
 // SpillErr returns the sticky first spill-write error, if any.

@@ -207,14 +207,17 @@ func TestNilRing(t *testing.T) {
 	if r.Since(0) != nil || r.Wait(0, time.Millisecond) != nil {
 		t.Error("nil reads returned records")
 	}
+	if r.Alloc() != nil {
+		t.Error("nil Alloc handed out a record")
+	}
 	if r.Cursor() != 0 || r.Cap() != 0 || r.Len() != 0 || r.Overwritten() != 0 || r.MemoryBound() != 0 {
 		t.Error("nil accessors returned nonzero")
 	}
 }
 
-// TestMemoryBound pins the arithmetic against the figure the trace overhead
-// artifact has always reported: 4096 slots of an 88-byte record plus an
-// 8-byte slot each.
+// TestMemoryBound pins the arithmetic on the flight recorder's shape: 4096
+// 8-byte slots, plus the 64 blocks 4096 88-byte records fill and the one
+// more they can pin, each block 64 records and its 8-byte bump index.
 func TestMemoryBound(t *testing.T) {
 	type span struct {
 		Seq, TraceID, SpanID, Parent uint64
@@ -222,14 +225,108 @@ func TestMemoryBound(t *testing.T) {
 		From, To                     string
 		StartNs, EndNs               int64
 	}
+	const want = 4096*8 + (4096/64+1)*(8+64*88)
 	r := New(4096, 0, func(s *span) *uint64 { return &s.Seq })
-	if got := r.MemoryBound(); got != 393216 {
-		t.Fatalf("MemoryBound = %d, want 393216", got)
+	if got := r.MemoryBound(); got != want {
+		t.Fatalf("MemoryBound = %d, want %d", got, want)
 	}
-	for i := 0; i < 10_000; i++ {
-		r.Put(&span{})
+	for i := 0; i < 3*4096; i++ {
+		r.Put(r.Alloc())
 	}
-	if got := r.MemoryBound(); got != 393216 {
+	if got := r.MemoryBound(); got != want {
 		t.Errorf("MemoryBound moved under load: %d", got)
+	}
+	// A capacity that is not a whole number of blocks rounds up: 100
+	// records can lie across three blocks.
+	if got, want := newRing(100).MemoryBound(), 100*8+3*(8+64*16); got != want {
+		t.Errorf("MemoryBound of a 100-slot ring = %d, want %d", got, want)
+	}
+}
+
+// TestAllocConcurrent runs the allocator as the message path does, several
+// writers in alloc-fill-Put loops over a wrapping ring: no record is handed
+// out twice, and every retained record still holds exactly what its writer
+// put in it.
+func TestAllocConcurrent(t *testing.T) {
+	const writers, per, capacity = 8, 10_000, 4096
+	r := newRing(capacity)
+	handed := make([][]*rec, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mine := make([]*rec, 0, per)
+			for i := 0; i < per; i++ {
+				p := r.Alloc()
+				if p.Seq != 0 || p.Val != 0 {
+					t.Errorf("Alloc handed out a used record: %+v", *p)
+					return
+				}
+				p.Val = w*per + i + 1
+				mine = append(mine, p)
+				r.Put(p)
+			}
+			handed[w] = mine
+		}()
+	}
+	wg.Wait()
+
+	seen := make(map[*rec]bool, writers*per)
+	for w, mine := range handed {
+		for i, p := range mine {
+			if seen[p] {
+				t.Fatalf("record %p handed out twice", p)
+			}
+			seen[p] = true
+			if p.Val != w*per+i+1 {
+				t.Fatalf("writer %d record %d holds %d: overwritten after Put", w, i, p.Val)
+			}
+		}
+	}
+	if len(seen) != writers*per {
+		t.Fatalf("%d distinct records handed out, want %d", len(seen), writers*per)
+	}
+	tail := r.Since(0)
+	if len(tail) != capacity {
+		t.Fatalf("retained %d records, want %d", len(tail), capacity)
+	}
+	vals := make(map[int]bool, capacity)
+	for i, p := range tail {
+		if want := uint64(writers*per - capacity + 1 + i); p.Seq != want {
+			t.Fatalf("tail[%d].Seq = %d, want %d", i, p.Seq, want)
+		}
+		if !seen[p] || p.Val == 0 || vals[p.Val] {
+			t.Fatalf("tail[%d] = %+v: not a distinct record some writer filled", i, *p)
+		}
+		vals[p.Val] = true
+	}
+}
+
+// TestAllocatedButUnpublished: a record that has been handed out but not
+// yet Put is invisible — Since returns published records only, across laps,
+// whether or not the records share a block.
+func TestAllocatedButUnpublished(t *testing.T) {
+	r := newRing(16)
+	for lap := 0; lap < 3; lap++ {
+		for i := 0; i < 16; i++ {
+			p := r.Alloc()
+			p.Val = lap*16 + i + 1
+			r.Put(p)
+		}
+		held := r.Alloc() // filled, not published
+		held.Val = -1
+		got := r.Since(0)
+		if len(got) != 16 {
+			t.Fatalf("lap %d: Since(0) = %d records, want 16", lap, len(got))
+		}
+		for i, p := range got {
+			if want := lap*16 + i + 1; p.Val != want || p.Seq != uint64(want) {
+				t.Fatalf("lap %d: Since(0)[%d] = %+v, want seq and val %d", lap, i, *p, want)
+			}
+		}
+	}
+	if r.Cursor() != 48 {
+		t.Errorf("cursor = %d after 48 Puts: an unpublished Alloc claimed a sequence", r.Cursor())
 	}
 }

@@ -48,14 +48,24 @@ func (r *Recorder) Recorded() int64 { return int64(r.buf().Cursor()) }
 // Overwritten returns how many recorded spans the ring no longer holds.
 func (r *Recorder) Overwritten() uint64 { return r.buf().Overwritten() }
 
-// MemoryBound returns the recorder's worst-case retained memory in bytes
-// (string payloads are bounded by endpoint-name length and excluded; they
-// are interned by the bus).
+// MemoryBound returns the recorder's worst-case retained memory in bytes,
+// fixed at construction: Cap 8-byte slots plus Cap/64 + 1 blocks of 64
+// SpanRecords (the records are carved from blocks, and the retained spans
+// can pin one block more than they fill — see ring.MemoryBound). The From
+// and To strings are excluded: the bus interns one name per interface at
+// AddInstance and every span of that interface shares it.
 func (r *Recorder) MemoryBound() int { return r.buf().MemoryBound() }
 
 // Record stores one span, overwriting the oldest when the ring is full.
-// Safe for concurrent use; the caller must not mutate s afterwards.
-func (r *Recorder) Record(s *SpanRecord) { r.buf().Put(s) }
+// Safe for concurrent use and a no-op on a nil recorder.
+//
+//archlint:hotpath
+func (r *Recorder) Record(s SpanRecord) {
+	if p := r.buf().Alloc(); p != nil {
+		*p = s
+		r.buf().Put(p)
+	}
+}
 
 // Snapshot returns the retained spans oldest first. Under concurrent
 // writers it is a consistent set of recently published records, not an

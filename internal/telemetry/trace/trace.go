@@ -16,14 +16,34 @@
 // Cost discipline mirrors the flag test. With sampling off the tracer
 // stamps contexts (two atomic adds, no clock read) and records nothing:
 // zero allocations on the message hot path. Only a sampled trace (head
-// sampling, decided at mint and propagated in the flags) pays for the
-// wall-clock timestamp and allocates a span record at delivery.
+// sampling, decided at mint and propagated in the flags) pays for a clock
+// read at the send and another at the delivery, and for its span record —
+// which the flight recorder hands out from a block of 64, so a sampled
+// delivery costs 1/64 of an allocation and builds no strings.
 package trace
 
 import (
 	"sync/atomic"
 	"time"
 )
+
+// The trace clock is wall time captured once, when the process starts, plus
+// the monotonic time elapsed since: half the price of time.Now, which reads
+// both clocks, and a wall-clock step cannot make a span (or a
+// delivery_latency_ns sum) negative. One process-local base is sound
+// because SentNs is always stamped by the bus process that queues the
+// message — the wire carries only the parent context — so a span's two
+// ends are read off the same base.
+var (
+	clockBase   = time.Now()
+	clockBaseNs = clockBase.UnixNano()
+)
+
+// Now returns the trace clock in Unix nanoseconds: the one clock behind
+// Context.SentNs and SpanRecord.StartNs/EndNs.
+//
+//archlint:hotpath
+func Now() int64 { return clockBaseNs + int64(time.Since(clockBase)) }
 
 // FlagSampled marks a context whose delivery spans are recorded. The
 // decision is made head-based at mint time and propagates with the context,
@@ -45,12 +65,12 @@ type Context struct {
 	Hops uint32
 	// Flags carries the sampling decision (FlagSampled).
 	Flags uint32
-	// SentNs is the wall-clock nanosecond timestamp of the send; delivery
-	// spans and quiesce-age snapshots derive from it. It is stamped only on
-	// sampled contexts — the clock read is the single largest cost of a
-	// stamp, so unsampled traffic skips it (SentNs stays 0 and consumers
-	// degrade: quiesce age reports -1, delivery spans are never recorded
-	// for unsampled contexts anyway).
+	// SentNs is the send's timestamp on the trace clock (Now), in Unix
+	// nanoseconds; delivery spans and quiesce-age snapshots derive from it.
+	// It is stamped only on sampled contexts — the clock read is the single
+	// largest cost of a stamp, so unsampled traffic skips it (SentNs stays 0
+	// and consumers degrade: quiesce age reports -1, delivery spans are
+	// never recorded for unsampled contexts anyway).
 	SentNs int64
 }
 
@@ -110,7 +130,7 @@ func (t *Tracer) MintTrace() Context {
 	}
 	if t.sampleEvery != 0 && id%t.sampleEvery == 0 {
 		c.Flags = FlagSampled
-		c.SentNs = time.Now().UnixNano()
+		c.SentNs = Now()
 	}
 	return c
 }
@@ -132,7 +152,7 @@ func (t *Tracer) ChildSpan(parent Context) Context {
 		Flags:   parent.Flags,
 	}
 	if c.Flags&FlagSampled != 0 {
-		c.SentNs = time.Now().UnixNano()
+		c.SentNs = Now()
 	}
 	return c
 }
@@ -184,21 +204,26 @@ func (t *Tracer) StampBatch(parent Context, n int) Context {
 		}
 	}
 	if c.Flags&FlagSampled != 0 {
-		c.SentNs = time.Now().UnixNano()
+		c.SentNs = Now()
 	}
 	return c
 }
 
 // RecordDelivery records one completed delivery span — a message stamped
-// with ctx, sent by from, consumed by to at endNs — into the flight
-// recorder. It is a no-op unless the context is sampled and a recorder is
-// attached, and is safe on a nil tracer (a sampled context can arrive over
-// TCP at a bus whose own tracing is off).
-func (t *Tracer) RecordDelivery(ctx Context, from, to string, endNs int64) {
+// with ctx, sent by from, consumed by to now — into the flight recorder and
+// returns the span's end on the trace clock. It returns 0, before reading
+// the clock, unless the context is sampled and a recorder is attached, and
+// is safe on a nil tracer (a sampled context can arrive over TCP at a bus
+// whose own tracing is off). from and to are retained, not copied: the bus
+// passes the names it interned at AddInstance.
+//
+//archlint:hotpath
+func (t *Tracer) RecordDelivery(ctx Context, from, to string) (endNs int64) {
 	if t == nil || t.rec == nil || !ctx.Sampled() {
-		return
+		return 0
 	}
-	t.rec.Record(&SpanRecord{
+	endNs = Now()
+	t.rec.Record(SpanRecord{
 		TraceID: ctx.TraceID,
 		SpanID:  ctx.SpanID,
 		Parent:  ctx.Parent,
@@ -208,4 +233,5 @@ func (t *Tracer) RecordDelivery(ctx Context, from, to string, endNs int64) {
 		StartNs: ctx.SentNs,
 		EndNs:   endNs,
 	})
+	return endNs
 }

@@ -52,7 +52,9 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if c := tr.Stamp(Context{}); c.Valid() {
 		t.Errorf("nil tracer minted %+v", c)
 	}
-	tr.RecordDelivery(Context{TraceID: 1, Flags: FlagSampled}, "a", "b", 1)
+	if end := tr.RecordDelivery(Context{TraceID: 1, Flags: FlagSampled}, "a", "b"); end != 0 {
+		t.Errorf("nil tracer recorded a delivery ending at %d", end)
+	}
 	if tr.Recorder() != nil {
 		t.Error("nil tracer has a recorder")
 	}
@@ -74,7 +76,7 @@ func TestSamplingRate(t *testing.T) {
 func TestRecorderRingOverwrite(t *testing.T) {
 	r := NewRecorder(16)
 	for i := 1; i <= 40; i++ {
-		r.Record(&SpanRecord{TraceID: uint64(i)})
+		r.Record(SpanRecord{TraceID: uint64(i)})
 	}
 	if r.Len() != 16 || r.Recorded() != 40 {
 		t.Fatalf("len=%d recorded=%d, want 16/40", r.Len(), r.Recorded())
@@ -95,9 +97,9 @@ func TestRecorderByTrace(t *testing.T) {
 	tr := NewTracer(1, NewRecorder(64))
 	a := tr.MintTrace()
 	b := tr.MintTrace()
-	tr.RecordDelivery(a, "x.out", "y.in", a.SentNs+10)
-	tr.RecordDelivery(tr.ChildSpan(a), "y.out", "z.in", a.SentNs+20)
-	tr.RecordDelivery(b, "x.out", "y.in", b.SentNs+10)
+	tr.RecordDelivery(a, "x.out", "y.in")
+	tr.RecordDelivery(tr.ChildSpan(a), "y.out", "z.in")
+	tr.RecordDelivery(b, "x.out", "y.in")
 	got := tr.Recorder().ByTrace(a.TraceID)
 	if len(got) != 2 {
 		t.Fatalf("trace %d has %d spans, want 2", a.TraceID, len(got))
@@ -115,7 +117,7 @@ func TestRecorderConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				r.Record(&SpanRecord{TraceID: 1})
+				r.Record(SpanRecord{TraceID: 1})
 			}
 		}()
 	}
@@ -135,7 +137,7 @@ func TestMemoryBoundFixed(t *testing.T) {
 		t.Fatal("no memory bound")
 	}
 	for i := 0; i < 10_000; i++ {
-		r.Record(&SpanRecord{TraceID: uint64(i)})
+		r.Record(SpanRecord{TraceID: uint64(i)})
 	}
 	if r.MemoryBound() != bound {
 		t.Errorf("memory bound moved under load: %d -> %d", bound, r.MemoryBound())

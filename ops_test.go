@@ -204,7 +204,7 @@ func TestReplaceOutlivesServerWriteTimeout(t *testing.T) {
 	finishComputation(t, d)
 }
 
-// TestRingsAdmitLosses drives the three ring-backed read ops over 16-slot
+// TestRingsAdmitLosses drives the four ring-backed read ops over 16-slot
 // rings: an answer whose window is still wholly retained carries no
 // "truncated", one whose window starts before the oldest retained sequence
 // carries "truncated": true, and the metrics op counts what was overwritten.
@@ -273,7 +273,12 @@ func TestRingsAdmitLosses(t *testing.T) {
 	if firstEvents == 0 || firstEvents > 16 {
 		t.Fatalf("Load left %d events; the test needs 1..16", firstEvents)
 	}
-	for _, call := range [][]string{{"traces"}, {"replay", "inst", "compute"}, {"events"}} {
+	// newestTrace is the id of a message trace the recorder still holds.
+	newestTrace := func() string {
+		spans := app.FlightRecorder().Snapshot()
+		return strconv.FormatUint(spans[len(spans)-1].TraceID, 10)
+	}
+	for _, call := range [][]string{{"traces"}, {"trace", "id", newestTrace()}, {"replay", "inst", "compute"}, {"events"}} {
 		if stamped(call[0], call[1:]...) {
 			t.Errorf("%v claims truncation before its ring wrapped", call)
 		}
@@ -285,6 +290,9 @@ func TestRingsAdmitLosses(t *testing.T) {
 	}
 	if !stamped("traces") {
 		t.Error("traces over a wrapped recorder is not stamped truncated")
+	}
+	if !stamped("trace", "id", newestTrace()) {
+		t.Error("one message's trace from a wrapped recorder is not stamped truncated")
 	}
 	if !stamped("replay", "inst", "compute") {
 		t.Error("replay of a wrapped record ring is not stamped truncated")

@@ -29,11 +29,14 @@ echo "== bench/ harness (its own module: the root go test never compiles it)"
 echo "== non-test Go lines (ROADMAP aim 2: this number goes down)"
 find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './bench/out/*' -print0 | xargs -0 cat | wc -l
 
-echo "== go test -race ./internal/bus/... ./internal/quiesce/... ./internal/reconfig/... ./internal/mh/... ./internal/ring/... ./internal/interp/..."
-go test -race ./internal/bus/... ./internal/quiesce/... ./internal/reconfig/... ./internal/mh/... ./internal/ring/... ./internal/interp/...
+echo "== go test -race ./internal/bus/... ./internal/quiesce/... ./internal/reconfig/... ./internal/mh/... ./internal/ring/... ./internal/interp/... ./internal/replay/... ./internal/telemetry/trace/..."
+go test -race ./internal/bus/... ./internal/quiesce/... ./internal/reconfig/... ./internal/mh/... ./internal/ring/... ./internal/interp/... ./internal/replay/... ./internal/telemetry/trace/...
 
 echo "== one lowered program under eight interpreters (the state a module shares with its clones and replicas, racy x10)"
 go test -race -count=10 -run TestLoweredProgramSharedAcrossGoroutines ./internal/interp/
+
+echo "== the ring's record allocator under eight writers (blocks shared by every traced and recorded delivery, racy x10)"
+go test -race -count=10 -run TestAllocConcurrent ./internal/ring/
 
 echo "== fault-injection matrix (kill Replace at every failpoint, twice, racy)"
 go test -run 'Fault|Rollback|Concurrent' -race -count=2 ./...
@@ -80,11 +83,6 @@ go run ./cmd/perfgate -baseline "$baseline" \
 	-timeseries BENCH_timeseries_overhead.json
 rm -f "$baseline"
 
-echo "== trace overhead artifact (message path: tracing off / unsampled / sampled)"
-RECONFIG_TRACE_OVERHEAD_JSON="$PWD/BENCH_trace_overhead.json" \
-	go test -run TestTraceOverheadArtifact -count=1 .
-cat BENCH_trace_overhead.json
-
 echo "== selfheal chaos matrix (replicas 3, 16 senders, crash-triggered rebuilds, racy)"
 go test -run 'TestSelfHeal|TestReplicasObservability' -race -count=1 .
 
@@ -95,10 +93,5 @@ cat BENCH_selfheal_recovery.json
 
 echo "== record/replay determinism gate (identical logs, exact reproduction, gated cutover, racy)"
 go test -run 'TestRecordDeterminism|TestReplayReproduces|TestPreflightReplay|TestSpillGoldenBytes|TestRunReplaysWindow' -race -count=1 ./...
-
-echo "== replay overhead artifact (record off must add 0 allocs/msg; ring memory bound)"
-RECONFIG_REPLAY_OVERHEAD_JSON="$PWD/BENCH_replay_overhead.json" \
-	go test -run TestReplayOverheadArtifact -count=1 .
-cat BENCH_replay_overhead.json
 
 echo "ok"
