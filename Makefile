@@ -12,22 +12,18 @@ test:
 lint:
 	go run ./cmd/archlint ./...
 
-# Tier-2: static vetting + race-detector runs of the concurrency-heavy
-# packages. Run before touching bus/quiesce or shipping a PR.
+# Tier-2: static checks, the benchmark harness's own tests, then the race
+# detector, the fault matrix, the fuzzers and the chaos and replay gates.
+# Measures nothing. Run before touching bus/quiesce or shipping a PR.
 .PHONY: check
 check:
 	./scripts/check.sh
 
-# Benchmark artifacts: replace latency, steady-state overhead, multi-sender
-# bus throughput and windowed rollup overhead, written as BENCH_*.json in
-# the repo root.
+# The benchmark: bench/'s five workloads as the driver runs them (one JSON
+# object per workload on standard output; bench/README.md says what each
+# metric measures and how to pair runs for a claim). Builds into bench/out/.
 .PHONY: bench
 bench:
-	RECONFIG_BENCH_JSON="$(CURDIR)/BENCH_reconfig_latency.json" \
-		go test -run TestRollbackLatencyArtifact -count=1 .
-	RECONFIG_OVERHEAD_JSON="$(CURDIR)/BENCH_overhead.json" \
-		go test -run TestOverheadArtifact -count=1 .
-	RECONFIG_BUS_THROUGHPUT_JSON="$(CURDIR)/BENCH_bus_throughput.json" \
-		go test -run TestBusThroughputArtifact -count=1 .
-	RECONFIG_TIMESERIES_JSON="$(CURDIR)/BENCH_timeseries_overhead.json" \
-		go test -run TestTimeseriesOverheadArtifact -count=1 .
+	for w in observed_stream wire_stream replace_under_load migrate_deep_stack bus_fanin; do \
+		bash bench/run.sh --workload $$w --seed 7 --seconds 20 --trace 0 || exit 1; \
+	done

@@ -10,8 +10,6 @@ import (
 	"repro/internal/transform"
 )
 
-func benchComputeSource() string { return fixtures.ComputeSource }
-
 // benchMonitorApp loads the monitor application for benchmarking. With
 // instrument=false it strips the reconfiguration point from both the
 // specification and the source, yielding the unprepared original module.

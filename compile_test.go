@@ -13,7 +13,6 @@ import (
 	"repro/internal/bus"
 	"repro/internal/codec"
 	"repro/internal/fixtures"
-	"repro/internal/state"
 	"repro/internal/transform"
 )
 
@@ -112,16 +111,7 @@ func TestCompiledModuleMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := codec.Default()
-	sendInt := func(p bus.Port, iface string, v int) {
-		t.Helper()
-		data, err := c.EncodeValue(state.IntValue(int64(v)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Write(iface, data); err != nil {
-			t.Fatal(err)
-		}
-	}
+	d := &driver{t: t, c: c, bus: b, disp: disp, sens: sens}
 
 	startProc := func(instance string) *exec.Cmd {
 		t.Helper()
@@ -143,16 +133,11 @@ func TestCompiledModuleMigration(t *testing.T) {
 	defer proc1.Process.Kill()
 
 	// Serve one request normally.
-	sendInt(disp, "temper", 2)
-	sendInt(sens, "out", 10)
-	sendInt(sens, "out", 30)
-	m, err := disp.Read("temper")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := c.DecodeValue(m.Data)
-	if err != nil || v.Float != 20 {
-		t.Fatalf("first answer = %v, %v", v, err)
+	d.requestTaken("compute", 2)
+	d.temperature(10)
+	d.temperature(30)
+	if got := d.response(); got != 20 {
+		t.Fatalf("first answer = %v", got)
 	}
 
 	// Interrupt mid-recursion: request depth 3, let it block on the
@@ -161,13 +146,13 @@ func TestCompiledModuleMigration(t *testing.T) {
 	// signal); pause between them so the flag is set before the module
 	// resumes, making the capture land at this request's second level
 	// rather than at some later reconfiguration point.
-	sendInt(disp, "temper", 3)
+	d.request(3)
 	time.Sleep(300 * time.Millisecond)
 	if err := b.SignalReconfig("compute"); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(300 * time.Millisecond)
-	sendInt(sens, "out", 60)
+	d.temperature(60)
 	owner, err := b.AwaitDivulged("compute", 20*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -208,46 +193,18 @@ func TestCompiledModuleMigration(t *testing.T) {
 	proc2 := startProc("compute2")
 	defer proc2.Process.Kill()
 
-	sendInt(sens, "out", 70)
-	sendInt(sens, "out", 80)
-	m, err = disp.Read("temper")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err = c.DecodeValue(m.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d.temperature(70)
+	d.temperature(80)
 	want := 60.0/3 + 70.0/3 + 80.0/3
-	if v.Float != want {
-		t.Errorf("migrated answer = %v, want %v", v.Float, want)
+	if got := d.response(); got != want {
+		t.Errorf("migrated answer = %v, want %v", got, want)
 	}
 
-	// Process 2 keeps serving. Figure 3's compute drains a sensor reading
-	// whenever it polls and finds no request pending, so the reading is fed
-	// only once the request has been consumed: sent back to back, the
-	// reading can be the one drained and the request then waits for good.
-	sendInt(disp, "temper", 1)
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		info, err := b.Info("compute2")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Pending["display"] == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("process 2 never consumed the request")
-		}
-	}
-	sendInt(sens, "out", 55)
-	m, err = disp.Read("temper")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, _ = c.DecodeValue(m.Data)
-	if v.Float != 55 {
-		t.Errorf("post-migration answer = %v", v.Float)
+	// Process 2 keeps serving.
+	d.requestTaken("compute2", 1)
+	d.temperature(55)
+	if got := d.response(); got != 55 {
+		t.Errorf("post-migration answer = %v", got)
 	}
 
 	if err := b.DeleteInstance("compute2"); err != nil {

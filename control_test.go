@@ -68,8 +68,7 @@ func TestControlProtocol(t *testing.T) {
 	}
 
 	// Remote move while the module is mid-recursion.
-	d.request(2)
-	time.Sleep(50 * time.Millisecond)
+	d.requestTaken("compute", 2)
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		d.temperature(10)

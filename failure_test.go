@@ -80,8 +80,7 @@ module computeV2 {
 
 	// Interrupt mid-recursion, then install the state into the
 	// incompatible v2.
-	d.request(3)
-	time.Sleep(50 * time.Millisecond)
+	d.requestTaken("compute", 3)
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		d.temperature(60)
@@ -154,8 +153,7 @@ module computeV2 {
 		t.Fatal(err)
 	}
 
-	d.request(3)
-	time.Sleep(50 * time.Millisecond)
+	d.requestTaken("compute", 3)
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		d.temperature(60)

@@ -8,11 +8,8 @@ package reconf
 // application; these tests extend that to *failed* reconfigurations.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
-	"os"
 	"reflect"
 	"sort"
 	"strings"
@@ -71,8 +68,7 @@ func startInterrupted(t *testing.T) (*App, *driver, func()) {
 	if err := app.Launch("compute"); err != nil {
 		t.Fatal(err)
 	}
-	d.request(3)
-	time.Sleep(50 * time.Millisecond)
+	d.requestTaken("compute", 3)
 	feed := func() {
 		go func() {
 			time.Sleep(30 * time.Millisecond)
@@ -266,81 +262,6 @@ func TestConcurrentReplaceFailsFast(t *testing.T) {
 		t.Fatalf("%d concurrent replaces succeeded, want exactly 1 (errors: %v)", winners, errs)
 	}
 	finishComputation(t, d)
-}
-
-// TestRollbackLatencyArtifact measures replace latency with and without an
-// injected fault and writes BENCH_reconfig_latency.json. Gated on the
-// RECONFIG_BENCH_JSON environment variable (scripts/check.sh sets it); a
-// plain `go test` run skips it.
-func TestRollbackLatencyArtifact(t *testing.T) {
-	out := os.Getenv("RECONFIG_BENCH_JSON")
-	if out == "" {
-		t.Skip("set RECONFIG_BENCH_JSON=<path> to emit the latency artifact")
-	}
-	const samples = 20
-	measure := func(site string) []float64 {
-		ms := make([]float64, 0, samples)
-		for i := 0; i < samples; i++ {
-			app, _, feed := startInterrupted(t)
-			if site != "" {
-				f := faultinject.New()
-				f.Enable(site, faultinject.Point{Action: faultinject.Error, Count: 1})
-				app.Bus().SetFaults(f)
-			}
-			feed()
-			start := time.Now()
-			_, err := app.ReplaceTx("compute", reconfig.ReplaceOptions{NewName: "compute2"})
-			ms = append(ms, float64(time.Since(start).Microseconds())/1000.0)
-			if site == "" && err != nil {
-				t.Fatal(err)
-			}
-			if site != "" && err == nil {
-				t.Fatalf("fault at %s did not abort", site)
-			}
-			app.Stop()
-		}
-		sort.Float64s(ms)
-		return ms
-	}
-	// quantile reads the ceil-rank order statistic from a sorted sample.
-	quantile := func(ms []float64, q float64) float64 {
-		idx := int(math.Ceil(q*float64(len(ms)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(ms) {
-			idx = len(ms) - 1
-		}
-		return ms[idx]
-	}
-	stats := func(ms []float64) map[string]float64 {
-		var sum float64
-		for _, v := range ms {
-			sum += v
-		}
-		return map[string]float64{
-			"min_ms":  ms[0],
-			"p50_ms":  quantile(ms, 0.50),
-			"p95_ms":  quantile(ms, 0.95),
-			"p99_ms":  quantile(ms, 0.99),
-			"max_ms":  ms[len(ms)-1],
-			"mean_ms": sum / float64(len(ms)),
-		}
-	}
-	report := map[string]any{
-		"benchmark":       "replace_latency",
-		"samples":         samples,
-		"fault_free":      stats(measure("")),
-		"rollback_rebind": stats(measure("bus.rebind")),
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
 }
 
 // TestRollbackQueueGaugeMatchesDrainable pins the queue-depth telemetry

@@ -2,16 +2,21 @@ package bus
 
 // What the observability surfaces cost the message path in allocations,
 // asserted on every `go test` run: nothing while they are off — the paper's
-// "merely periodically testing flags" — and, while every delivery is traced
-// and recorded, the share of a record block and a payload chunk it uses up.
+// "merely periodically testing flags" — nothing for windowed rollups, which
+// read the path's counters from the side, and, while every delivery is
+// traced and recorded, the share of a record block and a payload chunk it
+// uses up.
 
 import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/replay"
+	"repro/internal/telemetry"
+	"repro/internal/telemetry/timeseries"
 	"repro/internal/telemetry/trace"
 )
 
@@ -63,6 +68,23 @@ func TestObservedPathAllocs(t *testing.T) {
 	if idle := allocs(WithRecorder(replay.NewLog(4096))); idle != base {
 		t.Errorf("an attached recorder that is off allocates: %v allocs per round trip, %v without it", idle, base)
 	}
+
+	// Rollups on: a roller closing a window every millisecond reads the same
+	// atomics the path adds to and touches nothing else of it. Measured only
+	// once it has rolled this bus's series, or the figure would mean nothing.
+	reg := telemetry.NewRegistry()
+	trip := observedFanIn(t, 1, payload, WithTelemetry(reg))
+	roller := timeseries.New(reg, timeseries.Config{Window: time.Millisecond, Windows: 120})
+	roller.Start()
+	for deadline := time.Now().Add(10 * time.Second); roller.Rolled() == 0; trip() {
+		if time.Now().After(deadline) {
+			t.Fatal("the 1 ms roller never rolled")
+		}
+	}
+	if on := testing.AllocsPerRun(2000, trip); on != base {
+		t.Errorf("rollups on: %v allocs per round trip, %v without a roller", on, base)
+	}
+	roller.Stop() // its own allocations would count against the arms below
 
 	// On: every delivery sampled into the flight recorder and appended to
 	// the record ring. One sender, then two alternating into the same

@@ -98,6 +98,7 @@ func WithTelemetry(reg *telemetry.Registry) Option { return func(r *Runtime) { r
 // use except where noted.
 type Runtime struct {
 	port         bus.Port
+	status       string // the port's status when this runtime was made
 	codec        codec.Codec
 	heap         *state.HeapRegistry
 	sleepUnit    time.Duration
@@ -166,6 +167,7 @@ type Runtime struct {
 func New(port bus.Port, opts ...Option) *Runtime {
 	r := &Runtime{
 		port:         port,
+		status:       port.Status(),
 		codec:        codec.Default(),
 		heap:         state.NewHeapRegistry(),
 		sleepUnit:    time.Millisecond,
@@ -238,8 +240,11 @@ func (r *Runtime) Init() {
 	}
 }
 
-// Status returns "add" or "clone" (mh_getstatus).
-func (r *Runtime) Status() string { return r.port.Status() }
+// Status returns "add" or "clone" (mh_getstatus): what this incarnation was
+// launched as, read once in New. The bus rewrites an instance's status when
+// a rollback relaunches it, and a divulged original that then asked the
+// live instance would take itself for the clone that succeeds it.
+func (r *Runtime) Status() string { return r.status }
 
 // Name returns the attached instance's name. Native modules of a replicated
 // instance use it to learn which member they are.

@@ -664,6 +664,26 @@ func TestDecodeCorruptStateIsFatal(t *testing.T) {
 	asTermination(t, rt.Decode)
 }
 
+// TestExitOfRelaunchedOriginalIsNotARestoreFailure: a rollback resets a
+// divulged original's instance to relaunch it as a clone of itself, and the
+// original's goroutine can reach its exit report only after that. The
+// report must not land as the next incarnation's restoration failing.
+func TestExitOfRelaunchedOriginalIsNotARestoreFailure(t *testing.T) {
+	b := newMonitorBus(t)
+	rt := attachRT(t, b, "compute")
+	rt.Init()
+	if err := b.ResetForRelaunch("compute"); err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.Status(); got != bus.StatusAdd {
+		t.Errorf("status of the original after the reset = %q, want %q", got, bus.StatusAdd)
+	}
+	rt.ConfirmRestoreOutcome(nil)
+	if err := b.AwaitRestored("compute", 20*time.Millisecond); !errors.Is(err, bus.ErrTimeout) {
+		t.Fatalf("AwaitRestored = %v, want a timeout: nothing has restored yet", err)
+	}
+}
+
 func TestHeapTravelsWithState(t *testing.T) {
 	b := newMonitorBus(t)
 	rt := attachRT(t, b, "compute")

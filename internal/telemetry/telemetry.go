@@ -6,9 +6,11 @@
 // The paper's Discussion section argues costs qualitatively — the
 // per-reconfiguration-point flag test is "negligible", state capture costs
 // nothing until a reconfiguration happens. This package is what lets the
-// repository *measure* those claims on live traffic (BENCH_overhead.json,
-// EXPERIMENTS.md "Discussion claims, measured") and what an operator reads
-// through `reconfigctl stats` and `reconfigctl trace <txid>`.
+// repository *measure* those claims on live traffic (EXPERIMENTS.md
+// "Discussion claims, measured"; TestWriteTelemetryAddsNoAllocs and
+// TestFlagCheckZeroAlloc hold the instruments themselves to zero
+// allocations) and what an operator reads through `reconfigctl stats` and
+// `reconfigctl trace <txid>`.
 //
 // Fast-path discipline: Counter.Inc, Gauge.Set and Histogram.Observe are
 // single atomic operations with no allocation, and every method is safe on

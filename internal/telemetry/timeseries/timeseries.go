@@ -9,7 +9,7 @@
 // reconfiguration flag test: the steady state must not pay for the
 // capability. The roller reads the registry's existing atomics off the hot
 // path; send/deliver code is untouched and stays zero allocations per
-// message (enforced by TestTimeseriesOverheadArtifact and cmd/perfgate).
+// message (the rollups-on arm of internal/bus's TestObservedPathAllocs).
 // Readers (the /timeseries endpoint, the health checker, reconfigctl
 // watch) take the roller's mutex, which no message path ever touches.
 package timeseries

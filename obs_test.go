@@ -81,6 +81,10 @@ func TestObsMetricsEndpoint(t *testing.T) {
 		"# TYPE reconfig_span_quiesce_wait_ns histogram",
 		`reconfig_span_quiesce_wait_ns_bucket{le="+Inf"} 1`,
 		"reconfig_tx_total_ns_count 1",
+		// The Replace's one capture and one restore, timed by the runtimes
+		// into the registry the operator reads.
+		`mh_capture_ns_count{instance="compute"} 1`,
+		`mh_restore_ns_count{instance="compute2"} 1`,
 		"_bucket{le=\"0\"}",
 	} {
 		if !strings.Contains(body, want) {
@@ -175,7 +179,7 @@ func TestObsTracesEndpoints(t *testing.T) {
 	}
 	base := serveObs(t, app)
 
-	d.request(1)
+	d.requestTaken("compute", 1)
 	d.temperature(50)
 	if got := d.response(); got != 50 {
 		t.Fatalf("response = %g, want 50", got)

@@ -173,8 +173,7 @@ func TestReplaceOutlivesServerWriteTimeout(t *testing.T) {
 	if err := app.Launch("compute"); err != nil {
 		t.Fatal(err)
 	}
-	d.request(3)
-	time.Sleep(50 * time.Millisecond) // compute now waits for a temperature, away from its reconfiguration point
+	d.requestTaken("compute", 3) // compute passes its reconfiguration point and waits for a temperature
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +256,7 @@ func TestRingsAdmitLosses(t *testing.T) {
 	}
 	roundtrips := func(n int) {
 		for i := 0; i < n; i++ {
-			d.request(1)
+			d.requestTaken("compute", 1)
 			d.temperature(50)
 			if got := d.response(); got != 50 {
 				t.Fatalf("response = %g, want 50", got)

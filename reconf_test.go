@@ -42,6 +42,7 @@ func loadMonitor(t *testing.T, mode transform.CaptureMode) *App {
 type driver struct {
 	t    testing.TB
 	c    codec.Codec
+	bus  *bus.Bus
 	disp bus.Port
 	sens bus.Port
 }
@@ -56,7 +57,7 @@ func newDriver(t testing.TB, app *App) *driver {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &driver{t: t, c: codec.Default(), disp: disp, sens: sens}
+	return &driver{t: t, c: codec.Default(), bus: app.Bus(), disp: disp, sens: sens}
 }
 
 func (d *driver) request(n int) {
@@ -67,6 +68,28 @@ func (d *driver) request(n int) {
 	}
 	if err := d.disp.Write("temper", data); err != nil {
 		d.t.Fatal(err)
+	}
+}
+
+// requestTaken sends a request and returns once inst, the instance serving
+// display.temper, has read it. Figure 3's compute drains a sensor reading
+// whenever it polls and finds no request pending, so a reading written
+// straight after the request can be the one drained, and the request then
+// waits for good: feed the sensor only after this returns.
+func (d *driver) requestTaken(inst string, n int) {
+	d.t.Helper()
+	d.request(n)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		info, err := d.bus.Info(inst)
+		if err != nil {
+			d.t.Fatal(err)
+		}
+		if info.Pending["display"] == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			d.t.Fatalf("%s never consumed the request", inst)
+		}
 	}
 }
 
@@ -196,8 +219,7 @@ func TestMonitorTopologyBeforeAfter(t *testing.T) {
 	}
 
 	// Put compute mid-recursion and move it (Figure 1 right).
-	d.request(3)
-	time.Sleep(50 * time.Millisecond)
+	d.requestTaken("compute", 3)
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		d.temperature(60)
