@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -50,6 +51,51 @@ type Signal struct {
 type Attachment struct {
 	bus  *Bus
 	inst *instance
+
+	// ifaces is the instance's interface set as this attachment uses it: a
+	// module names the same handful of interfaces on every call, so a scan
+	// over a few rows (declaration order) finds one without hashing its
+	// name, and the row keeps what the name resolved to.
+	ifaces []attIface
+}
+
+// attIface is one row of an attachment's interface table.
+type attIface struct {
+	ep   Endpoint // this interface as an endpoint, built once
+	ifc  *iface
+	memo atomic.Pointer[route] // Bus.routeOf's, for writes on this interface
+}
+
+func newAttachment(b *Bus, in *instance) *Attachment {
+	a := &Attachment{bus: b, inst: in, ifaces: make([]attIface, len(in.spec.Interfaces))}
+	for i, is := range in.spec.Interfaces {
+		a.ifaces[i].ep = Endpoint{Instance: in.spec.Name, Interface: is.Name}
+		a.ifaces[i].ifc = in.ifaces[is.Name]
+	}
+	return a
+}
+
+// iface finds the named interface's row, nil if the instance declares none.
+//
+//archlint:hotpath
+func (a *Attachment) iface(name string) *attIface {
+	for i := range a.ifaces {
+		if a.ifaces[i].ep.Interface == name {
+			return &a.ifaces[i]
+		}
+	}
+	return nil
+}
+
+// route resolves the fan-out of a write on the named interface.
+//
+//archlint:hotpath
+func (a *Attachment) route(ifaceName string) (*route, error) {
+	row := a.iface(ifaceName)
+	if row == nil {
+		return nil, a.bus.writeNoRouteErr(a.bus.routing.Load(), Endpoint{Instance: a.inst.spec.Name, Interface: ifaceName})
+	}
+	return a.bus.routeOf(&row.memo, row.ep)
 }
 
 // Name returns the instance name.
@@ -70,7 +116,7 @@ func (a *Attachment) Status() string {
 //
 //archlint:hotpath
 func (a *Attachment) Write(ifaceName string, data []byte) error {
-	return a.bus.write(Endpoint{Instance: a.inst.spec.Name, Interface: ifaceName}, data)
+	return a.WriteTraced(ifaceName, data, TraceContext{})
 }
 
 // WriteTraced is Write carrying the causal parent context: the module
@@ -80,7 +126,8 @@ func (a *Attachment) Write(ifaceName string, data []byte) error {
 //
 //archlint:hotpath
 func (a *Attachment) WriteTraced(ifaceName string, data []byte, parent TraceContext) error {
-	return a.bus.writeTraced(Endpoint{Instance: a.inst.spec.Name, Interface: ifaceName}, data, parent)
+	one := [1][]byte{data}
+	return a.WriteBatchTraced(ifaceName, one[:], parent)
 }
 
 // SendBatch emits a batch of messages on the named interface in one routing
@@ -90,54 +137,66 @@ func (a *Attachment) WriteTraced(ifaceName string, data []byte, parent TraceCont
 //
 //archlint:hotpath
 func (a *Attachment) SendBatch(ifaceName string, batch [][]byte) error {
-	return a.bus.writeBatchTraced(Endpoint{Instance: a.inst.spec.Name, Interface: ifaceName}, batch, TraceContext{})
+	return a.WriteBatchTraced(ifaceName, batch, TraceContext{})
 }
 
 // WriteBatchTraced is SendBatch carrying the causal parent context: every
 // message of the batch becomes a sibling child span of parent (a zero
-// parent opens one fresh chain for the burst).
+// parent opens one fresh chain for the burst). A batch cut short by a
+// topology change resumes, re-resolved, after the message that met it.
 //
 //archlint:hotpath
 func (a *Attachment) WriteBatchTraced(ifaceName string, batch [][]byte, parent TraceContext) error {
-	return a.bus.writeBatchTraced(Endpoint{Instance: a.inst.spec.Name, Interface: ifaceName}, batch, parent)
+	for len(batch) > 0 {
+		r, err := a.route(ifaceName)
+		if err != nil {
+			return err
+		}
+		if batch, err = a.bus.writeRouted(r, batch, parent); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Read blocks until a message arrives on the named interface (mh_read).
 // It fails with ErrStopped if the instance is deleted while blocked.
 //
 //archlint:hotpath
-func (a *Attachment) Read(ifaceName string) (Message, error) {
+func (a *Attachment) Read(ifaceName string) (m Message, err error) {
 	ifc, err := a.recvIface(ifaceName)
 	if err != nil {
-		return Message{}, err
+		return m, err
 	}
-	m, err := ifc.queue.pop()
-	if errors.Is(err, ErrQueueClosed) {
-		return Message{}, ErrStopped
+	if err = ifc.queue.pop(&m); err != nil { // m is untouched
+		if errors.Is(err, ErrQueueClosed) {
+			err = ErrStopped
+		}
+		return m, err
 	}
-	if err == nil {
-		a.recordDelivery(ifc, &m)
-	}
-	return m, err
+	a.recordDelivery(ifc, &m)
+	return m, nil
 }
 
 // TryRead returns a pending message without blocking. The second result is
 // false when no message is queued.
 //
 //archlint:hotpath
-func (a *Attachment) TryRead(ifaceName string) (Message, bool, error) {
+func (a *Attachment) TryRead(ifaceName string) (m Message, ok bool, err error) {
 	ifc, err := a.recvIface(ifaceName)
 	if err != nil {
-		return Message{}, false, err
+		return m, false, err
 	}
-	m, ok, err := ifc.queue.tryPop()
-	if errors.Is(err, ErrQueueClosed) {
-		return Message{}, false, ErrStopped
+	if ok, err = ifc.queue.tryPop(&m); err != nil { // m is untouched
+		if errors.Is(err, ErrQueueClosed) {
+			err = ErrStopped
+		}
+		return m, false, err
 	}
-	if err == nil && ok {
+	if ok {
 		a.recordDelivery(ifc, &m)
 	}
-	return m, ok, err
+	return m, ok, nil
 }
 
 // recordDelivery closes the message's delivery span in the flight recorder
@@ -171,14 +230,14 @@ func (a *Attachment) Pending(ifaceName string) (int, error) {
 // recvIface resolves a receiving interface of this instance: one with a
 // queue.
 func (a *Attachment) recvIface(ifaceName string) (*iface, error) {
-	ifc, ok := a.inst.ifaces[ifaceName]
-	if !ok {
+	row := a.iface(ifaceName)
+	if row == nil {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoInterface, a.inst.spec.Name, ifaceName)
 	}
-	if ifc.queue == nil {
-		return nil, fmt.Errorf("%w: read on %s.%s (%s)", ErrDirection, a.inst.spec.Name, ifaceName, ifc.spec.Dir)
+	if row.ifc.queue == nil {
+		return nil, fmt.Errorf("%w: read on %s.%s (%s)", ErrDirection, a.inst.spec.Name, ifaceName, row.ifc.spec.Dir)
 	}
-	return ifc, nil
+	return row.ifc, nil
 }
 
 // Signals returns the control-signal channel. The module runtime drains it
@@ -186,8 +245,14 @@ func (a *Attachment) recvIface(ifaceName string) (*iface, error) {
 // paper's flag-polling model.
 func (a *Attachment) Signals() <-chan Signal { return a.inst.signals }
 
-// TakeSignal returns a pending control signal without blocking.
+// TakeSignal returns a pending control signal without blocking. The runtime
+// polls it several times per message, so "none yet" is a length test, not a
+// select; a signal that lands right after the test is seen by the next poll,
+// as one that lands right after a select's default would be.
 func (a *Attachment) TakeSignal() (Signal, bool) {
+	if len(a.inst.signals) == 0 {
+		return Signal{}, false
+	}
 	select {
 	case s := <-a.inst.signals:
 		return s, true

@@ -639,8 +639,8 @@ func (b *Bus) RemoveGroupMember(group, member string) error {
 			ifc.queue.restore(orphans, next.version)
 			continue
 		}
-		for i, m := range orphans {
-			if survivors[i%len(survivors)].queue.push(m, next.version) == nil {
+		for i := range orphans {
+			if survivors[i%len(survivors)].queue.push(&orphans[i], next.version) == nil {
 				requeued++
 			}
 		}
@@ -672,7 +672,7 @@ func (b *Bus) Attach(name string) (*Attachment, error) {
 	}
 	in.attached = true
 	in.phase = PhaseRunning
-	return &Attachment{bus: b, inst: in}, nil
+	return newAttachment(b, in), nil
 }
 
 // AddBinding connects two endpoints. Both must exist, and at least one side
@@ -1235,136 +1235,106 @@ func (b *Bus) IfSources(e Endpoint) ([]Endpoint, error) {
 	return out, nil
 }
 
-// write routes a message from the given endpoint to every bound receiving
-// endpoint. Called by Attachment.Write.
-//
-//archlint:hotpath
-func (b *Bus) write(from Endpoint, data []byte) error {
-	return b.writeTraced(from, data, TraceContext{})
+// route is the delivery fan-out of one sending endpoint as resolved from
+// one routing snapshot: what a write needs once it knows where it is going.
+type route struct {
+	rt   *routingTable
+	from Endpoint
+	routeSet
 }
 
-// writeTraced is write carrying a causal parent: the runtime passes the
-// context of the message it is responding to, and the bus stamps the
-// outgoing message with a child span (or mints a root when parent is zero).
-//
-// This is the steady-state hot path: one atomic snapshot load, a map
-// lookup into the precomputed route set, and one lock per target queue —
-// no global lock and no allocation beyond the message itself. The only
-// way traffic meets reconfiguration is the stale-route fence: a push
-// refused because its route was resolved from a fenced snapshot falls to
-// writeSlow, which serializes with the writer lock and re-resolves.
+// routeOf resolves from's fan-out under the current routing snapshot. The
+// snapshot is loaded on every call — its version is what the queues fence
+// against — and memo, the caller's one-entry cache for this endpoint,
+// answers only for the very table it was filled from: the first write after
+// any topology change finds another table behind the pointer and resolves
+// again, so a memoised route is never older than a freshly resolved one.
 //
 //archlint:hotpath
-func (b *Bus) writeTraced(from Endpoint, data []byte, parent TraceContext) error {
+func (b *Bus) routeOf(memo *atomic.Pointer[route], from Endpoint) (*route, error) {
 	rt := b.routing.Load()
-	rs, ok := rt.routes[from]
-	if !ok {
-		return b.writeNoRouteErr(rt, from)
+	if r := memo.Load(); r != nil && r.rt == rt {
+		return r, nil
 	}
-	if len(rs.targets) == 0 {
-		return b.writeUnboundErr(from)
-	}
-	msg := Message{From: from, Data: data, src: rs.src}
-	if b.tracer != nil {
-		msg.Trace = b.tracer.Stamp(parent)
-	}
-	var delivered int64
-	for i, t := range rs.targets {
-		var err error
-		if t.ifc != nil {
-			err = t.ifc.queue.pushRouted(msg, rt.version)
-			if err == nil {
-				t.ifc.delivered.Inc()
-			}
-		} else {
-			err = b.deliverGroup(t.group, msg, rt.version)
-		}
-		switch err {
-		case nil:
-			delivered++
-		case errStaleRoute:
-			return b.writeSlow(rs.src, from, msg, rs.targets[:i], delivered)
-		default:
-			// A closed queue means the receiver was deleted mid-write;
-			// the message is simply dropped, like a datagram to a dead
-			// process.
-		}
-	}
-	if delivered > 0 {
-		b.stats.delivered.Add(delivered)
-		rs.src.sent.Add(delivered)
-	}
-	return nil
+	return b.resolveRoute(rt, memo, from)
 }
 
-// writeBatchTraced routes a batch of messages from one endpoint, amortizing
-// the per-send fixed costs over the whole batch: one routing-snapshot load,
-// one route-map lookup, one trace-stamp reservation (a single atomic add
-// claims len(batch) consecutive span ids — message i carries SpanID+i, so
-// span mint order still equals emission order for replay), and one
-// delivered-counter add at the end. Each message still takes the normal
-// per-queue lock-free push, so fencing semantics are identical to N
-// writeTraced calls: a push refused by a fenced snapshot finishes that
-// message on writeSlow and re-enters for the tail of the batch, which
-// re-resolves against the successor snapshot.
-//
-//archlint:hotpath
-func (b *Bus) writeBatchTraced(from Endpoint, batch [][]byte, parent TraceContext) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	if len(batch) == 1 {
-		return b.writeTraced(from, batch[0], parent)
-	}
-	rt := b.routing.Load()
+// resolveRoute is routeOf's cold half: once per endpoint per topology
+// change, one map lookup and one small allocation.
+func (b *Bus) resolveRoute(rt *routingTable, memo *atomic.Pointer[route], from Endpoint) (*route, error) {
 	rs, ok := rt.routes[from]
 	if !ok {
-		return b.writeNoRouteErr(rt, from)
+		return nil, b.writeNoRouteErr(rt, from)
 	}
-	if len(rs.targets) == 0 {
-		return b.writeUnboundErr(from)
+	r := &route{rt: rt, from: from, routeSet: rs}
+	memo.Store(r)
+	return r, nil
+}
+
+// writeRouted delivers a batch of messages (a Write is a batch of one)
+// along r, in order. parent is the causal parent: the runtime passes the
+// context of the message it is responding to, and the bus stamps each
+// outgoing message as a child span (or mints one root chain for the batch
+// when parent is zero). The per-send fixed costs are paid once for the
+// whole batch: one trace-stamp reservation (a single atomic add claims
+// len(batch) consecutive span ids — message i carries SpanID+i, so span
+// mint order still equals emission order for replay) and one
+// delivered-counter add at the end.
+//
+// This is the steady-state hot path: each message is built once, here, and
+// every queue on the way copies it from this address into its slot — one
+// lock-free push per target queue, no global lock and no allocation beyond
+// the message itself. The only way traffic meets reconfiguration is the
+// stale-route fence: a push refused because its route was resolved from a
+// fenced snapshot finishes that message on writeSlow, which serializes
+// with the writer lock and re-resolves, and hands back the tail of the
+// batch (rest) for the caller to re-resolve against the successor snapshot.
+//
+//archlint:hotpath
+func (b *Bus) writeRouted(r *route, batch [][]byte, parent TraceContext) (rest [][]byte, err error) {
+	if len(r.targets) == 0 {
+		return nil, b.writeUnboundErr(r.from)
 	}
-	var tr TraceContext
+	var msg Message // filled in place: the queues copy it from this address
+	msg.From, msg.src = r.from, r.src
 	if b.tracer != nil {
-		tr = b.tracer.StampBatch(parent, len(batch))
+		msg.Trace = b.tracer.StampBatch(parent, len(batch))
 	}
 	var delivered int64
 	for i, data := range batch {
-		msg := Message{From: from, Data: data, Trace: tr, src: rs.src}
-		if tr.TraceID != 0 {
-			msg.Trace.SpanID = tr.SpanID + uint64(i)
-		}
-		for j, t := range rs.targets {
+		msg.Data = data
+		for j, t := range r.targets {
 			var err error
 			if t.ifc != nil {
-				err = t.ifc.queue.pushRouted(msg, rt.version)
+				err = t.ifc.queue.pushRouted(&msg, r.rt.version)
 				if err == nil {
 					t.ifc.delivered.Inc()
 				}
 			} else {
-				err = b.deliverGroup(t.group, msg, rt.version)
+				err = b.deliverGroup(t.group, &msg, r.rt.version)
 			}
 			switch err {
 			case nil:
 				delivered++
 			case errStaleRoute:
-				// Fenced mid-batch: finish this message under the writer
-				// lock (which also flushes the accumulated stats), then
-				// restart the remaining tail against the fresh snapshot.
-				if err := b.writeSlow(rs.src, from, msg, rs.targets[:j], delivered); err != nil {
-					return err
-				}
-				return b.writeBatchTraced(from, batch[i+1:], parent)
+				// Finishing under the writer lock also flushes the
+				// deliveries counted so far.
+				return batch[i+1:], b.writeSlow(&msg, r.targets[:j], delivered)
 			default:
-				// Closed queue: receiver deleted mid-write, message dropped.
+				// A closed queue means the receiver was deleted mid-write;
+				// the message is simply dropped, like a datagram to a dead
+				// process.
 			}
+		}
+		if msg.Trace.TraceID != 0 {
+			msg.Trace.SpanID++
 		}
 	}
 	if delivered > 0 {
 		b.stats.delivered.Add(delivered)
-		rs.src.sent.Add(delivered)
+		r.src.sent.Add(delivered)
 	}
-	return nil
+	return nil, nil
 }
 
 // writeNoRouteErr reports a write on an endpoint with no route entry in
@@ -1393,11 +1363,12 @@ func (b *Bus) writeUnboundErr(from Endpoint) error {
 // not already reached on the fast path. attempted holds the targets the
 // fast path already processed (delivered or dropped-closed); pre counts
 // the fast-path deliveries for the stats.
-func (b *Bus) writeSlow(src *iface, from Endpoint, msg Message, attempted []target, pre int64) error {
+func (b *Bus) writeSlow(msg *Message, attempted []target, pre int64) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	rt := b.routing.Load()
 	delivered := pre
+	from := msg.From
 	rs, ok := rt.routes[from]
 	if ok {
 	targets:
@@ -1429,6 +1400,6 @@ func (b *Bus) writeSlow(src *iface, from Endpoint, msg Message, attempted []targ
 		return fmt.Errorf("%w: %s", ErrUnbound, from)
 	}
 	b.stats.delivered.Add(delivered)
-	src.sent.Add(delivered)
+	msg.src.sent.Add(delivered)
 	return nil
 }

@@ -75,7 +75,7 @@ func TestSlowObserverDoesNotBlockBus(t *testing.T) {
 			done <- err
 			return
 		}
-		if err := b.write(Endpoint{"a", "o"}, []byte("x")); err != nil {
+		if err := writerFor(b, "a").Write("o", []byte("x")); err != nil {
 			done <- err
 			return
 		}

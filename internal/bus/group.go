@@ -83,6 +83,23 @@ type groupRoute struct {
 	members []*iface
 }
 
+// first picks the member a delivery tries first, by the group's policy; the
+// caller has checked that there is one.
+//
+//archlint:hotpath
+func (gr *groupRoute) first() int {
+	if gr.g.policy != PolicyLeastQueue {
+		return int((gr.g.rr.Add(1) - 1) % uint64(len(gr.members)))
+	}
+	start, bestLen := 0, -1
+	for i, m := range gr.members {
+		if l := m.queue.length(); bestLen == -1 || l < bestLen {
+			start, bestLen = i, l
+		}
+	}
+	return start
+}
+
 // deliverGroup picks one live member by the group's policy and pushes the
 // message to its queue. A stale fence surfaces as errStaleRoute so the
 // caller retries through writeSlow against the successor snapshot (the
@@ -91,23 +108,12 @@ type groupRoute struct {
 // like a write to a deleted instance, and ErrQueueClosed reports it.
 //
 //archlint:hotpath
-func (b *Bus) deliverGroup(gr *groupRoute, msg Message, version uint64) error {
+func (b *Bus) deliverGroup(gr *groupRoute, msg *Message, version uint64) error {
 	n := len(gr.members)
 	if n == 0 {
 		return ErrQueueClosed
 	}
-	var start int
-	if gr.g.policy == PolicyLeastQueue {
-		bestLen := -1
-		for i := 0; i < n; i++ {
-			l := gr.members[i].queue.length()
-			if bestLen == -1 || l < bestLen {
-				start, bestLen = i, l
-			}
-		}
-	} else {
-		start = int((gr.g.rr.Add(1) - 1) % uint64(n))
-	}
+	start := gr.first()
 	for k := 0; k < n; k++ {
 		m := gr.members[(start+k)%n]
 		switch err := m.queue.pushRouted(msg, version); err {
@@ -126,23 +132,12 @@ func (b *Bus) deliverGroup(gr *groupRoute, msg Message, version uint64) error {
 // b.mu, so no membership change can fence a queue concurrently and a plain
 // push suffices. version is the snapshot the caller re-resolved against,
 // recorded as the delivery epoch.
-func (b *Bus) deliverGroupLocked(gr *groupRoute, msg Message, version uint64) error {
+func (b *Bus) deliverGroupLocked(gr *groupRoute, msg *Message, version uint64) error {
 	n := len(gr.members)
 	if n == 0 {
 		return ErrQueueClosed
 	}
-	var start int
-	if gr.g.policy == PolicyLeastQueue {
-		bestLen := -1
-		for i := 0; i < n; i++ {
-			l := gr.members[i].queue.length()
-			if bestLen == -1 || l < bestLen {
-				start, bestLen = i, l
-			}
-		}
-	} else {
-		start = int((gr.g.rr.Add(1) - 1) % uint64(n))
-	}
+	start := gr.first()
 	for k := 0; k < n; k++ {
 		m := gr.members[(start+k)%n]
 		if m.queue.push(msg, version) == nil {

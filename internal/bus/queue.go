@@ -32,12 +32,12 @@ const (
 // msg/ver, then slotFull or slotDead. The producer protocol (archlint
 // AL013) is claim -> write fields -> publish: the state Store must be the
 // slot's last touch, and the consumer reads msg/ver only after observing
-// slotFull. Consumed slots are not cleared — a payload reference lives
-// until its segment is collected, at most chunkCap messages later.
+// slotFull. Consumed slots are neither cleared nor reused, so the address
+// take hands out stays good for as long as it is held; a payload reference
+// lives until its segment is collected, at most chunkCap messages later.
 type qslot struct {
 	state atomic.Uint32
-	ver   uint64
-	msg   Message
+	qitem
 }
 
 // chunk is one fixed-size segment of the queue: a slice-free array of slots
@@ -185,13 +185,13 @@ func (q *msgQueue) wakeReader() {
 // delivery's epoch. Pushing to a closed queue reports ErrQueueClosed.
 //
 //archlint:hotpath
-func (q *msgQueue) push(m Message, version uint64) error {
+func (q *msgQueue) push(m *Message, version uint64) error {
 	s := q.claim()
 	if q.closed.Load() {
 		s.state.Store(slotDead)
 		return ErrQueueClosed
 	}
-	s.msg = m
+	s.msg = *m
 	s.ver = version
 	s.state.Store(slotFull) // publish: must be the slot's last write (AL013)
 	q.wakeReader()
@@ -211,7 +211,7 @@ func (q *msgQueue) push(m Message, version uint64) error {
 // read as "receiver gone" and the message dropped.
 //
 //archlint:hotpath
-func (q *msgQueue) pushRouted(m Message, version uint64) error {
+func (q *msgQueue) pushRouted(m *Message, version uint64) error {
 	s := q.claim()
 	if version <= q.fence.Load() {
 		s.state.Store(slotDead)
@@ -221,7 +221,7 @@ func (q *msgQueue) pushRouted(m Message, version uint64) error {
 		s.state.Store(slotDead)
 		return ErrQueueClosed
 	}
-	s.msg = m
+	s.msg = *m
 	s.ver = version
 	s.state.Store(slotFull) // publish: must be the slot's last write (AL013)
 	q.wakeReader()
@@ -242,27 +242,31 @@ func (q *msgQueue) detach(version uint64) {
 	}
 }
 
-// take removes the oldest item without blocking: the front (restored)
-// items first, then the published prefix of the segments, skipping
-// abandoned claims. Returns false on an empty queue or when the head slot
-// is claimed but not yet resolved — the producer's wakeup resolves the
-// latter for parked consumers. Caller holds q.mu.
+// take removes the oldest item without blocking and hands back its
+// address: the front (restored) items first, then the published prefix of
+// the segments, skipping abandoned claims. Nothing writes a taken item
+// again — slots are never reused and restore builds a front of its own —
+// so the address outlives every later queue operation. Returns nil on an
+// empty queue or when the head slot is claimed but not yet resolved — the
+// producer's wakeup resolves the latter for parked consumers. Caller holds
+// q.mu.
 //
 //archlint:hotpath
-func (q *msgQueue) take() (qitem, bool) {
+func (q *msgQueue) take() *qitem {
 	if len(q.front) > 0 {
-		it := q.front[0]
-		q.front[0] = qitem{}
-		q.front = q.front[1:]
+		it := &q.front[0]
+		if q.front = q.front[1:]; len(q.front) == 0 {
+			q.front = nil // the taken items go with their last holder
+		}
 		q.frontLen.Add(-1)
-		return it, true
+		return it
 	}
 	for {
 		c := q.cons
 		if q.head == chunkCap {
 			next := c.next.Load()
 			if next == nil {
-				return qitem{}, false
+				return nil
 			}
 			q.cons = next
 			q.head = 0
@@ -271,7 +275,7 @@ func (q *msgQueue) take() (qitem, bool) {
 		s := &c.slots[q.head]
 		switch s.state.Load() {
 		case slotEmpty:
-			return qitem{}, false
+			return nil
 		case slotDead:
 			q.head++
 			q.absHead.Add(1)
@@ -279,7 +283,7 @@ func (q *msgQueue) take() (qitem, bool) {
 		}
 		q.head++
 		q.absHead.Add(1)
-		return qitem{msg: s.msg, ver: s.ver}, true
+		return &s.qitem
 	}
 }
 
@@ -289,51 +293,55 @@ func (q *msgQueue) take() (qitem, bool) {
 // (archlint AL012 pins QueueLog.Append to this function).
 //
 //archlint:hotpath
-func (q *msgQueue) record(it qitem) {
+func (q *msgQueue) record(it *qitem) {
 	q.rec.Append(it.msg.sender(), it.msg.Data, it.msg.Trace, it.ver)
 }
 
-// pop removes and returns the oldest message, blocking until one is
-// available or the queue closes. A closing queue drains its remaining
-// messages before reporting ErrQueueClosed.
+// pop removes the oldest message into *m — its one copy between the
+// writer's claim and the reader's hands — blocking until one is available
+// or the queue closes. A closing queue drains its remaining messages
+// before reporting ErrQueueClosed.
 //
 //archlint:hotpath
-func (q *msgQueue) pop() (Message, error) {
+func (q *msgQueue) pop(m *Message) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
-		if it, ok := q.take(); ok {
-			q.record(it)
-			return it.msg, nil
-		}
-		if q.closed.Load() {
-			return Message{}, ErrQueueClosed
-		}
-		q.sleeping.Store(true)
-		if it, ok := q.take(); ok { // Dekker re-check against a racing publish
+		it := q.take()
+		if it == nil {
+			if q.closed.Load() {
+				return ErrQueueClosed
+			}
+			q.sleeping.Store(true)
+			it = q.take() // Dekker re-check against a racing publish
+			if it == nil {
+				q.cond.Wait()
+				q.sleeping.Store(false)
+				continue
+			}
 			q.sleeping.Store(false)
-			q.record(it)
-			return it.msg, nil
 		}
-		q.cond.Wait()
-		q.sleeping.Store(false)
+		q.record(it)
+		*m = it.msg
+		return nil
 	}
 }
 
-// tryPop removes and returns the oldest message without blocking.
+// tryPop is pop without blocking: false when nothing is queued.
 //
 //archlint:hotpath
-func (q *msgQueue) tryPop() (Message, bool, error) {
+func (q *msgQueue) tryPop(m *Message) (bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if it, ok := q.take(); ok {
+	if it := q.take(); it != nil {
 		q.record(it)
-		return it.msg, true, nil
+		*m = it.msg
+		return true, nil
 	}
 	if q.closed.Load() {
-		return Message{}, false, ErrQueueClosed
+		return false, ErrQueueClosed
 	}
-	return Message{}, false, nil
+	return false, nil
 }
 
 // length returns the number of queued messages from the occupancy
@@ -371,8 +379,8 @@ func (q *msgQueue) drain() []Message {
 	end := endC.base + endT
 	var out []Message
 	for len(q.front) > 0 || q.absHead.Load() < end {
-		it, ok := q.take()
-		if !ok {
+		it := q.take()
+		if it == nil {
 			runtime.Gosched() // head slot claimed, producer mid-publish
 			continue
 		}
@@ -424,10 +432,7 @@ func (q *msgQueue) restore(items []Message, version uint64) {
 	if q.closed.Load() {
 		return
 	}
-	for { // discard current contents, unrecorded
-		if _, ok := q.take(); !ok {
-			break
-		}
+	for q.take() != nil { // discard current contents, unrecorded
 	}
 	q.front = make([]qitem, len(items))
 	for i, m := range items {
@@ -451,9 +456,9 @@ func (q *msgQueue) pushAll(items []Message, version uint64) error {
 	if q.closed.Load() {
 		return ErrQueueClosed
 	}
-	for _, m := range items {
+	for i := range items {
 		s := q.claim()
-		s.msg = m
+		s.msg = items[i]
 		s.ver = version
 		s.state.Store(slotFull)
 	}

@@ -20,10 +20,17 @@ func twoNodeBus(t *testing.T, opts ...BusOption) *Bus {
 	return b
 }
 
+// writerFor hands out the write side of an instance without claiming its
+// runtime slot, for tests that only need traffic on the bus.
+func writerFor(b *Bus, instance string) *Attachment {
+	return newAttachment(b, b.routing.Load().instances[instance])
+}
+
 func TestBusTelemetryCounters(t *testing.T) {
 	b := twoNodeBus(t)
+	src := writerFor(b, "src")
 	for i := 0; i < 7; i++ {
-		if err := b.write(Endpoint{"src", "out"}, []byte("m")); err != nil {
+		if err := src.Write("out", []byte("m")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -62,8 +69,9 @@ func TestBusTelemetryDisabled(t *testing.T) {
 	if b.Telemetry() != nil {
 		t.Fatal("WithTelemetry(nil) did not disable telemetry")
 	}
+	src := writerFor(b, "src")
 	for i := 0; i < 3; i++ {
-		if err := b.write(Endpoint{"src", "out"}, []byte("m")); err != nil {
+		if err := src.Write("out", []byte("m")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,7 +90,7 @@ func TestBusTelemetryDisabled(t *testing.T) {
 func TestWriteTelemetryAddsNoAllocs(t *testing.T) {
 	measure := func(b *Bus) float64 {
 		t.Helper()
-		ep := Endpoint{"src", "out"}
+		src := writerFor(b, "src")
 		sink := Endpoint{"dst", "in"}
 		payload := []byte("m")
 		// AllocsPerRun counts process-global mallocs, so a straggling
@@ -91,7 +99,7 @@ func TestWriteTelemetryAddsNoAllocs(t *testing.T) {
 		best := -1.0
 		for i := 0; i < 3; i++ {
 			n := testing.AllocsPerRun(200, func() {
-				if err := b.write(ep, payload); err != nil {
+				if err := src.Write("out", payload); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := b.DrainQueue(sink); err != nil {

@@ -4,17 +4,10 @@
 // Section 1.2 of the paper requires that "the characterization of the
 // process state must be in an abstract, not machine-specific, format" so
 // that modules can be moved across heterogeneous hosts. POLYLITH realized
-// this with its own coercion layer; we provide two interchangeable codecs
-// behind one interface:
-//
-//   - Portable: a hand-written, self-describing binary format (varint
-//     integers, IEEE-754 big-endian floats, length-prefixed strings) with
-//     hard decode limits. This is the default and the closest analogue of
-//     POLYLITH's wire representation.
-//   - Gob: encoding/gob, the stdlib's self-describing stream format.
-//
-// The two are benchmarked against each other in the top-level harness
-// (experiment A1 in DESIGN.md).
+// this with its own coercion layer; ours is Portable: a hand-written,
+// self-describing binary format (varint integers, IEEE-754 big-endian
+// floats, length-prefixed strings) with hard decode limits. The top-level
+// harness benchmarks it against encoding/gob (experiment A1 in DESIGN.md).
 package codec
 
 import (
@@ -27,7 +20,7 @@ import (
 // Codec converts abstract state to and from bytes. Implementations must be
 // safe for concurrent use.
 type Codec interface {
-	// Name identifies the codec ("portable", "gob").
+	// Name identifies the codec ("portable").
 	Name() string
 	// EncodeState serializes s.
 	EncodeState(s *state.State) ([]byte, error)

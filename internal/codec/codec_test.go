@@ -40,7 +40,7 @@ func sampleState() *state.State {
 	return s
 }
 
-func allCodecs() []Codec { return []Codec{Portable{}, Gob{}} }
+func allCodecs() []Codec { return []Codec{Portable{}} }
 
 func TestDefaultIsPortable(t *testing.T) {
 	if Default().Name() != "portable" {
@@ -192,16 +192,6 @@ func TestPortableDecodeErrors(t *testing.T) {
 	})
 }
 
-func TestGobDecodeCorrupt(t *testing.T) {
-	c := Gob{}
-	if _, err := c.DecodeState([]byte("not gob")); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("got %v", err)
-	}
-	if _, err := c.DecodeValue([]byte{1, 2, 3}); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("got %v", err)
-	}
-}
-
 func TestPortableDeterministic(t *testing.T) {
 	// Two encodings of the same state must be byte-identical (metadata maps
 	// are sorted), so state can be hashed/compared on the wire.
@@ -286,12 +276,12 @@ func randomValue(r *rand.Rand, depth int) state.Value {
 		for i := range fields {
 			fields[i] = state.Field{Name: string(rune('A' + i)), Value: randomValue(r, depth-1)}
 		}
-		return state.Value{Kind: state.KindStruct, Type: "T", Fields: fields}
+		return state.StructValue("T", fields...)
 	}
 }
 
 // TestValueRoundTripProperty: for arbitrary abstract values, encode/decode
-// must be the identity under both codecs, and the two codecs must agree.
+// must be the identity.
 func TestValueRoundTripProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 500; i++ {
@@ -339,32 +329,6 @@ func TestPortableFuzzSafety(t *testing.T) {
 	}
 	if err := quick.Check(g, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(8))}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestCrossCodecEquivalence: a state encoded by one codec and decoded, then
-// re-encoded by the other, must describe the same abstract state.
-func TestCrossCodecEquivalence(t *testing.T) {
-	in := sampleState()
-	p, g := Portable{}, Gob{}
-	pd, err := p.EncodeState(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaPortable, err := p.DecodeState(pd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gd, err := g.EncodeState(viaPortable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaGob, err := g.DecodeState(gd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !in.Equal(viaGob) {
-		t.Error("state changed crossing codecs")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/state"
 )
@@ -117,7 +116,7 @@ func (Portable) DecodeState(data []byte) (*state.State, error) {
 			if f.Vars[j].Name, err = r.Str(); err != nil {
 				return nil, err
 			}
-			if f.Vars[j].Value, err = r.value(0); err != nil {
+			if err = r.value(&f.Vars[j].Value, 0); err != nil {
 				return nil, err
 			}
 		}
@@ -135,7 +134,7 @@ func (Portable) DecodeState(data []byte) (*state.State, error) {
 			if s.Heap[i].Key, err = r.Str(); err != nil {
 				return nil, err
 			}
-			if s.Heap[i].Value, err = r.value(0); err != nil {
+			if err = r.value(&s.Heap[i].Value, 0); err != nil {
 				return nil, err
 			}
 		}
@@ -164,12 +163,16 @@ func (Portable) DecodeState(data []byte) (*state.State, error) {
 	return s, nil
 }
 
-// EncodeValue implements Codec. The value is built in a scratch buffer on
-// the stack and leaves as one exact-size allocation: the payload of a bus
-// message is retained by the queues and rings it passes through.
-func (Portable) EncodeValue(v state.Value) ([]byte, error) {
+// EncodeValue implements Codec.
+func (p Portable) EncodeValue(v state.Value) ([]byte, error) { return p.EncodeValueAt(&v) }
+
+// EncodeValueAt is EncodeValue of the value at v. The encoding is built in
+// a scratch buffer on the stack and leaves as one exact-size allocation: the
+// payload of a bus message is retained by the queues and rings it passes
+// through.
+func (Portable) EncodeValueAt(v *state.Value) ([]byte, error) {
 	var scratch [64]byte
-	b, err := appendValue(scratch[:0], &v, 0)
+	b, err := appendValue(scratch[:0], v, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -177,16 +180,23 @@ func (Portable) EncodeValue(v state.Value) ([]byte, error) {
 }
 
 // DecodeValue implements Codec.
-func (Portable) DecodeValue(data []byte) (state.Value, error) {
-	r := NewReader(data)
-	v, err := r.value(0)
+func (p Portable) DecodeValue(data []byte) (v state.Value, err error) {
+	err = p.DecodeValueInto(&v, data)
+	return v, err
+}
+
+// DecodeValueInto is DecodeValue into the value at v, which it overwrites
+// whole (with the invalid zero value when it fails).
+func (Portable) DecodeValueInto(v *state.Value, data []byte) error {
+	r := Reader{data: data}
+	err := r.value(v, 0)
+	if err == nil && r.Rem() != 0 {
+		err = fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Rem())
+	}
 	if err != nil {
-		return state.Value{}, err
+		*v = state.Value{}
 	}
-	if r.Rem() != 0 {
-		return state.Value{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Rem())
-	}
-	return v, nil
+	return err
 }
 
 // ---- low-level writer ----
@@ -197,8 +207,8 @@ func AppendStr[T ~string | ~[]byte](b []byte, s T) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-// appendValue takes the value by address: a state.Value is fourteen words,
-// and copying one per level was a fifth of the encoder's time.
+// appendValue walks the value by address: lists and struct fields are
+// encoded where they lie.
 func appendValue(b []byte, v *state.Value, depth int) ([]byte, error) {
 	if depth > maxDepth {
 		return nil, fmt.Errorf("codec: value nested deeper than %d", maxDepth)
@@ -207,7 +217,7 @@ func appendValue(b []byte, v *state.Value, depth int) ([]byte, error) {
 	b = append(b, byte(v.Kind))
 	switch v.Kind {
 	case state.KindBool:
-		if v.Bool {
+		if v.Bool() {
 			b = append(b, 1)
 		} else {
 			b = append(b, 0)
@@ -215,7 +225,7 @@ func appendValue(b []byte, v *state.Value, depth int) ([]byte, error) {
 	case state.KindInt:
 		b = binary.AppendVarint(b, v.Int)
 	case state.KindFloat:
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(v.Float))
+		b = binary.BigEndian.AppendUint64(b, uint64(v.Int)) // already the IEEE bits
 	case state.KindString:
 		b = AppendStr(b, v.Str)
 	case state.KindList:
@@ -226,9 +236,13 @@ func appendValue(b []byte, v *state.Value, depth int) ([]byte, error) {
 			}
 		}
 	case state.KindStruct:
-		b = binary.AppendUvarint(AppendStr(b, v.Type), uint64(len(v.Fields)))
-		for i := range v.Fields {
-			if b, err = appendValue(AppendStr(b, v.Fields[i].Name), &v.Fields[i].Value, depth+1); err != nil {
+		if len(v.List)%2 != 0 {
+			return nil, fmt.Errorf("codec: struct %s has a field without a value", v.Type())
+		}
+		b = binary.AppendUvarint(AppendStr(b, v.Type()), uint64(v.NumFields()))
+		for i := 0; i < v.NumFields(); i++ {
+			name, fv := v.Field(i)
+			if b, err = appendValue(AppendStr(b, name), fv, depth+1); err != nil {
 				return nil, err
 			}
 		}
@@ -327,81 +341,79 @@ func (r *Reader) Str() (string, error) {
 	return string(b), nil
 }
 
-func (r *Reader) value(depth int) (state.Value, error) {
+// value decodes one value into v, overwriting it whole; what v holds after
+// an error is unspecified.
+func (r *Reader) value(v *state.Value, depth int) error {
 	if depth > maxDepth {
-		return state.Value{}, fmt.Errorf("%w: value nested deeper than %d", ErrLimit, maxDepth)
+		return fmt.Errorf("%w: value nested deeper than %d", ErrLimit, maxDepth)
 	}
 	kb, err := r.Byte()
 	if err != nil {
-		return state.Value{}, err
+		return err
 	}
-	v := state.Value{Kind: state.Kind(kb)}
+	*v = state.Value{Kind: state.Kind(kb)}
 	switch v.Kind {
 	case state.KindBool:
 		b, err := r.Byte()
 		if err != nil {
-			return state.Value{}, err
+			return err
 		}
 		if b > 1 {
-			return state.Value{}, fmt.Errorf("%w: bool byte %d", ErrCorrupt, b)
+			return fmt.Errorf("%w: bool byte %d", ErrCorrupt, b)
 		}
-		v.Bool = b == 1
+		v.Int = int64(b)
 	case state.KindInt:
-		if v.Int, err = r.Varint(); err != nil {
-			return state.Value{}, err
-		}
+		v.Int, err = r.Varint()
 	case state.KindFloat:
 		b, err := r.take(8)
 		if err != nil {
-			return state.Value{}, err
+			return err
 		}
-		v.Float = math.Float64frombits(binary.BigEndian.Uint64(b))
+		v.Int = int64(binary.BigEndian.Uint64(b))
 	case state.KindString:
-		if v.Str, err = r.Str(); err != nil {
-			return state.Value{}, err
-		}
+		v.Str, err = r.Str()
 	case state.KindList:
 		n, err := r.Uvarint()
 		if err != nil {
-			return state.Value{}, err
+			return err
 		}
 		if n > maxListLen {
-			return state.Value{}, fmt.Errorf("%w: list of %d", ErrLimit, n)
+			return fmt.Errorf("%w: list of %d", ErrLimit, n)
 		}
 		if n > 0 {
 			v.List = make([]state.Value, n)
 			for i := range v.List {
-				if v.List[i], err = r.value(depth + 1); err != nil {
-					return state.Value{}, err
+				if err = r.value(&v.List[i], depth+1); err != nil {
+					return err
 				}
 			}
 		}
 	case state.KindStruct:
-		if v.Type, err = r.Str(); err != nil {
-			return state.Value{}, err
+		typeName, err := r.Str()
+		if err != nil {
+			return err
 		}
 		n, err := r.Uvarint()
 		if err != nil {
-			return state.Value{}, err
+			return err
 		}
 		if n > maxVars {
-			return state.Value{}, fmt.Errorf("%w: struct of %d fields", ErrLimit, n)
+			return fmt.Errorf("%w: struct of %d fields", ErrLimit, n)
 		}
-		if n > 0 {
-			v.Fields = make([]state.Field, n)
-			for i := range v.Fields {
-				if v.Fields[i].Name, err = r.Str(); err != nil {
-					return state.Value{}, err
-				}
-				if v.Fields[i].Value, err = r.value(depth + 1); err != nil {
-					return state.Value{}, err
-				}
+		*v = state.NewStruct(typeName, int(n))
+		for i := uint64(0); i < n; i++ {
+			name, err := r.Str()
+			if err != nil {
+				return err
+			}
+			if err = r.value(v.AddField(name), depth+1); err != nil {
+				return err
 			}
 		}
 	default:
-		return state.Value{}, fmt.Errorf("%w: unknown kind byte %d", ErrCorrupt, kb)
+		return fmt.Errorf("%w: unknown kind byte %d", ErrCorrupt, kb)
 	}
-	return v, nil
+	return err
 }
 
 func sortedKeys(m map[string]string) []string {

@@ -3,6 +3,8 @@ package codec
 import (
 	"bytes"
 	"encoding/hex"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -71,6 +73,73 @@ func TestPortableValueBytes(t *testing.T) {
 				t.Errorf("decoded %v, want %v", back, tt.v)
 			}
 		})
+	}
+}
+
+// TestPortableValueBytesAtTheEdges: the values whose in-memory form shares
+// one word — a float's bits, a bool's 0 or 1, the widest int — are the same
+// bytes as ever, and come back bit for bit (a NaN keeps its payload, a zero
+// its sign).
+func TestPortableValueBytesAtTheEdges(t *testing.T) {
+	c := Portable{}
+	for _, tt := range []struct {
+		name string
+		v    state.Value
+		want string
+	}{
+		{"float +0", state.FloatValue(0), "03 00 00 00 00 00 00 00 00"},
+		{"float -0", state.FloatValue(math.Copysign(0, -1)), "03 80 00 00 00 00 00 00 00"},
+		{"float NaN with a payload", state.FloatValue(math.Float64frombits(0x7ff8000000000123)), "03 7f f8 00 00 00 00 01 23"},
+		{"float -Inf", state.FloatValue(math.Inf(-1)), "03 ff f0 00 00 00 00 00 00"},
+		{"int min", state.IntValue(math.MinInt64), "02 ff ff ff ff ff ff ff ff ff 01"}, // zigzag: 2^64-1
+		{"int max", state.IntValue(math.MaxInt64), "02 fe ff ff ff ff ff ff ff ff 01"}, // zigzag: 2^64-2
+		{"bool spelled 7", state.Value{Kind: state.KindBool, Int: 7}, "01 01"},
+	} {
+		want := fromHex(t, tt.want)
+		got, err := c.EncodeValue(tt.v)
+		if err != nil {
+			t.Fatalf("%s: %v", tt.name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: encoded % x, want % x", tt.name, got, want)
+		}
+		back, err := c.DecodeValue(want)
+		if err != nil {
+			t.Fatalf("%s: %v", tt.name, err)
+		}
+		if again, _ := c.EncodeValue(back); !bytes.Equal(again, want) || !back.Equal(tt.v) {
+			t.Errorf("%s: decoded %v (re-encodes to % x), want %v", tt.name, back, again, tt.v)
+		}
+	}
+}
+
+// TestDecodeValueIntoOverwritesWhole: the module runtime decodes every
+// message into one cell, so nothing of the last message may show through
+// the next, and a failed decode leaves the invalid zero value.
+func TestDecodeValueIntoOverwritesWhole(t *testing.T) {
+	c := Portable{}
+	var v state.Value
+	for _, next := range []state.Value{
+		state.StructValue("P", state.Field{Name: "X", Value: state.StringValue("x")}),
+		state.ListValue(state.IntValue(1), state.IntValue(2)),
+		state.FloatValue(2.5),
+		state.StringValue("s"),
+		state.BoolValue(false),
+	} {
+		data, err := c.EncodeValue(next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.DecodeValueInto(&v, data); err != nil {
+			t.Fatal(err)
+		}
+		if fresh, _ := c.DecodeValue(data); !reflect.DeepEqual(v, fresh) || !v.Equal(next) {
+			t.Errorf("decoded %+v over the previous message, %+v into a fresh value", v, fresh)
+		}
+	}
+	v = state.ListValue(state.IntValue(1))
+	if err := c.DecodeValueInto(&v, []byte{byte(state.KindList), 2, byte(state.KindInt), 2}); err == nil || v.Kind != state.KindInvalid || v.List != nil {
+		t.Errorf("truncated list decoded into %+v, %v", v, err)
 	}
 }
 

@@ -3,7 +3,6 @@ package interp
 import (
 	"go/ast"
 	"go/token"
-	"math"
 
 	"repro/internal/codec"
 	"repro/internal/lang"
@@ -131,19 +130,22 @@ func (fl *funcLowerer) bridgeRead(call *ast.CallExpr, iface func(*frame) string)
 	}
 	return func(fr *frame, rt *mh.Runtime) {
 		name := iface(fr)
-		v, ok := rt.ReadAbstract(name)
-		if !ok {
+		v := rt.ReadAbstract(name)
+		if v == nil {
 			return // the recorded error surfaces in guard
 		}
 		if len(into) == 1 {
 			into[0](fr, v)
 			return
 		}
-		if v.Kind != state.KindList || len(v.List) != len(into) {
-			fr.in.failf(pos, "mh.Read on %s: message arity %d does not match %d pointers", name, len(v.List), len(into))
+		// The runtime overwrites *v at its next read, which evaluating a
+		// pointer argument may perform; the elements are this message's own.
+		elems := v.List
+		if v.Kind != state.KindList || len(elems) != len(into) {
+			fr.in.failf(pos, "mh.Read on %s: message arity %d does not match %d pointers", name, len(elems), len(into))
 		}
 		for i, set := range into {
-			set(fr, v.List[i])
+			set(fr, &elems[i])
 		}
 	}
 }
@@ -154,7 +156,10 @@ func (fl *funcLowerer) bridgeWrite(call *ast.CallExpr, iface func(*frame) string
 		vals = append(vals, fl.abstract(a))
 	}
 	if len(vals) == 1 {
-		return func(fr *frame, rt *mh.Runtime) { rt.WriteAbstract(iface(fr), vals[0](fr)) }
+		return func(fr *frame, rt *mh.Runtime) {
+			name, v := iface(fr), vals[0](fr)
+			rt.WriteAbstract(name, &v)
+		}
 	}
 	return func(fr *frame, rt *mh.Runtime) {
 		// The tuple is built on the interpreter's scratch stack (an argument
@@ -165,7 +170,7 @@ func (fl *funcLowerer) bridgeWrite(call *ast.CallExpr, iface func(*frame) string
 		for _, val := range vals {
 			in.tuple = append(in.tuple, val(fr))
 		}
-		rt.WriteAbstract(iface(fr), state.Value{Kind: state.KindList, Type: "tuple", List: in.tuple[base:]})
+		rt.WriteAbstract(iface(fr), &state.Value{Kind: state.KindList, List: in.tuple[base:]})
 		in.tuple = in.tuple[:base]
 	}
 }
@@ -210,8 +215,8 @@ func (fl *funcLowerer) bridgeRestore(call *ast.CallExpr, fn, format func(*frame)
 	}
 	return func(fr *frame, rt *mh.Runtime) {
 		name := fn(fr)
-		frame, ok := rt.NextRestoreFrame(name)
-		if !ok {
+		frame := rt.NextRestoreFrame(name)
+		if frame == nil {
 			return
 		}
 		if len(into)-1 != len(frame.Vars) {
@@ -222,9 +227,10 @@ func (fl *funcLowerer) bridgeRestore(call *ast.CallExpr, fn, format func(*frame)
 				fr.in.failf(pos, "mh.Restore %s: %v", name, err)
 			}
 		}
-		into[0](fr, state.IntValue(int64(frame.Location)))
-		for i, v := range frame.Vars {
-			into[i+1](fr, v.Value)
+		loc := state.IntValue(int64(frame.Location))
+		into[0](fr, &loc)
+		for i := range frame.Vars {
+			into[i+1](fr, &frame.Vars[i].Value)
 		}
 	}
 }
@@ -287,9 +293,9 @@ func (fl *funcLowerer) abstract(e ast.Expr) func(*frame) state.Value {
 	}
 }
 
-// install stores an abstract value through one pointer argument of
-// mh.Read or mh.Restore.
-type install func(*frame, state.Value)
+// install stores the abstract value at v through one pointer argument of
+// mh.Read or mh.Restore. It does not keep v.
+type install func(fr *frame, v *state.Value)
 
 // installer lowers a pointer argument. &x of a variable that lives in its
 // slot is stored into directly, with the kind check the pointee type
@@ -298,10 +304,10 @@ func (fl *funcLowerer) installer(a ast.Expr) install {
 	pos := a.Pos()
 	pt, ok := fl.info.TypeOf(a).(lang.Pointer)
 	if !ok {
-		return func(fr *frame, _ state.Value) { fr.in.failf(pos, "argument has no pointer type info") }
+		return func(fr *frame, _ *state.Value) { fr.in.failf(pos, "argument has no pointer type info") }
 	}
 	t := pt.Elem
-	convert := func(fr *frame, v state.Value) any {
+	convert := func(fr *frame, v *state.Value) any {
 		rv, err := fromAbstract(v, t)
 		if err != nil {
 			fr.in.failf(pos, "%v", err)
@@ -310,35 +316,29 @@ func (fl *funcLowerer) installer(a ast.Expr) install {
 	}
 	if v := fl.slotTarget(a); v != nil {
 		k, want := v.slot, t.Kind()
-		scalar := func(fr *frame, v state.Value) *slot {
-			if v.Kind != want {
-				fr.in.failf(pos, "%v", kindErr(v, t))
-			}
-			return &fr.s[k]
-		}
-		switch v.cls {
-		case intClass:
-			return func(fr *frame, v state.Value) { scalar(fr, v).n = int(v.Int) }
-		case floatClass:
-			return func(fr *frame, v state.Value) { scalar(fr, v).n = int(math.Float64bits(v.Float)) }
-		case boolClass:
-			return func(fr *frame, v state.Value) {
-				s := scalar(fr, v)
-				s.n = 0
-				if v.Bool {
-					s.n = 1
+		// Every scalar kind travels in Value.Int exactly as its slot holds
+		// it: the int, the float's bits, the bool as 0 or 1.
+		if v.cls == intClass || v.cls == floatClass || v.cls == boolClass {
+			return func(fr *frame, v *state.Value) {
+				if v.Kind != want {
+					fr.in.failf(pos, "%v", kindErr(v, t))
 				}
+				fr.s[k].n = int(v.Int)
 			}
 		}
-		return func(fr *frame, v state.Value) { fr.s[k].r = convert(fr, v) }
+		return func(fr *frame, v *state.Value) { fr.s[k].r = convert(fr, v) }
 	}
 	p := fl.expr(a).any()
-	return func(fr *frame, v state.Value) {
+	return func(fr *frame, v *state.Value) {
+		// Converted before the pointer is evaluated: that may read a
+		// message, and the runtime decodes every message into the cell v
+		// points at.
+		rv := convert(fr, v)
 		c, ok := p(fr).(cell)
 		if !ok || c == nil {
 			fr.in.failf(pos, "argument is not a pointer")
 		}
-		c.set(convert(fr, v))
+		c.set(rv)
 	}
 }
 

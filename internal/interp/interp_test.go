@@ -521,7 +521,7 @@ func (h *monitorHarness) readFloat() float64 {
 	if v.Kind != state.KindFloat {
 		h.t.Fatalf("reply kind = %v", v.Kind)
 	}
-	return v.Float
+	return v.Float()
 }
 
 // TestMonitorComputeRuns (experiment F3): the original Figure 3 module

@@ -161,13 +161,13 @@ func toAbstract(v any) (state.Value, error) {
 		}
 		return out, nil
 	case *structVal:
-		out := state.Value{Kind: state.KindStruct, Type: x.typ}
+		out := state.NewStruct(x.typ, len(x.fields))
 		for i, f := range x.fields {
 			fv, err := toAbstract(f)
 			if err != nil {
 				return state.Value{}, err
 			}
-			out.Fields = append(out.Fields, state.Field{Name: x.names[i], Value: fv})
+			*out.AddField(x.names[i]) = fv
 		}
 		return out, nil
 	case cell:
@@ -181,7 +181,7 @@ func toAbstract(v any) (state.Value, error) {
 }
 
 // fromAbstract converts an abstract value into the runtime value of type t.
-func fromAbstract(v state.Value, t lang.Type) (any, error) {
+func fromAbstract(v *state.Value, t lang.Type) (any, error) {
 	switch tt := t.(type) {
 	case lang.Basic:
 		switch tt.B {
@@ -194,12 +194,12 @@ func fromAbstract(v state.Value, t lang.Type) (any, error) {
 			if v.Kind != state.KindFloat {
 				return nil, kindErr(v, t)
 			}
-			return v.Float, nil
+			return v.Float(), nil
 		case lang.Bool:
 			if v.Kind != state.KindBool {
 				return nil, kindErr(v, t)
 			}
-			return v.Bool, nil
+			return v.Bool(), nil
 		case lang.String:
 			if v.Kind != state.KindString {
 				return nil, kindErr(v, t)
@@ -211,8 +211,8 @@ func fromAbstract(v state.Value, t lang.Type) (any, error) {
 			return nil, kindErr(v, t)
 		}
 		out := make([]any, len(v.List))
-		for i, e := range v.List {
-			ev, err := fromAbstract(e, tt.Elem)
+		for i := range v.List {
+			ev, err := fromAbstract(&v.List[i], tt.Elem)
 			if err != nil {
 				return nil, err
 			}
@@ -231,16 +231,16 @@ func fromAbstract(v state.Value, t lang.Type) (any, error) {
 		for _, f := range tt.Fields {
 			sv.names = append(sv.names, f.Name)
 			var got *state.Value
-			for i := range v.Fields {
-				if v.Fields[i].Name == f.Name {
-					got = &v.Fields[i].Value
+			for i := 0; i < v.NumFields(); i++ {
+				if name, fv := v.Field(i); name == f.Name {
+					got = fv
 					break
 				}
 			}
 			if got == nil {
 				return nil, fmt.Errorf("interp: abstract struct %s lacks field %s", tt.Name, f.Name)
 			}
-			fv, err := fromAbstract(*got, f.Type)
+			fv, err := fromAbstract(got, f.Type)
 			if err != nil {
 				return nil, err
 			}
@@ -251,7 +251,7 @@ func fromAbstract(v state.Value, t lang.Type) (any, error) {
 	return nil, fmt.Errorf("interp: cannot restore into type %s", t)
 }
 
-func kindErr(v state.Value, t lang.Type) error {
+func kindErr(v *state.Value, t lang.Type) error {
 	return fmt.Errorf("interp: abstract %s value does not fit %s", v.Kind, t)
 }
 

@@ -173,7 +173,7 @@ func TestZeroValue(t *testing.T) {
 	}
 	st := &Struct{Name: "P", Fields: []StructField{{Name: "X", Type: IntType}, {Name: "S", Type: StringType}}}
 	v := ZeroValue(st)
-	if v.Kind != state.KindStruct || len(v.Fields) != 2 || v.Fields[0].Name != "X" {
+	if v.Kind != state.KindStruct || v.NumFields() != 2 || v.List[0].Str != "X" {
 		t.Errorf("zero struct = %v", v)
 	}
 }

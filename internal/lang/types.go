@@ -214,9 +214,9 @@ func ZeroValue(t Type) state.Value {
 	case Pointer:
 		return ZeroValue(tt.Elem)
 	case *Struct:
-		v := state.Value{Kind: state.KindStruct, Type: tt.Name}
+		v := state.NewStruct(tt.Name, len(tt.Fields))
 		for _, f := range tt.Fields {
-			v.Fields = append(v.Fields, state.Field{Name: f.Name, Value: ZeroValue(f.Type)})
+			*v.AddField(f.Name) = ZeroValue(f.Type)
 		}
 		return v
 	}

@@ -164,6 +164,11 @@ func TestWriteBatchOrderAcrossWindows(t *testing.T) {
 // Write, so the window holds for interpreted modules too: WriteAbstract
 // joins it, a full window flushes, and ReadAbstract — a control handoff
 // like Read — flushes a partial one before it blocks for input.
+func writeAbstract(rt *Runtime, iface string, n int64) {
+	v := state.IntValue(n)
+	rt.WriteAbstract(iface, &v)
+}
+
 func TestWriteBatchWindowAbstractEntryPoints(t *testing.T) {
 	b := newDualBus(t)
 	rt := attachRT(t, b, "dual", WithWriteBatch(3))
@@ -173,20 +178,20 @@ func TestWriteBatchWindowAbstractEntryPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rt.WriteAbstract("a", state.IntValue(1))
-	rt.WriteAbstract("a", state.IntValue(2))
+	writeAbstract(rt, "a", 1)
+	writeAbstract(rt, "a", 2)
 	if n := pending(t, sa, "in"); n != 0 {
 		t.Fatalf("window leaked early: %d messages on the bus", n)
 	}
-	rt.WriteAbstract("a", state.IntValue(3))
+	writeAbstract(rt, "a", 3)
 	if got := drainInts(t, sa, "in"); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("full-window flush delivered %v, want [1 2 3]", got)
 	}
 
-	rt.WriteAbstract("a", state.IntValue(4))
+	writeAbstract(rt, "a", 4)
 	writeOn(t, b, "drv", "out", 7)
-	if v, ok := rt.ReadAbstract("ctl"); !ok || v.Int != 7 {
-		t.Fatalf("ReadAbstract = %v, %v; want 7", v, ok)
+	if v := rt.ReadAbstract("ctl"); v == nil || v.Int != 7 {
+		t.Fatalf("ReadAbstract = %v; want 7", v)
 	}
 	if got := drainInts(t, sa, "in"); len(got) != 1 || got[0] != 4 {
 		t.Fatalf("ReadAbstract flush delivered %v, want [4]", got)

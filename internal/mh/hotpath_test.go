@@ -1,6 +1,7 @@
 package mh
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -71,6 +72,53 @@ func TestReadWriteAllocateOnlyThePayload(t *testing.T) {
 	v, err := codec.Default().DecodeValue(prev)
 	if err != nil || len(v.List) != 2 || v.List[0].Int != 3<<40+1 || v.List[1].Int != int64(count-1+1<<40) {
 		t.Errorf("previous payload decodes to %v, %v after the next Write", v, err)
+	}
+}
+
+// TestWrittenValueEqualsItsDecoding: for every shape Write and
+// WriteAbstract emit — a bare value of each kind, a tuple, a slice, a
+// struct — what the receiver decodes Equals what the sender held. (A tuple
+// used to carry a type hint the encoding dropped, so it never did.)
+func TestWrittenValueEqualsItsDecoding(t *testing.T) {
+	type point struct {
+		X  int
+		On bool
+	}
+	port := newLoopPort(t, 0)
+	rt := New(port)
+	abstract := func(vals ...any) state.Value {
+		t.Helper()
+		out := make([]state.Value, len(vals))
+		for i, val := range vals {
+			v, err := state.FromGo(val)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = v
+		}
+		if len(out) == 1 {
+			return out[0]
+		}
+		return state.ListValue(out...)
+	}
+	for _, vals := range [][]any{
+		{7}, {math.MinInt64}, {2.5}, {math.NaN()}, {math.Copysign(0, -1)}, {true}, {false}, {"s"}, {""},
+		{[]int{1, 2}}, {[]string{}}, {point{3, true}}, {[]point{{1, false}}},
+		{1, 2.5, true, "s"}, {[]int{1}, point{2, true}}, {math.NaN(), false},
+	} {
+		want := abstract(vals...)
+		rt.Write("out", vals...)
+		native := port.last
+		rt.WriteAbstract("out", &want)
+		for i, data := range [][]byte{native, port.last} {
+			got, err := codec.Default().DecodeValue(data)
+			if err != nil || !want.Equal(got) || !got.Equal(want) {
+				t.Errorf("%v (abstract: %t) decodes to %v, %v; want %v", vals, i == 1, got, err, want)
+			}
+		}
+	}
+	if err := rt.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -52,9 +52,6 @@ var ErrWrongFrame = errors.New("mh: restore frame mismatch")
 // Option configures a Runtime.
 type Option func(*Runtime)
 
-// WithCodec selects the codec for messages and state (default: portable).
-func WithCodec(c codec.Codec) Option { return func(r *Runtime) { r.codec = c } }
-
 // WithSleepUnit sets the duration of one mh.Sleep tick (default 1ms). The
 // paper's modules sleep in seconds; tests and benchmarks compress time.
 func WithSleepUnit(d time.Duration) Option { return func(r *Runtime) { r.sleepUnit = d } }
@@ -99,7 +96,7 @@ func WithTelemetry(reg *telemetry.Registry) Option { return func(r *Runtime) { r
 type Runtime struct {
 	port         bus.Port
 	status       string // the port's status when this runtime was made
-	codec        codec.Codec
+	codec        codec.Portable
 	heap         *state.HeapRegistry
 	sleepUnit    time.Duration
 	stateTimeout time.Duration
@@ -161,6 +158,7 @@ type Runtime struct {
 	bw         bus.BatchTracedWriter
 
 	tuple []state.Value // scratch for the outgoing tuple of a Write
+	in    state.Value   // the last message read, decoded in place
 }
 
 // New wraps a bus port in a participation runtime.
@@ -168,7 +166,6 @@ func New(port bus.Port, opts ...Option) *Runtime {
 	r := &Runtime{
 		port:         port,
 		status:       port.Status(),
-		codec:        codec.Default(),
 		heap:         state.NewHeapRegistry(),
 		sleepUnit:    time.Millisecond,
 		stateTimeout: 30 * time.Second,
@@ -284,41 +281,42 @@ func (r *Runtime) pollSignals() {
 // ptrs (mh_read). With one pointer the payload is the bare value; with
 // several it must be a tuple (list) of the same arity.
 func (r *Runtime) Read(iface string, ptrs ...any) {
-	v, ok := r.receive(iface)
-	if !ok {
+	v := r.receive(iface)
+	if v == nil {
 		return
 	}
 	// The values land before the operation is ticked: a checkpoint taken
 	// on this tick must see the message it has consumed.
-	r.storeInto(iface, &v, ptrs)
+	r.storeInto(iface, v, ptrs)
 	r.tickOp()
 }
 
 // receive is the one read path, under Read and ReadAbstract alike: poll
 // for signals, flush the write-batching window (a module that waits for
 // input has handed off control), take the next message, remember its
-// trace context for the writes it causes, decode it. The caller ticks the
+// trace context for the writes it causes, decode it. The value is decoded
+// into the runtime's own cell and handed out by address, good until the
+// next read; nil means an error was recorded. The caller ticks the
 // operation once the value is where the module will look for it.
-func (r *Runtime) receive(iface string) (state.Value, bool) {
+func (r *Runtime) receive(iface string) *state.Value {
 	r.pollSignals()
 	r.Flush()
 	m, err := r.port.Read(iface)
 	if err != nil {
 		if errors.Is(err, bus.ErrStopped) {
 			r.failFatal(err)
-			return state.Value{}, false
+			return nil
 		}
 		r.record(fmt.Errorf("mh: read %s: %w", iface, err))
-		return state.Value{}, false
+		return nil
 	}
 	r.msgCtx = m.Trace
-	v, err := r.codec.DecodeValue(m.Data)
-	if err != nil {
+	if err := r.codec.DecodeValueInto(&r.in, m.Data); err != nil {
 		r.record(fmt.Errorf("mh: decode message on %s: %w", iface, err))
 		r.tickOp() // consumed all the same, and the caller has nothing to store first
-		return state.Value{}, false
+		return nil
 	}
-	return v, true
+	return &r.in
 }
 
 // TraceContext returns the causal context of the last message this runtime
@@ -363,26 +361,23 @@ func (r *Runtime) Write(iface string, vals ...any) {
 			}
 			r.tuple = append(r.tuple, e)
 		}
-		v = state.Value{Kind: state.KindList, Type: "tuple", List: r.tuple}
+		v = state.Value{Kind: state.KindList, List: r.tuple}
 	}
 	if err != nil {
 		r.record(fmt.Errorf("mh: write %s: %w", iface, err))
 		return
 	}
-	r.send(iface, &v)
+	r.WriteAbstract(iface, &v)
 }
 
-// WriteAbstract emits an abstract value on iface.
-func (r *Runtime) WriteAbstract(iface string, v state.Value) { r.send(iface, &v) }
-
-// send is the one write path, under Write and WriteAbstract alike: poll
-// for signals, encode — the payload is a fresh allocation, the bus's
-// queues and rings retain it — then either join the write-batching window
-// or leave at once, carrying the trace context of the message that caused
-// this one.
-func (r *Runtime) send(iface string, v *state.Value) {
+// WriteAbstract emits the abstract value at v on iface. It is the one write
+// path, Write's too: poll for signals, encode — the payload is a fresh
+// allocation, the bus's queues and rings retain it — then either join the
+// write-batching window or leave at once, carrying the trace context of the
+// message that caused this one.
+func (r *Runtime) WriteAbstract(iface string, v *state.Value) {
 	r.pollSignals()
-	data, err := r.codec.EncodeValue(*v)
+	data, err := r.codec.EncodeValueAt(v)
 	if err != nil {
 		r.record(fmt.Errorf("mh: encode message for %s: %w", iface, err))
 		return
@@ -562,11 +557,7 @@ func (r *Runtime) Capture(fn, format string, vals ...any) {
 		r.record(fmt.Errorf("mh: capture location must be int, got %T", vals[0]))
 		return
 	}
-	if r.capturing == nil {
-		r.capturing = state.New(r.port.Name())
-		r.capturing.Machine = r.port.Machine()
-		r.captureStart = time.Now()
-	}
+	r.beginCapture()
 	// Entering capture means the module passed a reconfiguration point:
 	// anything still in the write-batching window was emitted before it and
 	// must precede the divulged state on the bus.
@@ -591,6 +582,15 @@ func (r *Runtime) Capture(fn, format string, vals ...any) {
 	r.capturing.PushFrame(frame)
 }
 
+// beginCapture opens the state being captured, at its first frame.
+func (r *Runtime) beginCapture() {
+	if r.capturing == nil {
+		r.capturing = state.New(r.port.Name())
+		r.capturing.Machine = r.port.Machine()
+		r.captureStart = time.Now()
+	}
+}
+
 // CaptureNamed is Capture with explicit variable names, used when the
 // transform knows them (it always does); names make divulged state
 // self-documenting and allow name-checked restoration in tests.
@@ -599,11 +599,7 @@ func (r *Runtime) CaptureNamed(fn string, loc int, names []string, vals ...any) 
 		r.record(fmt.Errorf("mh: capture %s: %d names for %d values", fn, len(names), len(vals)))
 		return
 	}
-	if r.capturing == nil {
-		r.capturing = state.New(r.port.Name())
-		r.capturing.Machine = r.port.Machine()
-		r.captureStart = time.Now()
-	}
+	r.beginCapture()
 	frame := state.Frame{Func: fn, Location: loc}
 	for i, val := range vals {
 		av, err := state.FromGo(val)
@@ -761,14 +757,8 @@ func (r *Runtime) Restore(fn, format string, ptrs ...any) {
 		r.failRestore(errors.New("mh: restore without a location pointer"))
 		return
 	}
-	if r.restoreIdx >= len(r.restore) {
-		r.failRestore(fmt.Errorf("%w: %s restoring beyond frame %d", ErrWrongFrame, fn, r.restoreIdx))
-		return
-	}
-	frame := r.restore[r.restoreIdx]
-	r.restoreIdx++
-	if frame.Func != fn {
-		r.failRestore(fmt.Errorf("%w: frame %d belongs to %s, %s is restoring", ErrWrongFrame, r.restoreIdx-1, frame.Func, fn))
+	frame := r.NextRestoreFrame(fn)
+	if frame == nil {
 		return
 	}
 	if len(ptrs)-1 != len(frame.Vars) {

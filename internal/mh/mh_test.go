@@ -283,7 +283,7 @@ func TestMoveDuringRecursion(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 60.0/3 + 70.0/3 + 80.0/3
-	if v.Kind != state.KindFloat || v.Float != want {
+	if v.Kind != state.KindFloat || v.Float() != want {
 		t.Errorf("moved computation answered %v, want %g", v, want)
 	}
 	if m.From != (bus.Endpoint{Instance: "compute2", Interface: "display"}) {
@@ -305,7 +305,7 @@ func TestMoveDuringRecursion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Float != 15 {
+	if v.Float() != 15 {
 		t.Errorf("post-move request answered %v, want 15", v)
 	}
 
@@ -357,7 +357,7 @@ func TestUnreconfiguredRunMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 60.0/3 + 70.0/3 + 80.0/3
-	if v.Float != want {
+	if v.Float() != want {
 		t.Errorf("answer = %v, want %g", v, want)
 	}
 	if err := b.DeleteInstance("compute"); err != nil {
@@ -825,7 +825,7 @@ func TestCaptureNamed(t *testing.T) {
 		t.Fatal(err)
 	}
 	v, ok := st.Frames[0].Var("resp")
-	if !ok || v.Float != 2.5 {
+	if !ok || v.Float() != 2.5 {
 		t.Errorf("named var = %v %t", v, ok)
 	}
 
@@ -833,20 +833,6 @@ func TestCaptureNamed(t *testing.T) {
 	rt2.CaptureNamed("f", 1, []string{"a"}, 1, 2)
 	if rt2.Err() == nil {
 		t.Error("name/value arity mismatch accepted")
-	}
-}
-
-func TestWithCodecOption(t *testing.T) {
-	b := newMonitorBus(t)
-	rt := attachRT(t, b, "compute", WithCodec(codec.Gob{}))
-	rt.Capture("main", "l", 1)
-	rt.Encode()
-	owner, err := b.AwaitDivulged("compute", time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (codec.Gob{}).DecodeState(owner.Data()); err != nil {
-		t.Errorf("state not gob-encoded: %v", err)
 	}
 }
 

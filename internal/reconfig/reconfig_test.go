@@ -137,7 +137,7 @@ func (w *monitorWorld) readFloat() float64 {
 	if err != nil {
 		w.t.Fatal(err)
 	}
-	return v.Float
+	return v.Float()
 }
 
 // topology renders the instance/binding view (experiment F1's golden).

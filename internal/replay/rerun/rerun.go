@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/bus"
-	"repro/internal/codec"
 	"repro/internal/mh"
 	"repro/internal/replay"
 )
@@ -33,8 +32,6 @@ type Module struct {
 
 // Options tunes one replay run.
 type Options struct {
-	// Codec decodes inputs and encodes outputs (default: codec.Default).
-	Codec codec.Codec
 	// CheckpointEvery captures the module's abstract state every K
 	// operations when > 0 and the module registers a snapshot, building
 	// the state trajectory.
@@ -75,9 +72,6 @@ func Run(instance string, window []replay.Record, mod Module, opts Options) (*Re
 	if mod.Body == nil {
 		return nil, fmt.Errorf("rerun: module %s has no body", mod.Name)
 	}
-	if opts.Codec == nil {
-		opts.Codec = codec.Default()
-	}
 	if opts.Timeout <= 0 {
 		opts.Timeout = 30 * time.Second
 	}
@@ -86,7 +80,6 @@ func Run(instance string, window []replay.Record, mod Module, opts Options) (*Re
 
 	mhOpts := []mh.Option{
 		mh.WithSleepUnit(0), // virtual clock: sleeps complete immediately
-		mh.WithCodec(opts.Codec),
 		mh.WithLogWriter(io.Discard),
 	}
 	var stateMu sync.Mutex

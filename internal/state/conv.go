@@ -64,7 +64,7 @@ func fromReflect(rv reflect.Value, depth int) (Value, error) {
 		return out, nil
 	case reflect.Struct:
 		t := rv.Type()
-		out := Value{Kind: KindStruct, Type: t.Name()}
+		out := NewStruct(t.Name(), t.NumField())
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
 			if !f.IsExported() {
@@ -74,7 +74,7 @@ func fromReflect(rv reflect.Value, depth int) (Value, error) {
 			if err != nil {
 				return Value{}, fmt.Errorf("field %s: %w", f.Name, err)
 			}
-			out.Fields = append(out.Fields, Field{Name: f.Name, Value: fv})
+			*out.AddField(f.Name) = fv
 		}
 		return out, nil
 	default:
@@ -97,12 +97,12 @@ func ToGo(val Value, ptr any) error {
 		}
 	case *float64:
 		if p != nil && val.Kind == KindFloat {
-			*p = val.Float
+			*p = val.Float()
 			return nil
 		}
 	case *bool:
 		if p != nil && val.Kind == KindBool {
-			*p = val.Bool
+			*p = val.Bool()
 			return nil
 		}
 	case *string:
@@ -130,7 +130,7 @@ func toReflect(val Value, dst reflect.Value, depth int) error {
 		if val.Kind != KindBool {
 			return kindMismatch(val, "bool")
 		}
-		dst.SetBool(val.Bool)
+		dst.SetBool(val.Bool())
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		if val.Kind != KindInt {
 			return kindMismatch(val, "int")
@@ -151,7 +151,7 @@ func toReflect(val Value, dst reflect.Value, depth int) error {
 		if val.Kind != KindFloat {
 			return kindMismatch(val, "float")
 		}
-		dst.SetFloat(val.Float)
+		dst.SetFloat(val.Float())
 	case reflect.String:
 		if val.Kind != KindString {
 			return kindMismatch(val, "string")
@@ -178,13 +178,14 @@ func toReflect(val Value, dst reflect.Value, depth int) error {
 			return kindMismatch(val, "struct")
 		}
 		t := dst.Type()
-		for _, f := range val.Fields {
-			sf, ok := t.FieldByName(f.Name)
+		for i := 0; i < val.NumFields(); i++ {
+			name, fv := val.Field(i)
+			sf, ok := t.FieldByName(name)
 			if !ok || len(sf.Index) != 1 {
-				return fmt.Errorf("state: struct %s has no field %s", t.Name(), f.Name)
+				return fmt.Errorf("state: struct %s has no field %s", t.Name(), name)
 			}
-			if err := toReflect(f.Value, dst.Field(sf.Index[0]), depth+1); err != nil {
-				return fmt.Errorf("field %s: %w", f.Name, err)
+			if err := toReflect(*fv, dst.Field(sf.Index[0]), depth+1); err != nil {
+				return fmt.Errorf("field %s: %w", name, err)
 			}
 		}
 	default:

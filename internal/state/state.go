@@ -22,6 +22,7 @@ package state
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -117,17 +118,18 @@ func KindForFormatRune(r rune) (Kind, bool) {
 	}
 }
 
-// Value is one machine-independent datum. Exactly the fields implied by Kind
-// are meaningful; the rest stay zero.
+// Value is one machine-independent datum in seven words, so it moves in
+// registers rather than through a block copy. Kind says which fields carry
+// it: Int holds an int, a bool (0 or 1) or a float (its IEEE-754 bits); Str
+// holds a string or a struct's type name; List holds a list's elements or a
+// struct's fields, each as a KindString name followed by its value, in
+// declaration order. The rest stay zero. The layout is ours; the abstract
+// format of Section 1.2 is what internal/codec writes.
 type Value struct {
-	Kind   Kind
-	Bool   bool
-	Int    int64
-	Float  float64
-	Str    string
-	List   []Value
-	Fields []Field // for KindStruct, in declaration order
-	Type   string  // optional type name (struct name, list elem hint)
+	Kind Kind
+	Int  int64
+	Str  string
+	List []Value
 }
 
 // Field is a named struct member inside a KindStruct value.
@@ -139,13 +141,19 @@ type Field struct {
 // Constructors for the scalar kinds keep call sites terse.
 
 // BoolValue returns a KindBool value.
-func BoolValue(b bool) Value { return Value{Kind: KindBool, Bool: b} }
+func BoolValue(b bool) Value {
+	v := Value{Kind: KindBool}
+	if b {
+		v.Int = 1
+	}
+	return v
+}
 
 // IntValue returns a KindInt value.
 func IntValue(i int64) Value { return Value{Kind: KindInt, Int: i} }
 
 // FloatValue returns a KindFloat value.
-func FloatValue(f float64) Value { return Value{Kind: KindFloat, Float: f} }
+func FloatValue(f float64) Value { return Value{Kind: KindFloat, Int: int64(math.Float64bits(f))} }
 
 // StringValue returns a KindString value.
 func StringValue(s string) Value { return Value{Kind: KindString, Str: s} }
@@ -155,41 +163,69 @@ func ListValue(elems ...Value) Value { return Value{Kind: KindList, List: elems}
 
 // StructValue returns a KindStruct value with the given type name and fields.
 func StructValue(typeName string, fields ...Field) Value {
-	return Value{Kind: KindStruct, Type: typeName, Fields: fields}
+	v := NewStruct(typeName, len(fields))
+	for _, f := range fields {
+		*v.AddField(f.Name) = f.Value
+	}
+	return v
 }
 
-// Equal reports deep equality of two values, including kind and type name.
+// NewStruct returns a KindStruct value with no fields yet and room for n.
+func NewStruct(typeName string, n int) Value {
+	v := Value{Kind: KindStruct, Str: typeName}
+	if n > 0 {
+		v.List = make([]Value, 0, 2*n)
+	}
+	return v
+}
+
+// AddField appends a field to a KindStruct value and returns the address of
+// its (still invalid) value, for the caller to fill before the next AddField.
+func (v *Value) AddField(name string) *Value {
+	v.List = append(v.List, StringValue(name), Value{})
+	return &v.List[len(v.List)-1]
+}
+
+// Bool returns the datum of a KindBool value.
+func (v Value) Bool() bool { return v.Int != 0 }
+
+// Float returns the datum of a KindFloat value.
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.Int)) }
+
+// Type returns the type name of a KindStruct value.
+func (v Value) Type() string { return v.Str }
+
+// NumFields returns the number of fields of a KindStruct value.
+func (v Value) NumFields() int { return len(v.List) / 2 }
+
+// Field returns the name of the i'th field of a KindStruct value and the
+// address of its value.
+func (v Value) Field(i int) (string, *Value) { return v.List[2*i].Str, &v.List[2*i+1] }
+
+// Equal reports deep equality of two values: kind, datum and, for structs,
+// type and field names — exactly what the encoding carries. Floats compare
+// with == (so +0 equals -0), except that NaN equals NaN.
 func (v Value) Equal(o Value) bool {
-	if v.Kind != o.Kind || v.Type != o.Type {
+	if v.Kind != o.Kind {
 		return false
 	}
 	switch v.Kind {
 	case KindBool:
-		return v.Bool == o.Bool
+		return v.Bool() == o.Bool()
 	case KindInt:
 		return v.Int == o.Int
 	case KindFloat:
-		// Bit-for-bit float equality is intentional: the codec must
-		// round-trip exactly, not approximately.
-		return v.Float == o.Float || (v.Float != v.Float && o.Float != o.Float)
+		a, b := v.Float(), o.Float()
+		return a == b || (a != a && b != b)
 	case KindString:
 		return v.Str == o.Str
-	case KindList:
-		if len(v.List) != len(o.List) {
+	case KindList, KindStruct:
+		// A struct's names are elements of List, so one walk compares both.
+		if len(v.List) != len(o.List) || (v.Kind == KindStruct && v.Str != o.Str) {
 			return false
 		}
 		for i := range v.List {
 			if !v.List[i].Equal(o.List[i]) {
-				return false
-			}
-		}
-		return true
-	case KindStruct:
-		if len(v.Fields) != len(o.Fields) {
-			return false
-		}
-		for i := range v.Fields {
-			if v.Fields[i].Name != o.Fields[i].Name || !v.Fields[i].Value.Equal(o.Fields[i].Value) {
 				return false
 			}
 		}
@@ -203,11 +239,11 @@ func (v Value) Equal(o Value) bool {
 func (v Value) String() string {
 	switch v.Kind {
 	case KindBool:
-		return fmt.Sprintf("%t", v.Bool)
+		return fmt.Sprintf("%t", v.Bool())
 	case KindInt:
 		return fmt.Sprintf("%d", v.Int)
 	case KindFloat:
-		return fmt.Sprintf("%g", v.Float)
+		return fmt.Sprintf("%g", v.Float())
 	case KindString:
 		return fmt.Sprintf("%q", v.Str)
 	case KindList:
@@ -217,11 +253,12 @@ func (v Value) String() string {
 		}
 		return "[" + strings.Join(parts, " ") + "]"
 	case KindStruct:
-		parts := make([]string, len(v.Fields))
-		for i, f := range v.Fields {
-			parts[i] = f.Name + ":" + f.Value.String()
+		parts := make([]string, v.NumFields())
+		for i := range parts {
+			name, fv := v.Field(i)
+			parts[i] = name + ":" + fv.String()
 		}
-		return v.Type + "{" + strings.Join(parts, " ") + "}"
+		return v.Type() + "{" + strings.Join(parts, " ") + "}"
 	default:
 		return "<invalid>"
 	}
@@ -356,12 +393,16 @@ func validateValue(v Value, depth int) error {
 		}
 		return nil
 	case KindStruct:
-		for _, f := range v.Fields {
-			if f.Name == "" {
+		if len(v.List)%2 != 0 {
+			return errors.New("struct field without a value")
+		}
+		for i := 0; i < v.NumFields(); i++ {
+			name, fv := v.Field(i)
+			if name == "" || v.List[2*i].Kind != KindString {
 				return errors.New("struct field with empty name")
 			}
-			if err := validateValue(f.Value, depth+1); err != nil {
-				return fmt.Errorf("field %s: %w", f.Name, err)
+			if err := validateValue(*fv, depth+1); err != nil {
+				return fmt.Errorf("field %s: %w", name, err)
 			}
 		}
 		return nil

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -100,6 +101,72 @@ func TestValueEqual(t *testing.T) {
 				t.Errorf("Equal is not symmetric for %v, %v", tt.a, tt.b)
 			}
 		})
+	}
+}
+
+// TestValueMovesInRegisters pins the sizes the message path was built
+// around: at seven words a Value travels in registers (a larger one goes
+// through a block copy at every call), and a captured variable is nine.
+func TestValueMovesInRegisters(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n > 56 {
+		t.Errorf("state.Value is %d bytes, want <= 56", n)
+	}
+	if n := unsafe.Sizeof(Var{}); n > 72 {
+		t.Errorf("state.Var is %d bytes, want <= 72", n)
+	}
+}
+
+// TestValueEqualComparesWhatIsEncoded: Equal sees the datum the kind
+// implies and nothing else, with == on floats except that NaN equals NaN.
+func TestValueEqualComparesWhatIsEncoded(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, tt := range []struct {
+		name string
+		a, b Value
+		want bool
+	}{
+		{"+0 and -0", FloatValue(0), FloatValue(negZero), true},
+		{"NaNs of different payload", FloatValue(math.NaN()), FloatValue(math.Float64frombits(0x7ff8000000000123)), true},
+		{"NaN and a number", FloatValue(math.NaN()), FloatValue(1), false},
+		{"float bits that are an int's", FloatValue(math.Float64frombits(5)), IntValue(5), false},
+		{"true however spelled", BoolValue(true), Value{Kind: KindBool, Int: 7}, true},
+		{"a list's stray name", ListValue(IntValue(1)), Value{Kind: KindList, Str: "tuple", List: []Value{IntValue(1)}}, true},
+		{"struct and list of the same elements", StructValue("P", Field{"X", IntValue(1)}), ListValue(StringValue("X"), IntValue(1)), false},
+		{"min int", IntValue(math.MinInt64), IntValue(math.MinInt64), true},
+	} {
+		if got := tt.a.Equal(tt.b); got != tt.want {
+			t.Errorf("%s: Equal(%v, %v) = %t, want %t", tt.name, tt.a, tt.b, got, tt.want)
+		}
+		if got := tt.b.Equal(tt.a); got != tt.want {
+			t.Errorf("%s: Equal is not symmetric", tt.name)
+		}
+	}
+	if f := FloatValue(negZero).Float(); !math.Signbit(f) {
+		t.Errorf("FloatValue(-0).Float() = %v, lost the sign", f)
+	}
+	if f := FloatValue(math.NaN()).Float(); f == f {
+		t.Errorf("FloatValue(NaN).Float() = %v", f)
+	}
+}
+
+// TestStructFields covers the field accessors over the shared List.
+func TestStructFields(t *testing.T) {
+	v := StructValue("Pt", Field{"X", IntValue(3)}, Field{"Y", FloatValue(0.5)})
+	if v.Type() != "Pt" || v.NumFields() != 2 {
+		t.Fatalf("Type, NumFields = %q, %d", v.Type(), v.NumFields())
+	}
+	name, fv := v.Field(1)
+	if name != "Y" || fv.Float() != 0.5 {
+		t.Errorf("Field(1) = %s, %v", name, fv)
+	}
+	*fv = IntValue(9) // the address is the field itself
+	if name, fv := v.Field(1); name != "Y" || fv.Int != 9 || v.String() != "Pt{X:3 Y:9}" {
+		t.Errorf("after a store through Field(1): %v", v)
+	}
+	s := New("m")
+	s.PushFrame(Frame{Func: "main", Location: 1, Vars: []Var{{"p", Value{Kind: KindStruct, Str: "P", List: []Value{StringValue("X")}}}}})
+	if err := s.Validate(); err == nil {
+		t.Error("struct field without a value accepted")
 	}
 }
 

@@ -370,7 +370,7 @@ func (h *harness) readFloat() float64 {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	return v.Float
+	return v.Float()
 }
 
 func (h *harness) migrate(owner interface{ Data() []byte }) {
@@ -577,7 +577,7 @@ func step(avg int) int {
 
 	// Send the job (total=84, count=2 -> avg 42), let the module block on
 	// the adjust read, then reconfigure.
-	tuple := state.Value{Kind: state.KindList, Type: "tuple", List: []state.Value{
+	tuple := state.Value{Kind: state.KindList, List: []state.Value{
 		state.IntValue(84), state.IntValue(2),
 	}}
 	data, err := c.EncodeValue(tuple)
@@ -916,7 +916,7 @@ func process(w *Window) {
 			t.Fatal(err)
 		}
 		v, _ := c.DecodeValue(m.Data)
-		return v.Float
+		return v.Float()
 	}
 
 	port, err := b.Attach("s")

@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"repro/internal/bus"
-	"repro/internal/codec"
 	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/mh"
@@ -81,8 +80,6 @@ type Config struct {
 	Mode transform.CaptureMode
 	// SleepUnit compresses module time (default 1ms per mh.Sleep tick).
 	SleepUnit time.Duration
-	// Codec overrides the wire/state codec (default portable).
-	Codec codec.Codec
 	// Timeouts bounds every wait of the reconfiguration layer — state
 	// move, restore confirmation, rollback compensations, quiescence.
 	// Zero fields take reconfig.DefaultTimeouts (30s each); individual
@@ -201,9 +198,6 @@ type App struct {
 func Load(cfg Config) (*App, error) {
 	if cfg.SleepUnit == 0 {
 		cfg.SleepUnit = time.Millisecond
-	}
-	if cfg.Codec == nil {
-		cfg.Codec = codec.Default()
 	}
 	cfg.Timeouts = cfg.Timeouts.WithDefaults()
 	spec, err := mil.ParseAndValidate(cfg.SpecText)
@@ -528,7 +522,6 @@ func (a *App) Launch(instance string) error {
 	}
 	opts := []mh.Option{
 		mh.WithSleepUnit(a.cfg.SleepUnit),
-		mh.WithCodec(a.cfg.Codec),
 		mh.WithStateTimeout(a.cfg.Timeouts.StateMove),
 		mh.WithTelemetry(a.bus.Telemetry()),
 	}

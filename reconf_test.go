@@ -114,7 +114,7 @@ func (d *driver) response() float64 {
 	if err != nil {
 		d.t.Fatal(err)
 	}
-	return v.Float
+	return v.Float()
 }
 
 func TestLoadValidation(t *testing.T) {

@@ -125,7 +125,6 @@ func (a *App) ReplayRecorded(instance string, recs []replay.Record) (*ReplayRepo
 		return nil, err
 	}
 	res, err := rerun.Run(instance, recs, mod, rerun.Options{
-		Codec:           a.cfg.Codec,
 		CheckpointEvery: a.cfg.CheckpointInterval,
 		Timeout:         a.cfg.Timeouts.StateMove,
 	})
@@ -170,7 +169,7 @@ func (a *App) preflightReplay(old, new string) error {
 	if err != nil {
 		return fmt.Errorf("replay gate: %w", err)
 	}
-	opts := rerun.Options{Codec: a.cfg.Codec, Timeout: a.cfg.Timeouts.StateMove}
+	opts := rerun.Options{Timeout: a.cfg.Timeouts.StateMove}
 	oldRes, err := rerun.Run(old, window, oldMod, opts)
 	if err != nil {
 		return fmt.Errorf("replay gate: old run: %w", err)

@@ -43,6 +43,9 @@ go test -race -count=10 -run TestLoweredProgramSharedAcrossGoroutines ./internal
 echo "== the ring's record allocator under eight writers (blocks shared by every traced and recorded delivery, racy x10)"
 go test -race -count=10 -run TestAllocConcurrent ./internal/ring/
 
+echo "== a taken queue slot and a memoised route across grow, drain, restore, Rebind and RemoveGroupMember (racy x20)"
+go test -race -count=20 -run 'TestTakenItemStaysValid|TestMemoisedRouteDroppedOnTopologyChange' ./internal/bus/
+
 echo "== fault-injection matrix (kill Replace at every failpoint, twice, racy)"
 go test -run 'Fault|Rollback|Concurrent' -race -count=2 ./...
 
