@@ -3,9 +3,9 @@
 test:
 	go build ./... && go test ./...
 
-# Architectural invariants: the self-hosting archlint run (AL001-AL014:
-# locking discipline, snapshot protocol, hot-path allocations, journaled
-# mutations, spawn sites, layering, the bus ring protocol, and one
+# Architectural invariants: the self-hosting archlint run (AL001-AL014,
+# no AL008: locking discipline, snapshot protocol, hot-path allocations,
+# spawn sites, layering, the bus ring protocol, and one
 # table-driven method-confinement pass serving AL002 trace minting, AL012
 # record appends and AL014 observability-ring writes).
 .PHONY: lint

@@ -1,7 +1,6 @@
 // Command archlint checks the repository's architectural invariants: trace
 // minting confined to the bus layer, the Bus.mu locking discipline, the
 // copy-on-write routing snapshot protocol, allocation-free hot paths,
-// journaled topology mutations inside reconfiguration transactions,
 // allowlisted goroutine spawn sites, and the package- and file-level
 // layering DAG. See internal/archlint for the diagnostic codes.
 //

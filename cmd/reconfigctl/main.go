@@ -12,7 +12,7 @@
 // Run it without a command for the full list, generated from the table.
 //
 // The replacement-family commands (move, replace, update) run as a
-// transaction on the application side: every primitive journals a
+// transaction on the application side: every step carries its
 // compensating inverse, and a failure at any step rolls the system back
 // to its pre-reconfiguration state. The transaction's step trace — and,
 // on failure, the rollback report — is printed either way. With -dry-run

@@ -153,11 +153,11 @@ func TestCompiledModuleMigration(t *testing.T) {
 	}
 	time.Sleep(300 * time.Millisecond)
 	d.temperature(60)
-	owner, err := b.AwaitDivulged("compute", 20*time.Second)
+	divulged, err := b.AwaitDivulged("compute", 20*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.DecodeState(owner.Data())
+	st, err := c.DecodeState(divulged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestCompiledModuleMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.InstallState("compute2", owner.Data()); err != nil {
+	if err := b.InstallState("compute2", divulged); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.DeleteInstance("compute"); err != nil {

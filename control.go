@@ -251,14 +251,16 @@ type txTimeline struct {
 	Timeline []string `json:"timeline"`
 }
 
-// opTrace answers the primitive audit trail without an id, a transaction's
-// span timeline for "tx-0001", and a message trace's retained spans for a
-// numeric id: decimal as in the JSON spans, 0x-prefixed hex as in quiesce
-// annotations, or bare hex.
+// opTrace answers, without an id, the audit trail — the steps of the
+// transactions the tracer retains, stamped truncated once older ones have
+// been dropped; a transaction's span timeline for "tx-0001"; and a message
+// trace's retained spans for a numeric id: decimal as in the JSON spans,
+// 0x-prefixed hex as in quiesce annotations, or bare hex.
 func opTrace(a *App, args opArgs) (any, error) {
 	id := args.Get("id")
 	if id == "" {
-		return append([]string{}, a.Trace()...), nil
+		steps, dropped := a.prims.Tracer().Trail()
+		return truncated(map[string]any{"steps": append([]string{}, steps...)}, dropped), nil
 	}
 	if strings.HasPrefix(id, "tx-") {
 		lines, err := a.TraceTx(id)
@@ -284,8 +286,10 @@ func opTrace(a *App, args opArgs) (any, error) {
 
 func traceText(v any) string {
 	switch v := v.(type) {
-	case []string:
-		return FormatTrace(v)
+	case map[string]any:
+		if steps, ok := v["steps"].([]string); ok {
+			return FormatTrace(steps)
+		}
 	case txTimeline:
 		return strings.Join(v.Timeline, "\n")
 	}

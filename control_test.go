@@ -3,6 +3,7 @@ package reconf
 import (
 	"encoding/json"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -111,11 +112,13 @@ func TestControlProtocol(t *testing.T) {
 		t.Errorf("moved computation = %g", got)
 	}
 
-	trace, err := callList(t, c, "trace")
-	if err != nil || len(trace) == 0 {
-		t.Errorf("trace = %v, %v", trace, err)
+	var trail struct {
+		Steps []string `json:"steps"`
 	}
-	if FormatTrace(trace) == "(no reconfigurations yet)" {
+	if err := callInto(t, c, &trail, "trace"); err != nil || !slices.Equal(trail.Steps, tx.Steps) {
+		t.Errorf("trace = %v, %v; want the move's steps", trail.Steps, err)
+	}
+	if FormatTrace(trail.Steps) == "(no reconfigurations yet)" {
 		t.Error("trace formatting")
 	}
 	if FormatTrace(nil) != "(no reconfigurations yet)" {

@@ -15,7 +15,7 @@
 //  1. filter -> filterV2: a reimplementation computing the same function,
 //     so the gate passes and the hot swap commits mid-stream.
 //  2. filter2 -> filterBad: an off-by-one "optimization", so the gate
-//     vetoes the cutover, the transaction rolls back through its journal,
+//     vetoes the cutover, the transaction rolls back (the clone is deleted),
 //     and the old stage keeps serving — not one message is lost or
 //     miscomputed either way.
 //

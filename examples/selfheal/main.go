@@ -4,9 +4,9 @@
 // one replica is crashed through a faultpoint; the supervisor marks it out
 // of the routing group immediately (its fenced backlog drains to the
 // survivors), then rebuilds it from the newest periodic abstract-state
-// checkpoint under the same journaled transaction machinery as an
-// operator-driven replacement. The pool returns to full strength with every
-// message delivered exactly once.
+// checkpoint on the same transaction engine as an operator-driven
+// replacement. The pool returns to full strength with every message
+// delivered exactly once.
 //
 //	go run ./examples/selfheal
 package main

@@ -1,7 +1,7 @@
 package reconf
 
 // Fault-injection matrix for the transactional replacement script: kill a
-// Replace at every failpoint and assert the rollback converges — the
+// Replace before every step and assert the rollback converges — the
 // application is left answering traffic through the original module with
 // instances, bindings, and queued messages equal to the pre-transaction
 // snapshot. The paper's claim is that reconfiguration is transparent to the
@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -92,62 +93,79 @@ func finishComputation(t *testing.T, d *driver) {
 	}
 }
 
-// TestReplaceRollbackFaultMatrix kills Replace at every pre-commit failpoint
-// and asserts full convergence back to the pre-transaction configuration.
+// TestReplaceRollbackFaultMatrix kills Replace before every step of its own
+// forward path and asserts full convergence back to the pre-transaction
+// configuration. The rows are the dry run's: for each primitive above the
+// plan's "commit" line, the engine's failpoint "reconfig.<primitive>" is
+// armed through the operator's FAULTPOINTS syntax. Hand-written rows remain
+// only for what no step name expresses, a fault inside a step: the failpoints
+// the bus wires into its own operations (one of them a signal reported
+// delivered and dropped, one the clone's attachment, which is no step's
+// first action) and the launcher's.
 func TestReplaceRollbackFaultMatrix(t *testing.T) {
-	cases := []struct {
-		site      string
-		action    faultinject.Action
-		stateMove time.Duration // 0 = config default
-	}{
-		{"bus.addinstance", faultinject.Error, 0},
-		{"reconfig.preflight", faultinject.Error, 0},
-		{"bus.signal", faultinject.Error, 0},
-		// A dropped signal is a lost SIGHUP: the caller saw success, the
-		// module never heard. The transaction aborts on the state-move
-		// timeout and retracts the (never-delivered) request.
-		{"bus.signal", faultinject.Drop, 1200 * time.Millisecond},
-		{"bus.awaitdivulged", faultinject.Error, 0},
-		{"bus.installstate", faultinject.Error, 0},
-		{"bus.rebind", faultinject.Error, 0},
-		{"bus.attach", faultinject.Error, 0},
-		{"reconfig.launch", faultinject.Error, 0},
-		{"bus.awaitrestored", faultinject.Error, 0},
+	opts := reconfig.ReplaceOptions{NewName: "compute2", Preflight: func(old, new string) error { return nil }}
+	planner := loadMonitor(t, 0)
+	plan, err := planner.PlanReplace("compute", opts)
+	planner.Stop()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(fmt.Sprintf("%s_%s", tc.site, tc.action), func(t *testing.T) {
+	type row struct {
+		spec      string        // site=action, as FAULTPOINTS takes it
+		steps     int           // steps completed before the kill; -1: a fault inside a step
+		stateMove time.Duration // 0 = config default
+	}
+	var rows []row
+	seen := map[string]bool{}
+	for k, line := range plan[:slices.Index(plan, "commit")] {
+		primitive, _, _ := strings.Cut(line, " ")
+		if !seen[primitive] { // a failpoint kills the first step of its primitive
+			seen[primitive] = true
+			rows = append(rows, row{spec: "reconfig." + primitive + "=error", steps: k})
+		}
+	}
+	for _, spec := range []string{"bus.addinstance=error", "bus.signal=error", "bus.awaitdivulged=error", "bus.installstate=error",
+		"bus.rebind=error", "bus.attach=error", "reconfig.launch=error", "bus.awaitrestored=error"} {
+		rows = append(rows, row{spec: spec, steps: -1})
+	}
+	// A dropped signal is a lost SIGHUP: the caller saw success, the module
+	// never heard. The transaction aborts on the state-move timeout and
+	// retracts the (never-delivered) request.
+	rows = append(rows, row{"bus.signal=drop", -1, 1200 * time.Millisecond})
+	for _, tc := range rows {
+		site, action, _ := strings.Cut(tc.spec, "=")
+		t.Run(site+"_"+action, func(t *testing.T) {
 			t.Parallel()
 			app, d, feed := startInterrupted(t)
 			pre := snapshotConfig(t, app)
 
-			faults := faultinject.New()
-			faults.Enable(tc.site, faultinject.Point{Action: tc.action, Count: 1})
+			faults, err := faultinject.Parse(tc.spec + ":x1")
+			if err != nil {
+				t.Fatal(err)
+			}
 			app.Bus().SetFaults(faults)
 
 			feed()
-			res, err := app.ReplaceTx("compute", reconfig.ReplaceOptions{
-				NewName:   "compute2",
-				Timeouts:  reconfig.Timeouts{StateMove: tc.stateMove},
-				Preflight: func(old, new string) error { return nil },
-			})
+			opts := opts
+			opts.Timeouts.StateMove = tc.stateMove
+			res, err := app.ReplaceTx("compute", opts)
 			if err == nil {
-				t.Fatalf("replace succeeded despite fault at %s", tc.site)
+				t.Fatalf("replace succeeded despite fault at %s", site)
 			}
 			if !strings.Contains(err.Error(), "rolled back") {
 				t.Errorf("error %v does not report the rollback", err)
 			}
-			if tc.action == faultinject.Error && !errors.Is(err, faultinject.ErrInjected) {
+			if action == "error" && !errors.Is(err, faultinject.ErrInjected) {
 				t.Errorf("error %v does not wrap the injected fault", err)
 			}
-			if faults.Fired(tc.site) == 0 {
-				t.Fatalf("failpoint %s never fired", tc.site)
+			if faults.Fired(site) == 0 {
+				t.Fatalf("failpoint %s never fired", site)
 			}
 			if res == nil || !res.RolledBack || res.Committed {
 				t.Fatalf("result = %+v, want rolled back and uncommitted", res)
 			}
-			if len(res.Steps) == 0 {
-				t.Error("no step trace on the failed transaction")
+			if tc.steps >= 0 && !slices.Equal(res.Steps, plan[:tc.steps]) {
+				t.Errorf("steps completed:\n%s\nwant the plan's first %d", strings.Join(res.Steps, "\n"), tc.steps)
 			}
 			for _, step := range res.Rollback {
 				if step.Err != "" {
@@ -260,6 +278,65 @@ func TestConcurrentReplaceFailsFast(t *testing.T) {
 	}
 	if winners != 1 {
 		t.Fatalf("%d concurrent replaces succeeded, want exactly 1 (errors: %v)", winners, errs)
+	}
+	finishComputation(t, d)
+}
+
+// TestReplicateRollbackOnRebindFault: Replicate runs on the transaction
+// engine, so a replica whose bindings could not be installed is unregistered
+// again — the configuration is the pre-call one and a retry is not refused
+// as a duplicate. (Before it did, the failed call left computeB registered
+// and the retry returned ErrDupInstance.)
+func TestReplicateRollbackOnRebindFault(t *testing.T) {
+	app, d, feed := startInterrupted(t)
+	pre := snapshotConfig(t, app)
+	faults, err := faultinject.Parse("bus.rebind=error:x1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app.Bus().SetFaults(faults)
+
+	if err := app.Replicate("compute", "computeB", "machineB"); !errors.Is(err, faultinject.ErrInjected) || !strings.Contains(err.Error(), "rolled back") {
+		t.Fatalf("replicate under bus.rebind=error:x1: %v, want the injected fault rolled back", err)
+	}
+	if got := snapshotConfig(t, app); !reflect.DeepEqual(got, pre) {
+		t.Fatalf("configuration after the failed replicate:\n got %+v\nwant %+v", got, pre)
+	}
+	if err := app.Replicate("compute", "computeB", "machineB"); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if err := app.Remove("computeB"); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshotConfig(t, app); !reflect.DeepEqual(got, pre) {
+		t.Fatalf("configuration after replicate and remove:\n got %+v\nwant %+v", got, pre)
+	}
+	feed()
+	finishComputation(t, d)
+}
+
+// TestConcurrentReplicateRemoveRefusedDuringReplace: every script serializes
+// on the one transaction lock. Issued from inside a Replace (its pre-flight
+// hook runs with the lock held, so the overlap needs no timing), Replicate
+// and Remove are refused with ErrReconfigBusy and change nothing.
+func TestConcurrentReplicateRemoveRefusedDuringReplace(t *testing.T) {
+	app, d, feed := startInterrupted(t)
+	var during []error
+	feed()
+	_, err := app.ReplaceTx("compute", reconfig.ReplaceOptions{NewName: "compute2", Preflight: func(old, new string) error {
+		during = append(during, app.Replicate("display", "display2", ""), app.Remove("sensor"))
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range during {
+		if !errors.Is(err, reconfig.ErrReconfigBusy) {
+			t.Errorf("script issued during a Replace: %v, want ErrReconfigBusy", err)
+		}
+	}
+	if got := app.Bus().Instances(); !slices.Equal(got, []string{"compute2", "display", "sensor"}) {
+		t.Errorf("instances = %v: a refused script changed the configuration", got)
 	}
 	finishComputation(t, d)
 }

@@ -5,7 +5,7 @@ import (
 	"strings"
 )
 
-// Annotation contract. archlint understands three line-comment directives:
+// Annotation contract. archlint understands two line-comment directives:
 //
 //	//archlint:hotpath
 //	    In a function's doc comment: the function is a proven hot path and
@@ -14,60 +14,28 @@ import (
 //	//archlint:spawn <reason>
 //	    On the line of a go statement or the line above: the spawn site is
 //	    allowlisted; the reason documents who stops the goroutine (AL009).
-//
-//	//archlint:allow AL0xx [AL0yy ...]
-//	    On a line or the line above it: suppresses the named diagnostics
-//	    for that line. An escape hatch for reviewed exceptions; the
-//	    repository itself carries none.
 type annotations struct {
 	// spawn maps file name -> lines carrying an //archlint:spawn directive.
 	spawn map[string]map[int]bool
-	// allow maps file name -> directive line -> suppressed codes.
-	allow map[string]map[int]map[string]bool
 }
 
 // collectAnnotations scans every comment of every loaded file.
 func collectAnnotations(m *module) *annotations {
-	a := &annotations{
-		spawn: map[string]map[int]bool{},
-		allow: map[string]map[int]map[string]bool{},
-	}
+	a := &annotations{spawn: map[string]map[int]bool{}}
 	for _, p := range m.pkgs {
 		for _, f := range p.files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					rest, ok := strings.CutPrefix(c.Text, "//archlint:")
-					if !ok {
+					if word, _, _ := strings.Cut(c.Text, " "); word != "//archlint:spawn" {
 						continue
 					}
 					pos := m.fset.Position(c.Pos())
-					fields := strings.Fields(rest)
-					if len(fields) == 0 {
-						continue
+					lines := a.spawn[pos.Filename]
+					if lines == nil {
+						lines = map[int]bool{}
+						a.spawn[pos.Filename] = lines
 					}
-					switch fields[0] {
-					case "spawn":
-						lines := a.spawn[pos.Filename]
-						if lines == nil {
-							lines = map[int]bool{}
-							a.spawn[pos.Filename] = lines
-						}
-						lines[pos.Line] = true
-					case "allow":
-						byLine := a.allow[pos.Filename]
-						if byLine == nil {
-							byLine = map[int]map[string]bool{}
-							a.allow[pos.Filename] = byLine
-						}
-						codes := byLine[pos.Line]
-						if codes == nil {
-							codes = map[string]bool{}
-							byLine[pos.Line] = codes
-						}
-						for _, code := range fields[1:] {
-							codes[code] = true
-						}
-					}
+					lines[pos.Line] = true
 				}
 			}
 		}
@@ -80,21 +48,6 @@ func collectAnnotations(m *module) *annotations {
 func (a *annotations) spawnAllowed(file string, line int) bool {
 	lines := a.spawn[file]
 	return lines != nil && (lines[line] || lines[line-1])
-}
-
-// allowed reports whether an //archlint:allow directive at the diagnostic's
-// line or the line above suppresses the code.
-func (a *annotations) allowed(file string, line int, code string) bool {
-	byLine := a.allow[file]
-	if byLine == nil {
-		return false
-	}
-	for _, l := range [2]int{line, line - 1} {
-		if codes := byLine[l]; codes != nil && codes[code] {
-			return true
-		}
-	}
-	return false
 }
 
 // isHotpath reports whether fd's doc comment carries the hotpath directive.

@@ -3,9 +3,8 @@
 // program's* reconfiguration safety (the paper's programmer obligations),
 // archlint checks the *runtime's own source* for the structural invariants
 // its safe-replacement argument rests on: causal bookkeeping confined to
-// the transport layer, topology mutated only through journaled primitives,
-// the message hot path wait-free and allocation-free, and the
-// routing/queueing/transport layering acyclic.
+// the transport layer, the message hot path wait-free and allocation-free,
+// and the routing/queueing/transport layering acyclic.
 //
 // The analyzer parses and type-checks the whole module with go/parser and
 // go/types (stdlib only — go.mod stays dependency-free) and reports every
@@ -54,10 +53,6 @@ const (
 	// string concatenation or conversion) inside a function annotated
 	// //archlint:hotpath.
 	CodeHotpathAlloc = "AL007"
-	// CodeUnjournaled: a topology-mutating call inside a reconfig
-	// transaction (func ...Tx) with no compensating journal.record nearby
-	// and before the journal is discarded at the commit point.
-	CodeUnjournaled = "AL008"
 	// CodeSpawn: a go statement without an //archlint:spawn annotation on
 	// the same line or the line above.
 	CodeSpawn = "AL009"
@@ -96,8 +91,7 @@ type Config struct {
 // are derived from the module path so the fixtures (module "repro") and the
 // real repository share one rule set.
 type rules struct {
-	busPkg      string // the message bus: owns routing snapshots and Bus.mu
-	reconfigPkg string // the transaction layer: mutations must be journaled
+	busPkg string // the message bus: owns routing snapshots and Bus.mu
 
 	// layers is the architectural DAG for AL010: a package may import only
 	// packages at its own layer or below. Unlisted packages (top-level
@@ -114,8 +108,7 @@ type rules struct {
 func defaultRules(modPath string) *rules {
 	p := func(s string) string { return modPath + "/" + s }
 	return &rules{
-		busPkg:      p("internal/bus"),
-		reconfigPkg: p("internal/reconfig"),
+		busPkg: p("internal/bus"),
 		layers: map[string]int{
 			p("internal/ring"):                 5,
 			p("internal/telemetry"):            10,
@@ -198,20 +191,15 @@ func Run(cfg Config) (*diag.Report, error) {
 	a.mutexPass()
 	a.snapshotPass()
 	a.hotpathPass()
-	a.journalPass()
 	a.spawnPass()
 	a.layeringPass()
 	a.report.Sort()
 	return a.report, nil
 }
 
-// diag records a finding unless an //archlint:allow directive covers it.
+// diag records a finding.
 func (a *analysis) diag(code string, pos token.Pos, format string, args ...any) {
-	position := a.mod.fset.Position(pos)
-	if a.ann.allowed(position.Filename, position.Line, code) {
-		return
-	}
-	a.report.Add(code, diag.SevError, position, format, args...)
+	a.report.Add(code, diag.SevError, a.mod.fset.Position(pos), format, args...)
 }
 
 // typeErrorPass reports packages that failed to parse or type-check.

@@ -46,7 +46,6 @@ var muAcquiringBusMethods = map[string]bool{
 	"Rebind":         true,
 	"MoveQueue":      true,
 	"DrainQueue":     true,
-	"MoveState":      true,
 	"writeSlow":      true,
 }
 

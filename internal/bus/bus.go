@@ -955,7 +955,7 @@ func (b *Bus) Signal(name string, s Signal) error {
 
 // AwaitDivulged blocks until the named instance divulges its state (via its
 // attachment) or the timeout expires.
-func (b *Bus) AwaitDivulged(name string, timeout time.Duration) (st *stateOwner, err error) {
+func (b *Bus) AwaitDivulged(name string, timeout time.Duration) ([]byte, error) {
 	if err := b.fire("bus.awaitdivulged"); err != nil {
 		return nil, fmt.Errorf("bus: await state of %s: %w", name, err)
 	}
@@ -967,7 +967,7 @@ func (b *Bus) AwaitDivulged(name string, timeout time.Duration) (st *stateOwner,
 	if err != nil {
 		return nil, fmt.Errorf("bus: await state of %s: %w", name, err)
 	}
-	return &stateOwner{data: data}, nil
+	return data, nil
 }
 
 // InstallState hands encoded state to the named (clone) instance; its
@@ -1052,33 +1052,6 @@ func (b *Bus) SetStatus(name, status string) error {
 	in.mu.Unlock()
 	return nil
 }
-
-// MoveState performs the paper's mh_objstate_move: signal old to divulge its
-// state, wait for it, and install the encoded state into new. The srcIface
-// and dstIface arguments are kept for fidelity with the primitive's
-// signature ("encode"/"decode" in Figure 5) but route through the state box.
-func (b *Bus) MoveState(old, srcIface, newName, dstIface string, timeout time.Duration) error {
-	if err := b.SignalReconfig(old); err != nil {
-		return err
-	}
-	owner, err := b.AwaitDivulged(old, timeout)
-	if err != nil {
-		return err
-	}
-	_ = srcIface
-	_ = dstIface
-	if err := b.InstallState(newName, owner.data); err != nil {
-		return err
-	}
-	b.emit(Event{Kind: EventMoveState, Instance: old, Detail: "-> " + newName})
-	return nil
-}
-
-// stateOwner wraps divulged encoded state.
-type stateOwner struct{ data []byte }
-
-// Data returns the encoded state bytes.
-func (s *stateOwner) Data() []byte { return s.data }
 
 // ---- introspection (mh_struct_* in Figure 5) ----
 

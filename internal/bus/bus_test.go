@@ -349,7 +349,15 @@ func TestDivulgeInstallMoveState(t *testing.T) {
 		}
 	}()
 
-	if err := b.MoveState("compute", "encode", "compute2", "decode", 2*time.Second); err != nil {
+	// mh_objstate_move, in the three thirds the replacement script runs.
+	if err := b.SignalReconfig("compute"); err != nil {
+		t.Fatal(err)
+	}
+	divulged, err := b.AwaitDivulged("compute", 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.InstallState("compute2", divulged); err != nil {
 		t.Fatal(err)
 	}
 	data, err := clone.AwaitState(2 * time.Second)
@@ -375,8 +383,8 @@ func TestAwaitTimeouts(t *testing.T) {
 	if err := b.InstallState("ghost", nil); !errors.Is(err, ErrNoInstance) {
 		t.Errorf("InstallState ghost: %v", err)
 	}
-	if err := b.MoveState("ghost", "e", "x", "d", time.Millisecond); !errors.Is(err, ErrNoInstance) {
-		t.Errorf("MoveState ghost: %v", err)
+	if err := b.SignalReconfig("ghost"); !errors.Is(err, ErrNoInstance) {
+		t.Errorf("SignalReconfig ghost: %v", err)
 	}
 }
 
@@ -624,7 +632,7 @@ func TestEventKindStrings(t *testing.T) {
 	kinds := []EventKind{
 		EventAddInstance, EventDeleteInstance, EventAddBinding, EventDeleteBinding,
 		EventRebind, EventMoveQueue, EventDrainQueue, EventSignal, EventDivulge,
-		EventInstallState, EventMoveState,
+		EventInstallState,
 	}
 	seen := map[string]bool{}
 	for _, k := range kinds {

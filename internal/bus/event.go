@@ -21,7 +21,6 @@ const (
 	EventSignal
 	EventDivulge
 	EventInstallState
-	EventMoveState
 	EventRestoreAck
 	EventRelaunch
 	EventAddGroup
@@ -48,7 +47,6 @@ var eventNames = map[EventKind]string{
 	EventSignal:         "signal",
 	EventDivulge:        "divulge",
 	EventInstallState:   "install-state",
-	EventMoveState:      "move-state",
 	EventRestoreAck:     "restore-ack",
 	EventRelaunch:       "relaunch",
 	EventAddGroup:       "add-group",

@@ -267,9 +267,9 @@ func TestRemoteDivulgeAndInstall(t *testing.T) {
 	if err := comp.Divulge([]byte("stately")); err != nil {
 		t.Fatal(err)
 	}
-	owner, err := b.AwaitDivulged("compute", time.Second)
-	if err != nil || string(owner.Data()) != "stately" {
-		t.Fatalf("AwaitDivulged = %v, %v", owner, err)
+	divulged, err := b.AwaitDivulged("compute", time.Second)
+	if err != nil || string(divulged) != "stately" {
+		t.Fatalf("AwaitDivulged = %q, %v", divulged, err)
 	}
 
 	// Install travels bus -> remote.

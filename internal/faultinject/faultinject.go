@@ -211,7 +211,7 @@ const EnvVar = "FAULTPOINTS"
 // "bus.rebind=delay:50ms"), and xN caps the firing count
 // ("bus.signal=drop:x2"). Examples:
 //
-//	FAULTPOINTS="reconfig.launch=error"
+//	FAULTPOINTS="reconfig.rebind=error:x1"
 //	FAULTPOINTS="bus.awaitdivulged=error:x1,tcp.dial=delay:100ms"
 //
 // Parse rejects site names that are not wired into the runtime — not in
@@ -331,4 +331,24 @@ var Sites = []string{
 	"reconfig.launch",    // the launcher starting a clone
 	"tcp.dial",           // remote attachment dial
 	"tcp.call",           // remote attachment RPC round-trip
+
+	// The transaction engine fires "reconfig.<primitive>" before every step
+	// of every script (internal/reconfig's runTx): the primitive is the
+	// first word of the step as the trace and the dry run print it, and an
+	// armed point kills the script before that primitive's next step.
+	"reconfig.obj_cap",
+	"reconfig.add_obj",
+	"reconfig.bind_cap",
+	"reconfig.struct_ifdest",
+	"reconfig.struct_ifsources",
+	"reconfig.edit_bind",
+	"reconfig.preflight",
+	"reconfig.signal_reconfig",
+	"reconfig.await_divulged",
+	"reconfig.install_state",
+	"reconfig.rebind",
+	"reconfig.chg_obj",
+	"reconfig.await_restored",
+	"reconfig.drain_queue",
+	"reconfig.join_group",
 }

@@ -98,12 +98,15 @@ func TestDisableAndArmed(t *testing.T) {
 }
 
 func TestParse(t *testing.T) {
-	s, err := Parse("reconfig.launch=error, bus.signal=drop:x2 ,tcp.dial=delay:5ms,bus.divulge=error:x1")
+	s, err := Parse("reconfig.launch=error, bus.signal=drop:x2 ,tcp.dial=delay:5ms,bus.divulge=error:x1,reconfig.preflight=error")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Armed(); len(got) != 4 {
+	if got := s.Armed(); len(got) != 5 {
 		t.Fatalf("armed = %v", got)
+	}
+	if err := s.Fire("reconfig.preflight"); !errors.Is(err, ErrInjected) {
+		t.Errorf("reconfig.preflight = %v", err)
 	}
 	if err := s.Fire("reconfig.launch"); !errors.Is(err, ErrInjected) {
 		t.Errorf("reconfig.launch = %v", err)

@@ -183,11 +183,11 @@ func TestInterpretedModuleOverTCP(t *testing.T) {
 	}
 	time.Sleep(100 * time.Millisecond)
 	h.sendInt(h.sens, "out", 40)
-	owner, err := h.b.AwaitDivulged("compute", 5*time.Second)
+	divulged, err := h.b.AwaitDivulged("compute", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := h.c.DecodeState(owner.Data())
+	st, err := h.c.DecodeState(divulged)
 	if err != nil {
 		t.Fatal(err)
 	}

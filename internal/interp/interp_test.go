@@ -582,7 +582,7 @@ func TestMoveDuringRecursionInterpreted(t *testing.T) {
 	}
 	h.sendInt(h.sens, "out", 60)
 
-	owner, err := h.b.AwaitDivulged("compute", 5*time.Second)
+	divulged, err := h.b.AwaitDivulged("compute", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,7 +598,7 @@ func TestMoveDuringRecursionInterpreted(t *testing.T) {
 		t.Fatal(rt.Err())
 	}
 
-	st, err := h.c.DecodeState(owner.Data())
+	st, err := h.c.DecodeState(divulged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,7 +624,7 @@ func TestMoveDuringRecursionInterpreted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.b.InstallState("compute2", owner.Data()); err != nil {
+	if err := h.b.InstallState("compute2", divulged); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.b.DeleteInstance("compute"); err != nil {
@@ -690,11 +690,11 @@ func TestInstrumentedIdlePath(t *testing.T) {
 	// needs a pending sensor value.
 	h.sendInt(h.sens, "out", 42)
 
-	owner, err := h.b.AwaitDivulged("compute", 5*time.Second)
+	divulged, err := h.b.AwaitDivulged("compute", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := h.c.DecodeState(owner.Data())
+	st, err := h.c.DecodeState(divulged)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,7 +205,7 @@ func TestMoveDuringRecursion(t *testing.T) {
 
 	// The module unwinds: captures compute@4, compute@3, main@1, encodes,
 	// divulges, and its main returns.
-	owner, err := b.AwaitDivulged("compute", 5*time.Second)
+	divulged, err := b.AwaitDivulged("compute", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestMoveDuringRecursion(t *testing.T) {
 	}
 
 	// Inspect the divulged abstract state.
-	st, err := c.DecodeState(owner.Data())
+	st, err := c.DecodeState(divulged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestMoveDuringRecursion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.InstallState("compute2", owner.Data()); err != nil {
+	if err := b.InstallState("compute2", divulged); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.DeleteInstance("compute"); err != nil {
@@ -526,11 +526,11 @@ func TestCaptureEncodeDecodeRestoreCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	owner, err := b.AwaitDivulged("compute", time.Second)
+	divulged, err := b.AwaitDivulged("compute", time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := codec.Default().DecodeState(owner.Data())
+	st, err := codec.Default().DecodeState(divulged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +545,7 @@ func TestCaptureEncodeDecodeRestoreCycle(t *testing.T) {
 	if err := b.AddInstance(computeSpec("clone", "m2", bus.StatusClone)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.InstallState("clone", owner.Data()); err != nil {
+	if err := b.InstallState("clone", divulged); err != nil {
 		t.Fatal(err)
 	}
 	crt := attachRT(t, b, "clone")
@@ -604,7 +604,7 @@ func TestRestoreMismatchesAreFatal(t *testing.T) {
 	rt.Init()
 	rt.Capture("main", "l", 1)
 	rt.Encode()
-	owner, err := b.AwaitDivulged("compute", time.Second)
+	divulged, err := b.AwaitDivulged("compute", time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,7 +614,7 @@ func TestRestoreMismatchesAreFatal(t *testing.T) {
 		if err := b.AddInstance(computeSpec(name, "m2", bus.StatusClone)); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.InstallState(name, owner.Data()); err != nil {
+		if err := b.InstallState(name, divulged); err != nil {
 			t.Fatal(err)
 		}
 		crt := attachRT(t, b, name)
@@ -697,7 +697,7 @@ func TestHeapTravelsWithState(t *testing.T) {
 	}
 	rt.Capture("main", "l", 1)
 	rt.Encode()
-	owner, err := b.AwaitDivulged("compute", time.Second)
+	divulged, err := b.AwaitDivulged("compute", time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -705,7 +705,7 @@ func TestHeapTravelsWithState(t *testing.T) {
 	if err := b.AddInstance(computeSpec("clone", "m2", bus.StatusClone)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.InstallState("clone", owner.Data()); err != nil {
+	if err := b.InstallState("clone", divulged); err != nil {
 		t.Fatal(err)
 	}
 	crt := attachRT(t, b, "clone")
@@ -816,11 +816,11 @@ func TestCaptureNamed(t *testing.T) {
 	rt := attachRT(t, b, "compute")
 	rt.CaptureNamed("main", 1, []string{"n", "resp"}, 5, 2.5)
 	rt.Encode()
-	owner, err := b.AwaitDivulged("compute", time.Second)
+	divulged, err := b.AwaitDivulged("compute", time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := codec.Default().DecodeState(owner.Data())
+	st, err := codec.Default().DecodeState(divulged)
 	if err != nil {
 		t.Fatal(err)
 	}

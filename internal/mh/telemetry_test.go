@@ -48,14 +48,14 @@ func TestRuntimeTelemetry(t *testing.T) {
 	}
 
 	// Restore into a clone with its own registry.
-	owner, err := b.AwaitDivulged("compute", 5*time.Second)
+	divulged, err := b.AwaitDivulged("compute", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := b.AddInstance(computeSpec("compute2", "m1", bus.StatusClone)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.InstallState("compute2", owner.Data()); err != nil {
+	if err := b.InstallState("compute2", divulged); err != nil {
 		t.Fatal(err)
 	}
 	reg2 := telemetry.NewRegistry()

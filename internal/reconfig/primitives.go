@@ -1,18 +1,17 @@
 // Package reconfig implements the application-level reconfiguration layer:
-// the primitive operations of Figure 5 (the mh_* control calls added to
-// POLYLITH by the authors' earlier ICDCS '91 work), and the parameterized
-// reconfiguration scripts — Replace, Move, Replicate — that compose them.
+// the parameterized reconfiguration scripts — Replace (and with it Move and
+// Update), self-heal, Replicate, Remove — each a table of the primitive
+// operations of Figure 5 (the mh_* control calls added to POLYLITH by the
+// authors' earlier ICDCS '91 work), run by one transaction engine (runTx).
 //
-// Every primitive appends a line to an audit trace, so a script's primitive
-// sequence can be golden-tested against Figure 5 and inspected by
+// A transaction's completed step names are its audit trail, so a script's
+// primitive sequence can be golden-tested against Figure 5 and inspected by
 // operators (cmd/reconfigctl prints it).
 package reconfig
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/bus"
 	"repro/internal/telemetry"
@@ -26,13 +25,8 @@ type Launcher interface {
 	Launch(instance string) error
 }
 
-// LauncherFunc adapts a function to Launcher.
-type LauncherFunc func(instance string) error
-
-// Launch implements Launcher.
-func (f LauncherFunc) Launch(instance string) error { return f(instance) }
-
-// Primitives exposes the reconfiguration primitive set over one bus.
+// Primitives is the reconfiguration authority over one bus: what every
+// script runs against.
 type Primitives struct {
 	bus *bus.Bus
 
@@ -41,12 +35,9 @@ type Primitives struct {
 	// interleaved (the paper assumes one reconfiguration at a time).
 	txMu sync.Mutex
 
-	mu    sync.Mutex
-	trace []string
-
-	// tracer assigns each transactional script a transaction ID and records
+	// tracer assigns each transactional script a transaction ID and retains
 	// its span timeline (quiesce wait, state move, rebind, restore wait,
-	// commit or rollback) for reconfigctl trace <txid>.
+	// commit or rollback) and its completed steps for reconfigctl trace.
 	tracer *telemetry.Tracer
 
 	// active mirrors txMu for lock-free observation: true while a
@@ -67,245 +58,6 @@ func NewPrimitives(b *bus.Bus) *Primitives {
 // flight right now.
 func (p *Primitives) ReconfigActive() bool { return p.active.Load() }
 
-// Bus returns the underlying bus.
-func (p *Primitives) Bus() *bus.Bus { return p.bus }
-
-// Tracer returns the reconfiguration tracer (retained span timelines keyed
-// by transaction ID).
+// Tracer returns the reconfiguration tracer (retained span timelines and
+// step trails keyed by transaction ID).
 func (p *Primitives) Tracer() *telemetry.Tracer { return p.tracer }
-
-func (p *Primitives) log(format string, args ...any) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.trace = append(p.trace, fmt.Sprintf(format, args...))
-}
-
-// Trace returns the primitive audit trail so far.
-func (p *Primitives) Trace() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, len(p.trace))
-	copy(out, p.trace)
-	return out
-}
-
-// ResetTrace clears the audit trail.
-func (p *Primitives) ResetTrace() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.trace = nil
-}
-
-// traceMark returns the current trace length, so a transaction can later
-// extract just its own primitive lines with traceSince.
-func (p *Primitives) traceMark() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.trace)
-}
-
-// traceSince returns the trace lines appended after mark.
-func (p *Primitives) traceSince(mark int) []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if mark > len(p.trace) {
-		return nil
-	}
-	out := make([]string, len(p.trace)-mark)
-	copy(out, p.trace[mark:])
-	return out
-}
-
-// ObjCap retrieves the current specification of an instance (mh_obj_cap).
-// It reflects the live configuration, which may have changed dynamically
-// since the application was described.
-func (p *Primitives) ObjCap(name string) (bus.InstanceInfo, error) {
-	info, err := p.bus.Info(name)
-	if err != nil {
-		return bus.InstanceInfo{}, fmt.Errorf("reconfig: obj_cap %s: %w", name, err)
-	}
-	p.log("obj_cap %s", name)
-	return info, nil
-}
-
-// StructObjNames lists the live instances (mh_struct_objnames).
-func (p *Primitives) StructObjNames() []string {
-	names := p.bus.Instances()
-	p.log("struct_objnames -> %d", len(names))
-	return names
-}
-
-// StructIfDest lists where messages written on e are delivered
-// (mh_struct_ifdest).
-func (p *Primitives) StructIfDest(e bus.Endpoint) ([]bus.Endpoint, error) {
-	out, err := p.bus.IfDest(e)
-	if err != nil {
-		return nil, fmt.Errorf("reconfig: struct_ifdest %s: %w", e, err)
-	}
-	p.log("struct_ifdest %s -> %d", e, len(out))
-	return out, nil
-}
-
-// StructIfSources lists whose writes are delivered to e
-// (mh_struct_ifsources).
-func (p *Primitives) StructIfSources(e bus.Endpoint) ([]bus.Endpoint, error) {
-	out, err := p.bus.IfSources(e)
-	if err != nil {
-		return nil, fmt.Errorf("reconfig: struct_ifsources %s: %w", e, err)
-	}
-	p.log("struct_ifsources %s -> %d", e, len(out))
-	return out, nil
-}
-
-// BindBatch accumulates binding edits to apply atomically (mh_bind_cap).
-type BindBatch struct {
-	edits []bus.BindEdit
-}
-
-// BindCap creates an empty binding batch.
-func (p *Primitives) BindCap() *BindBatch {
-	p.log("bind_cap")
-	return &BindBatch{}
-}
-
-// EditBind appends one edit (mh_edit_bind). op is "add", "del", "cq" or
-// "rmq".
-func (p *Primitives) EditBind(b *BindBatch, op string, from, to bus.Endpoint) {
-	b.edits = append(b.edits, bus.BindEdit{Op: op, From: from, To: to})
-	if op == "rmq" {
-		p.log("edit_bind %s %s", op, from)
-	} else {
-		p.log("edit_bind %s %s %s", op, from, to)
-	}
-}
-
-// Rebind applies the batch atomically (mh_rebind).
-func (p *Primitives) Rebind(b *BindBatch) error {
-	if err := p.bus.Rebind(b.edits); err != nil {
-		return fmt.Errorf("reconfig: rebind: %w", err)
-	}
-	p.log("rebind (%d edits)", len(b.edits))
-	return nil
-}
-
-// AddObj registers a new instance (the "add object" half of the primitive
-// set; it does not start the module — ChgObj "add" does).
-func (p *Primitives) AddObj(spec bus.InstanceSpec) error {
-	if err := p.bus.AddInstance(spec); err != nil {
-		return fmt.Errorf("reconfig: add_obj %s: %w", spec.Name, err)
-	}
-	p.log("add_obj %s (module %s, machine %s, status %s)", spec.Name, spec.Module, spec.Machine, spec.Status)
-	return nil
-}
-
-// ObjStateMove signals old to divulge its state at the next reconfiguration
-// point, waits for the state, and installs it into dst
-// (mh_objstate_move(&old, "encode", &new, "decode")).
-func (p *Primitives) ObjStateMove(old, srcIface, dst, dstIface string, timeout time.Duration) error {
-	if err := p.bus.MoveState(old, srcIface, dst, dstIface, timeout); err != nil {
-		return fmt.Errorf("reconfig: objstate_move %s -> %s: %w", old, dst, err)
-	}
-	p.log("objstate_move %s.%s -> %s.%s", old, srcIface, dst, dstIface)
-	return nil
-}
-
-// SignalReconfig asks an instance to divulge at its next reconfiguration
-// point — the first third of mh_objstate_move, split out so the
-// transactional script can journal a compensation (cancel or resurrect)
-// before committing to the wait.
-func (p *Primitives) SignalReconfig(name string) error {
-	if err := p.bus.SignalReconfig(name); err != nil {
-		return fmt.Errorf("reconfig: signal_reconfig %s: %w", name, err)
-	}
-	p.log("signal_reconfig %s", name)
-	return nil
-}
-
-// AwaitDivulged waits for a signaled instance to surrender its encoded
-// state (the middle of mh_objstate_move).
-func (p *Primitives) AwaitDivulged(name string, timeout time.Duration) ([]byte, error) {
-	owner, err := p.bus.AwaitDivulged(name, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("reconfig: await_divulged %s: %w", name, err)
-	}
-	p.log("await_divulged %s", name)
-	return owner.Data(), nil
-}
-
-// InstallState hands encoded state to a clone instance (the last third of
-// mh_objstate_move).
-func (p *Primitives) InstallState(name string, data []byte) error {
-	if err := p.bus.InstallState(name, data); err != nil {
-		return fmt.Errorf("reconfig: install_state %s: %w", name, err)
-	}
-	p.log("install_state %s", name)
-	return nil
-}
-
-// AwaitRestored waits for a launched clone to confirm its restoration. The
-// transactional script gates the destructive tail of a replacement on it.
-func (p *Primitives) AwaitRestored(name string, timeout time.Duration) error {
-	if err := p.bus.AwaitRestored(name, timeout); err != nil {
-		return fmt.Errorf("reconfig: await_restored %s: %w", name, err)
-	}
-	p.log("await_restored %s", name)
-	return nil
-}
-
-// DrainQueue discards the messages still queued at e (the "rmq" command).
-// The transactional script runs it after the commit point — a queue must
-// only be dropped once its replacement demonstrably answers traffic.
-func (p *Primitives) DrainQueue(e bus.Endpoint) (int, error) {
-	n, err := p.bus.DrainQueue(e)
-	if err != nil {
-		return 0, fmt.Errorf("reconfig: drain_queue %s: %w", e, err)
-	}
-	p.log("drain_queue %s", e)
-	return n, nil
-}
-
-// JoinGroup admits an instance into a replica group — one copy-on-write
-// snapshot publish; racing senders keep the old member set until it lands.
-func (p *Primitives) JoinGroup(group, member string) error {
-	if err := p.bus.AddGroupMember(group, member); err != nil {
-		return fmt.Errorf("reconfig: join_group %s %s: %w", group, member, err)
-	}
-	p.log("join_group %s %s", group, member)
-	return nil
-}
-
-// LeaveGroup revokes an instance's group membership, fencing its queues and
-// redistributing its backlog to the surviving members. The supervisor runs
-// it the moment a member is detected dead, before any rebuild.
-func (p *Primitives) LeaveGroup(group, member string) error {
-	if err := p.bus.RemoveGroupMember(group, member); err != nil {
-		return fmt.Errorf("reconfig: leave_group %s %s: %w", group, member, err)
-	}
-	p.log("leave_group %s %s", group, member)
-	return nil
-}
-
-// ChgObj changes an instance's lifecycle (mh_chg_obj): "add" starts the
-// module via the launcher, "del" removes it from the bus.
-func (p *Primitives) ChgObj(launcher Launcher, name, op string) error {
-	switch op {
-	case "add":
-		if launcher == nil {
-			return fmt.Errorf("reconfig: chg_obj add %s: no launcher", name)
-		}
-		if err := p.bus.Faults().Fire("reconfig.launch"); err != nil {
-			return fmt.Errorf("reconfig: chg_obj add %s: %w", name, err)
-		}
-		if err := launcher.Launch(name); err != nil {
-			return fmt.Errorf("reconfig: chg_obj add %s: %w", name, err)
-		}
-	case "del":
-		if err := p.bus.DeleteInstance(name); err != nil {
-			return fmt.Errorf("reconfig: chg_obj del %s: %w", name, err)
-		}
-	default:
-		return fmt.Errorf("reconfig: chg_obj: unknown op %q", op)
-	}
-	p.log("chg_obj %s %s", name, op)
-	return nil
-}

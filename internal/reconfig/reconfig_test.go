@@ -156,13 +156,51 @@ func (w *monitorWorld) topology() string {
 	return strings.Join(lines, "\n")
 }
 
-// TestMonitorTopologyBeforeAfter + TestReplaceScriptPrimitiveTrace +
-// the end-to-end move: experiments F1, F5 and E1 at the script level.
-func TestMoveModuleScript(t *testing.T) {
+// startMidRecursion launches compute and has it take an n-reading request,
+// so real partial state is in flight when a script begins (Section 2). The
+// returned feed delivers one reading once the next script has signalled:
+// the module, blocked on the sensor, then reaches its reconfiguration point
+// with the flag set.
+func startMidRecursion(t *testing.T, n int) (*monitorWorld, func(reading int)) {
+	t.Helper()
 	w := newMonitorWorld(t)
 	if err := w.Launch("compute"); err != nil {
 		t.Fatal(err)
 	}
+	w.sendInt(w.disp, "temper", n)
+	for w.pending("compute", "display") > 0 {
+		time.Sleep(time.Millisecond)
+	}
+	return w, func(reading int) {
+		signals := w.b.Stats().Signals
+		go func() {
+			for w.b.Stats().Signals == signals {
+				time.Sleep(time.Millisecond)
+			}
+			w.sendInt(w.sens, "out", reading)
+		}()
+	}
+}
+
+func (w *monitorWorld) pending(inst, iface string) int {
+	w.t.Helper()
+	info, err := w.b.Info(inst)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	return info.Pending[iface]
+}
+
+// move is the Section 2 reconfiguration: Replace with only the machine
+// changed.
+func (w *monitorWorld) move(inst, newName, machine string) (*TxResult, error) {
+	return ReplaceTx(w.p, w, inst, ReplaceOptions{NewName: newName, Machine: machine, Timeouts: Timeouts{StateMove: 10 * time.Second}})
+}
+
+// TestMonitorTopologyBeforeAfter + TestReplaceScriptPrimitiveTrace +
+// the end-to-end move: experiments F1, F5 and E1 at the script level.
+func TestMoveModuleScript(t *testing.T) {
+	w, feed := startMidRecursion(t, 3)
 
 	before := w.topology()
 	wantBefore := strings.Join([]string{
@@ -176,19 +214,9 @@ func TestMoveModuleScript(t *testing.T) {
 		t.Errorf("topology before:\n%s\nwant:\n%s", before, wantBefore)
 	}
 
-	// Put the module mid-recursion, as in Section 2.
-	w.sendInt(w.disp, "temper", 3)
-	time.Sleep(50 * time.Millisecond)
-
-	// The script itself signals via ObjStateMove; feed the sensor so the
-	// module reaches the reconfiguration point after the signal. Feed it
-	// slightly after the script starts.
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		w.sendInt(w.sens, "out", 60)
-	}()
-	w.p.ResetTrace()
-	if err := Move(w.p, w, "compute", "compute2", "machineB", 10*time.Second); err != nil {
+	feed(60)
+	res, err := w.move("compute", "compute2", "machineB")
+	if err != nil {
 		t.Fatalf("Move: %v", err)
 	}
 
@@ -223,12 +251,12 @@ func TestMoveModuleScript(t *testing.T) {
 	}
 
 	// Figure 5's primitive sequence (trace golden), in its transactional
-	// form: objstate_move is decomposed into signal/await/install so each
-	// third can journal its compensation; the queue drops ("rmq", now
+	// form: objstate_move is decomposed into signal/await/install so the
+	// request has its own inverse; the queue drops ("rmq", now
 	// drain_queue) are deferred past the commit point (await_restored).
 	// The display binding is bidirectional; it surfaces under both ifdest
 	// and ifsources and is rebound once.
-	trace := w.p.Trace()
+	trace := res.Steps
 	wantTrace := []string{
 		"obj_cap compute",
 		"add_obj compute2 (module compute, machine machineB, status clone)",
@@ -261,23 +289,14 @@ func TestMoveModuleScript(t *testing.T) {
 // TestQueueMoveNoLoss (experiment A3): requests queued at the old instance
 // during reconfiguration are served by the replacement.
 func TestQueueMoveNoLoss(t *testing.T) {
-	w := newMonitorWorld(t)
-	if err := w.Launch("compute"); err != nil {
-		t.Fatal(err)
-	}
-
 	// One in-flight request (depth 2) plus two queued requests that the
 	// old module will never see.
-	w.sendInt(w.disp, "temper", 2)
-	time.Sleep(50 * time.Millisecond)
+	w, feed := startMidRecursion(t, 2)
 	w.sendInt(w.disp, "temper", 1)
 	w.sendInt(w.disp, "temper", 1)
 
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		w.sendInt(w.sens, "out", 10)
-	}()
-	if err := Move(w.p, w, "compute", "compute2", "machineB", 10*time.Second); err != nil {
+	feed(10)
+	if _, err := w.move("compute", "compute2", "machineB"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -299,17 +318,9 @@ func TestQueueMoveNoLoss(t *testing.T) {
 // TestUpdateScript: software maintenance — v2 replaces v1 mid-computation
 // and inherits its state (experiment for the Update script).
 func TestUpdateScript(t *testing.T) {
-	w := newMonitorWorld(t)
-	if err := w.Launch("compute"); err != nil {
-		t.Fatal(err)
-	}
-	w.sendInt(w.disp, "temper", 2)
-	time.Sleep(50 * time.Millisecond)
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		w.sendInt(w.sens, "out", 40)
-	}()
-	if err := Update(w.p, w, "compute", "computeV2", "compute", 10*time.Second); err != nil {
+	w, feed := startMidRecursion(t, 2)
+	feed(40)
+	if _, err := ReplaceTx(w.p, w, "compute", ReplaceOptions{NewName: "computeV2", Module: "compute"}); err != nil {
 		t.Fatal(err)
 	}
 	info, err := w.b.Info("computeV2")
@@ -329,7 +340,7 @@ func TestReplicateScript(t *testing.T) {
 	if err := w.Launch("compute"); err != nil {
 		t.Fatal(err)
 	}
-	if err := Replicate(w.p, w, "compute", "computeB", "machineB"); err != nil {
+	if _, err := Replicate(w.p, w, "compute", "computeB", "machineB"); err != nil {
 		t.Fatal(err)
 	}
 	info, err := w.b.Info("computeB")
@@ -346,7 +357,7 @@ func TestReplicateScript(t *testing.T) {
 	if got1 != 42 || got2 != 42 {
 		t.Errorf("replicated answers = %g, %g", got1, got2)
 	}
-	if err := Remove(w.p, "computeB"); err != nil {
+	if _, err := Remove(w.p, "computeB"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.b.Info("computeB"); err == nil {
@@ -356,15 +367,21 @@ func TestReplicateScript(t *testing.T) {
 
 func TestReplaceValidation(t *testing.T) {
 	w := newMonitorWorld(t)
-	if err := Replace(w.p, w, "compute", ReplaceOptions{}); err == nil {
-		t.Error("missing NewName accepted")
-	}
-	if err := Replace(w.p, w, "ghost", ReplaceOptions{NewName: "g2"}); err == nil {
-		t.Error("unknown instance accepted")
-	}
-	// Duplicate new name.
-	if err := Replace(w.p, w, "compute", ReplaceOptions{NewName: "display", Timeouts: Timeouts{StateMove: time.Second}}); err == nil {
-		t.Error("duplicate new name accepted")
+	for _, tc := range []struct {
+		why, old string
+		opts     ReplaceOptions
+	}{
+		{"missing NewName", "compute", ReplaceOptions{}},
+		{"NewName equal to the old name", "compute", ReplaceOptions{NewName: "compute"}},
+		{"unknown instance", "ghost", ReplaceOptions{NewName: "g2"}},
+		{"duplicate new name", "compute", ReplaceOptions{NewName: "display", Timeouts: Timeouts{StateMove: time.Second}}},
+	} {
+		if res, err := ReplaceTx(w.p, w, tc.old, tc.opts); err == nil || res.Committed {
+			t.Errorf("%s accepted: %+v, %v", tc.why, res, err)
+		}
+		if _, err := PlanReplace(w.p, tc.old, tc.opts); (err == nil) != (tc.why == "duplicate new name") {
+			t.Errorf("plan with %s: %v (only a name the bus would refuse gets past the dry run)", tc.why, err)
+		}
 	}
 }
 
@@ -373,56 +390,61 @@ func TestReplaceTimesOutWithoutParticipation(t *testing.T) {
 	// reach a reconfiguration point, so the state move times out and the
 	// script fails (module-level atomicity would be needed instead).
 	w := newMonitorWorld(t)
-	err := Replace(w.p, w, "compute", ReplaceOptions{NewName: "c2", Timeouts: Timeouts{StateMove: 50 * time.Millisecond}})
+	_, err := ReplaceTx(w.p, w, "compute", ReplaceOptions{NewName: "c2", Timeouts: Timeouts{StateMove: 50 * time.Millisecond}})
 	if err == nil || !errors.Is(err, bus.ErrTimeout) {
 		t.Errorf("err = %v, want timeout", err)
 	}
 }
 
+// failingLauncher is a Launcher whose every launch fails.
+type failingLauncher struct{}
+
+func (failingLauncher) Launch(string) error { return errors.New("boom") }
+
+// TestChgObjValidation: "chg_obj <name> add" refuses a script that has no
+// launcher and reports a launcher's failure, and either way the script rolls
+// its registration and bindings back.
 func TestChgObjValidation(t *testing.T) {
 	w := newMonitorWorld(t)
-	if err := w.p.ChgObj(nil, "compute", "add"); err == nil {
-		t.Error("add without launcher accepted")
-	}
-	if err := w.p.ChgObj(nil, "compute", "frobnicate"); err == nil {
-		t.Error("unknown op accepted")
-	}
-	bad := LauncherFunc(func(string) error { return errors.New("boom") })
-	if err := w.p.ChgObj(bad, "compute", "add"); err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Errorf("launcher failure: %v", err)
+	before := w.topology()
+	for _, tc := range []struct {
+		l    Launcher
+		want string
+	}{{nil, "chg_obj computeB add: no launcher"}, {failingLauncher{}, "chg_obj computeB add: boom"}} {
+		res, err := Replicate(w.p, tc.l, "compute", "computeB", "")
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("launcher %v: err = %v, want %q", tc.l, err, tc.want)
+		}
+		if want := []RollbackStep{{Action: "inverse_rebind"}, {Action: "delete_clone"}}; !reflect.DeepEqual(res.Rollback, want) {
+			t.Errorf("launcher %v: rollback = %+v, want %+v", tc.l, res.Rollback, want)
+		}
+		if after := w.topology(); after != before {
+			t.Errorf("launcher %v: topology after the failed script:\n%s\nwant:\n%s", tc.l, after, before)
+		}
 	}
 }
 
+// TestPrimitiveErrors: a primitive that fails names itself in the error,
+// whichever script ran it, and nothing it did not do is listed as done.
 func TestPrimitiveErrors(t *testing.T) {
-	b := bus.New()
-	p := NewPrimitives(b)
-	if _, err := p.ObjCap("ghost"); err == nil {
-		t.Error("obj_cap ghost accepted")
+	p := NewPrimitives(bus.New())
+	for what, run := range map[string]func() (*TxResult, error){
+		"obj_cap ghost":   func() (*TxResult, error) { return ReplaceTx(p, nil, "ghost", ReplaceOptions{NewName: "g2"}) },
+		"obj_cap phantom": func() (*TxResult, error) { return Replicate(p, nil, "phantom", "p2", "") },
+		"obj_cap corpse": func() (*TxResult, error) {
+			return ReplaceFromCheckpointTx(p, nil, "g", "corpse", "g.1", []byte{1}, Timeouts{})
+		},
+		"chg_obj wraith del": func() (*TxResult, error) { return Remove(p, "wraith") },
+	} {
+		res, err := run()
+		if err == nil || !errors.Is(err, bus.ErrNoInstance) || !strings.Contains(err.Error(), "reconfig: "+what+": ") {
+			t.Errorf("%s: err = %v, want it to name the primitive and wrap ErrNoInstance", what, err)
+		}
+		if res == nil || res.Committed || len(res.Steps) != 0 || len(res.Rollback) != 0 || res.TxID == "" {
+			t.Errorf("%s: result = %+v, want a traced transaction that did nothing", what, res)
+		}
 	}
-	if _, err := p.StructIfDest(bus.Endpoint{Instance: "ghost", Interface: "x"}); err == nil {
-		t.Error("ifdest ghost accepted")
-	}
-	if _, err := p.StructIfSources(bus.Endpoint{Instance: "ghost", Interface: "x"}); err == nil {
-		t.Error("ifsources ghost accepted")
-	}
-	if err := p.AddObj(bus.InstanceSpec{}); err == nil {
-		t.Error("empty spec accepted")
-	}
-	if err := p.ObjStateMove("ghost", "e", "x", "d", time.Millisecond); err == nil {
-		t.Error("state move from ghost accepted")
-	}
-	batch := p.BindCap()
-	p.EditBind(batch, "add", bus.Endpoint{Instance: "a", Interface: "b"}, bus.Endpoint{Instance: "c", Interface: "d"})
-	if err := p.Rebind(batch); err == nil {
-		t.Error("rebind with unknown endpoints accepted")
-	}
-	if p.Bus() != b {
-		t.Error("Bus() identity")
-	}
-	if len(p.StructObjNames()) != 0 {
-		t.Error("expected no instances")
-	}
-	if len(p.Trace()) == 0 {
-		t.Error("trace empty despite operations")
+	if trail, _ := p.Tracer().Trail(); len(trail) != 0 {
+		t.Errorf("trail after four refused scripts = %v, want empty", trail)
 	}
 }

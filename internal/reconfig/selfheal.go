@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bus"
+	"repro/internal/telemetry"
 )
 
 // ReplaceFromCheckpointTx rebuilds a crashed replica-group member as a
@@ -21,118 +22,61 @@ import (
 //
 // Forward path: clone the dead member's specification under newName, install
 // the checkpoint, launch, and wait for the clone's restore confirmation —
-// the commit gate, as in ReplaceTx. Any failure before it replays the
-// journal (delete the clone) and leaves the group running on the survivors;
-// the supervisor retries with a fresh generation name. The destructive tail
-// moves the dead member's residual queued messages to the clone (non-empty
-// only when the member died with no surviving peer to drain to), admits the
-// clone into the group, and deletes the corpse.
+// the commit gate, as in ReplaceTx. Any failure before it deletes the clone
+// and leaves the group running on the survivors; the supervisor retries with
+// a fresh generation name. The destructive tail moves the dead member's
+// residual queued messages to the clone (non-empty only when the member died
+// with no surviving peer to drain to), admits the clone into the group, and
+// deletes the corpse.
 func ReplaceFromCheckpointTx(p *Primitives, launcher Launcher, group, dead, newName string, ckpt []byte, t Timeouts) (*TxResult, error) {
-	res := &TxResult{}
-	fail := func(err error) (*TxResult, error) {
-		res.Err = err
-		return res, err
-	}
+	op := fmt.Sprintf("selfheal %s -> %s (group %s)", dead, newName, group)
+	return runTx(p, op, func(*telemetry.TxTrace) (*script, error) {
+		return selfhealScript(p.bus, launcher, group, dead, newName, ckpt, t.WithDefaults())
+	})
+}
+
+func selfhealScript(b *bus.Bus, launcher Launcher, group, dead, newName string, ckpt []byte, t Timeouts) (*script, error) {
 	if newName == "" || newName == dead {
-		return fail(fmt.Errorf("reconfig: selfheal %s: replacement name %q invalid", dead, newName))
+		return nil, fmt.Errorf("selfheal %s: replacement name %q invalid", dead, newName)
 	}
 	if len(ckpt) == 0 {
-		return fail(fmt.Errorf("reconfig: selfheal %s: no checkpoint to rebuild from", dead))
+		return nil, fmt.Errorf("selfheal %s: no checkpoint to rebuild from", dead)
 	}
-	t = t.WithDefaults()
-	if !p.txMu.TryLock() {
-		return fail(fmt.Errorf("reconfig: selfheal %s: %w", dead, ErrReconfigBusy))
-	}
-	defer p.txMu.Unlock()
-	p.active.Store(true)
-	defer p.active.Store(false)
-
-	tx := p.tracer.Begin(fmt.Sprintf("selfheal %s -> %s (group %s)", dead, newName, group))
-	res.TxID = tx.ID()
-	mark := p.traceMark()
-	j := &journal{}
-	abort := func(stepErr error) (*TxResult, error) {
-		tx.StartSpan("rollback")
-		res.Steps = p.traceSince(mark)
-		res.Err = stepErr
-		res.RolledBack = true
-		res.Rollback = j.rollback()
-		tx.Finish("rolled-back", res.Steps)
-		return res, fmt.Errorf("reconfig: selfheal %s rolled back: %w", dead, stepErr)
-	}
-
-	// Clone the dead member's specification. Its instance is still
-	// registered — only its group membership was revoked.
-	tx.StartSpan("plan")
-	info, err := p.ObjCap(dead)
+	// The dead member's instance is still registered — only its group
+	// membership was revoked.
+	info, err := b.Info(dead)
 	if err != nil {
-		return abort(err)
+		return nil, fmt.Errorf("obj_cap %s: %w", dead, err)
 	}
-	spec := bus.InstanceSpec{
-		Name:       newName,
-		Module:     info.Module,
-		Machine:    info.Machine,
-		Status:     bus.StatusClone,
-		Interfaces: info.Interfaces,
-		Attrs:      map[string]string{},
-	}
-	for k, v := range info.Attrs {
-		spec.Attrs[k] = v
-	}
-	tx.StartSpan("add_clone")
-	if err := p.AddObj(spec); err != nil {
-		return abort(err)
-	}
-	j.record("delete_clone", func() error { return p.bus.DeleteInstance(newName) })
-
+	s := &script{}
+	s.note("plan", "obj_cap "+dead)
+	s.add("add_clone", addObj(b, cloneOf(info, newName, bus.StatusClone)))
 	// The checkpoint stands in for divulged state.
-	tx.StartSpan("state_move")
-	if err := p.InstallState(newName, ckpt); err != nil {
-		return abort(err)
-	}
-	tx.StartSpan("launch")
-	if err := p.ChgObj(launcher, newName, "add"); err != nil {
-		return abort(err)
-	}
-
-	// Commit gate: the clone must confirm it rebuilt the checkpointed state.
-	tx.StartSpan("restore_wait")
-	if err := p.AwaitRestored(newName, t.RestoreAck); err != nil {
-		return abort(err)
-	}
-	j.discard()
-	res.Committed = true
-	tx.StartSpan("commit_tail")
+	s.add("state_move", step{name: "install_state " + newName, do: func() error { return b.InstallState(newName, ckpt) }})
+	s.add("launch", launch(b, launcher, newName))
+	s.add("restore_wait", step{name: "await_restored " + newName, do: func() error {
+		return b.AwaitRestored(newName, t.RestoreAck)
+	}})
+	s.commit = len(s.steps)
 
 	// Destructive tail: recover any messages still fenced at the corpse,
-	// admit the clone to the group, delete the corpse. Failures here cannot
-	// roll the heal back; they are reported for operator cleanup.
-	var tailErr error
-	batch := p.BindCap()
+	// admit the clone to the group, delete the corpse.
+	var edits []bus.BindEdit
+	s.note("", "bind_cap")
 	for _, ifc := range info.Interfaces {
-		if !ifc.Dir.Receives() {
-			continue
-		}
-		p.EditBind(batch, "cq",
-			bus.Endpoint{Instance: dead, Interface: ifc.Name},
-			bus.Endpoint{Instance: newName, Interface: ifc.Name})
-	}
-	if len(batch.edits) > 0 {
-		if err := p.Rebind(batch); err != nil {
-			tailErr = err
+		if ifc.Dir.Receives() {
+			from := bus.Endpoint{Instance: dead, Interface: ifc.Name}
+			to := bus.Endpoint{Instance: newName, Interface: ifc.Name}
+			edits = append(edits, bus.BindEdit{Op: "cq", From: from, To: to})
+			s.note("", fmt.Sprintf("edit_bind cq %s %s", from, to))
 		}
 	}
-	if err := p.JoinGroup(group, newName); err != nil && tailErr == nil {
-		tailErr = err
+	if len(edits) > 0 {
+		s.add("", rebind(b, edits))
 	}
-	if err := p.ChgObj(nil, dead, "del"); err != nil && tailErr == nil {
-		tailErr = err
-	}
-	res.Steps = p.traceSince(mark)
-	tx.Finish("committed", res.Steps)
-	if tailErr != nil {
-		res.Err = fmt.Errorf("reconfig: selfheal %s committed, cleanup failed: %w", dead, tailErr)
-		return res, res.Err
-	}
-	return res, nil
+	s.add("", step{name: fmt.Sprintf("join_group %s %s", group, newName), do: func() error {
+		return b.AddGroupMember(group, newName)
+	}})
+	s.add("", delObj(b, dead))
+	return s, nil
 }

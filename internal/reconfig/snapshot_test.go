@@ -9,14 +9,14 @@ import (
 
 // TestRebindSnapshotEpochs pins the reconfiguration layer's contract with
 // the bus's routing snapshots: every applied batch publishes exactly one
-// successor epoch, a rejected batch publishes nothing, and the journal's
+// successor epoch, a rejected batch publishes nothing, and the rebind step's
 // inverse batch restores the pre-transaction topology under a *fresh*
 // epoch — rollback installs a prior snapshot, it does not rewind the
 // version counter.
 func TestRebindSnapshotEpochs(t *testing.T) {
 	w := newMonitorWorld(t)
-	p := w.p
-	if err := p.AddObj(bus.InstanceSpec{
+	ep := func(inst, iface string) bus.Endpoint { return bus.Endpoint{Instance: inst, Interface: iface} }
+	if err := w.b.AddInstance(bus.InstanceSpec{
 		Name: "compute2", Module: "compute", Machine: "machineB", Status: bus.StatusClone,
 		Interfaces: []bus.IfaceSpec{{Name: "display", Dir: bus.InOut}, {Name: "sensor", Dir: bus.In}},
 	}); err != nil {
@@ -28,13 +28,14 @@ func TestRebindSnapshotEpochs(t *testing.T) {
 
 	// The Figure 5 rebind of a replacement: move both bindings and carry
 	// the queued messages over.
-	batch := p.BindCap()
-	p.EditBind(batch, "del", bus.Endpoint{Instance: "display", Interface: "temper"}, bus.Endpoint{Instance: "compute", Interface: "display"})
-	p.EditBind(batch, "add", bus.Endpoint{Instance: "display", Interface: "temper"}, bus.Endpoint{Instance: "compute2", Interface: "display"})
-	p.EditBind(batch, "del", bus.Endpoint{Instance: "sensor", Interface: "out"}, bus.Endpoint{Instance: "compute", Interface: "sensor"})
-	p.EditBind(batch, "add", bus.Endpoint{Instance: "sensor", Interface: "out"}, bus.Endpoint{Instance: "compute2", Interface: "sensor"})
-	p.EditBind(batch, "cq", bus.Endpoint{Instance: "compute", Interface: "display"}, bus.Endpoint{Instance: "compute2", Interface: "display"})
-	if err := p.Rebind(batch); err != nil {
+	batch := []bus.BindEdit{
+		{Op: "del", From: ep("display", "temper"), To: ep("compute", "display")},
+		{Op: "add", From: ep("display", "temper"), To: ep("compute2", "display")},
+		{Op: "del", From: ep("sensor", "out"), To: ep("compute", "sensor")},
+		{Op: "add", From: ep("sensor", "out"), To: ep("compute2", "sensor")},
+		{Op: "cq", From: ep("compute", "display"), To: ep("compute2", "display")},
+	}
+	if err := w.b.Rebind(batch); err != nil {
 		t.Fatal(err)
 	}
 	mid := w.b.Routing().Version()
@@ -44,19 +45,20 @@ func TestRebindSnapshotEpochs(t *testing.T) {
 
 	// A batch that fails validation must leave both the topology and the
 	// epoch untouched — no phantom snapshot for a rejected transaction.
-	bad := p.BindCap()
-	p.EditBind(bad, "del", bus.Endpoint{Instance: "display", Interface: "temper"}, bus.Endpoint{Instance: "compute2", Interface: "display"})
-	p.EditBind(bad, "add", bus.Endpoint{Instance: "display", Interface: "temper"}, bus.Endpoint{Instance: "nosuch", Interface: "in"})
-	if err := p.Rebind(bad); err == nil {
+	bad := []bus.BindEdit{
+		{Op: "del", From: ep("display", "temper"), To: ep("compute2", "display")},
+		{Op: "add", From: ep("display", "temper"), To: ep("nosuch", "in")},
+	}
+	if err := w.b.Rebind(bad); err == nil {
 		t.Fatal("rebind with unknown target succeeded")
 	}
 	if v := w.b.Routing().Version(); v != mid {
 		t.Fatalf("failed rebind moved the epoch: %d -> %d", mid, v)
 	}
 
-	// The abort path: applying the journal's inverse batch restores the
+	// The abort path: applying the rebind step's inverse batch restores the
 	// pre-transaction bindings exactly, on a newer snapshot.
-	if err := p.Rebind(&BindBatch{edits: inverseEdits(batch.edits)}); err != nil {
+	if err := w.b.Rebind(inverseEdits(batch)); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.b.Bindings(); !reflect.DeepEqual(got, preBindings) {

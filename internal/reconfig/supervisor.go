@@ -20,10 +20,10 @@ import (
 //     not advanced for StallAfter *while input is queued at it* is wedged;
 //     a member whose host reports its goroutine exited is crashed;
 //   - immediate mark-out — the dead member leaves the routing group
-//     (LeaveGroup) the moment death is detected, so traffic drains to the
+//     (RemoveGroupMember) the moment death is detected, so traffic drains to the
 //     survivors within one routing epoch;
-//   - journaled rebuild — ReplaceFromCheckpointTx rebuilds the member from
-//     its newest periodic checkpoint under the same transaction machinery as
+//   - transactional rebuild — ReplaceFromCheckpointTx rebuilds the member
+//     from its newest periodic checkpoint on the same transaction engine as
 //     operator-driven replacement. A failed rebuild rolls back and is
 //     retried on a later poll with a fresh generation name; a rebuild
 //     refused with ErrReconfigBusy (an operator reconfiguration is in
@@ -180,7 +180,6 @@ func (s *Supervisor) ReportExit(member string, cause error) {
 		if cause != nil {
 			detail = cause.Error()
 		}
-		s.p.log("selfheal detect %s (%s)", member, detail)
 		s.event("detect_exit", member, detail)
 	}
 }
@@ -216,21 +215,9 @@ func (s *Supervisor) markDeadLocked(member string) bool {
 	if _, handling := s.pending[member]; handling {
 		return false
 	}
-	members, err := s.p.bus.GroupMembers(s.cfg.Group)
-	if err != nil {
-		return false
-	}
-	inGroup := false
-	for _, m := range members {
-		if m == member {
-			inGroup = true
-			break
-		}
-	}
-	if !inGroup {
-		return false
-	}
-	if err := s.p.LeaveGroup(s.cfg.Group, member); err != nil {
+	// Refused for an instance that is not (or no longer) a member: planned
+	// deletions and members already marked out report their exits too.
+	if err := s.p.bus.RemoveGroupMember(s.cfg.Group, member); err != nil {
 		return false
 	}
 	delete(s.probes, member)
@@ -318,7 +305,6 @@ func (s *Supervisor) Poll() {
 	}
 	for _, name := range stalled {
 		if s.markDeadLocked(name) {
-			s.p.log("selfheal detect %s (stalled)", name)
 			s.event("detect_stall", name, "")
 		}
 	}
@@ -327,7 +313,6 @@ func (s *Supervisor) Poll() {
 	for _, name := range s.healthPassLocked(names) {
 		if s.markDeadLocked(name) {
 			s.stats.HealthDetected++
-			s.p.log("selfheal detect %s (health critical)", name)
 		}
 	}
 	corpses := make([]string, 0, len(s.pending))

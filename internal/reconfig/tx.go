@@ -3,9 +3,11 @@ package reconfig
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
-	"repro/internal/bus"
+	"repro/internal/telemetry"
 )
 
 // ErrReconfigBusy reports that another transactional reconfiguration is in
@@ -55,400 +57,158 @@ func (t Timeouts) Or(d Timeouts) Timeouts {
 	return t
 }
 
-// divulgeGrace is how long an aborting transaction waits for a divulge that
-// may already be in flight before concluding the old module never captured.
-// A module signaled just before the abort may be past its flag check; its
-// state then arrives within the grace window and the abort resurrects it
-// instead of cancelling.
-const divulgeGrace = 250 * time.Millisecond
-
-// replacePlan is the precomputed forward path of one replacement: the clone
-// specification, the atomic rebinding batch (queue moves included, queue
-// drops excluded — those are destructive and run after the commit point),
-// the old module's receiving interfaces, and the audit-trace lines the
-// batch construction corresponds to.
-type replacePlan struct {
-	spec  bus.InstanceSpec
-	edits []bus.BindEdit
-	recv  []string
-	lines []string
+// RollbackStep records one compensating action replayed during an abort.
+type RollbackStep struct {
+	// Action names the compensation ("inverse_rebind", "release_old",
+	// "delete_clone").
+	Action string `json:"action"`
+	// Err is the compensation's own failure, empty when it succeeded.
+	// A failed compensation does not stop the replay: the remaining
+	// inverses still run, and every failure is reported.
+	Err string `json:"err,omitempty"`
 }
 
-// buildReplacePlan computes the plan from the live configuration without
-// mutating anything. Both the transaction and the dry-run use it.
-func buildReplacePlan(b *bus.Bus, info bus.InstanceInfo, old string, opts ReplaceOptions) (*replacePlan, error) {
-	plan := &replacePlan{}
-	plan.spec = bus.InstanceSpec{
-		Name:       opts.NewName,
-		Module:     info.Module,
-		Machine:    info.Machine,
-		Status:     bus.StatusClone,
-		Interfaces: info.Interfaces,
-		Attrs:      map[string]string{},
-	}
-	for k, v := range info.Attrs {
-		plan.spec.Attrs[k] = v
-	}
-	for k, v := range opts.Attrs {
-		plan.spec.Attrs[k] = v
-	}
-	if opts.Machine != "" {
-		plan.spec.Machine = opts.Machine
-	}
-	if opts.Module != "" {
-		plan.spec.Module = opts.Module
-	}
-
-	// For every interface, replace bindings to the old instance with
-	// bindings to the new one and move the old instance's queued messages
-	// across ("cq"). Bindings on bidirectional interfaces surface both as
-	// a destination and as a source; each is rebound once.
-	plan.lines = append(plan.lines, "bind_cap")
-	rebound := map[string]bool{}
-	bindKey := func(a, b bus.Endpoint) string {
-		if b.String() < a.String() {
-			a, b = b, a
-		}
-		return a.String() + "|" + b.String()
-	}
-	edit := func(op string, from, to bus.Endpoint) {
-		plan.edits = append(plan.edits, bus.BindEdit{Op: op, From: from, To: to})
-		plan.lines = append(plan.lines, fmt.Sprintf("edit_bind %s %s %s", op, from, to))
-	}
-	for _, ifc := range info.Interfaces {
-		oldEp := bus.Endpoint{Instance: old, Interface: ifc.Name}
-		newEp := bus.Endpoint{Instance: opts.NewName, Interface: ifc.Name}
-		if ifc.Dir.Sends() {
-			dests, err := b.IfDest(oldEp)
-			if err != nil {
-				return nil, fmt.Errorf("reconfig: struct_ifdest %s: %w", oldEp, err)
-			}
-			plan.lines = append(plan.lines, fmt.Sprintf("struct_ifdest %s -> %d", oldEp, len(dests)))
-			for _, d := range dests {
-				if rebound[bindKey(oldEp, d)] {
-					continue
-				}
-				rebound[bindKey(oldEp, d)] = true
-				edit("del", oldEp, d)
-				edit("add", newEp, d)
-			}
-		}
-		if ifc.Dir.Receives() {
-			sources, err := b.IfSources(oldEp)
-			if err != nil {
-				return nil, fmt.Errorf("reconfig: struct_ifsources %s: %w", oldEp, err)
-			}
-			plan.lines = append(plan.lines, fmt.Sprintf("struct_ifsources %s -> %d", oldEp, len(sources)))
-			for _, s := range sources {
-				if rebound[bindKey(s, oldEp)] {
-					continue
-				}
-				rebound[bindKey(s, oldEp)] = true
-				edit("del", s, oldEp)
-				edit("add", s, newEp)
-			}
-			edit("cq", oldEp, newEp)
-			plan.recv = append(plan.recv, ifc.Name)
-		}
-	}
-	return plan, nil
+// TxResult is the outcome of one transactional reconfiguration script.
+type TxResult struct {
+	// TxID is the transaction's identifier in the reconfiguration tracer
+	// ("tx-0001"); reconfigctl trace <txid> renders the matching span
+	// timeline.
+	TxID string
+	// Steps names the steps that completed, in order: a prefix of the
+	// script's table (the failing step is named by Err, not listed).
+	Steps []string
+	// Committed reports that the transaction passed its commit point: the
+	// replacement is live and the old configuration will not return.
+	Committed bool
+	// RolledBack reports that compensations were replayed.
+	RolledBack bool
+	// Rollback lists the compensations replayed on abort, in execution
+	// order. Empty for a clean commit.
+	Rollback []RollbackStep
+	// Err is the step failure that triggered the abort, or — for a
+	// committed transaction — a non-fatal failure in the destructive
+	// tail. Nil for a fully clean commit.
+	Err error
 }
 
-// inverseEdits returns the batch that undoes edits: reverse order, add and
-// del swapped, queue moves reversed. Queue drops never appear in a
-// transactional batch (they are post-commit), so every edit has an inverse.
-func inverseEdits(edits []bus.BindEdit) []bus.BindEdit {
-	inv := make([]bus.BindEdit, 0, len(edits))
-	for i := len(edits) - 1; i >= 0; i-- {
-		e := edits[i]
-		switch e.Op {
-		case "add":
-			inv = append(inv, bus.BindEdit{Op: "del", From: e.From, To: e.To})
-		case "del":
-			inv = append(inv, bus.BindEdit{Op: "add", From: e.From, To: e.To})
-		case "cq":
-			inv = append(inv, bus.BindEdit{Op: "cq", From: e.To, To: e.From})
-		}
-	}
-	return inv
+// step is one line of a reconfiguration script: a primitive of Figure 5's
+// vocabulary, what performs it and what compensates for it.
+type step struct {
+	// name is the line the step leaves in the trail and in the dry-run plan.
+	// Its first word is the primitive, which also names the failpoint runTx
+	// fires before the step: "reconfig.<primitive>".
+	name string
+	// span, when set, is the tracer span opened before the step; "" stays
+	// in the span already open. The tail runs under "commit_tail".
+	span string
+	// do performs the step. nil: a read the table's builder has already
+	// evaluated (obj_cap, struct_ifdest, edit_bind, ...), listed because
+	// the script is the paper's, line for line.
+	do func() error
+	// undo, when set, compensates for a completed do; an abort that replays
+	// it reports it as action.
+	action string
+	undo   func() error
 }
 
-// oldRelease carries what the abort path knows about the old module: whether
-// it already divulged (in which case it has exited and must be
-// resurrected), its encoded state, and its pre-transaction status.
-type oldRelease struct {
-	divulged   bool
-	state      []byte
-	origStatus string
+// script is a step table and its commit point. steps[:commit] is the
+// forward path: it completes, or what completed of it is compensated in
+// reverse. steps[commit:] is the destructive tail (dropping the old module's
+// residual queue, deleting it): it runs only after the forward path, runs to
+// its end whatever fails, and is never compensated — no inverse ever has to
+// recreate lost state.
+type script struct {
+	steps  []step
+	commit int
 }
 
-// releaseOld returns the old module to service during an abort.
-//
-// If the module never divulged, the reconfiguration request is retracted
-// (SignalCancel) and the module, which never left its main loop, resumes
-// untouched. A module signaled just before the abort may already be
-// capturing, so a short grace wait for its state precedes the decision;
-// a divulge that lands after the grace window is an inherent race — the
-// cancel arrives at a module that has already exited and is lost.
-//
-// If the module did divulge, it has exited: it is resurrected as a clone of
-// itself — the instance is reset, its own divulged state is reinstalled,
-// and the module is relaunched to restore itself and resume at the
-// reconfiguration point where it stopped. Its status then returns to the
-// pre-transaction value.
-func releaseOld(p *Primitives, launcher Launcher, old string, st *oldRelease, t Timeouts) error {
-	if !st.divulged {
-		if owner, err := p.bus.AwaitDivulged(old, divulgeGrace); err == nil {
-			st.divulged = true
-			st.state = owner.Data()
-		}
-	}
-	if !st.divulged {
-		return p.bus.CancelReconfig(old)
-	}
-	if launcher == nil {
-		return fmt.Errorf("reconfig: release %s: module divulged but no launcher to resurrect it", old)
-	}
-	if err := p.bus.ResetForRelaunch(old); err != nil {
-		return err
-	}
-	if err := p.bus.InstallState(old, st.state); err != nil {
-		return err
-	}
-	if err := launcher.Launch(old); err != nil {
-		return err
-	}
-	if err := p.bus.AwaitRestored(old, t.Rollback); err != nil {
-		return err
-	}
-	return p.bus.SetStatus(old, st.origStatus)
+// add appends a step under the given span ("" continues the open one).
+func (s *script) add(span string, st step) {
+	st.span = span
+	s.steps = append(s.steps, st)
 }
 
-// ReplaceTx performs the Figure 5 replacement script as a transaction.
-//
-// Each forward primitive journals its compensating inverse; any step
-// failure replays the journal in reverse — restore the bindings and return
-// the moved queue contents (inverse rebind), release the old module (cancel
-// the request, or resurrect it from its divulged state), delete the clone —
-// leaving the application answering traffic through the original module
-// with the pre-transaction configuration.
-//
-// The commit point is the clone's restore confirmation: only a replacement
-// that demonstrably answers for its state runs the destructive tail
-// (dropping the old module's residual queue and deleting it). Destructive
-// steps are thereby never journaled and never need compensation.
-func ReplaceTx(p *Primitives, launcher Launcher, old string, opts ReplaceOptions) (*TxResult, error) {
+// note appends a step the builder has already evaluated.
+func (s *script) note(span, name string) { s.add(span, step{name: name}) }
+
+// plan lists the table's step names with "commit" at the commit point: what
+// runTx would run, in order, without running any of it.
+func (s *script) plan() []string {
+	names := make([]string, len(s.steps))
+	for i, st := range s.steps {
+		names[i] = st.name
+	}
+	return slices.Insert(names, s.commit, "commit")
+}
+
+// runTx runs one script as a transaction. It serializes on txMu (a second
+// transaction is refused with ErrReconfigBusy, not interleaved), opens the
+// span timeline, has build compute the table from the live configuration
+// under the "plan" span, and walks it: the step's failpoint fires, the step
+// runs, its name joins Steps. A failure on the forward path replays the
+// completed steps' inverses in reverse, every one, each outcome in Rollback;
+// a failure in the tail is kept while the tail runs on, and the first is
+// reported as the cleanup error of a committed transaction.
+func runTx(p *Primitives, op string, build func(tx *telemetry.TxTrace) (*script, error)) (*TxResult, error) {
 	res := &TxResult{}
-	fail := func(err error) (*TxResult, error) {
-		res.Err = err
-		return res, err
-	}
-	if opts.NewName == "" {
-		return fail(fmt.Errorf("reconfig: replace %s: NewName required", old))
-	}
-	if opts.NewName == old {
-		return fail(fmt.Errorf("reconfig: replace %s: NewName must differ", old))
-	}
-	t := opts.Timeouts.WithDefaults()
 	if !p.txMu.TryLock() {
-		return fail(fmt.Errorf("reconfig: replace %s: %w", old, ErrReconfigBusy))
+		res.Err = fmt.Errorf("reconfig: %s: %w", op, ErrReconfigBusy)
+		return res, res.Err
 	}
 	defer p.txMu.Unlock()
 	p.active.Store(true)
 	defer p.active.Store(false)
 
-	// Open the span timeline for this transaction. With no tracer attached
-	// every tx call below is a no-op and TxID stays empty.
-	tx := p.tracer.Begin(fmt.Sprintf("replace %s -> %s", old, opts.NewName))
+	tx := p.tracer.Begin(op)
 	res.TxID = tx.ID()
-
-	mark := p.traceMark()
-	j := &journal{}
-	abort := func(stepErr error) (*TxResult, error) {
+	tx.StartSpan("plan")
+	s, stepErr := build(tx)
+	if stepErr != nil {
+		s, stepErr = &script{}, fmt.Errorf("reconfig: %w", stepErr)
+	}
+	faults := p.bus.Faults()
+	res.Steps = make([]string, 0, len(s.steps))
+	var tailErr error
+	for i := 0; i < len(s.steps) && stepErr == nil; i++ {
+		st := &s.steps[i]
+		if i == s.commit {
+			tx.StartSpan("commit_tail")
+		} else if st.span != "" {
+			tx.StartSpan(st.span)
+		}
+		primitive, _, _ := strings.Cut(st.name, " ")
+		err := faults.Fire("reconfig." + primitive)
+		if err == nil && st.do != nil {
+			err = st.do()
+		}
+		switch {
+		case err == nil:
+			res.Steps = append(res.Steps, st.name)
+		case i < s.commit:
+			stepErr = fmt.Errorf("reconfig: %s: %w", st.name, err)
+		case tailErr == nil:
+			tailErr = fmt.Errorf("reconfig: %s: %w", st.name, err)
+		}
+	}
+	if stepErr != nil {
 		tx.StartSpan("rollback")
-		res.Steps = p.traceSince(mark)
-		res.Err = stepErr
-		res.RolledBack = true
-		res.Rollback = j.rollback()
-		// A failed script must never leave a module frozen: release any
-		// quiescence guard the caller holds around the reconfiguration.
-		for _, g := range opts.Guards {
-			if g != nil && g.Holding() {
-				g.Release()
-				res.Rollback = append(res.Rollback, RollbackStep{Action: "release_guard"})
+		res.Err, res.RolledBack = stepErr, true
+		for i := len(res.Steps) - 1; i >= 0; i-- {
+			if st := &s.steps[i]; st.undo != nil {
+				rb := RollbackStep{Action: st.action}
+				if err := st.undo(); err != nil {
+					rb.Err = err.Error()
+				}
+				res.Rollback = append(res.Rollback, rb)
 			}
 		}
 		tx.Finish("rolled-back", res.Steps)
-		return res, fmt.Errorf("reconfig: replace %s rolled back: %w", old, stepErr)
+		return res, fmt.Errorf("reconfig: %s rolled back: %w", op, stepErr)
 	}
-
-	// Access the old module's current specification and precompute the
-	// whole forward path from it.
-	tx.StartSpan("plan")
-	info, err := p.ObjCap(old)
-	if err != nil {
-		return abort(err)
-	}
-	plan, err := buildReplacePlan(p.bus, info, old, opts)
-	if err != nil {
-		return abort(err)
-	}
-
-	// Register the clone.
-	tx.StartSpan("add_clone")
-	if err := p.AddObj(plan.spec); err != nil {
-		return abort(err)
-	}
-	j.record("delete_clone", func() error { return p.bus.DeleteInstance(opts.NewName) })
-	for _, line := range plan.lines {
-		p.log("%s", line)
-	}
-
-	// Pre-flight gate: substitutability is decided before the substitute
-	// serves. The candidate is vetted (against recorded traffic, or whatever
-	// the caller supplied) before the old module hears of the replacement: a
-	// veto has only the clone's registration to undo, and however long the
-	// check runs, it runs outside the window in which the stage is stopped.
-	if opts.Preflight != nil {
-		tx.StartSpan("preflight_replay")
-		err := p.bus.Faults().Fire("reconfig.preflight")
-		if err == nil {
-			err = opts.Preflight(old, opts.NewName)
-		}
-		if err != nil {
-			return abort(fmt.Errorf("preflight %s -> %s: %w", old, opts.NewName, err))
-		}
-	}
-
-	// Ask the old module to divulge at its next reconfiguration point and
-	// wait for its state. The quiesce_wait span is the paper's interruption
-	// latency: the old module runs until its next reconfiguration point.
-	st := &oldRelease{origStatus: info.Status}
-	tx.StartSpan("quiesce_wait")
-	if err := p.SignalReconfig(old); err != nil {
-		return abort(err)
-	}
-	j.record("release_old", func() error { return releaseOld(p, launcher, old, st, t) })
-	// Snapshot what the quiesce is waiting on: the messages still queued
-	// toward the old module, with their trace IDs and in-flight ages, so
-	// `trace <txid>` can explain a long quiesce_wait span.
-	if qm, err := p.bus.QueuedMessages(old); err == nil {
-		const maxNotes = 16
-		for i, m := range qm {
-			if i == maxNotes {
-				tx.Annotate(fmt.Sprintf("... and %d more queued messages", len(qm)-maxNotes))
-				break
-			}
-			if m.Trace.Valid() {
-				tx.Annotate(fmt.Sprintf("queued %s trace=0x%x age=%.3fms", m.Endpoint, m.Trace.TraceID, float64(m.AgeNs)/1e6))
-			} else {
-				tx.Annotate(fmt.Sprintf("queued %s (untraced)", m.Endpoint))
-			}
-		}
-	}
-	data, err := p.AwaitDivulged(old, t.StateMove)
-	if err != nil {
-		return abort(err)
-	}
-	st.divulged, st.state = true, data
-	tx.StartSpan("state_move")
-	if err := p.InstallState(opts.NewName, data); err != nil {
-		return abort(err)
-	}
-
-	// Apply the rebinding commands all at once, then start the clone.
-	tx.StartSpan("rebind")
-	batch := &BindBatch{edits: plan.edits}
-	if err := p.Rebind(batch); err != nil {
-		return abort(err)
-	}
-	j.record("inverse_rebind", func() error { return p.bus.Rebind(inverseEdits(plan.edits)) })
-	tx.StartSpan("launch")
-	if err := p.ChgObj(launcher, opts.NewName, "add"); err != nil {
-		return abort(err)
-	}
-
-	// Commit gate: the clone must confirm it rebuilt the divulged state
-	// and resumed before the old configuration is destroyed.
-	tx.StartSpan("restore_wait")
-	if err := p.AwaitRestored(opts.NewName, t.RestoreAck); err != nil {
-		return abort(err)
-	}
-
-	// Health note: record the windowed candidate-vs-incumbent verdict in
-	// the transaction trace while both instances still exist. This is the
-	// paper's "operator observes the replacement" step landing in the
-	// span timeline rather than on a terminal.
-	if opts.HealthNote != nil {
-		tx.StartSpan("health_check")
-		tx.Annotate("health_check " + opts.HealthNote(old, opts.NewName))
-	}
-
-	j.discard()
 	res.Committed = true
-	tx.StartSpan("commit_tail")
-
-	// Destructive tail: drop what remains in the old module's queues and
-	// delete it. Failures here cannot (and must not) roll the replacement
-	// back; they are reported for operator cleanup.
-	var tailErr error
-	for _, name := range plan.recv {
-		if _, err := p.DrainQueue(bus.Endpoint{Instance: old, Interface: name}); err != nil && tailErr == nil {
-			tailErr = err
-		}
-	}
-	if err := p.ChgObj(nil, old, "del"); err != nil && tailErr == nil {
-		tailErr = err
-	}
-	res.Steps = p.traceSince(mark)
 	tx.Finish("committed", res.Steps)
 	if tailErr != nil {
-		res.Err = fmt.Errorf("reconfig: replace %s committed, cleanup failed: %w", old, tailErr)
-		return res, res.Err
+		res.Err = fmt.Errorf("reconfig: %s committed, cleanup failed: %w", op, tailErr)
 	}
-	return res, nil
-}
-
-// PlanReplace returns the forward step sequence ReplaceTx would perform,
-// without executing any of it — the dry-run behind reconfigctl's -dry-run.
-// The "commit" line marks the commit point: a failure above it rolls back;
-// the destructive steps below it only run after the clone confirms.
-func PlanReplace(p *Primitives, old string, opts ReplaceOptions) ([]string, error) {
-	if opts.NewName == "" {
-		return nil, fmt.Errorf("reconfig: plan replace %s: NewName required", old)
-	}
-	if opts.NewName == old {
-		return nil, fmt.Errorf("reconfig: plan replace %s: NewName must differ", old)
-	}
-	info, err := p.bus.Info(old)
-	if err != nil {
-		return nil, fmt.Errorf("reconfig: plan replace %s: %w", old, err)
-	}
-	plan, err := buildReplacePlan(p.bus, info, old, opts)
-	if err != nil {
-		return nil, err
-	}
-	steps := []string{
-		fmt.Sprintf("obj_cap %s", old),
-		fmt.Sprintf("add_obj %s (module %s, machine %s, status %s)",
-			plan.spec.Name, plan.spec.Module, plan.spec.Machine, plan.spec.Status),
-	}
-	steps = append(steps, plan.lines...)
-	if opts.Preflight != nil {
-		steps = append(steps, fmt.Sprintf("preflight %s -> %s", old, opts.NewName))
-	}
-	steps = append(steps,
-		fmt.Sprintf("signal_reconfig %s", old),
-		fmt.Sprintf("await_divulged %s", old),
-		fmt.Sprintf("install_state %s", opts.NewName),
-		fmt.Sprintf("rebind (%d edits)", len(plan.edits)),
-		fmt.Sprintf("chg_obj %s add", opts.NewName),
-		fmt.Sprintf("await_restored %s", opts.NewName),
-		"commit",
-	)
-	for _, name := range plan.recv {
-		steps = append(steps, fmt.Sprintf("drain_queue %s", bus.Endpoint{Instance: old, Interface: name}))
-	}
-	steps = append(steps, fmt.Sprintf("chg_obj %s del", old))
-	return steps, nil
+	return res, res.Err
 }

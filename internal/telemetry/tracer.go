@@ -26,7 +26,7 @@ func (s Span) Duration() time.Duration {
 }
 
 // Trace is the span timeline of one transactional reconfiguration,
-// correlated by transaction ID with the journal's step trace.
+// correlated by transaction ID with the transaction's completed steps.
 type Trace struct {
 	ID      string
 	Op      string // e.g. "replace compute -> compute2"
@@ -171,6 +171,21 @@ func (t *Tracer) IDs() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]string(nil), t.order...)
+}
+
+// Trail returns the steps of every retained transaction, oldest first — the
+// audit trail of the reconfigurations this tracer still remembers — and
+// whether older transactions have already been dropped from it.
+func (t *Tracer) Trail() (steps []string, truncated bool) {
+	if t == nil {
+		return nil, false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, id := range t.order {
+		steps = append(steps, t.traces[id].Steps...)
+	}
+	return steps, t.nextID > int64(len(t.order))
 }
 
 // TxTrace builds one transaction's trace. It is owned by the single

@@ -181,7 +181,7 @@ func inner(x int) int {
 		t.Fatal(err)
 	}
 	drv.Write("io", 0) // queue a second request to trigger the point
-	owner, err := b.AwaitDivulged("s", 300*time.Millisecond)
+	divulged, err := b.AwaitDivulged("s", 300*time.Millisecond)
 	if err == nil {
 		// First request is still blocked on delta; the signal is only
 		// polled when inner's point next executes — unblock it.
@@ -195,11 +195,11 @@ func inner(x int) int {
 	}
 	// Second request runs inner's point with the flag set -> capture with
 	// stack depth 3 (main, outer, inner).
-	owner, err = b.AwaitDivulged("s", 5*time.Second)
+	divulged, err = b.AwaitDivulged("s", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := codec.Default().DecodeState(owner.Data())
+	st, err := codec.Default().DecodeState(divulged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func inner(x int) int {
 	if err := b.Rebind(edits); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.InstallState("s2", owner.Data()); err != nil {
+	if err := b.InstallState("s2", divulged); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.DeleteInstance("s"); err != nil {

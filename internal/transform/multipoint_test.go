@@ -108,7 +108,7 @@ func (w *dualWorld) launch(instance string) {
 
 func (w *dualWorld) migrate() {
 	w.t.Helper()
-	owner, err := w.b.AwaitDivulged("w", 5*time.Second)
+	divulged, err := w.b.AwaitDivulged("w", 5*time.Second)
 	if err != nil {
 		w.t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func (w *dualWorld) migrate() {
 	if err := w.b.Rebind(edits); err != nil {
 		w.t.Fatal(err)
 	}
-	if err := w.b.InstallState("w2", owner.Data()); err != nil {
+	if err := w.b.InstallState("w2", divulged); err != nil {
 		w.t.Fatal(err)
 	}
 	if err := w.b.DeleteInstance("w"); err != nil {
@@ -369,7 +369,7 @@ func crunch(n int) int {
 		t.Fatalf("pre-capture answer = %d, want %d", r, expected(9, 11))
 	}
 	drv.Write("io", 4)
-	owner, err := b.AwaitDivulged("w", 5*time.Second)
+	divulged, err := b.AwaitDivulged("w", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func crunch(n int) int {
 	if err := b.Rebind(edits); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.InstallState("w2", owner.Data()); err != nil {
+	if err := b.InstallState("w2", divulged); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.DeleteInstance("w"); err != nil {

@@ -132,7 +132,7 @@ func zag(n int, tp *float64) {
 	}
 	drv.Write("v", 20)
 
-	owner, err := b.AwaitDivulged("z", 5*time.Second)
+	divulged, err := b.AwaitDivulged("z", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func zag(n int, tp *float64) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("module did not exit")
 	}
-	st, err := codec.Default().DecodeState(owner.Data())
+	st, err := codec.Default().DecodeState(divulged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func zag(n int, tp *float64) {
 	if err := b.Rebind(edits); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.InstallState("z2", owner.Data()); err != nil {
+	if err := b.InstallState("z2", divulged); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.DeleteInstance("z"); err != nil {

@@ -267,7 +267,7 @@ func TestMigrationSweep(t *testing.T) {
 				// the flag and the capture happens.
 				h.sendInt(h.sens, "out", 10*(k+1))
 
-				owner, err := h.b.AwaitDivulged("compute", 5*time.Second)
+				divulged, err := h.b.AwaitDivulged("compute", 5*time.Second)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -280,7 +280,7 @@ func TestMigrationSweep(t *testing.T) {
 					t.Fatal("module did not exit")
 				}
 
-				st, err := h.c.DecodeState(owner.Data())
+				st, err := h.c.DecodeState(divulged)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -292,7 +292,7 @@ func TestMigrationSweep(t *testing.T) {
 					t.Fatalf("depth = %d, want %d\n%s", st.Depth(), wantDepth, st)
 				}
 
-				h.migrate(owner)
+				h.migrate(divulged)
 				_, done2 := h.start(out, "compute2")
 				for i := k + 1; i < n; i++ {
 					h.sendInt(h.sens, "out", 10*(i+1))

@@ -373,7 +373,7 @@ func (h *harness) readFloat() float64 {
 	return v.Float()
 }
 
-func (h *harness) migrate(owner interface{ Data() []byte }) {
+func (h *harness) migrate(divulged []byte) {
 	h.t.Helper()
 	if err := h.b.AddInstance(computeSpec("compute2", "machineB", bus.StatusClone)); err != nil {
 		h.t.Fatal(err)
@@ -389,7 +389,7 @@ func (h *harness) migrate(owner interface{ Data() []byte }) {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	if err := h.b.InstallState("compute2", owner.Data()); err != nil {
+	if err := h.b.InstallState("compute2", divulged); err != nil {
 		h.t.Fatal(err)
 	}
 	if err := h.b.DeleteInstance("compute"); err != nil {
@@ -409,7 +409,7 @@ func testMigration(t *testing.T, opts Options) {
 	}
 	h.sendInt(h.sens, "out", 60)
 
-	owner, err := h.b.AwaitDivulged("compute", 5*time.Second)
+	divulged, err := h.b.AwaitDivulged("compute", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func testMigration(t *testing.T, opts Options) {
 		t.Fatal(rt.Err())
 	}
 
-	st, err := h.c.DecodeState(owner.Data())
+	st, err := h.c.DecodeState(divulged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func testMigration(t *testing.T, opts Options) {
 		t.Fatalf("captured %d frames, want 3:\n%s", st.Depth(), st)
 	}
 
-	h.migrate(owner)
+	h.migrate(divulged)
 	rt2, done2 := h.start(out, "compute2")
 	h.sendInt(h.sens, "out", 70)
 	h.sendInt(h.sens, "out", 80)
@@ -614,7 +614,7 @@ func step(avg int) int {
 	if err := driver.Write("jobs", data); err != nil {
 		t.Fatal(err)
 	}
-	owner, err := b.AwaitDivulged("w", 5*time.Second)
+	divulged, err := b.AwaitDivulged("w", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -644,7 +644,7 @@ func step(avg int) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.InstallState("w2", owner.Data()); err != nil {
+	if err := b.InstallState("w2", divulged); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.DeleteInstance("w"); err != nil {
@@ -792,11 +792,11 @@ func helperNotOnPath(q int) int {
 	if err := drv.Write("io", data); err != nil {
 		t.Fatal(err)
 	}
-	owner, err := b2.AwaitDivulged("m", 5*time.Second)
+	divulged, err := b2.AwaitDivulged("m", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.DecodeState(owner.Data())
+	st, err := c.DecodeState(divulged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -819,7 +819,7 @@ func helperNotOnPath(q int) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b2.InstallState("m2", owner.Data()); err != nil {
+	if err := b2.InstallState("m2", divulged); err != nil {
 		t.Fatal(err)
 	}
 	if err := b2.DeleteInstance("m"); err != nil {
@@ -942,7 +942,7 @@ func process(w *Window) {
 	}
 	time.Sleep(20 * time.Millisecond)
 	send(3.0)
-	owner, err := b.AwaitDivulged("s", 5*time.Second)
+	divulged, err := b.AwaitDivulged("s", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -959,7 +959,7 @@ func process(w *Window) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.InstallState("s2", owner.Data()); err != nil {
+	if err := b.InstallState("s2", divulged); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.DeleteInstance("s"); err != nil {

@@ -438,7 +438,7 @@ func (a *App) Bus() *bus.Bus { return a.bus }
 // counters, queue depths, per-module flag-check and state-transfer timings).
 func (a *App) Telemetry() *telemetry.Registry { return a.bus.Telemetry() }
 
-// Primitives exposes the reconfiguration primitive layer (and its trace).
+// Primitives exposes the reconfiguration layer (and its tracer).
 func (a *App) Primitives() *reconfig.Primitives { return a.prims }
 
 // MsgTracer exposes the bus's causal message tracer.
@@ -685,12 +685,6 @@ func (a *App) Move(inst, newName, machine string) error {
 	return err
 }
 
-// Replace runs the Figure 5 replacement script.
-func (a *App) Replace(inst string, opts reconfig.ReplaceOptions) error {
-	_, err := a.ReplaceTx(inst, opts)
-	return err
-}
-
 // ReplaceTx runs the replacement script as a transaction and returns its
 // full result: the forward step trace, whether it committed, and — on
 // abort — the compensations replayed to restore the old configuration.
@@ -732,12 +726,14 @@ func (a *App) Update(inst, newName, newModule string) error {
 
 // Replicate adds a stateless replica of an instance.
 func (a *App) Replicate(inst, replicaName, machine string) error {
-	return reconfig.Replicate(a.prims, a, inst, replicaName, machine)
+	_, err := reconfig.Replicate(a.prims, a, inst, replicaName, machine)
+	return err
 }
 
 // Remove deletes an instance.
 func (a *App) Remove(inst string) error {
-	return reconfig.Remove(a.prims, inst)
+	_, err := reconfig.Remove(a.prims, inst)
+	return err
 }
 
 // Stop halts the supervisors (so planned teardown is not misread as a
@@ -813,8 +809,12 @@ func (a *App) ReplicaSets() []reconfig.ReplicaSetStatus {
 	return out
 }
 
-// Trace returns the reconfiguration primitive audit trail.
-func (a *App) Trace() []string { return a.prims.Trace() }
+// Trace returns the reconfiguration audit trail: the completed steps of the
+// transactions the tracer retains (the newest 64), oldest first.
+func (a *App) Trace() []string {
+	steps, _ := a.prims.Tracer().Trail()
+	return steps
+}
 
 // TraceTx returns the rendered span timeline of one transactional
 // reconfiguration, by transaction ID (TxResult.TxID / TxReport.TxID).
@@ -826,7 +826,3 @@ func (a *App) TraceTx(txid string) ([]string, error) {
 	}
 	return tr.Timeline(), nil
 }
-
-// ErrNotPrepared reports operations needing participation on a module that
-// was not prepared.
-var ErrNotPrepared = errors.New("reconf: module not prepared for participation")

@@ -46,7 +46,7 @@ go test -race -count=10 -run TestAllocConcurrent ./internal/ring/
 echo "== a taken queue slot and a memoised route across grow, drain, restore, Rebind and RemoveGroupMember (racy x20)"
 go test -race -count=20 -run 'TestTakenItemStaysValid|TestMemoisedRouteDroppedOnTopologyChange' ./internal/bus/
 
-echo "== fault-injection matrix (kill Replace at every failpoint, twice, racy)"
+echo "== fault-injection matrix (every script killed before every step of its own table, and at each substrate failpoint, twice, racy)"
 go test -run 'Fault|Rollback|Concurrent' -race -count=2 ./...
 
 echo "== fuzzers on what a socket or a state file feeds (10 s each: wire frames, portable values and states)"

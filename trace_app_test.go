@@ -107,15 +107,12 @@ func TestQueueDepthGaugesConsistentAfterRollback(t *testing.T) {
 	finishComputation(t, d)
 }
 
-// TestTraceChainCrossesInterpretedModule is the regression test for causal
-// traces breaking at every module loaded from Config.Sources: the abstract
-// read dropped the incoming trace context and the abstract write never
-// offered one, so the stage's output opened a fresh root (TraceID 2, Hops 0,
-// one span in the recorder). One message source.out -> stage -> sink.in
-// must be one chain: the same trace id, one hop, two recorded spans.
-func TestTraceChainCrossesInterpretedModule(t *testing.T) {
-	app, err := Load(Config{
-		SpecText: `
+// loadStagePipeline loads source -> stage -> sink with the given stage
+// program and launches the stage; the two ends are driven from the test and
+// never launched.
+func loadStagePipeline(t *testing.T, cfg Config, stageSrc string) *App {
+	t.Helper()
+	cfg.SpecText = `
 module source {
   source = "./source" ::
   define interface out pattern = {integer} ::
@@ -137,8 +134,79 @@ module pipeline {
   bind "source out" "stage in"
   bind "stage out" "sink in"
 }
-`,
-		Sources: map[string]ModuleSource{"stage": {Files: map[string]string{"stage.go": `package stage
+`
+	cfg.Sources = map[string]ModuleSource{"stage": {Files: map[string]string{"stage.go": stageSrc}}}
+	cfg.Native = map[string]NativeModule{"source": nil, "sink": nil}
+	app, err := Load(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(app.Stop)
+	if err := app.Launch("stage"); err != nil {
+		t.Fatal(err)
+	}
+	return app
+}
+
+// TestTrailBoundedByRetainedTransactions: the audit trail is the steps of
+// the transactions the tracer retains, not a slice that grows with every
+// reconfiguration a long-lived (self-healing) process performs. A hundred
+// committed Moves of a one-stage pipeline leave the newest 64 transactions'
+// steps, and the trace op says that older ones were dropped.
+func TestTrailBoundedByRetainedTransactions(t *testing.T) {
+	app := loadStagePipeline(t, Config{SleepUnit: 50 * time.Microsecond}, `package stage
+
+func main() {
+	var x int
+	mh.Init()
+	for {
+		mh.ReconfigPoint("R")
+		if mh.QueryIfMsgs("in") {
+			mh.Read("in", &x)
+			mh.Write("out", x+1)
+		} else {
+			mh.Sleep(1)
+		}
+	}
+}
+`)
+	_, c := serveOps(t, app)
+	var doc struct {
+		Steps     []string `json:"steps"`
+		Truncated bool     `json:"truncated"`
+	}
+	const moves, retained = 100, 64
+	perMove := 0
+	for k, cur := 1, "stage"; k <= moves; k++ {
+		next := fmt.Sprintf("stage_%d", k)
+		res, err := app.ReplaceTx(cur, reconfig.ReplaceOptions{NewName: next})
+		if err != nil {
+			t.Fatalf("move %d: %v", k, err)
+		}
+		cur, perMove = next, len(res.Steps)
+		if k == retained {
+			if err := callInto(t, c, &doc, "trace"); err != nil || doc.Truncated || len(doc.Steps) != retained*perMove {
+				t.Fatalf("trace op after %d moves: %d steps, truncated %v, %v; want all %d, not truncated", k, len(doc.Steps), doc.Truncated, err, retained*perMove)
+			}
+		}
+	}
+	trail := app.Trace()
+	if len(trail) != retained*perMove || trail[0] != fmt.Sprintf("obj_cap stage_%d", moves-retained) {
+		t.Errorf("trail after %d moves: %d lines from %q; want the newest %d transactions' %d", moves, len(trail), trail[0], retained, retained*perMove)
+	}
+	if err := callInto(t, c, &doc, "trace"); err != nil || !doc.Truncated || !reflect.DeepEqual(doc.Steps, trail) {
+		t.Errorf("trace op after %d moves: %d steps, truncated %v, %v; want the trail, stamped truncated", moves, len(doc.Steps), doc.Truncated, err)
+	}
+}
+
+// TestTraceChainCrossesInterpretedModule is the regression test for causal
+// traces breaking at every module loaded from Config.Sources: the abstract
+// read dropped the incoming trace context and the abstract write never
+// offered one, so the stage's output opened a fresh root (TraceID 2, Hops 0,
+// one span in the recorder). One message source.out -> stage -> sink.in
+// must be one chain: the same trace id, one hop, two recorded spans.
+func TestTraceChainCrossesInterpretedModule(t *testing.T) {
+	app := loadStagePipeline(t, Config{TraceSample: 1}, `package stage
 
 func main() {
 	var x int
@@ -149,18 +217,7 @@ func main() {
 		mh.Write("out", x+1)
 	}
 }
-`}}},
-		// The two ends are driven from the test and never launched.
-		Native:      map[string]NativeModule{"source": nil, "sink": nil},
-		TraceSample: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer app.Stop()
-	if err := app.Launch("stage"); err != nil {
-		t.Fatal(err)
-	}
+`)
 	src, err := app.AttachDriver("source")
 	if err != nil {
 		t.Fatal(err)
