@@ -158,8 +158,8 @@ func run(args []string, stdout *os.File) error {
 		}
 		if *dot {
 			for name, content := range map[string]string{
-				"static.dot":   out.StaticDOT,
-				"reconfig.dot": out.ReconfigDOT,
+				"static.dot":   out.StaticDOT(),
+				"reconfig.dot": out.ReconfigDOT(),
 			} {
 				dst := filepath.Join(*outDir, name)
 				if err := os.WriteFile(dst, []byte(content), 0o644); err != nil {

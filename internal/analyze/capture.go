@@ -1,9 +1,9 @@
 package analyze
 
 import (
-	"go/ast"
 	"go/token"
 	"sort"
+	"strings"
 
 	"repro/internal/callgraph"
 	"repro/internal/flatten"
@@ -89,8 +89,7 @@ func checkCaptureSoundness(r *Report, cfg Config, mod *mil.Module) {
 	if err != nil {
 		return
 	}
-	g := callgraph.Build(prog)
-	rg, err := callgraph.BuildReconfig(g, info)
+	rg, err := callgraph.BuildReconfig(callgraph.Build(prog), info)
 	if err != nil {
 		return // no points / unreachable point: reported by placement
 	}
@@ -102,13 +101,10 @@ func checkCaptureSoundness(r *Report, cfg Config, mod *mil.Module) {
 	for _, name := range rg.Nodes {
 		flatten.PruneLabels(prog.Funcs[name].Decl, nil)
 	}
-	prog, info, err = lang.Reload(prog)
-	if err != nil {
+	if info, err = lang.Check(prog); err != nil {
 		return
 	}
-	g = callgraph.Build(prog)
-	rg, err = callgraph.BuildReconfig(g, info)
-	if err != nil {
+	if rg, err = callgraph.BuildReconfig(callgraph.Build(prog), info); err != nil {
 		return
 	}
 
@@ -177,7 +173,7 @@ func checkCaptureSoundness(r *Report, cfg Config, mod *mil.Module) {
 			if !declared[v] {
 				r.Add(CodeCaptureMissing, SevError, anchor,
 					"procedure %s: variable %s is live at a reconfiguration edge but missing from the declared capture set {%s}; restoring from it would lose state",
-					name, v, joinVars(order))
+					name, v, strings.Join(order, ", "))
 			}
 		}
 
@@ -202,39 +198,11 @@ func edgeStmtIndex(a *liveness.Analysis, prog *lang.Program, e callgraph.Edge) i
 		return a.IndexOf(e.Point.Stmt)
 	}
 	for i, s := range a.Stmts {
-		if stmtCall(s, prog) == e.Call {
+		if lang.StmtCall(prog, s) == e.Call {
 			return i
 		}
 	}
 	return -1
-}
-
-// stmtCall extracts the module-procedure call from a flat statement, if
-// any (the same shapes the transform's weaver recognizes).
-func stmtCall(s ast.Stmt, prog *lang.Program) *ast.CallExpr {
-	switch st := s.(type) {
-	case *ast.LabeledStmt:
-		return stmtCall(st.Stmt, prog)
-	case *ast.ExprStmt:
-		if call, ok := st.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok {
-				if _, isFn := prog.Funcs[id.Name]; isFn {
-					return call
-				}
-			}
-		}
-	case *ast.AssignStmt:
-		if len(st.Rhs) == 1 {
-			if call, ok := st.Rhs[0].(*ast.CallExpr); ok {
-				if id, ok := call.Fun.(*ast.Ident); ok {
-					if _, isFn := prog.Funcs[id.Name]; isFn {
-						return call
-					}
-				}
-			}
-		}
-	}
-	return nil
 }
 
 func sortedKeys(set map[string]bool) []string {
@@ -244,15 +212,4 @@ func sortedKeys(set map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func joinVars(vars []string) string {
-	s := ""
-	for i, v := range vars {
-		if i > 0 {
-			s += ", "
-		}
-		s += v
-	}
-	return s
 }

@@ -311,34 +311,34 @@ func BuildReconfig(g *Graph, info *lang.Info) (*RGraph, error) {
 	}
 
 	// Number the edges per node in source order: call edges to in-graph
-	// callees, and reconfiguration edges, interleaved by line.
+	// callees, and reconfiguration edges, interleaved. Source order is the
+	// order of the AST, not of token.Pos: the transform rewrites bodies in
+	// place, and a moved statement keeps the position it was written at.
 	type protoEdge struct {
 		caller string
 		callee string
 		call   *ast.CallExpr
 		point  *lang.Point
-		pos    int
+	}
+	points := map[*ast.CallExpr]*lang.Point{}
+	for i := range info.Points {
+		points[info.Points[i].Call] = &info.Points[i]
 	}
 	var protos []protoEdge
 	for _, name := range rg.Nodes {
-		for _, c := range g.CallsFrom(name) {
-			if inGraph[c.Callee] {
-				protos = append(protos, protoEdge{caller: name, callee: c.Callee, call: c.Expr, pos: int(c.Expr.Pos())})
+		ast.Inspect(g.Prog.Funcs[name].Decl.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
 			}
-		}
-		for _, pt := range info.PointsIn(name) {
-			p := pt
-			protos = append(protos, protoEdge{caller: name, callee: ReconfigNode, point: &p, pos: int(pt.Call.Pos())})
-		}
+			if pt := points[call]; pt != nil {
+				protos = append(protos, protoEdge{caller: name, callee: ReconfigNode, point: pt})
+			} else if id, ok := call.Fun.(*ast.Ident); ok && inGraph[id.Name] {
+				protos = append(protos, protoEdge{caller: name, callee: id.Name, call: call})
+			}
+			return true
+		})
 	}
-	// Stable order: function declaration order (already grouped), then
-	// source position within the function.
-	sort.SliceStable(protos, func(i, j int) bool {
-		if protos[i].caller != protos[j].caller {
-			return nodeIndex(rg.Nodes, protos[i].caller) < nodeIndex(rg.Nodes, protos[j].caller)
-		}
-		return protos[i].pos < protos[j].pos
-	})
 	for i, p := range protos {
 		line := 0
 		if p.call != nil {

@@ -53,8 +53,8 @@ type Local struct {
 
 // Function flattens the named procedure in place. The program must be
 // checked; info is consumed for identifier resolution and expression types.
-// After flattening, the program's AST no longer matches info — reprint and
-// re-check before further analysis.
+// After flattening, the program's AST no longer matches info — run
+// lang.Check on it again before further analysis.
 func Function(prog *lang.Program, info *lang.Info, name string) (*Result, error) {
 	fn, ok := prog.Funcs[name]
 	if !ok {
@@ -362,7 +362,6 @@ func (f *flattener) lowerIf(st *ast.IfStmt) {
 		f.condGoto(st.Cond, true, end)
 		f.stmts(st.Body.List)
 		f.mark(end)
-		f.flushLabelsBeforeNext()
 		return
 	}
 	elseL := f.newLabel()
@@ -372,13 +371,7 @@ func (f *flattener) lowerIf(st *ast.IfStmt) {
 	f.mark(elseL)
 	f.stmt(st.Else)
 	f.mark(end)
-	f.flushLabelsBeforeNext()
 }
-
-// flushLabelsBeforeNext is a no-op: pending labels attach to whatever comes
-// next, and run() materializes stragglers at the end. It exists to make the
-// control-flow points explicit at call sites.
-func (f *flattener) flushLabelsBeforeNext() {}
 
 func (f *flattener) lowerFor(st *ast.ForStmt, userLabel string) {
 	if st.Init != nil {
@@ -492,7 +485,7 @@ func (f *flattener) lowerSwitch(st *ast.SwitchStmt, userLabel string) {
 		f.stmt(st.Init)
 	}
 	end := f.newLabel()
-	var tagExpr ast.Expr
+	tag := "" // the temporary holding the tag; a fresh identifier per comparison
 	if st.Tag != nil {
 		tagType := f.info.TypeOf(st.Tag)
 		if tagType == nil {
@@ -505,7 +498,7 @@ func (f *flattener) lowerSwitch(st *ast.SwitchStmt, userLabel string) {
 			Tok: token.ASSIGN,
 			Rhs: []ast.Expr{st.Tag},
 		})
-		tagExpr = ast.NewIdent(tmp)
+		tag = tmp
 	}
 
 	type armInfo struct {
@@ -525,8 +518,8 @@ func (f *flattener) lowerSwitch(st *ast.SwitchStmt, userLabel string) {
 		arm := armInfo{label: f.newLabel(), cc: cc}
 		arms = append(arms, arm)
 		for _, e := range cc.List {
-			if tagExpr != nil {
-				f.condGoto(&ast.BinaryExpr{X: tagExpr, Op: token.EQL, Y: e}, false, arm.label)
+			if tag != "" {
+				f.condGoto(&ast.BinaryExpr{X: ast.NewIdent(tag), Op: token.EQL, Y: e}, false, arm.label)
 			} else {
 				f.condGoto(e, false, arm.label)
 			}

@@ -25,9 +25,24 @@ func load(t *testing.T, src string) (*lang.Program, *lang.Info) {
 	return prog, info
 }
 
-// flattenAll flattens every function of src and returns the reloaded
-// (printed, reparsed, rechecked) program — proving the output is valid Go
-// and still in the module subset.
+// format prints a program in which every function has been flattened.
+func format(t *testing.T, prog *lang.Program) string {
+	t.Helper()
+	rewritten := map[string]bool{}
+	for _, name := range prog.FuncOrder {
+		rewritten[name] = true
+	}
+	files, err := lang.FormatProgram(prog, rewritten)
+	if err != nil {
+		t.Fatalf("format flattened program: %v", err)
+	}
+	return files["mod.go"]
+}
+
+// flattenAll flattens every function of src, re-checks the program in
+// place the way the transform does, and returns the printed, reparsed and
+// rechecked program — proving the output is valid Go and still in the
+// module subset.
 func flattenAll(t *testing.T, src string) (*lang.Program, *lang.Info, string) {
 	t.Helper()
 	prog, info := load(t, src)
@@ -37,14 +52,11 @@ func flattenAll(t *testing.T, src string) (*lang.Program, *lang.Info, string) {
 		}
 		PruneLabels(prog.Funcs[name].Decl, nil)
 	}
-	out, err := lang.FormatSingle(prog)
-	if err != nil {
-		t.Fatalf("format flattened program: %v", err)
+	if _, err := lang.Check(prog); err != nil {
+		t.Fatalf("flattened program does not re-check in place: %v", err)
 	}
-	nprog, ninfo, err := lang.Reload(prog)
-	if err != nil {
-		t.Fatalf("reload flattened program: %v\n%s", err, out)
-	}
+	out := format(t, prog)
+	nprog, ninfo := load(t, out)
 	return nprog, ninfo, out
 }
 
@@ -415,10 +427,7 @@ func f(n int) int {
 	// Before pruning, generated labels exist; after pruning with an empty
 	// keep set, only goto-targeted ones remain.
 	PruneLabels(prog.Funcs["f"].Decl, nil)
-	src, err := lang.FormatSingle(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := format(t, prog)
 	// The loop-exit label of a loop with no break is unused and pruned.
 	used := map[string]bool{}
 	ast.Inspect(prog.Funcs["f"].Decl, func(n ast.Node) bool {

@@ -239,6 +239,29 @@ func CallTargets(prog *Program, fn *Func) []*ast.CallExpr {
 	return out
 }
 
+// StmtCall returns the call to a module procedure that a statement of a
+// flattened body consists of — a call statement or an assignment whose
+// single right-hand side is the call, under any labels — or nil.
+func StmtCall(prog *Program, s ast.Stmt) *ast.CallExpr {
+	var x ast.Expr
+	switch st := s.(type) {
+	case *ast.LabeledStmt:
+		return StmtCall(prog, st.Stmt)
+	case *ast.ExprStmt:
+		x = st.X
+	case *ast.AssignStmt:
+		if len(st.Rhs) == 1 {
+			x = st.Rhs[0]
+		}
+	}
+	if call, ok := x.(*ast.CallExpr); ok {
+		if id, ok := call.Fun.(*ast.Ident); ok && prog.Funcs[id.Name] != nil {
+			return call
+		}
+	}
+	return nil
+}
+
 // IsNumLiteral reports whether e is a numeric literal expression (possibly
 // parenthesized/negated) — expressions the flattener and the transform's
 // dummy-argument analysis may treat as side-effect-free constants.

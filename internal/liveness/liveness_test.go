@@ -10,7 +10,7 @@ import (
 	"repro/internal/lang"
 )
 
-// loadFlat parses, checks, flattens every function, and reloads.
+// loadFlat parses, checks, flattens every function, and re-checks in place.
 func loadFlat(t *testing.T, src string) (*lang.Program, *lang.Info) {
 	t.Helper()
 	prog, err := lang.ParseSource("mod.go", src)
@@ -27,11 +27,10 @@ func loadFlat(t *testing.T, src string) (*lang.Program, *lang.Info) {
 		}
 		flatten.PruneLabels(prog.Funcs[name].Decl, nil)
 	}
-	nprog, ninfo, err := lang.Reload(prog)
-	if err != nil {
+	if info, err = lang.Check(prog); err != nil {
 		t.Fatal(err)
 	}
-	return nprog, ninfo
+	return prog, info
 }
 
 // markerIndex finds the flat index of the mh.ReconfigPoint call.

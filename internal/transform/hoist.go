@@ -112,16 +112,7 @@ func (h *hoister) run() error {
 // temps; during restoration the resume goto targets the call directly and
 // the temps arrive from the restored frame instead.
 func (h *hoister) stmt(s ast.Stmt) ([]ast.Stmt, ast.Stmt, error) {
-	var labels []string
-	inner := s
-	for {
-		ls, ok := inner.(*ast.LabeledStmt)
-		if !ok {
-			break
-		}
-		labels = append(labels, ls.Label.Name)
-		inner = ls.Stmt
-	}
+	labels, inner := unlabel(s)
 	call := h.instrumentedCallOf(inner)
 	if call == nil {
 		return nil, s, nil
@@ -162,16 +153,7 @@ func (h *hoister) stmt(s ast.Stmt) ([]ast.Stmt, ast.Stmt, error) {
 // mhRetN...`, so the call sits at statement position and can carry its
 // resume label. Labels stay on the first emitted statement.
 func (h *hoister) desugarReturn(s ast.Stmt) ([]ast.Stmt, ast.Stmt, error) {
-	var labels []string
-	inner := s
-	for {
-		ls, ok := inner.(*ast.LabeledStmt)
-		if !ok {
-			break
-		}
-		labels = append(labels, ls.Label.Name)
-		inner = ls.Stmt
-	}
+	labels, inner := unlabel(s)
 	ret, ok := inner.(*ast.ReturnStmt)
 	if !ok || len(ret.Results) != 1 {
 		return nil, s, nil
@@ -202,17 +184,8 @@ func (h *hoister) desugarReturn(s ast.Stmt) ([]ast.Stmt, ast.Stmt, error) {
 // call may take: a call statement, or an assignment whose single RHS is the
 // call.
 func (h *hoister) instrumentedCallOf(s ast.Stmt) *ast.CallExpr {
-	switch st := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := st.X.(*ast.CallExpr); ok && h.isInstrumented(call) {
-			return call
-		}
-	case *ast.AssignStmt:
-		if len(st.Rhs) == 1 {
-			if call, ok := st.Rhs[0].(*ast.CallExpr); ok && h.isInstrumented(call) {
-				return call
-			}
-		}
+	if call := lang.StmtCall(h.prog, s); call != nil && h.isInstrumented(call) {
+		return call
 	}
 	return nil
 }
@@ -228,16 +201,8 @@ func (h *hoister) isInstrumented(call *ast.CallExpr) bool {
 func (h *hoister) checkNoNestedInstrumentedCalls(body []ast.Stmt) error {
 	var err error
 	for _, s := range body {
-		inner := s
-		for {
-			ls, ok := inner.(*ast.LabeledStmt)
-			if !ok {
-				break
-			}
-			inner = ls.Stmt
-		}
-		top := h.instrumentedCallOf(inner)
-		ast.Inspect(inner, func(n ast.Node) bool {
+		top := h.instrumentedCallOf(s)
+		ast.Inspect(s, func(n ast.Node) bool {
 			if err != nil {
 				return false
 			}
@@ -254,6 +219,19 @@ func (h *hoister) checkNoNestedInstrumentedCalls(body []ast.Stmt) error {
 		}
 	}
 	return nil
+}
+
+// unlabel splits a statement into its labels, outermost first, and the
+// statement under them.
+func unlabel(s ast.Stmt) (labels []string, inner ast.Stmt) {
+	for {
+		ls, ok := s.(*ast.LabeledStmt)
+		if !ok {
+			return labels, s
+		}
+		labels = append(labels, ls.Label.Name)
+		s = ls.Stmt
+	}
 }
 
 func (h *hoister) newTemp(t lang.Type) string {

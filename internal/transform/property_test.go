@@ -2,6 +2,7 @@ package transform
 
 import (
 	"fmt"
+	"go/format"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -196,9 +197,10 @@ func runWorker(t *testing.T, prog *lang.Program, info *lang.Info, inputs []int) 
 // TestPipelineEquivalenceProperty: for randomly generated modules, the
 // fully transformed program (flatten + hoist + weave, under each capture
 // mode) serves exactly the same responses as the original when no
-// reconfiguration is requested.
+// reconfiguration is requested, and its text is a gofmt fixed point (what
+// running format.Source over it used to guarantee).
 func TestPipelineEquivalenceProperty(t *testing.T) {
-	seeds := 25
+	seeds := 100
 	if testing.Short() {
 		seeds = 5
 	}
@@ -221,9 +223,12 @@ func TestPipelineEquivalenceProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("prepare (%v): %v\n%s", mode, err, src)
 				}
+				gen, _ := out.Source()
+				if formatted, err := format.Source([]byte(gen)); err != nil || string(formatted) != gen {
+					t.Errorf("mode %v: output is not a gofmt fixed point (err %v):\n%s", mode, err, gen)
+				}
 				got := runWorker(t, out.Prog, out.Info, inputs)
 				if !reflect.DeepEqual(got, want) {
-					gen, _ := out.Source()
 					t.Fatalf("mode %v: responses %v, want %v\noriginal:\n%s\ninstrumented:\n%s",
 						mode, got, want, src, gen)
 				}

@@ -20,8 +20,9 @@
 //  5. weaves one restore block per procedure (Figure 8) and one capture
 //     block per reconfiguration-graph edge (Figure 7), with resume labels
 //     Li at call sites and the point label at each reconfiguration point;
-//  6. prunes unused labels and reloads, so the output provably parses,
-//     checks, and remains in the module subset.
+//  6. prunes unused labels, prints the program once and parses and checks
+//     that text, so the output provably parses, checks, and remains in the
+//     module subset.
 //
 // The output runs under the interpreter and compiles as real Go against
 // the mh runtime (cmd/mhgen emits a standalone package).
@@ -95,8 +96,8 @@ type FuncReport struct {
 
 // Output is the result of Prepare.
 type Output struct {
-	// Prog and Info describe the instrumented program (reloaded: parsed
-	// and checked from the printed output).
+	// Prog and Info describe the instrumented program, parsed and checked
+	// from the printed output.
 	Prog *lang.Program
 	Info *lang.Info
 	// Files holds the formatted instrumented sources.
@@ -107,12 +108,20 @@ type Output struct {
 	Graph *callgraph.RGraph
 	// Funcs reports per-procedure capture sets, keyed by name.
 	Funcs map[string]*FuncReport
-	// StaticDOT and ReconfigDOT are Graphviz renderings (Figure 6).
-	StaticDOT   string
-	ReconfigDOT string
+	// source is the reconfiguration graph of the source as written.
+	source *callgraph.RGraph
 }
 
+// inspect is a test seam: it is shown the one AST after each in-place pass.
+var inspect = func(pass string, prog *lang.Program) {}
+
 // Prepare transforms a module program for reconfiguration participation.
+// It is one pipeline over one AST: the sources are parsed once, every pass
+// rewrites the instrumented procedures in place and is followed by a fresh
+// lang.Check of the whole program (no pass touches a declaration or a
+// signature, so the declaration tables stay valid), and the result is printed
+// once and parsed once more, so that Prog, Info and every run-time error
+// position describe the text in Files.
 func Prepare(sources map[string]string, opts Options) (*Output, error) {
 	if opts.Mode == 0 {
 		opts.Mode = CaptureAll
@@ -126,15 +135,12 @@ func Prepare(sources map[string]string, opts Options) (*Output, error) {
 		return nil, fmt.Errorf("transform: %w", err)
 	}
 
-	// The original graphs determine the node set and provide the
-	// Figure 6 artifacts on the untouched source.
-	g0 := callgraph.Build(prog)
-	rg0, err := callgraph.BuildReconfig(g0, info)
+	// The graph of the untouched source determines the node set (and is
+	// what Figure 6 draws).
+	rg0, err := callgraph.BuildReconfig(callgraph.Build(prog), info)
 	if err != nil {
 		return nil, fmt.Errorf("transform: %w", err)
 	}
-	staticDOT := g0.DOT()
-	reconfigDOT := rg0.DOT()
 	nodeSet := map[string]bool{}
 	for _, n := range rg0.Nodes {
 		nodeSet[n] = true
@@ -146,8 +152,8 @@ func Prepare(sources map[string]string, opts Options) (*Output, error) {
 			return nil, fmt.Errorf("transform: %w", err)
 		}
 	}
-	prog, info, err = lang.Reload(prog)
-	if err != nil {
+	inspect("flatten", prog)
+	if info, err = lang.Check(prog); err != nil {
 		return nil, fmt.Errorf("transform: after flatten: %w", err)
 	}
 
@@ -155,15 +161,14 @@ func Prepare(sources map[string]string, opts Options) (*Output, error) {
 	if err := hoistUnsafeArgs(prog, info, nodeSet); err != nil {
 		return nil, err
 	}
-	prog, info, err = lang.Reload(prog)
-	if err != nil {
+	inspect("hoist", prog)
+	if info, err = lang.Check(prog); err != nil {
 		return nil, fmt.Errorf("transform: after hoisting: %w", err)
 	}
 
 	// Rebuild the graph on the flattened program; its edge numbers are
 	// the integers woven into the capture/restore blocks.
-	g := callgraph.Build(prog)
-	rg, err := callgraph.BuildReconfig(g, info)
+	rg, err := callgraph.BuildReconfig(callgraph.Build(prog), info)
 	if err != nil {
 		return nil, fmt.Errorf("transform: %w", err)
 	}
@@ -182,12 +187,7 @@ func Prepare(sources map[string]string, opts Options) (*Output, error) {
 		live[name] = a
 	}
 
-	out := &Output{
-		Graph:       rg,
-		Funcs:       map[string]*FuncReport{},
-		StaticDOT:   staticDOT,
-		ReconfigDOT: reconfigDOT,
-	}
+	out := &Output{Graph: rg, Funcs: map[string]*FuncReport{}, source: rg0}
 	w := &weaver{prog: prog, info: info, rg: rg, live: live, opts: opts, out: out}
 	for _, name := range rg.Nodes {
 		if err := w.weaveFunc(name); err != nil {
@@ -199,20 +199,25 @@ func Prepare(sources map[string]string, opts Options) (*Output, error) {
 	for _, name := range rg.Nodes {
 		flatten.PruneLabels(prog.Funcs[name].Decl, w.keepLabels[name])
 	}
+	inspect("weave", prog)
 
-	files, err := lang.FormatProgram(prog)
-	if err != nil {
+	if out.Files, err = lang.FormatProgram(prog, nodeSet); err != nil {
 		return nil, fmt.Errorf("transform: format output: %w", err)
 	}
-	nprog, ninfo, err := lang.Reload(prog)
+	if out.Prog, err = lang.ParseFiles(out.Files); err == nil {
+		out.Info, err = lang.Check(out.Prog)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("transform: output does not re-check: %w", err)
 	}
-	out.Prog = nprog
-	out.Info = ninfo
-	out.Files = files
 	return out, nil
 }
+
+// StaticDOT and ReconfigDOT render the static call graph and the
+// reconfiguration graph of the untouched source in Graphviz format
+// (Figure 6).
+func (o *Output) StaticDOT() string   { return o.source.Graph.DOT() }
+func (o *Output) ReconfigDOT() string { return o.source.DOT() }
 
 func sameNodes(a, b *callgraph.RGraph) error {
 	if len(a.Nodes) != len(b.Nodes) {

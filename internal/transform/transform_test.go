@@ -112,7 +112,7 @@ func TestInstrumentMonitorCompute(t *testing.T) {
 	if got := out.Funcs["compute"].Edges; len(got) != 2 || got[0] != 3 || got[1] != 4 {
 		t.Errorf("compute edges = %v", got)
 	}
-	if !strings.Contains(out.ReconfigDOT, `"compute" -> "reconfig"`) {
+	if !strings.Contains(out.ReconfigDOT(), `"compute" -> "reconfig"`) {
 		t.Error("reconfiguration DOT missing point edge")
 	}
 }
@@ -230,6 +230,23 @@ func f(x int) int {
 	return x
 }
 func use(x int) {}`, "must be a whole statement"},
+		// A hoisting error cites the file as the user wrote it, not the
+		// flattened intermediate text (where the call stood on line 19).
+		{"hoist error position", `package p
+func main() {
+	var a int
+	var b int
+	for a < 3 {
+		a = a + 1
+	}
+	b = a +
+		f(a)
+	mh.Write("out", b)
+}
+func f(x int) int {
+	mh.ReconfigPoint("R")
+	return x
+}`, "transform: mod.go:9:3: call to instrumented procedure f must be a whole statement"},
 		{"pointer local live at edge", `package p
 func main() {
 	x := 1

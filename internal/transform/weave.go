@@ -47,10 +47,12 @@ func (w *weaver) weaveFunc(name string) error {
 		format += string(r)
 	}
 
-	zeros, err := zeroReturns(fn)
-	if err != nil {
+	if _, err := zeroReturns(fn); err != nil {
 		return err
 	}
+	// Every capture block gets its own result expressions: the passes edit
+	// the AST in place, so it has to stay a tree.
+	zeros := func() []ast.Expr { z, _ := zeroReturns(fn); return z }
 
 	// Location variable.
 	locName := "mhLoc"
@@ -122,23 +124,13 @@ func (w *weaver) weaveFunc(name string) error {
 	}
 	wovenEdges := 0
 	for _, s := range body {
-		// Unwrap label chain.
-		inner := s
-		var wrappers []string
-		for {
-			ls, ok := inner.(*ast.LabeledStmt)
-			if !ok {
-				break
-			}
-			wrappers = append(wrappers, ls.Label.Name)
-			inner = ls.Stmt
-		}
+		wrappers, inner := unlabel(s)
 
 		if e, ok := markerEdge[inner]; ok {
 			// Replace the marker with the reconfiguration-point capture
 			// block (Figure 7, reconfiguration edge); the point label
 			// moves onto the following statement.
-			block := w.reconfigCaptureBlock(name, format, e.Index, capSet, isMain, zeros)
+			block := w.reconfigCaptureBlock(name, format, e.Index, capSet, isMain, zeros())
 			for i := len(wrappers) - 1; i >= 0; i-- {
 				block = &ast.LabeledStmt{Label: ast.NewIdent(wrappers[i]), Stmt: block}
 			}
@@ -148,7 +140,7 @@ func (w *weaver) weaveFunc(name string) error {
 			continue
 		}
 
-		if call := stmtCall(inner, w.prog); call != nil {
+		if call := lang.StmtCall(w.prog, inner); call != nil {
 			if e, ok := w.rg.EdgeForCall(call); ok && e.Caller == name {
 				// Label the call statement Li (the restore block's goto
 				// re-issues the call, Figure 4 style) and install the
@@ -158,7 +150,7 @@ func (w *weaver) weaveFunc(name string) error {
 					labeled = &ast.LabeledStmt{Label: ast.NewIdent(wrappers[i]), Stmt: labeled}
 				}
 				emit(labeled)
-				emit(w.callCaptureBlock(name, format, e.Index, capSet, isMain, zeros))
+				emit(w.callCaptureBlock(name, format, e.Index, capSet, isMain, zeros()))
 				wovenEdges++
 				continue
 			}
@@ -206,7 +198,7 @@ func (w *weaver) captureSet(name string, a *liveness.Analysis, edges []callgraph
 			target = e.Point.Stmt
 		} else {
 			for _, s := range a.Stmts {
-				if stmtCall(s, w.prog) == e.Call {
+				if lang.StmtCall(w.prog, s) == e.Call {
 					target = s
 					break
 				}
@@ -304,33 +296,6 @@ func (w *weaver) specVarsFor(name string, edges []callgraph.Edge) ([]string, boo
 		}
 	}
 	return out, found
-}
-
-// stmtCall extracts the instrumented-candidate call from a flat statement.
-func stmtCall(s ast.Stmt, prog *lang.Program) *ast.CallExpr {
-	switch st := s.(type) {
-	case *ast.LabeledStmt:
-		return stmtCall(st.Stmt, prog)
-	case *ast.ExprStmt:
-		if call, ok := st.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok {
-				if _, isFn := prog.Funcs[id.Name]; isFn {
-					return call
-				}
-			}
-		}
-	case *ast.AssignStmt:
-		if len(st.Rhs) == 1 {
-			if call, ok := st.Rhs[0].(*ast.CallExpr); ok {
-				if id, ok := call.Fun.(*ast.Ident); ok {
-					if _, isFn := prog.Funcs[id.Name]; isFn {
-						return call
-					}
-				}
-			}
-		}
-	}
-	return nil
 }
 
 func zeroReturns(fn *lang.Func) ([]ast.Expr, error) {

@@ -28,6 +28,9 @@ echo "== bench/ harness (its own module: the root go test never compiles it)"
 # here, not in the benchmark driver.
 (cd bench && go vet ./... && go test ./...)
 
+echo "== BenchmarkPrepare still compiles and runs (one iteration; bench/ measures, this does not)"
+go test -run '^$' -bench BenchmarkPrepare -benchtime 1x ./internal/transform/
+
 echo "== counts for CHANGES.md (ROADMAP aim 2 and item 4: all three go down)"
 gofiles() { find . -name '*.go' ! -path '*/testdata/*' ! -path './bench/out/*' "$@" -print0; }
 echo "non-test Go lines:      $(gofiles ! -name '*_test.go' | xargs -0 cat | wc -l)"
