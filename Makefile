@@ -4,10 +4,13 @@ test:
 	go build ./... && go test ./...
 
 # Architectural invariants: the self-hosting archlint run (AL001-AL014,
-# no AL008: locking discipline, snapshot protocol, hot-path allocations,
-# spawn sites, layering, the bus ring protocol, and one
-# table-driven method-confinement pass serving AL002 trace minting, AL012
-# record appends and AL014 observability-ring writes).
+# no AL008: locking discipline — nothing blocks under Bus.mu, edit
+# callbacks and *Locked methods included, and only edit and writeSlow take
+# it —, snapshot protocol, hot-path allocations, spawn sites, layering, the
+# bus ring's publish-last protocol, and one table-driven method-confinement
+# pass serving AL002 trace minting, AL012 record appends, AL013's "only the
+# commit fences, drains and restores a queue" and AL014
+# observability-ring writes).
 .PHONY: lint
 lint:
 	go run ./cmd/archlint ./...

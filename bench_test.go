@@ -502,7 +502,7 @@ func BenchmarkQueueMove(b *testing.B) {
 					}
 				}
 				b.StartTimer()
-				if err := bb.MoveQueue(bus.Endpoint{Instance: "a", Interface: "in"}, bus.Endpoint{Instance: "b", Interface: "in"}); err != nil {
+				if err := bb.Rebind([]bus.BindEdit{{Op: "cq", From: bus.Endpoint{Instance: "a", Interface: "in"}, To: bus.Endpoint{Instance: "b", Interface: "in"}}}); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()

@@ -30,15 +30,15 @@ const (
 	// CodeTypeError: a package fails to parse or type-check; deep passes
 	// are skipped for it.
 	CodeTypeError = "AL001"
-	// CodeTraceMint: trace minting (Tracer.MintTrace/ChildSpan/Stamp)
+	// CodeTraceMint: trace minting (Tracer.MintTrace/ChildSpan/StampBatch)
 	// outside internal/bus and internal/telemetry/trace.
 	CodeTraceMint = "AL002"
 	// CodeMuConfine: the Bus.mu control-plane lock referenced outside
 	// bus.go.
 	CodeMuConfine = "AL003"
 	// CodeBlockUnderMu: a blocking construct (channel operation, Wait,
-	// sleep, network or gob call, mu-reacquiring Bus method) while Bus.mu
-	// is held.
+	// sleep, network call, mu-reacquiring Bus method) while Bus.mu is
+	// held — in a locked region, a *Locked method or an edit callback.
 	CodeBlockUnderMu = "AL004"
 	// CodeLockOrder: Bus.mu (or a Bus method that takes it) acquired while
 	// a message-queue lock is held — the sanctioned order is Bus.mu before

@@ -22,7 +22,8 @@ type confinement struct {
 	message string // Printf format taking recv and the method name
 }
 
-// confinements is the table behind AL002, AL012 and AL014.
+// confinements is the table behind AL002, AL012, AL014 and AL013's third
+// rule.
 func confinements(modPath string) []confinement {
 	p := func(s string) string { return modPath + "/" + s }
 	busPkg, tracePkg, replayPkg := p("internal/bus"), p("internal/telemetry/trace"), p("internal/replay")
@@ -33,9 +34,22 @@ func confinements(modPath string) []confinement {
 		// must carry contexts opaquely.
 		{
 			code: CodeTraceMint, pkg: tracePkg, recv: "Tracer",
-			methods: []string{"MintTrace", "ChildSpan", "Stamp"},
+			methods: []string{"MintTrace", "ChildSpan", "StampBatch"},
 			allowed: func(pkg, _, _ string) bool { return pkg == busPkg || pkg == tracePkg },
 			message: "trace minting (%s.%s) outside the bus layer: only internal/bus and internal/telemetry/trace may advance the causal clock",
+		},
+		// AL013, rule 3: a topology change meets traffic in one function, the
+		// commit. It alone fences a queue, takes what the fenced queue holds
+		// and puts it back — always with a successor snapshot published
+		// behind the fence, without which a refused writer would be refused
+		// on the slow path too.
+		{
+			code: CodeRingProtocol, pkg: busPkg, recv: "msgQueue",
+			methods: []string{"detach", "drain", "restore"},
+			allowed: func(_, file, method string) bool {
+				return file == "queue.go" || file == "bus.go" && method == "editLocked"
+			},
+			message: "queue fenced or emptied (%s.%s) outside the commit: only (*Bus).editLocked fences, drains and restores queues, and publishes a successor snapshot behind every fence",
 		},
 		// AL012: a recorded window's QSeq order is the queue's true delivery
 		// order only because QueueLog.Append runs inside msgQueue.record, the

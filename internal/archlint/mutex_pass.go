@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"path"
+	"strings"
 )
 
 // pkgByPath returns the type-checked package with the given import path,
@@ -34,19 +35,13 @@ var blockingBusMethods = map[string]bool{
 	"Bus.AwaitRestored": true,
 }
 
-// muAcquiringBusMethods are the Bus methods that take Bus.mu; calling one
-// with the lock held deadlocks, and calling one with a queue lock held
-// inverts the sanctioned Bus.mu -> queue-lock order.
+// muAcquiringBusMethods are the two Bus methods that take Bus.mu — every
+// topology change goes through edit, every fenced write through writeSlow.
+// Calling one with the lock held deadlocks, and calling one with a queue
+// lock held inverts the sanctioned Bus.mu -> queue-lock order.
 var muAcquiringBusMethods = map[string]bool{
-	"edit":           true,
-	"AddInstance":    true,
-	"DeleteInstance": true,
-	"AddBinding":     true,
-	"DeleteBinding":  true,
-	"Rebind":         true,
-	"MoveQueue":      true,
-	"DrainQueue":     true,
-	"writeSlow":      true,
+	"edit":      true,
+	"writeSlow": true,
 }
 
 // mutexPass enforces the control-plane locking discipline of the bus:
@@ -55,7 +50,7 @@ var muAcquiringBusMethods = map[string]bool{
 //	       writer lock; routing, queueing and transport never see it.
 //	AL004  nothing blocking runs while Bus.mu is held: no channel sends or
 //	       receives outside a select with default, no blocking selects, no
-//	       condition/WaitGroup waits, sleeps, network or gob calls, no
+//	       condition/WaitGroup waits, sleeps or network calls, no
 //	       known-blocking or mu-reacquiring bus methods.
 //	AL005  lock order: Bus.mu is taken before queue locks, never after —
 //	       while a msgQueue lock (the consumer mu or the segment-growth
@@ -66,7 +61,9 @@ var muAcquiringBusMethods = map[string]bool{
 // statements toggle the held state, toggles inside nested blocks do not
 // leak out (so an early-unlock-and-return branch does not end the outer
 // region), and a deferred Unlock holds the region to the end of the
-// function.
+// function. Bus.mu is also held from the first statement of a *Locked
+// method and of a function literal passed to edit, which runs it under the
+// lock.
 func (a *analysis) mutexPass() {
 	p := a.pkgByPath(a.rules.busPkg)
 	if p == nil {
@@ -99,11 +96,37 @@ func (a *analysis) mutexPass() {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			a.lockRegions(p, fd.Body, "Bus", "mu", func(n ast.Node) { a.checkBlocking(p, n) })
-			a.lockRegions(p, fd.Body, "msgQueue", "mu", func(n ast.Node) { a.checkLockOrder(p, n) })
-			a.lockRegions(p, fd.Body, "msgQueue", "growMu", func(n ast.Node) { a.checkLockOrder(p, n) })
+			blocking := func(n ast.Node) { a.checkBlocking(p, n) }
+			a.lockRegions(p, fd.Body, "Bus", "mu", fd.Recv != nil && strings.HasSuffix(fd.Name.Name, "Locked"), blocking)
+			for _, lit := range editLiterals(p, fd.Body) {
+				a.lockRegions(p, lit.Body, "Bus", "mu", true, blocking)
+			}
+			a.lockRegions(p, fd.Body, "msgQueue", "mu", false, func(n ast.Node) { a.checkLockOrder(p, n) })
+			a.lockRegions(p, fd.Body, "msgQueue", "growMu", false, func(n ast.Node) { a.checkLockOrder(p, n) })
 		}
 	}
+}
+
+// editLiterals returns the function literals body passes to the bus
+// package's edit.
+func editLiterals(p *pkg, body *ast.BlockStmt) []*ast.FuncLit {
+	var lits []*ast.FuncLit
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if fn := calleeFunc(p, call); fn == nil || fn.Name() != "edit" || fn.Pkg() != p.tpkg {
+			return true
+		}
+		for _, arg := range call.Args {
+			if lit, ok := arg.(*ast.FuncLit); ok {
+				lits = append(lits, lit)
+			}
+		}
+		return true
+	})
+	return lits
 }
 
 // selectHasDefault reports whether sel carries a default clause.
@@ -117,10 +140,11 @@ func selectHasDefault(sel *ast.SelectStmt) bool {
 }
 
 // lockRegions walks body linearly tracking whether owner's named mutex
-// field (owner being a named type of the bus package) is held, and applies
-// visit to every node reached while it is. Function literals are skipped:
-// their bodies run on other goroutines or after the region.
-func (a *analysis) lockRegions(p *pkg, body *ast.BlockStmt, owner, field string, visit func(ast.Node)) {
+// field (owner being a named type of the bus package) is held — held says
+// whether it is on entry — and applies visit to every node reached while
+// it is. Function literals are skipped: their bodies run on other
+// goroutines or after the region (the caller scans the ones edit runs).
+func (a *analysis) lockRegions(p *pkg, body *ast.BlockStmt, owner, field string, held bool, visit func(ast.Node)) {
 	scanExpr := func(n ast.Node) {
 		if n == nil {
 			return
@@ -222,7 +246,7 @@ func (a *analysis) lockRegions(p *pkg, body *ast.BlockStmt, owner, field string,
 		}
 		return held
 	}
-	scan(body.List, false)
+	scan(body.List, held)
 }
 
 // checkBlocking is the AL004 visitor for nodes reached under Bus.mu.
@@ -269,8 +293,6 @@ func (a *analysis) blockingCall(p *pkg, call *ast.CallExpr) (string, bool) {
 	switch {
 	case rp == "sync" && name == "Wait" && (rn == "Cond" || rn == "WaitGroup"):
 		return "sync." + rn + ".Wait", true
-	case rp == "encoding/gob" && (name == "Encode" || name == "Decode"):
-		return "gob." + rn + "." + name + " (network-backed I/O)", true
 	case netPkgs[rp]:
 		return rp + "." + rn + "." + name + " (network I/O)", true
 	case rp == a.rules.busPkg && blockingBusMethods[rn+"."+name]:

@@ -19,11 +19,8 @@ import (
 //  2. Confinement. Slot and segment internals (qslot and chunk fields) and
 //     the queue's fence word are implementation details of queue.go; any
 //     other file reaching into them bypasses the protocol.
-//  3. Fence discipline. Only msgQueue.detach advances the fence word, and
-//     detach is called only from the routing/control layer (bus.go and
-//     group.go) — the fence is how topology changes refuse stale routed
-//     traffic, so a fence raised anywhere else would silently divert
-//     messages to the slow path outside any topology change.
+//  3. Fence discipline. Only msgQueue.detach advances the fence word; who
+//     may call detach is a row of the confinement table (confine_pass.go).
 func (a *analysis) ringPass() {
 	p := a.pkgByPath(a.rules.busPkg)
 	if p == nil {
@@ -39,42 +36,30 @@ func (a *analysis) ringPass() {
 			}
 			continue
 		}
-		a.ringConfinementCheck(p, f, base)
+		a.ringConfinementCheck(p, f)
 	}
 }
 
-// ringConfinementCheck flags references to ring internals and misplaced
-// fence raises in a bus file other than queue.go.
-func (a *analysis) ringConfinementCheck(p *pkg, f *ast.File, base string) {
+// ringConfinementCheck flags references to ring internals in a bus file
+// other than queue.go.
+func (a *analysis) ringConfinementCheck(p *pkg, f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.SelectorExpr:
-			owner := fieldOwner(p, x)
-			if owner == nil || owner.Obj().Pkg() != p.tpkg {
-				return true
-			}
-			switch owner.Obj().Name() {
-			case "qslot", "chunk":
+		x, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		owner := fieldOwner(p, x)
+		if owner == nil || owner.Obj().Pkg() != p.tpkg {
+			return true
+		}
+		switch owner.Obj().Name() {
+		case "qslot", "chunk":
+			a.diag(CodeRingProtocol, x.Sel.Pos(),
+				"ring internals (%s.%s) referenced outside queue.go: slot and segment state is the queue protocol's private vocabulary", owner.Obj().Name(), x.Sel.Name)
+		case "msgQueue":
+			if x.Sel.Name == "fence" {
 				a.diag(CodeRingProtocol, x.Sel.Pos(),
-					"ring internals (%s.%s) referenced outside queue.go: slot and segment state is the queue protocol's private vocabulary", owner.Obj().Name(), x.Sel.Name)
-			case "msgQueue":
-				if x.Sel.Name == "fence" {
-					a.diag(CodeRingProtocol, x.Sel.Pos(),
-						"queue fence word referenced outside queue.go: fencing is part of the ring protocol, raise it through msgQueue.detach")
-				}
-			}
-		case *ast.CallExpr:
-			fn := calleeFunc(p, x)
-			if fn == nil || fn.Name() != "detach" {
-				return true
-			}
-			recv := recvNamed(fn)
-			if recv == nil || recv.Obj().Name() != "msgQueue" || recv.Obj().Pkg() != p.tpkg {
-				return true
-			}
-			if base != "bus.go" && base != "group.go" {
-				a.diag(CodeRingProtocol, x.Pos(),
-					"queue fence raised (msgQueue.detach) outside the routing layer: only bus.go and group.go fence queues, as part of publishing a topology change")
+					"queue fence word referenced outside queue.go: fencing is part of the ring protocol, raise it through msgQueue.detach")
 			}
 		}
 		return true

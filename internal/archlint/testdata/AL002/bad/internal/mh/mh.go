@@ -8,5 +8,5 @@ var doc = "t.MintTrace()"
 // Emit stamps outside the bus layer: the module runtime must carry
 // contexts opaquely, never advance the clock itself.
 func Emit(t *trace.Tracer, parent trace.Context) trace.Context {
-	return t.Stamp(parent)
+	return t.StampBatch(parent, 1)
 }

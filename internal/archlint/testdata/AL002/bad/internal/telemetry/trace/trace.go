@@ -12,5 +12,6 @@ func (t *Tracer) MintTrace() Context { t.next++; return Context{TraceID: t.next}
 // ChildSpan derives a span within parent's chain.
 func (t *Tracer) ChildSpan(parent Context) Context { return parent }
 
-// Stamp extends parent (or mints a root when parent is zero).
-func (t *Tracer) Stamp(parent Context) Context { return parent }
+// StampBatch extends parent (or mints a root when parent is zero) for n
+// sends at once.
+func (t *Tracer) StampBatch(parent Context, n int) Context { return parent }

@@ -16,3 +16,25 @@ func (b *Bus) Bad(ch chan int) {
 	ch <- 1
 	time.Sleep(time.Millisecond)
 }
+
+// edit runs fn under the writer lock.
+func (b *Bus) edit(fn func() error) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return fn()
+}
+
+// BadEdit blocks inside an edit callback, which runs with the lock held,
+// and re-enters edit from there.
+func (b *Bus) BadEdit(ch chan int) error {
+	return b.edit(func() error {
+		time.Sleep(time.Millisecond)
+		<-ch
+		return b.edit(func() error { return nil })
+	})
+}
+
+// commitLocked runs with the lock held by its caller.
+func (b *Bus) commitLocked(ch chan int) {
+	ch <- 2
+}

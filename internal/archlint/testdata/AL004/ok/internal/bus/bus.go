@@ -19,3 +19,24 @@ func (b *Bus) Good(ch chan int) {
 	b.mu.Unlock()
 	time.Sleep(time.Millisecond)
 }
+
+// edit runs fn under the writer lock.
+func (b *Bus) edit(fn func() error) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return fn()
+}
+
+// GoodEdit stages under the lock and sleeps once edit has returned; the
+// literal it hands to something other than edit is not under the lock.
+func (b *Bus) GoodEdit(n *int) error {
+	err := b.edit(func() error {
+		*n++
+		return nil
+	})
+	unlocked(func() { time.Sleep(time.Millisecond) })
+	time.Sleep(time.Millisecond)
+	return err
+}
+
+func unlocked(fn func()) { fn() }

@@ -11,8 +11,8 @@ func Fenced(q *msgQueue) uint64 {
 	return q.fence.Load()
 }
 
-// Stop fences the queue from the transport file: only the routing layer
-// (bus.go, group.go) detaches queues.
+// Stop fences the queue from the transport file: only the commit
+// ((*Bus).editLocked in bus.go) detaches queues.
 func Stop(q *msgQueue) {
 	q.detach(9)
 }

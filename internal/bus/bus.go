@@ -12,10 +12,19 @@
 // Figure 5).
 //
 // The package is layered (see routing.go for the full picture): this file
-// holds the Bus facade and the *control plane* — every topology mutation is
-// a snapshot writer serialized by Bus.mu that publishes a successor
-// routingTable — while the data plane (write, Attachment reads) runs
-// lock-free against the current snapshot plus one per-queue lock.
+// holds the Bus facade and the *control plane*, while the data plane (write,
+// Attachment reads) runs lock-free against the current routing snapshot plus
+// one per-queue lock.
+//
+// Every topology change goes through one doorway: an edit (AddInstance,
+// Rebind, DeleteInstance, RemoveGroupMember, ...) only stages what it wants
+// on a topologyDraft, and one commit, editLocked, carries it out in a fixed
+// order — fence at the outgoing epoch, transfer queues stamped with the
+// successor epoch, publish the successor routingTable, close the deleted
+// instances, emit the events. A writer that resolved its route from the
+// outgoing snapshot is refused at a fenced queue and finishes in writeSlow
+// against the successor, which is what makes a replacement lose and
+// duplicate nothing.
 //
 // The bus never interprets payloads: messages are opaque byte strings
 // produced by a codec.Codec, which is what makes the system heterogeneous in
@@ -26,6 +35,7 @@ package bus
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -225,6 +235,16 @@ type instance struct {
 	restoreBox chan error // restore confirmation (ConfirmRestore/AwaitRestored)
 }
 
+// ifaceNames returns the instance's interface names, sorted.
+func (in *instance) ifaceNames() []string {
+	names := make([]string, 0, len(in.ifaces))
+	for n := range in.ifaces {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
 func (in *instance) status() string {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -251,9 +271,9 @@ func (in *instance) restoreBoxRef() chan error {
 
 // Bus is the software bus. All methods are safe for concurrent use.
 //
-// mu is the control-plane writer lock: it serializes topology changes
-// (instance/binding edits, rebinds, queue transfers) and the slow retry
-// path of write. The steady-state data plane never takes it — it loads the
+// mu is the control-plane writer lock, taken in two places: edit, which
+// every topology change goes through, and writeSlow, the retry path of a
+// fenced write. The steady-state data plane never takes it — it loads the
 // current routing snapshot atomically and touches only per-queue locks.
 type Bus struct {
 	mu      sync.Mutex
@@ -336,7 +356,7 @@ func New(opts ...BusOption) *Bus {
 		tracer: trace.NewTracer(0, nil),
 	}
 	b.faults.Store(faultinject.Default())
-	b.routing.Store((&topologyDraft{instances: map[string]*instance{}, groups: map[string]*groupEntry{}}).build(1))
+	b.routing.Store(&routingTable{version: 1, instances: map[string]*instance{}, groups: map[string]*groupEntry{}})
 	for _, opt := range opts {
 		opt(b)
 	}
@@ -439,17 +459,61 @@ func (b *Bus) Stats() Stats {
 	}
 }
 
-// editLocked runs fn against a draft of the current snapshot and, if fn
-// succeeds, publishes the built successor and emits the events the edits
-// recorded. On error nothing is published and no event is emitted — the
-// previous snapshot simply remains current. Callers hold b.mu.
+// editLocked is the one place a topology change meets traffic. fn stages
+// the whole change on a draft of the current snapshot — binding, group and
+// instance edits, the queues they invalidate, the queue transfers they want,
+// the instances they delete — and touches nothing else, so an error from it
+// leaves the previous snapshot current, every queue as it was and no event
+// emitted. What validated is then committed in one fixed order:
+//
+//  1. fence: every staged queue is detached at the outgoing epoch, so a
+//     writer that resolved its route from the outgoing snapshot is refused
+//     at the queue and waits in writeSlow for this lock;
+//  2. move: each transfer takes what its fenced source holds and lands it,
+//     stamped with the successor epoch;
+//  3. publish the successor snapshot;
+//  4. close the deleted instances, waking their blocked readers;
+//  5. emit the staged events.
+//
+// Nothing in the commit can fail. Callers hold b.mu.
 func (b *Bus) editLocked(fn func(d *topologyDraft) error) error {
 	cur := b.routing.Load()
 	d := cur.draft()
 	if err := fn(d); err != nil {
 		return err
 	}
-	b.routing.Store(d.build(cur.version + 1))
+	next := cur.version + 1
+	for _, ifc := range d.fenced {
+		ifc.queue.detach(cur.version)
+	}
+	for _, mv := range d.moves {
+		msgs := mv.from.queue.drain()
+		switch {
+		case len(mv.to) > 0:
+			for i := range msgs {
+				mv.to[i%len(mv.to)].queue.pushAll(msgs[i:i+1], next)
+			}
+			b.stats.moves.Add(int64(len(msgs)))
+		case mv.keep:
+			mv.from.queue.restore(msgs, next)
+			msgs = nil
+		}
+		mv.n = len(msgs)
+		ev := &d.events[mv.ev]
+		ev.Detail += fmt.Sprintf(" (%d msgs)", mv.n)
+		ev.TraceIDs = traceIDsOf(msgs)
+	}
+	b.routing.Store(d.build(next))
+	for _, in := range d.deleted {
+		in.setPhase(PhaseDeleted)
+		close(in.done)
+		for _, ifc := range in.ifaces {
+			if ifc.queue != nil {
+				ifc.queue.close()
+			}
+		}
+		in.stateBoxRef().close()
+	}
 	for _, e := range d.events {
 		b.emit(e)
 	}
@@ -535,121 +599,20 @@ func (b *Bus) AddInstance(spec InstanceSpec) error {
 
 // DeleteInstance removes an instance, closing its queues and waking any
 // blocked reader with ErrStopped. Bindings touching the instance are
-// removed. The instance's queues are fenced before the successor snapshot
-// is published, so a concurrent writer holding the old snapshot retries
-// against the new topology instead of posting to a dead queue.
+// removed. The commit fences the instance's queues before it publishes the
+// successor snapshot, so a concurrent writer holding the old snapshot
+// retries against the new topology instead of posting to a dead queue.
 func (b *Bus) DeleteInstance(name string) error {
 	if err := b.fire("bus.deleteinstance"); err != nil {
 		return fmt.Errorf("bus: delete instance %s: %w", name, err)
 	}
-	b.mu.Lock()
-	cur := b.routing.Load()
-	in, ok := cur.instances[name]
-	if !ok {
-		b.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNoInstance, name)
+	err := b.edit(func(d *topologyDraft) error {
+		return d.deleteInstance(name)
+	})
+	if err == nil {
+		b.telem.Unregister("bus.iface." + name + ".") // a scan of every metric name: not under b.mu
 	}
-	for _, ifc := range in.ifaces {
-		if ifc.queue != nil {
-			ifc.queue.detach(cur.version)
-		}
-	}
-	d := cur.draft()
-	delete(d.instances, name)
-	for gname, ge := range d.groups {
-		if ge.has(name) {
-			d.groups[gname] = ge.without(name)
-		}
-	}
-	kept := d.bindings[:0]
-	for _, bd := range d.bindings {
-		if bd.A.Instance != name && bd.B.Instance != name {
-			kept = append(kept, bd)
-		}
-	}
-	d.bindings = kept
-	b.routing.Store(d.build(cur.version + 1))
-	in.setPhase(PhaseDeleted)
-	close(in.done)
-	for _, ifc := range in.ifaces {
-		if ifc.queue != nil {
-			ifc.queue.close()
-		}
-	}
-	in.stateBoxRef().close()
-	b.mu.Unlock()
-	b.telem.Unregister("bus.iface." + name + ".")
-	b.emit(Event{Kind: EventDeleteInstance, Instance: name})
-	return nil
-}
-
-// RemoveGroupMember takes an instance out of its group, immediately
-// redistributing its queued traffic to the surviving members — the mark-out
-// step of crash recovery. The ordering guarantees zero message loss under
-// racing senders: the member's receiving queues are fenced at the current
-// epoch first, so a sender that resolved the outgoing member set is refused
-// at the queue and retries via the slow path against the successor snapshot
-// (which no longer lists the member); only then are the fenced queues
-// drained and their messages re-queued across the survivors. With no
-// survivor the messages are left queued at the (fenced) member, where a
-// later queue move — the supervisor's replace transaction — still carries
-// them to the rebuilt replica.
-func (b *Bus) RemoveGroupMember(group, member string) error {
-	b.mu.Lock()
-	cur := b.routing.Load()
-	ge, ok := cur.groups[group]
-	if !ok {
-		b.mu.Unlock()
-		return fmt.Errorf("%w: group %s", ErrNoInstance, group)
-	}
-	if !ge.has(member) {
-		b.mu.Unlock()
-		return fmt.Errorf("bus: group %s has no member %s", group, member)
-	}
-	in := cur.instances[member] // members always exist in their snapshot
-	for _, ifc := range in.ifaces {
-		if ifc.queue != nil {
-			ifc.queue.detach(cur.version)
-		}
-	}
-	d := cur.draft()
-	d.groups[group] = ge.without(member)
-	next := d.build(cur.version + 1)
-	b.routing.Store(next)
-
-	requeued := 0
-	nge := next.groups[group]
-	for ifName, ifc := range in.ifaces {
-		if ifc.queue == nil {
-			continue
-		}
-		orphans := ifc.queue.drain()
-		if len(orphans) == 0 {
-			continue
-		}
-		var survivors []*iface
-		for _, m := range nge.members {
-			if sin, ok := next.instances[m]; ok {
-				if sifc, ok := sin.ifaces[ifName]; ok && sifc.queue != nil {
-					survivors = append(survivors, sifc)
-				}
-			}
-		}
-		if len(survivors) == 0 {
-			ifc.queue.restore(orphans, next.version)
-			continue
-		}
-		for i := range orphans {
-			if survivors[i%len(survivors)].queue.push(&orphans[i], next.version) == nil {
-				requeued++
-			}
-		}
-	}
-	b.stats.moves.Add(int64(requeued))
-	b.mu.Unlock()
-	b.emit(Event{Kind: EventLeaveGroup, Instance: member,
-		Detail: fmt.Sprintf("group %s (%d msgs requeued)", group, requeued)})
-	return nil
+	return err
 }
 
 // Attach claims the runtime slot of an instance, transitioning it to
@@ -691,59 +654,18 @@ func (b *Bus) DeleteBinding(a, c Endpoint) error {
 	})
 }
 
-// MoveQueue transfers all pending messages queued at from to the queue at
-// to, preserving order — the "cq" command of Figure 5, which carries
-// in-flight messages across a module replacement.
-func (b *Bus) MoveQueue(from, to Endpoint) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	rt := b.routing.Load()
-	moved, err := b.moveQueueLocked(rt, from, to)
-	if err != nil {
-		return err
-	}
-	b.stats.moves.Add(int64(len(moved)))
-	b.emit(Event{Kind: EventMoveQueue, Detail: fmt.Sprintf("%s -> %s (%d msgs)", from, to, len(moved)), TraceIDs: traceIDsOf(moved)})
-	return nil
-}
-
-// moveQueueLocked drains from's queue into to's under the writer lock and
-// returns the moved messages. The topology is untouched: messages arriving
-// after the drain keep landing at from, exactly as before the refactor.
-func (b *Bus) moveQueueLocked(rt *routingTable, from, to Endpoint) ([]Message, error) {
-	fi, err := rt.lookup(from)
-	if err != nil {
-		return nil, err
-	}
-	ti, err := rt.lookup(to)
-	if err != nil {
-		return nil, err
-	}
-	if fi.queue == nil || ti.queue == nil {
-		return nil, fmt.Errorf("%w: queue move needs receiving interfaces (%s -> %s)", ErrDirection, from, to)
-	}
-	moved := fi.queue.drain()
-	if err := ti.queue.pushAll(moved, rt.version); err != nil {
-		return nil, fmt.Errorf("bus: move queue %s -> %s: %w", from, to, err)
-	}
-	return moved, nil
-}
-
 // DrainQueue discards all pending messages at the endpoint — the "rmq"
 // command. It returns the number discarded.
 func (b *Bus) DrainQueue(e Endpoint) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	ifc, err := b.routing.Load().lookup(e)
+	var mv *queueMove
+	err := b.edit(func(d *topologyDraft) (err error) {
+		mv, err = d.discardQueue(e)
+		return err
+	})
 	if err != nil {
 		return 0, err
 	}
-	if ifc.queue == nil {
-		return 0, fmt.Errorf("%w: %s does not receive", ErrDirection, e)
-	}
-	dropped := ifc.queue.drain()
-	b.emit(Event{Kind: EventDrainQueue, Detail: fmt.Sprintf("%s (%d msgs)", e, len(dropped)), TraceIDs: traceIDsOf(dropped)})
-	return len(dropped), nil
+	return mv.n, nil
 }
 
 // traceIDsOf collects the distinct nonzero trace IDs of a message batch, in
@@ -752,23 +674,10 @@ func (b *Bus) DrainQueue(e Endpoint) (int, error) {
 func traceIDsOf(msgs []Message) []uint64 {
 	var ids []uint64
 	for _, m := range msgs {
-		id := m.Trace.TraceID
-		if id == 0 {
-			continue
-		}
-		dup := false
-		for _, seen := range ids {
-			if seen == id {
-				dup = true
+		if id := m.Trace.TraceID; id != 0 && !slices.Contains(ids, id) {
+			if ids = append(ids, id); len(ids) == 8 {
 				break
 			}
-		}
-		if dup {
-			continue
-		}
-		ids = append(ids, id)
-		if len(ids) == 8 {
-			break
 		}
 	}
 	return ids
@@ -788,124 +697,45 @@ type BindEdit struct {
 // commands are applied all at once, after the old module has divulged its
 // state".
 //
-// Atomicity has two halves under the snapshot model. Binding edits are
-// staged on a draft and published as one successor snapshot, so a failed
-// batch leaves the current snapshot — and the observable Bindings() —
-// untouched, with no phantom events. Queue edits (cq/rmq) are applied
-// between fencing and publish: every queue the batch invalidates is
-// detached at the current epoch first, so a concurrent writer that resolved
-// its route from the outgoing snapshot is refused at the queue and retries
-// against the successor — no message is lost to an abandoned queue and none
-// lands on a stale route after the rebind commits. A batch whose queue
-// transfer fails restores the saved queue contents and republishes the
-// prior topology under a fresh epoch.
+// Every edit is staged on one draft, so a batch with an edit that does not
+// validate leaves the current snapshot — and the observable Bindings() —
+// untouched, moves no message and emits no event. A batch that validates is
+// committed by editLocked: the queues it invalidates (both sides of a
+// deleted binding, a group side meaning its members' queues, and the source
+// of a cq or rmq) are fenced at the outgoing epoch, the transfers run, the
+// successor is published. A concurrent writer holding the outgoing snapshot
+// is refused at the queue and retries against the successor, so no message
+// is lost to an abandoned queue and none lands on a stale route.
 func (b *Bus) Rebind(edits []BindEdit) error {
 	if err := b.fire("bus.rebind"); err != nil {
 		return fmt.Errorf("bus: rebind: %w", err)
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	cur := b.routing.Load()
-
-	// Phase 0: validate queue edits up front and snapshot the contents of
-	// every queue a cq/rmq touches, for rollback.
-	qsaved := map[*msgQueue][]Message{}
-	snap := func(e Endpoint) error {
-		ifc, err := cur.lookup(e)
-		if err != nil {
-			return err
+	err := b.edit(func(d *topologyDraft) error {
+		for i, e := range edits {
+			var err error
+			switch e.Op {
+			case "add":
+				err = d.addBinding(e.From, e.To)
+			case "del":
+				err = d.deleteBinding(e.From, e.To)
+			case "cq":
+				err = d.moveQueue(e.From, e.To)
+			case "rmq":
+				_, err = d.discardQueue(e.From)
+			default:
+				err = fmt.Errorf("bus: unknown rebind op %q", e.Op)
+			}
+			if err != nil {
+				return fmt.Errorf("bus: rebind edit %d (%s %s %s): %w", i, e.Op, e.From, e.To, err)
+			}
 		}
-		if ifc.queue == nil {
-			return fmt.Errorf("%w: %s does not receive", ErrDirection, e)
-		}
-		if _, done := qsaved[ifc.queue]; !done {
-			qsaved[ifc.queue] = ifc.queue.snapshot()
-		}
+		d.events = append(d.events, Event{Kind: EventRebind, Detail: fmt.Sprintf("%d edits", len(edits))})
 		return nil
+	})
+	if err == nil {
+		b.stats.rebinds.Add(1)
 	}
-	for _, e := range edits {
-		if e.Op != "cq" && e.Op != "rmq" {
-			continue
-		}
-		if err := snap(e.From); err != nil {
-			return fmt.Errorf("bus: rebind %s: %w", e.Op, err)
-		}
-		if e.Op == "cq" {
-			if err := snap(e.To); err != nil {
-				return fmt.Errorf("bus: rebind cq: %w", err)
-			}
-		}
-	}
-
-	// Phase 1: stage the binding edits on a draft. Any failure discards the
-	// draft whole — nothing has been published or mutated.
-	d := cur.draft()
-	for i, e := range edits {
-		var err error
-		switch e.Op {
-		case "add":
-			err = d.addBinding(e.From, e.To)
-		case "del":
-			err = d.deleteBinding(e.From, e.To)
-		case "cq", "rmq": // validated in phase 0, applied in phase 2
-		default:
-			err = fmt.Errorf("bus: unknown rebind op %q", e.Op)
-		}
-		if err != nil {
-			return fmt.Errorf("bus: rebind edit %d (%s %s %s): %w", i, e.Op, e.From, e.To, err)
-		}
-	}
-
-	// Phase 2: fence every queue the batch invalidates — the receiving
-	// sides of deleted bindings and the sources of queue transfers — then
-	// apply the transfers. Refused writers block on b.mu in writeSlow and
-	// re-resolve against the successor published below.
-	for _, e := range edits {
-		switch e.Op {
-		case "del":
-			for _, ep := range []Endpoint{e.From, e.To} {
-				if ifc, err := cur.lookup(ep); err == nil && ifc.queue != nil {
-					ifc.queue.detach(cur.version)
-				}
-			}
-		case "cq", "rmq":
-			if ifc, err := cur.lookup(e.From); err == nil {
-				ifc.queue.detach(cur.version)
-			}
-		}
-	}
-	moves := 0
-	for _, e := range edits {
-		switch e.Op {
-		case "cq":
-			fi, _ := cur.lookup(e.From)
-			ti, _ := cur.lookup(e.To)
-			moved := fi.queue.drain()
-			if err := ti.queue.pushAll(moved, cur.version+1); err != nil {
-				for q, items := range qsaved {
-					q.restore(items, cur.version+1)
-				}
-				// Republish the prior topology under a fresh epoch so the
-				// queues fenced above re-admit routed traffic.
-				b.routing.Store(cur.draft().build(cur.version + 1))
-				return fmt.Errorf("bus: rebind cq %s -> %s: %w", e.From, e.To, err)
-			}
-			moves += len(moved)
-			d.events = append(d.events, Event{Kind: EventMoveQueue, Detail: fmt.Sprintf("%s -> %s (%d msgs)", e.From, e.To, len(moved)), TraceIDs: traceIDsOf(moved)})
-		case "rmq":
-			fi, _ := cur.lookup(e.From)
-			dropped := fi.queue.drain()
-			d.events = append(d.events, Event{Kind: EventDrainQueue, Detail: fmt.Sprintf("%s (%d msgs)", e.From, len(dropped)), TraceIDs: traceIDsOf(dropped)})
-		}
-	}
-	b.routing.Store(d.build(cur.version + 1))
-	b.stats.rebinds.Add(1)
-	b.stats.moves.Add(int64(moves))
-	for _, ev := range d.events {
-		b.emit(ev)
-	}
-	b.emit(Event{Kind: EventRebind, Detail: fmt.Sprintf("%d edits", len(edits))})
-	return nil
+	return err
 }
 
 // SignalReconfig delivers a reconfiguration signal to the instance — the
@@ -1098,12 +928,7 @@ func (b *Bus) Info(name string) (InstanceInfo, error) {
 			info.Attrs[k] = v
 		}
 	}
-	names := make([]string, 0, len(in.ifaces))
-	for n := range in.ifaces {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range in.ifaceNames() {
 		ifc := in.ifaces[n]
 		info.Interfaces = append(info.Interfaces, ifc.spec)
 		if ifc.queue != nil {
@@ -1133,13 +958,8 @@ func (b *Bus) QueuedMessages(name string) ([]QueuedMessage, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNoInstance, name)
 	}
 	now := trace.Now() // the clock SentNs was read off
-	names := make([]string, 0, len(in.ifaces))
-	for n := range in.ifaces {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	var out []QueuedMessage
-	for _, n := range names {
+	for _, n := range in.ifaceNames() {
 		ifc := in.ifaces[n]
 		if ifc.queue == nil {
 			continue
@@ -1351,14 +1171,14 @@ func (b *Bus) writeSlow(msg *Message, attempted []target, pre int64) error {
 					continue targets
 				}
 			}
-			// Under b.mu no rebind can fence this queue concurrently, so a
-			// plain push suffices; the route is current by construction.
+			// Every fence was raised at an epoch before rt's, under this
+			// lock, so the routed push is never refused as stale.
 			if t.ifc != nil {
-				if t.ifc.queue.push(msg, rt.version) == nil {
+				if t.ifc.queue.pushRouted(msg, rt.version) == nil {
 					t.ifc.delivered.Inc()
 					delivered++
 				}
-			} else if b.deliverGroupLocked(t.group, msg, rt.version) == nil {
+			} else if b.deliverGroup(t.group, msg, rt.version) == nil {
 				delivered++
 			}
 		}

@@ -436,7 +436,7 @@ func TestMoveQueueAndDrain(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.MoveQueue(Endpoint{"compute", "display"}, Endpoint{"compute2", "display"}); err != nil {
+	if err := b.Rebind([]BindEdit{{Op: "cq", From: Endpoint{"compute", "display"}, To: Endpoint{"compute2", "display"}}}); err != nil {
 		t.Fatal(err)
 	}
 	clone := attach(t, b, "compute2")
@@ -464,10 +464,10 @@ func TestMoveQueueAndDrain(t *testing.T) {
 	if _, err := b.DrainQueue(Endpoint{"sensor", "out"}); !errors.Is(err, ErrDirection) {
 		t.Errorf("drain on Out iface: %v", err)
 	}
-	if err := b.MoveQueue(Endpoint{"sensor", "out"}, Endpoint{"compute", "display"}); !errors.Is(err, ErrDirection) {
+	if err := b.Rebind([]BindEdit{{Op: "cq", From: Endpoint{"sensor", "out"}, To: Endpoint{"compute", "display"}}}); !errors.Is(err, ErrDirection) {
 		t.Errorf("move from Out iface: %v", err)
 	}
-	if err := b.MoveQueue(Endpoint{"ghost", "x"}, Endpoint{"compute", "display"}); !errors.Is(err, ErrNoInstance) {
+	if err := b.Rebind([]BindEdit{{Op: "cq", From: Endpoint{"ghost", "x"}, To: Endpoint{"compute", "display"}}}); !errors.Is(err, ErrNoInstance) {
 		t.Errorf("move from ghost: %v", err)
 	}
 }

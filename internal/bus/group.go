@@ -11,10 +11,10 @@ import (
 // instances, load-balanced per message by a pluggable policy. The member
 // set is part of the copy-on-write routing table, so a membership change is
 // one successor-snapshot publish — atomic under racing senders and
-// epoch-fenced exactly like a rebind. That is what makes crash recovery
-// lossless: marking a dead member out fences its queues at the outgoing
-// epoch, so a sender that resolved the old member set is refused at the
-// queue and retries against the successor, while the already-queued
+// committed exactly like a rebind (Bus.editLocked). That is what makes crash
+// recovery lossless: marking a dead member out fences its queues at the
+// outgoing epoch, so a sender that resolved the old member set is refused
+// at the queue and retries against the successor, while the already-queued
 // messages are drained and redistributed to the survivors.
 
 // Load-balancing policies. PolicyRoundRobin rotates deliveries across the
@@ -101,11 +101,12 @@ func (gr *groupRoute) first() int {
 }
 
 // deliverGroup picks one live member by the group's policy and pushes the
-// message to its queue. A stale fence surfaces as errStaleRoute so the
-// caller retries through writeSlow against the successor snapshot (the
-// member set may have changed); a closed member queue is skipped in favor
-// of the next member. With no deliverable member the message is dropped
-// like a write to a deleted instance, and ErrQueueClosed reports it.
+// message to its queue, for the fast path and for writeSlow alike. A stale
+// fence surfaces as errStaleRoute so the fast path retries through writeSlow
+// against the successor snapshot (the member set may have changed); a closed
+// member queue is skipped in favor of the next member. With no deliverable
+// member the message is dropped like a write to a deleted instance, and
+// ErrQueueClosed reports it.
 //
 //archlint:hotpath
 func (b *Bus) deliverGroup(gr *groupRoute, msg *Message, version uint64) error {
@@ -123,26 +124,6 @@ func (b *Bus) deliverGroup(gr *groupRoute, msg *Message, version uint64) error {
 		case errStaleRoute:
 			return errStaleRoute
 		default: // closed: try the next member
-		}
-	}
-	return ErrQueueClosed
-}
-
-// deliverGroupLocked is deliverGroup for the slow path: the caller holds
-// b.mu, so no membership change can fence a queue concurrently and a plain
-// push suffices. version is the snapshot the caller re-resolved against,
-// recorded as the delivery epoch.
-func (b *Bus) deliverGroupLocked(gr *groupRoute, msg *Message, version uint64) error {
-	n := len(gr.members)
-	if n == 0 {
-		return ErrQueueClosed
-	}
-	start := gr.first()
-	for k := 0; k < n; k++ {
-		m := gr.members[(start+k)%n]
-		if m.queue.push(msg, version) == nil {
-			m.delivered.Inc()
-			return nil
 		}
 	}
 	return ErrQueueClosed
@@ -203,6 +184,39 @@ func (b *Bus) AddGroupMember(group, member string) error {
 		}
 		d.groups[group] = ge.with(member)
 		d.events = append(d.events, Event{Kind: EventJoinGroup, Instance: member, Detail: "group " + group})
+		return nil
+	})
+}
+
+// RemoveGroupMember takes an instance out of its group and redistributes its
+// queued traffic over the surviving members — the mark-out step of crash
+// recovery. Zero message loss under racing senders is the commit's order:
+// the member's receiving queues are fenced at the outgoing epoch, so a sender
+// that resolved the outgoing member set is refused at the queue and retries
+// against the successor snapshot (which no longer lists the member), and
+// what the fenced queues hold is dealt round-robin over the survivors'. With
+// no survivor the messages stay queued at the (fenced) member, where a later
+// queue move — the supervisor's replace transaction — still carries them to
+// the rebuilt replica.
+func (b *Bus) RemoveGroupMember(group, member string) error {
+	return b.edit(func(d *topologyDraft) error {
+		ge, ok := d.groups[group]
+		if !ok {
+			return fmt.Errorf("%w: group %s", ErrNoInstance, group)
+		}
+		if !ge.has(member) {
+			return fmt.Errorf("bus: group %s has no member %s", group, member)
+		}
+		ge = ge.without(member)
+		d.groups[group] = ge
+		d.events = append(d.events, Event{Kind: EventLeaveGroup, Instance: member, Detail: "group " + group})
+		in := d.instances[member] // members always exist in their snapshot
+		for _, ifName := range in.ifaceNames() {
+			if ifc := in.ifaces[ifName]; ifc.queue != nil {
+				d.stageMove(&queueMove{from: ifc, to: d.receivers(ge, ifName), keep: true},
+					EventMoveQueue, ifc.name+" -> group "+group)
+			}
+		}
 		return nil
 	})
 }

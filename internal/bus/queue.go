@@ -72,8 +72,9 @@ type chunk struct {
 //     drain: slot claim order is delivery order, so appending at pop keeps
 //     the recorded per-queue sequence the queue's true total order
 //     (archlint AL012 pins the append to the record hook below).
-//   - Quiesce/move/drain/redistribute are detach-and-drain over the
-//     segments under the consumer lock.
+//   - Move, discard and redistribute are detach-and-drain over the
+//     segments under the consumer lock, all from the one commit
+//     (Bus.editLocked).
 type msgQueue struct {
 	// prod is the segment producers currently claim slots in. Replaced on
 	// the grow path (under growMu) only; readers reach later segments
@@ -97,9 +98,12 @@ type msgQueue struct {
 	sleeping atomic.Bool
 
 	// absHead/frontLen mirror consumer progress for the lock-free length:
-	// occupancy = frontLen + (producer claim position - absHead).
+	// occupancy = frontLen + (producer claim position - absHead) - dead,
+	// dead being the abandoned claims the consumer has not yet walked past
+	// (counted before the slot is marked, so the sum never reads high).
 	absHead  atomic.Uint64
 	frontLen atomic.Int64
+	dead     atomic.Int64
 
 	growMu sync.Mutex // serializes segment allocation/linking
 
@@ -179,29 +183,12 @@ func (q *msgQueue) wakeReader() {
 	}
 }
 
-// push appends a message delivered by the slow path (under the bus's
-// control-plane lock, which serializes it with close); version is the
-// routing snapshot the caller re-resolved against, recorded as the
-// delivery's epoch. Pushing to a closed queue reports ErrQueueClosed.
-//
-//archlint:hotpath
-func (q *msgQueue) push(m *Message, version uint64) error {
-	s := q.claim()
-	if q.closed.Load() {
-		s.state.Store(slotDead)
-		return ErrQueueClosed
-	}
-	s.msg = *m
-	s.ver = version
-	s.state.Store(slotFull) // publish: must be the slot's last write (AL013)
-	q.wakeReader()
-	return nil
-}
-
 // pushRouted appends a message whose target was resolved from the snapshot
-// with the given version. It refuses with errStaleRoute when the queue has
-// been fenced at or past that version, so a writer racing a topology change
-// can never land traffic on an abandoned route. The fence is checked after
+// with the given version — the fast path's, or the one writeSlow re-resolved
+// under the control-plane lock, which no fence can be ahead of. It refuses
+// with errStaleRoute when the queue has been fenced at or past that version,
+// so a writer racing a topology change can never land traffic on an
+// abandoned route. The fence is checked after
 // the claim: a producer ordered before a detach-and-drain's tail capture
 // owns a slot the drain settles, one ordered after it observes the raised
 // fence and abandons the claim — either way exactly once. The fence is
@@ -214,10 +201,12 @@ func (q *msgQueue) push(m *Message, version uint64) error {
 func (q *msgQueue) pushRouted(m *Message, version uint64) error {
 	s := q.claim()
 	if version <= q.fence.Load() {
+		q.dead.Add(1)
 		s.state.Store(slotDead)
 		return errStaleRoute
 	}
 	if q.closed.Load() {
+		q.dead.Add(1)
 		s.state.Store(slotDead)
 		return ErrQueueClosed
 	}
@@ -279,6 +268,7 @@ func (q *msgQueue) take() *qitem {
 		case slotDead:
 			q.head++
 			q.absHead.Add(1)
+			q.dead.Add(-1)
 			continue
 		}
 		q.head++
@@ -347,7 +337,7 @@ func (q *msgQueue) tryPop(m *Message) (bool, error) {
 // length returns the number of queued messages from the occupancy
 // counters — no locks, so the telemetry gauges and the least-queue group
 // policy can read it from the hot path. Claimed-but-unresolved slots count
-// as queued; on a quiesced queue the value is exact.
+// as queued, abandoned claims do not; on a quiesced queue the value is exact.
 //
 //archlint:hotpath
 func (q *msgQueue) length() int {
@@ -356,18 +346,17 @@ func (q *msgQueue) length() int {
 	if t > chunkCap {
 		t = chunkCap
 	}
-	n := q.frontLen.Load() + int64(c.base+t-q.absHead.Load())
+	n := q.frontLen.Load() + int64(c.base+t-q.absHead.Load()) - q.dead.Load()
 	if n < 0 { // torn read: consumer advanced past our tail sample
 		n = 0
 	}
 	return int(n)
 }
 
-// drain removes and returns every message claimed before entry (the "cq"
-// primitive moves them to another queue). Claimed-but-unresolved slots are
-// settled by yielding to their producers; messages claimed after the cut
-// keep landing here, preserving the old move semantics for callers that
-// drain without fencing first.
+// drain removes and returns every message claimed before entry: the taking
+// half of a queue transfer. Claimed-but-unresolved slots are settled by
+// yielding to their producers. The commit fences the queue first, so a
+// routed claim after the cut is abandoned and the write re-routes.
 func (q *msgQueue) drain() []Message {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -389,9 +378,9 @@ func (q *msgQueue) drain() []Message {
 	return out
 }
 
-// snapshot returns a copy of the queued messages without removing them,
-// for rollback bookkeeping: the front items plus the published segment
-// prefix. Slots are never reused, so the walk is safe against producers.
+// snapshot returns a copy of the queued messages without removing them
+// (QueuedMessages): the front items plus the published segment prefix.
+// Slots are never reused, so the walk is safe against producers.
 func (q *msgQueue) snapshot() []Message {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -421,11 +410,11 @@ func (q *msgQueue) snapshot() []Message {
 	return out
 }
 
-// restore replaces the queue contents with a snapshot, waking readers if it
-// is non-empty; version is the routing snapshot the restorer publishes,
-// stamped as the epoch of any re-consumed delivery. Callers fence the
-// queue first and run under the control-plane lock, so the discard loop
-// cannot chase live producers. Restoring a closed queue is a no-op.
+// restore replaces the queue contents with items, waking readers if there
+// are any; version is the routing snapshot the restorer publishes, stamped
+// as the epoch of any re-consumed delivery. The commit fences the queue
+// first and runs under the control-plane lock, so the discard loop cannot
+// chase live producers. Restoring a closed queue is a no-op.
 func (q *msgQueue) restore(items []Message, version uint64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -444,18 +433,14 @@ func (q *msgQueue) restore(items []Message, version uint64) {
 	}
 }
 
-// pushAll appends a batch in order; version stamps each message's epoch
-// (the snapshot the mover published). The queue transfer of a rebind uses
-// it to land moved messages; unlike the old locked batch append, messages
-// from producers racing an unfenced move may interleave with the batch —
-// per-producer FIFO order still holds.
-func (q *msgQueue) pushAll(items []Message, version uint64) error {
-	if len(items) == 0 {
-		return nil
-	}
-	if q.closed.Load() {
-		return ErrQueueClosed
-	}
+// pushAll appends a batch in order — the landing half of a queue transfer;
+// version stamps each message's epoch (the snapshot the mover publishes).
+// It does not look at the fence: the mover is the topology change. Nor at
+// closed: the commit resolved q from its draft under the control-plane
+// lock, and a queue closes under that lock together with its instance's
+// removal. Messages from producers with a live route to q may interleave
+// with the batch; per-producer FIFO order still holds.
+func (q *msgQueue) pushAll(items []Message, version uint64) {
 	for i := range items {
 		s := q.claim()
 		s.msg = items[i]
@@ -463,12 +448,11 @@ func (q *msgQueue) pushAll(items []Message, version uint64) error {
 		s.state.Store(slotFull)
 	}
 	q.wakeReader()
-	return nil
 }
 
-// close wakes all blocked readers; subsequent pushes fail. Callers fence
-// (routed writers) or hold the control-plane lock (slow-path writers)
-// first, so no producer can pass the closed check concurrently with close.
+// close wakes all blocked readers; subsequent pushes fail. The commit
+// fences the queue first, so a routed writer that could pass the closed
+// check concurrently with close is refused at the fence instead.
 func (q *msgQueue) close() {
 	if q.closed.Swap(true) {
 		return

@@ -3,6 +3,8 @@ package bus
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -27,8 +29,8 @@ import (
 // The split realizes the paper's cost model at the substrate level: the
 // steady-state Send/Deliver path pays one atomic load plus one per-queue
 // lock, while reconfiguration — the rare writer — pays the full snapshot
-// rebuild under Bus.mu. Rolling a failed topology edit back is installing
-// a prior snapshot (with a fresh epoch).
+// rebuild under Bus.mu. A topology edit that fails has published nothing:
+// the snapshot it drafted from simply remains current.
 
 // errStaleRoute reports a routed push that resolved its target from a
 // snapshot that a topology change has since invalidated for that queue.
@@ -108,16 +110,8 @@ func opposite(bd Binding, from Endpoint) (Endpoint, bool) {
 // receives reports whether an endpoint can consume messages: an instance
 // interface with a receiving direction, or a receiving group interface.
 func (t *routingTable) receives(e Endpoint) bool {
-	if ge, ok := t.groups[e.Instance]; ok {
-		for _, is := range ge.g.ifaces {
-			if is.Name == e.Interface {
-				return is.Dir.Receives()
-			}
-		}
-		return false
-	}
-	ifc, err := t.lookup(e)
-	return err == nil && ifc.spec.Dir.Receives()
+	dir, _, err := t.endpointDir(e)
+	return err == nil && dir.Receives()
 }
 
 // route returns the delivery target when a message written on from is
@@ -135,33 +129,44 @@ func (t *routingTable) route(bd Binding, from Endpoint) (Endpoint, bool) {
 // lists are immutable; a membership edit replaces the entry); only the
 // topology containers are copied.
 func (t *routingTable) draft() *topologyDraft {
-	insts := make(map[string]*instance, len(t.instances))
-	for name, in := range t.instances {
-		insts[name] = in
-	}
-	groups := make(map[string]*groupEntry, len(t.groups))
-	for name, ge := range t.groups {
-		groups[name] = ge
-	}
-	binds := make([]Binding, len(t.bindings))
-	copy(binds, t.bindings)
-	return &topologyDraft{instances: insts, groups: groups, bindings: binds}
+	return &topologyDraft{routingTable: routingTable{
+		instances: maps.Clone(t.instances),
+		groups:    maps.Clone(t.groups),
+		bindings:  slices.Clone(t.bindings),
+	}}
 }
 
 // topologyDraft is the editor's mutable view between a draft() and a
 // build(). It exists only while the writer lock is held and is discarded
 // whole on any validation failure, which is what makes multi-edit
 // operations (Rebind) atomic: either the built successor is published or
-// the previous snapshot simply remains current.
+// the previous snapshot simply remains current. An edit touches nothing
+// but the draft: what it wants done to queues and instances it stages
+// here, for the commit (Bus.editLocked) to carry out once every edit has
+// validated.
 type topologyDraft struct {
-	instances map[string]*instance
-	groups    map[string]*groupEntry
-	bindings  []Binding
+	routingTable // the successor under construction: build sets version and routes
+
+	fenced  []*iface     // interfaces the change takes routed traffic away from
+	moves   []*queueMove // queue transfers, in staging order
+	deleted []*instance  // instances to close once the successor is published
 
 	// events collects the observer events the edits correspond to; the
-	// caller emits them only after the successor snapshot is published, so
+	// commit emits them only after the successor snapshot is published, so
 	// a failed edit leaves no phantom trail.
 	events []Event
+}
+
+// queueMove is one staged queue transfer: the commit takes everything queued
+// at from and deals it round-robin over to; with no destination it discards
+// the messages, or with keep leaves them where they were. The staged event
+// at index ev reports how many messages went and their trace ids.
+type queueMove struct {
+	from *iface
+	to   []*iface
+	keep bool
+	ev   int
+	n    int // set by the commit: the messages that left from
 }
 
 // build freezes the draft into a published-ready snapshot, precomputing
@@ -171,28 +176,15 @@ type topologyDraft struct {
 // which is what routes a member's replies back along a binding that names
 // the group.
 func (d *topologyDraft) build(version uint64) *routingTable {
-	t := &routingTable{
-		version:   version,
-		instances: d.instances,
-		groups:    d.groups,
-		bindings:  d.bindings,
-		routes:    make(map[Endpoint]routeSet),
-	}
+	t := d.routingTable // a copy: the published table does not keep the draft alive
+	t.version, t.routes = version, make(map[Endpoint]routeSet)
 	groupRoutes := map[Endpoint]*groupRoute{}
 	for gname, ge := range t.groups {
 		for _, is := range ge.g.ifaces {
-			if !is.Dir.Receives() {
-				continue
+			if is.Dir.Receives() {
+				groupRoutes[Endpoint{Instance: gname, Interface: is.Name}] =
+					&groupRoute{g: ge.g, iface: is.Name, members: d.receivers(ge, is.Name)}
 			}
-			gr := &groupRoute{g: ge.g, iface: is.Name}
-			for _, m := range ge.members {
-				if in, ok := t.instances[m]; ok {
-					if ifc, ok := in.ifaces[is.Name]; ok && ifc.queue != nil {
-						gr.members = append(gr.members, ifc)
-					}
-				}
-			}
-			groupRoutes[Endpoint{Instance: gname, Interface: is.Name}] = gr
 		}
 	}
 	memberOf := map[string]string{}
@@ -230,25 +222,109 @@ func (d *topologyDraft) build(version uint64) *routingTable {
 			t.routes[from] = rs
 		}
 	}
-	return t
+	return &t
 }
 
-func (d *topologyDraft) lookup(e Endpoint) (*iface, error) {
-	in, ok := d.instances[e.Instance]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoInstance, e.Instance)
+// receivers returns the queue-owning interface entries named ifName of a
+// group's live members, in member order.
+func (d *topologyDraft) receivers(ge *groupEntry, ifName string) []*iface {
+	var out []*iface
+	for _, m := range ge.members {
+		if in, ok := d.instances[m]; ok {
+			if ifc, ok := in.ifaces[ifName]; ok && ifc.queue != nil {
+				out = append(out, ifc)
+			}
+		}
 	}
-	ifc, ok := in.ifaces[e.Interface]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoInterface, e)
+	return out
+}
+
+// fence stages a fence on whatever queues the messages sent to e: an
+// instance interface's own queue, or a group endpoint's members' queues for
+// that interface. An endpoint that queues nothing stages nothing.
+func (d *topologyDraft) fence(e Endpoint) {
+	if ge, ok := d.groups[e.Instance]; ok {
+		d.fenced = append(d.fenced, d.receivers(ge, e.Interface)...)
+	} else if ifc, err := d.lookup(e); err == nil && ifc.queue != nil {
+		d.fenced = append(d.fenced, ifc)
 	}
-	return ifc, nil
+}
+
+// stageMove stages a queue transfer, the fence on its source and the event
+// that will report it.
+func (d *topologyDraft) stageMove(mv *queueMove, kind EventKind, detail string) *queueMove {
+	mv.ev = len(d.events)
+	d.fenced = append(d.fenced, mv.from)
+	d.moves = append(d.moves, mv)
+	d.events = append(d.events, Event{Kind: kind, Detail: detail})
+	return mv
+}
+
+// receiving resolves an endpoint that must queue incoming messages.
+func (d *topologyDraft) receiving(e Endpoint) (*iface, error) {
+	ifc, err := d.lookup(e)
+	if err == nil && ifc.queue == nil {
+		return nil, fmt.Errorf("%w: %s does not receive", ErrDirection, e)
+	}
+	return ifc, err
+}
+
+// moveQueue stages the "cq" command of Figure 5: the messages queued at from
+// go to the queue at to, in order.
+func (d *topologyDraft) moveQueue(from, to Endpoint) error {
+	fi, err := d.receiving(from)
+	if err != nil {
+		return err
+	}
+	ti, err := d.receiving(to)
+	if err != nil {
+		return err
+	}
+	d.stageMove(&queueMove{from: fi, to: []*iface{ti}}, EventMoveQueue, from.String()+" -> "+to.String())
+	return nil
+}
+
+// discardQueue stages the "rmq" command: the messages queued at e are
+// dropped.
+func (d *topologyDraft) discardQueue(e Endpoint) (*queueMove, error) {
+	ifc, err := d.receiving(e)
+	if err != nil {
+		return nil, err
+	}
+	return d.stageMove(&queueMove{from: ifc}, EventDrainQueue, e.String()), nil
+}
+
+// deleteInstance removes an instance together with its group memberships
+// and every binding that touches it, and stages the fence on its queues and
+// its closing.
+func (d *topologyDraft) deleteInstance(name string) error {
+	in, ok := d.instances[name]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNoInstance, name)
+	}
+	for _, ifc := range in.ifaces {
+		if ifc.queue != nil {
+			d.fenced = append(d.fenced, ifc)
+		}
+	}
+	delete(d.instances, name)
+	for gname, ge := range d.groups {
+		if ge.has(name) {
+			d.groups[gname] = ge.without(name)
+		}
+	}
+	d.bindings = slices.DeleteFunc(d.bindings, func(bd Binding) bool {
+		return bd.A.Instance == name || bd.B.Instance == name
+	})
+	d.deleted = append(d.deleted, in)
+	d.events = append(d.events, Event{Kind: EventDeleteInstance, Instance: name})
+	return nil
 }
 
 // endpointDir resolves the direction of a binding endpoint, which may name
-// an instance interface or a group interface.
-func (d *topologyDraft) endpointDir(e Endpoint) (Direction, bool, error) {
-	if ge, ok := d.groups[e.Instance]; ok {
+// an instance interface or a group interface (the bool says which).
+func (t *routingTable) endpointDir(e Endpoint) (Direction, bool, error) {
+	if ge, ok := t.groups[e.Instance]; ok {
 		for _, is := range ge.g.ifaces {
 			if is.Name == e.Interface {
 				return is.Dir, true, nil
@@ -256,7 +332,7 @@ func (d *topologyDraft) endpointDir(e Endpoint) (Direction, bool, error) {
 		}
 		return 0, true, fmt.Errorf("%w: %s", ErrNoInterface, e)
 	}
-	ifc, err := d.lookup(e)
+	ifc, err := t.lookup(e)
 	if err != nil {
 		return 0, false, err
 	}
@@ -292,11 +368,14 @@ func (d *topologyDraft) addBinding(a, c Endpoint) error {
 }
 
 // deleteBinding removes the binding between two endpoints (in either
-// orientation), recording the event.
+// orientation), recording the event and staging a fence on both sides'
+// queues: a writer that resolved its route through the binding re-routes.
 func (d *topologyDraft) deleteBinding(a, c Endpoint) error {
 	for i, bd := range d.bindings {
 		if (bd.A == a && bd.B == c) || (bd.A == c && bd.B == a) {
 			d.bindings = append(d.bindings[:i], d.bindings[i+1:]...)
+			d.fence(a)
+			d.fence(c)
 			d.events = append(d.events, Event{Kind: EventDeleteBinding, Detail: a.String() + " <-> " + c.String()})
 			return nil
 		}
@@ -315,8 +394,8 @@ type RoutingView struct {
 }
 
 // Version returns the snapshot's epoch. It increases by one for every
-// published topology change, including the fresh-epoch republish a failed
-// Rebind uses to install the prior topology.
+// committed topology change; a change that fails validation publishes
+// nothing.
 func (v RoutingView) Version() uint64 { return v.t.version }
 
 // Instances returns the sorted names of the snapshot's instances.
@@ -340,18 +419,6 @@ func (v RoutingView) Bindings() []Binding {
 		}
 		return out[i].B.String() < out[j].B.String()
 	})
-	return out
-}
-
-// Targets returns the endpoints a message written on e would be delivered
-// to under this snapshot (the precomputed fan-out the data plane uses).
-func (v RoutingView) Targets(e Endpoint) []Endpoint {
-	var out []Endpoint
-	for _, bd := range v.t.bindings {
-		if other, ok := v.t.route(bd, e); ok {
-			out = append(out, other)
-		}
-	}
 	return out
 }
 

@@ -194,15 +194,7 @@ func appendFrame(b []byte, f *frame) []byte {
 			b = codec.AppendStr(b, f.From.Instance)
 			b = codec.AppendStr(b, f.From.Interface)
 		case fTrace:
-			if f.Trace == (TraceContext{}) {
-				b = append(b, 0)
-				break
-			}
-			b = append(b, 1)
-			for _, u := range [...]uint64{f.Trace.TraceID, f.Trace.SpanID, f.Trace.Parent, uint64(f.Trace.Hops), uint64(f.Trace.Flags)} {
-				b = binary.AppendUvarint(b, u)
-			}
-			b = binary.AppendVarint(b, f.Trace.SentNs)
+			b = codec.AppendTrace(b, &f.Trace)
 		case fData:
 			b = codec.AppendStr(b, f.Data)
 		case fBatch:
@@ -258,7 +250,7 @@ func decodeFrame(body []byte, f *frame, intern func([]byte) string) error {
 				f.From.Interface = intern(name)
 			}
 		case fTrace:
-			err = readTrace(r, &f.Trace)
+			err = r.Trace(&f.Trace)
 		case fData:
 			f.Data, err = r.Bytes()
 		case fBatch:
@@ -286,26 +278,6 @@ func decodeFrame(body []byte, f *frame, intern func([]byte) string) error {
 		return errMalformed
 	}
 	return nil
-}
-
-//archlint:hotpath
-func readTrace(r *codec.Reader, t *TraceContext) error {
-	tag, err := r.Byte()
-	if err != nil || tag == 0 {
-		return err
-	}
-	var hops, flags uint64
-	for _, u := range [...]*uint64{&t.TraceID, &t.SpanID, &t.Parent, &hops, &flags} {
-		if *u, err = r.Uvarint(); err != nil {
-			return err
-		}
-	}
-	if tag != 1 || hops > 1<<32-1 || flags > 1<<32-1 {
-		return errMalformed
-	}
-	t.Hops, t.Flags = uint32(hops), uint32(flags)
-	t.SentNs, err = r.Varint()
-	return err
 }
 
 func readHelloAck(r *codec.Reader) (*helloAck, error) {

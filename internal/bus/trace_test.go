@@ -141,7 +141,7 @@ func TestTraceSurvivesQueueMove(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.MoveQueue(Endpoint{"compute", "sensor"}, Endpoint{"compute2", "sensor"}); err != nil {
+	if err := b.Rebind([]BindEdit{{Op: "cq", From: Endpoint{"compute", "sensor"}, To: Endpoint{"compute2", "sensor"}}}); err != nil {
 		t.Fatal(err)
 	}
 	b.SyncObservers()

@@ -61,18 +61,6 @@ func Build(prog *lang.Program) *Graph {
 	return g
 }
 
-// CallsFrom returns the call sites within the named function, in source
-// order.
-func (g *Graph) CallsFrom(name string) []Call {
-	var out []Call
-	for _, c := range g.Calls {
-		if c.Caller == name {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Callees returns the distinct callees of a function, in first-call order.
 func (g *Graph) Callees(name string) []string {
 	seen := map[string]bool{}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/state"
+	"repro/internal/telemetry/trace"
 )
 
 // Portable is the hand-written self-describing binary codec. The format:
@@ -207,6 +208,20 @@ func AppendStr[T ~string | ~[]byte](b []byte, s T) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
+// AppendTrace appends a trace context the way the wire frames and the
+// record spill both carry one: a zero byte for the zero context (an untraced
+// message costs one byte), else 01 and the six fields.
+func AppendTrace(b []byte, t *trace.Context) []byte {
+	if *t == (trace.Context{}) {
+		return append(b, 0)
+	}
+	b = append(b, 1)
+	for _, u := range [...]uint64{t.TraceID, t.SpanID, t.Parent, uint64(t.Hops), uint64(t.Flags)} {
+		b = binary.AppendUvarint(b, u)
+	}
+	return binary.AppendVarint(b, t.SentNs)
+}
+
 // appendValue walks the value by address: lists and struct fields are
 // encoded where they lie.
 func appendValue(b []byte, v *state.Value, depth int) ([]byte, error) {
@@ -339,6 +354,28 @@ func (r *Reader) Str() (string, error) {
 		return "", err
 	}
 	return string(b), nil
+}
+
+var errTrace = fmt.Errorf("%w: malformed trace context", ErrCorrupt)
+
+// Trace reads what AppendTrace wrote into t, which the caller has zeroed.
+func (r *Reader) Trace(t *trace.Context) error {
+	tag, err := r.Byte()
+	if err != nil || tag == 0 {
+		return err
+	}
+	var hops, flags uint64
+	for _, u := range [...]*uint64{&t.TraceID, &t.SpanID, &t.Parent, &hops, &flags} {
+		if *u, err = r.Uvarint(); err != nil {
+			return err
+		}
+	}
+	if tag != 1 || hops > 1<<32-1 || flags > 1<<32-1 {
+		return errTrace
+	}
+	t.Hops, t.Flags = uint32(hops), uint32(flags)
+	t.SentNs, err = r.Varint()
+	return err
 }
 
 // value decodes one value into v, overwriting it whole; what v holds after

@@ -261,8 +261,3 @@ func StmtCall(prog *Program, s ast.Stmt) *ast.CallExpr {
 	}
 	return nil
 }
-
-// IsNumLiteral reports whether e is a numeric literal expression (possibly
-// parenthesized/negated) — expressions the flattener and the transform's
-// dummy-argument analysis may treat as side-effect-free constants.
-func IsNumLiteral(e ast.Expr) bool { return isUntypedNumLit(e) }

@@ -74,17 +74,6 @@ func (i *Info) VarOf(id *ast.Ident) *VarDef {
 	return i.Uses[id]
 }
 
-// PointsIn returns the reconfiguration points located in the named function.
-func (i *Info) PointsIn(fn string) []Point {
-	var out []Point
-	for _, p := range i.Points {
-		if p.Func == fn {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Check type-checks a module program against the subset rules and returns
 // the collected information. All violations are reported together.
 func Check(p *Program) (*Info, error) {

@@ -84,12 +84,8 @@ func TestCheckComputeModule(t *testing.T) {
 	if !fn.Params[2].Type.Equal(Pointer{Elem: FloatType}) {
 		t.Errorf("rp type = %s", fn.Params[2].Type)
 	}
-	pts := info.PointsIn("compute")
-	if len(pts) != 1 || pts[0].Label != "R" {
-		t.Fatalf("points = %+v", pts)
-	}
-	if len(info.PointsIn("main")) != 0 {
-		t.Error("main should have no points")
+	if pts := info.Points; len(pts) != 1 || pts[0].Label != "R" || pts[0].Func != "compute" {
+		t.Fatalf("points = %+v, want the one point R in compute (main has none)", pts)
 	}
 	// main's vars: n, response. compute's: num, n, rp, temper.
 	mainVars := info.FuncVars["main"]
@@ -503,14 +499,14 @@ func TestCallTargets(t *testing.T) {
 	}
 }
 
-func TestIsNumLiteral(t *testing.T) {
+func TestIsNumLiteral(t *testing.T) { // named for the export that wrapped isUntypedNumLit
 	prog, _ := mustCheck(t, `package p
 func main() { f(1, -2, (3), 2.5) }
 func f(a int, b int, c int, d float64) {}
 `)
 	calls := CallTargets(prog, prog.Funcs["main"])
 	for _, a := range calls[0].Args {
-		if !IsNumLiteral(a) {
+		if !isUntypedNumLit(a) {
 			t.Errorf("arg %v not recognized as literal", a)
 		}
 	}

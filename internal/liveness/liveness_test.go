@@ -36,9 +36,9 @@ func loadFlat(t *testing.T, src string) (*lang.Program, *lang.Info) {
 // markerIndex finds the flat index of the mh.ReconfigPoint call.
 func markerIndex(t *testing.T, a *Analysis, info *lang.Info, fn string) int {
 	t.Helper()
-	pts := info.PointsIn(fn)
-	if len(pts) != 1 {
-		t.Fatalf("expected 1 point in %s, got %d", fn, len(pts))
+	pts := info.Points
+	if len(pts) != 1 || pts[0].Func != fn {
+		t.Fatalf("expected the module's one point to be in %s, got %+v", fn, pts)
 	}
 	idx := a.IndexOf(pts[0].Stmt)
 	if idx < 0 {

@@ -56,10 +56,6 @@ type Option func(*Runtime)
 // paper's modules sleep in seconds; tests and benchmarks compress time.
 func WithSleepUnit(d time.Duration) Option { return func(r *Runtime) { r.sleepUnit = d } }
 
-// WithFatalHandler overrides the fatal-error handler (default: panic with
-// Termination).
-func WithFatalHandler(fn func(error)) Option { return func(r *Runtime) { r.fatal = fn } }
-
 // WithLogWriter redirects mh.Log output (default os.Stdout). A nil writer
 // silences logging.
 func WithLogWriter(w io.Writer) Option { return func(r *Runtime) { r.logw = w } }
@@ -100,7 +96,6 @@ type Runtime struct {
 	heap         *state.HeapRegistry
 	sleepUnit    time.Duration
 	stateTimeout time.Duration
-	fatal        func(error)
 	logw         io.Writer
 
 	signalsOn bool // polling enabled (Init for originals, FinishRestore for clones)
@@ -172,7 +167,6 @@ func New(port bus.Port, opts ...Option) *Runtime {
 		meta:         map[string]string{},
 		logw:         os.Stdout,
 	}
-	r.fatal = func(err error) { panic(Termination{Reason: err.Error()}) }
 	r.tw, _ = port.(bus.TracedWriter)
 	r.bw, _ = port.(bus.BatchTracedWriter)
 	for _, o := range opts {
@@ -203,7 +197,7 @@ func (r *Runtime) record(err error) {
 
 func (r *Runtime) failFatal(err error) {
 	r.record(err)
-	r.fatal(err)
+	panic(Termination{Reason: err.Error()})
 }
 
 // ReportError counts one application-level error against this instance's
@@ -696,8 +690,8 @@ func (r *Runtime) ackRestore(restoreErr error) {
 	}
 }
 
-// failRestore acknowledges a restoration failure to the bus, then diverts to
-// the fatal handler.
+// failRestore acknowledges a restoration failure to the bus, then terminates
+// the module (failFatal).
 func (r *Runtime) failRestore(err error) {
 	r.ackRestore(err)
 	r.failFatal(err)

@@ -2,7 +2,6 @@ package mil
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -216,27 +215,4 @@ func (s *Spec) Application(name string) *Application {
 		}
 	}
 	return nil
-}
-
-// Machines returns the sorted set of machines referenced by the named
-// application (instance placements plus module defaults).
-func (s *Spec) Machines(app *Application) []string {
-	set := map[string]bool{}
-	for _, in := range app.Instances {
-		machine := in.Machine
-		if machine == "" {
-			if m := s.Module(in.Module); m != nil {
-				machine = m.Machine
-			}
-		}
-		if machine != "" {
-			set[machine] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for m := range set {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
 }

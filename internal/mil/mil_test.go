@@ -125,9 +125,6 @@ func TestParseMonitorSpec(t *testing.T) {
 	if b.From != (Endpoint{"display", "temper"}) || b.To != (Endpoint{"compute", "display"}) {
 		t.Errorf("bind 0 = %+v", b)
 	}
-	if got := spec.Machines(app); !reflect.DeepEqual(got, []string{"machineA"}) {
-		t.Errorf("Machines = %v", got)
-	}
 }
 
 func TestRoleSemantics(t *testing.T) {
@@ -418,9 +415,6 @@ module app {
 	if right == nil || right.Machine != "m2" {
 		t.Errorf("right = %+v", right)
 	}
-	if got := spec.Machines(app); !reflect.DeepEqual(got, []string{"m1", "m2"}) {
-		t.Errorf("Machines = %v", got)
-	}
 }
 
 func TestSpecLookupMisses(t *testing.T) {
@@ -452,8 +446,16 @@ module app { instance w :: instance u :: bind "w out" "u in" }`
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := spec.Machines(spec.Application("app")); !reflect.DeepEqual(got, []string{"home"}) {
-		t.Errorf("Machines = %v", got)
+	// The default stays on the module: an unplaced instance carries no
+	// machine of its own, and whoever places it reads the module's.
+	if in := spec.Application("app").Instance("w"); in == nil || in.Machine != "" {
+		t.Errorf("unplaced instance w = %+v, want no machine of its own", in)
+	}
+	if m := spec.Module("w"); m == nil || m.Machine != "home" {
+		t.Errorf("module w = %+v, want machine home", m)
+	}
+	if m := spec.Module("u"); m == nil || m.Machine != "" {
+		t.Errorf("module u = %+v, want no default machine", m)
 	}
 }
 

@@ -116,15 +116,6 @@ func (g *Guard) Quiesce(timeout time.Duration) error {
 	}
 }
 
-// Holding reports whether the coordinator currently holds the module
-// quiescent. The reconfiguration transaction layer checks it on abort so a
-// failed script never leaves a module frozen.
-func (g *Guard) Holding() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.holding
-}
-
 // Release lifts the quiescence hold.
 func (g *Guard) Release() {
 	g.mu.Lock()

@@ -1,7 +1,7 @@
 // Package replay implements the deterministic record half of the
 // record/replay subsystem: a bounded in-memory ring of every message the
-// bus delivers while recording is enabled, with an optional gob-framed
-// file spill. Each record carries the sending and receiving endpoints, the
+// bus delivers while recording is enabled, with an optional file spill
+// (one length-prefixed frame per record, spill.go). Each record carries the sending and receiving endpoints, the
 // routing epoch the delivery was resolved under, the causal trace context
 // stamped by the bus, the payload bytes exactly as encoded by the module's
 // codec, and two sequence numbers: a per-destination-queue sequence (QSeq,
@@ -22,7 +22,7 @@
 package replay
 
 import (
-	"encoding/gob"
+	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -97,13 +97,14 @@ type Log struct {
 	qmu    sync.Mutex
 	queues map[string]*QueueLog
 
-	// spill, when set, receives every record as a gob frame, serialized by
-	// spillMu. The first write error sticks and stops further spilling.
-	// spilling mirrors spill != nil, so an append with no spill stream
-	// skips the mutex.
+	// spill, when set, receives every record as one frame, built in
+	// spillBuf and serialized by spillMu. The first write error sticks and
+	// stops further spilling. spilling mirrors spill != nil, so an append
+	// with no spill stream skips the mutex.
 	spilling atomic.Bool
 	spillMu  sync.Mutex
-	spill    *gob.Encoder
+	spill    io.Writer
+	spillBuf []byte
 	spillErr error
 }
 

@@ -36,35 +36,12 @@ type LabelRule func(name string) (family string, labels []Label)
 // inclusive upper bound of bucket i is 2^i - 1 and the rendered le labels
 // are 0, 1, 3, 7, 15, ... — cumulative counts are exact, not approximated.
 func WritePrometheus(w io.Writer, r *Registry, rules ...LabelRule) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	gaugeFns := make(map[string]func() int64, len(r.gaugeFns))
-	for k, v := range r.gaugeFns {
-		gaugeFns[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	r.mu.Unlock()
-
-	// Evaluate computed gauges outside the registry lock (they may take the
-	// bus's queue locks), then merge with stored gauges for one sorted pass.
-	gvals := make(map[string]int64, len(gauges)+len(gaugeFns))
-	for k, g := range gauges {
-		gvals[k] = g.Load()
-	}
-	for k, fn := range gaugeFns {
+	// Computed gauges are evaluated outside the registry lock (they may
+	// take the bus's queue locks).
+	h := r.Handles()
+	counters, hists := h.Counters, h.Histograms
+	gvals := make(map[string]int64, len(h.GaugeFns))
+	for k, fn := range h.GaugeFns {
 		gvals[k] = fn()
 	}
 

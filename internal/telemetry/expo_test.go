@@ -32,7 +32,7 @@ func TestWritePrometheusLabelGolden(t *testing.T) {
 	r.Counter(`lbl.back\slash.sent`).Add(2)
 	r.Counter("lbl.new\nline.sent").Add(4)
 	r.Counter("lbl.жмых.sent").Add(5)
-	r.Gauge("lbl.display.depth").Set(9)
+	r.GaugeFunc("lbl.display.depth", func() int64 { return 9 })
 
 	var b strings.Builder
 	WritePrometheus(&b, r, labelEveryDotted)
@@ -83,7 +83,7 @@ test_latency_count{instance="worker"} 2
 func TestWritePrometheusNoRules(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("bus.iface.a.req.sent").Add(2)
-	r.Gauge("g").Set(1)
+	r.GaugeFunc("g", func() int64 { return 1 })
 
 	var b strings.Builder
 	WritePrometheus(&b, r)

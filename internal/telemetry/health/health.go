@@ -154,14 +154,6 @@ func NewChecker(r *timeseries.Roller, cfg Config) *Checker {
 	return &Checker{roller: r, cfg: cfg.withDefaults()}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (c *Checker) Config() Config {
-	if c == nil {
-		return Config{}.withDefaults()
-	}
-	return c.cfg
-}
-
 // metricClass classifies a registry metric name as belonging to instance
 // inst. Instance names may contain dots ("pool.1"), so bus metrics are
 // matched by peeling the dotless interface and metric segments off the

@@ -1,5 +1,5 @@
 // Package telemetry is the reproduction's observability substrate: a
-// dependency-free metrics registry (atomic counters, gauges, fixed-bucket
+// dependency-free metrics registry (atomic counters, computed gauges, fixed-bucket
 // latency histograms) and a reconfiguration tracer that turns each
 // transactional script run into a span timeline keyed by transaction ID.
 //
@@ -12,7 +12,7 @@
 // allocations) and what an operator reads through `reconfigctl stats` and
 // `reconfigctl trace <txid>`.
 //
-// Fast-path discipline: Counter.Inc, Gauge.Set and Histogram.Observe are
+// Fast-path discipline: Counter.Inc and Histogram.Observe are
 // single atomic operations with no allocation, and every method is safe on
 // a nil receiver (a no-op), so instrumented code never branches on "is
 // telemetry enabled" — it holds possibly-nil metric pointers resolved once,
@@ -20,7 +20,9 @@
 package telemetry
 
 import (
+	"maps"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -59,40 +61,6 @@ func (c *Counter) Load() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an instantaneous atomic value. The zero value is ready to use;
-// all methods are safe on a nil receiver.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores n.
-//
-//archlint:hotpath
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
-// Add adjusts the gauge by delta (negative to decrease).
-//
-//archlint:hotpath
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Load returns the current value (0 on a nil receiver).
-func (g *Gauge) Load() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // Registry holds named metrics. Names are flat dotted paths
 // ("bus.iface.compute.request.delivered"); the registry get-or-creates on
 // lookup so instrumentation sites need no registration ceremony. Lookup
@@ -103,7 +71,6 @@ func (g *Gauge) Load() int64 {
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	gaugeFns map[string]func() int64
 	hists    map[string]*Histogram
 }
@@ -112,7 +79,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
 		gaugeFns: map[string]func() int64{},
 		hists:    map[string]*Histogram{},
 	}
@@ -132,22 +98,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use. Returns nil on a
-// nil registry.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // GaugeFunc registers a computed gauge: fn is evaluated at snapshot time.
@@ -190,34 +140,24 @@ func (r *Registry) Unregister(prefix string) int {
 	defer r.mu.Unlock()
 	n := 0
 	for name := range r.counters {
-		if hasPrefix(name, prefix) {
+		if strings.HasPrefix(name, prefix) {
 			delete(r.counters, name)
 			n++
 		}
 	}
-	for name := range r.gauges {
-		if hasPrefix(name, prefix) {
-			delete(r.gauges, name)
-			n++
-		}
-	}
 	for name := range r.gaugeFns {
-		if hasPrefix(name, prefix) {
+		if strings.HasPrefix(name, prefix) {
 			delete(r.gaugeFns, name)
 			n++
 		}
 	}
 	for name := range r.hists {
-		if hasPrefix(name, prefix) {
+		if strings.HasPrefix(name, prefix) {
 			delete(r.hists, name)
 			n++
 		}
 	}
 	return n
-}
-
-func hasPrefix(s, prefix string) bool {
-	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
 }
 
 // Snapshot is a point-in-time, JSON-marshalable view of a registry. Under
@@ -231,48 +171,24 @@ type Snapshot struct {
 }
 
 // Snapshot captures every registered metric. Computed gauges are evaluated
-// here, outside any hot path. Returns a zero Snapshot on a nil registry.
+// here, outside any hot path. A nil registry yields an empty Snapshot.
 func (r *Registry) Snapshot() Snapshot {
-	if r == nil {
-		return Snapshot{}
-	}
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	gaugeFns := make(map[string]func() int64, len(r.gaugeFns))
-	for k, v := range r.gaugeFns {
-		gaugeFns[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	r.mu.Unlock()
-
 	// Evaluate outside the registry lock: gauge functions may take other
 	// locks (the bus's, for queue depths).
+	h := r.Handles()
 	s := Snapshot{
-		Counters:   make(map[string]int64, len(counters)),
-		Gauges:     make(map[string]int64, len(gauges)+len(gaugeFns)),
-		Histograms: make(map[string]HistogramStats, len(hists)),
+		Counters:   make(map[string]int64, len(h.Counters)),
+		Gauges:     make(map[string]int64, len(h.GaugeFns)),
+		Histograms: make(map[string]HistogramStats, len(h.Histograms)),
 	}
-	for k, c := range counters {
+	for k, c := range h.Counters {
 		s.Counters[k] = c.Load()
 	}
-	for k, g := range gauges {
-		s.Gauges[k] = g.Load()
-	}
-	for k, fn := range gaugeFns {
+	for k, fn := range h.GaugeFns {
 		s.Gauges[k] = fn()
 	}
-	for k, h := range hists {
-		s.Histograms[k] = h.Stats()
+	for k, hist := range h.Histograms {
+		s.Histograms[k] = hist.Stats()
 	}
 	return s
 }
@@ -280,11 +196,11 @@ func (r *Registry) Snapshot() Snapshot {
 // Handles is a live view of a registry's metric handles by name. The maps
 // are fresh copies (safe to iterate without the registry lock) but the
 // handles are the live metrics: loading through them reads the same atomics
-// the hot paths write. The time-series roller re-fetches this once per
-// window, off every message path.
+// the hot paths write. Every reader of the whole registry — Snapshot, the
+// Prometheus exposition, the time-series roller once per window — starts
+// from it, off every message path.
 type Handles struct {
 	Counters   map[string]*Counter
-	Gauges     map[string]*Gauge
 	GaugeFns   map[string]func() int64
 	Histograms map[string]*Histogram
 }
@@ -297,25 +213,11 @@ func (r *Registry) Handles() Handles {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h := Handles{
-		Counters:   make(map[string]*Counter, len(r.counters)),
-		Gauges:     make(map[string]*Gauge, len(r.gauges)),
-		GaugeFns:   make(map[string]func() int64, len(r.gaugeFns)),
-		Histograms: make(map[string]*Histogram, len(r.hists)),
+	return Handles{
+		Counters:   maps.Clone(r.counters),
+		GaugeFns:   maps.Clone(r.gaugeFns),
+		Histograms: maps.Clone(r.hists),
 	}
-	for k, v := range r.counters {
-		h.Counters[k] = v
-	}
-	for k, v := range r.gauges {
-		h.Gauges[k] = v
-	}
-	for k, v := range r.gaugeFns {
-		h.GaugeFns[k] = v
-	}
-	for k, v := range r.hists {
-		h.Histograms[k] = v
-	}
-	return h
 }
 
 // Names returns the sorted names of all registered metrics (tests and the
@@ -326,11 +228,8 @@ func (r *Registry) Names() []string {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.gaugeFns)+len(r.hists))
+	names := make([]string, 0, len(r.counters)+len(r.gaugeFns)+len(r.hists))
 	for k := range r.counters {
-		names = append(names, k)
-	}
-	for k := range r.gauges {
 		names = append(names, k)
 	}
 	for k := range r.gaugeFns {

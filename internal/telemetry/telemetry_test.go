@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -13,9 +14,6 @@ func TestNilSafety(t *testing.T) {
 	var r *Registry
 	if c := r.Counter("x"); c != nil {
 		t.Fatalf("nil registry returned non-nil counter")
-	}
-	if g := r.Gauge("x"); g != nil {
-		t.Fatalf("nil registry returned non-nil gauge")
 	}
 	if h := r.Histogram("x"); h != nil {
 		t.Fatalf("nil registry returned non-nil histogram")
@@ -38,12 +36,6 @@ func TestNilSafety(t *testing.T) {
 	c.Add(5)
 	if c.Load() != 0 {
 		t.Fatalf("nil counter Load != 0")
-	}
-	var g *Gauge
-	g.Set(3)
-	g.Add(-1)
-	if g.Load() != 0 {
-		t.Fatalf("nil gauge Load != 0")
 	}
 	var h *Histogram
 	h.Observe(time.Millisecond)
@@ -82,7 +74,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if got := r.Counter("a.b").Load(); got != 7 {
 		t.Fatalf("counter = %d, want 7", got)
 	}
-	r.Gauge("g").Set(-3)
+	r.GaugeFunc("g", func() int64 { return -3 })
 	r.GaugeFunc("fn", func() int64 { return 11 })
 	r.Histogram("h").ObserveNs(100)
 
@@ -138,13 +130,14 @@ func TestSnapshotConcurrent(t *testing.T) {
 	r := NewRegistry()
 	const writers = 8
 	stop := make(chan struct{})
+	var g atomic.Int64 // what the computed gauge reads
+	r.GaugeFunc("g", g.Load)
 	var wg sync.WaitGroup
 	for i := 0; i < writers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			c := r.Counter("c")
-			g := r.Gauge("g")
 			h := r.Histogram("h")
 			for n := int64(1); ; n++ {
 				select {
@@ -153,7 +146,7 @@ func TestSnapshotConcurrent(t *testing.T) {
 				default:
 				}
 				c.Inc()
-				g.Set(n)
+				g.Store(n)
 				h.ObserveNs(n%1000 + 1)
 				// Concurrent get-or-create churn on distinct names too.
 				r.Counter("churn").Inc()
@@ -280,26 +273,21 @@ func TestHistogramPercentiles(t *testing.T) {
 }
 
 // TestFastPathZeroAlloc is the tentpole's zero-allocation guarantee:
-// Counter.Inc, Gauge.Set and Histogram.Observe must not allocate, including
+// Counter.Inc and Histogram.Observe must not allocate, including
 // through nil receivers (telemetry disabled).
 func TestFastPathZeroAlloc(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
-	g := r.Gauge("g")
 	h := r.Histogram("h")
 	if n := testing.AllocsPerRun(1000, func() { c.Inc() }); n != 0 {
 		t.Errorf("Counter.Inc allocates %v/op", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { g.Set(9) }); n != 0 {
-		t.Errorf("Gauge.Set allocates %v/op", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() { h.ObserveNs(12345) }); n != 0 {
 		t.Errorf("Histogram.ObserveNs allocates %v/op", n)
 	}
 	var nc *Counter
-	var ng *Gauge
 	var nh *Histogram
-	if n := testing.AllocsPerRun(1000, func() { nc.Inc(); ng.Set(1); nh.ObserveNs(1) }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { nc.Inc(); nh.ObserveNs(1) }); n != 0 {
 		t.Errorf("nil fast path allocates %v/op", n)
 	}
 }

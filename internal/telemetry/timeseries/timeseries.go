@@ -165,10 +165,7 @@ func (r *Roller) Roll() {
 	for name, c := range h.Counters {
 		cvals[name] = c.Load()
 	}
-	gvals := make(map[string]int64, len(h.Gauges)+len(h.GaugeFns))
-	for name, g := range h.Gauges {
-		gvals[name] = g.Load()
-	}
+	gvals := make(map[string]int64, len(h.GaugeFns))
 	for name, fn := range h.GaugeFns {
 		gvals[name] = fn()
 	}

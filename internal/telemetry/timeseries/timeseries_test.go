@@ -1,6 +1,7 @@
 package timeseries
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,14 +59,15 @@ func TestCounterDeltas(t *testing.T) {
 
 func TestGaugeSamplesAndGaugeFunc(t *testing.T) {
 	r, reg, clk := newTestRoller(8)
-	g := reg.Gauge("app.depth")
+	var g atomic.Int64
+	reg.GaugeFunc("app.depth", g.Load)
 	depth := int64(7)
 	reg.GaugeFunc("app.computed", func() int64 { return depth })
 
-	g.Set(3)
+	g.Store(3)
 	clk.advance(time.Second)
 	r.Roll()
-	g.Set(9)
+	g.Store(9)
 	depth = 11
 	clk.advance(time.Second)
 	r.Roll()

@@ -36,9 +36,6 @@ func NewRecorder(capacity int) *Recorder {
 
 func (r *Recorder) buf() *ring.Ring[SpanRecord] { return (*ring.Ring[SpanRecord])(r) }
 
-// Cap returns the recorder's fixed capacity.
-func (r *Recorder) Cap() int { return r.buf().Cap() }
-
 // Len returns the number of spans currently retained.
 func (r *Recorder) Len() int { return r.buf().Len() }
 

@@ -82,7 +82,7 @@ func (c Context) Sampled() bool { return c.Flags&FlagSampled != 0 }
 
 // Tracer mints and extends trace contexts and owns the flight recorder.
 // All methods are safe for concurrent use and on a nil receiver (tracing
-// disabled: Stamp returns the zero Context).
+// disabled: StampBatch returns the zero Context).
 type Tracer struct {
 	nextTrace atomic.Uint64
 	nextSpan  atomic.Uint64
@@ -155,17 +155,6 @@ func (t *Tracer) ChildSpan(parent Context) Context {
 		c.SentNs = Now()
 	}
 	return c
-}
-
-// Stamp is the single entry point the bus write path uses: extend the
-// carried context when there is one, mint a root otherwise.
-//
-//archlint:hotpath
-func (t *Tracer) Stamp(parent Context) Context {
-	if parent.Valid() {
-		return t.ChildSpan(parent)
-	}
-	return t.MintTrace()
 }
 
 // StampBatch stamps a batch of n sends with one span-counter reservation:

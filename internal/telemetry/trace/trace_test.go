@@ -34,22 +34,22 @@ func TestMintAndChild(t *testing.T) {
 
 func TestStampMintsOrExtends(t *testing.T) {
 	tr := NewTracer(0, nil)
-	root := tr.Stamp(Context{})
+	root := tr.StampBatch(Context{}, 1)
 	if !root.Valid() {
-		t.Fatal("Stamp of zero context did not mint")
+		t.Fatal("stamp of zero context did not mint")
 	}
 	if root.Sampled() {
 		t.Error("sampleEvery=0 must never sample")
 	}
-	child := tr.Stamp(root)
+	child := tr.StampBatch(root, 1)
 	if child.TraceID != root.TraceID || child.Parent != root.SpanID {
-		t.Errorf("Stamp of valid context did not extend: %+v from %+v", child, root)
+		t.Errorf("stamp of valid context did not extend: %+v from %+v", child, root)
 	}
 }
 
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
-	if c := tr.Stamp(Context{}); c.Valid() {
+	if c := tr.StampBatch(Context{}, 1); c.Valid() {
 		t.Errorf("nil tracer minted %+v", c)
 	}
 	if end := tr.RecordDelivery(Context{TraceID: 1, Flags: FlagSampled}, "a", "b"); end != 0 {

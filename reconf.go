@@ -110,8 +110,8 @@ type Config struct {
 	// starts on; toggle via the record op). 0 leaves recording
 	// unconfigured — the zero-cost default.
 	RecordBuffer int
-	// RecordSpill optionally streams every record to a writer as gob
-	// frames (cmd/mhreplay reads the stream back). Meaningful only with
+	// RecordSpill optionally streams every record to a writer, one
+	// length-prefixed frame each (cmd/mhreplay reads the stream back). Meaningful only with
 	// RecordBuffer > 0; the writer is not closed by the App.
 	RecordSpill io.Writer
 	// PreflightReplay arms the replay gate on every replacement: once the
@@ -441,9 +441,6 @@ func (a *App) Telemetry() *telemetry.Registry { return a.bus.Telemetry() }
 // Primitives exposes the reconfiguration layer (and its tracer).
 func (a *App) Primitives() *reconfig.Primitives { return a.prims }
 
-// MsgTracer exposes the bus's causal message tracer.
-func (a *App) MsgTracer() *trace.Tracer { return a.bus.MsgTracer() }
-
 // FlightRecorder exposes the causal-trace flight recorder (nil unless the
 // application was loaded with Config.TraceSample > 0).
 func (a *App) FlightRecorder() *trace.Recorder { return a.bus.MsgTracer().Recorder() }
@@ -453,10 +450,6 @@ func (a *App) Timeseries() *timeseries.Roller { return a.roller }
 
 // Events exposes the structured event log.
 func (a *App) Events() *evlog.Log { return a.events }
-
-// HealthChecker exposes the verdict checker over the app's windowed
-// telemetry.
-func (a *App) HealthChecker() *health.Checker { return a.checker }
 
 // Health evaluates one instance's verdict. An empty baseline defaults to
 // the instance's live replica-group peers, when it has any — the natural

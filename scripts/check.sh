@@ -31,9 +31,11 @@ echo "== bench/ harness (its own module: the root go test never compiles it)"
 echo "== BenchmarkPrepare still compiles and runs (one iteration; bench/ measures, this does not)"
 go test -run '^$' -bench BenchmarkPrepare -benchtime 1x ./internal/transform/
 
-echo "== counts for CHANGES.md (ROADMAP aim 2 and item 4: all three go down)"
+echo "== counts for CHANGES.md (ROADMAP aim 2 and items 1 and 7: all of them go down)"
 gofiles() { find . -name '*.go' ! -path '*/testdata/*' ! -path './bench/out/*' "$@" -print0; }
 echo "non-test Go lines:      $(gofiles ! -name '*_test.go' | xargs -0 cat | wc -l)"
+echo "  internal/bus:         $(gofiles ! -name '*_test.go' -path './internal/bus/*' | xargs -0 cat | wc -l)"
+echo "  internal/archlint:    $(gofiles ! -name '*_test.go' -path './internal/archlint/*' | xargs -0 cat | wc -l)"
 echo "test Go lines:          $(gofiles -name '*_test.go' | xargs -0 cat | wc -l)"
 echo "time.Sleep( in tests:   $(gofiles -name '*_test.go' | xargs -0 cat | grep -c 'time\.Sleep(') (target <= 20)"
 
@@ -49,11 +51,15 @@ go test -race -count=10 -run TestAllocConcurrent ./internal/ring/
 echo "== a taken queue slot and a memoised route across grow, drain, restore, Rebind and RemoveGroupMember (racy x20)"
 go test -race -count=20 -run 'TestTakenItemStaysValid|TestMemoisedRouteDroppedOnTopologyChange' ./internal/bus/
 
+echo "== the one commit: a stale route across every topology-changing method, DeleteInstance against Rebind cq (racy x20)"
+go test -race -count=20 -run 'TestStaleRouteAcrossEveryTopologyChange|TestDeleteInstanceVsRebindMoveQueue' ./internal/bus/
+
 echo "== fault-injection matrix (every script killed before every step of its own table, and at each substrate failpoint, twice, racy)"
 go test -run 'Fault|Rollback|Concurrent' -race -count=2 ./...
 
-echo "== fuzzers on what a socket or a state file feeds (10 s each: wire frames, portable values and states)"
+echo "== fuzzers on what a socket or a file feeds (10 s each: wire frames, record spills, portable values and states)"
 go test -run '^$' -fuzz '^FuzzFrame$' -fuzztime 10s ./internal/bus/
+go test -run '^$' -fuzz '^FuzzReadLog$' -fuzztime 10s ./internal/replay/
 go test -run '^$' -fuzz '^FuzzDecodeValue$' -fuzztime 10s ./internal/codec/
 go test -run '^$' -fuzz '^FuzzDecodeState$' -fuzztime 10s ./internal/codec/
 
