@@ -99,7 +99,7 @@ func TestTakenItemStaysValid(t *testing.T) {
 	check("restore over a taken front item")
 
 	var m Message
-	if err := q.pop(&m); err != nil || string(m.Data) != "m-3" {
+	if err := q.pop(&m, nil); err != nil || string(m.Data) != "m-3" {
 		t.Fatalf("restored queue yields %q, %v; want m-3", m.Data, err)
 	}
 	m = Message{} // the reader's copy is its own

@@ -59,6 +59,10 @@ type Attachment struct {
 	// over a few rows (declaration order) finds one without hashing its
 	// name, and the row keeps what the name resolved to.
 	ifaces []attIface
+
+	// gone closes when the transport serving the attachment ends (nil in
+	// process); a Read it wakes, or an AwaitState, then takes nothing.
+	gone <-chan struct{}
 }
 
 // attIface is one row of an attachment's interface table.
@@ -170,7 +174,7 @@ func (a *Attachment) Read(ifaceName string) (m Message, err error) {
 	if err != nil {
 		return m, err
 	}
-	if err = ifc.queue.pop(&m); err != nil { // m is untouched
+	if err = ifc.queue.pop(&m, a.gone); err != nil { // m is untouched
 		if errors.Is(err, ErrQueueClosed) {
 			err = ErrStopped
 		}
@@ -282,7 +286,7 @@ func (a *Attachment) Divulge(data []byte) error {
 // AwaitState blocks until state is installed into this (clone) instance
 // (mh_decode at the start of restoration), or the timeout expires.
 func (a *Attachment) AwaitState(timeout time.Duration) ([]byte, error) {
-	data, err := a.inst.stateBoxRef().await(timeout, a.inst.done)
+	data, err := a.inst.stateBoxRef().await(timeout, a.inst.done, a.gone)
 	if err != nil {
 		return nil, fmt.Errorf("bus: await installed state for %s: %w", a.inst.spec.Name, err)
 	}
@@ -308,19 +312,8 @@ func (a *Attachment) ConfirmRestore(restoreErr error) error {
 	return nil
 }
 
-// doneChan exposes the instance's deletion channel to the transport layer
-// (the TCP server selects on it while pushing messages to a remote client).
-func (a *Attachment) doneChan() <-chan struct{} { return a.inst.done }
-
 // Done reports whether the instance has been deleted from the bus.
-func (a *Attachment) Done() bool {
-	select {
-	case <-a.inst.done:
-		return true
-	default:
-		return false
-	}
-}
+func (a *Attachment) Done() bool { return isClosed(a.inst.done) }
 
 // stateBox is a one-shot mailbox carrying encoded state between the control
 // plane and a module runtime, in either direction (divulge or install).
@@ -351,12 +344,14 @@ func (sb *stateBox) put(data []byte, logged func()) error {
 	return nil
 }
 
-func (sb *stateBox) await(timeout time.Duration, done <-chan struct{}) ([]byte, error) {
+func (sb *stateBox) await(timeout time.Duration, done, gone <-chan struct{}) ([]byte, error) {
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case data := <-sb.ch:
 		return data, nil
+	case <-gone:
+		return nil, ErrStopped
 	case <-done:
 		// The instance may be deleted after the state was boxed; prefer
 		// the state if it is there.

@@ -741,7 +741,7 @@ func (b *Bus) AwaitDivulged(name string, timeout time.Duration) ([]byte, error) 
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoInstance, name)
 	}
-	data, err := in.stateBoxRef().await(timeout, in.done)
+	data, err := in.stateBoxRef().await(timeout, in.done, nil)
 	if err != nil {
 		return nil, fmt.Errorf("bus: await state of %s: %w", name, err)
 	}

@@ -37,6 +37,7 @@ type Port interface {
 }
 
 var _ Port = (*Attachment)(nil)
+var _ Port = (*RemotePort)(nil)
 
 // TracedWriter is the optional capability a Port may offer for causal
 // tracing: Write carrying the parent TraceContext of the message being

@@ -177,9 +177,7 @@ func (q *msgQueue) grow(cur *chunk) {
 //archlint:hotpath
 func (q *msgQueue) wakeReader() {
 	if q.sleeping.Load() {
-		q.mu.Lock()
-		q.cond.Broadcast()
-		q.mu.Unlock()
+		q.wake()
 	}
 }
 
@@ -290,13 +288,17 @@ func (q *msgQueue) record(it *qitem) {
 // pop removes the oldest message into *m — its one copy between the
 // writer's claim and the reader's hands — blocking until one is available
 // or the queue closes. A closing queue drains its remaining messages
-// before reporting ErrQueueClosed.
+// before reporting ErrQueueClosed. A non-nil stop ends the wait the same
+// way, but takes nothing once closed: whoever closes it wakes the queue.
 //
 //archlint:hotpath
-func (q *msgQueue) pop(m *Message) error {
+func (q *msgQueue) pop(m *Message, stop <-chan struct{}) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
+		if stop != nil && isClosed(stop) {
+			return ErrQueueClosed
+		}
 		it := q.take()
 		if it == nil {
 			if q.closed.Load() {
@@ -315,6 +317,23 @@ func (q *msgQueue) pop(m *Message) error {
 		*m = it.msg
 		return nil
 	}
+}
+
+// isClosed reports whether a channel that is only ever closed has been.
+func isClosed(stop <-chan struct{}) bool {
+	select {
+	case <-stop:
+		return true
+	default:
+		return false
+	}
+}
+
+// wake wakes the readers parked on the queue, to look again.
+func (q *msgQueue) wake() {
+	q.mu.Lock()
+	q.cond.Broadcast()
+	q.mu.Unlock()
 }
 
 // tryPop is pop without blocking: false when nothing is queued.
@@ -454,10 +473,7 @@ func (q *msgQueue) pushAll(items []Message, version uint64) {
 // fences the queue first, so a routed writer that could pass the closed
 // check concurrently with close is refused at the fence instead.
 func (q *msgQueue) close() {
-	if q.closed.Swap(true) {
-		return
+	if !q.closed.Swap(true) {
+		q.wake()
 	}
-	q.mu.Lock()
-	q.cond.Broadcast()
-	q.mu.Unlock()
 }

@@ -18,9 +18,9 @@ import (
 )
 
 // This file is the wire protocol that lets a module attach to the bus from
-// another OS process — the reproduction's stand-in for POLYLITH's
-// heterogeneous hosts: one TCP connection per attached instance, a Server
-// on the bus's side and a RemotePort (a Port) on the module's.
+// another OS process, the stand-in for POLYLITH's heterogeneous hosts: one
+// TCP connection per attached instance, whose ends — a Server's on the bus's
+// side, a RemotePort (a Port) on the module's — are the same conn.
 //
 // FRAMES. Both directions carry the length-prefixed frames of
 // internal/codec (a 4-byte big-endian body length, at most codec.MaxFrame).
@@ -55,34 +55,33 @@ import (
 //	  11 signal   kind(n)
 //	  12 deleted
 //
-// A connection opens with hello and its ack (or an err and a close); a
-// malformed frame, an unknown opcode or an oversized length prefix closes
-// the connection it arrived on and nothing else (a conn-closed event).
+// A connection opens with hello and its ack (or an err and a close), each
+// end's first frame, under a deadline. A frame that does not decode, an
+// oversized length prefix, a frame of the other end's direction, a second
+// hello, a reply its call does not accept (replies) or a parked call's id
+// reused closes the connection it arrived on and nothing else.
 //
-// ORDER. The server applies a connection's frames strictly in arrival
-// order, on the connection's own goroutine: everything that cannot block is
-// answered there, and only a read on an empty queue and awaitstate park in a
-// goroutine of their own. write and writebatch are posted: they carry no id,
-// get no reply, and RemotePort.Write returns once the kernel has the frame.
-// So, on one port, whatever follows a write observes it (Write; Pending,
-// Write; Divulge, Write; Read) and any completed round trip is a barrier for
-// everything posted before it; across ports nothing is promised — a Write
-// that has returned may not yet be visible to another port's Pending
-// (POLYLITH's mh_write never promised it either). What a write can be
-// refused for statically — ErrNoInterface, ErrDirection — the client checks
-// against the hello ack's interface table and returns at once; what depends
-// on the topology when the write is applied (ErrUnbound, ErrNoInstance)
-// comes back as an err frame with id 0 and is returned, once, by the port's
-// next Write, SendBatch, Read, TryRead or Pending, or by Close — never by
-// Divulge, AwaitState or ConfirmRestore, whose own outcome must not be
-// mistaken.
+// ORDER. The server applies a connection's frames in arrival order, on its
+// read loop; only a read on an empty queue and awaitstate park, each on a
+// goroutine of its own and in the connection's call table. write and
+// writebatch are posted: no id, no reply, and RemotePort.Write returns once
+// the kernel has the frame. So, on one port, whatever follows a write
+// observes it, and any completed round trip is a barrier for everything
+// posted before it; across ports nothing is promised (nor did POLYLITH's
+// mh_write). ErrNoInterface and ErrDirection the client checks itself,
+// against the hello ack's interface table; what depends on the topology
+// (ErrUnbound, ErrNoInstance) comes back as an err frame with id 0, returned
+// once by the port's next Write, SendBatch, Read, TryRead, Pending or Close.
 //
 // A message leaves a bus queue only for a Read or TryRead the port's caller
-// has issued — there is no read-ahead, because Rebind's queue moves,
-// Pending and the quiesce drain test all mean "queued at the bus". The one
-// exception: a Read abandoned by CallTimeout stays parked at the server, and
-// the reply it eventually gets is kept on the port for the next Read or
-// TryRead of that interface (Pending counts it).
+// has issued: no read-ahead, because Rebind's queue moves, Pending and the
+// quiesce drain test all mean "queued at the bus". A Read abandoned by
+// CallTimeout stays parked at the server; its reply is kept on the port for
+// the next Read or TryRead of that interface (Pending counts it). A
+// connection's end ends every call outstanding on it: the client's fail with
+// ErrStopped, the server's return having taken nothing — nothing is popped,
+// nor installed state taken, for a connection after its end. Only a reply
+// already in flight is lost with it.
 
 // Opcodes. The client's double as the bus.rpc.<op> counter vocabulary;
 // index 0 counts frames the server could not decode.
@@ -145,6 +144,11 @@ var layouts = [numOps][]byte{
 	rDeleted:         {},
 }
 
+// replies is, per request, the reply opcodes (bit op) that answer it; an
+// err answers any.
+var replies = [rHello]uint32{opHello: 1 << rHello, opRead: 1 << rMsg, opTryRead: 1<<rMsg | 1<<rOK,
+	opPending: 1 << rCount, opDivulge: 1 << rOK, opAwaitState: 1 << rData, opConfirmRestore: 1 << rOK, opSync: 1 << rOK}
+
 const (
 	// helloTimeout is how long an accepted connection may take to say hello
 	// (the HTTP plane's ReadHeaderTimeout); closeTimeout bounds Close's
@@ -155,12 +159,13 @@ const (
 	maxWireBatch  = 1 << 10
 	maxWireIfaces = 1 << 10
 	// maxIdleWireBuf is the most an encode buffer keeps between frames,
-	// maxInterned the most sender names a port remembers.
+	// maxInterned the most names a connection remembers.
 	maxIdleWireBuf = 64 << 10
 	maxInterned    = 256
 )
 
 var errMalformed = fmt.Errorf("%w: malformed frame", codec.ErrCorrupt)
+var errRefused = errors.New("bus: attach refused") // the dialer has the reason, the log no use for it
 
 // frame is a decoded frame of either direction. Decoded Data and Batch
 // alias the connection's read buffer: whoever retains them copies them.
@@ -305,9 +310,6 @@ func readHelloAck(r *codec.Reader) (*helloAck, error) {
 	return h, err
 }
 
-// asString is the intern function of a decode that happens once.
-func asString(b []byte) string { return string(b) }
-
 // retain copies a payload out of a connection's read buffer: the one
 // allocation a message costs on its way into a bus queue, which keeps it.
 func retain(p []byte) []byte { return append([]byte(nil), p...) }
@@ -324,36 +326,6 @@ func retainBatch(batch [][]byte) {
 		n := copy(buf, p)
 		batch[i], buf = buf[:n:n], buf[n:]
 	}
-}
-
-// frameWriter puts one frame at a time on a socket, through one reusable
-// encode buffer.
-type frameWriter struct {
-	conn net.Conn
-	mu   sync.Mutex
-	buf  []byte
-}
-
-// write sends f; a positive timeout bounds the socket write.
-//
-//archlint:hotpath
-func (w *frameWriter) write(f *frame, timeout time.Duration) error {
-	w.mu.Lock()
-	b := codec.BeginFrame(w.buf)
-	b = appendFrame(b, f)
-	err := codec.EndFrame(b)
-	if err == nil {
-		if timeout > 0 {
-			_ = w.conn.SetWriteDeadline(time.Now().Add(timeout))
-		}
-		_, err = w.conn.Write(b)
-	}
-	if cap(b) > maxIdleWireBuf {
-		b = nil
-	}
-	w.buf = b
-	w.mu.Unlock()
-	return err
 }
 
 // Error kinds of an err frame: bus sentinels cross the wire as a number so
@@ -376,23 +348,199 @@ func errFromKind(kind int64, text string) error {
 	return fmt.Errorf("%w (remote: %s)", wireErrs[kind], text)
 }
 
+// conn is one end of an attachment's connection, the Server's (srv set) or
+// a RemotePort's: the ends differ in the opcodes they accept and in handle.
+type conn struct {
+	nc      net.Conn
+	fr      *codec.FrameReader
+	srv     *Server
+	handle  func(*frame) error // the end's, on the loop goroutine
+	timeout time.Duration      // bounds each socket write, if positive
+	gone    chan struct{}      // closed when the connection ends
+	open    bool               // the first frame has been handled (loop goroutine)
+	names   map[string]string  // intern's (loop goroutine)
+
+	wmu  sync.Mutex
+	wbuf []byte
+
+	mu     sync.Mutex
+	calls  map[uint64]call // outstanding calls by id; nil once ended
+	dead   error           // what a call fails with once ended
+	nextID uint64
+	att    *Attachment // the server's, once hello is answered
+}
+
+// call is an entry of a conn's table: a client's request awaiting its reply
+// on ch (closed if the connection ends first), or a server's parked call.
+type call struct {
+	op byte
+	ch chan frame
+}
+
+func newConn(nc net.Conn, timeout time.Duration) *conn {
+	return &conn{nc: nc, fr: codec.NewFrameReader(nc), timeout: timeout,
+		gone: make(chan struct{}), names: map[string]string{}, calls: map[uint64]call{}}
+}
+
+// loop runs the connection from its handshake, the peer's first frame
+// under the read deadline the end set, to its end.
+func (c *conn) loop() {
+	var f frame
+	err := c.next(&f)
+	if err != nil {
+		err = fmt.Errorf("no hello: %w", err)
+	}
+	_ = c.nc.SetReadDeadline(time.Time{})
+	for err == nil {
+		if err = c.handle(&f); err == nil {
+			c.open = true
+			err = c.next(&f)
+		}
+	}
+	c.end(err)
+}
+
+// next reads and decodes the next frame, refusing one this end may not get.
+//
+//archlint:hotpath
+func (c *conn) next(f *frame) error {
+	body, err := c.fr.Next()
+	if err != nil {
+		return err
+	}
+	if err = decodeFrame(body, f, c.intern); err == nil && !c.accepts(f.Op) {
+		err = errMalformed
+	}
+	if err != nil && c.srv != nil {
+		c.srv.rpc[0].Inc()
+	}
+	return err
+}
+
+// accepts allows requests at the server, replies and pushes at the client,
+// and hello first and only first (at the client, or the err refusing it).
+func (c *conn) accepts(op byte) bool {
+	if c.srv != nil {
+		return op < rHello && (op == opHello) != c.open
+	}
+	return op >= rHello && ((op == rHello) != c.open || op == rErr)
+}
+
+// intern turns a name's bytes into a string, allocating only for a name not
+// seen lately: it starts from this end's interface table (seed).
+func (c *conn) intern(b []byte) string {
+	if s, ok := c.names[string(b)]; ok {
+		return s
+	}
+	if len(c.names) >= maxInterned {
+		clear(c.names)
+	}
+	s := string(b)
+	c.names[s] = s
+	return s
+}
+
+func (c *conn) seed(ifaces []IfaceSpec) {
+	for _, ifc := range ifaces {
+		c.names[ifc.Name] = ifc.Name
+	}
+}
+
+// send writes a frame: every frame either end writes.
+//
+//archlint:hotpath
+func (c *conn) send(f *frame) error {
+	c.wmu.Lock()
+	b := codec.BeginFrame(c.wbuf)
+	b = appendFrame(b, f)
+	err := codec.EndFrame(b)
+	if err == nil {
+		if c.timeout > 0 {
+			_ = c.nc.SetWriteDeadline(time.Now().Add(c.timeout))
+		}
+		_, err = c.nc.Write(b)
+	}
+	if cap(b) > maxIdleWireBuf {
+		b = nil
+	}
+	c.wbuf = b
+	c.wmu.Unlock()
+	if err != nil {
+		return c.sendFailed(err)
+	}
+	return nil
+}
+
+// sendFailed names a failed send: ErrLimit, ErrTimeout (a timed-out write may
+// have left half a frame on the stream: the connection goes), or ErrStopped.
+func (c *conn) sendFailed(err error) error {
+	switch {
+	case errors.Is(err, codec.ErrLimit):
+		return err
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		c.end(err)
+		return fmt.Errorf("bus: send: %w after %v: the peer is not reading", ErrTimeout, c.timeout)
+	}
+	return fmt.Errorf("%w: send: %v", ErrStopped, err)
+}
+
+// end tears the connection down, once, for the reason err: the socket closes,
+// ending the loop; the call table empties — a client call fails with
+// ErrStopped, a parked server call wakes to gone; the server forgets the
+// connection and logs why, unless the peer left, it closed it or refused it.
+func (c *conn) end(err error) {
+	c.mu.Lock()
+	calls, att := c.calls, c.att
+	if calls != nil {
+		c.calls, c.dead = nil, fmt.Errorf("%w: connection closed: %v", ErrStopped, err)
+	}
+	c.mu.Unlock()
+	if calls == nil {
+		return
+	}
+	c.nc.Close()
+	close(c.gone)
+	for _, cl := range calls {
+		if cl.ch != nil {
+			close(cl.ch)
+		}
+	}
+	if c.srv == nil {
+		return
+	}
+	rec := evlog.Record{Kind: kindConnClosed, Detail: fmt.Sprintf("%s: %v", c.nc.RemoteAddr(), err)}
+	if att != nil {
+		for i := range att.ifaces { // wake parked reads to see gone
+			if q := att.ifaces[i].ifc.queue; q != nil {
+				q.wake()
+			}
+		}
+		rec.Instance = att.Name()
+	}
+	c.srv.mu.Lock()
+	delete(c.srv.conns, c)
+	c.srv.mu.Unlock()
+	if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, errRefused) {
+		c.srv.bus.emit(rec)
+	}
+}
+
 // Server accepts TCP attachments for a bus.
 type Server struct {
 	bus          *Bus
 	l            net.Listener
 	helloTimeout time.Duration
-	rpc          [rHello]*telemetry.Counter // frames handled, by opcode (nil = no-op)
+	rpc          [rHello]*telemetry.Counter // frames handled, by opcode
 
-	mu        sync.Mutex
-	conns     map[net.Conn]struct{}
-	closeOnce sync.Once
+	mu    sync.Mutex
+	conns map[*conn]struct{} // nil once the server is closed
 }
 
 // NewServer starts serving attachments on l. Close the server to stop.
 func NewServer(b *Bus, l net.Listener) *Server { return newServer(b, l, helloTimeout) }
 
 func newServer(b *Bus, l net.Listener, helloTimeout time.Duration) *Server {
-	s := &Server{bus: b, l: l, helloTimeout: helloTimeout, conns: map[net.Conn]struct{}{}}
+	s := &Server{bus: b, l: l, helloTimeout: helloTimeout, conns: map[*conn]struct{}{}}
 	for op, name := range opNames {
 		s.rpc[op] = b.Telemetry().Counter("bus.rpc." + name)
 	}
@@ -405,154 +553,89 @@ func (s *Server) Addr() net.Addr { return s.l.Addr() }
 
 // Close stops accepting and closes all connections. It is idempotent.
 func (s *Server) Close() error {
-	var err error
-	s.closeOnce.Do(func() {
-		err = s.l.Close()
-		s.mu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.mu.Unlock()
-	})
-	return err
+	s.mu.Lock()
+	conns := s.conns
+	s.conns = nil
+	s.mu.Unlock()
+	if conns == nil {
+		return nil
+	}
+	for c := range conns {
+		c.end(net.ErrClosed)
+	}
+	return s.l.Close()
 }
 
 func (s *Server) acceptLoop() {
 	for {
-		conn, err := s.l.Accept()
+		nc, err := s.l.Accept()
 		if err != nil {
 			return
 		}
+		_ = nc.SetReadDeadline(time.Now().Add(s.helloTimeout))
+		c := newConn(nc, 0)
+		c.srv, c.handle = s, c.dispatch
 		s.mu.Lock()
-		s.conns[conn] = struct{}{}
+		if s.conns == nil { // closed after the accept
+			s.mu.Unlock()
+			c.end(net.ErrClosed)
+			return
+		}
+		s.conns[c] = struct{}{}
 		s.mu.Unlock()
-		go s.serveConn(conn) //archlint:spawn per-connection handler; exits on conn close, tracked in s.conns
+		go c.loop() //archlint:spawn server read loop; exits when the connection ends, tracked in s.conns
 	}
 }
 
-// serverConn is one accepted connection and the attachment it serves.
-type serverConn struct {
-	s   *Server
-	w   frameWriter
-	att *Attachment // nil until hello
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	c := &serverConn{s: s, w: frameWriter{conn: conn}}
-	err := c.serve(codec.NewFrameReader(conn))
-	conn.Close()
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-		rec := evlog.Record{Kind: kindConnClosed, Detail: fmt.Sprintf("%s: %v", conn.RemoteAddr(), err)}
-		if c.att != nil {
-			rec.Instance = c.att.Name()
-		}
-		s.bus.emit(rec)
-	}
-}
-
-// serve runs the connection to its end and returns what ended it.
-func (c *serverConn) serve(fr *codec.FrameReader) error {
-	intern := c.intern
-	var f frame
-
-	// Handshake, under the hello deadline.
-	_ = c.w.conn.SetReadDeadline(time.Now().Add(c.s.helloTimeout))
-	body, err := fr.Next()
+// hello attaches the instance the first frame names and acks, or refuses.
+func (c *conn) hello(instance string) error {
+	att, err := c.srv.bus.Attach(instance)
 	if err != nil {
-		return fmt.Errorf("no hello: %w", err)
+		c.reply(&frame{}, err)
+		return fmt.Errorf("%w: %v", errRefused, err)
 	}
-	if err := decodeFrame(body, &f, intern); err != nil || f.Op != opHello {
-		err = errors.New("expected hello")
-		c.sendErr(0, err)
-		return err
-	}
-	if c.att, err = c.s.bus.Attach(f.Name); err != nil {
-		c.sendErr(0, err) // refused, not malformed: the dialer reports it
-		return nil
-	}
-	_ = c.w.conn.SetReadDeadline(time.Time{})
-	c.s.rpc[opHello].Inc()
-	c.send(&frame{Op: rHello, Hello: &helloAck{
-		Name: c.att.Name(), Machine: c.att.Machine(), Status: c.att.Status(),
-		Ifaces: c.att.inst.ifaceSpecs(),
-	}})
-
-	stopPush := make(chan struct{})
-	defer close(stopPush)
-	go c.pushSignals(stopPush) //archlint:spawn signal push pump; exits via stopPush when the connection ends
-
-	for {
-		if body, err = fr.Next(); err != nil {
-			return err
-		}
-		if err = decodeFrame(body, &f, intern); err == nil && (f.Op >= rHello || f.Op == opHello) {
-			err = errMalformed // a server's frame, or a second hello
-		}
-		if err != nil {
-			c.s.rpc[0].Inc()
-			return err
-		}
-		c.dispatch(&f)
-	}
+	c.mu.Lock()
+	c.att, att.gone = att, c.gone
+	c.mu.Unlock()
+	ack := helloAck{Name: att.Name(), Machine: att.Machine(), Status: att.Status(), Ifaces: att.inst.spec.Interfaces}
+	c.seed(ack.Ifaces)
+	c.reply(&frame{Op: rHello, Hello: &ack}, nil)
+	go c.pushSignals() //archlint:spawn signal push pump; exits when the connection ends
+	return nil
 }
 
-// ifaceSpecs returns the instance's declared interfaces, fixed at
-// AddInstance (the lock is for spec's one mutable field, the status).
-func (in *instance) ifaceSpecs() []IfaceSpec {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.spec.Interfaces
-}
-
-// intern names an interface by the attachment's own copy of the string.
-func (c *serverConn) intern(b []byte) string {
-	if c.att != nil {
-		if ifc, ok := c.att.inst.ifaces[string(b)]; ok {
-			return ifc.spec.Name
-		}
-	}
-	return string(b)
-}
-
-// pushSignals forwards control signals and the deletion notice.
-func (c *serverConn) pushSignals(stop <-chan struct{}) {
+func (c *conn) pushSignals() {
 	for {
 		select {
-		case sig, ok := <-c.att.Signals():
-			if !ok {
-				return
-			}
-			c.send(&frame{Op: rSignal, N: int64(sig.Kind)})
-		case <-c.att.doneChan():
-			c.send(&frame{Op: rDeleted})
+		case sig := <-c.att.Signals():
+			c.reply(&frame{Op: rSignal, N: int64(sig.Kind)}, nil)
+		case <-c.att.inst.done:
+			c.reply(&frame{Op: rDeleted}, nil)
 			return
-		case <-stop:
+		case <-c.gone:
 			return
 		}
 	}
 }
 
-// dispatch applies one request, on the connection's goroutine: nothing here
-// blocks (bus queues are unbounded, and a fenced write's slow path holds
-// Bus.mu only across a push), so the next frame is never kept waiting.
+// dispatch is the server end's handler. Nothing here blocks (bus queues are
+// unbounded, and a fenced write's slow path holds Bus.mu only across a push).
 //
 //archlint:hotpath
-func (c *serverConn) dispatch(f *frame) {
-	c.s.rpc[f.Op].Inc()
+func (c *conn) dispatch(f *frame) error {
+	c.srv.rpc[f.Op].Inc()
 	r := frame{Op: rOK, ID: f.ID}
 	var err error
 	switch f.Op {
-	case opWrite:
-		if err = c.att.WriteTraced(f.Name, retain(f.Data), f.Trace); err == nil {
-			return
+	case opHello:
+		return c.hello(f.Name)
+	case opWrite, opWriteBatch:
+		if f.Op == opWrite {
+			f.Batch = append(f.Batch, f.Data) // a batch of one
 		}
-	case opWriteBatch:
 		retainBatch(f.Batch)
 		if err = c.att.WriteBatchTraced(f.Name, f.Batch, f.Trace); err == nil {
-			return
+			return nil
 		}
 	case opRead, opTryRead:
 		var m Message
@@ -560,8 +643,7 @@ func (c *serverConn) dispatch(f *frame) {
 		if m, ok, err = c.att.TryRead(f.Name); ok {
 			r.Op, r.From, r.Trace, r.Data = rMsg, m.From, m.Trace, m.Data
 		} else if err == nil && f.Op == opRead {
-			c.park(f.Op, f.ID, f.Name, 0)
-			return
+			return c.park(f)
 		}
 	case opPending:
 		var n int
@@ -570,17 +652,13 @@ func (c *serverConn) dispatch(f *frame) {
 	case opDivulge:
 		err = c.att.Divulge(retain(f.Data))
 	case opAwaitState:
-		c.park(f.Op, f.ID, "", f.N)
-		return
+		return c.park(f)
 	case opConfirmRestore:
 		err = c.att.ConfirmRestore(restoreOutcome(f.Data))
 	case opSync: // nothing to apply: the answer is the barrier
 	}
-	if err != nil {
-		c.sendErr(f.ID, err)
-		return
-	}
-	c.send(&r)
+	c.reply(&r, err)
+	return nil
 }
 
 func restoreOutcome(text []byte) error {
@@ -590,9 +668,25 @@ func restoreOutcome(text []byte) error {
 	return errors.New(string(text))
 }
 
-// park serves the two calls that can block off the connection's goroutine.
-func (c *serverConn) park(op byte, id uint64, iface string, timeoutMs int64) {
-	go func() { //archlint:spawn parked read or awaitstate; exits when its wait ends: a message, installed state, the timeout, or the instance's deletion
+// park serves a read or awaitstate that has to wait, on a goroutine of its
+// own and in the call table, which it answers only if still there. A second
+// call under a parked call's id would go unanswered: it ends the connection.
+func (c *conn) park(f *frame) error {
+	c.mu.Lock()
+	_, dup := c.calls[f.ID]
+	live := c.calls != nil && !dup
+	if live {
+		c.calls[f.ID] = call{op: f.Op}
+	}
+	c.mu.Unlock()
+	if dup {
+		return fmt.Errorf("%w: call %d parked twice", errMalformed, f.ID)
+	}
+	if !live {
+		return nil
+	}
+	op, id, iface, ms := f.Op, f.ID, f.Name, f.N
+	go func() { //archlint:spawn parked read or awaitstate; exits when its wait ends: a message, installed state, the timeout, the instance's deletion or the connection's end
 		r := frame{Op: rMsg, ID: id}
 		var err error
 		if op == opRead {
@@ -601,57 +695,49 @@ func (c *serverConn) park(op byte, id uint64, iface string, timeoutMs int64) {
 			r.From, r.Trace, r.Data = m.From, m.Trace, m.Data
 		} else {
 			r.Op = rData
-			r.Data, err = c.att.AwaitState(time.Duration(timeoutMs) * time.Millisecond)
+			r.Data, err = c.att.AwaitState(time.Duration(ms) * time.Millisecond)
 		}
-		if err != nil {
-			c.sendErr(id, err)
-			return
+		c.mu.Lock()
+		_, live := c.calls[id]
+		delete(c.calls, id)
+		c.mu.Unlock()
+		if live {
+			c.reply(&r, err)
 		}
-		c.send(&r)
 	}()
+	return nil
 }
 
-func (c *serverConn) sendErr(id uint64, err error) {
-	c.send(&frame{Op: rErr, ID: id, N: errKind(err), Text: err.Error()})
-}
-
-// send writes one frame. A failed socket write is not reported — the read
-// side of the connection sees the same death and ends it — but a reply too
-// large to frame ends the connection here rather than leave its caller
-// waiting.
+// reply sends the server's f, or an err frame for err. A failed write is the
+// loop's to meet; a frame too large ends the connection, not the caller's wait.
 //
 //archlint:hotpath
-func (c *serverConn) send(f *frame) {
-	if err := c.w.write(f, 0); err != nil && errors.Is(err, codec.ErrLimit) {
-		c.w.conn.Close()
+func (c *conn) reply(f *frame, err error) {
+	if err != nil {
+		*f = frame{Op: rErr, ID: f.ID, N: errKind(err), Text: err.Error()}
+	}
+	if err = c.send(f); err != nil && errors.Is(err, codec.ErrLimit) {
+		c.end(err)
 	}
 }
 
 // RemotePort is a Port backed by a TCP connection to a bus Server.
 type RemotePort struct {
-	w           frameWriter
-	hello       helloAck
-	dirs        map[string]Direction // the hello ack's interface table
-	callTimeout time.Duration
-	faults      *faultinject.Set
+	c      *conn // its timeout is DialOptions.CallTimeout
+	hello  helloAck
+	dirs   map[string]Direction // the hello ack's interface table
+	faults *faultinject.Set
 
 	// postErr is the failure of a posted write, owed to the next data call.
 	postErr atomic.Pointer[error]
-
-	mu      sync.Mutex
-	nextID  uint64
-	waiting map[uint64]chan frame
-	spare   chan frame // the last reply channel emptied, for the next call
-	// orphans holds, by interface and oldest first, the reply channels of
-	// reads whose caller gave up (CallTimeout): still registered in waiting,
-	// adopted by the next Read or TryRead instead of asking again.
-	orphans map[string][]chan frame
 	signals chan Signal
-	deleted bool
-	closed  bool
-}
+	deleted atomic.Bool
 
-var _ Port = (*RemotePort)(nil)
+	// Under c.mu: the last reply channel emptied, for the next call, and by
+	// interface, oldest first, those of reads abandoned by CallTimeout.
+	spare   chan frame
+	orphans map[string][]chan frame
+}
 
 // DialOptions tunes the client side of a TCP attachment.
 type DialOptions struct {
@@ -661,11 +747,10 @@ type DialOptions struct {
 	// Backoff is the wait before the first retry; it doubles per attempt.
 	// Defaults to 50ms when Retries > 0.
 	Backoff time.Duration
-	// CallTimeout bounds each round trip, the handshake included, and the
-	// socket write of every frame, so a hung or partitioned peer — or one
-	// that stopped reading — surfaces as ErrTimeout instead of a stall. 0
-	// disables the bound: the right choice for module data-plane ports,
-	// whose Read legitimately blocks until traffic arrives.
+	// CallTimeout bounds each round trip, the handshake included, and each
+	// socket write, so a hung or partitioned peer, or one that stopped
+	// reading, surfaces as ErrTimeout. 0 is no bound: the right choice for
+	// module data-plane ports, whose Read blocks until traffic arrives.
 	CallTimeout time.Duration
 	// Faults is the failpoint set for the tcp.dial and tcp.call sites;
 	// nil means faultinject.Default().
@@ -680,153 +765,89 @@ func DialPort(addr, instance string) (*RemotePort, error) {
 // DialPortWith attaches like DialPort, retrying the dial with exponential
 // backoff and applying a per-call timeout per opts.
 func DialPortWith(addr, instance string, opts DialOptions) (*RemotePort, error) {
-	faults := opts.Faults
-	if faults == nil {
-		faults = faultinject.Default()
+	if opts.Faults == nil {
+		opts.Faults = faultinject.Default()
 	}
-	backoff := opts.Backoff
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
+	if opts.Backoff <= 0 {
+		opts.Backoff = 50 * time.Millisecond
 	}
-	var conn net.Conn
-	var err error
 	for attempt := 0; ; attempt++ {
-		if ferr := faults.Fire("tcp.dial"); ferr != nil {
-			err = ferr
-		} else {
-			conn, err = net.Dial("tcp", addr)
-		}
+		err := opts.Faults.Fire("tcp.dial")
 		if err == nil {
-			break
+			var nc net.Conn
+			if nc, err = net.Dial("tcp", addr); err == nil {
+				return attachPort(nc, instance, opts)
+			}
 		}
 		if attempt >= opts.Retries {
 			return nil, fmt.Errorf("bus: dial %s (%d attempts): %w", addr, attempt+1, err)
 		}
-		time.Sleep(backoff)
-		backoff *= 2
+		time.Sleep(opts.Backoff)
+		opts.Backoff *= 2
 	}
-	p := &RemotePort{
-		w:           frameWriter{conn: conn},
-		callTimeout: opts.CallTimeout,
-		faults:      faults,
-		dirs:        map[string]Direction{},
-		waiting:     map[uint64]chan frame{},
-		orphans:     map[string][]chan frame{},
-		signals:     make(chan Signal, 16), // signals coalesce past this many unread
-	}
-	// Handshake synchronously before starting the demux loop.
-	if p.callTimeout > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(p.callTimeout))
-	}
-	fr := codec.NewFrameReader(conn)
-	var ack frame
-	err = p.w.write(&frame{Op: opHello, Name: instance}, p.callTimeout)
+}
+
+// attachPort runs the client end of nc; its hello is call 0, which the ack's
+// missing id names.
+func attachPort(nc net.Conn, instance string, opts DialOptions) (*RemotePort, error) {
+	p := &RemotePort{c: newConn(nc, opts.CallTimeout), faults: opts.Faults, dirs: map[string]Direction{},
+		orphans: map[string][]chan frame{}, signals: make(chan Signal, 16)} // signals coalesce past 16 unread
+	p.c.handle = p.receive
+	f := frame{Op: opHello, Name: instance}
+	ch, err := p.start(&f)
 	if err == nil {
-		var body []byte
-		if body, err = fr.Next(); err == nil {
-			err = decodeFrame(body, &ack, asString)
+		go p.c.loop() //archlint:spawn client read loop; exits when the connection ends
+		var ack frame
+		if ack, err = p.await(ch, &f, p.c.timeout); err == nil {
+			p.hello = *ack.Hello
+			for _, ifc := range p.hello.Ifaces {
+				p.dirs[ifc.Name] = ifc.Dir
+			}
+			return p, nil
 		}
 	}
+	p.c.end(err)
+	return nil, fmt.Errorf("bus: attach %s: %w", instance, err)
+}
+
+// receive is the client end's handler: replies to their calls, pushes here.
+func (p *RemotePort) receive(f *frame) error {
 	switch {
-	case err != nil:
-		err = fmt.Errorf("bus: hello: %w", err)
-	case ack.Op == rErr:
-		err = fmt.Errorf("bus: attach %s: %w", instance, errFromKind(ack.N, ack.Text))
-	case ack.Op != rHello:
-		err = errors.New("bus: malformed hello ack")
-	}
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-	p.hello = *ack.Hello
-	for _, ifc := range p.hello.Ifaces {
-		p.dirs[ifc.Name] = ifc.Dir
-	}
-	go p.demux(fr) //archlint:spawn client demux; exits when the connection closes
-	return p, nil
-}
-
-// demux reads the server's frames: replies go to the call that waits for
-// them, everything unsolicited is recorded on the port.
-func (p *RemotePort) demux(fr *codec.FrameReader) {
-	names := map[string]string{}
-	intern := func(b []byte) string {
-		if s, ok := names[string(b)]; ok {
-			return s
+	case f.Op == rSignal:
+		select {
+		case p.signals <- Signal{Kind: SignalKind(f.N)}:
+		default: // coalesce
 		}
-		if len(names) >= maxInterned {
-			clear(names)
+	case f.Op == rDeleted:
+		p.deleted.Store(true)
+	case f.Op == rErr && f.ID == 0 && p.c.open:
+		werr := errFromKind(f.N, f.Text)
+		p.postErr.CompareAndSwap(nil, &werr)
+	default:
+		if f.Op == rHello {
+			p.c.seed(f.Hello.Ifaces)
 		}
-		s := string(b)
-		names[s] = s
-		return s
-	}
-	var f frame
-	for {
-		body, err := fr.Next()
-		if err == nil {
-			err = decodeFrame(body, &f, intern)
-		}
-		if err != nil {
-			break
-		}
-		switch {
-		case f.Op == rSignal:
-			select {
-			case p.signals <- Signal{Kind: SignalKind(f.N)}:
-			default: // coalesce
-			}
-		case f.Op == rDeleted:
-			p.mu.Lock()
-			p.deleted = true
-			p.mu.Unlock()
-		case f.Op == rErr && f.ID == 0:
-			werr := errFromKind(f.N, f.Text)
-			p.postErr.CompareAndSwap(nil, &werr)
-		default:
-			f.Data = retain(f.Data)
-			p.mu.Lock()
-			ch, ok := p.waiting[f.ID]
-			delete(p.waiting, f.ID)
-			p.mu.Unlock()
-			if ok {
-				ch <- f // buffered, and an id is answered once
-			}
-		}
-	}
-	p.w.conn.Close()
-	p.mu.Lock()
-	p.closed = true
-	for id, ch := range p.waiting {
-		close(ch)
-		delete(p.waiting, id)
-	}
-	p.mu.Unlock()
-}
-
-// transmit writes one frame to the socket.
-//
-//archlint:hotpath
-func (p *RemotePort) transmit(f *frame) error {
-	if err := p.w.write(f, p.callTimeout); err != nil {
-		return p.sendFailed(err)
+		return p.c.answer(f)
 	}
 	return nil
 }
 
-// sendFailed names a failed transmit. A socket write that timed out may have
-// left half a frame on the stream, so the connection goes with it.
-func (p *RemotePort) sendFailed(err error) error {
-	switch {
-	case errors.Is(err, codec.ErrLimit):
-		return err
-	case errors.Is(err, os.ErrDeadlineExceeded):
-		p.w.conn.Close()
-		return fmt.Errorf("bus: send: %w after %v: the peer is not reading", ErrTimeout, p.callTimeout)
+// answer hands a reply to its call, or drops it if the call gave up. A
+// reply of a kind the call does not accept ends the connection.
+func (c *conn) answer(f *frame) error {
+	c.mu.Lock()
+	cl, ok := c.calls[f.ID]
+	if ok && f.Op != rErr && replies[cl.op]&(1<<f.Op) == 0 {
+		c.mu.Unlock()
+		return fmt.Errorf("%w: %s answered by opcode %#x", errMalformed, opNames[cl.op], f.Op)
 	}
-	return fmt.Errorf("%w: send: %v", ErrStopped, err)
+	delete(c.calls, f.ID)
+	c.mu.Unlock()
+	if ok {
+		f.Data = retain(f.Data)
+		cl.ch <- *f // buffered, and an id is answered once
+	}
+	return nil
 }
 
 func (p *RemotePort) fire(op byte) error {
@@ -840,18 +861,14 @@ func (p *RemotePort) fire(op byte) error {
 //
 //archlint:hotpath
 func (p *RemotePort) takePostErr() error {
-	if p.postErr.Load() == nil {
-		return nil
-	}
-	if e := p.postErr.Swap(nil); e != nil {
+	if e := p.postErr.Load(); e != nil && p.postErr.CompareAndSwap(e, nil) {
 		return *e
 	}
 	return nil
 }
 
-// post sends a write on its way without waiting for anything: it checks
-// what can be checked here — the interface against the hello ack's table,
-// an earlier write's failure — and hands the frame to the kernel.
+// post checks a write against the hello ack's table and an earlier write's
+// failure, and hands it to the kernel.
 //
 //archlint:hotpath
 func (p *RemotePort) post(f *frame) error {
@@ -864,7 +881,7 @@ func (p *RemotePort) post(f *frame) error {
 	if err := p.fire(f.Op); err != nil {
 		return err
 	}
-	return p.transmit(f)
+	return p.c.send(f)
 }
 
 // staticWriteErr words the refusals exactly as the bus does.
@@ -875,34 +892,35 @@ func (p *RemotePort) staticWriteErr(iface string, dir Direction, known bool) err
 	return fmt.Errorf("%w: write on %s.%s (%s)", ErrDirection, p.hello.Name, iface, dir)
 }
 
-// start registers a reply channel under a fresh id and sends the request.
+// start enters f in the call table under the next id and sends it.
 func (p *RemotePort) start(f *frame) (chan frame, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, fmt.Errorf("%w: connection closed", ErrStopped)
+	c := p.c
+	c.mu.Lock()
+	if c.calls == nil {
+		err := c.dead
+		c.mu.Unlock()
+		return nil, err
 	}
 	ch := p.spare
 	if p.spare = nil; ch == nil {
 		ch = make(chan frame, 1)
 	}
-	p.nextID++
-	f.ID = p.nextID
-	p.waiting[f.ID] = ch
-	p.mu.Unlock()
-	if err := p.transmit(f); err != nil {
-		p.mu.Lock()
-		delete(p.waiting, f.ID)
-		p.mu.Unlock()
+	f.ID = c.nextID
+	c.nextID++
+	c.calls[f.ID] = call{op: f.Op, ch: ch}
+	c.mu.Unlock()
+	if err := c.send(f); err != nil {
+		c.mu.Lock()
+		delete(c.calls, f.ID)
+		c.mu.Unlock()
 		return nil, err
 	}
 	return ch, nil
 }
 
-// await waits for the reply to f on ch, for at most timeout if positive.
-// Giving up on a read does not unregister it: its reply may carry a message
-// the server has popped for this port, so the channel is kept for the next
-// Read or TryRead of the interface to adopt.
+// await waits for the reply to f on ch, for at most timeout if positive. A
+// read given up on stays in the table, its channel in orphans: the reply may
+// carry a message the server popped for this port.
 func (p *RemotePort) await(ch chan frame, f *frame, timeout time.Duration) (frame, error) {
 	var timeoutC <-chan time.Time
 	if timeout > 0 {
@@ -912,33 +930,26 @@ func (p *RemotePort) await(ch chan frame, f *frame, timeout time.Duration) (fram
 	}
 	select {
 	case r, ok := <-ch:
-		if ok { // answered, so unregistered and empty: the next call's
-			p.mu.Lock()
-			p.spare = ch
-			p.mu.Unlock()
+		if !ok { // the end wrote dead before it closed ch
+			return frame{}, p.c.dead
 		}
-		return reply(r, ok)
+		p.c.mu.Lock()
+		p.spare = ch // answered, so out of the table and empty: the next call's
+		p.c.mu.Unlock()
+		if r.Op == rErr {
+			return frame{}, errFromKind(r.N, r.Text)
+		}
+		return r, nil
 	case <-timeoutC:
-		p.mu.Lock()
+		p.c.mu.Lock()
 		if f.Op == opRead || f.Op == opTryRead {
 			p.orphans[f.Name] = append(p.orphans[f.Name], ch)
 		} else {
-			delete(p.waiting, f.ID)
+			delete(p.c.calls, f.ID)
 		}
-		p.mu.Unlock()
+		p.c.mu.Unlock()
 		return frame{}, fmt.Errorf("bus: rpc %s: %w after %v", opNames[f.Op], ErrTimeout, timeout)
 	}
-}
-
-// reply interprets what a reply channel yielded.
-func reply(r frame, ok bool) (frame, error) {
-	switch {
-	case !ok:
-		return frame{}, fmt.Errorf("%w: connection closed", ErrStopped)
-	case r.Op == rErr:
-		return frame{}, errFromKind(r.N, r.Text)
-	}
-	return r, nil
 }
 
 // call is one round trip.
@@ -950,14 +961,14 @@ func (p *RemotePort) call(f *frame) (frame, error) {
 	if err != nil {
 		return frame{}, err
 	}
-	return p.await(ch, f, p.callTimeout)
+	return p.await(ch, f, p.c.timeout)
 }
 
-// adopt takes over the oldest abandoned read of iface: wait says whether
-// one whose reply has not arrived yet counts (Read) or is left (TryRead).
+// adopt takes over the oldest abandoned read of iface; unless wait, only
+// one already answered.
 func (p *RemotePort) adopt(iface string, wait bool) chan frame {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.c.mu.Lock()
+	defer p.c.mu.Unlock()
 	q := p.orphans[iface]
 	if len(q) == 0 || (!wait && len(q[0]) == 0) {
 		return nil
@@ -966,13 +977,12 @@ func (p *RemotePort) adopt(iface string, wait bool) chan frame {
 	return q[0]
 }
 
-// Close is a barrier — a sync round trip, bounded — and then tears the
-// connection down: when it returns the bus has applied every write the port
-// had posted, and the failure one of them is owed is Close's. (A socket
-// closed with unread frames in it is reset, which can take the last writes
-// with it.) Blocked calls fail with ErrStopped.
+// Close is a barrier — a sync round trip, bounded — and then the end: the
+// bus has applied every write posted before it (a socket closed with
+// unread frames is reset), whose owed failure is Close's. Blocked calls fail
+// with ErrStopped.
 func (p *RemotePort) Close() error {
-	timeout := p.callTimeout
+	timeout := p.c.timeout
 	if timeout <= 0 {
 		timeout = closeTimeout
 	}
@@ -987,12 +997,7 @@ func (p *RemotePort) Close() error {
 	if err == nil {
 		err = p.takePostErr()
 	}
-	if cerr := p.w.conn.Close(); err == nil {
-		err = cerr
-	}
-	p.mu.Lock()
-	p.closed = true // Done from here on; demux fails the calls still waiting
-	p.mu.Unlock()
+	p.c.end(net.ErrClosed)
 	return err
 }
 
@@ -1014,8 +1019,7 @@ func (p *RemotePort) Write(iface string, data []byte) error {
 }
 
 // WriteTraced implements TracedWriter: the parent context crosses the wire
-// in the frame and the serving bus stamps the child span, so causal chains
-// survive the TCP hop.
+// and the serving bus stamps the child span.
 //
 //archlint:hotpath
 func (p *RemotePort) WriteTraced(iface string, data []byte, parent TraceContext) error {
@@ -1042,28 +1046,16 @@ func (p *RemotePort) SendBatch(iface string, batch [][]byte) error {
 // Read implements Port.
 func (p *RemotePort) Read(iface string) (Message, error) {
 	err := p.takePostErr()
-	if err == nil {
-		err = p.fire(opRead)
-	}
 	f := frame{Op: opRead, Name: iface}
-	for err == nil {
-		ch := p.adopt(iface, true)
-		adopted := ch != nil
-		if !adopted {
-			if ch, err = p.start(&f); err != nil {
-				break
-			}
+	var r frame
+	for err == nil && r.Op != rMsg { // an adopted tryread may have found nothing: ask afresh
+		if ch := p.adopt(iface, true); ch != nil {
+			r, err = p.await(ch, &f, p.c.timeout)
+		} else {
+			r, err = p.call(&f)
 		}
-		var r frame
-		if r, err = p.await(ch, &f, p.callTimeout); err == nil && r.Op == rMsg {
-			return Message{From: r.From, Data: r.Data, Trace: r.Trace}, nil
-		}
-		if err == nil && !adopted {
-			err = errors.New("bus: malformed read response")
-		}
-		// An adopted tryread that had found nothing: ask afresh.
 	}
-	return Message{}, err
+	return Message{From: r.From, Data: r.Data, Trace: r.Trace}, err
 }
 
 // TryRead implements Port.
@@ -1073,12 +1065,12 @@ func (p *RemotePort) TryRead(iface string) (Message, bool, error) {
 	}
 	var r frame
 	var err error
+	f := frame{Op: opTryRead, Name: iface}
 	if ch := p.adopt(iface, false); ch != nil {
-		late, ok := <-ch
-		r, err = reply(late, ok)
+		r, err = p.await(ch, &f, 0) // answered already
 	}
 	if err == nil && r.Op != rMsg {
-		r, err = p.call(&frame{Op: opTryRead, Name: iface})
+		r, err = p.call(&f)
 	}
 	if err == nil && r.Op != rMsg {
 		err = p.takePostErr() // a round trip that found nothing is still a barrier
@@ -1098,8 +1090,8 @@ func (p *RemotePort) Pending(iface string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.c.mu.Lock()
+	defer p.c.mu.Unlock()
 	n := int(r.N)
 	for _, ch := range p.orphans[iface] {
 		n += len(ch) // an abandoned read's reply, waiting for the next Read
@@ -1123,8 +1115,7 @@ func (p *RemotePort) Divulge(data []byte) error {
 	return err
 }
 
-// ConfirmRestore reports the outcome of this clone's restoration to the
-// remote bus (see Attachment.ConfirmRestore).
+// ConfirmRestore reports this clone's restoration (Attachment.ConfirmRestore).
 func (p *RemotePort) ConfirmRestore(restoreErr error) error {
 	var text []byte
 	if restoreErr != nil {
@@ -1141,8 +1132,4 @@ func (p *RemotePort) AwaitState(timeout time.Duration) ([]byte, error) {
 }
 
 // Done implements Port.
-func (p *RemotePort) Done() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.deleted || p.closed
-}
+func (p *RemotePort) Done() bool { return p.deleted.Load() || isClosed(p.c.gone) }

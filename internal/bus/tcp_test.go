@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -413,6 +414,9 @@ var goldenFrames = []struct {
 	{"deleted", frame{Op: rDeleted}, "00000001  12"},
 }
 
+// asString is the intern function of a decode that happens once.
+func asString(b []byte) string { return string(b) }
+
 func goldenBytes(t *testing.T, s string) []byte {
 	t.Helper()
 	b, err := hex.DecodeString(strings.Join(strings.Fields(s), ""))
@@ -554,5 +558,326 @@ func TestRecordedWireDeliveryRoundTrips(t *testing.T) {
 	}
 	if len(decoded) != 1 || !bytes.Equal(decoded[0].Data, payload) || decoded[0].Trace != recs[0].Trace {
 		t.Errorf("spill round trip = %+v, want payload %x trace %+v", decoded, payload, recs[0].Trace)
+	}
+}
+
+// ---- the two ends of a connection ---------------------------------------
+
+// TestParkedCallsEndWithConnection: a read or awaitstate parked at the
+// server ends with its connection — a module process killed while blocked
+// in Read — and takes nothing: the next message stays queued for Rebind to
+// move, the next installed state stays boxed, and the connection leaves no
+// goroutine behind.
+func TestParkedCallsEndWithConnection(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		call frame
+	}{
+		{"read", frame{Op: opRead, ID: 1, Name: "display"}},
+		{"awaitstate", frame{Op: opAwaitState, ID: 1, N: time.Minute.Milliseconds()}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			b, s := startServer(t)
+			if err := b.AddInstance(InstanceSpec{Name: "compute2", Module: "compute",
+				Interfaces: []IfaceSpec{{Name: "display", Dir: InOut}}}); err != nil {
+				t.Fatal(err)
+			}
+			disp := attach(t, b, "display")
+			base := runtime.NumGoroutine()
+			conn := rawDial(t, s, "compute")
+			sendRaw(t, conn, appendFrame(nil, &row.call))
+			sendRaw(t, conn, appendFrame(nil, &frame{Op: opSync, ID: 2}))
+			var r frame
+			body, err := codec.NewFrameReader(conn).Next()
+			if err == nil {
+				err = decodeFrame(body, &r, asString)
+			}
+			if err != nil || r.Op != rOK || r.ID != 2 {
+				t.Fatalf("the sync behind the parked call: %+v, %v", r, err)
+			}
+			conn.Close()
+			waitFor(t, "the server to let the connection go", func() bool { return serving(s) == 0 })
+
+			if err := disp.Write("temper", []byte("after")); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "the connection's goroutines to exit", func() bool { return runtime.NumGoroutine() <= base })
+			if info, err := b.Info("compute"); err != nil || info.Pending["display"] != 1 {
+				t.Errorf("one write after the connection ended: compute.display holds %d, %v; want 1", info.Pending["display"], err)
+			}
+			if err := b.InstallState("compute", []byte("s")); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.InstallState("compute", []byte("s")); err == nil {
+				t.Error("the state installed after the connection ended was taken")
+			}
+			if err := b.Rebind([]BindEdit{{Op: "cq", From: Endpoint{"compute", "display"}, To: Endpoint{"compute2", "display"}}}); err != nil {
+				t.Fatal(err)
+			}
+			if info, err := b.Info("compute2"); err != nil || info.Pending["display"] != 1 {
+				t.Errorf("Rebind cq moved %d messages, %v; want 1", info.Pending["display"], err)
+			}
+		})
+	}
+}
+
+// TestServerRefusesCallParkedTwice: a second call under a parked call's id
+// would leave one of the two unanswered, holding whatever it took. The
+// server ends the connection instead.
+func TestServerRefusesCallParkedTwice(t *testing.T) {
+	s := startServerWithHello(t, helloTimeout)
+	bad := rawDial(t, s, "compute")
+	read := frame{Op: opRead, ID: 1, Name: "display"}
+	sendRaw(t, bad, appendFrame(nil, &read))
+	sendRaw(t, bad, appendFrame(nil, &read))
+	if reason := expectClosed(t, s, bad, 0); !strings.Contains(reason, "parked twice") {
+		t.Errorf("close reason = %q", reason)
+	}
+}
+
+// TestClientRefusesWrongFrames: the client end takes only frames of its
+// direction, and a reply only of a kind its call accepts. Anything else
+// ends the connection: the call fails and the port is Done.
+func TestClientRefusesWrongFrames(t *testing.T) {
+	for _, row := range []struct {
+		name   string
+		answer frame // to a pending, with its id
+	}{
+		{"a request", frame{Op: opRead, Name: "out"}},
+		{"data for a count", frame{Op: rData, Data: []byte("7")}},
+		{"a second hello", frame{Op: rHello, Hello: &helloAck{Name: "w"}}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			addr := fakeServer(t, func(conn net.Conn, fr *codec.FrameReader) {
+				var req frame
+				if body, err := fr.Next(); err != nil || decodeFrame(body, &req, asString) != nil {
+					return
+				}
+				answer := row.answer
+				answer.ID = req.ID
+				writeFrame(conn, &answer)
+			})
+			p, err := DialPortWith(addr, "w", DialOptions{CallTimeout: 2 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			if n, err := p.Pending("out"); !errors.Is(err, ErrStopped) {
+				t.Errorf("Pending answered by %s = %d, %v; want ErrStopped", row.name, n, err)
+			}
+			if !p.Done() {
+				t.Error("port not Done after a wrong frame")
+			}
+		})
+	}
+}
+
+// FuzzConn feeds a framed byte stream to each end of a connection after a
+// valid handshake over net.Pipe. The server must serve it or close, and
+// let the connection go once the peer does; the client, with a pending
+// outstanding, must return the count an answer of its kind carries, or an
+// error. Neither end may panic, hang past a second or send a frame of the
+// wrong direction.
+func FuzzConn(f *testing.F) {
+	for _, tt := range goldenFrames {
+		fr := tt.f
+		if fr.ID != 0 {
+			fr.ID = 1 // the client's outstanding call
+		}
+		b := appendFrame(codec.BeginFrame(nil), &fr)
+		if err := codec.EndFrame(b); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		fuzzServerEnd(t, stream)
+		fuzzClientEnd(t, stream)
+	})
+}
+
+func fuzzServerEnd(t *testing.T, stream []byte) {
+	l := &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+	s := NewServer(testBusForTCP(t), l)
+	defer s.Close()
+	nc := l.dial()
+	defer nc.Close()
+	_ = nc.SetDeadline(time.Now().Add(time.Second))
+	fr := codec.NewFrameReader(nc)
+	writeFrame(nc, &frame{Op: opHello, Name: "compute"})
+	var ack frame
+	if body, err := fr.Next(); err != nil || decodeFrame(body, &ack, asString) != nil || ack.Op != rHello {
+		t.Fatalf("hello ack = %+v, %v", ack, err)
+	}
+	wrong := make(chan []byte, 1)
+	go func() { // what the server sends, until the connection ends
+		defer close(wrong)
+		var f frame
+		for {
+			body, err := fr.Next()
+			if err != nil {
+				return
+			}
+			if err := decodeFrame(body, &f, asString); err != nil || f.Op <= rHello {
+				wrong <- append([]byte(nil), body...)
+				return
+			}
+		}
+	}()
+	_, _ = nc.Write(stream) // fails once the server has closed
+	nc.Close()
+	waitFor(t, "the server to let the connection go", func() bool { return serving(s) == 0 })
+	if body, ok := <-wrong; ok {
+		t.Fatalf("the server sent % x", body)
+	}
+}
+
+func fuzzClientEnd(t *testing.T, stream []byte) {
+	srv, cli := net.Pipe()
+	defer srv.Close()
+	_ = srv.SetDeadline(time.Now().Add(time.Second))
+	go func() {
+		if _, err := codec.NewFrameReader(srv).Next(); err == nil {
+			writeFrame(srv, &frame{Op: rHello, Hello: &helloAck{Name: "compute", Ifaces: []IfaceSpec{{Name: "display", Dir: InOut}}}})
+		}
+	}()
+	p, err := attachPort(cli, "compute", DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	type result struct {
+		n   int
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		n, err := p.Pending("display")
+		got <- result{n, err}
+	}()
+	if _, err := codec.NewFrameReader(srv).Next(); err != nil {
+		t.Fatalf("the pending request: %v", err)
+	}
+	want, answered, posted := expectPending(stream)
+	_, _ = srv.Write(stream) // fails once the client has closed
+	srv.Close()
+	select {
+	case r := <-got:
+		if r.err == nil && (!answered || r.n != want) || r.err != nil && answered && !posted {
+			t.Fatalf("Pending = %d, %v; the stream answers %t with %d (posted failure: %t)", r.n, r.err, answered, want, posted)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the client's call outlived the stream")
+	}
+}
+
+// expectPending is what the client end must make of stream with call 1, a
+// pending, outstanding: the count of the count that answers it, if one does
+// before the connection ends, and whether a posted write's failure arrives
+// too (Pending returns that instead).
+func expectPending(stream []byte) (n int, answered, posted bool) {
+	fr := codec.NewFrameReader(bytes.NewReader(stream))
+	done := false
+	for {
+		var f frame
+		body, err := fr.Next()
+		if err != nil || decodeFrame(body, &f, asString) != nil || f.Op <= rHello {
+			return n, answered, posted // the end of the stream, or of the connection
+		}
+		switch {
+		case f.Op == rErr && f.ID == 0:
+			posted = true
+		case f.ID == 1 && !done:
+			if f.Op != rCount && f.Op != rErr {
+				return n, answered, posted // the wrong kind ends the connection
+			}
+			done, answered, n = true, f.Op == rCount, int(f.N)
+		}
+	}
+}
+
+// pipeListener is a net.Listener whose connections are net.Pipes.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error { close(l.done); return nil }
+
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Net: "pipe", Name: "pipe"} }
+
+// dial hands the listener one end of a new pipe and returns the other.
+func (l *pipeListener) dial() net.Conn {
+	c, s := net.Pipe()
+	l.conns <- s
+	return c
+}
+
+// fakeServer accepts one connection, acks its hello as an instance "w" with
+// an out interface and hands the connection on to serve, keeping it open
+// until the test ends.
+func fakeServer(t *testing.T, serve func(net.Conn, *codec.FrameReader)) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns := make(chan net.Conn, 1)
+	t.Cleanup(func() {
+		l.Close()
+		select {
+		case conn := <-conns:
+			conn.Close()
+		default:
+		}
+	})
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		conns <- conn
+		fr := codec.NewFrameReader(conn)
+		if _, err := fr.Next(); err != nil {
+			return
+		}
+		writeFrame(conn, &frame{Op: rHello, Hello: &helloAck{Name: "w", Ifaces: []IfaceSpec{{Name: "out", Dir: Out}}}})
+		serve(conn, fr)
+	}()
+	return l.Addr().String()
+}
+
+// writeFrame is sendRaw for a goroutine other than the test's: a failed
+// write is the reader's to notice.
+func writeFrame(conn net.Conn, f *frame) {
+	b := appendFrame(codec.BeginFrame(nil), f)
+	if codec.EndFrame(b) == nil {
+		_, _ = conn.Write(b)
+	}
+}
+
+// serving counts the server's connections.
+func serving(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
+}
+
+// waitFor polls cond for up to a second.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("waited a second for %s", what)
+		}
 	}
 }

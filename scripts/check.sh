@@ -35,6 +35,7 @@ echo "== counts for CHANGES.md (ROADMAP aim 2 and items 1 and 7: all of them go 
 gofiles() { find . -name '*.go' ! -path '*/testdata/*' ! -path './bench/out/*' "$@" -print0; }
 echo "non-test Go lines:      $(gofiles ! -name '*_test.go' | xargs -0 cat | wc -l)"
 echo "  internal/bus:         $(gofiles ! -name '*_test.go' -path './internal/bus/*' | xargs -0 cat | wc -l)"
+echo "    internal/bus/tcp.go: $(wc -l < internal/bus/tcp.go)"
 echo "  internal/archlint:    $(gofiles ! -name '*_test.go' -path './internal/archlint/*' | xargs -0 cat | wc -l)"
 echo "test Go lines:          $(gofiles -name '*_test.go' | xargs -0 cat | wc -l)"
 echo "time.Sleep( in tests:   $(gofiles -name '*_test.go' | xargs -0 cat | grep -c 'time\.Sleep(') (target <= 20)"
@@ -55,11 +56,15 @@ go test -race -count=20 -run 'TestTakenItemStaysValid|TestMemoisedRouteDroppedOn
 echo "== the one commit: a stale route across every topology-changing method, DeleteInstance against Rebind cq, every logging call's records in the log by its return (racy x20)"
 go test -race -count=20 -run 'TestStaleRouteAcrossEveryTopologyChange|TestDeleteInstanceVsRebindMoveQueue|TestEventLoggedByReturn' ./internal/bus/
 
+echo "== both ends of a TCP attachment: parked calls end with their connection, wrong frames end it (racy x20)"
+go test -race -count=20 -run 'TestRemote|TestParkedCalls|TestClientRefuses|TestServerClose|TestGarbageKills' ./internal/bus/
+
 echo "== fault-injection matrix (every script killed before every step of its own table, and at each substrate failpoint, twice, racy)"
 go test -run 'Fault|Rollback|Concurrent' -race -count=2 ./...
 
-echo "== fuzzers on what a socket or a file feeds (10 s each: wire frames, record spills, portable values and states)"
+echo "== fuzzers on what a socket or a file feeds (10 s each: wire frames, both ends of a connection, record spills, portable values and states)"
 go test -run '^$' -fuzz '^FuzzFrame$' -fuzztime 10s ./internal/bus/
+go test -run '^$' -fuzz '^FuzzConn$' -fuzztime 10s ./internal/bus/
 go test -run '^$' -fuzz '^FuzzReadLog$' -fuzztime 10s ./internal/replay/
 go test -run '^$' -fuzz '^FuzzDecodeValue$' -fuzztime 10s ./internal/codec/
 go test -run '^$' -fuzz '^FuzzDecodeState$' -fuzztime 10s ./internal/codec/
