@@ -129,11 +129,14 @@ func run(args []string, stdout *os.File) error {
 	if err != nil {
 		return err
 	}
-	files := out.Files
+	var files map[string]string
 	if *standalone {
-		if files, err = out.Standalone(); err != nil {
-			return err
-		}
+		files, err = out.Standalone()
+	} else {
+		files, err = out.Files()
+	}
+	if err != nil {
+		return err
 	}
 
 	if *outDir == "" {

@@ -177,6 +177,147 @@ func TestRemoteReadTimeoutKeepsNextMessage(t *testing.T) {
 	}
 }
 
+// TestTryReadBehindAbandonedReadKeepsOrder: a TryRead sent while the reply of
+// a Read abandoned by CallTimeout is still on its way must not come back with
+// the message behind the one that read took. The proxy holds the server's
+// frames, so the interleaving is forced, not waited for.
+func TestTryReadBehindAbandonedReadKeepsOrder(t *testing.T) {
+	b, s := startServer(t)
+	px := newHoldingProxy(t, s.Addr().String())
+	dialed := make(chan error, 1)
+	var p *RemotePort
+	go func() {
+		var err error
+		p, err = DialPortWith(px.addr, "compute", DialOptions{CallTimeout: 80 * time.Millisecond})
+		dialed <- err
+	}()
+	px.relay(t, px.next(t)) // the hello ack
+	if err := <-dialed; err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := p.Read("display"); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("read on an empty queue = %v, want ErrTimeout", err)
+	}
+	disp := attach(t, b, "display")
+	for _, payload := range []string{"first", "second"} {
+		if err := disp.Write("temper", []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := px.next(t) // the abandoned read's reply, held
+	type result struct {
+		m   Message
+		ok  bool
+		err error
+	}
+	tried := make(chan result, 1)
+	go func() {
+		m, ok, err := p.TryRead("display")
+		tried <- result{m, ok, err}
+	}()
+	px.relay(t, first, px.next(t)) // in the order the server sent them
+	if r := <-tried; r.err != nil || !r.ok || string(r.m.Data) != "first" {
+		t.Fatalf("TryRead behind the abandoned read = %q %t %v, want first", r.m.Data, r.ok, r.err)
+	}
+	px.open()
+	if m, err := p.Read("display"); err != nil || string(m.Data) != "second" {
+		t.Fatalf("Read after it = %q, %v, want second", m.Data, err)
+	}
+}
+
+// holdingProxy relays one connection to a server: the client's bytes as they
+// come, the server's frames only when the test relays them, or all of them
+// once it opens the proxy.
+type holdingProxy struct {
+	addr   string
+	frames chan []byte   // the server's, whole, not relayed yet
+	client chan net.Conn // the accepted client connection, once
+}
+
+func newHoldingProxy(t *testing.T, server string) *holdingProxy {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	px := &holdingProxy{addr: l.Addr().String(), frames: make(chan []byte, 16), client: make(chan net.Conn, 1)}
+	done := make(chan struct{})
+	t.Cleanup(func() {
+		l.Close()
+		close(done)
+	})
+	go func() {
+		cli, err := l.Accept()
+		if err != nil {
+			return
+		}
+		srv, err := net.Dial("tcp", server)
+		if err != nil {
+			cli.Close()
+			return
+		}
+		go func() {
+			<-done
+			cli.Close()
+			srv.Close()
+		}()
+		px.client <- cli
+		go func() { _, _ = io.Copy(srv, cli) }()
+		fr := codec.NewFrameReader(srv)
+		for {
+			body, err := fr.Next()
+			if err != nil {
+				close(px.frames)
+				return
+			}
+			b := append(codec.BeginFrame(nil), body...)
+			_ = codec.EndFrame(b)
+			px.frames <- b
+		}
+	}()
+	return px
+}
+
+// next returns the server's next frame, unrelayed.
+func (px *holdingProxy) next(t *testing.T) []byte {
+	t.Helper()
+	select {
+	case b, ok := <-px.frames:
+		if !ok {
+			t.Fatal("the server closed the connection")
+		}
+		return b
+	case <-time.After(2 * time.Second):
+		t.Fatal("no frame from the server")
+	}
+	return nil
+}
+
+// relay hands frames to the client.
+func (px *holdingProxy) relay(t *testing.T, frames ...[]byte) {
+	t.Helper()
+	cli := <-px.client
+	defer func() { px.client <- cli }()
+	for _, b := range frames {
+		if _, err := cli.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// open relays every frame from now on.
+func (px *holdingProxy) open() {
+	cli := <-px.client
+	go func() {
+		for b := range px.frames {
+			if _, err := cli.Write(b); err != nil {
+				return
+			}
+		}
+	}()
+}
+
 // startServerWithHello is startServer with a short hello deadline.
 func startServerWithHello(t *testing.T, hello time.Duration) *Server {
 	t.Helper()

@@ -77,7 +77,11 @@ import (
 // has issued: no read-ahead, because Rebind's queue moves, Pending and the
 // quiesce drain test all mean "queued at the bus". A Read abandoned by
 // CallTimeout stays parked at the server; its reply is kept on the port for
-// the next Read or TryRead of that interface (Pending counts it). A
+// the next Read or TryRead of that interface (Pending counts it). Requests
+// on one interface are answered in the order they were made: a tryread takes
+// nothing while a read is parked on its interface, and answers after that
+// read's reply when a message is queued, so the port hands out the parked
+// read's message first. A
 // connection's end ends every call outstanding on it: the client's fail with
 // ErrStopped, the server's return having taken nothing — nothing is popped,
 // nor installed state taken, for a connection after its end. Only a reply
@@ -371,10 +375,13 @@ type conn struct {
 }
 
 // call is an entry of a conn's table: a client's request awaiting its reply
-// on ch (closed if the connection ends first), or a server's parked call.
+// on ch (closed if the connection ends first), or a server's parked call —
+// for a read, its interface and the tryreads answered after its reply.
 type call struct {
-	op byte
-	ch chan frame
+	op     byte
+	ch     chan frame
+	iface  string
+	behind []uint64
 }
 
 func newConn(nc net.Conn, timeout time.Duration) *conn {
@@ -638,6 +645,9 @@ func (c *conn) dispatch(f *frame) error {
 			return nil
 		}
 	case opRead, opTryRead:
+		if f.Op == opTryRead && c.behindParkedRead(f) {
+			return nil
+		}
 		var m Message
 		var ok bool
 		if m, ok, err = c.att.TryRead(f.Name); ok {
@@ -668,15 +678,42 @@ func restoreOutcome(text []byte) error {
 	return errors.New(string(text))
 }
 
+// behindParkedRead keeps a tryread from overtaking a read parked on the same
+// interface, which the client asked first: it takes nothing while one is
+// parked. With the queue empty it finds nothing at once; otherwise the read
+// is about to take the head, and the tryread's empty answer follows the
+// read's reply, so the client has the read's message in hand by then.
+func (c *conn) behindParkedRead(f *frame) bool {
+	parked, queued := false, false
+	c.mu.Lock()
+	for id, cl := range c.calls {
+		if cl.op == opRead && cl.iface == f.Name {
+			parked = true
+			if n, _ := c.att.Pending(f.Name); n > 0 {
+				queued = true
+				cl.behind = append(cl.behind, f.ID)
+				c.calls[id] = cl
+			}
+			break
+		}
+	}
+	c.mu.Unlock()
+	if parked && !queued {
+		c.reply(&frame{Op: rOK, ID: f.ID}, nil)
+	}
+	return parked
+}
+
 // park serves a read or awaitstate that has to wait, on a goroutine of its
-// own and in the call table, which it answers only if still there. A second
-// call under a parked call's id would go unanswered: it ends the connection.
+// own and in the call table, which it answers only if still there, and
+// leaves once answered. A second call under a parked call's id would go
+// unanswered: it ends the connection.
 func (c *conn) park(f *frame) error {
 	c.mu.Lock()
 	_, dup := c.calls[f.ID]
 	live := c.calls != nil && !dup
 	if live {
-		c.calls[f.ID] = call{op: f.Op}
+		c.calls[f.ID] = call{op: f.Op, iface: f.Name}
 	}
 	c.mu.Unlock()
 	if dup {
@@ -699,10 +736,16 @@ func (c *conn) park(f *frame) error {
 		}
 		c.mu.Lock()
 		_, live := c.calls[id]
-		delete(c.calls, id)
 		c.mu.Unlock()
 		if live {
 			c.reply(&r, err)
+		}
+		c.mu.Lock()
+		behind := c.calls[id].behind
+		delete(c.calls, id)
+		c.mu.Unlock()
+		for _, tid := range behind {
+			c.reply(&frame{Op: rOK, ID: tid}, nil)
 		}
 	}()
 	return nil
@@ -977,6 +1020,31 @@ func (p *RemotePort) adopt(iface string, wait bool) chan frame {
 	return q[0]
 }
 
+// inHand returns the oldest answer to a read of f's interface the port
+// holds: the replies of abandoned reads that have arrived come before r, and
+// r, if it carries a message, waits behind them for the next read. The
+// server answers a tryread only after the reads it saw parked on the
+// interface, so their replies are in hand by the time its answer is.
+func (p *RemotePort) inHand(f *frame, r frame) (frame, error) {
+	for {
+		older := p.adopt(f.Name, false)
+		if older == nil {
+			return r, nil
+		}
+		if r.Op == rMsg {
+			held := make(chan frame, 1)
+			held <- r
+			p.c.mu.Lock()
+			p.orphans[f.Name] = append(p.orphans[f.Name], held)
+			p.c.mu.Unlock()
+		}
+		var err error
+		if r, err = p.await(older, f, 0); err != nil || r.Op == rMsg {
+			return r, err
+		}
+	}
+}
+
 // Close is a barrier — a sync round trip, bounded — and then the end: the
 // bus has applied every write posted before it (a socket closed with
 // unread frames is reset), whose owed failure is Close's. Blocked calls fail
@@ -1063,14 +1131,12 @@ func (p *RemotePort) TryRead(iface string) (Message, bool, error) {
 	if err := p.takePostErr(); err != nil {
 		return Message{}, false, err
 	}
-	var r frame
-	var err error
 	f := frame{Op: opTryRead, Name: iface}
-	if ch := p.adopt(iface, false); ch != nil {
-		r, err = p.await(ch, &f, 0) // answered already
-	}
+	r, err := p.inHand(&f, frame{})
 	if err == nil && r.Op != rMsg {
-		r, err = p.call(&f)
+		if r, err = p.call(&f); err == nil {
+			r, err = p.inHand(&f, r)
+		}
 	}
 	if err == nil && r.Op != rMsg {
 		err = p.takePostErr() // a round trip that found nothing is still a barrier

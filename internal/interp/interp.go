@@ -49,7 +49,13 @@ func (l *Lowered) Bind(rt *mh.Runtime, opts ...Option) *Interp {
 }
 
 // Error is a module runtime error (index out of range, division by zero,
-// step limit, ...).
+// step limit, ...). Pos is where the instruction that raised it stands in
+// the source the program was parsed from. For an instrumented module that is
+// the source as the programmer wrote it: the transformation's passes keep
+// the position of every node they reuse, so an error in a flattened loop, a
+// hoisted argument or an untouched procedure cites the line it was written
+// on. A statement only the transformation made has no position, and an
+// error it raises prints without one rather than with a wrong one.
 type Error struct {
 	Pos token.Position
 	Msg string

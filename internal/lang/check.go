@@ -76,26 +76,34 @@ func (i *Info) VarOf(id *ast.Ident) *VarDef {
 
 // Check type-checks a module program against the subset rules and returns
 // the collected information. All violations are reported together.
+//
+// A program checked again after an in-place rewrite sizes its tables from
+// the previous check's, so they are allocated once instead of grown.
 func Check(p *Program) (*Info, error) {
+	n := p.checked
 	c := &checker{
 		prog: p,
 		info: &Info{
-			Types:    map[ast.Expr]Type{},
-			Defs:     map[*ast.Ident]*VarDef{},
-			Uses:     map[*ast.Ident]*VarDef{},
-			FuncVars: map[string][]*VarDef{},
-			Labels:   map[string][]string{},
+			Types:    make(map[ast.Expr]Type, n.types),
+			Defs:     make(map[*ast.Ident]*VarDef, n.defs),
+			Uses:     make(map[*ast.Ident]*VarDef, n.uses),
+			FuncVars: make(map[string][]*VarDef, len(p.Funcs)),
+			Labels:   make(map[string][]string, len(p.Funcs)),
 		},
 	}
 	for _, name := range p.FuncOrder {
 		c.checkFunc(p.Funcs[name])
 	}
 	c.checkPointLabels()
+	p.checked = infoSizes{len(c.info.Types), len(c.info.Defs), len(c.info.Uses)}
 	if len(c.errs) > 0 {
 		return nil, c.errs
 	}
 	return c.info, nil
 }
+
+// infoSizes are the table sizes of a program's last Check.
+type infoSizes struct{ types, defs, uses int }
 
 // MHName is the identifier module programs use for the participation
 // runtime (mh.Read, mh.Write, ...).

@@ -33,9 +33,11 @@ const moduleMainName = "mhModuleMain"
 //
 // Frame names are unaffected: the woven mh.Capture/mh.Restore calls carry
 // the original procedure name "main", and both sides of a state transfer
-// are generated the same way.
+// are generated the same way. The renaming happens on the program parsed
+// from the printed text, never on Prog, which every clone of a loaded
+// module runs.
 func (o *Output) Standalone() (map[string]string, error) {
-	prog, err := lang.ParseFiles(o.Files)
+	_, prog, err := o.text()
 	if err != nil {
 		return nil, fmt.Errorf("transform: standalone: %w", err)
 	}

@@ -55,20 +55,24 @@ func unrelated(a int) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Files) != 3 {
-		t.Fatalf("output files = %d", len(out.Files))
+	woven, err := out.Files()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(woven) != 3 {
+		t.Fatalf("output files = %d", len(woven))
 	}
 	// main.go and worker.go are instrumented; util.go untouched.
-	if !strings.Contains(out.Files["main.go"], "mh.Restore(\"main\"") {
-		t.Errorf("main.go not instrumented:\n%s", out.Files["main.go"])
+	if !strings.Contains(woven["main.go"], "mh.Restore(\"main\"") {
+		t.Errorf("main.go not instrumented:\n%s", woven["main.go"])
 	}
 	for _, fn := range []string{"outer", "inner"} {
-		if !strings.Contains(out.Files["worker.go"], "mh.Restore(\""+fn+"\"") {
-			t.Errorf("worker.go missing restore for %s:\n%s", fn, out.Files["worker.go"])
+		if !strings.Contains(woven["worker.go"], "mh.Restore(\""+fn+"\"") {
+			t.Errorf("worker.go missing restore for %s:\n%s", fn, woven["worker.go"])
 		}
 	}
-	if strings.Contains(out.Files["util.go"], "mh.") {
-		t.Errorf("util.go was instrumented:\n%s", out.Files["util.go"])
+	if strings.Contains(woven["util.go"], "mh.") {
+		t.Errorf("util.go was instrumented:\n%s", woven["util.go"])
 	}
 	if _, ok := out.Funcs["unrelated"]; ok {
 		t.Error("unrelated procedure in report")
@@ -81,6 +85,9 @@ func unrelated(a int) int {
 	}
 	if !strings.Contains(standalone["main.go"], "func mhModuleMain()") {
 		t.Error("standalone rename missed")
+	}
+	if name := out.Prog.Funcs["main"].Decl.Name.Name; name != "main" {
+		t.Errorf("Standalone renamed the lowered program's main to %s", name)
 	}
 	if !strings.Contains(standalone["mh_main.go"], "package main") {
 		t.Error("bootstrap missing")

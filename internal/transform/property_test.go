@@ -137,26 +137,51 @@ func step(x int) int {
 // responses.
 func runWorker(t *testing.T, prog *lang.Program, info *lang.Info, inputs []int) []int {
 	t.Helper()
+	out := make([]int, 0, len(inputs))
+	serve(t, prog, info,
+		[]bus.IfaceSpec{{Name: "in", Dir: bus.InOut}},
+		[]bus.IfaceSpec{{Name: "io", Dir: bus.InOut}},
+		[][2]string{{"io", "in"}},
+		func(_ *bus.Bus, drt *mh.Runtime) {
+			for _, x := range inputs {
+				drt.Write("io", x)
+				var r int
+				drt.Read("io", &r)
+				if err := drt.Err(); err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, r)
+			}
+		})
+	return out
+}
+
+// serve runs prog as instance "m" (interfaces ifaces) of a fresh bus, with a
+// driver instance "drv" (interfaces drvIfaces) bound to it by binds, each a
+// driver interface and the module interface it is bound to. drive talks to
+// the module through the driver's runtime; then the module is deleted, and
+// it must stop without an error.
+func serve(t *testing.T, prog *lang.Program, info *lang.Info, ifaces, drvIfaces []bus.IfaceSpec, binds [][2]string, drive func(*bus.Bus, *mh.Runtime)) {
+	t.Helper()
 	b := bus.New()
-	if err := b.AddInstance(bus.InstanceSpec{
-		Name: "w", Module: "worker",
-		Interfaces: []bus.IfaceSpec{{Name: "in", Dir: bus.InOut}},
-	}); err != nil {
-		t.Fatal(err)
+	for _, spec := range []bus.InstanceSpec{
+		{Name: "m", Module: prog.Package, Interfaces: ifaces},
+		{Name: "drv", Interfaces: drvIfaces},
+	} {
+		if err := b.AddInstance(spec); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := b.AddInstance(bus.InstanceSpec{
-		Name: "drv", Interfaces: []bus.IfaceSpec{{Name: "io", Dir: bus.InOut}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddBinding(bus.Endpoint{Instance: "drv", Interface: "io"}, bus.Endpoint{Instance: "w", Interface: "in"}); err != nil {
-		t.Fatal(err)
+	for _, bd := range binds {
+		if err := b.AddBinding(bus.Endpoint{Instance: "drv", Interface: bd[0]}, bus.Endpoint{Instance: "m", Interface: bd[1]}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	drv, err := b.Attach("drv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	port, err := b.Attach("w")
+	port, err := b.Attach("m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,17 +195,8 @@ func runWorker(t *testing.T, prog *lang.Program, info *lang.Info, inputs []int) 
 
 	drt := mh.New(drv)
 	drt.Init()
-	out := make([]int, 0, len(inputs))
-	for _, x := range inputs {
-		drt.Write("io", x)
-		var r int
-		drt.Read("io", &r)
-		if err := drt.Err(); err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, r)
-	}
-	if err := b.DeleteInstance("w"); err != nil {
+	drive(b, drt)
+	if err := b.DeleteInstance("m"); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -191,14 +207,33 @@ func runWorker(t *testing.T, prog *lang.Program, info *lang.Info, inputs []int) 
 	case <-time.After(10 * time.Second):
 		t.Fatal("module did not stop")
 	}
-	return out
+}
+
+// reparse is the program a reader of Files gets: the woven text, parsed
+// and checked afresh.
+func reparse(t *testing.T, out *Output) (map[string]string, *lang.Program, *lang.Info) {
+	t.Helper()
+	files, err := out.Files()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := lang.ParseFiles(files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := lang.Check(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files, prog, info
 }
 
 // TestPipelineEquivalenceProperty: for randomly generated modules, the
 // fully transformed program (flatten + hoist + weave, under each capture
 // mode) serves exactly the same responses as the original when no
-// reconfiguration is requested, and its text is a gofmt fixed point (what
-// running format.Source over it used to guarantee).
+// reconfiguration is requested — both as the woven AST Load lowers and as
+// the text Files prints, parsed afresh — and its text is a gofmt fixed point
+// (what running format.Source over it used to guarantee).
 func TestPipelineEquivalenceProperty(t *testing.T) {
 	seeds := 100
 	if testing.Short() {
@@ -223,7 +258,8 @@ func TestPipelineEquivalenceProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("prepare (%v): %v\n%s", mode, err, src)
 				}
-				gen, _ := out.Source()
+				files, reprog, reinfo := reparse(t, out)
+				gen := files["worker.go"]
 				if formatted, err := format.Source([]byte(gen)); err != nil || string(formatted) != gen {
 					t.Errorf("mode %v: output is not a gofmt fixed point (err %v):\n%s", mode, err, gen)
 				}
@@ -231,6 +267,10 @@ func TestPipelineEquivalenceProperty(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("mode %v: responses %v, want %v\noriginal:\n%s\ninstrumented:\n%s",
 						mode, got, want, src, gen)
+				}
+				if fromText := runWorker(t, reprog, reinfo, inputs); !reflect.DeepEqual(fromText, got) {
+					t.Fatalf("mode %v: the printed text serves %v, the woven AST %v\ninstrumented:\n%s",
+						mode, fromText, got, gen)
 				}
 			}
 		})

@@ -20,12 +20,14 @@
 //  5. weaves one restore block per procedure (Figure 8) and one capture
 //     block per reconfiguration-graph edge (Figure 7), with resume labels
 //     Li at call sites and the point label at each reconfiguration point;
-//  6. prunes unused labels, prints the program once and parses and checks
-//     that text, so the output provably parses, checks, and remains in the
-//     module subset.
+//  6. prunes unused labels and checks the woven AST in place once more, so
+//     the program the interpreter lowers is the one the checker accepted.
 //
-// The output runs under the interpreter and compiles as real Go against
-// the mh runtime (cmd/mhgen emits a standalone package).
+// The woven program is never printed on the way: Output.Files prints it on
+// request, and parses and checks that text, so whoever reads it (cmd/mhgen,
+// Output.Standalone) gets a program that provably parses, checks and stays
+// in the module subset. It runs under the interpreter and compiles as real
+// Go against the mh runtime (cmd/mhgen emits a standalone package).
 package transform
 
 import (
@@ -96,12 +98,11 @@ type FuncReport struct {
 
 // Output is the result of Prepare.
 type Output struct {
-	// Prog and Info describe the instrumented program, parsed and checked
-	// from the printed output.
+	// Prog and Info are the instrumented program: the woven AST, checked in
+	// place. Nodes the passes kept carry their source positions; statements
+	// the weaver made have none.
 	Prog *lang.Program
 	Info *lang.Info
-	// Files holds the formatted instrumented sources.
-	Files map[string]string
 	// Graph is the reconfiguration graph the instrumentation follows
 	// (built on the flattened program; edge numbers match the integers in
 	// the woven mh.Capture calls).
@@ -116,12 +117,12 @@ type Output struct {
 var inspect = func(pass string, prog *lang.Program) {}
 
 // Prepare transforms a module program for reconfiguration participation.
-// It is one pipeline over one AST: the sources are parsed once, every pass
-// rewrites the instrumented procedures in place and is followed by a fresh
-// lang.Check of the whole program (no pass touches a declaration or a
-// signature, so the declaration tables stay valid), and the result is printed
-// once and parsed once more, so that Prog, Info and every run-time error
-// position describe the text in Files.
+// It is one pipeline over one AST: the sources are parsed once, and every
+// pass rewrites the instrumented procedures in place and is followed by a
+// fresh lang.Check of the whole program (no pass touches a declaration or a
+// signature, so the declaration tables stay valid). The last check's program
+// and Info are the output, so a run-time error cites the line the programmer
+// wrote; nothing is printed until Files is called.
 func Prepare(sources map[string]string, opts Options) (*Output, error) {
 	if opts.Mode == 0 {
 		opts.Mode = CaptureAll
@@ -200,17 +201,40 @@ func Prepare(sources map[string]string, opts Options) (*Output, error) {
 		flatten.PruneLabels(prog.Funcs[name].Decl, w.keepLabels[name])
 	}
 	inspect("weave", prog)
-
-	if out.Files, err = lang.FormatProgram(prog, nodeSet); err != nil {
-		return nil, fmt.Errorf("transform: format output: %w", err)
+	if info, err = lang.Check(prog); err != nil {
+		return nil, fmt.Errorf("transform: after weaving: %w", err)
 	}
-	if out.Prog, err = lang.ParseFiles(out.Files); err == nil {
-		out.Info, err = lang.Check(out.Prog)
+	out.Prog, out.Info = prog, info
+	return out, nil
+}
+
+// Files prints the instrumented program, one gofmt-formatted source per
+// file, and parses and checks what it printed, so the text is a module
+// program in its own right. It prints afresh on every call.
+func (o *Output) Files() (map[string]string, error) {
+	files, _, err := o.text()
+	return files, err
+}
+
+// text is Files together with the program parsed from the printed text:
+// a fresh AST, shared with nothing.
+func (o *Output) text() (map[string]string, *lang.Program, error) {
+	rewritten := make(map[string]bool, len(o.Graph.Nodes))
+	for _, name := range o.Graph.Nodes {
+		rewritten[name] = true
+	}
+	files, err := lang.FormatProgram(o.Prog, rewritten)
+	if err != nil {
+		return nil, nil, fmt.Errorf("transform: format output: %w", err)
+	}
+	prog, err := lang.ParseFiles(files)
+	if err == nil {
+		_, err = lang.Check(prog)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("transform: output does not re-check: %w", err)
+		return nil, nil, fmt.Errorf("transform: output does not re-check: %w", err)
 	}
-	return out, nil
+	return files, prog, nil
 }
 
 // StaticDOT and ReconfigDOT render the static call graph and the
@@ -239,10 +263,14 @@ func PrepareSource(name, src string, opts Options) (*Output, error) {
 // Source returns the single instrumented source file (convenience for
 // single-file modules).
 func (o *Output) Source() (string, error) {
-	if len(o.Files) != 1 {
-		return "", fmt.Errorf("transform: output has %d files", len(o.Files))
+	files, err := o.Files()
+	if err != nil {
+		return "", err
 	}
-	for _, src := range o.Files {
+	if len(files) != 1 {
+		return "", fmt.Errorf("transform: output has %d files", len(files))
+	}
+	for _, src := range files {
 		return src, nil
 	}
 	return "", nil

@@ -59,6 +59,12 @@ go test -race -count=20 -run 'TestStaleRouteAcrossEveryTopologyChange|TestDelete
 echo "== both ends of a TCP attachment: parked calls end with their connection, wrong frames end it (racy x20)"
 go test -race -count=20 -run 'TestRemote|TestParkedCalls|TestClientRefuses|TestServerClose|TestGarbageKills' ./internal/bus/
 
+echo "== request order per interface over TCP: a TryRead behind a Read abandoned by CallTimeout (racy x300)"
+go test -race -count=300 -run 'TestTryReadBehindAbandonedReadKeepsOrder|TestRemoteReadTimeoutKeepsNextMessage' ./internal/bus/
+
+echo "== Load runs the woven AST: run-time errors cite the source, and the printed text serves what the AST serves"
+go test -count=1 -run 'TestRuntimeErrorCitesSource|TestWovenTextRunsAsLowered|TestPipelineEquivalenceProperty' ./internal/transform/
+
 echo "== fault-injection matrix (every script killed before every step of its own table, and at each substrate failpoint, twice, racy)"
 go test -run 'Fault|Rollback|Concurrent' -race -count=2 ./...
 
