@@ -138,14 +138,11 @@ func (fl *funcLowerer) bridgeRead(call *ast.CallExpr, iface func(*frame) string)
 			into[0](fr, v)
 			return
 		}
-		// The runtime overwrites *v at its next read, which evaluating a
-		// pointer argument may perform; the elements are this message's own.
-		elems := v.List
-		if v.Kind != state.KindList || len(elems) != len(into) {
-			fr.in.failf(pos, "mh.Read on %s: message arity %d does not match %d pointers", name, len(elems), len(into))
+		if v.Kind != state.KindList || len(v.List) != len(into) {
+			fr.in.failf(pos, "mh.Read on %s: message arity %d does not match %d pointers", name, len(v.List), len(into))
 		}
 		for i, set := range into {
-			set(fr, &elems[i])
+			set(fr, &v.List[i])
 		}
 	}
 }
@@ -162,16 +159,15 @@ func (fl *funcLowerer) bridgeWrite(call *ast.CallExpr, iface func(*frame) string
 		}
 	}
 	return func(fr *frame, rt *mh.Runtime) {
-		// The tuple is built on the interpreter's scratch stack (an argument
-		// may call a procedure that writes a tuple of its own); the codec
-		// does not retain it.
+		// The calls among the arguments ran before this instruction, so no
+		// other tuple is under construction: the tuple is built in the
+		// interpreter's one buffer, which the codec does not retain.
 		in := fr.in
-		base := len(in.tuple)
+		in.tuple = in.tuple[:0]
 		for _, val := range vals {
 			in.tuple = append(in.tuple, val(fr))
 		}
-		rt.WriteAbstract(iface(fr), &state.Value{Kind: state.KindList, List: in.tuple[base:]})
-		in.tuple = in.tuple[:base]
+		rt.WriteAbstract(iface(fr), &state.Value{Kind: state.KindList, List: in.tuple})
 	}
 }
 
@@ -330,15 +326,11 @@ func (fl *funcLowerer) installer(a ast.Expr) install {
 	}
 	p := fl.expr(a).any()
 	return func(fr *frame, v *state.Value) {
-		// Converted before the pointer is evaluated: that may read a
-		// message, and the runtime decodes every message into the cell v
-		// points at.
-		rv := convert(fr, v)
 		c, ok := p(fr).(cell)
 		if !ok || c == nil {
 			fr.in.failf(pos, "argument is not a pointer")
 		}
-		c.set(rv)
+		c.set(convert(fr, v))
 	}
 }
 

@@ -152,6 +152,9 @@ func (fl *funcLowerer) expr(e ast.Expr) expr {
 	case *ast.UnaryExpr:
 		return fl.unary(x)
 	case *ast.BinaryExpr:
+		if (x.Op == token.LAND || x.Op == token.LOR) && fl.callsIn(x.Y) {
+			return fl.shortCircuit(x)
+		}
 		l, r := fl.expr(x.X), fl.expr(x.Y)
 		switch x.Op {
 		case token.LAND:
@@ -236,6 +239,22 @@ func (fl *funcLowerer) unary(x *ast.UnaryExpr) expr {
 }
 
 // ---- operators ----
+
+// shortCircuit lowers x && y or x || y whose right operand calls a
+// procedure: the call is an instruction, so it is skipped by a jump rather
+// than by Go's own && and ||.
+func (fl *funcLowerer) shortCircuit(x *ast.BinaryExpr) expr {
+	v, end := fl.temp(lang.BoolType), &label{}
+	fl.do(x.X.Pos(), adapt(fl.storeVar(v, fl.expr(x.X), false)))
+	needY := fl.load(v).b // x && y needs y when x holds
+	if k := v.slot; x.Op == token.LOR {
+		needY = func(fr *frame) bool { return fr.s[k].n == 0 } // x || y when it does not
+	}
+	fl.jumpUnless(x.OpPos, needY, end)
+	fl.do(x.Y.Pos(), adapt(fl.storeVar(v, fl.expr(x.Y), false)))
+	fl.place(end)
+	return fl.load(v)
+}
 
 // binary applies a non-short-circuit operator to operands of static type t.
 func (fl *funcLowerer) binary(pos token.Pos, op token.Token, t lang.Type, x, y expr) expr {
@@ -476,52 +495,69 @@ func (fl *funcLowerer) call(x *ast.CallExpr) expr {
 		}
 		return fl.bad(x.Pos(), "mh.%s returns no value", name)
 	}
+	if callee := fl.procedure(x); callee != nil {
+		if len(callee.results) != 1 {
+			return fl.bad(x.Pos(), "%s does not return exactly one value", callee.name)
+		}
+		// The call runs now, ahead of the instruction that reads the rest
+		// of the expression; its result waits in a temporary.
+		fl.invoke(x, callee)
+		res := fl.temp(callee.results[0].typ)
+		st := fl.storeVar(res, fl.load(callee.results[0]), false)
+		fl.do(x.Pos(), func(fr *frame) { st(fr.in.returned(), fr) })
+		return fl.load(res)
+	}
 	id, ok := x.Fun.(*ast.Ident)
 	if !ok {
 		return fl.bad(x.Pos(), "unsupported call")
 	}
-	if callee := fl.funcs[id.Name]; callee != nil {
-		if len(callee.results) != 1 {
-			return fl.bad(x.Pos(), "%s does not return exactly one value", id.Name)
-		}
-		invoke, res := fl.userCall(x, callee), fl.load(callee.results[0])
-		switch callee.results[0].cls {
-		case intClass:
-			return expr{i: func(fr *frame) int { return res.i(invoke(fr)) }}
-		case floatClass:
-			return expr{f: func(fr *frame) float64 { return res.f(invoke(fr)) }}
-		case boolClass:
-			return expr{b: func(fr *frame) bool { return res.b(invoke(fr)) }}
-		}
-		return expr{a: func(fr *frame) any { return res.a(invoke(fr)) }}
-	}
 	return fl.builtin(x, id.Name)
 }
 
-// userCall binds a call to the callee's lowered body: the returned closure
-// evaluates the arguments left to right straight into a new frame, runs
-// the callee and hands back its frame, whose result slots the caller reads.
-func (fl *funcLowerer) userCall(x *ast.CallExpr, callee *code) func(*frame) *frame {
-	if len(x.Args) != len(callee.params) {
-		pos := x.Pos()
-		return func(fr *frame) *frame {
-			fr.in.failf(pos, "%s takes %d arguments, got %d", callee.name, len(callee.params), len(x.Args))
-			return nil
+// procedure resolves a call of one of the module's procedures to the
+// callee (nil for a builtin, an mh primitive or anything else).
+func (fl *funcLowerer) procedure(x *ast.CallExpr) *code {
+	if id, ok := x.Fun.(*ast.Ident); ok {
+		return fl.funcs[id.Name]
+	}
+	return nil
+}
+
+// callsIn reports whether evaluating e calls a procedure of the module.
+func (fl *funcLowerer) callsIn(e ast.Expr) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if x, ok := n.(*ast.CallExpr); ok && fl.procedure(x) != nil {
+			found = true
 		}
+		return !found
+	})
+	return found
+}
+
+// invoke emits the call instruction of a procedure call. The arguments are
+// lowered first, so the calls among them are instructions before it; the
+// instruction evaluates the rest of each argument in the caller's frame,
+// binds it straight into the callee's frame one level up and has exec
+// switch to that frame. The callee's results stay in its frame for the
+// instruction after the call to read (Interp.returned).
+func (fl *funcLowerer) invoke(x *ast.CallExpr, callee *code) {
+	if len(x.Args) != len(callee.params) {
+		fl.fail(x.Pos(), "%s takes %d arguments, got %d", callee.name, len(callee.params), len(x.Args))
+		return
 	}
 	args := make([]store, len(x.Args))
 	for i, a := range x.Args {
 		args[i] = fl.storeVar(callee.params[i], fl.value(a), true)
 	}
-	return func(fr *frame) *frame {
+	fl.emit(x.Pos(), func(fr *frame) int {
 		in := fr.in
-		nf := in.newFrame(callee)
+		nf := in.enter(in.depth+1, callee)
 		for _, bind := range args {
 			bind(fr, nf)
 		}
-		in.exec(callee, nf)
-		return nf
-	}
+		return callPC
+	})
 }
 
 func (fl *funcLowerer) builtin(x *ast.CallExpr, name string) expr {

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"math"
 	"runtime"
+	"slices"
 
 	"repro/internal/lang"
 	"repro/internal/mh"
@@ -14,12 +15,21 @@ import (
 // Interp runs one lowered module program against one participation
 // runtime. It holds everything that changes while the program runs; the
 // Lowered program it executes is shared and immutable.
+//
+// frames is the activation stack: frames[0] is the entry procedure's
+// record, frames[depth] the running one's. A call readies the frame one
+// level up and exec switches to it; a return switches back. The frames and
+// their slots are reused by depth, so a descent allocates only where it
+// goes deeper than any before it.
 type Interp struct {
-	low   *Lowered
-	rt    *mh.Runtime
-	limit int64 // on steps; MaxInt64 when unbounded
-	steps int64
-	tuple []state.Value // stack of outgoing mh.Write tuples under construction
+	low    *Lowered
+	rt     *mh.Runtime
+	limit  int64 // on steps; MaxInt64 when unbounded
+	steps  int64
+	frames []*frame
+	depth  int
+	free   []slot        // the rest of the chunk frames take new slots from
+	tuple  []state.Value // the outgoing mh.Write tuple under construction
 }
 
 // Option configures the interpreter.
@@ -125,15 +135,16 @@ func (in *Interp) call(name string, args []any) ([]any, error) {
 	if len(args) != len(c.params) {
 		return nil, fmt.Errorf("interp: %s takes %d arguments, got %d", name, len(c.params), len(args))
 	}
-	in.steps = 0
-	in.tuple = in.tuple[:0]
-	fr := in.newFrame(c)
+	// Start from an empty stack: a run that a panic unwound left it at the
+	// depth where it failed.
+	in.steps, in.depth = 0, 0
+	fr := in.enter(0, c)
 	for i, p := range c.params {
 		if !p.setAny(fr, copyVal(args[i])) {
 			return nil, fmt.Errorf("interp: %s argument %d is %s, want %s", name, i+1, formatValue(args[i]), p.typ)
 		}
 	}
-	in.exec(c, fr)
+	in.exec(fr)
 	var results []any
 	for _, r := range c.results {
 		results = append(results, r.getAny(fr))
@@ -141,17 +152,82 @@ func (in *Interp) call(name string, args []any) ([]any, error) {
 	return results, nil
 }
 
-func (in *Interp) newFrame(c *code) *frame {
-	return &frame{in: in, s: make([]slot, c.nslots)}
+// enter readies the frame of an activation of c at depth d, its slots
+// cleared. It is the only place the stack grows, where a descent goes
+// deeper, or needs more slots at a depth, than any before it. Neither
+// frames nor slots ever move: frames come in blocks, and a frame's slots
+// are carved from chunks, each sized for twice the frames up to the one
+// that needs it, so a descent allocates a number of times logarithmic in
+// its depth.
+func (in *Interp) enter(d int, c *code) *frame {
+	grow := 2 * (d + 1)
+	if d == len(in.frames) {
+		block := make([]frame, grow)
+		in.frames = slices.Grow(in.frames, grow)
+		for i := range block {
+			block[i].in = in
+			in.frames = append(in.frames, &block[i])
+		}
+	}
+	fr, n := in.frames[d], c.nslots
+	if cap(fr.s) < n {
+		if len(in.free) < n {
+			in.free = make([]slot, max(n, min(slotChunk, grow*n)))
+		}
+		fr.s, in.free = in.free[:n:n], in.free[n:]
+	}
+	fr.c, fr.s = c, fr.s[:n]
+	clear(fr.s)
+	return fr
 }
 
-// exec runs one activation of c to its return.
-func (in *Interp) exec(c *code, fr *frame) {
+// slotChunk caps a chunk at 24 KB, below the 32 KB from which the Go heap
+// allocates an object under its lock.
+const slotChunk = 1024
+
+// returned is the frame of the activation that returned last, one level
+// above the running one. Its results stay there until the next call at
+// that depth, which the instruction after a call never makes first.
+func (in *Interp) returned() *frame { return in.frames[in.depth+1] }
+
+// exec runs the activation readied at depth 0 to its return, and every
+// activation it calls on the way: one loop over the frame stack. An
+// instruction returns the index of the next one, retPC, or callPC once it
+// has readied its callee's frame one level up; exec then records where the
+// caller resumes and switches to the callee, and a return switches back.
+//
+//archlint:hotpath
+func (in *Interp) exec(fr *frame) {
+	c, pc := fr.c, 0
 	ins := c.ins
-	for pc := 0; pc >= 0; {
+	for {
 		if in.steps++; in.steps > in.limit {
-			in.failf(c.pos[pc], "step limit of %d exceeded (non-terminating program?)", in.limit)
+			in.overLimit(c.pos[pc])
 		}
-		pc = ins[pc](fr)
+		next := ins[pc](fr)
+		switch {
+		case next >= 0:
+			pc = next
+			continue
+		case next == callPC:
+			fr.pc = pc + 1
+			in.depth++
+			fr = in.frames[in.depth]
+			pc = 0
+		case in.depth == 0:
+			return
+		default:
+			in.depth--
+			fr = in.frames[in.depth]
+			pc = fr.pc
+		}
+		c = fr.c
+		ins = c.ins
 	}
+}
+
+// overLimit is exec's cold branch, kept out of it because failf boxes its
+// arguments.
+func (in *Interp) overLimit(pos token.Pos) {
+	in.failf(pos, "step limit of %d exceeded (non-terminating program?)", in.limit)
 }

@@ -26,13 +26,20 @@ type code struct {
 	pos     []token.Pos // source position of each instruction
 }
 
-// instr executes one instruction and returns the index of the next one;
-// a negative index returns from the procedure.
+// instr executes one instruction and returns the index of the next one,
+// or retPC or callPC.
 type instr func(fr *frame) int
 
-// frame is one activation record.
+const (
+	retPC  = -1 // return from the procedure
+	callPC = -2 // switch to the callee frame the instruction readied
+)
+
+// frame is one activation record, an element of the interpreter's stack.
 type frame struct {
 	in *Interp
+	c  *code
+	pc int // where the activation resumes when its callee returns
 	s  []slot
 }
 
@@ -146,7 +153,7 @@ func Lower(prog *lang.Program, info *lang.Info) *Lowered {
 	}
 	for _, fl := range fls {
 		fl.block(fl.fn.Decl.Body.List)
-		fl.emit(fl.fn.Decl.Body.Rbrace, func(*frame) int { return -1 })
+		fl.emit(fl.fn.Decl.Body.Rbrace, func(*frame) int { return retPC })
 	}
 	return out
 }
@@ -304,7 +311,7 @@ func (fl *funcLowerer) stmt(s ast.Stmt, name string) {
 		if classOf(fl.info.TypeOf(st.X)) == floatClass {
 			one = konst(1.0)
 		}
-		fl.opAssign(st.Pos(), st.X, op, one)
+		fl.opAssign(st.Pos(), st.X, op, func() expr { return one })
 	case *ast.ExprStmt:
 		fl.exprStmt(st)
 	case *ast.IfStmt:
@@ -359,7 +366,7 @@ func (fl *funcLowerer) stmt(s ast.Stmt, name string) {
 			for _, set := range stores {
 				set(fr, fr)
 			}
-			return -1
+			return retPC
 		})
 	case *ast.BlockStmt:
 		fl.block(st.List)
@@ -383,12 +390,9 @@ func (fl *funcLowerer) exprStmt(st *ast.ExprStmt) {
 		fl.do(st.Pos(), run)
 		return
 	}
-	if id, ok := call.Fun.(*ast.Ident); ok {
-		if callee := fl.funcs[id.Name]; callee != nil {
-			invoke := fl.userCall(call, callee)
-			fl.do(st.Pos(), func(fr *frame) { invoke(fr) })
-			return
-		}
+	if callee := fl.procedure(call); callee != nil {
+		fl.invoke(call, callee)
+		return
 	}
 	fl.do(st.Pos(), fl.expr(call).discard())
 }
@@ -544,49 +548,51 @@ func (fl *funcLowerer) decl(st *ast.DeclStmt) {
 
 func (fl *funcLowerer) assign(st *ast.AssignStmt) {
 	declare := st.Tok == token.DEFINE
+	call, _ := ast.Unparen(st.Rhs[0]).(*ast.CallExpr)
+	var callee *code
+	if call != nil && len(st.Rhs) == 1 {
+		callee = fl.procedure(call)
+	}
 	switch {
 	case st.Tok != token.DEFINE && st.Tok != token.ASSIGN:
 		// go/token declares the op-assign tokens in the order of their operators.
-		fl.opAssign(st.Pos(), st.Lhs[0], st.Tok-token.ADD_ASSIGN+token.ADD, fl.expr(st.Rhs[0]))
+		fl.opAssign(st.Pos(), st.Lhs[0], st.Tok-token.ADD_ASSIGN+token.ADD, func() expr { return fl.expr(st.Rhs[0]) })
 
-	case len(st.Rhs) == 1 && len(st.Lhs) > 1:
-		// a, b = f(): move the callee's result slots into the targets.
-		call, _ := st.Rhs[0].(*ast.CallExpr)
-		var callee *code
-		if call != nil {
-			if id, ok := call.Fun.(*ast.Ident); ok {
-				callee = fl.funcs[id.Name]
-			}
-		}
+	case len(st.Rhs) == 1 && (len(st.Lhs) > 1 || callee != nil):
+		// x = f(), a, b = f(): the instruction after the call moves the
+		// callee's result slots into the targets.
 		if callee == nil || len(callee.results) != len(st.Lhs) {
 			fl.fail(st.Pos(), "cannot destructure a single value into %d targets", len(st.Lhs))
 			return
 		}
-		invoke := fl.userCall(call, callee)
+		to := fl.targets(st.Lhs, declare)
+		fl.invoke(call, callee)
 		stores := make([]store, len(st.Lhs))
-		for i, lhs := range st.Lhs {
-			stores[i] = fl.store(lhs, copied(callee.results[i].typ, fl.load(callee.results[i])), declare)
+		for i, r := range callee.results {
+			stores[i] = to[i](copied(r.typ, fl.load(r)))
 		}
 		fl.do(st.Pos(), func(fr *frame) {
-			res := invoke(fr)
+			res := fr.in.returned()
 			for _, set := range stores {
 				set(res, fr)
 			}
 		})
 
 	case len(st.Lhs) == 1:
-		fl.do(st.Pos(), adapt(fl.store(st.Lhs[0], fl.value(st.Rhs[0]), declare)))
+		to := fl.target(st.Lhs[0], declare)
+		fl.do(st.Pos(), adapt(to(fl.value(st.Rhs[0]))))
 
 	default:
 		// Go evaluates every right-hand side before assigning (a, b = b, a).
+		to := fl.targets(st.Lhs, declare)
 		stores := make([]store, 0, 2*len(st.Lhs))
 		temps := make([]*variable, len(st.Rhs))
 		for i, rhs := range st.Rhs {
 			temps[i] = fl.temp(fl.info.TypeOf(rhs))
 			stores = append(stores, fl.storeVar(temps[i], fl.value(rhs), false))
 		}
-		for i, lhs := range st.Lhs {
-			stores = append(stores, fl.store(lhs, fl.load(temps[i]), declare))
+		for i := range st.Lhs {
+			stores = append(stores, to[i](fl.load(temps[i])))
 		}
 		fl.do(st.Pos(), func(fr *frame) {
 			for _, set := range stores {
@@ -596,21 +602,22 @@ func (fl *funcLowerer) assign(st *ast.AssignStmt) {
 	}
 }
 
-// opAssign lowers lhs = lhs op rhs with lhs located once.
-func (fl *funcLowerer) opAssign(pos token.Pos, lhs ast.Expr, op token.Token, rhs expr) {
+// opAssign lowers lhs = lhs op rhs with lhs located once. rhs is lowered
+// after the operands of lhs, so their calls run first.
+func (fl *funcLowerer) opAssign(pos token.Pos, lhs ast.Expr, op token.Token, rhs func() expr) {
 	t := fl.info.TypeOf(lhs)
 	if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 		if def := fl.info.VarOf(id); def != nil {
 			v := fl.variable(def)
-			fl.do(pos, adapt(fl.storeVar(v, fl.binary(pos, op, t, fl.load(v), rhs), false)))
+			fl.do(pos, adapt(fl.storeVar(v, fl.binary(pos, op, t, fl.load(v), rhs()), false)))
 			return
 		}
 	}
 	// Anything else: hold the location in a temporary, then *tmp = *tmp op rhs.
 	loc, at := fl.temp(lang.Pointer{Elem: t}).slot, fl.address(lhs)
-	fl.do(pos, func(fr *frame) { fr.s[loc].r = at(fr) })
 	cur := expr{a: func(fr *frame) any { return fr.s[loc].r.(cell).get() }}
-	val := fl.binary(pos, op, t, cur, rhs).any()
+	val := fl.binary(pos, op, t, cur, rhs()).any()
+	fl.do(pos, func(fr *frame) { fr.s[loc].r = at(fr) })
 	fl.do(pos, func(fr *frame) { fr.s[loc].r.(cell).set(val(fr)) })
 }
 
@@ -655,48 +662,74 @@ func (fl *funcLowerer) storeVar(v *variable, e expr, declare bool) store {
 	}
 }
 
-// store stores into any assignable expression. The value is evaluated
-// before the operands of the target.
-func (fl *funcLowerer) store(lhs ast.Expr, e expr, declare bool) store {
+// target lowers the operands of an assignable expression — first, so that
+// their calls run before those of the value — and returns the store into
+// it of a value lowered after them. The value is evaluated before the
+// operands of the target.
+func (fl *funcLowerer) target(lhs ast.Expr, declare bool) func(expr) store {
 	switch x := lhs.(type) {
 	case *ast.ParenExpr:
-		return fl.store(x.X, e, declare)
+		return fl.target(x.X, declare)
 	case *ast.Ident:
 		if x.Name == "_" {
-			run := e.discard()
-			return func(src, _ *frame) { run(src) }
+			return func(e expr) store {
+				run := e.discard()
+				return func(src, _ *frame) { run(src) }
+			}
 		}
 		def := fl.info.VarOf(x)
 		if def == nil {
-			return fl.badStore(x.Pos(), "undeclared variable %s", x.Name)
+			return fl.badTarget(x.Pos(), "undeclared variable %s", x.Name)
 		}
-		return fl.storeVar(fl.variable(def), e, declare)
+		v := fl.variable(def)
+		return func(e expr) store { return fl.storeVar(v, e, declare) }
 	case *ast.IndexExpr:
-		val, xs, idx, pos := e.any(), fl.expr(x.X).any(), fl.expr(x.Index).int(), x.Pos()
-		return func(src, dst *frame) {
-			v := val(src)
-			sl, i := indexOperands(dst, pos, xs, idx)
-			sl[i] = v
+		xs, idx, pos := fl.expr(x.X).any(), fl.expr(x.Index).int(), x.Pos()
+		return func(e expr) store {
+			val := e.any()
+			return func(src, dst *frame) {
+				v := val(src)
+				sl, i := indexOperands(dst, pos, xs, idx)
+				sl[i] = v
+			}
 		}
 	case *ast.SelectorExpr:
-		val, sv, i := e.any(), fl.structOperand(x.X), fl.fieldIndex(x)
+		i := fl.fieldIndex(x)
 		if i < 0 {
-			return fl.badStore(x.Sel.Pos(), "no field %s", x.Sel.Name)
+			return fl.badTarget(x.Sel.Pos(), "no field %s", x.Sel.Name)
 		}
-		return func(src, dst *frame) {
-			v := val(src)
-			sv(dst).fields[i] = v
+		sv := fl.structOperand(x.X)
+		return func(e expr) store {
+			val := e.any()
+			return func(src, dst *frame) {
+				v := val(src)
+				sv(dst).fields[i] = v
+			}
 		}
 	case *ast.StarExpr:
-		val, at := e.any(), fl.deref(x)
-		return func(src, dst *frame) {
-			v := val(src)
-			at(dst).set(v)
+		at := fl.deref(x)
+		return func(e expr) store {
+			val := e.any()
+			return func(src, dst *frame) {
+				v := val(src)
+				at(dst).set(v)
+			}
 		}
 	}
-	return fl.badStore(lhs.Pos(), "not an assignable expression")
+	return fl.badTarget(lhs.Pos(), "not an assignable expression")
 }
 
-func (fl *funcLowerer) badStore(pos token.Pos, format string, args ...any) store {
-	return func(_, dst *frame) { dst.in.failf(pos, format, args...) }
+// targets lowers the operands of every target of an assignment, in order.
+func (fl *funcLowerer) targets(lhs []ast.Expr, declare bool) []func(expr) store {
+	to := make([]func(expr) store, len(lhs))
+	for i, x := range lhs {
+		to[i] = fl.target(x, declare)
+	}
+	return to
+}
+
+func (fl *funcLowerer) badTarget(pos token.Pos, format string, args ...any) func(expr) store {
+	return func(expr) store {
+		return func(_, dst *frame) { dst.in.failf(pos, format, args...) }
+	}
 }

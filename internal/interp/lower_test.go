@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bus"
 	"repro/internal/codec"
+	"repro/internal/lang"
 	"repro/internal/mh"
 	"repro/internal/state"
 	"repro/internal/transform"
@@ -411,6 +412,286 @@ func sum(n int) int {
 `)
 	if got := callOne(t, in, "sum", 10_000); got != 10_000*10_001/2 {
 		t.Errorf("sum(10000) = %v", got)
+	}
+}
+
+// TestCallsRunBeforeOperands: the calls of an expression run first, left
+// to right, and the remaining operands are read after them, as in the
+// compiled module. Each want is what go run prints for the same source.
+// && and || still skip their right operand, a call in a for condition runs
+// on every iteration and one in a switch case only when the case is
+// reached.
+func TestCallsRunBeforeOperands(t *testing.T) {
+	in := pureInterp(t, `package p
+
+func main() {}
+
+func set5(p *int) int {
+	*p = 5
+	return 1
+}
+
+func bump(p *int) bool {
+	*p = *p + 10
+	return true
+}
+
+func operandAfterCall() int {
+	y := 1
+	return y + set5(&y)
+}
+
+func indexAfterCall() int {
+	arr := []int{20, 30, 40, 50, 0, 60}
+	w := 0
+	return arr[w] + set5(&w)
+}
+
+func andCalls() int {
+	z := 1
+	if z == 1 && bump(&z) {
+		return z
+	}
+	return -1
+}
+
+func andSkips() int {
+	z := 1
+	if false && bump(&z) {
+		return -1
+	}
+	return z
+}
+
+func orSkips() int {
+	z := 1
+	if z == 1 || bump(&z) {
+		return z
+	}
+	return -1
+}
+
+func orCalls() int {
+	z := 1
+	ok := z == 2 || bump(&z)
+	if ok {
+		return z
+	}
+	return -1
+}
+
+func below(n int, calls *int) bool {
+	*calls = *calls + 1
+	return n < 3
+}
+
+func forCond() int {
+	calls := 0
+	i := 0
+	for below(i, &calls) {
+		i++
+	}
+	return 10*calls + i
+}
+
+func hit(v int, want int, calls *int) bool {
+	*calls = *calls + 1
+	return v == want
+}
+
+func switchCase(v int) int {
+	calls := 0
+	switch {
+	case hit(v, 1, &calls):
+		return 100 + calls
+	case hit(v, 2, &calls):
+		return 200 + calls
+	}
+	return calls
+}
+
+func note(d int, log *int) int {
+	*log = *log*10 + d
+	return d
+}
+
+func leftToRight() int {
+	log := 0
+	x := note(1, &log) + note(2, &log)*note(3, &log)
+	return 100*log + x
+}
+
+func argAfterCall() int {
+	y := 1
+	return pair(set5(&y), y)
+}
+
+func pair(a int, b int) int { return 10*a + b }
+
+func targetFirst() int {
+	log := 0
+	xs := []int{0, 0, 0}
+	xs[note(1, &log)] = note(2, &log)
+	return 100*log + 10*xs[1] + xs[2]
+}
+
+func indexTargetAfterCall() int {
+	xs := []int{7, 8, 9, 0, 0, 0}
+	w := 0
+	xs[w] = set5(&w)
+	return 10*xs[0] + xs[5]
+}
+
+func opAssignAfterCall() int {
+	y := 1
+	y += set5(&y)
+	return y
+}
+
+func opTargetFirst() int {
+	log := 0
+	xs := []int{0, 0, 0}
+	xs[note(1, &log)] += note(2, &log)
+	return 100*log + 10*xs[1] + xs[2]
+}
+
+func tupleTargetFirst() int {
+	log := 0
+	xs := []int{0, 0, 0}
+	y := 0
+	xs[note(1, &log)], y = note(2, &log), note(3, &log)
+	return 1000*log + 10*xs[1] + y
+}
+
+func sum(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return n + sum(n-1)
+}
+`)
+	tests := []struct {
+		fn   string
+		args []any
+		want int
+	}{
+		{"operandAfterCall", nil, 6}, // y + set5(&y)
+		{"indexAfterCall", nil, 61},  // arr[w] + set5(&w)
+		{"andCalls", nil, 11},        // z == 1 && bump(&z)
+		{"andSkips", nil, 1},         // false && bump(&z)
+		{"orSkips", nil, 1},          // z == 1 || bump(&z)
+		{"orCalls", nil, 11},         // z == 2 || bump(&z)
+		{"forCond", nil, 43},         // four calls of below, three iterations
+		{"switchCase", []any{1}, 101},
+		{"switchCase", []any{2}, 202},
+		{"switchCase", []any{9}, 2},
+		{"leftToRight", nil, 12307},       // note 1, 2, 3 in that order; 1 + 2*3
+		{"argAfterCall", nil, 15},         // pair(set5(&y), y)
+		{"targetFirst", nil, 1220},        // xs[note(1)] = note(2)
+		{"indexTargetAfterCall", nil, 71}, // xs[w] = set5(&w)
+		{"opAssignAfterCall", nil, 6},     // y += set5(&y)
+		{"opTargetFirst", nil, 1220},      // xs[note(1)] += note(2)
+		{"tupleTargetFirst", nil, 123023}, // xs[note(1)], y = note(2), note(3)
+		{"sum", []any{10}, 55},            // return n + sum(n-1)
+	}
+	for _, tt := range tests {
+		if got := callOne(t, in, tt.fn, tt.args...); got != tt.want {
+			t.Errorf("%s(%v) = %v, want %d", tt.fn, tt.args, got, tt.want)
+		}
+	}
+}
+
+// deepSource is a 128-deep descent of plain calls, one frame of each class
+// of slot per level.
+const deepSource = `package p
+
+func main() {}
+
+func deep(n int) int {
+	f := float64(n)
+	ok := n > 0
+	s := "level"
+	if !ok {
+		return len(s)
+	}
+	return deep(n-1) + int(f) - n
+}
+`
+
+// TestCallWork pins what a call costs the interpreter: no allocation once
+// its frame stack is as deep as the descent (what is left is Call's result
+// slice), and on a fresh interpreter only the stack's growths, a number
+// logarithmic in its depth.
+func TestCallWork(t *testing.T) {
+	prog, info := loadProgram(t, deepSource)
+	low := Lower(prog, info)
+	run := func(in *Interp) {
+		if got := callOne(t, in, "deep", 128); got != 5 {
+			t.Fatalf("deep(128) = %v, want 5", got)
+		}
+	}
+	fresh := testing.AllocsPerRun(20, func() { run(low.Bind(nil)) })
+	if fresh > 32 {
+		t.Errorf("a 128-deep Call on a fresh Interp allocates %v times, want <= 32", fresh)
+	}
+	in := low.Bind(nil)
+	reused := testing.AllocsPerRun(20, func() { run(in) })
+	if reused > 2 {
+		t.Errorf("a 128-deep Call on a reused Interp allocates %v times, want <= 2", reused)
+	}
+	t.Logf("allocations of a 128-deep Call: %v on a fresh Interp, %v on a reused one", fresh, reused)
+}
+
+// TestStackSurvivesUnwinding: a Call that fails deep in a descent leaves
+// the frame stack where it failed; the next Call on the same Interp starts
+// from an empty one.
+func TestStackSurvivesUnwinding(t *testing.T) {
+	in := pureInterp(t, `package p
+
+func main() {}
+
+func down(n int, at int) int {
+	if n == at {
+		return n / (n - at)
+	}
+	if n == 0 {
+		return 0
+	}
+	return n + down(n-1, at)
+}
+`)
+	_, err := in.Call("down", 100, 50)
+	if err == nil || !strings.Contains(err.Error(), "integer division by zero") {
+		t.Fatalf("down(100, 50): err = %v, want division by zero at depth 50", err)
+	}
+	if got := callOne(t, in, "down", 100, -1); got != 5050 {
+		t.Errorf("down(100, -1) after the failure = %v, want 5050", got)
+	}
+}
+
+// BenchmarkDeepDescent is the shape of the deep stage's first message: a
+// fresh goroutine and a fresh Interp run a 128-deep descent.
+func BenchmarkDeepDescent(b *testing.B) {
+	prog, err := lang.ParseSource("mod.go", deepSource)
+	if err != nil {
+		b.Fatal(err)
+	}
+	info, err := lang.Check(prog)
+	if err != nil {
+		b.Fatal(err)
+	}
+	low := Lower(prog, info)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		done := make(chan error)
+		go func() {
+			_, err := low.Bind(nil).Call("deep", 128)
+			done <- err
+		}()
+		if err := <-done; err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

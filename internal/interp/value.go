@@ -10,13 +10,22 @@
 // push costs nothing at run time); literals are parsed once; operators are
 // picked from the checker's static types; mh.<primitive> calls are bound to
 // their runtime method with interface names, &local targets, pointee types,
-// capture-variable names and format strings fixed; user calls are bound to
-// the callee's lowered body; structured control flow, labels, goto, break
-// and continue all become jumps inside one flat instruction array per
-// procedure. A Lowered program is immutable and may be run by any number of
-// interpreters concurrently (a module and its clone, the members of a
-// replica group, a replay sandbox): frames, the step counter and the
-// runtime live in the Interp.
+// capture-variable names and format strings fixed; structured control
+// flow, labels, goto, break and continue all become jumps inside one flat
+// instruction array per procedure. A call of a procedure is an instruction
+// too: a call nested in an expression is taken out of it into a temporary,
+// so the calls of an expression run first, left to right, and its remaining
+// operands are read after them, as in the compiled module. A Lowered
+// program is immutable and may be run by any number of interpreters
+// concurrently (a module and its clone, the members of a replica group, a
+// replay sandbox): the frame stack, the step counter and the runtime live
+// in the Interp.
+//
+// An Interp runs a call on a frame stack of its own, not as a Go call: exec
+// is one loop that switches frames at a call and back at a return, and the
+// frames and their slots are reused by depth. A recursion costs the
+// goroutine no stack and, once the stack has been that deep, no
+// allocation; its depth is bounded by memory alone.
 //
 // The address-taken rule: a variable whose address is taken (&v anywhere
 // but directly as an mh.Read/mh.Restore target) lives in a heap cell of its

@@ -47,6 +47,10 @@ go test -race ./internal/bus/... ./internal/quiesce/... ./internal/reconfig/... 
 echo "== one lowered program under eight interpreters (the state a module shares with its clones and replicas, racy x10)"
 go test -race -count=10 -run TestLoweredProgramSharedAcrossGoroutines ./internal/interp/
 
+echo "== calls on the interpreter's own frame stack: evaluation order as gc, work per call, a 10 000-deep recursion, the deep descent benchmark (one iteration)"
+go test -count=1 -run 'TestCallsRunBeforeOperands|TestCallWork|TestDeepRecursion' ./internal/interp/
+go test -run '^$' -bench BenchmarkDeepDescent -benchtime 1x ./internal/interp/
+
 echo "== the ring's record allocator under eight writers (blocks shared by every traced and recorded delivery, racy x10)"
 go test -race -count=10 -run TestAllocConcurrent ./internal/ring/
 
