@@ -72,6 +72,12 @@ func (l ErrorList) Error() string {
 
 // ParseFiles parses named source texts into a Program (without checking).
 // Sources map file name to content.
+//
+// The parse skips go/parser's object resolution: Check resolves every
+// identifier against its own scopes, and nothing reads ast.Ident.Obj,
+// File.Scope or File.Unresolved, so building them would be wasted work.
+// Without DeclarationErrors the resolver reports nothing, so the errors a
+// parse returns are the same either way.
 func ParseFiles(sources map[string]string) (*Program, error) {
 	fset := token.NewFileSet()
 	p := &Program{
@@ -85,7 +91,7 @@ func ParseFiles(sources map[string]string) (*Program, error) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		file, err := parser.ParseFile(fset, name, sources[name], parser.ParseComments)
+		file, err := parser.ParseFile(fset, name, sources[name], parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("lang: parse %s: %w", name, err)
 		}

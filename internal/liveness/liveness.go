@@ -14,6 +14,14 @@
 // explicit: plain fallthrough, `goto L`, `if cond { goto L }` and `return`.
 // That makes the control-flow graph one node per top-level statement.
 //
+// Sets are bit-vectors. Each distinct variable name of the procedure gets
+// one bit, numbered in the checker's FuncVars order; the blank identifier
+// gets none, since nothing reads it. A set is a row of one word per 64
+// variables, and every row — each statement's uses, definitions, live-in
+// and live-out, then the pinned set — is carved from one backing array, so
+// the backward fixpoint runs in place and allocates nothing per statement
+// or per sweep.
+//
 // Soundness notes:
 //   - a variable whose address is taken anywhere in the procedure is pinned
 //     always-live (writes through the pointer alias it);
@@ -26,6 +34,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"math/bits"
 	"sort"
 
 	"repro/internal/lang"
@@ -50,12 +59,19 @@ type Analysis struct {
 	Fn    *lang.Func
 	Stmts []ast.Stmt // top-level statements, labels unwrapped
 
-	liveIn  []map[string]bool
-	liveOut []map[string]bool
-	pinned  map[string]bool // address-taken variables
-	index   map[ast.Stmt]int
-	opts    Options
+	names []string       // variable name of each bit
+	bit   map[string]int // bit of each variable name
+	words int            // words per row
+	rows  []uint64       // use, def, live-in and live-out rows of every statement, then pinned
+	index map[ast.Stmt]int
 }
+
+// row returns row r of the backing array.
+func (a *Analysis) row(r int) []uint64 { return a.rows[r*a.words : (r+1)*a.words] }
+
+func (a *Analysis) liveIn(i int) []uint64  { return a.row(2*len(a.Stmts) + i) }
+func (a *Analysis) liveOut(i int) []uint64 { return a.row(3*len(a.Stmts) + i) }
+func (a *Analysis) pinned() []uint64       { return a.row(4 * len(a.Stmts)) }
 
 // Analyze computes liveness for the named (flattened) function with the
 // default (conservative) options.
@@ -69,18 +85,34 @@ func AnalyzeOpts(prog *lang.Program, info *lang.Info, name string, opts Options)
 	if !ok {
 		return nil, fmt.Errorf("liveness: no function %s", name)
 	}
-	a := &Analysis{Fn: fn, pinned: map[string]bool{}, index: map[ast.Stmt]int{}, opts: opts}
+	list := fn.Decl.Body.List
+	n := len(list)
+	a := &Analysis{Fn: fn, Stmts: make([]ast.Stmt, 0, n), index: make(map[ast.Stmt]int, n)}
+
+	vars := info.FuncVars[name]
+	a.names = make([]string, 0, len(vars))
+	a.bit = make(map[string]int, len(vars))
+	for _, v := range vars {
+		if _, dup := a.bit[v.Name]; !dup && v.Name != "_" {
+			a.bit[v.Name] = len(a.names)
+			a.names = append(a.names, v.Name)
+		}
+	}
+	a.words = (len(a.names) + 63) / 64
+	// Rows 0..n-1 are uses, n..2n-1 definitions, 2n..3n-1 live-in, 3n..4n-1
+	// live-out, 4n the pinned set and 4n+1 a row that discards definitions.
+	a.rows = make([]uint64, (4*n+2)*a.words)
 
 	// Collect top-level statements and label targets.
-	labels := map[string]int{}
-	for _, s := range fn.Decl.Body.List {
+	f := &flow{labels: map[string]int{}, succ: make([]int, 0, 2*n), off: make([]int, 1, n+1)}
+	for _, s := range list {
 		inner := s
 		for {
 			ls, ok := inner.(*ast.LabeledStmt)
 			if !ok {
 				break
 			}
-			labels[ls.Label.Name] = len(a.Stmts)
+			f.labels[ls.Label.Name] = len(a.Stmts)
 			inner = ls.Stmt
 		}
 		a.index[s] = len(a.Stmts)
@@ -88,11 +120,15 @@ func AnalyzeOpts(prog *lang.Program, info *lang.Info, name string, opts Options)
 		a.Stmts = append(a.Stmts, inner)
 	}
 
+	c := &collector{info: info, opts: opts, bit: a.bit, discard: a.row(4*n + 1)}
+	c.visit = c.addUse
+
 	// Address-taken pinning. With MHOutParams, `&x` directly in an
 	// out-parameter slot of an mh primitive does not pin: the runtime
 	// writes the pointee and never retains the address.
-	exempt := map[*ast.UnaryExpr]bool{}
+	var exempt map[*ast.UnaryExpr]bool
 	if opts.MHOutParams {
+		exempt = map[*ast.UnaryExpr]bool{}
 		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -112,142 +148,126 @@ func AnalyzeOpts(prog *lang.Program, info *lang.Info, name string, opts Options)
 			return true
 		}
 		if base := baseIdent(ue.X); base != nil {
-			if d := info.VarOf(base); d != nil {
-				a.pinned[d.Name] = true
-			}
+			c.set(a.pinned(), base)
 		}
 		return true
 	})
 
-	n := len(a.Stmts)
-	succ := make([][]int, n)
 	for i, s := range a.Stmts {
-		sc, err := successors(s, i, n, labels)
-		if err != nil {
+		if err := f.add(s, i, n); err != nil {
 			return nil, fmt.Errorf("liveness: %s: %w", name, err)
 		}
-		succ[i] = sc
+		c.use, c.def = a.row(i), a.row(n+i)
+		c.stmt(s)
 	}
 
-	use := make([]map[string]bool, n)
-	def := make([]map[string]bool, n)
-	for i, s := range a.Stmts {
-		use[i], def[i] = usesAndDefs(info, s, opts)
-	}
-
-	a.liveIn = make([]map[string]bool, n)
-	a.liveOut = make([]map[string]bool, n)
-	for i := range a.liveIn {
-		a.liveIn[i] = map[string]bool{}
-		a.liveOut[i] = map[string]bool{}
-	}
-	// Backward fixpoint.
+	// Backward fixpoint, word by word: out = ∪ in[succ], in = use ∪ (out − def).
 	for changed := true; changed; {
 		changed = false
 		for i := n - 1; i >= 0; i-- {
-			out := map[string]bool{}
-			for _, s := range succ[i] {
-				for v := range a.liveIn[s] {
-					out[v] = true
+			use, def, in, out := a.row(i), a.row(n+i), a.liveIn(i), a.liveOut(i)
+			for k := range out {
+				var o uint64
+				for _, s := range f.succ[f.off[i]:f.off[i+1]] {
+					o |= a.rows[(2*n+s)*a.words+k]
 				}
-			}
-			in := map[string]bool{}
-			for v := range out {
-				if !def[i][v] {
-					in[v] = true
+				if x := use[k] | o&^def[k]; o != out[k] || x != in[k] {
+					out[k], in[k] = o, x
+					changed = true
 				}
-			}
-			for v := range use[i] {
-				in[v] = true
-			}
-			if !sameSet(out, a.liveOut[i]) || !sameSet(in, a.liveIn[i]) {
-				a.liveOut[i] = out
-				a.liveIn[i] = in
-				changed = true
 			}
 		}
 	}
 	return a, nil
 }
 
-func sameSet(x, y map[string]bool) bool {
-	if len(x) != len(y) {
-		return false
+// flow is the control-flow graph of a flat procedure: the successors of
+// statement i are succ[off[i]:off[i+1]].
+type flow struct {
+	labels map[string]int // statement index of each label
+	succ   []int
+	off    []int
+}
+
+// add appends the successors of flat statement i of n.
+func (f *flow) add(s ast.Stmt, i, n int) error {
+	switch st := s.(type) {
+	case *ast.ReturnStmt:
+	case *ast.BranchStmt:
+		if st.Tok != token.GOTO {
+			return fmt.Errorf("unflattened branch %s at statement %d", st.Tok, i)
+		}
+		idx, ok := f.labels[st.Label.Name]
+		if !ok {
+			return fmt.Errorf("goto to unknown label %s", st.Label.Name)
+		}
+		f.succ = append(f.succ, idx)
+	default:
+		if i+1 < n {
+			f.succ = append(f.succ, i+1)
+		}
+		if st, ok := s.(*ast.IfStmt); ok {
+			// Flat form: the body is a sequence ending in goto/return, with no
+			// internal labels. Conservative handling: successors are the
+			// fallthrough plus every goto target inside; if the body cannot
+			// exit normally (ends in goto/return) that is still safe
+			// (over-approximation only adds edges).
+			ast.Walk(f, st)
+		}
 	}
-	for k := range x {
-		if !y[k] {
+	f.off = append(f.off, len(f.succ))
+	return nil
+}
+
+// Visit adds the target of every goto in an if statement.
+func (f *flow) Visit(nd ast.Node) ast.Visitor {
+	if br, ok := nd.(*ast.BranchStmt); ok && br.Tok == token.GOTO {
+		if idx, ok := f.labels[br.Label.Name]; ok {
+			f.succ = append(f.succ, idx)
+		}
+	}
+	return f
+}
+
+// collector fills the use and def rows of one flat statement.
+type collector struct {
+	info     *lang.Info
+	opts     Options
+	bit      map[string]int
+	use, def []uint64
+	discard  []uint64            // def row of statements inside an if body
+	visit    func(ast.Node) bool // addUse, bound once: a method value per call allocates
+}
+
+// set sets the bit of the variable id names, if it has one.
+func (c *collector) set(row []uint64, id *ast.Ident) {
+	if d := c.info.VarOf(id); d != nil {
+		if b, ok := c.bit[d.Name]; ok {
+			row[b/64] |= 1 << (b % 64)
+		}
+	}
+}
+
+func (c *collector) addUses(e ast.Expr) {
+	if e != nil {
+		ast.Inspect(e, c.visit)
+	}
+}
+
+func (c *collector) addUse(n ast.Node) bool {
+	switch n := n.(type) {
+	case *ast.CallExpr:
+		if c.opts.MHOutParams && c.mhCall(n) {
 			return false
 		}
+	case *ast.Ident:
+		c.set(c.use, n)
 	}
 	return true
 }
 
-// successors computes the control-flow successors of flat statement i.
-func successors(s ast.Stmt, i, n int, labels map[string]int) ([]int, error) {
-	next := func() []int {
-		if i+1 < n {
-			return []int{i + 1}
-		}
-		return nil
-	}
-	switch st := s.(type) {
-	case *ast.ReturnStmt:
-		return nil, nil
-	case *ast.BranchStmt:
-		if st.Tok != token.GOTO {
-			return nil, fmt.Errorf("unflattened branch %s at statement %d", st.Tok, i)
-		}
-		idx, ok := labels[st.Label.Name]
-		if !ok {
-			return nil, fmt.Errorf("goto to unknown label %s", st.Label.Name)
-		}
-		return []int{idx}, nil
-	case *ast.IfStmt:
-		// Flat form: the body is a sequence ending in goto/return, with no
-		// internal labels. Conservative handling: successors are the
-		// fallthrough plus every goto target inside; if the body cannot
-		// exit normally (ends in goto/return) that is still safe
-		// (over-approximation only adds edges).
-		out := next()
-		ast.Inspect(st, func(nd ast.Node) bool {
-			if br, ok := nd.(*ast.BranchStmt); ok && br.Tok == token.GOTO {
-				if idx, ok := labels[br.Label.Name]; ok {
-					out = append(out, idx)
-				}
-			}
-			return true
-		})
-		return out, nil
-	default:
-		return next(), nil
-	}
-}
-
-// usesAndDefs extracts the used and defined variables of one flat
-// statement.
-func usesAndDefs(info *lang.Info, s ast.Stmt, opts Options) (use, def map[string]bool) {
-	use = map[string]bool{}
-	def = map[string]bool{}
-	addUses := func(e ast.Expr) {
-		if e == nil {
-			return
-		}
-		ast.Inspect(e, func(n ast.Node) bool {
-			if opts.MHOutParams {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if outDefs := mhCallUsesAndDefs(info, call, use, def); outDefs {
-						return false
-					}
-				}
-			}
-			if id, ok := n.(*ast.Ident); ok {
-				if d := info.VarOf(id); d != nil {
-					use[d.Name] = true
-				}
-			}
-			return true
-		})
-	}
+// stmt extracts the used and defined variables of one flat statement.
+func (c *collector) stmt(s ast.Stmt) {
 	switch st := s.(type) {
 	case *ast.AssignStmt:
 		for i, rhs := range st.Rhs {
@@ -261,63 +281,55 @@ func usesAndDefs(info *lang.Info, s ast.Stmt, opts Options) (use, def map[string
 					}
 				}
 			}
-			addUses(rhs)
+			c.addUses(rhs)
 		}
 		for _, lhs := range st.Lhs {
 			if id, ok := lhs.(*ast.Ident); ok {
 				if st.Tok != token.ASSIGN && st.Tok != token.DEFINE {
-					// op-assign reads the target too
-					if d := info.VarOf(id); d != nil {
-						use[d.Name] = true
-					}
+					c.set(c.use, id) // op-assign reads the target too
 				}
-				if d := info.VarOf(id); d != nil && d.Name != "_" {
-					def[d.Name] = true
-				}
+				c.set(c.def, id)
 				continue
 			}
 			// Indirect target (x[i], *p, x.F): uses of everything in it,
 			// no definition.
-			addUses(lhs)
+			c.addUses(lhs)
 		}
 	case *ast.IncDecStmt:
-		addUses(st.X)
+		c.addUses(st.X)
 		if id, ok := st.X.(*ast.Ident); ok {
-			if d := info.VarOf(id); d != nil {
-				def[d.Name] = true
-			}
+			c.set(c.def, id)
 		}
 	case *ast.ExprStmt:
-		addUses(st.X)
+		c.addUses(st.X)
 	case *ast.IfStmt:
-		addUses(st.Cond)
+		c.addUses(st.Cond)
+		def := c.def
+		c.def = c.discard
 		for _, inner := range st.Body.List {
-			u, _ := usesAndDefs(info, inner, opts)
-			for v := range u {
-				use[v] = true
-			}
+			c.stmt(inner)
 		}
+		c.def = def
 	case *ast.ReturnStmt:
 		for _, r := range st.Results {
-			addUses(r)
+			c.addUses(r)
 		}
 	case *ast.DeclStmt:
 		if gd, ok := st.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
 				if vs, ok := spec.(*ast.ValueSpec); ok {
 					for _, v := range vs.Values {
-						addUses(v)
+						c.addUses(v)
 					}
 					for _, id := range vs.Names {
-						if d := info.VarOf(id); d != nil && len(vs.Values) > 0 {
-							def[d.Name] = true
+						if len(vs.Values) > 0 {
+							c.set(c.def, id)
 						}
 					}
 				}
 			}
 		}
 	}
-	return use, def
 }
 
 // mhOutParamArgs returns the arguments of an mh-primitive call that the
@@ -347,36 +359,29 @@ func mhOutParamArgs(call *ast.CallExpr) []ast.Expr {
 	return nil
 }
 
-// mhCallUsesAndDefs handles an mh call with out-parameters: `&x` in an
-// out slot is a definition of x; every other argument contributes uses.
-// Out-arguments that are not a plain `&ident` (e.g. &x.f, &x[i]) are
-// partial updates and count as uses of the base variable. Reports whether
-// the call was handled (true only for out-parameter primitives).
-func mhCallUsesAndDefs(info *lang.Info, call *ast.CallExpr, use, def map[string]bool) bool {
+// mhCall handles an mh call with out-parameters: `&x` in an out slot is a
+// definition of x; every other argument contributes uses. Out-arguments
+// that are not a plain `&ident` (e.g. &x.f, &x[i]) are partial updates and
+// count as uses of the base variable. Reports whether the call was handled
+// (true only for out-parameter primitives).
+func (c *collector) mhCall(call *ast.CallExpr) bool {
 	outs := mhOutParamArgs(call)
 	if outs == nil {
 		return false
 	}
-	isOut := map[ast.Expr]bool{}
-	for _, o := range outs {
-		isOut[o] = true
-	}
-	for _, arg := range call.Args {
-		if isOut[arg] {
+	firstOut := len(call.Args) - len(outs)
+	for i, arg := range call.Args {
+		if i >= firstOut {
 			if ue, ok := arg.(*ast.UnaryExpr); ok && ue.Op == token.AND {
 				if id, ok := ue.X.(*ast.Ident); ok {
-					if d := info.VarOf(id); d != nil {
-						def[d.Name] = true
-					}
+					c.set(c.def, id)
 					continue
 				}
 			}
 		}
 		ast.Inspect(arg, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
-				if d := info.VarOf(id); d != nil {
-					use[d.Name] = true
-				}
+				c.set(c.use, id)
 			}
 			return true
 		})
@@ -415,31 +420,43 @@ func (a *Analysis) IndexOf(s ast.Stmt) int {
 // LiveAfter returns the sorted variables live immediately after statement
 // i, with address-taken variables pinned in.
 func (a *Analysis) LiveAfter(i int) []string {
-	return a.sorted(a.liveOut[i])
+	return a.sorted(a.liveOut(i))
+}
+
+// LiveAfterAny returns the sorted variables live immediately after any of
+// the given statements, with address-taken variables pinned in.
+func (a *Analysis) LiveAfterAny(stmts []int) []string {
+	live := make([]uint64, a.words)
+	for _, i := range stmts {
+		for k, w := range a.liveOut(i) {
+			live[k] |= w
+		}
+	}
+	return a.sorted(live)
 }
 
 // LiveBefore returns the sorted variables live immediately before
 // statement i, with address-taken variables pinned in.
 func (a *Analysis) LiveBefore(i int) []string {
-	return a.sorted(a.liveIn[i])
+	return a.sorted(a.liveIn(i))
 }
 
 // Pinned reports whether the variable is address-taken (always captured).
-func (a *Analysis) Pinned(name string) bool { return a.pinned[name] }
+func (a *Analysis) Pinned(name string) bool {
+	b, ok := a.bit[name]
+	return ok && a.pinned()[b/64]&(1<<(b%64)) != 0
+}
 
-func (a *Analysis) sorted(set map[string]bool) []string {
-	out := make([]string, 0, len(set)+len(a.pinned))
-	seen := map[string]bool{}
-	for v := range set {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
+// sorted returns the names of the variables in row or pinned.
+func (a *Analysis) sorted(row []uint64) []string {
+	pinned, count := a.pinned(), 0
+	for k, w := range row {
+		count += bits.OnesCount64(w | pinned[k])
 	}
-	for v := range a.pinned {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
+	out := make([]string, 0, count)
+	for k, w := range row {
+		for w |= pinned[k]; w != 0; w &= w - 1 {
+			out = append(out, a.names[64*k+bits.TrailingZeros64(w)])
 		}
 	}
 	sort.Strings(out)

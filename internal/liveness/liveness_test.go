@@ -1,8 +1,15 @@
 package liveness
 
 import (
+	"fmt"
 	"go/ast"
+	"go/parser"
+	"go/token"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -489,4 +496,663 @@ func work() {
 	if strings.Join(live, ",") != "a,m,z" {
 		t.Errorf("live = %v, want sorted [a m z]", live)
 	}
+}
+
+// blankSrc uses the blank identifier everywhere the subset allows it. `_` is
+// not one of the procedure's variables: it gets no bit and is never live.
+const blankSrc = `package p
+func main() {
+	x := 1
+	var _ = one(x)
+	_ = x
+	_, y := two(x)
+	_, y = two(y)
+	var z int
+	z, _ = two(y)
+	mh.ReconfigPoint("R")
+	mh.Write("out", z+skip(y, x))
+}
+func one(v int) int { return v }
+func two(v int) (int, int) { return v, v + 1 }
+func skip(_ int, w int) int { return w }
+`
+
+// embeddedModules returns the module sources a Go file holds as raw string
+// literals that start with a package clause, keyed by file and line. A %d
+// in a source is the recursion depth of the benchmark's deep stage and is
+// filled with 128.
+func embeddedModules(t *testing.T, path string) map[string]string {
+	t.Helper()
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, path, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		lit, ok := n.(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING || lit.Value[0] != '`' {
+			return true
+		}
+		if src, _ := strconv.Unquote(lit.Value); strings.HasPrefix(src, "package ") {
+			if strings.Contains(src, "%d") {
+				src = fmt.Sprintf(src, 128)
+			}
+			out[fmt.Sprintf("%s:%d", path, fset.Position(lit.Pos()).Line)] = src
+		}
+		return true
+	})
+	return out
+}
+
+// TestLivenessMatchesReference compares the bit-vector analysis with the
+// map-based reference below on every procedure of a corpus, flattened and
+// as written (where structured statements are opaque and a break is an
+// error for both), under both options: live-in and live-out at every
+// statement, their union, and pinning of every variable. The corpus is
+// every module this file holds (Figure 3's compute and blankSrc among
+// them), the two stages the benchmark loads, seeded random modules and one
+// procedure of more than 128 variables.
+func TestLivenessMatchesReference(t *testing.T) {
+	corpus := embeddedModules(t, "liveness_test.go")
+	for k, src := range embeddedModules(t, "../../bench/workloads.go") {
+		corpus[k] = src
+	}
+	if len(corpus) < 18 {
+		t.Fatalf("corpus holds %d modules: an embedded source went missing", len(corpus))
+	}
+	seeds := 300
+	if testing.Short() {
+		seeds = 50
+	}
+	for seed := 0; seed < seeds; seed++ {
+		corpus[fmt.Sprintf("seed%d", seed)] = genModule(int64(seed))
+	}
+	corpus["chain"] = chainSrc(300, 150) // rows of three words
+	keys := make([]string, 0, len(corpus))
+	for k := range corpus {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		t.Run(key, func(t *testing.T) {
+			written, err := lang.ParseSource("mod.go", corpus[key])
+			if err != nil {
+				t.Fatal(err)
+			}
+			writtenInfo, err := lang.Check(written)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flat, flatInfo := loadFlat(t, corpus[key])
+			for _, name := range flat.FuncOrder {
+				for _, opts := range []Options{{}, {MHOutParams: true}} {
+					if !matchesReference(t, written, writtenInfo, name, opts) || !matchesReference(t, flat, flatInfo, name, opts) {
+						t.Fatalf("module:\n%s", corpus[key])
+					}
+				}
+			}
+		})
+	}
+}
+
+func matchesReference(t *testing.T, prog *lang.Program, info *lang.Info, name string, opts Options) bool {
+	t.Helper()
+	where := fmt.Sprintf("%s %+v", name, opts)
+	a, err := AnalyzeOpts(prog, info, name, opts)
+	ref, refErr := refAnalyze(prog, info, name, opts)
+	if err != nil || refErr != nil {
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Errorf("%s: error %v, reference %v", where, err, refErr)
+			return false
+		}
+		return true
+	}
+	if len(a.Stmts) != len(ref.stmts) {
+		t.Errorf("%s: %d statements, reference %d", where, len(a.Stmts), len(ref.stmts))
+		return false
+	}
+	ok := true
+	all := make([]int, len(a.Stmts))
+	union := map[string]bool{}
+	for i := range a.Stmts {
+		all[i] = i
+		for v := range ref.liveOut[i] {
+			union[v] = true
+		}
+		for _, c := range []struct {
+			what      string
+			got, want []string
+		}{
+			{"before", a.LiveBefore(i), ref.sorted(ref.liveIn[i])},
+			{"after", a.LiveAfter(i), ref.sorted(ref.liveOut[i])},
+		} {
+			if !reflect.DeepEqual(c.got, c.want) || slices.Contains(c.got, "_") {
+				t.Errorf("%s: live %s statement %d: %v, reference %v", where, c.what, i, c.got, c.want)
+				ok = false
+			}
+		}
+	}
+	if got, want := a.LiveAfterAny(all), ref.sorted(union); !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: live after any statement: %v, reference %v", where, got, want)
+		ok = false
+	}
+	names := []string{"_", "nosuch"}
+	for _, v := range info.FuncVars[name] {
+		names = append(names, v.Name)
+	}
+	for _, v := range names {
+		if a.Pinned(v) != ref.pinned[v] {
+			t.Errorf("%s: Pinned(%s) = %v, reference %v", where, v, a.Pinned(v), ref.pinned[v])
+			ok = false
+		}
+	}
+	return ok
+}
+
+// genModule writes a random module whose procedure work mixes what the
+// analysis must get right: loops, gotos out of nested blocks, branches,
+// switches, returns, address-taken locals and slice elements, `&x` in
+// mh.Read and mh.Restore, indirect stores, shadowing declarations and the
+// blank identifier. The modules are analysed, never run, so a loop need not
+// end.
+func genModule(seed int64) string {
+	g := &modGen{r: rand.New(rand.NewSource(seed))}
+	g.labels = 3 + g.r.Intn(6)
+	g.b.WriteString("package p\n\nfunc main() {\n\tvar r int\n\twork(2, &r)\n\tmh.Write(\"out\", r)\n}\n\n" +
+		"func bump(p *int) { *p = *p + 1 }\n\nfunc two(v int) (int, int) { return v, v + 1 }\n\n" +
+		"func work(n int, rp *int) {\n\tvar a int\n\tb := n\n\tc := 0\n\ts := make([]int, 3)\n")
+	for k := 0; k < g.labels; k++ {
+		fmt.Fprintf(&g.b, "L%d:\n", k)
+		g.stmt(1)
+	}
+	g.b.WriteString("\t*rp = a + b + c + s[0]\n}\n")
+	return g.b.String()
+}
+
+type modGen struct {
+	r      *rand.Rand
+	b      strings.Builder
+	labels int // top-level statements, labeled L0, L1, ...
+	loops  int // enclosing loops: break and continue are legal inside one
+}
+
+func (g *modGen) v() string { return []string{"a", "b", "c", "n"}[g.r.Intn(4)] }
+
+func (g *modGen) expr() string {
+	switch g.r.Intn(4) {
+	case 0:
+		return strconv.Itoa(g.r.Intn(9))
+	case 1:
+		return g.v()
+	case 2:
+		return g.v() + " + " + g.v()
+	default:
+		return "s[" + g.v() + "%3] * " + g.v()
+	}
+}
+
+func (g *modGen) line(depth int, format string, args ...any) {
+	g.b.WriteString(strings.Repeat("\t", depth))
+	fmt.Fprintf(&g.b, format+"\n", args...)
+}
+
+func (g *modGen) block(depth int) {
+	for k := 1 + g.r.Intn(3); k > 0; k-- {
+		g.stmt(depth)
+	}
+}
+
+func (g *modGen) stmt(depth int) {
+	kinds := 13
+	switch depth {
+	case 1:
+		kinds = 12 // no switch: flatten lowers a label on one as a break target only
+	case 4:
+		kinds = 8 // no more nesting
+	}
+	switch g.r.Intn(kinds) {
+	case 0:
+		g.line(depth, "%s = %s", g.v(), g.expr())
+	case 1:
+		g.line(depth, "%s += %s", g.v(), g.expr())
+	case 2:
+		g.line(depth, "%s++", g.v())
+	case 3:
+		g.line(depth, "s[%s%%3] = %s", g.v(), g.expr())
+	case 4:
+		if g.r.Intn(2) == 0 {
+			g.line(depth, "bump(&%s)", g.v())
+		} else {
+			g.line(depth, "bump(&s[%d])", g.r.Intn(3))
+		}
+	case 5:
+		switch g.r.Intn(3) {
+		case 0:
+			g.line(depth, "mh.Read(\"in\", &%s)", g.v())
+		case 1:
+			g.line(depth, "mh.Read(\"in\", &s[%s%%3], &%s)", g.v(), g.v())
+		default:
+			g.line(depth, "mh.Restore(\"work\", \"lii\", &%s, &%s)", g.v(), g.v())
+		}
+	case 6:
+		switch g.r.Intn(3) {
+		case 0:
+			g.line(depth, "_ = %s", g.v())
+		case 1:
+			g.line(depth, "_, %s = two(%s)", g.v(), g.expr())
+		default:
+			g.line(depth, "%s, _ = two(%s)", g.v(), g.expr())
+		}
+	case 7:
+		switch {
+		case g.loops > 0 && g.r.Intn(2) == 0:
+			g.line(depth, "if %s < %s {", g.v(), g.expr())
+			g.line(depth+1, []string{"break", "continue"}[g.r.Intn(2)])
+			g.line(depth, "}")
+		case g.r.Intn(2) == 0:
+			g.line(depth, "if %s > %s {", g.v(), g.expr())
+			g.line(depth+1, "goto L%d", g.r.Intn(g.labels))
+			g.line(depth, "}")
+		default:
+			g.line(depth, "mh.Write(\"out\", %s)", g.expr())
+		}
+	case 8:
+		g.line(depth, "if %s < %s {", g.v(), g.expr())
+		g.block(depth + 1)
+		g.line(depth, "} else {")
+		g.block(depth + 1)
+		g.line(depth, "}")
+	case 9:
+		if v := g.v(); g.r.Intn(2) == 0 {
+			g.line(depth, "for %s = 0; %s < 3; %s++ {", v, v, v)
+		} else {
+			g.line(depth, "for {")
+		}
+		g.loops++
+		g.block(depth + 1)
+		g.loops--
+		g.line(depth, "}")
+	case 10:
+		g.line(depth, "{")
+		switch g.r.Intn(4) {
+		case 0:
+			g.line(depth+1, "%s := %s", g.v(), g.expr())
+		case 1:
+			g.line(depth+1, "var %s = %s", g.v(), g.expr())
+		case 2:
+			g.line(depth+1, "_, %s := two(%s)", g.v(), g.expr())
+		default:
+			g.line(depth+1, "var _ = %s", g.expr())
+		}
+		g.block(depth + 1)
+		g.line(depth, "}")
+	case 11:
+		v := g.v()
+		g.line(depth, "if %s := %s; %s > 1 {", v, g.expr(), v)
+		if g.r.Intn(2) == 0 {
+			g.line(depth+1, "return")
+		} else {
+			g.block(depth + 1)
+		}
+		g.line(depth, "}")
+	default:
+		g.line(depth, "switch %s %% 3 {", g.v())
+		g.line(depth, "case 0:")
+		g.block(depth + 1)
+		g.line(depth, "default:")
+		g.block(depth + 1)
+		g.line(depth, "}")
+	}
+}
+
+// chainSrc is a procedure of one loop over vars variables and stmts
+// assignments, each reading two variables and writing a third.
+func chainSrc(stmts, vars int) string {
+	var b strings.Builder
+	b.WriteString("package p\nfunc main() { work() }\nfunc work() {\n")
+	for i := 0; i < vars; i++ {
+		fmt.Fprintf(&b, "\tv%d := %d\n", i, i)
+	}
+	b.WriteString("\tfor {\n\t\tmh.ReconfigPoint(\"R\")\n")
+	for i := 0; i < stmts; i++ {
+		fmt.Fprintf(&b, "\t\tv%d = v%d + v%d\n", i%vars, (i+1)%vars, (7*i+3)%vars)
+	}
+	b.WriteString("\t}\n}\n")
+	return b.String()
+}
+
+// TestAnalyzeWork bounds what analysing one procedure allocates. Every row
+// comes from one backing array and the fixpoint runs in place, so the count
+// does not grow with statements × variables; the map-based reference
+// allocates two maps per statement on every sweep.
+func TestAnalyzeWork(t *testing.T) {
+	var deep string
+	for _, src := range embeddedModules(t, "../../bench/workloads.go") {
+		if strings.Contains(src, "func hold(") {
+			deep = src
+		}
+	}
+	allocs := func(src, name string) (got, ref float64) {
+		prog, info := loadFlat(t, src)
+		got = testing.AllocsPerRun(20, func() {
+			if _, err := Analyze(prog, info, name); err != nil {
+				t.Fatal(err)
+			}
+		})
+		ref = testing.AllocsPerRun(20, func() {
+			if _, err := refAnalyze(prog, info, name, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return got, ref
+	}
+	got, ref := allocs(deep, "hold")
+	t.Logf("deep stage's hold: %.0f allocations (reference %.0f)", got, ref)
+	if got > 20 {
+		t.Errorf("analysing hold allocates %.0f times, limit 20", got)
+	}
+	small, smallRef := allocs(chainSrc(16, 8), "work")
+	large, largeRef := allocs(chainSrc(256, 128), "work")
+	t.Logf("16 statements × 8 variables: %.0f (reference %.0f); 256 × 128: %.0f (reference %.0f)", small, smallRef, large, largeRef)
+	if large > small+4 {
+		t.Errorf("16× the statements and variables take %.0f allocations against %.0f", large, small)
+	}
+}
+
+// ---- reference: the map-based analysis the bit-vector one replaced ----
+
+// refAnalysis is liveness on sets keyed by variable name, with fresh sets
+// for every statement on every sweep of the fixpoint.
+type refAnalysis struct {
+	stmts   []ast.Stmt
+	liveIn  []map[string]bool
+	liveOut []map[string]bool
+	pinned  map[string]bool
+}
+
+func refAnalyze(prog *lang.Program, info *lang.Info, name string, opts Options) (*refAnalysis, error) {
+	fn, ok := prog.Funcs[name]
+	if !ok {
+		return nil, fmt.Errorf("liveness: no function %s", name)
+	}
+	a := &refAnalysis{pinned: map[string]bool{}}
+	labels := map[string]int{}
+	for _, s := range fn.Decl.Body.List {
+		inner := s
+		for {
+			ls, ok := inner.(*ast.LabeledStmt)
+			if !ok {
+				break
+			}
+			labels[ls.Label.Name] = len(a.stmts)
+			inner = ls.Stmt
+		}
+		a.stmts = append(a.stmts, inner)
+	}
+
+	exempt := map[*ast.UnaryExpr]bool{}
+	if opts.MHOutParams {
+		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			for _, arg := range mhOutParamArgs(call) {
+				if ue, ok := arg.(*ast.UnaryExpr); ok && ue.Op == token.AND {
+					exempt[ue] = true
+				}
+			}
+			return true
+		})
+	}
+	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+		ue, ok := n.(*ast.UnaryExpr)
+		if !ok || ue.Op != token.AND || exempt[ue] {
+			return true
+		}
+		if base := baseIdent(ue.X); base != nil {
+			if d := info.VarOf(base); d != nil {
+				a.pinned[d.Name] = true
+			}
+		}
+		return true
+	})
+
+	n := len(a.stmts)
+	succ := make([][]int, n)
+	for i, s := range a.stmts {
+		sc, err := refSuccessors(s, i, n, labels)
+		if err != nil {
+			return nil, fmt.Errorf("liveness: %s: %w", name, err)
+		}
+		succ[i] = sc
+	}
+
+	use := make([]map[string]bool, n)
+	def := make([]map[string]bool, n)
+	for i, s := range a.stmts {
+		use[i], def[i] = refUsesAndDefs(info, s, opts)
+	}
+
+	a.liveIn = make([]map[string]bool, n)
+	a.liveOut = make([]map[string]bool, n)
+	for i := range a.liveIn {
+		a.liveIn[i] = map[string]bool{}
+		a.liveOut[i] = map[string]bool{}
+	}
+	for changed := true; changed; {
+		changed = false
+		for i := n - 1; i >= 0; i-- {
+			out := map[string]bool{}
+			for _, s := range succ[i] {
+				for v := range a.liveIn[s] {
+					out[v] = true
+				}
+			}
+			in := map[string]bool{}
+			for v := range out {
+				if !def[i][v] {
+					in[v] = true
+				}
+			}
+			for v := range use[i] {
+				in[v] = true
+			}
+			if !refSameSet(out, a.liveOut[i]) || !refSameSet(in, a.liveIn[i]) {
+				a.liveOut[i] = out
+				a.liveIn[i] = in
+				changed = true
+			}
+		}
+	}
+	return a, nil
+}
+
+func refSameSet(x, y map[string]bool) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for k := range x {
+		if !y[k] {
+			return false
+		}
+	}
+	return true
+}
+
+func refSuccessors(s ast.Stmt, i, n int, labels map[string]int) ([]int, error) {
+	next := func() []int {
+		if i+1 < n {
+			return []int{i + 1}
+		}
+		return nil
+	}
+	switch st := s.(type) {
+	case *ast.ReturnStmt:
+		return nil, nil
+	case *ast.BranchStmt:
+		if st.Tok != token.GOTO {
+			return nil, fmt.Errorf("unflattened branch %s at statement %d", st.Tok, i)
+		}
+		idx, ok := labels[st.Label.Name]
+		if !ok {
+			return nil, fmt.Errorf("goto to unknown label %s", st.Label.Name)
+		}
+		return []int{idx}, nil
+	case *ast.IfStmt:
+		out := next()
+		ast.Inspect(st, func(nd ast.Node) bool {
+			if br, ok := nd.(*ast.BranchStmt); ok && br.Tok == token.GOTO {
+				if idx, ok := labels[br.Label.Name]; ok {
+					out = append(out, idx)
+				}
+			}
+			return true
+		})
+		return out, nil
+	default:
+		return next(), nil
+	}
+}
+
+func refUsesAndDefs(info *lang.Info, s ast.Stmt, opts Options) (use, def map[string]bool) {
+	use = map[string]bool{}
+	def = map[string]bool{}
+	addUses := func(e ast.Expr) {
+		if e == nil {
+			return
+		}
+		ast.Inspect(e, func(n ast.Node) bool {
+			if opts.MHOutParams {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if refMHCallUsesAndDefs(info, call, use, def) {
+						return false
+					}
+				}
+			}
+			if id, ok := n.(*ast.Ident); ok {
+				if d := info.VarOf(id); d != nil {
+					use[d.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	switch st := s.(type) {
+	case *ast.AssignStmt:
+		for i, rhs := range st.Rhs {
+			if i < len(st.Lhs) && len(st.Lhs) == len(st.Rhs) {
+				if lid, ok := st.Lhs[i].(*ast.Ident); ok && lid.Name == "_" {
+					if _, bare := rhs.(*ast.Ident); bare {
+						continue
+					}
+				}
+			}
+			addUses(rhs)
+		}
+		for _, lhs := range st.Lhs {
+			if id, ok := lhs.(*ast.Ident); ok {
+				if st.Tok != token.ASSIGN && st.Tok != token.DEFINE {
+					if d := info.VarOf(id); d != nil {
+						use[d.Name] = true
+					}
+				}
+				if d := info.VarOf(id); d != nil && d.Name != "_" {
+					def[d.Name] = true
+				}
+				continue
+			}
+			addUses(lhs)
+		}
+	case *ast.IncDecStmt:
+		addUses(st.X)
+		if id, ok := st.X.(*ast.Ident); ok {
+			if d := info.VarOf(id); d != nil {
+				def[d.Name] = true
+			}
+		}
+	case *ast.ExprStmt:
+		addUses(st.X)
+	case *ast.IfStmt:
+		addUses(st.Cond)
+		for _, inner := range st.Body.List {
+			u, _ := refUsesAndDefs(info, inner, opts)
+			for v := range u {
+				use[v] = true
+			}
+		}
+	case *ast.ReturnStmt:
+		for _, r := range st.Results {
+			addUses(r)
+		}
+	case *ast.DeclStmt:
+		if gd, ok := st.Decl.(*ast.GenDecl); ok {
+			for _, spec := range gd.Specs {
+				if vs, ok := spec.(*ast.ValueSpec); ok {
+					for _, v := range vs.Values {
+						addUses(v)
+					}
+					for _, id := range vs.Names {
+						if d := info.VarOf(id); d != nil && len(vs.Values) > 0 {
+							def[d.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return use, def
+}
+
+func refMHCallUsesAndDefs(info *lang.Info, call *ast.CallExpr, use, def map[string]bool) bool {
+	outs := mhOutParamArgs(call)
+	if outs == nil {
+		return false
+	}
+	isOut := map[ast.Expr]bool{}
+	for _, o := range outs {
+		isOut[o] = true
+	}
+	for _, arg := range call.Args {
+		if isOut[arg] {
+			if ue, ok := arg.(*ast.UnaryExpr); ok && ue.Op == token.AND {
+				if id, ok := ue.X.(*ast.Ident); ok {
+					if d := info.VarOf(id); d != nil {
+						def[d.Name] = true
+					}
+					continue
+				}
+			}
+		}
+		ast.Inspect(arg, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if d := info.VarOf(id); d != nil {
+					use[d.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	return true
+}
+
+// sorted returns the names in set or pinned, sorted.
+func (a *refAnalysis) sorted(set map[string]bool) []string {
+	out := make([]string, 0, len(set)+len(a.pinned))
+	seen := map[string]bool{}
+	for v := range set {
+		if !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	for v := range a.pinned {
+		if !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

@@ -177,9 +177,12 @@ func (l *lexer) lexString(pos Pos) (token, error) {
 }
 
 // lexAll tokenizes the whole input (used by the parser, exposed for tests).
+// The token slice is sized once from the source: specifications run five to
+// six bytes per token (the Monitor and the benchmark's pipeline do), so a
+// token per four bytes is rarely outgrown.
 func lexAll(src string) ([]token, error) {
 	l := newLexer(src)
-	var toks []token
+	toks := make([]token, 0, len(src)/4+1)
 	for {
 		t, err := l.next()
 		if err != nil {

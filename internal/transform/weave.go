@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"strconv"
 
 	"repro/internal/callgraph"
@@ -213,54 +214,39 @@ func (w *weaver) captureSet(name string, a *liveness.Analysis, edges []callgraph
 
 	// Union of live-at-resume sets (needed for pointer-local validation in
 	// every mode).
-	liveUnion := map[string]bool{}
-	for _, e := range edges {
+	resume := make([]int, len(edges))
+	for k, e := range edges {
 		i, err := edgeIdx(e)
 		if err != nil {
 			return nil, err
 		}
-		for _, v := range a.LiveAfter(i) {
-			liveUnion[v] = true
-		}
+		resume[k] = i
 	}
+	live := a.LiveAfterAny(resume)
 
-	selected := map[string]bool{}
+	selected := func(string) bool { return true } // CaptureAll
 	switch w.opts.Mode {
 	case CaptureLive:
-		selected = liveUnion
+		selected = func(v string) bool { return slices.Contains(live, v) }
 	case CaptureSpec:
-		specVars, ok := w.specVarsFor(name, edges)
-		if ok {
+		if specVars, ok := w.specVarsFor(name, edges); ok {
 			for _, v := range specVars {
-				found := false
-				for _, d := range vars {
-					if d.Name == v {
-						found = true
-						break
-					}
-				}
-				if !found {
+				if !slices.ContainsFunc(vars, func(d *lang.VarDef) bool { return d.Name == v }) {
 					return nil, fmt.Errorf("transform: %s: specification names unknown state variable %s", name, v)
 				}
-				selected[v] = true
 			}
-			break
-		}
-		fallthrough
-	default: // CaptureAll
-		for _, d := range vars {
-			selected[d.Name] = true
+			selected = func(v string) bool { return slices.Contains(specVars, v) }
 		}
 	}
 
 	var out []CapturedVar
 	for _, d := range vars {
-		if !selected[d.Name] {
+		if !selected(d.Name) {
 			continue
 		}
 		if pt, isPtr := d.Type.(lang.Pointer); isPtr {
 			if !d.IsParam {
-				if liveUnion[d.Name] {
+				if slices.Contains(live, d.Name) {
 					return nil, fmt.Errorf("transform: %s: pointer-typed local %s is live at a reconfiguration edge; addresses cannot enter the abstract state (paper §3)", name, d.Name)
 				}
 				continue // dead pointer local: safely omitted

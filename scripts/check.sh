@@ -66,6 +66,9 @@ go test -race -count=20 -run 'TestRemote|TestParkedCalls|TestClientRefuses|TestS
 echo "== request order per interface over TCP: a TryRead behind a Read abandoned by CallTimeout (racy x300)"
 go test -race -count=300 -run 'TestTryReadBehindAbandonedReadKeepsOrder|TestRemoteReadTimeoutKeepsNextMessage' ./internal/bus/
 
+echo "== liveness on bit-vectors: the map-based reference agrees at every statement of the corpus, and the work per procedure does not grow with statements x variables"
+go test -count=1 -run 'TestLivenessMatchesReference|TestAnalyzeWork' ./internal/liveness/
+
 echo "== Load runs the woven AST: run-time errors cite the source, and the printed text serves what the AST serves"
 go test -count=1 -run 'TestRuntimeErrorCitesSource|TestWovenTextRunsAsLowered|TestPipelineEquivalenceProperty' ./internal/transform/
 
