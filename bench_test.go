@@ -20,7 +20,9 @@ package reconf
 //	A3  BenchmarkQueueMove                             — cq cost
 //
 // Message, wire, Prepare and whole-Replace costs are not here: bench/
-// measures them (BENCHMARK.json names the metrics).
+// measures them (BENCHMARK.json names the metrics). BenchmarkLoad
+// (load_test.go) times the Load inside the pipeline workloads' set-up, to
+// split it into parts.
 
 import (
 	"bytes"

@@ -65,7 +65,8 @@ func checkCapture(r *Report, cfg Config, mod *mil.Module, prog *lang.Program, in
 
 // checkCaptureSoundness re-runs the transform's analysis pipeline — flatten
 // the instrumented procedures, rebuild the reconfiguration graph, compute
-// liveness — and diffs each procedure's declared capture set against it.
+// liveness, all on the one check of the source — and diffs each procedure's
+// declared capture set against it.
 //
 // The soundness criterion is asymmetric, mirroring how restoration works
 // (Section 3). Restore re-issues the original calls, and each callee
@@ -98,13 +99,13 @@ func checkCaptureSoundness(r *Report, cfg Config, mod *mil.Module) {
 			return
 		}
 	}
+	// flatten.Function kept info matching the flat program; pruning labels
+	// changes nothing liveness or the graph reads, and flattening adds or
+	// removes no call, so the static graph is the source's.
 	for _, name := range rg.Nodes {
 		flatten.PruneLabels(prog.Funcs[name].Decl, nil)
 	}
-	if info, err = lang.Check(prog); err != nil {
-		return
-	}
-	if rg, err = callgraph.BuildReconfig(callgraph.Build(prog), info); err != nil {
+	if rg, err = callgraph.BuildReconfig(rg.Graph, info); err != nil {
 		return
 	}
 

@@ -38,23 +38,20 @@ import (
 type Result struct {
 	// Locals lists every function-scoped variable after hoisting and
 	// renaming: parameters first, then locals in declaration order. This
-	// is exactly the candidate capture set for the transform.
-	Locals []Local
+	// is exactly the candidate capture set for the transform, and the
+	// function's FuncVars in the kept Info.
+	Locals []*lang.VarDef
 	// Labels lists the labels the pass generated (for pruning).
 	Labels []string
 }
 
-// Local is one hoisted variable.
-type Local struct {
-	Name    string
-	Type    lang.Type
-	IsParam bool
-}
-
 // Function flattens the named procedure in place. The program must be
-// checked; info is consumed for identifier resolution and expression types.
-// After flattening, the program's AST no longer matches info — run
-// lang.Check on it again before further analysis.
+// checked, and info is its Info: it is read for identifier resolution and
+// expression types, and kept matching the AST. Every identifier, guard,
+// comparison and temporary the pass makes is recorded in it as lang.Check
+// would record it; a renamed local keeps its VarDef under the new name;
+// FuncVars, Labels and the function's Points come out in the order a fresh
+// check of the flat body would list them.
 func Function(prog *lang.Program, info *lang.Info, name string) (*Result, error) {
 	fn, ok := prog.Funcs[name]
 	if !ok {
@@ -81,8 +78,15 @@ type flattener struct {
 	tmpN    int
 
 	out    []ast.Stmt
-	labels []string
-	locals []Local
+	labels []string       // generated
+	placed []string       // every label of the flat body, in order
+	vars   []*lang.VarDef // parameters, then the hoisted locals
+
+	// The function's reconfiguration points are info.Points[first:][:npoints];
+	// with two or more, order collects them as they are emitted, the order of
+	// the flat body (a switch's default arm moves last).
+	first, npoints int
+	order          []lang.Point
 
 	// pendingLabel holds a label to attach to the next emitted statement.
 	pendingLabels []string
@@ -106,8 +110,14 @@ func (f *flattener) run() (*Result, error) {
 	for _, l := range f.info.Labels[f.fn.Name] {
 		f.taken[l] = true
 	}
-	for _, p := range f.fn.Params {
-		f.locals = append(f.locals, Local{Name: p.Name, Type: p.Type, IsParam: true})
+	f.vars = append(f.vars, f.fn.Params...)
+	for i, pt := range f.info.Points {
+		if pt.Func == f.fn.Name {
+			if f.npoints == 0 {
+				f.first = i
+			}
+			f.npoints++
+		}
 	}
 
 	// Pass 1: assign unique names to every local (params keep theirs; the
@@ -127,12 +137,17 @@ func (f *flattener) run() (*Result, error) {
 
 	// Assemble: hoisted declarations, then the flattened statements.
 	var body []ast.Stmt
-	if decl := f.hoistedDecl(); decl != nil {
-		body = append(body, decl)
+	if locals := f.vars[len(f.fn.Params):]; len(locals) > 0 {
+		body = append(body, Decl(f.info, locals))
 	}
 	body = append(body, f.out...)
 	f.fn.Decl.Body.List = body
-	return &Result{Locals: f.locals, Labels: f.labels}, nil
+	f.info.FuncVars[f.fn.Name] = f.vars
+	f.info.Labels[f.fn.Name] = f.placed
+	if len(f.order) == f.npoints {
+		copy(f.info.Points[f.first:], f.order)
+	}
+	return &Result{Locals: f.vars, Labels: f.labels}, nil
 }
 
 // renameLocals walks the body re-resolving declarations the way the checker
@@ -148,8 +163,8 @@ func (f *flattener) renameLocals() {
 		}
 		n := seen[v.Name]
 		seen[v.Name] = n + 1
-		newName := v.Name
 		if n > 0 {
+			var newName string
 			for {
 				newName = v.Name + "_" + strconv.Itoa(n+1)
 				if !f.taken[newName] {
@@ -160,9 +175,9 @@ func (f *flattener) renameLocals() {
 			f.taken[newName] = true
 			f.renames[v] = newName
 		}
-		f.locals = append(f.locals, Local{Name: newName, Type: v.Type})
+		f.vars = append(f.vars, v)
 	}
-	// Apply renames to every identifier occurrence.
+	// Apply renames to every identifier occurrence, then to the variables.
 	ast.Inspect(f.fn.Decl.Body, func(node ast.Node) bool {
 		id, ok := node.(*ast.Ident)
 		if !ok {
@@ -175,21 +190,17 @@ func (f *flattener) renameLocals() {
 		}
 		return true
 	})
+	for v, nn := range f.renames {
+		v.Name = nn
+	}
 }
 
-func (f *flattener) hoistedDecl() ast.Stmt {
-	var specs []ast.Spec
-	for _, l := range f.locals {
-		if l.IsParam {
-			continue
-		}
-		specs = append(specs, &ast.ValueSpec{
-			Names: []*ast.Ident{ast.NewIdent(l.Name)},
-			Type:  TypeExpr(l.Type),
-		})
-	}
-	if len(specs) == 0 {
-		return nil
+// Decl returns one var group declaring vars, a spec each, and records the
+// declarations in info.
+func Decl(info *lang.Info, vars []*lang.VarDef) ast.Stmt {
+	specs := make([]ast.Spec, len(vars))
+	for i, v := range vars {
+		specs[i] = &ast.ValueSpec{Names: []*ast.Ident{info.NewDecl(v)}, Type: TypeExpr(v.Type)}
 	}
 	return &ast.DeclStmt{Decl: &ast.GenDecl{Tok: token.VAR, Specs: specs}}
 }
@@ -213,23 +224,59 @@ func (f *flattener) newLabel() string {
 	}
 }
 
-func (f *flattener) newTemp(t lang.Type) string {
+func (f *flattener) newTemp(t lang.Type) *lang.VarDef {
 	for {
 		f.tmpN++
 		name := "mhTmp" + strconv.Itoa(f.tmpN)
 		if !f.taken[name] {
 			f.taken[name] = true
-			f.locals = append(f.locals, Local{Name: name, Type: t})
-			return name
+			v := &lang.VarDef{Name: name, Type: t}
+			f.vars = append(f.vars, v)
+			return v
 		}
 	}
 }
 
+// typed records the type of an expression the pass built.
+func (f *flattener) typed(e ast.Expr, t lang.Type) ast.Expr {
+	f.info.Types[e] = t
+	return e
+}
+
+// assignTo is a new identifier that is the target of an assignment to d.
+func (f *flattener) assignTo(d *lang.VarDef) ast.Expr {
+	if d.Name == "_" {
+		return ast.NewIdent("_") // a discard: the checker records nothing
+	}
+	return f.info.NewUse(d)
+}
+
+// zero is ZeroExpr(t), typed.
+func (f *flattener) zero(t lang.Type) ast.Expr {
+	z := ZeroExpr(t)
+	if call, ok := z.(*ast.CallExpr); ok { // make([]T, 0)
+		f.typed(call.Args[0], t)
+		f.typed(call.Args[1], lang.IntType)
+	}
+	if z != nil {
+		f.typed(z, t)
+	}
+	return z
+}
+
 // emit appends a statement, attaching any pending labels.
 func (f *flattener) emit(s ast.Stmt) {
+	if es, ok := s.(*ast.ExprStmt); ok && f.npoints > 1 {
+		for _, pt := range f.info.Points[f.first : f.first+f.npoints] {
+			if pt.Stmt == es {
+				f.order = append(f.order, pt)
+			}
+		}
+	}
 	for i := len(f.pendingLabels) - 1; i >= 0; i-- {
 		s = &ast.LabeledStmt{Label: ast.NewIdent(f.pendingLabels[i]), Stmt: s}
 	}
+	f.placed = append(f.placed, f.pendingLabels...)
 	f.pendingLabels = nil
 	f.out = append(f.out, s)
 }
@@ -253,7 +300,7 @@ func (f *flattener) gotoStmt(label string) ast.Stmt {
 // condGoto emits `if !(cond) { goto label }` (or the positive form).
 func (f *flattener) condGoto(cond ast.Expr, negate bool, label string) {
 	if negate {
-		cond = &ast.UnaryExpr{Op: token.NOT, X: &ast.ParenExpr{X: cond}}
+		cond = f.typed(&ast.UnaryExpr{Op: token.NOT, X: f.typed(&ast.ParenExpr{X: cond}, lang.BoolType)}, lang.BoolType)
 	}
 	f.emit(&ast.IfStmt{
 		Cond: cond,
@@ -304,9 +351,16 @@ func (f *flattener) lowerDecl(st *ast.DeclStmt) {
 	for _, spec := range gd.Specs {
 		vs := spec.(*ast.ValueSpec)
 		for i, id := range vs.Names {
+			// The declaration moves to the hoisted group.
+			d := f.info.Defs[id]
+			if d == nil {
+				f.failf(id.Pos(), "no definition recorded for %s", id.Name)
+				return
+			}
+			delete(f.info.Defs, id)
 			if len(vs.Values) > i {
 				f.emit(&ast.AssignStmt{
-					Lhs: []ast.Expr{ast.NewIdent(id.Name)},
+					Lhs: []ast.Expr{f.assignTo(d)},
 					Tok: token.ASSIGN,
 					Rhs: []ast.Expr{vs.Values[i]},
 				})
@@ -314,14 +368,9 @@ func (f *flattener) lowerDecl(st *ast.DeclStmt) {
 			}
 			// Re-zero at the declaration site so block re-entry behaves
 			// like a fresh declaration.
-			d := f.info.Defs[id]
-			if d == nil {
-				f.failf(id.Pos(), "no definition recorded for %s", id.Name)
-				return
-			}
-			if z := ZeroExpr(d.Type); z != nil {
+			if z := f.zero(d.Type); z != nil {
 				f.emit(&ast.AssignStmt{
-					Lhs: []ast.Expr{ast.NewIdent(id.Name)},
+					Lhs: []ast.Expr{f.assignTo(d)},
 					Tok: token.ASSIGN,
 					Rhs: []ast.Expr{z},
 				})
@@ -332,7 +381,17 @@ func (f *flattener) lowerDecl(st *ast.DeclStmt) {
 
 func (f *flattener) lowerAssign(st *ast.AssignStmt) {
 	if st.Tok == token.DEFINE {
-		// After hoisting, := is a plain assignment.
+		// After hoisting, := is a plain assignment, and its targets are
+		// uses of the hoisted variables.
+		for _, lhs := range st.Lhs {
+			id := lhs.(*ast.Ident)
+			d := f.info.Defs[id]
+			delete(f.info.Defs, id)
+			if d != nil && d.Name != "_" {
+				f.info.Uses[id] = d
+				f.info.Types[id] = d.Type
+			}
+		}
 		f.emit(&ast.AssignStmt{Lhs: st.Lhs, Tok: token.ASSIGN, Rhs: st.Rhs})
 		return
 	}
@@ -415,14 +474,14 @@ func (f *flattener) lowerRange(st *ast.RangeStmt, userLabel string) {
 	sliceTmp := f.newTemp(lang.Slice{Elem: elemType})
 	idxTmp := f.newTemp(lang.IntType)
 	f.emit(&ast.AssignStmt{
-		Lhs: []ast.Expr{ast.NewIdent(sliceTmp)},
+		Lhs: []ast.Expr{f.info.NewUse(sliceTmp)},
 		Tok: token.ASSIGN,
 		Rhs: []ast.Expr{st.X},
 	})
 	f.emit(&ast.AssignStmt{
-		Lhs: []ast.Expr{ast.NewIdent(idxTmp)},
+		Lhs: []ast.Expr{f.info.NewUse(idxTmp)},
 		Tok: token.ASSIGN,
-		Rhs: []ast.Expr{&ast.BasicLit{Kind: token.INT, Value: "0"}},
+		Rhs: []ast.Expr{f.typed(&ast.BasicLit{Kind: token.INT, Value: "0"}, lang.IntType)},
 	})
 	loop := f.newLabel()
 	end := f.newLabel()
@@ -431,34 +490,31 @@ func (f *flattener) lowerRange(st *ast.RangeStmt, userLabel string) {
 		f.mark(userLabel)
 	}
 	f.mark(loop)
-	f.condGoto(&ast.BinaryExpr{
-		X:  ast.NewIdent(idxTmp),
+	f.condGoto(f.typed(&ast.BinaryExpr{
+		X:  f.info.NewUse(idxTmp),
 		Op: token.LSS,
-		Y:  &ast.CallExpr{Fun: ast.NewIdent("len"), Args: []ast.Expr{ast.NewIdent(sliceTmp)}},
-	}, true, end)
-	if st.Key != nil {
-		if name := st.Key.(*ast.Ident).Name; name != "_" {
-			f.emit(&ast.AssignStmt{
-				Lhs: []ast.Expr{ast.NewIdent(name)},
-				Tok: token.ASSIGN,
-				Rhs: []ast.Expr{ast.NewIdent(idxTmp)},
-			})
-		}
+		Y:  f.typed(&ast.CallExpr{Fun: ast.NewIdent("len"), Args: []ast.Expr{f.info.NewUse(sliceTmp)}}, lang.IntType),
+	}, lang.BoolType), true, end)
+	// The key and value are declared by the hoisted group now.
+	if key := f.rangeVar(st.Key); key != nil {
+		f.emit(&ast.AssignStmt{
+			Lhs: []ast.Expr{f.info.NewUse(key)},
+			Tok: token.ASSIGN,
+			Rhs: []ast.Expr{f.info.NewUse(idxTmp)},
+		})
 	}
-	if st.Value != nil {
-		if name := st.Value.(*ast.Ident).Name; name != "_" {
-			f.emit(&ast.AssignStmt{
-				Lhs: []ast.Expr{ast.NewIdent(name)},
-				Tok: token.ASSIGN,
-				Rhs: []ast.Expr{&ast.IndexExpr{X: ast.NewIdent(sliceTmp), Index: ast.NewIdent(idxTmp)}},
-			})
-		}
+	if val := f.rangeVar(st.Value); val != nil {
+		f.emit(&ast.AssignStmt{
+			Lhs: []ast.Expr{f.info.NewUse(val)},
+			Tok: token.ASSIGN,
+			Rhs: []ast.Expr{f.typed(&ast.IndexExpr{X: f.info.NewUse(sliceTmp), Index: f.info.NewUse(idxTmp)}, elemType)},
+		})
 	}
 	f.loops = append(f.loops, loopCtx{userLabel: userLabel, breakLbl: end, contLbl: cont})
 	f.stmts(st.Body.List)
 	f.loops = f.loops[:len(f.loops)-1]
 	f.mark(cont)
-	f.emit(&ast.IncDecStmt{X: ast.NewIdent(idxTmp), Tok: token.INC})
+	f.emit(&ast.IncDecStmt{X: f.info.NewUse(idxTmp), Tok: token.INC})
 	f.emit(f.gotoStmt(loop))
 	f.mark(end)
 }
@@ -480,25 +536,42 @@ func (f *flattener) rangeElemType(st *ast.RangeStmt) (lang.Type, bool) {
 	return nil, false
 }
 
+// rangeVar drops the declaration of a range key or value and returns its
+// variable, or nil for none or the blank identifier.
+func (f *flattener) rangeVar(e ast.Expr) *lang.VarDef {
+	if e == nil {
+		return nil
+	}
+	id := e.(*ast.Ident)
+	d := f.info.Defs[id]
+	delete(f.info.Defs, id)
+	if id.Name == "_" {
+		return nil
+	}
+	if d == nil {
+		f.failf(id.Pos(), "no definition recorded for %s", id.Name)
+	}
+	return d
+}
+
 func (f *flattener) lowerSwitch(st *ast.SwitchStmt, userLabel string) {
 	if st.Init != nil {
 		f.stmt(st.Init)
 	}
 	end := f.newLabel()
-	tag := "" // the temporary holding the tag; a fresh identifier per comparison
+	var tag *lang.VarDef // the temporary holding the tag; a fresh identifier per comparison
 	if st.Tag != nil {
 		tagType := f.info.TypeOf(st.Tag)
 		if tagType == nil {
 			f.failf(st.Tag.Pos(), "switch tag has no recorded type")
 			return
 		}
-		tmp := f.newTemp(tagType)
+		tag = f.newTemp(tagType)
 		f.emit(&ast.AssignStmt{
-			Lhs: []ast.Expr{ast.NewIdent(tmp)},
+			Lhs: []ast.Expr{f.info.NewUse(tag)},
 			Tok: token.ASSIGN,
 			Rhs: []ast.Expr{st.Tag},
 		})
-		tag = tmp
 	}
 
 	type armInfo struct {
@@ -518,8 +591,8 @@ func (f *flattener) lowerSwitch(st *ast.SwitchStmt, userLabel string) {
 		arm := armInfo{label: f.newLabel(), cc: cc}
 		arms = append(arms, arm)
 		for _, e := range cc.List {
-			if tag != "" {
-				f.condGoto(&ast.BinaryExpr{X: ast.NewIdent(tag), Op: token.EQL, Y: e}, false, arm.label)
+			if tag != nil {
+				f.condGoto(f.typed(&ast.BinaryExpr{X: f.info.NewUse(tag), Op: token.EQL, Y: e}, lang.BoolType), false, arm.label)
 			} else {
 				f.condGoto(e, false, arm.label)
 			}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/interp"
 	"repro/internal/lang"
+	"repro/internal/lang/langtest"
 )
 
 func load(t *testing.T, src string) (*lang.Program, *lang.Info) {
@@ -39,10 +40,10 @@ func format(t *testing.T, prog *lang.Program) string {
 	return files["mod.go"]
 }
 
-// flattenAll flattens every function of src, re-checks the program in
-// place the way the transform does, and returns the printed, reparsed and
-// rechecked program — proving the output is valid Go and still in the
-// module subset.
+// flattenAll flattens every function of src, checks that the Info the pass
+// kept is what a fresh check of the flat program finds, re-checks it in
+// place once pruned, and returns the printed, reparsed and rechecked
+// program — proving the output is valid Go and still in the module subset.
 func flattenAll(t *testing.T, src string) (*lang.Program, *lang.Info, string) {
 	t.Helper()
 	prog, info := load(t, src)
@@ -50,6 +51,11 @@ func flattenAll(t *testing.T, src string) (*lang.Program, *lang.Info, string) {
 		if _, err := Function(prog, info, name); err != nil {
 			t.Fatalf("flatten %s: %v", name, err)
 		}
+	}
+	if err := langtest.DiffInfo(prog, info); err != nil {
+		t.Fatalf("%v\nflattened:\n%s", err, format(t, prog))
+	}
+	for _, name := range prog.FuncOrder {
 		PruneLabels(prog.Funcs[name].Decl, nil)
 	}
 	if _, err := lang.Check(prog); err != nil {
@@ -392,6 +398,34 @@ func compute(num int, n int, rp *float64) {
 	}
 }
 
+// TestFlattenKeepsPointsInFlatOrder: a switch's default arm is emitted last,
+// so a point in it moves behind the points of the arms after it, and the
+// kept Info must list the points as a check of the flat body does
+// (flattenAll diffs it), since the reconfiguration graph numbers its edges
+// in that order.
+func TestFlattenKeepsPointsInFlatOrder(t *testing.T) {
+	_, info, out := flattenAll(t, `package p
+func main() {
+	var x int
+	mh.Read("in", &x)
+	switch x {
+	default:
+		mh.ReconfigPoint("A")
+	case 1:
+		mh.ReconfigPoint("B")
+	}
+	mh.ReconfigPoint("C")
+}
+`)
+	var got []string
+	for _, pt := range info.Points {
+		got = append(got, pt.Label)
+	}
+	if want := []string{"B", "A", "C"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("points %v, want %v in:\n%s", got, want, out)
+	}
+}
+
 func checkNoNestedLabels(t *testing.T, s ast.Stmt, inside bool) {
 	switch st := s.(type) {
 	case *ast.LabeledStmt:
@@ -526,7 +560,51 @@ type progGen struct {
 	loopN  int
 	depth  int
 	inLoop int
+	labels []string // of the enclosing labeled loops
 	b      *strings.Builder
+}
+
+// loopHead writes a loop's optional label and returns it ("" for none).
+func (g *progGen) loopHead(ind int) string {
+	if g.r.Intn(2) == 0 {
+		return ""
+	}
+	label := fmt.Sprintf("L%d", g.loopN)
+	g.indent(ind)
+	g.b.WriteString(label + ":\n")
+	return label
+}
+
+// loopBody writes a loop's body with vars in scope and its label, if any,
+// a target of break and continue.
+func (g *progGen) loopBody(ind int, label string, vars ...string) {
+	g.inLoop++
+	g.vars = append(g.vars, vars...)
+	if label != "" {
+		g.labels = append(g.labels, label)
+	}
+	g.stmts(1+g.r.Intn(2), ind+1)
+	if label != "" {
+		g.labels = g.labels[:len(g.labels)-1]
+	}
+	g.vars = g.vars[:len(g.vars)-len(vars)]
+	g.inLoop--
+	g.indent(ind)
+	g.b.WriteString("}\n")
+}
+
+// branch writes break or continue, naming an enclosing loop half the time.
+func (g *progGen) branch(ind int, tok string) {
+	g.indent(ind)
+	g.b.WriteString("if " + g.cond() + " {\n")
+	g.indent(ind + 1)
+	g.b.WriteString(tok)
+	if len(g.labels) > 0 && g.r.Intn(2) == 0 {
+		g.b.WriteString(" " + g.labels[g.r.Intn(len(g.labels))])
+	}
+	g.b.WriteString("\n")
+	g.indent(ind)
+	g.b.WriteString("}\n")
 }
 
 func (g *progGen) expr(depth int) string {
@@ -569,9 +647,9 @@ func (g *progGen) stmts(n, ind int) {
 func (g *progGen) stmt(ind int) {
 	g.depth++
 	defer func() { g.depth-- }()
-	choices := 6
+	choices := 7
 	if g.inLoop > 0 {
-		choices = 8
+		choices = 9
 	}
 	if g.depth > 4 {
 		choices = 2 // only assignments deep down
@@ -597,15 +675,10 @@ func (g *progGen) stmt(ind int) {
 	case 3: // bounded for
 		g.loopN++
 		v := fmt.Sprintf("i%d", g.loopN)
+		label := g.loopHead(ind)
 		g.indent(ind)
 		fmt.Fprintf(g.b, "for %s := 0; %s < %d; %s++ {\n", v, v, g.r.Intn(5)+1, v)
-		g.inLoop++
-		g.vars = append(g.vars, v)
-		g.stmts(1+g.r.Intn(2), ind+1)
-		g.vars = g.vars[:len(g.vars)-1]
-		g.inLoop--
-		g.indent(ind)
-		g.b.WriteString("}\n")
+		g.loopBody(ind, label, v)
 	case 4: // switch
 		g.indent(ind)
 		fmt.Fprintf(g.b, "switch (%s) %% 3 {\n", g.expr(1))
@@ -630,20 +703,21 @@ func (g *progGen) stmt(ind int) {
 		fmt.Fprintf(g.b, "x += acc\n")
 		g.indent(ind)
 		g.b.WriteString("}\n")
-	case 6: // break
+	case 6: // range over a literal, the key sometimes blank
+		g.loopN++
+		k, v := fmt.Sprintf("k%d", g.loopN), fmt.Sprintf("v%d", g.loopN)
+		label := g.loopHead(ind)
 		g.indent(ind)
-		g.b.WriteString("if " + g.cond() + " {\n")
-		g.indent(ind + 1)
-		g.b.WriteString("break\n")
-		g.indent(ind)
-		g.b.WriteString("}\n")
-	case 7: // continue
-		g.indent(ind)
-		g.b.WriteString("if " + g.cond() + " {\n")
-		g.indent(ind + 1)
-		g.b.WriteString("continue\n")
-		g.indent(ind)
-		g.b.WriteString("}\n")
+		key, vars := k, []string{k, v}
+		if g.r.Intn(3) == 0 {
+			key, vars = "_", vars[1:]
+		}
+		fmt.Fprintf(g.b, "for %s, %s := range []int{%s, %s, %s} {\n", key, v, g.expr(1), g.expr(1), g.expr(1))
+		g.loopBody(ind, label, vars...)
+	case 7:
+		g.branch(ind, "break")
+	case 8:
+		g.branch(ind, "continue")
 	}
 }
 
@@ -659,8 +733,11 @@ func genProgram(seed int64) string {
 	return g.b.String()
 }
 
-// TestFlattenEquivalenceProperty: for randomly generated subset programs,
-// the flattened form computes exactly what the original computes.
+// TestFlattenEquivalenceProperty: for randomly generated subset programs —
+// if/else, for and range loops, labeled or not, break and continue to the
+// nearest or a named loop, switches, shadowing blocks — the flattened form
+// computes exactly what the original computes, and the Info the pass kept
+// is the one a fresh check of it finds (flattenAll).
 func TestFlattenEquivalenceProperty(t *testing.T) {
 	seeds := 60
 	if testing.Short() {

@@ -335,8 +335,8 @@ func (fl *funcLowerer) installer(a ast.Expr) install {
 }
 
 // slotTarget recognizes &x written directly as an argument, x a variable
-// held in its slot (addressTaken leaves exactly these unboxed unless the
-// address is also taken elsewhere).
+// held in its slot (the checker's AddrTaken leaves exactly these unboxed
+// unless the address is also taken elsewhere).
 func (fl *funcLowerer) slotTarget(a ast.Expr) *variable {
 	u, ok := a.(*ast.UnaryExpr)
 	if !ok || u.Op != token.AND {

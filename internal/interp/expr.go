@@ -461,7 +461,7 @@ func (fl *funcLowerer) address(e ast.Expr) func(*frame) cell {
 		return fl.address(x.X)
 	case *ast.Ident:
 		if def := fl.info.VarOf(x); def != nil {
-			// addressTaken put this variable in a cell.
+			// The checker's AddrTaken put this variable in a cell.
 			k := fl.variable(def).slot
 			return func(fr *frame) cell { return fr.s[k].r.(*varCell) }
 		}

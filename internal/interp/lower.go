@@ -139,7 +139,6 @@ func Lower(prog *lang.Program, info *lang.Info) *Lowered {
 			prog: prog, info: info, funcs: out.funcs, fn: fn,
 			c:      &code{name: name},
 			vars:   map[*lang.VarDef]*variable{},
-			boxed:  addressTaken(fn.Decl.Body, info),
 			labels: map[string]*label{},
 		}
 		for _, p := range fn.Params {
@@ -156,33 +155,6 @@ func Lower(prog *lang.Program, info *lang.Info) *Lowered {
 		fl.emit(fl.fn.Decl.Body.Rbrace, func(*frame) int { return retPC })
 	}
 	return out
-}
-
-// addressTaken finds the variables of one procedure that must live in a
-// cell: those whose address is taken anywhere but directly as a target of
-// mh.Read or mh.Restore, which store through the slot without ever holding
-// a pointer.
-func addressTaken(body *ast.BlockStmt, info *lang.Info) map[*lang.VarDef]bool {
-	boxed := map[*lang.VarDef]bool{}
-	direct := map[ast.Expr]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.CallExpr:
-			if name, ok := mhPrimitive(x); ok && (name == "Read" || name == "Restore") {
-				for _, a := range x.Args {
-					direct[a] = true
-				}
-			}
-		case *ast.UnaryExpr:
-			if id, ok := ast.Unparen(x.X).(*ast.Ident); ok && x.Op == token.AND && !direct[x] {
-				if def := info.VarOf(id); def != nil {
-					boxed[def] = true
-				}
-			}
-		}
-		return true
-	})
-	return boxed
 }
 
 // mhPrimitive recognizes mh.<name>(...).
@@ -206,7 +178,6 @@ type funcLowerer struct {
 	c     *code
 
 	vars   map[*lang.VarDef]*variable
-	boxed  map[*lang.VarDef]bool
 	labels map[string]*label
 	loops  []loopCtx // enclosing break/continue targets, innermost last
 }
@@ -219,12 +190,15 @@ type loopCtx struct {
 
 // variable returns the slot of a declared variable, assigning one on first
 // sight: the checker gives every declaration its own VarDef, so shadowed
-// names in nested blocks get distinct slots with no scope stack.
+// names in nested blocks get distinct slots with no scope stack. A variable
+// the checker found address-taken lives in a cell; &x directly as a target
+// of mh.Read or mh.Restore, which store through the slot without ever
+// holding a pointer, does not count.
 func (fl *funcLowerer) variable(def *lang.VarDef) *variable {
 	v, ok := fl.vars[def]
 	if !ok {
 		v = fl.temp(def.Type)
-		v.boxed = fl.boxed[def]
+		v.boxed = fl.info.AddrTaken[def]
 		fl.vars[def] = v
 	}
 	return v

@@ -3,6 +3,10 @@ package interp
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -10,7 +14,9 @@ import (
 
 	"repro/internal/bus"
 	"repro/internal/codec"
+	"repro/internal/fixtures"
 	"repro/internal/lang"
+	"repro/internal/lang/langtest"
 	"repro/internal/mh"
 	"repro/internal/state"
 	"repro/internal/transform"
@@ -1060,4 +1066,90 @@ func main() {
 			t.Errorf("format %q fits one variable", format)
 		}
 	}
+}
+
+// addressTaken is the syntactic rule Lower boxed variables by before the
+// checker recorded Info.AddrTaken, kept as its reference: the variables of
+// one procedure whose address is taken anywhere but directly as a target of
+// mh.Read or mh.Restore.
+func addressTaken(body *ast.BlockStmt, info *lang.Info) map[*lang.VarDef]bool {
+	boxed := map[*lang.VarDef]bool{}
+	direct := map[ast.Expr]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.CallExpr:
+			if name, ok := mhPrimitive(x); ok && (name == "Read" || name == "Restore") {
+				for _, a := range x.Args {
+					direct[a] = true
+				}
+			}
+		case *ast.UnaryExpr:
+			if id, ok := ast.Unparen(x.X).(*ast.Ident); ok && x.Op == token.AND && !direct[x] {
+				if def := info.VarOf(id); def != nil {
+					boxed[def] = true
+				}
+			}
+		}
+		return true
+	})
+	return boxed
+}
+
+// TestAddrTakenMatchesReference compares the checker's AddrTaken, the
+// variables Lower puts in cells, with addressTaken for every procedure of a
+// corpus: every module this package's tests hold, every woven golden of
+// internal/transform and Figure 3's compute as written.
+func TestAddrTakenMatchesReference(t *testing.T) {
+	corpus := map[string]string{"fixtures.ComputeSource": fixtures.ComputeSource}
+	for _, file := range []string{"interp_test.go", "lower_test.go", "extra_test.go"} {
+		for k, src := range langtest.EmbeddedModules(t, file) {
+			corpus[k] = src
+		}
+	}
+	goldens, err := filepath.Glob("../transform/testdata/*.golden")
+	if err != nil || len(goldens) < 10 {
+		t.Fatalf("%d woven goldens (%v)", len(goldens), err)
+	}
+	for _, path := range goldens {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus[path] = string(src)
+	}
+	keys := make([]string, 0, len(corpus))
+	for k := range corpus {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	checked, boxed := 0, 0
+	for _, key := range keys {
+		prog, err := lang.ParseSource("mod.go", corpus[key])
+		if err != nil {
+			continue
+		}
+		info, err := lang.Check(prog)
+		if err != nil {
+			continue // an error test's program: nothing lowers it
+		}
+		checked++
+		want := 0
+		for _, name := range prog.FuncOrder {
+			ref := addressTaken(prog.Funcs[name].Decl.Body, info)
+			want += len(ref)
+			for _, d := range info.FuncVars[name] {
+				if info.AddrTaken[d] != ref[d] {
+					t.Errorf("%s: %s.%s: checker says address-taken %v, reference %v", key, name, d.Name, info.AddrTaken[d], ref[d])
+				}
+			}
+		}
+		if len(info.AddrTaken) != want {
+			t.Errorf("%s: checker records %d address-taken variables, reference %d", key, len(info.AddrTaken), want)
+		}
+		boxed += want
+	}
+	if checked < 30 || boxed == 0 {
+		t.Errorf("corpus: %d programs check, %d boxed variables: a source went missing", checked, boxed)
+	}
+	t.Logf("%d programs, %d boxed variables", checked, boxed)
 }

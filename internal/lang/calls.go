@@ -191,8 +191,16 @@ func (c *checker) checkMHCall(call *ast.CallExpr, name string, stmtCtx bool) Typ
 			c.errorf(call.Args[i].Pos(), "mh.%s argument %d: %s is not %s", name, i+1, at, want)
 		}
 	}
+	// mh.Read and mh.Restore store through a direct &x argument and keep no
+	// pointer, so it does not put x in AddrTaken.
+	outParams := name == "Read" || name == "Restore"
 	for _, a := range call.Args[len(sig.fixed):] {
+		direct := c.direct
+		if outParams {
+			c.direct = a
+		}
 		at := c.checkExpr(a, nil)
+		c.direct = direct
 		if at == nil {
 			continue
 		}

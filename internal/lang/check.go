@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -54,13 +55,21 @@ type Point struct {
 
 // Info is the checker's output: types, definitions and uses, per-function
 // variables, labels, and reconfiguration points.
+//
+// A pass that rewrites a checked program in place may keep its Info instead
+// of checking the program again; it then records everything it adds the way
+// Check would (NewUse, NewDecl) and drops what it removes.
 type Info struct {
 	Types    map[ast.Expr]Type
 	Defs     map[*ast.Ident]*VarDef
 	Uses     map[*ast.Ident]*VarDef
 	FuncVars map[string][]*VarDef // params then locals, in declaration order
-	Labels   map[string][]string
+	Labels   map[string][]string  // per function, in the order the labels appear
 	Points   []Point
+	// AddrTaken holds the variables whose address is taken (&x) anywhere but
+	// directly as an argument of mh.Read or mh.Restore, which store through
+	// the variable without keeping the pointer.
+	AddrTaken map[*VarDef]bool
 }
 
 // TypeOf returns the recorded type of an expression, or nil.
@@ -74,19 +83,39 @@ func (i *Info) VarOf(id *ast.Ident) *VarDef {
 	return i.Uses[id]
 }
 
+// NewUse returns a new identifier that uses d, recorded as Check records one.
+func (i *Info) NewUse(d *VarDef) *ast.Ident {
+	id := ast.NewIdent(d.Name)
+	i.Uses[id] = d
+	i.Types[id] = d.Type
+	return id
+}
+
+// NewDecl returns a new identifier that declares d, recorded as Check
+// records one, and makes it d's declaring identifier.
+func (i *Info) NewDecl(d *VarDef) *ast.Ident {
+	id := ast.NewIdent(d.Name)
+	d.Ident = id
+	i.Defs[id] = d
+	return id
+}
+
+// Sizes are the numbers of entries in an Info's Types, Defs and Uses.
+type Sizes struct{ Types, Defs, Uses int }
+
 // Check type-checks a module program against the subset rules and returns
 // the collected information. All violations are reported together.
-//
-// A program checked again after an in-place rewrite sizes its tables from
-// the previous check's, so they are allocated once instead of grown.
-func Check(p *Program) (*Info, error) {
-	n := p.checked
+func Check(p *Program) (*Info, error) { return CheckSized(p, Sizes{}) }
+
+// CheckSized is Check with the tables allocated for the sizes the caller
+// expects the program to need, so that they are not grown while it runs.
+func CheckSized(p *Program, s Sizes) (*Info, error) {
 	c := &checker{
 		prog: p,
 		info: &Info{
-			Types:    make(map[ast.Expr]Type, n.types),
-			Defs:     make(map[*ast.Ident]*VarDef, n.defs),
-			Uses:     make(map[*ast.Ident]*VarDef, n.uses),
+			Types:    make(map[ast.Expr]Type, s.Types),
+			Defs:     make(map[*ast.Ident]*VarDef, s.Defs),
+			Uses:     make(map[*ast.Ident]*VarDef, s.Uses),
 			FuncVars: make(map[string][]*VarDef, len(p.Funcs)),
 			Labels:   make(map[string][]string, len(p.Funcs)),
 		},
@@ -95,15 +124,11 @@ func Check(p *Program) (*Info, error) {
 		c.checkFunc(p.Funcs[name])
 	}
 	c.checkPointLabels()
-	p.checked = infoSizes{len(c.info.Types), len(c.info.Defs), len(c.info.Uses)}
 	if len(c.errs) > 0 {
 		return nil, c.errs
 	}
 	return c.info, nil
 }
-
-// infoSizes are the table sizes of a program's last Check.
-type infoSizes struct{ types, defs, uses int }
 
 // MHName is the identifier module programs use for the participation
 // runtime (mh.Read, mh.Write, ...).
@@ -116,12 +141,32 @@ type checker struct {
 
 	fn     *Func
 	scopes []map[string]*VarDef
-	labels map[string]bool
 	loops  int
+	direct ast.Expr // the argument of mh.Read or mh.Restore being checked
+
+	// Labels are declared as the walk meets them. A branch to a label not
+	// yet seen waits in forward until the end of the function, and the
+	// errors both raise are placed where checking the labels before the
+	// body would have put them: redeclarations first, a branch's at the
+	// branch.
+	labels   map[string]bool
+	forward  []branchRef
+	redecl   []*Error
+	errStart int
+}
+
+// branchRef is a branch to a label the walk had not yet met.
+type branchRef struct {
+	st *ast.BranchStmt
+	at int // len(errs) when the branch was checked
+}
+
+func (c *checker) newError(pos token.Pos, format string, args ...any) *Error {
+	return &Error{Pos: c.prog.Fset.Position(pos), Msg: fmt.Sprintf(format, args...)}
 }
 
 func (c *checker) errorf(pos token.Pos, format string, args ...any) {
-	c.errs = append(c.errs, &Error{Pos: c.prog.Fset.Position(pos), Msg: fmt.Sprintf(format, args...)})
+	c.errs = append(c.errs, c.newError(pos, format, args...))
 }
 
 func (c *checker) push() { c.scopes = append(c.scopes, map[string]*VarDef{}) }
@@ -161,25 +206,11 @@ func (c *checker) declare(id *ast.Ident, t Type, isParam bool) *VarDef {
 func (c *checker) checkFunc(fn *Func) {
 	c.fn = fn
 	c.scopes = nil
-	c.labels = map[string]bool{}
+	clear(c.labels)
+	c.forward, c.redecl, c.errStart = c.forward[:0], c.redecl[:0], len(c.errs)
 	c.loops = 0
 	c.push()
 	defer c.pop()
-
-	// Pre-collect labels so forward gotos resolve.
-	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-		switch l := n.(type) {
-		case *ast.LabeledStmt:
-			if c.labels[l.Label.Name] {
-				c.errorf(l.Pos(), "label %s redeclared", l.Label.Name)
-			}
-			c.labels[l.Label.Name] = true
-			c.info.Labels[fn.Name] = append(c.info.Labels[fn.Name], l.Label.Name)
-		case *ast.FuncLit:
-			return false
-		}
-		return true
-	})
 
 	for _, p := range fn.Params {
 		if _, dup := c.top()[p.Name]; dup {
@@ -191,6 +222,55 @@ func (c *checker) checkFunc(fn *Func) {
 		c.info.FuncVars[fn.Name] = append(c.info.FuncVars[fn.Name], p)
 	}
 	c.checkBlock(fn.Decl.Body)
+
+	// Backwards, so that inserting an error moves none still to be placed.
+	for i := len(c.forward) - 1; i >= 0; i-- {
+		st := c.forward[i].st
+		if c.labels[st.Label.Name] {
+			continue
+		}
+		msg := "goto to undeclared label"
+		if st.Tok != token.GOTO {
+			msg = fmt.Sprintf("%s to undeclared label %s", st.Tok, st.Label.Name)
+		}
+		c.errs = slices.Insert(c.errs, c.forward[i].at, c.newError(st.Pos(), "%s", msg))
+	}
+	c.errs = slices.Insert(c.errs, c.errStart, c.redecl...)
+}
+
+// declareLabel records a label the walk meets.
+func (c *checker) declareLabel(l *ast.LabeledStmt) {
+	name := l.Label.Name
+	if c.labels[name] {
+		c.redecl = append(c.redecl, c.newError(l.Pos(), "label %s redeclared", name))
+	}
+	if c.labels == nil {
+		c.labels = map[string]bool{}
+	}
+	c.labels[name] = true
+	c.info.Labels[c.fn.Name] = append(c.info.Labels[c.fn.Name], name)
+}
+
+// skipLabels declares the labels inside a statement the walk does not enter
+// because it is in error, so that branches to them still resolve.
+func (c *checker) skipLabels(n ast.Node) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch l := n.(type) {
+		case *ast.LabeledStmt:
+			c.declareLabel(l)
+		case *ast.FuncLit:
+			return false
+		}
+		return true
+	})
+}
+
+// branchTo checks that a branch names a label of the function: now, or for
+// a label further down, at the end of the function.
+func (c *checker) branchTo(st *ast.BranchStmt) {
+	if !c.labels[st.Label.Name] {
+		c.forward = append(c.forward, branchRef{st: st, at: len(c.errs)})
+	}
 }
 
 func (c *checker) checkBlock(b *ast.BlockStmt) {
@@ -256,6 +336,7 @@ func (c *checker) checkStmt(s ast.Stmt) {
 	case *ast.BranchStmt:
 		c.checkBranch(st)
 	case *ast.LabeledStmt:
+		c.declareLabel(st)
 		c.checkStmt(st.Stmt)
 	case *ast.ReturnStmt:
 		c.checkReturn(st)
@@ -263,6 +344,7 @@ func (c *checker) checkStmt(s ast.Stmt) {
 		c.checkBlock(st)
 	case *ast.EmptyStmt:
 	default:
+		c.skipLabels(s)
 		c.errorf(s.Pos(), "statement %T is not in the module subset (no go/defer/select/channels/maps)", s)
 	}
 }
@@ -422,18 +504,21 @@ func (c *checker) checkRange(st *ast.RangeStmt) {
 	c.push()
 	defer c.pop()
 	if st.Tok == token.ASSIGN {
+		c.skipLabels(st.Body)
 		c.errorf(st.Pos(), "range with = is not in the subset; use :=")
 		return
 	}
 	rt := c.checkExpr(st.X, nil)
 	sl, ok := rt.(Slice)
 	if !ok {
+		c.skipLabels(st.Body)
 		c.errorf(st.X.Pos(), "range requires a slice, got %s", typeName(rt))
 		return
 	}
 	if st.Key != nil {
 		id, ok := st.Key.(*ast.Ident)
 		if !ok {
+			c.skipLabels(st.Body)
 			c.errorf(st.Key.Pos(), "range key must be an identifier")
 			return
 		}
@@ -442,6 +527,7 @@ func (c *checker) checkRange(st *ast.RangeStmt) {
 	if st.Value != nil {
 		id, ok := st.Value.(*ast.Ident)
 		if !ok {
+			c.skipLabels(st.Body)
 			c.errorf(st.Value.Pos(), "range value must be an identifier")
 			return
 		}
@@ -505,12 +591,14 @@ func (c *checker) checkSwitch(st *ast.SwitchStmt) {
 func (c *checker) checkBranch(st *ast.BranchStmt) {
 	switch st.Tok {
 	case token.GOTO:
-		if st.Label == nil || !c.labels[st.Label.Name] {
+		if st.Label == nil {
 			c.errorf(st.Pos(), "goto to undeclared label")
+		} else {
+			c.branchTo(st)
 		}
 	case token.BREAK, token.CONTINUE:
-		if st.Label != nil && !c.labels[st.Label.Name] {
-			c.errorf(st.Pos(), "%s to undeclared label %s", st.Tok, st.Label.Name)
+		if st.Label != nil {
+			c.branchTo(st)
 		}
 		if c.loops == 0 {
 			c.errorf(st.Pos(), "%s outside loop or switch", st.Tok)
@@ -735,6 +823,14 @@ func (c *checker) unaryType(x *ast.UnaryExpr, hint Type) Type {
 		if _, nested := t.(Pointer); nested {
 			c.errorf(x.Pos(), "pointer-to-pointer values are not in the subset")
 			return nil
+		}
+		if id, ok := ast.Unparen(x.X).(*ast.Ident); ok && ast.Expr(x) != c.direct {
+			if d := c.info.Uses[id]; d != nil {
+				if c.info.AddrTaken == nil {
+					c.info.AddrTaken = map[*VarDef]bool{}
+				}
+				c.info.AddrTaken[d] = true
+			}
 		}
 		return Pointer{Elem: t}
 	default:

@@ -420,6 +420,63 @@ outer:
 	}
 }
 
+// TestLabelErrorsInPlace: the checker declares labels as its walk meets
+// them and resolves a branch to a label further down at the end of the
+// function, yet reports what it did when it collected the labels first: a
+// redeclared label before everything else in its function, a branch to a
+// missing label where the branch is, and a label inside a statement it
+// rejects still declared.
+func TestLabelErrorsInPlace(t *testing.T) {
+	prog, err := ParseSource("mod.go", `package p
+func f(a int, a int) {}
+func main() {
+	x = 1
+	goto M
+L:
+	for {
+		break L
+	}
+L:
+	for {
+		continue L
+	}
+	y = 2
+	goto N
+	break Later
+	for i = range 3 {
+	N:
+	}
+Later:
+	for {
+	}
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Check(prog)
+	errs, ok := err.(ErrorList)
+	if !ok {
+		t.Fatalf("Check: %v", err)
+	}
+	var got []string
+	for _, e := range errs {
+		got = append(got, e.Msg)
+	}
+	want := []string{
+		"parameter a redeclared",
+		"label L redeclared",
+		"undeclared variable x",
+		"goto to undeclared label",
+		"undeclared variable y",
+		"break outside loop or switch",
+		"range with = is not in the subset; use :=",
+	}
+	if !equalStrings(got, want) {
+		t.Errorf("errors\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 func TestMultiFileProgram(t *testing.T) {
 	prog, err := ParseFiles(map[string]string{
 		"a.go": "package m\nfunc main() { helper() }",

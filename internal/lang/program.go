@@ -33,8 +33,6 @@ type Program struct {
 	Structs map[string]*Struct
 	// FuncOrder lists function names in declaration order.
 	FuncOrder []string
-
-	checked infoSizes // of the last Check, which sizes the next one's tables
 }
 
 // Error reports a language violation with its source position.

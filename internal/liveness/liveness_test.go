@@ -3,7 +3,6 @@ package liveness
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"math/rand"
 	"reflect"
@@ -15,6 +14,7 @@ import (
 
 	"repro/internal/flatten"
 	"repro/internal/lang"
+	"repro/internal/lang/langtest"
 )
 
 // loadFlat parses, checks, flattens every function, and re-checks in place.
@@ -517,34 +517,6 @@ func two(v int) (int, int) { return v, v + 1 }
 func skip(_ int, w int) int { return w }
 `
 
-// embeddedModules returns the module sources a Go file holds as raw string
-// literals that start with a package clause, keyed by file and line. A %d
-// in a source is the recursion depth of the benchmark's deep stage and is
-// filled with 128.
-func embeddedModules(t *testing.T, path string) map[string]string {
-	t.Helper()
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, path, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := map[string]string{}
-	ast.Inspect(file, func(n ast.Node) bool {
-		lit, ok := n.(*ast.BasicLit)
-		if !ok || lit.Kind != token.STRING || lit.Value[0] != '`' {
-			return true
-		}
-		if src, _ := strconv.Unquote(lit.Value); strings.HasPrefix(src, "package ") {
-			if strings.Contains(src, "%d") {
-				src = fmt.Sprintf(src, 128)
-			}
-			out[fmt.Sprintf("%s:%d", path, fset.Position(lit.Pos()).Line)] = src
-		}
-		return true
-	})
-	return out
-}
-
 // TestLivenessMatchesReference compares the bit-vector analysis with the
 // map-based reference below on every procedure of a corpus, flattened and
 // as written (where structured statements are opaque and a break is an
@@ -554,8 +526,8 @@ func embeddedModules(t *testing.T, path string) map[string]string {
 // them), the two stages the benchmark loads, seeded random modules and one
 // procedure of more than 128 variables.
 func TestLivenessMatchesReference(t *testing.T) {
-	corpus := embeddedModules(t, "liveness_test.go")
-	for k, src := range embeddedModules(t, "../../bench/workloads.go") {
+	corpus := langtest.EmbeddedModules(t, "liveness_test.go")
+	for k, src := range langtest.EmbeddedModules(t, "../../bench/workloads.go") {
 		corpus[k] = src
 	}
 	if len(corpus) < 18 {
@@ -828,7 +800,7 @@ func chainSrc(stmts, vars int) string {
 // allocates two maps per statement on every sweep.
 func TestAnalyzeWork(t *testing.T) {
 	var deep string
-	for _, src := range embeddedModules(t, "../../bench/workloads.go") {
+	for _, src := range langtest.EmbeddedModules(t, "../../bench/workloads.go") {
 		if strings.Contains(src, "func hold(") {
 			deep = src
 		}

@@ -24,6 +24,10 @@ import (
 // is strictly stronger: the temporaries are ordinary locals, so they are
 // captured and restored with the frame, and the re-issued call passes the
 // *original* argument values.
+//
+// Like flatten.Function, it keeps info matching the AST: the temporaries
+// join the function's FuncVars after the flattened locals, in the order of
+// their var group, and every identifier naming them is recorded.
 func hoistUnsafeArgs(prog *lang.Program, info *lang.Info, nodeSet map[string]bool) error {
 	for _, name := range prog.FuncOrder {
 		if !nodeSet[name] {
@@ -49,7 +53,7 @@ type hoister struct {
 	taken   map[string]bool
 	tmpN    int
 	// newLocals accumulates hoisted temporaries to declare.
-	newLocals []flatten.Local
+	newLocals []*lang.VarDef
 }
 
 func (h *hoister) run() error {
@@ -82,14 +86,8 @@ func (h *hoister) run() error {
 	}
 
 	if len(h.newLocals) > 0 {
-		specs := make([]ast.Spec, len(h.newLocals))
-		for i, l := range h.newLocals {
-			specs[i] = &ast.ValueSpec{
-				Names: []*ast.Ident{ast.NewIdent(l.Name)},
-				Type:  flatten.TypeExpr(l.Type),
-			}
-		}
-		decl := &ast.DeclStmt{Decl: &ast.GenDecl{Tok: token.VAR, Specs: specs}}
+		decl := flatten.Decl(h.info, h.newLocals)
+		h.info.FuncVars[h.fn.Name] = append(h.info.FuncVars[h.fn.Name], h.newLocals...)
 		// Place after the existing hoisted declaration group if present.
 		if len(out) > 0 {
 			if _, ok := out[0].(*ast.DeclStmt); ok {
@@ -129,13 +127,13 @@ func (h *hoister) stmt(s ast.Stmt) ([]ast.Stmt, ast.Stmt, error) {
 		if _, isPtr := t.(lang.Pointer); isPtr {
 			return nil, s, h.errf(a, "pointer-valued argument expressions to instrumented calls must be &variable")
 		}
-		name := h.newTemp(t)
+		tmp := h.newTemp(t)
 		pre = append(pre, &ast.AssignStmt{
-			Lhs: []ast.Expr{ast.NewIdent(name)},
+			Lhs: []ast.Expr{h.info.NewUse(tmp)},
 			Tok: token.ASSIGN,
 			Rhs: []ast.Expr{a},
 		})
-		call.Args[i] = ast.NewIdent(name)
+		call.Args[i] = h.info.NewUse(tmp)
 	}
 	if len(pre) == 0 || len(labels) == 0 {
 		return pre, s, nil
@@ -169,9 +167,9 @@ func (h *hoister) desugarReturn(s ast.Stmt) ([]ast.Stmt, ast.Stmt, error) {
 	lhs := make([]ast.Expr, len(callee.Results))
 	rets := make([]ast.Expr, len(callee.Results))
 	for i, rt := range callee.Results {
-		name := h.newTemp(rt)
-		lhs[i] = ast.NewIdent(name)
-		rets[i] = ast.NewIdent(name)
+		tmp := h.newTemp(rt)
+		lhs[i] = h.info.NewUse(tmp)
+		rets[i] = h.info.NewUse(tmp)
 	}
 	assign := ast.Stmt(&ast.AssignStmt{Lhs: lhs, Tok: token.ASSIGN, Rhs: []ast.Expr{call}})
 	for i := len(labels) - 1; i >= 0; i-- {
@@ -234,14 +232,15 @@ func unlabel(s ast.Stmt) (labels []string, inner ast.Stmt) {
 	}
 }
 
-func (h *hoister) newTemp(t lang.Type) string {
+func (h *hoister) newTemp(t lang.Type) *lang.VarDef {
 	for {
 		h.tmpN++
 		name := "mhArg" + strconv.Itoa(h.tmpN)
 		if !h.taken[name] {
 			h.taken[name] = true
-			h.newLocals = append(h.newLocals, flatten.Local{Name: name, Type: t})
-			return name
+			v := &lang.VarDef{Name: name, Type: t}
+			h.newLocals = append(h.newLocals, v)
+			return v
 		}
 	}
 }

@@ -20,8 +20,11 @@
 //  5. weaves one restore block per procedure (Figure 8) and one capture
 //     block per reconfiguration-graph edge (Figure 7), with resume labels
 //     Li at call sites and the point label at each reconfiguration point;
-//  6. prunes unused labels and checks the woven AST in place once more, so
-//     the program the interpreter lowers is the one the checker accepted.
+//  6. prunes unused labels and checks the woven AST in place, so the
+//     program the interpreter lowers is the one the checker accepted. This
+//     is the second of two checks: the first is of the source as written,
+//     and flatten and hoist keep its Info matching what they rewrite, so
+//     the steps between read an Info without checking again.
 //
 // The woven program is never printed on the way: Output.Files prints it on
 // request, and parses and checks that text, so whoever reads it (cmd/mhgen,
@@ -32,7 +35,6 @@ package transform
 
 import (
 	"fmt"
-	"go/ast"
 	"sort"
 
 	"repro/internal/callgraph"
@@ -113,16 +115,24 @@ type Output struct {
 	source *callgraph.RGraph
 }
 
-// inspect is a test seam: it is shown the one AST after each in-place pass.
-var inspect = func(pass string, prog *lang.Program) {}
+// Test seams. inspect is shown the one AST after each in-place pass, with
+// the Info the pass kept (nil after weave, whose check follows); every
+// lang check Prepare runs goes through check.
+var (
+	inspect = func(pass string, prog *lang.Program, info *lang.Info) {}
+	check   = lang.CheckSized
+)
 
 // Prepare transforms a module program for reconfiguration participation.
-// It is one pipeline over one AST: the sources are parsed once, and every
-// pass rewrites the instrumented procedures in place and is followed by a
-// fresh lang.Check of the whole program (no pass touches a declaration or a
-// signature, so the declaration tables stay valid). The last check's program
-// and Info are the output, so a run-time error cites the line the programmer
-// wrote; nothing is printed until Files is called.
+// It is one pipeline over one AST: the sources are parsed once and checked
+// once as written, so an error cites the programmer's line. Flatten and
+// hoist rewrite the instrumented procedures in place and keep that check's
+// Info matching what they leave (no pass touches a declaration or a
+// signature, so the declaration tables stay valid). The woven program is
+// checked once more, with tables sized for it; that check's program and
+// Info are the output, so the program the interpreter lowers is the one the
+// checker accepted, and a pass that made an ill-typed program fails here.
+// Nothing is printed until Files is called.
 func Prepare(sources map[string]string, opts Options) (*Output, error) {
 	if opts.Mode == 0 {
 		opts.Mode = CaptureAll
@@ -131,7 +141,7 @@ func Prepare(sources map[string]string, opts Options) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	info, err := lang.Check(prog)
+	info, err := check(prog, lang.Sizes{})
 	if err != nil {
 		return nil, fmt.Errorf("transform: %w", err)
 	}
@@ -153,28 +163,21 @@ func Prepare(sources map[string]string, opts Options) (*Output, error) {
 			return nil, fmt.Errorf("transform: %w", err)
 		}
 	}
-	inspect("flatten", prog)
-	if info, err = lang.Check(prog); err != nil {
-		return nil, fmt.Errorf("transform: after flatten: %w", err)
-	}
+	inspect("flatten", prog, info)
 
 	// Hoist unsafe arguments of instrumented calls into captured temps.
 	if err := hoistUnsafeArgs(prog, info, nodeSet); err != nil {
 		return nil, err
 	}
-	inspect("hoist", prog)
-	if info, err = lang.Check(prog); err != nil {
-		return nil, fmt.Errorf("transform: after hoisting: %w", err)
-	}
+	inspect("hoist", prog, info)
 
-	// Rebuild the graph on the flattened program; its edge numbers are
-	// the integers woven into the capture/restore blocks.
-	rg, err := callgraph.BuildReconfig(callgraph.Build(prog), info)
+	// Number the edges again on the flattened program; its edge numbers are
+	// the integers woven into the capture/restore blocks. Flatten and hoist
+	// move calls but add or remove none, so the static call graph, and with
+	// it the node set, is the source's.
+	rg, err := callgraph.BuildReconfig(rg0.Graph, info)
 	if err != nil {
 		return nil, fmt.Errorf("transform: %w", err)
-	}
-	if err := sameNodes(rg0, rg); err != nil {
-		return nil, err
 	}
 
 	// Per-procedure liveness (capture-set trimming and pointer-local
@@ -200,8 +203,13 @@ func Prepare(sources map[string]string, opts Options) (*Output, error) {
 	for _, name := range rg.Nodes {
 		flatten.PruneLabels(prog.Funcs[name].Decl, w.keepLabels[name])
 	}
-	inspect("weave", prog)
-	if info, err = lang.Check(prog); err != nil {
+	inspect("weave", prog, nil)
+	sizes := lang.Sizes{
+		Types: len(info.Types) + w.added.Types,
+		Defs:  len(info.Defs) + w.added.Defs,
+		Uses:  len(info.Uses) + w.added.Uses,
+	}
+	if info, err = check(prog, sizes); err != nil {
 		return nil, fmt.Errorf("transform: after weaving: %w", err)
 	}
 	out.Prog, out.Info = prog, info
@@ -242,18 +250,6 @@ func (o *Output) text() (map[string]string, *lang.Program, error) {
 // (Figure 6).
 func (o *Output) StaticDOT() string   { return o.source.Graph.DOT() }
 func (o *Output) ReconfigDOT() string { return o.source.DOT() }
-
-func sameNodes(a, b *callgraph.RGraph) error {
-	if len(a.Nodes) != len(b.Nodes) {
-		return fmt.Errorf("transform: node set changed across flattening (%v vs %v)", a.Nodes, b.Nodes)
-	}
-	for i := range a.Nodes {
-		if a.Nodes[i] != b.Nodes[i] {
-			return fmt.Errorf("transform: node set changed across flattening (%v vs %v)", a.Nodes, b.Nodes)
-		}
-	}
-	return nil
-}
 
 // PrepareSource is Prepare for a single-file module.
 func PrepareSource(name, src string, opts Options) (*Output, error) {
@@ -297,16 +293,4 @@ func (o *Output) ReportString() string {
 		s += "\n"
 	}
 	return s
-}
-
-// collectLabels returns every label declared in fn.
-func collectLabels(fn *ast.FuncDecl) map[string]bool {
-	out := map[string]bool{}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if ls, ok := n.(*ast.LabeledStmt); ok {
-			out[ls.Label.Name] = true
-		}
-		return true
-	})
-	return out
 }

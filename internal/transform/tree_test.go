@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/lang"
+	"repro/internal/lang/langtest"
 )
 
 // sharedNode returns the first AST node of prog that is reachable twice, or
@@ -33,13 +34,22 @@ func sharedNode(prog *lang.Program) ast.Node {
 }
 
 // TestMain makes every Prepare this package's tests run — the fixtures, the
+// goldens (the examples' and the benchmark's sources among them), the
 // multi-file, multi-point and mutual-recursion sources, the seeded
 // genWorkerModule programs — check after flatten, after hoist and after
-// weave that the AST is still a tree.
+// weave that the AST is still a tree, and after flatten and after hoist
+// that the Info the passes kept is the one a fresh check finds. Those are
+// the two checks Prepare no longer runs.
 func TestMain(m *testing.M) {
-	inspect = func(pass string, prog *lang.Program) {
+	inspect = func(pass string, prog *lang.Program, info *lang.Info) {
 		if n := sharedNode(prog); n != nil {
 			panic(fmt.Sprintf("after %s the AST is not a tree: %T %v is reachable twice", pass, n, n))
+		}
+		if info == nil {
+			return
+		}
+		if err := langtest.DiffInfo(prog, info); err != nil {
+			panic(fmt.Sprintf("after %s: %v", pass, err))
 		}
 	}
 	os.Exit(m.Run())

@@ -23,6 +23,9 @@ type weaver struct {
 	out  *Output
 
 	keepLabels map[string]map[string]bool
+	// added is what the woven check will record beyond info's entries, which
+	// match the program before weaving.
+	added lang.Sizes
 }
 
 func (w *weaver) weaveFunc(name string) error {
@@ -31,7 +34,10 @@ func (w *weaver) weaveFunc(name string) error {
 	}
 	fn := w.prog.Funcs[name]
 	isMain := name == "main"
-	labels := collectLabels(fn.Decl)
+	labels := make(map[string]bool, len(w.info.Labels[name]))
+	for _, l := range w.info.Labels[name] {
+		labels[l] = true
+	}
 	a := w.live[name]
 	edges := w.rg.EdgesFrom(name)
 
@@ -186,6 +192,10 @@ func (w *weaver) weaveFunc(name string) error {
 		idxs = append(idxs, e.Index)
 	}
 	w.out.Funcs[name] = &FuncReport{Name: name, Captured: capSet, Format: format, Edges: idxs}
+	s := wovenSize(fn, capSet, edges)
+	w.added.Types += s.Types
+	w.added.Defs += s.Defs
+	w.added.Uses += s.Uses
 	return nil
 }
 
@@ -297,6 +307,46 @@ func zeroReturns(fn *lang.Func) ([]ast.Expr, error) {
 }
 
 // ---- block constructors ----
+
+// wovenSize is what lang.Check records for the nodes weaveFunc adds to one
+// procedure, less the marker literals it removes. It follows the
+// constructors below; TestPrepareWork holds it exact.
+func wovenSize(fn *lang.Func, capSet []CapturedVar, edges []callgraph.Edge) lang.Sizes {
+	ptrs := 0
+	for _, cv := range capSet {
+		if cv.Pointer {
+			ptrs++
+		}
+	}
+	zeros := 0
+	for _, rt := range fn.Results {
+		zeros++
+		if _, ok := rt.(lang.Slice); ok {
+			zeros += 2 // make's type and length
+		}
+	}
+	capture := 3 + len(capSet) + ptrs // name, format, edge, the values, *p
+	s := lang.Sizes{
+		Defs: 1, // mhLoc
+		// mh.Restoring(), name, format, &mhLoc, &v or p
+		Types: 1 + 2 + 2 + 2*len(capSet) - ptrs,
+		Uses:  1 + len(capSet),
+	}
+	for _, e := range edges {
+		// mhLoc == i; the capture block's condition, arguments and zeros
+		s.Types += 3 + 1 + capture + zeros
+		s.Uses += 1 + len(capSet)
+		if e.IsReconfig() {
+			// mh.SetRestoring(false) and mh.SetCaptureStack(true) in, the
+			// mh.ReconfigPoint label out
+			s.Types += 1
+		}
+	}
+	if fn.Name == "main" {
+		s.Types += 3 // mh.Status() == "clone"
+	}
+	return s
+}
 
 func mhCallExpr(name string, args ...ast.Expr) *ast.CallExpr {
 	return &ast.CallExpr{

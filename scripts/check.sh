@@ -28,8 +28,9 @@ echo "== bench/ harness (its own module: the root go test never compiles it)"
 # here, not in the benchmark driver.
 (cd bench && go vet ./... && go test ./...)
 
-echo "== BenchmarkPrepare still compiles and runs (one iteration; bench/ measures, this does not)"
+echo "== BenchmarkPrepare and BenchmarkLoad still compile and run (one iteration; bench/ measures, this does not)"
 go test -run '^$' -bench BenchmarkPrepare -benchtime 1x ./internal/transform/
+go test -run '^$' -bench BenchmarkLoad -benchtime 1x .
 
 echo "== counts for CHANGES.md (ROADMAP aim 2 and items 1 and 7: all of them go down)"
 gofiles() { find . -name '*.go' ! -path '*/testdata/*' ! -path './bench/out/*' "$@" -print0; }
@@ -69,8 +70,10 @@ go test -race -count=300 -run 'TestTryReadBehindAbandonedReadKeepsOrder|TestRemo
 echo "== liveness on bit-vectors: the map-based reference agrees at every statement of the corpus, and the work per procedure does not grow with statements x variables"
 go test -count=1 -run 'TestLivenessMatchesReference|TestAnalyzeWork' ./internal/liveness/
 
-echo "== Load runs the woven AST: run-time errors cite the source, and the printed text serves what the AST serves"
-go test -count=1 -run 'TestRuntimeErrorCitesSource|TestWovenTextRunsAsLowered|TestPipelineEquivalenceProperty' ./internal/transform/
+echo "== Load runs the woven AST: run-time errors cite the source, the printed text serves what the AST serves, two checks per Prepare and the Info flatten and hoist keep equal to a fresh check's, Lower's cells as the syntactic rule had them"
+go test -count=1 -run 'TestRuntimeErrorCitesSource|TestWovenTextRunsAsLowered|TestPipelineEquivalenceProperty|TestPrepareWork' ./internal/transform/
+go test -count=1 -run 'TestFlattenEquivalenceProperty|TestFlattenKeepsPointsInFlatOrder' ./internal/flatten/
+go test -count=1 -run 'TestAddrTakenMatchesReference' ./internal/interp/
 
 echo "== fault-injection matrix (every script killed before every step of its own table, and at each substrate failpoint, twice, racy)"
 go test -run 'Fault|Rollback|Concurrent' -race -count=2 ./...
