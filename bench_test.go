@@ -99,7 +99,7 @@ func BenchmarkSteadyState(b *testing.B) {
 		}
 		// Warm up one round trip, then pipeline b.N requests so module-
 		// side processing cost dominates over request latency noise.
-		d.request(2)
+		d.requestTaken("compute", 2)
 		d.temperature(10)
 		d.temperature(30)
 		if got := d.response(); got != 20 {

@@ -47,9 +47,8 @@ func run(args []string) error {
 		listenAddr = fs.String("listen", "", "TCP address for remote module attachments")
 		ctlAddr    = fs.String("control", "", "HTTP address for the operator plane: every reconfigctl op, /metrics, /healthz, ...")
 		pprofOn    = fs.Bool("pprof", false, "also mount /debug/pprof on the operator plane (requires -control)")
-		traceSmpl  = fs.Int("trace-sample", 0, "sample 1-in-N message traces into the flight recorder (0 = off)")
-		traceBuf   = fs.Int("trace-buffer", 0, "flight recorder capacity in spans (0 = default)")
-		recordBuf  = fs.Int("record", 0, "record every delivered message into a ring of this capacity (0 = off)")
+		traceSmpl  = fs.Int("trace-sample", 0, "sample 1-in-N message traces; their deliveries go to the delivery log as spans (0 = off)")
+		recordBuf  = fs.Int("record", 0, "record every delivered message into the delivery log, a ring of this capacity (0 = off)")
 		recordFile = fs.String("record-spill", "", "also spill every record to this file (requires -record)")
 		preflight  = fs.Bool("preflight", false, "gate replacements on a replay of the recorded window (requires -record)")
 		duration   = fs.Duration("duration", 0, "run time (0 = until interrupted)")
@@ -72,7 +71,6 @@ func run(args []string) error {
 		Sources:         map[string]reconf.ModuleSource{},
 		SleepUnit:       *sleepUnit,
 		TraceSample:     *traceSmpl,
-		TraceBuffer:     *traceBuf,
 		RecordBuffer:    *recordBuf,
 		PreflightReplay: *preflight,
 	}

@@ -146,7 +146,7 @@ func TestCompiledModuleMigration(t *testing.T) {
 	// signal); pause between them so the flag is set before the module
 	// resumes, making the capture land at this request's second level
 	// rather than at some later reconfiguration point.
-	d.request(3)
+	d.requestTaken("compute", 3)
 	time.Sleep(300 * time.Millisecond)
 	if err := b.SignalReconfig("compute"); err != nil {
 		t.Fatal(err)

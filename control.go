@@ -14,10 +14,10 @@ import (
 
 	"repro/internal/bus"
 	"repro/internal/reconfig"
+	"repro/internal/replay"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/evlog"
 	"repro/internal/telemetry/health"
-	"repro/internal/telemetry/trace"
 )
 
 // The operator plane is one table: every operation an operator can run
@@ -67,7 +67,7 @@ var ops = []op{
 	{name: "trace", params: "[id]", run: opTrace, text: traceText},
 	{name: "traces", run: func(a *App, _ opArgs) (any, error) {
 		rec := a.FlightRecorder()
-		return truncated(map[string]any{"spans": append([]*trace.SpanRecord{}, rec.Snapshot()...)}, rec.Overwritten() > 0), nil
+		return truncated(map[string]any{"spans": append([]*replay.Record{}, rec.Snapshot()...)}, rec.Overwritten() > 0), nil
 	}},
 	{name: "stats", run: opStats},
 	{name: "metrics", run: opMetrics},
@@ -331,16 +331,13 @@ func opMetrics(a *App, _ opArgs) (any, error) {
 	counter("bus_signals_total", st.Signals)
 	counter("bus_moves_total", st.Moves)
 	fmt.Fprintf(&w, "# TYPE bus_snapshot_version gauge\nbus_snapshot_version %d\n", st.SnapshotVersion)
-	if rec := a.FlightRecorder(); rec != nil {
-		fmt.Fprintf(&w, "# TYPE trace_recorder_spans gauge\ntrace_recorder_spans %d\n", rec.Len())
-		counter("trace_recorder_recorded_total", rec.Recorded())
-		counter("trace_recorder_overwritten_total", int64(rec.Overwritten()))
-		fmt.Fprintf(&w, "# TYPE trace_recorder_memory_bound_bytes gauge\ntrace_recorder_memory_bound_bytes %d\n", rec.MemoryBound())
+	if log := a.bus.Recorder(); log != nil {
+		counter("delivery_log_appended_total", int64(log.Appended()))
+		counter("delivery_log_records_overwritten_total", int64(log.Overwritten()))
+		counter("delivery_log_spans_overwritten_total", int64(log.Spans().Overwritten()))
+		fmt.Fprintf(&w, "# TYPE delivery_log_memory_bound_bytes gauge\ndelivery_log_memory_bound_bytes %d\n", log.MemoryBound())
 	}
 	counter("event_log_overwritten_total", int64(a.Events().Overwritten()))
-	if a.recorder != nil {
-		counter("record_ring_overwritten_total", int64(a.recorder.Overwritten()))
-	}
 	telemetry.WritePrometheus(&w, a.Telemetry(), bus.PromLabelRules()...)
 	return rawText(w.String()), nil
 }

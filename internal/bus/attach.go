@@ -180,7 +180,6 @@ func (a *Attachment) Read(ifaceName string) (m Message, err error) {
 		}
 		return m, err
 	}
-	a.recordDelivery(ifc, &m)
 	return m, nil
 }
 
@@ -199,28 +198,7 @@ func (a *Attachment) TryRead(ifaceName string) (m Message, ok bool, err error) {
 		}
 		return m, false, err
 	}
-	if ok {
-		a.recordDelivery(ifc, &m)
-	}
 	return m, ok, nil
-}
-
-// recordDelivery closes the message's delivery span in the flight recorder
-// and attributes the send-to-read latency to the receiving endpoint's
-// histogram. A no-op unless the context is sampled (only sampled messages
-// carry a send timestamp) and this bus records — the unsampled read path
-// pays one flag test, mirroring the paper's claim about the
-// transformation's steady-state cost, and neither it nor a sampled message
-// read on a bus with no recorder reads the clock.
-//
-//archlint:hotpath
-func (a *Attachment) recordDelivery(ifc *iface, m *Message) {
-	if !m.Trace.Sampled() {
-		return
-	}
-	if end := a.bus.tracer.RecordDelivery(m.Trace, m.sender(), ifc.name); end != 0 && m.Trace.SentNs != 0 {
-		ifc.latency.ObserveNs(end - m.Trace.SentNs)
-	}
 }
 
 // Pending returns the number of messages queued on the named interface

@@ -217,11 +217,6 @@ type iface struct {
 	// bus runs with telemetry disabled, so the write path never branches.
 	sent      *telemetry.Counter
 	delivered *telemetry.Counter
-	// latency attributes delivery latency (send-stamp to read) to this
-	// receiving endpoint. Observed only for sampled messages, which are the
-	// only ones carrying a send timestamp — the unsampled hot path is
-	// untouched.
-	latency *telemetry.Histogram
 }
 
 // instance is one module instance. The identity fields (name, interface
@@ -330,19 +325,21 @@ func WithTelemetry(reg *telemetry.Registry) BusOption {
 }
 
 // WithMsgTracer sets the bus's message tracer. The default (an unsampled
-// tracer) stamps causal contexts but records nothing; a sampling tracer
-// additionally records delivery spans into its flight recorder. Passing nil
-// disables stamping entirely — messages carry the zero TraceContext — which
-// is the baseline arm of the trace-overhead benchmark.
+// tracer) stamps causal contexts; a sampling tracer marks every n-th trace
+// sampled, and a delivery log built with spans (WithRecorder) writes the
+// sampled deliveries as spans. Passing nil disables stamping entirely —
+// messages carry the zero TraceContext — which is the baseline arm of the
+// trace-overhead benchmark.
 func WithMsgTracer(tr *trace.Tracer) BusOption {
 	return func(b *Bus) { b.tracer = tr }
 }
 
-// WithRecorder sets the bus's record/replay log: while the log is enabled,
-// every delivered message is appended — under the destination queue's lock,
-// so the recorded per-queue sequence is the queue's total delivery order.
-// The default (nil) resolves every append handle to a no-op; a disabled log
-// costs one atomic load per delivery and allocates nothing.
+// WithRecorder sets the bus's delivery log: while recording is enabled,
+// every delivered message is appended, and with spans every sampled one —
+// under the destination queue's lock, so the recorded per-queue sequence is
+// the queue's total delivery order. The default (nil) resolves every append
+// handle to a no-op; an unsampled delivery to a log that is not recording
+// costs one atomic load and a flag test and allocates nothing.
 func WithRecorder(l *replay.Log) BusOption {
 	return func(b *Bus) { b.recorder = l }
 }
@@ -354,7 +351,7 @@ func WithRecorder(l *replay.Log) BusOption {
 func New(opts ...BusOption) *Bus {
 	b := &Bus{
 		telem:  telemetry.NewRegistry(),
-		tracer: trace.NewTracer(0, nil),
+		tracer: trace.NewTracer(0),
 		events: evlog.NewLog(0),
 	}
 	b.faults.Store(faultinject.Default())
@@ -372,8 +369,8 @@ func (b *Bus) Telemetry() *telemetry.Registry { return b.telem }
 // disabled).
 func (b *Bus) MsgTracer() *trace.Tracer { return b.tracer }
 
-// Recorder returns the bus's record/replay log (nil when recording was
-// never configured).
+// Recorder returns the bus's delivery log (nil when neither recording nor
+// tracing was configured).
 func (b *Bus) Recorder() *replay.Log { return b.recorder }
 
 // SetFaults overrides the bus's fault-injection set (tests arm their own so
@@ -539,15 +536,15 @@ func (b *Bus) AddInstance(spec InstanceSpec) error {
 			}
 			if ifc.spec.Dir.Receives() {
 				ifc.delivered = b.telem.Counter(metric("delivered"))
-				ifc.latency = b.telem.Histogram(metric("delivery_latency_ns"))
 				q := ifc.queue
+				q.latency = b.telem.Histogram(metric("delivery_latency_ns"))
 				b.telem.GaugeFunc(metric("queue_depth"), func() int64 {
 					return int64(q.length())
 				})
-				// The record handle is interned per endpoint, so a clone
+				// The log's handle is interned per endpoint, so a clone
 				// reusing a name (rollback resurrect) continues the same
-				// recorded delivery sequence. Nil recorder → nil handle →
-				// no-op appends.
+				// recorded delivery sequence. Nil log → nil handle → no-op
+				// appends.
 				q.rec = b.recorder.Queue(ifc.name)
 			}
 		}

@@ -5,7 +5,7 @@ package bus
 // "merely periodically testing flags" — nothing for windowed rollups, which
 // read the path's counters from the side, and, while every delivery is
 // traced and recorded, the share of a record block and a payload chunk it
-// uses up.
+// uses up — one record for both.
 
 import (
 	"fmt"
@@ -59,14 +59,14 @@ func TestObservedPathAllocs(t *testing.T) {
 		return testing.AllocsPerRun(2000, observedFanIn(t, 1, payload, opts...))
 	}
 
-	// Off: a tracer that never samples and a recorder that is not recording
-	// each cost the path a flag test and no allocation.
+	// Off: a tracer that never samples and a delivery log that is not
+	// recording each cost the path a flag test and no allocation.
 	base := allocs()
 	if off := allocs(WithMsgTracer(nil)); base != off {
 		t.Errorf("unsampled tracing allocates: %v allocs per round trip, %v with tracing off", base, off)
 	}
-	if idle := allocs(WithRecorder(replay.NewLog(4096))); idle != base {
-		t.Errorf("an attached recorder that is off allocates: %v allocs per round trip, %v without it", idle, base)
+	if idle := allocs(WithRecorder(replay.NewLog(4096, true))); idle != base {
+		t.Errorf("an attached log that is off allocates: %v allocs per round trip, %v without it", idle, base)
 	}
 
 	// Rollups on: a roller closing a window every millisecond reads the same
@@ -86,16 +86,15 @@ func TestObservedPathAllocs(t *testing.T) {
 	}
 	roller.Stop() // its own allocations would count against the arms below
 
-	// On: every delivery sampled into the flight recorder and appended to
-	// the record ring. One sender, then two alternating into the same
-	// interface — the sender's name reaches the hooks with the message, so
+	// On: every delivery sampled and recorded, one record in the delivery
+	// log for both. One sender, then two alternating into the same
+	// interface — the sender's name reaches the hook with the message, so
 	// alternation must cost nothing (a last-sender memo would rebuild it on
 	// every delivery).
 	for _, senders := range []int{1, 2} {
-		rec := trace.NewRecorder(4096)
-		log := replay.NewLog(4096)
+		log := replay.NewLog(4096, true)
 		log.Enable()
-		round := observedFanIn(t, senders, payload, WithMsgTracer(trace.NewTracer(1, rec)), WithRecorder(log))
+		round := observedFanIn(t, senders, payload, WithMsgTracer(trace.NewTracer(1)), WithRecorder(log))
 		if on := testing.AllocsPerRun(2000, round); on != base {
 			t.Errorf("%d senders, sampled and recording: %v allocs per round, %v with both off", senders, on, base)
 		}
@@ -113,30 +112,32 @@ func TestObservedPathAllocs(t *testing.T) {
 		if per > 0.05 {
 			t.Errorf("%d senders, sampled and recording: %.4f allocations per delivery, want <= 0.05", senders, per)
 		}
+		rec := log.Spans()
 		if rec.Recorded() != int64(deliveries) || log.Recorded() != uint64(deliveries) {
 			t.Errorf("%d senders: %d spans and %d records for %d deliveries: something was sampled away",
 				senders, rec.Recorded(), log.Recorded(), deliveries)
+		}
+		if log.Appended() != uint64(deliveries) {
+			t.Errorf("%d senders: %d ring publications for %d traced and recorded deliveries, want one each",
+				senders, log.Appended(), deliveries)
 		}
 		spans, recs := rec.Snapshot(), log.Snapshot()
 		for i := 0; i < senders; i++ {
 			from := fmt.Sprintf("s%d.out", i)
 			s, r := spans[len(spans)-senders+i], recs[len(recs)-senders+i]
-			if s.From != from || s.To != "dst.in" || r.From != from || r.To != "dst.in" {
-				t.Errorf("%d senders: delivery from %s traced as %s -> %s, recorded as %s -> %s",
-					senders, from, s.From, s.To, r.From, r.To)
+			if s.Seq != r.Seq || r.From != from || r.To != "dst.in" {
+				t.Errorf("%d senders: delivery from %s spanned as #%d, recorded as #%d %s -> %s",
+					senders, from, s.Seq, r.Seq, r.From, r.To)
 			}
-			if s.EndNs < s.StartNs {
-				t.Errorf("span %d ends %d ns before it starts", s.Seq, s.StartNs-s.EndNs)
+			if r.EndNs < r.Trace.SentNs {
+				t.Errorf("span %d ends %d ns before it starts", r.Seq, r.Trace.SentNs-r.EndNs)
 			}
 		}
 
-		// Both rings are many laps in: their bounds are the documented
-		// formulas, pinned block and chunks included.
+		// The log is many laps in: its bound is the documented formula,
+		// pinned block and chunks included.
 		const slots = 4096 * 8
 		blocks := func(recordSize uintptr) int { return (4096/64 + 1) * (8 + 64*int(recordSize)) }
-		if got, want := rec.MemoryBound(), slots+blocks(unsafe.Sizeof(trace.SpanRecord{})); got != want {
-			t.Errorf("Recorder.MemoryBound = %d, want %d", got, want)
-		}
 		if got, want := log.MemoryBound(), slots+blocks(unsafe.Sizeof(replay.Record{}))+4096*len(payload)+2*4096; got != want {
 			t.Errorf("Log.MemoryBound = %d, want %d", got, want)
 		}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/replay"
+	"repro/internal/telemetry"
 )
 
 // ErrQueueClosed is returned by queue operations after Close.
@@ -113,13 +114,17 @@ type msgQueue struct {
 	head  uint64  // next slot index within cons
 	front []qitem // restored/re-homed items, consumed before the segments
 
-	// rec is the record/replay append handle for this queue's endpoint,
-	// resolved at AddInstance (nil when the bus runs without a recorder —
-	// a no-op, like the telemetry counters). Appends happen at consumption,
+	// rec is the delivery log's append handle for this queue's endpoint,
+	// resolved at AddInstance (nil when the bus runs without a log — a
+	// no-op, like the telemetry counters). Appends happen at consumption,
 	// in slot-claim order, which is what makes the recorded per-queue
 	// sequence the queue's true total delivery order. This is the only
 	// layer allowed to append records (archlint AL012).
 	rec *replay.QueueLog
+	// latency attributes delivery latency (send stamp to consumption) to
+	// this receiving endpoint: observed for the deliveries the log writes
+	// as spans, the only ones whose end is read off the clock.
+	latency *telemetry.Histogram
 }
 
 // qitem is a queued message paired with the routing-snapshot version it was
@@ -275,14 +280,18 @@ func (q *msgQueue) take() *qitem {
 	}
 }
 
-// record appends a consumed delivery to the record ring. The single
-// consumer-side record hook: slot-claim order is delivery order, so
+// record writes a consumed delivery to the delivery log, once whether it
+// is recorded, sampled or both, and observes a sampled one's latency. The
+// single consumer-side record hook: slot-claim order is delivery order, so
 // appending here keeps recorded QSeq the queue's true total order
-// (archlint AL012 pins QueueLog.Append to this function).
+// (archlint AL012 pins QueueLog.Append to this function). A delivery the
+// log does not write reads no clock.
 //
 //archlint:hotpath
 func (q *msgQueue) record(it *qitem) {
-	q.rec.Append(it.msg.sender(), it.msg.Data, it.msg.Trace, it.ver)
+	if end := q.rec.Append(it.msg.sender(), it.msg.Data, it.msg.Trace, it.ver); end != 0 && it.msg.Trace.SentNs != 0 {
+		q.latency.ObserveNs(end - it.msg.Trace.SentNs)
+	}
 }
 
 // pop removes the oldest message into *m — its one copy between the

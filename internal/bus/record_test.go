@@ -17,7 +17,7 @@ import (
 
 func recordedBus(t *testing.T, capacity int) (*Bus, *replay.Log) {
 	t.Helper()
-	log := replay.NewLog(capacity)
+	log := replay.NewLog(capacity, false)
 	log.Enable()
 	b := New(WithRecorder(log))
 	for _, spec := range []InstanceSpec{
@@ -178,7 +178,7 @@ func TestRecordDisabledAndNil(t *testing.T) {
 // the redistributed backlog of a removed member is recorded — once, at the
 // survivor that eventually consumes it, never at the abandoned member.
 func TestRecordGroupDeliveries(t *testing.T) {
-	log := replay.NewLog(4096)
+	log := replay.NewLog(4096, false)
 	log.Enable()
 	b := New(WithRecorder(log))
 	shape := []IfaceSpec{{Name: "in", Dir: In}, {Name: "out", Dir: Out}}

@@ -209,7 +209,7 @@ func TestConcurrentRebindVsSendBatched(t *testing.T) {
 		flips     = 40 // even, so traffic ends bound to r1
 	)
 	perSender := batchSize * batches
-	log := replay.NewLog(2 * senders * perSender)
+	log := replay.NewLog(2*senders*perSender, false)
 	log.Enable()
 	b := New(WithRecorder(log))
 	receivers := []string{"r1", "r2"}

@@ -496,7 +496,7 @@ func FuzzFrame(f *testing.F) {
 // spill write/read cycle with the payload and trace context intact — a
 // frame produced by today's encoders replays tomorrow.
 func TestRecordedWireDeliveryRoundTrips(t *testing.T) {
-	log := replay.NewLog(64)
+	log := replay.NewLog(64, false)
 	log.Enable()
 	b := New(WithRecorder(log))
 	for _, spec := range []InstanceSpec{
@@ -546,7 +546,7 @@ func TestRecordedWireDeliveryRoundTrips(t *testing.T) {
 	// Spill the window and read it back: byte-identical payload, identical
 	// trace context.
 	var buf bytes.Buffer
-	spill := replay.NewLog(64)
+	spill := replay.NewLog(64, false)
 	if err := spill.SetSpill(&buf); err != nil {
 		t.Fatal(err)
 	}

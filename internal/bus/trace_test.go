@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/replay"
 	"repro/internal/telemetry/trace"
 )
 
@@ -70,46 +71,56 @@ func TestTraceStampAndChildPropagation(t *testing.T) {
 }
 
 // TestTraceSampledDeliveryRecorded wires a fully-sampled tracer and checks a
-// delivery span lands in the flight recorder with both endpoint names.
+// delivery span lands in the delivery log with both endpoint names, and
+// that a log without spans takes none.
 func TestTraceSampledDeliveryRecorded(t *testing.T) {
-	rec := trace.NewRecorder(32)
-	b := New(WithMsgTracer(trace.NewTracer(1, rec)))
-	for _, spec := range []InstanceSpec{
-		{Name: "src", Interfaces: []IfaceSpec{{Name: "out", Dir: Out}}},
-		{Name: "dst", Interfaces: []IfaceSpec{{Name: "in", Dir: In}}},
-	} {
-		if err := b.AddInstance(spec); err != nil {
+	for _, spans := range []bool{true, false} {
+		log := replay.NewLog(32, spans)
+		b := New(WithMsgTracer(trace.NewTracer(1)), WithRecorder(log))
+		for _, spec := range []InstanceSpec{
+			{Name: "src", Interfaces: []IfaceSpec{{Name: "out", Dir: Out}}},
+			{Name: "dst", Interfaces: []IfaceSpec{{Name: "in", Dir: In}}},
+		} {
+			if err := b.AddInstance(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.AddBinding(Endpoint{"src", "out"}, Endpoint{"dst", "in"}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := b.AddBinding(Endpoint{"src", "out"}, Endpoint{"dst", "in"}); err != nil {
-		t.Fatal(err)
-	}
-	src := attach(t, b, "src")
-	dst := attach(t, b, "dst")
+		src := attach(t, b, "src")
+		dst := attach(t, b, "dst")
 
-	if err := src.Write("out", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	m, err := dst.Read("in")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Trace.Sampled() {
-		t.Fatal("sample-everything tracer produced an unsampled context")
-	}
-	if rec.Len() != 1 {
-		t.Fatalf("recorder holds %d spans, want 1", rec.Len())
-	}
-	sp := rec.Snapshot()[0]
-	if sp.TraceID != m.Trace.TraceID || sp.SpanID != m.Trace.SpanID {
-		t.Errorf("recorded span %+v does not match delivered context %+v", sp, m.Trace)
-	}
-	if sp.From != "src.out" || sp.To != "dst.in" {
-		t.Errorf("span endpoints = %s -> %s", sp.From, sp.To)
-	}
-	if sp.EndNs < sp.StartNs {
-		t.Errorf("span ends (%d) before it starts (%d)", sp.EndNs, sp.StartNs)
+		if err := src.Write("out", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		m, err := dst.Read("in")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.Trace.Sampled() {
+			t.Fatal("sample-everything tracer produced an unsampled context")
+		}
+		if !spans {
+			if log.Appended() != 0 || log.Spans() != nil {
+				t.Errorf("a log without spans wrote %d records", log.Appended())
+			}
+			continue
+		}
+		got := log.Spans().Snapshot()
+		if len(got) != 1 || len(log.Snapshot()) != 0 {
+			t.Fatalf("log holds %d spans and %d recorded deliveries, want 1 and 0", len(got), len(log.Snapshot()))
+		}
+		sp := got[0]
+		if sp.Trace != m.Trace {
+			t.Errorf("span context %+v does not match delivered context %+v", sp.Trace, m.Trace)
+		}
+		if sp.From != "src.out" || sp.To != "dst.in" {
+			t.Errorf("span endpoints = %s -> %s", sp.From, sp.To)
+		}
+		if sp.EndNs < sp.Trace.SentNs || sp.Data != nil || sp.QSeq != 0 {
+			t.Errorf("span %+v: ends before it starts, or carries what only recording writes", sp)
+		}
 	}
 }
 
@@ -180,7 +191,7 @@ func TestTraceSurvivesQueueMove(t *testing.T) {
 // so the measurable-age arm runs on a rate-1 tracer; on an unsampled bus
 // the age degrades to -1 ("unknown"), pinned by the second arm.
 func TestQueuedMessages(t *testing.T) {
-	b := testBus(t, WithMsgTracer(trace.NewTracer(1, trace.NewRecorder(64))))
+	b := testBus(t, WithMsgTracer(trace.NewTracer(1)))
 	sens := attach(t, b, "sensor")
 	for _, payload := range []string{"a", "b"} {
 		if err := sens.Write("out", []byte(payload)); err != nil {

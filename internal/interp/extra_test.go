@@ -151,23 +151,9 @@ func TestInterpretedModuleOverTCP(t *testing.T) {
 		done <- runResult{term: term, err: err}
 	}()
 
-	// Figure 3's compute drains a sensor reading whenever it polls and finds
-	// no request pending, and over TCP its two polls are round trips apart:
-	// the readings are fed only once the request has been consumed, or one
-	// of them can be the reading drained and the request waits for good.
-	h.sendInt(h.disp, "temper", 2)
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-		info, err := h.b.Info("compute")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Pending["display"] == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("module never consumed the request")
-		}
-	}
+	// Over TCP the module's two polls are round trips apart, so the race
+	// requestTaken closes is wide here.
+	h.requestTaken("compute", 2)
 	h.sendInt(h.sens, "out", 10)
 	h.sendInt(h.sens, "out", 30)
 	if got := h.readFloat(); got != 20 {
@@ -176,7 +162,7 @@ func TestInterpretedModuleOverTCP(t *testing.T) {
 
 	// Reconfigure over TCP: signal while blocked, allow the frame to
 	// land, then unblock.
-	h.sendInt(h.disp, "temper", 2)
+	h.requestTaken("compute", 2)
 	time.Sleep(50 * time.Millisecond)
 	if err := h.b.SignalReconfig("compute"); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -508,9 +509,53 @@ func (h *monitorHarness) sendInt(p bus.Port, iface string, v int) {
 	}
 }
 
+// requestTaken sends a request for the average of n readings and returns
+// once inst has read it. Figure 3's compute drains a sensor reading whenever
+// it polls and finds no request pending, so a reading written straight
+// after the request can be the one drained, and the request then waits for
+// good: feed the sensor only after this returns.
+func (h *monitorHarness) requestTaken(inst string, n int) {
+	h.t.Helper()
+	h.sendInt(h.disp, "temper", n)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		info, err := h.b.Info(inst)
+		if err != nil {
+			h.t.Fatal(err)
+		}
+		if info.Pending["display"] == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			h.t.Fatalf("%s never consumed the request", inst)
+		}
+	}
+}
+
+// readWithin is p.Read(iface) that gives up after d: a lost message fails
+// the test instead of hanging it.
+func readWithin(p bus.Port, iface string, d time.Duration) (bus.Message, error) {
+	type read struct {
+		m   bus.Message
+		err error
+	}
+	ch := make(chan read, 1)
+	go func() {
+		m, err := p.Read(iface)
+		ch <- read{m, err}
+	}()
+	select {
+	case r := <-ch:
+		return r.m, r.err
+	case <-time.After(d):
+		return bus.Message{}, fmt.Errorf("no message on %s.%s within %v", p.Name(), iface, d)
+	}
+}
+
+// readFloat reads the next reply on display.temper, failing the test when
+// none arrives within 10 s.
 func (h *monitorHarness) readFloat() float64 {
 	h.t.Helper()
-	m, err := h.disp.Read("temper")
+	m, err := readWithin(h.disp, "temper", 10*time.Second)
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -530,7 +575,7 @@ func TestMonitorComputeRuns(t *testing.T) {
 	h := newMonitorHarness(t)
 	_, done := h.startModule(originalComputeSrc, "compute")
 
-	h.sendInt(h.disp, "temper", 3)
+	h.requestTaken("compute", 3)
 	h.sendInt(h.sens, "out", 60)
 	h.sendInt(h.sens, "out", 70)
 	h.sendInt(h.sens, "out", 80)
@@ -544,7 +589,7 @@ func TestMonitorComputeRuns(t *testing.T) {
 	if err := h.b.SignalReconfig("compute"); err != nil {
 		t.Fatal(err)
 	}
-	h.sendInt(h.disp, "temper", 1)
+	h.requestTaken("compute", 1)
 	h.sendInt(h.sens, "out", 50)
 	if got := h.readFloat(); got != 50 {
 		t.Errorf("post-signal average = %g, want 50", got)
@@ -575,8 +620,8 @@ func TestMoveDuringRecursionInterpreted(t *testing.T) {
 
 	// Request an average of 3; the module recurses and blocks reading the
 	// empty sensor queue at the innermost level.
-	h.sendInt(h.disp, "temper", 3)
-	time.Sleep(50 * time.Millisecond)
+	h.requestTaken("compute", 3)
+	time.Sleep(50 * time.Millisecond) // the descent to the innermost read
 	if err := h.b.SignalReconfig("compute"); err != nil {
 		t.Fatal(err)
 	}
@@ -641,22 +686,22 @@ func TestMoveDuringRecursionInterpreted(t *testing.T) {
 
 	// The clone serves fresh requests and reacts to a second
 	// reconfiguration request (its handler was reinstalled on restore).
-	h.sendInt(h.disp, "temper", 2)
+	h.requestTaken("compute2", 2)
 	h.sendInt(h.sens, "out", 10)
 	h.sendInt(h.sens, "out", 30)
 	if got := h.readFloat(); got != 20 {
 		t.Errorf("fresh request = %g, want 20", got)
 	}
 
-	time.Sleep(20 * time.Millisecond)
-	h.sendInt(h.disp, "temper", 1)
-	time.Sleep(20 * time.Millisecond)
+	h.requestTaken("compute2", 1)
 	if err := h.b.SignalReconfig("compute2"); err != nil {
 		t.Fatal(err)
 	}
-	// The pending request completes with the next sensor value; the flag
-	// is then tested the next time the reconfiguration point executes,
-	// which the second value triggers via the keep-sensor-clear path.
+	// The clone captures at its reconfiguration point: at once, if it
+	// tests the flag before it blocks on the sensor; otherwise the pending
+	// request completes with the next sensor value and the flag is tested
+	// the next time the point executes, which the second value triggers
+	// via the keep-sensor-clear path.
 	h.sendInt(h.sens, "out", 5)
 	h.sendInt(h.sens, "out", 99)
 	if _, err := h.b.AwaitDivulged("compute2", 5*time.Second); err != nil {

@@ -2,6 +2,7 @@ package mh
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -55,6 +56,54 @@ func attachRT(t *testing.T, b *bus.Bus, name string, opts ...Option) *Runtime {
 		t.Fatal(err)
 	}
 	return New(port, opts...)
+}
+
+// requestTaken writes a request for the average of n readings on disp and
+// returns once inst has read it. Figure 3's compute drains a sensor reading
+// whenever it polls and finds no request pending, so a reading written
+// straight after the request can be the one drained, and the request then
+// waits for good: feed the sensor only after this returns.
+func requestTaken(t *testing.T, b *bus.Bus, disp bus.Port, inst string, n int) {
+	t.Helper()
+	data, err := codec.Default().EncodeValue(state.IntValue(int64(n)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := disp.Write("temper", data); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		info, err := b.Info(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Pending["display"] == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never consumed the request", inst)
+		}
+	}
+}
+
+// readWithin is p.Read(iface) that gives up after d: a lost message fails
+// the test instead of hanging it.
+func readWithin(p bus.Port, iface string, d time.Duration) (bus.Message, error) {
+	type read struct {
+		m   bus.Message
+		err error
+	}
+	ch := make(chan read, 1)
+	go func() {
+		m, err := p.Read(iface)
+		ch <- read{m, err}
+	}()
+	select {
+	case r := <-ch:
+		return r.m, r.err
+	case <-time.After(d):
+		return bus.Message{}, fmt.Errorf("no message on %s.%s within %v", p.Name(), iface, d)
+	}
 }
 
 // computeModule is the hand-instrumented compute module of Figure 4,
@@ -192,8 +241,8 @@ func TestMoveDuringRecursion(t *testing.T) {
 
 	// Request an average of 3 temperatures. compute recurses to depth 3
 	// and blocks reading the (empty) sensor queue at the innermost level.
-	writeInt(dispPort, "temper", 3)
-	time.Sleep(50 * time.Millisecond)
+	requestTaken(t, b, dispPort, "compute", 3)
+	time.Sleep(50 * time.Millisecond) // the descent to the innermost read
 	// Request the reconfiguration while the module is blocked mid-read,
 	// then feed one temperature. The innermost level completes its read,
 	// and the next level up polls the flag at its reconfiguration point —
@@ -274,7 +323,7 @@ func TestMoveDuringRecursion(t *testing.T) {
 	writeInt(sensPort, "out", 70)
 	writeInt(sensPort, "out", 80)
 
-	m, err := dispPort.Read("temper")
+	m, err := readWithin(dispPort, "temper", 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,10 +343,10 @@ func TestMoveDuringRecursion(t *testing.T) {
 	}
 
 	// The clone keeps serving: a fresh request must work end to end.
-	writeInt(dispPort, "temper", 2)
+	requestTaken(t, b, dispPort, "compute2", 2)
 	writeInt(sensPort, "out", 10)
 	writeInt(sensPort, "out", 20)
-	m, err = dispPort.Read("temper")
+	m, err = readWithin(dispPort, "temper", 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,11 +393,11 @@ func TestUnreconfiguredRunMatches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	writeInt(dispPort, "temper", 3)
+	requestTaken(t, b, dispPort, "compute", 3)
 	writeInt(sensPort, "out", 60)
 	writeInt(sensPort, "out", 70)
 	writeInt(sensPort, "out", 80)
-	m, err := dispPort.Read("temper")
+	m, err := readWithin(dispPort, "temper", 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,6 @@ type ReplaceOptions struct {
 	// Timeouts bounds every wait of the transaction; zero fields take
 	// DefaultTimeouts.
 	Timeouts Timeouts
-	// Attrs optionally extends the new instance's attributes.
-	Attrs map[string]string
 	// Preflight, when set, runs once the clone is registered and before
 	// the old module is signalled, so its run time stays out of the window
 	// in which the stage is stopped. A non-nil error vetoes the
@@ -218,7 +216,6 @@ func replaceScript(b *bus.Bus, launcher Launcher, old string, opts ReplaceOption
 		return nil, fmt.Errorf("obj_cap %s: %w", old, err)
 	}
 	spec := cloneOf(info, neu, bus.StatusClone)
-	maps.Copy(spec.Attrs, opts.Attrs)
 	if opts.Machine != "" {
 		spec.Machine = opts.Machine
 	}

@@ -14,13 +14,13 @@ import (
 )
 
 func TestNewLogCapacity(t *testing.T) {
-	if got := NewLog(0).Cap(); got != 4096 {
+	if got := NewLog(0, false).Cap(); got != 4096 {
 		t.Errorf("default capacity = %d, want 4096", got)
 	}
-	if got := NewLog(5).Cap(); got != 16 {
+	if got := NewLog(5, false).Cap(); got != 16 {
 		t.Errorf("minimum capacity = %d, want 16", got)
 	}
-	if got := NewLog(100).Cap(); got != 100 {
+	if got := NewLog(100, false).Cap(); got != 100 {
 		t.Errorf("capacity = %d, want 100", got)
 	}
 }
@@ -43,7 +43,7 @@ func TestNilLogIsNoOp(t *testing.T) {
 }
 
 func TestAppendDisabledRecordsNothing(t *testing.T) {
-	l := NewLog(16)
+	l := NewLog(16, false)
 	q := l.Queue("dst.in")
 	q.Append("src.out", []byte("dropped"), trace.Context{}, 1)
 	if l.Recorded() != 0 || l.Len() != 0 {
@@ -67,7 +67,7 @@ func TestAppendDisabledRecordsNothing(t *testing.T) {
 }
 
 func TestRingEvictionAndSequences(t *testing.T) {
-	l := NewLog(16)
+	l := NewLog(16, false)
 	l.Enable()
 	q := l.Queue("dst.in")
 	for i := 1; i <= 40; i++ {
@@ -105,7 +105,7 @@ func TestRingEvictionAndSequences(t *testing.T) {
 }
 
 func TestQueueHandleInterning(t *testing.T) {
-	l := NewLog(16)
+	l := NewLog(16, false)
 	l.Enable()
 	q1 := l.Queue("dst.in")
 	q1.Append("src.out", []byte("a"), trace.Context{}, 1)
@@ -123,7 +123,7 @@ func TestQueueHandleInterning(t *testing.T) {
 }
 
 func TestMemoryBoundTracksPayloads(t *testing.T) {
-	l := NewLog(16)
+	l := NewLog(16, false)
 	l.Enable()
 	empty := l.MemoryBound()
 	q := l.Queue("dst.in")
@@ -150,7 +150,7 @@ func TestMemoryBoundTracksPayloads(t *testing.T) {
 // term by term.
 func TestMemoryBoundFormula(t *testing.T) {
 	const capacity, payload = 256, 48
-	l := NewLog(capacity)
+	l := NewLog(capacity, false)
 	l.Enable()
 	qs := []*QueueLog{l.Queue("a.in"), l.Queue("b.in")}
 	data := make([]byte, payload)
@@ -166,7 +166,7 @@ func TestMemoryBoundFormula(t *testing.T) {
 }
 
 func TestAppendCopiesPayload(t *testing.T) {
-	l := NewLog(16)
+	l := NewLog(16, false)
 	l.Enable()
 	q := l.Queue("dst.in")
 	buf := []byte("original")
@@ -189,7 +189,7 @@ func TestAppendCopiesPayload(t *testing.T) {
 // carved size and a few too large to carve: each record reads back exactly
 // its own bytes.
 func TestAppendCarvesAcrossChunks(t *testing.T) {
-	l := NewLog(4096)
+	l := NewLog(4096, false)
 	l.Enable()
 	q := l.Queue("dst.in")
 	sizes := []int{0, 1, 7, 64, 1000, maxCarved, maxCarved + 1, 5000}
@@ -209,7 +209,7 @@ func TestAppendCarvesAcrossChunks(t *testing.T) {
 
 func TestSpillRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLog(16)
+	l := NewLog(16, false)
 	if err := l.SetSpill(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestSpillRoundTrip(t *testing.T) {
 
 func TestSpillOutlivesRingEviction(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLog(16)
+	l := NewLog(16, false)
 	if err := l.SetSpill(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestReadLogRejectsForeignStreams(t *testing.T) {
 		t.Error("garbage accepted")
 	}
 	var buf bytes.Buffer
-	l := NewLog(16)
+	l := NewLog(16, false)
 	if err := l.SetSpill(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestSpillGoldenBytes(t *testing.T) {
 	// The current encoder still produces the golden bytes for the same
 	// append sequence — the format is deterministic, not just readable.
 	var buf bytes.Buffer
-	l := NewLog(16)
+	l := NewLog(16, false)
 	if err := l.SetSpill(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func FuzzReadLog(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		l := NewLog(16)
+		l := NewLog(16, false)
 		if err := l.SetSpill(&buf); err != nil {
 			t.Fatal(err)
 		}
@@ -483,7 +483,7 @@ func TestDiffOutputs(t *testing.T) {
 // two records share bytes.
 func TestConcurrentAppendSharedHandle(t *testing.T) {
 	const writers, per = 4, 3000
-	l := NewLog(writers * per)
+	l := NewLog(writers*per, false)
 	l.Enable()
 	q := l.Queue("dst.in")
 	var wg sync.WaitGroup
@@ -512,7 +512,7 @@ func TestConcurrentAppendSharedHandle(t *testing.T) {
 }
 
 func TestConcurrentAppendSnapshot(t *testing.T) {
-	l := NewLog(64)
+	l := NewLog(64, false)
 	l.Enable()
 	done := make(chan struct{})
 	go func() { //archlint:spawn test writer; joined via done below

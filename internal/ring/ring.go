@@ -1,6 +1,7 @@
-// Package ring is the one bounded overwrite-oldest ring: the trace flight
-// recorder, the event log and the record log are each a Ring of their own
-// record type. The ring hands out the record to fill (Alloc: records are
+// Package ring is the one bounded overwrite-oldest ring. It has two owners:
+// the delivery log (internal/replay: one record per delivery, read as the
+// replay log and as the trace flight recorder) and the event log, each a
+// Ring of its own record type. The ring hands out the record to fill (Alloc: records are
 // carved blockRecs at a time from one allocation, so a writer on the message
 // path pays 1/blockRecs of an allocation per record); one atomic add then
 // allocates the record's sequence number (from 1, strictly monotonic, usable

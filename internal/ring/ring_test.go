@@ -215,9 +215,9 @@ func TestNilRing(t *testing.T) {
 	}
 }
 
-// TestMemoryBound pins the arithmetic on the flight recorder's shape: 4096
-// 8-byte slots, plus the 64 blocks 4096 88-byte records fill and the one
-// more they can pin, each block 64 records and its 8-byte bump index.
+// TestMemoryBound pins the arithmetic on a 4096-slot ring of 88-byte
+// records: 4096 8-byte slots, plus the 64 blocks 4096 records fill and the
+// one more they can pin, each block 64 records and its 8-byte bump index.
 func TestMemoryBound(t *testing.T) {
 	type span struct {
 		Seq, TraceID, SpanID, Parent uint64

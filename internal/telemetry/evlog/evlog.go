@@ -8,9 +8,8 @@
 // log sees each event exactly once even across reconnects, and a slow
 // reader loses old events rather than stalling writers.
 //
-// The ring itself is internal/ring, shared with the trace flight recorder
-// and the record log; what this package adds is the event vocabulary and
-// the timestamp.
+// The ring itself is internal/ring, shared with the delivery log; what
+// this package adds is the event vocabulary and the timestamp.
 package evlog
 
 import (

@@ -1,0 +1,108 @@
+package trace_test
+
+// The flight recorder is the delivery log's span view (internal/replay):
+// these tests drive it with this package's contexts, one delivery at a time
+// through a queue handle, as the bus's consumer hook does.
+
+import (
+	"sync"
+	"testing"
+
+	"repro/internal/replay"
+	"repro/internal/telemetry/trace"
+)
+
+// deliver writes one consumed delivery of ctx from -> to, as the bus does.
+func deliver(l *replay.Log, ctx trace.Context, from, to string) int64 {
+	return l.Queue(to).Append(from, nil, ctx, 1)
+}
+
+func TestRecorderRingOverwrite(t *testing.T) {
+	l := replay.NewLog(16, true)
+	tr := trace.NewTracer(1)
+	for i := 1; i <= 40; i++ {
+		deliver(l, tr.MintTrace(), "x.out", "y.in")
+	}
+	r := l.Spans()
+	if n := len(r.Snapshot()); n != 16 || r.Recorded() != 40 || r.Overwritten() != 24 {
+		t.Fatalf("retained=%d recorded=%d overwritten=%d, want 16/40/24", n, r.Recorded(), r.Overwritten())
+	}
+	// Oldest retained is record 25, newest 40, in order.
+	for i, s := range r.Snapshot() {
+		if want := uint64(25 + i); s.Seq != want {
+			t.Fatalf("snapshot[%d].Seq = %d, want %d", i, s.Seq, want)
+		}
+	}
+}
+
+func TestRecorderByTrace(t *testing.T) {
+	l := replay.NewLog(64, true)
+	tr := trace.NewTracer(1)
+	a := tr.MintTrace()
+	b := tr.MintTrace()
+	deliver(l, a, "x.out", "y.in")
+	deliver(l, tr.ChildSpan(a), "y.out", "z.in")
+	deliver(l, b, "x.out", "y.in")
+	got := l.Spans().ByTrace(a.TraceID)
+	if len(got) != 2 {
+		t.Fatalf("trace %d has %d spans, want 2", a.TraceID, len(got))
+	}
+	if got[0].To != "y.in" || got[1].From != "y.out" || got[1].Trace.Hops != 1 {
+		t.Errorf("spans out of causal order: %+v", got)
+	}
+	for _, s := range got {
+		if s.EndNs < s.Trace.SentNs {
+			t.Errorf("span %d ends %d ns before it starts", s.Seq, s.Trace.SentNs-s.EndNs)
+		}
+	}
+
+	// An unsampled delivery is no span, and a log built without spans
+	// writes none and has no span view.
+	if end := deliver(l, trace.NewTracer(0).MintTrace(), "x.out", "y.in"); end != 0 || l.Appended() != 3 {
+		t.Errorf("unsampled delivery: end %d, %d records", end, l.Appended())
+	}
+	off := replay.NewLog(64, false)
+	if end := deliver(off, a, "x.out", "y.in"); end != 0 || off.Appended() != 0 || off.Spans() != nil {
+		t.Errorf("log without spans: end %d, %d records, span view %v", end, off.Appended(), off.Spans())
+	}
+}
+
+func TestRecorderConcurrent(t *testing.T) {
+	l := replay.NewLog(128, true)
+	tr := trace.NewTracer(1)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			q := l.Queue("y.in")
+			for i := 0; i < 500; i++ {
+				q.Append("x.out", nil, tr.MintTrace(), 1)
+			}
+		}()
+	}
+	wg.Wait()
+	if r := l.Spans(); r.Recorded() != 4000 {
+		t.Fatalf("recorded %d, want 4000", r.Recorded())
+	}
+	if got := len(l.Spans().Snapshot()); got != 128 {
+		t.Fatalf("snapshot has %d spans, want full ring 128", got)
+	}
+}
+
+// TestMemoryBoundFixed: spans carry no payload, so a log that only traces
+// has the bound it was built with.
+func TestMemoryBoundFixed(t *testing.T) {
+	l := replay.NewLog(1024, true)
+	tr := trace.NewTracer(1)
+	bound := l.MemoryBound()
+	if bound <= 0 {
+		t.Fatal("no memory bound")
+	}
+	for i := 0; i < 10_000; i++ {
+		deliver(l, tr.MintTrace(), "x.out", "y.in")
+	}
+	if l.MemoryBound() != bound {
+		t.Errorf("memory bound moved under load: %d -> %d", bound, l.MemoryBound())
+	}
+}

@@ -1,6 +1,8 @@
 // Package trace is the message-level causal-tracing layer of the
-// reproduction: Dapper-style trace contexts stamped onto bus messages and a
-// fixed-size lock-free flight recorder for completed delivery spans.
+// reproduction: Dapper-style trace contexts stamped onto bus messages. The
+// flight recorder of completed delivery spans is not here: a sampled
+// delivery is one record of the bus's delivery log (internal/replay), and
+// the log's span view reads it back.
 //
 // The paper's Discussion section argues the transformation's steady-state
 // cost is "a test of a flag", and that reconfiguration delay is dominated
@@ -14,12 +16,13 @@
 // runtime does the bookkeeping, module code is untouched.
 //
 // Cost discipline mirrors the flag test. With sampling off the tracer
-// stamps contexts (two atomic adds, no clock read) and records nothing:
+// stamps contexts (two atomic adds, no clock read) and nothing is written:
 // zero allocations on the message hot path. Only a sampled trace (head
 // sampling, decided at mint and propagated in the flags) pays for a clock
-// read at the send and another at the delivery, and for its span record —
-// which the flight recorder hands out from a block of 64, so a sampled
-// delivery costs 1/64 of an allocation and builds no strings.
+// read at the send and another at the delivery, and for its record in the
+// delivery log — which the log hands out from a block of 64, so a sampled
+// delivery costs 1/64 of an allocation and builds no strings; a delivery
+// that is also recorded shares that one record.
 package trace
 
 import (
@@ -40,7 +43,7 @@ var (
 )
 
 // Now returns the trace clock in Unix nanoseconds: the one clock behind
-// Context.SentNs and SpanRecord.StartNs/EndNs.
+// Context.SentNs and the delivery log's span ends.
 //
 //archlint:hotpath
 func Now() int64 { return clockBaseNs + int64(time.Since(clockBase)) }
@@ -56,22 +59,22 @@ const FlagSampled uint32 = 1
 type Context struct {
 	// TraceID identifies the causal chain; every message derived from the
 	// same root request shares it. 0 means no context.
-	TraceID uint64
+	TraceID uint64 `json:"trace_id"`
 	// SpanID identifies this message's send.
-	SpanID uint64
+	SpanID uint64 `json:"span_id"`
 	// Parent is the span this send was caused by (0 for a root send).
-	Parent uint64
+	Parent uint64 `json:"parent,omitempty"`
 	// Hops counts receive→send handoffs since the root send.
-	Hops uint32
+	Hops uint32 `json:"hops"`
 	// Flags carries the sampling decision (FlagSampled).
-	Flags uint32
+	Flags uint32 `json:"flags,omitempty"`
 	// SentNs is the send's timestamp on the trace clock (Now), in Unix
 	// nanoseconds; delivery spans and quiesce-age snapshots derive from it.
 	// It is stamped only on sampled contexts — the clock read is the single
 	// largest cost of a stamp, so unsampled traffic skips it (SentNs stays 0
 	// and consumers degrade: quiesce age reports -1, delivery spans are
 	// never recorded for unsampled contexts anyway).
-	SentNs int64
+	SentNs int64 `json:"sent_ns,omitempty"`
 }
 
 // Valid reports whether the context carries a trace.
@@ -80,9 +83,9 @@ func (c Context) Valid() bool { return c.TraceID != 0 }
 // Sampled reports whether delivery spans of this trace are recorded.
 func (c Context) Sampled() bool { return c.Flags&FlagSampled != 0 }
 
-// Tracer mints and extends trace contexts and owns the flight recorder.
-// All methods are safe for concurrent use and on a nil receiver (tracing
-// disabled: StampBatch returns the zero Context).
+// Tracer mints and extends trace contexts. All methods are safe for
+// concurrent use and on a nil receiver (tracing disabled: StampBatch returns
+// the zero Context).
 type Tracer struct {
 	nextTrace atomic.Uint64
 	nextSpan  atomic.Uint64
@@ -90,28 +93,13 @@ type Tracer struct {
 	// sampleEvery is the head-sampling rate: every sampleEvery-th minted
 	// trace is sampled (1 = all, 0 = none). Immutable after construction.
 	sampleEvery uint64
-
-	rec *Recorder
 }
 
-// NewTracer returns a tracer sampling every sampleEvery-th new trace into
-// rec (sampleEvery <= 0 or rec == nil disables recording; contexts are
-// still minted and propagated).
-func NewTracer(sampleEvery int, rec *Recorder) *Tracer {
-	t := &Tracer{rec: rec}
-	if sampleEvery > 0 && rec != nil {
-		t.sampleEvery = uint64(sampleEvery)
-	}
-	return t
-}
-
-// Recorder returns the tracer's flight recorder (nil when sampling is
-// disabled or on a nil tracer).
-func (t *Tracer) Recorder() *Recorder {
-	if t == nil {
-		return nil
-	}
-	return t.rec
+// NewTracer returns a tracer sampling every sampleEvery-th new trace
+// (sampleEvery <= 0 samples none; contexts are still minted and
+// propagated).
+func NewTracer(sampleEvery int) *Tracer {
+	return &Tracer{sampleEvery: uint64(max(sampleEvery, 0))}
 }
 
 // MintTrace opens a new causal chain: a fresh trace ID, a root span, and
@@ -196,31 +184,4 @@ func (t *Tracer) StampBatch(parent Context, n int) Context {
 		c.SentNs = Now()
 	}
 	return c
-}
-
-// RecordDelivery records one completed delivery span — a message stamped
-// with ctx, sent by from, consumed by to now — into the flight recorder and
-// returns the span's end on the trace clock. It returns 0, before reading
-// the clock, unless the context is sampled and a recorder is attached, and
-// is safe on a nil tracer (a sampled context can arrive over TCP at a bus
-// whose own tracing is off). from and to are retained, not copied: the bus
-// passes the names it interned at AddInstance.
-//
-//archlint:hotpath
-func (t *Tracer) RecordDelivery(ctx Context, from, to string) (endNs int64) {
-	if t == nil || t.rec == nil || !ctx.Sampled() {
-		return 0
-	}
-	endNs = Now()
-	t.rec.Record(SpanRecord{
-		TraceID: ctx.TraceID,
-		SpanID:  ctx.SpanID,
-		Parent:  ctx.Parent,
-		Hops:    ctx.Hops,
-		From:    from,
-		To:      to,
-		StartNs: ctx.SentNs,
-		EndNs:   endNs,
-	})
-	return endNs
 }

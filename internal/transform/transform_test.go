@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -377,9 +378,53 @@ func (h *harness) sendInt(p bus.Port, iface string, v int) {
 	}
 }
 
+// requestTaken sends a request for the average of n readings and returns
+// once inst has read it. Figure 3's compute drains a sensor reading whenever
+// it polls and finds no request pending, so a reading written straight
+// after the request can be the one drained, and the request then waits for
+// good: feed the sensor only after this returns.
+func (h *harness) requestTaken(inst string, n int) {
+	h.t.Helper()
+	h.sendInt(h.disp, "temper", n)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		info, err := h.b.Info(inst)
+		if err != nil {
+			h.t.Fatal(err)
+		}
+		if info.Pending["display"] == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			h.t.Fatalf("%s never consumed the request", inst)
+		}
+	}
+}
+
+// readWithin is p.Read(iface) that gives up after d: a lost message fails
+// the test instead of hanging it.
+func readWithin(p bus.Port, iface string, d time.Duration) (bus.Message, error) {
+	type read struct {
+		m   bus.Message
+		err error
+	}
+	ch := make(chan read, 1)
+	go func() {
+		m, err := p.Read(iface)
+		ch <- read{m, err}
+	}()
+	select {
+	case r := <-ch:
+		return r.m, r.err
+	case <-time.After(d):
+		return bus.Message{}, fmt.Errorf("no message on %s.%s within %v", p.Name(), iface, d)
+	}
+}
+
+// readFloat reads the next reply on display.temper, failing the test when
+// none arrives within 10 s.
 func (h *harness) readFloat() float64 {
 	h.t.Helper()
-	m, err := h.disp.Read("temper")
+	m, err := readWithin(h.disp, "temper", 10*time.Second)
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -419,8 +464,8 @@ func testMigration(t *testing.T, opts Options) {
 	h := newHarness(t)
 	rt, done := h.start(out, "compute")
 
-	h.sendInt(h.disp, "temper", 3)
-	time.Sleep(50 * time.Millisecond)
+	h.requestTaken("compute", 3)
+	time.Sleep(50 * time.Millisecond) // the descent to the innermost read
 	if err := h.b.SignalReconfig("compute"); err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +505,7 @@ func testMigration(t *testing.T, opts Options) {
 	}
 
 	// Still serving.
-	h.sendInt(h.disp, "temper", 2)
+	h.requestTaken("compute2", 2)
 	h.sendInt(h.sens, "out", 10)
 	h.sendInt(h.sens, "out", 30)
 	if got := h.readFloat(); got != 20 {
@@ -498,7 +543,7 @@ func TestTransformedBehaviorUnchanged(t *testing.T) {
 	out := prepare(t, computeSrc, Options{})
 	h := newHarness(t)
 	_, done := h.start(out, "compute")
-	h.sendInt(h.disp, "temper", 4)
+	h.requestTaken("compute", 4)
 	for _, v := range []int{10, 20, 30, 40} {
 		h.sendInt(h.sens, "out", v)
 	}

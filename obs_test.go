@@ -14,7 +14,7 @@ import (
 	"repro/internal/fixtures"
 	"repro/internal/mh"
 	"repro/internal/reconfig"
-	"repro/internal/telemetry/trace"
+	"repro/internal/replay"
 )
 
 // serveObs starts an App's operator plane on an ephemeral port and returns
@@ -160,7 +160,6 @@ func loadMonitorSampled(t *testing.T) *App {
 		SleepUnit:   time.Microsecond,
 		Timeouts:    reconfig.Timeouts{StateMove: 10 * time.Second},
 		TraceSample: 1,
-		TraceBuffer: 256,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -191,8 +190,8 @@ func TestObsTracesEndpoints(t *testing.T) {
 		t.Fatalf("/traces returned %d", code)
 	}
 	var doc struct {
-		Spans     []trace.SpanRecord `json:"spans"`
-		Truncated bool               `json:"truncated"`
+		Spans     []replay.Record `json:"spans"`
+		Truncated bool            `json:"truncated"`
 	}
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatalf("/traces is not a span document: %v\n%s", err, body)
@@ -205,17 +204,17 @@ func TestObsTracesEndpoints(t *testing.T) {
 		t.Fatal("/traces is empty after a sampled roundtrip")
 	}
 
-	code, body = httpGet(t, fmt.Sprintf("%s/trace/%d", base, spans[0].TraceID))
+	code, body = httpGet(t, fmt.Sprintf("%s/trace/%d", base, spans[0].Trace.TraceID))
 	if code != http.StatusOK {
-		t.Fatalf("/trace/%d returned %d: %s", spans[0].TraceID, code, body)
+		t.Fatalf("/trace/%d returned %d: %s", spans[0].Trace.TraceID, code, body)
 	}
-	if !strings.Contains(body, fmt.Sprintf(`"trace_id": %d`, spans[0].TraceID)) {
+	if !strings.Contains(body, fmt.Sprintf(`"trace_id": %d`, spans[0].Trace.TraceID)) {
 		t.Errorf("/trace/{id} response lacks the trace id:\n%s", body)
 	}
 
 	// The 0x-prefixed hex form (as printed in quiesce annotations) resolves
 	// the same trace.
-	code, _ = httpGet(t, fmt.Sprintf("%s/trace/0x%x", base, spans[0].TraceID))
+	code, _ = httpGet(t, fmt.Sprintf("%s/trace/0x%x", base, spans[0].Trace.TraceID))
 	if code != http.StatusOK {
 		t.Errorf("/trace/{hex id} returned %d", code)
 	}

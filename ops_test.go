@@ -204,10 +204,11 @@ func TestReplaceOutlivesServerWriteTimeout(t *testing.T) {
 }
 
 // TestRingsAdmitLosses drives the four ring-backed read ops over small
-// rings — 16-slot trace and record rings, the event log's fixed 1 024 — an
-// answer whose window is still wholly retained carries no
-// "truncated", one whose window starts before the oldest retained sequence
-// carries "truncated": true, and the metrics op counts what was overwritten.
+// rings — a 16-slot delivery log read by traces, trace <id> and replay, the
+// event log's fixed 1 024 — an answer whose window is still wholly retained
+// carries no "truncated", one whose window starts before the oldest
+// retained sequence carries "truncated": true, and the metrics op counts
+// what was overwritten.
 func TestRingsAdmitLosses(t *testing.T) {
 	app, err := Load(Config{
 		SpecText: fixtures.MonitorSpec,
@@ -220,7 +221,6 @@ func TestRingsAdmitLosses(t *testing.T) {
 		},
 		SleepUnit:    time.Microsecond,
 		TraceSample:  1,
-		TraceBuffer:  16,
 		RecordBuffer: 16,
 	})
 	if err != nil {
@@ -270,10 +270,10 @@ func TestRingsAdmitLosses(t *testing.T) {
 	if firstEvents == 0 {
 		t.Fatal("Load left no events")
 	}
-	// newestTrace is the id of a message trace the recorder still holds.
+	// newestTrace is the id of a message trace the log still holds.
 	newestTrace := func() string {
 		spans := app.FlightRecorder().Snapshot()
-		return strconv.FormatUint(spans[len(spans)-1].TraceID, 10)
+		return strconv.FormatUint(spans[len(spans)-1].Trace.TraceID, 10)
 	}
 	for _, call := range [][]string{{"traces"}, {"trace", "id", newestTrace()}, {"replay", "inst", "compute"}, {"events"}} {
 		if stamped(call[0], call[1:]...) {
@@ -281,18 +281,18 @@ func TestRingsAdmitLosses(t *testing.T) {
 		}
 	}
 
-	roundtrips(8) // 27 deliveries: both message-path rings have wrapped
+	roundtrips(8) // 27 deliveries: the delivery log has wrapped
 	for app.Events().Overwritten() <= firstEvents {
 		app.Events().Append(evlog.Record{Source: "test", Kind: "tick"})
 	}
 	if !stamped("traces") {
-		t.Error("traces over a wrapped recorder is not stamped truncated")
+		t.Error("traces over a wrapped log is not stamped truncated")
 	}
 	if !stamped("trace", "id", newestTrace()) {
-		t.Error("one message's trace from a wrapped recorder is not stamped truncated")
+		t.Error("one message's trace from a wrapped log is not stamped truncated")
 	}
 	if !stamped("replay", "inst", "compute") {
-		t.Error("replay of a wrapped record ring is not stamped truncated")
+		t.Error("replay of a wrapped log is not stamped truncated")
 	}
 	if !stamped("events") || !stamped("events", "since", strconv.FormatUint(firstEvents, 10)) {
 		t.Error("events from an overwritten cursor is not stamped truncated")
@@ -306,9 +306,9 @@ func TestRingsAdmitLosses(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, n := range map[string]uint64{
-		"trace_recorder_overwritten_total": app.FlightRecorder().Overwritten(),
-		"event_log_overwritten_total":      app.Events().Overwritten(),
-		"record_ring_overwritten_total":    app.Recorder().Overwritten(),
+		"delivery_log_spans_overwritten_total":   app.FlightRecorder().Overwritten(),
+		"delivery_log_records_overwritten_total": app.Recorder().Overwritten(),
+		"event_log_overwritten_total":            app.Events().Overwritten(),
 	} {
 		if line := fmt.Sprintf("\n%s %d\n", name, n); n == 0 || !strings.Contains(string(res.(rawText)), line) {
 			t.Errorf("metrics lacks %q (want a nonzero count)", line)

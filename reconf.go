@@ -86,13 +86,11 @@ type Config struct {
 	// scripts can still override per call via ReplaceOptions.
 	Timeouts reconfig.Timeouts
 	// TraceSample enables causal-trace recording: every TraceSample-th
-	// trace minted by the bus is sampled into the flight recorder (1 = all).
-	// 0 (the default) keeps stamping on but records nothing — the zero-
-	// allocation steady state.
+	// trace minted by the bus is sampled, and its deliveries are written to
+	// the delivery log as spans (1 = all; FlightRecorder reads them). 0 (the
+	// default) keeps stamping on but writes nothing — the zero-allocation
+	// steady state.
 	TraceSample int
-	// TraceBuffer is the flight recorder's capacity in spans (default 4096;
-	// meaningful only with TraceSample > 0).
-	TraceBuffer int
 	// CheckpointInterval is how many communication operations a replicated
 	// member performs between abstract-state checkpoints (default 16).
 	// Smaller intervals shorten recovery replay at a higher steady-state
@@ -106,9 +104,10 @@ type Config struct {
 	// (default 3x SupervisorPoll).
 	StallAfter time.Duration
 	// RecordBuffer enables the record/replay subsystem: every delivered
-	// message is appended to a bounded ring of this capacity (recording
-	// starts on; toggle via the record op). 0 leaves recording
-	// unconfigured — the zero-cost default.
+	// message is appended to the delivery log, a bounded ring of this
+	// capacity (recording starts on; toggle via the record op). 0 leaves
+	// recording unconfigured — the zero-cost default — and a log kept for
+	// TraceSample alone holds 4096 deliveries.
 	RecordBuffer int
 	// RecordSpill optionally streams every record to a writer, one
 	// length-prefixed frame each (cmd/mhreplay reads the stream back). Meaningful only with
@@ -205,10 +204,6 @@ func Load(cfg Config) (*App, error) {
 		return nil, fmt.Errorf("reconf: no application %q in specification", cfg.Application)
 	}
 
-	msgTracer := trace.NewTracer(0, nil)
-	if cfg.TraceSample > 0 {
-		msgTracer = trace.NewTracer(cfg.TraceSample, trace.NewRecorder(cfg.TraceBuffer))
-	}
 	if cfg.CheckpointInterval <= 0 {
 		cfg.CheckpointInterval = 16
 	}
@@ -218,9 +213,14 @@ func Load(cfg Config) (*App, error) {
 	if cfg.PreflightReplay && cfg.RecordBuffer <= 0 {
 		return nil, fmt.Errorf("reconf: PreflightReplay requires RecordBuffer > 0")
 	}
-	var recorder *replay.Log
+	// One delivery log serves both: the replay view reads what recording
+	// writes, the flight recorder the spans of sampled traces.
+	var log, recorder *replay.Log
+	if cfg.TraceSample > 0 || cfg.RecordBuffer > 0 {
+		log = replay.NewLog(cfg.RecordBuffer, cfg.TraceSample > 0)
+	}
 	if cfg.RecordBuffer > 0 {
-		recorder = replay.NewLog(cfg.RecordBuffer)
+		recorder = log
 		if cfg.RecordSpill != nil {
 			if err := recorder.SetSpill(cfg.RecordSpill); err != nil {
 				return nil, err
@@ -231,7 +231,7 @@ func Load(cfg Config) (*App, error) {
 	a := &App{
 		Spec:        spec,
 		Application: appSpec,
-		bus:         bus.New(bus.WithMsgTracer(msgTracer), bus.WithRecorder(recorder)),
+		bus:         bus.New(bus.WithMsgTracer(trace.NewTracer(cfg.TraceSample)), bus.WithRecorder(log)),
 		cfg:         cfg,
 		recorder:    recorder,
 		modules:     map[string]*PreparedModule{},
@@ -434,9 +434,10 @@ func (a *App) Telemetry() *telemetry.Registry { return a.bus.Telemetry() }
 // Primitives exposes the reconfiguration layer (and its tracer).
 func (a *App) Primitives() *reconfig.Primitives { return a.prims }
 
-// FlightRecorder exposes the causal-trace flight recorder (nil unless the
-// application was loaded with Config.TraceSample > 0).
-func (a *App) FlightRecorder() *trace.Recorder { return a.bus.MsgTracer().Recorder() }
+// FlightRecorder exposes the causal-trace flight recorder, the delivery
+// log's span view (nil unless the application was loaded with
+// Config.TraceSample > 0).
+func (a *App) FlightRecorder() *replay.Spans { return a.bus.Recorder().Spans() }
 
 // Timeseries exposes the windowed-telemetry roller (started with the app).
 func (a *App) Timeseries() *timeseries.Roller { return a.roller }

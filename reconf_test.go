@@ -104,9 +104,26 @@ func (d *driver) temperature(v int) {
 	}
 }
 
+// response reads the next reply on display.temper, failing the test when
+// none arrives within 10 s.
 func (d *driver) response() float64 {
 	d.t.Helper()
-	m, err := d.disp.Read("temper")
+	type read struct {
+		m   bus.Message
+		err error
+	}
+	ch := make(chan read, 1)
+	go func() {
+		m, err := d.disp.Read("temper")
+		ch <- read{m, err}
+	}()
+	var r read
+	select {
+	case r = <-ch:
+	case <-time.After(10 * time.Second):
+		d.t.Fatal("no reply on display.temper within 10s")
+	}
+	m, err := r.m, r.err
 	if err != nil {
 		d.t.Fatal(err)
 	}

@@ -120,9 +120,11 @@ type pipeHarness struct {
 	sink bus.Port
 }
 
-func loadPipe(t *testing.T, preflight bool) *pipeHarness {
-	t.Helper()
-	app, err := Load(Config{
+// pipeConfig is the recorded pipeline application: the filter interpreted,
+// its two candidate replacements prepared, source and sink driven by the
+// test.
+func pipeConfig() Config {
+	return Config{
 		SpecText: pipeSpec,
 		Sources: map[string]ModuleSource{
 			"filter":    {Files: map[string]string{"filter.go": filterSrc}},
@@ -134,11 +136,24 @@ func loadPipe(t *testing.T, preflight bool) *pipeHarness {
 			"psource": func(rt *mh.Runtime) {},
 			"psink":   func(rt *mh.Runtime) {},
 		},
-		SleepUnit:       time.Microsecond,
-		Timeouts:        reconfig.Timeouts{StateMove: 10 * time.Second},
-		RecordBuffer:    1024,
-		PreflightReplay: preflight,
-	})
+		SleepUnit:    time.Microsecond,
+		Timeouts:     reconfig.Timeouts{StateMove: 10 * time.Second},
+		RecordBuffer: 1024,
+	}
+}
+
+func loadPipe(t *testing.T, preflight bool) *pipeHarness {
+	t.Helper()
+	cfg := pipeConfig()
+	cfg.PreflightReplay = preflight
+	return startPipe(t, cfg)
+}
+
+// startPipe loads cfg, launches the filter and attaches the test to source
+// and sink.
+func startPipe(t *testing.T, cfg Config) *pipeHarness {
+	t.Helper()
+	app, err := Load(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,35 +518,10 @@ func TestMhreplayCLIReproduces(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	app, err := Load(Config{
-		SpecText: pipeSpec,
-		Sources: map[string]ModuleSource{
-			"filter":    {Files: map[string]string{"filter.go": filterSrc}},
-			"filterV2":  {Files: map[string]string{"filter.go": filterV2Src}},
-			"filterBad": {Files: map[string]string{"filter.go": filterBadSrc}},
-		},
-		Native: map[string]NativeModule{
-			"psource": func(rt *mh.Runtime) {},
-			"psink":   func(rt *mh.Runtime) {},
-		},
-		SleepUnit:    time.Microsecond,
-		Timeouts:     reconfig.Timeouts{StateMove: 10 * time.Second},
-		RecordBuffer: 1024,
-		RecordSpill:  spill,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &pipeHarness{t: t, app: app, c: codec.Default()}
-	if err := app.Launch("filter"); err != nil {
-		t.Fatal(err)
-	}
-	if h.src, err = app.AttachDriver("psource"); err != nil {
-		t.Fatal(err)
-	}
-	if h.sink, err = app.AttachDriver("psink"); err != nil {
-		t.Fatal(err)
-	}
+	cfg := pipeConfig()
+	cfg.RecordSpill = spill
+	h := startPipe(t, cfg)
+	app := h.app
 	h.drive(10, 20, 30)
 	app.Stop()
 	if err := spill.Close(); err != nil {

@@ -55,6 +55,12 @@ go test -run '^$' -bench BenchmarkDeepDescent -benchtime 1x ./internal/interp/
 echo "== the ring's record allocator under eight writers (blocks shared by every traced and recorded delivery, racy x10)"
 go test -race -count=10 -run TestAllocConcurrent ./internal/ring/
 
+echo "== the delivery log: each reader the same with the other writer on and off, one ring publication per traced and recorded delivery, every view admits its losses (racy x20)"
+go test -race -count=20 -run 'TestReplayViewIgnoresTracing|TestSpanViewIgnoresRecording|TestOnePublicationPerDelivery|TestRingsAdmitLosses' .
+
+echo "== Figure 3's move mid-recursion, hand-instrumented, interpreted and transformed: every request taken before a reading is fed, every reply awaited with a deadline (racy x20)"
+go test -race -count=20 -run '^(TestMoveDuringRecursion|TestMoveDuringRecursionInterpreted|TestMoveDuringRecursionTransformed)$' ./internal/mh/ ./internal/interp/ ./internal/transform/
+
 echo "== a taken queue slot and a memoised route across grow, drain, restore, Rebind and RemoveGroupMember (racy x20)"
 go test -race -count=20 -run 'TestTakenItemStaysValid|TestMemoisedRouteDroppedOnTopologyChange' ./internal/bus/
 
