@@ -32,12 +32,13 @@ import (
 	"time"
 
 	"repro/internal/bus"
-	"repro/internal/checkpoint"
+	"repro/internal/clock"
 	"repro/internal/codec"
 	"repro/internal/interp"
 	"repro/internal/mh"
 	"repro/internal/quiesce"
 	"repro/internal/state"
+	"repro/internal/telemetry"
 	"repro/internal/transform"
 )
 
@@ -148,7 +149,7 @@ func BenchmarkVsCheckpointing(b *testing.B) {
 	for _, interval := range []int{1, 10, 100, 1000} {
 		b.Run(fmt.Sprintf("checkpoint-every-%d", interval), func(b *testing.B) {
 			counter := 0
-			cp, err := checkpoint.New(interval, codec.Default(), func() (*state.State, error) {
+			cp, err := mh.NewCheckpointer(interval, func() (*state.State, error) {
 				st := benchState(stateDepth, 4)
 				st.Meta["counter"] = fmt.Sprint(counter)
 				return st, nil
@@ -236,11 +237,13 @@ func BenchmarkReconfigDelayPlacement(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				rt := mh.New(port, mh.WithSleepUnit(time.Microsecond))
+				reg := telemetry.NewRegistry()
+				rt := mh.New(port, mh.WithSleepUnit(time.Microsecond), mh.WithTelemetry(reg))
 				in := interp.New(out.Prog, out.Info, rt)
 				done := make(chan struct{})
 				go func() { in.Run(); close(done) }()
-				time.Sleep(2 * time.Millisecond) // let it reach the hot loop
+				checks := reg.Counter("mh.w.flag_checks")
+				waitUntil(b, "the worker reached its hot loop", func() bool { return checks.Load() > 0 })
 				b.StartTimer()
 				if err := bb.SignalReconfig("w"); err != nil {
 					b.Fatal(err)
@@ -269,7 +272,7 @@ func BenchmarkAtomicityLevels(b *testing.B) {
 	const pointEvery = 100 * time.Microsecond
 
 	b.Run("module-level-quiesce", func(b *testing.B) {
-		g := quiesce.NewGuard()
+		g := quiesce.NewGuard(clock.Clock{})
 		stop := make(chan struct{})
 		workerDone := make(chan struct{})
 		go func() {
@@ -292,7 +295,7 @@ func BenchmarkAtomicityLevels(b *testing.B) {
 				b.Fatal(err)
 			}
 			g.Release()
-			time.Sleep(time.Millisecond) // let a unit begin again
+			waitUntil(b, "a unit began again", g.Busy)
 		}
 	})
 
@@ -433,21 +436,15 @@ func BenchmarkLivenessTrim(b *testing.B) {
 				if i == 0 {
 					old = "compute"
 				}
-				d.request(3)
-				time.Sleep(5 * time.Millisecond)
-				signals := app.Bus().Stats().Signals
-				go func() {
-					// Fed before the Move has signalled, the reading carries
-					// the module past its point with the flag unset, and it
-					// then waits for the reading that follows the Move.
-					for app.Bus().Stats().Signals == signals {
-						time.Sleep(100 * time.Microsecond)
-					}
-					d.temperature(60)
-				}()
+				d.requestTaken(old, 3)
+				// Fed before the Move has signalled, the reading would carry
+				// the module past its point with the flag unset, and it
+				// would then wait for the reading that follows the Move.
+				settle := afterSignal(app, old, func() { d.temperature(60) })
 				if err := app.Move(old, next, "machineB"); err != nil {
 					b.Fatal(err)
 				}
+				settle()
 				d.temperature(70)
 				d.temperature(80)
 				if got := d.response(); got != 60.0/3+70.0/3+80.0/3 {

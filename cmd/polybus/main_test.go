@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -70,18 +71,27 @@ func TestPolybusServesAndIsControllable(t *testing.T) {
 		})
 	}()
 
-	// Wait for the operator plane.
+	// Wait for the operator plane, and for the application to serve.
 	client := reconf.NewClient(ctlAddr, 200*time.Millisecond)
 	client.Text = true
-	deadline := time.Now().Add(5 * time.Second)
+	serving := func() bool {
+		doc, err := client.Call("stats")
+		var st struct {
+			Bus struct {
+				Delivered int64 `json:"delivered"`
+			} `json:"bus"`
+		}
+		return err == nil && json.Unmarshal([]byte(doc), &st) == nil && st.Bus.Delivered > 0
+	}
+	deadline := time.Now().Add(10 * time.Second)
 	var topo string
 	for {
 		var err error
-		if topo, err = client.Call("topology"); err == nil {
+		if topo, err = client.Call("topology"); err == nil && serving() {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("operator plane never came up: %v", err)
+			t.Fatalf("operator plane never came up serving: %v", err)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -90,7 +100,6 @@ func TestPolybusServesAndIsControllable(t *testing.T) {
 	}
 
 	// Migrate compute while the application serves.
-	time.Sleep(100 * time.Millisecond)
 	if _, err := client.Call("move", "compute", "compute2", "machineB"); err != nil {
 		t.Fatalf("remote move: %v", err)
 	}

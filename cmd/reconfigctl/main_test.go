@@ -15,8 +15,11 @@ import (
 	"repro/internal/reconfig"
 )
 
+// startApp runs the Monitor application and returns once the display has
+// had its first answer, so the operator commands meet a serving system.
 func startApp(t *testing.T) (*reconf.App, string) {
 	t.Helper()
+	answers := make(chan fixtures.DisplayRequest, 1000)
 	app, err := reconf.Load(reconf.Config{
 		SpecText: fixtures.MonitorSpec,
 		Sources: map[string]reconf.ModuleSource{
@@ -24,7 +27,7 @@ func startApp(t *testing.T) (*reconf.App, string) {
 		},
 		Native: map[string]reconf.NativeModule{
 			"sensor":  fixtures.Sensor(fixtures.SensorConfig{Interval: 1}),
-			"display": fixtures.Display(4, 1000, 1, nil),
+			"display": fixtures.Display(4, 1000, 1, answers),
 		},
 		SleepUnit:    100 * time.Microsecond,
 		Timeouts:     reconfig.Timeouts{StateMove: 10 * time.Second},
@@ -44,12 +47,12 @@ func startApp(t *testing.T) (*reconf.App, string) {
 	}
 	srv := app.Serve(l)
 	t.Cleanup(func() { srv.Close() })
+	<-answers
 	return app, srv.Addr().String()
 }
 
 func TestReconfigctlCommands(t *testing.T) {
 	_, addr := startApp(t)
-	time.Sleep(50 * time.Millisecond) // let the first request start
 
 	ok := [][]string{
 		{"-addr", addr, "topology"},
@@ -94,7 +97,6 @@ func TestReconfigctlCommands(t *testing.T) {
 // added to the table without a row here fails the test.
 func TestEveryOp(t *testing.T) {
 	_, addr := startApp(t)
-	time.Sleep(50 * time.Millisecond)
 	jsonc, textc := reconf.NewClient(addr, time.Second), reconf.NewClient(addr, time.Second)
 	textc.Text = true
 
@@ -242,7 +244,6 @@ func capture(t *testing.T, fn func() error) (string, error) {
 // TxReport carried.
 func TestReconfigctlTraceTx(t *testing.T) {
 	_, addr := startApp(t)
-	time.Sleep(50 * time.Millisecond)
 
 	c := reconf.NewClient(addr, time.Second)
 	callTx := func(op string, args ...string) (*reconf.TxReport, error) {

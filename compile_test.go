@@ -143,11 +143,17 @@ func TestCompiledModuleMigration(t *testing.T) {
 	// Interrupt mid-recursion: request depth 3, let it block on the
 	// sensor, signal, feed one value. Over TCP the signal frame and the
 	// read response race on the wire (exactly like an asynchronous UNIX
-	// signal); pause between them so the flag is set before the module
-	// resumes, making the capture land at this request's second level
-	// rather than at some later reconfiguration point.
+	// signal): the server's signal pump forwards the signal on its own
+	// goroutine, which takes it straight from the send, so nothing this
+	// side observes the frame written. Pause between them so the flag is
+	// set before the module resumes, making the capture land at this
+	// request's second level rather than at some later reconfiguration
+	// point.
 	d.requestTaken("compute", 3)
-	time.Sleep(300 * time.Millisecond)
+	waitUntil(t, "compute's descent to its innermost sensor read", func() bool {
+		info, err := b.Info("compute")
+		return err == nil && info.Parked["sensor"]
+	})
 	if err := b.SignalReconfig("compute"); err != nil {
 		t.Fatal(err)
 	}

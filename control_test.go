@@ -70,11 +70,9 @@ func TestControlProtocol(t *testing.T) {
 
 	// Remote move while the module is mid-recursion.
 	d.requestTaken("compute", 2)
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		d.temperature(10)
-	}()
+	settle := afterSignal(app, "compute", func() { d.temperature(10) })
 	tx, err := callTx(t, c, "move", "compute", "compute2", "machineB")
+	settle()
 	if err != nil {
 		t.Fatalf("remote move: %v", err)
 	}
@@ -203,9 +201,9 @@ func TestControlObservabilityOps(t *testing.T) {
 	d.temperature(60)
 	finishComputation(t, d)
 
-	// Roll two windows by hand rather than waiting out the wall clock.
-	app.Timeseries().Roll()
-	app.Timeseries().Roll()
+	// The roller's own loop closes two 1 ms windows.
+	app.Timeseries().Start()
+	waitUntil(t, "two windows rolled", func() bool { return app.Timeseries().Rolled() >= 2 })
 
 	_, c := serveOps(t, app)
 

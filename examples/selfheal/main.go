@@ -81,7 +81,7 @@ func run() error {
 			return st, nil
 		})
 		for {
-			if faults.Fire("replica.crash."+rt.Name()) != nil {
+			if faults.Fire("replica.crash."+rt.Name(), rt.Clock()) != nil {
 				fmt.Printf("  %s crashed\n", rt.Name())
 				return
 			}
@@ -106,6 +106,11 @@ func run() error {
 		SleepUnit:          time.Microsecond,
 		CheckpointInterval: 8,
 		SupervisorPoll:     2 * time.Millisecond,
+		// The crash is reported by the dying member; stall detection must
+		// not fire on a healthy one. Left at its default (3 polls, 6 ms), a
+		// replica that gets no CPU for 6 ms while a loaded machine schedules
+		// other work looks wedged, and detect_stall rebuilds it.
+		StallAfter: time.Second,
 	})
 	if err != nil {
 		return err

@@ -81,11 +81,9 @@ module computeV2 {
 	// Interrupt mid-recursion, then install the state into the
 	// incompatible v2.
 	d.requestTaken("compute", 3)
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		d.temperature(60)
-	}()
+	settle := afterSignal(app, "compute", func() { d.temperature(60) })
 	err = app.Update("compute", "compute2", "computeV2")
+	settle()
 	if err == nil {
 		t.Fatal("incompatible update reported no error")
 	}
@@ -154,13 +152,11 @@ module computeV2 {
 	}
 
 	d.requestTaken("compute", 3)
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		d.temperature(60)
-	}()
+	settle := afterSignal(app, "compute", func() { d.temperature(60) })
 	if err := app.Update("compute", "compute2", "computeV2"); err != nil {
 		t.Fatal(err)
 	}
+	settle()
 	d.temperature(70)
 	d.temperature(80)
 	// v1 built 60/3 of the average; v2 finishes it and adds its marker.

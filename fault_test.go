@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -59,24 +60,69 @@ func snapshotConfig(t *testing.T, app *App) cfgSnapshot {
 // startInterrupted loads the monitor, launches compute, and interrupts it
 // mid-recursion (a three-reading request with no temperatures yet), so real
 // partial state is in flight when a reconfiguration begins. The returned
-// feed sends the first temperature shortly after the caller starts the
-// script, releasing the module to reach its next reconfiguration point.
-func startInterrupted(t *testing.T) (*App, *driver, func()) {
+// feed arms the first temperature to be sent once the script the caller
+// starts next has signalled compute, releasing the module to its next
+// reconfiguration point; the settle it returns is called once the script
+// has returned, and sends the temperature if no signal came.
+func startInterrupted(t *testing.T) (app *App, d *driver, feed func() (settle func())) {
 	t.Helper()
-	app := loadMonitor(t, 0)
+	app = loadMonitor(t, 0)
 	t.Cleanup(app.Stop)
-	d := newDriver(t, app)
+	d = newDriver(t, app)
 	if err := app.Launch("compute"); err != nil {
 		t.Fatal(err)
 	}
 	d.requestTaken("compute", 3)
-	feed := func() {
-		go func() {
-			time.Sleep(30 * time.Millisecond)
-			d.temperature(60)
-		}()
-	}
+	feed = func() func() { return afterSignal(app, "compute", func() { d.temperature(60) }) }
 	return app, d, feed
+}
+
+// signalsPending counts the control signals inst has not taken yet.
+func signalsPending(app *App, inst string) int {
+	info, err := app.Bus().Info(inst)
+	if err != nil {
+		return -1
+	}
+	return info.Signals
+}
+
+// afterSignal runs fn once the bus has logged a reconfiguration signal to
+// inst, which it does before the module can take the signal: a reading fed
+// by fn then releases a module blocked mid-call to its next reconfiguration
+// point with the request pending. Call it before the operation that
+// signals, and the settle it returns once that operation has returned:
+// settle runs fn if no signal came (the operation failed before it) and
+// returns once fn has run.
+func afterSignal(app *App, inst string, fn func()) (settle func()) {
+	log := app.Bus().Events()
+	after := log.Cursor()
+	var once sync.Once
+	settled := make(chan struct{})
+	go func() {
+		for {
+			select {
+			case <-settled:
+				return
+			default:
+			}
+			for _, r := range log.Wait(after, 50*time.Millisecond) {
+				after = r.Seq
+				if r.Source == "bus" && r.Kind == "signal" && r.Instance == inst && r.Detail == "reconfig" {
+					// The record precedes the send by a few instructions;
+					// the module, blocked, cannot take the signal before fn.
+					for signalsPending(app, inst) == 0 {
+						runtime.Gosched()
+					}
+					once.Do(fn)
+					return
+				}
+			}
+		}
+	}()
+	return func() {
+		close(settled)
+		once.Do(fn)
+	}
 }
 
 // finishComputation drives the two remaining readings and checks the full
@@ -145,10 +191,11 @@ func TestReplaceRollbackFaultMatrix(t *testing.T) {
 			}
 			app.Bus().SetFaults(faults)
 
-			feed()
+			settle := feed()
 			opts := opts
 			opts.Timeouts.StateMove = tc.stateMove
 			res, err := app.ReplaceTx("compute", opts)
+			settle()
 			if err == nil {
 				t.Fatalf("replace succeeded despite fault at %s", site)
 			}
@@ -175,18 +222,10 @@ func TestReplaceRollbackFaultMatrix(t *testing.T) {
 
 			// The configuration converges back to the pre-transaction
 			// snapshot (the released module may still be consuming the
-			// in-flight temperature, so poll briefly).
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				got := snapshotConfig(t, app)
-				if reflect.DeepEqual(got, pre) {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("configuration did not converge:\n got %+v\nwant %+v", got, pre)
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
+			// in-flight temperature).
+			waitUntil(t, "the configuration converged", func() bool {
+				return reflect.DeepEqual(snapshotConfig(t, app), pre)
+			})
 
 			// And the original module finishes the interrupted computation.
 			finishComputation(t, d)
@@ -198,8 +237,9 @@ func TestReplaceRollbackFaultMatrix(t *testing.T) {
 // half: a successful replacement commits with an empty rollback report.
 func TestReplaceFaultFreeEmptyRollback(t *testing.T) {
 	app, d, feed := startInterrupted(t)
-	feed()
+	settle := feed()
 	res, err := app.ReplaceTx("compute", reconfig.ReplaceOptions{NewName: "compute2"})
+	settle()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,8 +271,9 @@ func TestReplacePostCommitFaultCompletesForward(t *testing.T) {
 	faults.Enable("bus.deleteinstance", faultinject.Point{Action: faultinject.Error, Count: 1})
 	app.Bus().SetFaults(faults)
 
-	feed()
+	settle := feed()
 	res, err := app.ReplaceTx("compute", reconfig.ReplaceOptions{NewName: "compute2"})
+	settle()
 	if err == nil {
 		t.Fatal("cleanup failure not reported")
 	}
@@ -251,7 +292,7 @@ func TestReplacePostCommitFaultCompletesForward(t *testing.T) {
 // (or ErrNoInstance, if it arrived after the winner renamed the target).
 func TestConcurrentReplaceFailsFast(t *testing.T) {
 	app, d, feed := startInterrupted(t)
-	feed()
+	settle := feed()
 
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
@@ -265,6 +306,7 @@ func TestConcurrentReplaceFailsFast(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	settle()
 
 	var winners int
 	for _, err := range errs {
@@ -288,7 +330,7 @@ func TestConcurrentReplaceFailsFast(t *testing.T) {
 // as a duplicate. (Before it did, the failed call left computeB registered
 // and the retry returned ErrDupInstance.)
 func TestReplicateRollbackOnRebindFault(t *testing.T) {
-	app, d, feed := startInterrupted(t)
+	app, d, _ := startInterrupted(t)
 	pre := snapshotConfig(t, app)
 	faults, err := faultinject.Parse("bus.rebind=error:x1")
 	if err != nil {
@@ -311,7 +353,7 @@ func TestReplicateRollbackOnRebindFault(t *testing.T) {
 	if got := snapshotConfig(t, app); !reflect.DeepEqual(got, pre) {
 		t.Fatalf("configuration after replicate and remove:\n got %+v\nwant %+v", got, pre)
 	}
-	feed()
+	d.temperature(60) // nothing signalled compute: release it directly
 	finishComputation(t, d)
 }
 
@@ -322,11 +364,12 @@ func TestReplicateRollbackOnRebindFault(t *testing.T) {
 func TestConcurrentReplicateRemoveRefusedDuringReplace(t *testing.T) {
 	app, d, feed := startInterrupted(t)
 	var during []error
-	feed()
+	settle := feed()
 	_, err := app.ReplaceTx("compute", reconfig.ReplaceOptions{NewName: "compute2", Preflight: func(old, new string) error {
 		during = append(during, app.Replicate("display", "display2", ""), app.Remove("sensor"))
 		return nil
 	}})
+	settle()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,17 +398,16 @@ func TestRollbackQueueGaugeMatchesDrainable(t *testing.T) {
 	faults.Enable("bus.rebind", faultinject.Point{Action: faultinject.Error, Count: 1})
 	app.Bus().SetFaults(faults)
 
-	feed()
+	settle := feed()
 	res, err := app.ReplaceTx("compute", reconfig.ReplaceOptions{NewName: "compute2"})
+	settle()
 	if err == nil || res == nil || !res.RolledBack {
 		t.Fatalf("replace = %+v, %v; want fault-injected rollback", res, err)
 	}
 
 	// The released module keeps consuming, so gauge and walk race benignly;
-	// poll until they agree for every receiving interface at once.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mismatch := ""
+	// wait until they agree for every receiving interface at once.
+	waitUntil(t, "every queue_depth gauge agreed with its drainable contents", func() bool {
 		snap := app.Telemetry().Snapshot()
 		for _, name := range app.Bus().Instances() {
 			qms, err := app.Bus().QueuedMessages(name)
@@ -381,20 +423,13 @@ func TestRollbackQueueGaugeMatchesDrainable(t *testing.T) {
 				t.Fatal(err)
 			}
 			for ifc := range info.Pending {
-				gauge := snap.Gauges["bus.iface."+name+"."+ifc+".queue_depth"]
-				if gauge != drainable[ifc] {
-					mismatch = fmt.Sprintf("%s.%s: gauge %d, drainable %d", name, ifc, gauge, drainable[ifc])
+				if snap.Gauges["bus.iface."+name+"."+ifc+".queue_depth"] != drainable[ifc] {
+					return false
 				}
 			}
 		}
-		if mismatch == "" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("queue_depth gauge diverged from drainable contents: %s", mismatch)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+		return true
+	})
 
 	// And the rollback left a live, correct configuration behind.
 	finishComputation(t, d)

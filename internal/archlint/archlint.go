@@ -76,8 +76,7 @@ const (
 	// CodeObsRing: an observability-ring write outside its designated
 	// feeder — an event-log append (evlog.Log.Append) from anywhere but
 	// (*Bus).emit, the reconfig supervisor or the top-level transaction
-	// wrapper, or a window roll (timeseries.Roller.Roll) outside the
-	// roller's own background loop.
+	// wrapper.
 	CodeObsRing = "AL014"
 )
 
@@ -110,6 +109,7 @@ func defaultRules(modPath string) *rules {
 	return &rules{
 		busPkg: p("internal/bus"),
 		layers: map[string]int{
+			p("internal/clock"):                5,
 			p("internal/ring"):                 5,
 			p("internal/telemetry"):            10,
 			p("internal/telemetry/trace"):      10,
@@ -119,7 +119,6 @@ func defaultRules(modPath string) *rules {
 			p("internal/faultinject"):          10,
 			p("internal/codec"):                10,
 			p("internal/state"):                10,
-			p("internal/checkpoint"):           10,
 			p("internal/quiesce"):              10,
 			p("internal/replay"):               10,
 			p("internal/bus"):                  20,

@@ -27,7 +27,7 @@ type confinement struct {
 func confinements(modPath string) []confinement {
 	p := func(s string) string { return modPath + "/" + s }
 	busPkg, tracePkg, replayPkg := p("internal/bus"), p("internal/telemetry/trace"), p("internal/replay")
-	evlogPkg, timeseriesPkg, reconfigPkg := p("internal/telemetry/evlog"), p("internal/telemetry/timeseries"), p("internal/reconfig")
+	evlogPkg, reconfigPkg := p("internal/telemetry/evlog"), p("internal/reconfig")
 	return []confinement{
 		// AL002: the causal clock is advanced only inside the transport
 		// layer; every package but internal/bus and the trace package itself
@@ -66,12 +66,12 @@ func confinements(modPath string) []confinement {
 			},
 			message: "record-log append (%s.%s) outside the consumer drain: only msgQueue.record in queue.go may record, at consumption where ring slot order is delivery order",
 		},
-		// AL014, event log: the log is an ordered trace of what the bus
+		// AL014: the event log is an ordered trace of what the bus
 		// committed, so the bus appends from one function, (*Bus).emit,
 		// which the commit calls under Bus.mu in commit order and each
 		// hand-off calls before its counterpart can observe it. The other
 		// feeders are the control plane's serialized choke points: the
-		// reconfig supervisor (Poll is pollMu-serialized) and the top-level
+		// reconfig supervisor (poll is pollMu-serialized) and the top-level
 		// transaction wrapper. An append from anywhere else would interleave
 		// records outside the order they narrate.
 		{
@@ -81,17 +81,6 @@ func confinements(modPath string) []confinement {
 				return pkg == evlogPkg || pkg == reconfigPkg || pkg == modPath || pkg == busPkg && file == "event.go" && method == "emit"
 			},
 			message: "event-log append (evlog.%s.%s) outside its feeders: only (*Bus).emit, the reconfig supervisor and the top-level transaction wrapper append, each in the order of what it records",
-		},
-		// AL014, window roller: Roll samples the registry's cumulative
-		// atomics from exactly one place, its own background loop; a roll
-		// from anywhere else would close windows early, skewing every
-		// per-window delta and quantile the health checker and the timeseries
-		// op report. Tests (excluded from analysis) may roll by hand.
-		{
-			code: CodeObsRing, pkg: timeseriesPkg, recv: "Roller",
-			methods: []string{"Roll"},
-			allowed: func(pkg, _, _ string) bool { return pkg == timeseriesPkg },
-			message: "window roll (timeseries.%s.%s) outside the roller's background loop: an out-of-band roll closes windows early and skews every per-window delta and quantile",
 		},
 	}
 }

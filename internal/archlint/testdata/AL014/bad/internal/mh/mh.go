@@ -1,16 +1,6 @@
 package mh
 
-import (
-	"repro/internal/telemetry/evlog"
-	"repro/internal/telemetry/timeseries"
-)
-
-// Tick rolls the window ring from the module runtime — an out-of-band roll
-// closes windows early and skews every per-window delta the health checker
-// reads. Only the roller's own background loop rolls.
-func Tick(r *timeseries.Roller) {
-	r.Roll()
-}
+import "repro/internal/telemetry/evlog"
 
 // Report appends from the module runtime: what a module does reaches the
 // log through the bus that carries it, never around it.

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry/evlog"
 )
 
@@ -264,7 +265,7 @@ func (a *Attachment) Divulge(data []byte) error {
 // AwaitState blocks until state is installed into this (clone) instance
 // (mh_decode at the start of restoration), or the timeout expires.
 func (a *Attachment) AwaitState(timeout time.Duration) ([]byte, error) {
-	data, err := a.inst.stateBoxRef().await(timeout, a.inst.done, a.gone)
+	data, err := a.inst.stateBoxRef().await(a.bus.clk, timeout, a.inst.done, a.gone)
 	if err != nil {
 		return nil, fmt.Errorf("bus: await installed state for %s: %w", a.inst.spec.Name, err)
 	}
@@ -292,6 +293,13 @@ func (a *Attachment) ConfirmRestore(restoreErr error) error {
 
 // Done reports whether the instance has been deleted from the bus.
 func (a *Attachment) Done() bool { return isClosed(a.inst.done) }
+
+// Clock returns the bus's clock.
+func (a *Attachment) Clock() clock.Clock { return a.bus.clk }
+
+// Ended returns the instance's deletion channel and the channel of the
+// transport serving the attachment (nil in process).
+func (a *Attachment) Ended() (deleted, gone <-chan struct{}) { return a.inst.done, a.gone }
 
 // stateBox is a one-shot mailbox carrying encoded state between the control
 // plane and a module runtime, in either direction (divulge or install).
@@ -322,8 +330,8 @@ func (sb *stateBox) put(data []byte, logged func()) error {
 	return nil
 }
 
-func (sb *stateBox) await(timeout time.Duration, done, gone <-chan struct{}) ([]byte, error) {
-	timer := time.NewTimer(timeout)
+func (sb *stateBox) await(clk clock.Clock, timeout time.Duration, done, gone <-chan struct{}) ([]byte, error) {
+	timer := clk.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case data := <-sb.ch:

@@ -47,6 +47,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/faultinject"
 	"repro/internal/replay"
 	"repro/internal/telemetry"
@@ -283,6 +284,7 @@ type Bus struct {
 	routing atomic.Pointer[routingTable]
 
 	stats    busStats
+	clk      clock.Clock
 	faults   atomic.Pointer[faultinject.Set]
 	telem    *telemetry.Registry
 	tracer   *trace.Tracer
@@ -344,6 +346,13 @@ func WithRecorder(l *replay.Log) BusOption {
 	return func(b *Bus) { b.recorder = l }
 }
 
+// WithClock sets the clock every wait and timestamp of the bus reads: its
+// timeouts, its send stamps and delivery span ends, its event times. The
+// default is the real clock.
+func WithClock(c clock.Clock) BusOption {
+	return func(b *Bus) { b.clk = c }
+}
+
 // New creates an empty bus. Failpoints default to the process-wide set
 // configured by the FAULTPOINTS environment variable (usually empty).
 // Telemetry is on by default with a fresh registry; override with
@@ -352,15 +361,18 @@ func New(opts ...BusOption) *Bus {
 	b := &Bus{
 		telem:  telemetry.NewRegistry(),
 		tracer: trace.NewTracer(0),
-		events: evlog.NewLog(0),
 	}
 	b.faults.Store(faultinject.Default())
 	b.routing.Store(&routingTable{version: 1, instances: map[string]*instance{}, groups: map[string]*groupEntry{}})
 	for _, opt := range opts {
 		opt(b)
 	}
+	b.events = evlog.NewLog(0, b.clk)
 	return b
 }
+
+// Clock returns the clock the bus reads, for the layers built on it.
+func (b *Bus) Clock() clock.Clock { return b.clk }
 
 // Telemetry returns the bus's metrics registry (nil when disabled).
 func (b *Bus) Telemetry() *telemetry.Registry { return b.telem }
@@ -380,10 +392,11 @@ func (b *Bus) SetFaults(s *faultinject.Set) { b.faults.Store(s) }
 // Faults returns the bus's fault-injection set (possibly nil).
 func (b *Bus) Faults() *faultinject.Set { return b.faults.Load() }
 
-// fire consults the fault-injection set at a site (a Delay point sleeps;
-// Fire is nil-receiver safe, so a disabled set costs one atomic load).
+// fire consults the fault-injection set at a site (a Delay point sleeps on
+// the bus's clock; Fire is nil-receiver safe, so a disabled set costs one
+// atomic load).
 func (b *Bus) fire(site string) error {
-	return b.faults.Load().Fire(site)
+	return b.faults.Load().Fire(site, b.clk)
 }
 
 // Close tears the bus down: every live instance is deleted in one commit,
@@ -545,7 +558,7 @@ func (b *Bus) AddInstance(spec InstanceSpec) error {
 				// reusing a name (rollback resurrect) continues the same
 				// recorded delivery sequence. Nil log → nil handle → no-op
 				// appends.
-				q.rec = b.recorder.Queue(ifc.name)
+				q.rec, q.clk = b.recorder.Queue(ifc.name), b.clk
 			}
 		}
 		d.instances[spec.Name] = in
@@ -738,7 +751,7 @@ func (b *Bus) AwaitDivulged(name string, timeout time.Duration) ([]byte, error) 
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoInstance, name)
 	}
-	data, err := in.stateBoxRef().await(timeout, in.done, nil)
+	data, err := in.stateBoxRef().await(b.clk, timeout, in.done, nil)
 	if err != nil {
 		return nil, fmt.Errorf("bus: await state of %s: %w", name, err)
 	}
@@ -776,7 +789,7 @@ func (b *Bus) AwaitRestored(name string, timeout time.Duration) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoInstance, name)
 	}
-	timer := time.NewTimer(timeout)
+	timer := b.clk.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case err := <-in.restoreBoxRef():
@@ -841,7 +854,9 @@ type InstanceInfo struct {
 	Phase      Phase
 	Interfaces []IfaceSpec
 	Attrs      map[string]string
-	Pending    map[string]int // queued message count per receiving interface
+	Pending    map[string]int  // queued message count per receiving interface
+	Parked     map[string]bool // per receiving interface: its reader is blocked waiting for a message
+	Signals    int             // control signals sent and not yet taken (by the module, or by the TCP pump forwarding them to a remote one)
 }
 
 // Instances returns the sorted names of all live instances
@@ -867,6 +882,8 @@ func (b *Bus) Info(name string) (InstanceInfo, error) {
 		Status:  status,
 		Phase:   phase,
 		Pending: map[string]int{},
+		Parked:  map[string]bool{},
+		Signals: len(in.signals),
 	}
 	if len(in.spec.Attrs) > 0 {
 		info.Attrs = make(map[string]string, len(in.spec.Attrs))
@@ -879,6 +896,7 @@ func (b *Bus) Info(name string) (InstanceInfo, error) {
 		info.Interfaces = append(info.Interfaces, ifc.spec)
 		if ifc.queue != nil {
 			info.Pending[n] = ifc.queue.length()
+			info.Parked[n] = ifc.queue.parked()
 		}
 	}
 	return info, nil
@@ -903,7 +921,7 @@ func (b *Bus) QueuedMessages(name string) ([]QueuedMessage, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoInstance, name)
 	}
-	now := trace.Now() // the clock SentNs was read off
+	now := b.clk.Nanos() // the clock SentNs was read off
 	var out []QueuedMessage
 	for _, n := range in.ifaceNames() {
 		ifc := in.ifaces[n]
@@ -1038,6 +1056,9 @@ func (b *Bus) writeRouted(r *route, batch [][]byte, parent TraceContext) (rest [
 	msg.From, msg.src = r.from, r.src
 	if b.tracer != nil {
 		msg.Trace = b.tracer.StampBatch(parent, len(batch))
+		if msg.Trace.Sampled() {
+			msg.Trace.SentNs = b.clk.Nanos()
+		}
 	}
 	var delivered int64
 	for i, data := range batch {

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 func testBus(t *testing.T, opts ...BusOption) *Bus {
@@ -269,7 +271,7 @@ func TestDeleteInstanceWakesReaders(t *testing.T) {
 		_, err := comp.Read("display")
 		errCh <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	waitFor(t, "the read parked", parkedOn(b, "compute", "display"))
 	if err := b.DeleteInstance("compute"); err != nil {
 		t.Fatal(err)
 	}
@@ -340,12 +342,11 @@ func TestDivulgeInstallMoveState(t *testing.T) {
 
 	// The module reacts to the reconfig signal by divulging.
 	go func() {
-		for {
-			if s, ok := comp.TakeSignal(); ok && s.Kind == SignalReconfig {
+		for s := range comp.Signals() {
+			if s.Kind == SignalReconfig {
 				_ = comp.Divulge([]byte("the-state"))
 				return
 			}
-			time.Sleep(time.Millisecond)
 		}
 	}()
 
@@ -389,14 +390,15 @@ func TestAwaitTimeouts(t *testing.T) {
 }
 
 func TestAwaitStateStopped(t *testing.T) {
-	b := testBus(t)
+	clk := clock.NewVirtual(time.Unix(1000, 0))
+	b := testBus(t, WithClock(clk.Clock()))
 	comp := attach(t, b, "compute")
 	errCh := make(chan error, 1)
 	go func() {
 		_, err := comp.AwaitState(5 * time.Second)
 		errCh <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	clk.BlockUntil(1) // waiting, its timeout armed
 	if err := b.DeleteInstance("compute"); err != nil {
 		t.Fatal(err)
 	}

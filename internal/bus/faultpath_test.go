@@ -127,18 +127,13 @@ func TestRemoteReadTimeoutKeepsNextMessage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+	waitFor(t, "Pending 2 after two writes (one kept on the port, one still queued at the bus): else the abandoned read's message is gone", func() bool {
 		n, err := p.Pending("display")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n == 2 { // one kept on the port, one still queued at the bus
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("Pending = %d after two writes, want 2: the abandoned read's message is gone", n)
-		}
-	}
+		return n == 2
+	})
 	if m, ok, err := p.TryRead("display"); err != nil || !ok || string(m.Data) != "first" {
 		t.Fatalf("TryRead after the timeout = %q %t %v, want the message the abandoned read popped", m.Data, ok, err)
 	}
@@ -163,7 +158,11 @@ func TestRemoteReadTimeoutKeepsNextMessage(t *testing.T) {
 			return
 		}
 	}()
-	time.Sleep(20 * time.Millisecond)
+	waitFor(t, "the read adopting the abandoned one", func() bool {
+		p.c.mu.Lock()
+		defer p.c.mu.Unlock()
+		return len(p.orphans["display"]) == 0
+	})
 	if err := disp.Write("temper", []byte("third")); err != nil {
 		t.Fatal(err)
 	}

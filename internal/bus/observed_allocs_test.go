@@ -14,6 +14,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/clock"
 	"repro/internal/replay"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/timeseries"
@@ -74,7 +75,7 @@ func TestObservedPathAllocs(t *testing.T) {
 	// once it has rolled this bus's series, or the figure would mean nothing.
 	reg := telemetry.NewRegistry()
 	trip := observedFanIn(t, 1, payload, WithTelemetry(reg))
-	roller := timeseries.New(reg, timeseries.Config{Window: time.Millisecond, Windows: 120})
+	roller := timeseries.New(reg, clock.Clock{}, timeseries.Config{Window: time.Millisecond, Windows: 120})
 	roller.Start()
 	for deadline := time.Now().Add(10 * time.Second); roller.Rolled() == 0; trip() {
 		if time.Now().After(deadline) {

@@ -1,6 +1,10 @@
 package bus
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/clock"
+)
 
 // Port is the capability a module runtime holds on its bus instance. Both
 // in-process attachments (Attachment) and TCP attachments (RemotePort)
@@ -52,3 +56,18 @@ type TracedWriter interface {
 
 var _ TracedWriter = (*Attachment)(nil)
 var _ TracedWriter = (*RemotePort)(nil)
+
+// Timed is the optional capability of a port that keeps time: the mh
+// runtime on it reads and waits on the port's clock (an Attachment's is its
+// bus's, a RemotePort's the real one), and a sleep ends early when the
+// instance is deleted or the transport serving the port ends. A Port
+// without it (a test stub) runs on the real clock and sleeps out its time.
+type Timed interface {
+	Clock() clock.Clock
+	// Ended returns channels closed when the instance is deleted and when
+	// the transport serving the port ends (nil when there is none).
+	Ended() (deleted, gone <-chan struct{})
+}
+
+var _ Timed = (*Attachment)(nil)
+var _ Timed = (*RemotePort)(nil)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/clock"
 	"repro/internal/replay"
 	"repro/internal/telemetry"
 )
@@ -121,6 +122,9 @@ type msgQueue struct {
 	// sequence the queue's true total delivery order. This is the only
 	// layer allowed to append records (archlint AL012).
 	rec *replay.QueueLog
+	// clk is the bus's clock, resolved with rec: a span's end is read off
+	// the clock its send stamp was.
+	clk clock.Clock
 	// latency attributes delivery latency (send stamp to consumption) to
 	// this receiving endpoint: observed for the deliveries the log writes
 	// as spans, the only ones whose end is read off the clock.
@@ -289,7 +293,7 @@ func (q *msgQueue) take() *qitem {
 //
 //archlint:hotpath
 func (q *msgQueue) record(it *qitem) {
-	if end := q.rec.Append(it.msg.sender(), it.msg.Data, it.msg.Trace, it.ver); end != 0 && it.msg.Trace.SentNs != 0 {
+	if end := q.rec.Append(it.msg.sender(), it.msg.Data, it.msg.Trace, it.ver, q.clk); end != 0 && it.msg.Trace.SentNs != 0 {
 		q.latency.ObserveNs(end - it.msg.Trace.SentNs)
 	}
 }
@@ -326,6 +330,15 @@ func (q *msgQueue) pop(m *Message, stop <-chan struct{}) error {
 		*m = it.msg
 		return nil
 	}
+}
+
+// parked reports whether the reader is blocked in pop waiting for a
+// message. Under the consumer lock the sleeping gate is set only while pop
+// waits on the condition variable, so the answer is exact.
+func (q *msgQueue) parked() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.sleeping.Load()
 }
 
 // isClosed reports whether a channel that is only ever closed has been.

@@ -3,6 +3,7 @@ package bus
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -137,7 +138,7 @@ func TestConcurrentRebindVsSend(t *testing.T) {
 			}
 		}
 		if !progressed {
-			time.Sleep(100 * time.Microsecond)
+			runtime.Gosched() // a spinning collector, as the senders spin
 		}
 	}
 	wg.Wait()
@@ -305,7 +306,7 @@ func TestConcurrentRebindVsSendBatched(t *testing.T) {
 			}
 		}
 		if !progressed {
-			time.Sleep(100 * time.Microsecond)
+			runtime.Gosched() // a spinning collector, as the senders spin
 		}
 	}
 	wg.Wait()

@@ -160,9 +160,7 @@ func staleWriterRun(t *testing.T, batch int) {
 	for _, n := range sent {
 		total += int64(n)
 	}
-	for deadline := time.Now().Add(3 * time.Second); got.Load() < total && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "every write delivered", func() bool { return got.Load() >= total })
 	close(next)
 	if err := b.DeleteInstance(cur); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package bus
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -52,7 +53,7 @@ func TestRebindUnderTraffic(t *testing.T) {
 				if err := w.Write("out", payload); err == nil {
 					break
 				}
-				time.Sleep(10 * time.Microsecond)
+				runtime.Gosched()
 			}
 			sent.Add(1)
 		}
@@ -72,7 +73,11 @@ func TestRebindUnderTraffic(t *testing.T) {
 	go func() {
 		current := "a"
 		for i := 0; i < flips; i++ {
-			time.Sleep(2 * time.Millisecond)
+			// Spread the flips over the stream: each waits for its share
+			// of the writes.
+			for sent.Load() < int64((i+1)*total/(flips+1)) {
+				runtime.Gosched()
+			}
 			next := "b"
 			if current == "b" {
 				next = "a"
@@ -106,7 +111,7 @@ func TestRebindUnderTraffic(t *testing.T) {
 			}
 			if active != name {
 				mu.Unlock()
-				time.Sleep(100 * time.Microsecond)
+				runtime.Gosched()
 				continue
 			}
 			m, ok, err := att.TryRead("in")
@@ -125,7 +130,7 @@ func TestRebindUnderTraffic(t *testing.T) {
 			}
 			mu.Unlock()
 			if !ok {
-				time.Sleep(100 * time.Microsecond)
+				runtime.Gosched()
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/codec"
 	"repro/internal/faultinject"
 	"repro/internal/telemetry"
@@ -463,6 +464,8 @@ func (c *conn) send(f *frame) error {
 	err := codec.EndFrame(b)
 	if err == nil {
 		if c.timeout > 0 {
+			// A socket deadline stays on the system clock: the kernel
+			// compares it with real time.
 			_ = c.nc.SetWriteDeadline(time.Now().Add(c.timeout))
 		}
 		_, err = c.nc.Write(b)
@@ -579,7 +582,7 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return
 		}
-		_ = nc.SetReadDeadline(time.Now().Add(s.helloTimeout))
+		_ = nc.SetReadDeadline(time.Now().Add(s.helloTimeout)) // a socket deadline: the kernel compares it with real time
 		c := newConn(nc, 0)
 		c.srv, c.handle = s, c.dispatch
 		s.mu.Lock()
@@ -774,7 +777,7 @@ type RemotePort struct {
 	// postErr is the failure of a posted write, owed to the next data call.
 	postErr atomic.Pointer[error]
 	signals chan Signal
-	deleted atomic.Bool
+	deleted chan struct{} // closed by the read loop on the deletion notice
 
 	// Under c.mu: the last reply channel emptied, for the next call, and by
 	// interface, oldest first, those of reads abandoned by CallTimeout.
@@ -800,6 +803,11 @@ type DialOptions struct {
 	Faults *faultinject.Set
 }
 
+// clientClock times a TCP client's dial backoff, call timeouts and
+// failpoint delays, and is the Clock its port offers a module runtime: a
+// module on another machine keeps that machine's time, the real clock.
+var clientClock clock.Clock
+
 // DialPort attaches to the instance name on the bus server at addr.
 func DialPort(addr, instance string) (*RemotePort, error) {
 	return DialPortWith(addr, instance, DialOptions{})
@@ -815,7 +823,7 @@ func DialPortWith(addr, instance string, opts DialOptions) (*RemotePort, error) 
 		opts.Backoff = 50 * time.Millisecond
 	}
 	for attempt := 0; ; attempt++ {
-		err := opts.Faults.Fire("tcp.dial")
+		err := opts.Faults.Fire("tcp.dial", clientClock)
 		if err == nil {
 			var nc net.Conn
 			if nc, err = net.Dial("tcp", addr); err == nil {
@@ -825,7 +833,7 @@ func DialPortWith(addr, instance string, opts DialOptions) (*RemotePort, error) 
 		if attempt >= opts.Retries {
 			return nil, fmt.Errorf("bus: dial %s (%d attempts): %w", addr, attempt+1, err)
 		}
-		time.Sleep(opts.Backoff)
+		clientClock.Sleep(opts.Backoff)
 		opts.Backoff *= 2
 	}
 }
@@ -834,7 +842,7 @@ func DialPortWith(addr, instance string, opts DialOptions) (*RemotePort, error) 
 // missing id names.
 func attachPort(nc net.Conn, instance string, opts DialOptions) (*RemotePort, error) {
 	p := &RemotePort{c: newConn(nc, opts.CallTimeout), faults: opts.Faults, dirs: map[string]Direction{},
-		orphans: map[string][]chan frame{}, signals: make(chan Signal, 16)} // signals coalesce past 16 unread
+		orphans: map[string][]chan frame{}, signals: make(chan Signal, 16), deleted: make(chan struct{})} // signals coalesce past 16 unread
 	p.c.handle = p.receive
 	f := frame{Op: opHello, Name: instance}
 	ch, err := p.start(&f)
@@ -862,7 +870,9 @@ func (p *RemotePort) receive(f *frame) error {
 		default: // coalesce
 		}
 	case f.Op == rDeleted:
-		p.deleted.Store(true)
+		if !isClosed(p.deleted) {
+			close(p.deleted)
+		}
 	case f.Op == rErr && f.ID == 0 && p.c.open:
 		werr := errFromKind(f.N, f.Text)
 		p.postErr.CompareAndSwap(nil, &werr)
@@ -894,7 +904,7 @@ func (c *conn) answer(f *frame) error {
 }
 
 func (p *RemotePort) fire(op byte) error {
-	if err := p.faults.Fire("tcp.call"); err != nil {
+	if err := p.faults.Fire("tcp.call", clientClock); err != nil {
 		return fmt.Errorf("bus: rpc %s: %w", opNames[op], err)
 	}
 	return nil
@@ -967,7 +977,7 @@ func (p *RemotePort) start(f *frame) (chan frame, error) {
 func (p *RemotePort) await(ch chan frame, f *frame, timeout time.Duration) (frame, error) {
 	var timeoutC <-chan time.Time
 	if timeout > 0 {
-		timer := time.NewTimer(timeout)
+		timer := clientClock.NewTimer(timeout)
 		defer timer.Stop()
 		timeoutC = timer.C
 	}
@@ -1198,4 +1208,11 @@ func (p *RemotePort) AwaitState(timeout time.Duration) ([]byte, error) {
 }
 
 // Done implements Port.
-func (p *RemotePort) Done() bool { return p.deleted.Load() || isClosed(p.c.gone) }
+func (p *RemotePort) Done() bool { return isClosed(p.deleted) || isClosed(p.c.gone) }
+
+// Clock returns the client's clock, the real one.
+func (p *RemotePort) Clock() clock.Clock { return clientClock }
+
+// Ended returns the channels closed on the deletion notice and when the
+// connection ends.
+func (p *RemotePort) Ended() (deleted, gone <-chan struct{}) { return p.deleted, p.c.gone }

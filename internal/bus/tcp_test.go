@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/codec"
 	"repro/internal/replay"
 )
@@ -151,7 +152,7 @@ func TestRemoteCloseIsBarrier(t *testing.T) {
 }
 
 func TestRemoteBlockingRead(t *testing.T) {
-	_, s := startServer(t)
+	b, s := startServer(t)
 	disp := dial(t, s, "display")
 	comp := dial(t, s, "compute")
 
@@ -163,7 +164,7 @@ func TestRemoteBlockingRead(t *testing.T) {
 		}
 		got <- m
 	}()
-	time.Sleep(20 * time.Millisecond)
+	waitFor(t, "the remote read parked at the bus", parkedOn(b, "compute", "display"))
 	// The connection must stay responsive while a read blocks.
 	if n, err := comp.Pending("sensor"); err != nil || n != 0 {
 		t.Fatalf("Pending during blocked read = %d, %v", n, err)
@@ -245,18 +246,14 @@ func TestRemoteSignalPush(t *testing.T) {
 	if err := b.SignalReconfig("compute"); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if sig, ok := comp.TakeSignal(); ok {
-			if sig.Kind != SignalReconfig {
-				t.Errorf("signal = %v", sig.Kind)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("signal never arrived")
-		}
-		time.Sleep(time.Millisecond)
+	var sig Signal
+	waitFor(t, "the pushed signal", func() bool {
+		var ok bool
+		sig, ok = comp.TakeSignal()
+		return ok
+	})
+	if sig.Kind != SignalReconfig {
+		t.Errorf("signal = %v", sig.Kind)
 	}
 }
 
@@ -292,24 +289,18 @@ func TestRemoteDeletionNotice(t *testing.T) {
 	if err := b.DeleteInstance("compute"); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for !comp.Done() {
-		if time.Now().After(deadline) {
-			t.Fatal("Done never became true")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the deletion notice", comp.Done)
 }
 
 func TestRemoteConnectionLoss(t *testing.T) {
-	_, s := startServer(t)
+	b, s := startServer(t)
 	comp := dial(t, s, "compute")
 	errCh := make(chan error, 1)
 	go func() {
 		_, err := comp.Read("display")
 		errCh <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	waitFor(t, "the remote read parked at the bus", parkedOn(b, "compute", "display"))
 	comp.Close()
 	select {
 	case err := <-errCh:
@@ -333,13 +324,7 @@ func TestServerClose(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Logf("server close: %v", err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for !comp.Done() {
-		if time.Now().After(deadline) {
-			t.Fatal("port not Done after server close")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the port to end with the server", comp.Done)
 }
 
 func TestDialPortBadAddr(t *testing.T) {
@@ -551,7 +536,7 @@ func TestRecordedWireDeliveryRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	spill.Enable()
-	spill.Queue("compute.display").Append("display.temper", recs[0].Data, recs[0].Trace, recs[0].Epoch)
+	spill.Queue("compute.display").Append("display.temper", recs[0].Data, recs[0].Trace, recs[0].Epoch, clock.Clock{})
 	decoded, err := replay.ReadLog(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -872,12 +857,21 @@ func serving(s *Server) int {
 	return len(s.conns)
 }
 
-// waitFor polls cond for up to a second.
+// waitFor polls cond until it holds, failing the test after 10s: how these
+// tests wait for a state the bus reaches on its own.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	for deadline := time.Now().Add(time.Second); !cond(); time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("waited a second for %s", what)
+			t.Fatalf("timed out waiting for %s", what)
 		}
+	}
+}
+
+// parkedOn reports whether inst's reader on iface is blocked waiting.
+func parkedOn(b *Bus, inst, iface string) func() bool {
+	return func() bool {
+		info, err := b.Info(inst)
+		return err == nil && info.Parked[iface]
 	}
 }

@@ -26,6 +26,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // Action selects what an armed failpoint does.
@@ -143,8 +145,8 @@ func (s *Set) Fired(site string) int {
 // Fire consults the set at a site. It returns nil when the site is unarmed
 // (the overwhelmingly common case). For an Error point it returns the
 // injected error; for a Drop point it returns ErrDropped; for a Delay point
-// it sleeps, then returns nil.
-func (s *Set) Fire(site string) error {
+// it sleeps on clk, the caller's clock, then returns nil.
+func (s *Set) Fire(site string, clk clock.Clock) error {
 	if s == nil {
 		return nil
 	}
@@ -171,7 +173,7 @@ func (s *Set) Fire(site string) error {
 
 	switch p.Action {
 	case Delay:
-		time.Sleep(p.Delay)
+		clk.Sleep(p.Delay)
 		return nil
 	case Drop:
 		return ErrDropped

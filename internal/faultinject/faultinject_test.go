@@ -4,11 +4,13 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 func TestFireUnarmedAndNil(t *testing.T) {
 	var nilSet *Set
-	if err := nilSet.Fire("anything"); err != nil {
+	if err := nilSet.Fire("anything", clock.Clock{}); err != nil {
 		t.Errorf("nil set fired: %v", err)
 	}
 	if nilSet.Fired("anything") != 0 {
@@ -17,15 +19,15 @@ func TestFireUnarmedAndNil(t *testing.T) {
 	nilSet.Disable("anything") // must not panic
 
 	s := New()
-	if err := s.Fire("unarmed"); err != nil {
+	if err := s.Fire("unarmed", clock.Clock{}); err != nil {
 		t.Errorf("unarmed site fired: %v", err)
 	}
 	var zero Set
-	if err := zero.Fire("unarmed"); err != nil {
+	if err := zero.Fire("unarmed", clock.Clock{}); err != nil {
 		t.Errorf("zero-value set fired: %v", err)
 	}
 	zero.Enable("s", Point{})
-	if err := zero.Fire("s"); err == nil {
+	if err := zero.Fire("s", clock.Clock{}); err == nil {
 		t.Error("zero-value set did not fire after Enable")
 	}
 }
@@ -33,13 +35,13 @@ func TestFireUnarmedAndNil(t *testing.T) {
 func TestFireError(t *testing.T) {
 	s := New()
 	s.Enable("site", Point{})
-	err := s.Fire("site")
+	err := s.Fire("site", clock.Clock{})
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 	custom := errors.New("custom boom")
 	s.Enable("site", Point{Err: custom})
-	err = s.Fire("site")
+	err = s.Fire("site", clock.Clock{})
 	if !errors.Is(err, ErrInjected) || !errors.Is(err, custom) {
 		t.Errorf("custom err = %v", err)
 	}
@@ -48,29 +50,36 @@ func TestFireError(t *testing.T) {
 func TestFireDropAndDelay(t *testing.T) {
 	s := New()
 	s.Enable("sig", Point{Action: Drop})
-	if err := s.Fire("sig"); !errors.Is(err, ErrDropped) {
+	if err := s.Fire("sig", clock.Clock{}); !errors.Is(err, ErrDropped) {
 		t.Errorf("drop = %v", err)
 	}
 	s.Enable("slow", Point{Action: Delay, Delay: 10 * time.Millisecond})
-	start := time.Now()
-	if err := s.Fire("slow"); err != nil {
-		t.Errorf("delay returned %v", err)
-	}
-	if time.Since(start) < 10*time.Millisecond {
+	v := clock.NewVirtual(time.Unix(1000, 0))
+	fired := make(chan error, 1)
+	go func() { fired <- s.Fire("slow", v.Clock()) }()
+	v.BlockUntil(1)
+	v.Advance(9 * time.Millisecond)
+	select {
+	case <-fired:
 		t.Error("delay did not stall")
+	default:
+	}
+	v.Advance(time.Millisecond)
+	if err := <-fired; err != nil {
+		t.Errorf("delay returned %v", err)
 	}
 }
 
 func TestCountLimitsFirings(t *testing.T) {
 	s := New()
 	s.Enable("site", Point{Count: 2})
-	if err := s.Fire("site"); err == nil {
+	if err := s.Fire("site", clock.Clock{}); err == nil {
 		t.Error("firing 1 passed")
 	}
-	if err := s.Fire("site"); err == nil {
+	if err := s.Fire("site", clock.Clock{}); err == nil {
 		t.Error("firing 2 passed")
 	}
-	if err := s.Fire("site"); err != nil {
+	if err := s.Fire("site", clock.Clock{}); err != nil {
 		t.Errorf("firing 3 should be disarmed: %v", err)
 	}
 	if got := s.Fired("site"); got != 2 {
@@ -89,10 +98,10 @@ func TestDisableAndArmed(t *testing.T) {
 		t.Errorf("armed = %v", got)
 	}
 	s.Disable("a")
-	if err := s.Fire("a"); err != nil {
+	if err := s.Fire("a", clock.Clock{}); err != nil {
 		t.Errorf("disabled site fired: %v", err)
 	}
-	if err := s.Fire("b"); err == nil {
+	if err := s.Fire("b", clock.Clock{}); err == nil {
 		t.Error("site b unarmed")
 	}
 }
@@ -105,20 +114,20 @@ func TestParse(t *testing.T) {
 	if got := s.Armed(); len(got) != 5 {
 		t.Fatalf("armed = %v", got)
 	}
-	if err := s.Fire("reconfig.preflight"); !errors.Is(err, ErrInjected) {
+	if err := s.Fire("reconfig.preflight", clock.Clock{}); !errors.Is(err, ErrInjected) {
 		t.Errorf("reconfig.preflight = %v", err)
 	}
-	if err := s.Fire("reconfig.launch"); !errors.Is(err, ErrInjected) {
+	if err := s.Fire("reconfig.launch", clock.Clock{}); !errors.Is(err, ErrInjected) {
 		t.Errorf("reconfig.launch = %v", err)
 	}
-	if err := s.Fire("bus.signal"); !errors.Is(err, ErrDropped) {
+	if err := s.Fire("bus.signal", clock.Clock{}); !errors.Is(err, ErrDropped) {
 		t.Errorf("bus.signal = %v", err)
 	}
-	if err := s.Fire("tcp.dial"); err != nil {
+	if err := s.Fire("tcp.dial", clock.Clock{}); err != nil {
 		t.Errorf("tcp.dial = %v", err)
 	}
-	s.Fire("bus.divulge")
-	if err := s.Fire("bus.divulge"); err != nil {
+	s.Fire("bus.divulge", clock.Clock{})
+	if err := s.Fire("bus.divulge", clock.Clock{}); err != nil {
 		t.Errorf("bus.divulge should be exhausted after x1: %v", err)
 	}
 
@@ -157,7 +166,7 @@ func TestParseAcceptsPrefixSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Fire("replica.crash.worker.2"); !errors.Is(err, ErrInjected) {
+	if err := s.Fire("replica.crash.worker.2", clock.Clock{}); !errors.Is(err, ErrInjected) {
 		t.Errorf("prefix site did not fire: %v", err)
 	}
 	if !KnownSite("replica.crash.w") || KnownSite("replica.crash.") || KnownSite("replica.crash") {

@@ -161,12 +161,12 @@ func Display(n, count int, interval int, results chan<- DisplayRequest) func(rt 
 	return func(rt *mh.Runtime) {
 		rt.Init()
 		for i := 0; i < count; i++ {
-			start := time.Now()
+			start := rt.Clock().Now()
 			rt.Write("temper", n)
 			var response float64
 			rt.Read("temper", &response)
 			if results != nil {
-				results <- DisplayRequest{N: n, Response: response, Elapsed: time.Since(start)}
+				results <- DisplayRequest{N: n, Response: response, Elapsed: rt.Clock().Now().Sub(start)}
 			}
 			if interval > 0 {
 				rt.Sleep(interval)

@@ -555,6 +555,11 @@ func (f *flattener) rangeVar(e ast.Expr) *lang.VarDef {
 }
 
 func (f *flattener) lowerSwitch(st *ast.SwitchStmt, userLabel string) {
+	if userLabel != "" {
+		// The label is a goto target as well as a break target: goto
+		// <userLabel> re-runs the whole switch, init and tag included.
+		f.mark(userLabel)
+	}
 	if st.Init != nil {
 		f.stmt(st.Init)
 	}
@@ -600,7 +605,6 @@ func (f *flattener) lowerSwitch(st *ast.SwitchStmt, userLabel string) {
 	}
 	f.emit(f.gotoStmt(defaultLbl))
 
-	_ = userLabel
 	f.loops = append(f.loops, loopCtx{userLabel: userLabel, breakLbl: end, contLbl: ""})
 	for _, arm := range arms {
 		f.mark(arm.label)

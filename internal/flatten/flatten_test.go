@@ -739,6 +739,33 @@ func genProgram(seed int64) string {
 // computes exactly what the original computes, and the Info the pass kept
 // is the one a fresh check of it finds (flattenAll).
 func TestFlattenEquivalenceProperty(t *testing.T) {
+	// A goto to a labeled top-level switch, which the generator of
+	// internal/liveness's property test produced once flatten lowered such
+	// a label only as a break target ("goto to undeclared label").
+	t.Run("goto-labeled-switch", func(t *testing.T) {
+		equivCheck(t, `package p
+
+func main() {}
+
+func f(x int, y int) int {
+	z := 0
+L0:
+	switch z % 3 {
+	case 0:
+		z += x
+	default:
+		if z > y {
+			break L0
+		}
+		z++
+	}
+	if z < 7 {
+		goto L0
+	}
+	return x + 31*y + 1009*z
+}
+`, "f", intArgs([]int{1, 2}, []int{2, 9}, []int{3, 100}))
+	})
 	seeds := 60
 	if testing.Short() {
 		seeds = 10

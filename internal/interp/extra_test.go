@@ -161,9 +161,12 @@ func TestInterpretedModuleOverTCP(t *testing.T) {
 	}
 
 	// Reconfigure over TCP: signal while blocked, allow the frame to
-	// land, then unblock.
+	// land, then unblock. The server's signal pump forwards the signal on
+	// its own goroutine, which takes it straight from the send, so nothing
+	// this side observes the frame written and the pause stays: a read
+	// reply sent first would pass the point unsignalled.
 	h.requestTaken("compute", 2)
-	time.Sleep(50 * time.Millisecond)
+	h.descended("compute")
 	if err := h.b.SignalReconfig("compute"); err != nil {
 		t.Fatal(err)
 	}

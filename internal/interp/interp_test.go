@@ -517,18 +517,35 @@ func (h *monitorHarness) sendInt(p bus.Port, iface string, v int) {
 func (h *monitorHarness) requestTaken(inst string, n int) {
 	h.t.Helper()
 	h.sendInt(h.disp, "temper", n)
+	h.waitInfo(inst, "consumed the request", func(info bus.InstanceInfo) bool { return info.Pending["display"] == 0 })
+}
+
+// waitInfo polls inst's bus view until cond holds, failing the test after
+// 10s: how these tests wait for a module to reach a state (a request taken,
+// a read parked) rather than guessing how long it takes.
+func (h *monitorHarness) waitInfo(inst, what string, cond func(bus.InstanceInfo) bool) {
+	h.t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
 		info, err := h.b.Info(inst)
 		if err != nil {
 			h.t.Fatal(err)
 		}
-		if info.Pending["display"] == 0 {
+		if cond(info) {
 			return
 		}
 		if time.Now().After(deadline) {
-			h.t.Fatalf("%s never consumed the request", inst)
+			h.t.Fatalf("%s never %s", inst, what)
 		}
 	}
+}
+
+// descended returns once inst has recursed to its innermost level and is
+// blocked reading the empty sensor queue there.
+func (h *monitorHarness) descended(inst string) {
+	h.t.Helper()
+	h.waitInfo(inst, "descended to the innermost read", func(info bus.InstanceInfo) bool {
+		return info.Parked["sensor"] && info.Pending["sensor"] == 0
+	})
 }
 
 // readWithin is p.Read(iface) that gives up after d: a lost message fails
@@ -621,7 +638,7 @@ func TestMoveDuringRecursionInterpreted(t *testing.T) {
 	// Request an average of 3; the module recurses and blocks reading the
 	// empty sensor queue at the innermost level.
 	h.requestTaken("compute", 3)
-	time.Sleep(50 * time.Millisecond) // the descent to the innermost read
+	h.descended("compute")
 	if err := h.b.SignalReconfig("compute"); err != nil {
 		t.Fatal(err)
 	}
@@ -727,7 +744,8 @@ func TestInstrumentedIdlePath(t *testing.T) {
 	h := newMonitorHarness(t)
 	rt, done := h.startModule(instrumentedComputeSrc, "compute")
 
-	time.Sleep(30 * time.Millisecond)
+	// The signal waits in the attachment until the module's Init enables
+	// polling, so it may come before the module has started.
 	if err := h.b.SignalReconfig("compute"); err != nil {
 		t.Fatal(err)
 	}

@@ -677,10 +677,7 @@ func (g *modGen) block(depth int) {
 
 func (g *modGen) stmt(depth int) {
 	kinds := 13
-	switch depth {
-	case 1:
-		kinds = 12 // no switch: flatten lowers a label on one as a break target only
-	case 4:
+	if depth == 4 {
 		kinds = 8 // no more nesting
 	}
 	switch g.r.Intn(kinds) {

@@ -1,6 +1,7 @@
 package mh
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -122,5 +123,165 @@ func TestOpsHeartbeatReadableConcurrently(t *testing.T) {
 	}
 	if bus.StatusAdd != rt.Status() {
 		t.Errorf("status = %q", rt.Status())
+	}
+}
+
+func snapOf(counter *int) Snapshot {
+	return func() (*state.State, error) {
+		st := state.New("m")
+		st.PushFrame(state.Frame{Func: "main", Location: 1, Vars: []state.Var{
+			{Name: "counter", Value: state.IntValue(int64(*counter))},
+		}})
+		return st, nil
+	}
+}
+
+func TestNewValidation(t *testing.T) {
+	counter := 0
+	if _, err := NewCheckpointer(0, snapOf(&counter)); err == nil {
+		t.Error("interval 0 accepted")
+	}
+	if _, err := NewCheckpointer(1, nil); err == nil {
+		t.Error("nil snapshot accepted")
+	}
+	cp, err := NewCheckpointer(1, snapOf(&counter))
+	if err != nil || cp == nil {
+		t.Fatalf("New: %v", err)
+	}
+}
+
+func TestCheckpointEveryInterval(t *testing.T) {
+	counter := 0
+	cp, err := NewCheckpointer(3, snapOf(&counter))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 10; i++ {
+		counter = i
+		if err := cp.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := cp.Stats()
+	if st.Ops != 10 {
+		t.Errorf("Ops = %d", st.Ops)
+	}
+	// Checkpoints at op 3, 6, 9.
+	if st.Checkpoints != 3 {
+		t.Errorf("Checkpoints = %d", st.Checkpoints)
+	}
+	if st.Bytes <= 0 {
+		t.Errorf("Bytes = %d", st.Bytes)
+	}
+	if cp.LatestSize() <= 0 {
+		t.Error("no latest checkpoint")
+	}
+	// One op (op 10) since the last checkpoint: restore replays 1.
+	if cp.PendingOps() != 1 {
+		t.Errorf("PendingOps = %d", cp.PendingOps())
+	}
+	restored, replay, err := cp.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replay != 1 {
+		t.Errorf("replay = %d", replay)
+	}
+	v, ok := restored.Frames[0].Var("counter")
+	if !ok || v.Int != 9 {
+		t.Errorf("restored counter = %v (rolled back to op 9)", v)
+	}
+	if got := cp.Stats(); got.Restores != 1 || got.Replayed != 1 {
+		t.Errorf("restore stats = %+v", got)
+	}
+}
+
+func TestRestoreBeforeAnyCheckpoint(t *testing.T) {
+	counter := 0
+	cp, err := NewCheckpointer(100, snapOf(&counter))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cp.Restore(); !errors.Is(err, ErrNoCheckpoint) {
+		t.Errorf("err = %v", err)
+	}
+}
+
+func TestSnapshotFailurePropagates(t *testing.T) {
+	boom := errors.New("boom")
+	cp, err := NewCheckpointer(1, func() (*state.State, error) { return nil, boom })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Tick(); !errors.Is(err, boom) {
+		t.Errorf("err = %v", err)
+	}
+}
+
+// TestWorkLostGrowsWithInterval quantifies the rollback cost the paper's
+// approach avoids: the larger the checkpoint interval, the more completed
+// work a reconfiguration discards.
+func TestWorkLostGrowsWithInterval(t *testing.T) {
+	for _, interval := range []int{1, 5, 25} {
+		counter := 0
+		cp, err := NewCheckpointer(interval, snapOf(&counter))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 99; i++ {
+			counter = i
+			if err := cp.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wantPending := 99 % interval
+		if cp.PendingOps() != wantPending {
+			t.Errorf("interval %d: pending = %d, want %d", interval, cp.PendingOps(), wantPending)
+		}
+		wantCheckpoints := int64(99 / interval)
+		if cp.Stats().Checkpoints != wantCheckpoints {
+			t.Errorf("interval %d: checkpoints = %d, want %d", interval, cp.Stats().Checkpoints, wantCheckpoints)
+		}
+	}
+}
+
+// TestConcurrentTickAndRestore pins the concurrency contract: the module
+// thread Ticks while a supervisor goroutine reads Latest/Stats/PendingOps
+// and Restores. Run under -race (scripts/check.sh does).
+func TestConcurrentTickAndRestore(t *testing.T) {
+	counter := 0
+	cp, err := NewCheckpointer(2, snapOf(&counter))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { //archlint:spawn test reader goroutine; joined via done channel
+		defer close(done)
+		for i := 0; i < 500; i++ {
+			cp.Latest()
+			cp.LatestSize()
+			cp.Stats()
+			cp.PendingOps()
+			if _, _, err := cp.Restore(); err != nil && !errors.Is(err, ErrNoCheckpoint) {
+				t.Errorf("Restore: %v", err)
+				return
+			}
+		}
+	}()
+	for i := 1; i <= 1000; i++ {
+		counter = i
+		if err := cp.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-done
+	if cp.Latest() == nil {
+		t.Error("no checkpoint after 1000 ticks at interval 2")
+	}
+	if st := cp.Stats(); st.Checkpoints != 500 {
+		t.Errorf("Checkpoints = %d, want 500", st.Checkpoints)
 	}
 }

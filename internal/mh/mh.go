@@ -29,7 +29,7 @@ import (
 	"time"
 
 	"repro/internal/bus"
-	"repro/internal/checkpoint"
+	"repro/internal/clock"
 	"repro/internal/codec"
 	"repro/internal/state"
 	"repro/internal/telemetry"
@@ -78,6 +78,9 @@ func WithTelemetry(reg *telemetry.Registry) Option { return func(r *Runtime) { r
 type Runtime struct {
 	port         bus.Port
 	status       string // the port's status when this runtime was made
+	clk          clock.Clock
+	deleted      <-chan struct{} // the port's ends (bus.Timed), nil on a stub port
+	gone         <-chan struct{}
 	codec        codec.Portable
 	heap         *state.HeapRegistry
 	sleepUnit    time.Duration
@@ -116,7 +119,7 @@ type Runtime struct {
 	// failure detector reads (hence atomic); the checkpointer periodically
 	// captures abstract state for crash recovery (see checkpoint.go).
 	ops        atomic.Int64
-	cp         *checkpoint.Checkpointer
+	cp         *Checkpointer
 	cpInterval int
 	cpSink     CheckpointSink
 
@@ -145,6 +148,10 @@ func New(port bus.Port, opts ...Option) *Runtime {
 		logw:         os.Stdout,
 	}
 	r.tw, _ = port.(bus.TracedWriter)
+	if tp, ok := port.(bus.Timed); ok {
+		r.clk = tp.Clock()
+		r.deleted, r.gone = tp.Ended()
+	}
 	for _, o := range opts {
 		o(r)
 	}
@@ -391,28 +398,26 @@ func (r *Runtime) Log(vals ...any) {
 	fmt.Fprintln(r.logw, args...)
 }
 
-// Sleep pauses for ticks sleep units, waking early if the instance is
-// deleted.
+// Sleep pauses for ticks sleep units on the port's clock, waking early if
+// the instance is deleted or its transport ends.
 func (r *Runtime) Sleep(ticks int) {
 	r.pollSignals()
-	d := time.Duration(ticks) * r.sleepUnit
-	const slice = 5 * time.Millisecond
-	deadline := time.Now().Add(d)
-	for {
-		if r.port.Done() {
-			r.failFatal(fmt.Errorf("%w: deleted during sleep", bus.ErrStopped))
-			return
-		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return
-		}
-		if remaining > slice {
-			remaining = slice
-		}
-		time.Sleep(remaining)
+	t := r.clk.NewTimer(time.Duration(ticks) * r.sleepUnit)
+	select {
+	case <-t.C:
+	case <-r.deleted:
+	case <-r.gone:
+	}
+	t.Stop()
+	if r.port.Done() {
+		r.failFatal(fmt.Errorf("%w: deleted during sleep", bus.ErrStopped))
 	}
 }
+
+// Clock returns the clock the runtime reads and sleeps on: the port's
+// (bus.Timed), the real clock on a port without one. Native modules time
+// their own work with it.
+func (r *Runtime) Clock() clock.Clock { return r.clk }
 
 // ---- reconfiguration flags ----
 
@@ -458,7 +463,7 @@ func (r *Runtime) Restoring() bool {
 func (r *Runtime) SetRestoring(on bool) {
 	if !on && r.restoring && r.restoreIdx == len(r.restore) {
 		if !r.restoreStart.IsZero() {
-			r.restoreNs.Observe(time.Since(r.restoreStart))
+			r.restoreNs.Observe(r.clk.Now().Sub(r.restoreStart))
 		}
 		r.ackRestore(nil)
 	}
@@ -507,7 +512,7 @@ func (r *Runtime) beginCapture() {
 	if r.capturing == nil {
 		r.capturing = state.New(r.port.Name())
 		r.capturing.Machine = r.port.Machine()
-		r.captureStart = time.Now()
+		r.captureStart = r.clk.Now()
 	}
 }
 
@@ -578,14 +583,14 @@ func (r *Runtime) Encode() {
 	for attempt, backoff := 0, 10*time.Millisecond; attempt < 3; attempt++ {
 		if derr = r.port.Divulge(data); derr == nil {
 			if !r.captureStart.IsZero() {
-				r.captureNs.Observe(time.Since(r.captureStart))
+				r.captureNs.Observe(r.clk.Now().Sub(r.captureStart))
 			}
 			return
 		}
 		if errors.Is(derr, bus.ErrStopped) {
 			break
 		}
-		time.Sleep(backoff)
+		r.clk.Sleep(backoff)
 		backoff *= 2
 	}
 	r.failFatal(fmt.Errorf("mh: divulge: %w", derr))
@@ -643,7 +648,7 @@ func (r *Runtime) ConfirmRestoreOutcome(err error) {
 // heap objects are reinstalled, the frame cursor is set to the bottom-most
 // frame, and mh_restoring is set.
 func (r *Runtime) Decode() {
-	r.restoreStart = time.Now()
+	r.restoreStart = r.clk.Now()
 	data, err := r.port.AwaitState(r.stateTimeout)
 	if err != nil {
 		r.failRestore(fmt.Errorf("mh: decode: %w", err))
@@ -724,7 +729,7 @@ func (r *Runtime) FinishRestore() {
 	r.restore = nil
 	r.signalsOn = true
 	if !r.restoreStart.IsZero() {
-		r.restoreNs.Observe(time.Since(r.restoreStart))
+		r.restoreNs.Observe(r.clk.Now().Sub(r.restoreStart))
 	}
 	r.ackRestore(nil)
 }

@@ -8,15 +8,16 @@ import (
 	"time"
 
 	"repro/internal/bus"
+	"repro/internal/clock"
 	"repro/internal/codec"
 	"repro/internal/state"
 )
 
 // newMonitorBus builds the Figure 1 topology: display and sensor driven by
 // the test, compute under test.
-func newMonitorBus(t *testing.T) *bus.Bus {
+func newMonitorBus(t *testing.T, opts ...bus.BusOption) *bus.Bus {
 	t.Helper()
-	b := bus.New()
+	b := bus.New(opts...)
 	add := func(spec bus.InstanceSpec) {
 		t.Helper()
 		if err := b.AddInstance(spec); err != nil {
@@ -72,18 +73,31 @@ func requestTaken(t *testing.T, b *bus.Bus, disp bus.Port, inst string, n int) {
 	if err := disp.Write("temper", data); err != nil {
 		t.Fatal(err)
 	}
+	waitInfo(t, b, inst, "consumed the request", func(info bus.InstanceInfo) bool { return info.Pending["display"] == 0 })
+}
+
+// waitInfo polls inst's bus view until cond holds, failing the test after
+// 10s: how these tests wait for a module to reach a state (a request taken,
+// a read parked) rather than guessing how long it takes.
+func waitInfo(t *testing.T, b *bus.Bus, inst, what string, cond func(bus.InstanceInfo) bool) {
+	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
 		info, err := b.Info(inst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Pending["display"] == 0 {
+		if cond(info) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s never consumed the request", inst)
+			t.Fatalf("%s never %s", inst, what)
 		}
 	}
+}
+
+// parked reports whether the instance's reader on iface is blocked waiting.
+func parked(iface string) func(bus.InstanceInfo) bool {
+	return func(info bus.InstanceInfo) bool { return info.Parked[iface] }
 }
 
 // readWithin is p.Read(iface) that gives up after d: a lost message fails
@@ -242,7 +256,7 @@ func TestMoveDuringRecursion(t *testing.T) {
 	// Request an average of 3 temperatures. compute recurses to depth 3
 	// and blocks reading the (empty) sensor queue at the innermost level.
 	requestTaken(t, b, dispPort, "compute", 3)
-	time.Sleep(50 * time.Millisecond) // the descent to the innermost read
+	waitInfo(t, b, "compute", "descended to the innermost read", parked("sensor"))
 	// Request the reconfiguration while the module is blocked mid-read,
 	// then feed one temperature. The innermost level completes its read,
 	// and the next level up polls the flag at its reconfiguration point —
@@ -507,14 +521,12 @@ func TestSignalSetsFlagOnlyAfterInit(t *testing.T) {
 	}
 }
 
+// waitFlag checks the flag an in-process signal has set: the bus queues it
+// for the attachment before Signal returns, so the first poll sees it.
 func waitFlag(t *testing.T, rt *Runtime) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for !rt.Reconfig() {
-		if time.Now().After(deadline) {
-			t.Fatal("reconfig flag never set")
-		}
-		time.Sleep(time.Millisecond)
+	if !rt.Reconfig() {
+		t.Fatal("reconfig flag not set by the signal")
 	}
 }
 
@@ -794,22 +806,18 @@ func TestStopSignalTerminates(t *testing.T) {
 	if err := b.Signal("compute", bus.Signal{Kind: bus.SignalStop}); err != nil {
 		t.Fatal(err)
 	}
-	// Give the (asynchronous) signal time to arrive.
-	time.Sleep(20 * time.Millisecond)
-	asTermination(t, func() {
-		for i := 0; i < 1000; i++ {
-			rt.Reconfig()
-			time.Sleep(time.Millisecond)
-		}
-	})
+	// The bus queues the signal before Signal returns: the next flag poll
+	// takes it.
+	asTermination(t, func() { rt.Reconfig() })
 }
 
 func TestSleepWakesOnDelete(t *testing.T) {
-	b := newMonitorBus(t)
+	clk := clock.NewVirtual(time.Unix(1000, 0))
+	b := newMonitorBus(t, bus.WithClock(clk.Clock()))
 	rt := attachRT(t, b, "compute", WithSleepUnit(time.Hour))
 	done := make(chan *Termination, 1)
 	go func() { done <- Run(func() { rt.Sleep(1) }) }()
-	time.Sleep(20 * time.Millisecond)
+	clk.BlockUntil(1) // asleep, its hour far off
 	if err := b.DeleteInstance("compute"); err != nil {
 		t.Fatal(err)
 	}
@@ -826,6 +834,27 @@ func TestSleepWakesOnDelete(t *testing.T) {
 	}
 }
 
+// TestSleepIsOneWaitOnTheBusClock: a module's sleep is a timer on the bus's
+// clock, so under a virtual clock it ends exactly when the clock passes it.
+func TestSleepIsOneWaitOnTheBusClock(t *testing.T) {
+	clk := clock.NewVirtual(time.Unix(1000, 0))
+	b := newMonitorBus(t, bus.WithClock(clk.Clock()))
+	rt := attachRT(t, b, "compute", WithSleepUnit(time.Millisecond))
+	done := make(chan *Termination, 1)
+	go func() { done <- Run(func() { rt.Sleep(3) }) }()
+	clk.BlockUntil(1)
+	clk.Advance(2 * time.Millisecond)
+	select {
+	case <-done:
+		t.Fatal("a 3-tick sleep ended after 2 ticks")
+	default:
+	}
+	clk.Advance(time.Millisecond)
+	if term := <-done; term != nil {
+		t.Fatalf("sleep terminated: %v", term)
+	}
+}
+
 func TestReadOnDeletedInstanceTerminates(t *testing.T) {
 	b := newMonitorBus(t)
 	rt := attachRT(t, b, "compute")
@@ -837,7 +866,7 @@ func TestReadOnDeletedInstanceTerminates(t *testing.T) {
 			rt.Read("display", &n)
 		})
 	}()
-	time.Sleep(20 * time.Millisecond)
+	waitInfo(t, b, "compute", "parked its read", parked("display"))
 	if err := b.DeleteInstance("compute"); err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,8 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // ErrTimeout indicates quiescence was not reached in time.
@@ -32,14 +34,15 @@ type Guard struct {
 	busy    bool
 	wanted  bool // a quiesce request is pending; new units yield to it
 	holding bool // quiescence granted; module blocked out of new work
+	clk     clock.Clock
 
 	// Units counts completed units of work.
 	Units int64
 }
 
-// NewGuard returns an idle guard.
-func NewGuard() *Guard {
-	g := &Guard{}
+// NewGuard returns an idle guard whose Quiesce times out on clk.
+func NewGuard(clk clock.Clock) *Guard {
+	g := &Guard{clk: clk}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
@@ -94,7 +97,7 @@ func (g *Guard) Quiesce(timeout time.Duration) error {
 		g.wanted = false
 		g.cond.Broadcast()
 	}()
-	timer := time.NewTimer(timeout)
+	timer := g.clk.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case <-done:

@@ -5,10 +5,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 func TestQuiesceIdleModule(t *testing.T) {
-	g := NewGuard()
+	g := NewGuard(clock.Clock{})
 	if err := g.Quiesce(time.Second); err != nil {
 		t.Fatalf("idle quiesce: %v", err)
 	}
@@ -36,30 +38,36 @@ func TestQuiesceIdleModule(t *testing.T) {
 }
 
 func TestQuiesceWaitsForUnitCompletion(t *testing.T) {
-	g := NewGuard()
+	v := clock.NewVirtual(time.Unix(1000, 0))
+	g := NewGuard(v.Clock())
 	g.Enter()
 	if !g.Busy() {
 		t.Fatal("not busy inside unit")
 	}
-	start := time.Now()
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		g.Exit()
-	}()
-	if err := g.Quiesce(5 * time.Second); err != nil {
-		t.Fatal(err)
+	quiesced := make(chan error, 1)
+	go func() { quiesced <- g.Quiesce(5 * time.Second) }()
+	v.BlockUntil(1) // Quiesce is waiting, its timeout armed
+	select {
+	case err := <-quiesced:
+		t.Fatalf("quiesce returned (%v) before the unit finished", err)
+	default:
 	}
-	if elapsed := time.Since(start); elapsed < 90*time.Millisecond {
-		t.Errorf("quiesce returned after %v, before the unit finished", elapsed)
+	g.Exit()
+	if err := <-quiesced; err != nil {
+		t.Fatal(err)
 	}
 	g.Release()
 }
 
 func TestQuiesceTimeout(t *testing.T) {
-	g := NewGuard()
+	v := clock.NewVirtual(time.Unix(1000, 0))
+	g := NewGuard(v.Clock())
 	g.Enter() // never exits
-	err := g.Quiesce(50 * time.Millisecond)
-	if !errors.Is(err, ErrTimeout) {
+	quiesced := make(chan error, 1)
+	go func() { quiesced <- g.Quiesce(50 * time.Millisecond) }()
+	v.BlockUntil(1)
+	v.Advance(50 * time.Millisecond)
+	if err := <-quiesced; !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v", err)
 	}
 	// The failed quiesce must not hold the module.
@@ -78,19 +86,23 @@ func TestQuiesceTimeout(t *testing.T) {
 }
 
 func TestManyUnitsUnderContention(t *testing.T) {
-	g := NewGuard()
+	g := NewGuard(clock.Clock{})
 	var stop atomic.Bool
 	workerDone := make(chan struct{})
+	progressed := make(chan struct{}, 1)
 	go func() {
 		defer close(workerDone)
 		for !stop.Load() {
 			g.Enter()
-			time.Sleep(time.Millisecond)
 			g.Exit()
+			select {
+			case progressed <- struct{}{}:
+			default:
+			}
 		}
 	}()
-	// Repeatedly quiesce and release while the worker churns, leaving the
-	// worker a window to make progress between holds.
+	// Repeatedly quiesce and release while the worker churns, and let the
+	// worker finish a unit between holds.
 	for i := 0; i < 10; i++ {
 		if err := g.Quiesce(5 * time.Second); err != nil {
 			t.Fatal(err)
@@ -98,8 +110,12 @@ func TestManyUnitsUnderContention(t *testing.T) {
 		if g.Busy() {
 			t.Fatal("busy while quiescent")
 		}
+		select {
+		case <-progressed: // a unit from before the hold
+		default:
+		}
 		g.Release()
-		time.Sleep(5 * time.Millisecond)
+		<-progressed
 	}
 	stop.Store(true)
 	select {

@@ -7,6 +7,11 @@
 // A transaction's completed step names are its audit trail, so a script's
 // primitive sequence can be golden-tested against Figure 5 and inspected by
 // operators (cmd/reconfigctl prints it).
+//
+// The layer keeps no clock of its own: transaction timelines, the
+// supervisor's polls and stall windows and its recovery times all read the
+// bus's (bus.Bus.Clock), so a test that runs the bus on a virtual clock
+// runs them on it too.
 package reconfig
 
 import (
@@ -49,7 +54,7 @@ type Primitives struct {
 // NewPrimitives wraps a bus. Transaction span durations aggregate into the
 // bus's telemetry registry (reconfig.span.*_ns, reconfig.tx_total_ns).
 func NewPrimitives(b *bus.Bus) *Primitives {
-	p := &Primitives{bus: b, tracer: telemetry.NewTracer(0)}
+	p := &Primitives{bus: b, tracer: telemetry.NewTracer(0, b.Clock())}
 	p.tracer.SetRegistry(b.Telemetry())
 	return p
 }

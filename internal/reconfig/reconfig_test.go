@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -168,18 +169,51 @@ func startMidRecursion(t *testing.T, n int) (*monitorWorld, func(reading int)) {
 		t.Fatal(err)
 	}
 	w.sendInt(w.disp, "temper", n)
-	for w.pending("compute", "display") > 0 {
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "compute took the request", func() bool { return w.pending("compute", "display") == 0 })
 	return w, func(reading int) {
-		signals := w.b.Stats().Signals
+		// The bus logs a signal before the module can take it.
+		log := w.b.Events()
+		after := log.Cursor()
 		go func() {
-			for w.b.Stats().Signals == signals {
-				time.Sleep(time.Millisecond)
+			for {
+				recs := log.Wait(after, 10*time.Second)
+				if recs == nil {
+					return
+				}
+				for _, r := range recs {
+					after = r.Seq
+					if r.Kind == "signal" && r.Instance == "compute" && r.Detail == "reconfig" {
+						// The record precedes the send by a few
+						// instructions; blocked, compute cannot take it first.
+						for w.pendingSignals() == 0 {
+							runtime.Gosched()
+						}
+						w.sendInt(w.sens, "out", reading)
+						return
+					}
+				}
 			}
-			w.sendInt(w.sens, "out", reading)
 		}()
 	}
+}
+
+// waitUntil polls cond until it holds, failing the test after 10s: how
+// these tests wait for a state the system reaches on its own.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+func (w *monitorWorld) pendingSignals() int {
+	info, err := w.b.Info("compute")
+	if err != nil {
+		return -1
+	}
+	return info.Signals
 }
 
 func (w *monitorWorld) pending(inst, iface string) int {

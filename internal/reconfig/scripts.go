@@ -89,7 +89,7 @@ func launch(b *bus.Bus, l Launcher, name string) step {
 		if l == nil {
 			return errors.New("no launcher")
 		}
-		if err := b.Faults().Fire("reconfig.launch"); err != nil {
+		if err := b.Faults().Fire("reconfig.launch", b.Clock()); err != nil {
 			return err
 		}
 		return l.Launch(name)

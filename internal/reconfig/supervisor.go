@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry/evlog"
 	"repro/internal/telemetry/health"
 )
@@ -46,7 +47,8 @@ type Supervisor struct {
 	gen        int
 	stats      SupervisorStats
 
-	pollMu sync.Mutex // serializes Poll (detection + blocking rebuild)
+	clk    clock.Clock // the bus's: polls, stall windows, recovery times
+	pollMu sync.Mutex  // serializes poll (detection + blocking rebuild)
 	stop   chan struct{}
 	done   chan struct{}
 }
@@ -63,8 +65,6 @@ type SupervisorConfig struct {
 	StallAfter time.Duration
 	// Timeouts bounds the rebuild transaction's waits.
 	Timeouts Timeouts
-	// Now supplies the clock (default time.Now); tests inject a fake.
-	Now func() time.Time
 	// Health, when set, arms the verdict-based detector: a member whose
 	// windowed verdict (against its live peers as baseline) is Critical is
 	// marked out and rebuilt exactly like a crash — the second failure
@@ -117,13 +117,11 @@ func NewSupervisor(p *Primitives, launcher Launcher, cfg SupervisorConfig) (*Sup
 	if cfg.StallAfter <= 0 {
 		cfg.StallAfter = 3 * cfg.PollInterval
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	s := &Supervisor{
 		p:          p,
 		launcher:   launcher,
 		cfg:        cfg,
+		clk:        p.bus.Clock(),
 		probes:     map[string]*replicaProbe{},
 		ckpts:      map[string][]byte{},
 		pending:    map[string]time.Time{},
@@ -216,7 +214,7 @@ func (s *Supervisor) markDeadLocked(member string) bool {
 	}
 	delete(s.probes, member)
 	delete(s.lastHealth, member)
-	s.pending[member] = s.cfg.Now()
+	s.pending[member] = s.clk.Now()
 	s.stats.Detected++
 	return true
 }
@@ -253,14 +251,14 @@ func (s *Supervisor) healthPassLocked(names []string) []string {
 	return critical
 }
 
-// Poll runs one detection-and-rebuild pass: stalled members are marked out,
-// then every pending corpse gets one rebuild attempt. Start calls it
-// periodically; fake-clock tests call it directly.
-func (s *Supervisor) Poll() {
+// poll runs one detection-and-rebuild pass: stalled members are marked out,
+// then every pending corpse gets one rebuild attempt. Start's loop calls it
+// once a poll interval.
+func (s *Supervisor) poll() {
 	s.pollMu.Lock()
 	defer s.pollMu.Unlock()
 
-	now := s.cfg.Now()
+	now := s.clk.Now()
 	s.mu.Lock()
 	s.stats.Polls++
 	// Probe in sorted order: map iteration order would otherwise make the
@@ -351,7 +349,7 @@ func (s *Supervisor) rebuild(dead string) {
 		delete(s.ckpts, dead)
 		s.stats.Recovered++
 		s.stats.LastError = ""
-		s.p.bus.Telemetry().Histogram("selfheal.recovery_ns").Observe(s.cfg.Now().Sub(detected))
+		s.p.bus.Telemetry().Histogram("selfheal.recovery_ns").Observe(s.clk.Now().Sub(detected))
 		s.event("recovered", dead, "rebuilt as "+newName)
 	case errors.Is(err, ErrReconfigBusy):
 		s.stats.RetriesBusy++
@@ -380,16 +378,19 @@ func (s *Supervisor) Start() {
 	go s.loop() //archlint:spawn supervisor poll loop; exits when Stop closes the stop channel
 }
 
+// loop polls once an interval. It arms one timer per interval rather than
+// a ticker, so under a virtual clock the loop is back waiting (a waiter
+// BlockUntil counts) exactly when the previous poll is done.
 func (s *Supervisor) loop() {
 	defer close(s.done)
-	t := time.NewTicker(s.cfg.PollInterval)
-	defer t.Stop()
 	for {
+		t := s.clk.NewTimer(s.cfg.PollInterval)
 		select {
 		case <-s.stop:
+			t.Stop()
 			return
 		case <-t.C:
-			s.Poll()
+			s.poll()
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/bus"
+	"repro/internal/clock"
 	"repro/internal/codec"
 	"repro/internal/mh"
 	"repro/internal/state"
@@ -28,16 +29,17 @@ type replicaWorld struct {
 	killed      map[string]bool
 	wedged      map[string]bool
 	failRestore bool // clones die before confirming their restoration
-	now         time.Time
+	clk         *clock.Virtual
 }
 
 func newReplicaWorld(t *testing.T) *replicaWorld {
 	t.Helper()
-	b := bus.New()
+	clk := clock.NewVirtual(time.Unix(1000, 0))
+	b := bus.New(bus.WithClock(clk.Clock()))
 	w := &replicaWorld{
 		t: t, b: b, p: NewPrimitives(b), c: codec.Default(),
 		killed: map[string]bool{}, wedged: map[string]bool{},
-		now: time.Unix(1000, 0),
+		clk: clk,
 	}
 	shape := []bus.IfaceSpec{{Name: "in", Dir: bus.In}, {Name: "out", Dir: bus.Out}}
 	if err := b.AddGroup("pool", bus.PolicyRoundRobin, shape); err != nil {
@@ -67,7 +69,6 @@ func newReplicaWorld(t *testing.T) *replicaWorld {
 		Group:      "pool",
 		StallAfter: 100 * time.Millisecond,
 		Timeouts:   Timeouts{RestoreAck: 2 * time.Second},
-		Now:        w.clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,18 +86,6 @@ func newReplicaWorld(t *testing.T) *replicaWorld {
 		t.Fatal(err)
 	}
 	return w
-}
-
-func (w *replicaWorld) clock() time.Time {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.now
-}
-
-func (w *replicaWorld) advance(d time.Duration) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.now = w.now.Add(d)
 }
 
 func (w *replicaWorld) flag(m map[string]bool, name string) bool {
@@ -118,7 +107,7 @@ func (w *replicaWorld) Launch(name string) error {
 	if err != nil {
 		return err
 	}
-	rt := mh.New(port,
+	rt := mh.New(realTimePort{port},
 		mh.WithSleepUnit(time.Microsecond),
 		mh.WithLogWriter(nil),
 		mh.WithCheckpoint(2, w.sup.Checkpoint))
@@ -128,6 +117,13 @@ func (w *replicaWorld) Launch(name string) error {
 	}()
 	return nil
 }
+
+// realTimePort is a worker's attachment with the real clock: the workers
+// idle in short sleeps between queue polls, which must pass on their own,
+// while the bus and its supervisor run on the world's virtual clock.
+type realTimePort struct{ *bus.Attachment }
+
+func (realTimePort) Clock() clock.Clock { return clock.Clock{} }
 
 func (w *replicaWorld) runWorker(name string, rt *mh.Runtime) {
 	killed := false
@@ -202,18 +198,13 @@ func (w *replicaWorld) awaitSink(n int) {
 	}
 }
 
-// waitFor polls cond (interleaved with supervisor polls) until it holds.
+// waitFor runs supervisor polls until cond holds.
 func (w *replicaWorld) waitFor(what string, cond func() bool) {
 	w.t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		w.sup.Poll()
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	w.t.Fatalf("timed out waiting for %s (stats %+v, members %v)", what, w.sup.Stats(), w.members())
+	waitUntil(w.t, what, func() bool {
+		w.sup.poll()
+		return cond()
+	})
 }
 
 func (w *replicaWorld) members() []string {
@@ -306,7 +297,7 @@ func TestSupervisorStallDetectionFakeClock(t *testing.T) {
 	w.awaitSink(6)
 
 	// Baseline poll: records every member's heartbeat at t0.
-	w.sup.Poll()
+	w.sup.poll()
 	if got := w.sup.Stats().Detected; got != 0 {
 		t.Fatalf("false positive before stall: Detected = %d", got)
 	}
@@ -321,14 +312,14 @@ func TestSupervisorStallDetectionFakeClock(t *testing.T) {
 	// member shows a still counter with queued input.
 	w.awaitSink(8)
 	// Inside the stall window nothing is declared dead yet.
-	w.advance(50 * time.Millisecond)
-	w.sup.Poll()
+	w.clk.Advance(50 * time.Millisecond)
+	w.sup.poll()
 	if got := w.sup.Stats().Detected; got != 0 {
 		t.Fatalf("stall declared inside the window: Detected = %d", got)
 	}
 	// Past the window the wedged member (stalled counter + queued input)
 	// is marked out and rebuilt; idle-but-healthy members are not.
-	w.advance(200 * time.Millisecond)
+	w.clk.Advance(200 * time.Millisecond)
 	w.waitFor("stall recovery", func() bool { return w.sup.Stats().Recovered == 1 })
 	for _, m := range w.members() {
 		if m == "pool.3" {

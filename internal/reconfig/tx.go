@@ -177,7 +177,7 @@ func runTx(p *Primitives, op string, build func(tx *telemetry.TxTrace) (*script,
 			tx.StartSpan(st.span)
 		}
 		primitive, _, _ := strings.Cut(st.name, " ")
-		err := faults.Fire("reconfig." + primitive)
+		err := faults.Fire("reconfig."+primitive, p.bus.Clock())
 		if err == nil && st.do != nil {
 			err = st.do()
 		}

@@ -33,6 +33,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/clock"
 	"repro/internal/ring"
 	"repro/internal/telemetry/trace"
 )
@@ -350,7 +351,8 @@ type chunk struct {
 
 // Append writes one delivery to this queue as one record: recorded (a
 // payload copy and the next QSeq) while recording is on, a span (EndNs,
-// read off the trace clock) when the log writes spans and tc is sampled,
+// read off clk, the clock tc.SentNs was stamped on) when the log writes
+// spans and tc is sampled,
 // and not at all when it is neither. It returns the span's end, 0 for no
 // span. from is the sending endpoint's "instance.interface" name, retained
 // as passed (the bus passes the name it interned at AddInstance). data is
@@ -363,7 +365,7 @@ type chunk struct {
 // shares this handle with its predecessor's draining queue.
 //
 //archlint:hotpath
-func (q *QueueLog) Append(from string, data []byte, tc trace.Context, epoch uint64) (endNs int64) {
+func (q *QueueLog) Append(from string, data []byte, tc trace.Context, epoch uint64, clk clock.Clock) (endNs int64) {
 	if q == nil {
 		return 0
 	}
@@ -382,7 +384,7 @@ func (q *QueueLog) Append(from string, data []byte, tc trace.Context, epoch uint
 		r.Data = q.copyPayload(data)
 	}
 	if span {
-		endNs = trace.Now()
+		endNs = clk.Nanos()
 		r.EndNs = endNs
 		l.sampled.Add(1)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry/trace"
 )
 
@@ -39,23 +40,23 @@ func TestNilLogIsNoOp(t *testing.T) {
 	if q != nil {
 		t.Fatal("nil log returned a non-nil queue handle")
 	}
-	q.Append("x.y", []byte("data"), trace.Context{}, 1) // must not panic
+	q.Append("x.y", []byte("data"), trace.Context{}, 1, clock.Clock{}) // must not panic
 }
 
 func TestAppendDisabledRecordsNothing(t *testing.T) {
 	l := NewLog(16, false)
 	q := l.Queue("dst.in")
-	q.Append("src.out", []byte("dropped"), trace.Context{}, 1)
+	q.Append("src.out", []byte("dropped"), trace.Context{}, 1, clock.Clock{})
 	if l.Recorded() != 0 || l.Len() != 0 {
 		t.Error("disabled log recorded")
 	}
 	l.Enable()
-	q.Append("src.out", []byte("kept"), trace.Context{}, 1)
+	q.Append("src.out", []byte("kept"), trace.Context{}, 1, clock.Clock{})
 	if l.Recorded() != 1 {
 		t.Errorf("recorded = %d, want 1", l.Recorded())
 	}
 	l.Disable()
-	q.Append("src.out", []byte("dropped again"), trace.Context{}, 1)
+	q.Append("src.out", []byte("dropped again"), trace.Context{}, 1, clock.Clock{})
 	if l.Recorded() != 1 {
 		t.Error("disabled log kept recording")
 	}
@@ -71,7 +72,7 @@ func TestRingEvictionAndSequences(t *testing.T) {
 	l.Enable()
 	q := l.Queue("dst.in")
 	for i := 1; i <= 40; i++ {
-		q.Append("src.out", []byte(fmt.Sprintf("m%02d", i)), trace.Context{}, 7)
+		q.Append("src.out", []byte(fmt.Sprintf("m%02d", i)), trace.Context{}, 7, clock.Clock{})
 	}
 	if l.Recorded() != 40 {
 		t.Errorf("recorded = %d, want 40", l.Recorded())
@@ -108,14 +109,14 @@ func TestQueueHandleInterning(t *testing.T) {
 	l := NewLog(16, false)
 	l.Enable()
 	q1 := l.Queue("dst.in")
-	q1.Append("src.out", []byte("a"), trace.Context{}, 1)
+	q1.Append("src.out", []byte("a"), trace.Context{}, 1, clock.Clock{})
 	// A re-registered instance (clone reusing the name after rollback)
 	// resolves the same handle and continues the same delivery sequence.
 	q2 := l.Queue("dst.in")
 	if q1 != q2 {
 		t.Fatal("re-resolved queue handle is a different object")
 	}
-	q2.Append("src.out", []byte("b"), trace.Context{}, 1)
+	q2.Append("src.out", []byte("b"), trace.Context{}, 1, clock.Clock{})
 	recs := l.Snapshot()
 	if len(recs) != 2 || recs[0].QSeq != 1 || recs[1].QSeq != 2 {
 		t.Errorf("qseqs = %+v", recs)
@@ -130,7 +131,7 @@ func TestMemoryBoundTracksPayloads(t *testing.T) {
 	// Over maxCarved: each payload is its own allocation, no chunk taken.
 	big := make([]byte, 2048)
 	for i := 0; i < 16; i++ {
-		q.Append("src.out", big, trace.Context{}, 1)
+		q.Append("src.out", big, trace.Context{}, 1, clock.Clock{})
 	}
 	if got := l.MemoryBound(); got != empty+16*2048 {
 		t.Errorf("memory bound with 32 KiB retained = %d, want %d", got, empty+16*2048)
@@ -138,7 +139,7 @@ func TestMemoryBoundTracksPayloads(t *testing.T) {
 	// Overwriting with small payloads releases the large ones; the small
 	// ones are carved, which charges the queue its two chunks.
 	for i := 0; i < 16; i++ {
-		q.Append("src.out", []byte{1}, trace.Context{}, 1)
+		q.Append("src.out", []byte{1}, trace.Context{}, 1, clock.Clock{})
 	}
 	if got := l.MemoryBound(); got != empty+16+2*chunkBytes {
 		t.Errorf("memory bound after eviction = %d, want %d", got, empty+16+2*chunkBytes)
@@ -155,7 +156,7 @@ func TestMemoryBoundFormula(t *testing.T) {
 	qs := []*QueueLog{l.Queue("a.in"), l.Queue("b.in")}
 	data := make([]byte, payload)
 	for i := 0; i < 3*capacity; i++ {
-		qs[i%2].Append("src.out", data, trace.Context{}, 1)
+		qs[i%2].Append("src.out", data, trace.Context{}, 1, clock.Clock{})
 	}
 	var rec Record
 	block := 8 + 64*int(unsafe.Sizeof(rec)) // bump index + 64 records
@@ -170,8 +171,8 @@ func TestAppendCopiesPayload(t *testing.T) {
 	l.Enable()
 	q := l.Queue("dst.in")
 	buf := []byte("original")
-	q.Append("src.out", buf, trace.Context{}, 1)
-	q.Append("src.out", []byte("neighbour"), trace.Context{}, 1)
+	q.Append("src.out", buf, trace.Context{}, 1, clock.Clock{})
+	q.Append("src.out", []byte("neighbour"), trace.Context{}, 1, clock.Clock{})
 	copy(buf, "CLOBBER!")
 	recs := l.Snapshot()
 	if got := string(recs[0].Data); got != "original" {
@@ -195,7 +196,7 @@ func TestAppendCarvesAcrossChunks(t *testing.T) {
 	sizes := []int{0, 1, 7, 64, 1000, maxCarved, maxCarved + 1, 5000}
 	const rounds = 40
 	for i := 0; i < rounds*len(sizes); i++ {
-		q.Append("src.out", bytes.Repeat([]byte{byte(i)}, sizes[i%len(sizes)]), trace.Context{}, 1)
+		q.Append("src.out", bytes.Repeat([]byte{byte(i)}, sizes[i%len(sizes)]), trace.Context{}, 1, clock.Clock{})
 	}
 	for i, r := range l.Snapshot() {
 		if want := bytes.Repeat([]byte{byte(i)}, sizes[i%len(sizes)]); !bytes.Equal(r.Data, want) {
@@ -216,8 +217,8 @@ func TestSpillRoundTrip(t *testing.T) {
 	l.Enable()
 	q := l.Queue("compute.sensor")
 	tc := trace.Context{TraceID: 42, SpanID: 7, Parent: 3, Hops: 2, Flags: 1, SentNs: 99}
-	q.Append("sensor.out", []byte("one"), tc, 5)
-	q.Append("sensor.out", nil, trace.Context{}, 5)
+	q.Append("sensor.out", []byte("one"), tc, 5, clock.Clock{})
+	q.Append("sensor.out", nil, trace.Context{}, 5, clock.Clock{})
 	if err := l.SpillErr(); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestSpillOutlivesRingEviction(t *testing.T) {
 	l.Enable()
 	q := l.Queue("dst.in")
 	for i := 0; i < 50; i++ {
-		q.Append("src.out", []byte{byte(i)}, trace.Context{}, 1)
+		q.Append("src.out", []byte{byte(i)}, trace.Context{}, 1, clock.Clock{})
 	}
 	got, err := ReadLog(&buf)
 	if err != nil {
@@ -318,8 +319,8 @@ func TestSpillGoldenBytes(t *testing.T) {
 	}
 	l.Enable()
 	q := l.Queue("compute.sensor")
-	q.Append("sensor.out", []byte("payload"), want[0].Trace, 3)
-	q.Append("sensor.out", []byte{0x01, 0x02}, trace.Context{}, 3)
+	q.Append("sensor.out", []byte("payload"), want[0].Trace, 3, clock.Clock{})
+	q.Append("sensor.out", []byte{0x01, 0x02}, trace.Context{}, 3, clock.Clock{})
 	if got := hex.EncodeToString(buf.Bytes()); got != goldenSpillStream {
 		t.Errorf("encoder output changed:\n got %s\nwant %s", got, goldenSpillStream)
 	}
@@ -492,7 +493,7 @@ func TestConcurrentAppendSharedHandle(t *testing.T) {
 		go func() { //archlint:spawn test writer; joined via wg below
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				q.Append("src.out", bytes.Repeat([]byte{byte(w + 1)}, 1+i%97), trace.Context{}, 1)
+				q.Append("src.out", bytes.Repeat([]byte{byte(w + 1)}, 1+i%97), trace.Context{}, 1, clock.Clock{})
 			}
 		}()
 	}
@@ -519,7 +520,7 @@ func TestConcurrentAppendSnapshot(t *testing.T) {
 		defer close(done)
 		q := l.Queue("dst.in")
 		for i := 0; i < 500; i++ {
-			q.Append("src.out", []byte{byte(i)}, trace.Context{}, 1)
+			q.Append("src.out", []byte{byte(i)}, trace.Context{}, 1, clock.Clock{})
 		}
 	}()
 	for i := 0; i < 50; i++ {

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/bus"
+	"repro/internal/clock"
 	"repro/internal/mh"
 	"repro/internal/replay"
 )
@@ -40,6 +41,8 @@ type Options struct {
 	// anything but its (exhausted) input is cut off rather than hanging
 	// the gate.
 	Timeout time.Duration
+	// Clock is the caller's clock, the one Timeout elapses on.
+	Clock clock.Clock
 }
 
 // Result is what one replay run produced.
@@ -79,7 +82,7 @@ func Run(instance string, window []replay.Record, mod Module, opts Options) (*Re
 	res := &Result{Instance: instance, Module: mod.Name, Window: vp.total}
 
 	mhOpts := []mh.Option{
-		mh.WithSleepUnit(0), // virtual clock: sleeps complete immediately
+		mh.WithSleepUnit(0), // a replay does not wait: sleeps complete at once
 		mh.WithLogWriter(io.Discard),
 	}
 	var stateMu sync.Mutex
@@ -93,6 +96,8 @@ func Run(instance string, window []replay.Record, mod Module, opts Options) (*Re
 	}
 	rt := mh.New(vp, mhOpts...)
 
+	timeout := opts.Clock.NewTimer(opts.Timeout)
+	defer timeout.Stop()
 	done := make(chan struct{})
 	go func() { //archlint:spawn replay sandbox body; joined via done below
 		defer close(done)
@@ -103,7 +108,7 @@ func Run(instance string, window []replay.Record, mod Module, opts Options) (*Re
 	}()
 	select {
 	case <-done:
-	case <-time.After(opts.Timeout):
+	case <-timeout.C:
 		vp.close() // wake blocked reads; the body unwinds via ErrStopped
 		<-done
 		res.Err = "replay timeout: " + opts.Timeout.String()

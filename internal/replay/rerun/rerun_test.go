@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/codec"
 	"repro/internal/mh"
 	"repro/internal/replay"
@@ -185,19 +186,30 @@ func TestRunTimeoutCutsOffStuckBody(t *testing.T) {
 		rt.Init()
 		var n int
 		rt.Read("in", &n)
-		// Block on something that is not the exhausted input.
-		time.Sleep(1 * time.Second)
+		// Block on something that is not the exhausted input: sleep until
+		// the sandbox is cut off (one of two readings is left unread).
+		for {
+			rt.Sleep(1)
+		}
 	}
-	start := time.Now()
-	res, err := Run("stage", window(t, 1), Module{Name: "stuck", Body: stuck},
-		Options{Timeout: 200 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	clk := clock.NewVirtual(time.Unix(1000, 0))
+	type result struct {
+		res *Result
+		err error
 	}
-	if !strings.Contains(res.Err, "timeout") {
-		t.Errorf("stuck body err = %q, want timeout", res.Err)
+	done := make(chan result, 1)
+	go func() {
+		res, err := Run("stage", window(t, 1, 2), Module{Name: "stuck", Body: stuck},
+			Options{Timeout: 200 * time.Millisecond, Clock: clk.Clock()})
+		done <- result{res, err}
+	}()
+	clk.BlockUntil(1) // the run's timeout is armed
+	clk.Advance(200 * time.Millisecond)
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	if time.Since(start) > 5*time.Second {
-		t.Error("timeout did not cut the run off")
+	if !strings.Contains(r.res.Err, "timeout") {
+		t.Errorf("stuck body err = %q, want timeout", r.res.Err)
 	}
 }

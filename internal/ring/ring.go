@@ -17,6 +17,8 @@ import (
 	"sync/atomic"
 	"time"
 	"unsafe"
+
+	"repro/internal/clock"
 )
 
 // Ring retains the last Cap records put into it. All methods are safe for
@@ -152,16 +154,16 @@ func (r *Ring[T]) Since(after uint64) []*T {
 }
 
 // Wait returns Since(after) as soon as it is non-empty, or nil once timeout
-// has elapsed. The waiter registers and captures the wake channel before
+// has elapsed on clk. The waiter registers and captures the wake channel before
 // it reads the ring, so a Put racing that read is either seen by it or sees
 // the waiter and closes the captured channel.
-func (r *Ring[T]) Wait(after uint64, timeout time.Duration) []*T {
+func (r *Ring[T]) Wait(clk clock.Clock, after uint64, timeout time.Duration) []*T {
 	if r == nil {
 		return nil
 	}
 	r.waiters.Add(1)
 	defer r.waiters.Add(-1)
-	t := time.NewTimer(timeout)
+	t := clk.NewTimer(timeout)
 	defer t.Stop()
 	for {
 		r.mu.Lock()

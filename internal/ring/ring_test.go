@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 type rec struct {
@@ -158,7 +160,7 @@ func TestWaitNeverMissesAPut(t *testing.T) {
 	r := newRing(16)
 	for i := uint64(0); i < 2000; i++ {
 		got := make(chan []*rec, 1)
-		go func() { got <- r.Wait(i, 5*time.Second) }()
+		go func() { got <- r.Wait(clock.Clock{}, i, 5*time.Second) }()
 		r.Put(&rec{})
 		select {
 		case recs := <-got:
@@ -177,11 +179,10 @@ func TestWaitNeverMissesAPut(t *testing.T) {
 func TestWaitWakesOnLaterPut(t *testing.T) {
 	r := newRing(16)
 	r.Put(&rec{})
+	v := clock.NewVirtual(time.Unix(1000, 0))
 	got := make(chan []*rec, 1)
-	go func() { got <- r.Wait(1, 5*time.Second) }()
-	for r.waiters.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	go func() { got <- r.Wait(v.Clock(), 1, 5*time.Second) }()
+	v.BlockUntil(1) // the waiter's timeout is armed: it is registered
 	r.Put(&rec{Val: 7})
 	if recs := <-got; len(recs) != 1 || recs[0].Val != 7 {
 		t.Fatalf("Wait returned %+v, want the fresh record", recs)
@@ -190,12 +191,19 @@ func TestWaitWakesOnLaterPut(t *testing.T) {
 
 func TestWaitTimesOut(t *testing.T) {
 	r := newRing(16)
-	start := time.Now()
-	if recs := r.Wait(0, 20*time.Millisecond); recs != nil {
-		t.Fatalf("Wait on an empty ring = %+v, want nil", recs)
+	v := clock.NewVirtual(time.Unix(1000, 0))
+	got := make(chan []*rec, 1)
+	go func() { got <- r.Wait(v.Clock(), 0, 20*time.Millisecond) }()
+	v.BlockUntil(1)
+	v.Advance(19 * time.Millisecond)
+	select {
+	case <-got:
+		t.Fatal("Wait returned before the timeout")
+	default:
 	}
-	if time.Since(start) < 15*time.Millisecond {
-		t.Error("Wait returned before the timeout")
+	v.Advance(time.Millisecond)
+	if recs := <-got; recs != nil {
+		t.Fatalf("Wait on an empty ring = %+v, want nil", recs)
 	}
 }
 
@@ -204,7 +212,7 @@ func TestNilRing(t *testing.T) {
 	if seq, old := r.Put(&rec{}); seq != 0 || old != nil {
 		t.Error("nil Put returned something")
 	}
-	if r.Since(0) != nil || r.Wait(0, time.Millisecond) != nil {
+	if r.Since(0) != nil || r.Wait(clock.Clock{}, 0, time.Millisecond) != nil {
 		t.Error("nil reads returned records")
 	}
 	if r.Alloc() != nil {

@@ -9,12 +9,14 @@
 // reader loses old events rather than stalling writers.
 //
 // The ring itself is internal/ring, shared with the delivery log; what
-// this package adds is the event vocabulary and the timestamp.
+// this package adds is the event vocabulary and the timestamp, read off the
+// clock of whoever builds the log (the bus's).
 package evlog
 
 import (
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/ring"
 )
 
@@ -30,26 +32,37 @@ type Record struct {
 	TraceIDs []uint64 `json:"trace_ids,omitempty"`
 }
 
-// Log is the bounded event ring under the log's own method set. All
-// methods are safe on a nil receiver, so "event log disabled" is just a nil
-// *Log.
-type Log ring.Ring[Record]
-
-// NewLog returns a log retaining the last capacity events (default 1024,
-// minimum 16).
-func NewLog(capacity int) *Log {
-	return (*Log)(ring.New(capacity, 1024, func(r *Record) *uint64 { return &r.Seq }))
+// Log is the bounded event ring and the clock its records are stamped on.
+// All methods are safe on a nil receiver, so "event log disabled" is just a
+// nil *Log.
+type Log struct {
+	ring *ring.Ring[Record]
+	clk  clock.Clock
 }
 
-func (l *Log) buf() *ring.Ring[Record] { return (*ring.Ring[Record])(l) }
+// NewLog returns a log retaining the last capacity events (default 1024,
+// minimum 16), stamping and waiting on clk.
+func NewLog(capacity int, clk clock.Clock) *Log {
+	return &Log{ring: ring.New(capacity, 1024, func(r *Record) *uint64 { return &r.Seq }), clk: clk}
+}
+
+func (l *Log) buf() *ring.Ring[Record] {
+	if l == nil {
+		return nil
+	}
+	return l.ring
+}
 
 // Append records one event, assigning its sequence number and stamping
 // TimeNs if unset.
 func (l *Log) Append(rec Record) uint64 {
-	if rec.TimeNs == 0 {
-		rec.TimeNs = time.Now().UnixNano()
+	if l == nil {
+		return 0
 	}
-	seq, _ := l.buf().Put(&rec)
+	if rec.TimeNs == 0 {
+		rec.TimeNs = l.clk.Now().UnixNano()
+	}
+	seq, _ := l.ring.Put(&rec)
 	return seq
 }
 
@@ -59,7 +72,10 @@ func (l *Log) Since(after uint64) []*Record { return l.buf().Since(after) }
 // Wait blocks until at least one record with Seq > after exists (returning
 // all of them) or timeout elapses (returning nil): the long-poll primitive.
 func (l *Log) Wait(after uint64, timeout time.Duration) []*Record {
-	return l.buf().Wait(after, timeout)
+	if l == nil {
+		return nil
+	}
+	return l.ring.Wait(l.clk, after, timeout)
 }
 
 // Cursor returns the sequence number of the newest event (0 when empty).

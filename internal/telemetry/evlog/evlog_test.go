@@ -4,10 +4,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 func TestAppendAssignsMonotonicSeq(t *testing.T) {
-	l := NewLog(64)
+	l := NewLog(64, clock.Clock{})
 	for i := 0; i < 5; i++ {
 		seq := l.Append(Record{Source: "test", Kind: "tick"})
 		if seq != uint64(i+1) {
@@ -29,7 +31,7 @@ func TestAppendAssignsMonotonicSeq(t *testing.T) {
 }
 
 func TestSinceCursor(t *testing.T) {
-	l := NewLog(64)
+	l := NewLog(64, clock.Clock{})
 	for i := 0; i < 10; i++ {
 		l.Append(Record{Kind: "e"})
 	}
@@ -46,7 +48,7 @@ func TestSinceCursor(t *testing.T) {
 }
 
 func TestRingOverwrite(t *testing.T) {
-	l := NewLog(16)
+	l := NewLog(16, clock.Clock{})
 	for i := 0; i < 40; i++ {
 		l.Append(Record{Kind: "e"})
 	}
@@ -60,11 +62,12 @@ func TestRingOverwrite(t *testing.T) {
 }
 
 func TestWaitWakesOnAppend(t *testing.T) {
-	l := NewLog(16)
+	v := clock.NewVirtual(time.Unix(1000, 0))
+	l := NewLog(16, v.Clock())
 	l.Append(Record{Kind: "old"})
 	done := make(chan []*Record, 1)
 	go func() { done <- l.Wait(1, 5*time.Second) }()
-	time.Sleep(10 * time.Millisecond)
+	v.BlockUntil(1) // the waiter's timeout is armed: it is registered
 	l.Append(Record{Kind: "fresh"})
 	select {
 	case recs := <-done:
@@ -77,18 +80,25 @@ func TestWaitWakesOnAppend(t *testing.T) {
 }
 
 func TestWaitTimesOut(t *testing.T) {
-	l := NewLog(16)
-	start := time.Now()
-	if recs := l.Wait(0, 20*time.Millisecond); recs != nil {
-		t.Fatalf("Wait on empty log = %+v, want nil", recs)
+	v := clock.NewVirtual(time.Unix(1000, 0))
+	l := NewLog(16, v.Clock())
+	done := make(chan []*Record, 1)
+	go func() { done <- l.Wait(0, 20*time.Millisecond) }()
+	v.BlockUntil(1)
+	v.Advance(19 * time.Millisecond)
+	select {
+	case <-done:
+		t.Fatal("Wait returned before the timeout")
+	default:
 	}
-	if time.Since(start) < 15*time.Millisecond {
-		t.Error("Wait returned before the timeout")
+	v.Advance(time.Millisecond)
+	if recs := <-done; recs != nil {
+		t.Fatalf("Wait on empty log = %+v, want nil", recs)
 	}
 }
 
 func TestWaitReturnsImmediatelyWhenBehind(t *testing.T) {
-	l := NewLog(16)
+	l := NewLog(16, clock.Clock{})
 	l.Append(Record{Kind: "e"})
 	start := time.Now()
 	recs := l.Wait(0, 5*time.Second)
@@ -101,7 +111,7 @@ func TestWaitReturnsImmediatelyWhenBehind(t *testing.T) {
 }
 
 func TestConcurrentAppend(t *testing.T) {
-	l := NewLog(256)
+	l := NewLog(256, clock.Clock{})
 	var wg sync.WaitGroup
 	const writers, per = 8, 100
 	for w := 0; w < writers; w++ {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/timeseries"
 )
@@ -12,23 +13,28 @@ import (
 type fixture struct {
 	reg    *telemetry.Registry
 	roller *timeseries.Roller
-	ns     int64
+	clk    *clock.Virtual
 }
 
+// newFixture runs a roller with 1s windows on a virtual clock.
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
-	f := &fixture{reg: telemetry.NewRegistry(), ns: 1_000_000_000}
-	f.roller = timeseries.New(f.reg, timeseries.Config{
+	f := &fixture{reg: telemetry.NewRegistry(), clk: clock.NewVirtual(time.Unix(1, 0))}
+	f.roller = timeseries.New(f.reg, f.clk.Clock(), timeseries.Config{
 		Window:  time.Second,
 		Windows: 32,
-		Now:     func() time.Time { return time.Unix(0, f.ns) },
 	})
+	f.roller.Start()
+	t.Cleanup(f.roller.Stop)
+	f.clk.BlockUntil(1)
 	return f
 }
 
+// roll closes one window: the clock advances a window, and roll returns
+// once the roller's loop has rolled it and waits for the next.
 func (f *fixture) roll() {
-	f.ns += int64(time.Second)
-	f.roller.Roll()
+	f.clk.Advance(time.Second)
+	f.clk.BlockUntil(1)
 }
 
 // traffic records one window of activity for an instance: delivered

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 func TestNilSafety(t *testing.T) {
@@ -123,13 +125,15 @@ func TestSnapshotConcurrent(t *testing.T) {
 	stop := make(chan struct{})
 	var g atomic.Int64 // what the computed gauge reads
 	r.GaugeFunc("g", g.Load)
-	var wg sync.WaitGroup
+	var wg, started sync.WaitGroup
+	started.Add(writers)
 	for i := 0; i < writers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			c := r.Counter("c")
 			h := r.Histogram("h")
+			started.Done()
 			for n := int64(1); ; n++ {
 				select {
 				case <-stop:
@@ -144,9 +148,7 @@ func TestSnapshotConcurrent(t *testing.T) {
 			}
 		}(i)
 	}
-	for r.Counter("c").Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	started.Wait() // every writer is in its loop
 	var last Snapshot
 	for i := 0; i < 50; i++ {
 		last = r.Snapshot()
@@ -284,21 +286,23 @@ func TestFastPathZeroAlloc(t *testing.T) {
 }
 
 func TestTracerTimeline(t *testing.T) {
-	tr := NewTracer(8)
-	now := time.Unix(100, 0)
-	tr.SetClock(func() time.Time {
-		now = now.Add(5 * time.Millisecond)
-		return now
-	})
+	v := clock.NewVirtual(time.Unix(100, 0))
+	tr := NewTracer(8, v.Clock())
+	step := func() { v.Advance(5 * time.Millisecond) }
 
 	b := tr.Begin("replace compute -> compute2")
 	if b.ID() != "tx-0001" {
 		t.Fatalf("ID = %q, want tx-0001", b.ID())
 	}
+	step()
 	b.StartSpan("quiesce_wait")
+	step()
 	b.StartSpan("divulge_wait") // implicitly ends quiesce_wait
+	step()
 	b.EndSpan()
+	step()
 	b.StartSpan("rebind")
+	step()
 	b.Finish("committed", []string{"obj_cap compute", "rebind 4 edits"})
 
 	got, ok := tr.Get("tx-0001")
@@ -348,7 +352,7 @@ func TestTracerTimeline(t *testing.T) {
 }
 
 func TestTracerRingEviction(t *testing.T) {
-	tr := NewTracer(3)
+	tr := NewTracer(3, clock.Clock{})
 	for i := 0; i < 5; i++ {
 		tr.Begin("op").Finish("committed", nil)
 	}
@@ -368,7 +372,7 @@ func TestTracerRingEviction(t *testing.T) {
 }
 
 func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer(16)
+	tr := NewTracer(16, clock.Clock{})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

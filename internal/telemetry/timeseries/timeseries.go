@@ -12,6 +12,10 @@
 // message (the rollups-on arm of internal/bus's TestObservedPathAllocs).
 // Readers (the /timeseries endpoint, the health checker, reconfigctl
 // watch) take the roller's mutex, which no message path ever touches.
+//
+// Windows are measured on the clock.Clock of whoever builds the roller (the
+// application's): under a virtual clock a window closes when the test
+// advances the clock past it, and only the background loop ever rolls.
 package timeseries
 
 import (
@@ -19,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 )
 
@@ -66,8 +71,6 @@ type Config struct {
 	Window time.Duration
 	// Windows is the ring depth in windows (default 120, minimum 2).
 	Windows int
-	// Now supplies the clock (default time.Now); tests inject a fake.
-	Now func() time.Time
 }
 
 // series is one metric's ring state. A series exists for exactly the
@@ -85,14 +88,14 @@ type series struct {
 	cumBuckets [telemetry.NumBuckets]int64
 }
 
-// Roller owns the window ring. Roll (called by the background loop, or
-// directly by fake-clock tests) closes the current window for every
-// registered metric; Query serves bounded history per metric.
+// Roller owns the window ring. roll (called by the background loop once a
+// window) closes the current window for every registered metric; Query
+// serves bounded history per metric.
 type Roller struct {
 	reg    *telemetry.Registry
 	window time.Duration
 	n      int
-	now    func() time.Time
+	clk    clock.Clock
 
 	mu     sync.Mutex
 	rolled uint64 // completed windows; window j lives at ring index (j-1)%n
@@ -105,9 +108,9 @@ type Roller struct {
 	done chan struct{}
 }
 
-// New builds a roller over reg. The first window opens at construction
-// time; nothing is recorded until the first Roll.
-func New(reg *telemetry.Registry, cfg Config) *Roller {
+// New builds a roller over reg, measuring windows on clk. The first window
+// opens at construction time; nothing is recorded until the first roll.
+func New(reg *telemetry.Registry, clk clock.Clock, cfg Config) *Roller {
 	if cfg.Window <= 0 {
 		cfg.Window = time.Second
 	}
@@ -117,18 +120,15 @@ func New(reg *telemetry.Registry, cfg Config) *Roller {
 	if cfg.Windows < 2 {
 		cfg.Windows = 2
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	return &Roller{
 		reg:    reg,
 		window: cfg.Window,
 		n:      cfg.Windows,
-		now:    cfg.Now,
+		clk:    clk,
 		starts: make([]int64, cfg.Windows),
 		ends:   make([]int64, cfg.Windows),
 		series: map[string]*series{},
-		lastNs: cfg.Now().UnixNano(),
+		lastNs: clk.Now().UnixNano(),
 	}
 }
 
@@ -148,14 +148,11 @@ func (r *Roller) Depth() int {
 	return r.n
 }
 
-// Roll closes the current window: every registered metric gets one point
+// roll closes the current window: every registered metric gets one point
 // (counter delta, gauge sample, or windowed histogram stats). Metrics that
-// left the registry since the last roll are dropped. Safe on nil.
-func (r *Roller) Roll() {
-	if r == nil {
-		return
-	}
-	nowNs := r.now().UnixNano()
+// left the registry since the last roll are dropped.
+func (r *Roller) roll() {
+	nowNs := r.clk.Now().UnixNano()
 
 	// Read every metric before taking r.mu: gauge functions may take other
 	// locks (the bus's, for queue depths), and none of this touches a hot
@@ -365,16 +362,19 @@ func (r *Roller) Start() {
 	go r.loop() //archlint:spawn timeseries roller; exits when Stop closes the stop channel
 }
 
+// loop rolls once a window. It arms one timer per window rather than a
+// ticker, so under a virtual clock the loop is back waiting (a waiter
+// BlockUntil counts) exactly when the previous window's roll is done.
 func (r *Roller) loop() {
 	defer close(r.done)
-	t := time.NewTicker(r.window)
-	defer t.Stop()
 	for {
+		t := r.clk.NewTimer(r.window)
 		select {
 		case <-r.stop:
+			t.Stop()
 			return
 		case <-t.C:
-			r.Roll()
+			r.roll()
 		}
 	}
 }

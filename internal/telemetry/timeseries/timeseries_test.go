@@ -5,33 +5,35 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 )
 
-// fakeClock is a manually advanced clock for deterministic window edges.
-type fakeClock struct{ ns int64 }
-
-func (c *fakeClock) now() time.Time          { return time.Unix(0, c.ns) }
-func (c *fakeClock) advance(d time.Duration) { c.ns += int64(d) }
-
-func newTestRoller(windows int) (*Roller, *telemetry.Registry, *fakeClock) {
-	reg := telemetry.NewRegistry()
-	clk := &fakeClock{ns: 1_000_000_000}
-	r := New(reg, Config{Window: time.Second, Windows: windows, Now: clk.now})
-	return r, reg, clk
+// newTestRoller starts a roller with 1s windows on a virtual clock. tick
+// closes one window: it advances the clock a window and returns once the
+// background loop has rolled and re-armed its timer, so window edges are
+// exact and no roll is in flight when the test reads.
+func newTestRoller(t *testing.T, windows int) (r *Roller, reg *telemetry.Registry, tick func()) {
+	reg = telemetry.NewRegistry()
+	v := clock.NewVirtual(time.Unix(1, 0))
+	r = New(reg, v.Clock(), Config{Window: time.Second, Windows: windows})
+	r.Start()
+	t.Cleanup(r.Stop)
+	v.BlockUntil(1)
+	return r, reg, func() {
+		v.Advance(time.Second)
+		v.BlockUntil(1)
+	}
 }
 
 func TestCounterDeltas(t *testing.T) {
-	r, reg, clk := newTestRoller(8)
+	r, reg, tick := newTestRoller(t, 8)
 	c := reg.Counter("app.requests")
 	c.Add(10)
-	clk.advance(time.Second)
-	r.Roll()
+	tick()
 	c.Add(5)
-	clk.advance(time.Second)
-	r.Roll()
-	clk.advance(time.Second)
-	r.Roll() // idle window
+	tick()
+	tick() // idle window
 
 	s, ok := r.Query("app.requests", 0)
 	if !ok {
@@ -58,19 +60,17 @@ func TestCounterDeltas(t *testing.T) {
 }
 
 func TestGaugeSamplesAndGaugeFunc(t *testing.T) {
-	r, reg, clk := newTestRoller(8)
+	r, reg, tick := newTestRoller(t, 8)
 	var g atomic.Int64
 	reg.GaugeFunc("app.depth", g.Load)
 	depth := int64(7)
 	reg.GaugeFunc("app.computed", func() int64 { return depth })
 
 	g.Store(3)
-	clk.advance(time.Second)
-	r.Roll()
+	tick()
 	g.Store(9)
 	depth = 11
-	clk.advance(time.Second)
-	r.Roll()
+	tick()
 
 	s, _ := r.Query("app.depth", 0)
 	if s.Points[0].Value != 3 || s.Points[1].Value != 9 {
@@ -83,18 +83,16 @@ func TestGaugeSamplesAndGaugeFunc(t *testing.T) {
 }
 
 func TestHistogramWindows(t *testing.T) {
-	r, reg, clk := newTestRoller(8)
+	r, reg, tick := newTestRoller(t, 8)
 	h := reg.Histogram("app.latency_ns")
 	for i := 0; i < 100; i++ {
 		h.ObserveNs(1000)
 	}
-	clk.advance(time.Second)
-	r.Roll()
+	tick()
 	for i := 0; i < 100; i++ {
 		h.ObserveNs(1_000_000)
 	}
-	clk.advance(time.Second)
-	r.Roll()
+	tick()
 
 	s, ok := r.Query("app.latency_ns", 0)
 	if !ok || s.Kind != KindHistogram {
@@ -118,12 +116,11 @@ func TestHistogramWindows(t *testing.T) {
 }
 
 func TestRingBound(t *testing.T) {
-	r, reg, clk := newTestRoller(4)
+	r, reg, tick := newTestRoller(t, 4)
 	c := reg.Counter("app.requests")
 	for i := 1; i <= 10; i++ {
 		c.Add(int64(i))
-		clk.advance(time.Second)
-		r.Roll()
+		tick()
 	}
 	s, _ := r.Query("app.requests", 0)
 	if len(s.Points) != 4 {
@@ -143,23 +140,20 @@ func TestRingBound(t *testing.T) {
 }
 
 func TestUnregisterDropsSeries(t *testing.T) {
-	r, reg, clk := newTestRoller(4)
+	r, reg, tick := newTestRoller(t, 4)
 	reg.Counter("bus.iface.x.req.delivered").Add(3)
-	clk.advance(time.Second)
-	r.Roll()
+	tick()
 	if _, ok := r.Query("bus.iface.x.req.delivered", 0); !ok {
 		t.Fatal("series missing before unregister")
 	}
 	reg.Unregister("bus.iface.x.req.delivered")
-	clk.advance(time.Second)
-	r.Roll()
+	tick()
 	if _, ok := r.Query("bus.iface.x.req.delivered", 0); ok {
 		t.Error("series survived unregister + roll")
 	}
 	// Re-registering the same name starts a fresh series with reset deltas.
 	reg.Counter("bus.iface.x.req.delivered").Add(2)
-	clk.advance(time.Second)
-	r.Roll()
+	tick()
 	s, ok := r.Query("bus.iface.x.req.delivered", 0)
 	if !ok || len(s.Points) != 1 || s.Points[0].Value != 2 {
 		t.Errorf("re-registered series = %+v, want single window delta 2", s.Points)
@@ -167,13 +161,12 @@ func TestUnregisterDropsSeries(t *testing.T) {
 }
 
 func TestMemoryBoundFixed(t *testing.T) {
-	r, reg, clk := newTestRoller(16)
+	r, reg, tick := newTestRoller(t, 16)
 	for i := 0; i < 10; i++ {
 		reg.Counter("c" + string(rune('a'+i))).Inc()
 	}
 	reg.Histogram("h").ObserveNs(1)
-	clk.advance(time.Second)
-	r.Roll()
+	tick()
 	bound := r.MemoryBound()
 	if bound <= 0 {
 		t.Fatal("zero memory bound")
@@ -181,8 +174,7 @@ func TestMemoryBoundFixed(t *testing.T) {
 	// Rolling more windows must not grow the bound: it is population-, not
 	// time-proportional.
 	for i := 0; i < 100; i++ {
-		clk.advance(time.Second)
-		r.Roll()
+		tick()
 	}
 	if got := r.MemoryBound(); got != bound {
 		t.Errorf("memory bound grew with time: %d -> %d", bound, got)
@@ -192,20 +184,20 @@ func TestMemoryBoundFixed(t *testing.T) {
 func TestStartStop(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("c").Inc()
-	r := New(reg, Config{Window: time.Millisecond, Windows: 8})
+	v := clock.NewVirtual(time.Unix(1, 0))
+	r := New(reg, v.Clock(), Config{Window: time.Millisecond, Windows: 8})
 	r.Start()
-	defer r.Stop()
-	deadline := time.Now().Add(2 * time.Second)
-	for r.Rolled() < 3 {
-		if time.Now().After(deadline) {
-			t.Fatal("background roller made no progress")
-		}
-		time.Sleep(time.Millisecond)
+	for i := 0; i < 3; i++ {
+		v.BlockUntil(1)
+		v.Advance(time.Millisecond)
 	}
-	r.Stop()
-	at := r.Rolled()
-	time.Sleep(5 * time.Millisecond)
-	if r.Rolled() != at {
+	v.BlockUntil(1)
+	if r.Rolled() != 3 {
+		t.Fatalf("rolled %d windows in three, want 3", r.Rolled())
+	}
+	r.Stop() // returns once the loop has exited: nothing rolls after it
+	v.Advance(time.Second)
+	if r.Rolled() != 3 {
 		t.Error("roller still rolling after Stop")
 	}
 }

@@ -8,13 +8,14 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/replay"
 	"repro/internal/telemetry/trace"
 )
 
 // deliver writes one consumed delivery of ctx from -> to, as the bus does.
 func deliver(l *replay.Log, ctx trace.Context, from, to string) int64 {
-	return l.Queue(to).Append(from, nil, ctx, 1)
+	return l.Queue(to).Append(from, nil, ctx, 1, clock.Clock{})
 }
 
 func TestRecorderRingOverwrite(t *testing.T) {
@@ -77,7 +78,7 @@ func TestRecorderConcurrent(t *testing.T) {
 			defer wg.Done()
 			q := l.Queue("y.in")
 			for i := 0; i < 500; i++ {
-				q.Append("x.out", nil, tr.MintTrace(), 1)
+				q.Append("x.out", nil, tr.MintTrace(), 1, clock.Clock{})
 			}
 		}()
 	}

@@ -22,31 +22,12 @@
 // read at the send and another at the delivery, and for its record in the
 // delivery log — which the log hands out from a block of 64, so a sampled
 // delivery costs 1/64 of an allocation and builds no strings; a delivery
-// that is also recorded shares that one record.
+// that is also recorded shares that one record. The tracer reads no clock
+// itself: the bus stamps a sampled send, and the delivery log a sampled
+// delivery's end, off the bus's clock.Clock (Nanos).
 package trace
 
-import (
-	"sync/atomic"
-	"time"
-)
-
-// The trace clock is wall time captured once, when the process starts, plus
-// the monotonic time elapsed since: half the price of time.Now, which reads
-// both clocks, and a wall-clock step cannot make a span (or a
-// delivery_latency_ns sum) negative. One process-local base is sound
-// because SentNs is always stamped by the bus process that queues the
-// message — the wire carries only the parent context — so a span's two
-// ends are read off the same base.
-var (
-	clockBase   = time.Now()
-	clockBaseNs = clockBase.UnixNano()
-)
-
-// Now returns the trace clock in Unix nanoseconds: the one clock behind
-// Context.SentNs and the delivery log's span ends.
-//
-//archlint:hotpath
-func Now() int64 { return clockBaseNs + int64(time.Since(clockBase)) }
+import "sync/atomic"
 
 // FlagSampled marks a context whose delivery spans are recorded. The
 // decision is made head-based at mint time and propagates with the context,
@@ -68,8 +49,11 @@ type Context struct {
 	Hops uint32 `json:"hops"`
 	// Flags carries the sampling decision (FlagSampled).
 	Flags uint32 `json:"flags,omitempty"`
-	// SentNs is the send's timestamp on the trace clock (Now), in Unix
-	// nanoseconds; delivery spans and quiesce-age snapshots derive from it.
+	// SentNs is the send's timestamp on the bus's clock (clock.Clock.Nanos),
+	// in Unix nanoseconds; delivery spans and quiesce-age snapshots derive
+	// from it. One process-local base is sound because SentNs is always
+	// stamped by the bus process that queues the message — the wire carries
+	// only the parent context — so a span's two ends are read off one clock.
 	// It is stamped only on sampled contexts — the clock read is the single
 	// largest cost of a stamp, so unsampled traffic skips it (SentNs stays 0
 	// and consumers degrade: quiesce age reports -1, delivery spans are
@@ -118,7 +102,6 @@ func (t *Tracer) MintTrace() Context {
 	}
 	if t.sampleEvery != 0 && id%t.sampleEvery == 0 {
 		c.Flags = FlagSampled
-		c.SentNs = Now()
 	}
 	return c
 }
@@ -132,17 +115,13 @@ func (t *Tracer) ChildSpan(parent Context) Context {
 	if t == nil {
 		return Context{}
 	}
-	c := Context{
+	return Context{
 		TraceID: parent.TraceID,
 		SpanID:  t.nextSpan.Add(1),
 		Parent:  parent.SpanID,
 		Hops:    parent.Hops + 1,
 		Flags:   parent.Flags,
 	}
-	if c.Flags&FlagSampled != 0 {
-		c.SentNs = Now()
-	}
-	return c
 }
 
 // StampBatch stamps a batch of n sends with one span-counter reservation:
@@ -179,9 +158,6 @@ func (t *Tracer) StampBatch(parent Context, n int) Context {
 		if t.sampleEvery != 0 && id%t.sampleEvery == 0 {
 			c.Flags = FlagSampled
 		}
-	}
-	if c.Flags&FlagSampled != 0 {
-		c.SentNs = Now()
 	}
 	return c
 }

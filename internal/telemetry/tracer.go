@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // Span is one timed phase of a reconfiguration transaction (quiesce wait,
@@ -86,17 +88,17 @@ type Tracer struct {
 	max    int
 	order  []string // oldest first
 	traces map[string]*Trace
-	clock  func() time.Time
+	clk    clock.Clock
 	reg    *Registry // span-duration histograms (nil = no aggregation)
 }
 
 // NewTracer returns a tracer retaining the max most recent traces
-// (default 64 when max <= 0).
-func NewTracer(max int) *Tracer {
+// (default 64 when max <= 0), timing spans on clk.
+func NewTracer(max int, clk clock.Clock) *Tracer {
 	if max <= 0 {
 		max = 64
 	}
-	return &Tracer{max: max, traces: map[string]*Trace{}, clock: time.Now}
+	return &Tracer{max: max, traces: map[string]*Trace{}, clk: clk}
 }
 
 // SetRegistry attaches a metrics registry: each Finish then observes every
@@ -113,17 +115,6 @@ func (t *Tracer) SetRegistry(reg *Registry) {
 	t.reg = reg
 }
 
-// SetClock overrides the tracer's time source (tests pin it for
-// deterministic timelines).
-func (t *Tracer) SetClock(fn func() time.Time) {
-	if t == nil || fn == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.clock = fn
-}
-
 // Begin opens a new trace for one transaction and returns its builder.
 func (t *Tracer) Begin(op string) *TxTrace {
 	if t == nil {
@@ -133,7 +124,7 @@ func (t *Tracer) Begin(op string) *TxTrace {
 	defer t.mu.Unlock()
 	t.nextID++
 	id := fmt.Sprintf("tx-%04d", t.nextID)
-	tr := &Trace{ID: id, Op: op, Begin: t.clock(), Outcome: "running"}
+	tr := &Trace{ID: id, Op: op, Begin: t.clk.Now(), Outcome: "running"}
 	t.traces[id] = tr
 	t.order = append(t.order, id)
 	for len(t.order) > t.max {
@@ -213,7 +204,7 @@ func (b *TxTrace) StartSpan(name string) {
 	}
 	b.tracer.mu.Lock()
 	defer b.tracer.mu.Unlock()
-	now := b.tracer.clock()
+	now := b.tracer.clk.Now()
 	b.endOpenLocked(now)
 	b.trace.Spans = append(b.trace.Spans, Span{Name: name, Start: now})
 	b.open = true
@@ -226,7 +217,7 @@ func (b *TxTrace) EndSpan() {
 	}
 	b.tracer.mu.Lock()
 	defer b.tracer.mu.Unlock()
-	b.endOpenLocked(b.tracer.clock())
+	b.endOpenLocked(b.tracer.clk.Now())
 }
 
 func (b *TxTrace) endOpenLocked(now time.Time) {
@@ -261,7 +252,7 @@ func (b *TxTrace) Finish(outcome string, steps []string) {
 	}
 	b.tracer.mu.Lock()
 	defer b.tracer.mu.Unlock()
-	now := b.tracer.clock()
+	now := b.tracer.clk.Now()
 	b.endOpenLocked(now)
 	b.trace.End = now
 	b.trace.Outcome = outcome

@@ -183,7 +183,7 @@ func inner(x int) int {
 	// Block inside inner (waiting for delta), then interrupt: the stack
 	// is main -> outer (at the desugared return call) -> inner.
 	drv.Write("io", 21)
-	time.Sleep(30 * time.Millisecond)
+	waitBlocked(t, b, "s", "delta")
 	if err := b.SignalReconfig("s"); err != nil {
 		t.Fatal(err)
 	}

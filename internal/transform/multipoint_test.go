@@ -184,10 +184,9 @@ func TestMultiplePointsShareStructure(t *testing.T) {
 		w := newDualWorld(t, out)
 		// Flag is set while the module idles, so the first point
 		// executed — P1, before reading a — triggers the capture.
-		if err := w.b.SignalReconfig("w"); err != nil {
+		if err := w.b.SignalReconfig("w"); err != nil { // queued for the module before it returns
 			t.Fatal(err)
 		}
-		time.Sleep(30 * time.Millisecond)
 		w.drv.Write("io", 100)
 		w.migrate()
 		w.drv.Write("fa", 7)
@@ -207,7 +206,7 @@ func TestMultiplePointsShareStructure(t *testing.T) {
 		// The module blocks reading feedA; the signal lands while it is
 		// blocked, so P2 — after a is applied — triggers the capture.
 		w.drv.Write("io", 100)
-		time.Sleep(30 * time.Millisecond)
+		waitBlocked(t, w.b, "w", "feedA")
 		if err := w.b.SignalReconfig("w"); err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +356,7 @@ func crunch(n int) int {
 
 	// Interrupt mid-call: the module blocks reading "extra" at R.
 	drv.Write("io", 9)
-	time.Sleep(30 * time.Millisecond)
+	waitBlocked(t, b, "w", "extra")
 	if err := b.SignalReconfig("w"); err != nil {
 		t.Fatal(err)
 	}

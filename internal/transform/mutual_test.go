@@ -120,13 +120,13 @@ func zag(n int, tp *float64) {
 	}
 
 	drv.Write("io", 5)
-	time.Sleep(30 * time.Millisecond)
+	waitBlocked(t, b, "z", "vals")
 	// Feed two values (zig(1) and zag(2) levels pop), then interrupt: the
 	// next zig level (zig(3)) tests the flag at RZ after its read... the
 	// flag is polled at the next reconfiguration point *execution*, which
 	// is zig(3)'s capture block after zag(2) returns.
 	drv.Write("v", 10)
-	time.Sleep(30 * time.Millisecond)
+	waitBlocked(t, b, "z", "vals")
 	if err := b.SignalReconfig("z"); err != nil {
 		t.Fatal(err)
 	}

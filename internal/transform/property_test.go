@@ -304,7 +304,7 @@ func TestMigrationSweep(t *testing.T) {
 				for i := 0; i < k; i++ {
 					h.sendInt(h.sens, "out", 10*(i+1))
 				}
-				time.Sleep(50 * time.Millisecond)
+				waitBlocked(t, h.b, "compute", "sensor")
 				if err := h.b.SignalReconfig("compute"); err != nil {
 					t.Fatal(err)
 				}

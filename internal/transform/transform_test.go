@@ -386,18 +386,36 @@ func (h *harness) sendInt(p bus.Port, iface string, v int) {
 func (h *harness) requestTaken(inst string, n int) {
 	h.t.Helper()
 	h.sendInt(h.disp, "temper", n)
+	waitInfo(h.t, h.b, inst, "consumed the request", func(info bus.InstanceInfo) bool { return info.Pending["display"] == 0 })
+}
+
+// waitInfo polls inst's bus view until cond holds, failing the test after
+// 10s: how these tests wait for a module to reach a state (a request taken,
+// a read parked) rather than guessing how long it takes.
+func waitInfo(t testing.TB, b *bus.Bus, inst, what string, cond func(bus.InstanceInfo) bool) {
+	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-		info, err := h.b.Info(inst)
+		info, err := b.Info(inst)
 		if err != nil {
-			h.t.Fatal(err)
+			t.Fatal(err)
 		}
-		if info.Pending["display"] == 0 {
+		if cond(info) {
 			return
 		}
 		if time.Now().After(deadline) {
-			h.t.Fatalf("%s never consumed the request", inst)
+			t.Fatalf("%s never %s", inst, what)
 		}
 	}
+}
+
+// waitBlocked returns once inst has taken everything queued on iface and
+// its reader is parked waiting for more: the module is blocked mid-call on
+// that read.
+func waitBlocked(t testing.TB, b *bus.Bus, inst, iface string) {
+	t.Helper()
+	waitInfo(t, b, inst, "blocked reading "+iface, func(info bus.InstanceInfo) bool {
+		return info.Parked[iface] && info.Pending[iface] == 0
+	})
 }
 
 // readWithin is p.Read(iface) that gives up after d: a lost message fails
@@ -465,7 +483,7 @@ func testMigration(t *testing.T, opts Options) {
 	rt, done := h.start(out, "compute")
 
 	h.requestTaken("compute", 3)
-	time.Sleep(50 * time.Millisecond) // the descent to the innermost read
+	waitBlocked(t, h.b, "compute", "sensor") // the descent to the innermost read
 	if err := h.b.SignalReconfig("compute"); err != nil {
 		t.Fatal(err)
 	}
@@ -649,7 +667,7 @@ func step(avg int) int {
 	if err := driver.Write("jobs", data); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	waitBlocked(t, b, "w", "adjust")
 	if err := b.SignalReconfig("w"); err != nil {
 		t.Fatal(err)
 	}
@@ -830,7 +848,7 @@ func helperNotOnPath(q int) int {
 	if err := drv.Write("io", data); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	waitBlocked(t, b2, "m", "delta")
 	if err := b2.SignalReconfig("m"); err != nil {
 		t.Fatal(err)
 	}
@@ -999,10 +1017,9 @@ func process(w *Window) {
 	}
 
 	// Reconfigure: flag tested at R during the next request.
-	if err := b.SignalReconfig("s"); err != nil {
+	if err := b.SignalReconfig("s"); err != nil { // queued for the module before it returns
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond)
 	send(3.0)
 	divulged, err := b.AwaitDivulged("s", 5*time.Second)
 	if err != nil {

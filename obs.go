@@ -105,7 +105,8 @@ func (a *App) opHandler(o *op, writeTimeout time.Duration) http.HandlerFunc {
 		if err == nil {
 			if o.budget != nil {
 				// The server-wide deadline is shorter than this op may
-				// legitimately wait; give the connection the op's own.
+				// legitimately wait; give the connection the op's own. A
+				// socket deadline: the kernel compares it with real time.
 				deadline := time.Now().Add(o.budget(a, args) + writeTimeout)
 				rc := http.NewResponseController(w)
 				_ = rc.SetReadDeadline(deadline)  // unsupported only by a test recorder,

@@ -59,8 +59,9 @@ func httpDo(t *testing.T, method, url string) (int, string) {
 func TestObsMetricsEndpoint(t *testing.T) {
 	app, d, feed := startInterrupted(t)
 	base := serveObs(t, app)
-	feed()
+	settle := feed()
 	res, err := app.ReplaceTx("compute", reconfig.ReplaceOptions{NewName: "compute2"})
+	settle()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,17 +114,10 @@ func TestObsHealthFlipsDuringQuiesce(t *testing.T) {
 
 	// The transaction is stuck in quiesce_wait until a temperature releases
 	// the module; both health endpoints must report unready meanwhile.
-	flipped := false
-	for i := 0; i < 100; i++ {
-		if code, _ := httpGet(t, base+"/readyz"); code == http.StatusServiceUnavailable {
-			flipped = true
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !flipped {
-		t.Error("/readyz never flipped to 503 during the in-flight replace")
-	}
+	waitUntil(t, "/readyz flipped to 503 during the in-flight replace", func() bool {
+		code, _ := httpGet(t, base+"/readyz")
+		return code == http.StatusServiceUnavailable
+	})
 	if code, body := httpGet(t, base+"/healthz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "reconfiguring") {
 		t.Errorf("/healthz during quiesce = %d %q, want 503 reconfiguring", code, body)
 	}
@@ -131,9 +125,7 @@ func TestObsHealthFlipsDuringQuiesce(t *testing.T) {
 	// Readiness flips when the transaction begins; release the module only
 	// once the reconfiguration request is out, or it passes its point
 	// unsignalled and blocks on a temperature nobody sends.
-	for i := 0; i < 1000 && app.Bus().Stats().Signals == 0; i++ {
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "the reconfiguration request was out", func() bool { return signalsPending(app, "compute") != 0 })
 	d.temperature(60)
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -234,9 +226,9 @@ func TestObsTimeseriesHealthEvents(t *testing.T) {
 	d.temperature(60)
 	finishComputation(t, d)
 
-	// Roll two windows by hand rather than waiting out the wall clock.
-	app.Timeseries().Roll()
-	app.Timeseries().Roll()
+	// The roller's own loop closes two 1 ms windows.
+	app.Timeseries().Start()
+	waitUntil(t, "two windows rolled", func() bool { return app.Timeseries().Rolled() >= 2 })
 
 	code, body := httpGet(t, base+"/timeseries")
 	if code != http.StatusOK {
@@ -369,10 +361,11 @@ func TestObsServerTimeoutsSet(t *testing.T) {
 func TestMoveLogsInCommitOrder(t *testing.T) {
 	app, d, feed := startInterrupted(t)
 	cursor := app.Events().Cursor()
-	feed()
+	settle := feed()
 	if err := app.Move("compute", "compute2", "machineB"); err != nil {
 		t.Fatal(err)
 	}
+	settle()
 	recs := app.Events().Since(cursor)
 	finishComputation(t, d)
 	var order []string

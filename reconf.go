@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"repro/internal/bus"
+	"repro/internal/clock"
 	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/mh"
@@ -130,6 +131,11 @@ type Config struct {
 	// Health parameterizes the per-instance verdict thresholds; zero
 	// fields take the burn-rate defaults (see health.Config).
 	Health health.Config
+	// Clock is the application's one time source: every timeout, backoff,
+	// module sleep, rollup window, supervisor poll, send stamp, span end
+	// and event time reads it. The zero Clock is the real clock; tests
+	// pass a clock.Virtual's to make time move only when they advance it.
+	Clock clock.Clock
 }
 
 // Mode aliases, so callers need not import internal packages.
@@ -231,7 +237,7 @@ func Load(cfg Config) (*App, error) {
 	a := &App{
 		Spec:        spec,
 		Application: appSpec,
-		bus:         bus.New(bus.WithMsgTracer(trace.NewTracer(cfg.TraceSample)), bus.WithRecorder(log)),
+		bus:         bus.New(bus.WithMsgTracer(trace.NewTracer(cfg.TraceSample)), bus.WithRecorder(log), bus.WithClock(cfg.Clock)),
 		cfg:         cfg,
 		recorder:    recorder,
 		modules:     map[string]*PreparedModule{},
@@ -245,7 +251,7 @@ func Load(cfg Config) (*App, error) {
 	// the verdict checker reading them. The structured event log is the
 	// bus's own: the bus appends each change as it commits it, and the
 	// supervisors and transactions append to the same log.
-	a.roller = timeseries.New(a.bus.Telemetry(), timeseries.Config{
+	a.roller = timeseries.New(a.bus.Telemetry(), cfg.Clock, timeseries.Config{
 		Window:  cfg.TimeseriesWindow,
 		Windows: cfg.TimeseriesWindows,
 	})
@@ -610,7 +616,7 @@ func (a *App) Wait(instance string, timeout time.Duration) error {
 	if ri == nil {
 		return fmt.Errorf("reconf: instance %s was never launched", instance)
 	}
-	timer := time.NewTimer(timeout)
+	timer := a.cfg.Clock.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case err := <-ri.done:
@@ -711,7 +717,7 @@ func (a *App) Remove(inst string) error {
 
 // Stop halts the supervisors (so planned teardown is not misread as a
 // crash wave), closes the bus — deleting every live instance — and waits
-// for their runtimes to wind down.
+// up to 5s in all for their runtimes to wind down.
 func (a *App) Stop() {
 	a.roller.Stop()
 	for _, sup := range a.sups {
@@ -724,11 +730,14 @@ func (a *App) Stop() {
 		instances = append(instances, ri)
 	}
 	a.mu.Unlock()
+	deadline := a.cfg.Clock.NewTimer(5 * time.Second)
+	defer deadline.Stop()
 	for _, ri := range instances {
 		select {
 		case err := <-ri.done:
 			ri.done <- err
-		case <-time.After(5 * time.Second):
+		case <-deadline.C:
+			return
 		}
 	}
 }

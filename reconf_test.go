@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/bus"
+	"repro/internal/clock"
 	"repro/internal/codec"
 	"repro/internal/fixtures"
 	"repro/internal/mh"
@@ -32,6 +33,8 @@ func loadMonitor(t *testing.T, mode transform.CaptureMode) *App {
 		Mode:      mode,
 		SleepUnit: time.Microsecond,
 		Timeouts:  reconfig.Timeouts{StateMove: 10 * time.Second},
+		// A test that starts the roller sees windows close in milliseconds.
+		TimeseriesWindow: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,16 +82,22 @@ func (d *driver) request(n int) {
 func (d *driver) requestTaken(inst string, n int) {
 	d.t.Helper()
 	d.request(n)
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+	waitUntil(d.t, inst+" consumed the request", func() bool {
 		info, err := d.bus.Info(inst)
 		if err != nil {
 			d.t.Fatal(err)
 		}
-		if info.Pending["display"] == 0 {
-			return
-		}
+		return info.Pending["display"] == 0
+	})
+}
+
+// waitUntil polls cond until it holds, failing the test after 10s: the
+// one way these tests wait for a state the system reaches on its own.
+func waitUntil(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
 		if time.Now().After(deadline) {
-			d.t.Fatalf("%s never consumed the request", inst)
+			t.Fatalf("timed out waiting until %s", what)
 		}
 	}
 }
@@ -237,13 +246,11 @@ func TestMonitorTopologyBeforeAfter(t *testing.T) {
 
 	// Put compute mid-recursion and move it (Figure 1 right).
 	d.requestTaken("compute", 3)
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		d.temperature(60)
-	}()
+	settle := afterSignal(app, "compute", func() { d.temperature(60) })
 	if err := app.Move("compute", "compute2", "machineB"); err != nil {
 		t.Fatal(err)
 	}
+	settle()
 	if err := app.Wait("compute", 5*time.Second); err != nil {
 		t.Fatalf("old instance: %v", err)
 	}
@@ -395,5 +402,55 @@ func TestInterfacesOf(t *testing.T) {
 	ifaces = InterfacesOf(spec.Spec.Module("sensor"))
 	if len(ifaces) != 1 || ifaces[0].Dir != bus.Out {
 		t.Errorf("sensor interfaces = %+v", ifaces)
+	}
+}
+
+// TestConfigClockDrivesTheApp: Config.Clock is the application's one time
+// source. The bus's event times, the rollup windows and the transaction
+// timelines all read a virtual clock handed in at Load, and move only when
+// it does.
+func TestConfigClockDrivesTheApp(t *testing.T) {
+	start := time.Unix(5000, 0)
+	clk := clock.NewVirtual(start)
+	app, err := Load(Config{
+		SpecText: fixtures.MonitorSpec,
+		Sources: map[string]ModuleSource{
+			"compute": {Files: map[string]string{"compute.go": fixtures.ComputeSource}},
+		},
+		Native: map[string]NativeModule{
+			"display": func(rt *mh.Runtime) {},
+			"sensor":  func(rt *mh.Runtime) {},
+		},
+		TimeseriesWindow: time.Second,
+		Clock:            clk.Clock(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(app.Stop)
+	for _, r := range app.Events().Since(0) {
+		if r.TimeNs != start.UnixNano() {
+			t.Fatalf("event %s stamped %d, want the virtual %d", r.Kind, r.TimeNs, start.UnixNano())
+		}
+	}
+	app.Timeseries().Start()
+	clk.BlockUntil(1)
+	clk.Advance(999 * time.Millisecond)
+	if n := app.Timeseries().Rolled(); n != 0 {
+		t.Fatalf("rolled %d windows before the first second passed", n)
+	}
+	clk.Advance(time.Millisecond)
+	clk.BlockUntil(1) // the roller rolled and waits for the next window
+	if n := app.Timeseries().Rolled(); n != 1 {
+		t.Fatalf("rolled %d windows in one virtual second, want 1", n)
+	}
+	tx := app.Primitives().Tracer().Begin("probe")
+	tx.Finish("committed", nil)
+	tr, ok := app.Primitives().Tracer().Get(tx.ID())
+	if !ok {
+		t.Fatalf("no trace %s", tx.ID())
+	}
+	if !tr.Begin.Equal(start.Add(time.Second)) {
+		t.Errorf("transaction began at %v, want the virtual %v", tr.Begin, start.Add(time.Second))
 	}
 }

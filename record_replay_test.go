@@ -256,11 +256,9 @@ func TestPreflightReplayCommits(t *testing.T) {
 
 	// Release the filter to its next reconfiguration point once the
 	// replacement signal is pending.
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		h.send(40)
-	}()
+	settle := afterSignal(h.app, "filter", func() { h.send(40) })
 	res, err := h.app.ReplaceTx("filter", reconfig.ReplaceOptions{NewName: "filter2", Module: "filterV2"})
+	settle()
 	if err != nil {
 		t.Fatalf("behavior-identical candidate was rejected: %v", err)
 	}
@@ -287,10 +285,6 @@ func TestPreflightReplayRollback(t *testing.T) {
 	h.drive(2, 6, 11)
 	before := snapshotConfig(t, h.app)
 
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		h.send(40)
-	}()
 	res, err := h.app.ReplaceTx("filter", reconfig.ReplaceOptions{NewName: "filter2", Module: "filterBad"})
 	if err == nil {
 		t.Fatal("divergent candidate committed")
@@ -305,8 +299,9 @@ func TestPreflightReplayRollback(t *testing.T) {
 		t.Fatalf("tx result = %+v, want rolled back", res)
 	}
 
-	// The in-flight release value was processed by the old module (before
-	// its state was captured) and must not be lost.
+	// The gate vetoed before the old module was signalled: it takes the
+	// next value as if nothing happened.
+	h.send(40)
 	if got, want := h.recv(), 40*3+1; got != want {
 		t.Errorf("in-flight value after rollback = %d, want %d", got, want)
 	}
@@ -328,20 +323,12 @@ func TestPreflightVetoBeforeCandidateServes(t *testing.T) {
 	h.drive(2, 6, 11)
 	before := snapshotConfig(t, h.app)
 
-	// Lets the filter reach its reconfiguration point should the signal
-	// already be pending when the gate runs.
-	released := make(chan struct{})
-	go func() {
-		defer close(released)
-		time.Sleep(30 * time.Millisecond)
-		h.send(40)
-	}()
 	vals := []int{5, 17, 3, 29, 8, 1, 13, 21}
 	var got []int
 	res, err := h.app.ReplaceTx("filter", reconfig.ReplaceOptions{
 		NewName: "filter2", Module: "filterBad",
 		Preflight: func(old, new string) error {
-			<-released
+			h.send(40)
 			got = append(got, h.recv())
 			for _, v := range vals {
 				h.send(v)

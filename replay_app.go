@@ -127,6 +127,7 @@ func (a *App) ReplayRecorded(instance string, recs []replay.Record) (*ReplayRepo
 	res, err := rerun.Run(instance, recs, mod, rerun.Options{
 		CheckpointEvery: a.cfg.CheckpointInterval,
 		Timeout:         a.cfg.Timeouts.StateMove,
+		Clock:           a.bus.Clock(),
 	})
 	if err != nil {
 		return nil, err
@@ -169,7 +170,7 @@ func (a *App) preflightReplay(old, new string) error {
 	if err != nil {
 		return fmt.Errorf("replay gate: %w", err)
 	}
-	opts := rerun.Options{Timeout: a.cfg.Timeouts.StateMove}
+	opts := rerun.Options{Timeout: a.cfg.Timeouts.StateMove, Clock: a.bus.Clock()}
 	oldRes, err := rerun.Run(old, window, oldMod, opts)
 	if err != nil {
 		return fmt.Errorf("replay gate: old run: %w", err)

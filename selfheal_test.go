@@ -104,7 +104,7 @@ func newChaosHarnessOpts(t *testing.T, policy string, checkpointInterval int, st
 		})
 		site := "replica.crash." + rt.Name()
 		for {
-			if h.faults.Fire(site) != nil {
+			if h.faults.Fire(site, rt.Clock()) != nil {
 				return // injected crash: the goroutine just dies
 			}
 			if rt.QueryIfMsgs("in") {
@@ -163,18 +163,6 @@ func newChaosHarnessOpts(t *testing.T, policy string, checkpointInterval int, st
 		t.Fatal(err)
 	}
 	return h
-}
-
-func (h *chaosHarness) waitUntil(what string, timeout time.Duration, cond func() bool) {
-	h.t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	h.t.Fatalf("timed out waiting for %s (stats %+v)", what, h.app.Supervisor("pool").Stats())
 }
 
 // run drives the chaos scenario: 16 senders push perSender sequence-tagged
@@ -250,8 +238,7 @@ func (h *chaosHarness) runBatch(perSender, kills, batchSize int) {
 		victim := st.Members[k%len(st.Members)].Name
 		base := sup.Stats().Recovered
 		h.faults.Enable("replica.crash."+victim, faultinject.Point{Action: faultinject.Error, Count: 1})
-		h.waitUntil(fmt.Sprintf("recovery of %s", victim), 15*time.Second,
-			func() bool { return sup.Stats().Recovered > base })
+		waitUntil(h.t, fmt.Sprintf("recovery of %s", victim), func() bool { return sup.Stats().Recovered > base })
 	}
 	wg.Wait()
 
@@ -347,7 +334,7 @@ func TestSelfHealSurvivorsAbsorbWithinOneEpoch(t *testing.T) {
 
 	epochBefore := h.app.Bus().Stats().SnapshotVersion
 	h.faults.Enable("replica.crash.pool.1", faultinject.Point{Action: faultinject.Error, Count: 1})
-	h.waitUntil("mark-out", 10*time.Second, func() bool { return len(sup.Status().Members) == 2 })
+	waitUntil(h.t, "mark-out", func() bool { return len(sup.Status().Members) == 2 })
 	epochAfter := h.app.Bus().Stats().SnapshotVersion
 	if epochAfter != epochBefore+1 {
 		t.Errorf("mark-out took %d routing epochs, want 1", epochAfter-epochBefore)
@@ -362,7 +349,7 @@ func TestSelfHealSurvivorsAbsorbWithinOneEpoch(t *testing.T) {
 
 	// Now let the supervisor heal.
 	sup.Start()
-	h.waitUntil("recovery", 10*time.Second, func() bool { return sup.Stats().Recovered == 1 })
+	waitUntil(h.t, "recovery", func() bool { return sup.Stats().Recovered == 1 })
 }
 
 // TestReplicasObservability exercises the two operator surfaces of the
@@ -372,7 +359,7 @@ func TestReplicasObservability(t *testing.T) {
 	h := newChaosHarness(t, bus.PolicyLeastQueue, 4)
 	sup := h.app.Supervisor("pool")
 	h.faults.Enable("replica.crash.pool.2", faultinject.Point{Action: faultinject.Error, Count: 1})
-	h.waitUntil("heal", 10*time.Second, func() bool { return sup.Stats().Recovered == 1 })
+	waitUntil(h.t, "heal", func() bool { return sup.Stats().Recovered == 1 })
 
 	decode := func(doc string) []map[string]any {
 		var sets []map[string]any
@@ -536,10 +523,7 @@ func TestSelfHealDegradedReplicaReplaced(t *testing.T) {
 	t.Cleanup(func() { close(stop); app.Stop(); wg.Wait() })
 
 	// Warm up until every member has windowed history and checkpoints.
-	deadline := time.Now().Add(10 * time.Second)
-	for app.Timeseries().Rolled() < 4 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitUntil(t, "four windows rolled", func() bool { return app.Timeseries().Rolled() >= 4 })
 
 	victim := sup.Status().Members[0].Name
 	degradedAt := time.Now()
@@ -553,8 +537,7 @@ func TestSelfHealDegradedReplicaReplaced(t *testing.T) {
 		Reasons []string         `json:"reasons"`
 		Windows []map[string]any `json:"evidence,omitempty"`
 	}
-	flagged := false
-	for time.Now().Before(deadline) {
+	waitUntil(t, "/health/"+victim+" left healthy", func() bool {
 		code, body := httpGet(t, base+"/health/"+victim)
 		if code != 200 {
 			t.Fatalf("/health/%s: status %d", victim, code)
@@ -562,25 +545,15 @@ func TestSelfHealDegradedReplicaReplaced(t *testing.T) {
 		if err := json.Unmarshal([]byte(body), &verdict); err != nil {
 			t.Fatalf("bad verdict: %v\n%s", err, body)
 		}
-		if verdict.Level == "degraded" || verdict.Level == "critical" {
-			flagged = true
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !flagged {
-		t.Fatalf("/health/%s never left healthy (last verdict %+v)", victim, verdict)
-	}
+		return verdict.Level == "degraded" || verdict.Level == "critical"
+	})
 
 	// Arm the supervisor: the critical verdict must drive a mark-out through
 	// the health path and a rebuild back to 3 members, within bounded
-	// windows (the waitUntil deadline is ~600 windows; in practice a few).
+	// windows (the waitUntil deadline is ~400 windows; in practice a few).
 	sup.Start()
-	h := &chaosHarness{t: t, app: app}
-	h.waitUntil("health-verdict detection", 15*time.Second,
-		func() bool { return sup.Stats().HealthDetected >= 1 })
-	h.waitUntil("rebuild after health mark-out", 15*time.Second,
-		func() bool { return sup.Stats().Recovered >= 1 })
+	waitUntil(t, "health-verdict detection", func() bool { return sup.Stats().HealthDetected >= 1 })
+	waitUntil(t, "rebuild after health mark-out", func() bool { return sup.Stats().Recovered >= 1 })
 	detectLatency := time.Since(degradedAt)
 
 	st := sup.Status()

@@ -24,8 +24,9 @@ func TestQuiesceAnnotatedWithQueuedTraces(t *testing.T) {
 	// quiesce will be waiting behind it.
 	d.request(1)
 
-	feed()
+	settle := feed()
 	res, err := app.ReplaceTx("compute", reconfig.ReplaceOptions{NewName: "compute2"})
+	settle()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,19 +63,16 @@ func TestQueueDepthGaugesConsistentAfterRollback(t *testing.T) {
 	faults.Enable("bus.awaitrestored", faultinject.Point{Action: faultinject.Error, Count: 1})
 	app.Bus().SetFaults(faults)
 
-	feed()
+	settle := feed()
 	res, err := app.ReplaceTx("compute", reconfig.ReplaceOptions{NewName: "compute2"})
+	settle()
 	if err == nil || res == nil || !res.RolledBack {
 		t.Fatalf("replace = %+v, %v; want rollback", res, err)
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for !reflect.DeepEqual(snapshotConfig(t, app), pre) {
-		if time.Now().After(deadline) {
-			t.Fatal("configuration did not converge after rollback")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitUntil(t, "the configuration converged after rollback", func() bool {
+		return reflect.DeepEqual(snapshotConfig(t, app), pre)
+	})
 
 	gauges := app.Telemetry().Snapshot().Gauges
 	checked := 0
