@@ -242,7 +242,7 @@ func BenchmarkReconfigDelayPlacement(b *testing.B) {
 				in := interp.New(out.Prog, out.Info, rt)
 				done := make(chan struct{})
 				go func() { in.Run(); close(done) }()
-				checks := reg.Counter("mh.w.flag_checks")
+				checks := reg.Counter("mh.w.flag_checks", telemetry.Labels{})
 				waitUntil(b, "the worker reached its hot loop", func() bool { return checks.Load() > 0 })
 				b.StartTimer()
 				if err := bb.SignalReconfig("w"); err != nil {

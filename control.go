@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bus"
 	"repro/internal/reconfig"
 	"repro/internal/replay"
 	"repro/internal/telemetry"
@@ -338,7 +337,7 @@ func opMetrics(a *App, _ opArgs) (any, error) {
 		fmt.Fprintf(&w, "# TYPE delivery_log_memory_bound_bytes gauge\ndelivery_log_memory_bound_bytes %d\n", log.MemoryBound())
 	}
 	counter("event_log_overwritten_total", int64(a.Events().Overwritten()))
-	telemetry.WritePrometheus(&w, a.Telemetry(), bus.PromLabelRules()...)
+	telemetry.WritePrometheus(&w, a.Telemetry())
 	return rawText(w.String()), nil
 }
 

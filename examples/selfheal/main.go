@@ -106,11 +106,6 @@ func run() error {
 		SleepUnit:          time.Microsecond,
 		CheckpointInterval: 8,
 		SupervisorPoll:     2 * time.Millisecond,
-		// The crash is reported by the dying member; stall detection must
-		// not fire on a healthy one. Left at its default (3 polls, 6 ms), a
-		// replica that gets no CPU for 6 ms while a loaded machine schedules
-		// other work looks wedged, and detect_stall rebuilds it.
-		StallAfter: time.Second,
 	})
 	if err != nil {
 		return err

@@ -377,10 +377,6 @@ func (b *Bus) Clock() clock.Clock { return b.clk }
 // Telemetry returns the bus's metrics registry (nil when disabled).
 func (b *Bus) Telemetry() *telemetry.Registry { return b.telem }
 
-// MsgTracer returns the bus's message tracer (nil when stamping is
-// disabled).
-func (b *Bus) MsgTracer() *trace.Tracer { return b.tracer }
-
 // Recorder returns the bus's delivery log (nil when neither recording nor
 // tracing was configured).
 func (b *Bus) Recorder() *replay.Log { return b.recorder }
@@ -536,22 +532,24 @@ func (b *Bus) AddInstance(spec InstanceSpec) error {
 			return fmt.Errorf("%w: %s names a group", ErrDupInstance, spec.Name)
 		}
 		// Resolve telemetry handles once, after validation, off the message
-		// path. On a telemetry-free bus these stay nil and the counters are
-		// no-ops.
+		// path, each labeled with its owner so no reader parses the dotted
+		// name (instance names may contain dots). On a telemetry-free bus
+		// these stay nil and the counters are no-ops.
 		for _, ifc := range in.ifaces {
-			metric := func(suffix string) string {
+			metric := func(suffix, family string) (string, telemetry.Labels) {
 				name := "bus.iface." + ifc.name + "." + suffix
 				in.metrics = append(in.metrics, name)
-				return name
+				return name, telemetry.Labels{Family: family, Instance: spec.Name, Interface: ifc.spec.Name}
 			}
 			if ifc.spec.Dir.Sends() {
-				ifc.sent = b.telem.Counter(metric("sent"))
+				ifc.sent = b.telem.Counter(metric("sent", "bus_iface_sent"))
 			}
 			if ifc.spec.Dir.Receives() {
-				ifc.delivered = b.telem.Counter(metric("delivered"))
+				ifc.delivered = b.telem.Counter(metric("delivered", telemetry.FamilyDelivered))
 				q := ifc.queue
-				q.latency = b.telem.Histogram(metric("delivery_latency_ns"))
-				b.telem.GaugeFunc(metric("queue_depth"), func() int64 {
+				q.latency = b.telem.Histogram(metric("delivery_latency_ns", telemetry.FamilyDeliveryLatency))
+				name, labels := metric("queue_depth", telemetry.FamilyQueueDepth)
+				b.telem.GaugeFunc(name, labels, func() int64 {
 					return int64(q.length())
 				})
 				// The log's handle is interned per endpoint, so a clone

@@ -7,69 +7,31 @@ import (
 	"repro/internal/telemetry"
 )
 
-func applyRules(t *testing.T, name string) (string, []telemetry.Label) {
-	t.Helper()
-	for _, rule := range PromLabelRules() {
-		if family, labels := rule(name); family != "" {
-			return family, labels
-		}
-	}
-	return "", nil
-}
-
-func TestPromLabelRules(t *testing.T) {
-	cases := []struct {
-		name   string
-		family string
-		labels map[string]string
-	}{
-		{"bus.iface.display.temper.delivered", "bus_iface_delivered",
-			map[string]string{"instance": "display", "interface": "temper"}},
-		{"bus.iface.pool.2.req.queue_depth", "bus_iface_queue_depth",
-			map[string]string{"instance": "pool.2", "interface": "req"}},
-		{"bus.iface.pool.2.req.delivery_latency_ns", "bus_iface_delivery_latency_ns",
-			map[string]string{"instance": "pool.2", "interface": "req"}},
-		{"mh.pool.2.errors", "mh_errors", map[string]string{"instance": "pool.2"}},
-		{"mh.worker.flag_checks", "mh_flag_checks", map[string]string{"instance": "worker"}},
-		{"selfheal.pool.members", "selfheal_members", map[string]string{"group": "pool"}},
-		// Unknown metric segments fall through to flat rendering.
-		{"bus.iface.display.temper.bogus", "", nil},
-		{"selfheal.recovery_ns", "", nil},
-		{"tx.commit_ns", "", nil},
-	}
-	for _, tc := range cases {
-		family, labels := applyRules(t, tc.name)
-		if family != tc.family {
-			t.Errorf("%s: family = %q, want %q", tc.name, family, tc.family)
-			continue
-		}
-		got := map[string]string{}
-		for _, l := range labels {
-			got[l.Name] = l.Value
-		}
-		for k, v := range tc.labels {
-			if got[k] != v {
-				t.Errorf("%s: label %s = %q, want %q", tc.name, k, got[k], v)
-			}
-		}
-	}
-}
-
-// TestPromLabeledExposition exercises the rules end to end through
-// WritePrometheus: a dotted replica instance renders as one labeled series
-// per (instance, interface), not a flat mangled name.
+// TestPromLabeledExposition registers through the bus itself: the members
+// of a replica group carry dotted names, and each renders as one labeled
+// series per (instance, interface), not a flat mangled name.
 func TestPromLabeledExposition(t *testing.T) {
-	r := telemetry.NewRegistry()
-	r.Counter("bus.iface.pool.1.req.delivered").Add(5)
-	r.Counter("bus.iface.pool.2.req.delivered").Add(8)
+	b, _ := addGroupFixture(t, PolicyRoundRobin)
+	feeder, err := b.Attach("feeder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := feeder.Write("out", []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	var b strings.Builder
-	telemetry.WritePrometheus(&b, r, PromLabelRules()...)
-	out := b.String()
+	var w strings.Builder
+	telemetry.WritePrometheus(&w, b.Telemetry())
+	out := w.String()
 	for _, want := range []string{
 		"# TYPE bus_iface_delivered counter\n",
-		`bus_iface_delivered{instance="pool.1",interface="req"} 5`,
-		`bus_iface_delivered{instance="pool.2",interface="req"} 8`,
+		`bus_iface_delivered{instance="pool.1",interface="in"} 2`,
+		`bus_iface_delivered{instance="pool.2",interface="in"} 2`,
+		`bus_iface_delivered{instance="pool.3",interface="in"} 1`,
+		`bus_iface_queue_depth{instance="pool.1",interface="in"} 2`,
+		`bus_iface_sent{instance="feeder",interface="out"} 5`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)

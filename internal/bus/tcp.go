@@ -552,7 +552,7 @@ func NewServer(b *Bus, l net.Listener) *Server { return newServer(b, l, helloTim
 func newServer(b *Bus, l net.Listener, helloTimeout time.Duration) *Server {
 	s := &Server{bus: b, l: l, helloTimeout: helloTimeout, conns: map[*conn]struct{}{}}
 	for op, name := range opNames {
-		s.rpc[op] = b.Telemetry().Counter("bus.rpc." + name)
+		s.rpc[op] = b.Telemetry().Counter("bus.rpc."+name, telemetry.Labels{})
 	}
 	go s.acceptLoop() //archlint:spawn accept loop; exits when the listener closes
 	return s

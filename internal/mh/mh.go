@@ -157,10 +157,13 @@ func New(port bus.Port, opts ...Option) *Runtime {
 	}
 	if r.telem != nil {
 		prefix := "mh." + port.Name() + "."
-		r.flagChecks = r.telem.Counter(prefix + "flag_checks")
-		r.errCount = r.telem.Counter(prefix + "errors")
-		r.captureNs = r.telem.Histogram(prefix + "capture_ns")
-		r.restoreNs = r.telem.Histogram(prefix + "restore_ns")
+		owner := func(family string) telemetry.Labels {
+			return telemetry.Labels{Family: family, Instance: port.Name()}
+		}
+		r.flagChecks = r.telem.Counter(prefix+"flag_checks", owner("mh_flag_checks"))
+		r.errCount = r.telem.Counter(prefix+"errors", owner(telemetry.FamilyErrors))
+		r.captureNs = r.telem.Histogram(prefix+"capture_ns", owner("mh_capture_ns"))
+		r.restoreNs = r.telem.Histogram(prefix+"restore_ns", owner("mh_restore_ns"))
 	}
 	return r
 }

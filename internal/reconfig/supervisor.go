@@ -9,17 +9,20 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/telemetry"
 	"repro/internal/telemetry/evlog"
 	"repro/internal/telemetry/health"
 )
 
-// Supervisor watches one replica group and heals member crashes without
+// Supervisor watches one replica group and heals member failures without
 // operator intervention. It composes three existing mechanisms:
 //
-//   - failure detection — a per-member heartbeat (the mh runtime's operation
-//     counter) plus queue-depth stall detection: a member whose counter has
-//     not advanced for StallAfter *while input is queued at it* is wedged;
-//     a member whose host reports its goroutine exited is crashed;
+//   - failure detection on exactly two inputs — a member whose host reports
+//     its goroutine exited is crashed (ReportExit); a member whose windowed
+//     health verdict against its live peers is Critical (error burn,
+//     latency blowout, or a stall: input queued and none consumed for
+//     health.ShortSpan roller windows while the peers are delivered to) is
+//     marked out like a crash;
 //   - immediate mark-out — the dead member leaves the routing group
 //     (RemoveGroupMember) the moment death is detected, so traffic drains to the
 //     survivors within one routing epoch;
@@ -39,7 +42,6 @@ type Supervisor struct {
 	cfg      SupervisorConfig
 
 	mu         sync.Mutex
-	probes     map[string]*replicaProbe
 	ckpts      map[string][]byte    // newest checkpoint per member
 	newest     []byte               // newest checkpoint from any member
 	pending    map[string]time.Time // dead members awaiting rebuild -> detection time
@@ -47,7 +49,7 @@ type Supervisor struct {
 	gen        int
 	stats      SupervisorStats
 
-	clk    clock.Clock // the bus's: polls, stall windows, recovery times
+	clk    clock.Clock // the bus's: polls, recovery times
 	pollMu sync.Mutex  // serializes poll (detection + blocking rebuild)
 	stop   chan struct{}
 	done   chan struct{}
@@ -59,16 +61,13 @@ type SupervisorConfig struct {
 	Group string
 	// PollInterval is the detector's period under Start (default 50ms).
 	PollInterval time.Duration
-	// StallAfter is how long a member's operation counter may sit still
-	// with input queued before it is declared wedged (default 3x
-	// PollInterval).
-	StallAfter time.Duration
 	// Timeouts bounds the rebuild transaction's waits.
 	Timeouts Timeouts
 	// Health, when set, arms the verdict-based detector: a member whose
 	// windowed verdict (against its live peers as baseline) is Critical is
-	// marked out and rebuilt exactly like a crash — the second failure
-	// signal for modules that degrade without dying.
+	// marked out and rebuilt exactly like a crash — the signal for members
+	// that wedge or degrade without dying. Without it only exit reports
+	// detect.
 	Health *health.Checker
 }
 
@@ -76,7 +75,8 @@ type SupervisorConfig struct {
 type SupervisorStats struct {
 	// Polls is the number of detection passes.
 	Polls int64
-	// Detected counts members declared dead (crash reports and stalls).
+	// Detected counts members declared dead (crash reports and Critical
+	// verdicts).
 	Detected int64
 	// Recovered counts committed rebuilds.
 	Recovered int64
@@ -86,21 +86,10 @@ type SupervisorStats struct {
 	// Failed counts rebuild transactions that rolled back.
 	Failed int64
 	// HealthDetected counts members marked out on a Critical health
-	// verdict (a subset of Detected).
+	// verdict, stalls included (a subset of Detected).
 	HealthDetected int64
 	// LastError is the most recent rebuild failure, "" when none.
 	LastError string
-}
-
-// replicaProbe is the failure detector's per-member view. stalledSince is
-// when the member was first observed with a still counter AND queued input;
-// it resets on any progress or an empty queue, so a member is declared dead
-// only when the condition *persists* for StallAfter — a survivor that just
-// inherited a dead peer's backlog is not misread as stalled.
-type replicaProbe struct {
-	ops          func() int64
-	lastOps      int64
-	stalledSince time.Time
 }
 
 // NewSupervisor builds a supervisor over an existing replica group.
@@ -114,15 +103,11 @@ func NewSupervisor(p *Primitives, launcher Launcher, cfg SupervisorConfig) (*Sup
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 50 * time.Millisecond
 	}
-	if cfg.StallAfter <= 0 {
-		cfg.StallAfter = 3 * cfg.PollInterval
-	}
 	s := &Supervisor{
 		p:          p,
 		launcher:   launcher,
 		cfg:        cfg,
 		clk:        p.bus.Clock(),
-		probes:     map[string]*replicaProbe{},
 		ckpts:      map[string][]byte{},
 		pending:    map[string]time.Time{},
 		lastHealth: map[string]health.Level{},
@@ -130,14 +115,15 @@ func NewSupervisor(p *Primitives, launcher Launcher, cfg SupervisorConfig) (*Sup
 	// Replica health gauges, evaluated at scrape time (no poll-path cost):
 	// live member count and corpses awaiting rebuild.
 	reg := p.bus.Telemetry()
-	reg.GaugeFunc("selfheal."+cfg.Group+".members", func() int64 {
+	group := func(family string) telemetry.Labels { return telemetry.Labels{Family: family, Group: cfg.Group} }
+	reg.GaugeFunc("selfheal."+cfg.Group+".members", group("selfheal_members"), func() int64 {
 		members, err := p.bus.GroupMembers(cfg.Group)
 		if err != nil {
 			return 0
 		}
 		return int64(len(members))
 	})
-	reg.GaugeFunc("selfheal."+cfg.Group+".pending", func() int64 {
+	reg.GaugeFunc("selfheal."+cfg.Group+".pending", group("selfheal_pending"), func() int64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return int64(len(s.pending))
@@ -153,14 +139,6 @@ func (s *Supervisor) Checkpoint(instance string, encoded []byte) {
 	defer s.mu.Unlock()
 	s.ckpts[instance] = encoded
 	s.newest = encoded
-}
-
-// RegisterHeartbeat arms stall detection for a member: ops must be readable
-// from the supervisor's goroutine (the mh runtime's Ops method is).
-func (s *Supervisor) RegisterHeartbeat(member string, ops func() int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.probes[member] = &replicaProbe{ops: ops}
 }
 
 // ReportExit reports that a member's module goroutine exited. Hosts call it
@@ -212,101 +190,53 @@ func (s *Supervisor) markDeadLocked(member string) bool {
 	if err := s.p.bus.RemoveGroupMember(s.cfg.Group, member); err != nil {
 		return false
 	}
-	delete(s.probes, member)
 	delete(s.lastHealth, member)
 	s.pending[member] = s.clk.Now()
 	s.stats.Detected++
 	return true
 }
 
-// healthPassLocked evaluates every live member's verdict against its peers
-// and returns the members judged Critical. Level transitions (in either
-// direction) are recorded in the event log with their evidence windows.
-func (s *Supervisor) healthPassLocked(names []string) []string {
+// healthPassLocked judges every live member against its peers and marks
+// out each one judged Critical, writing the verdict — evidence windows
+// included — as its health_critical record. Other level transitions (in
+// either direction) are recorded the same way.
+func (s *Supervisor) healthPassLocked(members []string) {
 	if s.cfg.Health == nil {
-		return nil
+		return
 	}
-	var critical []string
-	for _, name := range names {
-		if _, dead := s.pending[name]; dead {
-			continue
-		}
-		peers := make([]string, 0, len(names)-1)
-		for _, p := range names {
+	for _, name := range members {
+		peers := make([]string, 0, len(members)-1)
+		for _, p := range members {
 			if p != name {
-				if _, dead := s.pending[p]; !dead {
-					peers = append(peers, p)
-				}
+				peers = append(peers, p)
 			}
 		}
 		v := s.cfg.Health.Check(name, peers)
+		if v.Level == health.Critical && s.markDeadLocked(name) {
+			s.stats.HealthDetected++
+			s.eventVerdict(name, v)
+			continue
+		}
 		if prev := s.lastHealth[name]; v.Level != prev {
 			s.lastHealth[name] = v.Level
 			s.eventVerdict(name, v)
 		}
-		if v.Level == health.Critical {
-			critical = append(critical, name)
-		}
 	}
-	return critical
 }
 
-// poll runs one detection-and-rebuild pass: stalled members are marked out,
-// then every pending corpse gets one rebuild attempt. Start's loop calls it
-// once a poll interval.
+// poll runs one detection-and-rebuild pass: members judged Critical are
+// marked out, then every pending corpse gets one rebuild attempt. Start's
+// loop calls it once a poll interval.
 func (s *Supervisor) poll() {
 	s.pollMu.Lock()
 	defer s.pollMu.Unlock()
 
-	now := s.clk.Now()
+	// A group that is gone has no members to judge; its corpses still get
+	// their rebuild attempts (which then fail and say why).
+	members, _ := s.p.bus.GroupMembers(s.cfg.Group)
 	s.mu.Lock()
 	s.stats.Polls++
-	// Probe in sorted order: map iteration order would otherwise make the
-	// detection order (and the audit log) differ between identical runs
-	// when several members stall in one poll.
-	names := make([]string, 0, len(s.probes))
-	for name := range s.probes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var stalled []string
-	for _, name := range names {
-		pr := s.probes[name]
-		cur := pr.ops()
-		queued := 0
-		info, err := s.p.bus.Info(name)
-		if err == nil {
-			for _, n := range info.Pending {
-				queued += n
-			}
-		}
-		// A still counter is only suspicious while the member has work it
-		// is failing to consume (or its instance vanished entirely).
-		if cur != pr.lastOps || (err == nil && queued == 0) {
-			pr.lastOps = cur
-			pr.stalledSince = time.Time{}
-			continue
-		}
-		if pr.stalledSince.IsZero() {
-			pr.stalledSince = now
-			continue
-		}
-		if now.Sub(pr.stalledSince) >= s.cfg.StallAfter {
-			stalled = append(stalled, name)
-		}
-	}
-	for _, name := range stalled {
-		if s.markDeadLocked(name) {
-			s.event("detect_stall", name, "")
-		}
-	}
-	// Second signal: members that are alive and consuming but behaving
-	// badly — sustained error burn or latency blowout against their peers.
-	for _, name := range s.healthPassLocked(names) {
-		if s.markDeadLocked(name) {
-			s.stats.HealthDetected++
-		}
-	}
+	s.healthPassLocked(members)
 	corpses := make([]string, 0, len(s.pending))
 	for name := range s.pending {
 		corpses = append(corpses, name)
@@ -349,7 +279,7 @@ func (s *Supervisor) rebuild(dead string) {
 		delete(s.ckpts, dead)
 		s.stats.Recovered++
 		s.stats.LastError = ""
-		s.p.bus.Telemetry().Histogram("selfheal.recovery_ns").Observe(s.clk.Now().Sub(detected))
+		s.p.bus.Telemetry().Histogram("selfheal.recovery_ns", telemetry.Labels{}).Observe(s.clk.Now().Sub(detected))
 		s.event("recovered", dead, "rebuilt as "+newName)
 	case errors.Is(err, ErrReconfigBusy):
 		s.stats.RetriesBusy++
@@ -416,8 +346,8 @@ func (s *Supervisor) Stats() SupervisorStats {
 // ReplicaStatus is one member's health snapshot.
 type ReplicaStatus struct {
 	Name string `json:"name"`
-	// Ops is the heartbeat counter (0 when no heartbeat is registered).
-	Ops int64 `json:"ops"`
+	// Level is the member's last health verdict (healthy until judged).
+	Level health.Level `json:"level"`
 	// Queued is the member's total pending input.
 	Queued int `json:"queued"`
 	// CheckpointBytes is the size of the member's newest checkpoint.
@@ -434,8 +364,8 @@ type ReplicaSetStatus struct {
 	Stats   SupervisorStats `json:"stats"`
 }
 
-// Status snapshots the supervised group: live members with their heartbeat
-// and backlog, corpses awaiting rebuild, and the counters.
+// Status snapshots the supervised group: live members with their last
+// verdict and backlog, corpses awaiting rebuild, and the counters.
 func (s *Supervisor) Status() ReplicaSetStatus {
 	out := ReplicaSetStatus{Group: s.cfg.Group}
 	for _, g := range s.p.bus.Routing().Groups() {
@@ -449,9 +379,7 @@ func (s *Supervisor) Status() ReplicaSetStatus {
 					}
 				}
 				s.mu.Lock()
-				if pr, ok := s.probes[m]; ok {
-					st.Ops = pr.ops()
-				}
+				st.Level = s.lastHealth[m]
 				st.CheckpointBytes = len(s.ckpts[m])
 				s.mu.Unlock()
 				out.Members = append(out.Members, st)

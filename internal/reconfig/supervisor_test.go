@@ -11,24 +11,30 @@ import (
 	"repro/internal/codec"
 	"repro/internal/mh"
 	"repro/internal/state"
+	"repro/internal/telemetry/health"
+	"repro/internal/telemetry/timeseries"
 )
 
 // replicaWorld is the supervisor test harness: a 3-member replica group
 // "pool" of accumulator workers between a source and a sink, with host-side
-// kill/wedge switches standing in for real crashes.
+// kill/wedge switches standing in for real crashes. The supervisor's health
+// checker reads a roller on the world's virtual clock, so a window closes
+// only when a test rolls one.
 type replicaWorld struct {
-	t   *testing.T
-	b   *bus.Bus
-	p   *Primitives
-	sup *Supervisor
-	c   codec.Codec
-	src bus.Port
-	snk bus.Port
+	t      *testing.T
+	b      *bus.Bus
+	p      *Primitives
+	sup    *Supervisor
+	c      codec.Codec
+	src    bus.Port
+	snk    bus.Port
+	roller *timeseries.Roller
 
 	mu          sync.Mutex
 	killed      map[string]bool
 	wedged      map[string]bool
-	failRestore bool // clones die before confirming their restoration
+	stuck       map[string]bool // wedged workers that have stopped reading
+	failRestore bool            // clones die before confirming their restoration
 	clk         *clock.Virtual
 }
 
@@ -38,7 +44,7 @@ func newReplicaWorld(t *testing.T) *replicaWorld {
 	b := bus.New(bus.WithClock(clk.Clock()))
 	w := &replicaWorld{
 		t: t, b: b, p: NewPrimitives(b), c: codec.Default(),
-		killed: map[string]bool{}, wedged: map[string]bool{},
+		killed: map[string]bool{}, wedged: map[string]bool{}, stuck: map[string]bool{},
 		clk: clk,
 	}
 	shape := []bus.IfaceSpec{{Name: "in", Dir: bus.In}, {Name: "out", Dir: bus.Out}}
@@ -65,10 +71,14 @@ func newReplicaWorld(t *testing.T) *replicaWorld {
 	if err := b.AddBinding(bus.Endpoint{Instance: "pool", Interface: "out"}, bus.Endpoint{Instance: "snk", Interface: "in"}); err != nil {
 		t.Fatal(err)
 	}
+	w.roller = timeseries.New(b.Telemetry(), clk.Clock(), timeseries.Config{})
+	w.roller.Start()
+	t.Cleanup(w.roller.Stop)
+	clk.BlockUntil(1)
 	sup, err := NewSupervisor(w.p, w, SupervisorConfig{
-		Group:      "pool",
-		StallAfter: 100 * time.Millisecond,
-		Timeouts:   Timeouts{RestoreAck: 2 * time.Second},
+		Group:    "pool",
+		Timeouts: Timeouts{RestoreAck: 2 * time.Second},
+		Health:   health.NewChecker(w.roller),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,8 +120,8 @@ func (w *replicaWorld) Launch(name string) error {
 	rt := mh.New(realTimePort{port},
 		mh.WithSleepUnit(time.Microsecond),
 		mh.WithLogWriter(nil),
+		mh.WithTelemetry(w.b.Telemetry()),
 		mh.WithCheckpoint(2, w.sup.Checkpoint))
-	w.sup.RegisterHeartbeat(name, rt.Ops)
 	go func() { //archlint:spawn test replica worker; exits on kill switch or instance delete
 		w.runWorker(name, rt)
 	}()
@@ -150,6 +160,7 @@ func (w *replicaWorld) runWorker(name string, rt *mh.Runtime) {
 				return
 			}
 			if w.flag(w.wedged, name) {
+				w.setFlag(w.stuck, name, true)
 				rt.Sleep(1) // alive but consuming nothing: a stall
 				continue
 			}
@@ -196,6 +207,13 @@ func (w *replicaWorld) awaitSink(n int) {
 			w.t.Fatal(err)
 		}
 	}
+}
+
+// roll closes one roller window: the clock advances a window, and roll
+// returns once the roller has rolled it and waits for the next.
+func (w *replicaWorld) roll() {
+	w.clk.Advance(w.roller.Window())
+	w.clk.BlockUntil(1)
 }
 
 // waitFor runs supervisor polls until cond holds.
@@ -296,42 +314,49 @@ func TestSupervisorStallDetectionFakeClock(t *testing.T) {
 	}
 	w.awaitSink(6)
 
-	// Baseline poll: records every member's heartbeat at t0.
+	// Baseline: a window in which every member consumed what it was sent.
+	w.roll()
 	w.sup.poll()
 	if got := w.sup.Stats().Detected; got != 0 {
 		t.Fatalf("false positive before stall: Detected = %d", got)
 	}
 
-	// Wedge pool.3: its goroutine stays alive but consumes nothing, so its
-	// share of the round-robin fan-in backs up.
+	// Wedge pool.3: its goroutine stays alive but consumes nothing.
 	w.setFlag(w.wedged, "pool.3", true)
-	for i := 0; i < 12; i++ {
-		w.send(1)
+	waitUntil(t, "pool.3 stops reading", func() bool { return w.flag(w.stuck, "pool.3") })
+	// Traffic keeps flowing: each window the round robin delivers one
+	// message to every member, the survivors answer theirs, and pool.3's
+	// backlog grows by one.
+	window := func() {
+		for i := 0; i < 3; i++ {
+			w.send(1)
+		}
+		w.awaitSink(2)
+		w.roll()
 	}
-	// The survivors drain their 8 before the next poll, so only the wedged
-	// member shows a still counter with queued input.
-	w.awaitSink(8)
-	// Inside the stall window nothing is declared dead yet.
-	w.clk.Advance(50 * time.Millisecond)
+	// Inside the stall span nothing is declared dead yet.
+	for i := 1; i < health.ShortSpan; i++ {
+		window()
+	}
 	w.sup.poll()
 	if got := w.sup.Stats().Detected; got != 0 {
 		t.Fatalf("stall declared inside the window: Detected = %d", got)
 	}
-	// Past the window the wedged member (stalled counter + queued input)
-	// is marked out and rebuilt; idle-but-healthy members are not.
-	w.clk.Advance(200 * time.Millisecond)
+	// The span's last window makes the verdict Critical: the wedged member
+	// is marked out and rebuilt; the consuming members are not.
+	window()
 	w.waitFor("stall recovery", func() bool { return w.sup.Stats().Recovered == 1 })
 	for _, m := range w.members() {
 		if m == "pool.3" {
 			t.Fatal("wedged member still in group")
 		}
 	}
-	if got := w.sup.Stats().Detected; got != 1 {
-		t.Errorf("Detected = %d, want 1", got)
+	if st := w.sup.Stats(); st.Detected != 1 || st.HealthDetected != 1 {
+		t.Errorf("Detected = %d, HealthDetected = %d, want 1 and 1", st.Detected, st.HealthDetected)
 	}
 	// No message was lost: the wedged member's backlog drained to the
 	// survivors at mark-out.
-	w.awaitSink(4)
+	w.awaitSink(health.ShortSpan)
 }
 
 func TestSupervisorReplicaDyingDuringRecoveryConverges(t *testing.T) {

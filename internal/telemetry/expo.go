@@ -7,35 +7,22 @@ import (
 	"strings"
 )
 
-// Label is one Prometheus label pair. Values are escaped at render time,
-// so callers pass raw strings (instance names may contain quotes or
-// backslashes; they come from user spec files).
-type Label struct {
-	Name  string
-	Value string
-}
-
-// LabelRule maps a flat dotted registry name onto a labeled metric family.
-// A rule returns the family name (already in the Prometheus charset) and
-// the label set, or an empty family to decline. The first matching rule
-// wins; unmatched metrics render flat under their sanitized dotted name as
-// before. Rules must keep one metric kind per family.
-type LabelRule func(name string) (family string, labels []Label)
-
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (version 0.0.4): one `# TYPE` line per metric, counters and gauges
 // as single samples, histograms as cumulative `_bucket{le="..."}` series
-// plus `_sum` and `_count`. Dotted metric names are sanitized to the
-// Prometheus charset (dots and other invalid runes become underscores).
-// Metrics matched by a LabelRule render as labeled series grouped per
-// family (after the flat metrics), which is what gives per-instance
-// attribution in a scrape: bus_iface_delivered{instance="...",...}.
+// plus `_sum` and `_count`. A flat metric renders under its dotted name
+// sanitized to the Prometheus charset (dots and other invalid runes become
+// underscores). A metric registered with a Family renders as one labeled
+// series of that family, grouped per family after the flat metrics, which
+// is what gives per-instance attribution in a scrape:
+// bus_iface_delivered{instance="...",interface="..."}. Registration sites
+// keep one metric kind per family.
 //
 // The power-of-two buckets expose exactly: bucket index i holds integer
 // nanosecond values 2^(i-1) <= v < 2^i (index 0 holds v <= 0), so the
 // inclusive upper bound of bucket i is 2^i - 1 and the rendered le labels
 // are 0, 1, 3, 7, 15, ... — cumulative counts are exact, not approximated.
-func WritePrometheus(w io.Writer, r *Registry, rules ...LabelRule) {
+func WritePrometheus(w io.Writer, r *Registry) {
 	// Computed gauges are evaluated outside the registry lock (they may
 	// take the bus's queue locks).
 	h := r.Handles()
@@ -45,15 +32,6 @@ func WritePrometheus(w io.Writer, r *Registry, rules ...LabelRule) {
 		gvals[k] = fn()
 	}
 
-	match := func(name string) (string, string) {
-		for _, rule := range rules {
-			if family, labels := rule(name); family != "" {
-				return family, renderLabels(labels)
-			}
-		}
-		return "", ""
-	}
-
 	// family -> sorted labeled samples, accumulated while the flat metrics
 	// render, then emitted per family after them.
 	type sample struct {
@@ -61,81 +39,81 @@ func WritePrometheus(w io.Writer, r *Registry, rules ...LabelRule) {
 		value  int64
 		hist   *Histogram
 	}
-	families := map[string]*struct {
+	type family struct {
 		kind    string
 		samples []sample
-	}{}
-	add := func(family, kind, labels string, v int64, h *Histogram) {
-		f := families[family]
-		if f == nil {
-			f = &struct {
-				kind    string
-				samples []sample
-			}{kind: kind}
-			families[family] = f
+	}
+	families := map[string]*family{}
+	labeled := func(name, kind string, v int64, hist *Histogram) bool {
+		l := h.Labels[name]
+		if l.Family == "" {
+			return false
 		}
-		f.samples = append(f.samples, sample{labels: labels, value: v, hist: h})
+		f := families[l.Family]
+		if f == nil {
+			f = &family{kind: kind}
+			families[l.Family] = f
+		}
+		f.samples = append(f.samples, sample{labels: renderLabels(l), value: v, hist: hist})
+		return true
 	}
 
 	for _, name := range sortedKeys(counters) {
-		if family, labels := match(name); family != "" {
-			add(family, "counter", labels, counters[name].Load(), nil)
+		v := counters[name].Load()
+		if labeled(name, "counter", v, nil) {
 			continue
 		}
 		pn := promName(name)
-		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", pn, pn, counters[name].Load())
+		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", pn, pn, v)
 	}
-	gnames := make([]string, 0, len(gvals))
-	for k := range gvals {
-		gnames = append(gnames, k)
-	}
-	sort.Strings(gnames)
-	for _, name := range gnames {
-		if family, labels := match(name); family != "" {
-			add(family, "gauge", labels, gvals[name], nil)
+	for _, name := range sortedKeys(gvals) {
+		if labeled(name, "gauge", gvals[name], nil) {
 			continue
 		}
 		pn := promName(name)
 		fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", pn, pn, gvals[name])
 	}
 	for _, name := range sortedKeys(hists) {
-		if family, labels := match(name); family != "" {
-			add(family, "histogram", labels, 0, hists[name])
+		if labeled(name, "histogram", 0, hists[name]) {
 			continue
 		}
 		writePromHistogram(w, promName(name), "", hists[name])
 	}
 
-	for _, family := range sortedKeys(families) {
-		f := families[family]
+	for _, name := range sortedKeys(families) {
+		f := families[name]
 		sort.Slice(f.samples, func(i, j int) bool { return f.samples[i].labels < f.samples[j].labels })
 		if f.kind == "histogram" {
-			fmt.Fprintf(w, "# TYPE %s histogram\n", family)
+			fmt.Fprintf(w, "# TYPE %s histogram\n", name)
 			for _, s := range f.samples {
-				writePromHistogramSeries(w, family, s.labels, s.hist)
+				writePromHistogramSeries(w, name, s.labels, s.hist)
 			}
 			continue
 		}
-		fmt.Fprintf(w, "# TYPE %s %s\n", family, f.kind)
+		fmt.Fprintf(w, "# TYPE %s %s\n", name, f.kind)
 		for _, s := range f.samples {
-			fmt.Fprintf(w, "%s{%s} %d\n", family, s.labels, s.value)
+			fmt.Fprintf(w, "%s{%s} %d\n", name, s.labels, s.value)
 		}
 	}
 }
 
-// renderLabels renders a label set as `k1="v1",k2="v2"` with values escaped
-// per the exposition format: backslash, double quote and newline become
-// \\, \" and \n. Everything else (including non-ASCII UTF-8) passes
-// through — label values are free-form UTF-8.
-func renderLabels(labels []Label) string {
+// renderLabels renders a metric's owner labels as `k1="v1",k2="v2"`, in
+// the order instance, interface, group, skipping empty ones. Values are
+// escaped per the exposition format: backslash, double quote and newline
+// become \\, \" and \n. Everything else (including non-ASCII UTF-8)
+// passes through — label values are free-form UTF-8.
+func renderLabels(l Labels) string {
 	var b strings.Builder
-	for i, l := range labels {
-		if i > 0 {
+	for _, kv := range [...][2]string{{"instance", l.Instance}, {"interface", l.Interface}, {"group", l.Group}} {
+		if kv[1] == "" {
+			continue
+		}
+		if b.Len() > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(l.Name)
+		b.WriteString(kv[0])
 		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(l.Value))
+		b.WriteString(escapeLabelValue(kv[1]))
 		b.WriteByte('"')
 	}
 	return b.String()

@@ -5,19 +5,10 @@ import (
 	"testing"
 )
 
-// labelEveryDotted is a test rule: "lbl.<instance>.<metric>" becomes
-// "test_<metric>{instance=...}", with the instance allowed to contain any
-// bytes a spec file could smuggle in.
-func labelEveryDotted(name string) (string, []Label) {
-	if !strings.HasPrefix(name, "lbl.") {
-		return "", nil
-	}
-	rest := strings.TrimPrefix(name, "lbl.")
-	i := strings.LastIndexByte(rest, '.')
-	if i <= 0 {
-		return "", nil
-	}
-	return "test_" + rest[i+1:], []Label{{Name: "instance", Value: rest[:i]}}
+// lbl labels a test metric as family test_<metric> owned by instance inst,
+// an instance name that may carry any bytes a spec file could smuggle in.
+func lbl(metric, inst string) Labels {
+	return Labels{Family: "test_" + metric, Instance: inst}
 }
 
 // TestWritePrometheusLabelGolden pins the exact exposition output for
@@ -26,16 +17,16 @@ func labelEveryDotted(name string) (string, []Label) {
 // double quote and newline escaped; other UTF-8 passes through).
 func TestWritePrometheusLabelGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("plain.count").Add(3)
-	r.Counter("lbl.display.sent").Add(7)
-	r.Counter(`lbl.quo"te.sent`).Add(1)
-	r.Counter(`lbl.back\slash.sent`).Add(2)
-	r.Counter("lbl.new\nline.sent").Add(4)
-	r.Counter("lbl.жмых.sent").Add(5)
-	r.GaugeFunc("lbl.display.depth", func() int64 { return 9 })
+	r.Counter("plain.count", Labels{}).Add(3)
+	r.Counter("lbl.display.sent", lbl("sent", "display")).Add(7)
+	r.Counter(`lbl.quo"te.sent`, lbl("sent", `quo"te`)).Add(1)
+	r.Counter(`lbl.back\slash.sent`, lbl("sent", `back\slash`)).Add(2)
+	r.Counter("lbl.new\nline.sent", lbl("sent", "new\nline")).Add(4)
+	r.Counter("lbl.жмых.sent", lbl("sent", "жмых")).Add(5)
+	r.GaugeFunc("lbl.display.depth", lbl("depth", "display"), func() int64 { return 9 })
 
 	var b strings.Builder
-	WritePrometheus(&b, r, labelEveryDotted)
+	WritePrometheus(&b, r)
 
 	const want = `# TYPE plain_count counter
 plain_count 3
@@ -54,16 +45,16 @@ test_sent{instance="жмых"} 5
 }
 
 // TestWritePrometheusLabeledHistogram pins the labeled histogram shape:
-// per-series buckets carry the rule labels merged with le, and _sum/_count
+// per-series buckets carry the registered labels merged with le, and _sum/_count
 // carry the labels alone.
 func TestWritePrometheusLabeledHistogram(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lbl.worker.latency")
+	h := r.Histogram("lbl.worker.latency", lbl("latency", "worker"))
 	h.ObserveNs(1) // bucket 1 (le="1")
 	h.ObserveNs(3) // bucket 2 (le="3")
 
 	var b strings.Builder
-	WritePrometheus(&b, r, labelEveryDotted)
+	WritePrometheus(&b, r)
 
 	const want = `# TYPE test_latency histogram
 test_latency_bucket{instance="worker",le="0"} 0
@@ -78,12 +69,12 @@ test_latency_count{instance="worker"} 2
 	}
 }
 
-// TestWritePrometheusNoRules keeps the legacy flat rendering byte-stable
-// when no rules are passed.
+// TestWritePrometheusNoRules keeps the flat rendering byte-stable for
+// metrics registered without labels, whatever their dotted names look like.
 func TestWritePrometheusNoRules(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("bus.iface.a.req.sent").Add(2)
-	r.GaugeFunc("g", func() int64 { return 1 })
+	r.Counter("bus.iface.a.req.sent", Labels{}).Add(2)
+	r.GaugeFunc("g", Labels{}, func() int64 { return 1 })
 
 	var b strings.Builder
 	WritePrometheus(&b, r)

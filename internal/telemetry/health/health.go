@@ -6,17 +6,26 @@
 // recent span and the longer evaluation span agree, so a single bad window
 // neither pages nor rolls anything back.
 //
+// Besides error burn and latency blowout, one rule needs no samples at all:
+// a stall — input queued at an instance that consumes none of it for
+// ShortSpan windows while its peers are being delivered to.
+//
 // This is the paper's "operator observes the replacement" step made
-// mechanical: the supervisor consumes Critical verdicts as a second
-// stall/crash signal, ReplaceTx records the candidate-vs-incumbent
-// comparison as a health_check span note, and /health/{instance} serves
-// the same verdict with its evidence windows to a human.
+// mechanical: the replica supervisor marks a member out on its Critical
+// verdict (its one failure detector besides a member's exit report),
+// ReplaceTx records the candidate-vs-incumbent comparison as a
+// health_check span note, and /health/{instance} serves the same verdict
+// with its evidence windows to a human. An instance's metrics are found by
+// the labels they were registered with (telemetry.Labels), never by name.
 package health
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
+	"repro/internal/telemetry"
 	"repro/internal/telemetry/timeseries"
 )
 
@@ -48,13 +57,15 @@ func (l Level) MarshalJSON() ([]byte, error) {
 }
 
 // Window is one evaluation window of one instance: delivery and error
-// deltas plus the worst delivery-latency p99 across the instance's
-// receiving interfaces.
+// deltas, the queue depth sampled at the window's end, and the worst
+// delivery-latency p99, each summed (or, for p99, maxed) over the
+// instance's receiving interfaces.
 type Window struct {
 	StartNs   int64 `json:"start_ns"`
 	EndNs     int64 `json:"end_ns"`
 	Delivered int64 `json:"delivered"`
 	Errors    int64 `json:"errors"`
+	Queued    int64 `json:"queued"`
 	P99Ns     int64 `json:"p99_ns,omitempty"`
 	LatObs    int64 `json:"latency_observations,omitempty"`
 }
@@ -84,150 +95,67 @@ func (v Verdict) Summary() string {
 	return s
 }
 
-// Config sets the verdict thresholds. Zero values take the documented
-// defaults.
-type Config struct {
-	// Span is how many trailing windows the long-span rates cover
-	// (default 8); ShortSpan is the recent burn span (default 3).
-	Span      int
-	ShortSpan int
+// The verdict thresholds.
+const (
+	// Span is how many trailing windows the long-span rates cover;
+	// ShortSpan is the recent burn span, and the span a stall must last.
+	Span      = 8
+	ShortSpan = 3
 	// MinWindows is the minimum recorded windows before any non-Healthy
-	// verdict (default 3). MinSamples is the minimum delivered+errors
-	// events across the span (default 20); below it the verdict stays
+	// verdict. MinSamples is the minimum delivered+errors events across
+	// the span for the error and latency rules; below it the verdict stays
 	// Healthy with an "insufficient data" reason.
-	MinWindows int
-	MinSamples int
+	MinWindows = 3
+	MinSamples = 20
 	// Error-rate thresholds. Degraded when the long-span rate crosses
-	// DegradedErrorRate (default 0.05); Critical when the short span burns
-	// at CriticalErrorRate (default 0.25) while the long span confirms at
-	// DegradedErrorRate — the two-window agreement is what makes it a
-	// burn-rate test rather than a point alarm.
-	DegradedErrorRate float64
-	CriticalErrorRate float64
-	// Latency thresholds, as multiples of the baseline p99 (defaults 3x
-	// Degraded, 8x Critical). Skipped when no baseline peer has latency
-	// history.
-	DegradedLatencyFactor float64
-	CriticalLatencyFactor float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Span <= 0 {
-		c.Span = 8
-	}
-	if c.ShortSpan <= 0 {
-		c.ShortSpan = 3
-	}
-	if c.ShortSpan > c.Span {
-		c.ShortSpan = c.Span
-	}
-	if c.MinWindows <= 0 {
-		c.MinWindows = 3
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 20
-	}
-	if c.DegradedErrorRate <= 0 {
-		c.DegradedErrorRate = 0.05
-	}
-	if c.CriticalErrorRate <= 0 {
-		c.CriticalErrorRate = 0.25
-	}
-	if c.DegradedLatencyFactor <= 0 {
-		c.DegradedLatencyFactor = 3
-	}
-	if c.CriticalLatencyFactor <= 0 {
-		c.CriticalLatencyFactor = 8
-	}
-	return c
-}
+	// DegradedErrorRate; Critical when the short span burns at
+	// CriticalErrorRate while the long span confirms at DegradedErrorRate —
+	// the two-window agreement is what makes it a burn-rate test rather
+	// than a point alarm.
+	DegradedErrorRate = 0.05
+	CriticalErrorRate = 0.25
+	// Latency thresholds, as multiples of the baseline p99. Skipped when
+	// no baseline peer has latency history.
+	DegradedLatencyFactor = 3.0
+	CriticalLatencyFactor = 8.0
+)
 
 // Checker evaluates instances against a roller's windowed history.
 type Checker struct {
 	roller *timeseries.Roller
-	cfg    Config
 }
 
 // NewChecker builds a checker over r. Safe to call with a nil roller: the
 // checker then always returns Healthy "no history" verdicts.
-func NewChecker(r *timeseries.Roller, cfg Config) *Checker {
-	return &Checker{roller: r, cfg: cfg.withDefaults()}
+func NewChecker(r *timeseries.Roller) *Checker {
+	return &Checker{roller: r}
 }
 
-// metricClass classifies a registry metric name as belonging to instance
-// inst. Instance names may contain dots ("pool.1"), so bus metrics are
-// matched by peeling the dotless interface and metric segments off the
-// right-hand side.
-type metricClass int
-
-const (
-	classNone metricClass = iota
-	classDelivered
-	classLatency
-	classErrors
-)
-
-func classify(name, inst string) metricClass {
-	if name == "mh."+inst+".errors" {
-		return classErrors
-	}
-	const busPrefix = "bus.iface."
-	if !strings.HasPrefix(name, busPrefix) {
-		return classNone
-	}
-	rest := strings.TrimPrefix(name, busPrefix)
-	var class metricClass
-	switch {
-	case strings.HasSuffix(rest, ".delivered"):
-		rest = strings.TrimSuffix(rest, ".delivered")
-		class = classDelivered
-	case strings.HasSuffix(rest, ".delivery_latency_ns"):
-		rest = strings.TrimSuffix(rest, ".delivery_latency_ns")
-		class = classLatency
-	default:
-		return classNone
-	}
-	// rest is now "<inst>.<iface>" with a dotless iface segment.
-	i := strings.LastIndexByte(rest, '.')
-	if i <= 0 || rest[:i] != inst {
-		return classNone
-	}
-	return class
-}
-
-// InstanceWindows aggregates the last k windows of every metric attributed
-// to inst into per-window totals, oldest first. Series are aligned by
-// window end timestamp (every series shares the roller's window ring).
+// InstanceWindows aggregates the last k windows of every metric registered
+// as inst's into per-window totals, oldest first. Series are selected by
+// their instance label, never by name (instance names may contain dots),
+// and aligned by window end timestamp (every series shares the roller's
+// window ring).
 func InstanceWindows(r *timeseries.Roller, inst string, k int) []Window {
 	if r == nil {
 		return nil
 	}
 	agg := map[int64]*Window{}
-	get := func(p timeseries.Point) *Window {
-		w := agg[p.EndNs]
-		if w == nil {
-			w = &Window{StartNs: p.StartNs, EndNs: p.EndNs}
-			agg[p.EndNs] = w
-		}
-		return w
-	}
-	for _, name := range r.Names() {
-		class := classify(name, inst)
-		if class == classNone {
-			continue
-		}
-		s, ok := r.Query(name, k)
-		if !ok {
-			continue
-		}
+	for _, s := range r.InstanceSeries(inst, k) {
 		for _, p := range s.Points {
-			w := get(p)
-			switch class {
-			case classDelivered:
+			w := agg[p.EndNs]
+			if w == nil {
+				w = &Window{StartNs: p.StartNs, EndNs: p.EndNs}
+				agg[p.EndNs] = w
+			}
+			switch s.Labels.Family {
+			case telemetry.FamilyDelivered:
 				w.Delivered += p.Value
-			case classErrors:
+			case telemetry.FamilyQueueDepth:
+				w.Queued += p.Value
+			case telemetry.FamilyErrors:
 				w.Errors += p.Value
-			case classLatency:
+			case telemetry.FamilyDeliveryLatency:
 				if p.Hist != nil {
 					w.LatObs += p.Hist.Count
 					if p.Hist.P99Ns > w.P99Ns {
@@ -241,16 +169,47 @@ func InstanceWindows(r *timeseries.Roller, inst string, k int) []Window {
 	for _, w := range agg {
 		out = append(out, *w)
 	}
-	sortWindows(out)
+	slices.SortFunc(out, func(a, b Window) int { return cmp.Compare(a.EndNs, b.EndNs) })
 	return out
 }
 
-func sortWindows(ws []Window) {
-	for i := 1; i < len(ws); i++ {
-		for j := i; j > 0 && ws[j].EndNs < ws[j-1].EndNs; j-- {
-			ws[j], ws[j-1] = ws[j-1], ws[j]
+// stall applies the stall rule to inst's windows and returns its reason, or
+// "" when it does not hold. A member is stalled when, in every one of the
+// last ShortSpan windows, input was queued at it and it consumed none: its
+// queue grew by at least everything delivered to it (round-robin keeps
+// delivering to a wedged member; least-queue stops). The window before the
+// span is the reference, or an empty queue when the span starts at the
+// instance's first window. The baseline peers must together have been
+// delivered something in those same windows: a starved host starves the
+// peers too, so with no peers, or idle ones, there is no stall verdict.
+func stall(r *timeseries.Roller, wins []Window, peers []string) string {
+	if len(peers) == 0 || len(wins) < ShortSpan {
+		return ""
+	}
+	span := wins[len(wins)-ShortSpan:]
+	var prev Window
+	if len(wins) > ShortSpan {
+		prev = wins[len(wins)-ShortSpan-1]
+	}
+	for _, w := range span {
+		if w.Queued == 0 || w.Queued-prev.Queued < w.Delivered {
+			return ""
+		}
+		prev = w
+	}
+	var peerDelivered int64
+	for _, peer := range peers {
+		for _, w := range InstanceWindows(r, peer, ShortSpan) {
+			if w.EndNs >= span[0].EndNs {
+				peerDelivered += w.Delivered
+			}
 		}
 	}
+	if peerDelivered == 0 {
+		return ""
+	}
+	return fmt.Sprintf("stall: %d queued, none consumed over %d windows while peers were delivered %d",
+		span[len(span)-1].Queued, ShortSpan, peerDelivered)
 }
 
 func errorRate(ws []Window) float64 {
@@ -314,11 +273,16 @@ func (c *Checker) Check(inst string, baseline []string) Verdict {
 		v.Reasons = append(v.Reasons, "no windowed history (roller disabled)")
 		return v
 	}
-	cfg := c.cfg
-	wins := InstanceWindows(c.roller, inst, cfg.Span)
+	wins := InstanceWindows(c.roller, inst, Span)
 	v.Evidence = wins
-	if len(wins) < cfg.MinWindows {
-		v.Reasons = append(v.Reasons, fmt.Sprintf("insufficient data: %d windows < %d", len(wins), cfg.MinWindows))
+	if len(wins) < MinWindows {
+		v.Reasons = append(v.Reasons, fmt.Sprintf("insufficient data: %d windows < %d", len(wins), MinWindows))
+		return v
+	}
+	// The stall rule needs no samples: a member wedged from birth has none.
+	if reason := stall(c.roller, wins, baseline); reason != "" {
+		v.Level = Critical
+		v.Reasons = append(v.Reasons, reason)
 		return v
 	}
 
@@ -326,47 +290,47 @@ func (c *Checker) Check(inst string, baseline []string) Verdict {
 	for _, w := range wins {
 		samples += w.Delivered + w.Errors
 	}
-	if samples < int64(cfg.MinSamples) {
-		v.Reasons = append(v.Reasons, fmt.Sprintf("insufficient data: %d samples < %d", samples, cfg.MinSamples))
+	if samples < MinSamples {
+		v.Reasons = append(v.Reasons, fmt.Sprintf("insufficient data: %d samples < %d", samples, MinSamples))
 		return v
 	}
 
 	short := wins
-	if len(short) > cfg.ShortSpan {
-		short = short[len(short)-cfg.ShortSpan:]
+	if len(short) > ShortSpan {
+		short = short[len(short)-ShortSpan:]
 	}
 	v.ErrorRate = errorRate(wins)
 	v.ShortErrorRate = errorRate(short)
 
 	// Error burn rate: short and long spans must agree before escalating.
 	switch {
-	case v.ShortErrorRate >= cfg.CriticalErrorRate && v.ErrorRate >= cfg.DegradedErrorRate:
+	case v.ShortErrorRate >= CriticalErrorRate && v.ErrorRate >= DegradedErrorRate:
 		v.Level = Critical
 		v.Reasons = append(v.Reasons, fmt.Sprintf("error burn: short rate %.3f >= %.2f with span rate %.3f >= %.2f",
-			v.ShortErrorRate, cfg.CriticalErrorRate, v.ErrorRate, cfg.DegradedErrorRate))
-	case v.ErrorRate >= cfg.DegradedErrorRate:
+			v.ShortErrorRate, CriticalErrorRate, v.ErrorRate, DegradedErrorRate))
+	case v.ErrorRate >= DegradedErrorRate:
 		v.Level = Degraded
 		v.Reasons = append(v.Reasons, fmt.Sprintf("error rate %.3f >= %.2f over %d windows",
-			v.ErrorRate, cfg.DegradedErrorRate, len(wins)))
+			v.ErrorRate, DegradedErrorRate, len(wins)))
 	}
 
 	// Latency vs incumbent baseline, only when both sides have history.
-	base := baselineP99(c.roller, baseline, cfg.Span)
+	base := baselineP99(c.roller, baseline, Span)
 	v.BaselineP99Ns = base
 	if base > 0 {
 		sustained, n := worstSustainedP99(short)
-		if n >= min(cfg.ShortSpan, 2) {
+		if n >= min(ShortSpan, 2) {
 			switch {
-			case float64(sustained) >= float64(base)*cfg.CriticalLatencyFactor:
+			case float64(sustained) >= float64(base)*CriticalLatencyFactor:
 				v.Level = Critical
 				v.Reasons = append(v.Reasons, fmt.Sprintf("sustained p99 %dns >= %.0fx baseline %dns over %d windows",
-					sustained, cfg.CriticalLatencyFactor, base, n))
-			case float64(sustained) >= float64(base)*cfg.DegradedLatencyFactor:
+					sustained, CriticalLatencyFactor, base, n))
+			case float64(sustained) >= float64(base)*DegradedLatencyFactor:
 				if v.Level < Degraded {
 					v.Level = Degraded
 				}
 				v.Reasons = append(v.Reasons, fmt.Sprintf("sustained p99 %dns >= %.0fx baseline %dns over %d windows",
-					sustained, cfg.DegradedLatencyFactor, base, n))
+					sustained, DegradedLatencyFactor, base, n))
 			}
 		}
 	}
@@ -375,11 +339,4 @@ func (c *Checker) Check(inst string, baseline []string) Verdict {
 		v.Reasons = append(v.Reasons, fmt.Sprintf("error rate %.3f, %d samples over %d windows", v.ErrorRate, samples, len(wins)))
 	}
 	return v
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

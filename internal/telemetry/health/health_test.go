@@ -1,6 +1,7 @@
 package health
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -37,22 +38,34 @@ func (f *fixture) roll() {
 	f.clk.BlockUntil(1)
 }
 
-// traffic records one window of activity for an instance: delivered
-// messages on iface "req", errors, and a latency population.
+// owner labels a metric of instance inst's receiving interface "req" as the
+// bus and the mh runtime label theirs.
+func owner(family, inst string) telemetry.Labels {
+	return telemetry.Labels{Family: family, Instance: inst, Interface: "req"}
+}
+
+// traffic records one window of activity for an instance: messages
+// delivered to its interface "req", errors, and a latency population.
 func (f *fixture) traffic(inst string, delivered, errors int64, latNs int64, latN int) {
-	f.reg.Counter("bus.iface." + inst + ".req.delivered").Add(delivered)
+	f.reg.Counter("bus.iface."+inst+".req.delivered", owner(telemetry.FamilyDelivered, inst)).Add(delivered)
 	if errors > 0 {
-		f.reg.Counter("mh." + inst + ".errors").Add(errors)
+		f.reg.Counter("mh."+inst+".errors", telemetry.Labels{Family: telemetry.FamilyErrors, Instance: inst}).Add(errors)
 	}
-	h := f.reg.Histogram("bus.iface." + inst + ".req.delivery_latency_ns")
+	h := f.reg.Histogram("bus.iface."+inst+".req.delivery_latency_ns", owner(telemetry.FamilyDeliveryLatency, inst))
 	for i := 0; i < latN; i++ {
 		h.ObserveNs(latNs)
 	}
 }
 
+// queue sets the depth of inst's "req" queue the next roll samples.
+func (f *fixture) queue(inst string, depth int64) {
+	f.reg.GaugeFunc("bus.iface."+inst+".req.queue_depth", owner(telemetry.FamilyQueueDepth, inst),
+		func() int64 { return depth })
+}
+
 func TestHealthyInstance(t *testing.T) {
 	f := newFixture(t)
-	c := NewChecker(f.roller, Config{})
+	c := NewChecker(f.roller)
 	for i := 0; i < 6; i++ {
 		f.traffic("worker.1", 50, 0, 1000, 50)
 		f.roll()
@@ -68,7 +81,7 @@ func TestHealthyInstance(t *testing.T) {
 
 func TestInsufficientDataStaysHealthy(t *testing.T) {
 	f := newFixture(t)
-	c := NewChecker(f.roller, Config{})
+	c := NewChecker(f.roller)
 	// Terrible error rate, but only one window and 4 samples.
 	f.traffic("cand", 2, 2, 0, 0)
 	f.roll()
@@ -83,7 +96,7 @@ func TestInsufficientDataStaysHealthy(t *testing.T) {
 
 func TestDegradedOnErrorRate(t *testing.T) {
 	f := newFixture(t)
-	c := NewChecker(f.roller, Config{})
+	c := NewChecker(f.roller)
 	for i := 0; i < 8; i++ {
 		f.traffic("cand", 100, 10, 0, 0) // 9% error rate, below the 25% burn
 		f.roll()
@@ -99,7 +112,7 @@ func TestDegradedOnErrorRate(t *testing.T) {
 
 func TestCriticalOnErrorBurn(t *testing.T) {
 	f := newFixture(t)
-	c := NewChecker(f.roller, Config{})
+	c := NewChecker(f.roller)
 	// Clean history, then three windows burning at 50%.
 	for i := 0; i < 5; i++ {
 		f.traffic("cand", 100, 0, 0, 0)
@@ -120,7 +133,7 @@ func TestCriticalOnErrorBurn(t *testing.T) {
 
 func TestSingleBadWindowDoesNotEscalate(t *testing.T) {
 	f := newFixture(t)
-	c := NewChecker(f.roller, Config{})
+	c := NewChecker(f.roller)
 	for i := 0; i < 7; i++ {
 		f.traffic("cand", 100, 0, 0, 0)
 		f.roll()
@@ -136,7 +149,7 @@ func TestSingleBadWindowDoesNotEscalate(t *testing.T) {
 
 func TestLatencyVsBaseline(t *testing.T) {
 	f := newFixture(t)
-	c := NewChecker(f.roller, Config{})
+	c := NewChecker(f.roller)
 	for i := 0; i < 6; i++ {
 		f.traffic("incumbent", 100, 0, 10_000, 100) // ~10us baseline
 		f.traffic("cand", 100, 0, 1_000_000, 100)   // ~1ms sustained
@@ -157,7 +170,7 @@ func TestLatencyVsBaseline(t *testing.T) {
 
 func TestLatencySkippedWithoutBaseline(t *testing.T) {
 	f := newFixture(t)
-	c := NewChecker(f.roller, Config{})
+	c := NewChecker(f.roller)
 	for i := 0; i < 6; i++ {
 		f.traffic("cand", 100, 0, 5_000_000, 100)
 		f.roll()
@@ -170,7 +183,7 @@ func TestLatencySkippedWithoutBaseline(t *testing.T) {
 
 func TestDottedInstanceNamesDoNotCrossMatch(t *testing.T) {
 	f := newFixture(t)
-	c := NewChecker(f.roller, Config{})
+	c := NewChecker(f.roller)
 	for i := 0; i < 6; i++ {
 		f.traffic("pool.1", 100, 50, 0, 0) // erroring replica
 		f.traffic("pool", 100, 0, 0, 0)    // distinct healthy instance
@@ -191,12 +204,66 @@ func TestDottedInstanceNamesDoNotCrossMatch(t *testing.T) {
 	}
 }
 
+// TestStallRule drives the stall rule window by window: the judged member
+// pool.3 and its one peer pool.1 are each delivered some messages, and
+// pool.3's queue is sampled at every window's end.
+func TestStallRule(t *testing.T) {
+	type win struct{ delivered, queued, peerDelivered int64 }
+	healthy := []win{{10, 0, 10}, {10, 0, 10}, {10, 0, 10}}
+	cat := func(parts ...[]win) []win { return slices.Concat(parts...) }
+	cases := []struct {
+		name   string
+		wins   []win
+		noPeer bool
+		want   Level
+	}{
+		// Least-queue routing stops delivering to a wedged member.
+		{name: "wedged", wins: cat(healthy, []win{{0, 4, 10}, {0, 4, 10}, {0, 4, 10}}), want: Critical},
+		// Round-robin keeps delivering; the queue grows by all of it.
+		{name: "wedged under round-robin", wins: cat(healthy, []win{{3, 3, 6}, {3, 6, 6}, {3, 9, 6}}), want: Critical},
+		{name: "wedged from birth", wins: []win{{0, 4, 10}, {0, 4, 10}, {0, 4, 10}}, want: Critical},
+		{name: "inside the window", wins: cat(healthy, []win{{0, 4, 10}, {0, 4, 10}}), want: Healthy},
+		// Backlogged but consuming: each window takes 3, consumes 2.
+		{name: "slow", wins: cat(healthy, []win{{3, 1, 6}, {3, 2, 6}, {3, 3, 6}}), want: Healthy},
+		{name: "idle", wins: cat(healthy, []win{{0, 0, 10}, {0, 0, 10}, {0, 0, 10}}), want: Healthy},
+		{name: "starved host", wins: cat(healthy, []win{{0, 4, 0}, {0, 4, 0}, {0, 4, 0}}), want: Healthy},
+		{name: "no peers", wins: cat(healthy, []win{{0, 4, 10}, {0, 4, 10}, {0, 4, 10}}), noPeer: true, want: Healthy},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t)
+			c := NewChecker(f.roller)
+			for _, w := range tc.wins {
+				f.traffic("pool.3", w.delivered, 0, 0, 0)
+				f.queue("pool.3", w.queued)
+				f.traffic("pool.1", w.peerDelivered, 0, 0, 0)
+				f.roll()
+			}
+			peers := []string{"pool.1"}
+			if tc.noPeer {
+				peers = nil
+			}
+			v := c.Check("pool.3", peers)
+			if v.Level != tc.want {
+				t.Fatalf("level = %s, want %s: %s", v.Level, tc.want, v.Summary())
+			}
+			stalled := len(v.Reasons) > 0 && strings.HasPrefix(v.Reasons[0], "stall:")
+			if stalled != (tc.want == Critical) {
+				t.Errorf("reasons = %q, want a stall: reason only with a Critical verdict", v.Reasons)
+			}
+			if last := v.Evidence[len(v.Evidence)-1]; last.Queued != tc.wins[len(tc.wins)-1].queued {
+				t.Errorf("last evidence window queued = %d, want %d", last.Queued, tc.wins[len(tc.wins)-1].queued)
+			}
+		})
+	}
+}
+
 func TestNilCheckerAndRoller(t *testing.T) {
 	var c *Checker
 	if v := c.Check("x", nil); v.Level != Healthy {
 		t.Error("nil checker verdict not healthy")
 	}
-	c2 := NewChecker(nil, Config{})
+	c2 := NewChecker(nil)
 	if v := c2.Check("x", nil); v.Level != Healthy {
 		t.Error("nil-roller checker verdict not healthy")
 	}

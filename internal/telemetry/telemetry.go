@@ -12,6 +12,11 @@
 // allocations) and what an operator reads through `reconfigctl stats` and
 // `reconfigctl trace <txid>`.
 //
+// Every metric is registered with the Labels its registration site knows —
+// the Prometheus family and the instance, interface or group that owns it —
+// so the exposition (expo.go) groups families and the health checker finds
+// an instance's series without parsing a dotted name.
+//
 // Fast-path discipline: Counter.Inc and Histogram.Observe are
 // single atomic operations with no allocation, and every method is safe on
 // a nil receiver (a no-op), so instrumented code never branches on "is
@@ -59,18 +64,42 @@ func (c *Counter) Load() int64 {
 	return c.v.Load()
 }
 
+// Labels is what the site that registers a metric knows about it: the
+// Prometheus family it renders in and the owner it is attributed to. The
+// zero Labels renders the metric flat under its sanitized dotted name.
+// Empty owner fields are omitted; the rest render in field order.
+type Labels struct {
+	Family    string
+	Instance  string
+	Interface string
+	Group     string
+}
+
+// The families a reader outside the registering package selects by: the
+// health checker judges an instance on the bus's per-receiving-interface
+// metrics and the mh runtime's error count.
+const (
+	FamilyDelivered       = "bus_iface_delivered"
+	FamilyDeliveryLatency = "bus_iface_delivery_latency_ns"
+	FamilyQueueDepth      = "bus_iface_queue_depth"
+	FamilyErrors          = "mh_errors"
+)
+
 // Registry holds named metrics. Names are flat dotted paths
-// ("bus.iface.compute.request.delivered"); the registry get-or-creates on
-// lookup so instrumentation sites need no registration ceremony. Lookup
-// takes a mutex and may allocate — resolve metric pointers once, at
-// instance-construction time, never per message. All methods are safe on a
-// nil receiver: a nil *Registry hands out nil metrics, which are no-ops,
-// so "telemetry disabled" is just a nil registry.
+// ("bus.iface.compute.request.delivered") and stay the keys of every
+// reader; the Labels a metric was registered with say who owns it, so no
+// reader parses a name. The registry get-or-creates on lookup so
+// instrumentation sites need no registration ceremony. Lookup takes a mutex
+// and may allocate — resolve metric pointers once, at instance-construction
+// time, never per message. All methods are safe on a nil receiver: a nil
+// *Registry hands out nil metrics, which are no-ops, so "telemetry
+// disabled" is just a nil registry.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gaugeFns map[string]func() int64
 	hists    map[string]*Histogram
+	labels   map[string]Labels // non-zero labels only
 }
 
 // NewRegistry returns an empty registry.
@@ -79,12 +108,23 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gaugeFns: map[string]func() int64{},
 		hists:    map[string]*Histogram{},
+		labels:   map[string]Labels{},
 	}
 }
 
-// Counter returns the named counter, creating it on first use. Returns nil
-// (a no-op counter) on a nil registry.
-func (r *Registry) Counter(name string) *Counter {
+// labelLocked records a metric's labels when it is created.
+func (r *Registry) labelLocked(name string, l Labels) {
+	if l == (Labels{}) {
+		delete(r.labels, name)
+		return
+	}
+	r.labels[name] = l
+}
+
+// Counter returns the named counter, creating it with labels l on first
+// use (a later lookup's labels are ignored). Returns nil (a no-op counter)
+// on a nil registry.
+func (r *Registry) Counter(name string, l Labels) *Counter {
 	if r == nil {
 		return nil
 	}
@@ -94,25 +134,28 @@ func (r *Registry) Counter(name string) *Counter {
 	if !ok {
 		c = &Counter{}
 		r.counters[name] = c
+		r.labelLocked(name, l)
 	}
 	return c
 }
 
 // GaugeFunc registers a computed gauge: fn is evaluated at snapshot time.
 // Use it for values that already live elsewhere (queue depths), so the hot
-// path pays nothing. Re-registering a name replaces the function.
-func (r *Registry) GaugeFunc(name string, fn func() int64) {
+// path pays nothing. Re-registering a name replaces the function and its
+// labels.
+func (r *Registry) GaugeFunc(name string, l Labels, fn func() int64) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.gaugeFns[name] = fn
+	r.labelLocked(name, l)
 }
 
-// Histogram returns the named latency histogram, creating it on first use.
-// Returns nil on a nil registry.
-func (r *Registry) Histogram(name string) *Histogram {
+// Histogram returns the named latency histogram, creating it with labels l
+// on first use. Returns nil on a nil registry.
+func (r *Registry) Histogram(name string, l Labels) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -122,6 +165,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if !ok {
 		h = &Histogram{}
 		r.hists[name] = h
+		r.labelLocked(name, l)
 	}
 	return h
 }
@@ -142,6 +186,7 @@ func (r *Registry) Unregister(names ...string) int {
 		delete(r.counters, name)
 		delete(r.gaugeFns, name)
 		delete(r.hists, name)
+		delete(r.labels, name)
 	}
 	return n - len(r.counters) - len(r.gaugeFns) - len(r.hists)
 }
@@ -184,11 +229,13 @@ func (r *Registry) Snapshot() Snapshot {
 // handles are the live metrics: loading through them reads the same atomics
 // the hot paths write. Every reader of the whole registry — Snapshot, the
 // Prometheus exposition, the time-series roller once per window — starts
-// from it, off every message path.
+// from it, off every message path. Labels holds the registered labels of
+// every labeled metric; a name absent from it is flat.
 type Handles struct {
 	Counters   map[string]*Counter
 	GaugeFns   map[string]func() int64
 	Histograms map[string]*Histogram
+	Labels     map[string]Labels
 }
 
 // Handles returns the current metric handles. Returns zero-value Handles on
@@ -203,5 +250,6 @@ func (r *Registry) Handles() Handles {
 		Counters:   maps.Clone(r.counters),
 		GaugeFns:   maps.Clone(r.gaugeFns),
 		Histograms: maps.Clone(r.hists),
+		Labels:     maps.Clone(r.labels),
 	}
 }

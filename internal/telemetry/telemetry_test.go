@@ -14,13 +14,13 @@ import (
 
 func TestNilSafety(t *testing.T) {
 	var r *Registry
-	if c := r.Counter("x"); c != nil {
+	if c := r.Counter("x", Labels{}); c != nil {
 		t.Fatalf("nil registry returned non-nil counter")
 	}
-	if h := r.Histogram("x"); h != nil {
+	if h := r.Histogram("x", Labels{}); h != nil {
 		t.Fatalf("nil registry returned non-nil histogram")
 	}
-	r.GaugeFunc("x", func() int64 { return 1 })
+	r.GaugeFunc("x", Labels{}, func() int64 { return 1 })
 	if n := r.Unregister("x"); n != 0 {
 		t.Fatalf("nil registry Unregister = %d, want 0", n)
 	}
@@ -67,18 +67,18 @@ func TestNilSafety(t *testing.T) {
 
 func TestRegistryGetOrCreate(t *testing.T) {
 	r := NewRegistry()
-	c1 := r.Counter("a.b")
-	c2 := r.Counter("a.b")
+	c1 := r.Counter("a.b", Labels{})
+	c2 := r.Counter("a.b", Labels{})
 	if c1 != c2 {
 		t.Fatalf("Counter not idempotent")
 	}
 	c1.Add(7)
-	if got := r.Counter("a.b").Load(); got != 7 {
+	if got := r.Counter("a.b", Labels{}).Load(); got != 7 {
 		t.Fatalf("counter = %d, want 7", got)
 	}
-	r.GaugeFunc("g", func() int64 { return -3 })
-	r.GaugeFunc("fn", func() int64 { return 11 })
-	r.Histogram("h").ObserveNs(100)
+	r.GaugeFunc("g", Labels{}, func() int64 { return -3 })
+	r.GaugeFunc("fn", Labels{}, func() int64 { return 11 })
+	r.Histogram("h", Labels{}).ObserveNs(100)
 
 	snap := r.Snapshot()
 	if snap.Counters["a.b"] != 7 || snap.Gauges["g"] != -3 || snap.Gauges["fn"] != 11 {
@@ -102,11 +102,11 @@ func TestRegistryGetOrCreate(t *testing.T) {
 // keeps its metrics when "comp" goes.
 func TestUnregisterPrefix(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("bus.iface.comp.in.delivered").Inc()
-	r.Counter("bus.iface.comp.out.sent").Inc()
-	r.GaugeFunc("bus.iface.comp.in.queue_depth", func() int64 { return 0 })
-	r.Histogram("mh.comp.capture_ns").ObserveNs(5)
-	r.Counter("bus.iface.comp.v2.in.delivered").Inc()
+	r.Counter("bus.iface.comp.in.delivered", Labels{}).Inc()
+	r.Counter("bus.iface.comp.out.sent", Labels{}).Inc()
+	r.GaugeFunc("bus.iface.comp.in.queue_depth", Labels{}, func() int64 { return 0 })
+	r.Histogram("mh.comp.capture_ns", Labels{}).ObserveNs(5)
+	r.Counter("bus.iface.comp.v2.in.delivered", Labels{}).Inc()
 
 	if n := r.Unregister("bus.iface.comp.in.delivered", "bus.iface.comp.out.sent", "bus.iface.comp.in.queue_depth", "bus.iface.comp.gone"); n != 3 {
 		t.Fatalf("Unregister removed %d, want 3", n)
@@ -124,15 +124,15 @@ func TestSnapshotConcurrent(t *testing.T) {
 	const writers = 8
 	stop := make(chan struct{})
 	var g atomic.Int64 // what the computed gauge reads
-	r.GaugeFunc("g", g.Load)
+	r.GaugeFunc("g", Labels{}, g.Load)
 	var wg, started sync.WaitGroup
 	started.Add(writers)
 	for i := 0; i < writers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := r.Counter("c")
-			h := r.Histogram("h")
+			c := r.Counter("c", Labels{})
+			h := r.Histogram("h", Labels{})
 			started.Done()
 			for n := int64(1); ; n++ {
 				select {
@@ -144,7 +144,7 @@ func TestSnapshotConcurrent(t *testing.T) {
 				g.Store(n)
 				h.ObserveNs(n%1000 + 1)
 				// Concurrent get-or-create churn on distinct names too.
-				r.Counter("churn").Inc()
+				r.Counter("churn", Labels{}).Inc()
 			}
 		}(i)
 	}
@@ -270,8 +270,8 @@ func TestHistogramPercentiles(t *testing.T) {
 // through nil receivers (telemetry disabled).
 func TestFastPathZeroAlloc(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("c")
-	h := r.Histogram("h")
+	c := r.Counter("c", Labels{})
+	h := r.Histogram("h", Labels{})
 	if n := testing.AllocsPerRun(1000, func() { c.Inc() }); n != 0 {
 		t.Errorf("Counter.Inc allocates %v/op", n)
 	}

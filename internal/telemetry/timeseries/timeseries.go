@@ -16,6 +16,10 @@
 // Windows are measured on the clock.Clock of whoever builds the roller (the
 // application's): under a virtual clock a window closes when the test
 // advances the clock past it, and only the background loop ever rolls.
+//
+// A series keeps the labels its metric was registered with, copied once
+// when the series is created, so a reader selects an instance's series by
+// owner (InstanceSeries) and never by parsing the dotted name.
 package timeseries
 
 import (
@@ -58,11 +62,14 @@ type Point struct {
 }
 
 // Series is the windowed history of one metric, oldest window first.
+// Labels are the metric's registered labels (not part of the JSON
+// document, whose metric names are the dotted keys).
 type Series struct {
-	Metric   string  `json:"metric"`
-	Kind     Kind    `json:"kind"`
-	WindowNs int64   `json:"window_ns"`
-	Points   []Point `json:"points"`
+	Metric   string           `json:"metric"`
+	Kind     Kind             `json:"kind"`
+	WindowNs int64            `json:"window_ns"`
+	Points   []Point          `json:"points"`
+	Labels   telemetry.Labels `json:"-"`
 }
 
 // Config parameterizes a Roller.
@@ -77,10 +84,11 @@ type Config struct {
 // contiguous run of rolls [first..last]; a metric absent from the registry
 // at a roll (Unregister) is dropped and re-registers as a fresh series.
 type series struct {
-	kind  Kind
-	first uint64 // roll number (1-based) of the first recorded window
-	vals  []int64
-	hist  []HistWindow
+	kind   Kind
+	labels telemetry.Labels
+	first  uint64 // roll number (1-based) of the first recorded window
+	vals   []int64
+	hist   []HistWindow
 
 	// Cumulative state for delta computation (counters and histograms).
 	cum        int64
@@ -184,7 +192,7 @@ func (r *Roller) roll() {
 	r.lastNs = nowNs
 
 	for name, val := range cvals {
-		s := r.ensureLocked(name, KindCounter)
+		s := r.ensureLocked(name, KindCounter, h.Labels)
 		delta := val - s.cum
 		if delta < 0 {
 			// The counter was re-registered under the same name mid-window;
@@ -195,11 +203,11 @@ func (r *Roller) roll() {
 		s.vals[idx] = delta
 	}
 	for name, val := range gvals {
-		s := r.ensureLocked(name, KindGauge)
+		s := r.ensureLocked(name, KindGauge, h.Labels)
 		s.vals[idx] = val
 	}
 	for name, snap := range hvals {
-		s := r.ensureLocked(name, KindHistogram)
+		s := r.ensureLocked(name, KindHistogram, h.Labels)
 		var delta [telemetry.NumBuckets]int64
 		var count int64
 		reset := false
@@ -255,11 +263,12 @@ func (r *Roller) roll() {
 }
 
 // ensureLocked returns the live series for name, creating (or re-typing, if
-// a name changed kind across an unregister) as needed.
-func (r *Roller) ensureLocked(name string, kind Kind) *series {
+// a name changed kind across an unregister) as needed. A new series takes
+// its metric's labels from labels.
+func (r *Roller) ensureLocked(name string, kind Kind, labels map[string]telemetry.Labels) *series {
 	s := r.series[name]
 	if s == nil || s.kind != kind {
-		s = &series{kind: kind, first: r.rolled}
+		s = &series{kind: kind, labels: labels[name], first: r.rolled}
 		if kind == KindHistogram {
 			s.hist = make([]HistWindow, r.n)
 		} else {
@@ -283,7 +292,30 @@ func (r *Roller) Query(metric string, k int) (Series, bool) {
 	if !ok {
 		return Series{}, false
 	}
-	out := Series{Metric: metric, Kind: s.kind, WindowNs: int64(r.window)}
+	return r.queryLocked(metric, s, k), true
+}
+
+// InstanceSeries returns the last k windows of every series registered
+// with instance label inst, in no particular order. Safe on nil.
+func (r *Roller) InstanceSeries(inst string, k int) []Series {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []Series
+	for name, s := range r.series {
+		if s.labels.Instance == inst {
+			out = append(out, r.queryLocked(name, s, k))
+		}
+	}
+	return out
+}
+
+// queryLocked renders the last k windows of one series (all retained
+// windows when k <= 0), oldest first.
+func (r *Roller) queryLocked(metric string, s *series, k int) Series {
+	out := Series{Metric: metric, Kind: s.kind, WindowNs: int64(r.window), Labels: s.labels}
 	lo := s.first
 	if r.rolled >= uint64(r.n) && lo <= r.rolled-uint64(r.n) {
 		lo = r.rolled - uint64(r.n) + 1
@@ -302,7 +334,7 @@ func (r *Roller) Query(metric string, k int) (Series, bool) {
 		}
 		out.Points = append(out.Points, p)
 	}
-	return out, true
+	return out
 }
 
 // Names returns the sorted names of every live series.

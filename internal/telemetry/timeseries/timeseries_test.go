@@ -28,7 +28,7 @@ func newTestRoller(t *testing.T, windows int) (r *Roller, reg *telemetry.Registr
 
 func TestCounterDeltas(t *testing.T) {
 	r, reg, tick := newTestRoller(t, 8)
-	c := reg.Counter("app.requests")
+	c := reg.Counter("app.requests", telemetry.Labels{})
 	c.Add(10)
 	tick()
 	c.Add(5)
@@ -62,9 +62,9 @@ func TestCounterDeltas(t *testing.T) {
 func TestGaugeSamplesAndGaugeFunc(t *testing.T) {
 	r, reg, tick := newTestRoller(t, 8)
 	var g atomic.Int64
-	reg.GaugeFunc("app.depth", g.Load)
+	reg.GaugeFunc("app.depth", telemetry.Labels{}, g.Load)
 	depth := int64(7)
-	reg.GaugeFunc("app.computed", func() int64 { return depth })
+	reg.GaugeFunc("app.computed", telemetry.Labels{}, func() int64 { return depth })
 
 	g.Store(3)
 	tick()
@@ -84,7 +84,7 @@ func TestGaugeSamplesAndGaugeFunc(t *testing.T) {
 
 func TestHistogramWindows(t *testing.T) {
 	r, reg, tick := newTestRoller(t, 8)
-	h := reg.Histogram("app.latency_ns")
+	h := reg.Histogram("app.latency_ns", telemetry.Labels{})
 	for i := 0; i < 100; i++ {
 		h.ObserveNs(1000)
 	}
@@ -117,7 +117,7 @@ func TestHistogramWindows(t *testing.T) {
 
 func TestRingBound(t *testing.T) {
 	r, reg, tick := newTestRoller(t, 4)
-	c := reg.Counter("app.requests")
+	c := reg.Counter("app.requests", telemetry.Labels{})
 	for i := 1; i <= 10; i++ {
 		c.Add(int64(i))
 		tick()
@@ -141,7 +141,7 @@ func TestRingBound(t *testing.T) {
 
 func TestUnregisterDropsSeries(t *testing.T) {
 	r, reg, tick := newTestRoller(t, 4)
-	reg.Counter("bus.iface.x.req.delivered").Add(3)
+	reg.Counter("bus.iface.x.req.delivered", telemetry.Labels{}).Add(3)
 	tick()
 	if _, ok := r.Query("bus.iface.x.req.delivered", 0); !ok {
 		t.Fatal("series missing before unregister")
@@ -152,7 +152,7 @@ func TestUnregisterDropsSeries(t *testing.T) {
 		t.Error("series survived unregister + roll")
 	}
 	// Re-registering the same name starts a fresh series with reset deltas.
-	reg.Counter("bus.iface.x.req.delivered").Add(2)
+	reg.Counter("bus.iface.x.req.delivered", telemetry.Labels{}).Add(2)
 	tick()
 	s, ok := r.Query("bus.iface.x.req.delivered", 0)
 	if !ok || len(s.Points) != 1 || s.Points[0].Value != 2 {
@@ -163,9 +163,9 @@ func TestUnregisterDropsSeries(t *testing.T) {
 func TestMemoryBoundFixed(t *testing.T) {
 	r, reg, tick := newTestRoller(t, 16)
 	for i := 0; i < 10; i++ {
-		reg.Counter("c" + string(rune('a'+i))).Inc()
+		reg.Counter("c"+string(rune('a'+i)), telemetry.Labels{}).Inc()
 	}
-	reg.Histogram("h").ObserveNs(1)
+	reg.Histogram("h", telemetry.Labels{}).ObserveNs(1)
 	tick()
 	bound := r.MemoryBound()
 	if bound <= 0 {
@@ -183,7 +183,7 @@ func TestMemoryBoundFixed(t *testing.T) {
 
 func TestStartStop(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	reg.Counter("c").Inc()
+	reg.Counter("c", telemetry.Labels{}).Inc()
 	v := clock.NewVirtual(time.Unix(1, 0))
 	r := New(reg, v.Clock(), Config{Window: time.Millisecond, Windows: 8})
 	r.Start()

@@ -260,9 +260,9 @@ func (b *TxTrace) Finish(outcome string, steps []string) {
 	if reg := b.tracer.reg; reg != nil {
 		for _, s := range b.trace.Spans {
 			if !s.End.IsZero() {
-				reg.Histogram("reconfig.span." + s.Name + "_ns").Observe(s.Duration())
+				reg.Histogram("reconfig.span."+s.Name+"_ns", Labels{}).Observe(s.Duration())
 			}
 		}
-		reg.Histogram("reconfig.tx_total_ns").Observe(now.Sub(b.trace.Begin))
+		reg.Histogram("reconfig.tx_total_ns", Labels{}).Observe(now.Sub(b.trace.Begin))
 	}
 }

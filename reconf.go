@@ -100,10 +100,6 @@ type Config struct {
 	// SupervisorPoll is the replica supervisor's detection period
 	// (default 50ms).
 	SupervisorPoll time.Duration
-	// StallAfter is how long a replica's operation counter may sit still
-	// with input queued before the supervisor declares it wedged
-	// (default 3x SupervisorPoll).
-	StallAfter time.Duration
 	// RecordBuffer enables the record/replay subsystem: every delivered
 	// message is appended to the delivery log, a bounded ring of this
 	// capacity (recording starts on; toggle via the record op). 0 leaves
@@ -123,14 +119,13 @@ type Config struct {
 	PreflightReplay bool
 	// TimeseriesWindow is the windowed-telemetry rollup period (default
 	// 1s): the background roller samples every registry atomic once per
-	// window, off every message path.
+	// window, off every message path. The supervisors judge replicas on
+	// these windows: a wedged replica is marked out once health.ShortSpan
+	// of them (3 s at the default) show it consuming none of its queue.
 	TimeseriesWindow time.Duration
 	// TimeseriesWindows is the rollup ring depth in windows (default 120,
 	// i.e. two minutes of 1s history).
 	TimeseriesWindows int
-	// Health parameterizes the per-instance verdict thresholds; zero
-	// fields take the burn-rate defaults (see health.Config).
-	Health health.Config
 	// Clock is the application's one time source: every timeout, backoff,
 	// module sleep, rollup window, supervisor poll, send stamp, span end
 	// and event time reads it. The zero Clock is the real clock; tests
@@ -255,7 +250,7 @@ func Load(cfg Config) (*App, error) {
 		Window:  cfg.TimeseriesWindow,
 		Windows: cfg.TimeseriesWindows,
 	})
-	a.checker = health.NewChecker(a.roller, cfg.Health)
+	a.checker = health.NewChecker(a.roller)
 
 	for _, m := range spec.Modules {
 		pm, err := a.prepareModule(m)
@@ -303,7 +298,6 @@ func Load(cfg Config) (*App, error) {
 			sup, err := reconfig.NewSupervisor(a.prims, a, reconfig.SupervisorConfig{
 				Group:        inst.Name,
 				PollInterval: cfg.SupervisorPoll,
-				StallAfter:   cfg.StallAfter,
 				Timeouts:     cfg.Timeouts,
 				Health:       a.checker,
 			})
@@ -509,9 +503,6 @@ func (a *App) Launch(instance string) error {
 		opts = append(opts, mh.WithCheckpoint(a.cfg.CheckpointInterval, sup.Checkpoint))
 	}
 	rt := mh.New(port, opts...)
-	if sup != nil {
-		sup.RegisterHeartbeat(instance, rt.Ops)
-	}
 	ri := &runningInstance{name: instance, rt: rt, done: make(chan error, 1)}
 	a.mu.Lock()
 	a.instances[instance] = ri
@@ -771,7 +762,8 @@ func (a *App) Supervisor(group string) *reconfig.Supervisor {
 }
 
 // ReplicaSets snapshots every supervised replica group — members with
-// heartbeat and backlog, corpses awaiting rebuild, supervision counters —
+// their last verdict and backlog, corpses awaiting rebuild, supervision
+// counters —
 // sorted by group name. Served by the replicas op.
 func (a *App) ReplicaSets() []reconfig.ReplicaSetStatus {
 	a.mu.Lock()

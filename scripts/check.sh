@@ -44,6 +44,10 @@ echo "spawn sites:            $(gofiles ! -name '*_test.go' | xargs -0 cat | gre
 # Every wait and timestamp reads one clock.Clock (internal/clock); what is
 # left on the system clock is the socket deadlines, which the kernel compares
 # with real time. archlint only names time.Sleep in its messages.
+# The values an embedder can set on the application, a replica supervisor
+# and the health verdict: one field per line of each struct.
+fields() { awk -v t="type $2 struct {" '$0 == t {in_t = 1; next} in_t && /^}/ {exit} in_t && /^\t[A-Z][A-Za-z0-9]* / {n++} END {print n + 0}' "$1"; }
+echo "settable options:       $(($(fields reconf.go Config) + $(fields internal/reconfig/supervisor.go SupervisorConfig) + $(fields internal/telemetry/health/health.go Config)))"
 echo "wall-clock call sites:  $(gofiles ! -name '*_test.go' ! -path './internal/clock/*' ! -path './examples/*' ! -path './cmd/*' ! -path './bench/*' ! -path './internal/archlint/*' | xargs -0 cat | grep -E 'time\.(Now|Since|Until|After|AfterFunc|NewTimer|NewTicker|Tick|Sleep)\b' | grep -cvE '^[[:space:]]*//') (target 3: the socket deadlines)"
 
 echo "== go test -race, the concurrency-heavy packages"
@@ -99,7 +103,12 @@ go test -race -count=50 ./cmd/reconfigctl/
 # package tested beside it could take one in between.
 go test -race -count=50 ./cmd/polybus/
 
-echo "== the selfheal example, twenty runs in a row (a spurious stall detection prints detected 2)"
+echo "== one failure detector: the supervisor's exit reports and verdicts, the stall rule, labels from the real sites, no false stall under CPU load (racy x20)"
+go test -race -count=20 -run 'TestSupervisor|TestMetricAttribution' ./internal/reconfig/
+go test -race -count=20 ./internal/telemetry/health/
+go test -race -count=20 -run 'TestSelfHealNoFalseStallUnderCPULoad' .
+
+echo "== the selfheal example, twenty runs in a row (a healthy member marked out under CPU load prints detected 2)"
 go test -count=20 -failfast -run 'TestExamplesRun/selfheal' .
 
 echo "== fault-injection matrix (every script killed before every step of its own table, and at each substrate failpoint, twice, racy)"

@@ -11,6 +11,7 @@ package reconf
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -128,7 +129,6 @@ func newChaosHarnessOpts(t *testing.T, policy string, checkpointInterval int, st
 		SleepUnit:          time.Microsecond,
 		CheckpointInterval: checkpointInterval,
 		SupervisorPoll:     2 * time.Millisecond,
-		StallAfter:         10 * time.Second, // crash reports drive this suite, not stall detection
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -407,8 +407,8 @@ func TestReplicasObservability(t *testing.T) {
 }
 
 // TestSelfHealDegradedReplicaReplaced is the chaos regression for the
-// supervisor's second detection signal: a replica that is alive and
-// consuming — so stall detection never fires — but slow and erroring on
+// supervisor's verdict-based detection: a replica that is alive and
+// consuming — so the stall rule never fires — but slow and erroring on
 // every message. The health checker must judge it Degraded/Critical from
 // its windowed error burn, the verdict must be visible on the
 // /health/{instance} surface, and once armed the supervisor must mark the
@@ -438,7 +438,7 @@ func TestSelfHealDegradedReplicaReplaced(t *testing.T) {
 				rt.Read("in", &n)
 				if degraded.Load() == rt.Name() {
 					// Slow and erroring, but never crashing: the message is
-					// still forwarded, the heartbeat counter keeps moving.
+					// still consumed and forwarded.
 					rt.ReportError()
 					time.Sleep(500 * time.Microsecond)
 				}
@@ -460,7 +460,6 @@ func TestSelfHealDegradedReplicaReplaced(t *testing.T) {
 		SleepUnit:          time.Microsecond,
 		CheckpointInterval: 4,
 		SupervisorPoll:     5 * time.Millisecond,
-		StallAfter:         10 * time.Second, // only the health verdict may detect here
 		TimeseriesWindow:   25 * time.Millisecond,
 		TimeseriesWindows:  64,
 	})
@@ -589,4 +588,120 @@ func TestSelfHealDegradedReplicaReplaced(t *testing.T) {
 	}
 	t.Logf("degraded %s flagged and replaced in %v (~%d windows)",
 		victim, detectLatency, detectLatency/(25*time.Millisecond))
+}
+
+// TestSelfHealNoFalseStallUnderCPULoad is the one detector's false-positive
+// regression: three healthy replicas under steady traffic while
+// GOMAXPROCS busy loops compete for every CPU, judged by the supervisor for
+// at least ten roller windows. A member starved of CPU for a moment is
+// still consuming within every window, so no verdict may turn Critical.
+func TestSelfHealNoFalseStallUnderCPULoad(t *testing.T) {
+	worker := func(rt *mh.Runtime) {
+		rt.Init()
+		for {
+			if rt.QueryIfMsgs("in") {
+				var n int
+				rt.Read("in", &n)
+				rt.Write("out", n)
+			} else {
+				rt.Sleep(1)
+			}
+		}
+	}
+	app, err := Load(Config{
+		SpecText: chaosSpec(bus.PolicyRoundRobin),
+		Native: map[string]NativeModule{
+			"worker":    worker,
+			"feeder":    func(rt *mh.Runtime) {},
+			"collector": func(rt *mh.Runtime) {},
+		},
+		SleepUnit:        time.Microsecond,
+		SupervisorPoll:   5 * time.Millisecond,
+		TimeseriesWindow: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		if err := app.Launch(fmt.Sprintf("pool.%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	feeder, err := app.AttachDriver("feeder0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coll, err := app.AttachDriver("collector")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
+		wg.Add(1)
+		go func() { //archlint:spawn test CPU burner; exits when stop closes
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	// The feeder keeps up to 16 messages in flight (a credit per message,
+	// returned when the collector takes it), so traffic runs as fast as
+	// the pool answers and members often have input queued.
+	credits := make(chan struct{}, 16)
+	var collected atomic.Int64
+	wg.Add(2)
+	go func() { //archlint:spawn test feeder; exits when stop closes or the port errors out
+		defer wg.Done()
+		c := codec.Default()
+		for i := 0; ; i++ {
+			select {
+			case credits <- struct{}{}:
+			case <-stop:
+				return
+			}
+			data, err := c.EncodeValue(state.IntValue(int64(i)))
+			if err != nil {
+				return
+			}
+			if err := feeder.Write("out", data); err != nil {
+				return
+			}
+		}
+	}()
+	go func() { //archlint:spawn test collector drain; exits when the collector port closes
+		defer wg.Done()
+		for {
+			if _, err := coll.Read("in"); err != nil {
+				return
+			}
+			collected.Add(1)
+			<-credits
+		}
+	}()
+	t.Cleanup(func() { close(stop); app.Stop(); wg.Wait() })
+
+	sup := app.Supervisor("pool")
+	app.Timeseries().Start()
+	sup.Start()
+	waitUntil(t, "twelve windows judged", func() bool { return app.Timeseries().Rolled() >= 12 })
+	sup.Stop()
+
+	if st := sup.Stats(); st.Detected != 0 {
+		t.Errorf("healthy replicas marked out under CPU load: %+v", st)
+	}
+	for _, r := range app.Events().Since(0) {
+		if r.Source == "supervisor" && r.Kind == "health_critical" {
+			t.Errorf("critical verdict on a healthy replica: %s %s", r.Instance, r.Detail)
+		}
+	}
+	if collected.Load() == 0 {
+		t.Error("no traffic flowed through the pool")
+	}
 }
