@@ -105,7 +105,6 @@ func run() error {
 		},
 		SleepUnit:          time.Microsecond,
 		CheckpointInterval: 8,
-		SupervisorPoll:     2 * time.Millisecond,
 	})
 	if err != nil {
 		return err
@@ -162,13 +161,18 @@ func run() error {
 		time.Sleep(100 * time.Microsecond)
 	}
 
-	// Wait for the heal to commit, then for every message to arrive.
+	// Wait for the heal to commit (the supervisor's recovered record), then
+	// for every message to arrive.
 	deadline := time.Now().Add(10 * time.Second)
-	for sup.Stats().Recovered == 0 {
-		if time.Now().After(deadline) {
+	for cursor, healed := uint64(0), false; !healed; {
+		recs := app.Events().Wait(cursor, time.Until(deadline))
+		if recs == nil {
 			return fmt.Errorf("supervisor did not recover the killed replica (stats %+v)", sup.Stats())
 		}
-		time.Sleep(time.Millisecond)
+		for _, r := range recs {
+			healed = healed || r.Source == "supervisor" && r.Kind == "recovered"
+			cursor = r.Seq
+		}
 	}
 	seen := map[int]bool{}
 	timeout := time.NewTimer(10 * time.Second)

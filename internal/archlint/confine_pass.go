@@ -71,9 +71,9 @@ func confinements(modPath string) []confinement {
 		// which the commit calls under Bus.mu in commit order and each
 		// hand-off calls before its counterpart can observe it. The other
 		// feeders are the control plane's serialized choke points: the
-		// reconfig supervisor (poll is pollMu-serialized) and the top-level
-		// transaction wrapper. An append from anywhere else would interleave
-		// records outside the order they narrate.
+		// reconfig supervisor (its passes run on its one loop) and the
+		// top-level transaction wrapper. An append from anywhere else would
+		// interleave records outside the order they narrate.
 		{
 			code: CodeObsRing, pkg: evlogPkg, recv: "Log",
 			methods: []string{"Append"},

@@ -3,7 +3,7 @@ package reconfig
 import "repro/internal/telemetry/evlog"
 
 // Supervisor narrates detections and recoveries into the event log from
-// its serialized poll path — a sanctioned feeder.
+// its one loop — a sanctioned feeder.
 type Supervisor struct{ events *evlog.Log }
 
 func (s *Supervisor) event(kind string) {

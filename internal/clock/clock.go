@@ -1,5 +1,5 @@
 // Package clock is the runtime's one time source. Every wait (a timeout, a
-// backoff, a module's sleep, a rollup window, a supervisor poll) and every
+// backoff, a module's sleep, a rollup window) and every
 // timestamp (a send stamp, a span's end, an event's time, a transaction's
 // timeline) reads a Clock, which the application's Config hands to every
 // package it builds.

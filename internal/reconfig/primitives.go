@@ -8,10 +8,11 @@
 // primitive sequence can be golden-tested against Figure 5 and inspected by
 // operators (cmd/reconfigctl prints it).
 //
-// The layer keeps no clock of its own: transaction timelines, the
-// supervisor's polls and stall windows and its recovery times all read the
-// bus's (bus.Bus.Clock), so a test that runs the bus on a virtual clock
-// runs them on it too.
+// The layer keeps no clock of its own: transaction timelines and the
+// supervisor's detection and recovery times read the bus's (bus.Bus.Clock),
+// and the supervisor keeps no timer — its passes follow exit reports and
+// its health checker's window rolls — so a test that runs the bus and the
+// roller on a virtual clock runs them on it too.
 package reconfig
 
 import (

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/evlog"
 	"repro/internal/telemetry/health"
@@ -29,9 +28,13 @@ import (
 //   - transactional rebuild — ReplaceFromCheckpointTx rebuilds the member
 //     from its newest periodic checkpoint on the same transaction engine as
 //     operator-driven replacement. A failed rebuild rolls back and is
-//     retried on a later poll with a fresh generation name; a rebuild
+//     retried at the next wake with a fresh generation name; a rebuild
 //     refused with ErrReconfigBusy (an operator reconfiguration is in
 //     flight) is likewise retried — never overlapped.
+//
+// It keeps no timer: an exit report wakes its loop at once, and each roll of
+// its checker's roller wakes it to judge the verdicts (which read only
+// closed windows) and to retry any pending rebuild.
 //
 // Replacement members are named <group>.<generation> with a monotonically
 // increasing generation, so a flapping member can be rebuilt repeatedly
@@ -49,39 +52,37 @@ type Supervisor struct {
 	gen        int
 	stats      SupervisorStats
 
-	clk    clock.Clock // the bus's: polls, recovery times
-	pollMu sync.Mutex  // serializes poll (detection + blocking rebuild)
-	stop   chan struct{}
-	done   chan struct{}
+	kick chan struct{} // buffer 1: an exit report wakes the loop
+	stop chan struct{}
+	done chan struct{}
 }
 
 // SupervisorConfig parameterizes a Supervisor.
 type SupervisorConfig struct {
 	// Group is the replica group to supervise (required).
 	Group string
-	// PollInterval is the detector's period under Start (default 50ms).
-	PollInterval time.Duration
 	// Timeouts bounds the rebuild transaction's waits.
 	Timeouts Timeouts
-	// Health, when set, arms the verdict-based detector: a member whose
+	// Health is the verdict-based detector (required): a member whose
 	// windowed verdict (against its live peers as baseline) is Critical is
 	// marked out and rebuilt exactly like a crash — the signal for members
-	// that wedge or degrade without dying. Without it only exit reports
-	// detect.
+	// that wedge or degrade without dying. Its roller's rolls wake the
+	// supervisor's loop.
 	Health *health.Checker
 }
 
 // SupervisorStats counts supervision activity.
 type SupervisorStats struct {
-	// Polls is the number of detection passes.
-	Polls int64
+	// Passes is the number of detection-and-rebuild passes: one per wake
+	// (exit report or window roll).
+	Passes int64
 	// Detected counts members declared dead (crash reports and Critical
 	// verdicts).
 	Detected int64
 	// Recovered counts committed rebuilds.
 	Recovered int64
 	// RetriesBusy counts rebuilds refused by an in-flight reconfiguration
-	// (ErrReconfigBusy) and left pending for the next poll.
+	// (ErrReconfigBusy) and left pending for the next wake.
 	RetriesBusy int64
 	// Failed counts rebuild transactions that rolled back.
 	Failed int64
@@ -97,22 +98,22 @@ func NewSupervisor(p *Primitives, launcher Launcher, cfg SupervisorConfig) (*Sup
 	if cfg.Group == "" {
 		return nil, errors.New("reconfig: supervisor: group required")
 	}
+	if cfg.Health == nil {
+		return nil, errors.New("reconfig: supervisor: health checker required")
+	}
 	if _, err := p.bus.GroupMembers(cfg.Group); err != nil {
 		return nil, fmt.Errorf("reconfig: supervisor: %w", err)
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 50 * time.Millisecond
 	}
 	s := &Supervisor{
 		p:          p,
 		launcher:   launcher,
 		cfg:        cfg,
-		clk:        p.bus.Clock(),
+		kick:       make(chan struct{}, 1),
 		ckpts:      map[string][]byte{},
 		pending:    map[string]time.Time{},
 		lastHealth: map[string]health.Level{},
 	}
-	// Replica health gauges, evaluated at scrape time (no poll-path cost):
+	// Replica health gauges, evaluated at scrape time (nothing per pass):
 	// live member count and corpses awaiting rebuild.
 	reg := p.bus.Telemetry()
 	group := func(family string) telemetry.Labels { return telemetry.Labels{Family: family, Group: cfg.Group} }
@@ -143,7 +144,7 @@ func (s *Supervisor) Checkpoint(instance string, encoded []byte) {
 
 // ReportExit reports that a member's module goroutine exited. Hosts call it
 // when a replica crashes; the member is marked out of the group immediately
-// and rebuilt on the next poll.
+// and the loop is woken to rebuild it (once started, if it is not yet).
 func (s *Supervisor) ReportExit(member string, cause error) {
 	s.mu.Lock()
 	dead := s.markDeadLocked(member)
@@ -154,6 +155,10 @@ func (s *Supervisor) ReportExit(member string, cause error) {
 			detail = cause.Error()
 		}
 		s.event("detect_exit", member, detail)
+		select {
+		case s.kick <- struct{}{}:
+		default: // a wake is already queued; its pass sees this corpse too
+		}
 	}
 }
 
@@ -191,7 +196,7 @@ func (s *Supervisor) markDeadLocked(member string) bool {
 		return false
 	}
 	delete(s.lastHealth, member)
-	s.pending[member] = s.clk.Now()
+	s.pending[member] = s.p.bus.Clock().Now()
 	s.stats.Detected++
 	return true
 }
@@ -201,9 +206,6 @@ func (s *Supervisor) markDeadLocked(member string) bool {
 // included — as its health_critical record. Other level transitions (in
 // either direction) are recorded the same way.
 func (s *Supervisor) healthPassLocked(members []string) {
-	if s.cfg.Health == nil {
-		return
-	}
 	for _, name := range members {
 		peers := make([]string, 0, len(members)-1)
 		for _, p := range members {
@@ -224,18 +226,15 @@ func (s *Supervisor) healthPassLocked(members []string) {
 	}
 }
 
-// poll runs one detection-and-rebuild pass: members judged Critical are
+// pass runs one detection-and-rebuild pass: members judged Critical are
 // marked out, then every pending corpse gets one rebuild attempt. Start's
-// loop calls it once a poll interval.
-func (s *Supervisor) poll() {
-	s.pollMu.Lock()
-	defer s.pollMu.Unlock()
-
+// loop runs it once per wake, and only that goroutine runs it.
+func (s *Supervisor) pass() {
 	// A group that is gone has no members to judge; its corpses still get
 	// their rebuild attempts (which then fail and say why).
 	members, _ := s.p.bus.GroupMembers(s.cfg.Group)
 	s.mu.Lock()
-	s.stats.Polls++
+	s.stats.Passes++
 	s.healthPassLocked(members)
 	corpses := make([]string, 0, len(s.pending))
 	for name := range s.pending {
@@ -252,7 +251,7 @@ func (s *Supervisor) poll() {
 // rebuild runs one ReplaceFromCheckpointTx attempt for a dead member. The
 // member stays pending on any failure — including ErrReconfigBusy, which
 // guarantees the supervisor never overlaps an in-flight reconfiguration —
-// and is retried on the next poll with a fresh generation name.
+// and is retried at the next wake with a fresh generation name.
 func (s *Supervisor) rebuild(dead string) {
 	s.mu.Lock()
 	detected := s.pending[dead]
@@ -279,7 +278,7 @@ func (s *Supervisor) rebuild(dead string) {
 		delete(s.ckpts, dead)
 		s.stats.Recovered++
 		s.stats.LastError = ""
-		s.p.bus.Telemetry().Histogram("selfheal.recovery_ns", telemetry.Labels{}).Observe(s.clk.Now().Sub(detected))
+		s.p.bus.Telemetry().Histogram("selfheal.recovery_ns", telemetry.Labels{}).Observe(s.p.bus.Clock().Now().Sub(detected))
 		s.event("recovered", dead, "rebuilt as "+newName)
 	case errors.Is(err, ErrReconfigBusy):
 		s.stats.RetriesBusy++
@@ -301,32 +300,32 @@ func (s *Supervisor) nextNameLocked() string {
 	}
 }
 
-// Start launches the periodic detector. Stop halts it.
+// Start launches the supervisor's loop. Stop halts it.
 func (s *Supervisor) Start() {
 	s.stop = make(chan struct{})
 	s.done = make(chan struct{})
-	go s.loop() //archlint:spawn supervisor poll loop; exits when Stop closes the stop channel
+	go s.loop(s.cfg.Health.Next()) //archlint:spawn supervisor loop; exits when Stop closes the stop channel
 }
 
-// loop polls once an interval. It arms one timer per interval rather than
-// a ticker, so under a virtual clock the loop is back waiting (a waiter
-// BlockUntil counts) exactly when the previous poll is done.
-func (s *Supervisor) loop() {
+// loop runs one pass per wake: an exit report's kick or a window roll. It
+// takes the next roll's channel before each pass (the first in Start), so a
+// roll that lands during a pass, or before the loop runs, wakes it again.
+func (s *Supervisor) loop(rolled <-chan struct{}) {
 	defer close(s.done)
 	for {
-		t := s.clk.NewTimer(s.cfg.PollInterval)
 		select {
 		case <-s.stop:
-			t.Stop()
 			return
-		case <-t.C:
-			s.poll()
+		case <-s.kick:
+		case <-rolled:
 		}
+		rolled = s.cfg.Health.Next()
+		s.pass()
 	}
 }
 
-// Stop halts the periodic detector and waits for the loop to exit. A no-op
-// if Start was never called.
+// Stop halts the supervisor's loop and waits for it to exit. A no-op if
+// Start was never called.
 func (s *Supervisor) Stop() {
 	if s.stop == nil {
 		return

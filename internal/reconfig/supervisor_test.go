@@ -2,6 +2,7 @@ package reconfig
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -216,11 +217,12 @@ func (w *replicaWorld) roll() {
 	w.clk.BlockUntil(1)
 }
 
-// waitFor runs supervisor polls until cond holds.
+// waitFor runs supervisor passes until cond holds, on a supervisor that was
+// never started: the test is the one goroutine running passes.
 func (w *replicaWorld) waitFor(what string, cond func() bool) {
 	w.t.Helper()
 	waitUntil(w.t, what, func() bool {
-		w.sup.poll()
+		w.sup.pass()
 		return cond()
 	})
 }
@@ -316,7 +318,7 @@ func TestSupervisorStallDetectionFakeClock(t *testing.T) {
 
 	// Baseline: a window in which every member consumed what it was sent.
 	w.roll()
-	w.sup.poll()
+	w.sup.pass()
 	if got := w.sup.Stats().Detected; got != 0 {
 		t.Fatalf("false positive before stall: Detected = %d", got)
 	}
@@ -338,7 +340,7 @@ func TestSupervisorStallDetectionFakeClock(t *testing.T) {
 	for i := 1; i < health.ShortSpan; i++ {
 		window()
 	}
-	w.sup.poll()
+	w.sup.pass()
 	if got := w.sup.Stats().Detected; got != 0 {
 		t.Fatalf("stall declared inside the window: Detected = %d", got)
 	}
@@ -378,7 +380,7 @@ func TestSupervisorReplicaDyingDuringRecoveryConverges(t *testing.T) {
 		t.Fatal("recovery reported success while clones were dying")
 	}
 
-	// The fault clears; the next poll's attempt (fresh generation name)
+	// The fault clears; the next pass's attempt (fresh generation name)
 	// converges back to 3 members.
 	w.mu.Lock()
 	w.failRestore = false
@@ -398,4 +400,59 @@ func TestSupervisorReplicaDyingDuringRecoveryConverges(t *testing.T) {
 		w.send(1)
 	}
 	w.awaitSink(6)
+}
+
+// TestSupervisorRebuildsOnExitReport pins the crash path of the started
+// supervisor: an exit report wakes its loop at once, so the rebuild commits
+// with no virtual time advanced — no timer stands between the report and
+// the rebuild.
+func TestSupervisorRebuildsOnExitReport(t *testing.T) {
+	w := newReplicaWorld(t)
+	for i := 1; i <= 9; i++ {
+		w.send(i)
+	}
+	w.awaitSink(9) // every member has processed and checkpointed
+	start := w.clk.Now()
+	w.sup.Start()
+	t.Cleanup(w.sup.Stop)
+
+	w.setFlag(w.killed, "pool.2", true)
+	waitUntil(t, "rebuild on the exit report", func() bool { return w.sup.Stats().Recovered == 1 })
+	if now := w.clk.Now(); !now.Equal(start) {
+		t.Errorf("virtual clock moved by %v", now.Sub(start))
+	}
+	ms := w.members()
+	if len(ms) != 3 {
+		t.Fatalf("members after heal = %v", ms)
+	}
+	for _, m := range ms {
+		if m == "pool.2" {
+			t.Fatal("dead member still in group")
+		}
+	}
+	for i := 0; i < 6; i++ {
+		w.send(1)
+	}
+	w.awaitSink(6)
+}
+
+// TestSupervisorOnePassPerRoll pins the other wake: with no exit report,
+// the started supervisor runs exactly one pass per closed roller window and
+// none while a window is still open.
+func TestSupervisorOnePassPerRoll(t *testing.T) {
+	w := newReplicaWorld(t)
+	w.sup.Start()
+	t.Cleanup(w.sup.Stop)
+
+	const n = 5
+	for i := int64(1); i <= n; i++ {
+		w.roll()
+		waitUntil(t, fmt.Sprintf("pass %d", i), func() bool { return w.sup.Stats().Passes >= i })
+	}
+	// Half a window closes nothing; Stop returns once the loop is idle.
+	w.clk.Advance(w.roller.Window() / 2)
+	w.sup.Stop()
+	if st := w.sup.Stats(); st.Passes != n || st.Detected != 0 {
+		t.Errorf("after %d rolls and half a window: Passes = %d, Detected = %d, want %d and 0", n, st.Passes, st.Detected, n)
+	}
 }

@@ -131,6 +131,10 @@ func NewChecker(r *timeseries.Roller) *Checker {
 	return &Checker{roller: r}
 }
 
+// Next returns a channel closed at the roller's next roll: a verdict reads
+// only closed windows, so it can change only then.
+func (c *Checker) Next() <-chan struct{} { return c.roller.Next() }
+
 // InstanceWindows aggregates the last k windows of every metric registered
 // as inst's into per-window totals, oldest first. Series are selected by
 // their instance label, never by name (instance names may contain dots),

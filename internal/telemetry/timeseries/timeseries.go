@@ -110,7 +110,8 @@ type Roller struct {
 	starts []int64
 	ends   []int64
 	series map[string]*series
-	lastNs int64 // start of the currently open window
+	lastNs int64         // start of the currently open window
+	next   chan struct{} // closed and replaced by each roll
 
 	stop chan struct{}
 	done chan struct{}
@@ -137,6 +138,7 @@ func New(reg *telemetry.Registry, clk clock.Clock, cfg Config) *Roller {
 		ends:   make([]int64, cfg.Windows),
 		series: map[string]*series{},
 		lastNs: clk.Now().UnixNano(),
+		next:   make(chan struct{}),
 	}
 }
 
@@ -260,6 +262,20 @@ func (r *Roller) roll() {
 		}
 		delete(r.series, name)
 	}
+	close(r.next)
+	r.next = make(chan struct{})
+}
+
+// Next returns a channel the next roll closes. A waiter takes it before
+// reading what the roller stored, so a roll that lands after the read still
+// wakes it. Nil (never ready) on a nil roller.
+func (r *Roller) Next() <-chan struct{} {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.next
 }
 
 // ensureLocked returns the live series for name, creating (or re-typing, if

@@ -201,3 +201,28 @@ func TestStartStop(t *testing.T) {
 		t.Error("roller still rolling after Stop")
 	}
 }
+
+// TestNextClosesOnRoll pins the roll signal: the channel Next returns
+// closes with the roll after it, each roll hands out a fresh one, and a nil
+// roller's never closes.
+func TestNextClosesOnRoll(t *testing.T) {
+	r, _, tick := newTestRoller(t, 4)
+	next := r.Next()
+	select {
+	case <-next:
+		t.Fatal("Next closed before any roll")
+	default:
+	}
+	tick()
+	select {
+	case <-next:
+	default:
+		t.Fatal("Next still open after a roll")
+	}
+	if again := r.Next(); again == next {
+		t.Error("the roll did not replace the channel it closed")
+	}
+	if (*Roller)(nil).Next() != nil {
+		t.Error("nil roller's Next is not nil")
+	}
+}

@@ -97,9 +97,6 @@ type Config struct {
 	// Smaller intervals shorten recovery replay at a higher steady-state
 	// cost — the tradeoff the paper's Discussion weighs.
 	CheckpointInterval int
-	// SupervisorPoll is the replica supervisor's detection period
-	// (default 50ms).
-	SupervisorPoll time.Duration
 	// RecordBuffer enables the record/replay subsystem: every delivered
 	// message is appended to the delivery log, a bounded ring of this
 	// capacity (recording starts on; toggle via the record op). 0 leaves
@@ -119,17 +116,15 @@ type Config struct {
 	PreflightReplay bool
 	// TimeseriesWindow is the windowed-telemetry rollup period (default
 	// 1s): the background roller samples every registry atomic once per
-	// window, off every message path. The supervisors judge replicas on
-	// these windows: a wedged replica is marked out once health.ShortSpan
-	// of them (3 s at the default) show it consuming none of its queue.
+	// window, off every message path, and keeps the last 120. The
+	// supervisors judge replicas on these windows, once per roll: a wedged
+	// replica is marked out once health.ShortSpan of them (3 s at the
+	// default) show it consuming none of its queue.
 	TimeseriesWindow time.Duration
-	// TimeseriesWindows is the rollup ring depth in windows (default 120,
-	// i.e. two minutes of 1s history).
-	TimeseriesWindows int
 	// Clock is the application's one time source: every timeout, backoff,
-	// module sleep, rollup window, supervisor poll, send stamp, span end
-	// and event time reads it. The zero Clock is the real clock; tests
-	// pass a clock.Virtual's to make time move only when they advance it.
+	// module sleep, rollup window, send stamp, span end and event time
+	// reads it. The zero Clock is the real clock; tests pass a
+	// clock.Virtual's to make time move only when they advance it.
 	Clock clock.Clock
 }
 
@@ -184,7 +179,7 @@ type App struct {
 
 	// sups holds one self-healing supervisor per replicated MIL instance,
 	// keyed by group (= MIL instance) name; started in Start, stopped in
-	// Stop.
+	// Stop. Only Load writes it, so readers take no lock.
 	sups map[string]*reconfig.Supervisor
 }
 
@@ -207,9 +202,6 @@ func Load(cfg Config) (*App, error) {
 
 	if cfg.CheckpointInterval <= 0 {
 		cfg.CheckpointInterval = 16
-	}
-	if cfg.SupervisorPoll <= 0 {
-		cfg.SupervisorPoll = 50 * time.Millisecond
 	}
 	if cfg.PreflightReplay && cfg.RecordBuffer <= 0 {
 		return nil, fmt.Errorf("reconf: PreflightReplay requires RecordBuffer > 0")
@@ -246,10 +238,7 @@ func Load(cfg Config) (*App, error) {
 	// the verdict checker reading them. The structured event log is the
 	// bus's own: the bus appends each change as it commits it, and the
 	// supervisors and transactions append to the same log.
-	a.roller = timeseries.New(a.bus.Telemetry(), cfg.Clock, timeseries.Config{
-		Window:  cfg.TimeseriesWindow,
-		Windows: cfg.TimeseriesWindows,
-	})
+	a.roller = timeseries.New(a.bus.Telemetry(), cfg.Clock, timeseries.Config{Window: cfg.TimeseriesWindow})
 	a.checker = health.NewChecker(a.roller)
 
 	for _, m := range spec.Modules {
@@ -296,10 +285,9 @@ func Load(cfg Config) (*App, error) {
 				a.instMod[member] = m.Name
 			}
 			sup, err := reconfig.NewSupervisor(a.prims, a, reconfig.SupervisorConfig{
-				Group:        inst.Name,
-				PollInterval: cfg.SupervisorPoll,
-				Timeouts:     cfg.Timeouts,
-				Health:       a.checker,
+				Group:    inst.Name,
+				Timeouts: cfg.Timeouts,
+				Health:   a.checker,
 			})
 			if err != nil {
 				return nil, err
@@ -527,8 +515,6 @@ func (a *App) Launch(instance string) error {
 // members — the originals from Load and every healed generation — are named
 // <group>.<n>, so membership is a name-prefix question.
 func (a *App) supervisorFor(instance string) *reconfig.Supervisor {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	for group, sup := range a.sups {
 		if strings.HasPrefix(instance, group+".") {
 			return sup
@@ -706,9 +692,10 @@ func (a *App) Remove(inst string) error {
 	return err
 }
 
-// Stop halts the supervisors (so planned teardown is not misread as a
-// crash wave), closes the bus — deleting every live instance — and waits
-// up to 5s in all for their runtimes to wind down.
+// Stop halts the roller and the supervisors (so planned teardown is not
+// misread as a crash wave; a supervisor waits for rolls, never for the
+// roller's loop, so either may stop first), closes the bus — deleting every
+// live instance — and waits up to 5s in all for their runtimes to wind down.
 func (a *App) Stop() {
 	a.roller.Stop()
 	for _, sup := range a.sups {
@@ -755,25 +742,14 @@ func (a *App) Topology() string {
 
 // Supervisor returns the self-healing supervisor of a replicated instance
 // (the MIL instance name doubles as the group name), or nil.
-func (a *App) Supervisor(group string) *reconfig.Supervisor {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.sups[group]
-}
+func (a *App) Supervisor(group string) *reconfig.Supervisor { return a.sups[group] }
 
 // ReplicaSets snapshots every supervised replica group — members with
 // their last verdict and backlog, corpses awaiting rebuild, supervision
-// counters —
-// sorted by group name. Served by the replicas op.
+// counters — sorted by group name. Served by the replicas op.
 func (a *App) ReplicaSets() []reconfig.ReplicaSetStatus {
-	a.mu.Lock()
-	sups := make([]*reconfig.Supervisor, 0, len(a.sups))
+	out := make([]reconfig.ReplicaSetStatus, 0, len(a.sups))
 	for _, sup := range a.sups {
-		sups = append(sups, sup)
-	}
-	a.mu.Unlock()
-	out := make([]reconfig.ReplicaSetStatus, 0, len(sups))
-	for _, sup := range sups {
 		out = append(out, sup.Status())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Group < out[j].Group })

@@ -103,7 +103,7 @@ go test -race -count=50 ./cmd/reconfigctl/
 # package tested beside it could take one in between.
 go test -race -count=50 ./cmd/polybus/
 
-echo "== one failure detector: the supervisor's exit reports and verdicts, the stall rule, labels from the real sites, no false stall under CPU load (racy x20)"
+echo "== one failure detector: the supervisor's exit reports and verdicts, a rebuild on the report with no time advanced, one pass per window roll, the stall rule, labels from the real sites, no false stall under CPU load (racy x20)"
 go test -race -count=20 -run 'TestSupervisor|TestMetricAttribution' ./internal/reconfig/
 go test -race -count=20 ./internal/telemetry/health/
 go test -race -count=20 -run 'TestSelfHealNoFalseStallUnderCPULoad' .

@@ -82,7 +82,7 @@ func newChaosHarness(t *testing.T, policy string, checkpointInterval int) *chaos
 	return newChaosHarnessOpts(t, policy, checkpointInterval, true)
 }
 
-// newChaosHarnessOpts optionally leaves the supervisor's poll loop stopped,
+// newChaosHarnessOpts optionally leaves the supervisor's loop stopped,
 // so a test can observe the crash-report mark-out (which runs in the dying
 // member's exit path) without a racing rebuild.
 func newChaosHarnessOpts(t *testing.T, policy string, checkpointInterval int, startSup bool) *chaosHarness {
@@ -128,7 +128,6 @@ func newChaosHarnessOpts(t *testing.T, policy string, checkpointInterval int, st
 		},
 		SleepUnit:          time.Microsecond,
 		CheckpointInterval: checkpointInterval,
-		SupervisorPoll:     2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -302,8 +301,9 @@ func TestSelfHealChaosKillUnderLoad(t *testing.T) {
 // exactly one routing-snapshot publish, and the survivors answer traffic
 // alone before any rebuild has run.
 func TestSelfHealSurvivorsAbsorbWithinOneEpoch(t *testing.T) {
-	// Supervisor poll loop off: mark-out runs in the dying member's exit
-	// path, so it is observable without a racing rebuild.
+	// Supervisor loop off: mark-out runs in the dying member's exit path,
+	// and the exit report's wake waits for the loop, so the mark-out is
+	// observable without a racing rebuild.
 	h := newChaosHarnessOpts(t, bus.PolicyRoundRobin, 4, false)
 	sup := h.app.Supervisor("pool")
 
@@ -344,7 +344,7 @@ func TestSelfHealSurvivorsAbsorbWithinOneEpoch(t *testing.T) {
 	send(20)
 	recv(20)
 	if got := sup.Stats().Recovered; got != 0 {
-		t.Fatalf("rebuild ran without the poll loop (Recovered = %d)", got)
+		t.Fatalf("rebuild ran before the supervisor's loop started (Recovered = %d)", got)
 	}
 
 	// Now let the supervisor heal.
@@ -459,9 +459,7 @@ func TestSelfHealDegradedReplicaReplaced(t *testing.T) {
 		},
 		SleepUnit:          time.Microsecond,
 		CheckpointInterval: 4,
-		SupervisorPoll:     5 * time.Millisecond,
 		TimeseriesWindow:   25 * time.Millisecond,
-		TimeseriesWindows:  64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -616,7 +614,6 @@ func TestSelfHealNoFalseStallUnderCPULoad(t *testing.T) {
 			"collector": func(rt *mh.Runtime) {},
 		},
 		SleepUnit:        time.Microsecond,
-		SupervisorPoll:   5 * time.Millisecond,
 		TimeseriesWindow: 50 * time.Millisecond,
 	})
 	if err != nil {
