@@ -4,7 +4,7 @@ test:
 	go build ./... && go test ./...
 
 # Architectural invariants: the self-hosting archlint run (AL001-AL014,
-# no AL008: locking discipline — nothing blocks under Bus.mu, edit
+# no AL005, AL008: locking discipline — nothing blocks under Bus.mu, edit
 # callbacks and *Locked methods included, and only edit and writeSlow take
 # it —, snapshot protocol, hot-path allocations, spawn sites, layering, the
 # bus ring's publish-last protocol, and one table-driven method-confinement

@@ -40,10 +40,6 @@ const (
 	// sleep, network call, mu-reacquiring Bus method) while Bus.mu is
 	// held — in a locked region, a *Locked method or an edit callback.
 	CodeBlockUnderMu = "AL004"
-	// CodeLockOrder: Bus.mu (or a Bus method that takes it) acquired while
-	// a message-queue lock is held — the sanctioned order is Bus.mu before
-	// queue locks.
-	CodeLockOrder = "AL005"
 	// CodeSnapshot: the routing snapshot pointer accessed other than via
 	// atomic Load/Store, published outside bus.go, or a routingTable field
 	// written outside the copy-on-write builder in routing.go.
@@ -60,18 +56,19 @@ const (
 	// architectural layer (e.g. telemetry importing bus).
 	CodeImportLayer = "AL010"
 	// CodeBusFileLayer: a bus source file references a declaration of a
-	// file higher in the routing -> queueing -> transport decomposition
-	// than its layer permits.
+	// file or package higher in the routing -> queueing -> transport
+	// decomposition than its layer permits.
 	CodeBusFileLayer = "AL011"
 	// CodeRecordAppend: a record-log append (replay.QueueLog.Append)
-	// outside msgQueue's consumer-drain hook (msgQueue.record in queue.go)
-	// — recorded QSeq is the true delivery order only because appends
-	// happen at consumption, where ring slot-claim order is delivery order.
+	// outside the queue's consumer-drain hook (Queue.record in the queue
+	// package's queue.go) — recorded QSeq is the true delivery order only
+	// because appends happen at consumption, where ring slot-claim order is
+	// delivery order.
 	CodeRecordAppend = "AL012"
 	// CodeRingProtocol: a violation of the lock-free ring's atomic
 	// protocol — slot publication flags written after the publish or
-	// CAS'd, ring internals (slot/segment fields, the fence word) touched
-	// outside queue.go, or the fence raised outside the routing layer.
+	// CAS'd, the fence word raised outside Queue.Detach, or a queue fenced,
+	// drained or restored outside the bus's commit.
 	CodeRingProtocol = "AL013"
 	// CodeObsRing: an observability-ring write outside its designated
 	// feeder — an event-log append (evlog.Log.Append) from anywhere but
@@ -90,7 +87,8 @@ type Config struct {
 // are derived from the module path so the fixtures (module "repro") and the
 // real repository share one rule set.
 type rules struct {
-	busPkg string // the message bus: owns routing snapshots and Bus.mu
+	busPkg   string // the message bus: owns routing snapshots and Bus.mu
+	queuePkg string // the bus's message queue, importable only by the bus
 
 	// layers is the architectural DAG for AL010: a package may import only
 	// packages at its own layer or below. Unlisted packages (top-level
@@ -98,16 +96,18 @@ type rules struct {
 	layers map[string]int
 
 	// busFiles is the intra-package layering for AL011, keyed by the
-	// referencing file's base name. Each entry maps a declaring file to
-	// the allowlist of its declarations the referencing file may use; a
-	// nil allowlist forbids every reference.
+	// referencing file's base name. Each entry maps a declaring file (or,
+	// for a declaration of another package, that package's path) to the
+	// allowlist of its declarations the referencing file may use; a nil
+	// allowlist forbids every reference.
 	busFiles map[string]map[string][]string
 }
 
 func defaultRules(modPath string) *rules {
 	p := func(s string) string { return modPath + "/" + s }
 	return &rules{
-		busPkg: p("internal/bus"),
+		busPkg:   p("internal/bus"),
+		queuePkg: p("internal/bus/internal/queue"),
 		layers: map[string]int{
 			p("internal/clock"):                5,
 			p("internal/ring"):                 5,
@@ -121,6 +121,7 @@ func defaultRules(modPath string) *rules {
 			p("internal/state"):                10,
 			p("internal/quiesce"):              10,
 			p("internal/replay"):               10,
+			p("internal/bus/internal/queue"):   15,
 			p("internal/bus"):                  20,
 			p("internal/mh"):                   30,
 			p("internal/reconfig"):             30,
@@ -128,25 +129,15 @@ func defaultRules(modPath string) *rules {
 		},
 		busFiles: map[string]map[string][]string{
 			// Routing is the bottom of the decomposition: it may not know
-			// about queueing or transport.
+			// about queueing or transport. Of the queue package it may use
+			// the message vocabulary the bus re-exports (Endpoint and
+			// Message), nothing of the queue itself. The queue package
+			// imports nothing of the bus, so queueing needs no row.
 			"routing.go": {
-				"queue.go":  nil,
-				"attach.go": nil,
-				"tcp.go":    nil,
-				"port.go":   nil,
-			},
-			// Queueing sits above routing: it may use the shared message
-			// vocabulary (the Message type and what the record hook reads
-			// to describe a delivery: payload, trace context and the
-			// sender's interned name) and the stale-route sentinel, nothing
-			// else.
-			"queue.go": {
-				"bus.go":     {"Message", "Data", "Trace", "sender"},
-				"routing.go": {"errStaleRoute"},
-				"attach.go":  nil,
-				"tcp.go":     nil,
-				"port.go":    nil,
-				"event.go":   nil,
+				p("internal/bus/internal/queue"): {"Endpoint", "Instance", "Interface", "String", "Message", "From", "Data", "Trace"},
+				"attach.go":                      nil,
+				"tcp.go":                         nil,
+				"port.go":                        nil,
 			},
 			// Transport consults routing only through the Bus facade and
 			// the published snapshot — never the mutation internals.
@@ -277,10 +268,9 @@ func fieldOwner(p *pkg, sel *ast.SelectorExpr) *types.Named {
 	return namedOf(s.Recv())
 }
 
-// isMuOp reports whether call is owner.<field>.Lock() or
-// owner.<field>.Unlock() for a mutex field named field on the named type
-// ownerName declared in ownerPkg.
-func isMuOp(p *pkg, call *ast.CallExpr, ownerPkg *types.Package, ownerName, field string) (op string, ok bool) {
+// busMuOp reports whether call is <Bus>.mu.Lock() or <Bus>.mu.Unlock() on
+// the Bus type of p, and which.
+func busMuOp(p *pkg, call *ast.CallExpr) (op string, ok bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", false
@@ -289,11 +279,11 @@ func isMuOp(p *pkg, call *ast.CallExpr, ownerPkg *types.Package, ownerName, fiel
 		return "", false
 	}
 	inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !ok || inner.Sel.Name != field {
+	if !ok || inner.Sel.Name != "mu" {
 		return "", false
 	}
 	owner := fieldOwner(p, inner)
-	if owner == nil || owner.Obj().Name() != ownerName || owner.Obj().Pkg() != ownerPkg {
+	if owner == nil || owner.Obj().Name() != "Bus" || owner.Obj().Pkg() != p.tpkg {
 		return "", false
 	}
 	return sel.Sel.Name, true

@@ -22,11 +22,12 @@ type confinement struct {
 	message string // Printf format taking recv and the method name
 }
 
-// confinements is the table behind AL002, AL012, AL014 and AL013's third
-// rule.
+// confinements is the table behind AL002, AL012, AL014 and AL013's
+// commit-only rule.
 func confinements(modPath string) []confinement {
 	p := func(s string) string { return modPath + "/" + s }
-	busPkg, tracePkg, replayPkg := p("internal/bus"), p("internal/telemetry/trace"), p("internal/replay")
+	busPkg, queuePkg := p("internal/bus"), p("internal/bus/internal/queue")
+	tracePkg, replayPkg := p("internal/telemetry/trace"), p("internal/replay")
 	evlogPkg, reconfigPkg := p("internal/telemetry/evlog"), p("internal/reconfig")
 	return []confinement{
 		// AL002: the causal clock is advanced only inside the transport
@@ -38,22 +39,22 @@ func confinements(modPath string) []confinement {
 			allowed: func(pkg, _, _ string) bool { return pkg == busPkg || pkg == tracePkg },
 			message: "trace minting (%s.%s) outside the bus layer: only internal/bus and internal/telemetry/trace may advance the causal clock",
 		},
-		// AL013, rule 3: a topology change meets traffic in one function, the
-		// commit. It alone fences a queue, takes what the fenced queue holds
-		// and puts it back — always with a successor snapshot published
-		// behind the fence, without which a refused writer would be refused
-		// on the slow path too.
+		// AL013, commit-only: a topology change meets traffic in one
+		// function, the commit. It alone fences a queue, takes what the
+		// fenced queue holds and puts it back — always with a successor
+		// snapshot published behind the fence, without which a refused
+		// writer would be refused on the slow path too.
 		{
-			code: CodeRingProtocol, pkg: busPkg, recv: "msgQueue",
-			methods: []string{"detach", "drain", "restore"},
-			allowed: func(_, file, method string) bool {
-				return file == "queue.go" || file == "bus.go" && method == "editLocked"
+			code: CodeRingProtocol, pkg: queuePkg, recv: "Queue",
+			methods: []string{"Detach", "Drain", "Restore"},
+			allowed: func(pkg, file, method string) bool {
+				return pkg == queuePkg || pkg == busPkg && file == "bus.go" && method == "editLocked"
 			},
 			message: "queue fenced or emptied (%s.%s) outside the commit: only (*Bus).editLocked fences, drains and restores queues, and publishes a successor snapshot behind every fence",
 		},
 		// AL012: a recorded window's QSeq order is the queue's true delivery
-		// order only because QueueLog.Append runs inside msgQueue.record, the
-		// single hook the consumer-side pop/tryPop path calls as it removes a
+		// order only because QueueLog.Append runs inside Queue.record, the
+		// single hook the consumer-side Pop/TryPop path calls as it removes a
 		// message: ring slot-claim order is delivery order. An append from a
 		// producer path or any other layer would interleave records outside
 		// that order and silently break every downstream consumer (the
@@ -62,9 +63,9 @@ func confinements(modPath string) []confinement {
 			code: CodeRecordAppend, pkg: replayPkg, recv: "QueueLog",
 			methods: []string{"Append"},
 			allowed: func(pkg, file, method string) bool {
-				return pkg == replayPkg || pkg == busPkg && file == "queue.go" && method == "record"
+				return pkg == replayPkg || pkg == queuePkg && file == "queue.go" && method == "record"
 			},
-			message: "record-log append (%s.%s) outside the consumer drain: only msgQueue.record in queue.go may record, at consumption where ring slot order is delivery order",
+			message: "record-log append (%s.%s) outside the consumer drain: only Queue.record in the queue package's queue.go may record, at consumption where ring slot order is delivery order",
 		},
 		// AL014: the event log is an ordered trace of what the bus
 		// committed, so the bus appends from one function, (*Bus).emit,

@@ -14,10 +14,11 @@ import (
 //	       is what keeps telemetry ignorant of the bus it measures and the
 //	       bus ignorant of the reconfiguration protocol driving it.
 //	AL011  the file-level decomposition inside internal/bus. routing.go is
-//	       the bottom (pure snapshot algebra), queue.go sits above it and
-//	       may use only the shared message vocabulary and the stale-route
-//	       sentinel, and the transport files reach routing state only
-//	       through the Bus facade and the published snapshot.
+//	       the bottom (pure snapshot algebra) and uses nothing of the queue
+//	       package but the message vocabulary, and the transport files
+//	       reach routing state only through the Bus facade and the
+//	       published snapshot. (Queueing is a package of its own that
+//	       cannot import the bus, so the compiler keeps it below.)
 //
 // AL010 needs only the ASTs, so it also covers packages that failed to
 // type-check; AL011 resolves references through go/types.
@@ -58,10 +59,13 @@ func (a *analysis) layeringPass() {
 				return true
 			}
 			obj := p.info.Uses[id]
-			if obj == nil || obj.Pkg() != p.tpkg || !obj.Pos().IsValid() {
+			if obj == nil || obj.Pkg() == nil || !obj.Pos().IsValid() {
 				return true
 			}
-			declFile := a.mod.fileBase(obj.Pos())
+			declFile := obj.Pkg().Path()
+			if obj.Pkg() == p.tpkg {
+				declFile = a.mod.fileBase(obj.Pos())
+			}
 			allow, restricted := ruleSet[declFile]
 			if !restricted || declFile == base {
 				return true
@@ -80,12 +84,8 @@ func (a *analysis) layeringPass() {
 }
 
 func busLayerName(base string) string {
-	switch base {
-	case "routing.go":
+	if base == "routing.go" {
 		return "routing"
-	case "queue.go":
-		return "queueing"
-	default:
-		return "transport"
 	}
+	return "transport"
 }

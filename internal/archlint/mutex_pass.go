@@ -26,10 +26,10 @@ var netPkgs = map[string]bool{
 	"net/rpc":  true,
 }
 
-// blockingBusMethods are module-internal methods known to block (condition
-// waits, deadline waits). Keyed by "Recv.Name".
+// blockingBusMethods are methods of the bus and its queue package known to
+// block (condition waits, deadline waits). Keyed by "Recv.Name".
 var blockingBusMethods = map[string]bool{
-	"msgQueue.pop":      true,
+	"Queue.Pop":         true,
 	"stateBox.await":    true,
 	"Bus.AwaitDivulged": true,
 	"Bus.AwaitRestored": true,
@@ -37,8 +37,7 @@ var blockingBusMethods = map[string]bool{
 
 // muAcquiringBusMethods are the two Bus methods that take Bus.mu — every
 // topology change goes through edit, every fenced write through writeSlow.
-// Calling one with the lock held deadlocks, and calling one with a queue
-// lock held inverts the sanctioned Bus.mu -> queue-lock order.
+// Calling one with the lock held deadlocks.
 var muAcquiringBusMethods = map[string]bool{
 	"edit":      true,
 	"writeSlow": true,
@@ -52,10 +51,9 @@ var muAcquiringBusMethods = map[string]bool{
 //	       receives outside a select with default, no blocking selects, no
 //	       condition/WaitGroup waits, sleeps or network calls, no
 //	       known-blocking or mu-reacquiring bus methods.
-//	AL005  lock order: Bus.mu is taken before queue locks, never after —
-//	       while a msgQueue lock (the consumer mu or the segment-growth
-//	       growMu) is held, neither Bus.mu nor any mu-acquiring Bus
-//	       method may be entered.
+//
+// Lock order (Bus.mu before queue locks) needs no pass: the queue's locks
+// are unexported in its own package, which runs no code of the bus's.
 //
 // The held-region analysis is intra-procedural and linear: Lock/Unlock
 // statements toggle the held state, toggles inside nested blocks do not
@@ -89,7 +87,7 @@ func (a *analysis) mutexPass() {
 		})
 	}
 
-	// AL004 + AL005: region scans per function.
+	// AL004: region scans per function.
 	for _, f := range p.files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -97,12 +95,10 @@ func (a *analysis) mutexPass() {
 				continue
 			}
 			blocking := func(n ast.Node) { a.checkBlocking(p, n) }
-			a.lockRegions(p, fd.Body, "Bus", "mu", fd.Recv != nil && strings.HasSuffix(fd.Name.Name, "Locked"), blocking)
+			a.lockRegions(p, fd.Body, fd.Recv != nil && strings.HasSuffix(fd.Name.Name, "Locked"), blocking)
 			for _, lit := range editLiterals(p, fd.Body) {
-				a.lockRegions(p, lit.Body, "Bus", "mu", true, blocking)
+				a.lockRegions(p, lit.Body, true, blocking)
 			}
-			a.lockRegions(p, fd.Body, "msgQueue", "mu", false, func(n ast.Node) { a.checkLockOrder(p, n) })
-			a.lockRegions(p, fd.Body, "msgQueue", "growMu", false, func(n ast.Node) { a.checkLockOrder(p, n) })
 		}
 	}
 }
@@ -139,12 +135,11 @@ func selectHasDefault(sel *ast.SelectStmt) bool {
 	return false
 }
 
-// lockRegions walks body linearly tracking whether owner's named mutex
-// field (owner being a named type of the bus package) is held — held says
-// whether it is on entry — and applies visit to every node reached while
-// it is. Function literals are skipped: their bodies run on other
+// lockRegions walks body linearly tracking whether Bus.mu is held — held
+// says whether it is on entry — and applies visit to every node reached
+// while it is. Function literals are skipped: their bodies run on other
 // goroutines or after the region (the caller scans the ones edit runs).
-func (a *analysis) lockRegions(p *pkg, body *ast.BlockStmt, owner, field string, held bool, visit func(ast.Node)) {
+func (a *analysis) lockRegions(p *pkg, body *ast.BlockStmt, held bool, visit func(ast.Node)) {
 	scanExpr := func(n ast.Node) {
 		if n == nil {
 			return
@@ -165,7 +160,7 @@ func (a *analysis) lockRegions(p *pkg, body *ast.BlockStmt, owner, field string,
 			switch s := st.(type) {
 			case *ast.ExprStmt:
 				if call, ok := s.X.(*ast.CallExpr); ok {
-					if op, ok := isMuOp(p, call, p.tpkg, owner, field); ok {
+					if op, ok := busMuOp(p, call); ok {
 						held = op == "Lock"
 						continue
 					}
@@ -295,33 +290,10 @@ func (a *analysis) blockingCall(p *pkg, call *ast.CallExpr) (string, bool) {
 		return "sync." + rn + ".Wait", true
 	case netPkgs[rp]:
 		return rp + "." + rn + "." + name + " (network I/O)", true
-	case rp == a.rules.busPkg && blockingBusMethods[rn+"."+name]:
+	case (rp == a.rules.busPkg || rp == a.rules.queuePkg) && blockingBusMethods[rn+"."+name]:
 		return "blocking call " + rn + "." + name, true
 	case rp == a.rules.busPkg && rn == "Bus" && muAcquiringBusMethods[name]:
 		return "(*Bus)." + name + " (re-acquires Bus.mu)", true
 	}
 	return "", false
-}
-
-// checkLockOrder is the AL005 visitor for nodes reached under a msgQueue
-// lock.
-func (a *analysis) checkLockOrder(p *pkg, n ast.Node) {
-	call, ok := n.(*ast.CallExpr)
-	if !ok {
-		return
-	}
-	if op, ok := isMuOp(p, call, p.tpkg, "Bus", "mu"); ok && op == "Lock" {
-		a.diag(CodeLockOrder, call.Pos(),
-			"Bus.mu acquired while a queue lock is held: the sanctioned order is Bus.mu before queue locks")
-		return
-	}
-	fn := calleeFunc(p, call)
-	if fn == nil {
-		return
-	}
-	if recv := recvNamed(fn); recv != nil && recv.Obj().Name() == "Bus" &&
-		recv.Obj().Pkg() == p.tpkg && muAcquiringBusMethods[fn.Name()] {
-		a.diag(CodeLockOrder, call.Pos(),
-			"(*Bus).%s called while a queue lock is held: it takes Bus.mu, inverting the sanctioned lock order", fn.Name())
-	}
 }

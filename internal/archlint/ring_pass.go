@@ -3,12 +3,11 @@ package archlint
 import (
 	"go/ast"
 	"go/token"
-	"path"
 )
 
 // ringPass enforces AL013: the lock-free message ring's atomic protocol.
-// The queue's exactly-once and fencing arguments rest on three structural
-// invariants the type system cannot express:
+// The queue's exactly-once and fencing arguments rest on invariants the
+// type system cannot express:
 //
 //  1. Publish-last. A producer claims a slot, writes its message fields,
 //     and only then flips the publication flag: the slot's state Store is
@@ -16,62 +15,32 @@ import (
 //     swapped — because exactly one producer owns a claimed slot. A field
 //     write positioned after the state Store would let the consumer read a
 //     torn message.
-//  2. Confinement. Slot and segment internals (qslot and chunk fields) and
-//     the queue's fence word are implementation details of queue.go; any
-//     other file reaching into them bypasses the protocol.
-//  3. Fence discipline. Only msgQueue.detach advances the fence word; who
-//     may call detach is a row of the confinement table (confine_pass.go).
+//  2. Fence discipline. Only Queue.Detach advances the fence word; who may
+//     call Detach is a row of the confinement table (confine_pass.go).
+//
+// The ring's slots, segments and fence word are unexported in the queue
+// package, so no bus file can reach them: the scan covers the queue
+// package alone.
 func (a *analysis) ringPass() {
-	p := a.pkgByPath(a.rules.busPkg)
+	p := a.pkgByPath(a.rules.queuePkg)
 	if p == nil {
 		return
 	}
-	for i, f := range p.files {
-		base := path.Base(p.names[i])
-		if base == "queue.go" {
-			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-					a.ringProtocolCheck(p, fd)
-				}
+	for _, f := range p.files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				a.ringProtocolCheck(p, fd)
 			}
-			continue
 		}
-		a.ringConfinementCheck(p, f)
 	}
 }
 
-// ringConfinementCheck flags references to ring internals in a bus file
-// other than queue.go.
-func (a *analysis) ringConfinementCheck(p *pkg, f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		x, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		owner := fieldOwner(p, x)
-		if owner == nil || owner.Obj().Pkg() != p.tpkg {
-			return true
-		}
-		switch owner.Obj().Name() {
-		case "qslot", "chunk":
-			a.diag(CodeRingProtocol, x.Sel.Pos(),
-				"ring internals (%s.%s) referenced outside queue.go: slot and segment state is the queue protocol's private vocabulary", owner.Obj().Name(), x.Sel.Name)
-		case "msgQueue":
-			if x.Sel.Name == "fence" {
-				a.diag(CodeRingProtocol, x.Sel.Pos(),
-					"queue fence word referenced outside queue.go: fencing is part of the ring protocol, raise it through msgQueue.detach")
-			}
-		}
-		return true
-	})
-}
-
-// ringProtocolCheck scans one queue.go function for publish-protocol
+// ringProtocolCheck scans one queue function for publish-protocol
 // violations: non-Store mutations of a slot's publication flag, fence
-// mutations outside detach, and slot field writes positioned after the
+// mutations outside Detach, and slot field writes positioned after the
 // slot's state Store (publish must be the last touch).
 func (a *analysis) ringProtocolCheck(p *pkg, fd *ast.FuncDecl) {
-	inDetach := fd.Name.Name == "detach" && fd.Recv != nil
+	inDetach := fd.Name.Name == "Detach" && fd.Recv != nil
 
 	// published maps a slot-holding identifier name to the position of its
 	// LAST state Store in this function — the publish (earlier Stores are
@@ -98,7 +67,7 @@ func (a *analysis) ringProtocolCheck(p *pkg, fd *ast.FuncDecl) {
 			return true
 		}
 		switch {
-		case owner.Obj().Name() == "qslot" && inner.Sel.Name == "state":
+		case owner.Obj().Name() == "slot" && inner.Sel.Name == "state":
 			if sel.Sel.Name != "Store" && sel.Sel.Name != "Load" {
 				a.diag(CodeRingProtocol, call.Pos(),
 					"slot publication flag mutated with %s: a claimed slot has exactly one owner, the flag is Stored and Loaded only", sel.Sel.Name)
@@ -111,10 +80,10 @@ func (a *analysis) ringProtocolCheck(p *pkg, fd *ast.FuncDecl) {
 					}
 				}
 			}
-		case owner.Obj().Name() == "msgQueue" && inner.Sel.Name == "fence":
+		case owner.Obj().Name() == "Queue" && inner.Sel.Name == "fence":
 			if !inDetach && sel.Sel.Name != "Load" {
 				a.diag(CodeRingProtocol, call.Pos(),
-					"queue fence mutated (%s) outside msgQueue.detach: only detach advances the fence word", sel.Sel.Name)
+					"queue fence mutated (%s) outside Queue.Detach: only Detach advances the fence word", sel.Sel.Name)
 			}
 		}
 		return true
@@ -133,7 +102,7 @@ func (a *analysis) ringProtocolCheck(p *pkg, fd *ast.FuncDecl) {
 				continue
 			}
 			owner := fieldOwner(p, sel)
-			if owner == nil || owner.Obj().Name() != "qslot" || owner.Obj().Pkg() != p.tpkg {
+			if owner == nil || owner.Obj().Name() != "slot" || owner.Obj().Pkg() != p.tpkg {
 				continue
 			}
 			id, ok := ast.Unparen(sel.X).(*ast.Ident)

@@ -3,6 +3,8 @@ package bus
 import (
 	"sync"
 	"time"
+
+	"repro/internal/bus/internal/queue"
 )
 
 // Bus owns the control-plane writer lock.
@@ -37,4 +39,12 @@ func (b *Bus) BadEdit(ch chan int) error {
 // commitLocked runs with the lock held by its caller.
 func (b *Bus) commitLocked(ch chan int) {
 	ch <- 2
+}
+
+// BadPop waits for a message with the writer lock held: until a writer
+// comes, every topology change stalls behind the reader.
+func (b *Bus) BadPop(q *queue.Queue) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return q.Pop()
 }

@@ -3,6 +3,8 @@ package bus
 import (
 	"sync"
 	"time"
+
+	"repro/internal/bus/internal/queue"
 )
 
 // Bus owns the control-plane writer lock.
@@ -40,3 +42,12 @@ func (b *Bus) GoodEdit(n *int) error {
 }
 
 func unlocked(fn func()) { fn() }
+
+// GoodPop reads what the writer lock guards, then waits for a message with
+// the lock released.
+func (b *Bus) GoodPop(q *queue.Queue, n *int) int {
+	b.mu.Lock()
+	*n++
+	b.mu.Unlock()
+	return q.Pop()
+}

@@ -1,17 +1,15 @@
 package bus
 
-import "errors"
+import "repro/internal/bus/internal/queue"
 
 // routingTable is one immutable snapshot.
 type routingTable struct{ version uint64 }
 
-// errStaleRoute refuses a push resolved from a fenced snapshot.
-var errStaleRoute = errors.New("bus: stale route")
-
-// fenceAll reaches up into the queueing layer: routing may not know
-// queues exist.
-func fenceAll(qs []*msgQueue) {
+// backlog reaches up into the queueing layer: routing may not know queues
+// exist.
+func backlog(qs []*queue.Queue) (n int) {
 	for _, q := range qs {
-		q.stale = 1
+		n += q.Len()
 	}
+	return n
 }

@@ -1,9 +1,13 @@
 package bus
 
-import "errors"
+import "repro/internal/bus/internal/queue"
 
 // routingTable is one immutable snapshot.
-type routingTable struct{ version uint64 }
+type routingTable struct {
+	version uint64
+	routes  map[queue.Endpoint][]queue.Endpoint
+}
 
-// errStaleRoute refuses a push resolved from a fenced snapshot.
-var errStaleRoute = errors.New("bus: stale route")
+// instanceOf uses the message vocabulary the queue package declares for
+// the bus, which routing may.
+func instanceOf(e queue.Endpoint) string { return e.Instance }

@@ -2,8 +2,8 @@ package bus
 
 import "repro/internal/replay"
 
-// Record appends from the transport file — the right package but the
-// wrong layer of it: only queue.go records, inside push.
+// Record appends from a transport file of the bus: only the queue
+// package's consumer hook records.
 func Record(q *replay.QueueLog, data []byte) {
 	q.Append("attach", data)
 }

@@ -1,12 +1,12 @@
-package bus
+package queue
 
 import "repro/internal/replay"
 
-// msgQueue records from push — the producer side. The right file, but the
+// Queue records from push — the producer side. The right file, but the
 // wrong end of the ring: a producer-side append orders records by claim
 // attempt, not by delivery, so it must live in the consumer's record hook.
-type msgQueue struct{ rec *replay.QueueLog }
+type Queue struct{ rec *replay.QueueLog }
 
-func (q *msgQueue) push(data []byte) {
+func (q *Queue) push(data []byte) {
 	q.rec.Append("src", data)
 }

@@ -1,20 +1,20 @@
-package bus
+package queue
 
 import "sync/atomic"
 
-type qslot struct {
+type slot struct {
 	state atomic.Uint32
 	msg   []byte
 }
 
-type msgQueue struct {
+type Queue struct {
 	fence atomic.Uint64
-	slots [4]qslot
+	slots [4]slot
 }
 
 // push publishes before writing the payload: the consumer can observe the
 // flag and read a torn message.
-func (q *msgQueue) push(m []byte) {
+func (q *Queue) push(m []byte) {
 	s := &q.slots[0]
 	s.state.Store(1)
 	s.msg = m
@@ -22,17 +22,17 @@ func (q *msgQueue) push(m []byte) {
 
 // claim CASes the publication flag — but a claimed slot has exactly one
 // owner, so the flag is only ever Stored.
-func (q *msgQueue) claim() bool {
+func (q *Queue) claim() bool {
 	s := &q.slots[1]
 	return s.state.CompareAndSwap(0, 1)
 }
 
-// refuse raises the fence outside detach, diverting traffic to the slow
+// refuse raises the fence outside Detach, diverting traffic to the slow
 // path with no topology change behind it.
-func (q *msgQueue) refuse(version uint64) {
+func (q *Queue) refuse(version uint64) {
 	q.fence.Store(version)
 }
 
-func (q *msgQueue) detach(version uint64) {
+func (q *Queue) Detach(version uint64) {
 	q.fence.Store(version)
 }

@@ -1,10 +1,12 @@
 package bus
 
+import "repro/internal/bus/internal/queue"
+
 // Bus is the facade that owns the commit.
 type Bus struct{}
 
 // editLocked fences the queue as part of committing a topology change — the
-// one legal detach site.
-func (b *Bus) editLocked(q *msgQueue, version uint64) {
-	q.detach(version)
+// one legal Detach site.
+func (b *Bus) editLocked(q *queue.Queue, version uint64) {
+	q.Detach(version)
 }

@@ -1,10 +1,10 @@
-package bus
+package queue
 
 import "sync/atomic"
 
-// qslot is one message cell of the ring: state is the publication flag and
+// slot is one message cell of the ring: state is the publication flag and
 // is the slot's last touch — the consumer reads msg only after seeing it.
-type qslot struct {
+type slot struct {
 	state atomic.Uint32
 	msg   []byte
 	ver   uint64
@@ -13,17 +13,17 @@ type qslot struct {
 // chunk is one fixed segment of slots with a producer claim cursor.
 type chunk struct {
 	tail  atomic.Uint64
-	slots [4]qslot
+	slots [4]slot
 }
 
-// msgQueue is the lock-free ring; the fence word refuses routed pushes
+// Queue is the lock-free ring; the fence word refuses routed pushes
 // stamped with a topology version at or below it.
-type msgQueue struct {
+type Queue struct {
 	prod  atomic.Pointer[chunk]
 	fence atomic.Uint64
 }
 
-func (q *msgQueue) push(m []byte) {
+func (q *Queue) push(m []byte) {
 	c := q.prod.Load()
 	pos := c.tail.Add(1) - 1
 	s := &c.slots[pos]
@@ -31,7 +31,7 @@ func (q *msgQueue) push(m []byte) {
 	s.state.Store(1) // publish last
 }
 
-func (q *msgQueue) pushRouted(m []byte, version uint64) bool {
+func (q *Queue) pushRouted(m []byte, version uint64) bool {
 	c := q.prod.Load()
 	pos := c.tail.Add(1) - 1
 	s := &c.slots[pos]
@@ -45,8 +45,8 @@ func (q *msgQueue) pushRouted(m []byte, version uint64) bool {
 	return true
 }
 
-// detach raises the fence; only the routing layer may call it.
-func (q *msgQueue) detach(version uint64) {
+// Detach raises the fence; only the bus's commit may call it.
+func (q *Queue) Detach(version uint64) {
 	for {
 		cur := q.fence.Load()
 		if version <= cur || q.fence.CompareAndSwap(cur, version) {

@@ -2,18 +2,17 @@ package bus
 
 import (
 	"errors"
-	"fmt"
-	"runtime"
-	"sync"
 	"testing"
 	"unsafe"
 )
 
 // Inside the bus a message moves by address: a writer builds it once, each
 // queue copies it into a slot, a reader copies it out of the slot once. The
-// tests here pin what that rests on — a taken slot is never written again,
-// and a route remembered across writes is never older than the snapshot
-// the write loads. scripts/check.sh runs them under -race x20.
+// bus's half of what that rests on is pinned here — the envelope stays
+// small, and a route remembered across writes is never older than the
+// snapshot the write loads; the queue's half, a taken slot is never written
+// again, is the queue package's TestTakenItemStaysValid. scripts/check.sh
+// runs both under -race x20.
 
 // TestMessageSize: the envelope is copied into every queue slot, and a
 // chunk of 256 slots is sized against the allocator's classes.
@@ -21,90 +20,6 @@ func TestMessageSize(t *testing.T) {
 	if n := unsafe.Sizeof(Message{}); n > 104 {
 		t.Errorf("bus.Message is %d bytes, want <= 104", n)
 	}
-}
-
-func testMsg(i int) *Message { return &Message{Data: []byte(fmt.Sprintf("m%d", i))} }
-
-func (q *msgQueue) takeLocked() *qitem {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.take()
-}
-
-// TestTakenItemStaysValid: the address take hands out — of a segment slot
-// or of a restored front item — still holds its message after the queue
-// has grown, been snapshotted and drained around it under a racing producer,
-// and been restored (twice: the second replaces the front it was taken from).
-func TestTakenItemStaysValid(t *testing.T) {
-	q := newMsgQueue()
-	for i := 0; i < 3; i++ {
-		if err := q.pushRouted(testMsg(i), 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	slot := q.takeLocked()
-	held := map[*qitem]string{slot: "m0"}
-	check := func(after string) {
-		t.Helper()
-		for it, want := range held {
-			if got := string(it.msg.Data); got != want || it.ver == 0 {
-				t.Fatalf("after %s: taken item holds %q (ver %d), want %q", after, got, it.ver, want)
-			}
-		}
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // a producer racing the grow, the snapshot and the drain
-		defer wg.Done()
-		for i := 1000; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				if q.length() > 8*chunkCap { // snapshot and drain walk to the tail: let them reach it
-					runtime.Gosched()
-					continue
-				}
-				if q.pushRouted(testMsg(i), 2) != nil {
-					return
-				}
-			}
-		}
-	}()
-
-	for i := 3; i < 3+2*chunkCap; i++ { // two grows past the taken slot's segment
-		if err := q.pushRouted(testMsg(i), 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	check("grow")
-	if snap := q.snapshot(); len(snap) < 2+2*chunkCap || string(snap[0].Data) != "m1" {
-		t.Fatalf("snapshot starts at %q with %d messages, want m1 and >= %d", snap[0].Data, len(snap), 2+2*chunkCap)
-	}
-	check("snapshot")
-	if drained := q.drain(); len(drained) < 2+2*chunkCap || string(drained[0].Data) != "m1" {
-		t.Fatalf("drain returned %d messages starting at %q", len(drained), drained[0].Data)
-	}
-	check("drain")
-	close(stop) // restore's callers fence producers out first
-	wg.Wait()
-
-	q.restore([]Message{*testMsg(-1), *testMsg(-2)}, 3)
-	check("restore")
-	front := q.takeLocked()
-	held[front] = "m-1"
-	q.restore([]Message{*testMsg(-3)}, 4) // replaces the front the item was taken from
-	check("restore over a taken front item")
-
-	var m Message
-	if err := q.pop(&m, nil); err != nil || string(m.Data) != "m-3" {
-		t.Fatalf("restored queue yields %q, %v; want m-3", m.Data, err)
-	}
-	m = Message{} // the reader's copy is its own
-	q.drain()
-	check("pop and drain of a restored queue")
 }
 
 // TestMemoisedRouteDroppedOnTopologyChange: an attachment remembers the
@@ -125,7 +40,7 @@ func TestMemoisedRouteDroppedOnTopologyChange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out, sinkA, sinkB := Endpoint{"src", "out"}, Endpoint{"a", "in"}, Endpoint{"b", "in"}
+	out, sinkA, sinkB := Endpoint{Instance: "src", Interface: "out"}, Endpoint{Instance: "a", Interface: "in"}, Endpoint{Instance: "b", Interface: "in"}
 	if err := b.AddBinding(out, sinkA); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +98,7 @@ func TestMemoisedRouteDroppedOnTopologyChange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := b.AddBinding(out, Endpoint{"g", "in"}); err != nil {
+	if err := b.AddBinding(out, Endpoint{Instance: "g", Interface: "in"}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bus/internal/queue"
 	"repro/internal/clock"
 	"repro/internal/telemetry/evlog"
 )
@@ -175,8 +176,8 @@ func (a *Attachment) Read(ifaceName string) (m Message, err error) {
 	if err != nil {
 		return m, err
 	}
-	if err = ifc.queue.pop(&m, a.gone); err != nil { // m is untouched
-		if errors.Is(err, ErrQueueClosed) {
+	if err = ifc.queue.Pop(&m, a.gone); err != nil { // m is untouched
+		if errors.Is(err, queue.ErrClosed) {
 			err = ErrStopped
 		}
 		return m, err
@@ -193,8 +194,8 @@ func (a *Attachment) TryRead(ifaceName string) (m Message, ok bool, err error) {
 	if err != nil {
 		return m, false, err
 	}
-	if ok, err = ifc.queue.tryPop(&m); err != nil { // m is untouched
-		if errors.Is(err, ErrQueueClosed) {
+	if ok, err = ifc.queue.TryPop(&m); err != nil { // m is untouched
+		if errors.Is(err, queue.ErrClosed) {
 			err = ErrStopped
 		}
 		return m, false, err
@@ -209,7 +210,7 @@ func (a *Attachment) Pending(ifaceName string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return ifc.queue.length(), nil
+	return ifc.queue.Len(), nil
 }
 
 // recvIface resolves a receiving interface of this instance: one with a
@@ -293,6 +294,16 @@ func (a *Attachment) ConfirmRestore(restoreErr error) error {
 
 // Done reports whether the instance has been deleted from the bus.
 func (a *Attachment) Done() bool { return isClosed(a.inst.done) }
+
+// isClosed reports whether a channel that is only ever closed has been.
+func isClosed(stop <-chan struct{}) bool {
+	select {
+	case <-stop:
+		return true
+	default:
+		return false
+	}
+}
 
 // Clock returns the bus's clock.
 func (a *Attachment) Clock() clock.Clock { return a.bus.clk }

@@ -47,6 +47,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bus/internal/queue"
 	"repro/internal/clock"
 	"repro/internal/faultinject"
 	"repro/internal/replay"
@@ -87,43 +88,18 @@ func (d Direction) Receives() bool { return d == In || d == InOut }
 // Sends reports whether the interface can emit messages.
 func (d Direction) Sends() bool { return d == Out || d == InOut }
 
-// Endpoint names one interface of one instance.
-type Endpoint struct {
-	Instance  string
-	Interface string
-}
-
-// String renders "instance.interface".
-func (e Endpoint) String() string { return e.Instance + "." + e.Interface }
+// Endpoint names one interface of one instance ("instance.interface").
+type Endpoint = queue.Endpoint
 
 // TraceContext is the causal-tracing context a message carries (see
 // repro/internal/telemetry/trace). The alias keeps the wire format and the
 // Port-facing API inside this package.
 type TraceContext = trace.Context
 
-// Message is one datum in flight: who sent it, the codec-encoded payload,
-// and the trace context the bus stamped at send. The zero Trace means
-// untraced, and costs one byte on the wire.
-type Message struct {
-	From  Endpoint
-	Data  []byte
-	Trace TraceContext
-
-	// src is the interface the message was written on, set by the write
-	// path and kept by every queue the message moves through, so the
-	// delivery hooks record the sender's interned name instead of building
-	// From.String() per delivery. Nil on a message the bus did not route.
-	src *iface
-}
-
-// sender returns the interned "instance.interface" name of the interface
-// the message was written on.
-func (m *Message) sender() string {
-	if m.src == nil {
-		return ""
-	}
-	return m.src.name
-}
+// Message is one datum in flight: who sent it (From), the codec-encoded
+// payload (Data), and the trace context the bus stamped at send (Trace).
+// The zero Trace means untraced, and costs one byte on the wire.
+type Message = queue.Message
 
 // IfaceSpec declares one interface when registering an instance.
 type IfaceSpec struct {
@@ -211,8 +187,8 @@ type Binding struct {
 
 type iface struct {
 	spec  IfaceSpec
-	name  string    // "instance.interface", built once at AddInstance
-	queue *msgQueue // incoming messages, nil for pure-Out interfaces
+	name  string       // "instance.interface", built once at AddInstance
+	queue *queue.Queue // incoming messages, nil for pure-Out interfaces
 
 	// Telemetry handles resolved once at AddInstance; nil (no-op) when the
 	// bus runs with telemetry disabled, so the write path never branches.
@@ -445,24 +421,24 @@ func (b *Bus) editLocked(fn func(d *topologyDraft) error) error {
 	}
 	next := cur.version + 1
 	for _, ifc := range d.fenced {
-		ifc.queue.detach(cur.version)
+		ifc.queue.Detach(cur.version)
 	}
 	for _, mv := range d.moves {
-		msgs := mv.from.queue.drain()
+		items := mv.from.queue.Drain()
 		switch {
 		case len(mv.to) > 0:
-			for i := range msgs {
-				mv.to[i%len(mv.to)].queue.pushAll(msgs[i:i+1], next)
+			for i := range items {
+				mv.to[i%len(mv.to)].queue.PushAll(items[i:i+1], next)
 			}
-			b.stats.moves.Add(int64(len(msgs)))
+			b.stats.moves.Add(int64(len(items)))
 		case mv.keep:
-			mv.from.queue.restore(msgs, next)
-			msgs = nil
+			mv.from.queue.Restore(items, next)
+			items = nil
 		}
-		mv.n = len(msgs)
+		mv.n = len(items)
 		ev := &d.events[mv.ev]
 		ev.Detail += fmt.Sprintf(" (%d msgs)", mv.n)
-		ev.TraceIDs = traceIDsOf(msgs)
+		ev.TraceIDs = traceIDsOf(items)
 	}
 	b.routing.Store(d.build(next))
 	for _, in := range d.deleted {
@@ -470,7 +446,7 @@ func (b *Bus) editLocked(fn func(d *topologyDraft) error) error {
 		close(in.done)
 		for _, ifc := range in.ifaces {
 			if ifc.queue != nil {
-				ifc.queue.close()
+				ifc.queue.Close()
 			}
 		}
 		in.stateBoxRef().close()
@@ -518,11 +494,7 @@ func (b *Bus) AddInstance(spec InstanceSpec) error {
 		if _, dup := in.ifaces[is.Name]; dup {
 			return fmt.Errorf("bus: instance %s declares interface %s twice", spec.Name, is.Name)
 		}
-		ifc := &iface{spec: is, name: spec.Name + "." + is.Name}
-		if is.Dir.Receives() {
-			ifc.queue = newMsgQueue()
-		}
-		in.ifaces[is.Name] = ifc
+		in.ifaces[is.Name] = &iface{spec: is, name: spec.Name + "." + is.Name}
 	}
 	return b.edit(func(d *topologyDraft) error {
 		if _, dup := d.instances[spec.Name]; dup {
@@ -546,17 +518,17 @@ func (b *Bus) AddInstance(spec InstanceSpec) error {
 			}
 			if ifc.spec.Dir.Receives() {
 				ifc.delivered = b.telem.Counter(metric("delivered", telemetry.FamilyDelivered))
-				q := ifc.queue
-				q.latency = b.telem.Histogram(metric("delivery_latency_ns", telemetry.FamilyDeliveryLatency))
-				name, labels := metric("queue_depth", telemetry.FamilyQueueDepth)
-				b.telem.GaugeFunc(name, labels, func() int64 {
-					return int64(q.length())
-				})
 				// The log's handle is interned per endpoint, so a clone
 				// reusing a name (rollback resurrect) continues the same
 				// recorded delivery sequence. Nil log → nil handle → no-op
 				// appends.
-				q.rec, q.clk = b.recorder.Queue(ifc.name), b.clk
+				q := queue.New(b.recorder.Queue(ifc.name), b.clk,
+					b.telem.Histogram(metric("delivery_latency_ns", telemetry.FamilyDeliveryLatency)))
+				ifc.queue = q
+				name, labels := metric("queue_depth", telemetry.FamilyQueueDepth)
+				b.telem.GaugeFunc(name, labels, func() int64 {
+					return int64(q.Len())
+				})
 			}
 		}
 		d.instances[spec.Name] = in
@@ -624,13 +596,13 @@ func (b *Bus) DrainQueue(e Endpoint) (int, error) {
 	return mv.n, nil
 }
 
-// traceIDsOf collects the distinct nonzero trace IDs of a message batch, in
-// first-seen order, capped at 8 — enough for event-log correlation without
-// unbounded event payloads.
-func traceIDsOf(msgs []Message) []uint64 {
+// traceIDsOf collects the distinct nonzero trace IDs of a transferred
+// batch, in first-seen order, capped at 8 — enough for event-log
+// correlation without unbounded event payloads.
+func traceIDsOf(items []queue.Item) []uint64 {
 	var ids []uint64
-	for _, m := range msgs {
-		if id := m.Trace.TraceID; id != 0 && !slices.Contains(ids, id) {
+	for _, it := range items {
+		if id := it.Msg.Trace.TraceID; id != 0 && !slices.Contains(ids, id) {
 			if ids = append(ids, id); len(ids) == 8 {
 				break
 			}
@@ -893,8 +865,8 @@ func (b *Bus) Info(name string) (InstanceInfo, error) {
 		ifc := in.ifaces[n]
 		info.Interfaces = append(info.Interfaces, ifc.spec)
 		if ifc.queue != nil {
-			info.Pending[n] = ifc.queue.length()
-			info.Parked[n] = ifc.queue.parked()
+			info.Pending[n] = ifc.queue.Len()
+			info.Parked[n] = ifc.queue.Parked()
 		}
 	}
 	return info, nil
@@ -926,7 +898,7 @@ func (b *Bus) QueuedMessages(name string) ([]QueuedMessage, error) {
 		if ifc.queue == nil {
 			continue
 		}
-		for _, m := range ifc.queue.snapshot() {
+		for _, m := range ifc.queue.Snapshot() {
 			qm := QueuedMessage{Endpoint: Endpoint{Instance: name, Interface: n}, Trace: m.Trace, AgeNs: -1}
 			if m.Trace.SentNs != 0 {
 				qm.AgeNs = now - m.Trace.SentNs
@@ -1051,7 +1023,7 @@ func (b *Bus) writeRouted(r *route, batch [][]byte, parent TraceContext) (rest [
 		return nil, b.writeUnboundErr(r.from)
 	}
 	var msg Message // filled in place: the queues copy it from this address
-	msg.From, msg.src = r.from, r.src
+	msg.From = r.from
 	if b.tracer != nil {
 		msg.Trace = b.tracer.StampBatch(parent, len(batch))
 		if msg.Trace.Sampled() {
@@ -1064,20 +1036,20 @@ func (b *Bus) writeRouted(r *route, batch [][]byte, parent TraceContext) (rest [
 		for j, t := range r.targets {
 			var err error
 			if t.ifc != nil {
-				err = t.ifc.queue.pushRouted(&msg, r.rt.version)
+				err = t.ifc.queue.PushRouted(&msg, &r.src.name, r.rt.version)
 				if err == nil {
 					t.ifc.delivered.Inc()
 				}
 			} else {
-				err = b.deliverGroup(t.group, &msg, r.rt.version)
+				err = b.deliverGroup(t.group, &msg, r.src, r.rt.version)
 			}
 			switch err {
 			case nil:
 				delivered++
-			case errStaleRoute:
+			case queue.ErrStaleRoute:
 				// Finishing under the writer lock also flushes the
 				// deliveries counted so far.
-				return batch[i+1:], b.writeSlow(&msg, r.targets[:j], delivered)
+				return batch[i+1:], b.writeSlow(&msg, r.src, r.targets[:j], delivered)
 			default:
 				// A closed queue means the receiver was deleted mid-write;
 				// the message is simply dropped, like a datagram to a dead
@@ -1114,14 +1086,14 @@ func (b *Bus) writeUnboundErr(from Endpoint) error {
 	return fmt.Errorf("%w: %s", ErrUnbound, from)
 }
 
-// writeSlow finishes a write whose fast-path route was fenced by a
+// writeSlow finishes a write on src whose fast-path route was fenced by a
 // concurrent topology change. It serializes with the writers on b.mu —
 // by the time the lock is held the change has published its successor
 // snapshot — re-resolves the route, and delivers to every current target
 // not already reached on the fast path. attempted holds the targets the
 // fast path already processed (delivered or dropped-closed); pre counts
 // the fast-path deliveries for the stats.
-func (b *Bus) writeSlow(msg *Message, attempted []target, pre int64) error {
+func (b *Bus) writeSlow(msg *Message, src *iface, attempted []target, pre int64) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	rt := b.routing.Load()
@@ -1139,11 +1111,11 @@ func (b *Bus) writeSlow(msg *Message, attempted []target, pre int64) error {
 			// Every fence was raised at an epoch before rt's, under this
 			// lock, so the routed push is never refused as stale.
 			if t.ifc != nil {
-				if t.ifc.queue.pushRouted(msg, rt.version) == nil {
+				if t.ifc.queue.PushRouted(msg, &src.name, rt.version) == nil {
 					t.ifc.delivered.Inc()
 					delivered++
 				}
-			} else if b.deliverGroup(t.group, msg, rt.version) == nil {
+			} else if b.deliverGroup(t.group, msg, src, rt.version) == nil {
 				delivered++
 			}
 		}
@@ -1158,6 +1130,6 @@ func (b *Bus) writeSlow(msg *Message, attempted []target, pre int64) error {
 		return fmt.Errorf("%w: %s", ErrUnbound, from)
 	}
 	b.stats.delivered.Add(delivered)
-	msg.src.sent.Add(delivered)
+	src.sent.Add(delivered)
 	return nil
 }

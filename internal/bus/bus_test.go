@@ -38,8 +38,8 @@ func testBus(t *testing.T, opts ...BusOption) *Bus {
 			t.Fatal(err)
 		}
 	}
-	mustBind(Endpoint{"display", "temper"}, Endpoint{"compute", "display"})
-	mustBind(Endpoint{"sensor", "out"}, Endpoint{"compute", "sensor"})
+	mustBind(Endpoint{Instance: "display", Interface: "temper"}, Endpoint{Instance: "compute", Interface: "display"})
+	mustBind(Endpoint{Instance: "sensor", Interface: "out"}, Endpoint{Instance: "compute", Interface: "sensor"})
 	return b
 }
 
@@ -117,7 +117,7 @@ func TestMessageRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(m.Data) != "req:5" || m.From != (Endpoint{"display", "temper"}) {
+	if string(m.Data) != "req:5" || m.From != (Endpoint{Instance: "display", Interface: "temper"}) {
 		t.Errorf("message = %+v", m)
 	}
 
@@ -182,29 +182,29 @@ func TestWriteErrors(t *testing.T) {
 func TestBindingValidation(t *testing.T) {
 	b := testBus(t)
 	// Unknown endpoints.
-	if err := b.AddBinding(Endpoint{"ghost", "x"}, Endpoint{"compute", "display"}); !errors.Is(err, ErrNoInstance) {
+	if err := b.AddBinding(Endpoint{Instance: "ghost", Interface: "x"}, Endpoint{Instance: "compute", Interface: "display"}); !errors.Is(err, ErrNoInstance) {
 		t.Errorf("unknown instance: %v", err)
 	}
-	if err := b.AddBinding(Endpoint{"compute", "ghost"}, Endpoint{"display", "temper"}); !errors.Is(err, ErrNoInterface) {
+	if err := b.AddBinding(Endpoint{Instance: "compute", Interface: "ghost"}, Endpoint{Instance: "display", Interface: "temper"}); !errors.Is(err, ErrNoInterface) {
 		t.Errorf("unknown interface: %v", err)
 	}
 	// In <-> In cannot exchange.
 	if err := b.AddInstance(InstanceSpec{Name: "i2", Interfaces: []IfaceSpec{{Name: "in", Dir: In}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddBinding(Endpoint{"i2", "in"}, Endpoint{"compute", "sensor"}); !errors.Is(err, ErrDirection) {
+	if err := b.AddBinding(Endpoint{Instance: "i2", Interface: "in"}, Endpoint{Instance: "compute", Interface: "sensor"}); !errors.Is(err, ErrDirection) {
 		t.Errorf("in<->in: %v", err)
 	}
 	// Duplicate binding (either orientation).
-	if err := b.AddBinding(Endpoint{"compute", "display"}, Endpoint{"display", "temper"}); err == nil {
+	if err := b.AddBinding(Endpoint{Instance: "compute", Interface: "display"}, Endpoint{Instance: "display", Interface: "temper"}); err == nil {
 		t.Error("duplicate binding accepted")
 	}
 	// Delete nonexistent.
-	if err := b.Rebind([]BindEdit{{Op: "del", From: Endpoint{"sensor", "out"}, To: Endpoint{"display", "temper"}}}); !errors.Is(err, ErrNoBinding) {
+	if err := b.Rebind([]BindEdit{{Op: "del", From: Endpoint{Instance: "sensor", Interface: "out"}, To: Endpoint{Instance: "display", Interface: "temper"}}}); !errors.Is(err, ErrNoBinding) {
 		t.Errorf("delete missing binding: %v", err)
 	}
 	// Delete existing, reversed orientation.
-	if err := b.Rebind([]BindEdit{{Op: "del", From: Endpoint{"compute", "display"}, To: Endpoint{"display", "temper"}}}); err != nil {
+	if err := b.Rebind([]BindEdit{{Op: "del", From: Endpoint{Instance: "compute", Interface: "display"}, To: Endpoint{Instance: "display", Interface: "temper"}}}); err != nil {
 		t.Errorf("delete reversed: %v", err)
 	}
 	if got := len(b.Bindings()); got != 1 {
@@ -224,10 +224,10 @@ func TestFanOutDelivery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := b.AddBinding(Endpoint{"pub", "out"}, Endpoint{"sub1", "in"}); err != nil {
+	if err := b.AddBinding(Endpoint{Instance: "pub", Interface: "out"}, Endpoint{Instance: "sub1", Interface: "in"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddBinding(Endpoint{"pub", "out"}, Endpoint{"sub2", "in"}); err != nil {
+	if err := b.AddBinding(Endpoint{Instance: "pub", Interface: "out"}, Endpoint{Instance: "sub2", Interface: "in"}); err != nil {
 		t.Fatal(err)
 	}
 	pub := attach(t, b, "pub")
@@ -438,7 +438,7 @@ func TestMoveQueueAndDrain(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Rebind([]BindEdit{{Op: "cq", From: Endpoint{"compute", "display"}, To: Endpoint{"compute2", "display"}}}); err != nil {
+	if err := b.Rebind([]BindEdit{{Op: "cq", From: Endpoint{Instance: "compute", Interface: "display"}, To: Endpoint{Instance: "compute2", Interface: "display"}}}); err != nil {
 		t.Fatal(err)
 	}
 	clone := attach(t, b, "compute2")
@@ -459,17 +459,17 @@ func TestMoveQueueAndDrain(t *testing.T) {
 	if err := disp.Write("temper", []byte("x")); err == nil {
 		// write went to compute2 or compute depending on bindings; just
 		// exercise DrainQueue on both.
-		if _, err := b.DrainQueue(Endpoint{"compute", "display"}); err != nil {
+		if _, err := b.DrainQueue(Endpoint{Instance: "compute", Interface: "display"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := b.DrainQueue(Endpoint{"sensor", "out"}); !errors.Is(err, ErrDirection) {
+	if _, err := b.DrainQueue(Endpoint{Instance: "sensor", Interface: "out"}); !errors.Is(err, ErrDirection) {
 		t.Errorf("drain on Out iface: %v", err)
 	}
-	if err := b.Rebind([]BindEdit{{Op: "cq", From: Endpoint{"sensor", "out"}, To: Endpoint{"compute", "display"}}}); !errors.Is(err, ErrDirection) {
+	if err := b.Rebind([]BindEdit{{Op: "cq", From: Endpoint{Instance: "sensor", Interface: "out"}, To: Endpoint{Instance: "compute", Interface: "display"}}}); !errors.Is(err, ErrDirection) {
 		t.Errorf("move from Out iface: %v", err)
 	}
-	if err := b.Rebind([]BindEdit{{Op: "cq", From: Endpoint{"ghost", "x"}, To: Endpoint{"compute", "display"}}}); !errors.Is(err, ErrNoInstance) {
+	if err := b.Rebind([]BindEdit{{Op: "cq", From: Endpoint{Instance: "ghost", Interface: "x"}, To: Endpoint{Instance: "compute", Interface: "display"}}}); !errors.Is(err, ErrNoInstance) {
 		t.Errorf("move from ghost: %v", err)
 	}
 }
@@ -486,9 +486,9 @@ func TestRebindAtomicity(t *testing.T) {
 	// A batch whose last edit fails must leave bindings untouched.
 	before := b.Bindings()
 	err := b.Rebind([]BindEdit{
-		{Op: "del", From: Endpoint{"display", "temper"}, To: Endpoint{"compute", "display"}},
-		{Op: "add", From: Endpoint{"display", "temper"}, To: Endpoint{"compute2", "display"}},
-		{Op: "del", From: Endpoint{"ghost", "x"}, To: Endpoint{"ghost", "y"}},
+		{Op: "del", From: Endpoint{Instance: "display", Interface: "temper"}, To: Endpoint{Instance: "compute", Interface: "display"}},
+		{Op: "add", From: Endpoint{Instance: "display", Interface: "temper"}, To: Endpoint{Instance: "compute2", Interface: "display"}},
+		{Op: "del", From: Endpoint{Instance: "ghost", Interface: "x"}, To: Endpoint{Instance: "ghost", Interface: "y"}},
 	})
 	if err == nil {
 		t.Fatal("failing batch succeeded")
@@ -499,21 +499,21 @@ func TestRebindAtomicity(t *testing.T) {
 
 	// The full replacement batch, as Figure 5 issues it.
 	err = b.Rebind([]BindEdit{
-		{Op: "del", From: Endpoint{"display", "temper"}, To: Endpoint{"compute", "display"}},
-		{Op: "add", From: Endpoint{"display", "temper"}, To: Endpoint{"compute2", "display"}},
-		{Op: "del", From: Endpoint{"sensor", "out"}, To: Endpoint{"compute", "sensor"}},
-		{Op: "add", From: Endpoint{"sensor", "out"}, To: Endpoint{"compute2", "sensor"}},
-		{Op: "cq", From: Endpoint{"compute", "display"}, To: Endpoint{"compute2", "display"}},
-		{Op: "rmq", From: Endpoint{"compute", "sensor"}},
+		{Op: "del", From: Endpoint{Instance: "display", Interface: "temper"}, To: Endpoint{Instance: "compute", Interface: "display"}},
+		{Op: "add", From: Endpoint{Instance: "display", Interface: "temper"}, To: Endpoint{Instance: "compute2", Interface: "display"}},
+		{Op: "del", From: Endpoint{Instance: "sensor", Interface: "out"}, To: Endpoint{Instance: "compute", Interface: "sensor"}},
+		{Op: "add", From: Endpoint{Instance: "sensor", Interface: "out"}, To: Endpoint{Instance: "compute2", Interface: "sensor"}},
+		{Op: "cq", From: Endpoint{Instance: "compute", Interface: "display"}, To: Endpoint{Instance: "compute2", Interface: "display"}},
+		{Op: "rmq", From: Endpoint{Instance: "compute", Interface: "sensor"}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dest, err := b.IfDest(Endpoint{"display", "temper"})
+	dest, err := b.IfDest(Endpoint{Instance: "display", Interface: "temper"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dest) != 1 || dest[0] != (Endpoint{"compute2", "display"}) {
+	if len(dest) != 1 || dest[0] != (Endpoint{Instance: "compute2", Interface: "display"}) {
 		t.Errorf("after rebind, display.temper routes to %v", dest)
 	}
 	if b.Stats().Rebinds != 1 {
@@ -524,10 +524,10 @@ func TestRebindAtomicity(t *testing.T) {
 	if err := b.Rebind([]BindEdit{{Op: "frob"}}); err == nil {
 		t.Error("unknown op accepted")
 	}
-	if err := b.Rebind([]BindEdit{{Op: "cq", From: Endpoint{"ghost", "x"}, To: Endpoint{"compute", "display"}}}); err == nil {
+	if err := b.Rebind([]BindEdit{{Op: "cq", From: Endpoint{Instance: "ghost", Interface: "x"}, To: Endpoint{Instance: "compute", Interface: "display"}}}); err == nil {
 		t.Error("cq from ghost accepted")
 	}
-	if err := b.Rebind([]BindEdit{{Op: "rmq", From: Endpoint{"sensor", "out"}}}); err == nil {
+	if err := b.Rebind([]BindEdit{{Op: "rmq", From: Endpoint{Instance: "sensor", Interface: "out"}}}); err == nil {
 		t.Error("rmq on Out iface accepted")
 	}
 }
@@ -554,23 +554,23 @@ func TestIntrospection(t *testing.T) {
 		t.Errorf("Info ghost: %v", err)
 	}
 
-	dest, err := b.IfDest(Endpoint{"display", "temper"})
-	if err != nil || !reflect.DeepEqual(dest, []Endpoint{{"compute", "display"}}) {
+	dest, err := b.IfDest(Endpoint{Instance: "display", Interface: "temper"})
+	if err != nil || !reflect.DeepEqual(dest, []Endpoint{{Instance: "compute", Interface: "display"}}) {
 		t.Errorf("IfDest = %v, %v", dest, err)
 	}
-	src, err := b.IfSources(Endpoint{"compute", "sensor"})
-	if err != nil || !reflect.DeepEqual(src, []Endpoint{{"sensor", "out"}}) {
+	src, err := b.IfSources(Endpoint{Instance: "compute", Interface: "sensor"})
+	if err != nil || !reflect.DeepEqual(src, []Endpoint{{Instance: "sensor", Interface: "out"}}) {
 		t.Errorf("IfSources = %v, %v", src, err)
 	}
 	// sensor.out receives nothing.
-	src, err = b.IfSources(Endpoint{"sensor", "out"})
+	src, err = b.IfSources(Endpoint{Instance: "sensor", Interface: "out"})
 	if err != nil || src != nil {
 		t.Errorf("IfSources(out) = %v, %v", src, err)
 	}
-	if _, err := b.IfDest(Endpoint{"ghost", "x"}); !errors.Is(err, ErrNoInstance) {
+	if _, err := b.IfDest(Endpoint{Instance: "ghost", Interface: "x"}); !errors.Is(err, ErrNoInstance) {
 		t.Errorf("IfDest ghost: %v", err)
 	}
-	if _, err := b.IfSources(Endpoint{"ghost", "x"}); !errors.Is(err, ErrNoInstance) {
+	if _, err := b.IfSources(Endpoint{Instance: "ghost", Interface: "x"}); !errors.Is(err, ErrNoInstance) {
 		t.Errorf("IfSources ghost: %v", err)
 	}
 }
@@ -600,7 +600,7 @@ func TestEventsRecorded(t *testing.T) {
 	if err := b.AddInstance(InstanceSpec{Name: "b", Interfaces: []IfaceSpec{{Name: "i", Dir: In}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddBinding(Endpoint{"a", "o"}, Endpoint{"b", "i"}); err != nil {
+	if err := b.AddBinding(Endpoint{Instance: "a", Interface: "o"}, Endpoint{Instance: "b", Interface: "i"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.DeleteInstance("b"); err != nil {
@@ -658,7 +658,7 @@ func TestConcurrentTraffic(t *testing.T) {
 		if err := b.AddInstance(InstanceSpec{Name: name, Interfaces: []IfaceSpec{{Name: "out", Dir: Out}}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.AddBinding(Endpoint{name, "out"}, Endpoint{"sink", "in"}); err != nil {
+		if err := b.AddBinding(Endpoint{Instance: name, Interface: "out"}, Endpoint{Instance: "sink", Interface: "in"}); err != nil {
 			t.Fatal(err)
 		}
 	}

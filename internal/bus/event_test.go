@@ -66,25 +66,25 @@ var eventRows = []struct {
 	{name: "DeleteInstance", do: func(b *Bus) error { return b.DeleteInstance("display") },
 		want: []ev{{kindDeleteInstance, "display", ""}}},
 	{name: "AddBinding", do: func(b *Bus) error {
-		return b.AddBinding(Endpoint{"sensor", "out"}, Endpoint{"compute2", "sensor"})
+		return b.AddBinding(Endpoint{Instance: "sensor", Interface: "out"}, Endpoint{Instance: "compute2", Interface: "sensor"})
 	}, want: []ev{{kindAddBinding, "", "sensor.out <-> compute2.sensor"}}},
 	{name: "Rebind add", do: func(b *Bus) error {
-		return b.Rebind([]BindEdit{{Op: "add", From: Endpoint{"sensor", "out"}, To: Endpoint{"compute2", "sensor"}}})
+		return b.Rebind([]BindEdit{{Op: "add", From: Endpoint{Instance: "sensor", Interface: "out"}, To: Endpoint{Instance: "compute2", Interface: "sensor"}}})
 	}, want: []ev{{kindAddBinding, "", "sensor.out <-> compute2.sensor"}, {kindRebind, "", "1 edits"}}},
 	{name: "Rebind del", do: func(b *Bus) error {
-		return b.Rebind([]BindEdit{{Op: "del", From: Endpoint{"sensor", "out"}, To: Endpoint{"compute", "sensor"}}})
+		return b.Rebind([]BindEdit{{Op: "del", From: Endpoint{Instance: "sensor", Interface: "out"}, To: Endpoint{Instance: "compute", Interface: "sensor"}}})
 	}, want: []ev{{kindDeleteBinding, "", "sensor.out <-> compute.sensor"}, {kindRebind, "", "1 edits"}}},
 	{name: "Rebind cq", do: func(b *Bus) error {
-		return b.Rebind([]BindEdit{{Op: "cq", From: Endpoint{"compute", "sensor"}, To: Endpoint{"compute2", "sensor"}}})
+		return b.Rebind([]BindEdit{{Op: "cq", From: Endpoint{Instance: "compute", Interface: "sensor"}, To: Endpoint{Instance: "compute2", Interface: "sensor"}}})
 	}, want: []ev{{kindMoveQueue, "", "compute.sensor -> compute2.sensor (2 msgs)"}, {kindRebind, "", "1 edits"}}},
 	{name: "Rebind rmq", do: func(b *Bus) error {
-		return b.Rebind([]BindEdit{{Op: "rmq", From: Endpoint{"compute", "sensor"}}})
+		return b.Rebind([]BindEdit{{Op: "rmq", From: Endpoint{Instance: "compute", Interface: "sensor"}}})
 	}, want: []ev{{kindDrainQueue, "", "compute.sensor (2 msgs)"}, {kindRebind, "", "1 edits"}}},
 	{name: "Rebind refused", do: func(b *Bus) error {
-		return b.Rebind([]BindEdit{{Op: "rmq", From: Endpoint{"compute", "sensor"}}, {Op: "del", From: Endpoint{"sensor", "out"}, To: Endpoint{"display", "temper"}}})
+		return b.Rebind([]BindEdit{{Op: "rmq", From: Endpoint{Instance: "compute", Interface: "sensor"}}, {Op: "del", From: Endpoint{Instance: "sensor", Interface: "out"}, To: Endpoint{Instance: "display", Interface: "temper"}}})
 	}, wantErr: true},
 	{name: "DrainQueue", do: func(b *Bus) error {
-		_, err := b.DrainQueue(Endpoint{"compute", "sensor"})
+		_, err := b.DrainQueue(Endpoint{Instance: "compute", Interface: "sensor"})
 		return err
 	}, want: []ev{{kindDrainQueue, "", "compute.sensor (2 msgs)"}}},
 	{name: "AddGroup", do: func(b *Bus) error { return b.AddGroup("g2", "", nil) },

@@ -543,8 +543,8 @@ func TestRebindRestoresMovedQueues(t *testing.T) {
 	}
 
 	err = b.Rebind([]BindEdit{
-		{Op: "cq", From: Endpoint{"compute", "display"}, To: Endpoint{"compute2", "display"}},
-		{Op: "del", From: Endpoint{"ghost", "x"}, To: Endpoint{"ghost", "y"}},
+		{Op: "cq", From: Endpoint{Instance: "compute", Interface: "display"}, To: Endpoint{Instance: "compute2", Interface: "display"}},
+		{Op: "del", From: Endpoint{Instance: "ghost", Interface: "x"}, To: Endpoint{Instance: "ghost", Interface: "y"}},
 	})
 	if err == nil {
 		t.Fatal("failing batch succeeded")

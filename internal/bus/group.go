@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
+
+	"repro/internal/bus/internal/queue"
 )
 
 // This file adds *replica groups* to the routing layer: a group is a
@@ -93,7 +95,7 @@ func (gr *groupRoute) first() int {
 	}
 	start, bestLen := 0, -1
 	for i, m := range gr.members {
-		if l := m.queue.length(); bestLen == -1 || l < bestLen {
+		if l := m.queue.Len(); bestLen == -1 || l < bestLen {
 			start, bestLen = i, l
 		}
 	}
@@ -101,32 +103,32 @@ func (gr *groupRoute) first() int {
 }
 
 // deliverGroup picks one live member by the group's policy and pushes the
-// message to its queue, for the fast path and for writeSlow alike. A stale
-// fence surfaces as errStaleRoute so the fast path retries through writeSlow
-// against the successor snapshot (the member set may have changed); a closed
-// member queue is skipped in favor of the next member. With no deliverable
-// member the message is dropped like a write to a deleted instance, and
-// ErrQueueClosed reports it.
+// message written on src to its queue, for the fast path and for writeSlow
+// alike. A stale fence surfaces as queue.ErrStaleRoute so the fast path
+// retries through writeSlow against the successor snapshot (the member set
+// may have changed); a closed member queue is skipped in favor of the next
+// member. With no deliverable member the message is dropped like a write to
+// a deleted instance, and queue.ErrClosed reports it.
 //
 //archlint:hotpath
-func (b *Bus) deliverGroup(gr *groupRoute, msg *Message, version uint64) error {
+func (b *Bus) deliverGroup(gr *groupRoute, msg *Message, src *iface, version uint64) error {
 	n := len(gr.members)
 	if n == 0 {
-		return ErrQueueClosed
+		return queue.ErrClosed
 	}
 	start := gr.first()
 	for k := 0; k < n; k++ {
 		m := gr.members[(start+k)%n]
-		switch err := m.queue.pushRouted(msg, version); err {
+		switch err := m.queue.PushRouted(msg, &src.name, version); err {
 		case nil:
 			m.delivered.Inc()
 			return nil
-		case errStaleRoute:
-			return errStaleRoute
+		case queue.ErrStaleRoute:
+			return queue.ErrStaleRoute
 		default: // closed: try the next member
 		}
 	}
-	return ErrQueueClosed
+	return queue.ErrClosed
 }
 
 // AddGroup registers a replica group: a logical name bindings may target,

@@ -33,10 +33,10 @@ func addGroupFixture(t *testing.T, policy string) (*Bus, []string) {
 	if err := b.AddInstance(InstanceSpec{Name: "coll", Interfaces: []IfaceSpec{{Name: "in", Dir: In}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddBinding(Endpoint{"feeder", "out"}, Endpoint{"pool", "in"}); err != nil {
+	if err := b.AddBinding(Endpoint{Instance: "feeder", Interface: "out"}, Endpoint{Instance: "pool", Interface: "in"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddBinding(Endpoint{"pool", "out"}, Endpoint{"coll", "in"}); err != nil {
+	if err := b.AddBinding(Endpoint{Instance: "pool", Interface: "out"}, Endpoint{Instance: "coll", Interface: "in"}); err != nil {
 		t.Fatal(err)
 	}
 	return b, members
@@ -121,7 +121,7 @@ func TestGroupMemberReplyRouting(t *testing.T) {
 	if string(msg.Data) != "reply" {
 		t.Errorf("collector got %q", msg.Data)
 	}
-	if msg.From != (Endpoint{members[0], "out"}) {
+	if msg.From != (Endpoint{Instance: members[0], Interface: "out"}) {
 		t.Errorf("From = %v", msg.From)
 	}
 }
@@ -147,7 +147,7 @@ func TestGroupValidation(t *testing.T) {
 	if err := b.AddGroup("h", "", shape); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddBinding(Endpoint{"g", "in"}, Endpoint{"h", "in"}); err == nil {
+	if err := b.AddBinding(Endpoint{Instance: "g", Interface: "in"}, Endpoint{Instance: "h", Interface: "in"}); err == nil {
 		t.Error("group-to-group binding accepted")
 	}
 	// Shape mismatch: member lacks the group interface.
@@ -231,7 +231,7 @@ func TestRemoveLastGroupMemberKeepsBacklog(t *testing.T) {
 	if err := b.AddInstance(InstanceSpec{Name: "src", Interfaces: []IfaceSpec{{Name: "out", Dir: Out}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddBinding(Endpoint{"src", "out"}, Endpoint{"solo", "in"}); err != nil {
+	if err := b.AddBinding(Endpoint{Instance: "src", Interface: "out"}, Endpoint{Instance: "solo", Interface: "in"}); err != nil {
 		t.Fatal(err)
 	}
 	src, err := b.Attach("src")
@@ -284,7 +284,7 @@ func TestConcurrentSendVsMembership(t *testing.T) {
 		if err := b.AddInstance(InstanceSpec{Name: sendNames[i], Interfaces: []IfaceSpec{{Name: "out", Dir: Out}}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.AddBinding(Endpoint{sendNames[i], "out"}, Endpoint{"pool", "in"}); err != nil {
+		if err := b.AddBinding(Endpoint{Instance: sendNames[i], Interface: "out"}, Endpoint{Instance: "pool", Interface: "in"}); err != nil {
 			t.Fatal(err)
 		}
 		a, err := b.Attach(sendNames[i])

@@ -1,4 +1,17 @@
-package bus
+// Package queue is the bus's message buffer: one unbounded FIFO per
+// receiving interface. POLYLITH buffers messages at the bus; modules poll
+// with mh_query_ifmsgs and read with mh_read, so a Queue exposes both a
+// non-blocking length and a blocking pop. The "cq" and "rmq" commands of
+// Figure 5 are the commit's Detach, Drain, PushAll and Restore.
+//
+// Only internal/bus imports this package, and the package imports nothing
+// of the bus: the ring's slots, its fence word and its locks are unexported
+// here, so no bus code can reach them. The API runs no caller code — no
+// exported method or field takes or holds a func or interface value
+// (TestQueueRunsNoCallerCode) — so no code of the bus ever runs under a
+// queue lock, and the bus's lock order (Bus.mu before queue locks) needs no
+// checker.
+package queue
 
 import (
 	"errors"
@@ -9,10 +22,58 @@ import (
 	"repro/internal/clock"
 	"repro/internal/replay"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/trace"
 )
 
-// ErrQueueClosed is returned by queue operations after Close.
-var ErrQueueClosed = errors.New("bus: queue closed")
+var (
+	// ErrClosed is returned by queue operations after Close.
+	ErrClosed = errors.New("bus: queue closed")
+	// ErrStaleRoute reports a routed push that resolved its target from a
+	// snapshot that a topology change has since invalidated for that queue.
+	// The writer retries against the current snapshot (the bus's write →
+	// writeSlow); the sentinel never escapes the bus.
+	ErrStaleRoute = errors.New("bus: route resolved from a stale snapshot")
+)
+
+// Endpoint names one interface of one instance.
+type Endpoint struct {
+	Instance  string
+	Interface string
+}
+
+// String renders "instance.interface".
+func (e Endpoint) String() string { return e.Instance + "." + e.Interface }
+
+// Message is one datum in flight: who sent it, the codec-encoded payload,
+// and the trace context the bus stamped at send. The zero Trace means
+// untraced, and costs one byte on the wire.
+type Message struct {
+	From  Endpoint
+	Data  []byte
+	Trace trace.Context
+}
+
+// Item is one queued message as a queue transfer carries it: Drain hands
+// items out, PushAll and Restore take them back. Besides the message it
+// holds the interned name of the interface the message was written on,
+// which the push took and every queue the item moves through keeps, so the
+// record hook writes the sender without building From.String() per
+// delivery; and the routing-snapshot version it was delivered under, for
+// the record's epoch stamp (a transfer restamps it).
+type Item struct {
+	Msg  Message
+	from *string
+	ver  uint64
+}
+
+// sender returns the interned "instance.interface" name the message was
+// written on, "" for a message the bus did not route.
+func (it *Item) sender() string {
+	if it.from == nil {
+		return ""
+	}
+	return *it.from
+}
 
 // chunkCap is the slot count of one queue segment. Segments are allocated
 // on the (cold) grow path and garbage-collected once consumed, so the value
@@ -29,17 +90,17 @@ const (
 	slotDead  = uint32(2)
 )
 
-// qslot is one message cell of a segment. state is the publication flag:
-// slotEmpty while the slot is unclaimed or a producer is still writing
-// msg/ver, then slotFull or slotDead. The producer protocol (archlint
-// AL013) is claim -> write fields -> publish: the state Store must be the
-// slot's last touch, and the consumer reads msg/ver only after observing
+// slot is one message cell of a segment. state is the publication flag:
+// slotEmpty while the slot is unclaimed or a producer is still writing the
+// item, then slotFull or slotDead. The producer protocol (archlint AL013)
+// is claim -> write fields -> publish: the state Store must be the slot's
+// last touch, and the consumer reads the item only after observing
 // slotFull. Consumed slots are neither cleared nor reused, so the address
 // take hands out stays good for as long as it is held; a payload reference
 // lives until its segment is collected, at most chunkCap messages later.
-type qslot struct {
+type slot struct {
 	state atomic.Uint32
-	qitem
+	Item
 }
 
 // chunk is one fixed-size segment of the queue: a slice-free array of slots
@@ -50,34 +111,31 @@ type chunk struct {
 	base  uint64 // absolute index of slots[0], for occupancy accounting
 	tail  atomic.Uint64
 	next  atomic.Pointer[chunk]
-	slots [chunkCap]qslot
+	slots [chunkCap]slot
 }
 
-// msgQueue is an unbounded FIFO of messages with blocking pop, the backing
-// store for one incoming interface. POLYLITH buffers messages at the bus;
-// modules poll with mh_query_ifmsgs and read with mh_read, so the queue
-// exposes both a non-blocking length and a blocking pop.
+// Queue is the backing store for one incoming interface.
 //
 // The hot path is lock-free: producers claim a slot by CAS on the current
 // segment's tail, write the message, and flip the slot's publication flag —
 // they take no mutex and signal the consumer only when one is parked. What
-// the old queue mutex provided implicitly is rebuilt explicitly:
+// a queue mutex would provide implicitly is built explicitly:
 //
-//   - Epoch fencing is the fence word, checked after the claim. detach
+//   - Epoch fencing is the fence word, checked after the claim. Detach
 //     CAS-raises the fence; because a drain that follows captures the tail
 //     after the raise, every producer ordered before the capture has a slot
 //     below it (the drain settles those), and every producer ordered after
 //     observes the raised fence, abandons its slot (slotDead) and retries
-//     through the bus's slow path (errStaleRoute) — no message is lost or
+//     through the bus's slow path (ErrStaleRoute) — no message is lost or
 //     delivered twice across a detach-and-drain.
-//   - Replay recording moved from producer-side-under-lock to the consumer
-//     drain: slot claim order is delivery order, so appending at pop keeps
-//     the recorded per-queue sequence the queue's true total order
-//     (archlint AL012 pins the append to the record hook below).
+//   - Replay recording happens at the consumer: slot claim order is
+//     delivery order, so appending at pop keeps the recorded per-queue
+//     sequence the queue's true total order (archlint AL012 pins the append
+//     to the record hook below).
 //   - Move, discard and redistribute are detach-and-drain over the
-//     segments under the consumer lock, all from the one commit
-//     (Bus.editLocked).
-type msgQueue struct {
+//     segments under the consumer lock, all from the bus's one commit
+//     ((*Bus).editLocked, archlint AL013).
+type Queue struct {
 	// prod is the segment producers currently claim slots in. Replaced on
 	// the grow path (under growMu) only; readers reach later segments
 	// through chunk.next, so a stale load at worst retries.
@@ -85,9 +143,9 @@ type msgQueue struct {
 
 	// fence refuses routed pushes resolved from snapshots with version <=
 	// fence. A topology change that invalidates this queue's routes raises
-	// it (detach) before publishing the successor snapshot; refused writers
+	// it (Detach) before publishing the successor snapshot; refused writers
 	// retry through the bus's slow path against the new topology. Only
-	// detach may advance it (archlint AL013).
+	// Detach may advance it (archlint AL013).
 	fence atomic.Uint64
 
 	closed atomic.Bool
@@ -111,19 +169,19 @@ type msgQueue struct {
 
 	mu    sync.Mutex // consumer side: cons/head/front and parking
 	cond  *sync.Cond
-	cons  *chunk  // segment being consumed
-	head  uint64  // next slot index within cons
-	front []qitem // restored/re-homed items, consumed before the segments
+	cons  *chunk // segment being consumed
+	head  uint64 // next slot index within cons
+	front []Item // restored/re-homed items, consumed before the segments
 
-	// rec is the delivery log's append handle for this queue's endpoint,
-	// resolved at AddInstance (nil when the bus runs without a log — a
-	// no-op, like the telemetry counters). Appends happen at consumption,
-	// in slot-claim order, which is what makes the recorded per-queue
-	// sequence the queue's true total delivery order. This is the only
-	// layer allowed to append records (archlint AL012).
+	// rec is the delivery log's append handle for this queue's endpoint
+	// (nil when the bus runs without a log — a no-op, like the telemetry
+	// counters). Appends happen at consumption, in slot-claim order, which
+	// is what makes the recorded per-queue sequence the queue's true total
+	// delivery order. This is the only layer allowed to append records
+	// (archlint AL012).
 	rec *replay.QueueLog
-	// clk is the bus's clock, resolved with rec: a span's end is read off
-	// the clock its send stamp was.
+	// clk is the bus's clock: a span's end is read off the clock its send
+	// stamp was.
 	clk clock.Clock
 	// latency attributes delivery latency (send stamp to consumption) to
 	// this receiving endpoint: observed for the deliveries the log writes
@@ -131,15 +189,11 @@ type msgQueue struct {
 	latency *telemetry.Histogram
 }
 
-// qitem is a queued message paired with the routing-snapshot version it was
-// delivered under, carried to the consumer for the record epoch stamp.
-type qitem struct {
-	msg Message
-	ver uint64
-}
-
-func newMsgQueue() *msgQueue {
-	q := &msgQueue{}
+// New returns an empty queue whose consumed deliveries go to rec (nil: not
+// recorded) and whose delivery latencies go to latency (nil: not
+// observed), with span ends read off clk.
+func New(rec *replay.QueueLog, clk clock.Clock, latency *telemetry.Histogram) *Queue {
+	q := &Queue{rec: rec, clk: clk, latency: latency}
 	c := &chunk{}
 	q.prod.Store(c)
 	q.cons = c
@@ -151,7 +205,7 @@ func newMsgQueue() *msgQueue {
 // contention, and the full-segment case defers to the cold grow path.
 //
 //archlint:hotpath
-func (q *msgQueue) claim() *qslot {
+func (q *Queue) claim() *slot {
 	for {
 		c := q.prod.Load()
 		pos := c.tail.Load()
@@ -169,7 +223,7 @@ func (q *msgQueue) claim() *qslot {
 // Cold path — runs once per chunkCap messages; the prod re-check makes
 // racing growers idempotent. next is linked before prod is replaced so the
 // consumer's segment walk can always reach the new tail segment.
-func (q *msgQueue) grow(cur *chunk) {
+func (q *Queue) grow(cur *chunk) {
 	q.growMu.Lock()
 	if q.prod.Load() == cur {
 		n := &chunk{base: cur.base + chunkCap}
@@ -184,52 +238,53 @@ func (q *msgQueue) grow(cur *chunk) {
 // unless someone is actually parked.
 //
 //archlint:hotpath
-func (q *msgQueue) wakeReader() {
+func (q *Queue) wakeReader() {
 	if q.sleeping.Load() {
-		q.wake()
+		q.Wake()
 	}
 }
 
-// pushRouted appends a message whose target was resolved from the snapshot
-// with the given version — the fast path's, or the one writeSlow re-resolved
-// under the control-plane lock, which no fence can be ahead of. It refuses
-// with errStaleRoute when the queue has been fenced at or past that version,
-// so a writer racing a topology change can never land traffic on an
-// abandoned route. The fence is checked after
-// the claim: a producer ordered before a detach-and-drain's tail capture
-// owns a slot the drain settles, one ordered after it observes the raised
-// fence and abandons the claim — either way exactly once. The fence is
-// tested before closed: every close is preceded by a detach, so a writer
-// holding a pre-rebind snapshot that reaches the old queue after
-// DeleteInstance must re-route (errStaleRoute), not have ErrQueueClosed
-// read as "receiver gone" and the message dropped.
+// PushRouted appends a message written on the interface named *from, whose
+// target was resolved from the snapshot with the given version — the fast
+// path's, or the one writeSlow re-resolved under the control-plane lock,
+// which no fence can be ahead of. It refuses with ErrStaleRoute when the
+// queue has been fenced at or past that version, so a writer racing a
+// topology change can never land traffic on an abandoned route. The fence
+// is checked after the claim: a producer ordered before a
+// detach-and-drain's tail capture owns a slot the drain settles, one
+// ordered after it observes the raised fence and abandons the claim —
+// either way exactly once. The fence is tested before closed: every close
+// is preceded by a detach, so a writer holding a pre-rebind snapshot that
+// reaches the old queue after DeleteInstance must re-route (ErrStaleRoute),
+// not have ErrClosed read as "receiver gone" and the message dropped.
 //
 //archlint:hotpath
-func (q *msgQueue) pushRouted(m *Message, version uint64) error {
+func (q *Queue) PushRouted(m *Message, from *string, version uint64) error {
 	s := q.claim()
 	if version <= q.fence.Load() {
 		q.dead.Add(1)
 		s.state.Store(slotDead)
-		return errStaleRoute
+		return ErrStaleRoute
 	}
 	if q.closed.Load() {
 		q.dead.Add(1)
 		s.state.Store(slotDead)
-		return ErrQueueClosed
+		return ErrClosed
 	}
-	s.msg = *m
+	s.Msg = *m
+	s.from = from
 	s.ver = version
 	s.state.Store(slotFull) // publish: must be the slot's last write (AL013)
 	q.wakeReader()
 	return nil
 }
 
-// detach fences the queue at the given snapshot version: every subsequent
-// pushRouted carrying that version or older is refused. Monotonic — a later
-// fence never lowers an earlier one. A drain that follows the detach
+// Detach fences the queue at the given snapshot version: every subsequent
+// PushRouted carrying that version or older is refused. Monotonic — a
+// later fence never lowers an earlier one. A drain that follows the detach
 // observes every pre-fence delivery (see the type comment for the claim
 // ordering argument).
-func (q *msgQueue) detach(version uint64) {
+func (q *Queue) Detach(version uint64) {
 	for {
 		cur := q.fence.Load()
 		if version <= cur || q.fence.CompareAndSwap(cur, version) {
@@ -241,14 +296,14 @@ func (q *msgQueue) detach(version uint64) {
 // take removes the oldest item without blocking and hands back its
 // address: the front (restored) items first, then the published prefix of
 // the segments, skipping abandoned claims. Nothing writes a taken item
-// again — slots are never reused and restore builds a front of its own —
+// again — slots are never reused and Restore builds a front of its own —
 // so the address outlives every later queue operation. Returns nil on an
 // empty queue or when the head slot is claimed but not yet resolved — the
 // producer's wakeup resolves the latter for parked consumers. Caller holds
 // q.mu.
 //
 //archlint:hotpath
-func (q *msgQueue) take() *qitem {
+func (q *Queue) take() *Item {
 	if len(q.front) > 0 {
 		it := &q.front[0]
 		if q.front = q.front[1:]; len(q.front) == 0 {
@@ -280,7 +335,7 @@ func (q *msgQueue) take() *qitem {
 		}
 		q.head++
 		q.absHead.Add(1)
-		return &s.qitem
+		return &s.Item
 	}
 }
 
@@ -292,30 +347,34 @@ func (q *msgQueue) take() *qitem {
 // log does not write reads no clock.
 //
 //archlint:hotpath
-func (q *msgQueue) record(it *qitem) {
-	if end := q.rec.Append(it.msg.sender(), it.msg.Data, it.msg.Trace, it.ver, q.clk); end != 0 && it.msg.Trace.SentNs != 0 {
-		q.latency.ObserveNs(end - it.msg.Trace.SentNs)
+func (q *Queue) record(it *Item) {
+	if end := q.rec.Append(it.sender(), it.Msg.Data, it.Msg.Trace, it.ver, q.clk); end != 0 && it.Msg.Trace.SentNs != 0 {
+		q.latency.ObserveNs(end - it.Msg.Trace.SentNs)
 	}
 }
 
-// pop removes the oldest message into *m — its one copy between the
+// Pop removes the oldest message into *m — its one copy between the
 // writer's claim and the reader's hands — blocking until one is available
 // or the queue closes. A closing queue drains its remaining messages
-// before reporting ErrQueueClosed. A non-nil stop ends the wait the same
-// way, but takes nothing once closed: whoever closes it wakes the queue.
+// before reporting ErrClosed. A non-nil stop ends the wait the same way,
+// but takes nothing once closed: whoever closes it wakes the queue.
 //
 //archlint:hotpath
-func (q *msgQueue) pop(m *Message, stop <-chan struct{}) error {
+func (q *Queue) Pop(m *Message, stop <-chan struct{}) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
-		if stop != nil && isClosed(stop) {
-			return ErrQueueClosed
+		if stop != nil {
+			select {
+			case <-stop:
+				return ErrClosed
+			default:
+			}
 		}
 		it := q.take()
 		if it == nil {
 			if q.closed.Load() {
-				return ErrQueueClosed
+				return ErrClosed
 			}
 			q.sleeping.Store(true)
 			it = q.take() // Dekker re-check against a racing publish
@@ -327,61 +386,51 @@ func (q *msgQueue) pop(m *Message, stop <-chan struct{}) error {
 			q.sleeping.Store(false)
 		}
 		q.record(it)
-		*m = it.msg
+		*m = it.Msg
 		return nil
 	}
 }
 
-// parked reports whether the reader is blocked in pop waiting for a
-// message. Under the consumer lock the sleeping gate is set only while pop
+// Parked reports whether the reader is blocked in Pop waiting for a
+// message. Under the consumer lock the sleeping gate is set only while Pop
 // waits on the condition variable, so the answer is exact.
-func (q *msgQueue) parked() bool {
+func (q *Queue) Parked() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.sleeping.Load()
 }
 
-// isClosed reports whether a channel that is only ever closed has been.
-func isClosed(stop <-chan struct{}) bool {
-	select {
-	case <-stop:
-		return true
-	default:
-		return false
-	}
-}
-
-// wake wakes the readers parked on the queue, to look again.
-func (q *msgQueue) wake() {
+// Wake wakes the readers parked on the queue, to look again.
+func (q *Queue) Wake() {
 	q.mu.Lock()
 	q.cond.Broadcast()
 	q.mu.Unlock()
 }
 
-// tryPop is pop without blocking: false when nothing is queued.
+// TryPop is Pop without blocking: false when nothing is queued.
 //
 //archlint:hotpath
-func (q *msgQueue) tryPop(m *Message) (bool, error) {
+func (q *Queue) TryPop(m *Message) (bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if it := q.take(); it != nil {
 		q.record(it)
-		*m = it.msg
+		*m = it.Msg
 		return true, nil
 	}
 	if q.closed.Load() {
-		return false, ErrQueueClosed
+		return false, ErrClosed
 	}
 	return false, nil
 }
 
-// length returns the number of queued messages from the occupancy
-// counters — no locks, so the telemetry gauges and the least-queue group
-// policy can read it from the hot path. Claimed-but-unresolved slots count
-// as queued, abandoned claims do not; on a quiesced queue the value is exact.
+// Len returns the number of queued messages from the occupancy counters —
+// no locks, so the telemetry gauges and the least-queue group policy can
+// read it from the hot path. Claimed-but-unresolved slots count as queued,
+// abandoned claims do not; on a quiesced queue the value is exact.
 //
 //archlint:hotpath
-func (q *msgQueue) length() int {
+func (q *Queue) Len() int {
 	c := q.prod.Load()
 	t := c.tail.Load()
 	if t > chunkCap {
@@ -394,11 +443,11 @@ func (q *msgQueue) length() int {
 	return int(n)
 }
 
-// drain removes and returns every message claimed before entry: the taking
+// Drain removes and returns every item claimed before entry: the taking
 // half of a queue transfer. Claimed-but-unresolved slots are settled by
 // yielding to their producers. The commit fences the queue first, so a
 // routed claim after the cut is abandoned and the write re-routes.
-func (q *msgQueue) drain() []Message {
+func (q *Queue) Drain() []Item {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	endC := q.prod.Load()
@@ -407,27 +456,27 @@ func (q *msgQueue) drain() []Message {
 		endT = chunkCap
 	}
 	end := endC.base + endT
-	var out []Message
+	var out []Item
 	for len(q.front) > 0 || q.absHead.Load() < end {
 		it := q.take()
 		if it == nil {
 			runtime.Gosched() // head slot claimed, producer mid-publish
 			continue
 		}
-		out = append(out, it.msg)
+		out = append(out, *it)
 	}
 	return out
 }
 
-// snapshot returns a copy of the queued messages without removing them
-// (QueuedMessages): the front items plus the published segment prefix.
-// Slots are never reused, so the walk is safe against producers.
-func (q *msgQueue) snapshot() []Message {
+// Snapshot returns a copy of the queued messages without removing them
+// (the bus's QueuedMessages): the front items plus the published segment
+// prefix. Slots are never reused, so the walk is safe against producers.
+func (q *Queue) Snapshot() []Message {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	out := make([]Message, 0, len(q.front))
 	for _, it := range q.front {
-		out = append(out, it.msg)
+		out = append(out, it.Msg)
 	}
 	c, h := q.cons, q.head
 	for {
@@ -444,19 +493,19 @@ func (q *msgQueue) snapshot() []Message {
 			break
 		}
 		if st == slotFull {
-			out = append(out, c.slots[h].msg)
+			out = append(out, c.slots[h].Msg)
 		}
 		h++
 	}
 	return out
 }
 
-// restore replaces the queue contents with items, waking readers if there
+// Restore replaces the queue contents with items, waking readers if there
 // are any; version is the routing snapshot the restorer publishes, stamped
 // as the epoch of any re-consumed delivery. The commit fences the queue
 // first and runs under the control-plane lock, so the discard loop cannot
 // chase live producers. Restoring a closed queue is a no-op.
-func (q *msgQueue) restore(items []Message, version uint64) {
+func (q *Queue) Restore(items []Item, version uint64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed.Load() {
@@ -464,9 +513,10 @@ func (q *msgQueue) restore(items []Message, version uint64) {
 	}
 	for q.take() != nil { // discard current contents, unrecorded
 	}
-	q.front = make([]qitem, len(items))
-	for i, m := range items {
-		q.front[i] = qitem{msg: m, ver: version}
+	q.front = make([]Item, len(items))
+	for i, it := range items {
+		it.ver = version
+		q.front[i] = it
 	}
 	q.frontLen.Store(int64(len(items)))
 	if len(items) > 0 {
@@ -474,28 +524,28 @@ func (q *msgQueue) restore(items []Message, version uint64) {
 	}
 }
 
-// pushAll appends a batch in order — the landing half of a queue transfer;
-// version stamps each message's epoch (the snapshot the mover publishes).
-// It does not look at the fence: the mover is the topology change. Nor at
-// closed: the commit resolved q from its draft under the control-plane
-// lock, and a queue closes under that lock together with its instance's
-// removal. Messages from producers with a live route to q may interleave
-// with the batch; per-producer FIFO order still holds.
-func (q *msgQueue) pushAll(items []Message, version uint64) {
+// PushAll appends a batch in order — the landing half of a queue
+// transfer; version stamps each item's epoch (the snapshot the mover
+// publishes). It does not look at the fence: the mover is the topology
+// change. Nor at closed: the commit resolved q from its draft under the
+// control-plane lock, and a queue closes under that lock together with its
+// instance's removal. Messages from producers with a live route to q may
+// interleave with the batch; per-producer FIFO order still holds.
+func (q *Queue) PushAll(items []Item, version uint64) {
 	for i := range items {
 		s := q.claim()
-		s.msg = items[i]
+		s.Item = items[i]
 		s.ver = version
 		s.state.Store(slotFull)
 	}
 	q.wakeReader()
 }
 
-// close wakes all blocked readers; subsequent pushes fail. The commit
+// Close wakes all blocked readers; subsequent pushes fail. The commit
 // fences the queue first, so a routed writer that could pass the closed
-// check concurrently with close is refused at the fence instead.
-func (q *msgQueue) close() {
+// check concurrently with Close is refused at the fence instead.
+func (q *Queue) Close() {
 	if !q.closed.Swap(true) {
-		q.wake()
+		q.Wake()
 	}
 }

@@ -37,7 +37,7 @@ func observedFanIn(t *testing.T, senders int, payload []byte, opts ...BusOption)
 		if err := b.AddInstance(InstanceSpec{Name: name, Interfaces: []IfaceSpec{{Name: "out", Dir: Out}}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.AddBinding(Endpoint{name, "out"}, Endpoint{"dst", "in"}); err != nil {
+		if err := b.AddBinding(Endpoint{Instance: name, Interface: "out"}, Endpoint{Instance: "dst", Interface: "in"}); err != nil {
 			t.Fatal(err)
 		}
 		srcs[i] = attach(t, b, name)

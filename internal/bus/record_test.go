@@ -28,7 +28,7 @@ func recordedBus(t *testing.T, capacity int) (*Bus, *replay.Log) {
 			t.Fatal(err)
 		}
 	}
-	if err := b.AddBinding(Endpoint{"src", "out"}, Endpoint{"dst", "in"}); err != nil {
+	if err := b.AddBinding(Endpoint{Instance: "src", Interface: "out"}, Endpoint{Instance: "dst", Interface: "in"}); err != nil {
 		t.Fatal(err)
 	}
 	return b, log
@@ -197,7 +197,7 @@ func TestRecordGroupDeliveries(t *testing.T) {
 	if err := b.AddInstance(InstanceSpec{Name: "feeder", Interfaces: []IfaceSpec{{Name: "out", Dir: Out}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddBinding(Endpoint{"feeder", "out"}, Endpoint{"pool", "in"}); err != nil {
+	if err := b.AddBinding(Endpoint{Instance: "feeder", Interface: "out"}, Endpoint{Instance: "pool", Interface: "in"}); err != nil {
 		t.Fatal(err)
 	}
 	feeder := attach(t, b, "feeder")

@@ -1,7 +1,6 @@
 package bus
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -19,10 +18,12 @@ import (
 //	                         data plane reads it lock-free; every topology
 //	                         change builds and publishes a successor
 //	                         copy-on-write.
-//	queueing  (queue.go)   — per-endpoint message FIFOs owned by the
-//	                         snapshot entries, each with its own small
+//	queueing  (package     — per-endpoint message FIFOs owned by the
+//	           queue)        snapshot entries, each with its own small
 //	                         lock; the only lock a steady-state message
-//	                         ever takes.
+//	                         ever takes. A package of its own under
+//	                         internal/bus/internal: only the bus imports
+//	                         it, and no bus file can reach its ring.
 //	transport (attach.go,  — how module runtimes reach the bus: in-process
 //	           tcp.go)       attachments and the TCP wire protocol, both
 //	                         consulting the snapshot, never the writer
@@ -33,12 +34,6 @@ import (
 // lock, while reconfiguration — the rare writer — pays the full snapshot
 // rebuild under Bus.mu. A topology edit that fails has published nothing:
 // the snapshot it drafted from simply remains current.
-
-// errStaleRoute reports a routed push that resolved its target from a
-// snapshot that a topology change has since invalidated for that queue.
-// The writer retries against the current snapshot (write → writeSlow); the
-// sentinel never escapes the package.
-var errStaleRoute = errors.New("bus: route resolved from a stale snapshot")
 
 // target is one delivery destination in a precomputed route set: either a
 // single receiving interface or a replica group the bus load-balances over.

@@ -41,7 +41,7 @@ func TestConcurrentRebindVsSend(t *testing.T) {
 		if err := b.AddInstance(InstanceSpec{Name: sendNames[i], Interfaces: []IfaceSpec{{Name: "out", Dir: Out}}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.AddBinding(Endpoint{sendNames[i], "out"}, Endpoint{"r1", "in"}); err != nil {
+		if err := b.AddBinding(Endpoint{Instance: sendNames[i], Interface: "out"}, Endpoint{Instance: "r1", Interface: "in"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,11 +95,11 @@ func TestConcurrentRebindVsSend(t *testing.T) {
 			edits := make([]BindEdit, 0, senders*2+1)
 			for _, s := range sendNames {
 				edits = append(edits,
-					BindEdit{Op: "del", From: Endpoint{s, "out"}, To: Endpoint{oldR, "in"}},
-					BindEdit{Op: "add", From: Endpoint{s, "out"}, To: Endpoint{newR, "in"}},
+					BindEdit{Op: "del", From: Endpoint{Instance: s, Interface: "out"}, To: Endpoint{Instance: oldR, Interface: "in"}},
+					BindEdit{Op: "add", From: Endpoint{Instance: s, Interface: "out"}, To: Endpoint{Instance: newR, Interface: "in"}},
 				)
 			}
-			edits = append(edits, BindEdit{Op: "cq", From: Endpoint{oldR, "in"}, To: Endpoint{newR, "in"}})
+			edits = append(edits, BindEdit{Op: "cq", From: Endpoint{Instance: oldR, Interface: "in"}, To: Endpoint{Instance: newR, Interface: "in"}})
 			if err := b.Rebind(edits); err != nil {
 				t.Errorf("flip %d: %v", f, err)
 				return
@@ -225,7 +225,7 @@ func TestConcurrentRebindVsSendBatched(t *testing.T) {
 		if err := b.AddInstance(InstanceSpec{Name: sendNames[i], Interfaces: []IfaceSpec{{Name: "out", Dir: Out}}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.AddBinding(Endpoint{sendNames[i], "out"}, Endpoint{"r1", "in"}); err != nil {
+		if err := b.AddBinding(Endpoint{Instance: sendNames[i], Interface: "out"}, Endpoint{Instance: "r1", Interface: "in"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,11 +267,11 @@ func TestConcurrentRebindVsSendBatched(t *testing.T) {
 			edits := make([]BindEdit, 0, senders*2+1)
 			for _, s := range sendNames {
 				edits = append(edits,
-					BindEdit{Op: "del", From: Endpoint{s, "out"}, To: Endpoint{oldR, "in"}},
-					BindEdit{Op: "add", From: Endpoint{s, "out"}, To: Endpoint{newR, "in"}},
+					BindEdit{Op: "del", From: Endpoint{Instance: s, Interface: "out"}, To: Endpoint{Instance: oldR, Interface: "in"}},
+					BindEdit{Op: "add", From: Endpoint{Instance: s, Interface: "out"}, To: Endpoint{Instance: newR, Interface: "in"}},
 				)
 			}
-			edits = append(edits, BindEdit{Op: "cq", From: Endpoint{oldR, "in"}, To: Endpoint{newR, "in"}})
+			edits = append(edits, BindEdit{Op: "cq", From: Endpoint{Instance: oldR, Interface: "in"}, To: Endpoint{Instance: newR, Interface: "in"}})
 			if err := b.Rebind(edits); err != nil {
 				t.Errorf("flip %d: %v", f, err)
 				return

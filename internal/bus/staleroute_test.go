@@ -10,15 +10,17 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/bus/internal/queue"
 )
 
 // TestStaleWriterAcrossRebindAndDelete is the regression for the
-// pushRouted check order: writers run flat out while the receiving
+// PushRouted check order: writers run flat out while the receiving
 // endpoint is replaced over and over the way a Replace commits — Rebind
 // with a queue move, then DeleteInstance of the old receiver. A writer
 // descheduled between its routing-snapshot load and its slot claim reaches
 // the old queue fenced AND closed; it must re-route through the slow path
-// (errStaleRoute), not have ErrQueueClosed swallowed as "receiver gone".
+// (queue.ErrStaleRoute), not have queue.ErrClosed swallowed as "receiver gone".
 // Every acknowledged write must be delivered exactly once.
 func TestStaleWriterAcrossRebindAndDelete(t *testing.T) {
 	for _, batch := range []int{1, 16} {
@@ -47,7 +49,7 @@ func staleWriterRun(t *testing.T, batch int) {
 		if err := b.AddInstance(InstanceSpec{Name: name, Interfaces: []IfaceSpec{{Name: "out", Dir: Out}}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.AddBinding(Endpoint{name, "out"}, Endpoint{"sink0", "in"}); err != nil {
+		if err := b.AddBinding(Endpoint{Instance: name, Interface: "out"}, Endpoint{Instance: "sink0", Interface: "in"}); err != nil {
 			t.Fatal(err)
 		}
 		att, err := b.Attach(name)
@@ -137,10 +139,10 @@ func staleWriterRun(t *testing.T, batch int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oldIn, newIn := Endpoint{cur, "in"}, Endpoint{nextName, "in"}
+		oldIn, newIn := Endpoint{Instance: cur, Interface: "in"}, Endpoint{Instance: nextName, Interface: "in"}
 		var edits []BindEdit
 		for w := range outs {
-			out := Endpoint{fmt.Sprintf("w%d", w), "out"}
+			out := Endpoint{Instance: fmt.Sprintf("w%d", w), Interface: "out"}
 			edits = append(edits, BindEdit{Op: "del", From: out, To: oldIn}, BindEdit{Op: "add", From: out, To: newIn})
 		}
 		edits = append(edits, BindEdit{Op: "cq", From: oldIn, To: newIn})
@@ -190,12 +192,12 @@ func staleWriterRun(t *testing.T, batch int) {
 type commitWorld struct {
 	b      *Bus
 	src    *Attachment
-	queues map[string]*msgQueue
+	queues map[string]*queue.Queue
 }
 
 func newCommitWorld(t *testing.T, targets ...string) *commitWorld {
 	t.Helper()
-	w := &commitWorld{b: New(), queues: map[string]*msgQueue{}}
+	w := &commitWorld{b: New(), queues: map[string]*queue.Queue{}}
 	t.Cleanup(w.b.Close)
 	in := []IfaceSpec{{Name: "in", Dir: In}}
 	must := func(err error) {
@@ -207,7 +209,7 @@ func newCommitWorld(t *testing.T, targets ...string) *commitWorld {
 	must(w.b.AddInstance(InstanceSpec{Name: "src", Interfaces: []IfaceSpec{{Name: "out", Dir: Out}}}))
 	for _, name := range []string{"a", "b", "m1", "m2", "m3"} {
 		must(w.b.AddInstance(InstanceSpec{Name: name, Interfaces: in}))
-		ifc, err := w.b.routing.Load().lookup(Endpoint{name, "in"})
+		ifc, err := w.b.routing.Load().lookup(Endpoint{Instance: name, Interface: "in"})
 		must(err)
 		w.queues[name] = ifc.queue
 	}
@@ -215,7 +217,7 @@ func newCommitWorld(t *testing.T, targets ...string) *commitWorld {
 	must(w.b.AddGroupMember("g", "m1"))
 	must(w.b.AddGroupMember("g", "m2"))
 	for _, to := range targets {
-		must(w.b.AddBinding(Endpoint{"src", "out"}, Endpoint{to, "in"}))
+		must(w.b.AddBinding(Endpoint{Instance: "src", Interface: "out"}, Endpoint{Instance: to, Interface: "in"}))
 	}
 	var err error
 	w.src, err = w.b.Attach("src")
@@ -227,8 +229,8 @@ func newCommitWorld(t *testing.T, targets ...string) *commitWorld {
 func (w *commitWorld) queued() map[string][]string {
 	got := map[string][]string{}
 	for name, q := range w.queues {
-		for _, m := range q.drain() {
-			got[name] = append(got[name], string(m.Data))
+		for _, it := range q.Drain() {
+			got[name] = append(got[name], string(it.Msg.Data))
 		}
 	}
 	return got
@@ -244,8 +246,8 @@ func (w *commitWorld) queued() map[string][]string {
 // "del" rows are the same edit against an instance and against a replica
 // group — the group form fenced nothing before the commit fenced by endpoint.
 func TestStaleRouteAcrossEveryTopologyChange(t *testing.T) {
-	ep := func(inst string) Endpoint { return Endpoint{inst, "in"} }
-	out := Endpoint{"src", "out"}
+	ep := func(inst string) Endpoint { return Endpoint{Instance: inst, Interface: "in"} }
+	out := Endpoint{Instance: "src", Interface: "out"}
 	rebind := func(edits ...BindEdit) func(*Bus) error {
 		return func(b *Bus) error { return b.Rebind(edits) }
 	}
@@ -341,7 +343,7 @@ func TestStaleRouteAcrossEveryTopologyChange(t *testing.T) {
 // polls before it reads (mh_query_ifmsgs) would block on it.
 func TestPendingIgnoresAbandonedClaims(t *testing.T) {
 	w := newCommitWorld(t, "a")
-	out, in := Endpoint{"src", "out"}, Endpoint{"a", "in"}
+	out, in := Endpoint{Instance: "src", Interface: "out"}, Endpoint{Instance: "a", Interface: "in"}
 	r, err := w.b.routeOf(new(atomic.Pointer[route]), out)
 	if err != nil {
 		t.Fatal(err)
@@ -367,14 +369,14 @@ func TestPendingIgnoresAbandonedClaims(t *testing.T) {
 	if err := w.src.Write("out", []byte("kept")); err != nil {
 		t.Fatal(err)
 	}
-	if n := w.queues["a"].length(); n != 1 {
+	if n := w.queues["a"].Len(); n != 1 {
 		t.Errorf("length = %d with one message queued behind the abandoned claim, want 1", n)
 	}
 	var m Message
-	if ok, err := w.queues["a"].tryPop(&m); !ok || err != nil || string(m.Data) != "kept" {
+	if ok, err := w.queues["a"].TryPop(&m); !ok || err != nil || string(m.Data) != "kept" {
 		t.Fatalf("tryPop = %q, %v, %v", m.Data, ok, err)
 	}
-	if n := w.queues["a"].length(); n != 0 {
+	if n := w.queues["a"].Len(); n != 0 {
 		t.Errorf("length = %d after the queue emptied, want 0", n)
 	}
 }
@@ -399,7 +401,7 @@ func TestDeleteInstanceVsRebindMoveQueue(t *testing.T) {
 		var rebindErr, deleteErr error
 		racers := []func(){
 			func() {
-				rebindErr = w.b.Rebind([]BindEdit{{Op: "cq", From: Endpoint{"a", "in"}, To: Endpoint{"b", "in"}}})
+				rebindErr = w.b.Rebind([]BindEdit{{Op: "cq", From: Endpoint{Instance: "a", Interface: "in"}, To: Endpoint{Instance: "b", Interface: "in"}}})
 			},
 			func() { deleteErr = w.b.DeleteInstance("b") },
 		}

@@ -24,7 +24,7 @@ func TestRebindUnderTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := b.AddBinding(Endpoint{"w", "out"}, Endpoint{"a", "in"}); err != nil {
+	if err := b.AddBinding(Endpoint{Instance: "w", Interface: "out"}, Endpoint{Instance: "a", Interface: "in"}); err != nil {
 		t.Fatal(err)
 	}
 	w, err := b.Attach("w")
@@ -84,9 +84,9 @@ func TestRebindUnderTraffic(t *testing.T) {
 			}
 			mu.Lock()
 			err := b.Rebind([]BindEdit{
-				{Op: "del", From: Endpoint{"w", "out"}, To: Endpoint{current, "in"}},
-				{Op: "add", From: Endpoint{"w", "out"}, To: Endpoint{next, "in"}},
-				{Op: "cq", From: Endpoint{current, "in"}, To: Endpoint{next, "in"}},
+				{Op: "del", From: Endpoint{Instance: "w", Interface: "out"}, To: Endpoint{Instance: current, Interface: "in"}},
+				{Op: "add", From: Endpoint{Instance: "w", Interface: "out"}, To: Endpoint{Instance: next, Interface: "in"}},
+				{Op: "cq", From: Endpoint{Instance: current, Interface: "in"}, To: Endpoint{Instance: next, Interface: "in"}},
 			})
 			active = next
 			mu.Unlock()
@@ -170,8 +170,8 @@ func TestManyTCPClients(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := b.AddBinding(
-			Endpoint{fmt.Sprintf("src%d", i), "out"},
-			Endpoint{fmt.Sprintf("dst%d", i), "in"},
+			Endpoint{Instance: fmt.Sprintf("src%d", i), Interface: "out"},
+			Endpoint{Instance: fmt.Sprintf("dst%d", i), Interface: "in"},
 		); err != nil {
 			t.Fatal(err)
 		}

@@ -522,7 +522,7 @@ func (c *conn) end(err error) {
 	if att != nil {
 		for i := range att.ifaces { // wake parked reads to see gone
 			if q := att.ifaces[i].ifc.queue; q != nil {
-				q.wake()
+				q.Wake()
 			}
 		}
 		rec.Instance = att.Name()

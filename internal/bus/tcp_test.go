@@ -42,7 +42,7 @@ func testBusForTCP(t *testing.T) *Bus {
 			t.Fatal(err)
 		}
 	}
-	if err := b.AddBinding(Endpoint{"display", "temper"}, Endpoint{"compute", "display"}); err != nil {
+	if err := b.AddBinding(Endpoint{Instance: "display", Interface: "temper"}, Endpoint{Instance: "compute", Interface: "display"}); err != nil {
 		t.Fatal(err)
 	}
 	return b
@@ -106,7 +106,7 @@ func TestRemoteReadWrite(t *testing.T) {
 		if err != nil || len(m.Data) != 1 || int(m.Data[0]) != i {
 			t.Fatalf("Read %d = %+v, %v", i, m, err)
 		}
-		if m.From != (Endpoint{"display", "temper"}) {
+		if m.From != (Endpoint{Instance: "display", Interface: "temper"}) {
 			t.Errorf("From = %v", m.From)
 		}
 	}
@@ -210,7 +210,7 @@ func TestRemoteErrorMapping(t *testing.T) {
 		t.Errorf("timeout error: %v", err)
 	}
 
-	if err := b.Rebind([]BindEdit{{Op: "del", From: Endpoint{"display", "temper"}, To: Endpoint{"compute", "display"}}}); err != nil {
+	if err := b.Rebind([]BindEdit{{Op: "del", From: Endpoint{Instance: "display", Interface: "temper"}, To: Endpoint{Instance: "compute", Interface: "display"}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := comp.Write("display", nil); err != nil {
@@ -387,9 +387,9 @@ var goldenFrames = []struct {
 		Ifaces: []IfaceSpec{{Name: "display", Dir: InOut}, {Name: "sensor", Dir: In}}}},
 		"00000024  0b  07 636f6d70757465  02 6d32  05 636c6f6e65  02  07 646973706c6179 03  06 73656e736f72 01"},
 	{"ok", frame{Op: rOK, ID: 7}, "00000002  0c 07"},
-	{"msg", frame{Op: rMsg, ID: 7, From: Endpoint{"sensor", "out"}, Data: []byte("payload")},
+	{"msg", frame{Op: rMsg, ID: 7, From: Endpoint{Instance: "sensor", Interface: "out"}, Data: []byte("payload")},
 		"00000016  0d 07  06 73656e736f72  03 6f7574  00  07 7061796c6f6164"},
-	{"msg traced", frame{Op: rMsg, ID: 7, From: Endpoint{"sensor", "out"}, Data: []byte("p"), Trace: goldenTrace},
+	{"msg traced", frame{Op: rMsg, ID: 7, From: Endpoint{Instance: "sensor", Interface: "out"}, Data: []byte("p"), Trace: goldenTrace},
 		"00000017  0d 07  06 73656e736f72  03 6f7574  01 09 04 03 02 01 f601  01 70"},
 	{"count", frame{Op: rCount, ID: 7, N: 3}, "00000003  0e 07 06"},
 	{"data", frame{Op: rData, ID: 7, Data: []byte("st")}, "00000005  0f 07  02 7374"},
@@ -494,7 +494,7 @@ func TestRecordedWireDeliveryRoundTrips(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := b.AddBinding(Endpoint{"display", "temper"}, Endpoint{"compute", "display"}); err != nil {
+	if err := b.AddBinding(Endpoint{Instance: "display", Interface: "temper"}, Endpoint{Instance: "compute", Interface: "display"}); err != nil {
 		t.Fatal(err)
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -596,7 +596,7 @@ func TestParkedCallsEndWithConnection(t *testing.T) {
 			if err := b.InstallState("compute", []byte("s")); err == nil {
 				t.Error("the state installed after the connection ended was taken")
 			}
-			if err := b.Rebind([]BindEdit{{Op: "cq", From: Endpoint{"compute", "display"}, To: Endpoint{"compute2", "display"}}}); err != nil {
+			if err := b.Rebind([]BindEdit{{Op: "cq", From: Endpoint{Instance: "compute", Interface: "display"}, To: Endpoint{Instance: "compute2", Interface: "display"}}}); err != nil {
 				t.Fatal(err)
 			}
 			if info, err := b.Info("compute2"); err != nil || info.Pending["display"] != 1 {

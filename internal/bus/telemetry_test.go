@@ -14,7 +14,7 @@ func twoNodeBus(t *testing.T, opts ...BusOption) *Bus {
 	if err := b.AddInstance(InstanceSpec{Name: "dst", Interfaces: []IfaceSpec{{Name: "in", Dir: In}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddBinding(Endpoint{"src", "out"}, Endpoint{"dst", "in"}); err != nil {
+	if err := b.AddBinding(Endpoint{Instance: "src", Interface: "out"}, Endpoint{Instance: "dst", Interface: "in"}); err != nil {
 		t.Fatal(err)
 	}
 	return b
@@ -46,7 +46,7 @@ func TestBusTelemetryCounters(t *testing.T) {
 	}
 
 	// Draining the queue moves the computed gauge, with no hot-path work.
-	if _, err := b.DrainQueue(Endpoint{"dst", "in"}); err != nil {
+	if _, err := b.DrainQueue(Endpoint{Instance: "dst", Interface: "in"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.Telemetry().Snapshot().Gauges["bus.iface.dst.in.queue_depth"]; got != 0 {
@@ -128,7 +128,7 @@ func TestWriteTelemetryAddsNoAllocs(t *testing.T) {
 	measure := func(b *Bus) float64 {
 		t.Helper()
 		src := writerFor(b, "src")
-		sink := Endpoint{"dst", "in"}
+		sink := Endpoint{Instance: "dst", Interface: "in"}
 		payload := []byte("m")
 		// AllocsPerRun counts process-global mallocs, so a straggling
 		// goroutine from an earlier test can inflate one sample; take the

@@ -85,7 +85,7 @@ func TestTraceSampledDeliveryRecorded(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := b.AddBinding(Endpoint{"src", "out"}, Endpoint{"dst", "in"}); err != nil {
+		if err := b.AddBinding(Endpoint{Instance: "src", Interface: "out"}, Endpoint{Instance: "dst", Interface: "in"}); err != nil {
 			t.Fatal(err)
 		}
 		src := attach(t, b, "src")
@@ -154,7 +154,7 @@ func TestTraceSurvivesQueueMove(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Rebind([]BindEdit{{Op: "cq", From: Endpoint{"compute", "sensor"}, To: Endpoint{"compute2", "sensor"}}}); err != nil {
+	if err := b.Rebind([]BindEdit{{Op: "cq", From: Endpoint{Instance: "compute", Interface: "sensor"}, To: Endpoint{Instance: "compute2", Interface: "sensor"}}}); err != nil {
 		t.Fatal(err)
 	}
 	moveIDs := traceIDs(kindMoveQueue)
@@ -177,7 +177,7 @@ func TestTraceSurvivesQueueMove(t *testing.T) {
 	if err := sens.Write("out", []byte("q3")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.DrainQueue(Endpoint{"compute", "sensor"}); err != nil {
+	if _, err := b.DrainQueue(Endpoint{Instance: "compute", Interface: "sensor"}); err != nil {
 		t.Fatal(err)
 	}
 	if drainIDs := traceIDs(kindDrainQueue); len(drainIDs) != 1 {
@@ -206,7 +206,7 @@ func TestQueuedMessages(t *testing.T) {
 		t.Fatalf("QueuedMessages = %d entries, want 2", len(qm))
 	}
 	for _, m := range qm {
-		if m.Endpoint != (Endpoint{"compute", "sensor"}) {
+		if m.Endpoint != (Endpoint{Instance: "compute", Interface: "sensor"}) {
 			t.Errorf("queued endpoint = %v", m.Endpoint)
 		}
 		if !m.Trace.Valid() {
@@ -242,7 +242,7 @@ func TestQueuedMessages(t *testing.T) {
 func TestCloseDeletesEveryInstance(t *testing.T) {
 	b := testBus(t)
 	stopped := make(chan error, 2)
-	for _, ep := range []Endpoint{{"compute", "sensor"}, {"display", "temper"}} {
+	for _, ep := range []Endpoint{{Instance: "compute", Interface: "sensor"}, {Instance: "display", Interface: "temper"}} {
 		a := attach(t, b, ep.Instance)
 		go func() {
 			_, err := a.Read(ep.Interface)

@@ -69,8 +69,14 @@ go test -race -count=20 -run 'TestReplayViewIgnoresTracing|TestSpanViewIgnoresRe
 echo "== Figure 3's move mid-recursion, hand-instrumented, interpreted and transformed: every request taken before a reading is fed, every reply awaited with a deadline (racy x20)"
 go test -race -count=20 -run '^(TestMoveDuringRecursion|TestMoveDuringRecursionInterpreted|TestMoveDuringRecursionTransformed)$' ./internal/mh/ ./internal/interp/ ./internal/transform/
 
-echo "== a taken queue slot and a memoised route across grow, drain, restore, Rebind and RemoveGroupMember (racy x20)"
-go test -race -count=20 -run 'TestTakenItemStaysValid|TestMemoisedRouteDroppedOnTopologyChange' ./internal/bus/
+echo "== the queue package's taken slot across grow, drain and restore, and the bus's memoised route across Rebind and RemoveGroupMember (racy x20, each counted)"
+passes=$(go test -race -count=20 -v -run '^(TestTakenItemStaysValid|TestMemoisedRouteDroppedOnTopologyChange)$' ./internal/bus/... |
+	grep -cE '^--- PASS: (TestTakenItemStaysValid|TestMemoisedRouteDroppedOnTopologyChange) ' || true)
+if [ "$passes" -ne 40 ]; then
+	echo "taken slot and memoised route: $passes of 40 runs passed" >&2
+	exit 1
+fi
+echo "40 of 40 runs passed"
 
 echo "== the one commit: a stale route across every topology-changing method, DeleteInstance against Rebind cq, every logging call's records in the log by its return (racy x20)"
 go test -race -count=20 -run 'TestStaleRouteAcrossEveryTopologyChange|TestDeleteInstanceVsRebindMoveQueue|TestEventLoggedByReturn' ./internal/bus/
