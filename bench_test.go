@@ -222,7 +222,7 @@ func work(x int) int {
 func BenchmarkReconfigDelayPlacement(b *testing.B) {
 	for name, src := range map[string]string{"inner": innerPointSrc, "outer": outerPointSrc} {
 		b.Run(name, func(b *testing.B) {
-			out, err := transform.PrepareSource("worker.go", src, transform.Options{})
+			out, err := transform.Prepare(map[string]string{"worker.go": src}, transform.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -31,7 +31,7 @@ func TestCompiledModuleMigration(t *testing.T) {
 		t.Skip("go toolchain not available")
 	}
 
-	out, err := transform.PrepareSource("compute.go", fixtures.ComputeSource, transform.Options{})
+	out, err := transform.Prepare(map[string]string{"compute.go": fixtures.ComputeSource}, transform.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

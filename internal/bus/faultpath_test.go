@@ -1,9 +1,9 @@
 package bus
 
-// Unit tests for the robustness machinery under internal/bus: dial retry
-// with backoff, per-call RPC timeouts, the listener's defences (hello
-// deadline, frame-size cap, malformed frames), the restore-confirmation RPC,
-// and queue restoration when a rebinding batch fails mid-application.
+// Unit tests for the robustness machinery under internal/bus: the client's
+// failpoints, the listener's defences (hello deadline, frame-size cap,
+// malformed frames), the restore-confirmation RPC, and queue restoration
+// when a rebinding batch fails mid-application.
 
 import (
 	"encoding/binary"
@@ -19,63 +19,40 @@ import (
 	"repro/internal/faultinject"
 )
 
-func TestDialRetriesThroughTransientFault(t *testing.T) {
+// TestDialFailpoint: an armed tcp.dial fails DialPort with the injected
+// fault, and the next DialPort, the point disarmed, attaches.
+func TestDialFailpoint(t *testing.T) {
 	_, s := startServer(t)
-	faults := faultinject.New()
-	faults.Enable("tcp.dial", faultinject.Point{Action: faultinject.Error, Count: 1})
-	p, err := DialPortWith(s.Addr().String(), "compute", DialOptions{
-		Retries: 2,
-		Backoff: 5 * time.Millisecond,
-		Faults:  faults,
-	})
-	if err != nil {
-		t.Fatalf("dial with one transient fault and two retries failed: %v", err)
+	armDefault(t, "tcp.dial")
+	if _, err := DialPort(s.Addr().String(), "compute"); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("dial with tcp.dial armed = %v, want the injected fault", err)
 	}
-	defer p.Close()
-	if faults.Fired("tcp.dial") != 1 {
-		t.Errorf("tcp.dial fired %d times, want 1 (Count:1 disarms after the fault)", faults.Fired("tcp.dial"))
-	}
+	p := dial(t, s, "compute")
 	if p.Name() != "compute" {
 		t.Errorf("attached as %q", p.Name())
 	}
 }
 
-func TestDialExhaustsRetries(t *testing.T) {
-	faults := faultinject.New()
-	faults.Enable("tcp.dial", faultinject.Point{Action: faultinject.Error})
-	_, err := DialPortWith("127.0.0.1:1", "compute", DialOptions{
-		Retries: 2,
-		Backoff: time.Millisecond,
-		Faults:  faults,
-	})
-	if err == nil {
-		t.Fatal("dial succeeded with a permanent fault")
-	}
-	if !errors.Is(err, faultinject.ErrInjected) {
-		t.Errorf("error %v does not wrap the injected fault", err)
-	}
-	if !strings.Contains(err.Error(), "3 attempts") {
-		t.Errorf("error %v does not count the attempts", err)
-	}
-}
-
+// TestDialNoRetryByDefault: a failing dial is one attempt. A zero-delay
+// point at tcp.dial counts the attempts without failing them; a dial to a
+// closed port passes it exactly once before it reports the refusal.
 func TestDialNoRetryByDefault(t *testing.T) {
+	faults := faultinject.Default()
+	faults.Enable("tcp.dial", faultinject.Point{Action: faultinject.Delay})
+	t.Cleanup(func() { faults.Disable("tcp.dial") })
+	before := faults.Fired("tcp.dial")
 	if _, err := DialPort("127.0.0.1:1", "compute"); err == nil {
 		t.Fatal("dial to a closed port succeeded")
-	} else if !strings.Contains(err.Error(), "1 attempts") {
-		t.Errorf("error %v shows more than one attempt without Retries", err)
+	}
+	if n := faults.Fired("tcp.dial") - before; n != 1 {
+		t.Errorf("a failing dial made %d attempts, want 1", n)
 	}
 }
 
 func TestRemoteCallFaultInjection(t *testing.T) {
 	_, s := startServer(t)
-	faults := faultinject.New()
-	p, err := DialPortWith(s.Addr().String(), "compute", DialOptions{Faults: faults})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	faults.Enable("tcp.call", faultinject.Point{Action: faultinject.Error, Count: 1})
+	p := dial(t, s, "compute")
+	armDefault(t, "tcp.call")
 	if _, err := p.Pending("display"); !errors.Is(err, faultinject.ErrInjected) {
 		t.Errorf("faulted rpc error = %v", err)
 	}
@@ -85,236 +62,12 @@ func TestRemoteCallFaultInjection(t *testing.T) {
 	}
 }
 
-func TestRemoteCallTimeout(t *testing.T) {
-	_, s := startServer(t)
-	p, err := DialPortWith(s.Addr().String(), "compute", DialOptions{CallTimeout: 80 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	// Read on an empty queue blocks server-side; the client bound surfaces
-	// it as a timeout instead of a stall.
-	start := time.Now()
-	_, err = p.Read("sensor")
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("blocked read error = %v, want ErrTimeout", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("timeout took %v", elapsed)
-	}
-}
-
-// TestRemoteReadTimeoutKeepsNextMessage: a Read abandoned by CallTimeout
-// stays parked at the server and pops the next message. That message must
-// reach the next Read or TryRead of the interface (and count as pending
-// meanwhile), not be answered to nobody.
-func TestRemoteReadTimeoutKeepsNextMessage(t *testing.T) {
-	b, s := startServer(t)
-	p, err := DialPortWith(s.Addr().String(), "compute", DialOptions{CallTimeout: 80 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if _, err := p.Read("display"); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("read on an empty queue = %v, want ErrTimeout", err)
-	}
-	if _, ok, err := p.TryRead("display"); err != nil || ok {
-		t.Fatalf("TryRead behind the abandoned read = %t, %v", ok, err)
-	}
-	disp := attach(t, b, "display")
-	for _, payload := range []string{"first", "second"} {
-		if err := disp.Write("temper", []byte(payload)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, "Pending 2 after two writes (one kept on the port, one still queued at the bus): else the abandoned read's message is gone", func() bool {
-		n, err := p.Pending("display")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n == 2
-	})
-	if m, ok, err := p.TryRead("display"); err != nil || !ok || string(m.Data) != "first" {
-		t.Fatalf("TryRead after the timeout = %q %t %v, want the message the abandoned read popped", m.Data, ok, err)
-	}
-	if m, err := p.Read("display"); err != nil || string(m.Data) != "second" {
-		t.Fatalf("Read after the timeout = %q, %v", m.Data, err)
-	}
-	// And a Read that adopts the abandoned one before its message exists.
-	if _, err := p.Read("display"); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("read on an empty queue = %v, want ErrTimeout", err)
-	}
-	got := make(chan Message, 1)
-	go func() {
-		for {
-			m, err := p.Read("display")
-			if errors.Is(err, ErrTimeout) {
-				continue
-			}
-			if err != nil {
-				t.Errorf("adopting read: %v", err)
-			}
-			got <- m
-			return
-		}
-	}()
-	waitFor(t, "the read adopting the abandoned one", func() bool {
-		p.c.mu.Lock()
-		defer p.c.mu.Unlock()
-		return len(p.orphans["display"]) == 0
-	})
-	if err := disp.Write("temper", []byte("third")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-got:
-		if string(m.Data) != "third" {
-			t.Errorf("adopting read got %q", m.Data)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("the read after a timed-out read never got the next message")
-	}
-}
-
-// TestTryReadBehindAbandonedReadKeepsOrder: a TryRead sent while the reply of
-// a Read abandoned by CallTimeout is still on its way must not come back with
-// the message behind the one that read took. The proxy holds the server's
-// frames, so the interleaving is forced, not waited for.
-func TestTryReadBehindAbandonedReadKeepsOrder(t *testing.T) {
-	b, s := startServer(t)
-	px := newHoldingProxy(t, s.Addr().String())
-	dialed := make(chan error, 1)
-	var p *RemotePort
-	go func() {
-		var err error
-		p, err = DialPortWith(px.addr, "compute", DialOptions{CallTimeout: 80 * time.Millisecond})
-		dialed <- err
-	}()
-	px.relay(t, px.next(t)) // the hello ack
-	if err := <-dialed; err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if _, err := p.Read("display"); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("read on an empty queue = %v, want ErrTimeout", err)
-	}
-	disp := attach(t, b, "display")
-	for _, payload := range []string{"first", "second"} {
-		if err := disp.Write("temper", []byte(payload)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	first := px.next(t) // the abandoned read's reply, held
-	type result struct {
-		m   Message
-		ok  bool
-		err error
-	}
-	tried := make(chan result, 1)
-	go func() {
-		m, ok, err := p.TryRead("display")
-		tried <- result{m, ok, err}
-	}()
-	px.relay(t, first, px.next(t)) // in the order the server sent them
-	if r := <-tried; r.err != nil || !r.ok || string(r.m.Data) != "first" {
-		t.Fatalf("TryRead behind the abandoned read = %q %t %v, want first", r.m.Data, r.ok, r.err)
-	}
-	px.open()
-	if m, err := p.Read("display"); err != nil || string(m.Data) != "second" {
-		t.Fatalf("Read after it = %q, %v, want second", m.Data, err)
-	}
-}
-
-// holdingProxy relays one connection to a server: the client's bytes as they
-// come, the server's frames only when the test relays them, or all of them
-// once it opens the proxy.
-type holdingProxy struct {
-	addr   string
-	frames chan []byte   // the server's, whole, not relayed yet
-	client chan net.Conn // the accepted client connection, once
-}
-
-func newHoldingProxy(t *testing.T, server string) *holdingProxy {
+// armDefault arms site in the process-wide set, the one every port reads,
+// to fail once, and disarms it when the test ends.
+func armDefault(t *testing.T, site string) {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	px := &holdingProxy{addr: l.Addr().String(), frames: make(chan []byte, 16), client: make(chan net.Conn, 1)}
-	done := make(chan struct{})
-	t.Cleanup(func() {
-		l.Close()
-		close(done)
-	})
-	go func() {
-		cli, err := l.Accept()
-		if err != nil {
-			return
-		}
-		srv, err := net.Dial("tcp", server)
-		if err != nil {
-			cli.Close()
-			return
-		}
-		go func() {
-			<-done
-			cli.Close()
-			srv.Close()
-		}()
-		px.client <- cli
-		go func() { _, _ = io.Copy(srv, cli) }()
-		fr := codec.NewFrameReader(srv)
-		for {
-			body, err := fr.Next()
-			if err != nil {
-				close(px.frames)
-				return
-			}
-			b := append(codec.BeginFrame(nil), body...)
-			_ = codec.EndFrame(b)
-			px.frames <- b
-		}
-	}()
-	return px
-}
-
-// next returns the server's next frame, unrelayed.
-func (px *holdingProxy) next(t *testing.T) []byte {
-	t.Helper()
-	select {
-	case b, ok := <-px.frames:
-		if !ok {
-			t.Fatal("the server closed the connection")
-		}
-		return b
-	case <-time.After(2 * time.Second):
-		t.Fatal("no frame from the server")
-	}
-	return nil
-}
-
-// relay hands frames to the client.
-func (px *holdingProxy) relay(t *testing.T, frames ...[]byte) {
-	t.Helper()
-	cli := <-px.client
-	defer func() { px.client <- cli }()
-	for _, b := range frames {
-		if _, err := cli.Write(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// open relays every frame from now on.
-func (px *holdingProxy) open() {
-	cli := <-px.client
-	go func() {
-		for b := range px.frames {
-			if _, err := cli.Write(b); err != nil {
-				return
-			}
-		}
-	}()
+	faultinject.Default().Enable(site, faultinject.Point{Action: faultinject.Error, Count: 1})
+	t.Cleanup(func() { faultinject.Default().Disable(site) })
 }
 
 // startServerWithHello is startServer with a short hello deadline.
@@ -451,50 +204,6 @@ func TestGarbageKillsOnlyItsConnection(t *testing.T) {
 	}
 	if n, err := disp.Pending("temper"); err != nil || n != 0 {
 		t.Errorf("second connection after the first was killed: %d, %v", n, err)
-	}
-}
-
-// TestPostedWriteTimesOutOnStalledPeer: with a CallTimeout a posted write to
-// a peer that has stopped reading fails with ErrTimeout once the socket
-// buffers are full, instead of blocking for ever.
-func TestPostedWriteTimesOutOnStalledPeer(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	stalled := make(chan net.Conn, 1)
-	go func() { // says hello back, then never reads again
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		if _, err := codec.NewFrameReader(conn).Next(); err != nil {
-			return
-		}
-		ack := appendFrame(codec.BeginFrame(nil), &frame{Op: rHello, Hello: &helloAck{
-			Name: "w", Ifaces: []IfaceSpec{{Name: "out", Dir: Out}}}})
-		_ = codec.EndFrame(ack)
-		_, _ = conn.Write(ack)
-		stalled <- conn
-	}()
-	p, err := DialPortWith(l.Addr().String(), "w", DialOptions{CallTimeout: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	defer func() { (<-stalled).Close() }()
-	payload := make([]byte, 1<<20)
-	for i := 0; i < 64; i++ {
-		if err = p.Write("out", payload); err != nil {
-			break
-		}
-	}
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("64 MiB posted to a peer that is not reading: %v, want ErrTimeout", err)
-	}
-	if err := p.Write("out", nil); !errors.Is(err, ErrStopped) {
-		t.Errorf("write after the timed-out one: %v, want ErrStopped (half a frame may be on the stream)", err)
 	}
 }
 

@@ -24,7 +24,10 @@ type Port interface {
 	// routing pass, amortizing the per-send fixed costs. Batch order is
 	// emission order; equivalent to calling Write per payload.
 	SendBatch(iface string, batch [][]byte) error
-	// Read blocks for the next message on the named interface (mh_read).
+	// Read blocks for the next message on the named interface (mh_read),
+	// until one arrives or the port ends. Reads of one interface from
+	// concurrent goroutines, Read or TryRead, are not ordered against each
+	// other; each message goes to exactly one of them.
 	Read(iface string) (Message, error)
 	// TryRead returns a pending message without blocking.
 	TryRead(iface string) (Message, bool, error)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,13 +75,9 @@ import (
 //
 // A message leaves a bus queue only for a Read or TryRead the port's caller
 // has issued: no read-ahead, because Rebind's queue moves, Pending and the
-// quiesce drain test all mean "queued at the bus". A Read abandoned by
-// CallTimeout stays parked at the server; its reply is kept on the port for
-// the next Read or TryRead of that interface (Pending counts it). Requests
-// on one interface are answered in the order they were made: a tryread takes
-// nothing while a read is parked on its interface, and answers after that
-// read's reply when a message is queued, so the port hands out the parked
-// read's message first. A
+// quiesce drain test all mean "queued at the bus". A Read waits until it has
+// a message or its connection ends; reads of one interface from concurrent
+// goroutines are not ordered against each other, as in process. A
 // connection's end ends every call outstanding on it: the client's fail with
 // ErrStopped, the server's return having taken nothing — nothing is popped,
 // nor installed state taken, for a connection after its end. Only a reply
@@ -157,7 +152,7 @@ var replies = [rHello]uint32{opHello: 1 << rHello, opRead: 1 << rMsg, opTryRead:
 const (
 	// helloTimeout is how long an accepted connection may take to say hello
 	// (the HTTP plane's ReadHeaderTimeout); closeTimeout bounds Close's
-	// barrier on a port without a CallTimeout.
+	// barrier.
 	helloTimeout = 5 * time.Second
 	closeTimeout = 2 * time.Second
 	// Limits on counts a peer states. A longer batch goes as several frames.
@@ -356,14 +351,13 @@ func errFromKind(kind int64, text string) error {
 // conn is one end of an attachment's connection, the Server's (srv set) or
 // a RemotePort's: the ends differ in the opcodes they accept and in handle.
 type conn struct {
-	nc      net.Conn
-	fr      *codec.FrameReader
-	srv     *Server
-	handle  func(*frame) error // the end's, on the loop goroutine
-	timeout time.Duration      // bounds each socket write, if positive
-	gone    chan struct{}      // closed when the connection ends
-	open    bool               // the first frame has been handled (loop goroutine)
-	names   map[string]string  // intern's (loop goroutine)
+	nc     net.Conn
+	fr     *codec.FrameReader
+	srv    *Server
+	handle func(*frame) error // the end's, on the loop goroutine
+	gone   chan struct{}      // closed when the connection ends
+	open   bool               // the first frame has been handled (loop goroutine)
+	names  map[string]string  // intern's (loop goroutine)
 
 	wmu  sync.Mutex
 	wbuf []byte
@@ -376,17 +370,14 @@ type conn struct {
 }
 
 // call is an entry of a conn's table: a client's request awaiting its reply
-// on ch (closed if the connection ends first), or a server's parked call —
-// for a read, its interface and the tryreads answered after its reply.
+// on ch (closed if the connection ends first), or a server's parked call.
 type call struct {
-	op     byte
-	ch     chan frame
-	iface  string
-	behind []uint64
+	op byte
+	ch chan frame
 }
 
-func newConn(nc net.Conn, timeout time.Duration) *conn {
-	return &conn{nc: nc, fr: codec.NewFrameReader(nc), timeout: timeout,
+func newConn(nc net.Conn) *conn {
+	return &conn{nc: nc, fr: codec.NewFrameReader(nc),
 		gone: make(chan struct{}), names: map[string]string{}, calls: map[uint64]call{}}
 }
 
@@ -463,11 +454,6 @@ func (c *conn) send(f *frame) error {
 	b = appendFrame(b, f)
 	err := codec.EndFrame(b)
 	if err == nil {
-		if c.timeout > 0 {
-			// A socket deadline stays on the system clock: the kernel
-			// compares it with real time.
-			_ = c.nc.SetWriteDeadline(time.Now().Add(c.timeout))
-		}
 		_, err = c.nc.Write(b)
 	}
 	if cap(b) > maxIdleWireBuf {
@@ -481,15 +467,10 @@ func (c *conn) send(f *frame) error {
 	return nil
 }
 
-// sendFailed names a failed send: ErrLimit, ErrTimeout (a timed-out write may
-// have left half a frame on the stream: the connection goes), or ErrStopped.
+// sendFailed names a failed send: ErrLimit, or ErrStopped.
 func (c *conn) sendFailed(err error) error {
-	switch {
-	case errors.Is(err, codec.ErrLimit):
+	if errors.Is(err, codec.ErrLimit) {
 		return err
-	case errors.Is(err, os.ErrDeadlineExceeded):
-		c.end(err)
-		return fmt.Errorf("bus: send: %w after %v: the peer is not reading", ErrTimeout, c.timeout)
 	}
 	return fmt.Errorf("%w: send: %v", ErrStopped, err)
 }
@@ -583,7 +564,7 @@ func (s *Server) acceptLoop() {
 			return
 		}
 		_ = nc.SetReadDeadline(time.Now().Add(s.helloTimeout)) // a socket deadline: the kernel compares it with real time
-		c := newConn(nc, 0)
+		c := newConn(nc)
 		c.srv, c.handle = s, c.dispatch
 		s.mu.Lock()
 		if s.conns == nil { // closed after the accept
@@ -648,9 +629,6 @@ func (c *conn) dispatch(f *frame) error {
 			return nil
 		}
 	case opRead, opTryRead:
-		if f.Op == opTryRead && c.behindParkedRead(f) {
-			return nil
-		}
 		var m Message
 		var ok bool
 		if m, ok, err = c.att.TryRead(f.Name); ok {
@@ -681,42 +659,16 @@ func restoreOutcome(text []byte) error {
 	return errors.New(string(text))
 }
 
-// behindParkedRead keeps a tryread from overtaking a read parked on the same
-// interface, which the client asked first: it takes nothing while one is
-// parked. With the queue empty it finds nothing at once; otherwise the read
-// is about to take the head, and the tryread's empty answer follows the
-// read's reply, so the client has the read's message in hand by then.
-func (c *conn) behindParkedRead(f *frame) bool {
-	parked, queued := false, false
-	c.mu.Lock()
-	for id, cl := range c.calls {
-		if cl.op == opRead && cl.iface == f.Name {
-			parked = true
-			if n, _ := c.att.Pending(f.Name); n > 0 {
-				queued = true
-				cl.behind = append(cl.behind, f.ID)
-				c.calls[id] = cl
-			}
-			break
-		}
-	}
-	c.mu.Unlock()
-	if parked && !queued {
-		c.reply(&frame{Op: rOK, ID: f.ID}, nil)
-	}
-	return parked
-}
-
 // park serves a read or awaitstate that has to wait, on a goroutine of its
-// own and in the call table, which it answers only if still there, and
-// leaves once answered. A second call under a parked call's id would go
-// unanswered: it ends the connection.
+// own and in the call table, which it leaves to answer, and answers only if
+// still there. A second call under a parked call's id would go unanswered:
+// it ends the connection.
 func (c *conn) park(f *frame) error {
 	c.mu.Lock()
 	_, dup := c.calls[f.ID]
 	live := c.calls != nil && !dup
 	if live {
-		c.calls[f.ID] = call{op: f.Op, iface: f.Name}
+		c.calls[f.ID] = call{op: f.Op}
 	}
 	c.mu.Unlock()
 	if dup {
@@ -739,16 +691,10 @@ func (c *conn) park(f *frame) error {
 		}
 		c.mu.Lock()
 		_, live := c.calls[id]
+		delete(c.calls, id)
 		c.mu.Unlock()
 		if live {
 			c.reply(&r, err)
-		}
-		c.mu.Lock()
-		behind := c.calls[id].behind
-		delete(c.calls, id)
-		c.mu.Unlock()
-		for _, tid := range behind {
-			c.reply(&frame{Op: rOK, ID: tid}, nil)
 		}
 	}()
 	return nil
@@ -769,87 +715,47 @@ func (c *conn) reply(f *frame, err error) {
 
 // RemotePort is a Port backed by a TCP connection to a bus Server.
 type RemotePort struct {
-	c      *conn // its timeout is DialOptions.CallTimeout
-	hello  helloAck
-	dirs   map[string]Direction // the hello ack's interface table
-	faults *faultinject.Set
+	c     *conn
+	hello helloAck
+	dirs  map[string]Direction // the hello ack's interface table
 
 	// postErr is the failure of a posted write, owed to the next data call.
 	postErr atomic.Pointer[error]
 	signals chan Signal
 	deleted chan struct{} // closed by the read loop on the deletion notice
-
-	// Under c.mu: the last reply channel emptied, for the next call, and by
-	// interface, oldest first, those of reads abandoned by CallTimeout.
-	spare   chan frame
-	orphans map[string][]chan frame
+	spare   chan frame    // under c.mu: the last reply channel emptied, for the next call
 }
 
-// DialOptions tunes the client side of a TCP attachment.
-type DialOptions struct {
-	// Retries is the number of additional dial attempts after the first
-	// fails (connection refused, network error). 0 means dial exactly once.
-	Retries int
-	// Backoff is the wait before the first retry; it doubles per attempt.
-	// Defaults to 50ms when Retries > 0.
-	Backoff time.Duration
-	// CallTimeout bounds each round trip, the handshake included, and each
-	// socket write, so a hung or partitioned peer, or one that stopped
-	// reading, surfaces as ErrTimeout. 0 is no bound: the right choice for
-	// module data-plane ports, whose Read blocks until traffic arrives.
-	CallTimeout time.Duration
-	// Faults is the failpoint set for the tcp.dial and tcp.call sites;
-	// nil means faultinject.Default().
-	Faults *faultinject.Set
-}
-
-// clientClock times a TCP client's dial backoff, call timeouts and
-// failpoint delays, and is the Clock its port offers a module runtime: a
-// module on another machine keeps that machine's time, the real clock.
+// clientClock times a TCP client's failpoint delays and Close's barrier, and
+// is the Clock its port offers a module runtime: a module on another machine
+// keeps that machine's time, the real clock.
 var clientClock clock.Clock
 
-// DialPort attaches to the instance name on the bus server at addr.
+// DialPort attaches to the instance name on the bus server at addr. It dials
+// once, and no call on the port has a deadline: a Read waits until it has a
+// message or the connection ends.
 func DialPort(addr, instance string) (*RemotePort, error) {
-	return DialPortWith(addr, instance, DialOptions{})
-}
-
-// DialPortWith attaches like DialPort, retrying the dial with exponential
-// backoff and applying a per-call timeout per opts.
-func DialPortWith(addr, instance string, opts DialOptions) (*RemotePort, error) {
-	if opts.Faults == nil {
-		opts.Faults = faultinject.Default()
-	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 50 * time.Millisecond
-	}
-	for attempt := 0; ; attempt++ {
-		err := opts.Faults.Fire("tcp.dial", clientClock)
-		if err == nil {
-			var nc net.Conn
-			if nc, err = net.Dial("tcp", addr); err == nil {
-				return attachPort(nc, instance, opts)
-			}
+	err := faultinject.Default().Fire("tcp.dial", clientClock)
+	if err == nil {
+		var nc net.Conn
+		if nc, err = net.Dial("tcp", addr); err == nil {
+			return attachPort(nc, instance)
 		}
-		if attempt >= opts.Retries {
-			return nil, fmt.Errorf("bus: dial %s (%d attempts): %w", addr, attempt+1, err)
-		}
-		clientClock.Sleep(opts.Backoff)
-		opts.Backoff *= 2
 	}
+	return nil, fmt.Errorf("bus: dial %s: %w", addr, err)
 }
 
 // attachPort runs the client end of nc; its hello is call 0, which the ack's
 // missing id names.
-func attachPort(nc net.Conn, instance string, opts DialOptions) (*RemotePort, error) {
-	p := &RemotePort{c: newConn(nc, opts.CallTimeout), faults: opts.Faults, dirs: map[string]Direction{},
-		orphans: map[string][]chan frame{}, signals: make(chan Signal, 16), deleted: make(chan struct{})} // signals coalesce past 16 unread
+func attachPort(nc net.Conn, instance string) (*RemotePort, error) {
+	p := &RemotePort{c: newConn(nc), dirs: map[string]Direction{},
+		signals: make(chan Signal, 16), deleted: make(chan struct{})} // signals coalesce past 16 unread
 	p.c.handle = p.receive
-	f := frame{Op: opHello, Name: instance}
-	ch, err := p.start(&f)
+	ch, err := p.start(&frame{Op: opHello, Name: instance})
 	if err == nil {
 		go p.c.loop() //archlint:spawn client read loop; exits when the connection ends
 		var ack frame
-		if ack, err = p.await(ch, &f, p.c.timeout); err == nil {
+		if ack, err = p.await(ch, nil); err == nil {
 			p.hello = *ack.Hello
 			for _, ifc := range p.hello.Ifaces {
 				p.dirs[ifc.Name] = ifc.Dir
@@ -885,8 +791,8 @@ func (p *RemotePort) receive(f *frame) error {
 	return nil
 }
 
-// answer hands a reply to its call, or drops it if the call gave up. A
-// reply of a kind the call does not accept ends the connection.
+// answer hands a reply to its call, or drops one no call awaits. A reply
+// of a kind the call does not accept ends the connection.
 func (c *conn) answer(f *frame) error {
 	c.mu.Lock()
 	cl, ok := c.calls[f.ID]
@@ -904,7 +810,7 @@ func (c *conn) answer(f *frame) error {
 }
 
 func (p *RemotePort) fire(op byte) error {
-	if err := p.faults.Fire("tcp.call", clientClock); err != nil {
+	if err := faultinject.Default().Fire("tcp.call", clientClock); err != nil {
 		return fmt.Errorf("bus: rpc %s: %w", opNames[op], err)
 	}
 	return nil
@@ -971,16 +877,9 @@ func (p *RemotePort) start(f *frame) (chan frame, error) {
 	return ch, nil
 }
 
-// await waits for the reply to f on ch, for at most timeout if positive. A
-// read given up on stays in the table, its channel in orphans: the reply may
-// carry a message the server popped for this port.
-func (p *RemotePort) await(ch chan frame, f *frame, timeout time.Duration) (frame, error) {
-	var timeoutC <-chan time.Time
-	if timeout > 0 {
-		timer := clientClock.NewTimer(timeout)
-		defer timer.Stop()
-		timeoutC = timer.C
-	}
+// await waits for the reply on ch, or until timeout fires: only Close's
+// barrier has one.
+func (p *RemotePort) await(ch chan frame, timeout <-chan time.Time) (frame, error) {
 	select {
 	case r, ok := <-ch:
 		if !ok { // the end wrote dead before it closed ch
@@ -993,15 +892,8 @@ func (p *RemotePort) await(ch chan frame, f *frame, timeout time.Duration) (fram
 			return frame{}, errFromKind(r.N, r.Text)
 		}
 		return r, nil
-	case <-timeoutC:
-		p.c.mu.Lock()
-		if f.Op == opRead || f.Op == opTryRead {
-			p.orphans[f.Name] = append(p.orphans[f.Name], ch)
-		} else {
-			delete(p.c.calls, f.ID)
-		}
-		p.c.mu.Unlock()
-		return frame{}, fmt.Errorf("bus: rpc %s: %w after %v", opNames[f.Op], ErrTimeout, timeout)
+	case <-timeout:
+		return frame{}, fmt.Errorf("bus: close: %w after %v", ErrTimeout, closeTimeout)
 	}
 }
 
@@ -1014,60 +906,19 @@ func (p *RemotePort) call(f *frame) (frame, error) {
 	if err != nil {
 		return frame{}, err
 	}
-	return p.await(ch, f, p.c.timeout)
+	return p.await(ch, nil)
 }
 
-// adopt takes over the oldest abandoned read of iface; unless wait, only
-// one already answered.
-func (p *RemotePort) adopt(iface string, wait bool) chan frame {
-	p.c.mu.Lock()
-	defer p.c.mu.Unlock()
-	q := p.orphans[iface]
-	if len(q) == 0 || (!wait && len(q[0]) == 0) {
-		return nil
-	}
-	p.orphans[iface] = q[1:]
-	return q[0]
-}
-
-// inHand returns the oldest answer to a read of f's interface the port
-// holds: the replies of abandoned reads that have arrived come before r, and
-// r, if it carries a message, waits behind them for the next read. The
-// server answers a tryread only after the reads it saw parked on the
-// interface, so their replies are in hand by the time its answer is.
-func (p *RemotePort) inHand(f *frame, r frame) (frame, error) {
-	for {
-		older := p.adopt(f.Name, false)
-		if older == nil {
-			return r, nil
-		}
-		if r.Op == rMsg {
-			held := make(chan frame, 1)
-			held <- r
-			p.c.mu.Lock()
-			p.orphans[f.Name] = append(p.orphans[f.Name], held)
-			p.c.mu.Unlock()
-		}
-		var err error
-		if r, err = p.await(older, f, 0); err != nil || r.Op == rMsg {
-			return r, err
-		}
-	}
-}
-
-// Close is a barrier — a sync round trip, bounded — and then the end: the
-// bus has applied every write posted before it (a socket closed with
-// unread frames is reset), whose owed failure is Close's. Blocked calls fail
-// with ErrStopped.
+// Close is a barrier — a sync round trip, bounded by closeTimeout — and then
+// the end: the bus has applied every write posted before it (a socket closed
+// with unread frames is reset), whose owed failure is Close's. Blocked calls
+// fail with ErrStopped.
 func (p *RemotePort) Close() error {
-	timeout := p.c.timeout
-	if timeout <= 0 {
-		timeout = closeTimeout
-	}
-	f := frame{Op: opSync}
-	ch, err := p.start(&f)
+	ch, err := p.start(&frame{Op: opSync})
 	if err == nil {
-		_, err = p.await(ch, &f, timeout)
+		timer := clientClock.NewTimer(closeTimeout)
+		_, err = p.await(ch, timer.C)
+		timer.Stop()
 	}
 	if errors.Is(err, ErrStopped) {
 		err = nil // a dead connection has no barrier to offer
@@ -1124,14 +975,9 @@ func (p *RemotePort) SendBatch(iface string, batch [][]byte) error {
 // Read implements Port.
 func (p *RemotePort) Read(iface string) (Message, error) {
 	err := p.takePostErr()
-	f := frame{Op: opRead, Name: iface}
 	var r frame
-	for err == nil && r.Op != rMsg { // an adopted tryread may have found nothing: ask afresh
-		if ch := p.adopt(iface, true); ch != nil {
-			r, err = p.await(ch, &f, p.c.timeout)
-		} else {
-			r, err = p.call(&f)
-		}
+	if err == nil {
+		r, err = p.call(&frame{Op: opRead, Name: iface})
 	}
 	return Message{From: r.From, Data: r.Data, Trace: r.Trace}, err
 }
@@ -1141,13 +987,7 @@ func (p *RemotePort) TryRead(iface string) (Message, bool, error) {
 	if err := p.takePostErr(); err != nil {
 		return Message{}, false, err
 	}
-	f := frame{Op: opTryRead, Name: iface}
-	r, err := p.inHand(&f, frame{})
-	if err == nil && r.Op != rMsg {
-		if r, err = p.call(&f); err == nil {
-			r, err = p.inHand(&f, r)
-		}
-	}
+	r, err := p.call(&frame{Op: opTryRead, Name: iface})
 	if err == nil && r.Op != rMsg {
 		err = p.takePostErr() // a round trip that found nothing is still a barrier
 	}
@@ -1166,13 +1006,7 @@ func (p *RemotePort) Pending(iface string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	p.c.mu.Lock()
-	defer p.c.mu.Unlock()
-	n := int(r.N)
-	for _, ch := range p.orphans[iface] {
-		n += len(ch) // an abandoned read's reply, waiting for the next Read
-	}
-	return n, nil
+	return int(r.N), nil
 }
 
 // TakeSignal implements Port.

@@ -7,6 +7,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -182,6 +183,86 @@ func TestRemoteBlockingRead(t *testing.T) {
 	}
 }
 
+// TestRemoteConcurrentReadersExactlyOnce: a Read parked at the server and a
+// TryRead loop, on one port and one interface, consume one bus queue. Every
+// message goes to exactly one of them and none is left queued; their order
+// against each other is not promised, as in process.
+func TestRemoteConcurrentReadersExactlyOnce(t *testing.T) {
+	b, s := startServer(t)
+	comp := dial(t, s, "compute")
+	disp := attach(t, b, "display")
+	const n = 200
+	type taken struct {
+		payload string
+		by      int // 0 Read, 1 TryRead
+	}
+	got := make(chan taken, 2*n)
+	stop := make(chan struct{})
+	readDone, tryDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(readDone)
+		for {
+			m, err := comp.Read("display")
+			if err != nil {
+				if !errors.Is(err, ErrStopped) {
+					t.Errorf("Read: %v", err)
+				}
+				return
+			}
+			got <- taken{string(m.Data), 0}
+		}
+	}()
+	go func() {
+		defer close(tryDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			m, ok, err := comp.TryRead("display")
+			if err != nil {
+				t.Errorf("TryRead: %v", err)
+				return
+			}
+			if ok {
+				got <- taken{string(m.Data), 1}
+			}
+		}
+	}()
+	waitFor(t, "the remote read parked at the bus", parkedOn(b, "compute", "display"))
+	for i := 0; i < n; i++ {
+		if err := disp.Write("temper", []byte(strconv.Itoa(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := map[string]bool{}
+	var by [2]int
+	for len(seen) < n {
+		select {
+		case m := <-got:
+			if seen[m.payload] {
+				t.Fatalf("message %s delivered twice", m.payload)
+			}
+			seen[m.payload] = true
+			by[m.by]++
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d messages arrived", len(seen), n)
+		}
+	}
+	if q, err := comp.Pending("display"); err != nil || q != 0 {
+		t.Errorf("Pending after every message arrived = %d, %v", q, err)
+	}
+	close(stop)
+	<-tryDone
+	comp.Close() // ends the parked Read
+	<-readDone
+	if len(got) != 0 {
+		t.Errorf("%d messages beyond the %d written", len(got), n)
+	}
+	t.Logf("Read took %d, TryRead %d", by[0], by[1])
+}
+
 // TestRemoteErrorMapping pins which write failures are synchronous and which
 // arrive later: the interface table came with the hello ack, so a bad
 // interface or direction is refused on the spot; an unbound interface is
@@ -327,9 +408,12 @@ func TestServerClose(t *testing.T) {
 	waitFor(t, "the port to end with the server", comp.Done)
 }
 
+// TestDialPortBadAddr: a dial to a closed port fails, naming the address.
 func TestDialPortBadAddr(t *testing.T) {
 	if _, err := DialPort("127.0.0.1:1", "x"); err == nil {
 		t.Error("dial to closed port succeeded")
+	} else if !strings.Contains(err.Error(), "dial 127.0.0.1:1") {
+		t.Errorf("dial error %v does not name the address", err)
 	}
 }
 
@@ -642,7 +726,7 @@ func TestClientRefusesWrongFrames(t *testing.T) {
 				answer.ID = req.ID
 				writeFrame(conn, &answer)
 			})
-			p, err := DialPortWith(addr, "w", DialOptions{CallTimeout: 2 * time.Second})
+			p, err := DialPort(addr, "w")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -726,7 +810,7 @@ func fuzzClientEnd(t *testing.T, stream []byte) {
 			writeFrame(srv, &frame{Op: rHello, Hello: &helloAck{Name: "compute", Ifaces: []IfaceSpec{{Name: "display", Dir: InOut}}}})
 		}
 	}()
-	p, err := attachPort(cli, "compute", DialOptions{})
+	p, err := attachPort(cli, "compute")
 	if err != nil {
 		t.Fatal(err)
 	}

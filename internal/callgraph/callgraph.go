@@ -61,19 +61,6 @@ func Build(prog *lang.Program) *Graph {
 	return g
 }
 
-// Callees returns the distinct callees of a function, in first-call order.
-func (g *Graph) Callees(name string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, c := range g.Calls {
-		if c.Caller == name && !seen[c.Callee] {
-			seen[c.Callee] = true
-			out = append(out, c.Callee)
-		}
-	}
-	return out
-}
-
 // ReachableFrom returns the set of functions reachable from start
 // (including start).
 func (g *Graph) ReachableFrom(start string) map[string]bool {
@@ -115,18 +102,6 @@ func (g *Graph) CanReach(targets map[string]bool) map[string]bool {
 		}
 	}
 	return out
-}
-
-// Recursive reports whether the named function participates in a cycle
-// (including direct self-recursion).
-func (g *Graph) Recursive(name string) bool {
-	reach := g.ReachableFrom(name)
-	for _, c := range g.Calls {
-		if c.Callee == name && reach[c.Caller] {
-			return true
-		}
-	}
-	return false
 }
 
 // CyclicSCCs returns the strongly connected components of the call graph
@@ -377,12 +352,6 @@ func (rg *RGraph) EdgeForCall(call *ast.CallExpr) (Edge, bool) {
 		}
 	}
 	return Edge{}, false
-}
-
-// Instrumented reports whether the named procedure is in the
-// reconfiguration graph (and therefore receives capture/restore blocks).
-func (rg *RGraph) Instrumented(name string) bool {
-	return nodeIndex(rg.Nodes, name) < len(rg.Nodes)
 }
 
 // DOT renders a graph in Graphviz format, with stable ordering, for the

@@ -75,16 +75,3 @@ func ValidateFormat(format string, vals []state.Value) error {
 	}
 	return nil
 }
-
-// FormatFor derives the format string describing vals.
-func FormatFor(vals []state.Value) (string, error) {
-	out := make([]rune, len(vals))
-	for i, v := range vals {
-		r, ok := v.Kind.FormatRune()
-		if !ok {
-			return "", fmt.Errorf("codec: value %d has unencodable kind %v", i, v.Kind)
-		}
-		out[i] = r
-	}
-	return string(out), nil
-}

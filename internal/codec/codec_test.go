@@ -229,19 +229,29 @@ func TestValidateFormat(t *testing.T) {
 	}
 }
 
+// TestFormatFor: each encodable kind has one format rune, the one
+// ValidateFormat expects of it; the zero Value has none.
 func TestFormatFor(t *testing.T) {
-	f, err := FormatFor([]state.Value{
+	vals := []state.Value{
 		state.IntValue(1), state.FloatValue(2), state.StringValue("x"),
 		state.BoolValue(true), state.ListValue(), state.StructValue("T"),
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if f != "iFsbLS" {
-		t.Errorf("FormatFor = %q", f)
+	var f []rune
+	for _, v := range vals {
+		r, ok := v.Kind.FormatRune()
+		if !ok {
+			t.Fatalf("kind %v has no format rune", v.Kind)
+		}
+		f = append(f, r)
 	}
-	if _, err := FormatFor([]state.Value{{}}); err == nil {
-		t.Error("invalid kind accepted")
+	if string(f) != "iFsbLS" {
+		t.Errorf("format = %q", string(f))
+	}
+	if err := ValidateFormat(string(f), vals); err != nil {
+		t.Error(err)
+	}
+	if _, ok := (state.Value{}).Kind.FormatRune(); ok {
+		t.Error("invalid kind has a format rune")
 	}
 }
 

@@ -127,17 +127,6 @@ func (r *Report) Counts() (errors, warnings int) {
 	return errors, warnings
 }
 
-// ByCode returns the diagnostics carrying the given code.
-func (r *Report) ByCode(code string) []Diagnostic {
-	var out []Diagnostic
-	for _, d := range r.Diags {
-		if d.Code == code {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // Text renders the report as one line per diagnostic plus a summary line.
 func (r *Report) Text() string {
 	var b strings.Builder

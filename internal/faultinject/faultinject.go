@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -183,23 +182,6 @@ func (s *Set) Fire(site string, clk clock.Clock) error {
 		}
 		return fmt.Errorf("%w at %s", ErrInjected, site)
 	}
-}
-
-// Armed lists the currently armed sites, sorted.
-func (s *Set) Armed() []string {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.points))
-	for site, a := range s.points {
-		if a.left != 0 {
-			out = append(out, site)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // EnvVar is the environment variable Parse and Default read.

@@ -85,18 +85,12 @@ func TestCountLimitsFirings(t *testing.T) {
 	if got := s.Fired("site"); got != 2 {
 		t.Errorf("fired = %d, want 2", got)
 	}
-	if got := s.Armed(); len(got) != 0 {
-		t.Errorf("exhausted point still armed: %v", got)
-	}
 }
 
 func TestDisableAndArmed(t *testing.T) {
 	s := New()
 	s.Enable("b", Point{})
 	s.Enable("a", Point{})
-	if got := s.Armed(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("armed = %v", got)
-	}
 	s.Disable("a")
 	if err := s.Fire("a", clock.Clock{}); err != nil {
 		t.Errorf("disabled site fired: %v", err)
@@ -111,9 +105,6 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Armed(); len(got) != 5 {
-		t.Fatalf("armed = %v", got)
-	}
 	if err := s.Fire("reconfig.preflight", clock.Clock{}); !errors.Is(err, ErrInjected) {
 		t.Errorf("reconfig.preflight = %v", err)
 	}
@@ -123,15 +114,15 @@ func TestParse(t *testing.T) {
 	if err := s.Fire("bus.signal", clock.Clock{}); !errors.Is(err, ErrDropped) {
 		t.Errorf("bus.signal = %v", err)
 	}
-	if err := s.Fire("tcp.dial", clock.Clock{}); err != nil {
-		t.Errorf("tcp.dial = %v", err)
+	if err := s.Fire("tcp.dial", clock.Clock{}); err != nil || s.Fired("tcp.dial") != 1 {
+		t.Errorf("tcp.dial = %v, fired %d", err, s.Fired("tcp.dial"))
 	}
 	s.Fire("bus.divulge", clock.Clock{})
 	if err := s.Fire("bus.divulge", clock.Clock{}); err != nil {
 		t.Errorf("bus.divulge should be exhausted after x1: %v", err)
 	}
 
-	if s, err := Parse(""); err != nil || len(s.Armed()) != 0 {
+	if s, err := Parse(""); err != nil || s.Fire("reconfig.launch", clock.Clock{}) != nil {
 		t.Errorf("empty spec: %v %v", s, err)
 	}
 }
@@ -177,7 +168,10 @@ func TestParseAcceptsPrefixSites(t *testing.T) {
 func TestDefaultIsEmptyWithoutEnv(t *testing.T) {
 	// The test process does not set FAULTPOINTS; Default must be a
 	// usable empty set.
-	if s := Default(); len(s.Armed()) != 0 {
-		t.Errorf("default set armed: %v", s.Armed())
+	s := Default()
+	for _, site := range Sites {
+		if err := s.Fire(site, clock.Clock{}); err != nil || s.Fired(site) != 0 {
+			t.Errorf("default set fired %s: %v", site, err)
+		}
 	}
 }

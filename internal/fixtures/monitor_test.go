@@ -25,7 +25,7 @@ func TestModuleSourcesCheck(t *testing.T) {
 		"sensor":  SensorSource,
 		"display": DisplaySource,
 	} {
-		prog, err := lang.ParseSource(name+".go", src)
+		prog, err := lang.ParseFiles(map[string]string{name + ".go": src})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -15,7 +15,7 @@ import (
 
 func load(t *testing.T, src string) (*lang.Program, *lang.Info) {
 	t.Helper()
-	prog, err := lang.ParseSource("mod.go", src)
+	prog, err := lang.ParseFiles(map[string]string{"mod.go": src})
 	if err != nil {
 		t.Fatal(err)
 	}

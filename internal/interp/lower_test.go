@@ -678,7 +678,7 @@ func down(n int, at int) int {
 // BenchmarkDeepDescent is the shape of the deep stage's first message: a
 // fresh goroutine and a fresh Interp run a 128-deep descent.
 func BenchmarkDeepDescent(b *testing.B) {
-	prog, err := lang.ParseSource("mod.go", deepSource)
+	prog, err := lang.ParseFiles(map[string]string{"mod.go": deepSource})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1124,7 +1124,7 @@ func TestAddrTakenMatchesReference(t *testing.T) {
 	sort.Strings(keys)
 	checked, boxed := 0, 0
 	for _, key := range keys {
-		prog, err := lang.ParseSource("mod.go", corpus[key])
+		prog, err := lang.ParseFiles(map[string]string{"mod.go": corpus[key]})
 		if err != nil {
 			continue
 		}

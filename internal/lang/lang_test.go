@@ -44,7 +44,7 @@ func compute(num int, n int, rp *float64) {
 
 func mustCheck(t *testing.T, src string) (*Program, *Info) {
 	t.Helper()
-	prog, err := ParseSource("mod.go", src)
+	prog, err := ParseFiles(map[string]string{"mod.go": src})
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -57,7 +57,7 @@ func mustCheck(t *testing.T, src string) (*Program, *Info) {
 
 func checkErr(t *testing.T, src string, wantSubstr string) {
 	t.Helper()
-	prog, err := ParseSource("mod.go", src)
+	prog, err := ParseFiles(map[string]string{"mod.go": src})
 	if err == nil {
 		_, err = Check(prog)
 	}
@@ -427,7 +427,7 @@ outer:
 // missing label where the branch is, and a label inside a statement it
 // rejects still declared.
 func TestLabelErrorsInPlace(t *testing.T) {
-	prog, err := ParseSource("mod.go", `package p
+	prog, err := ParseFiles(map[string]string{"mod.go": `package p
 func f(a int, a int) {}
 func main() {
 	x = 1
@@ -450,7 +450,7 @@ Later:
 	for {
 	}
 }
-`)
+`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +530,7 @@ func main() {
 	x = 1
 	y = 2
 }`
-	prog, err := ParseSource("mod.go", src)
+	prog, err := ParseFiles(map[string]string{"mod.go": src})
 	if err != nil {
 		t.Fatal(err)
 	}

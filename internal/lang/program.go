@@ -106,11 +106,6 @@ func ParseFiles(sources map[string]string) (*Program, error) {
 	return p, nil
 }
 
-// ParseSource parses a single-file program.
-func ParseSource(name, src string) (*Program, error) {
-	return ParseFiles(map[string]string{name: src})
-}
-
 func (p *Program) errorf(pos token.Pos, format string, args ...any) *Error {
 	return &Error{Pos: p.Fset.Position(pos), Msg: fmt.Sprintf(format, args...)}
 }

@@ -20,7 +20,7 @@ import (
 // loadFlat parses, checks, flattens every function, and re-checks in place.
 func loadFlat(t *testing.T, src string) (*lang.Program, *lang.Info) {
 	t.Helper()
-	prog, err := lang.ParseSource("mod.go", src)
+	prog, err := lang.ParseFiles(map[string]string{"mod.go": src})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,13 +329,13 @@ func main() {}
 	// Unflattened input (a raw for loop) is rejected by the successor
 	// computation only if a non-goto branch appears at top level; build
 	// one directly.
-	prog2, err := lang.ParseSource("mod.go", `package p
+	prog2, err := lang.ParseFiles(map[string]string{"mod.go": `package p
 func main() {
 	for i := 0; i < 3; i++ {
 		break
 	}
 }
-`)
+`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +548,7 @@ func TestLivenessMatchesReference(t *testing.T) {
 	sort.Strings(keys)
 	for _, key := range keys {
 		t.Run(key, func(t *testing.T) {
-			written, err := lang.ParseSource("mod.go", corpus[key])
+			written, err := lang.ParseFiles(map[string]string{"mod.go": corpus[key]})
 			if err != nil {
 				t.Fatal(err)
 			}

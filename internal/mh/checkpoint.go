@@ -176,13 +176,6 @@ func (cp *Checkpointer) Stats() CheckpointStats {
 	return cp.stats
 }
 
-// LatestSize returns the encoded size of the newest checkpoint (0 if none).
-func (cp *Checkpointer) LatestSize() int {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	return len(cp.last)
-}
-
 // CheckpointSink receives each newly taken checkpoint: the replica's instance
 // name and the encoded abstract state. Called on the module's own thread
 // right after the snapshot is taken; implementations must not block on the

@@ -173,7 +173,7 @@ func TestCheckpointEveryInterval(t *testing.T) {
 	if st.Bytes <= 0 {
 		t.Errorf("Bytes = %d", st.Bytes)
 	}
-	if cp.LatestSize() <= 0 {
+	if len(cp.Latest()) == 0 {
 		t.Error("no latest checkpoint")
 	}
 	// One op (op 10) since the last checkpoint: restore replays 1.
@@ -262,7 +262,6 @@ func TestConcurrentTickAndRestore(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 500; i++ {
 			cp.Latest()
-			cp.LatestSize()
 			cp.Stats()
 			cp.PendingOps()
 			if _, _, err := cp.Restore(); err != nil && !errors.Is(err, ErrNoCheckpoint) {

@@ -64,7 +64,7 @@ type monitorWorld struct {
 
 func newMonitorWorld(t *testing.T) *monitorWorld {
 	t.Helper()
-	out, err := transform.PrepareSource("compute.go", computeSrc, transform.Options{})
+	out, err := transform.Prepare(map[string]string{"compute.go": computeSrc}, transform.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

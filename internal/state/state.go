@@ -342,15 +342,6 @@ func (s *State) Reverse() {
 // Depth returns the number of captured frames.
 func (s *State) Depth() int { return len(s.Frames) }
 
-// Top returns the innermost captured frame (the one holding the
-// reconfiguration point), or nil if the state is empty.
-func (s *State) Top() *Frame {
-	if len(s.Frames) == 0 {
-		return nil
-	}
-	return &s.Frames[len(s.Frames)-1]
-}
-
 // Validate checks the structural invariants of the state: a known version,
 // at least one frame, and every frame named with a nonzero location.
 func (s *State) Validate() error {

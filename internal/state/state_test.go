@@ -213,7 +213,7 @@ func TestFrameVarAndFormat(t *testing.T) {
 
 func TestStateStackOperations(t *testing.T) {
 	s := New("compute")
-	if s.Depth() != 0 || s.Top() != nil {
+	if s.Depth() != 0 {
 		t.Fatal("fresh state should be empty")
 	}
 	// Capture order is innermost-first, per the paper's capture blocks
@@ -225,9 +225,8 @@ func TestStateStackOperations(t *testing.T) {
 	if s.Frames[0].Func != "main" {
 		t.Errorf("after Reverse, bottom frame is %s, want main", s.Frames[0].Func)
 	}
-	top := s.Top()
-	if top == nil || top.Location != 4 {
-		t.Errorf("Top() = %+v, want innermost compute@4", top)
+	if top := s.Frames[len(s.Frames)-1]; top.Location != 4 {
+		t.Errorf("top frame = %+v, want innermost compute@4", top)
 	}
 	if s.Depth() != 3 {
 		t.Errorf("Depth() = %d, want 3", s.Depth())

@@ -55,7 +55,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil tracer Begin returned non-nil builder")
 	}
 	b.StartSpan("x")
-	b.EndSpan()
 	b.Finish("committed", nil)
 	if b.ID() != "" {
 		t.Fatalf("nil TxTrace ID = %q, want empty", b.ID())
@@ -298,8 +297,6 @@ func TestTracerTimeline(t *testing.T) {
 	b.StartSpan("quiesce_wait")
 	step()
 	b.StartSpan("divulge_wait") // implicitly ends quiesce_wait
-	step()
-	b.EndSpan()
 	step()
 	b.StartSpan("rebind")
 	step()

@@ -210,16 +210,6 @@ func (b *TxTrace) StartSpan(name string) {
 	b.open = true
 }
 
-// EndSpan closes the currently open span, if any.
-func (b *TxTrace) EndSpan() {
-	if b == nil {
-		return
-	}
-	b.tracer.mu.Lock()
-	defer b.tracer.mu.Unlock()
-	b.endOpenLocked(b.tracer.clk.Now())
-}
-
 func (b *TxTrace) endOpenLocked(now time.Time) {
 	if !b.open {
 		return

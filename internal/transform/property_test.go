@@ -243,7 +243,7 @@ func TestPipelineEquivalenceProperty(t *testing.T) {
 	for seed := 0; seed < seeds; seed++ {
 		src := genWorkerModule(int64(seed))
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			prog, err := lang.ParseSource("worker.go", src)
+			prog, err := lang.ParseFiles(map[string]string{"worker.go": src})
 			if err != nil {
 				t.Fatalf("%v\n%s", err, src)
 			}
@@ -254,7 +254,7 @@ func TestPipelineEquivalenceProperty(t *testing.T) {
 			want := runWorker(t, prog, info, inputs)
 
 			for _, mode := range []CaptureMode{CaptureAll, CaptureLive} {
-				out, err := PrepareSource("worker.go", src, Options{Mode: mode})
+				out, err := Prepare(map[string]string{"worker.go": src}, Options{Mode: mode})
 				if err != nil {
 					t.Fatalf("prepare (%v): %v\n%s", mode, err, src)
 				}

@@ -251,11 +251,6 @@ func (o *Output) text() (map[string]string, *lang.Program, error) {
 func (o *Output) StaticDOT() string   { return o.source.Graph.DOT() }
 func (o *Output) ReconfigDOT() string { return o.source.DOT() }
 
-// PrepareSource is Prepare for a single-file module.
-func PrepareSource(name, src string, opts Options) (*Output, error) {
-	return Prepare(map[string]string{name: src}, opts)
-}
-
 // Source returns the single instrumented source file (convenience for
 // single-file modules).
 func (o *Output) Source() (string, error) {

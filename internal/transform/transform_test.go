@@ -49,7 +49,7 @@ func compute(num int, n int, rp *float64) {
 
 func prepare(t *testing.T, src string, opts Options) *Output {
 	t.Helper()
-	out, err := PrepareSource("mod.go", src, opts)
+	out, err := Prepare(map[string]string{"mod.go": src}, opts)
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
@@ -179,7 +179,7 @@ func TestCaptureModes(t *testing.T) {
 	}
 
 	// Spec with an unknown variable errors.
-	if _, err := PrepareSource("mod.go", computeSrc, Options{
+	if _, err := Prepare(map[string]string{"mod.go": computeSrc}, Options{
 		Mode:      CaptureSpec,
 		PointVars: map[string][]string{"R": {"ghost"}},
 	}); err == nil || !strings.Contains(err.Error(), "ghost") {
@@ -272,7 +272,7 @@ func f() { mh.ReconfigPoint("R") }`, "not in the module subset"},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := PrepareSource("mod.go", tt.src, Options{})
+			_, err := Prepare(map[string]string{"mod.go": tt.src}, Options{})
 			if err == nil || !strings.Contains(err.Error(), tt.want) {
 				t.Errorf("error = %v, want mention of %q", err, tt.want)
 			}
@@ -1076,7 +1076,7 @@ func TestOutputIsValidSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog2, err := lang.ParseSource("gen.go", src)
+	prog2, err := lang.ParseFiles(map[string]string{"gen.go": src})
 	if err != nil {
 		t.Fatalf("reparse: %v", err)
 	}

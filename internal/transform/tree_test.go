@@ -56,7 +56,7 @@ func TestMain(m *testing.M) {
 }
 
 func TestSharedNodeDetected(t *testing.T) {
-	prog, err := lang.ParseSource("m.go", "package p\nfunc main() { x := 1; x = x + 2 }\n")
+	prog, err := lang.ParseFiles(map[string]string{"m.go": "package p\nfunc main() { x := 1; x = x + 2 }\n"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,9 @@ func TestTraceStampingStaysInBusLayer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("archlint: %v", err)
 	}
-	for _, d := range report.ByCode(archlint.CodeTraceMint) {
-		t.Errorf("%s", d)
+	for _, d := range report.Diags {
+		if d.Code == archlint.CodeTraceMint {
+			t.Errorf("%s", d)
+		}
 	}
 }
