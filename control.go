@@ -66,7 +66,7 @@ var ops = []op{
 	{name: "trace", params: "[id]", run: opTrace, text: traceText},
 	{name: "traces", run: func(a *App, _ opArgs) (any, error) {
 		rec := a.FlightRecorder()
-		return truncated(map[string]any{"spans": append([]*replay.Record{}, rec.Snapshot()...)}, rec.Overwritten() > 0), nil
+		return truncated(map[string]any{"spans": append([]replay.Record{}, rec.Snapshot()...)}, rec.Overwritten() > 0), nil
 	}},
 	{name: "stats", run: opStats},
 	{name: "metrics", run: opMetrics},
@@ -434,7 +434,7 @@ func opEvents(a *App, args opArgs) (any, error) {
 	}
 	log := a.Events()
 	recs := log.Wait(since, wait) // what is already there, else whatever arrives within wait
-	return truncated(map[string]any{"cursor": log.Cursor(), "events": append([]*evlog.Record{}, recs...)},
+	return truncated(map[string]any{"cursor": log.Cursor(), "events": append([]evlog.Record{}, recs...)},
 		since < log.Overwritten()), nil
 }
 

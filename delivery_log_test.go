@@ -132,8 +132,8 @@ func TestOnePublicationPerDelivery(t *testing.T) {
 	}
 	recs, spans := log.Snapshot(), h.app.FlightRecorder().Snapshot()
 	for i := range recs {
-		if !reflect.DeepEqual(recs[i], *spans[i]) {
-			t.Fatalf("delivery %d reads differently in the two views:\nreplay %+v\nspan   %+v", i, recs[i], *spans[i])
+		if !reflect.DeepEqual(recs[i], spans[i]) {
+			t.Fatalf("delivery %d reads differently in the two views:\nreplay %+v\nspan   %+v", i, recs[i], spans[i])
 		}
 	}
 	// The latency histograms observed every span once.

@@ -269,9 +269,16 @@ type Bus struct {
 }
 
 // busStats holds the activity counters as atomics so the lock-free write
-// path can account deliveries without a lock.
+// path can account deliveries without a lock. A delivery is counted by its
+// receiving queue, on the interface's own counter, before the queue
+// publishes it (queue.New); delivered holds every such counter the bus ever
+// resolved and Stats sums them, so writers to different queues share no
+// counter and no reader can see a delivery Stats does not count. (A
+// re-registered name resolves its predecessor's counter if the registry
+// still has it, hence a set.)
 type busStats struct {
-	delivered atomic.Int64
+	mu        sync.Mutex
+	delivered map[*telemetry.Counter]bool
 	dropped   atomic.Int64
 	rebinds   atomic.Int64
 	signals   atomic.Int64
@@ -337,6 +344,7 @@ func New(opts ...BusOption) *Bus {
 	b := &Bus{
 		telem:  telemetry.NewRegistry(),
 		tracer: trace.NewTracer(0),
+		stats:  busStats{delivered: map[*telemetry.Counter]bool{}},
 	}
 	b.faults.Store(faultinject.Default())
 	b.routing.Store(&routingTable{version: 1, instances: map[string]*instance{}, groups: map[string]*groupEntry{}})
@@ -386,13 +394,23 @@ func (b *Bus) Close() {
 // Stats returns a snapshot of the activity counters.
 func (b *Bus) Stats() Stats {
 	return Stats{
-		Delivered:       b.stats.delivered.Load(),
+		Delivered:       b.stats.deliveries(),
 		Dropped:         b.stats.dropped.Load(),
 		Rebinds:         b.stats.rebinds.Load(),
 		Signals:         b.stats.signals.Load(),
 		Moves:           b.stats.moves.Load(),
 		SnapshotVersion: b.routing.Load().version,
 	}
+}
+
+// deliveries sums the receiving interfaces' delivery counters.
+func (s *busStats) deliveries() (n int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for c := range s.delivered {
+		n += c.Load()
+	}
+	return n
 }
 
 // editLocked is the one place a topology change meets traffic. fn stages
@@ -517,13 +535,19 @@ func (b *Bus) AddInstance(spec InstanceSpec) error {
 				ifc.sent = b.telem.Counter(metric("sent", "bus_iface_sent"))
 			}
 			if ifc.spec.Dir.Receives() {
-				ifc.delivered = b.telem.Counter(metric("delivered", telemetry.FamilyDelivered))
+				if ifc.delivered = b.telem.Counter(metric("delivered", telemetry.FamilyDelivered)); ifc.delivered == nil {
+					ifc.delivered = new(telemetry.Counter) // Stats counts with telemetry off too
+				}
+				b.stats.mu.Lock()
+				b.stats.delivered[ifc.delivered] = true
+				b.stats.mu.Unlock()
 				// The log's handle is interned per endpoint, so a clone
 				// reusing a name (rollback resurrect) continues the same
 				// recorded delivery sequence. Nil log → nil handle → no-op
 				// appends.
 				q := queue.New(b.recorder.Queue(ifc.name), b.clk,
-					b.telem.Histogram(metric("delivery_latency_ns", telemetry.FamilyDeliveryLatency)))
+					b.telem.Histogram(metric("delivery_latency_ns", telemetry.FamilyDeliveryLatency)),
+					ifc.delivered)
 				ifc.queue = q
 				name, labels := metric("queue_depth", telemetry.FamilyQueueDepth)
 				b.telem.GaugeFunc(name, labels, func() int64 {
@@ -1005,8 +1029,9 @@ func (b *Bus) resolveRoute(rt *routingTable, memo *atomic.Pointer[route], from E
 // when parent is zero). The per-send fixed costs are paid once for the
 // whole batch: one trace-stamp reservation (a single atomic add claims
 // len(batch) consecutive span ids — message i carries SpanID+i, so span
-// mint order still equals emission order for replay) and one
-// delivered-counter add at the end.
+// mint order still equals emission order for replay) and one sent-counter
+// add at the end. Deliveries are counted by the queues, each before it
+// publishes its message, so Stats never lags what a reader has read.
 //
 // This is the steady-state hot path: each message is built once, here, and
 // every queue on the way copies it from this address into its slot — one
@@ -1037,9 +1062,6 @@ func (b *Bus) writeRouted(r *route, batch [][]byte, parent TraceContext) (rest [
 			var err error
 			if t.ifc != nil {
 				err = t.ifc.queue.PushRouted(&msg, &r.src.name, r.rt.version)
-				if err == nil {
-					t.ifc.delivered.Inc()
-				}
 			} else {
 				err = b.deliverGroup(t.group, &msg, r.src, r.rt.version)
 			}
@@ -1061,7 +1083,6 @@ func (b *Bus) writeRouted(r *route, batch [][]byte, parent TraceContext) (rest [
 		}
 	}
 	if delivered > 0 {
-		b.stats.delivered.Add(delivered)
 		r.src.sent.Add(delivered)
 	}
 	return nil, nil
@@ -1092,7 +1113,7 @@ func (b *Bus) writeUnboundErr(from Endpoint) error {
 // snapshot — re-resolves the route, and delivers to every current target
 // not already reached on the fast path. attempted holds the targets the
 // fast path already processed (delivered or dropped-closed); pre counts
-// the fast-path deliveries for the stats.
+// the fast-path deliveries for the sender's sent counter.
 func (b *Bus) writeSlow(msg *Message, src *iface, attempted []target, pre int64) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -1112,7 +1133,6 @@ func (b *Bus) writeSlow(msg *Message, src *iface, attempted []target, pre int64)
 			// lock, so the routed push is never refused as stale.
 			if t.ifc != nil {
 				if t.ifc.queue.PushRouted(msg, &src.name, rt.version) == nil {
-					t.ifc.delivered.Inc()
 					delivered++
 				}
 			} else if b.deliverGroup(t.group, msg, src, rt.version) == nil {
@@ -1129,7 +1149,6 @@ func (b *Bus) writeSlow(msg *Message, src *iface, attempted []target, pre int64)
 		b.stats.dropped.Add(1)
 		return fmt.Errorf("%w: %s", ErrUnbound, from)
 	}
-	b.stats.delivered.Add(delivered)
 	src.sent.Add(delivered)
 	return nil
 }

@@ -24,7 +24,7 @@ func busRecords(t *testing.T, log *evlog.Log, cursor uint64) []ev {
 	var out []ev
 	for i, r := range log.Since(cursor) {
 		if r.Source != "bus" || r.TimeNs == 0 || r.Seq != cursor+uint64(i)+1 {
-			t.Errorf("record %+v: want source bus, a time and seq %d", *r, cursor+uint64(i)+1)
+			t.Errorf("record %+v: want source bus, a time and seq %d", r, cursor+uint64(i)+1)
 		}
 		out = append(out, ev{r.Kind, r.Instance, r.Detail})
 	}

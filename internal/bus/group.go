@@ -121,7 +121,6 @@ func (b *Bus) deliverGroup(gr *groupRoute, msg *Message, src *iface, version uin
 		m := gr.members[(start+k)%n]
 		switch err := m.queue.PushRouted(msg, &src.name, version); err {
 		case nil:
-			m.delivered.Inc()
 			return nil
 		case queue.ErrStaleRoute:
 			return queue.ErrStaleRoute

@@ -161,6 +161,8 @@ type Queue struct {
 	// occupancy = frontLen + (producer claim position - absHead) - dead,
 	// dead being the abandoned claims the consumer has not yet walked past
 	// (counted before the slot is marked, so the sum never reads high).
+	// Only the consumer side writes absHead and frontLen, under mu, so they
+	// are stored, not added to; producers add to dead.
 	absHead  atomic.Uint64
 	frontLen atomic.Int64
 	dead     atomic.Int64
@@ -187,13 +189,18 @@ type Queue struct {
 	// this receiving endpoint: observed for the deliveries the log writes
 	// as spans, the only ones whose end is read off the clock.
 	latency *telemetry.Histogram
+	// delivered counts the routed pushes this queue accepts. A push counts
+	// itself before it publishes, so no reader of the message can see a
+	// count without it.
+	delivered *telemetry.Counter
 }
 
 // New returns an empty queue whose consumed deliveries go to rec (nil: not
 // recorded) and whose delivery latencies go to latency (nil: not
-// observed), with span ends read off clk.
-func New(rec *replay.QueueLog, clk clock.Clock, latency *telemetry.Histogram) *Queue {
-	q := &Queue{rec: rec, clk: clk, latency: latency}
+// observed), with span ends read off clk. Each routed push it accepts adds
+// one to delivered (nil: not counted).
+func New(rec *replay.QueueLog, clk clock.Clock, latency *telemetry.Histogram, delivered *telemetry.Counter) *Queue {
+	q := &Queue{rec: rec, clk: clk, latency: latency, delivered: delivered}
 	c := &chunk{}
 	q.prod.Store(c)
 	q.cons = c
@@ -256,7 +263,8 @@ func (q *Queue) wakeReader() {
 // either way exactly once. The fence is tested before closed: every close
 // is preceded by a detach, so a writer holding a pre-rebind snapshot that
 // reaches the old queue after DeleteInstance must re-route (ErrStaleRoute),
-// not have ErrClosed read as "receiver gone" and the message dropped.
+// not have ErrClosed read as "receiver gone" and the message dropped. An
+// accepted push is counted before it is published.
 //
 //archlint:hotpath
 func (q *Queue) PushRouted(m *Message, from *string, version uint64) error {
@@ -271,6 +279,7 @@ func (q *Queue) PushRouted(m *Message, from *string, version uint64) error {
 		s.state.Store(slotDead)
 		return ErrClosed
 	}
+	q.delivered.Inc()
 	s.Msg = *m
 	s.from = from
 	s.ver = version
@@ -309,7 +318,7 @@ func (q *Queue) take() *Item {
 		if q.front = q.front[1:]; len(q.front) == 0 {
 			q.front = nil // the taken items go with their last holder
 		}
-		q.frontLen.Add(-1)
+		q.frontLen.Store(int64(len(q.front)))
 		return it
 	}
 	for {
@@ -329,12 +338,12 @@ func (q *Queue) take() *Item {
 			return nil
 		case slotDead:
 			q.head++
-			q.absHead.Add(1)
+			q.absHead.Store(c.base + q.head)
 			q.dead.Add(-1)
 			continue
 		}
 		q.head++
-		q.absHead.Add(1)
+		q.absHead.Store(c.base + q.head)
 		return &s.Item
 	}
 }
@@ -450,12 +459,7 @@ func (q *Queue) Len() int {
 func (q *Queue) Drain() []Item {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	endC := q.prod.Load()
-	endT := endC.tail.Load()
-	if endT > chunkCap {
-		endT = chunkCap
-	}
-	end := endC.base + endT
+	end := q.claimed()
 	var out []Item
 	for len(q.front) > 0 || q.absHead.Load() < end {
 		it := q.take()
@@ -468,9 +472,18 @@ func (q *Queue) Drain() []Item {
 	return out
 }
 
+// claimed returns the absolute index one past the last slot claimed.
+func (q *Queue) claimed() uint64 {
+	c := q.prod.Load()
+	return c.base + min(c.tail.Load(), chunkCap)
+}
+
 // Snapshot returns a copy of the queued messages without removing them
-// (the bus's QueuedMessages): the front items plus the published segment
-// prefix. Slots are never reused, so the walk is safe against producers.
+// (the bus's QueuedMessages): the front items plus every message claimed
+// before entry. A slot claimed but not yet resolved is waited for, by
+// yielding to its producer as Drain does, so the copy leaves out no
+// message a producer had claimed. Slots are never reused, so the walk is
+// safe against producers.
 func (q *Queue) Snapshot() []Message {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -478,21 +491,17 @@ func (q *Queue) Snapshot() []Message {
 	for _, it := range q.front {
 		out = append(out, it.Msg)
 	}
-	c, h := q.cons, q.head
-	for {
+	end := q.claimed()
+	for c, h := q.cons, q.head; c.base+h < end; {
 		if h == chunkCap {
-			next := c.next.Load()
-			if next == nil {
-				break
-			}
-			c, h = next, 0
+			c, h = c.next.Load(), 0 // linked before any slot of it is claimed
 			continue
 		}
-		st := c.slots[h].state.Load()
-		if st == slotEmpty {
-			break
-		}
-		if st == slotFull {
+		switch c.slots[h].state.Load() {
+		case slotEmpty:
+			runtime.Gosched() // claimed, producer mid-publish
+			continue
+		case slotFull:
 			out = append(out, c.slots[h].Msg)
 		}
 		h++

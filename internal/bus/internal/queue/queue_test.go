@@ -13,7 +13,7 @@ import (
 // Inside the bus a message moves by address: a writer builds it once, each
 // queue copies it into a slot, a reader copies it out of the slot once.
 // TestTakenItemStaysValid pins what that rests on — a taken slot is never
-// written again. scripts/check.sh runs it under -race x20.
+// written again. scripts/check.sh runs it under -race x200.
 
 func testMsg(i int) *Message { return &Message{Data: []byte(fmt.Sprintf("m%d", i))} }
 
@@ -28,7 +28,7 @@ func (q *Queue) takeLocked() *Item {
 // has grown, been snapshotted and drained around it under a racing producer,
 // and been restored (twice: the second replaces the front it was taken from).
 func TestTakenItemStaysValid(t *testing.T) {
-	q := New(nil, clock.Clock{}, nil)
+	q := New(nil, clock.Clock{}, nil, nil)
 	for i := 0; i < 3; i++ {
 		if err := q.PushRouted(testMsg(i), nil, 1); err != nil {
 			t.Fatal(err)

@@ -232,9 +232,11 @@ func (r *Runtime) Ops() int64 { return r.ops.Load() }
 
 // tickOp records one completed communication operation: advances the
 // heartbeat counter and, when checkpointing is armed, charges the periodic
-// capture and publishes any newly taken checkpoint to the sink.
+// capture and publishes any newly taken checkpoint to the sink. Only the
+// module thread ticks, so the counter is stored, not added to: other
+// goroutines only read it.
 func (r *Runtime) tickOp() {
-	r.ops.Add(1)
+	r.ops.Store(r.ops.Load() + 1)
 	if r.cp == nil {
 		return
 	}

@@ -26,8 +26,8 @@
 package replay
 
 import (
+	"bytes"
 	"io"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -85,31 +85,25 @@ func endpointIface(ep string) string {
 	return ""
 }
 
-// Log is the delivery log: the most recent deliveries in an internal/ring
-// (lock-free appends, readers never block writers) plus what each view
-// adds to it — recording's on switch, per-queue sequences, payload
-// accounting and the spill stream, and the span count. Recording starts
-// disabled and spans are written only by a log built for them; the bus
-// hook checks one atomic bool and one flag, and a delivery that is neither
-// recorded nor sampled allocates nothing. An append takes its record from
-// the ring's current block and a payload copy from the queue's current
-// chunk, so it allocates only when one of them is used up.
+// Log is the delivery log: the most recent deliveries in an internal/ring,
+// written in place, plus what each view adds to it — recording's on switch,
+// per-queue sequences and the spill stream. Recording starts disabled and
+// spans are written only by a log built for them; the bus hook checks one
+// atomic bool and one flag, and a delivery that is neither recorded nor
+// sampled allocates nothing. An append overwrites the record its slot held
+// and copies the payload into storage the slot keeps, so once the ring has
+// gone round it allocates nothing (a payload over maxCarved excepted). The
+// views' counts are read off the slots (census), not kept on the way.
 type Log struct {
-	recs  *ring.Ring[Record]
+	recs  *ring.Ring[entry]
 	on    atomic.Bool
 	spans bool // sampled deliveries are written as spans; fixed by NewLog
 
-	// sampled counts the spans ever written; lostRecords and lostSpans the
-	// recorded deliveries and the spans the ring has overwritten, so each
-	// view says when it is truncated.
-	sampled     atomic.Int64
-	lostRecords atomic.Uint64
-	lostSpans   atomic.Uint64
-
-	// retained tracks payload bytes currently held by ring slots, so
-	// MemoryBound reflects actual payload retention (payload size is not
-	// bounded by the slot count alone).
-	retained atomic.Int64
+	// chunk is the allocation slots carve payload storage from, so the first
+	// lap pays a share of one; nil until the first, replaced (never
+	// refilled) when used up. chunks counts those ever installed.
+	chunk  atomic.Pointer[chunk]
+	chunks atomic.Int64
 
 	// queues interns one QueueLog per destination endpoint so a queue's
 	// delivery sequence survives instance re-registration (a clone reusing
@@ -128,19 +122,34 @@ type Log struct {
 	spillErr error
 }
 
+// entry is one slot of the log's ring: the record it holds now, the payload
+// storage it reuses, and what was ever written to it.
+type entry struct {
+	Record
+	// store is the slot's payload storage, carved from the log's chunk: a
+	// payload of at most maxCarved bytes is copied into it, and Data is its
+	// prefix. A payload it cannot hold gets a new carve, at least twice as
+	// large; a larger payload an allocation of its own as Data, which goes
+	// when the record is overwritten.
+	store []byte
+	// recs and spans count the recorded deliveries and the spans written
+	// to this slot, a lapped writer's dropped record included.
+	recs, spans uint64
+}
+
 // NewLog returns a log retaining the capacity most recent deliveries
 // (minimum 16, default 4096 when capacity <= 0). Recording starts
 // disabled; call Enable. With spans, every delivery of a sampled trace is
 // written too, as a span, whether or not recording is on.
 func NewLog(capacity int, spans bool) *Log {
 	return &Log{
-		recs:   ring.New(capacity, 4096, func(r *Record) *uint64 { return &r.Seq }),
+		recs:   ring.New[entry](capacity, 4096),
 		spans:  spans,
 		queues: map[string]*QueueLog{},
 	}
 }
 
-func (l *Log) buf() *ring.Ring[Record] {
+func (l *Log) buf() *ring.Ring[entry] {
 	if l == nil {
 		return nil
 	}
@@ -174,54 +183,57 @@ func (l *Log) Appended() uint64 { return l.buf().Cursor() }
 
 // Recorded returns the total number of deliveries ever recorded (0 on
 // nil); it can exceed Cap once the ring wraps.
-func (l *Log) Recorded() uint64 {
-	var n uint64
-	for _, q := range l.QueueSeqs() {
-		n += q.Seq
-	}
-	return n
+func (l *Log) Recorded() uint64 { return l.census().recs }
+
+// census is what one walk over the slots finds: the records and spans ever
+// written to them, those they still hold, and the bytes of the payloads
+// too large to carve among those.
+type census struct {
+	recs, spans         uint64
+	heldRecs, heldSpans uint64
+	large               int
+}
+
+func (l *Log) census() (c census) {
+	l.buf().Each(func(e *entry) {
+		c.recs += e.recs
+		c.spans += e.spans
+		if e.QSeq != 0 {
+			c.heldRecs++
+		}
+		if e.EndNs != 0 {
+			c.heldSpans++
+		}
+		if len(e.Data) > maxCarved {
+			c.large += cap(e.Data)
+		}
+	})
+	return c
 }
 
 // Len returns the number of recorded deliveries currently retained (0 on
 // nil).
-func (l *Log) Len() int {
-	lost := l.Overwritten() // read first: a lost record was counted in Recorded before it was lost
-	return int(l.Recorded() - lost)
-}
+func (l *Log) Len() int { return int(l.census().heldRecs) }
 
 // Overwritten returns how many recorded deliveries the ring no longer
 // holds: nonzero means a Snapshot is not the whole recording.
 func (l *Log) Overwritten() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.lostRecords.Load()
+	c := l.census()
+	return c.recs - c.heldRecs
 }
 
-// MemoryBound returns the ring's current retained memory in bytes: the
-// ring's own fixed bound (Cap 8-byte slots plus Cap/64 + 1 blocks of 64
-// Records, see ring.MemoryBound), the payload bytes the retained records
-// hold, and two payload chunks per queue that has recorded a small payload.
-// The payloads dominate, so that part is tracked live rather than derived
-// from the capacity. The chunk term is what carving
-// can pin beyond the live bytes: a chunk lives until the last payload carved
-// from it is overwritten, so a queue holds the dead head of its oldest chunk
-// and the unused tail of its current one, under one chunk each. Not counted:
-// the up to maxCarved-1 bytes at a chunk's end that the next payload did not
-// fit in. From and To are the bus's interned interface names and excluded.
+// MemoryBound returns a bound on the log's retained memory in bytes: the
+// ring's own (its segment table and the segments allocated, see
+// ring.MemoryBound), every payload chunk ever installed, whole, and each
+// retained payload over maxCarved. A slot carves only for a payload its
+// storage cannot hold, so the sum stops growing with the first lap while
+// payload sizes hold steady. Not counted: From and To, the bus's interned
+// interface names.
 func (l *Log) MemoryBound() int {
 	if l == nil {
 		return 0
 	}
-	carving := 0
-	l.qmu.Lock()
-	for _, q := range l.queues {
-		if q.chunk.Load() != nil {
-			carving++
-		}
-	}
-	l.qmu.Unlock()
-	return l.recs.MemoryBound() + int(l.retained.Load()) + 2*chunkBytes*carving
+	return l.recs.MemoryBound() + int(l.chunks.Load())*chunkBytes + l.census().large
 }
 
 // Queue interns and returns the append handle for one destination endpoint,
@@ -243,16 +255,24 @@ func (l *Log) Queue(ep string) *QueueLog {
 	return q
 }
 
-// Snapshot returns the retained recorded deliveries in global-sequence
-// order, oldest first (nil on nil or empty).
-func (l *Log) Snapshot() []Record {
-	var out []Record
-	for _, p := range l.buf().Since(0) {
-		if p.QSeq != 0 {
-			out = append(out, *p)
+// copies returns the retained records keep accepts, oldest first, each the
+// reader's own: its payload is copied, so no later write to the slot
+// reaches it.
+func (l *Log) copies(keep func(*Record) bool) (out []Record) {
+	l.buf().Since(0, func(e *entry) {
+		if keep(&e.Record) {
+			r := e.Record
+			r.Data = bytes.Clone(r.Data)
+			out = append(out, r)
 		}
-	}
+	})
 	return out
+}
+
+// Snapshot returns copies of the retained recorded deliveries in
+// global-sequence order, oldest first (nil on nil or empty).
+func (l *Log) Snapshot() []Record {
+	return l.copies(func(r *Record) bool { return r.QSeq != 0 })
 }
 
 // QueueSeqs returns the per-destination delivery sequence high-water
@@ -294,29 +314,22 @@ func (l *Log) Spans() *Spans {
 }
 
 // Recorded returns the total number of spans ever written.
-func (s *Spans) Recorded() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.sampled.Load()
-}
+func (s *Spans) Recorded() int64 { return int64((*Log)(s).census().spans) }
 
 // Overwritten returns how many written spans the ring no longer holds.
 func (s *Spans) Overwritten() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.lostSpans.Load()
+	c := (*Log)(s).census()
+	return c.spans - c.heldSpans
 }
 
-// Snapshot returns the retained spans oldest first.
-func (s *Spans) Snapshot() []*Record {
-	return slices.DeleteFunc((*Log)(s).buf().Since(0), func(r *Record) bool { return r.EndNs == 0 })
+// Snapshot returns copies of the retained spans, oldest first.
+func (s *Spans) Snapshot() []Record {
+	return (*Log)(s).copies(func(r *Record) bool { return r.EndNs != 0 })
 }
 
-// ByTrace returns the retained spans of one trace, oldest first.
-func (s *Spans) ByTrace(traceID uint64) []*Record {
-	return slices.DeleteFunc(s.Snapshot(), func(r *Record) bool { return r.Trace.TraceID != traceID })
+// ByTrace returns copies of the retained spans of one trace, oldest first.
+func (s *Spans) ByTrace(traceID uint64) []Record {
+	return (*Log)(s).copies(func(r *Record) bool { return r.EndNs != 0 && r.Trace.TraceID == traceID })
 }
 
 // QueueLog is the per-destination-queue append handle the bus resolves at
@@ -328,22 +341,18 @@ type QueueLog struct {
 	log *Log
 	to  string
 	seq atomic.Uint64
-
-	// chunk is the allocation small payload copies are currently carved
-	// from; nil until the first, replaced (never refilled) when used up.
-	chunk atomic.Pointer[chunk]
 }
 
-// Payload copies of at most maxCarved bytes are carved from a chunkBytes
-// allocation shared by one queue's consecutive records; a larger payload
-// gets an allocation of its own.
+// A slot's payload storage of at most maxCarved bytes is carved from a
+// chunkBytes allocation shared by consecutive slots; a larger payload gets
+// an allocation of its own.
 const (
 	chunkBytes = 4096
 	maxCarved  = 1024
 )
 
 // chunk is one shared payload allocation, handed out left to right by a
-// bump offset and never reused, like the ring's record blocks.
+// bump offset and never reused.
 type chunk struct {
 	off atomic.Uint32 // bytes handed out (may overshoot chunkBytes)
 	buf [chunkBytes]byte
@@ -352,17 +361,17 @@ type chunk struct {
 // Append writes one delivery to this queue as one record: recorded (a
 // payload copy and the next QSeq) while recording is on, a span (EndNs,
 // read off clk, the clock tc.SentNs was stamped on) when the log writes
-// spans and tc is sampled,
-// and not at all when it is neither. It returns the span's end, 0 for no
-// span. from is the sending endpoint's "instance.interface" name, retained
-// as passed (the bus passes the name it interned at AddInstance). data is
-// copied; the caller's buffer is never retained, and the copy is private to
-// the record — carved from the queue's chunk with its capacity clipped, so
-// no other record's bytes are reachable from it. QSeq is the queue's
-// delivery order only when the caller holds the destination queue's lock
-// (the bus queueing layer is the only legal caller — archlint AL012 pins it
-// there); the carving itself is lock-free, because a re-registered endpoint
-// shares this handle with its predecessor's draining queue.
+// spans and tc is sampled, and not at all when it is neither. It returns
+// the span's end, 0 for no span. from is the sending endpoint's
+// "instance.interface" name, retained as passed (the bus passes the name it
+// interned at AddInstance). data is copied into the slot's storage; the
+// caller's buffer is never retained. QSeq is the queue's delivery order
+// only when the caller holds the destination queue's lock (the bus
+// queueing layer is the only legal caller — archlint AL012 pins it there);
+// the sequence itself is an atomic add, because a re-registered endpoint
+// shares this handle with its predecessor's draining queue. A recorded
+// delivery pays four atomic read-modify-writes: that sequence, the ring's
+// cursor, and the slot's lock and unlock; a span alone pays the last three.
 //
 //archlint:hotpath
 func (q *QueueLog) Append(from string, data []byte, tc trace.Context, epoch uint64, clk clock.Clock) (endNs int64) {
@@ -374,74 +383,67 @@ func (q *QueueLog) Append(from string, data []byte, tc trace.Context, epoch uint
 	if !recording && !span {
 		return 0
 	}
-	r := l.recs.Alloc()
-	r.Epoch = epoch
-	r.From = from
-	r.To = q.to
-	r.Trace = tc
+	var qseq uint64
 	if recording {
-		r.QSeq = q.seq.Add(1)
-		r.Data = q.copyPayload(data)
+		qseq = q.seq.Add(1)
 	}
 	if span {
 		endNs = clk.Nanos()
-		r.EndNs = endNs
-		l.sampled.Add(1)
 	}
-	delta := int64(len(r.Data))
-	if _, old := l.recs.Put(r); old != nil {
-		delta -= l.lost(old)
+	seq, e, fresh := l.recs.Claim()
+	if fresh {
+		// Every field of the record, overwritten in place.
+		e.Seq, e.QSeq, e.Epoch, e.From, e.To, e.Trace, e.EndNs = seq, qseq, epoch, from, q.to, tc, endNs
+		e.Data = nil
+		if recording {
+			e.Data = l.keep(e, data)
+		}
 	}
-	if delta != 0 {
-		l.retained.Add(delta)
+	if recording {
+		e.recs++
+		if l.spilling.Load() { // from the arguments: a lapped writer's record is in no slot
+			spilled := Record{Seq: seq, QSeq: qseq, Epoch: epoch, From: from, To: q.to, Trace: tc, Data: data}
+			l.spillRecord(&spilled)
+		}
 	}
-	if recording && l.spilling.Load() {
-		l.spillRecord(r)
+	if span {
+		e.spans++
 	}
+	l.recs.Publish(e)
 	return endNs
 }
 
-// lost counts a record the ring overwrote in the views it was in and
-// returns the payload bytes it held.
-func (l *Log) lost(old *Record) (freed int64) {
-	if old.QSeq != 0 {
-		l.lostRecords.Add(1)
-	}
-	if old.EndNs != 0 {
-		l.lostSpans.Add(1)
-	}
-	return int64(len(old.Data))
-}
-
-// copyPayload returns the record's private copy of data (nil for none).
+// keep copies data into e's storage and returns the copy (nil for none).
 //
 //archlint:hotpath
-func (q *QueueLog) copyPayload(data []byte) []byte {
-	if len(data) == 0 {
+func (l *Log) keep(e *entry, data []byte) []byte {
+	n := len(data)
+	switch {
+	case n == 0:
 		return nil
+	case n > maxCarved:
+		return bytes.Clone(data)
+	case n > cap(e.store):
+		l.restock(e, n)
 	}
-	if len(data) > maxCarved {
-		return copyLarge(data)
-	}
-	n := uint32(len(data))
+	return e.store[:copy(e.store[:n], data)]
+}
+
+// restock carves e storage for an n-byte payload from the log's chunk: n
+// bytes for a slot's first, at least twice its last after that. The cold
+// half of keep.
+func (l *Log) restock(e *entry, n int) {
+	size := uint32(min(max(n, 2*cap(e.store)), maxCarved))
 	for {
-		c := q.chunk.Load()
+		c := l.chunk.Load()
 		if c != nil {
-			if end := c.off.Add(n); end <= chunkBytes {
-				p := c.buf[end-n : end : end]
-				copy(p, data)
-				return p
+			if end := c.off.Add(size); end <= chunkBytes {
+				e.store = c.buf[end-size : end : end]
+				return
 			}
 		}
-		q.refill(c)
+		if l.chunk.CompareAndSwap(c, new(chunk)) {
+			l.chunks.Add(1)
+		}
 	}
 }
-
-// refill replaces the used-up chunk. The cold half of copyPayload: a loser
-// of the race drops its chunk untouched.
-func (q *QueueLog) refill(used *chunk) {
-	q.chunk.CompareAndSwap(used, new(chunk))
-}
-
-// copyLarge gives a payload too big to carve its own allocation.
-func copyLarge(data []byte) []byte { return append([]byte(nil), data...) }

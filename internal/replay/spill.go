@@ -66,7 +66,7 @@ func (l *Log) writeFrame(w io.Writer) error {
 
 // spillRecord writes one appended record to the spill stream, if one is
 // (still) set. The cold half of QueueLog.Append: it runs only while
-// spilling is on.
+// spilling is on, under the lock of the slot the record is in.
 func (l *Log) spillRecord(r *Record) {
 	l.spillMu.Lock()
 	defer l.spillMu.Unlock()

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,8 +15,24 @@ type rec struct {
 	Val int
 }
 
-func newRing(capacity int) *Ring[rec] {
-	return New(capacity, 64, func(r *rec) *uint64 { return &r.Seq })
+func newRing(capacity int) *Ring[rec] { return New[rec](capacity, 64) }
+
+// put writes one record the way the ring's owners do: claim, fill in place
+// unless lapped, publish.
+func put(r *Ring[rec], val int) uint64 {
+	seq, p, fresh := r.Claim()
+	if fresh {
+		*p = rec{Seq: seq, Val: val}
+	}
+	r.Publish(p)
+	return seq
+}
+
+// since copies what Since visits.
+func since(r *Ring[rec], after uint64) []rec {
+	var out []rec
+	r.Since(after, func(p *rec) { out = append(out, *p) })
+	return out
 }
 
 func TestCapacityClamp(t *testing.T) {
@@ -29,73 +46,78 @@ func TestCapacityClamp(t *testing.T) {
 func TestPutSinceOverwrite(t *testing.T) {
 	r := newRing(16)
 	for i := 1; i <= 40; i++ {
-		seq, old := r.Put(&rec{Val: i})
-		if seq != uint64(i) {
+		if seq := put(r, i); seq != uint64(i) {
 			t.Fatalf("put %d returned seq %d", i, seq)
-		}
-		if (old != nil) != (i > 16) || (old != nil && old.Val != i-16) {
-			t.Fatalf("put %d displaced %+v", i, old)
 		}
 	}
 	if r.Cursor() != 40 || r.Len() != 16 || r.Overwritten() != 24 {
 		t.Fatalf("cursor/len/overwritten = %d/%d/%d, want 40/16/24", r.Cursor(), r.Len(), r.Overwritten())
 	}
-	all := r.Since(0)
+	all := since(r, 0)
 	if len(all) != 16 || all[0].Seq != 25 || all[15].Seq != 40 {
 		t.Fatalf("Since(0) = %d records %d..%d, want 16 records 25..40", len(all), all[0].Seq, all[len(all)-1].Seq)
 	}
-	if got := r.Since(37); len(got) != 3 || got[0].Seq != 38 || got[0].Val != 38 {
+	for _, p := range all {
+		if p.Val != int(p.Seq) {
+			t.Fatalf("record %d holds %d: overwritten in place with the wrong value", p.Seq, p.Val)
+		}
+	}
+	if got := since(r, 37); len(got) != 3 || got[0].Seq != 38 || got[0].Val != 38 {
 		t.Errorf("Since(37) = %+v, want seqs 38..40", got)
 	}
-	if got := r.Since(40); len(got) != 0 {
+	if got := since(r, 40); len(got) != 0 {
 		t.Errorf("Since(cursor) = %d records, want 0", len(got))
 	}
 }
 
 // TestSinceStopsAtUnpublished: a sequence that is claimed but not yet in its
 // slot ends the answer, so a cursor consumer never steps over a record that
-// is about to appear.
+// is about to appear. The writers are split at the claim: the cursor add
+// happens, the lock and fill come later.
 func TestSinceStopsAtUnpublished(t *testing.T) {
 	r := newRing(16)
-	r.Put(&rec{})
-	r.Put(&rec{})
-	r.cursor.Add(1) // a writer has claimed seq 3 and not yet published
-	if got := r.Since(0); len(got) != 2 {
+	put(r, 1)
+	put(r, 2)
+	three := r.cursor.Add(1) // a writer has claimed seq 3 and not yet written it
+	if got := since(r, 0); len(got) != 2 {
 		t.Fatalf("Since(0) with seq 3 in flight = %d records, want 2", len(got))
 	}
-	r.slots[3].Store(&rec{Seq: 4}) // seq 4 published ahead of 3
-	r.cursor.Add(1)
-	if got := r.Since(0); len(got) != 2 {
+	put(r, 4) // seq 4 written ahead of 3
+	if got := since(r, 0); len(got) != 2 {
 		t.Fatalf("Since(0) stepped over in-flight seq 3: %d records", len(got))
 	}
-	r.slots[2].Store(&rec{Seq: 3})
-	if got := r.Since(2); len(got) != 2 || got[0].Seq != 3 || got[1].Seq != 4 {
+	p, fresh := r.lock(three)
+	if !fresh {
+		t.Fatal("the writer of seq 3 found its slot taken")
+	}
+	*p = rec{Seq: three, Val: 3}
+	r.Publish(p)
+	if got := since(r, 2); len(got) != 2 || got[0].Seq != 3 || got[1].Seq != 4 {
 		t.Fatalf("Since(2) after publication = %+v, want seqs 3, 4", got)
 	}
 }
 
 // TestLappedWriterDoesNotRegressSlot: a writer that stalls between claiming
-// its sequence and publishing, while the rest of the ring goes a whole lap
-// round, must not leave its old record where a newer one was. The stall is
-// injected through the accessor, which Put calls between claim and publish.
+// its sequence and locking its slot, while the rest of the ring goes a
+// whole lap round, must not leave its old record where a newer one was. Its
+// own record is the one dropped, and Overwritten counts it.
 func TestLappedWriterDoesNotRegressSlot(t *testing.T) {
-	var r *Ring[rec]
-	late, stalled := &rec{}, false
-	r = New(16, 0, func(x *rec) *uint64 {
-		if x == late && !stalled {
-			stalled = true
-			for i := 0; i < 16; i++ {
-				r.Put(&rec{})
-			}
-		}
-		return &x.Seq
-	})
-	if seq, old := r.Put(late); seq != 1 || old != late {
-		t.Fatalf("lapped Put = seq %d old %p, want seq 1 and the late record itself displaced", seq, old)
+	r := newRing(16)
+	late := r.cursor.Add(1) // claims seq 1, then stalls
+	for i := 0; i < 16; i++ {
+		put(r, 100+i) // seqs 2..17; 17 lands in seq 1's slot
 	}
-	got := r.Since(0)
+	p, fresh := r.lock(late)
+	if fresh || p.Seq != 17 {
+		t.Fatalf("lapped writer's slot = %+v, fresh %v; want seq 17 kept and the late record refused", *p, fresh)
+	}
+	r.Publish(p)
+	got := since(r, 0)
 	if len(got) != 16 || got[0].Seq != 2 || got[15].Seq != 17 {
 		t.Fatalf("after the lap the ring holds %d records, want seqs 2..17 intact", len(got))
+	}
+	if r.Overwritten() != 1 || r.Len() != 16 {
+		t.Errorf("overwritten/len = %d/%d, want 1/16: the dropped record is the overwritten one", r.Overwritten(), r.Len())
 	}
 }
 
@@ -113,7 +135,7 @@ func TestConcurrentWritersWrapping(t *testing.T) {
 		defer close(readerDone)
 		var last uint64
 		for !done.Load() {
-			for _, p := range r.Since(last) {
+			for _, p := range since(r, last) {
 				if p.Seq <= last {
 					t.Errorf("Since(%d) yielded seq %d: not strictly increasing", last, p.Seq)
 					return
@@ -127,7 +149,7 @@ func TestConcurrentWritersWrapping(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				r.Put(&rec{})
+				put(r, i)
 			}
 		}()
 	}
@@ -142,7 +164,7 @@ func TestConcurrentWritersWrapping(t *testing.T) {
 	if got := uint64(r.Len()) + r.Overwritten(); got != r.Cursor() {
 		t.Errorf("Len+Overwritten = %d, want Cursor %d", got, r.Cursor())
 	}
-	tail := r.Since(0)
+	tail := since(r, 0)
 	if len(tail) != capacity {
 		t.Fatalf("retained %d records after the writers finished, want %d", len(tail), capacity)
 	}
@@ -153,15 +175,106 @@ func TestConcurrentWritersWrapping(t *testing.T) {
 	}
 }
 
+// wide is a record too big to write or copy in one machine word: a reader
+// that saw it mid-write would find its words disagreeing.
+type wide struct {
+	Seq   uint64
+	Words [16]uint64
+}
+
+// TestReadersGetUntornCopies races readers against eight writers on a
+// 64-slot ring, so every slot is rewritten while readers copy it: each copy
+// a reader gets is the whole of what its writer wrote for that sequence.
+// The writers keep going until every reader has made its passes over a
+// ring with records in it.
+func TestReadersGetUntornCopies(t *testing.T) {
+	const writers, readers, passes = 8, 2, 300
+	r := New[wide](64, 0)
+	var wg, rg sync.WaitGroup
+	var done atomic.Bool
+	for i := 0; i < readers; i++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for pass := 0; pass < passes; {
+				visited := r.Since(0, func(p *wide) {
+					c := *p
+					for j, w := range c.Words {
+						if w != c.Seq*31+uint64(j) {
+							t.Errorf("record %d word %d = %d: torn copy", c.Seq, j, w)
+							return
+						}
+					}
+				})
+				if visited > 0 {
+					pass++
+				}
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				seq, p, fresh := r.Claim()
+				if fresh {
+					p.Seq = seq
+					for j := range p.Words {
+						p.Words[j] = seq*31 + uint64(j)
+					}
+				}
+				r.Publish(p)
+			}
+		}()
+	}
+	rg.Wait()
+	done.Store(true)
+	wg.Wait()
+}
+
+// TestNewAllocatesNoMoreThanBefore pins what building a ring costs: no more
+// than the ring of one published pointer per slot that preceded the
+// in-place slots (32 880 B for 4096 slots, 9 584 B for 1024, measured the
+// same way), however large its records — the slots come with the first
+// lap.
+func TestNewAllocatesNoMoreThanBefore(t *testing.T) {
+	type big struct {
+		Seq  uint64
+		Body [200]byte
+	}
+	for _, tc := range []struct{ slots, before int }{{4096, 32880}, {1024, 9584}} {
+		const n = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			if New[big](tc.slots, 0) == nil {
+				t.Fatal("nil ring")
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if got := int(after.TotalAlloc-before.TotalAlloc) / n; got > tc.before {
+			t.Errorf("New(%d) allocates %d B, more than the %d B it took before", tc.slots, got, tc.before)
+		}
+	}
+}
+
+// wait copies what Wait visits.
+func wait(r *Ring[rec], clk clock.Clock, after uint64, timeout time.Duration) []rec {
+	var out []rec
+	r.Wait(clk, after, timeout, func(p *rec) { out = append(out, *p) })
+	return out
+}
+
 // TestWaitNeverMissesAPut pins the wake protocol: whatever the interleaving
 // of a Put with Wait's registration and cursor check, the waiter comes back
 // with the record — seen by its own read, or woken by the Put.
 func TestWaitNeverMissesAPut(t *testing.T) {
 	r := newRing(16)
 	for i := uint64(0); i < 2000; i++ {
-		got := make(chan []*rec, 1)
-		go func() { got <- r.Wait(clock.Clock{}, i, 5*time.Second) }()
-		r.Put(&rec{})
+		got := make(chan []rec, 1)
+		go func() { got <- wait(r, clock.Clock{}, i, 5*time.Second) }()
+		put(r, 0)
 		select {
 		case recs := <-got:
 			if len(recs) != 1 || recs[0].Seq != i+1 {
@@ -178,12 +291,12 @@ func TestWaitNeverMissesAPut(t *testing.T) {
 
 func TestWaitWakesOnLaterPut(t *testing.T) {
 	r := newRing(16)
-	r.Put(&rec{})
+	put(r, 0)
 	v := clock.NewVirtual(time.Unix(1000, 0))
-	got := make(chan []*rec, 1)
-	go func() { got <- r.Wait(v.Clock(), 1, 5*time.Second) }()
+	got := make(chan []rec, 1)
+	go func() { got <- wait(r, v.Clock(), 1, 5*time.Second) }()
 	v.BlockUntil(1) // the waiter's timeout is armed: it is registered
-	r.Put(&rec{Val: 7})
+	put(r, 7)
 	if recs := <-got; len(recs) != 1 || recs[0].Val != 7 {
 		t.Fatalf("Wait returned %+v, want the fresh record", recs)
 	}
@@ -192,8 +305,8 @@ func TestWaitWakesOnLaterPut(t *testing.T) {
 func TestWaitTimesOut(t *testing.T) {
 	r := newRing(16)
 	v := clock.NewVirtual(time.Unix(1000, 0))
-	got := make(chan []*rec, 1)
-	go func() { got <- r.Wait(v.Clock(), 0, 20*time.Millisecond) }()
+	got := make(chan []rec, 1)
+	go func() { got <- wait(r, v.Clock(), 0, 20*time.Millisecond) }()
 	v.BlockUntil(1)
 	v.Advance(19 * time.Millisecond)
 	select {
@@ -209,23 +322,23 @@ func TestWaitTimesOut(t *testing.T) {
 
 func TestNilRing(t *testing.T) {
 	var r *Ring[rec]
-	if seq, old := r.Put(&rec{}); seq != 0 || old != nil {
-		t.Error("nil Put returned something")
+	if seq, p, fresh := r.Claim(); seq != 0 || p != nil || fresh {
+		t.Error("nil Claim handed out a record")
 	}
-	if r.Since(0) != nil || r.Wait(clock.Clock{}, 0, time.Millisecond) != nil {
+	r.Publish(nil)
+	if r.Since(0, func(*rec) { t.Error("nil Since visited a record") }) != 0 ||
+		r.Wait(clock.Clock{}, 0, time.Millisecond, func(*rec) {}) != 0 {
 		t.Error("nil reads returned records")
 	}
-	if r.Alloc() != nil {
-		t.Error("nil Alloc handed out a record")
-	}
+	r.Each(func(*rec) { t.Error("nil Each visited a slot") })
 	if r.Cursor() != 0 || r.Cap() != 0 || r.Len() != 0 || r.Overwritten() != 0 || r.MemoryBound() != 0 {
 		t.Error("nil accessors returned nonzero")
 	}
 }
 
 // TestMemoryBound pins the arithmetic on a 4096-slot ring of 88-byte
-// records: 4096 8-byte slots, plus the 64 blocks 4096 records fill and the
-// one more they can pin, each block 64 records and its 8-byte bump index.
+// records: a table of 64 segment pointers, and once written 64 segments of
+// 64 slots, each a record, a lock and a sequence (88 + 8 + 8 bytes).
 func TestMemoryBound(t *testing.T) {
 	type span struct {
 		Seq, TraceID, SpanID, Parent uint64
@@ -233,108 +346,28 @@ func TestMemoryBound(t *testing.T) {
 		From, To                     string
 		StartNs, EndNs               int64
 	}
-	const want = 4096*8 + (4096/64+1)*(8+64*88)
-	r := New(4096, 0, func(s *span) *uint64 { return &s.Seq })
-	if got := r.MemoryBound(); got != want {
-		t.Fatalf("MemoryBound = %d, want %d", got, want)
+	r := New[span](4096, 0)
+	if got, want := r.MemoryBound(), 64*8; got != want {
+		t.Fatalf("MemoryBound of an unwritten ring = %d, want %d (the segment table)", got, want)
 	}
+	const full = 64*8 + 64*64*(8+8+88)
 	for i := 0; i < 3*4096; i++ {
-		r.Put(r.Alloc())
+		_, p, _ := r.Claim()
+		r.Publish(p)
+		if i == 4095 && r.MemoryBound() != full {
+			t.Fatalf("MemoryBound after one lap = %d, want %d", r.MemoryBound(), full)
+		}
 	}
-	if got := r.MemoryBound(); got != want {
-		t.Errorf("MemoryBound moved under load: %d", got)
+	if got := r.MemoryBound(); got != full {
+		t.Errorf("MemoryBound moved after the first lap: %d, want %d", got, full)
 	}
-	// A capacity that is not a whole number of blocks rounds up: 100
-	// records can lie across three blocks.
-	if got, want := newRing(100).MemoryBound(), 100*8+3*(8+64*16); got != want {
+	// A capacity that is not a whole number of segments rounds up: 100
+	// slots take two segments of 64 slots of 32 bytes.
+	r100 := newRing(100)
+	for i := 0; i < 100; i++ {
+		put(r100, i)
+	}
+	if got, want := r100.MemoryBound(), 2*8+2*64*32; got != want {
 		t.Errorf("MemoryBound of a 100-slot ring = %d, want %d", got, want)
-	}
-}
-
-// TestAllocConcurrent runs the allocator as the message path does, several
-// writers in alloc-fill-Put loops over a wrapping ring: no record is handed
-// out twice, and every retained record still holds exactly what its writer
-// put in it.
-func TestAllocConcurrent(t *testing.T) {
-	const writers, per, capacity = 8, 10_000, 4096
-	r := newRing(capacity)
-	handed := make([][]*rec, writers)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			mine := make([]*rec, 0, per)
-			for i := 0; i < per; i++ {
-				p := r.Alloc()
-				if p.Seq != 0 || p.Val != 0 {
-					t.Errorf("Alloc handed out a used record: %+v", *p)
-					return
-				}
-				p.Val = w*per + i + 1
-				mine = append(mine, p)
-				r.Put(p)
-			}
-			handed[w] = mine
-		}()
-	}
-	wg.Wait()
-
-	seen := make(map[*rec]bool, writers*per)
-	for w, mine := range handed {
-		for i, p := range mine {
-			if seen[p] {
-				t.Fatalf("record %p handed out twice", p)
-			}
-			seen[p] = true
-			if p.Val != w*per+i+1 {
-				t.Fatalf("writer %d record %d holds %d: overwritten after Put", w, i, p.Val)
-			}
-		}
-	}
-	if len(seen) != writers*per {
-		t.Fatalf("%d distinct records handed out, want %d", len(seen), writers*per)
-	}
-	tail := r.Since(0)
-	if len(tail) != capacity {
-		t.Fatalf("retained %d records, want %d", len(tail), capacity)
-	}
-	vals := make(map[int]bool, capacity)
-	for i, p := range tail {
-		if want := uint64(writers*per - capacity + 1 + i); p.Seq != want {
-			t.Fatalf("tail[%d].Seq = %d, want %d", i, p.Seq, want)
-		}
-		if !seen[p] || p.Val == 0 || vals[p.Val] {
-			t.Fatalf("tail[%d] = %+v: not a distinct record some writer filled", i, *p)
-		}
-		vals[p.Val] = true
-	}
-}
-
-// TestAllocatedButUnpublished: a record that has been handed out but not
-// yet Put is invisible — Since returns published records only, across laps,
-// whether or not the records share a block.
-func TestAllocatedButUnpublished(t *testing.T) {
-	r := newRing(16)
-	for lap := 0; lap < 3; lap++ {
-		for i := 0; i < 16; i++ {
-			p := r.Alloc()
-			p.Val = lap*16 + i + 1
-			r.Put(p)
-		}
-		held := r.Alloc() // filled, not published
-		held.Val = -1
-		got := r.Since(0)
-		if len(got) != 16 {
-			t.Fatalf("lap %d: Since(0) = %d records, want 16", lap, len(got))
-		}
-		for i, p := range got {
-			if want := lap*16 + i + 1; p.Val != want || p.Seq != uint64(want) {
-				t.Fatalf("lap %d: Since(0)[%d] = %+v, want seq and val %d", lap, i, *p, want)
-			}
-		}
-	}
-	if r.Cursor() != 48 {
-		t.Errorf("cursor = %d after 48 Puts: an unpublished Alloc claimed a sequence", r.Cursor())
 	}
 }

@@ -1,4 +1,4 @@
-// Package evlog is the structured event log: a bounded lock-free ring of
+// Package evlog is the structured event log: a bounded ring of
 // topology, transaction, supervisor and self-heal events with monotonic
 // cursors. The bus owns one and appends each change synchronously, in the
 // order it commits them, from its control plane only — no message hot path
@@ -43,7 +43,7 @@ type Log struct {
 // NewLog returns a log retaining the last capacity events (default 1024,
 // minimum 16), stamping and waiting on clk.
 func NewLog(capacity int, clk clock.Clock) *Log {
-	return &Log{ring: ring.New(capacity, 1024, func(r *Record) *uint64 { return &r.Seq }), clk: clk}
+	return &Log{ring: ring.New[Record](capacity, 1024), clk: clk}
 }
 
 func (l *Log) buf() *ring.Ring[Record] {
@@ -62,20 +62,31 @@ func (l *Log) Append(rec Record) uint64 {
 	if rec.TimeNs == 0 {
 		rec.TimeNs = l.clk.Now().UnixNano()
 	}
-	seq, _ := l.ring.Put(&rec)
+	seq, slot, fresh := l.ring.Claim()
+	if fresh {
+		rec.Seq = seq
+		*slot = rec
+	}
+	l.ring.Publish(slot)
 	return seq
 }
 
-// Since returns every retained record with Seq > after, oldest first.
-func (l *Log) Since(after uint64) []*Record { return l.buf().Since(after) }
+// Since returns a copy of every retained record with Seq > after, oldest
+// first.
+func (l *Log) Since(after uint64) (out []Record) {
+	l.buf().Since(after, func(r *Record) { out = append(out, *r) })
+	return out
+}
 
 // Wait blocks until at least one record with Seq > after exists (returning
-// all of them) or timeout elapses (returning nil): the long-poll primitive.
-func (l *Log) Wait(after uint64, timeout time.Duration) []*Record {
+// copies of all of them) or timeout elapses (returning nil): the long-poll
+// primitive.
+func (l *Log) Wait(after uint64, timeout time.Duration) (out []Record) {
 	if l == nil {
 		return nil
 	}
-	return l.ring.Wait(l.clk, after, timeout)
+	l.ring.Wait(l.clk, after, timeout, func(r *Record) { out = append(out, *r) })
+	return out
 }
 
 // Cursor returns the sequence number of the newest event (0 when empty).

@@ -65,7 +65,7 @@ func TestWaitWakesOnAppend(t *testing.T) {
 	v := clock.NewVirtual(time.Unix(1000, 0))
 	l := NewLog(16, v.Clock())
 	l.Append(Record{Kind: "old"})
-	done := make(chan []*Record, 1)
+	done := make(chan []Record, 1)
 	go func() { done <- l.Wait(1, 5*time.Second) }()
 	v.BlockUntil(1) // the waiter's timeout is armed: it is registered
 	l.Append(Record{Kind: "fresh"})
@@ -82,7 +82,7 @@ func TestWaitWakesOnAppend(t *testing.T) {
 func TestWaitTimesOut(t *testing.T) {
 	v := clock.NewVirtual(time.Unix(1000, 0))
 	l := NewLog(16, v.Clock())
-	done := make(chan []*Record, 1)
+	done := make(chan []Record, 1)
 	go func() { done <- l.Wait(0, 20*time.Millisecond) }()
 	v.BlockUntil(1)
 	v.Advance(19 * time.Millisecond)

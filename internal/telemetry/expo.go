@@ -151,27 +151,24 @@ func writePromHistogramSeries(w io.Writer, pn, labels string, h *Histogram) {
 	if labels != "" {
 		sep = labels + ","
 	}
+	b := h.Buckets()
 	last := 0
-	for i := 0; i < numBuckets; i++ {
-		if h.counts[i].Load() != 0 {
+	for i, c := range b {
+		if c != 0 {
 			last = i
 		}
 	}
 	var cum int64
 	for i := 0; i <= last; i++ {
-		cum += h.counts[i].Load()
+		cum += b[i]
 		le := (uint64(1) << uint(i)) - 1 // inclusive upper bound; 0 for bucket 0
 		fmt.Fprintf(w, "%s_bucket{%sle=\"%d\"} %d\n", pn, sep, le, cum)
 	}
-	total := h.count.Load()
-	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", pn, sep, total)
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", pn, sep, cum)
 	if labels != "" {
-		fmt.Fprintf(w, "%s_sum{%s} %d\n", pn, labels, h.sum.Load())
-		fmt.Fprintf(w, "%s_count{%s} %d\n", pn, labels, total)
-	} else {
-		fmt.Fprintf(w, "%s_sum %d\n", pn, h.sum.Load())
-		fmt.Fprintf(w, "%s_count %d\n", pn, total)
+		labels = "{" + labels + "}"
 	}
+	fmt.Fprintf(w, "%s_sum%s %d\n%s_count%s %d\n", pn, labels, h.sum.Load(), pn, labels, cum)
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -18,17 +18,17 @@ const numBuckets = 64
 const NumBuckets = numBuckets
 
 // Histogram is a fixed-bucket latency histogram with power-of-two bucket
-// boundaries. Observe is a handful of atomic operations and never
-// allocates; percentile estimates are computed at snapshot time by linear
+// boundaries. Observe is two atomic adds (a bucket and the sum), plus a CAS
+// when it sets a new minimum or maximum, and never allocates; the count is
+// the buckets' sum, read at snapshot time; percentile estimates are computed at snapshot time by linear
 // interpolation within the containing bucket, so they carry the bucket's
 // relative error (at most 2x, in practice much less for clustered
 // populations). The zero value is ready to use; all methods are safe on a
 // nil receiver.
 type Histogram struct {
 	counts [numBuckets]atomic.Int64
-	count  atomic.Int64
 	sum    atomic.Int64
-	min    atomic.Int64 // valid only when count > 0; 0 sentinel = unset
+	min    atomic.Int64 // valid only once observed; 0 sentinel = unset
 	max    atomic.Int64
 }
 
@@ -51,7 +51,6 @@ func (h *Histogram) ObserveNs(ns int64) {
 		idx = bits.Len64(uint64(ns))
 	}
 	h.counts[idx].Add(1)
-	h.count.Add(1)
 	h.sum.Add(ns)
 	for {
 		cur := h.min.Load()
@@ -77,10 +76,16 @@ func (h *Histogram) ObserveNs(ns int64) {
 
 // Count returns the number of observations (0 on nil).
 func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
+	b := h.Buckets()
+	return countOf(&b)
+}
+
+// countOf is the sum of a bucket snapshot: the observations it counts.
+func countOf(counts *[NumBuckets]int64) (n int64) {
+	for _, c := range counts {
+		n += c
 	}
-	return h.count.Load()
+	return n
 }
 
 // Sum returns the cumulative sum of observed nanoseconds (0 on nil).
@@ -114,19 +119,8 @@ func BucketQuantile(counts *[NumBuckets]int64, total int64, q float64) int64 {
 	if total <= 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
+	q = min(max(q, 0), 1)
+	rank := min(max(int64(math.Ceil(q*float64(total))), 1), total)
 	var cum int64
 	for i := 0; i < numBuckets; i++ {
 		c := counts[i]
@@ -139,9 +133,6 @@ func BucketQuantile(counts *[NumBuckets]int64, total int64, q float64) int64 {
 			}
 			lower := int64(1) << (i - 1)
 			upper := int64(1) << i
-			if i == 1 {
-				lower = 1
-			}
 			pos := float64(rank-cum) / float64(c)
 			return lower + int64(pos*float64(upper-lower))
 		}
@@ -151,52 +142,11 @@ func BucketQuantile(counts *[NumBuckets]int64, total int64, q float64) int64 {
 }
 
 // Quantile estimates the q-th quantile (q in [0,1]) in nanoseconds by
-// linear interpolation within the containing power-of-two bucket. Returns 0
-// with no observations.
+// linear interpolation within the containing power-of-two bucket, over one
+// snapshot of the buckets. Returns 0 with no observations.
 func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		// Concurrent writers can grow count between the loads; clamp.
-		rank = total
-	}
-	var cum int64
-	for i := 0; i < numBuckets; i++ {
-		c := h.counts[i].Load()
-		if c == 0 {
-			continue
-		}
-		if cum+c >= rank {
-			if i == 0 {
-				return 0
-			}
-			lower := int64(1) << (i - 1)
-			upper := int64(1) << i
-			if i == 1 {
-				lower = 1
-			}
-			pos := float64(rank-cum) / float64(c)
-			return lower + int64(pos*float64(upper-lower))
-		}
-		cum += c
-	}
-	// Writers raced the scan; report the maximum seen.
-	return h.max.Load()
+	b := h.Buckets()
+	return BucketQuantile(&b, countOf(&b), q)
 }
 
 // HistogramStats is the JSON-marshalable summary of a histogram.
@@ -211,18 +161,21 @@ type HistogramStats struct {
 }
 
 // Stats summarizes the histogram with count, sum, min/max, and the p50,
-// p95 and p99 estimates.
+// p95 and p99 estimates, the count and the estimates from one snapshot of
+// the buckets.
 func (h *Histogram) Stats() HistogramStats {
-	if h == nil || h.count.Load() == 0 {
+	b := h.Buckets()
+	n := countOf(&b)
+	if n == 0 {
 		return HistogramStats{}
 	}
 	return HistogramStats{
-		Count: h.count.Load(),
+		Count: n,
 		SumNs: h.sum.Load(),
 		MinNs: h.min.Load(),
 		MaxNs: h.max.Load(),
-		P50Ns: h.Quantile(0.50),
-		P95Ns: h.Quantile(0.95),
-		P99Ns: h.Quantile(0.99),
+		P50Ns: BucketQuantile(&b, n, 0.50),
+		P95Ns: BucketQuantile(&b, n, 0.95),
+		P99Ns: BucketQuantile(&b, n, 0.99),
 	}
 }

@@ -92,18 +92,26 @@ func TestRecorderConcurrent(t *testing.T) {
 }
 
 // TestMemoryBoundFixed: spans carry no payload, so a log that only traces
-// has the bound it was built with.
+// reaches its bound in the first lap — the ring's segments, allocated as
+// the first records land in them — and keeps it over every lap after.
 func TestMemoryBoundFixed(t *testing.T) {
 	l := replay.NewLog(1024, true)
 	tr := trace.NewTracer(1)
-	bound := l.MemoryBound()
-	if bound <= 0 {
+	built := l.MemoryBound()
+	if built <= 0 {
 		t.Fatal("no memory bound")
+	}
+	for i := 0; i < l.Cap(); i++ {
+		deliver(l, tr.MintTrace(), "x.out", "y.in")
+	}
+	bound := l.MemoryBound()
+	if bound <= built {
+		t.Fatalf("memory bound after a lap = %d, not above the %d of the unwritten log", bound, built)
 	}
 	for i := 0; i < 10_000; i++ {
 		deliver(l, tr.MintTrace(), "x.out", "y.in")
 	}
 	if l.MemoryBound() != bound {
-		t.Errorf("memory bound moved under load: %d -> %d", bound, l.MemoryBound())
+		t.Errorf("memory bound moved under load after the first lap: %d -> %d", bound, l.MemoryBound())
 	}
 }

@@ -60,23 +60,32 @@ echo "== calls on the interpreter's own frame stack: evaluation order as gc, wor
 go test -count=1 -run 'TestCallsRunBeforeOperands|TestCallWork|TestDeepRecursion' ./internal/interp/
 go test -run '^$' -bench BenchmarkDeepDescent -benchtime 1x ./internal/interp/
 
-echo "== the ring's record allocator under eight writers (blocks shared by every traced and recorded delivery, racy x10)"
-go test -race -count=10 -run TestAllocConcurrent ./internal/ring/
+echo "== the ring's slots written in place under eight writers: readers get untorn copies, a lapped writer drops its own record, copies outlive two more laps (racy x10)"
+go test -race -count=10 -run 'TestReadersGetUntornCopies|TestConcurrentWritersWrapping|TestLappedWriterDoesNotRegressSlot' ./internal/ring/
+go test -race -count=10 -run 'TestConcurrentReadersGetUntornRecords|TestCopiesOutliveLaps|TestConcurrentAppendSharedHandle' ./internal/replay/
 
-echo "== the delivery log: each reader the same with the other writer on and off, one ring publication per traced and recorded delivery, every view admits its losses (racy x20)"
-go test -race -count=20 -run 'TestReplayViewIgnoresTracing|TestSpanViewIgnoresRecording|TestOnePublicationPerDelivery|TestRingsAdmitLosses' .
+echo "== the delivery log's append, once (two queues, traced and recorded, the log lapped first; bench/ measures, this does not)"
+go test -run '^$' -bench BenchmarkAppend -benchtime 1x ./internal/replay/
+
+echo "== the delivery log: each reader the same with the other writer on and off, every view admits its losses (racy x20)"
+go test -race -count=20 -run 'TestReplayViewIgnoresTracing|TestSpanViewIgnoresRecording|TestRingsAdmitLosses' .
+
+echo "== views never run ahead of the accounting: Stats counts a delivery before its reader can see it, one ring publication per traced and recorded delivery (racy x200)"
+go test -race -count=200 -run '^TestOnePublicationPerDelivery$' .
 
 echo "== Figure 3's move mid-recursion, hand-instrumented, interpreted and transformed: every request taken before a reading is fed, every reply awaited with a deadline (racy x20)"
 go test -race -count=20 -run '^(TestMoveDuringRecursion|TestMoveDuringRecursionInterpreted|TestMoveDuringRecursionTransformed)$' ./internal/mh/ ./internal/interp/ ./internal/transform/
 
-echo "== the queue package's taken slot across grow, drain and restore, and the bus's memoised route across Rebind and RemoveGroupMember (racy x20, each counted)"
-passes=$(go test -race -count=20 -v -run '^(TestTakenItemStaysValid|TestMemoisedRouteDroppedOnTopologyChange)$' ./internal/bus/... |
-	grep -cE '^--- PASS: (TestTakenItemStaysValid|TestMemoisedRouteDroppedOnTopologyChange) ' || true)
-if [ "$passes" -ne 40 ]; then
-	echo "taken slot and memoised route: $passes of 40 runs passed" >&2
+echo "== the queue package's taken slot across grow, snapshot, drain and restore, a snapshot that sees every claimed message (racy x200), and the bus's memoised route across Rebind and RemoveGroupMember (racy x20), each counted"
+passes=$({
+	go test -race -count=200 -v -run '^TestTakenItemStaysValid$' ./internal/bus/internal/queue/
+	go test -race -count=20 -v -run '^TestMemoisedRouteDroppedOnTopologyChange$' ./internal/bus/
+} | grep -cE '^--- PASS: (TestTakenItemStaysValid|TestMemoisedRouteDroppedOnTopologyChange) ' || true)
+if [ "$passes" -ne 220 ]; then
+	echo "taken slot and memoised route: $passes of 220 runs passed" >&2
 	exit 1
 fi
-echo "40 of 40 runs passed"
+echo "220 of 220 runs passed"
 
 echo "== the one commit: a stale route across every topology-changing method, DeleteInstance against Rebind cq, every logging call's records in the log by its return (racy x20)"
 go test -race -count=20 -run 'TestStaleRouteAcrossEveryTopologyChange|TestDeleteInstanceVsRebindMoveQueue|TestEventLoggedByReturn' ./internal/bus/
