@@ -3,6 +3,7 @@ package bus
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,6 +63,10 @@ type Attachment struct {
 	// name, and the row keeps what the name resolved to.
 	ifaces []attIface
 
+	// recv holds the queues of the instance's receiving interfaces: nil for
+	// a driver, whose writes never hand off (WriteBatchTraced).
+	recv []*queue.Queue
+
 	// gone closes when the transport serving the attachment ends (nil in
 	// process); a Read it wakes, or an AwaitState, then takes nothing.
 	gone <-chan struct{}
@@ -79,6 +84,9 @@ func newAttachment(b *Bus, in *instance) *Attachment {
 	for i, is := range in.spec.Interfaces {
 		a.ifaces[i].ep = Endpoint{Instance: in.spec.Name, Interface: is.Name}
 		a.ifaces[i].ifc = in.ifaces[is.Name]
+		if q := a.ifaces[i].ifc.queue; q != nil {
+			a.recv = append(a.recv, q)
+		}
 	}
 	return a
 }
@@ -120,7 +128,9 @@ func (a *Attachment) Status() string {
 	return a.inst.status()
 }
 
-// Write emits data on the named interface (mh_write).
+// Write emits data on the named interface (mh_write). A write that wakes a
+// parked reader from a module with nothing queued to read may yield the
+// processor to that reader before it returns (WriteBatchTraced).
 //
 //archlint:hotpath
 func (a *Attachment) Write(ifaceName string, data []byte) error {
@@ -153,18 +163,50 @@ func (a *Attachment) SendBatch(ifaceName string, batch [][]byte) error {
 // parent opens one fresh chain for the burst). A batch cut short by a
 // topology change resumes, re-resolved, after the message that met it.
 //
+// When the batch woke a parked reader and the writing module has nothing
+// queued on any of its receiving interfaces, the write yields the
+// processor once, after the whole batch and outside every bus lock. Left
+// alone, the woken reader would wait behind its waker until the waker
+// parks; a module with nothing to read is on its way to park in Read, so
+// the reader runs at once and the writer finishes that way on another
+// processor. A driver (no receiving interface) never yields: it may go on
+// writing, and a writer that keeps writing keeps its processor.
+//
 //archlint:hotpath
 func (a *Attachment) WriteBatchTraced(ifaceName string, batch [][]byte, parent TraceContext) error {
+	var woke bool
 	for len(batch) > 0 {
 		r, err := a.route(ifaceName)
 		if err != nil {
 			return err
 		}
-		if batch, err = a.bus.writeRouted(r, batch, parent); err != nil {
+		var w bool
+		batch, w, err = a.bus.writeRouted(r, batch, parent)
+		woke = woke || w
+		if err != nil {
 			return err
 		}
 	}
+	if woke {
+		a.handOff()
+	}
 	return nil
+}
+
+// handOff yields the processor when the module has a receiving interface
+// and nothing queued on any (Len is lock-free).
+//
+//archlint:hotpath
+func (a *Attachment) handOff() {
+	if len(a.recv) == 0 {
+		return
+	}
+	for _, q := range a.recv {
+		if q.Len() > 0 {
+			return
+		}
+	}
+	runtime.Gosched()
 }
 
 // Read blocks until a message arrives on the named interface (mh_read).

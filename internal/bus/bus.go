@@ -1041,11 +1041,12 @@ func (b *Bus) resolveRoute(rt *routingTable, memo *atomic.Pointer[route], from E
 // fenced snapshot finishes that message on writeSlow, which serializes
 // with the writer lock and re-resolves, and hands back the tail of the
 // batch (rest) for the caller to re-resolve against the successor snapshot.
+// woke reports whether a fast-path push woke a parked reader.
 //
 //archlint:hotpath
-func (b *Bus) writeRouted(r *route, batch [][]byte, parent TraceContext) (rest [][]byte, err error) {
+func (b *Bus) writeRouted(r *route, batch [][]byte, parent TraceContext) (rest [][]byte, woke bool, err error) {
 	if len(r.targets) == 0 {
-		return nil, b.writeUnboundErr(r.from)
+		return nil, false, b.writeUnboundErr(r.from, len(batch))
 	}
 	var msg Message // filled in place: the queues copy it from this address
 	msg.From = r.from
@@ -1059,19 +1060,21 @@ func (b *Bus) writeRouted(r *route, batch [][]byte, parent TraceContext) (rest [
 	for i, data := range batch {
 		msg.Data = data
 		for j, t := range r.targets {
+			var w bool
 			var err error
 			if t.ifc != nil {
-				err = t.ifc.queue.PushRouted(&msg, &r.src.name, r.rt.version)
+				w, err = t.ifc.queue.PushRouted(&msg, &r.src.name, r.rt.version)
 			} else {
-				err = b.deliverGroup(t.group, &msg, r.src, r.rt.version)
+				w, err = b.deliverGroup(t.group, &msg, r.src, r.rt.version)
 			}
+			woke = woke || w
 			switch err {
 			case nil:
 				delivered++
 			case queue.ErrStaleRoute:
 				// Finishing under the writer lock also flushes the
 				// deliveries counted so far.
-				return batch[i+1:], b.writeSlow(&msg, r.src, r.targets[:j], delivered)
+				return batch[i+1:], woke, b.writeSlow(&msg, r.src, r.targets[:j], delivered)
 			default:
 				// A closed queue means the receiver was deleted mid-write;
 				// the message is simply dropped, like a datagram to a dead
@@ -1085,7 +1088,7 @@ func (b *Bus) writeRouted(r *route, batch [][]byte, parent TraceContext) (rest [
 	if delivered > 0 {
 		r.src.sent.Add(delivered)
 	}
-	return nil, nil
+	return nil, woke, nil
 }
 
 // writeNoRouteErr reports a write on an endpoint with no route entry in
@@ -1100,10 +1103,11 @@ func (b *Bus) writeNoRouteErr(rt *routingTable, from Endpoint) error {
 	return fmt.Errorf("%w: write on %s (%s)", ErrDirection, from, ifc.spec.Dir)
 }
 
-// writeUnboundErr counts and reports a write on an endpoint with no bound
-// receivers — the other cold branch of writeTraced.
-func (b *Bus) writeUnboundErr(from Endpoint) error {
-	b.stats.dropped.Add(1)
+// writeUnboundErr counts the n messages of a write on an endpoint with no
+// bound receivers as dropped, and reports it — the other cold branch of
+// writeRouted.
+func (b *Bus) writeUnboundErr(from Endpoint, n int) error {
+	b.stats.dropped.Add(int64(n))
 	return fmt.Errorf("%w: %s", ErrUnbound, from)
 }
 
@@ -1130,12 +1134,15 @@ func (b *Bus) writeSlow(msg *Message, src *iface, attempted []target, pre int64)
 				}
 			}
 			// Every fence was raised at an epoch before rt's, under this
-			// lock, so the routed push is never refused as stale.
+			// lock, so the routed push is never refused as stale. A reader
+			// it wakes waits for the lock's release: nothing yields here.
+			var err error
 			if t.ifc != nil {
-				if t.ifc.queue.PushRouted(msg, &src.name, rt.version) == nil {
-					delivered++
-				}
-			} else if b.deliverGroup(t.group, msg, src, rt.version) == nil {
+				_, err = t.ifc.queue.PushRouted(msg, &src.name, rt.version)
+			} else {
+				_, err = b.deliverGroup(t.group, msg, src, rt.version)
+			}
+			if err == nil {
 				delivered++
 			}
 		}

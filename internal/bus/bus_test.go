@@ -177,6 +177,13 @@ func TestWriteErrors(t *testing.T) {
 	if b.Stats().Dropped != 1 {
 		t.Errorf("Dropped = %d", b.Stats().Dropped)
 	}
+	// An unbound batch drops every message of it, as Delivered counts them.
+	if err := lone.SendBatch("o", [][]byte{nil, nil, nil}); !errors.Is(err, ErrUnbound) {
+		t.Errorf("unbound batch: %v", err)
+	}
+	if b.Stats().Dropped != 4 {
+		t.Errorf("Dropped = %d after a batch of 3, want 4", b.Stats().Dropped)
+	}
 }
 
 func TestBindingValidation(t *testing.T) {

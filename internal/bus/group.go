@@ -108,26 +108,27 @@ func (gr *groupRoute) first() int {
 // retries through writeSlow against the successor snapshot (the member set
 // may have changed); a closed member queue is skipped in favor of the next
 // member. With no deliverable member the message is dropped like a write to
-// a deleted instance, and queue.ErrClosed reports it.
+// a deleted instance, and queue.ErrClosed reports it. woke is the push's:
+// whether it woke the member's parked reader.
 //
 //archlint:hotpath
-func (b *Bus) deliverGroup(gr *groupRoute, msg *Message, src *iface, version uint64) error {
+func (b *Bus) deliverGroup(gr *groupRoute, msg *Message, src *iface, version uint64) (woke bool, err error) {
 	n := len(gr.members)
 	if n == 0 {
-		return queue.ErrClosed
+		return false, queue.ErrClosed
 	}
 	start := gr.first()
 	for k := 0; k < n; k++ {
 		m := gr.members[(start+k)%n]
-		switch err := m.queue.PushRouted(msg, &src.name, version); err {
+		switch woke, err := m.queue.PushRouted(msg, &src.name, version); err {
 		case nil:
-			return nil
+			return woke, nil
 		case queue.ErrStaleRoute:
-			return queue.ErrStaleRoute
+			return false, queue.ErrStaleRoute
 		default: // closed: try the next member
 		}
 	}
-	return queue.ErrClosed
+	return false, queue.ErrClosed
 }
 
 // AddGroup registers a replica group: a logical name bindings may target,

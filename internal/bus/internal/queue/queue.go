@@ -240,15 +240,17 @@ func (q *Queue) grow(cur *chunk) {
 	q.growMu.Unlock()
 }
 
-// wakeReader wakes a parked consumer. Producers call it after publishing;
-// the sleeping gate keeps the consumer mutex off the hot path entirely
-// unless someone is actually parked.
+// wakeReader wakes a parked consumer and reports whether there was one.
+// Producers call it after publishing; the sleeping gate keeps the consumer
+// mutex off the hot path entirely unless someone is actually parked.
 //
 //archlint:hotpath
-func (q *Queue) wakeReader() {
-	if q.sleeping.Load() {
-		q.Wake()
+func (q *Queue) wakeReader() bool {
+	if !q.sleeping.Load() {
+		return false
 	}
+	q.Wake()
+	return true
 }
 
 // PushRouted appends a message written on the interface named *from, whose
@@ -264,28 +266,28 @@ func (q *Queue) wakeReader() {
 // is preceded by a detach, so a writer holding a pre-rebind snapshot that
 // reaches the old queue after DeleteInstance must re-route (ErrStaleRoute),
 // not have ErrClosed read as "receiver gone" and the message dropped. An
-// accepted push is counted before it is published.
+// accepted push is counted before it is published; woke reports whether it
+// woke a parked reader, which then waits for a processor.
 //
 //archlint:hotpath
-func (q *Queue) PushRouted(m *Message, from *string, version uint64) error {
+func (q *Queue) PushRouted(m *Message, from *string, version uint64) (woke bool, err error) {
 	s := q.claim()
 	if version <= q.fence.Load() {
 		q.dead.Add(1)
 		s.state.Store(slotDead)
-		return ErrStaleRoute
+		return false, ErrStaleRoute
 	}
 	if q.closed.Load() {
 		q.dead.Add(1)
 		s.state.Store(slotDead)
-		return ErrClosed
+		return false, ErrClosed
 	}
 	q.delivered.Inc()
 	s.Msg = *m
 	s.from = from
 	s.ver = version
 	s.state.Store(slotFull) // publish: must be the slot's last write (AL013)
-	q.wakeReader()
-	return nil
+	return q.wakeReader(), nil
 }
 
 // Detach fences the queue at the given snapshot version: every subsequent

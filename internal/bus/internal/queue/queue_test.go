@@ -30,7 +30,7 @@ func (q *Queue) takeLocked() *Item {
 func TestTakenItemStaysValid(t *testing.T) {
 	q := New(nil, clock.Clock{}, nil, nil)
 	for i := 0; i < 3; i++ {
-		if err := q.PushRouted(testMsg(i), nil, 1); err != nil {
+		if _, err := q.PushRouted(testMsg(i), nil, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,7 +59,7 @@ func TestTakenItemStaysValid(t *testing.T) {
 					runtime.Gosched()
 					continue
 				}
-				if q.PushRouted(testMsg(i), nil, 2) != nil {
+				if _, err := q.PushRouted(testMsg(i), nil, 2); err != nil {
 					return
 				}
 			}
@@ -67,7 +67,7 @@ func TestTakenItemStaysValid(t *testing.T) {
 	}()
 
 	for i := 3; i < 3+2*chunkCap; i++ { // two grows past the taken slot's segment
-		if err := q.PushRouted(testMsg(i), nil, 1); err != nil {
+		if _, err := q.PushRouted(testMsg(i), nil, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -18,7 +18,9 @@ type Port interface {
 	Machine() string
 	// Status returns StatusAdd or StatusClone (mh_getstatus).
 	Status() string
-	// Write emits data on the named interface (mh_write).
+	// Write emits data on the named interface (mh_write). A write from a
+	// module with nothing queued to read may yield the processor to the
+	// reader it woke before it returns.
 	Write(iface string, data []byte) error
 	// SendBatch emits a batch of messages on the named interface in one
 	// routing pass, amortizing the per-send fixed costs. Batch order is

@@ -326,7 +326,7 @@ func TestStaleRouteAcrossEveryTopologyChange(t *testing.T) {
 			if err := row.change(w.b); err != nil {
 				t.Fatal(err)
 			}
-			rest, err := w.b.writeRouted(r, [][]byte{[]byte("stale")}, TraceContext{})
+			rest, _, err := w.b.writeRouted(r, [][]byte{[]byte("stale")}, TraceContext{})
 			if !errors.Is(err, row.wantErr) || len(rest) != 0 {
 				t.Errorf("write on the stale route = %v (%d of the batch left), want %v", err, len(rest), row.wantErr)
 			}
@@ -351,7 +351,7 @@ func TestPendingIgnoresAbandonedClaims(t *testing.T) {
 	if err := w.b.Rebind([]BindEdit{{Op: "del", From: out, To: in}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.b.writeRouted(r, [][]byte{[]byte("refused")}, TraceContext{}); !errors.Is(err, ErrUnbound) {
+	if _, _, err := w.b.writeRouted(r, [][]byte{[]byte("refused")}, TraceContext{}); !errors.Is(err, ErrUnbound) {
 		t.Fatalf("write on the stale route = %v, want ErrUnbound", err)
 	}
 	info, err := w.b.Info("a")

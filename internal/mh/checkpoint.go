@@ -224,19 +224,10 @@ func (r *Runtime) RegisterSnapshot(snap Snapshot) {
 // and RegisterSnapshot both happened), for stats and direct Restore.
 func (r *Runtime) Checkpointer() *Checkpointer { return r.cp }
 
-// Ops returns the number of communication operations the module has
-// completed. It is safe to read from other goroutines: the supervisor's
-// failure detector treats an advancing counter as a heartbeat and a stalled
-// one (with queued input) as a wedged replica.
-func (r *Runtime) Ops() int64 { return r.ops.Load() }
-
-// tickOp records one completed communication operation: advances the
-// heartbeat counter and, when checkpointing is armed, charges the periodic
-// capture and publishes any newly taken checkpoint to the sink. Only the
-// module thread ticks, so the counter is stored, not added to: other
-// goroutines only read it.
+// tickOp records one completed communication operation when checkpointing
+// is armed: it charges the periodic capture and publishes any newly taken
+// checkpoint to the sink.
 func (r *Runtime) tickOp() {
-	r.ops.Store(r.ops.Load() + 1)
 	if r.cp == nil {
 		return
 	}

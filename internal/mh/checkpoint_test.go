@@ -5,7 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/bus"
+	"repro/internal/codec"
 	"repro/internal/state"
 )
 
@@ -42,9 +42,6 @@ func TestCheckpointEveryKOpsPublishesToSink(t *testing.T) {
 	if err := rt.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if got := rt.Ops(); got != 10 {
-		t.Errorf("Ops() = %d, want 10", got)
-	}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(published) != 3 {
@@ -70,6 +67,19 @@ func TestCheckpointEveryKOpsPublishesToSink(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A Read is an operation too: the one after the op-8 checkpoint is
+	// charged as the third to replay.
+	if err := display.Write("temper", intMsg(t, 3)); err != nil {
+		t.Fatal(err)
+	}
+	var n int
+	rt.Read("display", &n)
+	if err := rt.Err(); err != nil || n != 3 {
+		t.Fatalf("Read: n = %d, err = %v", n, err)
+	}
+	if got := rt.Checkpointer().PendingOps(); got != 3 {
+		t.Errorf("PendingOps() = %d after a Read, want 3 (Read counts)", got)
+	}
 }
 
 func TestCheckpointOffWithoutOption(t *testing.T) {
@@ -83,47 +93,24 @@ func TestCheckpointOffWithoutOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := display.Write("temper", []byte(`{"k":"int","v":3}`)); err != nil {
+	if err := display.Write("temper", intMsg(t, 3)); err != nil {
 		t.Fatal(err)
 	}
 	var n int
 	rt.Read("display", &n)
-	if got := rt.Ops(); got != 1 {
-		t.Errorf("Ops() = %d, want 1 (Read counts)", got)
+	if err := rt.Err(); err != nil || n != 3 {
+		t.Errorf("Read without a checkpointer: n = %d, err = %v", n, err)
 	}
 }
 
-func TestOpsHeartbeatReadableConcurrently(t *testing.T) {
-	b := newMonitorBus(t)
-	rt := attachRT(t, b, "compute", WithCheckpoint(2, nil))
-	rt.RegisterSnapshot(func() (*state.State, error) {
-		st := state.New("compute")
-		st.PushFrame(state.Frame{Func: "main", Location: 1})
-		return st, nil
-	})
-	done := make(chan struct{})
-	var last int64
-	go func() { //archlint:spawn test heartbeat reader; joined via done channel
-		defer close(done)
-		for i := 0; i < 200; i++ {
-			v := rt.Ops()
-			if v < last {
-				t.Errorf("Ops went backwards: %d -> %d", last, v)
-				return
-			}
-			last = v
-		}
-	}()
-	for i := 0; i < 100; i++ {
-		rt.Write("display", float64(i))
-	}
-	<-done
-	if err := rt.Err(); err != nil {
+// intMsg encodes n as a message payload.
+func intMsg(t *testing.T, n int64) []byte {
+	t.Helper()
+	data, err := codec.Default().EncodeValue(state.IntValue(n))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if bus.StatusAdd != rt.Status() {
-		t.Errorf("status = %q", rt.Status())
-	}
+	return data
 }
 
 func snapOf(counter *int) Snapshot {

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bus"
@@ -115,10 +114,8 @@ type Runtime struct {
 	captureStart time.Time
 	restoreStart time.Time
 
-	// Replication support: ops is the heartbeat counter the supervisor's
-	// failure detector reads (hence atomic); the checkpointer periodically
-	// captures abstract state for crash recovery (see checkpoint.go).
-	ops        atomic.Int64
+	// Replication support: the checkpointer periodically captures abstract
+	// state for crash recovery (see checkpoint.go).
 	cp         *Checkpointer
 	cpInterval int
 	cpSink     CheckpointSink

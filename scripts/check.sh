@@ -53,6 +53,10 @@ echo "wall-clock call sites:  $(gofiles ! -name '*_test.go' ! -path './internal/
 echo "== go test -race, the concurrency-heavy packages"
 go test -race ./internal/bus/... ./internal/quiesce/... ./internal/reconfig/... ./internal/mh/... ./internal/ring/... ./internal/interp/... ./internal/replay/... ./internal/telemetry/trace/...
 
+echo "== one processor, where a write's hand-off runs the reader it woke before the writer goes on: GOMAXPROCS=1 go test -count=1 ./internal/bus/... ./internal/mh/... ., then the four hand-off tests -race -count=50"
+GOMAXPROCS=1 go test -count=1 ./internal/bus/... ./internal/mh/... .
+go test -race -count=50 -run '^(TestHandOffFromIdleModule|TestNoHandOffWithInputQueued|TestNoHandOffFromDriver|TestHandOffAfterWholeBatch)$' ./internal/bus/
+
 echo "== one lowered program under eight interpreters (the state a module shares with its clones and replicas, racy x10)"
 go test -race -count=10 -run TestLoweredProgramSharedAcrossGoroutines ./internal/interp/
 
