@@ -36,7 +36,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/interp"
 	"repro/internal/mh"
-	"repro/internal/quiesce"
 	"repro/internal/state"
 	"repro/internal/telemetry"
 	"repro/internal/transform"
@@ -272,7 +271,7 @@ func BenchmarkAtomicityLevels(b *testing.B) {
 	const pointEvery = 100 * time.Microsecond
 
 	b.Run("module-level-quiesce", func(b *testing.B) {
-		g := quiesce.NewGuard(clock.Clock{})
+		g := newQuiesceGuard(clock.Clock{})
 		stop := make(chan struct{})
 		workerDone := make(chan struct{})
 		go func() {

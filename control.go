@@ -239,7 +239,7 @@ func opReplace(a *App, args opArgs) (any, error) {
 // of the transaction's resolved Timeouts, back to back.
 func txBudget(a *App, args opArgs) time.Duration {
 	t := a.fillOptions(replaceOptions(args)).Timeouts
-	return t.Quiesce + t.StateMove + t.RestoreAck + t.Rollback
+	return t.StateMove + t.RestoreAck + t.Rollback
 }
 
 // ---- reads ----

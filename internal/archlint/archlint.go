@@ -40,10 +40,6 @@ const (
 	// sleep, network call, mu-reacquiring Bus method) while Bus.mu is
 	// held — in a locked region, a *Locked method or an edit callback.
 	CodeBlockUnderMu = "AL004"
-	// CodeSnapshot: the routing snapshot pointer accessed other than via
-	// atomic Load/Store, published outside bus.go, or a routingTable field
-	// written outside the copy-on-write builder in routing.go.
-	CodeSnapshot = "AL006"
 	// CodeHotpathAlloc: an allocating construct (capturing closure,
 	// interface conversion, fmt call, make/new, non-amortized append,
 	// string concatenation or conversion) inside a function annotated
@@ -55,10 +51,6 @@ const (
 	// CodeImportLayer: a package imports a package of a higher
 	// architectural layer (e.g. telemetry importing bus).
 	CodeImportLayer = "AL010"
-	// CodeBusFileLayer: a bus source file references a declaration of a
-	// file or package higher in the routing -> queueing -> transport
-	// decomposition than its layer permits.
-	CodeBusFileLayer = "AL011"
 	// CodeRecordAppend: a record-log append (replay.QueueLog.Append)
 	// outside the queue's consumer-drain hook (Queue.record in the queue
 	// package's queue.go) — recorded QSeq is the true delivery order only
@@ -67,8 +59,9 @@ const (
 	CodeRecordAppend = "AL012"
 	// CodeRingProtocol: a violation of the lock-free ring's atomic
 	// protocol — slot publication flags written after the publish or
-	// CAS'd, the fence word raised outside Queue.Detach, or a queue fenced,
-	// drained or restored outside the bus's commit.
+	// CAS'd, the fence word raised outside Queue.Detach, a queue fenced,
+	// drained or restored outside the routing package's commit, or that
+	// commit run outside the bus's.
 	CodeRingProtocol = "AL013"
 	// CodeObsRing: an observability-ring write outside its designated
 	// feeder — an event-log append (evlog.Log.Append) from anywhere but
@@ -87,27 +80,22 @@ type Config struct {
 // are derived from the module path so the fixtures (module "repro") and the
 // real repository share one rule set.
 type rules struct {
-	busPkg   string // the message bus: owns routing snapshots and Bus.mu
-	queuePkg string // the bus's message queue, importable only by the bus
+	busPkg     string // the message bus: owns Bus.mu
+	queuePkg   string // the bus's message queue, importable only by the bus
+	routingPkg string // the bus's routing tables and their commit
 
 	// layers is the architectural DAG for AL010: a package may import only
 	// packages at its own layer or below. Unlisted packages (top-level
 	// composition, cmd/, examples, the analyzers) are unconstrained.
 	layers map[string]int
-
-	// busFiles is the intra-package layering for AL011, keyed by the
-	// referencing file's base name. Each entry maps a declaring file (or,
-	// for a declaration of another package, that package's path) to the
-	// allowlist of its declarations the referencing file may use; a nil
-	// allowlist forbids every reference.
-	busFiles map[string]map[string][]string
 }
 
 func defaultRules(modPath string) *rules {
 	p := func(s string) string { return modPath + "/" + s }
 	return &rules{
-		busPkg:   p("internal/bus"),
-		queuePkg: p("internal/bus/internal/queue"),
+		busPkg:     p("internal/bus"),
+		queuePkg:   p("internal/bus/internal/queue"),
+		routingPkg: p("internal/bus/internal/routing"),
 		layers: map[string]int{
 			p("internal/clock"):                5,
 			p("internal/ring"):                 5,
@@ -119,31 +107,13 @@ func defaultRules(modPath string) *rules {
 			p("internal/faultinject"):          10,
 			p("internal/codec"):                10,
 			p("internal/state"):                10,
-			p("internal/quiesce"):              10,
 			p("internal/replay"):               10,
 			p("internal/bus/internal/queue"):   15,
+			p("internal/bus/internal/routing"): 17,
 			p("internal/bus"):                  20,
 			p("internal/mh"):                   30,
 			p("internal/reconfig"):             30,
 			p("internal/replay/rerun"):         30,
-		},
-		busFiles: map[string]map[string][]string{
-			// Routing is the bottom of the decomposition: it may not know
-			// about queueing or transport. Of the queue package it may use
-			// the message vocabulary the bus re-exports (Endpoint and
-			// Message), nothing of the queue itself. The queue package
-			// imports nothing of the bus, so queueing needs no row.
-			"routing.go": {
-				p("internal/bus/internal/queue"): {"Endpoint", "Instance", "Interface", "String", "Message", "From", "Data", "Trace"},
-				"attach.go":                      nil,
-				"tcp.go":                         nil,
-				"port.go":                        nil,
-			},
-			// Transport consults routing only through the Bus facade and
-			// the published snapshot — never the mutation internals.
-			"attach.go": {"routing.go": nil},
-			"tcp.go":    {"routing.go": nil},
-			"port.go":   {"routing.go": nil},
 		},
 	}
 }
@@ -179,7 +149,6 @@ func Run(cfg Config) (*diag.Report, error) {
 	a.confinePass()
 	a.ringPass()
 	a.mutexPass()
-	a.snapshotPass()
 	a.hotpathPass()
 	a.spawnPass()
 	a.layeringPass()

@@ -26,7 +26,7 @@ type confinement struct {
 // commit-only rule.
 func confinements(modPath string) []confinement {
 	p := func(s string) string { return modPath + "/" + s }
-	busPkg, queuePkg := p("internal/bus"), p("internal/bus/internal/queue")
+	busPkg, queuePkg, routingPkg := p("internal/bus"), p("internal/bus/internal/queue"), p("internal/bus/internal/routing")
 	tracePkg, replayPkg := p("internal/telemetry/trace"), p("internal/replay")
 	evlogPkg, reconfigPkg := p("internal/telemetry/evlog"), p("internal/reconfig")
 	return []confinement{
@@ -40,17 +40,27 @@ func confinements(modPath string) []confinement {
 			message: "trace minting (%s.%s) outside the bus layer: only internal/bus and internal/telemetry/trace may advance the causal clock",
 		},
 		// AL013, commit-only: a topology change meets traffic in one
-		// function, the commit. It alone fences a queue, takes what the
-		// fenced queue holds and puts it back — always with a successor
-		// snapshot published behind the fence, without which a refused
-		// writer would be refused on the slow path too.
+		// function, the routing package's commit. It alone fences a queue,
+		// takes what the fenced queue holds and puts it back — always with a
+		// successor table published behind the fence, without which a
+		// refused writer would be refused on the slow path too. The bus runs
+		// it from its own commit only, under the writer lock its slow path
+		// waits on.
 		{
 			code: CodeRingProtocol, pkg: queuePkg, recv: "Queue",
 			methods: []string{"Detach", "Drain", "Restore"},
-			allowed: func(pkg, file, method string) bool {
-				return pkg == queuePkg || pkg == busPkg && file == "bus.go" && method == "editLocked"
+			allowed: func(pkg, _, method string) bool {
+				return pkg == queuePkg || pkg == routingPkg && method == "Commit"
 			},
-			message: "queue fenced or emptied (%s.%s) outside the commit: only (*Bus).editLocked fences, drains and restores queues, and publishes a successor snapshot behind every fence",
+			message: "queue fenced or emptied (%s.%s) outside the commit: only (*Published).Commit fences, drains and restores queues, and publishes a successor table behind every fence",
+		},
+		{
+			code: CodeRingProtocol, pkg: routingPkg, recv: "Published",
+			methods: []string{"Commit"},
+			allowed: func(pkg, file, method string) bool {
+				return pkg == routingPkg || pkg == busPkg && file == "bus.go" && method == "editLocked"
+			},
+			message: "routing table committed (%s.%s) outside the bus's commit: only (*Bus).editLocked commits, under the writer lock the fenced writers wait on",
 		},
 		// AL012: a recorded window's QSeq order is the queue's true delivery
 		// order only because QueueLog.Append runs inside Queue.record, the

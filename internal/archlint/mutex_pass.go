@@ -60,8 +60,8 @@ var muAcquiringBusMethods = map[string]bool{
 // leak out (so an early-unlock-and-return branch does not end the outer
 // region), and a deferred Unlock holds the region to the end of the
 // function. Bus.mu is also held from the first statement of a *Locked
-// method and of a function literal passed to edit, which runs it under the
-// lock.
+// method, of a function literal passed to edit, which runs it under the
+// lock, and of the routing package's Commit, which editLocked runs.
 func (a *analysis) mutexPass() {
 	p := a.pkgByPath(a.rules.busPkg)
 	if p == nil {
@@ -87,17 +87,24 @@ func (a *analysis) mutexPass() {
 		})
 	}
 
-	// AL004: region scans per function.
-	for _, f := range p.files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			blocking := func(n ast.Node) { a.checkBlocking(p, n) }
-			a.lockRegions(p, fd.Body, fd.Recv != nil && strings.HasSuffix(fd.Name.Name, "Locked"), blocking)
-			for _, lit := range editLiterals(p, fd.Body) {
-				a.lockRegions(p, lit.Body, true, blocking)
+	// AL004: region scans per function, in the bus and in the routing
+	// package, whose commit runs under the lock editLocked holds.
+	for _, q := range []*pkg{p, a.pkgByPath(a.rules.routingPkg)} {
+		if q == nil {
+			continue
+		}
+		for _, f := range q.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				held := fd.Recv != nil && (strings.HasSuffix(fd.Name.Name, "Locked") || q != p && fd.Name.Name == "Commit")
+				blocking := func(n ast.Node) { a.checkBlocking(q, n) }
+				a.lockRegions(q, fd.Body, held, blocking)
+				for _, lit := range editLiterals(q, fd.Body) {
+					a.lockRegions(q, lit.Body, true, blocking)
+				}
 			}
 		}
 	}

@@ -2,8 +2,8 @@ package bus
 
 import "repro/internal/bus/internal/queue"
 
-// Stop fences the queue from the transport file: only the commit
-// ((*Bus).editLocked in bus.go) detaches queues.
-func Stop(q *queue.Queue) {
-	q.Detach(9)
+// Stop commits from the transport file, without the writer lock: only the
+// bus's commit ((*Bus).editLocked in bus.go) runs the routing one.
+func (b *Bus) Stop(q *queue.Queue) {
+	b.routing.Commit(q, 9)
 }

@@ -1,12 +1,15 @@
 package bus
 
-import "repro/internal/bus/internal/queue"
+import (
+	"repro/internal/bus/internal/queue"
+	"repro/internal/bus/internal/routing"
+)
 
 // Bus is the facade that owns the commit.
-type Bus struct{}
+type Bus struct{ routing routing.Published }
 
-// editLocked fences the queue as part of committing a topology change — the
-// one legal Detach site.
+// editLocked commits a topology change under the writer lock — the one
+// legal caller of the routing commit.
 func (b *Bus) editLocked(q *queue.Queue, version uint64) {
-	q.Detach(version)
+	b.routing.Commit(q, version)
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/bus/internal/queue"
+	"repro/internal/bus/internal/routing"
 	"repro/internal/clock"
 	"repro/internal/telemetry/evlog"
 )
@@ -75,7 +76,7 @@ type Attachment struct {
 // attIface is one row of an attachment's interface table.
 type attIface struct {
 	ep   Endpoint // this interface as an endpoint, built once
-	ifc  *iface
+	ifc  *routing.Iface
 	memo atomic.Pointer[route] // Bus.routeOf's, for writes on this interface
 }
 
@@ -84,7 +85,7 @@ func newAttachment(b *Bus, in *instance) *Attachment {
 	for i, is := range in.spec.Interfaces {
 		a.ifaces[i].ep = Endpoint{Instance: in.spec.Name, Interface: is.Name}
 		a.ifaces[i].ifc = in.ifaces[is.Name]
-		if q := a.ifaces[i].ifc.queue; q != nil {
+		if q := a.ifaces[i].ifc.Queue; q != nil {
 			a.recv = append(a.recv, q)
 		}
 	}
@@ -218,7 +219,7 @@ func (a *Attachment) Read(ifaceName string) (m Message, err error) {
 	if err != nil {
 		return m, err
 	}
-	if err = ifc.queue.Pop(&m, a.gone); err != nil { // m is untouched
+	if err = ifc.Queue.Pop(&m, a.gone); err != nil { // m is untouched
 		if errors.Is(err, queue.ErrClosed) {
 			err = ErrStopped
 		}
@@ -236,7 +237,7 @@ func (a *Attachment) TryRead(ifaceName string) (m Message, ok bool, err error) {
 	if err != nil {
 		return m, false, err
 	}
-	if ok, err = ifc.queue.TryPop(&m); err != nil { // m is untouched
+	if ok, err = ifc.Queue.TryPop(&m); err != nil { // m is untouched
 		if errors.Is(err, queue.ErrClosed) {
 			err = ErrStopped
 		}
@@ -252,18 +253,18 @@ func (a *Attachment) Pending(ifaceName string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return ifc.queue.Len(), nil
+	return ifc.Queue.Len(), nil
 }
 
 // recvIface resolves a receiving interface of this instance: one with a
 // queue.
-func (a *Attachment) recvIface(ifaceName string) (*iface, error) {
+func (a *Attachment) recvIface(ifaceName string) (*routing.Iface, error) {
 	row := a.iface(ifaceName)
 	if row == nil {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoInterface, a.inst.spec.Name, ifaceName)
 	}
-	if row.ifc.queue == nil {
-		return nil, fmt.Errorf("%w: read on %s.%s (%s)", ErrDirection, a.inst.spec.Name, ifaceName, row.ifc.spec.Dir)
+	if row.ifc.Queue == nil {
+		return nil, fmt.Errorf("%w: read on %s.%s (%s)", ErrDirection, a.inst.spec.Name, ifaceName, row.ifc.Spec.Dir)
 	}
 	return row.ifc, nil
 }

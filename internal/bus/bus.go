@@ -11,20 +11,14 @@
 // rebinding batches, and queue transfer (the "cq"/"rmq" commands of
 // Figure 5).
 //
-// The package is layered (see routing.go for the full picture): this file
+// The package is layered (package routing has the full picture): this file
 // holds the Bus facade and the *control plane*, while the data plane (write,
 // Attachment reads) runs lock-free against the current routing snapshot plus
-// one per-queue lock.
-//
-// Every topology change goes through one doorway: an edit (AddInstance,
-// Rebind, DeleteInstance, RemoveGroupMember, ...) only stages what it wants
-// on a topologyDraft, and one commit, editLocked, carries it out in a fixed
-// order — fence at the outgoing epoch, transfer queues stamped with the
-// successor epoch, publish the successor routingTable, close the deleted
-// instances, append the events. A writer that resolved its route from the
-// outgoing snapshot is refused at a fenced queue and finishes in writeSlow
-// against the successor, which is what makes a replacement lose and
-// duplicate nothing.
+// one per-queue lock. Every topology change only stages what it wants on a
+// routing.Draft, and one commit, editLocked, carries it out. A writer that
+// resolved its route from the outgoing snapshot is refused at a fenced queue
+// and finishes in writeSlow against the successor, which is what makes a
+// replacement lose and duplicate nothing.
 //
 // The bus owns the event log (Events): the commit appends its records under
 // the writer lock, so they are in commit order, and every other bus call
@@ -41,13 +35,13 @@ package bus
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/bus/internal/queue"
+	"repro/internal/bus/internal/routing"
 	"repro/internal/clock"
 	"repro/internal/faultinject"
 	"repro/internal/replay"
@@ -59,34 +53,14 @@ import (
 // Direction describes which way messages flow on an interface, derived from
 // the MIL role (client/server are bidirectional, define is outgoing, use is
 // incoming).
-type Direction int
+type Direction = routing.Direction
 
 // Interface directions.
 const (
-	In Direction = iota + 1
-	Out
-	InOut
+	In    = routing.In
+	Out   = routing.Out
+	InOut = routing.InOut
 )
-
-// String returns "in", "out" or "inout".
-func (d Direction) String() string {
-	switch d {
-	case In:
-		return "in"
-	case Out:
-		return "out"
-	case InOut:
-		return "inout"
-	default:
-		return fmt.Sprintf("direction(%d)", int(d))
-	}
-}
-
-// Receives reports whether the interface can consume messages.
-func (d Direction) Receives() bool { return d == In || d == InOut }
-
-// Sends reports whether the interface can emit messages.
-func (d Direction) Sends() bool { return d == Out || d == InOut }
 
 // Endpoint names one interface of one instance ("instance.interface").
 type Endpoint = queue.Endpoint
@@ -102,10 +76,7 @@ type TraceContext = trace.Context
 type Message = queue.Message
 
 // IfaceSpec declares one interface when registering an instance.
-type IfaceSpec struct {
-	Name string
-	Dir  Direction
-}
+type IfaceSpec = routing.IfaceSpec
 
 // InstanceSpec declares a module instance.
 type InstanceSpec struct {
@@ -156,20 +127,20 @@ func (p Phase) String() string {
 // Errors reported by bus operations.
 var (
 	// ErrNoInstance indicates an operation on an unknown instance.
-	ErrNoInstance = errors.New("bus: no such instance")
+	ErrNoInstance = routing.ErrNoInstance
 	// ErrDupInstance indicates AddInstance with a name already in use.
-	ErrDupInstance = errors.New("bus: duplicate instance")
+	ErrDupInstance = routing.ErrDupInstance
 	// ErrNoInterface indicates an endpoint naming an undeclared interface.
-	ErrNoInterface = errors.New("bus: no such interface")
+	ErrNoInterface = routing.ErrNoInterface
 	// ErrUnbound indicates a write on an interface with no receiving binding.
 	ErrUnbound = errors.New("bus: interface not bound")
 	// ErrDirection indicates a read on a non-receiving or write on a
 	// non-sending interface.
-	ErrDirection = errors.New("bus: interface direction does not permit operation")
+	ErrDirection = routing.ErrDirection
 	// ErrAlreadyAttached indicates a second Attach for one instance.
 	ErrAlreadyAttached = errors.New("bus: instance already attached")
 	// ErrNoBinding indicates deleting a binding that does not exist.
-	ErrNoBinding = errors.New("bus: no such binding")
+	ErrNoBinding = routing.ErrNoBinding
 	// ErrTimeout indicates an await that expired.
 	ErrTimeout = errors.New("bus: timed out")
 	// ErrStopped indicates the instance was deleted while blocked.
@@ -180,29 +151,15 @@ var (
 // either endpoint is delivered to the other side if (and only if) the other
 // side receives. This matches POLYLITH client/server pairs, where replies
 // flow back along the binding that carried the request.
-type Binding struct {
-	A Endpoint
-	B Endpoint
-}
+type Binding = routing.Binding
 
-type iface struct {
-	spec  IfaceSpec
-	name  string       // "instance.interface", built once at AddInstance
-	queue *queue.Queue // incoming messages, nil for pure-Out interfaces
-
-	// Telemetry handles resolved once at AddInstance; nil (no-op) when the
-	// bus runs with telemetry disabled, so the write path never branches.
-	sent      *telemetry.Counter
-	delivered *telemetry.Counter
-}
-
-// instance is one module instance. The identity fields (name, interface
-// set, signal and done channels) are immutable after AddInstance and are
-// shared freely across routing snapshots; the runtime state below mu is
-// mutable and guarded per-instance, so no data-plane or control-plane
-// operation on one instance contends with traffic on another.
+// instance is one module instance, the routing.Instance the snapshots carry.
+// The identity fields (name, interface set, signal and done channels) are
+// immutable after AddInstance; the runtime state below mu is mutable and
+// guarded per-instance, so no operation on one instance contends with
+// traffic on another.
 type instance struct {
-	ifaces  map[string]*iface
+	ifaces  map[string]*routing.Iface
 	signals chan Signal
 	done    chan struct{} // closed on delete
 	metrics []string      // the names AddInstance registered, unregistered by the commit that deletes it
@@ -215,8 +172,11 @@ type instance struct {
 	restoreBox chan error // restore confirmation (ConfirmRestore/AwaitRestored)
 }
 
-// ifaceNames returns the instance's interface names, sorted.
-func (in *instance) ifaceNames() []string {
+// Ifaces returns the instance's interface entries.
+func (in *instance) Ifaces() map[string]*routing.Iface { return in.ifaces }
+
+// IfaceNames returns the instance's interface names, sorted.
+func (in *instance) IfaceNames() []string {
 	names := make([]string, 0, len(in.ifaces))
 	for n := range in.ifaces {
 		names = append(names, n)
@@ -257,7 +217,7 @@ func (in *instance) restoreBoxRef() chan error {
 // current routing snapshot atomically and touches only per-queue locks.
 type Bus struct {
 	mu      sync.Mutex
-	routing atomic.Pointer[routingTable]
+	routing routing.Published
 
 	stats    busStats
 	clk      clock.Clock
@@ -347,11 +307,11 @@ func New(opts ...BusOption) *Bus {
 		stats:  busStats{delivered: map[*telemetry.Counter]bool{}},
 	}
 	b.faults.Store(faultinject.Default())
-	b.routing.Store(&routingTable{version: 1, instances: map[string]*instance{}, groups: map[string]*groupEntry{}})
 	for _, opt := range opts {
 		opt(b)
 	}
 	b.events = evlog.NewLog(0, b.clk)
+	_ = b.edit(func(*routing.Draft) error { return nil }) // publishes the empty table, version 1
 	return b
 }
 
@@ -383,9 +343,9 @@ func (b *Bus) fire(site string) error {
 // so blocked readers wake with ErrStopped and the module runtimes wind
 // down. The event log stays readable.
 func (b *Bus) Close() {
-	_ = b.edit(func(d *topologyDraft) error {
-		for _, name := range (RoutingView{t: &d.routingTable}).Instances() {
-			_ = d.deleteInstance(name)
+	_ = b.edit(func(d *routing.Draft) error {
+		for _, name := range d.View().Instances() {
+			_ = d.DeleteInstance(name)
 		}
 		return nil
 	})
@@ -399,7 +359,7 @@ func (b *Bus) Stats() Stats {
 		Rebinds:         b.stats.rebinds.Load(),
 		Signals:         b.stats.signals.Load(),
 		Moves:           b.stats.moves.Load(),
-		SnapshotVersion: b.routing.Load().version,
+		SnapshotVersion: b.routing.Load().Version(),
 	}
 }
 
@@ -414,63 +374,33 @@ func (s *busStats) deliveries() (n int64) {
 }
 
 // editLocked is the one place a topology change meets traffic. fn stages
-// the whole change on a draft of the current snapshot — binding, group and
-// instance edits, the queues they invalidate, the queue transfers they want,
-// the instances they delete — and touches nothing else, so an error from it
-// leaves the previous snapshot current, every queue as it was and no event
-// emitted. What validated is then committed in one fixed order:
-//
-//  1. fence: every staged queue is detached at the outgoing epoch, so a
-//     writer that resolved its route from the outgoing snapshot is refused
-//     at the queue and waits in writeSlow for this lock;
-//  2. move: each transfer takes what its fenced source holds and lands it,
-//     stamped with the successor epoch;
-//  3. publish the successor snapshot;
-//  4. close the deleted instances, waking their blocked readers, and
-//     unregister their metrics;
-//  5. append the staged events to the log.
-//
-// Nothing in the commit can fail. Callers hold b.mu.
-func (b *Bus) editLocked(fn func(d *topologyDraft) error) error {
-	cur := b.routing.Load()
-	d := cur.draft()
+// the whole change on a draft of the current snapshot and touches nothing
+// else, so an error from it leaves the previous snapshot current, every
+// queue as it was and no event emitted. What validated is then committed in
+// one order nothing in it can fail: fence, move and publish
+// (routing.Published.Commit; a refused writer waits in writeSlow for this
+// lock), close the deleted instances, waking their blocked readers, and
+// append the staged events to the log. Callers hold b.mu.
+func (b *Bus) editLocked(fn func(d *routing.Draft) error) error {
+	d := b.routing.Load().Draft()
 	if err := fn(d); err != nil {
 		return err
 	}
-	next := cur.version + 1
-	for _, ifc := range d.fenced {
-		ifc.queue.Detach(cur.version)
-	}
-	for _, mv := range d.moves {
-		items := mv.from.queue.Drain()
-		switch {
-		case len(mv.to) > 0:
-			for i := range items {
-				mv.to[i%len(mv.to)].queue.PushAll(items[i:i+1], next)
-			}
-			b.stats.moves.Add(int64(len(items)))
-		case mv.keep:
-			mv.from.queue.Restore(items, next)
-			items = nil
-		}
-		mv.n = len(items)
-		ev := &d.events[mv.ev]
-		ev.Detail += fmt.Sprintf(" (%d msgs)", mv.n)
-		ev.TraceIDs = traceIDsOf(items)
-	}
-	b.routing.Store(d.build(next))
-	for _, in := range d.deleted {
+	deleted, events, moved := b.routing.Commit(d)
+	b.stats.moves.Add(int64(moved))
+	for _, r := range deleted {
+		in := r.(*instance)
 		in.setPhase(PhaseDeleted)
 		close(in.done)
 		for _, ifc := range in.ifaces {
-			if ifc.queue != nil {
-				ifc.queue.Close()
+			if ifc.Queue != nil {
+				ifc.Queue.Close()
 			}
 		}
 		in.stateBoxRef().close()
 		b.telem.Unregister(in.metrics...)
 	}
-	for _, e := range d.events {
+	for _, e := range events {
 		b.emit(e)
 	}
 	return nil
@@ -478,7 +408,7 @@ func (b *Bus) editLocked(fn func(d *topologyDraft) error) error {
 
 // edit is editLocked behind the writer lock — the narrow doorway every
 // topology change goes through.
-func (b *Bus) edit(fn func(d *topologyDraft) error) error {
+func (b *Bus) edit(fn func(d *routing.Draft) error) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.editLocked(fn)
@@ -499,7 +429,7 @@ func (b *Bus) AddInstance(spec InstanceSpec) error {
 	in := &instance{
 		spec:       spec,
 		phase:      PhaseAdded,
-		ifaces:     map[string]*iface{},
+		ifaces:     map[string]*routing.Iface{},
 		signals:    make(chan Signal, 16),
 		stateBox:   newStateBox(),
 		restoreBox: make(chan error, 1),
@@ -512,14 +442,11 @@ func (b *Bus) AddInstance(spec InstanceSpec) error {
 		if _, dup := in.ifaces[is.Name]; dup {
 			return fmt.Errorf("bus: instance %s declares interface %s twice", spec.Name, is.Name)
 		}
-		in.ifaces[is.Name] = &iface{spec: is, name: spec.Name + "." + is.Name}
+		in.ifaces[is.Name] = &routing.Iface{Spec: is, Name: spec.Name + "." + is.Name}
 	}
-	return b.edit(func(d *topologyDraft) error {
-		if _, dup := d.instances[spec.Name]; dup {
-			return fmt.Errorf("%w: %s", ErrDupInstance, spec.Name)
-		}
-		if _, dup := d.groups[spec.Name]; dup {
-			return fmt.Errorf("%w: %s names a group", ErrDupInstance, spec.Name)
+	return b.edit(func(d *routing.Draft) error {
+		if err := d.AddInstance(spec.Name, spec.Machine, in); err != nil {
+			return err
 		}
 		// Resolve telemetry handles once, after validation, off the message
 		// path, each labeled with its owner so no reader parses the dotted
@@ -527,36 +454,35 @@ func (b *Bus) AddInstance(spec InstanceSpec) error {
 		// these stay nil and the counters are no-ops.
 		for _, ifc := range in.ifaces {
 			metric := func(suffix, family string) (string, telemetry.Labels) {
-				name := "bus.iface." + ifc.name + "." + suffix
+				name := "bus.iface." + ifc.Name + "." + suffix
 				in.metrics = append(in.metrics, name)
-				return name, telemetry.Labels{Family: family, Instance: spec.Name, Interface: ifc.spec.Name}
+				return name, telemetry.Labels{Family: family, Instance: spec.Name, Interface: ifc.Spec.Name}
 			}
-			if ifc.spec.Dir.Sends() {
-				ifc.sent = b.telem.Counter(metric("sent", "bus_iface_sent"))
+			if ifc.Spec.Dir.Sends() {
+				ifc.Sent = b.telem.Counter(metric("sent", "bus_iface_sent"))
 			}
-			if ifc.spec.Dir.Receives() {
-				if ifc.delivered = b.telem.Counter(metric("delivered", telemetry.FamilyDelivered)); ifc.delivered == nil {
-					ifc.delivered = new(telemetry.Counter) // Stats counts with telemetry off too
+			if ifc.Spec.Dir.Receives() {
+				delivered := b.telem.Counter(metric("delivered", telemetry.FamilyDelivered))
+				if delivered == nil {
+					delivered = new(telemetry.Counter) // Stats counts with telemetry off too
 				}
 				b.stats.mu.Lock()
-				b.stats.delivered[ifc.delivered] = true
+				b.stats.delivered[delivered] = true
 				b.stats.mu.Unlock()
 				// The log's handle is interned per endpoint, so a clone
 				// reusing a name (rollback resurrect) continues the same
 				// recorded delivery sequence. Nil log → nil handle → no-op
 				// appends.
-				q := queue.New(b.recorder.Queue(ifc.name), b.clk,
+				q := queue.New(b.recorder.Queue(ifc.Name), b.clk,
 					b.telem.Histogram(metric("delivery_latency_ns", telemetry.FamilyDeliveryLatency)),
-					ifc.delivered)
-				ifc.queue = q
+					delivered)
+				ifc.Queue = q
 				name, labels := metric("queue_depth", telemetry.FamilyQueueDepth)
 				b.telem.GaugeFunc(name, labels, func() int64 {
 					return int64(q.Len())
 				})
 			}
 		}
-		d.instances[spec.Name] = in
-		d.event(kindAddInstance, spec.Name, spec.Machine)
 		return nil
 	})
 }
@@ -570,8 +496,8 @@ func (b *Bus) DeleteInstance(name string) error {
 	if err := b.fire("bus.deleteinstance"); err != nil {
 		return fmt.Errorf("bus: delete instance %s: %w", name, err)
 	}
-	return b.edit(func(d *topologyDraft) error {
-		return d.deleteInstance(name)
+	return b.edit(func(d *routing.Draft) error {
+		return d.DeleteInstance(name)
 	})
 }
 
@@ -581,9 +507,9 @@ func (b *Bus) Attach(name string) (*Attachment, error) {
 	if err := b.fire("bus.attach"); err != nil {
 		return nil, fmt.Errorf("bus: attach %s: %w", name, err)
 	}
-	in, ok := b.routing.Load().instances[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoInstance, name)
+	in, err := b.instance(name)
+	if err != nil {
+		return nil, err
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -601,48 +527,29 @@ func (b *Bus) Attach(name string) (*Attachment, error) {
 // AddBinding connects two endpoints. Both must exist, and at least one side
 // must send while the other receives.
 func (b *Bus) AddBinding(a, c Endpoint) error {
-	return b.edit(func(d *topologyDraft) error {
-		return d.addBinding(a, c)
+	return b.edit(func(d *routing.Draft) error {
+		return d.AddBinding(a, c)
 	})
 }
 
 // DrainQueue discards all pending messages at the endpoint — the "rmq"
 // command. It returns the number discarded.
 func (b *Bus) DrainQueue(e Endpoint) (int, error) {
-	var mv *queueMove
-	err := b.edit(func(d *topologyDraft) (err error) {
-		mv, err = d.discardQueue(e)
+	var n *int
+	err := b.edit(func(d *routing.Draft) (err error) {
+		n, err = d.DiscardQueue(e)
 		return err
 	})
 	if err != nil {
 		return 0, err
 	}
-	return mv.n, nil
-}
-
-// traceIDsOf collects the distinct nonzero trace IDs of a transferred
-// batch, in first-seen order, capped at 8 — enough for event-log
-// correlation without unbounded event payloads.
-func traceIDsOf(items []queue.Item) []uint64 {
-	var ids []uint64
-	for _, it := range items {
-		if id := it.Msg.Trace.TraceID; id != 0 && !slices.Contains(ids, id) {
-			if ids = append(ids, id); len(ids) == 8 {
-				break
-			}
-		}
-	}
-	return ids
+	return *n, nil
 }
 
 // BindEdit is one entry of an atomic rebinding batch, mirroring the
 // mh_edit_bind commands of Figure 5. Op is "add", "del", "cq" (move queued
 // messages From→To) or "rmq" (discard queued messages at From).
-type BindEdit struct {
-	Op   string
-	From Endpoint
-	To   Endpoint
-}
+type BindEdit = routing.BindEdit
 
 // Rebind applies a batch of binding edits atomically: either all edits
 // apply, or none. This is the mh_rebind of Figure 5: "the rebinding
@@ -652,37 +559,16 @@ type BindEdit struct {
 // Every edit is staged on one draft, so a batch with an edit that does not
 // validate leaves the current snapshot — and the observable Bindings() —
 // untouched, moves no message and emits no event. A batch that validates is
-// committed by editLocked: the queues it invalidates (both sides of a
-// deleted binding, a group side meaning its members' queues, and the source
-// of a cq or rmq) are fenced at the outgoing epoch, the transfers run, the
-// successor is published. A concurrent writer holding the outgoing snapshot
-// is refused at the queue and retries against the successor, so no message
-// is lost to an abandoned queue and none lands on a stale route.
+// committed by editLocked, which fences the queues it invalidates (both sides
+// of a deleted binding, a group side meaning its members' queues, and the
+// source of a cq or rmq): no message is lost to an abandoned queue and none
+// lands on a stale route.
 func (b *Bus) Rebind(edits []BindEdit) error {
 	if err := b.fire("bus.rebind"); err != nil {
 		return fmt.Errorf("bus: rebind: %w", err)
 	}
-	err := b.edit(func(d *topologyDraft) error {
-		for i, e := range edits {
-			var err error
-			switch e.Op {
-			case "add":
-				err = d.addBinding(e.From, e.To)
-			case "del":
-				err = d.deleteBinding(e.From, e.To)
-			case "cq":
-				err = d.moveQueue(e.From, e.To)
-			case "rmq":
-				_, err = d.discardQueue(e.From)
-			default:
-				err = fmt.Errorf("bus: unknown rebind op %q", e.Op)
-			}
-			if err != nil {
-				return fmt.Errorf("bus: rebind edit %d (%s %s %s): %w", i, e.Op, e.From, e.To, err)
-			}
-		}
-		d.event(kindRebind, "", fmt.Sprintf("%d edits", len(edits)))
-		return nil
+	err := b.edit(func(d *routing.Draft) error {
+		return d.Rebind(edits)
 	})
 	if err == nil {
 		b.stats.rebinds.Add(1)
@@ -719,9 +605,9 @@ func (b *Bus) Signal(name string, s Signal) error {
 		}
 		dropped = true
 	}
-	in, ok := b.routing.Load().instances[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoInstance, name)
+	in, err := b.instance(name)
+	if err != nil {
+		return err
 	}
 	b.stats.signals.Add(1)
 	if dropped {
@@ -741,9 +627,9 @@ func (b *Bus) AwaitDivulged(name string, timeout time.Duration) ([]byte, error) 
 	if err := b.fire("bus.awaitdivulged"); err != nil {
 		return nil, fmt.Errorf("bus: await state of %s: %w", name, err)
 	}
-	in, ok := b.routing.Load().instances[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoInstance, name)
+	in, err := b.instance(name)
+	if err != nil {
+		return nil, err
 	}
 	data, err := in.stateBoxRef().await(b.clk, timeout, in.done, nil)
 	if err != nil {
@@ -758,9 +644,9 @@ func (b *Bus) InstallState(name string, data []byte) error {
 	if err := b.fire("bus.installstate"); err != nil {
 		return fmt.Errorf("bus: install state into %s: %w", name, err)
 	}
-	in, ok := b.routing.Load().instances[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoInstance, name)
+	in, err := b.instance(name)
+	if err != nil {
+		return err
 	}
 	if err := in.stateBoxRef().put(data, func() {
 		b.emit(evlog.Record{Kind: kindInstallState, Instance: name, Detail: fmt.Sprintf("%d bytes", len(data))})
@@ -779,9 +665,9 @@ func (b *Bus) AwaitRestored(name string, timeout time.Duration) error {
 	if err := b.fire("bus.awaitrestored"); err != nil {
 		return fmt.Errorf("bus: await restore of %s: %w", name, err)
 	}
-	in, ok := b.routing.Load().instances[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoInstance, name)
+	in, err := b.instance(name)
+	if err != nil {
+		return err
 	}
 	timer := b.clk.NewTimer(timeout)
 	defer timer.Stop()
@@ -806,9 +692,9 @@ func (b *Bus) AwaitRestored(name string, timeout time.Duration) error {
 // divulged state is reinstalled and the module resumes from its
 // reconfiguration point. Queues and bindings are untouched.
 func (b *Bus) ResetForRelaunch(name string) error {
-	in, ok := b.routing.Load().instances[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoInstance, name)
+	in, err := b.instance(name)
+	if err != nil {
+		return err
 	}
 	in.mu.Lock()
 	in.spec.Status = StatusClone
@@ -826,9 +712,9 @@ func (b *Bus) ResetForRelaunch(name string) error {
 // restoration is confirmed, so the rolled-back configuration matches the
 // pre-transaction one.
 func (b *Bus) SetStatus(name, status string) error {
-	in, ok := b.routing.Load().instances[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoInstance, name)
+	in, err := b.instance(name)
+	if err != nil {
+		return err
 	}
 	in.mu.Lock()
 	in.spec.Status = status
@@ -861,9 +747,9 @@ func (b *Bus) Instances() []string {
 
 // Info returns the current specification of an instance (mh_obj_cap).
 func (b *Bus) Info(name string) (InstanceInfo, error) {
-	in, ok := b.routing.Load().instances[name]
-	if !ok {
-		return InstanceInfo{}, fmt.Errorf("%w: %s", ErrNoInstance, name)
+	in, err := b.instance(name)
+	if err != nil {
+		return InstanceInfo{}, err
 	}
 	in.mu.Lock()
 	status := in.spec.Status
@@ -885,12 +771,12 @@ func (b *Bus) Info(name string) (InstanceInfo, error) {
 			info.Attrs[k] = v
 		}
 	}
-	for _, n := range in.ifaceNames() {
+	for _, n := range in.IfaceNames() {
 		ifc := in.ifaces[n]
-		info.Interfaces = append(info.Interfaces, ifc.spec)
-		if ifc.queue != nil {
-			info.Pending[n] = ifc.queue.Len()
-			info.Parked[n] = ifc.queue.Parked()
+		info.Interfaces = append(info.Interfaces, ifc.Spec)
+		if ifc.Queue != nil {
+			info.Pending[n] = ifc.Queue.Len()
+			info.Parked[n] = ifc.Queue.Parked()
 		}
 	}
 	return info, nil
@@ -911,18 +797,18 @@ type QueuedMessage struct {
 // layer calls it when a Replace enters its quiesce wait, so the transaction
 // trace can show which in-flight traffic the quiesce waited on.
 func (b *Bus) QueuedMessages(name string) ([]QueuedMessage, error) {
-	in, ok := b.routing.Load().instances[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoInstance, name)
+	in, err := b.instance(name)
+	if err != nil {
+		return nil, err
 	}
 	now := b.clk.Nanos() // the clock SentNs was read off
 	var out []QueuedMessage
-	for _, n := range in.ifaceNames() {
+	for _, n := range in.IfaceNames() {
 		ifc := in.ifaces[n]
-		if ifc.queue == nil {
+		if ifc.Queue == nil {
 			continue
 		}
-		for _, m := range ifc.queue.Snapshot() {
+		for _, m := range ifc.Queue.Snapshot() {
 			qm := QueuedMessage{Endpoint: Endpoint{Instance: name, Interface: n}, Trace: m.Trace, AgeNs: -1}
 			if m.Trace.SentNs != 0 {
 				qm.AgeNs = now - m.Trace.SentNs
@@ -939,59 +825,38 @@ func (b *Bus) Bindings() []Binding {
 	return b.Routing().Bindings()
 }
 
-// IfDest returns the endpoints that messages written on e are delivered to
-// (mh_struct_ifdest). Results follow binding creation order, which the
-// reconfiguration planner relies on for stable plans.
-func (b *Bus) IfDest(e Endpoint) ([]Endpoint, error) {
-	rt := b.routing.Load()
-	if _, err := rt.lookup(e); err != nil {
-		return nil, err
-	}
-	var out []Endpoint
-	for _, bd := range rt.bindings {
-		if other, ok := rt.route(bd, e); ok {
-			out = append(out, other)
-		}
-	}
-	return out, nil
-}
+// IfDest returns the receiving far ends of the bindings that name a sending
+// e (mh_struct_ifdest): the bindings a replacement rebinds, not the group
+// bindings a group member's writes also follow. Results follow binding
+// creation order, which the reconfiguration planner relies on.
+func (b *Bus) IfDest(e Endpoint) ([]Endpoint, error) { return b.routing.Load().Dests(e) }
 
-// IfSources returns the endpoints whose writes are delivered to e
-// (mh_struct_ifsources), in binding creation order.
-func (b *Bus) IfSources(e Endpoint) ([]Endpoint, error) {
-	rt := b.routing.Load()
-	ifc, err := rt.lookup(e)
-	if err != nil {
-		return nil, err
+// IfSources returns the sending far ends, instance or group interfaces, of
+// the bindings that name e (mh_struct_ifsources), in binding creation order.
+func (b *Bus) IfSources(e Endpoint) ([]Endpoint, error) { return b.routing.Load().Sources(e) }
+
+// Routing returns the current topology snapshot. The view is immutable;
+// reload it to observe later reconfigurations.
+func (b *Bus) Routing() RoutingView { return b.routing.Load().View() }
+
+// RoutingView is an immutable, point-in-time view of the topology.
+type RoutingView = routing.View
+
+// instance resolves a live instance of the current snapshot by name.
+func (b *Bus) instance(name string) (*instance, error) {
+	in, ok := b.routing.Load().Instance(name)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNoInstance, name)
 	}
-	if !ifc.spec.Dir.Receives() {
-		return nil, nil
-	}
-	var out []Endpoint
-	for _, bd := range rt.bindings {
-		var other Endpoint
-		switch e {
-		case bd.A:
-			other = bd.B
-		case bd.B:
-			other = bd.A
-		default:
-			continue
-		}
-		oifc, err := rt.lookup(other)
-		if err == nil && oifc.spec.Dir.Sends() {
-			out = append(out, other)
-		}
-	}
-	return out, nil
+	return in.(*instance), nil
 }
 
 // route is the delivery fan-out of one sending endpoint as resolved from
 // one routing snapshot: what a write needs once it knows where it is going.
 type route struct {
-	rt   *routingTable
+	rt   *routing.Table
 	from Endpoint
-	routeSet
+	routing.RouteSet
 }
 
 // routeOf resolves from's fan-out under the current routing snapshot. The
@@ -1012,12 +877,12 @@ func (b *Bus) routeOf(memo *atomic.Pointer[route], from Endpoint) (*route, error
 
 // resolveRoute is routeOf's cold half: once per endpoint per topology
 // change, one map lookup and one small allocation.
-func (b *Bus) resolveRoute(rt *routingTable, memo *atomic.Pointer[route], from Endpoint) (*route, error) {
-	rs, ok := rt.routes[from]
+func (b *Bus) resolveRoute(rt *routing.Table, memo *atomic.Pointer[route], from Endpoint) (*route, error) {
+	rs, ok := rt.Route(from)
 	if !ok {
 		return nil, b.writeNoRouteErr(rt, from)
 	}
-	r := &route{rt: rt, from: from, routeSet: rs}
+	r := &route{rt: rt, from: from, RouteSet: rs}
 	memo.Store(r)
 	return r, nil
 }
@@ -1045,7 +910,7 @@ func (b *Bus) resolveRoute(rt *routingTable, memo *atomic.Pointer[route], from E
 //
 //archlint:hotpath
 func (b *Bus) writeRouted(r *route, batch [][]byte, parent TraceContext) (rest [][]byte, woke bool, err error) {
-	if len(r.targets) == 0 {
+	if len(r.Targets) == 0 {
 		return nil, false, b.writeUnboundErr(r.from, len(batch))
 	}
 	var msg Message // filled in place: the queues copy it from this address
@@ -1059,14 +924,8 @@ func (b *Bus) writeRouted(r *route, batch [][]byte, parent TraceContext) (rest [
 	var delivered int64
 	for i, data := range batch {
 		msg.Data = data
-		for j, t := range r.targets {
-			var w bool
-			var err error
-			if t.ifc != nil {
-				w, err = t.ifc.queue.PushRouted(&msg, &r.src.name, r.rt.version)
-			} else {
-				w, err = b.deliverGroup(t.group, &msg, r.src, r.rt.version)
-			}
+		for j, t := range r.Targets {
+			w, err := t.Push(&msg, r.Src, r.rt.Version())
 			woke = woke || w
 			switch err {
 			case nil:
@@ -1074,7 +933,7 @@ func (b *Bus) writeRouted(r *route, batch [][]byte, parent TraceContext) (rest [
 			case queue.ErrStaleRoute:
 				// Finishing under the writer lock also flushes the
 				// deliveries counted so far.
-				return batch[i+1:], woke, b.writeSlow(&msg, r.src, r.targets[:j], delivered)
+				return batch[i+1:], woke, b.writeSlow(&msg, r.Src, r.Targets[:j], delivered)
 			default:
 				// A closed queue means the receiver was deleted mid-write;
 				// the message is simply dropped, like a datagram to a dead
@@ -1086,7 +945,7 @@ func (b *Bus) writeRouted(r *route, batch [][]byte, parent TraceContext) (rest [
 		}
 	}
 	if delivered > 0 {
-		r.src.sent.Add(delivered)
+		r.Src.Sent.Add(delivered)
 	}
 	return nil, woke, nil
 }
@@ -1095,12 +954,12 @@ func (b *Bus) writeRouted(r *route, batch [][]byte, parent TraceContext) (rest [
 // the snapshot — the cold branch of writeTraced, kept in its own function
 // so the annotated hot path carries no formatting. It re-resolves through
 // the routing layer to report which invariant actually failed.
-func (b *Bus) writeNoRouteErr(rt *routingTable, from Endpoint) error {
-	ifc, err := rt.lookup(from)
+func (b *Bus) writeNoRouteErr(rt *routing.Table, from Endpoint) error {
+	ifc, err := rt.Lookup(from)
 	if err != nil {
 		return err
 	}
-	return fmt.Errorf("%w: write on %s (%s)", ErrDirection, from, ifc.spec.Dir)
+	return fmt.Errorf("%w: write on %s (%s)", ErrDirection, from, ifc.Spec.Dir)
 }
 
 // writeUnboundErr counts the n messages of a write on an endpoint with no
@@ -1118,44 +977,38 @@ func (b *Bus) writeUnboundErr(from Endpoint, n int) error {
 // not already reached on the fast path. attempted holds the targets the
 // fast path already processed (delivered or dropped-closed); pre counts
 // the fast-path deliveries for the sender's sent counter.
-func (b *Bus) writeSlow(msg *Message, src *iface, attempted []target, pre int64) error {
+func (b *Bus) writeSlow(msg *Message, src *routing.Iface, attempted []routing.Target, pre int64) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	rt := b.routing.Load()
 	delivered := pre
 	from := msg.From
-	rs, ok := rt.routes[from]
+	rs, ok := rt.Route(from)
 	if ok {
 	targets:
-		for _, t := range rs.targets {
+		for _, t := range rs.Targets {
 			for _, done := range attempted {
-				if sameTarget(done, t) {
+				if done.Same(t) {
 					continue targets
 				}
 			}
 			// Every fence was raised at an epoch before rt's, under this
 			// lock, so the routed push is never refused as stale. A reader
 			// it wakes waits for the lock's release: nothing yields here.
-			var err error
-			if t.ifc != nil {
-				_, err = t.ifc.queue.PushRouted(msg, &src.name, rt.version)
-			} else {
-				_, err = b.deliverGroup(t.group, msg, src, rt.version)
-			}
-			if err == nil {
+			if _, err := t.Push(msg, src, rt.Version()); err == nil {
 				delivered++
 			}
 		}
 	}
 	if delivered == 0 {
 		if !ok {
-			if _, err := rt.lookup(from); err != nil {
+			if _, err := rt.Lookup(from); err != nil {
 				return err
 			}
 		}
 		b.stats.dropped.Add(1)
 		return fmt.Errorf("%w: %s", ErrUnbound, from)
 	}
-	src.sent.Add(delivered)
+	src.Sent.Add(delivered)
 	return nil
 }

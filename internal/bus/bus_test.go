@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bus/internal/routing"
 	"repro/internal/clock"
 )
 
@@ -629,12 +630,12 @@ func TestEventsRecorded(t *testing.T) {
 // kind of bus record, and the fallback names of the other enums.
 func TestEventKindStrings(t *testing.T) {
 	for got, want := range map[string]string{
-		kindAddInstance: "add-instance", kindDeleteInstance: "delete-instance",
-		kindAddBinding: "add-binding", kindDeleteBinding: "delete-binding", kindRebind: "rebind",
-		kindMoveQueue: "move-queue", kindDrainQueue: "drain-queue", kindSignal: "signal",
+		routing.KindAddInstance: "add-instance", routing.KindDeleteInstance: "delete-instance",
+		routing.KindAddBinding: "add-binding", routing.KindDeleteBinding: "delete-binding", routing.KindRebind: "rebind",
+		routing.KindMoveQueue: "move-queue", routing.KindDrainQueue: "drain-queue", kindSignal: "signal",
 		kindDivulge: "divulge", kindInstallState: "install-state", kindRestoreAck: "restore-ack",
-		kindRelaunch: "relaunch", kindAddGroup: "add-group", kindJoinGroup: "join-group",
-		kindLeaveGroup: "leave-group", kindConnClosed: "conn-closed",
+		kindRelaunch: "relaunch", routing.KindAddGroup: "add-group", routing.KindJoinGroup: "join-group",
+		routing.KindLeaveGroup: "leave-group", kindConnClosed: "conn-closed",
 	} {
 		if got != want {
 			t.Errorf("kind spelled %q, /events has always shown %q", got, want)

@@ -2,24 +2,15 @@ package bus
 
 import "repro/internal/telemetry/evlog"
 
-// Kinds of the records the bus appends to its event log, spelled as /events
-// renders them.
+// Kinds of the records the bus appends to its event log for its hand-offs,
+// spelled as /events renders them. A topology change's records carry the
+// kinds package routing stages them with.
 const (
-	kindAddInstance    = "add-instance"
-	kindDeleteInstance = "delete-instance"
-	kindAddBinding     = "add-binding"
-	kindDeleteBinding  = "delete-binding"
-	kindRebind         = "rebind"
-	kindMoveQueue      = "move-queue"
-	kindDrainQueue     = "drain-queue"
-	kindSignal         = "signal"
-	kindDivulge        = "divulge"
-	kindInstallState   = "install-state"
-	kindRestoreAck     = "restore-ack"
-	kindRelaunch       = "relaunch"
-	kindAddGroup       = "add-group"
-	kindJoinGroup      = "join-group"
-	kindLeaveGroup     = "leave-group"
+	kindSignal       = "signal"
+	kindDivulge      = "divulge"
+	kindInstallState = "install-state"
+	kindRestoreAck   = "restore-ack"
+	kindRelaunch     = "relaunch"
 	// kindConnClosed: the TCP server ended a connection for a reason other
 	// than the peer hanging up — no hello within the deadline, a malformed or
 	// oversized frame, a socket error. Detail carries the peer address and

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bus/internal/routing"
 	"repro/internal/telemetry/evlog"
 )
 
@@ -62,39 +63,39 @@ var eventRows = []struct {
 	wantErr bool
 }{
 	{name: "AddInstance", do: func(b *Bus) error { return b.AddInstance(InstanceSpec{Name: "x", Machine: "m9"}) },
-		want: []ev{{kindAddInstance, "x", "m9"}}},
+		want: []ev{{routing.KindAddInstance, "x", "m9"}}},
 	{name: "DeleteInstance", do: func(b *Bus) error { return b.DeleteInstance("display") },
-		want: []ev{{kindDeleteInstance, "display", ""}}},
+		want: []ev{{routing.KindDeleteInstance, "display", ""}}},
 	{name: "AddBinding", do: func(b *Bus) error {
 		return b.AddBinding(Endpoint{Instance: "sensor", Interface: "out"}, Endpoint{Instance: "compute2", Interface: "sensor"})
-	}, want: []ev{{kindAddBinding, "", "sensor.out <-> compute2.sensor"}}},
+	}, want: []ev{{routing.KindAddBinding, "", "sensor.out <-> compute2.sensor"}}},
 	{name: "Rebind add", do: func(b *Bus) error {
 		return b.Rebind([]BindEdit{{Op: "add", From: Endpoint{Instance: "sensor", Interface: "out"}, To: Endpoint{Instance: "compute2", Interface: "sensor"}}})
-	}, want: []ev{{kindAddBinding, "", "sensor.out <-> compute2.sensor"}, {kindRebind, "", "1 edits"}}},
+	}, want: []ev{{routing.KindAddBinding, "", "sensor.out <-> compute2.sensor"}, {routing.KindRebind, "", "1 edits"}}},
 	{name: "Rebind del", do: func(b *Bus) error {
 		return b.Rebind([]BindEdit{{Op: "del", From: Endpoint{Instance: "sensor", Interface: "out"}, To: Endpoint{Instance: "compute", Interface: "sensor"}}})
-	}, want: []ev{{kindDeleteBinding, "", "sensor.out <-> compute.sensor"}, {kindRebind, "", "1 edits"}}},
+	}, want: []ev{{routing.KindDeleteBinding, "", "sensor.out <-> compute.sensor"}, {routing.KindRebind, "", "1 edits"}}},
 	{name: "Rebind cq", do: func(b *Bus) error {
 		return b.Rebind([]BindEdit{{Op: "cq", From: Endpoint{Instance: "compute", Interface: "sensor"}, To: Endpoint{Instance: "compute2", Interface: "sensor"}}})
-	}, want: []ev{{kindMoveQueue, "", "compute.sensor -> compute2.sensor (2 msgs)"}, {kindRebind, "", "1 edits"}}},
+	}, want: []ev{{routing.KindMoveQueue, "", "compute.sensor -> compute2.sensor (2 msgs)"}, {routing.KindRebind, "", "1 edits"}}},
 	{name: "Rebind rmq", do: func(b *Bus) error {
 		return b.Rebind([]BindEdit{{Op: "rmq", From: Endpoint{Instance: "compute", Interface: "sensor"}}})
-	}, want: []ev{{kindDrainQueue, "", "compute.sensor (2 msgs)"}, {kindRebind, "", "1 edits"}}},
+	}, want: []ev{{routing.KindDrainQueue, "", "compute.sensor (2 msgs)"}, {routing.KindRebind, "", "1 edits"}}},
 	{name: "Rebind refused", do: func(b *Bus) error {
 		return b.Rebind([]BindEdit{{Op: "rmq", From: Endpoint{Instance: "compute", Interface: "sensor"}}, {Op: "del", From: Endpoint{Instance: "sensor", Interface: "out"}, To: Endpoint{Instance: "display", Interface: "temper"}}})
 	}, wantErr: true},
 	{name: "DrainQueue", do: func(b *Bus) error {
 		_, err := b.DrainQueue(Endpoint{Instance: "compute", Interface: "sensor"})
 		return err
-	}, want: []ev{{kindDrainQueue, "", "compute.sensor (2 msgs)"}}},
+	}, want: []ev{{routing.KindDrainQueue, "", "compute.sensor (2 msgs)"}}},
 	{name: "AddGroup", do: func(b *Bus) error { return b.AddGroup("g2", "", nil) },
-		want: []ev{{kindAddGroup, "g2", "policy roundrobin"}}},
+		want: []ev{{routing.KindAddGroup, "g2", "policy roundrobin"}}},
 	{name: "AddGroupMember", do: func(b *Bus) error { return b.AddGroupMember("g", "compute2") },
-		want: []ev{{kindJoinGroup, "compute2", "group g"}}},
+		want: []ev{{routing.KindJoinGroup, "compute2", "group g"}}},
 	{name: "RemoveGroupMember", do: func(b *Bus) error { return b.RemoveGroupMember("g", "compute") },
-		want: []ev{{kindLeaveGroup, "compute", "group g"},
-			{kindMoveQueue, "", "compute.display -> group g (0 msgs)"},
-			{kindMoveQueue, "", "compute.sensor -> group g (0 msgs)"}}},
+		want: []ev{{routing.KindLeaveGroup, "compute", "group g"},
+			{routing.KindMoveQueue, "", "compute.display -> group g (0 msgs)"},
+			{routing.KindMoveQueue, "", "compute.sensor -> group g (0 msgs)"}}},
 	{name: "Signal", do: func(b *Bus) error { return b.SignalReconfig("compute") },
 		want: []ev{{kindSignal, "compute", "reconfig"}}},
 	{name: "InstallState", do: func(b *Bus) error { return b.InstallState("compute2", []byte("abc")) },
@@ -111,8 +112,8 @@ var eventRows = []struct {
 	{name: "ResetForRelaunch", do: func(b *Bus) error { return b.ResetForRelaunch("compute") },
 		want: []ev{{kindRelaunch, "compute", ""}}},
 	{name: "Close", do: func(b *Bus) error { b.Close(); return nil },
-		want: []ev{{kindDeleteInstance, "compute", ""}, {kindDeleteInstance, "compute2", ""},
-			{kindDeleteInstance, "display", ""}, {kindDeleteInstance, "sensor", ""}}},
+		want: []ev{{routing.KindDeleteInstance, "compute", ""}, {routing.KindDeleteInstance, "compute2", ""},
+			{routing.KindDeleteInstance, "display", ""}, {routing.KindDeleteInstance, "sensor", ""}}},
 }
 
 // TestEventLoggedByReturn is the event log's contract: by the time a bus
@@ -133,15 +134,12 @@ func TestEventLoggedByReturn(t *testing.T) {
 	}
 }
 
-// TestEventNamesExhaustive reads the kind constants out of event.go and
-// fails if two share a spelling or one is logged by no row of eventRows — a
-// kind added without a contract row, or a row list gone stale. conn-closed
-// is the TCP server's, covered by the faultpath tests.
+// TestEventNamesExhaustive reads the kind constants out of event.go (the
+// bus's hand-offs) and the routing package's routing.go (its topology
+// changes) and fails if two share a spelling or one is logged by no row of
+// eventRows — a kind added without a contract row, or a row list gone stale.
+// conn-closed is the TCP server's, covered by the faultpath tests.
 func TestEventNamesExhaustive(t *testing.T) {
-	f, err := parser.ParseFile(token.NewFileSet(), "event.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	logged := map[string]bool{kindConnClosed: true}
 	for _, row := range eventRows {
 		for _, e := range row.want {
@@ -149,27 +147,33 @@ func TestEventNamesExhaustive(t *testing.T) {
 		}
 	}
 	spelled := map[string]string{}
-	ast.Inspect(f, func(n ast.Node) bool {
-		vs, ok := n.(*ast.ValueSpec)
-		if !ok || !strings.HasPrefix(vs.Names[0].Name, "kind") {
+	for _, file := range []string{"event.go", "internal/routing/routing.go"} {
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			vs, ok := n.(*ast.ValueSpec)
+			if !ok || !strings.HasPrefix(strings.ToLower(vs.Names[0].Name), "kind") {
+				return true
+			}
+			name := vs.Names[0].Name
+			kind, err := strconv.Unquote(vs.Values[0].(*ast.BasicLit).Value)
+			if err != nil || kind == "" {
+				t.Errorf("%s has no spelling", name)
+			}
+			if prev, dup := spelled[kind]; dup {
+				t.Errorf("%s and %s are both %q", prev, name, kind)
+			}
+			spelled[kind] = name
+			if !logged[kind] {
+				t.Errorf("%s (%q) is logged by no row of eventRows", name, kind)
+			}
 			return true
-		}
-		name := vs.Names[0].Name
-		kind, err := strconv.Unquote(vs.Values[0].(*ast.BasicLit).Value)
-		if err != nil || kind == "" {
-			t.Errorf("%s has no spelling", name)
-		}
-		if prev, dup := spelled[kind]; dup {
-			t.Errorf("%s and %s are both %q", prev, name, kind)
-		}
-		spelled[kind] = name
-		if !logged[kind] {
-			t.Errorf("%s (%q) is logged by no row of eventRows", name, kind)
-		}
-		return true
-	})
+		})
+	}
 	if len(spelled) != len(logged) {
-		t.Errorf("event.go declares %d kinds, eventRows logs %d", len(spelled), len(logged))
+		t.Errorf("event.go and routing.go declare %d kinds, eventRows logs %d", len(spelled), len(logged))
 	}
 }
 

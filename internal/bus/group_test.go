@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -350,5 +351,25 @@ func TestConcurrentSendVsMembership(t *testing.T) {
 	if len(seen) != senders*perSender {
 		t.Errorf("delivered %d distinct messages, want %d (lost %d)",
 			len(seen), senders*perSender, senders*perSender-len(seen))
+	}
+}
+
+// TestIfSourcesNamesGroupSender: a replica group's sending interface is a
+// source of what it is bound to, as build routes the members' writes there.
+// Without it a replacement of the receiver would leave the group's binding
+// on the deleted original.
+func TestIfSourcesNamesGroupSender(t *testing.T) {
+	b, _ := addGroupFixture(t, "")
+	src, err := b.IfSources(Endpoint{Instance: "coll", Interface: "in"})
+	if want := []Endpoint{{Instance: "pool", Interface: "out"}}; err != nil || !reflect.DeepEqual(src, want) {
+		t.Errorf("IfSources(coll.in) = %v, %v; want %v", src, err, want)
+	}
+	dst, err := b.IfDest(Endpoint{Instance: "feeder", Interface: "out"})
+	if want := []Endpoint{{Instance: "pool", Interface: "in"}}; err != nil || !reflect.DeepEqual(dst, want) {
+		t.Errorf("IfDest(feeder.out) = %v, %v; want %v", dst, err, want)
+	}
+	// A member's own interfaces name no binding: its routes are the group's.
+	if src, err := b.IfSources(Endpoint{Instance: "pool.1", Interface: "in"}); err != nil || src != nil {
+		t.Errorf("IfSources(pool.1.in) = %v, %v; want none", src, err)
 	}
 }

@@ -209,9 +209,9 @@ func newCommitWorld(t *testing.T, targets ...string) *commitWorld {
 	must(w.b.AddInstance(InstanceSpec{Name: "src", Interfaces: []IfaceSpec{{Name: "out", Dir: Out}}}))
 	for _, name := range []string{"a", "b", "m1", "m2", "m3"} {
 		must(w.b.AddInstance(InstanceSpec{Name: name, Interfaces: in}))
-		ifc, err := w.b.routing.Load().lookup(Endpoint{Instance: name, Interface: "in"})
+		ifc, err := w.b.routing.Load().Lookup(Endpoint{Instance: name, Interface: "in"})
 		must(err)
-		w.queues[name] = ifc.queue
+		w.queues[name] = ifc.Queue
 	}
 	must(w.b.AddGroup("g", PolicyRoundRobin, in))
 	must(w.b.AddGroupMember("g", "m1"))

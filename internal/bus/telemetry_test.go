@@ -23,7 +23,8 @@ func twoNodeBus(t *testing.T, opts ...BusOption) *Bus {
 // writerFor hands out the write side of an instance without claiming its
 // runtime slot, for tests that only need traffic on the bus.
 func writerFor(b *Bus, instance string) *Attachment {
-	return newAttachment(b, b.routing.Load().instances[instance])
+	in, _ := b.instance(instance)
+	return newAttachment(b, in)
 }
 
 func TestBusTelemetryCounters(t *testing.T) {

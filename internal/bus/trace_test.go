@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bus/internal/routing"
 	"repro/internal/replay"
 	"repro/internal/telemetry/trace"
 )
@@ -157,7 +158,7 @@ func TestTraceSurvivesQueueMove(t *testing.T) {
 	if err := b.Rebind([]BindEdit{{Op: "cq", From: Endpoint{Instance: "compute", Interface: "sensor"}, To: Endpoint{Instance: "compute2", Interface: "sensor"}}}); err != nil {
 		t.Fatal(err)
 	}
-	moveIDs := traceIDs(kindMoveQueue)
+	moveIDs := traceIDs(routing.KindMoveQueue)
 	if len(moveIDs) != 2 || moveIDs[0] == moveIDs[1] {
 		t.Fatalf("move-queue event trace IDs = %v, want 2 distinct", moveIDs)
 	}
@@ -180,7 +181,7 @@ func TestTraceSurvivesQueueMove(t *testing.T) {
 	if _, err := b.DrainQueue(Endpoint{Instance: "compute", Interface: "sensor"}); err != nil {
 		t.Fatal(err)
 	}
-	if drainIDs := traceIDs(kindDrainQueue); len(drainIDs) != 1 {
+	if drainIDs := traceIDs(routing.KindDrainQueue); len(drainIDs) != 1 {
 		t.Errorf("drain-queue event trace IDs = %v, want 1", drainIDs)
 	}
 }
@@ -262,7 +263,7 @@ func TestCloseDeletesEveryInstance(t *testing.T) {
 	if snap := b.Telemetry().Snapshot(); len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
 		t.Errorf("metrics after Close: %+v", snap)
 	}
-	want := []ev{{kindDeleteInstance, "compute", ""}, {kindDeleteInstance, "display", ""}, {kindDeleteInstance, "sensor", ""}}
+	want := []ev{{routing.KindDeleteInstance, "compute", ""}, {routing.KindDeleteInstance, "display", ""}, {routing.KindDeleteInstance, "sensor", ""}}
 	if got := busRecords(t, b.Events(), cursor); !reflect.DeepEqual(got, want) {
 		t.Errorf("Close logged %q, want %q", got, want)
 	}

@@ -27,14 +27,14 @@ type Timeouts struct {
 	// Rollback bounds each waiting compensation during an abort (chiefly
 	// the resurrected module's restore confirmation).
 	Rollback time.Duration
-	// Quiesce bounds quiescence waits in the no-participation baseline.
+	// Quiesce is unused: it bounds no wait.
 	Quiesce time.Duration
 }
 
 // DefaultTimeouts returns the standard bounds.
 func DefaultTimeouts() Timeouts {
 	const d = 30 * time.Second
-	return Timeouts{StateMove: d, RestoreAck: d, Rollback: d, Quiesce: d}
+	return Timeouts{StateMove: d, RestoreAck: d, Rollback: d}
 }
 
 // WithDefaults fills zero fields from DefaultTimeouts.
@@ -50,9 +50,6 @@ func (t Timeouts) Or(d Timeouts) Timeouts {
 	}
 	if t.Rollback <= 0 {
 		t.Rollback = d.Rollback
-	}
-	if t.Quiesce <= 0 {
-		t.Quiesce = d.Quiesce
 	}
 	return t
 }

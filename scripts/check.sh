@@ -36,6 +36,7 @@ echo "== counts for CHANGES.md (ROADMAP aim 2 and items 1 and 7: all of them go 
 gofiles() { find . -name '*.go' ! -path '*/testdata/*' ! -path './bench/out/*' "$@" -print0; }
 echo "non-test Go lines:      $(gofiles ! -name '*_test.go' | xargs -0 cat | wc -l)"
 echo "  internal/bus:         $(gofiles ! -name '*_test.go' -path './internal/bus/*' | xargs -0 cat | wc -l)"
+echo "    internal/bus/internal/routing: $(gofiles ! -name '*_test.go' -path './internal/bus/internal/routing/*' | xargs -0 cat | wc -l)"
 echo "    internal/bus/tcp.go: $(wc -l < internal/bus/tcp.go)"
 echo "  internal/archlint:    $(gofiles ! -name '*_test.go' -path './internal/archlint/*' | xargs -0 cat | wc -l)"
 echo "test Go lines:          $(gofiles -name '*_test.go' | xargs -0 cat | wc -l)"
@@ -51,7 +52,8 @@ echo "settable options:       $(($(fields reconf.go Config) + $(fields internal/
 echo "wall-clock call sites:  $(gofiles ! -name '*_test.go' ! -path './internal/clock/*' ! -path './examples/*' ! -path './cmd/*' ! -path './bench/*' ! -path './internal/archlint/*' | xargs -0 cat | grep -E 'time\.(Now|Since|Until|After|AfterFunc|NewTimer|NewTicker|Tick|Sleep)\b' | grep -cvE '^[[:space:]]*//') (target 2: the socket deadlines)"
 
 echo "== go test -race, the concurrency-heavy packages"
-go test -race ./internal/bus/... ./internal/quiesce/... ./internal/reconfig/... ./internal/mh/... ./internal/ring/... ./internal/interp/... ./internal/replay/... ./internal/telemetry/trace/...
+go test -race ./internal/bus/... ./internal/reconfig/... ./internal/mh/... ./internal/ring/... ./internal/interp/... ./internal/replay/... ./internal/telemetry/trace/...
+go test -race -run '^(TestQuiesceIdleModule|TestQuiesceWaitsForUnitCompletion|TestQuiesceTimeout|TestManyUnitsUnderContention)$' .
 
 echo "== one processor, where a write's hand-off runs the reader it woke before the writer goes on: GOMAXPROCS=1 go test -count=1 ./internal/bus/... ./internal/mh/... ., then the four hand-off tests -race -count=50"
 GOMAXPROCS=1 go test -count=1 ./internal/bus/... ./internal/mh/... .
@@ -91,6 +93,9 @@ if [ "$passes" -ne 220 ]; then
 fi
 echo "220 of 220 runs passed"
 
+echo "== the routing model: seeded topology edits, writes and reads from one goroutine against a reference of maps and slices (racy x3)"
+go test -race -count=3 -run '^TestModelTopologyAndTraffic$' ./internal/bus/
+
 echo "== the one commit: a stale route across every topology-changing method, DeleteInstance against Rebind cq, every logging call's records in the log by its return (racy x20)"
 go test -race -count=20 -run 'TestStaleRouteAcrossEveryTopologyChange|TestDeleteInstanceVsRebindMoveQueue|TestEventLoggedByReturn' ./internal/bus/
 
@@ -107,7 +112,7 @@ go test -count=1 -run 'TestAddrTakenMatchesReference' ./internal/interp/
 
 echo "== every test that waited out time or a state with a sleep, now on the virtual clock or on what it waits for (racy x50)"
 go test -race -count=50 -run 'TestWait|TestFireDropAndDelay|TestQuiesce|TestManyUnitsUnderContention|TestTracerTimeline|TestSnapshotConcurrent|TestRunTimeoutCutsOffStuckBody|TestStartStop|TestCounterDeltas|TestVirtual|TestZeroClockIsReal|TestHealthy|TestMainCleanExitOnDelete' \
-	./internal/clock/ ./internal/quiesce/ ./internal/ring/ ./internal/faultinject/ ./internal/telemetry/... ./internal/replay/rerun/ ./mhrt/
+	./internal/clock/ . ./internal/ring/ ./internal/faultinject/ ./internal/telemetry/... ./internal/replay/rerun/ ./mhrt/
 go test -race -count=50 -run 'TestRemoteBlockingRead|TestRemoteSignalPush|TestRemoteDeletionNotice|TestRemoteConnectionLoss|TestServerClose|TestDeleteInstanceWakesReaders|TestDivulgeInstallMoveState|TestAwaitStateStopped|TestConcurrentRebindVsSend|TestRebindUnderTraffic|TestStaleRouteAcrossEveryTopologyChange' ./internal/bus/
 go test -race -count=50 -run 'TestMoveDuringRecursion$|TestReadOnDeletedInstanceTerminates|TestUnreconfiguredRunMatches|TestSleep|TestStopSignalTerminates|TestSignalSetsFlagOnlyAfterInit' ./internal/mh/
 go test -race -count=50 -run 'TestMutualRecursionMigration|TestMigrationSweep|TestMultiFileMigration|TestDeadPointerLocalOmitted|TestHoistedArgumentsMigration|TestMultiHopCallChain|TestTransformedBehaviorUnchanged|TestMultiplePointsShareStructure|TestRichControlFlowMigration|TestMoveDuringRecursionTransformed' ./internal/transform/
