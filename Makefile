@@ -3,14 +3,12 @@
 test:
 	go build ./... && go test ./...
 
-# Architectural invariants: the self-hosting archlint run (AL001-AL014,
-# no AL005, AL008: locking discipline — nothing blocks under Bus.mu, edit
-# callbacks and *Locked methods included, and only edit and writeSlow take
-# it —, snapshot protocol, hot-path allocations, spawn sites, layering, the
-# bus ring's publish-last protocol, and one table-driven method-confinement
-# pass serving AL002 trace minting, AL012 record appends, AL013's "only the
-# commit fences, drains and restores a queue" and AL014
-# observability-ring writes).
+# Architectural invariants: the self-hosting archlint run (AL001, AL003,
+# AL004, AL007, AL009, AL010, AL013: locking discipline — nothing blocks
+# under Bus.mu, edit callbacks and *Locked methods included, and only edit
+# and writeSlow take it —, hot-path allocations, spawn sites, layering and
+# the bus ring's publish-last protocol). Who may mint traces, append to the
+# logs, fence queues or commit a routing table is the compiler's to check.
 .PHONY: lint
 lint:
 	go run ./cmd/archlint ./...

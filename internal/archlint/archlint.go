@@ -2,9 +2,11 @@
 // bus/reconfig substrate. Where internal/analyze checks a *module
 // program's* reconfiguration safety (the paper's programmer obligations),
 // archlint checks the *runtime's own source* for the structural invariants
-// its safe-replacement argument rests on: causal bookkeeping confined to
-// the transport layer, the message hot path wait-free and allocation-free,
-// and the routing/queueing/transport layering acyclic.
+// its safe-replacement argument rests on and the compiler cannot: the
+// message hot path wait-free and allocation-free, the ring's publish-last
+// protocol, and the routing/queueing/transport layering acyclic. Who may
+// mint a trace, fence a queue, commit a routing table or append to a log is
+// the compiler's to check: only the holder of the value can.
 //
 // The analyzer parses and type-checks the whole module with go/parser and
 // go/types (stdlib only — go.mod stays dependency-free) and reports every
@@ -30,9 +32,6 @@ const (
 	// CodeTypeError: a package fails to parse or type-check; deep passes
 	// are skipped for it.
 	CodeTypeError = "AL001"
-	// CodeTraceMint: trace minting (Tracer.MintTrace/ChildSpan/StampBatch)
-	// outside internal/bus and internal/telemetry/trace.
-	CodeTraceMint = "AL002"
 	// CodeMuConfine: the Bus.mu control-plane lock referenced outside
 	// bus.go.
 	CodeMuConfine = "AL003"
@@ -51,23 +50,10 @@ const (
 	// CodeImportLayer: a package imports a package of a higher
 	// architectural layer (e.g. telemetry importing bus).
 	CodeImportLayer = "AL010"
-	// CodeRecordAppend: a record-log append (replay.QueueLog.Append)
-	// outside the queue's consumer-drain hook (Queue.record in the queue
-	// package's queue.go) — recorded QSeq is the true delivery order only
-	// because appends happen at consumption, where ring slot-claim order is
-	// delivery order.
-	CodeRecordAppend = "AL012"
 	// CodeRingProtocol: a violation of the lock-free ring's atomic
 	// protocol — slot publication flags written after the publish or
-	// CAS'd, the fence word raised outside Queue.Detach, a queue fenced,
-	// drained or restored outside the routing package's commit, or that
-	// commit run outside the bus's.
+	// CAS'd, or the fence word raised outside Detach.
 	CodeRingProtocol = "AL013"
-	// CodeObsRing: an observability-ring write outside its designated
-	// feeder — an event-log append (evlog.Log.Append) from anywhere but
-	// (*Bus).emit, the reconfig supervisor or the top-level transaction
-	// wrapper.
-	CodeObsRing = "AL014"
 )
 
 // Config parameterizes a run.
@@ -146,7 +132,6 @@ func Run(cfg Config) (*diag.Report, error) {
 		ann:    collectAnnotations(m),
 	}
 	a.typeErrorPass()
-	a.confinePass()
 	a.ringPass()
 	a.mutexPass()
 	a.hotpathPass()

@@ -40,11 +40,6 @@ type module struct {
 	byPath map[string]*pkg
 }
 
-// fileBase returns the base name of the file containing pos.
-func (m *module) fileBase(pos token.Pos) string {
-	return filepath.Base(m.fset.Position(pos).Filename)
-}
-
 // stdImporter resolves non-module imports from the installed toolchain's
 // export data. Shared across loads so repeated Run calls (tests, fixtures)
 // reuse the stdlib cache.

@@ -15,8 +15,9 @@ import (
 //     swapped — because exactly one producer owns a claimed slot. A field
 //     write positioned after the state Store would let the consumer read a
 //     torn message.
-//  2. Fence discipline. Only Queue.Detach advances the fence word; who may
-//     call Detach is a row of the confinement table (confine_pass.go).
+//  2. Fence discipline. Only Detach advances the fence word. Detach is a
+//     method of the queue's fence half, which only the routing package's
+//     commit holds, so who may call it is the compiler's to check.
 //
 // The ring's slots, segments and fence word are unexported in the queue
 // package, so no bus file can reach them: the scan covers the queue
@@ -83,7 +84,7 @@ func (a *analysis) ringProtocolCheck(p *pkg, fd *ast.FuncDecl) {
 		case owner.Obj().Name() == "Queue" && inner.Sel.Name == "fence":
 			if !inDetach && sel.Sel.Name != "Load" {
 				a.diag(CodeRingProtocol, call.Pos(),
-					"queue fence mutated (%s) outside Queue.Detach: only Detach advances the fence word", sel.Sel.Name)
+					"queue fence mutated (%s) outside Detach: only Detach advances the fence word", sel.Sel.Name)
 			}
 		}
 		return true

@@ -45,7 +45,7 @@ func (q *Queue) pushRouted(m []byte, version uint64) bool {
 	return true
 }
 
-// Detach raises the fence; only the bus's commit may call it.
+// Detach raises the fence; only the routing commit holds it.
 func (q *Queue) Detach(version uint64) {
 	for {
 		cur := q.fence.Load()

@@ -85,7 +85,7 @@ func newAttachment(b *Bus, in *instance) *Attachment {
 	for i, is := range in.spec.Interfaces {
 		a.ifaces[i].ep = Endpoint{Instance: in.spec.Name, Interface: is.Name}
 		a.ifaces[i].ifc = in.ifaces[is.Name]
-		if q := a.ifaces[i].ifc.Queue; q != nil {
+		if q := a.ifaces[i].ifc.Queue(); q != nil {
 			a.recv = append(a.recv, q)
 		}
 	}
@@ -219,7 +219,7 @@ func (a *Attachment) Read(ifaceName string) (m Message, err error) {
 	if err != nil {
 		return m, err
 	}
-	if err = ifc.Queue.Pop(&m, a.gone); err != nil { // m is untouched
+	if err = ifc.Queue().Pop(&m, a.gone); err != nil { // m is untouched
 		if errors.Is(err, queue.ErrClosed) {
 			err = ErrStopped
 		}
@@ -237,7 +237,7 @@ func (a *Attachment) TryRead(ifaceName string) (m Message, ok bool, err error) {
 	if err != nil {
 		return m, false, err
 	}
-	if ok, err = ifc.Queue.TryPop(&m); err != nil { // m is untouched
+	if ok, err = ifc.Queue().TryPop(&m); err != nil { // m is untouched
 		if errors.Is(err, queue.ErrClosed) {
 			err = ErrStopped
 		}
@@ -253,7 +253,7 @@ func (a *Attachment) Pending(ifaceName string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return ifc.Queue.Len(), nil
+	return ifc.Queue().Len(), nil
 }
 
 // recvIface resolves a receiving interface of this instance: one with a
@@ -263,7 +263,7 @@ func (a *Attachment) recvIface(ifaceName string) (*routing.Iface, error) {
 	if row == nil {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoInterface, a.inst.spec.Name, ifaceName)
 	}
-	if row.ifc.Queue == nil {
+	if row.ifc.Queue() == nil {
 		return nil, fmt.Errorf("%w: read on %s.%s (%s)", ErrDirection, a.inst.spec.Name, ifaceName, row.ifc.Spec.Dir)
 	}
 	return row.ifc, nil

@@ -20,11 +20,12 @@
 // and finishes in writeSlow against the successor, which is what makes a
 // replacement lose and duplicate nothing.
 //
-// The bus owns the event log (Events): the commit appends its records under
-// the writer lock, so they are in commit order, and every other bus call
-// that logs (a signal, a state hand-off, a restore acknowledgement) appends
-// before the call returns and before its counterpart can see its effect.
-// The log an operator reads is thus the ordered trace of what the bus did.
+// The bus writes the event log (Events): the commit appends its records
+// under the writer lock, so they are in commit order, and every other bus
+// call that logs (a signal, a state hand-off, a restore acknowledgement)
+// appends before the call returns and before its counterpart can see its
+// effect. The log an operator reads is thus the ordered trace of what the
+// bus did; Events hands out a view that cannot append.
 //
 // The bus never interprets payloads: messages are opaque byte strings
 // produced by a codec.Codec, which is what makes the system heterogeneous in
@@ -217,14 +218,16 @@ func (in *instance) restoreBoxRef() chan error {
 // current routing snapshot atomically and touches only per-queue locks.
 type Bus struct {
 	mu      sync.Mutex
-	routing routing.Published
+	routing *routing.Published
+	commit  routing.Committer // the one publish into routing: editLocked's
 
 	stats    busStats
 	clk      clock.Clock
 	faults   atomic.Pointer[faultinject.Set]
 	telem    *telemetry.Registry
-	tracer   *trace.Tracer
+	stamp    stamper
 	recorder *replay.Log
+	appender replay.Writer // the log's append half: each receiving queue gets its endpoint's handle
 	events   *evlog.Log
 }
 
@@ -269,24 +272,32 @@ func WithTelemetry(reg *telemetry.Registry) BusOption {
 	return func(b *Bus) { b.telem = reg }
 }
 
-// WithMsgTracer sets the bus's message tracer. The default (an unsampled
-// tracer) stamps causal contexts; a sampling tracer marks every n-th trace
-// sampled, and a delivery log built with spans (WithRecorder) writes the
-// sampled deliveries as spans. Passing nil disables stamping entirely —
-// messages carry the zero TraceContext — which is the baseline arm of the
-// trace-overhead benchmark.
-func WithMsgTracer(tr *trace.Tracer) BusOption {
-	return func(b *Bus) { b.tracer = tr }
+// WithRecorder builds the bus's delivery log and sets the trace sampling
+// rate. Every sampleEvery-th trace the bus mints is sampled (1 = all, 0 =
+// none; contexts are stamped and propagated either way). The log, built
+// when either argument is positive, retains the capacity most recent
+// deliveries (default 4096 when capacity <= 0): while recording is enabled
+// (Recorder().Enable) every delivery, and with sampling on every sampled
+// one, as a span — under the destination queue's lock, so the recorded
+// per-queue sequence is the queue's total delivery order. Without a log
+// every append handle is a no-op; an unsampled delivery to a log that is
+// not recording costs one atomic load and a flag test and allocates
+// nothing.
+func WithRecorder(capacity, sampleEvery int) BusOption {
+	return func(b *Bus) {
+		b.stamp.sampleEvery = uint64(max(sampleEvery, 0))
+		if capacity > 0 || sampleEvery > 0 {
+			b.recorder, b.appender = replay.NewLog(capacity, sampleEvery > 0)
+		}
+	}
 }
 
-// WithRecorder sets the bus's delivery log: while recording is enabled,
-// every delivered message is appended, and with spans every sampled one —
-// under the destination queue's lock, so the recorded per-queue sequence is
-// the queue's total delivery order. The default (nil) resolves every append
-// handle to a no-op; an unsampled delivery to a log that is not recording
-// costs one atomic load and a flag test and allocates nothing.
-func WithRecorder(l *replay.Log) BusOption {
-	return func(b *Bus) { b.recorder = l }
+// WithEvents sets the event log the bus writes; the builder may hand it to
+// the other writers of one ordered trace (the application hands it to its
+// supervisors and transactions). The default is a log of its own, holding
+// the newest 1 024 records.
+func WithEvents(l *evlog.Log) BusOption {
+	return func(b *Bus) { b.events = l }
 }
 
 // WithClock sets the clock every wait and timestamp of the bus reads: its
@@ -299,18 +310,20 @@ func WithClock(c clock.Clock) BusOption {
 // New creates an empty bus. Failpoints default to the process-wide set
 // configured by the FAULTPOINTS environment variable (usually empty).
 // Telemetry is on by default with a fresh registry; override with
-// WithTelemetry. The event log retains the newest 1 024 records.
+// WithTelemetry.
 func New(opts ...BusOption) *Bus {
 	b := &Bus{
-		telem:  telemetry.NewRegistry(),
-		tracer: trace.NewTracer(0),
-		stats:  busStats{delivered: map[*telemetry.Counter]bool{}},
+		telem: telemetry.NewRegistry(),
+		stats: busStats{delivered: map[*telemetry.Counter]bool{}},
 	}
 	b.faults.Store(faultinject.Default())
+	b.routing, b.commit = routing.New()
 	for _, opt := range opts {
 		opt(b)
 	}
-	b.events = evlog.NewLog(0, b.clk)
+	if b.events == nil {
+		b.events = evlog.NewLog(0, b.clk)
+	}
 	_ = b.edit(func(*routing.Draft) error { return nil }) // publishes the empty table, version 1
 	return b
 }
@@ -378,7 +391,7 @@ func (s *busStats) deliveries() (n int64) {
 // else, so an error from it leaves the previous snapshot current, every
 // queue as it was and no event emitted. What validated is then committed in
 // one order nothing in it can fail: fence, move and publish
-// (routing.Published.Commit; a refused writer waits in writeSlow for this
+// (routing.Committer.Commit; a refused writer waits in writeSlow for this
 // lock), close the deleted instances, waking their blocked readers, and
 // append the staged events to the log. Callers hold b.mu.
 func (b *Bus) editLocked(fn func(d *routing.Draft) error) error {
@@ -386,15 +399,15 @@ func (b *Bus) editLocked(fn func(d *routing.Draft) error) error {
 	if err := fn(d); err != nil {
 		return err
 	}
-	deleted, events, moved := b.routing.Commit(d)
+	deleted, events, moved := b.commit.Commit(d)
 	b.stats.moves.Add(int64(moved))
 	for _, r := range deleted {
 		in := r.(*instance)
 		in.setPhase(PhaseDeleted)
 		close(in.done)
 		for _, ifc := range in.ifaces {
-			if ifc.Queue != nil {
-				ifc.Queue.Close()
+			if q := ifc.Queue(); q != nil {
+				q.Close()
 			}
 		}
 		in.stateBoxRef().close()
@@ -471,12 +484,12 @@ func (b *Bus) AddInstance(spec InstanceSpec) error {
 				b.stats.mu.Unlock()
 				// The log's handle is interned per endpoint, so a clone
 				// reusing a name (rollback resurrect) continues the same
-				// recorded delivery sequence. Nil log → nil handle → no-op
-				// appends.
-				q := queue.New(b.recorder.Queue(ifc.Name), b.clk,
+				// recorded delivery sequence. No log → zero Writer → nil
+				// handle → no-op appends. The queue is built in the routing
+				// entry, which keeps its fence half.
+				q := ifc.Receive(b.appender.Queue(ifc.Name), b.clk,
 					b.telem.Histogram(metric("delivery_latency_ns", telemetry.FamilyDeliveryLatency)),
 					delivered)
-				ifc.Queue = q
 				name, labels := metric("queue_depth", telemetry.FamilyQueueDepth)
 				b.telem.GaugeFunc(name, labels, func() int64 {
 					return int64(q.Len())
@@ -774,9 +787,9 @@ func (b *Bus) Info(name string) (InstanceInfo, error) {
 	for _, n := range in.IfaceNames() {
 		ifc := in.ifaces[n]
 		info.Interfaces = append(info.Interfaces, ifc.Spec)
-		if ifc.Queue != nil {
-			info.Pending[n] = ifc.Queue.Len()
-			info.Parked[n] = ifc.Queue.Parked()
+		if q := ifc.Queue(); q != nil {
+			info.Pending[n] = q.Len()
+			info.Parked[n] = q.Parked()
 		}
 	}
 	return info, nil
@@ -804,11 +817,11 @@ func (b *Bus) QueuedMessages(name string) ([]QueuedMessage, error) {
 	now := b.clk.Nanos() // the clock SentNs was read off
 	var out []QueuedMessage
 	for _, n := range in.IfaceNames() {
-		ifc := in.ifaces[n]
-		if ifc.Queue == nil {
+		q := in.ifaces[n].Queue()
+		if q == nil {
 			continue
 		}
-		for _, m := range ifc.Queue.Snapshot() {
+		for _, m := range q.Snapshot() {
 			qm := QueuedMessage{Endpoint: Endpoint{Instance: name, Interface: n}, Trace: m.Trace, AgeNs: -1}
 			if m.Trace.SentNs != 0 {
 				qm.AgeNs = now - m.Trace.SentNs
@@ -887,6 +900,46 @@ func (b *Bus) resolveRoute(rt *routing.Table, memo *atomic.Pointer[route], from 
 	return r, nil
 }
 
+// stamper mints and extends the trace contexts the bus stamps on sends.
+// It is a field of the Bus and nothing hands it out, so no other package
+// can mint a trace: module code carries contexts, it never makes them.
+type stamper struct {
+	nextTrace, nextSpan atomic.Uint64
+	// sampleEvery is the head-sampling rate: every sampleEvery-th minted
+	// trace is sampled (1 = all, 0 = none). Set at construction.
+	sampleEvery uint64
+}
+
+// batch stamps a batch of n sends with one span-counter reservation: a
+// single atomic add claims n consecutive span ids, so the per-message cost
+// of a batched send is plain arithmetic. It returns the context of the
+// batch's first message; message i carries the same context with
+// SpanID+uint64(i). Span ids stay unique and mint order still agrees with
+// emission order, which is what replay's OutputsOf sorts by.
+//
+// With a valid parent every message is a sibling child span of that parent
+// (one receive→send hop fanning out n sends). Without a parent the batch
+// opens one causal chain — one trace id, n root sibling spans — so the
+// burst is sampled (or not) as a unit.
+//
+//archlint:hotpath
+func (s *stamper) batch(parent TraceContext, n int) TraceContext {
+	last := s.nextSpan.Add(uint64(n))
+	c := TraceContext{SpanID: last - uint64(n) + 1}
+	if parent.Valid() {
+		c.TraceID = parent.TraceID
+		c.Parent = parent.SpanID
+		c.Hops = parent.Hops + 1
+		c.Flags = parent.Flags
+	} else {
+		c.TraceID = s.nextTrace.Add(1)
+		if s.sampleEvery != 0 && c.TraceID%s.sampleEvery == 0 {
+			c.Flags = trace.FlagSampled
+		}
+	}
+	return c
+}
+
 // writeRouted delivers a batch of messages (a Write is a batch of one)
 // along r, in order. parent is the causal parent: the runtime passes the
 // context of the message it is responding to, and the bus stamps each
@@ -915,11 +968,9 @@ func (b *Bus) writeRouted(r *route, batch [][]byte, parent TraceContext) (rest [
 	}
 	var msg Message // filled in place: the queues copy it from this address
 	msg.From = r.from
-	if b.tracer != nil {
-		msg.Trace = b.tracer.StampBatch(parent, len(batch))
-		if msg.Trace.Sampled() {
-			msg.Trace.SentNs = b.clk.Nanos()
-		}
+	msg.Trace = b.stamp.batch(parent, len(batch))
+	if msg.Trace.Sampled() {
+		msg.Trace.SentNs = b.clk.Nanos()
 	}
 	var delivered int64
 	for i, data := range batch {

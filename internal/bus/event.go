@@ -18,14 +18,15 @@ const (
 	kindConnClosed = "conn-closed"
 )
 
-// Events returns the bus's event log: every topology change, signal, state
-// hand-off and restore acknowledgement, appended by the call that made it.
-// The owner appends its own records (the supervisor's, a transaction's
-// outcome) to the same log, so one cursor reads one ordered trace.
-func (b *Bus) Events() *evlog.Log { return b.events }
+// Events returns a read-only view of the bus's event log: every topology
+// change, signal, state hand-off and restore acknowledgement, appended by
+// the call that made it. The log's builder hands the log itself to its other
+// writers (the supervisor's records, a transaction's outcome; WithEvents),
+// so one cursor reads one ordered trace.
+func (b *Bus) Events() evlog.View { return b.events.View() }
 
 // emit appends one record to the event log before the call that caused it
-// returns — the bus's only write to the log (archlint AL014). Topology
+// returns — the bus's only write to the log. Topology
 // changes emit from the commit, under b.mu, so their records are in commit
 // order; a hand-off (signal, divulge, install-state, restore-ack) emits
 // before its counterpart can observe it.

@@ -20,7 +20,7 @@ type ev struct{ kind, instance, detail string }
 
 // busRecords returns what the log holds after cursor, checking that every
 // record is the bus's, stamped, and numbered consecutively from cursor+1.
-func busRecords(t *testing.T, log *evlog.Log, cursor uint64) []ev {
+func busRecords(t *testing.T, log evlog.View, cursor uint64) []ev {
 	t.Helper()
 	var out []ev
 	for i, r := range log.Since(cursor) {

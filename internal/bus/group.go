@@ -25,7 +25,9 @@ func (b *Bus) AddGroup(name, policy string, ifaces []IfaceSpec) error {
 }
 
 // AddGroupMember admits an existing instance into a group. The instance
-// must declare every group interface with the same direction. The join is
+// must declare every group interface with the same direction and be in no
+// other group: a member inherits its group's bindings, so a second group
+// would leave its writes two routes to choose from. The join is
 // one copy-on-write snapshot publish: senders racing it keep delivering to
 // the old member set until the successor is visible.
 func (b *Bus) AddGroupMember(group, member string) error {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -124,6 +125,53 @@ func TestGroupMemberReplyRouting(t *testing.T) {
 	}
 	if msg.From != (Endpoint{Instance: members[0], Interface: "out"}) {
 		t.Errorf("From = %v", msg.From)
+	}
+}
+
+// TestMemberJoinsOneGroup: an instance already in one group is refused a
+// second, with an error naming both, and its writes keep following the
+// first group's bindings. Admitted to both, it inherited whichever group's
+// bindings the build's map iteration visited last.
+func TestMemberJoinsOneGroup(t *testing.T) {
+	b := New()
+	shape := []IfaceSpec{{Name: "in", Dir: In}, {Name: "out", Dir: Out}}
+	in := []IfaceSpec{{Name: "in", Dir: In}}
+	for _, g := range []string{"g1", "g2"} {
+		if err := b.AddGroup(g, PolicyRoundRobin, shape); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, spec := range []InstanceSpec{{Name: "m", Interfaces: shape}, {Name: "c1", Interfaces: in}, {Name: "c2", Interfaces: in}} {
+		if err := b.AddInstance(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, bd := range [][2]Endpoint{
+		{{Instance: "g1", Interface: "out"}, {Instance: "c1", Interface: "in"}},
+		{{Instance: "g2", Interface: "out"}, {Instance: "c2", Interface: "in"}},
+	} {
+		if err := b.AddBinding(bd[0], bd[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.AddGroupMember("g1", "m"); err != nil {
+		t.Fatal(err)
+	}
+	err := b.AddGroupMember("g2", "m")
+	if err == nil || !strings.Contains(err.Error(), "g1") || !strings.Contains(err.Error(), "g2") {
+		t.Fatalf("second join = %v, want a refusal naming g1 and g2", err)
+	}
+	if groups := b.Routing().Groups(); len(groups[1].Members) != 0 {
+		t.Errorf("g2 members after the refused join = %v", groups[1].Members)
+	}
+	m := attach(t, b, "m")
+	if err := m.Write("out", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	for c, want := range map[string]int{"c1": 1, "c2": 0} {
+		if info, err := b.Info(c); err != nil || info.Pending["in"] != want {
+			t.Errorf("%s holds %d messages (%v), want %d", c, info.Pending["in"], err, want)
+		}
 	}
 }
 

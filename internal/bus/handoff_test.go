@@ -77,7 +77,7 @@ func startReader(t *testing.T, a *Attachment, n int) *reader {
 // awaitParked yields until the reader is blocked in Read with nothing to
 // take, and has taken want messages.
 func (r *reader) awaitParked(want int64) {
-	q := r.a.iface("in").ifc.Queue
+	q := r.a.iface("in").ifc.Queue()
 	for r.taken.Load() < want || !q.Parked() {
 		runtime.Gosched()
 	}

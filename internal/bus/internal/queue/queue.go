@@ -2,7 +2,9 @@
 // receiving interface. POLYLITH buffers messages at the bus; modules poll
 // with mh_query_ifmsgs and read with mh_read, so a Queue exposes both a
 // non-blocking length and a blocking pop. The "cq" and "rmq" commands of
-// Figure 5 are the commit's Detach, Drain, PushAll and Restore.
+// Figure 5 are the commit's Detach, Drain, PushAll and Restore: the queue's
+// fence half (Fence), which New hands to whoever builds the queue — the
+// routing package, whose commit alone uses it.
 //
 // Only internal/bus imports this package, and the package imports nothing
 // of the bus: the ring's slots, its fence word and its locks are unexported
@@ -130,11 +132,11 @@ type chunk struct {
 //     delivered twice across a detach-and-drain.
 //   - Replay recording happens at the consumer: slot claim order is
 //     delivery order, so appending at pop keeps the recorded per-queue
-//     sequence the queue's true total order (archlint AL012 pins the append
-//     to the record hook below).
+//     sequence the queue's true total order. The queue alone holds its
+//     endpoint's append handle, and record below is its one use.
 //   - Move, discard and redistribute are detach-and-drain over the
-//     segments under the consumer lock, all from the bus's one commit
-//     ((*Bus).editLocked, archlint AL013).
+//     segments under the consumer lock, through the Fence, which only the
+//     routing package's commit holds.
 type Queue struct {
 	// prod is the segment producers currently claim slots in. Replaced on
 	// the grow path (under growMu) only; readers reach later segments
@@ -145,7 +147,7 @@ type Queue struct {
 	// fence. A topology change that invalidates this queue's routes raises
 	// it (Detach) before publishing the successor snapshot; refused writers
 	// retry through the bus's slow path against the new topology. Only
-	// Detach may advance it (archlint AL013).
+	// Detach may advance it (archlint AL013), and only the Fence has Detach.
 	fence atomic.Uint64
 
 	closed atomic.Bool
@@ -179,8 +181,8 @@ type Queue struct {
 	// (nil when the bus runs without a log — a no-op, like the telemetry
 	// counters). Appends happen at consumption, in slot-claim order, which
 	// is what makes the recorded per-queue sequence the queue's true total
-	// delivery order. This is the only layer allowed to append records
-	// (archlint AL012).
+	// delivery order. The bus resolves the handle from its log's append half
+	// and passes it here; nothing else holds it.
 	rec *replay.QueueLog
 	// clk is the bus's clock: a span's end is read off the clock its send
 	// stamp was.
@@ -198,15 +200,21 @@ type Queue struct {
 // New returns an empty queue whose consumed deliveries go to rec (nil: not
 // recorded) and whose delivery latencies go to latency (nil: not
 // observed), with span ends read off clk. Each routed push it accepts adds
-// one to delivered (nil: not counted).
-func New(rec *replay.QueueLog, clk clock.Clock, latency *telemetry.Histogram, delivered *telemetry.Counter) *Queue {
+// one to delivered (nil: not counted). It returns the queue's fence half
+// too, which nothing else hands out.
+func New(rec *replay.QueueLog, clk clock.Clock, latency *telemetry.Histogram, delivered *telemetry.Counter) (*Queue, Fence) {
 	q := &Queue{rec: rec, clk: clk, latency: latency, delivered: delivered}
 	c := &chunk{}
 	q.prod.Store(c)
 	q.cons = c
 	q.cond = sync.NewCond(&q.mu)
-	return q
+	return q, Fence{q}
 }
+
+// Fence is a queue's fence half: what a topology change does to a queue —
+// fence it, take what it holds, land a transfer, put messages back. New
+// hands it to the queue's builder only.
+type Fence struct{ q *Queue }
 
 // claim CAS-claims the next slot. Lock-free: the only loop is tail
 // contention, and the full-segment case defers to the cold grow path.
@@ -295,7 +303,8 @@ func (q *Queue) PushRouted(m *Message, from *string, version uint64) (woke bool,
 // later fence never lowers an earlier one. A drain that follows the detach
 // observes every pre-fence delivery (see the type comment for the claim
 // ordering argument).
-func (q *Queue) Detach(version uint64) {
+func (f Fence) Detach(version uint64) {
+	q := f.q
 	for {
 		cur := q.fence.Load()
 		if version <= cur || q.fence.CompareAndSwap(cur, version) {
@@ -353,9 +362,8 @@ func (q *Queue) take() *Item {
 // record writes a consumed delivery to the delivery log, once whether it
 // is recorded, sampled or both, and observes a sampled one's latency. The
 // single consumer-side record hook: slot-claim order is delivery order, so
-// appending here keeps recorded QSeq the queue's true total order
-// (archlint AL012 pins QueueLog.Append to this function). A delivery the
-// log does not write reads no clock.
+// appending here keeps recorded QSeq the queue's true total order. A
+// delivery the log does not write reads no clock.
 //
 //archlint:hotpath
 func (q *Queue) record(it *Item) {
@@ -458,7 +466,8 @@ func (q *Queue) Len() int {
 // half of a queue transfer. Claimed-but-unresolved slots are settled by
 // yielding to their producers. The commit fences the queue first, so a
 // routed claim after the cut is abandoned and the write re-routes.
-func (q *Queue) Drain() []Item {
+func (f Fence) Drain() []Item {
+	q := f.q
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	end := q.claimed()
@@ -516,7 +525,8 @@ func (q *Queue) Snapshot() []Message {
 // as the epoch of any re-consumed delivery. The commit fences the queue
 // first and runs under the control-plane lock, so the discard loop cannot
 // chase live producers. Restoring a closed queue is a no-op.
-func (q *Queue) Restore(items []Item, version uint64) {
+func (f Fence) Restore(items []Item, version uint64) {
+	q := f.q
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed.Load() {
@@ -542,7 +552,8 @@ func (q *Queue) Restore(items []Item, version uint64) {
 // control-plane lock, and a queue closes under that lock together with its
 // instance's removal. Messages from producers with a live route to q may
 // interleave with the batch; per-producer FIFO order still holds.
-func (q *Queue) PushAll(items []Item, version uint64) {
+func (f Fence) PushAll(items []Item, version uint64) {
+	q := f.q
 	for i := range items {
 		s := q.claim()
 		s.Item = items[i]

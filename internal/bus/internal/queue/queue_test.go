@@ -28,7 +28,7 @@ func (q *Queue) takeLocked() *Item {
 // has grown, been snapshotted and drained around it under a racing producer,
 // and been restored (twice: the second replaces the front it was taken from).
 func TestTakenItemStaysValid(t *testing.T) {
-	q := New(nil, clock.Clock{}, nil, nil)
+	q, f := New(nil, clock.Clock{}, nil, nil)
 	for i := 0; i < 3; i++ {
 		if _, err := q.PushRouted(testMsg(i), nil, 1); err != nil {
 			t.Fatal(err)
@@ -76,18 +76,18 @@ func TestTakenItemStaysValid(t *testing.T) {
 		t.Fatalf("snapshot starts at %q with %d messages, want m1 and >= %d", snap[0].Data, len(snap), 2+2*chunkCap)
 	}
 	check("snapshot")
-	if drained := q.Drain(); len(drained) < 2+2*chunkCap || string(drained[0].Msg.Data) != "m1" {
+	if drained := f.Drain(); len(drained) < 2+2*chunkCap || string(drained[0].Msg.Data) != "m1" {
 		t.Fatalf("drain returned %d messages starting at %q", len(drained), drained[0].Msg.Data)
 	}
 	check("drain")
 	close(stop) // restore's callers fence producers out first
 	wg.Wait()
 
-	q.Restore([]Item{{Msg: *testMsg(-1)}, {Msg: *testMsg(-2)}}, 3)
+	f.Restore([]Item{{Msg: *testMsg(-1)}, {Msg: *testMsg(-2)}}, 3)
 	check("restore")
 	front := q.takeLocked()
 	held[front] = "m-1"
-	q.Restore([]Item{{Msg: *testMsg(-3)}}, 4) // replaces the front the item was taken from
+	f.Restore([]Item{{Msg: *testMsg(-3)}}, 4) // replaces the front the item was taken from
 	check("restore over a taken front item")
 
 	var m Message
@@ -95,7 +95,7 @@ func TestTakenItemStaysValid(t *testing.T) {
 		t.Fatalf("restored queue yields %q, %v; want m-3", m.Data, err)
 	}
 	m = Message{} // the reader's copy is its own
-	q.Drain()
+	f.Drain()
 	check("pop and drain of a restored queue")
 }
 

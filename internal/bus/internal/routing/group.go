@@ -68,7 +68,7 @@ func (gr *groupRoute) first() int {
 	}
 	start, bestLen := 0, -1
 	for i, m := range gr.members {
-		if l := m.Queue.Len(); bestLen == -1 || l < bestLen {
+		if l := m.q.Len(); bestLen == -1 || l < bestLen {
 			start, bestLen = i, l
 		}
 	}
@@ -89,7 +89,7 @@ func deliverGroup(gr *groupRoute, msg *queue.Message, src *Iface, version uint64
 	start := gr.first()
 	for k := 0; k < n; k++ {
 		m := gr.members[(start+k)%n]
-		switch woke, err := m.Queue.PushRouted(msg, &src.Name, version); err {
+		switch woke, err := m.q.PushRouted(msg, &src.Name, version); err {
 		case nil:
 			return woke, nil
 		case queue.ErrStaleRoute:
@@ -115,7 +115,7 @@ type Target struct {
 //archlint:hotpath
 func (t Target) Push(msg *queue.Message, src *Iface, version uint64) (woke bool, err error) {
 	if t.ifc != nil {
-		return t.ifc.Queue.PushRouted(msg, &src.Name, version)
+		return t.ifc.q.PushRouted(msg, &src.Name, version)
 	}
 	return deliverGroup(t.group, msg, src, version)
 }
@@ -152,7 +152,8 @@ func (d *Draft) AddGroup(name, policy string, ifaces []IfaceSpec) error {
 	return nil
 }
 
-// AddGroupMember admits an instance declaring the group's interfaces.
+// AddGroupMember admits an instance declaring the group's interfaces and
+// in no other group: a member's writes follow its one group's bindings.
 func (d *Draft) AddGroupMember(group, member string) error {
 	ge, ok := d.groups[group]
 	if !ok {
@@ -171,6 +172,11 @@ func (d *Draft) AddGroupMember(group, member string) error {
 	}
 	if slices.Contains(ge.members, member) {
 		return fmt.Errorf("bus: group %s already has member %s", group, member)
+	}
+	for other, oe := range d.groups {
+		if slices.Contains(oe.members, member) {
+			return fmt.Errorf("bus: %s is a member of group %s, cannot join group %s", member, other, group)
+		}
 	}
 	d.groups[group] = ge.with(member)
 	d.event(KindJoinGroup, member, "group "+group)
@@ -191,7 +197,7 @@ func (d *Draft) RemoveGroupMember(group, member string) error {
 	d.event(KindLeaveGroup, member, "group "+group)
 	in := d.instances[member] // members always exist in their table
 	for _, n := range in.IfaceNames() {
-		if ifc := in.Ifaces()[n]; ifc.Queue != nil {
+		if ifc := in.Ifaces()[n]; ifc.q != nil {
 			d.stageMove(&queueMove{from: ifc, to: d.receivers(ge, n), keep: true},
 				KindMoveQueue, ifc.Name+" -> group "+group)
 		}

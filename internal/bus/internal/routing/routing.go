@@ -7,8 +7,11 @@
 // change drafts a copy of the table, stages its edits there and commits it
 // under the bus's writer lock, and one that fails has published nothing.
 // The compiler keeps the discipline: a table's fields are unexported, only
-// build makes a table and only Published.Commit publishes one. The package
-// never sees the bus's instance runtime, only an Instance's interfaces.
+// build makes a table, and only the Committer New hands the bus publishes
+// one. A receiving interface's queue is built here (Iface.Receive), so the
+// queue's fence half stays in the entry, where only the commit reaches it.
+// The package never sees the bus's instance runtime, only an Instance's
+// interfaces.
 package routing
 
 import (
@@ -20,6 +23,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bus/internal/queue"
+	"repro/internal/clock"
+	"repro/internal/replay"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/evlog"
 )
@@ -91,10 +96,23 @@ const (
 // shared by every table after. Sent is nil (no-op) when the bus runs with
 // telemetry disabled, so the write path never branches.
 type Iface struct {
-	Spec  IfaceSpec
-	Name  string       // "instance.interface"
-	Queue *queue.Queue // incoming messages, nil for pure-Out interfaces
-	Sent  *telemetry.Counter
+	Spec IfaceSpec
+	Name string // "instance.interface"
+	Sent *telemetry.Counter
+
+	q     *queue.Queue // incoming messages, nil for pure-Out interfaces
+	fence queue.Fence  // q's fence half: the commit's alone
+}
+
+// Queue returns the interface's queue of incoming messages, nil for a
+// pure-Out interface.
+func (ifc *Iface) Queue() *queue.Queue { return ifc.q }
+
+// Receive builds the interface's queue (queue.New documents the arguments)
+// and returns it; its fence half stays here.
+func (ifc *Iface) Receive(rec *replay.QueueLog, clk clock.Clock, latency *telemetry.Histogram, delivered *telemetry.Counter) *queue.Queue {
+	ifc.q, ifc.fence = queue.New(rec, clk, latency, delivered)
+	return ifc.q
 }
 
 // Instance is what a table keeps of a module instance: its interface
@@ -125,8 +143,18 @@ type RouteSet struct {
 }
 
 // Published holds the current table: Load is the data plane's one atomic
-// load, Commit the only publish. Before the first, Load returns nil.
+// load. Before the first commit, Load returns nil.
 type Published struct{ cur atomic.Pointer[Table] }
+
+// Committer is the one publish of a Published: New hands it to the table's
+// owner, and nothing else makes one.
+type Committer struct{ p *Published }
+
+// New returns an empty Published and its Committer.
+func New() (*Published, Committer) {
+	p := new(Published)
+	return p, Committer{p}
+}
 
 // Load returns the current table.
 func (p *Published) Load() *Table { return p.cur.Load() }
@@ -273,21 +301,21 @@ type queueMove struct {
 // what each fenced source holds, stamped with the successor version; publish
 // the successor. It hands back the deleted instances, the staged events and
 // how many messages went to another queue. Callers serialize commits.
-func (p *Published) Commit(d *Draft) (deleted []Instance, events []evlog.Record, moved int) {
+func (c Committer) Commit(d *Draft) (deleted []Instance, events []evlog.Record, moved int) {
 	next := d.version + 1
 	for _, ifc := range d.fenced {
-		ifc.Queue.Detach(d.version)
+		ifc.fence.Detach(d.version)
 	}
 	for _, mv := range d.moves {
-		items := mv.from.Queue.Drain()
+		items := mv.from.fence.Drain()
 		switch {
 		case len(mv.to) > 0:
 			for i := range items {
-				mv.to[i%len(mv.to)].Queue.PushAll(items[i:i+1], next)
+				mv.to[i%len(mv.to)].fence.PushAll(items[i:i+1], next)
 			}
 			moved += len(items)
 		case mv.keep:
-			mv.from.Queue.Restore(items, next)
+			mv.from.fence.Restore(items, next)
 			items = nil
 		}
 		mv.n = len(items)
@@ -295,7 +323,7 @@ func (p *Published) Commit(d *Draft) (deleted []Instance, events []evlog.Record,
 		ev.Detail += fmt.Sprintf(" (%d msgs)", mv.n)
 		ev.TraceIDs = traceIDsOf(items)
 	}
-	p.cur.Store(d.build(next))
+	c.p.cur.Store(d.build(next))
 	return d.deleted, d.events, moved
 }
 
@@ -371,7 +399,7 @@ func (d *Draft) receivers(ge *groupEntry, ifName string) []*Iface {
 	var out []*Iface
 	for _, m := range ge.members {
 		if in, ok := d.instances[m]; ok {
-			if ifc, ok := in.Ifaces()[ifName]; ok && ifc.Queue != nil {
+			if ifc, ok := in.Ifaces()[ifName]; ok && ifc.q != nil {
 				out = append(out, ifc)
 			}
 		}
@@ -385,7 +413,7 @@ func (d *Draft) receivers(ge *groupEntry, ifName string) []*Iface {
 func (d *Draft) fence(e Endpoint) {
 	if ge, ok := d.groups[e.Instance]; ok {
 		d.fenced = append(d.fenced, d.receivers(ge, e.Interface)...)
-	} else if ifc, err := d.Lookup(e); err == nil && ifc.Queue != nil {
+	} else if ifc, err := d.Lookup(e); err == nil && ifc.q != nil {
 		d.fenced = append(d.fenced, ifc)
 	}
 }
@@ -403,7 +431,7 @@ func (d *Draft) stageMove(mv *queueMove, kind, detail string) *queueMove {
 // receiving resolves an endpoint that must queue incoming messages.
 func (d *Draft) receiving(e Endpoint) (*Iface, error) {
 	ifc, err := d.Lookup(e)
-	if err == nil && ifc.Queue == nil {
+	if err == nil && ifc.q == nil {
 		return nil, fmt.Errorf("%w: %s does not receive", ErrDirection, e)
 	}
 	return ifc, err
@@ -456,7 +484,7 @@ func (d *Draft) DeleteInstance(name string) error {
 		return fmt.Errorf("%w: %s", ErrNoInstance, name)
 	}
 	for _, ifc := range in.Ifaces() {
-		if ifc.Queue != nil {
+		if ifc.q != nil {
 			d.fenced = append(d.fenced, ifc)
 		}
 	}

@@ -20,7 +20,6 @@ import (
 	"repro/internal/replay"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/timeseries"
-	"repro/internal/telemetry/trace"
 )
 
 // mallocs runs round n times and returns the heap allocations made.
@@ -73,7 +72,7 @@ func TestObservedPathAllocs(t *testing.T) {
 		return testing.AllocsPerRun(2000, observedFanIn(t, 1, payload, opts...))
 	}
 
-	// Off: a tracer that never samples and a delivery log that is not
+	// Off: stamping that never samples and a delivery log that is not
 	// recording each cost the path a flag test and no allocation. What the
 	// bare path allocates — a queue segment every 256 messages, which
 	// AllocsPerRun rounds away — is the floor the arms below are held to.
@@ -84,10 +83,7 @@ func TestObservedPathAllocs(t *testing.T) {
 	// instance), a few times in 64 000 rounds; a delivery log that took a
 	// share of one allocation per 256 deliveries would be ten times this.
 	const runtimeNoise = 0.0004
-	if off := allocs(WithMsgTracer(nil)); base != off {
-		t.Errorf("unsampled tracing allocates: %v allocs per round trip, %v with tracing off", base, off)
-	}
-	if idle := allocs(WithRecorder(replay.NewLog(4096, true))); idle != base {
+	if idle := allocs(WithRecorder(4096, 0)); idle != base {
 		t.Errorf("an attached log that is off allocates: %v allocs per round trip, %v without it", idle, base)
 	}
 
@@ -114,9 +110,11 @@ func TestObservedPathAllocs(t *testing.T) {
 	// alternation must cost nothing (a last-sender memo would rebuild it on
 	// every delivery).
 	for _, senders := range []int{1, 2} {
-		log := replay.NewLog(4096, true)
-		log.Enable()
-		round := observedFanIn(t, senders, payload, WithMsgTracer(trace.NewTracer(1)), WithRecorder(log))
+		var log *replay.Log
+		round := observedFanIn(t, senders, payload, WithRecorder(4096, 1), func(b *Bus) {
+			log = b.Recorder()
+			log.Enable()
+		})
 		if on := testing.AllocsPerRun(2000, round); on != base {
 			t.Errorf("%d senders, sampled and recording: %v allocs per round, %v with both off", senders, on, base)
 		}

@@ -9,6 +9,7 @@ package bus
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -17,9 +18,9 @@ import (
 
 func recordedBus(t *testing.T, capacity int) (*Bus, *replay.Log) {
 	t.Helper()
-	log := replay.NewLog(capacity, false)
+	b := New(WithRecorder(capacity, 0))
+	log := b.Recorder()
 	log.Enable()
-	b := New(WithRecorder(log))
 	for _, spec := range []InstanceSpec{
 		{Name: "src", Module: "srcmod", Interfaces: []IfaceSpec{{Name: "out", Dir: Out}}},
 		{Name: "dst", Module: "dstmod", Interfaces: []IfaceSpec{{Name: "in", Dir: In}}},
@@ -32,6 +33,45 @@ func recordedBus(t *testing.T, capacity int) (*Bus, *replay.Log) {
 		t.Fatal(err)
 	}
 	return b, log
+}
+
+// TestRecordSequenceSurvivesReregistration: an instance deleted and added
+// again under its name (a rollback's resurrected clone) continues its
+// endpoint's recorded delivery sequence instead of restarting it, because
+// the bus hands the new queue the handle the log interned for the name.
+func TestRecordSequenceSurvivesReregistration(t *testing.T) {
+	b, log := recordedBus(t, 64)
+	src := attach(t, b, "src")
+	deliver := func(payloads ...string) {
+		t.Helper()
+		dst := attach(t, b, "dst")
+		for _, p := range payloads {
+			if err := src.Write("out", []byte(p)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := dst.Read("in"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	deliver("a", "b")
+	if err := b.DeleteInstance("dst"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddInstance(InstanceSpec{Name: "dst", Status: StatusClone, Interfaces: []IfaceSpec{{Name: "in", Dir: In}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddBinding(Endpoint{Instance: "src", Interface: "out"}, Endpoint{Instance: "dst", Interface: "in"}); err != nil {
+		t.Fatal(err)
+	}
+	deliver("c")
+	var got []string
+	for _, r := range replay.InputsTo(log.Snapshot(), "dst") {
+		got = append(got, fmt.Sprintf("%d:%s", r.QSeq, r.Data))
+	}
+	if want := []string{"1:a", "2:b", "3:c"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("dst.in recorded %v, want %v", got, want)
+	}
 }
 
 // TestRecordMatchesDeliveryOrder sends from concurrent writers and asserts
@@ -178,9 +218,9 @@ func TestRecordDisabledAndNil(t *testing.T) {
 // the redistributed backlog of a removed member is recorded — once, at the
 // survivor that eventually consumes it, never at the abandoned member.
 func TestRecordGroupDeliveries(t *testing.T) {
-	log := replay.NewLog(4096, false)
+	b := New(WithRecorder(4096, 0))
+	log := b.Recorder()
 	log.Enable()
-	b := New(WithRecorder(log))
 	shape := []IfaceSpec{{Name: "in", Dir: In}, {Name: "out", Dir: Out}}
 	if err := b.AddGroup("pool", PolicyRoundRobin, shape); err != nil {
 		t.Fatal(err)

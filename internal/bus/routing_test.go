@@ -210,9 +210,9 @@ func TestConcurrentRebindVsSendBatched(t *testing.T) {
 		flips     = 40 // even, so traffic ends bound to r1
 	)
 	perSender := batchSize * batches
-	log := replay.NewLog(2*senders*perSender, false)
+	b := New(WithRecorder(2*senders*perSender, 0))
+	log := b.Recorder()
 	log.Enable()
-	b := New(WithRecorder(log))
 	receivers := []string{"r1", "r2"}
 	for _, r := range receivers {
 		if err := b.AddInstance(InstanceSpec{Name: r, Interfaces: []IfaceSpec{{Name: "in", Dir: In}}}); err != nil {

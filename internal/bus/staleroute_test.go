@@ -211,7 +211,7 @@ func newCommitWorld(t *testing.T, targets ...string) *commitWorld {
 		must(w.b.AddInstance(InstanceSpec{Name: name, Interfaces: in}))
 		ifc, err := w.b.routing.Load().Lookup(Endpoint{Instance: name, Interface: "in"})
 		must(err)
-		w.queues[name] = ifc.Queue
+		w.queues[name] = ifc.Queue()
 	}
 	must(w.b.AddGroup("g", PolicyRoundRobin, in))
 	must(w.b.AddGroupMember("g", "m1"))
@@ -229,8 +229,9 @@ func newCommitWorld(t *testing.T, targets ...string) *commitWorld {
 func (w *commitWorld) queued() map[string][]string {
 	got := map[string][]string{}
 	for name, q := range w.queues {
-		for _, it := range q.Drain() {
-			got[name] = append(got[name], string(it.Msg.Data))
+		var m Message
+		for ok, _ := q.TryPop(&m); ok; ok, _ = q.TryPop(&m) {
+			got[name] = append(got[name], string(m.Data))
 		}
 	}
 	return got

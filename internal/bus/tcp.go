@@ -502,7 +502,7 @@ func (c *conn) end(err error) {
 	rec := evlog.Record{Kind: kindConnClosed, Detail: fmt.Sprintf("%s: %v", c.nc.RemoteAddr(), err)}
 	if att != nil {
 		for i := range att.ifaces { // wake parked reads to see gone
-			if q := att.ifaces[i].ifc.Queue; q != nil {
+			if q := att.ifaces[i].ifc.Queue(); q != nil {
 				q.Wake()
 			}
 		}

@@ -565,9 +565,9 @@ func FuzzFrame(f *testing.F) {
 // spill write/read cycle with the payload and trace context intact — a
 // frame produced by today's encoders replays tomorrow.
 func TestRecordedWireDeliveryRoundTrips(t *testing.T) {
-	log := replay.NewLog(64, false)
+	b := New(WithRecorder(64, 0))
+	log := b.Recorder()
 	log.Enable()
-	b := New(WithRecorder(log))
 	for _, spec := range []InstanceSpec{
 		{Name: "display", Module: "display", Machine: "m1",
 			Interfaces: []IfaceSpec{{Name: "temper", Dir: InOut}}},
@@ -615,12 +615,12 @@ func TestRecordedWireDeliveryRoundTrips(t *testing.T) {
 	// Spill the window and read it back: byte-identical payload, identical
 	// trace context.
 	var buf bytes.Buffer
-	spill := replay.NewLog(64, false)
+	spill, spillW := replay.NewLog(64, false)
 	if err := spill.SetSpill(&buf); err != nil {
 		t.Fatal(err)
 	}
 	spill.Enable()
-	spill.Queue("compute.display").Append("display.temper", recs[0].Data, recs[0].Trace, recs[0].Epoch, clock.Clock{})
+	spillW.Queue("compute.display").Append("display.temper", recs[0].Data, recs[0].Trace, recs[0].Epoch, clock.Clock{})
 	decoded, err := replay.ReadLog(&buf)
 	if err != nil {
 		t.Fatal(err)

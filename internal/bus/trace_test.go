@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/bus/internal/routing"
-	"repro/internal/replay"
 	"repro/internal/telemetry/trace"
 )
 
@@ -36,7 +35,7 @@ func TestTraceStampAndChildPropagation(t *testing.T) {
 		t.Error("unsampled context carries a send timestamp — the hot path should skip the clock read")
 	}
 	if m.Trace.Sampled() {
-		t.Error("default tracer must not sample")
+		t.Error("a bus built without a sampling rate must not sample")
 	}
 
 	if err := comp.WriteTraced("display", []byte("fwd"), m.Trace); err != nil {
@@ -71,13 +70,98 @@ func TestTraceStampAndChildPropagation(t *testing.T) {
 	}
 }
 
-// TestTraceSampledDeliveryRecorded wires a fully-sampled tracer and checks a
+// TestStampMintsOrExtends: a stamp with no parent opens a chain — a fresh
+// trace id, a root span, no hops, sampled by the rate alone, no send time
+// (the bus reads its clock for that) — and a stamp with a valid parent is a
+// child span of it, inheriting the trace id and the sampling decision.
+func TestStampMintsOrExtends(t *testing.T) {
+	s := stamper{sampleEvery: 1}
+	root := s.batch(TraceContext{}, 1)
+	if !root.Valid() || !root.Sampled() || root.Hops != 0 || root.Parent != 0 || root.SentNs != 0 {
+		t.Fatalf("root = %+v, want a valid, sampled root span with no send time", root)
+	}
+	child := s.batch(root, 1)
+	if child.TraceID != root.TraceID || child.Parent != root.SpanID || child.Hops != 1 || !child.Sampled() {
+		t.Errorf("child %+v does not extend root %+v", child, root)
+	}
+	if child.SpanID <= root.SpanID {
+		t.Errorf("child span %d not minted after root span %d", child.SpanID, root.SpanID)
+	}
+	if unsampled := (&stamper{}).batch(TraceContext{}, 1); !unsampled.Valid() || unsampled.Sampled() {
+		t.Errorf("rate 0 stamped %+v, want a valid, unsampled root", unsampled)
+	}
+}
+
+// TestStampSamplingRate: at rate 4 every fourth chain is sampled.
+func TestStampSamplingRate(t *testing.T) {
+	s := stamper{sampleEvery: 4}
+	sampled := 0
+	for i := 0; i < 100; i++ {
+		if s.batch(TraceContext{}, 1).Sampled() {
+			sampled++
+		}
+	}
+	if sampled != 25 {
+		t.Errorf("sampled %d of 100 at rate 4, want 25", sampled)
+	}
+}
+
+// TestStampBatch: a batch's messages are sibling spans, one reservation of
+// consecutive span ids. Under a valid parent each is a child of it; without
+// one the batch is one chain, one trace id and one sampling decision.
+func TestStampBatch(t *testing.T) {
+	b := testBus(t, WithRecorder(0, 2))
+	sens := attach(t, b, "sensor")
+	comp := attach(t, b, "compute")
+	read := func(n int) []TraceContext {
+		t.Helper()
+		out := make([]TraceContext, n)
+		for i := range out {
+			m, err := comp.Read("sensor")
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = m.Trace
+		}
+		return out
+	}
+	batch := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
+	if err := sens.Write("out", []byte("first")); err != nil { // trace 1: unsampled at rate 2
+		t.Fatal(err)
+	}
+	first := read(1)[0]
+	if err := sens.SendBatch("out", batch); err != nil { // trace 2: sampled
+		t.Fatal(err)
+	}
+	roots := read(3)
+	parent := TraceContext{TraceID: 99, SpanID: 7, Hops: 2}
+	if err := sens.WriteBatchTraced("out", batch, parent); err != nil {
+		t.Fatal(err)
+	}
+	children := read(3)
+	for i := range batch {
+		r, c := roots[i], children[i]
+		if r.TraceID != first.TraceID+1 || !r.Sampled() || r.Parent != 0 || r.Hops != 0 || r.SpanID != roots[0].SpanID+uint64(i) {
+			t.Errorf("root batch message %d = %+v, want trace %d, sampled, root span %d", i, r, first.TraceID+1, roots[0].SpanID+uint64(i))
+		}
+		if c.TraceID != parent.TraceID || c.Parent != parent.SpanID || c.Hops != parent.Hops+1 || c.Sampled() || c.SpanID != children[0].SpanID+uint64(i) {
+			t.Errorf("child batch message %d = %+v, want a sibling child span of %+v", i, c, parent)
+		}
+	}
+}
+
+// TestTraceSampledDeliveryRecorded samples every trace and checks a
 // delivery span lands in the delivery log with both endpoint names, and
-// that a log without spans takes none.
+// that a log without spans (a bus that samples nothing) takes none — not
+// even a delivery whose parent, come over the wire, was sampled.
 func TestTraceSampledDeliveryRecorded(t *testing.T) {
 	for _, spans := range []bool{true, false} {
-		log := replay.NewLog(32, spans)
-		b := New(WithMsgTracer(trace.NewTracer(1)), WithRecorder(log))
+		sample, parent := 1, TraceContext{}
+		if !spans {
+			sample, parent = 0, TraceContext{TraceID: 1 << 40, SpanID: 1 << 40, Flags: trace.FlagSampled}
+		}
+		b := New(WithRecorder(32, sample))
+		log := b.Recorder()
 		for _, spec := range []InstanceSpec{
 			{Name: "src", Interfaces: []IfaceSpec{{Name: "out", Dir: Out}}},
 			{Name: "dst", Interfaces: []IfaceSpec{{Name: "in", Dir: In}}},
@@ -92,7 +176,7 @@ func TestTraceSampledDeliveryRecorded(t *testing.T) {
 		src := attach(t, b, "src")
 		dst := attach(t, b, "dst")
 
-		if err := src.Write("out", []byte("x")); err != nil {
+		if err := src.WriteTraced("out", []byte("x"), parent); err != nil {
 			t.Fatal(err)
 		}
 		m, err := dst.Read("in")
@@ -100,7 +184,7 @@ func TestTraceSampledDeliveryRecorded(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !m.Trace.Sampled() {
-			t.Fatal("sample-everything tracer produced an unsampled context")
+			t.Fatal("a sample-everything bus, or a sampled parent, produced an unsampled context")
 		}
 		if !spans {
 			if log.Appended() != 0 || log.Spans() != nil {
@@ -189,10 +273,10 @@ func TestTraceSurvivesQueueMove(t *testing.T) {
 // TestQueuedMessages pins the quiesce-correlation snapshot: per-message
 // endpoint, trace context, and age for everything queued toward an
 // instance. Ages need a send timestamp, which only sampled contexts carry,
-// so the measurable-age arm runs on a rate-1 tracer; on an unsampled bus
+// so the measurable-age arm samples every trace; on an unsampled bus
 // the age degrades to -1 ("unknown"), pinned by the second arm.
 func TestQueuedMessages(t *testing.T) {
-	b := testBus(t, WithMsgTracer(trace.NewTracer(1)))
+	b := testBus(t, WithRecorder(0, 1))
 	sens := attach(t, b, "sensor")
 	for _, payload := range []string{"a", "b"} {
 		if err := sens.Write("out", []byte(payload)); err != nil {

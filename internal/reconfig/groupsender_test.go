@@ -37,7 +37,7 @@ func groupClientBus(t *testing.T) *bus.Bus {
 // clone's only reply path with it.
 func TestPlanReplaceRebindsGroupSender(t *testing.T) {
 	b := groupClientBus(t)
-	plan, err := PlanReplace(NewPrimitives(b), "client", ReplaceOptions{NewName: "client2"})
+	plan, err := PlanReplace(NewPrimitives(b, nil), "client", ReplaceOptions{NewName: "client2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestPlanReplaceRebindsGroupSender(t *testing.T) {
 func TestReplicateBindsGroupSender(t *testing.T) {
 	b := groupClientBus(t)
 	launched := launcherFunc(func(string) error { return nil })
-	if _, err := Replicate(NewPrimitives(b), launched, "client", "client2", ""); err != nil {
+	if _, err := Replicate(NewPrimitives(b, nil), launched, "client", "client2", ""); err != nil {
 		t.Fatal(err)
 	}
 	want := bus.Binding{A: bus.Endpoint{Instance: "G", Interface: "out"}, B: bus.Endpoint{Instance: "client2", Interface: "resp"}}

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/bus"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/evlog"
 )
 
 // Launcher starts the runtime of a registered module instance. The facade
@@ -35,6 +36,8 @@ type Launcher interface {
 // script runs against.
 type Primitives struct {
 	bus *bus.Bus
+	// events is the bus's event log, which the supervisors append to.
+	events *evlog.Log
 
 	// txMu serializes transactional scripts: concurrent reconfigurations
 	// of one application are refused with ErrReconfigBusy rather than
@@ -52,10 +55,12 @@ type Primitives struct {
 	active atomic.Bool
 }
 
-// NewPrimitives wraps a bus. Transaction span durations aggregate into the
-// bus's telemetry registry (reconfig.span.*_ns, reconfig.tx_total_ns).
-func NewPrimitives(b *bus.Bus) *Primitives {
-	p := &Primitives{bus: b, tracer: telemetry.NewTracer(0, b.Clock())}
+// NewPrimitives wraps a bus and the event log it writes (bus.WithEvents),
+// which the supervisors append to; a nil log drops their records.
+// Transaction span durations aggregate into the bus's telemetry registry
+// (reconfig.span.*_ns, reconfig.tx_total_ns).
+func NewPrimitives(b *bus.Bus, events *evlog.Log) *Primitives {
+	p := &Primitives{bus: b, events: events, tracer: telemetry.NewTracer(0, b.Clock())}
 	p.tracer.SetRegistry(b.Telemetry())
 	return p
 }

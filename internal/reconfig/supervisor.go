@@ -165,7 +165,7 @@ func (s *Supervisor) ReportExit(member string, cause error) {
 // event appends one supervision record (detection, health transition,
 // recovery outcome) to the bus's event log.
 func (s *Supervisor) event(kind, inst, detail string) {
-	s.p.bus.Events().Append(evlog.Record{
+	s.p.events.Append(evlog.Record{
 		Source:   "supervisor",
 		Kind:     kind,
 		Instance: inst,

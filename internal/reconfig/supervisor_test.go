@@ -12,6 +12,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/mh"
 	"repro/internal/state"
+	"repro/internal/telemetry/evlog"
 	"repro/internal/telemetry/health"
 	"repro/internal/telemetry/timeseries"
 )
@@ -42,9 +43,10 @@ type replicaWorld struct {
 func newReplicaWorld(t *testing.T) *replicaWorld {
 	t.Helper()
 	clk := clock.NewVirtual(time.Unix(1000, 0))
-	b := bus.New(bus.WithClock(clk.Clock()))
+	events := evlog.NewLog(0, clk.Clock())
+	b := bus.New(bus.WithClock(clk.Clock()), bus.WithEvents(events))
 	w := &replicaWorld{
-		t: t, b: b, p: NewPrimitives(b), c: codec.Default(),
+		t: t, b: b, p: NewPrimitives(b, events), c: codec.Default(),
 		killed: map[string]bool{}, wedged: map[string]bool{}, stuck: map[string]bool{},
 		clk: clk,
 	}

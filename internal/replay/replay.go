@@ -138,15 +138,18 @@ type entry struct {
 }
 
 // NewLog returns a log retaining the capacity most recent deliveries
-// (minimum 16, default 4096 when capacity <= 0). Recording starts
-// disabled; call Enable. With spans, every delivery of a sampled trace is
-// written too, as a span, whether or not recording is on.
-func NewLog(capacity int, spans bool) *Log {
-	return &Log{
+// (minimum 16, default 4096 when capacity <= 0), and its append half.
+// Recording starts disabled; call Enable. With spans, every delivery of a
+// sampled trace is written too, as a span, whether or not recording is on.
+// The Writer is handed out here only: whoever builds a log decides who
+// appends to it, and a holder of the *Log alone reads and switches it.
+func NewLog(capacity int, spans bool) (*Log, Writer) {
+	l := &Log{
 		recs:   ring.New[entry](capacity, 4096),
 		spans:  spans,
 		queues: map[string]*QueueLog{},
 	}
+	return l, Writer{l}
 }
 
 func (l *Log) buf() *ring.Ring[entry] {
@@ -236,12 +239,18 @@ func (l *Log) MemoryBound() int {
 	return l.recs.MemoryBound() + int(l.chunks.Load())*chunkBytes + l.census().large
 }
 
+// Writer is a log's append half, as NewLog hands it out. The zero Writer
+// belongs to no log: its handles are nil.
+type Writer struct{ l *Log }
+
 // Queue interns and returns the append handle for one destination endpoint,
-// named "instance.interface". Nil-safe: a nil log returns a nil handle,
-// whose Append is a no-op — the same nil-receiver discipline as the
-// telemetry counters, so the bus resolves handles unconditionally at
-// AddInstance.
-func (l *Log) Queue(ep string) *QueueLog {
+// named "instance.interface", so a queue's delivery sequence survives
+// instance re-registration: a clone reusing a name after rollback continues
+// the same sequence. A zero Writer returns a nil handle, whose Append is a
+// no-op — the same nil-receiver discipline as the telemetry counters, so
+// the bus resolves handles unconditionally at AddInstance.
+func (w Writer) Queue(ep string) *QueueLog {
+	l := w.l
 	if l == nil {
 		return nil
 	}
@@ -332,11 +341,12 @@ func (s *Spans) ByTrace(traceID uint64) []Record {
 	return (*Log)(s).copies(func(r *Record) bool { return r.EndNs != 0 && r.Trace.TraceID == traceID })
 }
 
-// QueueLog is the per-destination-queue append handle the bus resolves at
-// AddInstance and invokes under the destination queue's mutex — that lock
-// is what makes QSeq the queue's true delivery order. A nil handle is a
-// no-op; an unsampled delivery to a log that is not recording costs one
-// atomic load and one flag test.
+// QueueLog is the per-destination-queue append handle: the bus resolves it
+// from its log's Writer at AddInstance and hands it to the receiving queue,
+// which invokes it under its consumer lock — that lock is what makes QSeq
+// the queue's true delivery order. A nil handle is a no-op; an unsampled
+// delivery to a log that is not recording costs one atomic load and one
+// flag test.
 type QueueLog struct {
 	log *Log
 	to  string
@@ -366,9 +376,9 @@ type chunk struct {
 // "instance.interface" name, retained as passed (the bus passes the name it
 // interned at AddInstance). data is copied into the slot's storage; the
 // caller's buffer is never retained. QSeq is the queue's delivery order
-// only when the caller holds the destination queue's lock (the bus
-// queueing layer is the only legal caller — archlint AL012 pins it there);
-// the sequence itself is an atomic add, because a re-registered endpoint
+// only when the caller holds the destination queue's lock (the handle's
+// holder, the bus's queue, appends as it removes a message); the sequence
+// itself is an atomic add, because a re-registered endpoint
 // shares this handle with its predecessor's draining queue. A recorded
 // delivery pays four atomic read-modify-writes: that sequence, the ring's
 // cursor, and the slot's lock and unlock; a span alone pays the last three.

@@ -17,13 +17,13 @@ import (
 )
 
 func TestNewLogCapacity(t *testing.T) {
-	if got := NewLog(0, false).Cap(); got != 4096 {
+	if got := capOf(NewLog(0, false)); got != 4096 {
 		t.Errorf("default capacity = %d, want 4096", got)
 	}
-	if got := NewLog(5, false).Cap(); got != 16 {
+	if got := capOf(NewLog(5, false)); got != 16 {
 		t.Errorf("minimum capacity = %d, want 16", got)
 	}
-	if got := NewLog(100, false).Cap(); got != 100 {
+	if got := capOf(NewLog(100, false)); got != 100 {
 		t.Errorf("capacity = %d, want 100", got)
 	}
 }
@@ -38,16 +38,16 @@ func TestNilLogIsNoOp(t *testing.T) {
 	if l.Snapshot() != nil || l.QueueSeqs() != nil {
 		t.Error("nil log returns records")
 	}
-	q := l.Queue("a.b")
+	q := Writer{}.Queue("a.b")
 	if q != nil {
-		t.Fatal("nil log returned a non-nil queue handle")
+		t.Fatal("the zero Writer returned a non-nil queue handle")
 	}
 	q.Append("x.y", []byte("data"), trace.Context{}, 1, clock.Clock{}) // must not panic
 }
 
 func TestAppendDisabledRecordsNothing(t *testing.T) {
-	l := NewLog(16, false)
-	q := l.Queue("dst.in")
+	l, w := NewLog(16, false)
+	q := w.Queue("dst.in")
 	q.Append("src.out", []byte("dropped"), trace.Context{}, 1, clock.Clock{})
 	if l.Recorded() != 0 || l.Len() != 0 {
 		t.Error("disabled log recorded")
@@ -70,9 +70,9 @@ func TestAppendDisabledRecordsNothing(t *testing.T) {
 }
 
 func TestRingEvictionAndSequences(t *testing.T) {
-	l := NewLog(16, false)
+	l, w := NewLog(16, false)
 	l.Enable()
-	q := l.Queue("dst.in")
+	q := w.Queue("dst.in")
 	for i := 1; i <= 40; i++ {
 		q.Append("src.out", []byte(fmt.Sprintf("m%02d", i)), trace.Context{}, 7, clock.Clock{})
 	}
@@ -108,13 +108,13 @@ func TestRingEvictionAndSequences(t *testing.T) {
 }
 
 func TestQueueHandleInterning(t *testing.T) {
-	l := NewLog(16, false)
+	l, w := NewLog(16, false)
 	l.Enable()
-	q1 := l.Queue("dst.in")
+	q1 := w.Queue("dst.in")
 	q1.Append("src.out", []byte("a"), trace.Context{}, 1, clock.Clock{})
 	// A re-registered instance (clone reusing the name after rollback)
 	// resolves the same handle and continues the same delivery sequence.
-	q2 := l.Queue("dst.in")
+	q2 := w.Queue("dst.in")
 	if q1 != q2 {
 		t.Fatal("re-resolved queue handle is a different object")
 	}
@@ -130,12 +130,12 @@ func TestQueueHandleInterning(t *testing.T) {
 const segmentBytes = 64 * (8 + 8 + int(unsafe.Sizeof(entry{})))
 
 func TestMemoryBoundTracksPayloads(t *testing.T) {
-	l := NewLog(16, false)
+	l, w := NewLog(16, false)
 	l.Enable()
 	if got := l.MemoryBound(); got != 8 {
 		t.Errorf("memory bound of an empty 16-slot log = %d, want 8 (one segment pointer)", got)
 	}
-	q := l.Queue("dst.in")
+	q := w.Queue("dst.in")
 	// Over maxCarved: each payload is its own allocation, and the slots
 	// take no storage of their own.
 	big := make([]byte, 2048)
@@ -162,9 +162,9 @@ func TestMemoryBoundTracksPayloads(t *testing.T) {
 // storage.
 func TestMemoryBoundFormula(t *testing.T) {
 	const capacity, payload = 256, 48
-	l := NewLog(capacity, false)
+	l, w := NewLog(capacity, false)
 	l.Enable()
-	qs := []*QueueLog{l.Queue("a.in"), l.Queue("b.in")}
+	qs := []*QueueLog{w.Queue("a.in"), w.Queue("b.in")}
 	data := make([]byte, payload)
 	for i := 0; i < 3*capacity; i++ {
 		qs[i%2].Append("src.out", data, trace.Context{}, 1, clock.Clock{})
@@ -185,9 +185,9 @@ func TestMemoryBoundFormula(t *testing.T) {
 }
 
 func TestAppendCopiesPayload(t *testing.T) {
-	l := NewLog(16, false)
+	l, w := NewLog(16, false)
 	l.Enable()
-	q := l.Queue("dst.in")
+	q := w.Queue("dst.in")
 	buf := []byte("original")
 	q.Append("src.out", buf, trace.Context{}, 1, clock.Clock{})
 	q.Append("src.out", []byte("neighbour"), trace.Context{}, 1, clock.Clock{})
@@ -210,9 +210,9 @@ func TestAppendCopiesPayload(t *testing.T) {
 // bytes of other sizes, and the snapshot still reads what was written.
 func TestCopiesOutliveLaps(t *testing.T) {
 	const capacity = 64
-	l := NewLog(capacity, true)
+	l, w := NewLog(capacity, true)
 	l.Enable()
-	q := l.Queue("dst.in")
+	q := w.Queue("dst.in")
 	sizes := []int{0, 1, 7, 64, 1000, maxCarved, maxCarved + 1, 5000}
 	payload := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, sizes[i%len(sizes)]) }
 	tc := trace.Context{TraceID: 1, SpanID: 1, Flags: trace.FlagSampled, SentNs: 1}
@@ -245,7 +245,7 @@ func TestCopiesOutliveLaps(t *testing.T) {
 // queue sequence, at the size that sequence called for.
 func TestConcurrentReadersGetUntornRecords(t *testing.T) {
 	const writers, passes = 8, 200
-	l := NewLog(64, true)
+	l, lw := NewLog(64, true)
 	l.Enable()
 	payload := func(w int, qseq uint64) []byte {
 		return bytes.Repeat([]byte{byte(w)<<5 | byte(qseq%31)}, int(qseq*7%300))
@@ -256,7 +256,7 @@ func TestConcurrentReadersGetUntornRecords(t *testing.T) {
 		wg.Add(1)
 		go func() { //archlint:spawn test writer; joined via wg below
 			defer wg.Done()
-			q := l.Queue(fmt.Sprintf("w%d.in", w))
+			q := lw.Queue(fmt.Sprintf("w%d.in", w))
 			for i := uint64(1); !done.Load(); i++ {
 				tc := trace.Context{TraceID: uint64(w), SpanID: i, Flags: trace.FlagSampled, SentNs: int64(i)}
 				q.Append("src.out", payload(w, i), tc, i, clock.Clock{})
@@ -289,7 +289,7 @@ func TestNewLogAllocatesNoMoreThanBefore(t *testing.T) {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for i := 0; i < n; i++ {
-		if NewLog(4096, true) == nil {
+		if l, _ := NewLog(4096, true); l == nil {
 			t.Fatal("nil log")
 		}
 	}
@@ -303,9 +303,9 @@ func TestNewLogAllocatesNoMoreThanBefore(t *testing.T) {
 // queues of a 4096-slot log, the log lapped first: what the message path
 // pays the delivery log per delivery pair.
 func BenchmarkAppend(b *testing.B) {
-	l := NewLog(4096, true)
+	l, w := NewLog(4096, true)
 	l.Enable()
-	qs := [2]*QueueLog{l.Queue("a.in"), l.Queue("b.in")}
+	qs := [2]*QueueLog{w.Queue("a.in"), w.Queue("b.in")}
 	data := make([]byte, 16)
 	tc := trace.Context{TraceID: 1, SpanID: 1, Flags: trace.FlagSampled, SentNs: 1}
 	for i := 0; i < l.Cap(); i++ {
@@ -321,12 +321,12 @@ func BenchmarkAppend(b *testing.B) {
 
 func TestSpillRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLog(16, false)
+	l, w := NewLog(16, false)
 	if err := l.SetSpill(&buf); err != nil {
 		t.Fatal(err)
 	}
 	l.Enable()
-	q := l.Queue("compute.sensor")
+	q := w.Queue("compute.sensor")
 	tc := trace.Context{TraceID: 42, SpanID: 7, Parent: 3, Hops: 2, Flags: 1, SentNs: 99}
 	q.Append("sensor.out", []byte("one"), tc, 5, clock.Clock{})
 	q.Append("sensor.out", nil, trace.Context{}, 5, clock.Clock{})
@@ -355,12 +355,12 @@ func TestSpillRoundTrip(t *testing.T) {
 
 func TestSpillOutlivesRingEviction(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLog(16, false)
+	l, w := NewLog(16, false)
 	if err := l.SetSpill(&buf); err != nil {
 		t.Fatal(err)
 	}
 	l.Enable()
-	q := l.Queue("dst.in")
+	q := w.Queue("dst.in")
 	for i := 0; i < 50; i++ {
 		q.Append("src.out", []byte{byte(i)}, trace.Context{}, 1, clock.Clock{})
 	}
@@ -383,7 +383,7 @@ func TestReadLogRejectsForeignStreams(t *testing.T) {
 		t.Error("garbage accepted")
 	}
 	var buf bytes.Buffer
-	l := NewLog(16, false)
+	l, _ := NewLog(16, false)
 	if err := l.SetSpill(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -424,12 +424,12 @@ func TestSpillGoldenBytes(t *testing.T) {
 	// The current encoder still produces the golden bytes for the same
 	// append sequence — the format is deterministic, not just readable.
 	var buf bytes.Buffer
-	l := NewLog(16, false)
+	l, w := NewLog(16, false)
 	if err := l.SetSpill(&buf); err != nil {
 		t.Fatal(err)
 	}
 	l.Enable()
-	q := l.Queue("compute.sensor")
+	q := w.Queue("compute.sensor")
 	q.Append("sensor.out", []byte("payload"), want[0].Trace, 3, clock.Clock{})
 	q.Append("sensor.out", []byte{0x01, 0x02}, trace.Context{}, 3, clock.Clock{})
 	if got := hex.EncodeToString(buf.Bytes()); got != goldenSpillStream {
@@ -453,7 +453,7 @@ func FuzzReadLog(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		l := NewLog(16, false)
+		l, _ := NewLog(16, false)
 		if err := l.SetSpill(&buf); err != nil {
 			t.Fatal(err)
 		}
@@ -594,9 +594,9 @@ func TestDiffOutputs(t *testing.T) {
 // slots' storage must hold up on its own: every retained payload is whole.
 func TestConcurrentAppendSharedHandle(t *testing.T) {
 	const writers, per = 4, 3000
-	l := NewLog(writers*per, false)
+	l, w := NewLog(writers*per, false)
 	l.Enable()
-	q := l.Queue("dst.in")
+	q := w.Queue("dst.in")
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -620,12 +620,12 @@ func TestConcurrentAppendSharedHandle(t *testing.T) {
 }
 
 func TestConcurrentAppendSnapshot(t *testing.T) {
-	l := NewLog(64, false)
+	l, w := NewLog(64, false)
 	l.Enable()
 	done := make(chan struct{})
 	go func() { //archlint:spawn test writer; joined via done below
 		defer close(done)
-		q := l.Queue("dst.in")
+		q := w.Queue("dst.in")
 		for i := 0; i < 500; i++ {
 			q.Append("src.out", []byte{byte(i)}, trace.Context{}, 1, clock.Clock{})
 		}
@@ -644,3 +644,5 @@ func TestConcurrentAppendSnapshot(t *testing.T) {
 		t.Errorf("recorded = %d, want 500", l.Recorded())
 	}
 }
+
+func capOf(l *Log, _ Writer) int { return l.Cap() }

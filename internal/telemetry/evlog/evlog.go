@@ -1,12 +1,14 @@
 // Package evlog is the structured event log: a bounded ring of
 // topology, transaction, supervisor and self-heal events with monotonic
-// cursors. The bus owns one and appends each change synchronously, in the
-// order it commits them, from its control plane only — no message hot path
-// touches the log; the supervisor and the reconfiguration transaction
-// append their records to the same log. Consumers read by cursor
-// (`GET /events?since=N` long-polls via Wait), so an operator tailing the
-// log sees each event exactly once even across reconnects, and a slow
-// reader loses old events rather than stalling writers.
+// cursors. The *Log is the writer: whoever builds one hands it to the
+// writers it chooses — the application hands it to the bus, which appends
+// each change synchronously, in the order it commits them, from its control
+// plane only (no message hot path touches the log), and to the supervisor
+// and the reconfiguration transaction. Everyone else gets a View, which
+// reads and cannot append. Consumers read by cursor (`GET /events?since=N`
+// long-polls via Wait), so an operator tailing the log sees each event
+// exactly once even across reconnects, and a slow reader loses old events
+// rather than stalling writers.
 //
 // The ring itself is internal/ring, shared with the delivery log; what
 // this package adds is the event vocabulary and the timestamp, read off the
@@ -71,27 +73,33 @@ func (l *Log) Append(rec Record) uint64 {
 	return seq
 }
 
+// View is a log's read-only half. The zero View reads an empty log.
+type View struct{ l *Log }
+
+// View returns the log's read-only half.
+func (l *Log) View() View { return View{l} }
+
 // Since returns a copy of every retained record with Seq > after, oldest
 // first.
-func (l *Log) Since(after uint64) (out []Record) {
-	l.buf().Since(after, func(r *Record) { out = append(out, *r) })
+func (v View) Since(after uint64) (out []Record) {
+	v.l.buf().Since(after, func(r *Record) { out = append(out, *r) })
 	return out
 }
 
 // Wait blocks until at least one record with Seq > after exists (returning
 // copies of all of them) or timeout elapses (returning nil): the long-poll
 // primitive.
-func (l *Log) Wait(after uint64, timeout time.Duration) (out []Record) {
-	if l == nil {
+func (v View) Wait(after uint64, timeout time.Duration) (out []Record) {
+	if v.l == nil {
 		return nil
 	}
-	l.ring.Wait(l.clk, after, timeout, func(r *Record) { out = append(out, *r) })
+	v.l.ring.Wait(v.l.clk, after, timeout, func(r *Record) { out = append(out, *r) })
 	return out
 }
 
 // Cursor returns the sequence number of the newest event (0 when empty).
-func (l *Log) Cursor() uint64 { return l.buf().Cursor() }
+func (v View) Cursor() uint64 { return v.l.buf().Cursor() }
 
 // Overwritten returns how many events the ring no longer holds: a read
 // from a cursor below it has lost records.
-func (l *Log) Overwritten() uint64 { return l.buf().Overwritten() }
+func (v View) Overwritten() uint64 { return v.l.buf().Overwritten() }

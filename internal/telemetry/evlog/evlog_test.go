@@ -16,7 +16,7 @@ func TestAppendAssignsMonotonicSeq(t *testing.T) {
 			t.Fatalf("append %d returned seq %d", i, seq)
 		}
 	}
-	recs := l.Since(0)
+	recs := l.View().Since(0)
 	if len(recs) != 5 {
 		t.Fatalf("Since(0) = %d records, want 5", len(recs))
 	}
@@ -35,15 +35,15 @@ func TestSinceCursor(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Append(Record{Kind: "e"})
 	}
-	recs := l.Since(7)
+	recs := l.View().Since(7)
 	if len(recs) != 3 || recs[0].Seq != 8 {
 		t.Fatalf("Since(7) = %+v, want seqs 8..10", recs)
 	}
-	if got := l.Since(10); len(got) != 0 {
+	if got := l.View().Since(10); len(got) != 0 {
 		t.Errorf("Since(cursor) = %d records, want 0", len(got))
 	}
-	if l.Cursor() != 10 {
-		t.Errorf("Cursor = %d, want 10", l.Cursor())
+	if l.View().Cursor() != 10 {
+		t.Errorf("Cursor = %d, want 10", l.View().Cursor())
 	}
 }
 
@@ -52,7 +52,7 @@ func TestRingOverwrite(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		l.Append(Record{Kind: "e"})
 	}
-	recs := l.Since(0)
+	recs := l.View().Since(0)
 	if len(recs) != 16 {
 		t.Fatalf("retained %d records, want ring cap 16", len(recs))
 	}
@@ -66,7 +66,7 @@ func TestWaitWakesOnAppend(t *testing.T) {
 	l := NewLog(16, v.Clock())
 	l.Append(Record{Kind: "old"})
 	done := make(chan []Record, 1)
-	go func() { done <- l.Wait(1, 5*time.Second) }()
+	go func() { done <- l.View().Wait(1, 5*time.Second) }()
 	v.BlockUntil(1) // the waiter's timeout is armed: it is registered
 	l.Append(Record{Kind: "fresh"})
 	select {
@@ -83,7 +83,7 @@ func TestWaitTimesOut(t *testing.T) {
 	v := clock.NewVirtual(time.Unix(1000, 0))
 	l := NewLog(16, v.Clock())
 	done := make(chan []Record, 1)
-	go func() { done <- l.Wait(0, 20*time.Millisecond) }()
+	go func() { done <- l.View().Wait(0, 20*time.Millisecond) }()
 	v.BlockUntil(1)
 	v.Advance(19 * time.Millisecond)
 	select {
@@ -101,7 +101,7 @@ func TestWaitReturnsImmediatelyWhenBehind(t *testing.T) {
 	l := NewLog(16, clock.Clock{})
 	l.Append(Record{Kind: "e"})
 	start := time.Now()
-	recs := l.Wait(0, 5*time.Second)
+	recs := l.View().Wait(0, 5*time.Second)
 	if len(recs) != 1 {
 		t.Fatalf("Wait = %d records, want 1", len(recs))
 	}
@@ -124,10 +124,10 @@ func TestConcurrentAppend(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if l.Cursor() != writers*per {
-		t.Fatalf("cursor = %d, want %d", l.Cursor(), writers*per)
+	if l.View().Cursor() != writers*per {
+		t.Fatalf("cursor = %d, want %d", l.View().Cursor(), writers*per)
 	}
-	recs := l.Since(writers*per - 256)
+	recs := l.View().Since(writers*per - 256)
 	if len(recs) != 256 {
 		t.Fatalf("retained %d records, want 256", len(recs))
 	}
@@ -143,10 +143,10 @@ func TestNilLog(t *testing.T) {
 	if seq := l.Append(Record{}); seq != 0 {
 		t.Error("nil Append returned nonzero seq")
 	}
-	if l.Since(0) != nil || l.Wait(0, time.Millisecond) != nil {
+	if l.View().Since(0) != nil || l.View().Wait(0, time.Millisecond) != nil {
 		t.Error("nil reads returned records")
 	}
-	if l.Cursor() != 0 || l.Overwritten() != 0 {
+	if l.View().Cursor() != 0 || l.View().Overwritten() != 0 {
 		t.Error("nil accessors returned nonzero")
 	}
 }

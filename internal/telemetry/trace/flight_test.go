@@ -14,15 +14,20 @@ import (
 )
 
 // deliver writes one consumed delivery of ctx from -> to, as the bus does.
-func deliver(l *replay.Log, ctx trace.Context, from, to string) int64 {
-	return l.Queue(to).Append(from, nil, ctx, 1, clock.Clock{})
+func deliver(w replay.Writer, ctx trace.Context, from, to string) int64 {
+	return w.Queue(to).Append(from, nil, ctx, 1, clock.Clock{})
+}
+
+// root is the sampled root context of trace id: what the bus mints for a
+// first send at sampling rate 1.
+func root(id uint64) trace.Context {
+	return trace.Context{TraceID: id, SpanID: id, Flags: trace.FlagSampled}
 }
 
 func TestRecorderRingOverwrite(t *testing.T) {
-	l := replay.NewLog(16, true)
-	tr := trace.NewTracer(1)
-	for i := 1; i <= 40; i++ {
-		deliver(l, tr.MintTrace(), "x.out", "y.in")
+	l, w := replay.NewLog(16, true)
+	for i := uint64(1); i <= 40; i++ {
+		deliver(w, root(i), "x.out", "y.in")
 	}
 	r := l.Spans()
 	if n := len(r.Snapshot()); n != 16 || r.Recorded() != 40 || r.Overwritten() != 24 {
@@ -37,13 +42,12 @@ func TestRecorderRingOverwrite(t *testing.T) {
 }
 
 func TestRecorderByTrace(t *testing.T) {
-	l := replay.NewLog(64, true)
-	tr := trace.NewTracer(1)
-	a := tr.MintTrace()
-	b := tr.MintTrace()
-	deliver(l, a, "x.out", "y.in")
-	deliver(l, tr.ChildSpan(a), "y.out", "z.in")
-	deliver(l, b, "x.out", "y.in")
+	l, w := replay.NewLog(64, true)
+	a, b := root(1), root(2)
+	child := trace.Context{TraceID: a.TraceID, SpanID: 3, Parent: a.SpanID, Hops: 1, Flags: a.Flags}
+	deliver(w, a, "x.out", "y.in")
+	deliver(w, child, "y.out", "z.in")
+	deliver(w, b, "x.out", "y.in")
 	got := l.Spans().ByTrace(a.TraceID)
 	if len(got) != 2 {
 		t.Fatalf("trace %d has %d spans, want 2", a.TraceID, len(got))
@@ -59,26 +63,25 @@ func TestRecorderByTrace(t *testing.T) {
 
 	// An unsampled delivery is no span, and a log built without spans
 	// writes none and has no span view.
-	if end := deliver(l, trace.NewTracer(0).MintTrace(), "x.out", "y.in"); end != 0 || l.Appended() != 3 {
+	if end := deliver(w, trace.Context{TraceID: 4, SpanID: 4}, "x.out", "y.in"); end != 0 || l.Appended() != 3 {
 		t.Errorf("unsampled delivery: end %d, %d records", end, l.Appended())
 	}
-	off := replay.NewLog(64, false)
-	if end := deliver(off, a, "x.out", "y.in"); end != 0 || off.Appended() != 0 || off.Spans() != nil {
+	off, offW := replay.NewLog(64, false)
+	if end := deliver(offW, a, "x.out", "y.in"); end != 0 || off.Appended() != 0 || off.Spans() != nil {
 		t.Errorf("log without spans: end %d, %d records, span view %v", end, off.Appended(), off.Spans())
 	}
 }
 
 func TestRecorderConcurrent(t *testing.T) {
-	l := replay.NewLog(128, true)
-	tr := trace.NewTracer(1)
+	l, w := replay.NewLog(128, true)
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := uint64(0); g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			q := l.Queue("y.in")
-			for i := 0; i < 500; i++ {
-				q.Append("x.out", nil, tr.MintTrace(), 1, clock.Clock{})
+			q := w.Queue("y.in")
+			for i := uint64(1); i <= 500; i++ {
+				q.Append("x.out", nil, root(g*500+i), 1, clock.Clock{})
 			}
 		}()
 	}
@@ -95,21 +98,20 @@ func TestRecorderConcurrent(t *testing.T) {
 // reaches its bound in the first lap — the ring's segments, allocated as
 // the first records land in them — and keeps it over every lap after.
 func TestMemoryBoundFixed(t *testing.T) {
-	l := replay.NewLog(1024, true)
-	tr := trace.NewTracer(1)
+	l, w := replay.NewLog(1024, true)
 	built := l.MemoryBound()
 	if built <= 0 {
 		t.Fatal("no memory bound")
 	}
-	for i := 0; i < l.Cap(); i++ {
-		deliver(l, tr.MintTrace(), "x.out", "y.in")
+	for i := 1; i <= l.Cap(); i++ {
+		deliver(w, root(uint64(i)), "x.out", "y.in")
 	}
 	bound := l.MemoryBound()
 	if bound <= built {
 		t.Fatalf("memory bound after a lap = %d, not above the %d of the unwritten log", bound, built)
 	}
-	for i := 0; i < 10_000; i++ {
-		deliver(l, tr.MintTrace(), "x.out", "y.in")
+	for i := 1; i <= 10_000; i++ {
+		deliver(w, root(uint64(l.Cap()+i)), "x.out", "y.in")
 	}
 	if l.MemoryBound() != bound {
 		t.Errorf("memory bound moved under load after the first lap: %d -> %d", bound, l.MemoryBound())

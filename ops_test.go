@@ -283,7 +283,7 @@ func TestRingsAdmitLosses(t *testing.T) {
 
 	roundtrips(8) // 27 deliveries: the delivery log has wrapped
 	for app.Events().Overwritten() <= firstEvents {
-		app.Events().Append(evlog.Record{Source: "test", Kind: "tick"})
+		app.events.Append(evlog.Record{Source: "test", Kind: "tick"})
 	}
 	if !stamped("traces") {
 		t.Error("traces over a wrapped log is not stamped truncated")

@@ -49,7 +49,6 @@ import (
 	"repro/internal/telemetry/evlog"
 	"repro/internal/telemetry/health"
 	"repro/internal/telemetry/timeseries"
-	"repro/internal/telemetry/trace"
 	"repro/internal/transform"
 )
 
@@ -168,6 +167,7 @@ type App struct {
 	bus      *bus.Bus
 	prims    *reconfig.Primitives
 	cfg      Config
+	events   *evlog.Log // the bus's event log: the bus, the supervisors and ReplaceTx append
 	recorder *replay.Log
 	roller   *timeseries.Roller
 	checker  *health.Checker
@@ -207,13 +207,13 @@ func Load(cfg Config) (*App, error) {
 		return nil, fmt.Errorf("reconf: PreflightReplay requires RecordBuffer > 0")
 	}
 	// One delivery log serves both: the replay view reads what recording
-	// writes, the flight recorder the spans of sampled traces.
-	var log, recorder *replay.Log
-	if cfg.TraceSample > 0 || cfg.RecordBuffer > 0 {
-		log = replay.NewLog(cfg.RecordBuffer, cfg.TraceSample > 0)
-	}
+	// writes, the flight recorder the spans of sampled traces. The bus
+	// builds it and keeps its append half.
+	events := evlog.NewLog(0, cfg.Clock)
+	b := bus.New(bus.WithRecorder(cfg.RecordBuffer, cfg.TraceSample), bus.WithEvents(events), bus.WithClock(cfg.Clock))
+	var recorder *replay.Log
 	if cfg.RecordBuffer > 0 {
-		recorder = log
+		recorder = b.Recorder()
 		if cfg.RecordSpill != nil {
 			if err := recorder.SetSpill(cfg.RecordSpill); err != nil {
 				return nil, err
@@ -224,19 +224,20 @@ func Load(cfg Config) (*App, error) {
 	a := &App{
 		Spec:        spec,
 		Application: appSpec,
-		bus:         bus.New(bus.WithMsgTracer(trace.NewTracer(cfg.TraceSample)), bus.WithRecorder(log), bus.WithClock(cfg.Clock)),
+		bus:         b,
+		prims:       reconfig.NewPrimitives(b, events),
 		cfg:         cfg,
+		events:      events,
 		recorder:    recorder,
 		modules:     map[string]*PreparedModule{},
 		instances:   map[string]*runningInstance{},
 		instMod:     map[string]string{},
 		sups:        map[string]*reconfig.Supervisor{},
 	}
-	a.prims = reconfig.NewPrimitives(a.bus)
 
 	// Observability layer: windowed rollups over the registry atomics and
-	// the verdict checker reading them. The structured event log is the
-	// bus's own: the bus appends each change as it commits it, and the
+	// the verdict checker reading them. The structured event log is the one
+	// built above: the bus appends each change as it commits it, and the
 	// supervisors and transactions append to the same log.
 	a.roller = timeseries.New(a.bus.Telemetry(), cfg.Clock, timeseries.Config{Window: cfg.TimeseriesWindow})
 	a.checker = health.NewChecker(a.roller)
@@ -431,7 +432,7 @@ func (a *App) FlightRecorder() *replay.Spans { return a.bus.Recorder().Spans() }
 func (a *App) Timeseries() *timeseries.Roller { return a.roller }
 
 // Events exposes the structured event log (the bus's).
-func (a *App) Events() *evlog.Log { return a.bus.Events() }
+func (a *App) Events() evlog.View { return a.bus.Events() }
 
 // Health evaluates one instance's verdict. An empty baseline defaults to
 // the instance's live replica-group peers, when it has any — the natural
@@ -664,7 +665,7 @@ func (a *App) ReplaceTx(inst string, opts reconfig.ReplaceOptions) (*reconfig.Tx
 	if res != nil {
 		rec.Detail = rec.Detail + " tx=" + res.TxID
 	}
-	a.bus.Events().Append(rec)
+	a.events.Append(rec)
 	return res, err
 }
 

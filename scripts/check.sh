@@ -49,6 +49,8 @@ echo "spawn sites:            $(gofiles ! -name '*_test.go' | xargs -0 cat | gre
 # and the health verdict: one field per line of each struct.
 fields() { awk -v t="type $2 struct {" '$0 == t {in_t = 1; next} in_t && /^}/ {exit} in_t && /^\t[A-Z][A-Za-z0-9]* / {n++} END {print n + 0}' "$1"; }
 echo "settable options:       $(($(fields reconf.go Config) + $(fields internal/reconfig/supervisor.go SupervisorConfig) + $(fields internal/telemetry/health/health.go Config)))"
+# The options a bus is built with (a swap of one for another shows here).
+echo "bus options:            $(gofiles ! -name '*_test.go' -path './internal/bus/*' | xargs -0 cat | grep -c ') BusOption {')"
 echo "wall-clock call sites:  $(gofiles ! -name '*_test.go' ! -path './internal/clock/*' ! -path './examples/*' ! -path './cmd/*' ! -path './bench/*' ! -path './internal/archlint/*' | xargs -0 cat | grep -E 'time\.(Now|Since|Until|After|AfterFunc|NewTimer|NewTicker|Tick|Sleep)\b' | grep -cvE '^[[:space:]]*//') (target 2: the socket deadlines)"
 
 echo "== go test -race, the concurrency-heavy packages"
