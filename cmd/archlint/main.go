@@ -1,8 +1,8 @@
-// Command archlint checks the repository's architectural invariants: trace
-// minting confined to the bus layer, the Bus.mu locking discipline, the
-// copy-on-write routing snapshot protocol, allocation-free hot paths,
-// allowlisted goroutine spawn sites, and the package- and file-level
-// layering DAG. See internal/archlint for the diagnostic codes.
+// Command archlint checks the repository's architectural invariants:
+// nothing blocking under the routing writer lock, the lock-free ring's
+// publication protocol, allocation-free hot paths, allowlisted goroutine
+// spawn sites, and the package layering DAG. See internal/archlint for the
+// diagnostic codes.
 //
 // Usage:
 //

@@ -32,13 +32,11 @@ const (
 	// CodeTypeError: a package fails to parse or type-check; deep passes
 	// are skipped for it.
 	CodeTypeError = "AL001"
-	// CodeMuConfine: the Bus.mu control-plane lock referenced outside
-	// bus.go.
-	CodeMuConfine = "AL003"
-	// CodeBlockUnderMu: a blocking construct (channel operation, Wait,
-	// sleep, network call, mu-reacquiring Bus method) while Bus.mu is
-	// held — in a locked region, a *Locked method or an edit callback.
-	CodeBlockUnderMu = "AL004"
+	// CodeBlockUnderLock: a blocking construct (channel operation, Wait,
+	// sleep, network call, lock-taking bus or routing method) while the
+	// routing writer lock is held — in a method of the routing Committer
+	// or in a callback the bus hands one.
+	CodeBlockUnderLock = "AL004"
 	// CodeHotpathAlloc: an allocating construct (capturing closure,
 	// interface conversion, fmt call, make/new, non-amortized append,
 	// string concatenation or conversion) inside a function annotated
@@ -66,9 +64,9 @@ type Config struct {
 // are derived from the module path so the fixtures (module "repro") and the
 // real repository share one rule set.
 type rules struct {
-	busPkg     string // the message bus: owns Bus.mu
+	busPkg     string // the message bus
 	queuePkg   string // the bus's message queue, importable only by the bus
-	routingPkg string // the bus's routing tables and their commit
+	routingPkg string // the bus's routing tables, their commit and its lock
 
 	// layers is the architectural DAG for AL010: a package may import only
 	// packages at its own layer or below. Unlisted packages (top-level
@@ -179,6 +177,19 @@ func (a *analysis) checked() []*pkg {
 
 // --- shared type helpers -------------------------------------------------
 
+// funcDecls returns p's function and method declarations that have bodies.
+func funcDecls(p *pkg) []*ast.FuncDecl {
+	var out []*ast.FuncDecl
+	for _, f := range p.files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				out = append(out, fd)
+			}
+		}
+	}
+	return out
+}
+
 // namedOf unwraps pointers and returns the named type of t, or nil.
 func namedOf(t types.Type) *types.Named {
 	if ptr, ok := t.(*types.Pointer); ok {
@@ -200,13 +211,17 @@ func recvNamed(fn *types.Func) *types.Named {
 
 // calleeFunc resolves the function or method a call invokes, or nil for
 // builtins, conversions, and calls of function-typed values.
-func calleeFunc(p *pkg, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+func calleeFunc(p *pkg, call *ast.CallExpr) *types.Func { return funcOf(p, call.Fun) }
+
+// funcOf resolves an expression naming a function or method (a method
+// value among them), or returns nil.
+func funcOf(p *pkg, e ast.Expr) *types.Func {
+	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		fn, _ := p.info.Uses[fun].(*types.Func)
+		fn, _ := p.info.Uses[x].(*types.Func)
 		return fn
 	case *ast.SelectorExpr:
-		fn, _ := p.info.Uses[fun.Sel].(*types.Func)
+		fn, _ := p.info.Uses[x.Sel].(*types.Func)
 		return fn
 	}
 	return nil
@@ -220,27 +235,6 @@ func fieldOwner(p *pkg, sel *ast.SelectorExpr) *types.Named {
 		return nil
 	}
 	return namedOf(s.Recv())
-}
-
-// busMuOp reports whether call is <Bus>.mu.Lock() or <Bus>.mu.Unlock() on
-// the Bus type of p, and which.
-func busMuOp(p *pkg, call *ast.CallExpr) (op string, ok bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	if sel.Sel.Name != "Lock" && sel.Sel.Name != "Unlock" {
-		return "", false
-	}
-	inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !ok || inner.Sel.Name != "mu" {
-		return "", false
-	}
-	owner := fieldOwner(p, inner)
-	if owner == nil || owner.Obj().Name() != "Bus" || owner.Obj().Pkg() != p.tpkg {
-		return "", false
-	}
-	return sel.Sel.Name, true
 }
 
 // pkgPathOf returns the import path of fn's package, or "" for objects in

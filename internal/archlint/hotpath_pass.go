@@ -20,12 +20,8 @@ import (
 // unannotated helpers.
 func (a *analysis) hotpathPass() {
 	for _, p := range a.checked() {
-		for _, f := range p.files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || !isHotpath(fd) {
-					continue
-				}
+		for _, fd := range funcDecls(p) {
+			if isHotpath(fd) {
 				a.checkHotpath(p, fd)
 			}
 		}

@@ -3,8 +3,7 @@ package archlint
 import (
 	"go/ast"
 	"go/token"
-	"path"
-	"strings"
+	"go/types"
 )
 
 // pkgByPath returns the type-checked package with the given import path,
@@ -19,7 +18,7 @@ func (a *analysis) pkgByPath(importPath string) *pkg {
 }
 
 // netPkgs are the packages whose calls mean network I/O: never legal while
-// the control-plane lock is held.
+// the routing writer lock is held.
 var netPkgs = map[string]bool{
 	"net":      true,
 	"net/http": true,
@@ -35,101 +34,125 @@ var blockingBusMethods = map[string]bool{
 	"Bus.AwaitRestored": true,
 }
 
-// muAcquiringBusMethods are the two Bus methods that take Bus.mu — every
-// topology change goes through edit, every fenced write through writeSlow.
-// Calling one with the lock held deadlocks.
-var muAcquiringBusMethods = map[string]bool{
-	"edit":      true,
-	"writeSlow": true,
+// lockTakers are the methods that take the routing writer lock: the
+// committer's two locked entry points and the bus's fenced-write retry,
+// which waits in Settled. Calling one with the lock held deadlocks.
+var lockTakers = map[string]bool{
+	"Committer.Edit":    true,
+	"Committer.Settled": true,
+	"Bus.writeSlow":     true,
 }
 
-// mutexPass enforces the control-plane locking discipline of the bus:
+// mutexPass enforces AL004: nothing blocking runs while the routing writer
+// lock is held — no channel sends or receives outside a select with
+// default, no blocking selects, no condition/WaitGroup waits, sleeps or
+// network calls, no known-blocking or lock-taking bus methods.
 //
-//	AL003  Bus.mu is referenced only from bus.go — the facade owns the
-//	       writer lock; routing, queueing and transport never see it.
-//	AL004  nothing blocking runs while Bus.mu is held: no channel sends or
-//	       receives outside a select with default, no blocking selects, no
-//	       condition/WaitGroup waits, sleeps or network calls, no
-//	       known-blocking or mu-reacquiring bus methods.
+// The lock is unexported in the routing package and only the Committer's
+// methods take it, so the held code is known without tracking Lock and
+// Unlock: the whole bodies of the Committer's methods (the commit among
+// them), and of every callback the bus hands to one of them, as a function
+// literal or as a function or method value. A scan skips function literals
+// and go statements, whose bodies run elsewhere, and the comm clauses of a
+// select with default, which do not block.
 //
-// Lock order (Bus.mu before queue locks) needs no pass: the queue's locks
-// are unexported in its own package, which runs no code of the bus's.
-//
-// The held-region analysis is intra-procedural and linear: Lock/Unlock
-// statements toggle the held state, toggles inside nested blocks do not
-// leak out (so an early-unlock-and-return branch does not end the outer
-// region), and a deferred Unlock holds the region to the end of the
-// function. Bus.mu is also held from the first statement of a *Locked
-// method, of a function literal passed to edit, which runs it under the
-// lock, and of the routing package's Commit, which editLocked runs.
+// Lock order (the writer lock before queue locks) needs no pass: the
+// queue's locks are unexported in its own package, which runs no code of
+// the bus's.
 func (a *analysis) mutexPass() {
+	rt := a.pkgByPath(a.rules.routingPkg)
+	if rt == nil {
+		return
+	}
+	scanned := map[*ast.BlockStmt]bool{}
+	scan := func(p *pkg, body *ast.BlockStmt) {
+		if !scanned[body] {
+			scanned[body] = true
+			a.scanHeld(p, body)
+		}
+	}
+	for _, fd := range funcDecls(rt) {
+		if fn, _ := rt.info.Defs[fd.Name].(*types.Func); fn != nil && a.isCommitter(recvNamed(fn)) {
+			scan(rt, fd.Body)
+		}
+	}
+
 	p := a.pkgByPath(a.rules.busPkg)
 	if p == nil {
 		return
 	}
-
-	// AL003: Bus.mu outside bus.go.
-	for i, f := range p.files {
-		if path.Base(p.names[i]) == "bus.go" {
-			continue
+	decls := map[*types.Func]*ast.FuncDecl{}
+	for _, fd := range funcDecls(p) {
+		if fn, _ := p.info.Defs[fd.Name].(*types.Func); fn != nil {
+			decls[fn] = fd
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "mu" {
+	}
+	for _, fd := range funcDecls(p) {
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
 				return true
 			}
-			if owner := fieldOwner(p, sel); owner != nil &&
-				owner.Obj().Name() == "Bus" && owner.Obj().Pkg() == p.tpkg {
-				a.diag(CodeMuConfine, sel.Sel.Pos(),
-					"Bus.mu referenced outside bus.go: the control-plane lock is confined to the facade")
+			if fn := calleeFunc(p, call); fn == nil || !a.isCommitter(recvNamed(fn)) {
+				return true
+			}
+			for _, arg := range call.Args {
+				switch x := ast.Unparen(arg).(type) {
+				case *ast.FuncLit:
+					scan(p, x.Body)
+				default:
+					if cb := decls[funcOf(p, x)]; cb != nil {
+						scan(p, cb.Body)
+					}
+				}
 			}
 			return true
 		})
 	}
-
-	// AL004: region scans per function, in the bus and in the routing
-	// package, whose commit runs under the lock editLocked holds.
-	for _, q := range []*pkg{p, a.pkgByPath(a.rules.routingPkg)} {
-		if q == nil {
-			continue
-		}
-		for _, f := range q.files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				held := fd.Recv != nil && (strings.HasSuffix(fd.Name.Name, "Locked") || q != p && fd.Name.Name == "Commit")
-				blocking := func(n ast.Node) { a.checkBlocking(q, n) }
-				a.lockRegions(q, fd.Body, held, blocking)
-				for _, lit := range editLiterals(q, fd.Body) {
-					a.lockRegions(q, lit.Body, true, blocking)
-				}
-			}
-		}
-	}
 }
 
-// editLiterals returns the function literals body passes to the bus
-// package's edit.
-func editLiterals(p *pkg, body *ast.BlockStmt) []*ast.FuncLit {
-	var lits []*ast.FuncLit
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if fn := calleeFunc(p, call); fn == nil || fn.Name() != "edit" || fn.Pkg() != p.tpkg {
-			return true
-		}
-		for _, arg := range call.Args {
-			if lit, ok := arg.(*ast.FuncLit); ok {
-				lits = append(lits, lit)
+// isCommitter reports whether n is the routing package's Committer.
+func (a *analysis) isCommitter(n *types.Named) bool {
+	return n != nil && n.Obj().Name() == "Committer" && n.Obj().Pkg() != nil &&
+		n.Obj().Pkg().Path() == a.rules.routingPkg
+}
+
+// scanHeld reports every blocking construct of body, which runs whole with
+// the routing writer lock held.
+func (a *analysis) scanHeld(p *pkg, body *ast.BlockStmt) {
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FuncLit, *ast.GoStmt:
+			return false
+		case *ast.SelectStmt:
+			if !selectHasDefault(x) {
+				a.diag(CodeBlockUnderLock, x.Select, "blocking select (no default case) while the routing writer lock is held")
+				return false
+			}
+			// Non-blocking: the comm clauses are exempt, their bodies still
+			// run under the lock.
+			for _, c := range x.Body.List {
+				for _, st := range c.(*ast.CommClause).Body {
+					ast.Inspect(st, visit)
+				}
+			}
+			return false
+		case *ast.SendStmt:
+			a.diag(CodeBlockUnderLock, x.Arrow,
+				"channel send while the routing writer lock is held: use a select with default or move it outside the lock")
+		case *ast.UnaryExpr:
+			if x.Op == token.ARROW {
+				a.diag(CodeBlockUnderLock, x.OpPos, "channel receive while the routing writer lock is held")
+			}
+		case *ast.CallExpr:
+			if what, ok := a.blockingCall(p, x); ok {
+				a.diag(CodeBlockUnderLock, x.Pos(), "%s while the routing writer lock is held", what)
 			}
 		}
 		return true
-	})
-	return lits
+	}
+	ast.Inspect(body, visit)
 }
 
 // selectHasDefault reports whether sel carries a default clause.
@@ -142,135 +165,7 @@ func selectHasDefault(sel *ast.SelectStmt) bool {
 	return false
 }
 
-// lockRegions walks body linearly tracking whether Bus.mu is held — held
-// says whether it is on entry — and applies visit to every node reached
-// while it is. Function literals are skipped: their bodies run on other
-// goroutines or after the region (the caller scans the ones edit runs).
-func (a *analysis) lockRegions(p *pkg, body *ast.BlockStmt, held bool, visit func(ast.Node)) {
-	scanExpr := func(n ast.Node) {
-		if n == nil {
-			return
-		}
-		ast.Inspect(n, func(m ast.Node) bool {
-			if _, ok := m.(*ast.FuncLit); ok {
-				return false
-			}
-			if m != nil {
-				visit(m)
-			}
-			return true
-		})
-	}
-	var scan func(stmts []ast.Stmt, held bool) bool
-	scan = func(stmts []ast.Stmt, held bool) bool {
-		for _, st := range stmts {
-			switch s := st.(type) {
-			case *ast.ExprStmt:
-				if call, ok := s.X.(*ast.CallExpr); ok {
-					if op, ok := busMuOp(p, call); ok {
-						held = op == "Lock"
-						continue
-					}
-				}
-				if held {
-					scanExpr(s)
-				}
-			case *ast.DeferStmt:
-				// defer mu.Unlock() keeps the region held to the end;
-				// other deferred work runs outside the scanned region.
-			case *ast.GoStmt:
-				// spawned work does not run under the caller's lock.
-			case *ast.BlockStmt:
-				scan(s.List, held)
-			case *ast.LabeledStmt:
-				scan([]ast.Stmt{s.Stmt}, held)
-			case *ast.IfStmt:
-				if held {
-					scanExpr(s.Init)
-					scanExpr(s.Cond)
-				}
-				scan(s.Body.List, held)
-				switch e := s.Else.(type) {
-				case *ast.BlockStmt:
-					scan(e.List, held)
-				case *ast.IfStmt:
-					scan([]ast.Stmt{e}, held)
-				}
-			case *ast.ForStmt:
-				if held {
-					scanExpr(s.Init)
-					scanExpr(s.Cond)
-					scanExpr(s.Post)
-				}
-				scan(s.Body.List, held)
-			case *ast.RangeStmt:
-				if held {
-					scanExpr(s.X)
-				}
-				scan(s.Body.List, held)
-			case *ast.SwitchStmt:
-				if held {
-					scanExpr(s.Init)
-					scanExpr(s.Tag)
-				}
-				for _, c := range s.Body.List {
-					cc := c.(*ast.CaseClause)
-					if held {
-						for _, e := range cc.List {
-							scanExpr(e)
-						}
-					}
-					scan(cc.Body, held)
-				}
-			case *ast.TypeSwitchStmt:
-				if held {
-					scanExpr(s.Init)
-					scanExpr(s.Assign)
-				}
-				for _, c := range s.Body.List {
-					scan(c.(*ast.CaseClause).Body, held)
-				}
-			case *ast.SelectStmt:
-				if held && !selectHasDefault(s) {
-					visit(s)
-					continue
-				}
-				// A select with default is non-blocking: its comm clauses
-				// are exempt, the clause bodies still run under the lock.
-				for _, c := range s.Body.List {
-					scan(c.(*ast.CommClause).Body, held)
-				}
-			default:
-				if held {
-					scanExpr(st)
-				}
-			}
-		}
-		return held
-	}
-	scan(body.List, held)
-}
-
-// checkBlocking is the AL004 visitor for nodes reached under Bus.mu.
-func (a *analysis) checkBlocking(p *pkg, n ast.Node) {
-	switch x := n.(type) {
-	case *ast.SendStmt:
-		a.diag(CodeBlockUnderMu, x.Arrow,
-			"channel send while Bus.mu is held: use a select with default or move it outside the lock")
-	case *ast.UnaryExpr:
-		if x.Op == token.ARROW {
-			a.diag(CodeBlockUnderMu, x.OpPos, "channel receive while Bus.mu is held")
-		}
-	case *ast.SelectStmt:
-		a.diag(CodeBlockUnderMu, x.Select, "blocking select (no default case) while Bus.mu is held")
-	case *ast.CallExpr:
-		if what, ok := a.blockingCall(p, x); ok {
-			a.diag(CodeBlockUnderMu, x.Pos(), "%s while Bus.mu is held", what)
-		}
-	}
-}
-
-// blockingCall classifies a call as blocking (or mu-reacquiring) for AL004.
+// blockingCall classifies a call as blocking (or lock-taking) for AL004.
 func (a *analysis) blockingCall(p *pkg, call *ast.CallExpr) (string, bool) {
 	fn := calleeFunc(p, call)
 	if fn == nil {
@@ -292,15 +187,16 @@ func (a *analysis) blockingCall(p *pkg, call *ast.CallExpr) (string, bool) {
 	if recv.Obj().Pkg() != nil {
 		rp = recv.Obj().Pkg().Path()
 	}
+	ours := rp == a.rules.busPkg || rp == a.rules.queuePkg || rp == a.rules.routingPkg
 	switch {
 	case rp == "sync" && name == "Wait" && (rn == "Cond" || rn == "WaitGroup"):
 		return "sync." + rn + ".Wait", true
 	case netPkgs[rp]:
 		return rp + "." + rn + "." + name + " (network I/O)", true
-	case (rp == a.rules.busPkg || rp == a.rules.queuePkg) && blockingBusMethods[rn+"."+name]:
+	case ours && blockingBusMethods[rn+"."+name]:
 		return "blocking call " + rn + "." + name, true
-	case rp == a.rules.busPkg && rn == "Bus" && muAcquiringBusMethods[name]:
-		return "(*Bus)." + name + " (re-acquires Bus.mu)", true
+	case ours && lockTakers[rn+"."+name]:
+		return rn + "." + name + " (re-acquires the routing writer lock)", true
 	}
 	return "", false
 }

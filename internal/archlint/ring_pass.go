@@ -27,12 +27,8 @@ func (a *analysis) ringPass() {
 	if p == nil {
 		return
 	}
-	for _, f := range p.files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				a.ringProtocolCheck(p, fd)
-			}
-		}
+	for _, fd := range funcDecls(p) {
+		a.ringProtocolCheck(p, fd)
 	}
 }
 

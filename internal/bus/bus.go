@@ -15,17 +15,19 @@
 // holds the Bus facade and the *control plane*, while the data plane (write,
 // Attachment reads) runs lock-free against the current routing snapshot plus
 // one per-queue lock. Every topology change only stages what it wants on a
-// routing.Draft, and one commit, editLocked, carries it out. A writer that
-// resolved its route from the outgoing snapshot is refused at a fenced queue
-// and finishes in writeSlow against the successor, which is what makes a
+// routing.Draft, and one commit, the routing committer's Edit, carries it
+// out under the writer lock it alone holds. A writer that resolved its
+// route from the outgoing snapshot is refused at a fenced queue and
+// finishes in writeSlow against the successor, which is what makes a
 // replacement lose and duplicate nothing.
 //
-// The bus writes the event log (Events): the commit appends its records
-// under the writer lock, so they are in commit order, and every other bus
-// call that logs (a signal, a state hand-off, a restore acknowledgement)
-// appends before the call returns and before its counterpart can see its
-// effect. The log an operator reads is thus the ordered trace of what the
-// bus did; Events hands out a view that cannot append.
+// The bus writes the event log (Events): the commit's callback appends its
+// records under the writer lock, so they are in commit order, and every
+// other bus call that logs (a signal, a state hand-off, a restore
+// acknowledgement) appends before the call returns and before its
+// counterpart can see its effect. The log an operator reads is thus the
+// ordered trace of what the bus did; Events hands out a view that cannot
+// append.
 //
 // The bus never interprets payloads: messages are opaque byte strings
 // produced by a codec.Codec, which is what makes the system heterogeneous in
@@ -212,14 +214,14 @@ func (in *instance) restoreBoxRef() chan error {
 
 // Bus is the software bus. All methods are safe for concurrent use.
 //
-// mu is the control-plane writer lock, taken in two places: edit, which
-// every topology change goes through, and writeSlow, the retry path of a
-// fenced write. The steady-state data plane never takes it — it loads the
+// The bus holds no topology lock: the routing writer lock is the
+// committer's, taken by its Edit, which every topology change goes through,
+// and by its Settled, which the retry path of a fenced write (writeSlow)
+// waits in. The steady-state data plane never takes it — it loads the
 // current routing snapshot atomically and touches only per-queue locks.
 type Bus struct {
-	mu      sync.Mutex
 	routing *routing.Published
-	commit  routing.Committer // the one publish into routing: editLocked's
+	commit  routing.Committer // the one writer of routing
 
 	stats    busStats
 	clk      clock.Clock
@@ -324,7 +326,7 @@ func New(opts ...BusOption) *Bus {
 	if b.events == nil {
 		b.events = evlog.NewLog(0, b.clk)
 	}
-	_ = b.edit(func(*routing.Draft) error { return nil }) // publishes the empty table, version 1
+	_ = b.commit.Edit(func(*routing.Draft) error { return nil }, b.committed) // publishes the empty table, version 1
 	return b
 }
 
@@ -356,12 +358,12 @@ func (b *Bus) fire(site string) error {
 // so blocked readers wake with ErrStopped and the module runtimes wind
 // down. The event log stays readable.
 func (b *Bus) Close() {
-	_ = b.edit(func(d *routing.Draft) error {
+	_ = b.commit.Edit(func(d *routing.Draft) error {
 		for _, name := range d.View().Instances() {
 			_ = d.DeleteInstance(name)
 		}
 		return nil
-	})
+	}, b.committed)
 }
 
 // Stats returns a snapshot of the activity counters.
@@ -386,20 +388,12 @@ func (s *busStats) deliveries() (n int64) {
 	return n
 }
 
-// editLocked is the one place a topology change meets traffic. fn stages
-// the whole change on a draft of the current snapshot and touches nothing
-// else, so an error from it leaves the previous snapshot current, every
-// queue as it was and no event emitted. What validated is then committed in
-// one order nothing in it can fail: fence, move and publish
-// (routing.Committer.Commit; a refused writer waits in writeSlow for this
-// lock), close the deleted instances, waking their blocked readers, and
-// append the staged events to the log. Callers hold b.mu.
-func (b *Bus) editLocked(fn func(d *routing.Draft) error) error {
-	d := b.routing.Load().Draft()
-	if err := fn(d); err != nil {
-		return err
-	}
-	deleted, events, moved := b.commit.Commit(d)
+// committed is the bus's half of every commit, which the committer's Edit
+// runs after it has fenced, moved and published (a refused writer waits in
+// writeSlow until it returns): count the moved messages, close the deleted
+// instances, waking their blocked readers, and append the staged events to
+// the log, in commit order.
+func (b *Bus) committed(deleted []routing.Instance, events []evlog.Record, moved int) {
 	b.stats.moves.Add(int64(moved))
 	for _, r := range deleted {
 		in := r.(*instance)
@@ -416,15 +410,6 @@ func (b *Bus) editLocked(fn func(d *routing.Draft) error) error {
 	for _, e := range events {
 		b.emit(e)
 	}
-	return nil
-}
-
-// edit is editLocked behind the writer lock — the narrow doorway every
-// topology change goes through.
-func (b *Bus) edit(fn func(d *routing.Draft) error) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.editLocked(fn)
 }
 
 // AddInstance registers a module instance. The instance exists (its queues
@@ -457,7 +442,7 @@ func (b *Bus) AddInstance(spec InstanceSpec) error {
 		}
 		in.ifaces[is.Name] = &routing.Iface{Spec: is, Name: spec.Name + "." + is.Name}
 	}
-	return b.edit(func(d *routing.Draft) error {
+	return b.commit.Edit(func(d *routing.Draft) error {
 		if err := d.AddInstance(spec.Name, spec.Machine, in); err != nil {
 			return err
 		}
@@ -497,7 +482,7 @@ func (b *Bus) AddInstance(spec InstanceSpec) error {
 			}
 		}
 		return nil
-	})
+	}, b.committed)
 }
 
 // DeleteInstance removes an instance, closing its queues and waking any
@@ -509,9 +494,9 @@ func (b *Bus) DeleteInstance(name string) error {
 	if err := b.fire("bus.deleteinstance"); err != nil {
 		return fmt.Errorf("bus: delete instance %s: %w", name, err)
 	}
-	return b.edit(func(d *routing.Draft) error {
+	return b.commit.Edit(func(d *routing.Draft) error {
 		return d.DeleteInstance(name)
-	})
+	}, b.committed)
 }
 
 // Attach claims the runtime slot of an instance, transitioning it to
@@ -540,19 +525,19 @@ func (b *Bus) Attach(name string) (*Attachment, error) {
 // AddBinding connects two endpoints. Both must exist, and at least one side
 // must send while the other receives.
 func (b *Bus) AddBinding(a, c Endpoint) error {
-	return b.edit(func(d *routing.Draft) error {
+	return b.commit.Edit(func(d *routing.Draft) error {
 		return d.AddBinding(a, c)
-	})
+	}, b.committed)
 }
 
 // DrainQueue discards all pending messages at the endpoint — the "rmq"
 // command. It returns the number discarded.
 func (b *Bus) DrainQueue(e Endpoint) (int, error) {
 	var n *int
-	err := b.edit(func(d *routing.Draft) (err error) {
+	err := b.commit.Edit(func(d *routing.Draft) (err error) {
 		n, err = d.DiscardQueue(e)
 		return err
-	})
+	}, b.committed)
 	if err != nil {
 		return 0, err
 	}
@@ -572,7 +557,7 @@ type BindEdit = routing.BindEdit
 // Every edit is staged on one draft, so a batch with an edit that does not
 // validate leaves the current snapshot — and the observable Bindings() —
 // untouched, moves no message and emits no event. A batch that validates is
-// committed by editLocked, which fences the queues it invalidates (both sides
+// committed in one Edit, which fences the queues it invalidates (both sides
 // of a deleted binding, a group side meaning its members' queues, and the
 // source of a cq or rmq): no message is lost to an abandoned queue and none
 // lands on a stale route.
@@ -580,9 +565,9 @@ func (b *Bus) Rebind(edits []BindEdit) error {
 	if err := b.fire("bus.rebind"); err != nil {
 		return fmt.Errorf("bus: rebind: %w", err)
 	}
-	err := b.edit(func(d *routing.Draft) error {
+	err := b.commit.Edit(func(d *routing.Draft) error {
 		return d.Rebind(edits)
-	})
+	}, b.committed)
 	if err == nil {
 		b.stats.rebinds.Add(1)
 	}
@@ -956,9 +941,9 @@ func (s *stamper) batch(parent TraceContext, n int) TraceContext {
 // lock-free push per target queue, no global lock and no allocation beyond
 // the message itself. The only way traffic meets reconfiguration is the
 // stale-route fence: a push refused because its route was resolved from a
-// fenced snapshot finishes that message on writeSlow, which serializes
-// with the writer lock and re-resolves, and hands back the tail of the
-// batch (rest) for the caller to re-resolve against the successor snapshot.
+// fenced snapshot finishes that message on writeSlow, which waits for the
+// commit and re-resolves, and hands back the tail of the batch (rest) for
+// the caller to re-resolve against the successor snapshot.
 // woke reports whether a fast-path push woke a parked reader.
 //
 //archlint:hotpath
@@ -1022,44 +1007,44 @@ func (b *Bus) writeUnboundErr(from Endpoint, n int) error {
 }
 
 // writeSlow finishes a write on src whose fast-path route was fenced by a
-// concurrent topology change. It serializes with the writers on b.mu —
-// by the time the lock is held the change has published its successor
-// snapshot — re-resolves the route, and delivers to every current target
-// not already reached on the fast path. attempted holds the targets the
-// fast path already processed (delivered or dropped-closed); pre counts
-// the fast-path deliveries for the sender's sent counter.
+// concurrent topology change. It runs in the committer's Settled — by then
+// the change has published its successor snapshot — re-resolves the route,
+// and delivers to every current target not already reached on the fast
+// path. attempted holds the targets the fast path already processed
+// (delivered or dropped-closed); pre counts the fast-path deliveries for
+// the sender's sent counter.
 func (b *Bus) writeSlow(msg *Message, src *routing.Iface, attempted []routing.Target, pre int64) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	rt := b.routing.Load()
-	delivered := pre
-	from := msg.From
-	rs, ok := rt.Route(from)
-	if ok {
-	targets:
-		for _, t := range rs.Targets {
-			for _, done := range attempted {
-				if done.Same(t) {
-					continue targets
+	return b.commit.Settled(func(rt *routing.Table) error {
+		delivered := pre
+		from := msg.From
+		rs, ok := rt.Route(from)
+		if ok {
+		targets:
+			for _, t := range rs.Targets {
+				for _, done := range attempted {
+					if done.Same(t) {
+						continue targets
+					}
+				}
+				// Every fence was raised at an epoch before rt's, under the
+				// writer lock, so the routed push is never refused as stale.
+				// A reader it wakes waits for the lock's release: nothing
+				// yields here.
+				if _, err := t.Push(msg, src, rt.Version()); err == nil {
+					delivered++
 				}
 			}
-			// Every fence was raised at an epoch before rt's, under this
-			// lock, so the routed push is never refused as stale. A reader
-			// it wakes waits for the lock's release: nothing yields here.
-			if _, err := t.Push(msg, src, rt.Version()); err == nil {
-				delivered++
-			}
 		}
-	}
-	if delivered == 0 {
-		if !ok {
-			if _, err := rt.Lookup(from); err != nil {
-				return err
+		if delivered == 0 {
+			if !ok {
+				if _, err := rt.Lookup(from); err != nil {
+					return err
+				}
 			}
+			b.stats.dropped.Add(1)
+			return fmt.Errorf("%w: %s", ErrUnbound, from)
 		}
-		b.stats.dropped.Add(1)
-		return fmt.Errorf("%w: %s", ErrUnbound, from)
-	}
-	src.Sent.Add(delivered)
-	return nil
+		src.Sent.Add(delivered)
+		return nil
+	})
 }

@@ -27,8 +27,8 @@ func (b *Bus) Events() evlog.View { return b.events.View() }
 
 // emit appends one record to the event log before the call that caused it
 // returns — the bus's only write to the log. Topology
-// changes emit from the commit, under b.mu, so their records are in commit
-// order; a hand-off (signal, divulge, install-state, restore-ack) emits
+// changes emit from the commit's callback, under the routing writer lock, so
+// their records are in commit order; a hand-off (signal, divulge, install-state, restore-ack) emits
 // before its counterpart can observe it.
 func (b *Bus) emit(rec evlog.Record) {
 	rec.Source = "bus"

@@ -19,9 +19,9 @@ const (
 // the given policy ("" defaults to round-robin). The group starts empty;
 // AddGroupMember admits instances whose interface sets match ifaces.
 func (b *Bus) AddGroup(name, policy string, ifaces []IfaceSpec) error {
-	return b.edit(func(d *routing.Draft) error {
+	return b.commit.Edit(func(d *routing.Draft) error {
 		return d.AddGroup(name, policy, ifaces)
-	})
+	}, b.committed)
 }
 
 // AddGroupMember admits an existing instance into a group. The instance
@@ -31,9 +31,9 @@ func (b *Bus) AddGroup(name, policy string, ifaces []IfaceSpec) error {
 // one copy-on-write snapshot publish: senders racing it keep delivering to
 // the old member set until the successor is visible.
 func (b *Bus) AddGroupMember(group, member string) error {
-	return b.edit(func(d *routing.Draft) error {
+	return b.commit.Edit(func(d *routing.Draft) error {
 		return d.AddGroupMember(group, member)
-	})
+	}, b.committed)
 }
 
 // RemoveGroupMember takes an instance out of its group and redistributes its
@@ -47,9 +47,9 @@ func (b *Bus) AddGroupMember(group, member string) error {
 // queue move — the supervisor's replace transaction — still carries them to
 // the rebuilt replica.
 func (b *Bus) RemoveGroupMember(group, member string) error {
-	return b.edit(func(d *routing.Draft) error {
+	return b.commit.Edit(func(d *routing.Draft) error {
 		return d.RemoveGroupMember(group, member)
-	})
+	}, b.committed)
 }
 
 // GroupMembers returns the current live members of a group, sorted.

@@ -11,8 +11,8 @@
 // here, so no bus code can reach them. The API runs no caller code — no
 // exported method or field takes or holds a func or interface value
 // (TestQueueRunsNoCallerCode) — so no code of the bus ever runs under a
-// queue lock, and the bus's lock order (Bus.mu before queue locks) needs no
-// checker.
+// queue lock, and the lock order (the routing writer lock before queue
+// locks) needs no checker.
 package queue
 
 import (

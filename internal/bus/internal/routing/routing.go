@@ -5,11 +5,13 @@
 // transport (the bus's attachments and TCP server) reads the published
 // table. A message pays one atomic load plus one queue lock; a topology
 // change drafts a copy of the table, stages its edits there and commits it
-// under the bus's writer lock, and one that fails has published nothing.
+// under the writer lock, and one that fails has published nothing.
 // The compiler keeps the discipline: a table's fields are unexported, only
 // build makes a table, and only the Committer New hands the bus publishes
-// one. A receiving interface's queue is built here (Iface.Receive), so the
-// queue's fence half stays in the entry, where only the commit reaches it.
+// one, through Edit, which holds the writer lock from the draft to the end
+// of the commit; the lock and the commit are unexported here. A receiving
+// interface's queue is built here (Iface.Receive), so the queue's fence half
+// stays in the entry, where only the commit reaches it.
 // The package never sees the bus's instance runtime, only an Instance's
 // interfaces.
 package routing
@@ -20,6 +22,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/bus/internal/queue"
@@ -143,11 +146,16 @@ type RouteSet struct {
 }
 
 // Published holds the current table: Load is the data plane's one atomic
-// load. Before the first commit, Load returns nil.
-type Published struct{ cur atomic.Pointer[Table] }
+// load. Before the first commit, Load returns nil. mu is the writer lock:
+// only a Committer's Edit and Settled take it.
+type Published struct {
+	cur atomic.Pointer[Table]
+	mu  sync.Mutex
+}
 
-// Committer is the one publish of a Published: New hands it to the table's
-// owner, and nothing else makes one.
+// Committer is the one writer of a Published: New hands it to the table's
+// owner, and nothing else makes one. Its commits are totally ordered: each
+// drafts from the table the previous one published.
 type Committer struct{ p *Published }
 
 // New returns an empty Published and its Committer.
@@ -158,6 +166,33 @@ func New() (*Published, Committer) {
 
 // Load returns the current table.
 func (p *Published) Load() *Table { return p.cur.Load() }
+
+// Edit is the one topology change: under the writer lock it drafts the
+// current table and hands the draft to stage, which stages the whole change
+// there and touches nothing else. An error from stage is returned with
+// nothing published, no queue touched and no event staged. What validated is
+// committed, and committed runs, still under the lock, with the instances to
+// close, the staged events in order and how many messages went to another
+// queue, so the next edit and a waiting Settled see its effects done.
+func (c Committer) Edit(stage func(*Draft) error, committed func(deleted []Instance, events []evlog.Record, moved int)) error {
+	c.p.mu.Lock()
+	defer c.p.mu.Unlock()
+	d := c.p.Load().Draft()
+	if err := stage(d); err != nil {
+		return err
+	}
+	committed(c.commit(d))
+	return nil
+}
+
+// Settled runs fn on the current table under the writer lock, and returns
+// what fn does: every commit that fenced a queue before the call has
+// published its successor, and none runs until fn returns.
+func (c Committer) Settled(fn func(*Table) error) error {
+	c.p.mu.Lock()
+	defer c.p.mu.Unlock()
+	return fn(c.p.Load())
+}
 
 // Version returns the table's epoch.
 func (t *Table) Version() uint64 { return t.version }
@@ -265,10 +300,10 @@ func (t *Table) Draft() *Draft {
 	}}
 }
 
-// Draft is the editor's mutable view between Table.Draft and Commit. It is
-// discarded whole on any validation failure, which makes multi-edit
+// Draft is the editor's mutable view between Table.Draft and the commit. It
+// is discarded whole on any validation failure, which makes multi-edit
 // operations (Rebind) atomic. An edit touches nothing but the draft: what it
-// wants done to queues and instances it stages here, for Commit.
+// wants done to queues and instances it stages here, for the commit.
 type Draft struct {
 	Table // the successor under construction: build sets version and routes
 
@@ -295,13 +330,14 @@ type queueMove struct {
 	n    int // set by the commit: the messages that left from
 }
 
-// Commit carries out a validated draft in an order nothing in it can fail:
+// commit carries out a validated draft in an order nothing in it can fail:
 // fence every staged queue at the outgoing version, so a writer that
 // resolved its route from the outgoing table is refused at the queue; move
 // what each fenced source holds, stamped with the successor version; publish
 // the successor. It hands back the deleted instances, the staged events and
-// how many messages went to another queue. Callers serialize commits.
-func (c Committer) Commit(d *Draft) (deleted []Instance, events []evlog.Record, moved int) {
+// how many messages went to another queue. Edit runs it under the writer
+// lock.
+func (c Committer) commit(d *Draft) (deleted []Instance, events []evlog.Record, moved int) {
 	next := d.version + 1
 	for _, ifc := range d.fenced {
 		ifc.fence.Detach(d.version)

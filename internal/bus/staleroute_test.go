@@ -6,12 +6,17 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/bus/internal/queue"
+	"repro/internal/bus/internal/routing"
+	"repro/internal/clock"
+	"repro/internal/telemetry/evlog"
 )
 
 // TestStaleWriterAcrossRebindAndDelete is the regression for the
@@ -185,6 +190,121 @@ func staleWriterRun(t *testing.T, batch int) {
 	}
 }
 
+// TestConcurrentEditsSerialize commits disjoint edits from many goroutines
+// at once: instances added, bound, rebound with a queue move and deleted,
+// plus one refused binding per round. Each commit drafts from the table the
+// one before it published, so none is lost: afterwards every surviving
+// instance and binding is visible, the snapshot version is 1 (the empty
+// table New publishes) plus the accepted edits, and the bus's topology
+// records in the event log are the accepted edits' own — one edit's records
+// together, each goroutine's edits in the order it made them.
+func TestConcurrentEditsSerialize(t *testing.T) {
+	const workers, rounds = 8, 16
+	b := New(WithEvents(evlog.NewLog(1<<12, clock.Clock{})))
+	t.Cleanup(b.Close)
+	type rec struct{ kind, instance, detail string }
+	edits := make([][][]rec, workers) // per worker, each accepted edit's records
+	var wantInstances []string
+	var wantBindings []Binding
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		for r := 0; r < rounds; r++ {
+			pre := fmt.Sprintf("w%dr%d", w, r)
+			wantInstances = append(wantInstances, pre+"a", pre+"c")
+			wantBindings = append(wantBindings, Binding{A: Endpoint{Instance: pre + "a", Interface: "out"}, B: Endpoint{Instance: pre + "c", Interface: "in"}})
+		}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			accept := func(err error, recs ...rec) {
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				edits[w] = append(edits[w], recs)
+			}
+			for r := 0; r < rounds; r++ {
+				pre := fmt.Sprintf("w%dr%d", w, r)
+				out := Endpoint{Instance: pre + "a", Interface: "out"}
+				old := Endpoint{Instance: pre + "b", Interface: "in"}
+				next := Endpoint{Instance: pre + "c", Interface: "in"}
+				accept(b.AddInstance(InstanceSpec{Name: out.Instance, Interfaces: []IfaceSpec{{Name: "out", Dir: Out}}}),
+					rec{routing.KindAddInstance, out.Instance, ""})
+				for _, e := range []Endpoint{old, next} {
+					accept(b.AddInstance(InstanceSpec{Name: e.Instance, Interfaces: []IfaceSpec{{Name: "in", Dir: In}}}),
+						rec{routing.KindAddInstance, e.Instance, ""})
+				}
+				accept(b.AddBinding(out, old), rec{routing.KindAddBinding, "", out.String() + " <-> " + old.String()})
+				if err := b.AddBinding(out, Endpoint{Instance: pre + "ghost", Interface: "in"}); err == nil {
+					t.Error("binding to a missing instance accepted")
+				}
+				accept(b.Rebind([]BindEdit{
+					{Op: "del", From: out, To: old},
+					{Op: "add", From: out, To: next},
+					{Op: "cq", From: old, To: next},
+				}),
+					rec{routing.KindDeleteBinding, "", out.String() + " <-> " + old.String()},
+					rec{routing.KindAddBinding, "", out.String() + " <-> " + next.String()},
+					rec{routing.KindMoveQueue, "", old.String() + " -> " + next.String() + " (0 msgs)"},
+					rec{routing.KindRebind, "", "3 edits"})
+				accept(b.DeleteInstance(old.Instance), rec{routing.KindDeleteInstance, old.Instance, ""})
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	accepted := 0
+	for _, e := range edits {
+		accepted += len(e)
+	}
+	if got, want := b.Stats().SnapshotVersion, uint64(1+accepted); got != want {
+		t.Errorf("snapshot version %d after %d accepted edits, want %d", got, accepted, want)
+	}
+	sort.Strings(wantInstances)
+	if got := b.Routing().Instances(); !reflect.DeepEqual(got, wantInstances) {
+		t.Errorf("instances: %d visible, want %d\ngot  %v\nwant %v", len(got), len(wantInstances), got, wantInstances)
+	}
+	if got := b.Routing().Bindings(); len(got) != len(wantBindings) {
+		t.Errorf("bindings: %d visible, want %d: %v", len(got), len(wantBindings), got)
+	} else {
+		for _, bd := range wantBindings {
+			if !slices.Contains(got, bd) {
+				t.Errorf("binding %s <-> %s lost", bd.A, bd.B)
+			}
+		}
+	}
+
+	if n := b.Events().Overwritten(); n != 0 {
+		t.Fatalf("event log overwrote %d records", n)
+	}
+	var log []rec
+	for _, e := range b.Events().Since(0) {
+		if e.Source == "bus" {
+			log = append(log, rec{e.Kind, e.Instance, e.Detail})
+		}
+	}
+	for i := 0; i < len(log); {
+		w := slices.IndexFunc(edits, func(e [][]rec) bool { return len(e) > 0 && e[0][0] == log[i] })
+		if w < 0 {
+			t.Fatalf("record %d %+v is no goroutine's next edit", i, log[i])
+		}
+		want := edits[w][0]
+		if i+len(want) > len(log) || !slices.Equal(log[i:i+len(want)], want) {
+			t.Fatalf("records %d..: got %+v, want the edit %+v whole", i, log[i:min(i+len(want), len(log))], want)
+		}
+		i += len(want)
+		edits[w] = edits[w][1:]
+	}
+	for w, e := range edits {
+		if len(e) > 0 {
+			t.Errorf("goroutine %d: %d accepted edits have no records, the first %+v", w, len(e), e[0])
+		}
+	}
+}
+
 // commitWorld is the topology the commit tests edit: a writer src, two plain
 // receivers a and b, and a replica group g over m1 and m2 with m3 standing
 // by. queues holds every receiving queue by instance name, so a test can
@@ -239,7 +359,7 @@ func (w *commitWorld) queued() map[string][]string {
 
 // TestStaleRouteAcrossEveryTopologyChange holds a route resolved before a
 // topology change and writes on it after, once for every method that
-// changes the topology. All of them commit through editLocked, so all of
+// changes the topology. All of them commit through one Edit, so all of
 // them must give the same answer: the message arrives exactly once, where
 // the successor topology (or, for a change that takes nothing away, either
 // topology) sends it, behind whatever a queue transfer carried there; a

@@ -610,7 +610,8 @@ func (c *conn) pushSignals() {
 }
 
 // dispatch is the server end's handler. Nothing here blocks (bus queues are
-// unbounded, and a fenced write's slow path holds Bus.mu only across a push).
+// unbounded, and a fenced write's slow path holds the routing writer lock
+// only across a push).
 //
 //archlint:hotpath
 func (c *conn) dispatch(f *frame) error {

@@ -516,27 +516,6 @@ func (r *Runtime) beginCapture() {
 	}
 }
 
-// CaptureNamed is Capture with explicit variable names, used when the
-// transform knows them (it always does); names make divulged state
-// self-documenting and allow name-checked restoration in tests.
-func (r *Runtime) CaptureNamed(fn string, loc int, names []string, vals ...any) {
-	if len(names) != len(vals) {
-		r.record(fmt.Errorf("mh: capture %s: %d names for %d values", fn, len(names), len(vals)))
-		return
-	}
-	r.beginCapture()
-	frame := state.Frame{Func: fn, Location: loc}
-	for i, val := range vals {
-		av, err := state.FromGo(val)
-		if err != nil {
-			r.record(fmt.Errorf("mh: capture %s var %s: %w", fn, names[i], err))
-			return
-		}
-		frame.Vars = append(frame.Vars, state.Var{Name: names[i], Value: av})
-	}
-	r.capturing.PushFrame(frame)
-}
-
 // CapturedDepth returns the number of frames captured so far.
 func (r *Runtime) CapturedDepth() int {
 	if r.capturing == nil {

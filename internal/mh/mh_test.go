@@ -889,31 +889,6 @@ func TestRunPassesThroughForeignPanics(t *testing.T) {
 	Run(func() { panic("not a termination") })
 }
 
-func TestCaptureNamed(t *testing.T) {
-	b := newMonitorBus(t)
-	rt := attachRT(t, b, "compute")
-	rt.CaptureNamed("main", 1, []string{"n", "resp"}, 5, 2.5)
-	rt.Encode()
-	divulged, err := b.AwaitDivulged("compute", time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := codec.Default().DecodeState(divulged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, ok := st.Frames[0].Var("resp")
-	if !ok || v.Float() != 2.5 {
-		t.Errorf("named var = %v %t", v, ok)
-	}
-
-	rt2 := attachRT(t, b, "display")
-	rt2.CaptureNamed("f", 1, []string{"a"}, 1, 2)
-	if rt2.Err() == nil {
-		t.Error("name/value arity mismatch accepted")
-	}
-}
-
 // TestRuntimeCarriesTraceContext pins the runtime half of causal tracing:
 // the context of the last message read becomes the causal parent of the
 // module's next write, with no module-code involvement — the same

@@ -10,8 +10,8 @@ import (
 // ReplaceFromCheckpointTx rebuilds a crashed replica-group member as a
 // transaction. It is the Figure 5 replacement script with one substitution:
 // a crashed module can divulge nothing, so the newest periodic checkpoint of
-// its abstract state (internal/checkpoint, published through the mh runtime)
-// stands in for the divulged state. The paper's Discussion rejects paying
+// its abstract state (mh.Checkpointer, in internal/mh/checkpoint.go) stands
+// in for the divulged state. The paper's Discussion rejects paying
 // the checkpoint cost for *planned* reconfiguration; a crash is the case
 // where there is no reconfiguration point left to reach, which is exactly
 // when the baseline earns its keep.

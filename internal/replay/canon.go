@@ -101,7 +101,7 @@ func OutputsOf(recs []Record, instance string) []Output {
 				continue
 			}
 		}
-		out = append(out, Output{Iface: endpointIface(r.From), Data: r.Data})
+		out = append(out, Output{Iface: EndpointIface(r.From), Data: r.Data})
 	}
 	return out
 }

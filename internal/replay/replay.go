@@ -76,9 +76,9 @@ func endpointInstance(ep string) string {
 	return ep
 }
 
-// endpointIface returns the interface part of an "instance.interface"
-// endpoint.
-func endpointIface(ep string) string {
+// EndpointIface returns the interface part of an "instance.interface"
+// endpoint, as a Record's From and To spell it.
+func EndpointIface(ep string) string {
 	if i := strings.LastIndexByte(ep, '.'); i >= 0 {
 		return ep[i+1:]
 	}

@@ -151,21 +151,11 @@ type virtualPort struct {
 func newVirtualPort(name string, window []replay.Record) *virtualPort {
 	vp := &virtualPort{name: name, queues: map[string][]replay.Record{}}
 	for _, r := range window {
-		ifc := endpointIface(r.To)
+		ifc := replay.EndpointIface(r.To)
 		vp.queues[ifc] = append(vp.queues[ifc], r)
 		vp.total++
 	}
 	return vp
-}
-
-// endpointIface returns the interface part of "instance.interface".
-func endpointIface(ep string) string {
-	for i := len(ep) - 1; i >= 0; i-- {
-		if ep[i] == '.' {
-			return ep[i+1:]
-		}
-	}
-	return ""
 }
 
 func (vp *virtualPort) Name() string    { return vp.name }

@@ -38,7 +38,7 @@ echo "non-test Go lines:      $(gofiles ! -name '*_test.go' | xargs -0 cat | wc 
 echo "  internal/bus:         $(gofiles ! -name '*_test.go' -path './internal/bus/*' | xargs -0 cat | wc -l)"
 echo "    internal/bus/internal/routing: $(gofiles ! -name '*_test.go' -path './internal/bus/internal/routing/*' | xargs -0 cat | wc -l)"
 echo "    internal/bus/tcp.go: $(wc -l < internal/bus/tcp.go)"
-echo "  internal/archlint:    $(gofiles ! -name '*_test.go' -path './internal/archlint/*' | xargs -0 cat | wc -l)"
+echo "  internal/archlint:    $(gofiles ! -name '*_test.go' -path './internal/archlint/*' | xargs -0 cat | wc -l) (target <= 1300)"
 echo "test Go lines:          $(gofiles -name '*_test.go' | xargs -0 cat | wc -l)"
 echo "time.Sleep( in tests:   $(gofiles -name '*_test.go' | xargs -0 cat | grep -c 'time\.Sleep(') (target <= 20)"
 echo "spawn sites:            $(gofiles ! -name '*_test.go' | xargs -0 cat | grep -c '//archlint:spawn')"
@@ -98,8 +98,8 @@ echo "220 of 220 runs passed"
 echo "== the routing model: seeded topology edits, writes and reads from one goroutine against a reference of maps and slices (racy x3)"
 go test -race -count=3 -run '^TestModelTopologyAndTraffic$' ./internal/bus/
 
-echo "== the one commit: a stale route across every topology-changing method, DeleteInstance against Rebind cq, every logging call's records in the log by its return (racy x20)"
-go test -race -count=20 -run 'TestStaleRouteAcrossEveryTopologyChange|TestDeleteInstanceVsRebindMoveQueue|TestEventLoggedByReturn' ./internal/bus/
+echo "== the one commit: a stale route across every topology-changing method, DeleteInstance against Rebind cq, every logging call's records in the log by its return, concurrent edits serialized with none lost (racy x20)"
+go test -race -count=20 -run 'TestStaleRouteAcrossEveryTopologyChange|TestDeleteInstanceVsRebindMoveQueue|TestEventLoggedByReturn|TestConcurrentEditsSerialize' ./internal/bus/
 
 echo "== both ends of a TCP attachment: parked calls end with their connection, wrong frames end it, concurrent readers of one interface take each message once (racy x20)"
 go test -race -count=20 -run 'TestRemote|TestParkedCalls|TestClientRefuses|TestServerClose|TestGarbageKills' ./internal/bus/
