@@ -118,7 +118,8 @@ func BenchmarkSteadyState(b *testing.B) {
 		}
 		b.StopTimer()
 		if rt := app.Runtime("compute"); rt != nil && instrument {
-			b.ReportMetric(float64(rt.FlagChecks)/float64(b.N), "flagchecks/op")
+			checks := rt.Telemetry().Snapshot().Counters["mh.compute.flag_checks"]
+			b.ReportMetric(float64(checks)/float64(b.N), "flagchecks/op")
 		}
 	}
 	b.Run("original", func(b *testing.B) { run(b, 0, false) })

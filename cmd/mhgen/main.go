@@ -64,7 +64,7 @@ func run(args []string, stdout *os.File) error {
 		return err
 	}
 
-	opts := transform.Options{PointVars: map[string][]string{}}
+	var opts transform.Options
 	switch *mode {
 	case "all":
 		opts.Mode = transform.CaptureAll
@@ -93,14 +93,7 @@ func run(args []string, stdout *os.File) error {
 		if m == nil {
 			return fmt.Errorf("specification has no module %s", *moduleName)
 		}
-		for _, pt := range m.ReconfigPoints {
-			if len(pt.Vars) > 0 {
-				opts.PointVars[pt.Label] = pt.Vars
-			}
-		}
-		if opts.Mode == 0 && len(opts.PointVars) > 0 {
-			opts.Mode = transform.CaptureSpec
-		}
+		opts.PointVars = m.PointVars()
 	}
 
 	// Pre-transform gate: run the static analyzer; errors (an unsound

@@ -17,6 +17,7 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/evlog"
 	"repro/internal/telemetry/health"
+	"repro/internal/telemetry/timeseries"
 )
 
 // The operator plane is one table: every operation an operator can run
@@ -376,7 +377,7 @@ func opTimeseries(a *App, args opArgs) (any, error) {
 	if metric == "" {
 		return map[string]any{
 			"window_ns": int64(a.roller.Window()),
-			"windows":   a.roller.Depth(),
+			"windows":   timeseries.Windows,
 			"rolled":    a.roller.Rolled(),
 			"metrics":   a.roller.Names(),
 		}, nil

@@ -131,38 +131,3 @@ func checkedProgram(r *Report, sources map[string]string, specFile string) (*lan
 func milPos(specFile string, p mil.Pos) token.Position {
 	return token.Position{Filename: specFile, Line: p.Line, Column: p.Col}
 }
-
-// effectiveMode resolves the capture mode under analysis, mirroring
-// cmd/mhgen's default: specification lists when present, all-locals
-// otherwise.
-func effectiveMode(cfg Config, mod *mil.Module) transform.CaptureMode {
-	if cfg.Mode != 0 {
-		return cfg.Mode
-	}
-	if mod != nil && specHasVars(mod) {
-		return transform.CaptureSpec
-	}
-	return transform.CaptureAll
-}
-
-// specHasVars reports whether any reconfiguration point declares a state
-// list.
-func specHasVars(mod *mil.Module) bool {
-	for _, pt := range mod.ReconfigPoints {
-		if len(pt.Vars) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// pointVars extracts the per-point state lists of a module specification.
-func pointVars(mod *mil.Module) map[string][]string {
-	out := map[string][]string{}
-	for _, pt := range mod.ReconfigPoints {
-		if len(pt.Vars) > 0 {
-			out[pt.Label] = pt.Vars
-		}
-	}
-	return out
-}

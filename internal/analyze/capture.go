@@ -57,7 +57,7 @@ func checkCapture(r *Report, cfg Config, mod *mil.Module, prog *lang.Program, in
 
 	// Declared capture lists only matter under specification mode; the
 	// other modes derive the set and are sound by construction.
-	if effectiveMode(cfg, mod) != transform.CaptureSpec || !specHasVars(mod) {
+	if pvars := mod.PointVars(); len(pvars) == 0 || transform.ResolveMode(cfg.Mode, pvars) != transform.CaptureSpec {
 		return
 	}
 	checkCaptureSoundness(r, cfg, mod)
@@ -109,7 +109,7 @@ func checkCaptureSoundness(r *Report, cfg Config, mod *mil.Module) {
 		return
 	}
 
-	pvars := pointVars(mod)
+	pvars := mod.PointVars()
 	for _, name := range rg.Nodes {
 		edges := rg.EdgesFrom(name)
 

@@ -24,9 +24,9 @@ import (
 //     module's point labels must match, or resume locations in restored
 //     frames would name different program points.
 func checkReplacement(r *Report, cfg Config, mod *mil.Module) {
-	opts := transform.Options{Mode: effectiveMode(cfg, mod)}
+	opts := transform.Options{Mode: cfg.Mode}
 	if mod != nil {
-		opts.PointVars = pointVars(mod)
+		opts.PointVars = mod.PointVars()
 	}
 
 	oldOut, err := transform.Prepare(cfg.Sources, opts)

@@ -266,14 +266,6 @@ type Stats struct {
 // BusOption configures a Bus at construction.
 type BusOption func(*Bus)
 
-// WithTelemetry sets the bus's metrics registry. Passing nil disables bus
-// telemetry entirely: every metric handle resolves to nil and the hot paths
-// degrade to no-ops (the uninstrumented baseline of
-// TestWriteTelemetryAddsNoAllocs).
-func WithTelemetry(reg *telemetry.Registry) BusOption {
-	return func(b *Bus) { b.telem = reg }
-}
-
 // WithRecorder builds the bus's delivery log and sets the trace sampling
 // rate. Every sampleEvery-th trace the bus mints is sampled (1 = all, 0 =
 // none; contexts are stamped and propagated either way). The log, built
@@ -311,8 +303,7 @@ func WithClock(c clock.Clock) BusOption {
 
 // New creates an empty bus. Failpoints default to the process-wide set
 // configured by the FAULTPOINTS environment variable (usually empty).
-// Telemetry is on by default with a fresh registry; override with
-// WithTelemetry.
+// Every bus builds its own metrics registry (Telemetry).
 func New(opts ...BusOption) *Bus {
 	b := &Bus{
 		telem: telemetry.NewRegistry(),
@@ -333,7 +324,7 @@ func New(opts ...BusOption) *Bus {
 // Clock returns the clock the bus reads, for the layers built on it.
 func (b *Bus) Clock() clock.Clock { return b.clk }
 
-// Telemetry returns the bus's metrics registry (nil when disabled).
+// Telemetry returns the bus's metrics registry.
 func (b *Bus) Telemetry() *telemetry.Registry { return b.telem }
 
 // Recorder returns the bus's delivery log (nil when neither recording nor
@@ -341,15 +332,14 @@ func (b *Bus) Telemetry() *telemetry.Registry { return b.telem }
 func (b *Bus) Recorder() *replay.Log { return b.recorder }
 
 // SetFaults overrides the bus's fault-injection set (tests arm their own so
-// parallel tests do not share failpoints). A nil set disables injection.
+// parallel tests do not share failpoints).
 func (b *Bus) SetFaults(s *faultinject.Set) { b.faults.Store(s) }
 
-// Faults returns the bus's fault-injection set (possibly nil).
+// Faults returns the bus's fault-injection set.
 func (b *Bus) Faults() *faultinject.Set { return b.faults.Load() }
 
 // fire consults the fault-injection set at a site (a Delay point sleeps on
-// the bus's clock; Fire is nil-receiver safe, so a disabled set costs one
-// atomic load).
+// the bus's clock; an empty set costs one atomic load and a lock).
 func (b *Bus) fire(site string) error {
 	return b.faults.Load().Fire(site, b.clk)
 }
@@ -448,8 +438,7 @@ func (b *Bus) AddInstance(spec InstanceSpec) error {
 		}
 		// Resolve telemetry handles once, after validation, off the message
 		// path, each labeled with its owner so no reader parses the dotted
-		// name (instance names may contain dots). On a telemetry-free bus
-		// these stay nil and the counters are no-ops.
+		// name (instance names may contain dots).
 		for _, ifc := range in.ifaces {
 			metric := func(suffix, family string) (string, telemetry.Labels) {
 				name := "bus.iface." + ifc.Name + "." + suffix
@@ -461,9 +450,6 @@ func (b *Bus) AddInstance(spec InstanceSpec) error {
 			}
 			if ifc.Spec.Dir.Receives() {
 				delivered := b.telem.Counter(metric("delivered", telemetry.FamilyDelivered))
-				if delivered == nil {
-					delivered = new(telemetry.Counter) // Stats counts with telemetry off too
-				}
 				b.stats.mu.Lock()
 				b.stats.delivered[delivered] = true
 				b.stats.mu.Unlock()

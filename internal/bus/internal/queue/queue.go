@@ -178,8 +178,7 @@ type Queue struct {
 	front []Item // restored/re-homed items, consumed before the segments
 
 	// rec is the delivery log's append handle for this queue's endpoint
-	// (nil when the bus runs without a log — a no-op, like the telemetry
-	// counters). Appends happen at consumption, in slot-claim order, which
+	// (nil when the bus runs without a log: a no-op). Appends happen at consumption, in slot-claim order, which
 	// is what makes the recorded per-queue sequence the queue's true total
 	// delivery order. The bus resolves the handle from its log's append half
 	// and passes it here; nothing else holds it.
@@ -198,10 +197,9 @@ type Queue struct {
 }
 
 // New returns an empty queue whose consumed deliveries go to rec (nil: not
-// recorded) and whose delivery latencies go to latency (nil: not
-// observed), with span ends read off clk. Each routed push it accepts adds
-// one to delivered (nil: not counted). It returns the queue's fence half
-// too, which nothing else hands out.
+// recorded) and whose delivery latencies go to latency, with span ends read
+// off clk. Each routed push it accepts adds one to delivered. It returns the
+// queue's fence half too, which nothing else hands out.
 func New(rec *replay.QueueLog, clk clock.Clock, latency *telemetry.Histogram, delivered *telemetry.Counter) (*Queue, Fence) {
 	q := &Queue{rec: rec, clk: clk, latency: latency, delivered: delivered}
 	c := &chunk{}

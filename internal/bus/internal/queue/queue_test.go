@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/telemetry"
 )
 
 // Inside the bus a message moves by address: a writer builds it once, each
@@ -28,7 +29,7 @@ func (q *Queue) takeLocked() *Item {
 // has grown, been snapshotted and drained around it under a racing producer,
 // and been restored (twice: the second replaces the front it was taken from).
 func TestTakenItemStaysValid(t *testing.T) {
-	q, f := New(nil, clock.Clock{}, nil, nil)
+	q, f := New(nil, clock.Clock{}, new(telemetry.Histogram), new(telemetry.Counter))
 	for i := 0; i < 3; i++ {
 		if _, err := q.PushRouted(testMsg(i), nil, 1); err != nil {
 			t.Fatal(err)

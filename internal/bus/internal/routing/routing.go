@@ -96,8 +96,8 @@ const (
 )
 
 // Iface is one interface's entry, built once when its instance is added and
-// shared by every table after. Sent is nil (no-op) when the bus runs with
-// telemetry disabled, so the write path never branches.
+// shared by every table after. Sent is nil for an interface that only
+// receives.
 type Iface struct {
 	Spec IfaceSpec
 	Name string // "instance.interface"

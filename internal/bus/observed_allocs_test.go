@@ -90,9 +90,9 @@ func TestObservedPathAllocs(t *testing.T) {
 	// Rollups on: a roller closing a window every millisecond reads the same
 	// atomics the path adds to and touches nothing else of it. Measured only
 	// once it has rolled this bus's series, or the figure would mean nothing.
-	reg := telemetry.NewRegistry()
-	trip := observedFanIn(t, 1, payload, WithTelemetry(reg))
-	roller := timeseries.New(reg, clock.Clock{}, timeseries.Config{Window: time.Millisecond, Windows: 120})
+	var reg *telemetry.Registry
+	trip := observedFanIn(t, 1, payload, func(b *Bus) { reg = b.Telemetry() })
+	roller := timeseries.New(reg, clock.Clock{}, time.Millisecond)
 	roller.Start()
 	for deadline := time.Now().Add(10 * time.Second); roller.Rolled() == 0; trip() {
 		if time.Now().After(deadline) {

@@ -84,9 +84,9 @@ type Point struct {
 	Count int
 }
 
-// Set is a collection of armed failpoints. The zero value and nil are valid
-// empty sets — Fire on them is a cheap no-op — so production paths carry a
-// *Set unconditionally. A Set is safe for concurrent use.
+// Set is a collection of armed failpoints. The zero value is a valid empty
+// set, and Fire on an empty set is a cheap no-op, so production paths carry
+// a *Set unconditionally. A Set is safe for concurrent use.
 type Set struct {
 	mu     sync.Mutex
 	points map[string]*armed
@@ -123,9 +123,6 @@ func (s *Set) Enable(site string, p Point) {
 
 // Disable disarms the failpoint at site.
 func (s *Set) Disable(site string) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.points, site)
@@ -133,9 +130,6 @@ func (s *Set) Disable(site string) {
 
 // Fired reports how many times the site has fired.
 func (s *Set) Fired(site string) int {
-	if s == nil {
-		return 0
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.fired[site]
@@ -146,9 +140,6 @@ func (s *Set) Fired(site string) int {
 // injected error; for a Drop point it returns ErrDropped; for a Delay point
 // it sleeps on clk, the caller's clock, then returns nil.
 func (s *Set) Fire(site string, clk clock.Clock) error {
-	if s == nil {
-		return nil
-	}
 	s.mu.Lock()
 	if len(s.points) == 0 {
 		s.mu.Unlock()

@@ -9,15 +9,6 @@ import (
 )
 
 func TestFireUnarmedAndNil(t *testing.T) {
-	var nilSet *Set
-	if err := nilSet.Fire("anything", clock.Clock{}); err != nil {
-		t.Errorf("nil set fired: %v", err)
-	}
-	if nilSet.Fired("anything") != 0 {
-		t.Error("nil set counted a firing")
-	}
-	nilSet.Disable("anything") // must not panic
-
 	s := New()
 	if err := s.Fire("unarmed", clock.Clock{}); err != nil {
 		t.Errorf("unarmed site fired: %v", err)

@@ -20,8 +20,8 @@ import (
 // performed, instead of at regular intervals during execution."
 //
 // The Checkpointer charges the full capture+encode cost every interval
-// operations; a reconfiguration restores the latest checkpoint and must
-// re-execute (replay) the operations performed since it was taken.
+// operations; a rollback to the latest checkpoint loses (and must
+// re-execute) the operations performed since it was taken (PendingOps).
 // Experiment C2 sweeps the interval and compares steady-state overhead and
 // work lost at reconfiguration against the reconfiguration-point approach,
 // whose steady-state cost is one flag test per point execution.
@@ -31,9 +31,6 @@ import (
 // checkpoint instead. The runtime charges the capture every interval
 // operations and publishes the encoded bytes to a sink; the supervisor keeps
 // the latest per replica as the stand-in for divulged state.
-
-// ErrNoCheckpoint indicates a restore before any checkpoint was taken.
-var ErrNoCheckpoint = errors.New("checkpoint: no checkpoint taken")
 
 // Snapshot produces the module's full abstract state on demand.
 type Snapshot func() (*state.State, error)
@@ -46,15 +43,11 @@ type CheckpointStats struct {
 	Checkpoints int64
 	// Bytes is the total encoded checkpoint volume.
 	Bytes int64
-	// Replayed is the total operations re-executed after restores.
-	Replayed int64
-	// Restores counts restorations.
-	Restores int64
 }
 
 // Checkpointer snapshots a module's state every Interval operations. It is
 // safe for concurrent use: the module thread Ticks while a supervisor reads
-// Latest/Stats or Restores from another goroutine.
+// Latest and Stats from another goroutine.
 type Checkpointer struct {
 	interval int
 	snapshot Snapshot
@@ -84,35 +77,23 @@ func (cp *Checkpointer) Tick() error {
 	cp.mu.Lock()
 	cp.stats.Ops++
 	cp.sinceLast++
-	if cp.sinceLast < cp.interval {
-		cp.mu.Unlock()
+	due := cp.sinceLast >= cp.interval
+	if due {
+		cp.sinceLast = 0 // a failed snapshot waits a whole interval too
+	}
+	cp.mu.Unlock()
+	if !due {
 		return nil
 	}
-	cp.sinceLast = 0
-	cp.mu.Unlock()
-	// The snapshot runs outside the lock: it calls back into module code,
-	// and the module thread is the only Ticker, so sinceLast cannot race
-	// past the interval while the capture is in flight.
-	st, err := cp.snapshot()
-	if err != nil {
-		return fmt.Errorf("checkpoint: snapshot: %w", err)
-	}
-	data, err := codec.Portable{}.EncodeState(st)
-	if err != nil {
-		return fmt.Errorf("checkpoint: encode: %w", err)
-	}
-	cp.mu.Lock()
-	cp.last = data
-	cp.stats.Checkpoints++
-	cp.stats.Bytes += int64(len(data))
-	cp.mu.Unlock()
-	return nil
+	return cp.Checkpoint()
 }
 
 // Checkpoint forces an immediate snapshot, off the interval schedule. The
 // mh runtime takes one at snapshot registration so a replica is recoverable
 // from birth, before its first interval elapses. Like Tick, it must be
-// called from the module thread (the snapshot calls into module code).
+// called from the module thread: the snapshot calls into module code, so it
+// runs outside the lock, and the module thread is the only one that takes a
+// checkpoint.
 func (cp *Checkpointer) Checkpoint() error {
 	st, err := cp.snapshot()
 	if err != nil {
@@ -132,32 +113,11 @@ func (cp *Checkpointer) Checkpoint() error {
 }
 
 // PendingOps reports the operations performed since the last checkpoint —
-// the work a restore loses and must replay.
+// the work a rollback to it loses and must replay.
 func (cp *Checkpointer) PendingOps() int {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	return cp.sinceLast
-}
-
-// Restore returns the most recent checkpoint and the number of operations
-// that must be replayed on top of it. The caller re-executes them.
-func (cp *Checkpointer) Restore() (*state.State, int, error) {
-	cp.mu.Lock()
-	last := cp.last
-	replay := cp.sinceLast
-	cp.mu.Unlock()
-	if last == nil {
-		return nil, 0, ErrNoCheckpoint
-	}
-	st, err := codec.Portable{}.DecodeState(last)
-	if err != nil {
-		return nil, 0, fmt.Errorf("checkpoint: decode: %w", err)
-	}
-	cp.mu.Lock()
-	cp.stats.Restores++
-	cp.stats.Replayed += int64(replay)
-	cp.mu.Unlock()
-	return st, replay, nil
 }
 
 // Latest returns the newest encoded checkpoint, or nil if none was taken.
@@ -221,7 +181,7 @@ func (r *Runtime) RegisterSnapshot(snap Snapshot) {
 }
 
 // Checkpointer exposes the runtime's checkpointer (nil unless WithCheckpoint
-// and RegisterSnapshot both happened), for stats and direct Restore.
+// and RegisterSnapshot both happened), for its stats and latest checkpoint.
 func (r *Runtime) Checkpointer() *Checkpointer { return r.cp }
 
 // tickOp records one completed communication operation when checkpointing

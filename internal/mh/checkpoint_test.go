@@ -50,12 +50,12 @@ func TestCheckpointEveryKOpsPublishesToSink(t *testing.T) {
 	if fromInstance != "compute" {
 		t.Errorf("sink saw instance %q", fromInstance)
 	}
-	// The second checkpoint decodes back to the state at op 8 (counter=7).
-	st, replay, err := rt.Checkpointer().Restore()
+	// The latest checkpoint decodes back to the state at op 8 (counter=7).
+	st, err := codec.Portable{}.DecodeState(rt.Checkpointer().Latest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replay != 2 {
+	if replay := rt.Checkpointer().PendingOps(); replay != 2 {
 		t.Errorf("replay = %d, want 2 (ops 9,10 after the op-8 checkpoint)", replay)
 	}
 	if st.Frames[0].Vars[0].Value.Int != 7 {
@@ -163,23 +163,17 @@ func TestCheckpointEveryInterval(t *testing.T) {
 	if len(cp.Latest()) == 0 {
 		t.Error("no latest checkpoint")
 	}
-	// One op (op 10) since the last checkpoint: restore replays 1.
+	// One op (op 10) since the last checkpoint: a rollback replays 1.
 	if cp.PendingOps() != 1 {
 		t.Errorf("PendingOps = %d", cp.PendingOps())
 	}
-	restored, replay, err := cp.Restore()
+	restored, err := codec.Portable{}.DecodeState(cp.Latest())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if replay != 1 {
-		t.Errorf("replay = %d", replay)
 	}
 	v, ok := restored.Frames[0].Var("counter")
 	if !ok || v.Int != 9 {
 		t.Errorf("restored counter = %v (rolled back to op 9)", v)
-	}
-	if got := cp.Stats(); got.Restores != 1 || got.Replayed != 1 {
-		t.Errorf("restore stats = %+v", got)
 	}
 }
 
@@ -192,8 +186,8 @@ func TestRestoreBeforeAnyCheckpoint(t *testing.T) {
 	if err := cp.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cp.Restore(); !errors.Is(err, ErrNoCheckpoint) {
-		t.Errorf("err = %v", err)
+	if cp.Latest() != nil || cp.PendingOps() != 1 {
+		t.Errorf("before the first interval: latest %v, %d pending; want nothing to restore from, 1 op to replay", cp.Latest(), cp.PendingOps())
 	}
 }
 
@@ -236,8 +230,9 @@ func TestWorkLostGrowsWithInterval(t *testing.T) {
 }
 
 // TestConcurrentTickAndRestore pins the concurrency contract: the module
-// thread Ticks while a supervisor goroutine reads Latest/Stats/PendingOps
-// and Restores. Run under -race (scripts/check.sh does).
+// thread Ticks while a supervisor goroutine reads Stats and PendingOps and
+// decodes Latest, as a rebuild does. Run under -race (scripts/check.sh
+// does).
 func TestConcurrentTickAndRestore(t *testing.T) {
 	counter := 0
 	cp, err := NewCheckpointer(2, snapOf(&counter))
@@ -248,12 +243,13 @@ func TestConcurrentTickAndRestore(t *testing.T) {
 	go func() { //archlint:spawn test reader goroutine; joined via done channel
 		defer close(done)
 		for i := 0; i < 500; i++ {
-			cp.Latest()
 			cp.Stats()
 			cp.PendingOps()
-			if _, _, err := cp.Restore(); err != nil && !errors.Is(err, ErrNoCheckpoint) {
-				t.Errorf("Restore: %v", err)
-				return
+			if data := cp.Latest(); data != nil {
+				if _, err := (codec.Portable{}).DecodeState(data); err != nil {
+					t.Errorf("decode latest: %v", err)
+					return
+				}
 			}
 		}
 	}()

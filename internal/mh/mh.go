@@ -62,13 +62,15 @@ func WithLogWriter(w io.Writer) Option { return func(r *Runtime) { r.logw = w } 
 // WithStateTimeout bounds Decode's wait for installed state (default 30s).
 func WithStateTimeout(d time.Duration) Option { return func(r *Runtime) { r.stateTimeout = d } }
 
-// WithTelemetry attaches a metrics registry. The runtime publishes
-// mh.<instance>.flag_checks (every evaluation of a reconfiguration flag —
-// the paper's entire steady-state overhead), mh.<instance>.capture_ns (first
-// Capture through successful divulge) and mh.<instance>.restore_ns (Decode
-// through FinishRestore). Metric handles are resolved once at construction;
-// the flag-test path stays a single extra atomic add and zero allocations.
-// Default: no telemetry (nil registry, no-op handles).
+// WithTelemetry sets the metrics registry the runtime publishes to, so a
+// host can share one registry among its runtimes and its bus. The runtime
+// publishes mh.<instance>.flag_checks (every evaluation of a
+// reconfiguration flag — the paper's entire steady-state overhead),
+// mh.<instance>.capture_ns (first Capture through successful divulge) and
+// mh.<instance>.restore_ns (Decode through FinishRestore). Metric handles
+// are resolved once at construction; the flag-test path stays a single
+// extra atomic add and zero allocations. Default: a registry of the
+// runtime's own.
 func WithTelemetry(reg *telemetry.Registry) Option { return func(r *Runtime) { r.telem = reg } }
 
 // Runtime is the per-module-instance participation runtime. A module is
@@ -101,13 +103,11 @@ type Runtime struct {
 	meta map[string]string
 	err  error
 
-	// FlagChecks counts evaluations of the Reconfig flag, quantifying the
-	// paper's "run-time cost is merely that of periodically testing the
-	// flags" claim (experiment C1).
-	FlagChecks int64
-
-	telem        *telemetry.Registry
-	flagChecks   *telemetry.Counter   // nil (no-op) without telemetry
+	telem *telemetry.Registry
+	// flagChecks counts evaluations of the reconfiguration flags,
+	// quantifying the paper's "run-time cost is merely that of periodically
+	// testing the flags" claim (experiment C1).
+	flagChecks   *telemetry.Counter
 	errCount     *telemetry.Counter   // application errors (ReportError)
 	captureNs    *telemetry.Histogram // first Capture -> divulged
 	restoreNs    *telemetry.Histogram // Decode -> FinishRestore
@@ -152,21 +152,21 @@ func New(port bus.Port, opts ...Option) *Runtime {
 	for _, o := range opts {
 		o(r)
 	}
-	if r.telem != nil {
-		prefix := "mh." + port.Name() + "."
-		owner := func(family string) telemetry.Labels {
-			return telemetry.Labels{Family: family, Instance: port.Name()}
-		}
-		r.flagChecks = r.telem.Counter(prefix+"flag_checks", owner("mh_flag_checks"))
-		r.errCount = r.telem.Counter(prefix+"errors", owner(telemetry.FamilyErrors))
-		r.captureNs = r.telem.Histogram(prefix+"capture_ns", owner("mh_capture_ns"))
-		r.restoreNs = r.telem.Histogram(prefix+"restore_ns", owner("mh_restore_ns"))
+	if r.telem == nil {
+		r.telem = telemetry.NewRegistry()
 	}
+	prefix := "mh." + port.Name() + "."
+	owner := func(family string) telemetry.Labels {
+		return telemetry.Labels{Family: family, Instance: port.Name()}
+	}
+	r.flagChecks = r.telem.Counter(prefix+"flag_checks", owner("mh_flag_checks"))
+	r.errCount = r.telem.Counter(prefix+"errors", owner(telemetry.FamilyErrors))
+	r.captureNs = r.telem.Histogram(prefix+"capture_ns", owner("mh_capture_ns"))
+	r.restoreNs = r.telem.Histogram(prefix+"restore_ns", owner("mh_restore_ns"))
 	return r
 }
 
-// Telemetry returns the runtime's metrics registry (nil without
-// WithTelemetry).
+// Telemetry returns the runtime's metrics registry.
 func (r *Runtime) Telemetry() *telemetry.Registry { return r.telem }
 
 // Err returns the first recorded non-fatal error, if any.
@@ -187,7 +187,7 @@ func (r *Runtime) failFatal(err error) {
 // telemetry (mh.<instance>.errors). The health checker reads its windowed
 // rate; module code calls it for failures it handles itself — a degraded
 // module that still answers traffic is invisible to the crash detector but
-// not to the error burn rate. A no-op without telemetry.
+// not to the error burn rate.
 func (r *Runtime) ReportError() {
 	r.errCount.Inc()
 }
@@ -425,7 +425,6 @@ func (r *Runtime) Clock() clock.Clock { return r.clk }
 // first. This is the test the generated capture block at a reconfiguration
 // point performs; its cost is the paper's entire steady-state overhead.
 func (r *Runtime) Reconfig() bool {
-	r.FlagChecks++
 	r.flagChecks.Inc()
 	r.pollSignals()
 	return r.reconfig
@@ -440,7 +439,6 @@ func (r *Runtime) RequestReconfig() { r.reconfig = true }
 
 // CaptureStack reports the mh_capturestack flag.
 func (r *Runtime) CaptureStack() bool {
-	r.FlagChecks++
 	r.flagChecks.Inc()
 	return r.captureStack
 }
@@ -452,7 +450,6 @@ func (r *Runtime) SetCaptureStack(on bool) { r.captureStack = on }
 // code derives it from the instance status: a clone begins restoring
 // (Figure 4: if (strcmp(mh_getstatus(),"clone")==0) mh_restoring=1).
 func (r *Runtime) Restoring() bool {
-	r.FlagChecks++
 	r.flagChecks.Inc()
 	return r.restoring
 }

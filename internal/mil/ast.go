@@ -107,6 +107,19 @@ func (m *Module) Point(label string) *ReconfigPoint {
 	return nil
 }
 
+// PointVars returns the state variable lists the module's reconfiguration
+// points declare (Figure 2's "state R = {num, n, rp}"), keyed by point
+// label; a point that declares none is absent.
+func (m *Module) PointVars() map[string][]string {
+	out := map[string][]string{}
+	for _, pt := range m.ReconfigPoints {
+		if len(pt.Vars) > 0 {
+			out[pt.Label] = pt.Vars
+		}
+	}
+	return out
+}
+
 // Reconfigurable reports whether the module declares reconfiguration points.
 func (m *Module) Reconfigurable() bool { return len(m.ReconfigPoints) > 0 }
 

@@ -131,7 +131,7 @@ func TestScriptRollbackFaultMatrix(t *testing.T) {
 				t.Errorf("killed before %q: configuration did not converge:\n%s\nwant:\n%s", st.name, got, pre)
 			}
 		}
-		b.SetFaults(nil)
+		b.SetFaults(faultinject.New())
 	}
 
 	t.Run("replicate", func(t *testing.T) {

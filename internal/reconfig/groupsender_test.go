@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bus"
+	"repro/internal/telemetry/evlog"
 )
 
 // groupClientBus binds a client to a replica group both ways: its requests
@@ -37,7 +38,7 @@ func groupClientBus(t *testing.T) *bus.Bus {
 // clone's only reply path with it.
 func TestPlanReplaceRebindsGroupSender(t *testing.T) {
 	b := groupClientBus(t)
-	plan, err := PlanReplace(NewPrimitives(b, nil), "client", ReplaceOptions{NewName: "client2"})
+	plan, err := PlanReplace(NewPrimitives(b, evlog.NewLog(0, b.Clock())), "client", ReplaceOptions{NewName: "client2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestPlanReplaceRebindsGroupSender(t *testing.T) {
 func TestReplicateBindsGroupSender(t *testing.T) {
 	b := groupClientBus(t)
 	launched := launcherFunc(func(string) error { return nil })
-	if _, err := Replicate(NewPrimitives(b, nil), launched, "client", "client2", ""); err != nil {
+	if _, err := Replicate(NewPrimitives(b, evlog.NewLog(0, b.Clock())), launched, "client", "client2", ""); err != nil {
 		t.Fatal(err)
 	}
 	want := bus.Binding{A: bus.Endpoint{Instance: "G", Interface: "out"}, B: bus.Endpoint{Instance: "client2", Interface: "resp"}}

@@ -56,13 +56,11 @@ type Primitives struct {
 }
 
 // NewPrimitives wraps a bus and the event log it writes (bus.WithEvents),
-// which the supervisors append to; a nil log drops their records.
-// Transaction span durations aggregate into the bus's telemetry registry
-// (reconfig.span.*_ns, reconfig.tx_total_ns).
+// which the supervisors append to. Transaction span durations aggregate
+// into the bus's telemetry registry (reconfig.span.*_ns,
+// reconfig.tx_total_ns).
 func NewPrimitives(b *bus.Bus, events *evlog.Log) *Primitives {
-	p := &Primitives{bus: b, events: events, tracer: telemetry.NewTracer(0, b.Clock())}
-	p.tracer.SetRegistry(b.Telemetry())
-	return p
+	return &Primitives{bus: b, events: events, tracer: telemetry.NewTracer(b.Clock(), b.Telemetry())}
 }
 
 // ReconfigActive reports whether a transactional reconfiguration is in

@@ -14,6 +14,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/mh"
 	"repro/internal/state"
+	"repro/internal/telemetry/evlog"
 	"repro/internal/transform"
 )
 
@@ -69,7 +70,7 @@ func newMonitorWorld(t *testing.T) *monitorWorld {
 		t.Fatal(err)
 	}
 	b := bus.New()
-	w := &monitorWorld{t: t, b: b, p: NewPrimitives(b, nil), out: out, c: codec.Default(), done: map[string]chan error{}}
+	w := &monitorWorld{t: t, b: b, p: NewPrimitives(b, evlog.NewLog(0, b.Clock())), out: out, c: codec.Default(), done: map[string]chan error{}}
 	for _, spec := range []bus.InstanceSpec{
 		{Name: "display", Module: "display", Machine: "machineA",
 			Interfaces: []bus.IfaceSpec{{Name: "temper", Dir: bus.InOut}}},
@@ -461,7 +462,8 @@ func TestChgObjValidation(t *testing.T) {
 // TestPrimitiveErrors: a primitive that fails names itself in the error,
 // whichever script ran it, and nothing it did not do is listed as done.
 func TestPrimitiveErrors(t *testing.T) {
-	p := NewPrimitives(bus.New(), nil)
+	b := bus.New()
+	p := NewPrimitives(b, evlog.NewLog(0, b.Clock()))
 	for what, run := range map[string]func() (*TxResult, error){
 		"obj_cap ghost":   func() (*TxResult, error) { return ReplaceTx(p, nil, "ghost", ReplaceOptions{NewName: "g2"}) },
 		"obj_cap phantom": func() (*TxResult, error) { return Replicate(p, nil, "phantom", "p2", "") },

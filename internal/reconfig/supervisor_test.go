@@ -74,7 +74,7 @@ func newReplicaWorld(t *testing.T) *replicaWorld {
 	if err := b.AddBinding(bus.Endpoint{Instance: "pool", Interface: "out"}, bus.Endpoint{Instance: "snk", Interface: "in"}); err != nil {
 		t.Fatal(err)
 	}
-	w.roller = timeseries.New(b.Telemetry(), clk.Clock(), timeseries.Config{})
+	w.roller = timeseries.New(b.Telemetry(), clk.Clock(), 0)
 	w.roller.Start()
 	t.Cleanup(w.roller.Stop)
 	clk.BlockUntil(1)

@@ -247,8 +247,9 @@ type Writer struct{ l *Log }
 // named "instance.interface", so a queue's delivery sequence survives
 // instance re-registration: a clone reusing a name after rollback continues
 // the same sequence. A zero Writer returns a nil handle, whose Append is a
-// no-op — the same nil-receiver discipline as the telemetry counters, so
-// the bus resolves handles unconditionally at AddInstance.
+// no-op, so the bus resolves handles unconditionally at AddInstance: a log
+// is off by default (no recording, no sampling), and the off mode is the
+// one production runs.
 func (w Writer) Queue(ep string) *QueueLog {
 	l := w.l
 	if l == nil {

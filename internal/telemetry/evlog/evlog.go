@@ -35,8 +35,6 @@ type Record struct {
 }
 
 // Log is the bounded event ring and the clock its records are stamped on.
-// All methods are safe on a nil receiver, so "event log disabled" is just a
-// nil *Log.
 type Log struct {
 	ring *ring.Ring[Record]
 	clk  clock.Clock
@@ -48,19 +46,9 @@ func NewLog(capacity int, clk clock.Clock) *Log {
 	return &Log{ring: ring.New[Record](capacity, 1024), clk: clk}
 }
 
-func (l *Log) buf() *ring.Ring[Record] {
-	if l == nil {
-		return nil
-	}
-	return l.ring
-}
-
 // Append records one event, assigning its sequence number and stamping
 // TimeNs if unset.
 func (l *Log) Append(rec Record) uint64 {
-	if l == nil {
-		return 0
-	}
 	if rec.TimeNs == 0 {
 		rec.TimeNs = l.clk.Now().UnixNano()
 	}
@@ -73,7 +61,7 @@ func (l *Log) Append(rec Record) uint64 {
 	return seq
 }
 
-// View is a log's read-only half. The zero View reads an empty log.
+// View is a log's read-only half.
 type View struct{ l *Log }
 
 // View returns the log's read-only half.
@@ -82,7 +70,7 @@ func (l *Log) View() View { return View{l} }
 // Since returns a copy of every retained record with Seq > after, oldest
 // first.
 func (v View) Since(after uint64) (out []Record) {
-	v.l.buf().Since(after, func(r *Record) { out = append(out, *r) })
+	v.l.ring.Since(after, func(r *Record) { out = append(out, *r) })
 	return out
 }
 
@@ -90,16 +78,13 @@ func (v View) Since(after uint64) (out []Record) {
 // copies of all of them) or timeout elapses (returning nil): the long-poll
 // primitive.
 func (v View) Wait(after uint64, timeout time.Duration) (out []Record) {
-	if v.l == nil {
-		return nil
-	}
 	v.l.ring.Wait(v.l.clk, after, timeout, func(r *Record) { out = append(out, *r) })
 	return out
 }
 
 // Cursor returns the sequence number of the newest event (0 when empty).
-func (v View) Cursor() uint64 { return v.l.buf().Cursor() }
+func (v View) Cursor() uint64 { return v.l.ring.Cursor() }
 
 // Overwritten returns how many events the ring no longer holds: a read
 // from a cursor below it has lost records.
-func (v View) Overwritten() uint64 { return v.l.buf().Overwritten() }
+func (v View) Overwritten() uint64 { return v.l.ring.Overwritten() }

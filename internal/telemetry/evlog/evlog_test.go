@@ -137,16 +137,3 @@ func TestConcurrentAppend(t *testing.T) {
 		}
 	}
 }
-
-func TestNilLog(t *testing.T) {
-	var l *Log
-	if seq := l.Append(Record{}); seq != 0 {
-		t.Error("nil Append returned nonzero seq")
-	}
-	if l.View().Since(0) != nil || l.View().Wait(0, time.Millisecond) != nil {
-		t.Error("nil reads returned records")
-	}
-	if l.View().Cursor() != 0 || l.View().Overwritten() != 0 {
-		t.Error("nil accessors returned nonzero")
-	}
-}

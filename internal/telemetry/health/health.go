@@ -125,8 +125,7 @@ type Checker struct {
 	roller *timeseries.Roller
 }
 
-// NewChecker builds a checker over r. Safe to call with a nil roller: the
-// checker then always returns Healthy "no history" verdicts.
+// NewChecker builds a checker over r.
 func NewChecker(r *timeseries.Roller) *Checker {
 	return &Checker{roller: r}
 }
@@ -141,9 +140,6 @@ func (c *Checker) Next() <-chan struct{} { return c.roller.Next() }
 // and aligned by window end timestamp (every series shares the roller's
 // window ring).
 func InstanceWindows(r *timeseries.Roller, inst string, k int) []Window {
-	if r == nil {
-		return nil
-	}
 	agg := map[int64]*Window{}
 	for _, s := range r.InstanceSeries(inst, k) {
 		for _, p := range s.Points {
@@ -269,14 +265,9 @@ func baselineP99(r *timeseries.Roller, peers []string, k int) int64 {
 
 // Check evaluates inst against the pooled baseline peers (typically the
 // incumbent replicas of its group, or the instance it is replacing) and
-// returns a structured verdict with its evidence windows. Safe on a nil
-// checker or roller.
+// returns a structured verdict with its evidence windows.
 func (c *Checker) Check(inst string, baseline []string) Verdict {
 	v := Verdict{Instance: inst, Baseline: baseline, Level: Healthy}
-	if c == nil || c.roller == nil {
-		v.Reasons = append(v.Reasons, "no windowed history (roller disabled)")
-		return v
-	}
 	wins := InstanceWindows(c.roller, inst, Span)
 	v.Evidence = wins
 	if len(wins) < MinWindows {

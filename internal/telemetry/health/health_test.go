@@ -21,10 +21,7 @@ type fixture struct {
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	f := &fixture{reg: telemetry.NewRegistry(), clk: clock.NewVirtual(time.Unix(1, 0))}
-	f.roller = timeseries.New(f.reg, f.clk.Clock(), timeseries.Config{
-		Window:  time.Second,
-		Windows: 32,
-	})
+	f.roller = timeseries.New(f.reg, f.clk.Clock(), time.Second)
 	f.roller.Start()
 	t.Cleanup(f.roller.Stop)
 	f.clk.BlockUntil(1)
@@ -255,20 +252,6 @@ func TestStallRule(t *testing.T) {
 				t.Errorf("last evidence window queued = %d, want %d", last.Queued, tc.wins[len(tc.wins)-1].queued)
 			}
 		})
-	}
-}
-
-func TestNilCheckerAndRoller(t *testing.T) {
-	var c *Checker
-	if v := c.Check("x", nil); v.Level != Healthy {
-		t.Error("nil checker verdict not healthy")
-	}
-	c2 := NewChecker(nil)
-	if v := c2.Check("x", nil); v.Level != Healthy {
-		t.Error("nil-roller checker verdict not healthy")
-	}
-	if InstanceWindows(nil, "x", 0) != nil {
-		t.Error("nil roller windows not nil")
 	}
 }
 

@@ -23,8 +23,7 @@ const NumBuckets = numBuckets
 // the buckets' sum, read at snapshot time; percentile estimates are computed at snapshot time by linear
 // interpolation within the containing bucket, so they carry the bucket's
 // relative error (at most 2x, in practice much less for clustered
-// populations). The zero value is ready to use; all methods are safe on a
-// nil receiver.
+// populations). The zero value is ready to use.
 type Histogram struct {
 	counts [numBuckets]atomic.Int64
 	sum    atomic.Int64
@@ -43,9 +42,6 @@ func (h *Histogram) Observe(d time.Duration) {
 //
 //archlint:hotpath
 func (h *Histogram) ObserveNs(ns int64) {
-	if h == nil {
-		return
-	}
 	idx := 0
 	if ns > 0 {
 		idx = bits.Len64(uint64(ns))
@@ -74,7 +70,7 @@ func (h *Histogram) ObserveNs(ns int64) {
 	}
 }
 
-// Count returns the number of observations (0 on nil).
+// Count returns the number of observations.
 func (h *Histogram) Count() int64 {
 	b := h.Buckets()
 	return countOf(&b)
@@ -88,11 +84,8 @@ func countOf(counts *[NumBuckets]int64) (n int64) {
 	return n
 }
 
-// Sum returns the cumulative sum of observed nanoseconds (0 on nil).
+// Sum returns the cumulative sum of observed nanoseconds.
 func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
 	return h.sum.Load()
 }
 
@@ -102,9 +95,6 @@ func (h *Histogram) Sum() int64 {
 // snapshots of a monotone counter is safe per bucket.
 func (h *Histogram) Buckets() [NumBuckets]int64 {
 	var out [NumBuckets]int64
-	if h == nil {
-		return out
-	}
 	for i := 0; i < numBuckets; i++ {
 		out[i] = h.counts[i].Load()
 	}

@@ -18,10 +18,10 @@
 // an instance's series without parsing a dotted name.
 //
 // Fast-path discipline: Counter.Inc and Histogram.Observe are
-// single atomic operations with no allocation, and every method is safe on
-// a nil receiver (a no-op), so instrumented code never branches on "is
-// telemetry enabled" — it holds possibly-nil metric pointers resolved once,
-// off the hot path.
+// single atomic operations with no allocation, on metric pointers resolved
+// once, off the hot path. There is no "telemetry disabled" mode: whoever
+// builds a bus, a module runtime or an application builds its registry, so
+// every handle is live.
 package telemetry
 
 import (
@@ -31,7 +31,7 @@ import (
 )
 
 // Counter is a monotonically increasing atomic counter. The zero value is
-// ready to use; all methods are safe on a nil receiver.
+// ready to use.
 type Counter struct {
 	v atomic.Int64
 }
@@ -40,9 +40,6 @@ type Counter struct {
 //
 //archlint:hotpath
 func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
 	c.v.Add(1)
 }
 
@@ -50,17 +47,11 @@ func (c *Counter) Inc() {
 //
 //archlint:hotpath
 func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
 	c.v.Add(n)
 }
 
-// Load returns the current count (0 on a nil receiver).
+// Load returns the current count.
 func (c *Counter) Load() int64 {
-	if c == nil {
-		return 0
-	}
 	return c.v.Load()
 }
 
@@ -91,9 +82,7 @@ const (
 // reader parses a name. The registry get-or-creates on lookup so
 // instrumentation sites need no registration ceremony. Lookup takes a mutex
 // and may allocate — resolve metric pointers once, at instance-construction
-// time, never per message. All methods are safe on a nil receiver: a nil
-// *Registry hands out nil metrics, which are no-ops, so "telemetry
-// disabled" is just a nil registry.
+// time, never per message.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -122,12 +111,8 @@ func (r *Registry) labelLocked(name string, l Labels) {
 }
 
 // Counter returns the named counter, creating it with labels l on first
-// use (a later lookup's labels are ignored). Returns nil (a no-op counter)
-// on a nil registry.
+// use (a later lookup's labels are ignored).
 func (r *Registry) Counter(name string, l Labels) *Counter {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
@@ -144,9 +129,6 @@ func (r *Registry) Counter(name string, l Labels) *Counter {
 // path pays nothing. Re-registering a name replaces the function and its
 // labels.
 func (r *Registry) GaugeFunc(name string, l Labels, fn func() int64) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.gaugeFns[name] = fn
@@ -154,11 +136,8 @@ func (r *Registry) GaugeFunc(name string, l Labels, fn func() int64) {
 }
 
 // Histogram returns the named latency histogram, creating it with labels l
-// on first use. Returns nil on a nil registry.
+// on first use.
 func (r *Registry) Histogram(name string, l Labels) *Histogram {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
@@ -176,9 +155,6 @@ func (r *Registry) Histogram(name string, l Labels) *Histogram {
 // instance names may contain dots. Code still holding a removed counter may
 // keep incrementing it harmlessly; it just no longer appears in snapshots.
 func (r *Registry) Unregister(names ...string) int {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := len(r.counters) + len(r.gaugeFns) + len(r.hists)
@@ -202,7 +178,7 @@ type Snapshot struct {
 }
 
 // Snapshot captures every registered metric. Computed gauges are evaluated
-// here, outside any hot path. A nil registry yields an empty Snapshot.
+// here, outside any hot path.
 func (r *Registry) Snapshot() Snapshot {
 	// Evaluate outside the registry lock: gauge functions may take other
 	// locks (the bus's, for queue depths).
@@ -238,12 +214,8 @@ type Handles struct {
 	Labels     map[string]Labels
 }
 
-// Handles returns the current metric handles. Returns zero-value Handles on
-// a nil registry.
+// Handles returns the current metric handles.
 func (r *Registry) Handles() Handles {
-	if r == nil {
-		return Handles{}
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return Handles{

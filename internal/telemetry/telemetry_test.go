@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -11,58 +12,6 @@ import (
 
 	"repro/internal/clock"
 )
-
-func TestNilSafety(t *testing.T) {
-	var r *Registry
-	if c := r.Counter("x", Labels{}); c != nil {
-		t.Fatalf("nil registry returned non-nil counter")
-	}
-	if h := r.Histogram("x", Labels{}); h != nil {
-		t.Fatalf("nil registry returned non-nil histogram")
-	}
-	r.GaugeFunc("x", Labels{}, func() int64 { return 1 })
-	if n := r.Unregister("x"); n != 0 {
-		t.Fatalf("nil registry Unregister = %d, want 0", n)
-	}
-	if h := r.Handles(); h.Counters != nil || h.GaugeFns != nil || h.Histograms != nil {
-		t.Fatalf("nil registry Handles = %+v, want zero", h)
-	}
-	snap := r.Snapshot()
-	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
-		t.Fatalf("nil registry snapshot not empty: %+v", snap)
-	}
-
-	// Nil metric handles are no-ops, the contract instrumented code relies on.
-	var c *Counter
-	c.Inc()
-	c.Add(5)
-	if c.Load() != 0 {
-		t.Fatalf("nil counter Load != 0")
-	}
-	var h *Histogram
-	h.Observe(time.Millisecond)
-	h.ObserveNs(42)
-	if h.Count() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatalf("nil histogram not empty")
-	}
-	if (h.Stats() != HistogramStats{}) {
-		t.Fatalf("nil histogram stats not zero")
-	}
-
-	var tr *Tracer
-	b := tr.Begin("noop")
-	if b != nil {
-		t.Fatalf("nil tracer Begin returned non-nil builder")
-	}
-	b.StartSpan("x")
-	b.Finish("committed", nil)
-	if b.ID() != "" {
-		t.Fatalf("nil TxTrace ID = %q, want empty", b.ID())
-	}
-	if _, ok := tr.Get("tx-0001"); ok {
-		t.Fatalf("nil tracer Get returned ok")
-	}
-}
 
 func TestRegistryGetOrCreate(t *testing.T) {
 	r := NewRegistry()
@@ -265,8 +214,7 @@ func TestHistogramPercentiles(t *testing.T) {
 }
 
 // TestFastPathZeroAlloc is the tentpole's zero-allocation guarantee:
-// Counter.Inc and Histogram.Observe must not allocate, including
-// through nil receivers (telemetry disabled).
+// Counter.Inc and Histogram.Observe must not allocate.
 func TestFastPathZeroAlloc(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c", Labels{})
@@ -277,16 +225,12 @@ func TestFastPathZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { h.ObserveNs(12345) }); n != 0 {
 		t.Errorf("Histogram.ObserveNs allocates %v/op", n)
 	}
-	var nc *Counter
-	var nh *Histogram
-	if n := testing.AllocsPerRun(1000, func() { nc.Inc(); nh.ObserveNs(1) }); n != 0 {
-		t.Errorf("nil fast path allocates %v/op", n)
-	}
 }
 
 func TestTracerTimeline(t *testing.T) {
 	v := clock.NewVirtual(time.Unix(100, 0))
-	tr := NewTracer(8, v.Clock())
+	reg := NewRegistry()
+	tr := NewTracer(v.Clock(), reg)
 	step := func() { v.Advance(5 * time.Millisecond) }
 
 	b := tr.Begin("replace compute -> compute2")
@@ -320,6 +264,14 @@ func TestTracerTimeline(t *testing.T) {
 	if len(got.Steps) != 2 {
 		t.Fatalf("steps = %v", got.Steps)
 	}
+	// Finish aggregated each span and the whole transaction into reg.
+	snap := reg.Snapshot().Histograms
+	if h := snap["reconfig.span.quiesce_wait_ns"]; h.Count != 1 || h.SumNs != int64(5*time.Millisecond) {
+		t.Errorf("reconfig.span.quiesce_wait_ns = %+v, want one 5ms span", h)
+	}
+	if h := snap["reconfig.tx_total_ns"]; h.Count != 1 || h.SumNs != int64(20*time.Millisecond) {
+		t.Errorf("reconfig.tx_total_ns = %+v, want one 20ms transaction", h)
+	}
 
 	lines := got.Timeline()
 	if len(lines) != 1+3+1+2 {
@@ -349,27 +301,31 @@ func TestTracerTimeline(t *testing.T) {
 }
 
 func TestTracerRingEviction(t *testing.T) {
-	tr := NewTracer(3, clock.Clock{})
-	for i := 0; i < 5; i++ {
-		tr.Begin("op").Finish("committed", nil)
+	tr := NewTracer(clock.Clock{}, NewRegistry())
+	for i := 0; i < RetainedTraces+1; i++ {
+		tr.Begin("op").Finish("committed", []string{"step"})
+	}
+	if _, truncated := tr.Trail(); !truncated {
+		t.Error("Trail does not admit the evicted transaction")
 	}
 	ids := tr.IDs()
-	if len(ids) != 3 {
-		t.Fatalf("IDs = %v, want 3 entries", ids)
+	if len(ids) != RetainedTraces {
+		t.Fatalf("IDs = %v, want %d entries", ids, RetainedTraces)
 	}
-	if ids[0] != "tx-0003" || ids[2] != "tx-0005" {
-		t.Fatalf("IDs = %v, want tx-0003..tx-0005", ids)
+	last := fmt.Sprintf("tx-%04d", RetainedTraces+1)
+	if ids[0] != "tx-0002" || ids[len(ids)-1] != last {
+		t.Fatalf("IDs = %v, want tx-0002..%s", ids, last)
 	}
 	if _, ok := tr.Get("tx-0001"); ok {
 		t.Fatalf("evicted trace still retrievable")
 	}
-	if _, ok := tr.Get("tx-0005"); !ok {
+	if _, ok := tr.Get(last); !ok {
 		t.Fatalf("latest trace missing")
 	}
 }
 
 func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer(16, clock.Clock{})
+	tr := NewTracer(clock.Clock{}, NewRegistry())
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -380,14 +336,12 @@ func TestTracerConcurrent(t *testing.T) {
 				b.StartSpan("s")
 				b.Finish("committed", []string{"step"})
 				tr.IDs()
-				if id := b.ID(); id != "" {
-					tr.Get(id)
-				}
+				tr.Get(b.ID())
 			}
 		}()
 	}
 	wg.Wait()
-	if len(tr.IDs()) != 16 {
-		t.Fatalf("retained %d traces, want 16", len(tr.IDs()))
+	if len(tr.IDs()) != RetainedTraces {
+		t.Fatalf("retained %d traces, want %d", len(tr.IDs()), RetainedTraces)
 	}
 }

@@ -2,8 +2,8 @@
 // windowed history: a background roller samples every counter, gauge and
 // histogram once per window (default 1s) and stores per-window deltas —
 // counter increments, gauge samples, and windowed histogram quantiles
-// computed from bucket-count differences — in a fixed ring of windows
-// (default 120, so two minutes of 1s history).
+// computed from bucket-count differences — in a fixed ring of Windows
+// windows (two minutes of 1s history).
 //
 // The design constraint is the same one the paper applies to the
 // reconfiguration flag test: the steady state must not pay for the
@@ -72,13 +72,8 @@ type Series struct {
 	Labels   telemetry.Labels `json:"-"`
 }
 
-// Config parameterizes a Roller.
-type Config struct {
-	// Window is the rollup period (default 1s).
-	Window time.Duration
-	// Windows is the ring depth in windows (default 120, minimum 2).
-	Windows int
-}
+// Windows is the ring depth: how many closed windows a series retains.
+const Windows = 120
 
 // series is one metric's ring state. A series exists for exactly the
 // contiguous run of rolls [first..last]; a metric absent from the registry
@@ -102,7 +97,6 @@ type series struct {
 type Roller struct {
 	reg    *telemetry.Registry
 	window time.Duration
-	n      int
 	clk    clock.Clock
 
 	mu     sync.Mutex
@@ -117,25 +111,19 @@ type Roller struct {
 	done chan struct{}
 }
 
-// New builds a roller over reg, measuring windows on clk. The first window
-// opens at construction time; nothing is recorded until the first roll.
-func New(reg *telemetry.Registry, clk clock.Clock, cfg Config) *Roller {
-	if cfg.Window <= 0 {
-		cfg.Window = time.Second
-	}
-	if cfg.Windows <= 0 {
-		cfg.Windows = 120
-	}
-	if cfg.Windows < 2 {
-		cfg.Windows = 2
+// New builds a roller over reg that closes a window every window (1s when
+// window <= 0), measured on clk. The first window opens at construction
+// time; nothing is recorded until the first roll.
+func New(reg *telemetry.Registry, clk clock.Clock, window time.Duration) *Roller {
+	if window <= 0 {
+		window = time.Second
 	}
 	return &Roller{
 		reg:    reg,
-		window: cfg.Window,
-		n:      cfg.Windows,
+		window: window,
 		clk:    clk,
-		starts: make([]int64, cfg.Windows),
-		ends:   make([]int64, cfg.Windows),
+		starts: make([]int64, Windows),
+		ends:   make([]int64, Windows),
 		series: map[string]*series{},
 		lastNs: clk.Now().UnixNano(),
 		next:   make(chan struct{}),
@@ -143,20 +131,7 @@ func New(reg *telemetry.Registry, clk clock.Clock, cfg Config) *Roller {
 }
 
 // Window returns the rollup period.
-func (r *Roller) Window() time.Duration {
-	if r == nil {
-		return 0
-	}
-	return r.window
-}
-
-// Depth returns the ring depth in windows.
-func (r *Roller) Depth() int {
-	if r == nil {
-		return 0
-	}
-	return r.n
-}
+func (r *Roller) Window() time.Duration { return r.window }
 
 // roll closes the current window: every registered metric gets one point
 // (counter delta, gauge sample, or windowed histogram stats). Metrics that
@@ -188,7 +163,7 @@ func (r *Roller) roll() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.rolled++
-	idx := int((r.rolled - 1) % uint64(r.n))
+	idx := int((r.rolled - 1) % Windows)
 	r.starts[idx] = r.lastNs
 	r.ends[idx] = nowNs
 	r.lastNs = nowNs
@@ -268,11 +243,8 @@ func (r *Roller) roll() {
 
 // Next returns a channel the next roll closes. A waiter takes it before
 // reading what the roller stored, so a roll that lands after the read still
-// wakes it. Nil (never ready) on a nil roller.
+// wakes it.
 func (r *Roller) Next() <-chan struct{} {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.next
@@ -286,9 +258,9 @@ func (r *Roller) ensureLocked(name string, kind Kind, labels map[string]telemetr
 	if s == nil || s.kind != kind {
 		s = &series{kind: kind, labels: labels[name], first: r.rolled}
 		if kind == KindHistogram {
-			s.hist = make([]HistWindow, r.n)
+			s.hist = make([]HistWindow, Windows)
 		} else {
-			s.vals = make([]int64, r.n)
+			s.vals = make([]int64, Windows)
 		}
 		r.series[name] = s
 	}
@@ -297,11 +269,8 @@ func (r *Roller) ensureLocked(name string, kind Kind, labels map[string]telemetr
 
 // Query returns the last k windows of one metric, oldest first (all
 // retained windows when k <= 0). The second result is false for unknown
-// metrics. Safe on nil.
+// metrics.
 func (r *Roller) Query(metric string, k int) (Series, bool) {
-	if r == nil {
-		return Series{}, false
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s, ok := r.series[metric]
@@ -312,11 +281,8 @@ func (r *Roller) Query(metric string, k int) (Series, bool) {
 }
 
 // InstanceSeries returns the last k windows of every series registered
-// with instance label inst, in no particular order. Safe on nil.
+// with instance label inst, in no particular order.
 func (r *Roller) InstanceSeries(inst string, k int) []Series {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []Series
@@ -333,14 +299,14 @@ func (r *Roller) InstanceSeries(inst string, k int) []Series {
 func (r *Roller) queryLocked(metric string, s *series, k int) Series {
 	out := Series{Metric: metric, Kind: s.kind, WindowNs: int64(r.window), Labels: s.labels}
 	lo := s.first
-	if r.rolled >= uint64(r.n) && lo <= r.rolled-uint64(r.n) {
-		lo = r.rolled - uint64(r.n) + 1
+	if r.rolled >= Windows && lo <= r.rolled-Windows {
+		lo = r.rolled - Windows + 1
 	}
 	if k > 0 && r.rolled >= uint64(k) && lo <= r.rolled-uint64(k) {
 		lo = r.rolled - uint64(k) + 1
 	}
 	for j := lo; j <= r.rolled; j++ {
-		idx := int((j - 1) % uint64(r.n))
+		idx := int((j - 1) % Windows)
 		p := Point{StartNs: r.starts[idx], EndNs: r.ends[idx]}
 		if s.kind == KindHistogram {
 			hw := s.hist[idx]
@@ -355,9 +321,6 @@ func (r *Roller) queryLocked(metric string, s *series, k int) Series {
 
 // Names returns the sorted names of every live series.
 func (r *Roller) Names() []string {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	names := make([]string, 0, len(r.series))
@@ -370,9 +333,6 @@ func (r *Roller) Names() []string {
 
 // Rolled returns the number of completed windows.
 func (r *Roller) Rolled() uint64 {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.rolled
@@ -383,18 +343,15 @@ func (r *Roller) Rolled() uint64 {
 // grows only with the metric population, never with time — the per-metric
 // cost is fixed at Windows entries.
 func (r *Roller) MemoryBound() int {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	const histWindowBytes = 5 * 8
-	total := 2 * r.n * 8
+	total := 2 * Windows * 8
 	for _, s := range r.series {
 		if s.kind == KindHistogram {
-			total += r.n * histWindowBytes
+			total += Windows * histWindowBytes
 		} else {
-			total += r.n * 8
+			total += Windows * 8
 		}
 	}
 	return total
@@ -402,7 +359,7 @@ func (r *Roller) MemoryBound() int {
 
 // Start launches the background roller goroutine. Stop halts it.
 func (r *Roller) Start() {
-	if r == nil || r.stop != nil {
+	if r.stop != nil {
 		return
 	}
 	r.stop = make(chan struct{})
@@ -428,9 +385,9 @@ func (r *Roller) loop() {
 }
 
 // Stop halts the background roller and waits for it to exit. A no-op if
-// Start was never called. Safe on nil.
+// Start was never called.
 func (r *Roller) Stop() {
-	if r == nil || r.stop == nil {
+	if r.stop == nil {
 		return
 	}
 	close(r.stop)

@@ -13,10 +13,10 @@ import (
 // closes one window: it advances the clock a window and returns once the
 // background loop has rolled and re-armed its timer, so window edges are
 // exact and no roll is in flight when the test reads.
-func newTestRoller(t *testing.T, windows int) (r *Roller, reg *telemetry.Registry, tick func()) {
+func newTestRoller(t *testing.T) (r *Roller, reg *telemetry.Registry, tick func()) {
 	reg = telemetry.NewRegistry()
 	v := clock.NewVirtual(time.Unix(1, 0))
-	r = New(reg, v.Clock(), Config{Window: time.Second, Windows: windows})
+	r = New(reg, v.Clock(), time.Second)
 	r.Start()
 	t.Cleanup(r.Stop)
 	v.BlockUntil(1)
@@ -27,7 +27,7 @@ func newTestRoller(t *testing.T, windows int) (r *Roller, reg *telemetry.Registr
 }
 
 func TestCounterDeltas(t *testing.T) {
-	r, reg, tick := newTestRoller(t, 8)
+	r, reg, tick := newTestRoller(t)
 	c := reg.Counter("app.requests", telemetry.Labels{})
 	c.Add(10)
 	tick()
@@ -60,7 +60,7 @@ func TestCounterDeltas(t *testing.T) {
 }
 
 func TestGaugeSamplesAndGaugeFunc(t *testing.T) {
-	r, reg, tick := newTestRoller(t, 8)
+	r, reg, tick := newTestRoller(t)
 	var g atomic.Int64
 	reg.GaugeFunc("app.depth", telemetry.Labels{}, g.Load)
 	depth := int64(7)
@@ -83,7 +83,7 @@ func TestGaugeSamplesAndGaugeFunc(t *testing.T) {
 }
 
 func TestHistogramWindows(t *testing.T) {
-	r, reg, tick := newTestRoller(t, 8)
+	r, reg, tick := newTestRoller(t)
 	h := reg.Histogram("app.latency_ns", telemetry.Labels{})
 	for i := 0; i < 100; i++ {
 		h.ObserveNs(1000)
@@ -116,31 +116,32 @@ func TestHistogramWindows(t *testing.T) {
 }
 
 func TestRingBound(t *testing.T) {
-	r, reg, tick := newTestRoller(t, 4)
+	r, reg, tick := newTestRoller(t)
 	c := reg.Counter("app.requests", telemetry.Labels{})
-	for i := 1; i <= 10; i++ {
+	const rolls = Windows + 6
+	for i := 1; i <= rolls; i++ {
 		c.Add(int64(i))
 		tick()
 	}
 	s, _ := r.Query("app.requests", 0)
-	if len(s.Points) != 4 {
-		t.Fatalf("retained %d windows, want ring depth 4", len(s.Points))
+	if len(s.Points) != Windows {
+		t.Fatalf("retained %d windows, want ring depth %d", len(s.Points), Windows)
 	}
-	// The last four deltas are 7, 8, 9, 10.
-	for i, want := range []int64{7, 8, 9, 10} {
-		if s.Points[i].Value != want {
-			t.Errorf("point %d = %d, want %d", i, s.Points[i].Value, want)
+	// The retained deltas are the last Windows ones: 7 through rolls.
+	for i, p := range s.Points {
+		if want := int64(7 + i); p.Value != want {
+			t.Errorf("point %d = %d, want %d", i, p.Value, want)
 		}
 	}
 	// Query with k smaller than retention trims from the oldest side.
 	s, _ = r.Query("app.requests", 2)
-	if len(s.Points) != 2 || s.Points[0].Value != 9 || s.Points[1].Value != 10 {
-		t.Errorf("Query(2) = %+v, want deltas 9,10", s.Points)
+	if len(s.Points) != 2 || s.Points[0].Value != rolls-1 || s.Points[1].Value != rolls {
+		t.Errorf("Query(2) = %+v, want deltas %d,%d", s.Points, rolls-1, rolls)
 	}
 }
 
 func TestUnregisterDropsSeries(t *testing.T) {
-	r, reg, tick := newTestRoller(t, 4)
+	r, reg, tick := newTestRoller(t)
 	reg.Counter("bus.iface.x.req.delivered", telemetry.Labels{}).Add(3)
 	tick()
 	if _, ok := r.Query("bus.iface.x.req.delivered", 0); !ok {
@@ -161,7 +162,7 @@ func TestUnregisterDropsSeries(t *testing.T) {
 }
 
 func TestMemoryBoundFixed(t *testing.T) {
-	r, reg, tick := newTestRoller(t, 16)
+	r, reg, tick := newTestRoller(t)
 	for i := 0; i < 10; i++ {
 		reg.Counter("c"+string(rune('a'+i)), telemetry.Labels{}).Inc()
 	}
@@ -171,9 +172,9 @@ func TestMemoryBoundFixed(t *testing.T) {
 	if bound <= 0 {
 		t.Fatal("zero memory bound")
 	}
-	// Rolling more windows must not grow the bound: it is population-, not
-	// time-proportional.
-	for i := 0; i < 100; i++ {
+	// Rolling more windows, round the ring and past it, must not grow the
+	// bound: it is population-, not time-proportional.
+	for i := 0; i < Windows+10; i++ {
 		tick()
 	}
 	if got := r.MemoryBound(); got != bound {
@@ -185,7 +186,7 @@ func TestStartStop(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("c", telemetry.Labels{}).Inc()
 	v := clock.NewVirtual(time.Unix(1, 0))
-	r := New(reg, v.Clock(), Config{Window: time.Millisecond, Windows: 8})
+	r := New(reg, v.Clock(), time.Millisecond)
 	r.Start()
 	for i := 0; i < 3; i++ {
 		v.BlockUntil(1)
@@ -206,7 +207,7 @@ func TestStartStop(t *testing.T) {
 // closes with the roll after it, each roll hands out a fresh one, and a nil
 // roller's never closes.
 func TestNextClosesOnRoll(t *testing.T) {
-	r, _, tick := newTestRoller(t, 4)
+	r, _, tick := newTestRoller(t)
 	next := r.Next()
 	select {
 	case <-next:
@@ -221,8 +222,5 @@ func TestNextClosesOnRoll(t *testing.T) {
 	}
 	if again := r.Next(); again == next {
 		t.Error("the roll did not replace the channel it closed")
-	}
-	if (*Roller)(nil).Next() != nil {
-		t.Error("nil roller's Next is not nil")
 	}
 }

@@ -45,9 +45,6 @@ type Trace struct {
 // Timeline renders the trace for operator display: a header, one line per
 // span with offset and duration, then the correlated primitive steps.
 func (t *Trace) Timeline() []string {
-	if t == nil {
-		return nil
-	}
 	end := t.End
 	if end.IsZero() && len(t.Spans) > 0 {
 		end = t.Spans[len(t.Spans)-1].End
@@ -78,48 +75,31 @@ func (t *Trace) Timeline() []string {
 	return lines
 }
 
-// Tracer assigns transaction IDs and retains the most recent traces in a
-// bounded ring. All methods are safe for concurrent use and on a nil
-// receiver (Begin then returns a nil *TxTrace, whose methods are no-ops —
-// tracing disabled).
+// RetainedTraces is how many of the most recent traces a Tracer keeps.
+const RetainedTraces = 64
+
+// Tracer assigns transaction IDs and retains the RetainedTraces most recent
+// traces in a bounded ring. All methods are safe for concurrent use.
 type Tracer struct {
 	mu     sync.Mutex
 	nextID int64
-	max    int
 	order  []string // oldest first
 	traces map[string]*Trace
 	clk    clock.Clock
-	reg    *Registry // span-duration histograms (nil = no aggregation)
+	reg    *Registry
 }
 
-// NewTracer returns a tracer retaining the max most recent traces
-// (default 64 when max <= 0), timing spans on clk.
-func NewTracer(max int, clk clock.Clock) *Tracer {
-	if max <= 0 {
-		max = 64
-	}
-	return &Tracer{max: max, traces: map[string]*Trace{}, clk: clk}
-}
-
-// SetRegistry attaches a metrics registry: each Finish then observes every
-// closed span's duration into the "reconfig.span.<name>_ns" histogram and
-// the whole transaction into "reconfig.tx_total_ns", so the latency
-// distribution of reconfigurations is available as aggregate buckets (the
-// /metrics endpoint) alongside the per-transaction timelines.
-func (t *Tracer) SetRegistry(reg *Registry) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.reg = reg
+// NewTracer returns a tracer timing spans on clk. Each Finish observes
+// every closed span's duration into reg's "reconfig.span.<name>_ns"
+// histogram and the whole transaction into "reconfig.tx_total_ns", so the
+// latency distribution of reconfigurations is available as aggregate
+// buckets (the /metrics endpoint) alongside the per-transaction timelines.
+func NewTracer(clk clock.Clock, reg *Registry) *Tracer {
+	return &Tracer{traces: map[string]*Trace{}, clk: clk, reg: reg}
 }
 
 // Begin opens a new trace for one transaction and returns its builder.
 func (t *Tracer) Begin(op string) *TxTrace {
-	if t == nil {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.nextID++
@@ -127,7 +107,7 @@ func (t *Tracer) Begin(op string) *TxTrace {
 	tr := &Trace{ID: id, Op: op, Begin: t.clk.Now(), Outcome: "running"}
 	t.traces[id] = tr
 	t.order = append(t.order, id)
-	for len(t.order) > t.max {
+	for len(t.order) > RetainedTraces {
 		delete(t.traces, t.order[0])
 		t.order = t.order[1:]
 	}
@@ -136,9 +116,6 @@ func (t *Tracer) Begin(op string) *TxTrace {
 
 // Get returns a copy of the trace with the given transaction ID.
 func (t *Tracer) Get(id string) (*Trace, bool) {
-	if t == nil {
-		return nil, false
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	tr, ok := t.traces[id]
@@ -156,9 +133,6 @@ func (t *Tracer) Get(id string) (*Trace, bool) {
 
 // IDs returns the retained transaction IDs, oldest first.
 func (t *Tracer) IDs() []string {
-	if t == nil {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]string(nil), t.order...)
@@ -168,9 +142,6 @@ func (t *Tracer) IDs() []string {
 // audit trail of the reconfigurations this tracer still remembers — and
 // whether older transactions have already been dropped from it.
 func (t *Tracer) Trail() (steps []string, truncated bool) {
-	if t == nil {
-		return nil, false
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, id := range t.order {
@@ -181,27 +152,20 @@ func (t *Tracer) Trail() (steps []string, truncated bool) {
 
 // TxTrace builds one transaction's trace. It is owned by the single
 // goroutine running the transaction (the paper's model has one
-// reconfiguration authority); methods are nil-safe no-ops so instrumented
-// code runs unchanged with tracing disabled.
+// reconfiguration authority).
 type TxTrace struct {
 	tracer *Tracer
 	trace  *Trace
 	open   bool // a span is in progress
 }
 
-// ID returns the transaction ID ("" when tracing is disabled).
+// ID returns the transaction ID.
 func (b *TxTrace) ID() string {
-	if b == nil {
-		return ""
-	}
 	return b.trace.ID
 }
 
 // StartSpan closes any open span and opens a new one.
 func (b *TxTrace) StartSpan(name string) {
-	if b == nil {
-		return
-	}
 	b.tracer.mu.Lock()
 	defer b.tracer.mu.Unlock()
 	now := b.tracer.clk.Now()
@@ -219,12 +183,9 @@ func (b *TxTrace) endOpenLocked(now time.Time) {
 }
 
 // Annotate appends a note to the currently open span (a no-op between
-// spans, with tracing disabled, or on nil). The quiesce wait uses it to
+// spans). The quiesce wait uses it to
 // record which queued messages — trace IDs and ages — it is waiting on.
 func (b *TxTrace) Annotate(note string) {
-	if b == nil {
-		return
-	}
 	b.tracer.mu.Lock()
 	defer b.tracer.mu.Unlock()
 	if !b.open {
@@ -237,9 +198,6 @@ func (b *TxTrace) Annotate(note string) {
 // Finish closes the trace with its outcome ("committed" or "rolled-back")
 // and attaches the correlated primitive step trace.
 func (b *TxTrace) Finish(outcome string, steps []string) {
-	if b == nil {
-		return
-	}
 	b.tracer.mu.Lock()
 	defer b.tracer.mu.Unlock()
 	now := b.tracer.clk.Now()
@@ -247,12 +205,11 @@ func (b *TxTrace) Finish(outcome string, steps []string) {
 	b.trace.End = now
 	b.trace.Outcome = outcome
 	b.trace.Steps = append([]string(nil), steps...)
-	if reg := b.tracer.reg; reg != nil {
-		for _, s := range b.trace.Spans {
-			if !s.End.IsZero() {
-				reg.Histogram("reconfig.span."+s.Name+"_ns", Labels{}).Observe(s.Duration())
-			}
+	reg := b.tracer.reg
+	for _, s := range b.trace.Spans {
+		if !s.End.IsZero() {
+			reg.Histogram("reconfig.span."+s.Name+"_ns", Labels{}).Observe(s.Duration())
 		}
-		reg.Histogram("reconfig.tx_total_ns", Labels{}).Observe(now.Sub(b.trace.Begin))
 	}
+	reg.Histogram("reconfig.tx_total_ns", Labels{}).Observe(now.Sub(b.trace.Begin))
 }

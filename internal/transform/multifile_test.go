@@ -141,7 +141,7 @@ func inner(x int) int {
 		t.Fatal(err)
 	}
 
-	b := bus.New()
+	b := newBus(t)
 	spec := bus.InstanceSpec{
 		Name: "s", Module: "split",
 		Interfaces: []bus.IfaceSpec{{Name: "in", Dir: bus.InOut}, {Name: "delta", Dir: bus.In}},
@@ -175,8 +175,7 @@ func inner(x int) int {
 			t.Fatal(err)
 		}
 		rt := mh.New(port, mh.WithSleepUnit(time.Microsecond))
-		in := interp.New(out.Prog, out.Info, rt)
-		go in.Run()
+		runModule(t, b, interp.New(out.Prog, out.Info, rt))
 	}
 	launch("s")
 

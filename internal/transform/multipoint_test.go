@@ -48,7 +48,7 @@ type dualWorld struct {
 
 func newDualWorld(t *testing.T, out *Output) *dualWorld {
 	t.Helper()
-	b := bus.New()
+	b := newBus(t)
 	workerSpec := bus.InstanceSpec{
 		Name: "w", Module: "dual",
 		Interfaces: []bus.IfaceSpec{
@@ -97,13 +97,7 @@ func (w *dualWorld) launch(instance string) {
 		w.t.Fatal(err)
 	}
 	rt := mh.New(port, mh.WithSleepUnit(time.Microsecond))
-	in := interp.New(w.out.Prog, w.out.Info, rt)
-	w.done = make(chan error, 1)
-	done := w.done
-	go func() {
-		_, err := in.Run()
-		done <- err
-	}()
+	w.done = runModule(w.t, w.b, interp.New(w.out.Prog, w.out.Info, rt))
 }
 
 func (w *dualWorld) migrate() {
@@ -274,7 +268,7 @@ func crunch(n int) int {
 `
 	out := prepare(t, src, Options{Mode: CaptureLive})
 
-	b := bus.New()
+	b := newBus(t)
 	spec := bus.InstanceSpec{
 		Name: "w", Module: "rich",
 		Interfaces: []bus.IfaceSpec{{Name: "in", Dir: bus.InOut}, {Name: "extra", Dir: bus.In}},
@@ -309,13 +303,7 @@ func crunch(n int) int {
 			t.Fatal(err)
 		}
 		rt := mh.New(port, mh.WithSleepUnit(time.Microsecond))
-		in := interp.New(out.Prog, out.Info, rt)
-		done := make(chan error, 1)
-		go func() {
-			_, err := in.Run()
-			done <- err
-		}()
-		return done
+		return runModule(t, b, interp.New(out.Prog, out.Info, rt))
 	}
 	done := launch("w")
 

@@ -60,7 +60,7 @@ func zag(n int, tp *float64) {
 		}
 	}
 
-	b := bus.New()
+	b := newBus(t)
 	spec := bus.InstanceSpec{
 		Name: "z", Module: "zigzag",
 		Interfaces: []bus.IfaceSpec{{Name: "in", Dir: bus.InOut}, {Name: "vals", Dir: bus.In}},
@@ -94,13 +94,7 @@ func zag(n int, tp *float64) {
 			t.Fatal(err)
 		}
 		rt := mh.New(port, mh.WithSleepUnit(time.Microsecond))
-		in := interp.New(out.Prog, out.Info, rt)
-		done := make(chan error, 1)
-		go func() {
-			_, err := in.Run()
-			done <- err
-		}()
-		return done
+		return runModule(t, b, interp.New(out.Prog, out.Info, rt))
 	}
 	done := launch("z")
 

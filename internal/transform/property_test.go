@@ -163,7 +163,7 @@ func runWorker(t *testing.T, prog *lang.Program, info *lang.Info, inputs []int) 
 // it must stop without an error.
 func serve(t *testing.T, prog *lang.Program, info *lang.Info, ifaces, drvIfaces []bus.IfaceSpec, binds [][2]string, drive func(*bus.Bus, *mh.Runtime)) {
 	t.Helper()
-	b := bus.New()
+	b := newBus(t)
 	for _, spec := range []bus.InstanceSpec{
 		{Name: "m", Module: prog.Package, Interfaces: ifaces},
 		{Name: "drv", Interfaces: drvIfaces},
@@ -186,12 +186,7 @@ func serve(t *testing.T, prog *lang.Program, info *lang.Info, ifaces, drvIfaces 
 		t.Fatal(err)
 	}
 	rt := mh.New(port, mh.WithSleepUnit(time.Microsecond))
-	in := interp.New(prog, info, rt, interp.WithMaxSteps(50_000_000))
-	done := make(chan error, 1)
-	go func() {
-		_, err := in.Run()
-		done <- err
-	}()
+	done := runModule(t, b, interp.New(prog, info, rt, interp.WithMaxSteps(50_000_000)))
 
 	drt := mh.New(drv)
 	drt.Init()

@@ -139,7 +139,7 @@ func TestRuntimeErrorCitesSource(t *testing.T) {
 	lines := strings.Split(errorSrc, "\n")
 	low := interp.Lower(out.Prog, out.Info)
 	for mode, want := range []string{"mode = 7 / mode", "step(9 % (mode - 1))", "return x / by"} {
-		b := bus.New()
+		b := newBus(t)
 		for _, spec := range []bus.InstanceSpec{
 			{Name: "m", Module: "p", Interfaces: []bus.IfaceSpec{{Name: "in", Dir: bus.In}, {Name: "out", Dir: bus.Out}}},
 			{Name: "drv", Interfaces: []bus.IfaceSpec{{Name: "to", Dir: bus.Out}}},

@@ -77,10 +77,26 @@ func (m CaptureMode) String() string {
 
 // Options configures Prepare.
 type Options struct {
+	// Mode is the capture mode; zero is ResolveMode's default.
 	Mode CaptureMode
 	// PointVars supplies the per-point variable lists for CaptureSpec,
-	// keyed by point label (from mil.ReconfigPoint.Vars).
+	// keyed by point label (mil.Module.PointVars).
 	PointVars map[string][]string
+}
+
+// ResolveMode returns the capture mode Prepare runs for mode and the
+// per-point variable lists pointVars: mode when it is set, otherwise the
+// paper's convention — the specification's state lists (CaptureSpec) when
+// it declares any, every local (CaptureAll) when it declares none.
+func ResolveMode(mode CaptureMode, pointVars map[string][]string) CaptureMode {
+	switch {
+	case mode != 0:
+		return mode
+	case len(pointVars) > 0:
+		return CaptureSpec
+	default:
+		return CaptureAll
+	}
 }
 
 // CapturedVar is one variable of a procedure's capture set.
@@ -134,9 +150,7 @@ var (
 // checker accepted, and a pass that made an ill-typed program fails here.
 // Nothing is printed until Files is called.
 func Prepare(sources map[string]string, opts Options) (*Output, error) {
-	if opts.Mode == 0 {
-		opts.Mode = CaptureAll
-	}
+	opts.Mode = ResolveMode(opts.Mode, opts.PointVars)
 	prog, err := lang.ParseFiles(sources)
 	if err != nil {
 		return nil, err

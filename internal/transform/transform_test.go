@@ -177,6 +177,15 @@ func TestCaptureModes(t *testing.T) {
 	if spec.Funcs["compute"].Format != "liiF" {
 		t.Errorf("spec-mode format = %s", spec.Funcs["compute"].Format)
 	}
+	// The zero mode is spec mode when the specification lists variables,
+	// all-locals when it lists none.
+	dflt := prepare(t, computeSrc, Options{PointVars: map[string][]string{"R": {"num", "n", "rp"}}})
+	if got := names(dflt.Funcs["compute"].Captured); !eq(got, []string{"num", "n", "rp"}) {
+		t.Errorf("zero-mode capture with state lists = %v, want spec mode's", got)
+	}
+	if ResolveMode(0, nil) != CaptureAll || ResolveMode(CaptureLive, map[string][]string{"R": {"n"}}) != CaptureLive {
+		t.Error("ResolveMode: without state lists the zero mode is not CaptureAll, or a set mode was overridden")
+	}
 
 	// Spec with an unknown variable errors.
 	if _, err := Prepare(map[string]string{"mod.go": computeSrc}, Options{
@@ -302,6 +311,33 @@ func f() { mh.ReconfigPoint("R") }
 
 // ---- end-to-end: the transformed module migrates mid-recursion ----
 
+// newBus returns an empty bus the test's cleanup closes.
+func newBus(t testing.TB) *bus.Bus {
+	b := bus.New()
+	t.Cleanup(b.Close)
+	return b
+}
+
+// runModule runs in on its own goroutine and returns the channel its result
+// arrives on. The test's cleanup closes b, which wakes a module still
+// blocked on the bus with ErrStopped, and waits for the goroutine to
+// return: no module outlives its test to run, and allocate, during the
+// next (TestMain fails the package if one does).
+func runModule(t testing.TB, b *bus.Bus, in *interp.Interp) chan error {
+	done := make(chan error, 1)
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		_, err := in.Run()
+		done <- err
+	}()
+	t.Cleanup(func() {
+		b.Close()
+		<-exited
+	})
+	return done
+}
+
 type harness struct {
 	t    *testing.T
 	b    *bus.Bus
@@ -322,7 +358,7 @@ func computeSpec(name, machine, status string) bus.InstanceSpec {
 
 func newHarness(t *testing.T) *harness {
 	t.Helper()
-	b := bus.New()
+	b := newBus(t)
 	for _, spec := range []bus.InstanceSpec{
 		{Name: "display", Interfaces: []bus.IfaceSpec{{Name: "temper", Dir: bus.InOut}}},
 		{Name: "sensor", Interfaces: []bus.IfaceSpec{{Name: "out", Dir: bus.Out}}},
@@ -358,13 +394,7 @@ func (h *harness) start(out *Output, instance string) (*mh.Runtime, chan error) 
 		h.t.Fatal(err)
 	}
 	rt := mh.New(port, mh.WithSleepUnit(time.Microsecond))
-	in := interp.New(out.Prog, out.Info, rt)
-	done := make(chan error, 1)
-	go func() {
-		_, err := in.Run()
-		done <- err
-	}()
-	return rt, done
+	return rt, runModule(h.t, h.b, interp.New(out.Prog, out.Info, rt))
 }
 
 func (h *harness) sendInt(p bus.Port, iface string, v int) {
@@ -612,7 +642,7 @@ func step(avg int) int {
 	// Note count is zeroed AFTER the call: re-evaluating total/count
 	// during restoration would divide by zero. The hoisted temp makes the
 	// re-issued call safe.
-	b := bus.New()
+	b := newBus(t)
 	spec := bus.InstanceSpec{
 		Name: "w", Module: "worker",
 		Interfaces: []bus.IfaceSpec{
@@ -651,9 +681,7 @@ func step(avg int) int {
 		t.Fatal(err)
 	}
 	rt := mh.New(port, mh.WithSleepUnit(time.Microsecond))
-	in := interp.New(out.Prog, out.Info, rt)
-	done := make(chan error, 1)
-	go func() { _, err := in.Run(); done <- err }()
+	done := runModule(t, b, interp.New(out.Prog, out.Info, rt))
 
 	// Send the job (total=84, count=2 -> avg 42), let the module block on
 	// the adjust read, then reconfigure.
@@ -735,9 +763,7 @@ func step(avg int) int {
 		t.Fatal(err)
 	}
 	rt2 := mh.New(port2, mh.WithSleepUnit(time.Microsecond))
-	in2 := interp.New(out.Prog, out.Info, rt2)
-	done2 := make(chan error, 1)
-	go func() { _, err := in2.Run(); done2 <- err }()
+	done2 := runModule(t, b, interp.New(out.Prog, out.Info, rt2))
 
 	if err := driver.Write("adj", adjData); err != nil {
 		t.Fatal(err)
@@ -807,7 +833,7 @@ func helperNotOnPath(q int) int {
 		}
 	}
 
-	b2 := bus.New()
+	b2 := newBus(t)
 	spec := bus.InstanceSpec{
 		Name: "m", Module: "chain",
 		Interfaces: []bus.IfaceSpec{{Name: "in", Dir: bus.InOut}, {Name: "delta", Dir: bus.In}},
@@ -840,8 +866,7 @@ func helperNotOnPath(q int) int {
 		t.Fatal(err)
 	}
 	rt := mh.New(port, mh.WithSleepUnit(time.Microsecond))
-	in := interp.New(out.Prog, out.Info, rt)
-	go in.Run()
+	runModule(t, b2, interp.New(out.Prog, out.Info, rt))
 
 	// x=7: a(7) -> b(8) -> c(24) blocks on delta.
 	data, _ := c.EncodeValue(state.IntValue(7))
@@ -910,8 +935,7 @@ func helperNotOnPath(q int) int {
 		t.Fatal(err)
 	}
 	rt2 := mh.New(port2, mh.WithSleepUnit(time.Microsecond))
-	in2 := interp.New(out.Prog, out.Info, rt2)
-	go in2.Run()
+	runModule(t, b2, interp.New(out.Prog, out.Info, rt2))
 
 	if err := drv.Write("d", dd); err != nil {
 		t.Fatal(err)
@@ -963,7 +987,7 @@ func process(w *Window) {
 }
 `
 	out := prepare(t, src, Options{})
-	b := bus.New()
+	b := newBus(t)
 	spec := bus.InstanceSpec{
 		Name: "s", Module: "stats",
 		Interfaces: []bus.IfaceSpec{{Name: "in", Dir: bus.InOut}},
@@ -1004,8 +1028,7 @@ func process(w *Window) {
 		t.Fatal(err)
 	}
 	rt := mh.New(port, mh.WithSleepUnit(time.Microsecond))
-	in := interp.New(out.Prog, out.Info, rt)
-	go in.Run()
+	runModule(t, b, interp.New(out.Prog, out.Info, rt))
 
 	send(1.5)
 	if got := recv(); got != 1.5+1 {
@@ -1049,8 +1072,7 @@ func process(w *Window) {
 		t.Fatal(err)
 	}
 	rt2 := mh.New(port2, mh.WithSleepUnit(time.Microsecond))
-	in2 := interp.New(out.Prog, out.Info, rt2)
-	go in2.Run()
+	runModule(t, b, interp.New(out.Prog, out.Info, rt2))
 
 	// The interrupted request completes on the clone with full state:
 	// w = {3, 7.0}, history len 3.

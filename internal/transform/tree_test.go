@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"go/ast"
 	"os"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/lang"
 	"repro/internal/lang/langtest"
@@ -40,6 +42,10 @@ func sharedNode(prog *lang.Program) ast.Node {
 // weave that the AST is still a tree, and after flatten and after hoist
 // that the Info the passes kept is the one a fresh check finds. Those are
 // the two checks Prepare no longer runs.
+//
+// It also fails the package when a goroutine a test started outlives the
+// tests: a module left running charges its mallocs to whatever runs next
+// (TestPrepareWork counts the process's).
 func TestMain(m *testing.M) {
 	inspect = func(pass string, prog *lang.Program, info *lang.Info) {
 		if n := sharedNode(prog); n != nil {
@@ -52,7 +58,25 @@ func TestMain(m *testing.M) {
 			panic(fmt.Sprintf("after %s: %v", pass, err))
 		}
 	}
-	os.Exit(m.Run())
+	base := runtime.NumGoroutine()
+	code := m.Run()
+	if stacks := leaked(base); stacks != "" {
+		fmt.Fprintf(os.Stderr, "goroutines outlived the tests (%d, %d before them):\n%s", runtime.NumGoroutine(), base, stacks)
+		code = 1
+	}
+	os.Exit(code)
+}
+
+// leaked waits up to 5 s for the goroutine count to fall back to base and
+// returns the stacks of every goroutine if it does not, "" if it does.
+func leaked(base int) string {
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; <-time.After(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			return string(buf[:runtime.Stack(buf, true)])
+		}
+	}
+	return ""
 }
 
 func TestSharedNodeDetected(t *testing.T) {

@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/bus"
 	"repro/internal/mh"
-	"repro/internal/telemetry"
 )
 
 // MH is the participation runtime type (the mh_* primitive set).
@@ -36,9 +35,9 @@ const (
 	EnvBusAddr   = "MH_BUS_ADDR"
 	EnvInstance  = "MH_INSTANCE"
 	EnvSleepUnit = "MH_SLEEP_UNIT_MS"
-	// EnvTelemetry, when set to a non-empty value other than "0", gives the
-	// runtime a metrics registry (flag-check counts, capture/restore
-	// timings); Main dumps its JSON snapshot to stderr at module exit.
+	// EnvTelemetry, when set to a non-empty value other than "0", makes
+	// Main dump the runtime's metrics snapshot (flag-check counts,
+	// capture/restore timings) to stderr as JSON at module exit.
 	EnvTelemetry = "MH_TELEMETRY"
 )
 
@@ -59,9 +58,6 @@ func FromEnv() (*MH, error) {
 			return nil, fmt.Errorf("mhrt: bad %s=%q", EnvSleepUnit, ms)
 		}
 		opts = append(opts, mh.WithSleepUnit(time.Duration(n)*time.Millisecond))
-	}
-	if tv := os.Getenv(EnvTelemetry); tv != "" && tv != "0" {
-		opts = append(opts, mh.WithTelemetry(telemetry.NewRegistry()))
 	}
 	port, err := bus.DialPort(addr, instance)
 	if err != nil {
@@ -124,15 +120,14 @@ func Main(rt *MH, body func()) {
 }
 
 // dumpTelemetry writes the runtime's metrics snapshot to stderr as one JSON
-// line, when telemetry is enabled (MH_TELEMETRY). The per-process dump is
-// how a standalone module binary reports its flag-check count and state
-// timings back to whoever launched it.
+// line, when MH_TELEMETRY asks for it. The per-process dump is how a
+// standalone module binary reports its flag-check count and state timings
+// back to whoever launched it.
 func dumpTelemetry(rt *MH) {
-	reg := rt.Telemetry()
-	if reg == nil {
+	if tv := os.Getenv(EnvTelemetry); tv == "" || tv == "0" {
 		return
 	}
-	if data, err := json.Marshal(reg.Snapshot()); err == nil {
+	if data, err := json.Marshal(rt.Telemetry().Snapshot()); err == nil {
 		fmt.Fprintln(os.Stderr, "mh telemetry:", string(data))
 	}
 }

@@ -239,7 +239,7 @@ func Load(cfg Config) (*App, error) {
 	// the verdict checker reading them. The structured event log is the one
 	// built above: the bus appends each change as it commits it, and the
 	// supervisors and transactions append to the same log.
-	a.roller = timeseries.New(a.bus.Telemetry(), cfg.Clock, timeseries.Config{Window: cfg.TimeseriesWindow})
+	a.roller = timeseries.New(a.bus.Telemetry(), cfg.Clock, cfg.TimeseriesWindow)
 	a.checker = health.NewChecker(a.roller)
 
 	for _, m := range spec.Modules {
@@ -367,23 +367,9 @@ func (a *App) prepareModule(m *mil.Module) (*PreparedModule, error) {
 	}
 
 	// Prepare for participation. The capture mode defaults to the paper's
-	// convention: use the specification's state lists when present.
-	opts := transform.Options{Mode: a.cfg.Mode, PointVars: map[string][]string{}}
-	anyVars := false
-	for _, pt := range m.ReconfigPoints {
-		if len(pt.Vars) > 0 {
-			opts.PointVars[pt.Label] = pt.Vars
-			anyVars = true
-		}
-	}
-	if opts.Mode == 0 {
-		if anyVars {
-			opts.Mode = transform.CaptureSpec
-		} else {
-			opts.Mode = transform.CaptureAll
-		}
-	}
-	out, err := transform.Prepare(src.Files, opts)
+	// convention (transform.ResolveMode): use the specification's state
+	// lists when present.
+	out, err := transform.Prepare(src.Files, transform.Options{Mode: a.cfg.Mode, PointVars: m.PointVars()})
 	if err != nil {
 		return nil, fmt.Errorf("reconf: prepare module %s: %w", m.Name, err)
 	}

@@ -45,10 +45,14 @@ echo "spawn sites:            $(gofiles ! -name '*_test.go' | xargs -0 cat | gre
 # Every wait and timestamp reads one clock.Clock (internal/clock); what is
 # left on the system clock is the socket deadlines, which the kernel compares
 # with real time. archlint only names time.Sleep in its messages.
-# The values an embedder can set on the application, a replica supervisor
-# and the health verdict: one field per line of each struct.
-fields() { awk -v t="type $2 struct {" '$0 == t {in_t = 1; next} in_t && /^}/ {exit} in_t && /^\t[A-Z][A-Za-z0-9]* / {n++} END {print n + 0}' "$1"; }
-echo "settable options:       $(($(fields reconf.go Config) + $(fields internal/reconfig/supervisor.go SupervisorConfig) + $(fields internal/telemetry/health/health.go Config)))"
+# The values an embedder can set on the application and a replica
+# supervisor: one field per line of each struct. A struct that is not there
+# fails the script (an assignment's failed substitution does, under set -e)
+# rather than counting 0.
+fields() { awk -v t="type $2 struct {" '$0 == t {in_t = 1; next} in_t && /^}/ {exit} in_t && /^\t[A-Z][A-Za-z0-9]* / {n++} END {if (!in_t) {print "fields: no " t " in " FILENAME > "/dev/stderr"; exit 1} print n + 0}' "$1"; }
+app_options=$(fields reconf.go Config)
+supervisor_options=$(fields internal/reconfig/supervisor.go SupervisorConfig)
+echo "settable options:       $((app_options + supervisor_options))"
 # The options a bus is built with (a swap of one for another shows here).
 echo "bus options:            $(gofiles ! -name '*_test.go' -path './internal/bus/*' | xargs -0 cat | grep -c ') BusOption {')"
 echo "wall-clock call sites:  $(gofiles ! -name '*_test.go' ! -path './internal/clock/*' ! -path './examples/*' ! -path './cmd/*' ! -path './bench/*' ! -path './internal/archlint/*' | xargs -0 cat | grep -E 'time\.(Now|Since|Until|After|AfterFunc|NewTimer|NewTicker|Tick|Sleep)\b' | grep -cvE '^[[:space:]]*//') (target 2: the socket deadlines)"
