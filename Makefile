@@ -3,12 +3,13 @@
 test:
 	go build ./... && go test ./...
 
-# Architectural invariants: the self-hosting archlint run (AL001, AL003,
-# AL004, AL007, AL009, AL010, AL013: locking discipline — nothing blocks
-# under Bus.mu, edit callbacks and *Locked methods included, and only edit
-# and writeSlow take it —, hot-path allocations, spawn sites, layering and
-# the bus ring's publish-last protocol). Who may mint traces, append to the
-# logs, fence queues or commit a routing table is the compiler's to check.
+# Architectural invariants: the self-hosting archlint run (AL001, AL004,
+# AL007, AL009, AL010, AL013: type errors, nothing blocking while the
+# routing writer lock is held — in the routing Committer's methods and the
+# callbacks the bus hands it —, hot-path allocations, spawn sites, layering
+# and the bus ring's publish-last protocol). Who may mint traces, append to
+# the logs, fence queues or commit a routing table is the compiler's to
+# check.
 .PHONY: lint
 lint:
 	go run ./cmd/archlint ./...

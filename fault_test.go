@@ -86,14 +86,31 @@ func signalsPending(app *App, inst string) int {
 	return info.Signals
 }
 
-// afterSignal runs fn once the bus has logged a reconfiguration signal to
-// inst, which it does before the module can take the signal: a reading fed
-// by fn then releases a module blocked mid-call to its next reconfiguration
-// point with the request pending. Call it before the operation that
-// signals, and the settle it returns once that operation has returned:
-// settle runs fn if no signal came (the operation failed before it) and
-// returns once fn has run.
+// parked reports whether inst's module is blocked reading a message.
+func parked(app *App, inst string) bool {
+	info, _ := app.Bus().Info(inst) // an instance that is gone parks nothing
+	for _, p := range info.Parked {
+		if p {
+			return true
+		}
+	}
+	return false
+}
+
+// afterSignal runs fn once a reconfiguration signal to inst is pending: a
+// reading fed by fn then releases a module blocked mid-call to its next
+// reconfiguration point with the request pending. It first waits for the
+// module to block on a read. A module on its way to a read takes a signal
+// sent meanwhile before it blocks, and no pending count would ever show
+// that signal; a blocked module polls for signals only once a message wakes
+// it, so the signal stays pending until fn's reading arrives. Call it
+// before the operation that signals, and the settle it returns once that
+// operation has returned: settle runs fn if no signal came (the operation
+// failed before it) and returns once fn has run.
 func afterSignal(app *App, inst string, fn func()) (settle func()) {
+	for !parked(app, inst) {
+		runtime.Gosched()
+	}
 	log := app.Bus().Events()
 	after := log.Cursor()
 	var once sync.Once

@@ -62,14 +62,28 @@ func Run(cfg Config) (*Report, error) {
 	// program; stop at the first layer that fails.
 	prog, info, ok := checkedProgram(r, cfg.Sources, cfg.SpecFile)
 
+	var out *transform.Output
+	var opts transform.Options
 	if ok {
 		// Pass 1: reconfiguration-point placement (MH008–MH010).
 		checkPlacement(r, prog, info)
 
+		// Pass 2: spec/source point cross-checks (MH003–MH005).
 		if mod != nil {
-			// Pass 2: spec/source point cross-checks (MH003–MH005) and
-			// capture-set soundness (MH006, MH007).
-			checkCapture(r, cfg, mod, prog, info)
+			opts.PointVars = checkPoints(r, cfg, mod, prog, info)
+		}
+
+		// The module prepared once, as the transform would prepare it: the
+		// passes below read what Prepare computed. A module it refuses has
+		// its problems reported by the passes above.
+		opts.Mode = transform.ResolveMode(cfg.Mode, opts.PointVars)
+		out, _ = transform.Prepare(cfg.Sources, opts)
+
+		// Pass 2b: capture-set soundness (MH006, MH007). Declared lists
+		// only matter in spec mode; the other modes derive the set and are
+		// sound by construction.
+		if out != nil && mod != nil && opts.Mode == transform.CaptureSpec {
+			checkCaptureSoundness(r, cfg, mod, out)
 		}
 	}
 
@@ -79,8 +93,8 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	// Pass 4: replacement compatibility (MH013–MH015).
-	if ok && len(cfg.Replacement) > 0 {
-		checkReplacement(r, cfg, mod)
+	if out != nil && len(cfg.Replacement) > 0 {
+		checkReplacement(r, out, cfg.Replacement, opts)
 	}
 
 	r.Sort()

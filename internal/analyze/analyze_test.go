@@ -1,10 +1,12 @@
 package analyze
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/fixtures"
+	"repro/internal/lang/langtest"
 	"repro/internal/mil"
 	"repro/internal/transform"
 )
@@ -516,5 +518,46 @@ func TestCaptureSoundnessSkippedOutsideSpecMode(t *testing.T) {
 	})
 	if hasCode(r, CodeCaptureMissing) {
 		t.Errorf("MH006 fired in all mode:\n%s", r.Text())
+	}
+}
+
+// TestLiveCaptureSetsCheckAsSound: live mode and the analyzer read one
+// liveness. For the Monitor's compute and the benchmark's two stages, each
+// procedure's live-mode capture set, declared back as the state list of its
+// points, draws no MH006 (nothing live is missing) and, on these modules,
+// no MH007 either (nothing captured is dead at every capture).
+func TestLiveCaptureSetsCheckAsSound(t *testing.T) {
+	modules := langtest.EmbeddedModules(t, "../../bench/workloads.go")
+	if len(modules) < 2 {
+		t.Fatalf("%d stages embedded in the benchmark, want 2", len(modules))
+	}
+	modules["fixtures.ComputeSource"] = fixtures.ComputeSource
+	for key, src := range modules {
+		t.Run(key, func(t *testing.T) {
+			sources := map[string]string{"m.go": src}
+			out, err := transform.Prepare(sources, transform.Options{Mode: transform.CaptureLive})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := "module m {\n  source = \"./m\" ::\n"
+			for _, e := range out.Graph.Edges {
+				if !e.IsReconfig() {
+					continue
+				}
+				var vars []string
+				for _, cv := range out.Funcs[e.Caller].Captured {
+					vars = append(vars, cv.Name)
+				}
+				spec += fmt.Sprintf("  reconfiguration point = {%s} ::\n", e.Point.Label)
+				if len(vars) > 0 {
+					spec += fmt.Sprintf("  state %s = {%s} ::\n", e.Point.Label, strings.Join(vars, ", "))
+				}
+			}
+			spec += "}\n"
+			r := runOn(t, Config{Sources: sources, Spec: parseSpec(t, spec), SpecFile: "app.mil", Module: "m"})
+			if len(r.Diags) != 0 {
+				t.Errorf("live-mode capture sets declared as state lists:\n%s\n%s", spec, r.Text())
+			}
+		})
 	}
 }

@@ -7,9 +7,10 @@
 // point (Section 3 notes data-flow analysis "could be used" and defers it)
 // and placing reconfiguration points so that replacement is not delayed
 // indefinitely (the Discussion's delay bounds). This package checks both
-// before the transform runs, plus the inter-module obligations the paper's
-// runtime would only discover mid-swap: binding type compatibility and
-// old/new abstract-state mapping compatibility.
+// before the module is loaded, against the liveness facts the transform
+// itself computes, plus the inter-module obligations the paper's runtime
+// would only discover mid-swap: binding type compatibility and old/new
+// abstract-state mapping compatibility.
 //
 // Every finding is a Diagnostic with a stable code, a severity, and a
 // source position; a Report renders as human text or JSON. The diagnostic

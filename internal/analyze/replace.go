@@ -3,17 +3,17 @@ package analyze
 import (
 	"errors"
 	"go/token"
+	"slices"
 
 	"repro/internal/lang"
-	"repro/internal/mil"
 	"repro/internal/transform"
 )
 
 // checkReplacement verifies that a proposed replacement module can accept
 // the running module's abstract state (Section 4: the new version is
 // "prepared for replacement" with the *same* reconfiguration structure).
-// It runs the transform's analysis on both versions under the same options
-// and compares, procedure by procedure:
+// It prepares the replacement under the options old was prepared with and
+// compares, procedure by procedure:
 //
 //   - MH013: every instrumented procedure of the old module must exist in
 //     the new one — its activation records name that procedure;
@@ -23,37 +23,25 @@ import (
 //   - MH015: the procedure's reconfiguration-graph edge numbers and the
 //     module's point labels must match, or resume locations in restored
 //     frames would name different program points.
-func checkReplacement(r *Report, cfg Config, mod *mil.Module) {
-	opts := transform.Options{Mode: cfg.Mode}
-	if mod != nil {
-		opts.PointVars = mod.PointVars()
-	}
-
-	oldOut, err := transform.Prepare(cfg.Sources, opts)
-	if err != nil {
-		// The old module's problems are reported by the other passes.
-		return
-	}
-	newOut, err := transform.Prepare(cfg.Replacement, opts)
+//
+// Prepare rewrites bodies but no declaration, so the prepared programs'
+// declarations keep their source positions for the diagnostics.
+func checkReplacement(r *Report, old *transform.Output, replacement map[string]string, opts transform.Options) {
+	neu, err := transform.Prepare(replacement, opts)
 	if err != nil {
 		reportReplacementPrepare(r, err)
 		return
 	}
 
-	// Fresh parses give diagnostics true source positions; the transform
-	// output has flattened, rewoven bodies.
-	oldProg, _ := lang.ParseFiles(cfg.Sources)
-	newProg, _ := lang.ParseFiles(cfg.Replacement)
-
-	for _, name := range oldOut.Graph.Nodes {
-		oldFr := oldOut.Funcs[name]
-		newFr := newOut.Funcs[name]
+	for _, name := range old.Graph.Nodes {
+		oldFr := old.Funcs[name]
+		newFr := neu.Funcs[name]
 		if newFr == nil {
-			r.Add(CodeReplacementDropsProc, SevError, replDeclPos(oldProg, name),
+			r.Add(CodeReplacementDropsProc, SevError, declPos(old.Prog, name),
 				"replacement module has no instrumented procedure %s; its activation records cannot be mapped", name)
 			continue
 		}
-		pos := replDeclPos(newProg, name)
+		pos := declPos(neu.Prog, name)
 		if len(oldFr.Captured) != len(newFr.Captured) {
 			r.Add(CodeReplacementShape, SevError, pos,
 				"procedure %s: capture set has %d variable(s) but the replacement's has %d; frames cannot be installed",
@@ -74,18 +62,17 @@ func checkReplacement(r *Report, cfg Config, mod *mil.Module) {
 					name, i+1, ov.Name, nv.Name)
 			}
 		}
-		if !sameInts(oldFr.Edges, newFr.Edges) {
+		if !slices.Equal(oldFr.Edges, newFr.Edges) {
 			r.Add(CodeReplacementEdges, SevError, pos,
 				"procedure %s: reconfiguration edges %v differ from the replacement's %v; restored resume locations would not align",
 				name, oldFr.Edges, newFr.Edges)
 		}
 	}
 
-	oldLabels := pointLabels(oldOut)
-	newLabels := pointLabels(newOut)
-	for _, l := range oldLabels {
-		if !containsString(newLabels, l) {
-			r.Add(CodeReplacementEdges, SevError, replDeclPos(newProg, "main"),
+	newLabels := neu.PointLabels()
+	for _, l := range old.PointLabels() {
+		if !slices.Contains(newLabels, l) {
+			r.Add(CodeReplacementEdges, SevError, declPos(neu.Prog, "main"),
 				"replacement module drops reconfiguration point %s; state captured there has no installation site", l)
 		}
 	}
@@ -143,47 +130,4 @@ func compatibleTypes(a, b lang.Type) bool {
 // pointee value, restored through the pointer).
 func describeVar(v transform.CapturedVar) string {
 	return v.Type.String()
-}
-
-// replDeclPos returns a function's declaration position in a freshly
-// parsed program, tolerating a nil program (unparseable input).
-func replDeclPos(prog *lang.Program, fn string) token.Position {
-	if prog == nil {
-		return token.Position{}
-	}
-	return declPos(prog, fn)
-}
-
-// pointLabels lists the reconfiguration point labels of a prepared module.
-// The woven output replaces the markers, so the labels come from the
-// reconfiguration graph's edges.
-func pointLabels(out *transform.Output) []string {
-	var labels []string
-	for _, e := range out.Graph.Edges {
-		if e.IsReconfig() && !containsString(labels, e.Point.Label) {
-			labels = append(labels, e.Point.Label)
-		}
-	}
-	return labels
-}
-
-func sameInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func containsString(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }

@@ -24,7 +24,11 @@
 //
 // Soundness notes:
 //   - a variable whose address is taken anywhere in the procedure is pinned
-//     always-live (writes through the pointer alias it);
+//     always-live (writes through the pointer alias it), except where `&x`
+//     is an out-parameter of an mh primitive: the runtime writes the
+//     pointee and keeps no address, so mh.Read(iface, &x) defines x. That
+//     is what makes the paper's Figure 2 list {num, n, rp}, which omits the
+//     temper the re-executed mh.Read refills, a sound capture set;
 //   - stores through pointers, slice elements and struct fields are treated
 //     as uses of the base variable, not definitions (partial updates keep
 //     the rest of the object live).
@@ -35,24 +39,11 @@ import (
 	"go/ast"
 	"go/token"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/lang"
 )
-
-// Options tunes the analysis precision.
-type Options struct {
-	// MHOutParams models the participation runtime's out-parameters
-	// precisely: an `&x` argument in an out-parameter position of an mh
-	// primitive (mh.Read(iface, &x)) is a *definition* of x, not a use,
-	// and does not pin x as address-taken (the runtime fills the pointee
-	// and does not retain the address). The transform keeps the
-	// conservative default; the static analyzer (internal/analyze) enables
-	// this so that capture lists like the paper's Figure 2 {num, n, rp} —
-	// which omit variables refilled by the re-executed mh.Read — check as
-	// sound.
-	MHOutParams bool
-}
 
 // Analysis holds per-statement liveness for one flattened procedure.
 type Analysis struct {
@@ -73,14 +64,8 @@ func (a *Analysis) liveIn(i int) []uint64  { return a.row(2*len(a.Stmts) + i) }
 func (a *Analysis) liveOut(i int) []uint64 { return a.row(3*len(a.Stmts) + i) }
 func (a *Analysis) pinned() []uint64       { return a.row(4 * len(a.Stmts)) }
 
-// Analyze computes liveness for the named (flattened) function with the
-// default (conservative) options.
+// Analyze computes liveness for the named (flattened) function.
 func Analyze(prog *lang.Program, info *lang.Info, name string) (*Analysis, error) {
-	return AnalyzeOpts(prog, info, name, Options{})
-}
-
-// AnalyzeOpts computes liveness for the named (flattened) function.
-func AnalyzeOpts(prog *lang.Program, info *lang.Info, name string, opts Options) (*Analysis, error) {
 	fn, ok := prog.Funcs[name]
 	if !ok {
 		return nil, fmt.Errorf("liveness: no function %s", name)
@@ -120,35 +105,22 @@ func AnalyzeOpts(prog *lang.Program, info *lang.Info, name string, opts Options)
 		a.Stmts = append(a.Stmts, inner)
 	}
 
-	c := &collector{info: info, opts: opts, bit: a.bit, discard: a.row(4*n + 1)}
+	c := &collector{info: info, bit: a.bit, discard: a.row(4*n + 1)}
 	c.visit = c.addUse
 
-	// Address-taken pinning. With MHOutParams, `&x` directly in an
-	// out-parameter slot of an mh primitive does not pin: the runtime
-	// writes the pointee and never retains the address.
-	var exempt map[*ast.UnaryExpr]bool
-	if opts.MHOutParams {
-		exempt = map[*ast.UnaryExpr]bool{}
-		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			for _, arg := range mhOutParamArgs(call) {
-				if ue, ok := arg.(*ast.UnaryExpr); ok && ue.Op == token.AND {
-					exempt[ue] = true
-				}
-			}
-			return true
-		})
-	}
+	// Address-taken pinning. A call is visited before its arguments, so
+	// c.outs holds an mh primitive's out-parameter arguments by the time
+	// the walk reaches them, and an `&x` there does not pin x.
 	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-		ue, ok := n.(*ast.UnaryExpr)
-		if !ok || ue.Op != token.AND || exempt[ue] {
-			return true
-		}
-		if base := baseIdent(ue.X); base != nil {
-			c.set(a.pinned(), base)
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if outs := mhOutParamArgs(n); outs != nil {
+				c.outs = outs
+			}
+		case *ast.UnaryExpr:
+			if base := baseIdent(n.X); n.Op == token.AND && base != nil && !slices.Contains(c.outs, ast.Expr(n)) {
+				c.set(a.pinned(), base)
+			}
 		}
 		return true
 	})
@@ -232,10 +204,10 @@ func (f *flow) Visit(nd ast.Node) ast.Visitor {
 // collector fills the use and def rows of one flat statement.
 type collector struct {
 	info     *lang.Info
-	opts     Options
 	bit      map[string]int
 	use, def []uint64
 	discard  []uint64            // def row of statements inside an if body
+	outs     []ast.Expr          // out-parameter arguments of the last mh primitive the pinning walk met
 	visit    func(ast.Node) bool // addUse, bound once: a method value per call allocates
 }
 
@@ -257,7 +229,7 @@ func (c *collector) addUses(e ast.Expr) {
 func (c *collector) addUse(n ast.Node) bool {
 	switch n := n.(type) {
 	case *ast.CallExpr:
-		if c.opts.MHOutParams && c.mhCall(n) {
+		if c.mhCall(n) {
 			return false
 		}
 	case *ast.Ident:
@@ -379,12 +351,7 @@ func (c *collector) mhCall(call *ast.CallExpr) bool {
 				}
 			}
 		}
-		ast.Inspect(arg, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				c.set(c.use, id)
-			}
-			return true
-		})
+		c.addUses(arg)
 	}
 	return true
 }
@@ -423,12 +390,18 @@ func (a *Analysis) LiveAfter(i int) []string {
 	return a.sorted(a.liveOut(i))
 }
 
-// LiveAfterAny returns the sorted variables live immediately after any of
-// the given statements, with address-taken variables pinned in.
-func (a *Analysis) LiveAfterAny(stmts []int) []string {
+// LiveAny returns the sorted variables live immediately after any statement
+// of after or immediately before any of before, with address-taken
+// variables pinned in.
+func (a *Analysis) LiveAny(after, before []int) []string {
 	live := make([]uint64, a.words)
-	for _, i := range stmts {
+	for _, i := range after {
 		for k, w := range a.liveOut(i) {
+			live[k] |= w
+		}
+	}
+	for _, i := range before {
+		for k, w := range a.liveIn(i) {
 			live[k] |= w
 		}
 	}

@@ -152,8 +152,8 @@ func work(n int, rp *float64) {
 	idx := markerIndex(t, a, info, "work")
 	live := a.LiveAfter(idx)
 	// n and rp are read after the point; temper is written before read
-	// (dead), though &temper pins it.
-	want := []string{"n", "rp", "temper"}
+	// (dead), and an mh.Read out-parameter does not pin it.
+	want := []string{"n", "rp"}
 	if !reflect.DeepEqual(live, want) {
 		t.Errorf("live at R = %v, want %v", live, want)
 	}
@@ -250,8 +250,8 @@ func work() {
 }
 
 func TestComputeModuleLiveness(t *testing.T) {
-	// The monitor compute procedure: at R, num / n / rp are live (rp via
-	// pin + use, num and n in the average update); temper is pinned only.
+	// The monitor compute procedure: at R, num and rp are live (rp via pin
+	// + use, num in the average update); mh.Read refills temper.
 	prog, info := loadFlat(t, `package compute
 func main() {
 	var n int
@@ -287,13 +287,13 @@ func compute(num int, n int, rp *float64) {
 	}
 	idx := markerIndex(t, a, info, "compute")
 	live := a.LiveAfter(idx)
-	want := []string{"num", "rp", "temper"}
+	want := []string{"num", "rp"}
 	if !reflect.DeepEqual(live, want) {
 		t.Errorf("live at R = %v, want %v", live, want)
 	}
 
-	// In main, at the first compute call's resume point, n and response
-	// are live (response is written through the pointer and then read).
+	// In main, at the first compute call's resume point, response is live
+	// (written through the pointer and then read); mh.Read refills n.
 	am, err := Analyze(prog, info, "main")
 	if err != nil {
 		t.Fatal(err)
@@ -313,8 +313,8 @@ func compute(num int, n int, rp *float64) {
 		t.Fatal("compute call not found in flattened main")
 	}
 	live = am.LiveAfter(callIdx)
-	if !reflect.DeepEqual(live, []string{"n", "response"}) {
-		t.Errorf("live after compute call = %v, want [n response]", live)
+	if !reflect.DeepEqual(live, []string{"response"}) {
+		t.Errorf("live after compute call = %v, want [response]", live)
 	}
 }
 
@@ -380,32 +380,32 @@ func work(n int) {
 	mh.Write("out", temper+n)
 }
 `)
-	// Default (transform) semantics: &temper counts as a use and pins
-	// temper, so it appears in the capture set at R.
+	// An `&x` in an out-parameter slot of an mh primitive is a definition
+	// of x, not a use, and does not pin x: the runtime fills the pointee and
+	// keeps no address. So temper, which the mh.Read after the point
+	// refills, is neither pinned nor live across the point, and a capture
+	// set that omits it is sound, as the paper's Figure 2 list {num, n, rp}
+	// does.
 	a, err := Analyze(prog, info, "work")
 	if err != nil {
 		t.Fatal(err)
 	}
 	idx := markerIndex(t, a, info, "work")
-	if live := a.LiveAfter(idx); !reflect.DeepEqual(live, []string{"n", "temper"}) {
-		t.Errorf("default live at R = %v, want [n temper]", live)
+	if live := a.LiveAfter(idx); !reflect.DeepEqual(live, []string{"n"}) {
+		t.Errorf("live at R = %v, want [n]", live)
 	}
-	if !a.Pinned("temper") {
-		t.Error("default analysis should pin temper")
+	if a.Pinned("temper") {
+		t.Error("an mh.Read out-parameter pins temper")
 	}
 
-	// With MHOutParams the mh.Read out-argument is a definition: temper is
-	// neither pinned nor live across the point.
-	ao, err := AnalyzeOpts(prog, info, "work", Options{MHOutParams: true})
-	if err != nil {
-		t.Fatal(err)
+	// Before the point the read has not happened yet, and the marker
+	// reads nothing: temper is dead there too, and n live. The Write after
+	// the read uses both.
+	if live := a.LiveBefore(idx); !reflect.DeepEqual(live, []string{"n"}) {
+		t.Errorf("live before R = %v, want [n]", live)
 	}
-	idx = markerIndex(t, ao, info, "work")
-	if live := ao.LiveAfter(idx); !reflect.DeepEqual(live, []string{"n"}) {
-		t.Errorf("MHOutParams live at R = %v, want [n]", live)
-	}
-	if ao.Pinned("temper") {
-		t.Error("MHOutParams analysis should not pin temper")
+	if live := a.LiveAfter(idx + 1); !reflect.DeepEqual(live, []string{"n", "temper"}) {
+		t.Errorf("live after the read = %v, want [n temper]", live)
 	}
 }
 
@@ -423,11 +423,11 @@ func work() {
 }
 func bump(p *int) { *p = *p + 1 }
 `)
-	ao, err := AnalyzeOpts(prog, info, "work", Options{MHOutParams: true})
+	a, err := Analyze(prog, info, "work")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ao.Pinned("x") {
+	if !a.Pinned("x") {
 		t.Error("x escapes via bump(&x) and must stay pinned")
 	}
 }
@@ -520,8 +520,8 @@ func skip(_ int, w int) int { return w }
 // TestLivenessMatchesReference compares the bit-vector analysis with the
 // map-based reference below on every procedure of a corpus, flattened and
 // as written (where structured statements are opaque and a break is an
-// error for both), under both options: live-in and live-out at every
-// statement, their union, and pinning of every variable. The corpus is
+// error for both): live-in and live-out at every statement, their unions,
+// and pinning of every variable. The corpus is
 // every module this file holds (Figure 3's compute and blankSrc among
 // them), the two stages the benchmark loads, seeded random modules and one
 // procedure of more than 128 variables.
@@ -558,21 +558,19 @@ func TestLivenessMatchesReference(t *testing.T) {
 			}
 			flat, flatInfo := loadFlat(t, corpus[key])
 			for _, name := range flat.FuncOrder {
-				for _, opts := range []Options{{}, {MHOutParams: true}} {
-					if !matchesReference(t, written, writtenInfo, name, opts) || !matchesReference(t, flat, flatInfo, name, opts) {
-						t.Fatalf("module:\n%s", corpus[key])
-					}
+				if !matchesReference(t, written, writtenInfo, name) || !matchesReference(t, flat, flatInfo, name) {
+					t.Fatalf("module:\n%s", corpus[key])
 				}
 			}
 		})
 	}
 }
 
-func matchesReference(t *testing.T, prog *lang.Program, info *lang.Info, name string, opts Options) bool {
+func matchesReference(t *testing.T, prog *lang.Program, info *lang.Info, name string) bool {
 	t.Helper()
-	where := fmt.Sprintf("%s %+v", name, opts)
-	a, err := AnalyzeOpts(prog, info, name, opts)
-	ref, refErr := refAnalyze(prog, info, name, opts)
+	where := name
+	a, err := Analyze(prog, info, name)
+	ref, refErr := refAnalyze(prog, info, name)
 	if err != nil || refErr != nil {
 		if fmt.Sprint(err) != fmt.Sprint(refErr) {
 			t.Errorf("%s: error %v, reference %v", where, err, refErr)
@@ -586,11 +584,14 @@ func matchesReference(t *testing.T, prog *lang.Program, info *lang.Info, name st
 	}
 	ok := true
 	all := make([]int, len(a.Stmts))
-	union := map[string]bool{}
+	unionOut, unionIn := map[string]bool{}, map[string]bool{}
 	for i := range a.Stmts {
 		all[i] = i
 		for v := range ref.liveOut[i] {
-			union[v] = true
+			unionOut[v] = true
+		}
+		for v := range ref.liveIn[i] {
+			unionIn[v] = true
 		}
 		for _, c := range []struct {
 			what      string
@@ -605,8 +606,12 @@ func matchesReference(t *testing.T, prog *lang.Program, info *lang.Info, name st
 			}
 		}
 	}
-	if got, want := a.LiveAfterAny(all), ref.sorted(union); !reflect.DeepEqual(got, want) {
+	if got, want := a.LiveAny(all, nil), ref.sorted(unionOut); !reflect.DeepEqual(got, want) {
 		t.Errorf("%s: live after any statement: %v, reference %v", where, got, want)
+		ok = false
+	}
+	if got, want := a.LiveAny(nil, all), ref.sorted(unionIn); !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: live before any statement: %v, reference %v", where, got, want)
 		ok = false
 	}
 	names := []string{"_", "nosuch"}
@@ -810,7 +815,7 @@ func TestAnalyzeWork(t *testing.T) {
 			}
 		})
 		ref = testing.AllocsPerRun(20, func() {
-			if _, err := refAnalyze(prog, info, name, Options{}); err != nil {
+			if _, err := refAnalyze(prog, info, name); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -840,7 +845,7 @@ type refAnalysis struct {
 	pinned  map[string]bool
 }
 
-func refAnalyze(prog *lang.Program, info *lang.Info, name string, opts Options) (*refAnalysis, error) {
+func refAnalyze(prog *lang.Program, info *lang.Info, name string) (*refAnalysis, error) {
 	fn, ok := prog.Funcs[name]
 	if !ok {
 		return nil, fmt.Errorf("liveness: no function %s", name)
@@ -861,20 +866,18 @@ func refAnalyze(prog *lang.Program, info *lang.Info, name string, opts Options) 
 	}
 
 	exempt := map[*ast.UnaryExpr]bool{}
-	if opts.MHOutParams {
-		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			for _, arg := range mhOutParamArgs(call) {
-				if ue, ok := arg.(*ast.UnaryExpr); ok && ue.Op == token.AND {
-					exempt[ue] = true
-				}
-			}
+	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
 			return true
-		})
-	}
+		}
+		for _, arg := range mhOutParamArgs(call) {
+			if ue, ok := arg.(*ast.UnaryExpr); ok && ue.Op == token.AND {
+				exempt[ue] = true
+			}
+		}
+		return true
+	})
 	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 		ue, ok := n.(*ast.UnaryExpr)
 		if !ok || ue.Op != token.AND || exempt[ue] {
@@ -901,7 +904,7 @@ func refAnalyze(prog *lang.Program, info *lang.Info, name string, opts Options) 
 	use := make([]map[string]bool, n)
 	def := make([]map[string]bool, n)
 	for i, s := range a.stmts {
-		use[i], def[i] = refUsesAndDefs(info, s, opts)
+		use[i], def[i] = refUsesAndDefs(info, s)
 	}
 
 	a.liveIn = make([]map[string]bool, n)
@@ -985,7 +988,7 @@ func refSuccessors(s ast.Stmt, i, n int, labels map[string]int) ([]int, error) {
 	}
 }
 
-func refUsesAndDefs(info *lang.Info, s ast.Stmt, opts Options) (use, def map[string]bool) {
+func refUsesAndDefs(info *lang.Info, s ast.Stmt) (use, def map[string]bool) {
 	use = map[string]bool{}
 	def = map[string]bool{}
 	addUses := func(e ast.Expr) {
@@ -993,12 +996,8 @@ func refUsesAndDefs(info *lang.Info, s ast.Stmt, opts Options) (use, def map[str
 			return
 		}
 		ast.Inspect(e, func(n ast.Node) bool {
-			if opts.MHOutParams {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if refMHCallUsesAndDefs(info, call, use, def) {
-						return false
-					}
-				}
+			if call, ok := n.(*ast.CallExpr); ok && refMHCallUsesAndDefs(info, call, use, def) {
+				return false
 			}
 			if id, ok := n.(*ast.Ident); ok {
 				if d := info.VarOf(id); d != nil {
@@ -1046,7 +1045,7 @@ func refUsesAndDefs(info *lang.Info, s ast.Stmt, opts Options) (use, def map[str
 	case *ast.IfStmt:
 		addUses(st.Cond)
 		for _, inner := range st.Body.List {
-			u, _ := refUsesAndDefs(info, inner, opts)
+			u, _ := refUsesAndDefs(info, inner)
 			for v := range u {
 				use[v] = true
 			}

@@ -35,6 +35,7 @@ package transform
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/callgraph"
@@ -106,12 +107,20 @@ type CapturedVar struct {
 	Pointer bool // pointer parameter: captured as *name, restored through name
 }
 
-// FuncReport describes the instrumentation of one procedure.
+// FuncReport describes the instrumentation of one procedure, and the
+// liveness facts its capture set was chosen from: whatever mode ran, Live
+// and Read are the data-flow answer, so a declared list can be checked
+// against them (internal/analyze does).
 type FuncReport struct {
 	Name     string
 	Captured []CapturedVar
 	Format   string // mh_capture/mh_restore format string (location first)
 	Edges    []int  // reconfiguration-graph edge numbers owned by this node
+	// Live is what is live after some edge: what a frame must carry for the
+	// procedure to resume. Read is what some edge's capture reads: what is
+	// live after a reconfiguration point, or before a call, whose re-issue
+	// reads its arguments. Both are sorted, address-taken variables in.
+	Live, Read []string
 }
 
 // Output is the result of Prepare.
@@ -194,8 +203,8 @@ func Prepare(sources map[string]string, opts Options) (*Output, error) {
 		return nil, fmt.Errorf("transform: %w", err)
 	}
 
-	// Per-procedure liveness (capture-set trimming and pointer-local
-	// validation).
+	// Per-procedure liveness (capture-set trimming, pointer-local
+	// validation and the facts each FuncReport keeps).
 	live := map[string]*liveness.Analysis{}
 	for _, name := range rg.Nodes {
 		a, err := liveness.Analyze(prog, info, name)
@@ -257,6 +266,19 @@ func (o *Output) text() (map[string]string, *lang.Program, error) {
 		return nil, nil, fmt.Errorf("transform: output does not re-check: %w", err)
 	}
 	return files, prog, nil
+}
+
+// PointLabels lists the module's reconfiguration point labels, each once,
+// in edge order. The woven program has no markers left; the graph's
+// reconfiguration edges keep the labels.
+func (o *Output) PointLabels() []string {
+	var labels []string
+	for _, e := range o.Graph.Edges {
+		if e.IsReconfig() && !slices.Contains(labels, e.Point.Label) {
+			labels = append(labels, e.Point.Label)
+		}
+	}
+	return labels
 }
 
 // StaticDOT and ReconfigDOT render the static call graph and the

@@ -2,6 +2,7 @@ package transform
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -156,13 +157,28 @@ func TestCaptureModes(t *testing.T) {
 	}
 
 	// Live: n is dead after the recursive call (only used on the entry
-	// path); temper is pinned by &temper.
+	// path), and the mh.Read after R refills temper; in main, the mh.Read
+	// at the top of the loop refills n.
 	live := prepare(t, computeSrc, Options{Mode: CaptureLive})
-	if got := names(live.Funcs["compute"].Captured); !eq(got, []string{"num", "rp", "temper"}) {
+	if got := names(live.Funcs["compute"].Captured); !eq(got, []string{"num", "rp"}) {
 		t.Errorf("live-mode capture = %v", got)
 	}
-	if got := names(live.Funcs["main"].Captured); !eq(got, []string{"n", "response"}) {
+	if got := names(live.Funcs["main"].Captured); !eq(got, []string{"response"}) {
 		t.Errorf("live-mode main capture = %v", got)
+	}
+	// The data-flow answer agrees with the programmer's: what live mode
+	// captures is within Figure 2's list, and is what the report calls live.
+	for _, v := range names(live.Funcs["compute"].Captured) {
+		if !slices.Contains([]string{"num", "n", "rp"}, v) {
+			t.Errorf("live mode captures %s, which Figure 2's state list {num, n, rp} omits", v)
+		}
+	}
+	if got := live.Funcs["compute"].Live; !eq(got, []string{"num", "rp"}) {
+		t.Errorf("compute's Live = %v, want [num rp]", got)
+	}
+	// At R the capture reads num and rp; before the recursive call, n too.
+	if got := live.Funcs["compute"].Read; !eq(got, []string{"n", "num", "rp"}) {
+		t.Errorf("compute's Read = %v, want [n num rp]", got)
 	}
 
 	// Spec: exactly the Figure 2 list for compute (which contains R);

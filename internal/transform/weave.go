@@ -38,13 +38,12 @@ func (w *weaver) weaveFunc(name string) error {
 	for _, l := range w.info.Labels[name] {
 		labels[l] = true
 	}
-	a := w.live[name]
 	edges := w.rg.EdgesFrom(name)
-
-	capSet, err := w.captureSet(name, a, edges)
-	if err != nil {
+	fr := &FuncReport{Name: name}
+	if err := w.captureSet(fr, w.live[name], edges); err != nil {
 		return err
 	}
+	capSet := fr.Captured
 	format := "l"
 	for _, cv := range capSet {
 		r, ok := lang.FormatRune(cv.Type)
@@ -187,11 +186,11 @@ func (w *weaver) weaveFunc(name string) error {
 
 	fn.Decl.Body.List = append(append(decls, prologue...), woven...)
 
-	idxs := make([]int, 0, len(edges))
+	fr.Format = format
 	for _, e := range edges {
-		idxs = append(idxs, e.Index)
+		fr.Edges = append(fr.Edges, e.Index)
 	}
-	w.out.Funcs[name] = &FuncReport{Name: name, Captured: capSet, Format: format, Edges: idxs}
+	w.out.Funcs[name] = fr
 	s := wovenSize(fn, capSet, edges)
 	w.added.Types += s.Types
 	w.added.Defs += s.Defs
@@ -199,8 +198,10 @@ func (w *weaver) weaveFunc(name string) error {
 	return nil
 }
 
-// captureSet derives the procedure's captured variables per the options.
-func (w *weaver) captureSet(name string, a *liveness.Analysis, edges []callgraph.Edge) ([]CapturedVar, error) {
+// captureSet derives the procedure's captured variables per the options,
+// and records them with the liveness facts they were chosen from.
+func (w *weaver) captureSet(fr *FuncReport, a *liveness.Analysis, edges []callgraph.Edge) error {
+	name := fr.Name
 	vars := w.info.FuncVars[name]
 
 	edgeIdx := func(e callgraph.Edge) (int, error) {
@@ -222,51 +223,60 @@ func (w *weaver) captureSet(name string, a *liveness.Analysis, edges []callgraph
 		return i, nil
 	}
 
-	// Union of live-at-resume sets (needed for pointer-local validation in
-	// every mode).
-	resume := make([]int, len(edges))
-	for k, e := range edges {
+	// A frame must carry what is live after each edge (needed for
+	// pointer-local validation in every mode). An edge's capture reads what
+	// is live at its capture instant: after a point marker, and before a
+	// call, whose re-issue reads its arguments.
+	// stmts holds the edges' statements, the points' before the calls'.
+	stmts := make([]int, len(edges))
+	points, calls := 0, len(edges)
+	for _, e := range edges {
 		i, err := edgeIdx(e)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		resume[k] = i
+		if e.IsReconfig() {
+			stmts[points] = i
+			points++
+		} else {
+			calls--
+			stmts[calls] = i
+		}
 	}
-	live := a.LiveAfterAny(resume)
+	fr.Live, fr.Read = a.LiveAny(stmts, nil), a.LiveAny(stmts[:points], stmts[points:])
 
 	selected := func(string) bool { return true } // CaptureAll
 	switch w.opts.Mode {
 	case CaptureLive:
-		selected = func(v string) bool { return slices.Contains(live, v) }
+		selected = func(v string) bool { return slices.Contains(fr.Live, v) }
 	case CaptureSpec:
 		if specVars, ok := w.specVarsFor(name, edges); ok {
 			for _, v := range specVars {
 				if !slices.ContainsFunc(vars, func(d *lang.VarDef) bool { return d.Name == v }) {
-					return nil, fmt.Errorf("transform: %s: specification names unknown state variable %s", name, v)
+					return fmt.Errorf("transform: %s: specification names unknown state variable %s", name, v)
 				}
 			}
 			selected = func(v string) bool { return slices.Contains(specVars, v) }
 		}
 	}
 
-	var out []CapturedVar
 	for _, d := range vars {
 		if !selected(d.Name) {
 			continue
 		}
 		if pt, isPtr := d.Type.(lang.Pointer); isPtr {
 			if !d.IsParam {
-				if slices.Contains(live, d.Name) {
-					return nil, fmt.Errorf("transform: %s: pointer-typed local %s is live at a reconfiguration edge; addresses cannot enter the abstract state (paper §3)", name, d.Name)
+				if slices.Contains(fr.Live, d.Name) {
+					return fmt.Errorf("transform: %s: pointer-typed local %s is live at a reconfiguration edge; addresses cannot enter the abstract state (paper §3)", name, d.Name)
 				}
 				continue // dead pointer local: safely omitted
 			}
-			out = append(out, CapturedVar{Name: d.Name, Type: pt, Pointer: true})
+			fr.Captured = append(fr.Captured, CapturedVar{Name: d.Name, Type: pt, Pointer: true})
 			continue
 		}
-		out = append(out, CapturedVar{Name: d.Name, Type: d.Type})
+		fr.Captured = append(fr.Captured, CapturedVar{Name: d.Name, Type: d.Type})
 	}
-	return out, nil
+	return nil
 }
 
 // specVarsFor returns the union of the specification-declared variable

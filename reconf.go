@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -373,17 +374,10 @@ func (a *App) prepareModule(m *mil.Module) (*PreparedModule, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reconf: prepare module %s: %w", m.Name, err)
 	}
-	// Every point declared in the specification must exist in the source
-	// (the graph's reconfiguration edges carry the source labels).
+	// Every point declared in the specification must exist in the source.
+	labels := out.PointLabels()
 	for _, pt := range m.ReconfigPoints {
-		found := false
-		for _, e := range out.Graph.Edges {
-			if e.IsReconfig() && e.Point.Label == pt.Label {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(labels, pt.Label) {
 			return nil, fmt.Errorf("reconf: module %s: specification declares point %s but the source has no mh.ReconfigPoint(%q)", m.Name, pt.Label, pt.Label)
 		}
 	}

@@ -99,6 +99,15 @@ if [ "$passes" -ne 220 ]; then
 fi
 echo "220 of 220 runs passed"
 
+echo "== every test that feeds a reading once a reconfiguration signal is pending (afterSignal): one processor, racy x100, counted"
+signal_tests='TestReplaceRollbackFaultMatrix|TestReplaceFaultFreeEmptyRollback|TestReplacePostCommitFaultCompletesForward|TestConcurrentReplaceFailsFast|TestConcurrentReplicateRemoveRefusedDuringReplace|TestRollbackQueueGaugeMatchesDrainable|TestObsMetricsEndpoint|TestMoveLogsInCommitOrder|TestQuiesceAnnotatedWithQueuedTraces|TestQueueDepthGaugesConsistentAfterRollback|TestMonitorTopologyBeforeAfter|TestIncompatibleUpdateFailsLoudly|TestCompatibleUpdateCarriesState|TestPreflightReplayCommits|TestControlProtocol'
+passes=$(GOMAXPROCS=1 go test -race -count=100 -v -run "^($signal_tests)\$" . | grep -cE "^--- PASS: ($signal_tests) " || true)
+if [ "$passes" -ne 1500 ]; then
+	echo "afterSignal users: $passes of 1500 runs passed" >&2
+	exit 1
+fi
+echo "1500 of 1500 runs passed"
+
 echo "== the routing model: seeded topology edits, writes and reads from one goroutine against a reference of maps and slices (racy x3)"
 go test -race -count=3 -run '^TestModelTopologyAndTraffic$' ./internal/bus/
 
