@@ -5,18 +5,20 @@
 //	      [-mode all|live|spec] [-o ./gen/compute] [-standalone] [-dot] \
 //	      [-strict=false]
 //
-// The module's .go files (module language, see internal/interp's LANG.md)
-// are read from -src. With -spec, the configuration specification supplies
-// the per-point state variable lists (Figure 2) and -mode defaults to spec;
-// otherwise all locals are captured. The instrumented sources are written
-// to -o (or printed). -standalone emits a compilable package main bound to
-// repro/mhrt; -dot also writes the static and reconfiguration call graphs
-// (Figure 6) in Graphviz form.
+// The module's .go files (module language, see internal/interp's LANG.md),
+// test files excepted, are read from -src. With -spec, the configuration
+// specification supplies the per-point state variable lists (Figure 2) and
+// -mode defaults to spec; otherwise all locals are captured. The
+// instrumented sources are written to -o (or printed). -standalone emits a
+// compilable package main bound to repro/mhrt; -dot also writes the static
+// and reconfiguration call graphs (Figure 6) in Graphviz form.
 //
 // Before transforming, mhgen runs the static reconfiguration-safety
 // analyzer (internal/analyze, also available as cmd/mhlint) and refuses
 // configurations with errors — an unsound capture set, an unreachable
-// reconfiguration point, a mistyped binding. -strict=false skips the gate.
+// reconfiguration point, a mistyped binding, a module the transform
+// refuses — and emits the module the analyzer prepared. -strict=false
+// skips the gate and prepares the module itself.
 package main
 
 import (
@@ -27,6 +29,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/cmd/internal/modsrc"
 	"repro/internal/analyze"
 	"repro/internal/mil"
 	"repro/internal/transform"
@@ -59,22 +62,13 @@ func run(args []string, stdout *os.File) error {
 		return fmt.Errorf("-src is required")
 	}
 
-	sources, err := readSources(*srcDir)
+	sources, err := modsrc.Read(*srcDir)
 	if err != nil {
 		return err
 	}
-
-	var opts transform.Options
-	switch *mode {
-	case "all":
-		opts.Mode = transform.CaptureAll
-	case "live":
-		opts.Mode = transform.CaptureLive
-	case "spec":
-		opts.Mode = transform.CaptureSpec
-	case "":
-	default:
-		return fmt.Errorf("unknown -mode %q", *mode)
+	opts := transform.Options{}
+	if opts.Mode, err = modsrc.ParseMode(*mode); err != nil {
+		return err
 	}
 	var spec *mil.Spec
 	if *specFile != "" {
@@ -97,7 +91,10 @@ func run(args []string, stdout *os.File) error {
 	}
 
 	// Pre-transform gate: run the static analyzer; errors (an unsound
-	// capture set, an unreachable point, ...) stop the transform.
+	// capture set, an unreachable point, a module the transform refuses,
+	// ...) stop the transform. The analyzer prepared the module in the
+	// same mode with the same lists; its output is what is emitted.
+	var out *transform.Output
 	if *strict {
 		acfg := analyze.Config{Sources: sources, Mode: opts.Mode}
 		if spec != nil {
@@ -105,7 +102,8 @@ func run(args []string, stdout *os.File) error {
 			acfg.SpecFile = *specFile
 			acfg.Module = *moduleName
 		}
-		rep, err := analyze.Run(acfg)
+		var rep *analyze.Report
+		rep, out, err = analyze.Run(acfg)
 		if err != nil {
 			return err
 		}
@@ -116,10 +114,10 @@ func run(args []string, stdout *os.File) error {
 			errs, _ := rep.Counts()
 			return fmt.Errorf("static analysis found %d error(s); fix the configuration or rerun with -strict=false", errs)
 		}
-	}
-
-	out, err := transform.Prepare(sources, opts)
-	if err != nil {
+		if out == nil {
+			return fmt.Errorf("the module declares no reconfiguration points; there is nothing to transform")
+		}
+	} else if out, err = transform.Prepare(sources, opts); err != nil {
 		return err
 	}
 	var files map[string]string
@@ -176,26 +174,4 @@ func run(args []string, stdout *os.File) error {
 		}
 	}
 	return nil
-}
-
-func readSources(dir string) (map[string]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	sources := map[string]string{}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		sources[e.Name()] = string(data)
-	}
-	if len(sources) == 0 {
-		return nil, fmt.Errorf("no .go files in %s", dir)
-	}
-	return sources, nil
 }

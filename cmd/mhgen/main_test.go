@@ -132,3 +132,52 @@ func TestMhgenStrictGate(t *testing.T) {
 		t.Fatalf("-strict=false: %v", err)
 	}
 }
+
+// writeSource lays out a one-file module directory.
+func writeSource(t *testing.T, src string) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "m.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+func TestMhgenStrictGateRefusesWhatPrepareRefuses(t *testing.T) {
+	// A live pointer-typed local: the analyzer reports the transform's
+	// refusal (MH016), so the gate stops the run before any output.
+	srcDir := writeSource(t, `package m
+
+func main() {
+	var x int
+	var p *int
+	p = &x
+	for {
+		mh.ReconfigPoint("R")
+		mh.Read("in", p)
+		mh.Write("out", *p)
+	}
+}
+`)
+	outDir := filepath.Join(t.TempDir(), "gen")
+	err := run([]string{"-src", srcDir, "-o", outDir}, os.Stdout)
+	if err == nil || !strings.Contains(err.Error(), "static analysis found 1 error(s)") {
+		t.Fatalf("strict gate: %v", err)
+	}
+	if _, statErr := os.Stat(outDir); statErr == nil {
+		t.Error("output written despite failed gate")
+	}
+	err = run([]string{"-src", srcDir, "-o", outDir, "-strict=false"}, os.Stdout)
+	if err == nil || !strings.Contains(err.Error(), "pointer-typed local p") {
+		t.Fatalf("-strict=false: %v", err)
+	}
+}
+
+func TestMhgenNothingToTransform(t *testing.T) {
+	srcDir := writeSource(t, "package m\n\nfunc main() {\n\tmh.Init()\n}\n")
+	for _, args := range [][]string{{"-src", srcDir}, {"-src", srcDir, "-strict=false"}} {
+		if err := run(args, os.Stdout); err == nil || !strings.Contains(err.Error(), "no reconfiguration points") {
+			t.Errorf("%v: %v", args, err)
+		}
+	}
+}

@@ -14,7 +14,9 @@
 //     recursive cycles with no point;
 //   - binding compatibility: message signatures across every binding;
 //   - replacement compatibility: procedure-by-procedure AR-stack shape,
-//     edge numbering, and point labels of the old vs new module.
+//     edge numbering, and point labels of the old vs new module;
+//   - whatever else makes the transform refuse either module, and replica
+//     groups of the module that a crash would leave unrebuilt.
 //
 // Diagnostics carry stable MHxxx codes (documented in the README) and
 // render as compiler-style text or, with -json, a stable JSON form.
@@ -28,12 +30,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
+	"repro/cmd/internal/modsrc"
 	"repro/internal/analyze"
 	"repro/internal/mil"
-	"repro/internal/transform"
 )
 
 func main() {
@@ -61,21 +61,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := analyze.Config{}
-	switch *mode {
-	case "all":
-		cfg.Mode = transform.CaptureAll
-	case "live":
-		cfg.Mode = transform.CaptureLive
-	case "spec":
-		cfg.Mode = transform.CaptureSpec
-	case "":
-	default:
-		fmt.Fprintf(stderr, "mhlint: unknown -mode %q\n", *mode)
+	var err error
+	if cfg.Mode, err = modsrc.ParseMode(*mode); err != nil {
+		fmt.Fprintln(stderr, "mhlint:", err)
 		return 2
 	}
-
-	var err error
-	cfg.Sources, err = readSources(*srcDir)
+	cfg.Sources, err = modsrc.Read(*srcDir)
 	if err != nil {
 		fmt.Fprintln(stderr, "mhlint:", err)
 		return 2
@@ -101,14 +92,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Module = *moduleName
 	}
 	if *newDir != "" {
-		cfg.Replacement, err = readSources(*newDir)
+		cfg.Replacement, err = modsrc.Read(*newDir)
 		if err != nil {
 			fmt.Fprintln(stderr, "mhlint:", err)
 			return 2
 		}
 	}
 
-	rep, err := analyze.Run(cfg)
+	rep, _, err := analyze.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, "mhlint:", err)
 		return 2
@@ -122,28 +113,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// readSources loads the non-test .go files of a directory, keyed by base
-// name so diagnostics print stable paths.
-func readSources(dir string) (map[string]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	sources := map[string]string{}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		sources[e.Name()] = string(data)
-	}
-	if len(sources) == 0 {
-		return nil, fmt.Errorf("no .go files in %s", dir)
-	}
-	return sources, nil
 }

@@ -155,3 +155,32 @@ func TestMhlintUsageErrors(t *testing.T) {
 		t.Error("unknown module accepted")
 	}
 }
+
+func TestMhlintReportsPrepareRefusal(t *testing.T) {
+	// A pointer-typed local live at the point: the transform refuses the
+	// module, and mhlint says so (MH016) instead of passing it.
+	srcDir := t.TempDir()
+	src := `package m
+
+func main() {
+	var x int
+	var p *int
+	p = &x
+	for {
+		mh.ReconfigPoint("R")
+		mh.Read("in", p)
+		mh.Write("out", *p)
+	}
+}
+`
+	if err := os.WriteFile(filepath.Join(srcDir, "m.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, stderr := runLint(t, "-src", srcDir)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stdout: %s stderr: %s", code, out, stderr)
+	}
+	if strings.Count(out, "MH016") != 1 || !strings.Contains(out, "1 error(s)") {
+		t.Errorf("stdout: %s", out)
+	}
+}

@@ -8,6 +8,9 @@
 //	mhreplay -log run.rec -spec app.mil -srcdir ./modules -inst filter
 //	mhreplay -log run.rec -canon
 //
+// Module sources are read from <srcdir>/<module>/*.go, test files
+// (*_test.go) excepted.
+//
 // With -canon the recorded window is printed in its canonical
 // deterministic form (per-queue delivery logs, trace and timing fields
 // excluded) instead of being replayed — the exact rendering the
@@ -23,24 +26,24 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
-	"strings"
 	"time"
 
 	"repro"
+	"repro/cmd/internal/modsrc"
 	"repro/internal/replay"
 )
 
 func main() {
-	code, err := run(os.Args[1:])
+	code, err := run(os.Args[1:], os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mhreplay:", err)
 	}
 	os.Exit(code)
 }
 
-func run(args []string) (int, error) {
+func run(args []string, stdout io.Writer) (int, error) {
 	fs := flag.NewFlagSet("mhreplay", flag.ContinueOnError)
 	var (
 		logFile   = fs.String("log", "", "record spill file (required)")
@@ -64,7 +67,7 @@ func run(args []string) (int, error) {
 		return 2, err
 	}
 	if *canon {
-		fmt.Print(replay.Canonical(recs))
+		fmt.Fprint(stdout, replay.Canonical(recs))
 		return 0, nil
 	}
 	if *specFile == "" || *srcDir == "" || *inst == "" {
@@ -77,25 +80,11 @@ func run(args []string) (int, error) {
 	cfg := reconf.Config{
 		SpecText:    string(specText),
 		Application: *appName,
-		Sources:     map[string]reconf.ModuleSource{},
 		SleepUnit:   *sleepUnit,
 	}
 	cfg.Timeouts.StateMove = *timeout
-	entries, err := os.ReadDir(*srcDir)
-	if err != nil {
+	if cfg.Sources, err = modsrc.ReadAll(*srcDir); err != nil {
 		return 2, err
-	}
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		files, err := readModuleDir(filepath.Join(*srcDir, e.Name()))
-		if err != nil {
-			return 2, err
-		}
-		if len(files) > 0 {
-			cfg.Sources[e.Name()] = reconf.ModuleSource{Files: files}
-		}
 	}
 	app, err := reconf.Load(cfg)
 	if err != nil {
@@ -109,41 +98,22 @@ func run(args []string) (int, error) {
 	}
 	if *jsonOut {
 		data, _ := json.MarshalIndent(rep, "", "  ")
-		fmt.Println(string(data))
+		fmt.Fprintln(stdout, string(data))
 	} else {
-		fmt.Printf("replayed %s (module %s): %d recorded inputs, %d consumed, %d outputs (recorded %d)\n",
+		fmt.Fprintf(stdout, "replayed %s (module %s): %d recorded inputs, %d consumed, %d outputs (recorded %d)\n",
 			rep.Instance, rep.Module, rep.Window, rep.Consumed, rep.Replayed, rep.Expected)
 		if rep.Err != "" {
-			fmt.Println("termination:", rep.Err)
+			fmt.Fprintln(stdout, "termination:", rep.Err)
 		}
 	}
 	if !rep.Match {
 		if rep.Divergence != nil {
-			fmt.Println("DIVERGED:", rep.Divergence)
+			fmt.Fprintln(stdout, "DIVERGED:", rep.Divergence)
 		} else {
-			fmt.Println("DIVERGED")
+			fmt.Fprintln(stdout, "DIVERGED")
 		}
 		return 1, nil
 	}
-	fmt.Println("reproduced: replayed output sequence matches the recording")
+	fmt.Fprintln(stdout, "reproduced: replayed output sequence matches the recording")
 	return 0, nil
-}
-
-func readModuleDir(dir string) (map[string]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	files := map[string]string{}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		files[e.Name()] = string(data)
-	}
-	return files, nil
 }

@@ -11,7 +11,8 @@
 //	        [-trace-sample 100] [-record 4096] [-record-spill run.rec] \
 //	        [-preflight] [-duration 30s] [-sleepunit 10ms]
 //
-// Module sources are read from <srcdir>/<module>/*.go.
+// Module sources are read from <srcdir>/<module>/*.go, test files
+// (*_test.go) excepted.
 package main
 
 import (
@@ -22,12 +23,11 @@ import (
 	_ "net/http/pprof" // registers on http.DefaultServeMux, mounted only with -pprof
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro"
+	"repro/cmd/internal/modsrc"
 	"repro/internal/bus"
 )
 
@@ -68,7 +68,6 @@ func run(args []string) error {
 	cfg := reconf.Config{
 		SpecText:        string(specText),
 		Application:     *appName,
-		Sources:         map[string]reconf.ModuleSource{},
 		SleepUnit:       *sleepUnit,
 		TraceSample:     *traceSmpl,
 		RecordBuffer:    *recordBuf,
@@ -85,21 +84,8 @@ func run(args []string) error {
 		defer spill.Close()
 		cfg.RecordSpill = spill
 	}
-	entries, err := os.ReadDir(*srcDir)
-	if err != nil {
+	if cfg.Sources, err = modsrc.ReadAll(*srcDir); err != nil {
 		return err
-	}
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		files, err := readModuleDir(filepath.Join(*srcDir, e.Name()))
-		if err != nil {
-			return err
-		}
-		if len(files) > 0 {
-			cfg.Sources[e.Name()] = reconf.ModuleSource{Files: files}
-		}
 	}
 
 	app, err := reconf.Load(cfg)
@@ -160,23 +146,4 @@ func run(args []string) error {
 		st.Delivered, st.Dropped, st.Rebinds, st.Signals, st.Moves)
 	app.Stop()
 	return nil
-}
-
-func readModuleDir(dir string) (map[string]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	files := map[string]string{}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		files[e.Name()] = string(data)
-	}
-	return files, nil
 }

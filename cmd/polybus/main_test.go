@@ -164,19 +164,20 @@ func TestPolybusValidation(t *testing.T) {
 	}
 }
 
+// TestReadModuleDir: polybus reads <srcdir>/<module>/*.go and nothing else
+// there; a test file beside a module's source is no module source, even
+// where it would not parse as one.
 func TestReadModuleDir(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte("package a"), 0o644); err != nil {
+	specFile, srcDir := writeApp(t)
+	for name, text := range map[string]string{
+		"helper_test.go": "package compute\n\nthis is not module source\n",
+		"notes.txt":      "x",
+	} {
+		if err := os.WriteFile(filepath.Join(srcDir, "compute", name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := run([]string{"-spec", specFile, "-srcdir", srcDir, "-duration", "1ms", "-sleepunit", "1ms"}); err != nil {
 		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	files, err := readModuleDir(dir)
-	if err != nil || len(files) != 1 {
-		t.Fatalf("files = %v, %v", files, err)
-	}
-	if _, err := readModuleDir(filepath.Join(dir, "missing")); err == nil {
-		t.Error("missing dir accepted")
 	}
 }

@@ -32,22 +32,26 @@ type Config struct {
 	Mode transform.CaptureMode
 }
 
-// Run executes every applicable pass and returns the sorted report. The
+// Run executes every applicable pass and returns the sorted report and the
+// module as transform.Prepare prepared it for those passes: the output a
+// transform of this configuration emits. The output is nil when Prepare
+// did not run or refused the module; the report then has an error, or
+// warns that the module declares no reconfiguration points (MH010). The
 // error return is reserved for configuration misuse (no sources, unknown
 // module name); analysis findings — including unparseable input — are
 // diagnostics, not errors.
-func Run(cfg Config) (*Report, error) {
+func Run(cfg Config) (*Report, *transform.Output, error) {
 	if len(cfg.Sources) == 0 {
-		return nil, errors.New("analyze: no sources")
+		return nil, nil, errors.New("analyze: no sources")
 	}
 	var mod *mil.Module
 	if cfg.Spec != nil {
 		if cfg.Module == "" {
-			return nil, errors.New("analyze: spec given without module name")
+			return nil, nil, errors.New("analyze: spec given without module name")
 		}
 		mod = cfg.Spec.Module(cfg.Module)
 		if mod == nil {
-			return nil, fmt.Errorf("analyze: spec has no module %s", cfg.Module)
+			return nil, nil, fmt.Errorf("analyze: spec has no module %s", cfg.Module)
 		}
 	}
 
@@ -74,10 +78,13 @@ func Run(cfg Config) (*Report, error) {
 		}
 
 		// The module prepared once, as the transform would prepare it: the
-		// passes below read what Prepare computed. A module it refuses has
-		// its problems reported by the passes above.
+		// passes below read what Prepare computed. A refusal the passes
+		// above explain is theirs; any other is MH016.
 		opts.Mode = transform.ResolveMode(cfg.Mode, opts.PointVars)
-		out, _ = transform.Prepare(cfg.Sources, opts)
+		var err error
+		if out, err = transform.Prepare(cfg.Sources, opts); err != nil && len(info.Points) > 0 && !r.HasErrors() {
+			reportPrepare(r, err, false)
+		}
 
 		// Pass 2b: capture-set soundness (MH006, MH007). Declared lists
 		// only matter in spec mode; the other modes derive the set and are
@@ -87,18 +94,40 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 
-	// Pass 3: binding compatibility (MH011, MH012) — needs only the spec.
 	if cfg.Spec != nil {
+		// Pass 3: binding compatibility (MH011, MH012) — needs only the spec.
 		checkBindings(r, cfg.Spec, cfg.SpecFile)
+		// Pass 3b: replica groups the supervisor cannot heal (MH017).
+		if mod != nil {
+			checkReplicas(r, cfg)
+		}
 	}
 
-	// Pass 4: replacement compatibility (MH013–MH015).
+	// Pass 4: replacement compatibility (MH013–MH016).
 	if out != nil && len(cfg.Replacement) > 0 {
 		checkReplacement(r, out, cfg.Replacement, opts)
 	}
 
 	r.Sort()
-	return r, nil
+	return r, out, nil
+}
+
+// checkReplicas warns (MH017) about every replica group of the analyzed
+// module. A member is rebuilt from the newest checkpoint any member
+// published, and only a module that registers a state snapshot
+// (mh.Runtime.RegisterSnapshot, a native module) publishes one: a
+// module-language module never does, so the supervisor marks a crashed
+// member out and leaves it unrebuilt.
+func checkReplicas(r *Report, cfg Config) {
+	for _, app := range cfg.Spec.Applications {
+		for _, in := range app.Instances {
+			if in.Module == cfg.Module && in.Replicated() {
+				r.Add(CodeReplicasNotRebuilt, SevWarning, milPos(cfg.SpecFile, in.Pos),
+					"instance %s runs module %s as %d replicas, but a module-language module publishes no checkpoint; a crashed member is marked out and never rebuilt",
+					in.Name, cfg.Module, in.Replicas)
+			}
+		}
+	}
 }
 
 // specDiagnostics converts MIL validation findings into MH001 diagnostics.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fixtures"
+	"repro/internal/lang"
 	"repro/internal/lang/langtest"
 	"repro/internal/mil"
 	"repro/internal/transform"
@@ -14,7 +15,7 @@ import (
 // runOn analyzes one in-memory configuration.
 func runOn(t *testing.T, cfg Config) *Report {
 	t.Helper()
-	r, err := Run(cfg)
+	r, _, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,15 +494,169 @@ func TestReplacementDropsPointLabel(t *testing.T) {
 	}
 }
 
+func TestReplacementCannotBePrepared(t *testing.T) {
+	// A replacement with no reconfiguration point has no structure to
+	// receive the state: the transform refuses it, and that is MH016, not
+	// an edge mismatch.
+	r := runOn(t, replCfg(strings.Replace(replOldSrc, `mh.ReconfigPoint("R")`, "", 1)))
+	if got := codes(r); len(got) != 1 || got[0] != CodeCannotPrepare {
+		t.Fatalf("codes = %v, want [%s]:\n%s", got, CodeCannotPrepare, r.Text())
+	}
+	if !strings.HasPrefix(r.Diags[0].Message, "replacement module cannot be prepared: ") {
+		t.Errorf("message = %q", r.Diags[0].Message)
+	}
+}
+
+// pointerLocalSrc keeps an address in a local that is live at the
+// reconfiguration point: an address is no abstract state, so the
+// transform refuses the module.
+const pointerLocalSrc = `package m
+
+func main() {
+	var x int
+	var p *int
+	p = &x
+	for {
+		mh.ReconfigPoint("R")
+		mh.Read("in", p)
+		mh.Write("out", *p)
+	}
+}
+`
+
+func TestPrepareRefusalReported(t *testing.T) {
+	sources := map[string]string{"m.go": pointerLocalSrc}
+	if _, err := transform.Prepare(sources, transform.Options{}); err == nil {
+		t.Fatal("Prepare accepted a live pointer-typed local")
+	}
+	r, out, err := Run(Config{Sources: sources})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := codes(r); len(got) != 1 || got[0] != CodeCannotPrepare || !r.HasErrors() {
+		t.Fatalf("codes = %v, want one %s error:\n%s", got, CodeCannotPrepare, r.Text())
+	}
+	if !strings.Contains(r.Diags[0].Message, "module cannot be prepared: ") ||
+		!strings.Contains(r.Diags[0].Message, "p") {
+		t.Errorf("message = %q", r.Diags[0].Message)
+	}
+	if out != nil {
+		t.Error("Run returned an output for a module Prepare refused")
+	}
+}
+
+// TestRunReturnsPrepared: the output Run returns is the one Prepare makes
+// of the same configuration, so a caller that transforms after analyzing
+// (mhgen) need not prepare again.
+func TestRunReturnsPrepared(t *testing.T) {
+	spec := parseSpec(t, fixtures.MonitorSpec)
+	sources := map[string]string{"compute.go": fixtures.ComputeSource}
+	_, out, err := Run(Config{Sources: sources, Spec: spec, SpecFile: "app.mil", Module: "compute"})
+	if err != nil || out == nil {
+		t.Fatalf("Run: out %v, err %v", out, err)
+	}
+	want, err := transform.Prepare(sources, transform.Options{PointVars: spec.Module("compute").PointVars()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotFiles, err := out.Files()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFiles, err := want.Files()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotFiles["compute.go"] != wantFiles["compute.go"] || out.ReportString() != want.ReportString() {
+		t.Errorf("Run's output differs from Prepare's:\n%s\n--- want ---\n%s", gotFiles["compute.go"], wantFiles["compute.go"])
+	}
+}
+
+// TestAnalyzerAgreesWithTransform: a module with reconfiguration points
+// that transform.Prepare refuses draws at least one analyzer error, over
+// every module source the analyzer's tests run on (pointerLocalSrc among
+// them) and the benchmark's stages, each analyzed alone, and the Monitor's
+// compute with its specification, as written and as the broken golden
+// sabotages it.
+func TestAnalyzerAgreesWithTransform(t *testing.T) {
+	cfgs := map[string]Config{
+		"broken_monitor": brokenMonitor(t),
+		"clean_monitor": {Sources: map[string]string{"compute.go": fixtures.ComputeSource},
+			Spec: parseSpec(t, fixtures.MonitorSpec), SpecFile: "app.mil", Module: "compute"},
+	}
+	modules := langtest.EmbeddedModules(t, "analyze_test.go")
+	for k, src := range langtest.EmbeddedModules(t, "../../bench/workloads.go") {
+		modules[k] = src
+	}
+	modules["fixtures.ComputeSource"] = fixtures.ComputeSource
+	modules["fixtures.SensorSource"] = fixtures.SensorSource
+	modules["fixtures.DisplaySource"] = fixtures.DisplaySource
+	for k, src := range modules {
+		cfgs[k] = Config{Sources: map[string]string{"m.go": src}}
+	}
+
+	refused := 0
+	for name, cfg := range cfgs {
+		opts := transform.Options{Mode: cfg.Mode}
+		if cfg.Spec != nil {
+			opts.PointVars = cfg.Spec.Module(cfg.Module).PointVars()
+		}
+		_, prepErr := transform.Prepare(cfg.Sources, opts)
+		r := runOn(t, cfg)
+		if prepErr == nil || !hasPoints(cfg.Sources) {
+			continue
+		}
+		refused++
+		if !r.HasErrors() {
+			t.Errorf("%s: Prepare refuses it (%v), the analyzer reports no error:\n%s", name, prepErr, r.Text())
+		}
+	}
+	t.Logf("%d configurations, %d with points refused by Prepare", len(cfgs), refused)
+	if refused < 2 {
+		t.Errorf("Prepare refused %d module(s) with points, want the pointer local and the broken golden at least", refused)
+	}
+}
+
+// hasPoints reports whether a module's sources mark a reconfiguration
+// point; sources that do not check count as marking one, since the
+// analyzer must report them.
+func hasPoints(sources map[string]string) bool {
+	prog, err := lang.ParseFiles(sources)
+	if err != nil {
+		return true
+	}
+	info, err := lang.Check(prog)
+	return err != nil || len(info.Points) > 0
+}
+
+func TestReplicatedModuleWarning(t *testing.T) {
+	spec := strings.Replace(fixtures.MonitorSpec, "instance compute", "instance compute replicas 3", 1)
+	r := runOn(t, Config{
+		Sources:  map[string]string{"compute.go": fixtures.ComputeSource},
+		Spec:     parseSpec(t, spec),
+		SpecFile: "app.mil",
+		Module:   "compute",
+	})
+	if got := codes(r); len(got) != 1 || got[0] != CodeReplicasNotRebuilt {
+		t.Fatalf("codes = %v, want [%s]:\n%s", got, CodeReplicasNotRebuilt, r.Text())
+	}
+	if r.HasErrors() {
+		t.Error("MH017 must be warning-only")
+	}
+	if d := r.Diags[0]; d.Pos.Filename != "app.mil" || d.Pos.Line == 0 {
+		t.Errorf("MH017 position = %v, want the instance in the specification", d.Pos)
+	}
+}
+
 func TestRunErrors(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
+	if _, _, err := Run(Config{}); err == nil {
 		t.Error("no sources accepted")
 	}
 	spec := parseSpec(t, `module m { source = "./m" :: }`)
-	if _, err := Run(Config{Sources: map[string]string{"m.go": bindModuleSrc}, Spec: spec}); err == nil {
+	if _, _, err := Run(Config{Sources: map[string]string{"m.go": bindModuleSrc}, Spec: spec}); err == nil {
 		t.Error("spec without module name accepted")
 	}
-	if _, err := Run(Config{Sources: map[string]string{"m.go": bindModuleSrc}, Spec: spec, Module: "ghost"}); err == nil {
+	if _, _, err := Run(Config{Sources: map[string]string{"m.go": bindModuleSrc}, Spec: spec, Module: "ghost"}); err == nil {
 		t.Error("unknown module accepted")
 	}
 }

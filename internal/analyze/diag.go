@@ -75,6 +75,14 @@ const (
 	// on a procedure's edge numbers or point labels (resume locations
 	// would not align).
 	CodeReplacementEdges = "MH015"
+	// CodeCannotPrepare: the transform refuses the module or its
+	// replacement for a reason no other code names (a pointer-typed local
+	// live at a reconfiguration edge, for one).
+	CodeCannotPrepare = "MH016"
+	// CodeReplicasNotRebuilt: the specification replicates the module, but
+	// a module-language module publishes no checkpoint, so the supervisor
+	// cannot rebuild a crashed member.
+	CodeReplicasNotRebuilt = "MH017"
 )
 
 // Diagnostic is one analyzer finding.

@@ -29,7 +29,7 @@ import (
 func checkReplacement(r *Report, old *transform.Output, replacement map[string]string, opts transform.Options) {
 	neu, err := transform.Prepare(replacement, opts)
 	if err != nil {
-		reportReplacementPrepare(r, err)
+		reportPrepare(r, err, true)
 		return
 	}
 
@@ -78,19 +78,22 @@ func checkReplacement(r *Report, old *transform.Output, replacement map[string]s
 	}
 }
 
-// reportReplacementPrepare surfaces a replacement module that the
-// transform itself rejects: unparseable source is MH002, a missing or
-// unreachable reconfiguration structure is MH015.
-func reportReplacementPrepare(r *Report, err error) {
+// reportPrepare surfaces a module the transform itself refuses, the
+// analyzed one or (replacement) the proposed replacement: unparseable or
+// ill-typed source is MH002, any other refusal MH016.
+func reportPrepare(r *Report, err error, replacement bool) {
+	who, prefix := "module", ""
+	if replacement {
+		who, prefix = "replacement module", "replacement: "
+	}
 	var list lang.ErrorList
 	if errors.As(err, &list) {
 		for _, e := range list {
-			r.Add(CodeSourceInvalid, SevError, e.Pos, "replacement: %s", e.Msg)
+			r.Add(CodeSourceInvalid, SevError, e.Pos, "%s%s", prefix, e.Msg)
 		}
 		return
 	}
-	r.Add(CodeReplacementEdges, SevError, token.Position{},
-		"replacement module cannot be prepared: %v", err)
+	r.Add(CodeCannotPrepare, SevError, token.Position{}, "%s cannot be prepared: %v", who, err)
 }
 
 // compatibleTypes reports deep structural compatibility of two

@@ -1,12 +1,10 @@
 // Package rerun re-executes a recorded window against a module body
 // in-process: a virtual bus port feeds the module its recorded inputs in
 // per-queue delivery order, a virtual clock (zero sleep unit) compresses
-// time, and the module's output sequence plus its abstract-state
-// trajectory (periodic checkpoints, when the module registers a snapshot)
-// are captured for diffing against the recording or against a candidate
-// module's run. This is the replayer half of the record/replay subsystem
-// — cmd/mhreplay drives it offline, the PreflightReplay gate drives it
-// between restore_wait and commit.
+// time, and the module's output sequence is captured for diffing against
+// the recording or against a candidate module's run. This is the replayer
+// half of the record/replay subsystem — cmd/mhreplay drives it offline,
+// the PreflightReplay gate drives it between restore_wait and commit.
 package rerun
 
 import (
@@ -33,10 +31,6 @@ type Module struct {
 
 // Options tunes one replay run.
 type Options struct {
-	// CheckpointEvery captures the module's abstract state every K
-	// operations when > 0 and the module registers a snapshot, building
-	// the state trajectory.
-	CheckpointEvery int
 	// Timeout bounds the run (default 30s) — a module body that blocks on
 	// anything but its (exhausted) input is cut off rather than hanging
 	// the gate.
@@ -57,10 +51,6 @@ type Result struct {
 	Window int `json:"window"`
 	// Outputs is the module's send sequence, in order.
 	Outputs []replay.Output `json:"outputs"`
-	// States is the abstract-state trajectory: the encoded checkpoint
-	// after every CheckpointEvery operations (empty when the module
-	// registers no snapshot).
-	States [][]byte `json:"states,omitempty"`
 	// Err is a non-clean termination of the module body, if any (running
 	// out of recorded input is clean).
 	Err string `json:"err,omitempty"`
@@ -81,20 +71,9 @@ func Run(instance string, window []replay.Record, mod Module, opts Options) (*Re
 	vp := newVirtualPort(instance, replay.InputsTo(window, instance))
 	res := &Result{Instance: instance, Module: mod.Name, Window: vp.total}
 
-	mhOpts := []mh.Option{
+	rt := mh.New(vp,
 		mh.WithSleepUnit(0), // a replay does not wait: sleeps complete at once
-		mh.WithLogWriter(io.Discard),
-	}
-	var stateMu sync.Mutex
-	if opts.CheckpointEvery > 0 {
-		mhOpts = append(mhOpts, mh.WithCheckpoint(opts.CheckpointEvery,
-			func(_ string, encoded []byte) {
-				stateMu.Lock()
-				res.States = append(res.States, append([]byte(nil), encoded...))
-				stateMu.Unlock()
-			}))
-	}
-	rt := mh.New(vp, mhOpts...)
+		mh.WithLogWriter(io.Discard))
 
 	timeout := opts.Clock.NewTimer(opts.Timeout)
 	defer timeout.Stop()

@@ -97,9 +97,6 @@ type ReplayReport struct {
 	// to the recorded one.
 	Match      bool               `json:"match"`
 	Divergence *replay.Divergence `json:"divergence,omitempty"`
-	// States counts abstract-state checkpoints captured along the run
-	// (nonzero only for modules that register a snapshot).
-	States int `json:"states,omitempty"`
 	// Err reports a non-clean termination of the module body.
 	Err string `json:"err,omitempty"`
 	// Truncated is set when the window came from a ring that had already
@@ -125,9 +122,8 @@ func (a *App) ReplayRecorded(instance string, recs []replay.Record) (*ReplayRepo
 		return nil, err
 	}
 	res, err := rerun.Run(instance, recs, mod, rerun.Options{
-		CheckpointEvery: a.cfg.CheckpointInterval,
-		Timeout:         a.cfg.Timeouts.StateMove,
-		Clock:           a.bus.Clock(),
+		Timeout: a.cfg.Timeouts.StateMove,
+		Clock:   a.bus.Clock(),
 	})
 	if err != nil {
 		return nil, err
@@ -143,7 +139,6 @@ func (a *App) ReplayRecorded(instance string, recs []replay.Record) (*ReplayRepo
 		Replayed:   len(res.Outputs),
 		Match:      div == nil && res.Err == "",
 		Divergence: div,
-		States:     len(res.States),
 		Err:        res.Err,
 		Truncated:  lost,
 	}, nil

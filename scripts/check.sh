@@ -138,6 +138,9 @@ go test -race -count=50 ./cmd/reconfigctl/
 # On its own: polybus binds ports a probe found free, and the clients of a
 # package tested beside it could take one in between.
 go test -race -count=50 ./cmd/polybus/
+# The module tools: the analyzer gate, the one module-directory reader, and
+# a recorded window replayed offline.
+go test -race -count=3 ./cmd/mhgen/ ./cmd/mhlint/ ./cmd/mhreplay/
 
 echo "== one failure detector: the supervisor's exit reports and verdicts, a rebuild on the report with no time advanced, one pass per window roll, the stall rule, labels from the real sites, no false stall under CPU load (racy x20)"
 go test -race -count=20 -run 'TestSupervisor|TestMetricAttribution' ./internal/reconfig/
