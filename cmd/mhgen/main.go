@@ -31,6 +31,7 @@ import (
 
 	"repro/cmd/internal/modsrc"
 	"repro/internal/analyze"
+	"repro/internal/diag"
 	"repro/internal/mil"
 	"repro/internal/transform"
 )
@@ -102,7 +103,7 @@ func run(args []string, stdout *os.File) error {
 			acfg.SpecFile = *specFile
 			acfg.Module = *moduleName
 		}
-		var rep *analyze.Report
+		var rep *diag.Report
 		rep, out, err = analyze.Run(acfg)
 		if err != nil {
 			return err

@@ -3,8 +3,10 @@ package analyze
 import (
 	"errors"
 	"fmt"
+	"go/scanner"
 	"go/token"
 
+	"repro/internal/diag"
 	"repro/internal/lang"
 	"repro/internal/mil"
 	"repro/internal/transform"
@@ -40,7 +42,7 @@ type Config struct {
 // error return is reserved for configuration misuse (no sources, unknown
 // module name); analysis findings — including unparseable input — are
 // diagnostics, not errors.
-func Run(cfg Config) (*Report, *transform.Output, error) {
+func Run(cfg Config) (*diag.Report, *transform.Output, error) {
 	if len(cfg.Sources) == 0 {
 		return nil, nil, errors.New("analyze: no sources")
 	}
@@ -55,22 +57,22 @@ func Run(cfg Config) (*Report, *transform.Output, error) {
 		}
 	}
 
-	r := &Report{}
+	r := &diag.Report{}
 
 	// Pass 0a: specification validity (MH001).
 	if cfg.Spec != nil {
-		specDiagnostics(r, cfg.Spec, cfg.SpecFile)
+		refusals(r, CodeSpecInvalid, cfg.SpecFile, "", mil.Validate(cfg.Spec))
 	}
 
 	// Pass 0b: source validity (MH002). Later passes need a checked
-	// program; stop at the first layer that fails.
-	prog, info, ok := checkedProgram(r, cfg.Sources, cfg.SpecFile)
+	// program.
+	prog, info, ok := checked(r, cfg.Sources, "")
 
 	var out *transform.Output
 	var opts transform.Options
 	if ok {
 		// Pass 1: reconfiguration-point placement (MH008–MH010).
-		checkPlacement(r, prog, info)
+		placed := checkPlacement(r, prog, info)
 
 		// Pass 2: spec/source point cross-checks (MH003–MH005).
 		if mod != nil {
@@ -78,12 +80,14 @@ func Run(cfg Config) (*Report, *transform.Output, error) {
 		}
 
 		// The module prepared once, as the transform would prepare it: the
-		// passes below read what Prepare computed. A refusal the passes
-		// above explain is theirs; any other is MH016.
+		// passes below read what Prepare computed, and whatever Prepare
+		// refuses is MH016, where the refusal says.
 		opts.Mode = transform.ResolveMode(cfg.Mode, opts.PointVars)
-		var err error
-		if out, err = transform.Prepare(cfg.Sources, opts); err != nil && len(info.Points) > 0 && !r.HasErrors() {
-			reportPrepare(r, err, false)
+		if placed {
+			var err error
+			if out, err = transform.Prepare(cfg.Sources, opts); err != nil {
+				refusals(r, CodeCannotPrepare, "", "module cannot be prepared: ", err)
+			}
 		}
 
 		// Pass 2b: capture-set soundness (MH006, MH007). Declared lists
@@ -118,11 +122,11 @@ func Run(cfg Config) (*Report, *transform.Output, error) {
 // (mh.Runtime.RegisterSnapshot, a native module) publishes one: a
 // module-language module never does, so the supervisor marks a crashed
 // member out and leaves it unrebuilt.
-func checkReplicas(r *Report, cfg Config) {
+func checkReplicas(r *diag.Report, cfg Config) {
 	for _, app := range cfg.Spec.Applications {
 		for _, in := range app.Instances {
 			if in.Module == cfg.Module && in.Replicated() {
-				r.Add(CodeReplicasNotRebuilt, SevWarning, milPos(cfg.SpecFile, in.Pos),
+				r.Add(CodeReplicasNotRebuilt, diag.SevWarning, milPos(cfg.SpecFile, in.Pos),
 					"instance %s runs module %s as %d replicas, but a module-language module publishes no checkpoint; a crashed member is marked out and never rebuilt",
 					in.Name, cfg.Module, in.Replicas)
 			}
@@ -130,43 +134,36 @@ func checkReplicas(r *Report, cfg Config) {
 	}
 }
 
-// specDiagnostics converts MIL validation findings into MH001 diagnostics.
-func specDiagnostics(r *Report, spec *mil.Spec, specFile string) {
-	err := mil.Validate(spec)
+// refusals reports every entry of the scanner.ErrorList err wraps as an
+// error of code, its message after prefix. An entry names its own position;
+// one with no file name (a specification's) is in file.
+func refusals(r *diag.Report, code, file, prefix string, err error) {
 	if err == nil {
 		return
 	}
-	var list mil.ErrorList
-	if errors.As(err, &list) {
-		for _, pe := range list {
-			r.Add(CodeSpecInvalid, SevError, milPos(specFile, pe.Pos), "%s", pe.Msg)
-		}
-		return
+	var list scanner.ErrorList
+	if !errors.As(err, &list) {
+		list.Add(token.Position{}, err.Error())
 	}
-	r.Add(CodeSpecInvalid, SevError, token.Position{Filename: specFile}, "%s", err.Error())
+	for _, e := range list {
+		pos := e.Pos
+		if pos.Filename == "" {
+			pos.Filename = file
+		}
+		r.Add(code, diag.SevError, pos, "%s%s", prefix, e.Msg)
+	}
 }
 
-// checkedProgram parses and checks the module sources, reporting failures
-// as MH002. ok is false when later passes cannot run.
-func checkedProgram(r *Report, sources map[string]string, specFile string) (*lang.Program, *lang.Info, bool) {
+// checked parses and checks module sources, reporting what lang refuses
+// as MH002 with prefix. ok is false when later passes cannot run.
+func checked(r *diag.Report, sources map[string]string, prefix string) (*lang.Program, *lang.Info, bool) {
 	prog, err := lang.ParseFiles(sources)
-	if err != nil {
-		r.Add(CodeSourceInvalid, SevError, token.Position{}, "%s", err.Error())
-		return nil, nil, false
+	var info *lang.Info
+	if err == nil {
+		info, err = lang.Check(prog)
 	}
-	info, err := lang.Check(prog)
-	if err != nil {
-		var list lang.ErrorList
-		if errors.As(err, &list) {
-			for _, e := range list {
-				r.Add(CodeSourceInvalid, SevError, e.Pos, "%s", e.Msg)
-			}
-		} else {
-			r.Add(CodeSourceInvalid, SevError, token.Position{}, "%s", err.Error())
-		}
-		return nil, nil, false
-	}
-	return prog, info, true
+	refusals(r, CodeSourceInvalid, "", prefix, err)
+	return prog, info, err == nil
 }
 
 // milPos converts a MIL position into a token.Position anchored at the

@@ -2,9 +2,12 @@ package analyze
 
 import (
 	"fmt"
+	"go/token"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/diag"
 	"repro/internal/fixtures"
 	"repro/internal/lang"
 	"repro/internal/lang/langtest"
@@ -13,7 +16,7 @@ import (
 )
 
 // runOn analyzes one in-memory configuration.
-func runOn(t *testing.T, cfg Config) *Report {
+func runOn(t *testing.T, cfg Config) *diag.Report {
 	t.Helper()
 	r, _, err := Run(cfg)
 	if err != nil {
@@ -23,7 +26,7 @@ func runOn(t *testing.T, cfg Config) *Report {
 }
 
 // parseSpec parses (without validating — Run validates) a spec text.
-func parseSpec(t *testing.T, src string) *mil.Spec {
+func parseSpec(t testing.TB, src string) *mil.Spec {
 	t.Helper()
 	spec, err := mil.Parse(src)
 	if err != nil {
@@ -33,7 +36,7 @@ func parseSpec(t *testing.T, src string) *mil.Spec {
 }
 
 // codes returns the diagnostic codes of a report, in report order.
-func codes(r *Report) []string {
+func codes(r *diag.Report) []string {
 	var out []string
 	for _, d := range r.Diags {
 		out = append(out, d.Code)
@@ -41,7 +44,7 @@ func codes(r *Report) []string {
 	return out
 }
 
-func hasCode(r *Report, code string) bool {
+func hasCode(r *diag.Report, code string) bool {
 	for _, d := range r.Diags {
 		if d.Code == code {
 			return true
@@ -252,6 +255,18 @@ func main() {
 `}})
 	if !hasCode(r, CodeSourceInvalid) {
 		t.Fatalf("no MH002 in %v", codes(r))
+	}
+}
+
+// TestSyntaxErrorPositioned: what go/parser refuses is MH002 where
+// go/parser says, with go/parser's message.
+func TestSyntaxErrorPositioned(t *testing.T) {
+	r := runOn(t, Config{Sources: map[string]string{"mod.go": `package p
+func main() {
+	x := 
+}`}})
+	if got := r.Text(); got != "mod.go:4:1: error[MH002]: expected operand, found '}'\n1 error(s), 0 warning(s)\n" {
+		t.Errorf("report:\n%s", got)
 	}
 }
 
@@ -505,6 +520,21 @@ func TestReplacementCannotBePrepared(t *testing.T) {
 	if !strings.HasPrefix(r.Diags[0].Message, "replacement module cannot be prepared: ") {
 		t.Errorf("message = %q", r.Diags[0].Message)
 	}
+	if at := r.Diags[0].Pos.String(); at != "m.go:3:1" {
+		t.Errorf("MH016 at %s, want the replacement's main", at)
+	}
+}
+
+// TestReplacementSourceInvalid: a replacement that does not type-check is
+// MH002 at the checker's position, not MH016.
+func TestReplacementSourceInvalid(t *testing.T) {
+	r := runOn(t, replCfg(strings.Replace(replOldSrc, "var r float64", "var r float64 = nope", 1)))
+	if got := codes(r); len(got) != 1 || got[0] != CodeSourceInvalid {
+		t.Fatalf("codes = %v, want [%s]:\n%s", got, CodeSourceInvalid, r.Text())
+	}
+	if d := r.Diags[0]; d.Pos.String() != "m.go:4:18" || !strings.HasPrefix(d.Message, "replacement: ") {
+		t.Errorf("diagnostic = %s, want a replacement: finding at m.go:4:18", d)
+	}
 }
 
 // pointerLocalSrc keeps an address in a local that is live at the
@@ -542,6 +572,30 @@ func TestPrepareRefusalReported(t *testing.T) {
 	}
 	if out != nil {
 		t.Error("Run returned an output for a module Prepare refused")
+	}
+	if d := r.Diags[0]; d.Pos.String() != "m.go:5:6" {
+		t.Errorf("MH016 at %v, want the declaration of p at m.go:5:6", d.Pos)
+	}
+}
+
+// TestPrepareRefusalBesideSpecErrors: an error an earlier pass reports
+// (MH003, a specification point with no marker) does not hide Prepare's
+// refusal of the same module. Both are reported, each where it is.
+func TestPrepareRefusalBesideSpecErrors(t *testing.T) {
+	r := runOn(t, Config{
+		Sources:  map[string]string{"m.go": pointerLocalSrc},
+		Spec:     parseSpec(t, `module m { source = "./m" :: reconfiguration point = {R, Q} :: }`),
+		SpecFile: "app.mil",
+		Module:   "m",
+	})
+	if got := codes(r); !slices.Equal(got, []string{CodePointNoMarker, CodeCannotPrepare}) {
+		t.Fatalf("codes = %v, want [%s %s]:\n%s", got, CodePointNoMarker, CodeCannotPrepare, r.Text())
+	}
+	if at := r.Diags[0].Pos.String(); at != "app.mil:1:30" {
+		t.Errorf("MH003 at %s, want the specification's point list", at)
+	}
+	if at := r.Diags[1].Pos.String(); at != "m.go:5:6" {
+		t.Errorf("MH016 at %s, want the declaration of p", at)
 	}
 }
 
@@ -584,14 +638,7 @@ func TestAnalyzerAgreesWithTransform(t *testing.T) {
 		"clean_monitor": {Sources: map[string]string{"compute.go": fixtures.ComputeSource},
 			Spec: parseSpec(t, fixtures.MonitorSpec), SpecFile: "app.mil", Module: "compute"},
 	}
-	modules := langtest.EmbeddedModules(t, "analyze_test.go")
-	for k, src := range langtest.EmbeddedModules(t, "../../bench/workloads.go") {
-		modules[k] = src
-	}
-	modules["fixtures.ComputeSource"] = fixtures.ComputeSource
-	modules["fixtures.SensorSource"] = fixtures.SensorSource
-	modules["fixtures.DisplaySource"] = fixtures.DisplaySource
-	for k, src := range modules {
+	for k, src := range agreementModules(t) {
 		cfgs[k] = Config{Sources: map[string]string{"m.go": src}}
 	}
 
@@ -610,11 +657,35 @@ func TestAnalyzerAgreesWithTransform(t *testing.T) {
 		if !r.HasErrors() {
 			t.Errorf("%s: Prepare refuses it (%v), the analyzer reports no error:\n%s", name, prepErr, r.Text())
 		}
+		for _, d := range r.Diags {
+			if d.Severity == diag.SevError && !inInput(d.Pos, cfg) {
+				t.Errorf("%s: error %s is not at a position in the input", name, d)
+			}
+		}
 	}
 	t.Logf("%d configurations, %d with points refused by Prepare", len(cfgs), refused)
-	if refused < 2 {
-		t.Errorf("Prepare refused %d module(s) with points, want the pointer local and the broken golden at least", refused)
+	if refused < 5 {
+		t.Errorf("Prepare refused %d module(s) with points, want the five this package's tests write", refused)
 	}
+}
+
+// agreementModules is every module source the analyzer's tests run on and
+// the benchmark's stages, keyed by where each is written.
+func agreementModules(t testing.TB) map[string]string {
+	modules := langtest.EmbeddedModules(t, "analyze_test.go")
+	for k, src := range langtest.EmbeddedModules(t, "../../bench/workloads.go") {
+		modules[k] = src
+	}
+	modules["fixtures.ComputeSource"] = fixtures.ComputeSource
+	modules["fixtures.SensorSource"] = fixtures.SensorSource
+	modules["fixtures.DisplaySource"] = fixtures.DisplaySource
+	return modules
+}
+
+// inInput reports whether pos is a valid position in one of cfg's files.
+func inInput(pos token.Position, cfg Config) bool {
+	_, src := cfg.Sources[pos.Filename]
+	return pos.IsValid() && (src || cfg.Spec != nil && pos.Filename == cfg.SpecFile)
 }
 
 // hasPoints reports whether a module's sources mark a reconfiguration

@@ -1,6 +1,7 @@
 package analyze
 
 import (
+	"repro/internal/diag"
 	"repro/internal/mil"
 	"repro/internal/state"
 )
@@ -28,7 +29,7 @@ var milKinds = map[string]state.Kind{
 // vocabulary (MH012). Structural problems — unknown instances, interfaces,
 // direction mismatches — are MH001 findings from mil.Validate, so this
 // pass silently skips endpoints it cannot resolve.
-func checkBindings(r *Report, spec *mil.Spec, specFile string) {
+func checkBindings(r *diag.Report, spec *mil.Spec, specFile string) {
 	for _, app := range spec.Applications {
 		insts := map[string]*mil.Instance{}
 		for _, in := range app.Instances {
@@ -92,14 +93,14 @@ func recvTypes(ifc *mil.Interface) []mil.TypeRef {
 // compareSignature checks one direction of a binding: what sender emits
 // against what receiver expects. An empty set on either side means the
 // specification left that signature open — nothing to check.
-func compareSignature(r *Report, specFile string, b *mil.Bind, sender, receiver *mil.Interface) {
+func compareSignature(r *diag.Report, specFile string, b *mil.Bind, sender, receiver *mil.Interface) {
 	out := sendTypes(sender)
 	in := recvTypes(receiver)
 	if len(out) == 0 || len(in) == 0 {
 		return
 	}
 	if len(out) != len(in) {
-		r.Add(CodeBindingMismatch, SevError, milPos(specFile, b.Pos),
+		r.Add(CodeBindingMismatch, diag.SevError, milPos(specFile, b.Pos),
 			"binding %q -> %q: %s sends %d value(s) but %s expects %d",
 			b.From, b.To, sender.Name, len(out), receiver.Name, len(in))
 		return
@@ -111,7 +112,7 @@ func compareSignature(r *Report, specFile string, b *mil.Bind, sender, receiver 
 			continue
 		}
 		if sk != rk {
-			r.Add(CodeBindingMismatch, SevError, milPos(specFile, b.Pos),
+			r.Add(CodeBindingMismatch, diag.SevError, milPos(specFile, b.Pos),
 				"binding %q -> %q: message position %d is %s on %s but %s on %s",
 				b.From, b.To, i+1, out[i].Name, sender.Name, in[i].Name, receiver.Name)
 		}
@@ -120,7 +121,7 @@ func compareSignature(r *Report, specFile string, b *mil.Bind, sender, receiver 
 
 // typeKind folds a MIL type name to its abstract-state kind, reporting
 // MH012 at most once per interface.
-func typeKind(r *Report, specFile string, ifc *mil.Interface, ref mil.TypeRef) (state.Kind, bool) {
+func typeKind(r *diag.Report, specFile string, ifc *mil.Interface, ref mil.TypeRef) (state.Kind, bool) {
 	if k, ok := milKinds[ref.Name]; ok {
 		return k, true
 	}
@@ -129,7 +130,7 @@ func typeKind(r *Report, specFile string, ifc *mil.Interface, ref mil.TypeRef) (
 			return state.KindInvalid, false
 		}
 	}
-	r.Add(CodeUnknownMILType, SevWarning, milPos(specFile, ifc.Pos),
+	r.Add(CodeUnknownMILType, diag.SevWarning, milPos(specFile, ifc.Pos),
 		"interface %s names message type %q, which maps to no abstract-state kind; its bindings are not type-checked",
 		ifc.Name, ref.Name)
 	return state.KindInvalid, false

@@ -5,15 +5,18 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/diag"
 	"repro/internal/lang"
 	"repro/internal/mil"
 	"repro/internal/transform"
 )
 
 // checkPoints cross-checks the specification's reconfiguration points
-// against the source (MH003–MH005). It returns the specification's state
-// lists less the names MH005 reported, which Prepare would refuse.
-func checkPoints(r *Report, cfg Config, mod *mil.Module, prog *lang.Program, info *lang.Info) map[string][]string {
+// against the source (MH003–MH005). MH005 is checked here, before Prepare,
+// so that it anchors at the specification and Prepare goes on: the state
+// lists returned leave out the names it reported, which Prepare would
+// refuse, so the capture-set check (MH006, MH007) still runs.
+func checkPoints(r *diag.Report, cfg Config, mod *mil.Module, prog *lang.Program, info *lang.Info) map[string][]string {
 	srcPoints := map[string]lang.Point{}
 	for _, pt := range info.Points {
 		if _, dup := srcPoints[pt.Label]; !dup {
@@ -26,7 +29,7 @@ func checkPoints(r *Report, cfg Config, mod *mil.Module, prog *lang.Program, inf
 		spt := &mod.ReconfigPoints[i]
 		src, ok := srcPoints[spt.Label]
 		if !ok {
-			r.Add(CodePointNoMarker, SevError, milPos(cfg.SpecFile, spt.Pos),
+			r.Add(CodePointNoMarker, diag.SevError, milPos(cfg.SpecFile, spt.Pos),
 				"specification point %s has no mh.ReconfigPoint(%q) marker in the source of module %s",
 				spt.Label, spt.Label, mod.Name)
 			continue
@@ -38,7 +41,7 @@ func checkPoints(r *Report, cfg Config, mod *mil.Module, prog *lang.Program, inf
 		var known []string
 		for _, v := range spt.Vars {
 			if !names[v] {
-				r.Add(CodeUnknownStateVar, SevError, milPos(cfg.SpecFile, spt.Pos),
+				r.Add(CodeUnknownStateVar, diag.SevError, milPos(cfg.SpecFile, spt.Pos),
 					"state list for point %s names %s, which is not a parameter or local of %s",
 					spt.Label, v, src.Func)
 				continue
@@ -52,7 +55,7 @@ func checkPoints(r *Report, cfg Config, mod *mil.Module, prog *lang.Program, inf
 
 	for _, pt := range info.Points {
 		if mod.Point(pt.Label) == nil {
-			r.Add(CodeMarkerNotInSpec, SevWarning, prog.Fset.Position(pt.Call.Pos()),
+			r.Add(CodeMarkerNotInSpec, diag.SevWarning, prog.Fset.Position(pt.Call.Pos()),
 				"source reconfiguration point %s is not declared in the specification of module %s",
 				pt.Label, mod.Name)
 		}
@@ -77,7 +80,7 @@ func checkPoints(r *Report, cfg Config, mod *mil.Module, prog *lang.Program, inf
 // Runtime out-parameters (mh.Read(iface, &x)) count as definitions, so the
 // paper's own Figure 2 list {num, n, rp}, which omits temper, checks as
 // sound.
-func checkCaptureSoundness(r *Report, cfg Config, mod *mil.Module, out *transform.Output) {
+func checkCaptureSoundness(r *diag.Report, cfg Config, mod *mil.Module, out *transform.Output) {
 	pvars := mod.PointVars()
 	for _, name := range out.Graph.Nodes {
 		// The declared set is the union of the state lists of the
@@ -110,7 +113,7 @@ func checkCaptureSoundness(r *Report, cfg Config, mod *mil.Module, out *transfor
 		fr := out.Funcs[name]
 		for _, v := range fr.Live {
 			if !slices.Contains(declared, v) {
-				r.Add(CodeCaptureMissing, SevError, anchor,
+				r.Add(CodeCaptureMissing, diag.SevError, anchor,
 					"procedure %s: variable %s is live at a reconfiguration edge but missing from the declared capture set {%s}; restoring from it would lose state",
 					name, v, strings.Join(declared, ", "))
 			}
@@ -119,7 +122,7 @@ func checkCaptureSoundness(r *Report, cfg Config, mod *mil.Module, out *transfor
 			// A name that is no variable of the procedure is MH005's.
 			known := slices.ContainsFunc(out.Info.FuncVars[name], func(d *lang.VarDef) bool { return d.Name == v })
 			if known && !slices.Contains(fr.Read, v) {
-				r.Add(CodeCaptureDead, SevWarning, anchor,
+				r.Add(CodeCaptureDead, diag.SevWarning, anchor,
 					"procedure %s: captured variable %s is dead at every reconfiguration edge; capturing it only grows the abstract state",
 					name, v)
 			}

@@ -12,24 +12,13 @@
 // would only discover mid-swap: binding type compatibility and old/new
 // abstract-state mapping compatibility.
 //
-// Every finding is a Diagnostic with a stable code, a severity, and a
-// source position; a Report renders as human text or JSON. The diagnostic
-// machinery itself lives in internal/diag and is shared with the
-// architectural analyzer (internal/archlint); this package re-exports the
-// types so existing callers keep working unchanged.
+// Every finding is a diag.Diagnostic with a stable code, a severity, and
+// a source position, collected in a diag.Report that renders as human text
+// or JSON (internal/diag, shared with the architectural analyzer). A
+// refusal of the passes this package runs — mil.Validate, lang, the
+// callgraph and transform.Prepare — is a go/scanner error; the analyzer
+// classifies each one under a code, at the position the refusal names.
 package analyze
-
-import "repro/internal/diag"
-
-// Severity classifies a diagnostic.
-type Severity = diag.Severity
-
-// Severities. Errors make the configuration unsafe to transform; warnings
-// flag waste or delay risks that do not compromise soundness.
-const (
-	SevWarning = diag.SevWarning
-	SevError   = diag.SevError
-)
 
 // Diagnostic codes. Codes are stable across releases: tools may match on
 // them, and the README documents each one.
@@ -84,9 +73,3 @@ const (
 	// cannot rebuild a crashed member.
 	CodeReplicasNotRebuilt = "MH017"
 )
-
-// Diagnostic is one analyzer finding.
-type Diagnostic = diag.Diagnostic
-
-// Report collects the diagnostics of one analyzer run.
-type Report = diag.Report

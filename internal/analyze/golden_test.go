@@ -38,7 +38,7 @@ func checkGolden(t *testing.T, name, got string) {
 // (MH004), a spec point with no marker (MH003), an unknown state variable
 // (MH005), a dropped live variable (MH006), and a dead captured one
 // (MH007).
-func brokenMonitor(t *testing.T) Config {
+func brokenMonitor(t testing.TB) Config {
 	t.Helper()
 	src := strings.Replace(fixtures.ComputeSource,
 		"mh.Read(\"sensor\", &temper)",

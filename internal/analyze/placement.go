@@ -5,35 +5,36 @@ import (
 	"strings"
 
 	"repro/internal/callgraph"
+	"repro/internal/diag"
 	"repro/internal/lang"
 )
 
 // checkPlacement verifies reconfiguration-point placement on the original
-// (unflattened) program, where every diagnostic has a true source position:
+// (unflattened) program, where every diagnostic has a true source position,
+// and reports whether Prepare can run on it:
 //
 //   - MH010: the module declares no points at all — it can never divulge
-//     state, so it can never be replaced while running;
+//     state, so it can never be replaced while running. Prepare refuses
+//     it, but such a module is still a valid one to run, so this is a
+//     warning checked before Prepare rather than its refusal;
 //   - MH008: a point sits in a procedure unreachable from main — it will
-//     never execute, and the transform refuses such programs;
+//     never execute. These are the refusals of the callgraph.BuildReconfig
+//     call Prepare makes first, one at each such point's marker;
 //   - MH009: a recursive cycle reachable from main contains no point — a
 //     computation stuck in that cycle delays reconfiguration indefinitely
 //     (the paper's Discussion bounds the delay by the time to the *next*
 //     point, which here never comes).
-func checkPlacement(r *Report, prog *lang.Program, info *lang.Info) {
+func checkPlacement(r *diag.Report, prog *lang.Program, info *lang.Info) bool {
 	if len(info.Points) == 0 {
-		r.Add(CodeNoPoints, SevWarning, declPos(prog, "main"),
+		r.Add(CodeNoPoints, diag.SevWarning, declPos(prog, "main"),
 			"module declares no reconfiguration points; it cannot be replaced while running")
-		return
+		return false
 	}
 
 	g := callgraph.Build(prog)
+	_, err := callgraph.BuildReconfig(g, info)
+	refusals(r, CodePointUnreachable, "", "", err)
 	reach := g.ReachableFrom("main")
-	for _, pt := range info.Points {
-		if !reach[pt.Func] {
-			r.Add(CodePointUnreachable, SevError, prog.Fset.Position(pt.Call.Pos()),
-				"reconfiguration point %s is in %s, which is unreachable from main", pt.Label, pt.Func)
-		}
-	}
 
 	pointFuncs := map[string]bool{}
 	for _, pt := range info.Points {
@@ -54,10 +55,11 @@ func checkPlacement(r *Report, prog *lang.Program, info *lang.Info) {
 		if hasPoint {
 			continue
 		}
-		r.Add(CodeCycleNoPoint, SevWarning, declPos(prog, comp[0]),
+		r.Add(CodeCycleNoPoint, diag.SevWarning, declPos(prog, comp[0]),
 			"recursive cycle {%s} is reachable from main but contains no reconfiguration point; a computation inside it delays reconfiguration indefinitely",
 			strings.Join(comp, ", "))
 	}
+	return err == nil
 }
 
 // declPos returns the declaration position of a function, or a zero

@@ -1,10 +1,9 @@
 package analyze
 
 import (
-	"errors"
-	"go/token"
 	"slices"
 
+	"repro/internal/diag"
 	"repro/internal/lang"
 	"repro/internal/transform"
 )
@@ -26,10 +25,13 @@ import (
 //
 // Prepare rewrites bodies but no declaration, so the prepared programs'
 // declarations keep their source positions for the diagnostics.
-func checkReplacement(r *Report, old *transform.Output, replacement map[string]string, opts transform.Options) {
+func checkReplacement(r *diag.Report, old *transform.Output, replacement map[string]string, opts transform.Options) {
 	neu, err := transform.Prepare(replacement, opts)
 	if err != nil {
-		reportPrepare(r, err, true)
+		// A refusal of the source itself is MH002, any other MH016.
+		if _, _, ok := checked(r, replacement, "replacement: "); ok {
+			refusals(r, CodeCannotPrepare, "", "replacement module cannot be prepared: ", err)
+		}
 		return
 	}
 
@@ -37,13 +39,13 @@ func checkReplacement(r *Report, old *transform.Output, replacement map[string]s
 		oldFr := old.Funcs[name]
 		newFr := neu.Funcs[name]
 		if newFr == nil {
-			r.Add(CodeReplacementDropsProc, SevError, declPos(old.Prog, name),
+			r.Add(CodeReplacementDropsProc, diag.SevError, declPos(old.Prog, name),
 				"replacement module has no instrumented procedure %s; its activation records cannot be mapped", name)
 			continue
 		}
 		pos := declPos(neu.Prog, name)
 		if len(oldFr.Captured) != len(newFr.Captured) {
-			r.Add(CodeReplacementShape, SevError, pos,
+			r.Add(CodeReplacementShape, diag.SevError, pos,
 				"procedure %s: capture set has %d variable(s) but the replacement's has %d; frames cannot be installed",
 				name, len(oldFr.Captured), len(newFr.Captured))
 			continue
@@ -51,19 +53,19 @@ func checkReplacement(r *Report, old *transform.Output, replacement map[string]s
 		for i := range oldFr.Captured {
 			ov, nv := oldFr.Captured[i], newFr.Captured[i]
 			if !compatibleTypes(ov.Type, nv.Type) || ov.Pointer != nv.Pointer {
-				r.Add(CodeReplacementShape, SevError, pos,
+				r.Add(CodeReplacementShape, diag.SevError, pos,
 					"procedure %s: capture slot %d is %s %s but %s %s in the replacement; the value cannot be converted",
 					name, i+1, ov.Name, describeVar(ov), nv.Name, describeVar(nv))
 				continue
 			}
 			if ov.Name != nv.Name {
-				r.Add(CodeReplacementShape, SevWarning, pos,
+				r.Add(CodeReplacementShape, diag.SevWarning, pos,
 					"procedure %s: capture slot %d renames %s to %s; values transfer positionally but the mapping deserves review",
 					name, i+1, ov.Name, nv.Name)
 			}
 		}
 		if !slices.Equal(oldFr.Edges, newFr.Edges) {
-			r.Add(CodeReplacementEdges, SevError, pos,
+			r.Add(CodeReplacementEdges, diag.SevError, pos,
 				"procedure %s: reconfiguration edges %v differ from the replacement's %v; restored resume locations would not align",
 				name, oldFr.Edges, newFr.Edges)
 		}
@@ -72,28 +74,10 @@ func checkReplacement(r *Report, old *transform.Output, replacement map[string]s
 	newLabels := neu.PointLabels()
 	for _, l := range old.PointLabels() {
 		if !slices.Contains(newLabels, l) {
-			r.Add(CodeReplacementEdges, SevError, declPos(neu.Prog, "main"),
+			r.Add(CodeReplacementEdges, diag.SevError, declPos(neu.Prog, "main"),
 				"replacement module drops reconfiguration point %s; state captured there has no installation site", l)
 		}
 	}
-}
-
-// reportPrepare surfaces a module the transform itself refuses, the
-// analyzed one or (replacement) the proposed replacement: unparseable or
-// ill-typed source is MH002, any other refusal MH016.
-func reportPrepare(r *Report, err error, replacement bool) {
-	who, prefix := "module", ""
-	if replacement {
-		who, prefix = "replacement module", "replacement: "
-	}
-	var list lang.ErrorList
-	if errors.As(err, &list) {
-		for _, e := range list {
-			r.Add(CodeSourceInvalid, SevError, e.Pos, "%s%s", prefix, e.Msg)
-		}
-		return
-	}
-	r.Add(CodeCannotPrepare, SevError, token.Position{}, "%s cannot be prepared: %v", who, err)
 }
 
 // compatibleTypes reports deep structural compatibility of two

@@ -19,6 +19,7 @@ package callgraph
 import (
 	"fmt"
 	"go/ast"
+	"go/scanner"
 	"sort"
 	"strings"
 
@@ -241,21 +242,27 @@ type RGraph struct {
 }
 
 // BuildReconfig derives the reconfiguration graph from a checked program.
-// It fails if the program declares no reconfiguration points, or if a point
-// sits in a procedure unreachable from main.
+// It refuses a program that declares no reconfiguration points (at main),
+// or whose points sit in procedures unreachable from main: the
+// scanner.ErrorList names every such point, at its mh.ReconfigPoint call.
 func BuildReconfig(g *Graph, info *lang.Info) (*RGraph, error) {
 	if len(info.Points) == 0 {
-		return nil, fmt.Errorf("callgraph: program declares no reconfiguration points")
+		return nil, g.Prog.Errorf(g.Prog.Funcs["main"].Decl.Pos(), "program declares no reconfiguration points")
 	}
 	pointFuncs := map[string]bool{}
 	for _, pt := range info.Points {
 		pointFuncs[pt.Func] = true
 	}
 	fromMain := g.ReachableFrom("main")
+	var unreachable scanner.ErrorList
 	for _, pt := range info.Points {
 		if !fromMain[pt.Func] {
-			return nil, fmt.Errorf("callgraph: reconfiguration point %s is in %s, which is unreachable from main", pt.Label, pt.Func)
+			unreachable.Add(g.Prog.Fset.Position(pt.Call.Pos()),
+				fmt.Sprintf("reconfiguration point %s is in %s, which is unreachable from main", pt.Label, pt.Func))
 		}
+	}
+	if unreachable != nil {
+		return nil, unreachable
 	}
 	toPoint := g.CanReach(pointFuncs)
 

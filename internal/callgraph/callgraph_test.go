@@ -1,7 +1,9 @@
 package callgraph
 
 import (
+	"errors"
 	"fmt"
+	"go/scanner"
 	"reflect"
 	"strings"
 	"testing"
@@ -244,12 +246,21 @@ func f() {}
 		t.Error("no points accepted")
 	}
 
+	// Every unreachable point is refused, each at its marker.
 	_, info2, g2 := load(t, `package p
 func main() {}
 func unreachable() { mh.ReconfigPoint("R") }
+func orphan() { mh.ReconfigPoint("S") }
 `)
-	if _, err := BuildReconfig(g2, info2); err == nil || !strings.Contains(err.Error(), "unreachable") {
-		t.Errorf("unreachable point: %v", err)
+	_, err := BuildReconfig(g2, info2)
+	var list scanner.ErrorList
+	if !errors.As(err, &list) || len(list) != 2 {
+		t.Fatalf("unreachable points: %v, want 2 refusals", err)
+	}
+	for i, at := range []string{"3:22", "4:17"} {
+		if !strings.HasSuffix(list[i].Pos.String(), at) || !strings.Contains(list[i].Msg, "unreachable from main") {
+			t.Errorf("refusal %d = %v, want one at %s", i, list[i], at)
+		}
 	}
 }
 

@@ -3,6 +3,12 @@
 // position, collected into a Report that renders deterministically as
 // compiler-style text or stable JSON.
 //
+// A Diagnostic is a classified finding. What the parsers and passes of the
+// module path refuse (mil, lang, the callgraph, transform.Prepare) is the
+// unclassified kind, a go/scanner.Error carrying only a position and a
+// message; an analyzer makes a Diagnostic of it by naming its code and
+// severity.
+//
 // Two analyzers build on it: internal/analyze (the reconfiguration-safety
 // analyzer behind cmd/mhlint, codes MHxxx) and internal/archlint (the
 // architectural-invariant analyzer behind cmd/archlint, codes ALxxx). Both

@@ -207,8 +207,7 @@ func Decl(info *lang.Info, vars []*lang.VarDef) ast.Stmt {
 
 func (f *flattener) failf(pos token.Pos, format string, args ...any) {
 	if f.err == nil {
-		p := f.prog.Fset.Position(pos)
-		f.err = fmt.Errorf("flatten: %s: %s", p, fmt.Sprintf(format, args...))
+		f.err = f.prog.Errorf(pos, format, args...)
 	}
 }
 

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"go/scanner"
 	"go/token"
 	"math"
 	"runtime"
@@ -58,29 +59,18 @@ func (l *Lowered) Bind(rt *mh.Runtime, opts ...Option) *Interp {
 	return in
 }
 
-// Error is a module runtime error (index out of range, division by zero,
-// step limit, ...). Pos is where the instruction that raised it stands in
-// the source the program was parsed from. For an instrumented module that is
-// the source as the programmer wrote it: the transformation's passes keep
-// the position of every node they reuse, so an error in a flattened loop, a
-// hoisted argument or an untouched procedure cites the line it was written
-// on. A statement only the transformation made has no position, and an
-// error it raises prints without one rather than with a wrong one.
-type Error struct {
-	Pos token.Position
-	Msg string
-}
-
-// Error implements error.
-func (e *Error) Error() string {
-	if e.Pos.IsValid() {
-		return fmt.Sprintf("interp: %s: %s", e.Pos, e.Msg)
-	}
-	return "interp: " + e.Msg
-}
-
+// failf raises a module runtime error (index out of range, division by
+// zero, step limit, ...): a *scanner.Error, the repository's one positioned
+// error, that Run and Call return wrapped with this package's name. Its Pos
+// is where the instruction that raised it stands in the source the program
+// was parsed from. For an instrumented module that is the source as the
+// programmer wrote it: the transformation's passes keep the position of
+// every node they reuse, so an error in a flattened loop, a hoisted
+// argument or an untouched procedure cites the line it was written on. A
+// statement only the transformation made has no position, and an error it
+// raises prints without one rather than with a wrong one.
 func (in *Interp) failf(pos token.Pos, format string, args ...any) {
-	panic(&Error{Pos: in.low.fset.Position(pos), Msg: fmt.Sprintf(format, args...)})
+	panic(&scanner.Error{Pos: in.low.fset.Position(pos), Msg: fmt.Sprintf(format, args...)})
 }
 
 // recovered sorts a recovered panic value into a termination or a module
@@ -91,10 +81,8 @@ func recovered(rec any) (*mh.Termination, error) {
 	switch v := rec.(type) {
 	case mh.Termination:
 		return &v, nil
-	case *Error:
-		return nil, v
-	case runtime.Error:
-		return nil, &Error{Msg: v.Error()}
+	case *scanner.Error, runtime.Error:
+		return nil, fmt.Errorf("interp: %w", v.(error))
 	}
 	panic(rec)
 }

@@ -127,7 +127,7 @@ type label struct{ pc int }
 
 // Lower resolves a checked program into slot-indexed code. It never fails:
 // a construct that cannot execute (an unparsable literal, a statement
-// outside the subset) lowers to an instruction that raises an *Error with
+// outside the subset) lowers to an instruction that raises a *scanner.Error with
 // its position when — and only if — control reaches it.
 func Lower(prog *lang.Program, info *lang.Info) *Lowered {
 	out := &Lowered{fset: prog.Fset, funcs: map[string]*code{}}

@@ -1,8 +1,10 @@
 package interp
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/scanner"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -386,9 +388,9 @@ func bad(f float64) float64 {
 		t.Errorf("ok() = %v: a bad literal elsewhere must not matter until reached", got)
 	}
 	_, err := in.Call("bad", 1.5)
-	ie, isErr := err.(*Error)
-	if !isErr || !strings.Contains(ie.Msg, "literal 0x") || ie.Pos.Line != 5 {
-		t.Errorf("bad(1.5): err = %#v, want an *Error at line 5 naming the literal", err)
+	var ie *scanner.Error
+	if !errors.As(err, &ie) || !strings.Contains(ie.Msg, "literal 0x") || ie.Pos.Line != 5 {
+		t.Errorf("bad(1.5): err = %#v, want a *scanner.Error at line 5 naming the literal", err)
 	}
 }
 

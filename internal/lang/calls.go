@@ -1,6 +1,9 @@
 package lang
 
-import "go/ast"
+import (
+	"go/ast"
+	"go/scanner"
+)
 
 // mhArity describes one mh primitive's call shape for the checker. Variadic
 // tails are described by tail: "ptr" (pointer-typed values), "val"
@@ -128,7 +131,7 @@ func (c *checker) checkNamedCall(call *ast.CallExpr, fun *ast.Ident, stmtCtx boo
 		}
 		t, err := c.prog.ResolveType(call.Args[0])
 		if err != nil {
-			c.errs = append(c.errs, err.(*Error))
+			c.errs = append(c.errs, err.(scanner.ErrorList)...)
 			return nil
 		}
 		sl, ok := t.(Slice)

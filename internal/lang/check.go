@@ -3,6 +3,7 @@ package lang
 import (
 	"fmt"
 	"go/ast"
+	"go/scanner"
 	"go/token"
 	"slices"
 	"strconv"
@@ -92,10 +93,14 @@ func (i *Info) NewUse(d *VarDef) *ast.Ident {
 }
 
 // NewDecl returns a new identifier that declares d, recorded as Check
-// records one, and makes it d's declaring identifier.
+// records one. It becomes d's Ident only if d has none: a variable a pass
+// declares again keeps the identifier it was written with, so a refusal
+// that names it cites the source line.
 func (i *Info) NewDecl(d *VarDef) *ast.Ident {
 	id := ast.NewIdent(d.Name)
-	d.Ident = id
+	if d.Ident == nil {
+		d.Ident = id
+	}
 	i.Defs[id] = d
 	return id
 }
@@ -137,7 +142,7 @@ const MHName = "mh"
 type checker struct {
 	prog *Program
 	info *Info
-	errs ErrorList
+	errs scanner.ErrorList
 
 	fn     *Func
 	scopes []map[string]*VarDef
@@ -151,7 +156,7 @@ type checker struct {
 	// branch.
 	labels   map[string]bool
 	forward  []branchRef
-	redecl   []*Error
+	redecl   scanner.ErrorList
 	errStart int
 }
 
@@ -161,8 +166,8 @@ type branchRef struct {
 	at int // len(errs) when the branch was checked
 }
 
-func (c *checker) newError(pos token.Pos, format string, args ...any) *Error {
-	return &Error{Pos: c.prog.Fset.Position(pos), Msg: fmt.Sprintf(format, args...)}
+func (c *checker) newError(pos token.Pos, format string, args ...any) *scanner.Error {
+	return &scanner.Error{Pos: c.prog.Fset.Position(pos), Msg: fmt.Sprintf(format, args...)}
 }
 
 func (c *checker) errorf(pos token.Pos, format string, args ...any) {
@@ -364,7 +369,7 @@ func (c *checker) checkDecl(st *ast.DeclStmt) {
 		if vs.Type != nil {
 			t, err := c.prog.ResolveType(vs.Type)
 			if err != nil {
-				c.errs = append(c.errs, err.(*Error))
+				c.errs = append(c.errs, err.(scanner.ErrorList)...)
 				continue
 			}
 			declared = t
@@ -901,7 +906,7 @@ func (c *checker) compositeType(x *ast.CompositeLit) Type {
 	}
 	t, err := c.prog.ResolveType(x.Type)
 	if err != nil {
-		c.errs = append(c.errs, err.(*Error))
+		c.errs = append(c.errs, err.(scanner.ErrorList)...)
 		return nil
 	}
 	switch tt := t.(type) {

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"go/scanner"
 	"strings"
 	"testing"
 
@@ -379,7 +380,7 @@ type T struct{}
 type T struct{}
 func main() {}`, "redeclared"},
 		{"var no type", `package p
-func main() { var x; _ = x }`, "parse"},
+func main() { var x; _ = x }`, "mod.go:2:20: expected type"},
 		{"assign to literal", `package p
 func main() { 1 = 2 }`, "not an assignable expression"},
 		{"label redeclared", `package p
@@ -455,7 +456,7 @@ Later:
 		t.Fatal(err)
 	}
 	_, err = Check(prog)
-	errs, ok := err.(ErrorList)
+	errs, ok := err.(scanner.ErrorList)
 	if !ok {
 		t.Fatalf("Check: %v", err)
 	}
@@ -509,18 +510,23 @@ func TestInfoLookups(t *testing.T) {
 	}
 }
 
+// TestErrorListRendering: a refusal renders as go/scanner renders its
+// list, the first error at its position and a count of the rest, with no
+// package name (the caller that wraps it adds its own).
 func TestErrorListRendering(t *testing.T) {
-	var l ErrorList
-	if l.Error() != "lang: no errors" {
-		t.Error("empty list")
+	prog, err := ParseFiles(map[string]string{"mod.go": "package p\nfunc main() {\n\tx = 1\n\ty = 2\n}"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	l = append(l, &Error{Msg: "one"})
-	if !strings.Contains(l.Error(), "one") {
-		t.Error("single")
+	_, err = Check(prog)
+	if want := "mod.go:3:2: undeclared variable x (and 1 more errors)"; err == nil || err.Error() != want {
+		t.Errorf("Check: %v, want %q", err, want)
 	}
-	l = append(l, &Error{Msg: "two"})
-	if !strings.Contains(l.Error(), "two") {
-		t.Error("multi")
+	if err := prog.Errorf(prog.Funcs["main"].Decl.Pos(), "one"); err.Error() != "mod.go:2:1: one" {
+		t.Errorf("Errorf renders %q", err)
+	}
+	if _, err := ParseFiles(map[string]string{"mod.go": "package p\nfunc main() {\n\tx := \n}\n"}); err == nil || err.Error() != "mod.go:4:1: expected operand, found '}'" {
+		t.Errorf("parse error renders %q", err)
 	}
 }
 
@@ -538,7 +544,7 @@ func main() {
 	if err == nil {
 		t.Fatal("no error")
 	}
-	el, ok := err.(ErrorList)
+	el, ok := err.(scanner.ErrorList)
 	if !ok || len(el) < 2 {
 		t.Errorf("expected multiple errors, got %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/parser"
+	"go/scanner"
 	"go/token"
 	"sort"
 )
@@ -13,7 +14,7 @@ type VarDef struct {
 	Name    string
 	Type    Type
 	IsParam bool
-	Ident   *ast.Ident // declaring identifier (nil for synthesized vars)
+	Ident   *ast.Ident // declaring identifier as written (no position for synthesized vars)
 }
 
 // Func is one module procedure.
@@ -33,39 +34,6 @@ type Program struct {
 	Structs map[string]*Struct
 	// FuncOrder lists function names in declaration order.
 	FuncOrder []string
-}
-
-// Error reports a language violation with its source position.
-type Error struct {
-	Pos token.Position
-	Msg string
-}
-
-// Error implements error.
-func (e *Error) Error() string {
-	if e.Pos.IsValid() {
-		return fmt.Sprintf("lang: %s: %s", e.Pos, e.Msg)
-	}
-	return "lang: " + e.Msg
-}
-
-// ErrorList aggregates checker errors.
-type ErrorList []*Error
-
-// Error implements error, rendering at most the first few messages.
-func (l ErrorList) Error() string {
-	switch len(l) {
-	case 0:
-		return "lang: no errors"
-	case 1:
-		return l[0].Error()
-	default:
-		s := l[0].Error()
-		for _, e := range l[1:] {
-			s += "\n" + e.Error()
-		}
-		return s
-	}
 }
 
 // ParseFiles parses named source texts into a Program (without checking).
@@ -91,12 +59,12 @@ func ParseFiles(sources map[string]string) (*Program, error) {
 	for _, name := range names {
 		file, err := parser.ParseFile(fset, name, sources[name], parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			return nil, fmt.Errorf("lang: parse %s: %w", name, err)
+			return nil, err
 		}
 		if p.Package == "" {
 			p.Package = file.Name.Name
 		} else if p.Package != file.Name.Name {
-			return nil, fmt.Errorf("lang: mixed packages %s and %s", p.Package, file.Name.Name)
+			return nil, p.Errorf(file.Name.Pos(), "mixed packages %s and %s", p.Package, file.Name.Name)
 		}
 		p.Files = append(p.Files, file)
 	}
@@ -106,8 +74,13 @@ func ParseFiles(sources map[string]string) (*Program, error) {
 	return p, nil
 }
 
-func (p *Program) errorf(pos token.Pos, format string, args ...any) *Error {
-	return &Error{Pos: p.Fset.Position(pos), Msg: fmt.Sprintf(format, args...)}
+// Errorf returns a refusal at pos: a go/scanner error list of one entry.
+// That list is the one positioned error of the module path: go/parser
+// returns it, Check collects one, and every pass after them (flatten,
+// callgraph, liveness, transform) refuses a program with one, so a caller
+// reads each refusal's file, line and message with errors.As.
+func (p *Program) Errorf(pos token.Pos, format string, args ...any) error {
+	return scanner.ErrorList{{Pos: p.Fset.Position(pos), Msg: fmt.Sprintf(format, args...)}}
 }
 
 // collectDecls gathers package-level functions and struct types. Struct
@@ -132,10 +105,10 @@ func (p *Program) collectDecls() error {
 				}
 				st, ok := ts.Type.(*ast.StructType)
 				if !ok {
-					return p.errorf(ts.Pos(), "type %s: only struct types are allowed", ts.Name.Name)
+					return p.Errorf(ts.Pos(), "type %s: only struct types are allowed", ts.Name.Name)
 				}
 				if _, dup := p.Structs[ts.Name.Name]; dup {
-					return p.errorf(ts.Pos(), "type %s redeclared", ts.Name.Name)
+					return p.Errorf(ts.Pos(), "type %s redeclared", ts.Name.Name)
 				}
 				p.Structs[ts.Name.Name] = &Struct{Name: ts.Name.Name}
 				pending = append(pending, pendingStruct{spec: ts, st: st})
@@ -151,7 +124,7 @@ func (p *Program) collectDecls() error {
 				return err
 			}
 			if len(field.Names) == 0 {
-				return p.errorf(field.Pos(), "struct %s: embedded fields are not allowed", out.Name)
+				return p.Errorf(field.Pos(), "struct %s: embedded fields are not allowed", out.Name)
 			}
 			for _, n := range field.Names {
 				out.Fields = append(out.Fields, StructField{Name: n.Name, Type: ft})
@@ -164,17 +137,17 @@ func (p *Program) collectDecls() error {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
 				if d.Recv != nil {
-					return p.errorf(d.Pos(), "method %s: methods are not allowed", d.Name.Name)
+					return p.Errorf(d.Pos(), "method %s: methods are not allowed", d.Name.Name)
 				}
 				if d.Body == nil {
-					return p.errorf(d.Pos(), "function %s has no body", d.Name.Name)
+					return p.Errorf(d.Pos(), "function %s has no body", d.Name.Name)
 				}
 				if _, dup := p.Funcs[d.Name.Name]; dup {
-					return p.errorf(d.Pos(), "function %s redeclared", d.Name.Name)
+					return p.Errorf(d.Pos(), "function %s redeclared", d.Name.Name)
 				}
 				fn := &Func{Name: d.Name.Name, Decl: d}
 				if d.Type.TypeParams != nil {
-					return p.errorf(d.Pos(), "function %s: type parameters are not allowed", d.Name.Name)
+					return p.Errorf(d.Pos(), "function %s: type parameters are not allowed", d.Name.Name)
 				}
 				for _, field := range d.Type.Params.List {
 					pt, err := p.ResolveType(field.Type)
@@ -182,7 +155,7 @@ func (p *Program) collectDecls() error {
 						return err
 					}
 					if len(field.Names) == 0 {
-						return p.errorf(field.Pos(), "function %s: parameters must be named", d.Name.Name)
+						return p.Errorf(field.Pos(), "function %s: parameters must be named", d.Name.Name)
 					}
 					for _, n := range field.Names {
 						fn.Params = append(fn.Params, &VarDef{Name: n.Name, Type: pt, IsParam: true, Ident: n})
@@ -191,7 +164,7 @@ func (p *Program) collectDecls() error {
 				if d.Type.Results != nil {
 					for _, field := range d.Type.Results.List {
 						if len(field.Names) > 0 {
-							return p.errorf(field.Pos(), "function %s: named results are not allowed", d.Name.Name)
+							return p.Errorf(field.Pos(), "function %s: named results are not allowed", d.Name.Name)
 						}
 						rt, err := p.ResolveType(field.Type)
 						if err != nil {
@@ -207,15 +180,15 @@ func (p *Program) collectDecls() error {
 				case token.TYPE:
 					// handled above
 				case token.IMPORT:
-					return p.errorf(d.Pos(), "imports are not allowed in module programs")
+					return p.Errorf(d.Pos(), "imports are not allowed in module programs")
 				case token.VAR, token.CONST:
-					return p.errorf(d.Pos(), "package-level %s declarations are not allowed", d.Tok)
+					return p.Errorf(d.Pos(), "package-level %s declarations are not allowed", d.Tok)
 				}
 			}
 		}
 	}
 	if _, ok := p.Funcs["main"]; !ok {
-		return &Error{Msg: "module program has no main function"}
+		return scanner.ErrorList{{Msg: "module program has no main function"}}
 	}
 	return nil
 }
@@ -237,11 +210,11 @@ func (p *Program) ResolveType(expr ast.Expr) (Type, error) {
 			if st, ok := p.Structs[t.Name]; ok {
 				return st, nil
 			}
-			return nil, p.errorf(t.Pos(), "unknown type %s (module subset: int, float64, bool, string, []T, *T, named structs)", t.Name)
+			return nil, p.Errorf(t.Pos(), "unknown type %s (module subset: int, float64, bool, string, []T, *T, named structs)", t.Name)
 		}
 	case *ast.ArrayType:
 		if t.Len != nil {
-			return nil, p.errorf(t.Pos(), "fixed-size arrays are not allowed; use slices")
+			return nil, p.Errorf(t.Pos(), "fixed-size arrays are not allowed; use slices")
 		}
 		elem, err := p.ResolveType(t.Elt)
 		if err != nil {
@@ -254,10 +227,10 @@ func (p *Program) ResolveType(expr ast.Expr) (Type, error) {
 			return nil, err
 		}
 		if _, nested := elem.(Pointer); nested {
-			return nil, p.errorf(t.Pos(), "pointer-to-pointer types are not allowed")
+			return nil, p.Errorf(t.Pos(), "pointer-to-pointer types are not allowed")
 		}
 		return Pointer{Elem: elem}, nil
 	default:
-		return nil, p.errorf(expr.Pos(), "unsupported type expression %T", expr)
+		return nil, p.Errorf(expr.Pos(), "unsupported type expression %T", expr)
 	}
 }

@@ -126,8 +126,8 @@ func Analyze(prog *lang.Program, info *lang.Info, name string) (*Analysis, error
 	})
 
 	for i, s := range a.Stmts {
-		if err := f.add(s, i, n); err != nil {
-			return nil, fmt.Errorf("liveness: %s: %w", name, err)
+		if err := f.add(prog, s, i, n); err != nil {
+			return nil, err
 		}
 		c.use, c.def = a.row(i), a.row(n+i)
 		c.stmt(s)
@@ -161,17 +161,18 @@ type flow struct {
 	off    []int
 }
 
-// add appends the successors of flat statement i of n.
-func (f *flow) add(s ast.Stmt, i, n int) error {
+// add appends the successors of flat statement i of n. A branch the
+// flat form does not allow is refused at the branch.
+func (f *flow) add(prog *lang.Program, s ast.Stmt, i, n int) error {
 	switch st := s.(type) {
 	case *ast.ReturnStmt:
 	case *ast.BranchStmt:
 		if st.Tok != token.GOTO {
-			return fmt.Errorf("unflattened branch %s at statement %d", st.Tok, i)
+			return prog.Errorf(st.Pos(), "unflattened branch %s", st.Tok)
 		}
 		idx, ok := f.labels[st.Label.Name]
 		if !ok {
-			return fmt.Errorf("goto to unknown label %s", st.Label.Name)
+			return prog.Errorf(st.Pos(), "goto to unknown label %s", st.Label.Name)
 		}
 		f.succ = append(f.succ, idx)
 	default:

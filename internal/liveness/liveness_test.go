@@ -894,9 +894,9 @@ func refAnalyze(prog *lang.Program, info *lang.Info, name string) (*refAnalysis,
 	n := len(a.stmts)
 	succ := make([][]int, n)
 	for i, s := range a.stmts {
-		sc, err := refSuccessors(s, i, n, labels)
+		sc, err := refSuccessors(prog, s, i, n, labels)
 		if err != nil {
-			return nil, fmt.Errorf("liveness: %s: %w", name, err)
+			return nil, err
 		}
 		succ[i] = sc
 	}
@@ -953,7 +953,7 @@ func refSameSet(x, y map[string]bool) bool {
 	return true
 }
 
-func refSuccessors(s ast.Stmt, i, n int, labels map[string]int) ([]int, error) {
+func refSuccessors(prog *lang.Program, s ast.Stmt, i, n int, labels map[string]int) ([]int, error) {
 	next := func() []int {
 		if i+1 < n {
 			return []int{i + 1}
@@ -965,11 +965,11 @@ func refSuccessors(s ast.Stmt, i, n int, labels map[string]int) ([]int, error) {
 		return nil, nil
 	case *ast.BranchStmt:
 		if st.Tok != token.GOTO {
-			return nil, fmt.Errorf("unflattened branch %s at statement %d", st.Tok, i)
+			return nil, prog.Errorf(st.Pos(), "unflattened branch %s", st.Tok)
 		}
 		idx, ok := labels[st.Label.Name]
 		if !ok {
-			return nil, fmt.Errorf("goto to unknown label %s", st.Label.Name)
+			return nil, prog.Errorf(st.Pos(), "goto to unknown label %s", st.Label.Name)
 		}
 		return []int{idx}, nil
 	case *ast.IfStmt:

@@ -158,12 +158,12 @@ type Endpoint struct {
 // String renders the endpoint in binding syntax.
 func (e Endpoint) String() string { return e.Instance + " " + e.Interface }
 
-// ParseEndpoint splits a binding endpoint string of the form
+// parseEndpoint splits a binding endpoint string of the form
 // "instance interface".
-func ParseEndpoint(s string) (Endpoint, error) {
-	fields := strings.Fields(s)
+func parseEndpoint(t token) (Endpoint, error) {
+	fields := strings.Fields(t.text)
 	if len(fields) != 2 {
-		return Endpoint{}, fmt.Errorf("mil: endpoint %q must be \"instance interface\"", s)
+		return Endpoint{}, errAt(t.pos, "endpoint %q must be \"instance interface\"", t.text)
 	}
 	return Endpoint{Instance: fields[0], Interface: fields[1]}, nil
 }

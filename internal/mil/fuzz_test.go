@@ -1,6 +1,8 @@
 package mil
 
 import (
+	"errors"
+	"go/scanner"
 	"testing"
 
 	"repro/internal/fixtures"
@@ -8,7 +10,7 @@ import (
 
 // FuzzParse throws arbitrary input at the MIL parser and, when a spec
 // parses, at the validator. Neither may panic: every malformed input must
-// come back as a positioned error.
+// come back as a scanner.ErrorList whose every entry has a line and column.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		fixtures.MonitorSpec,
@@ -29,13 +31,24 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		spec, err := Parse(src)
-		if err != nil {
+		if err == nil {
+			if spec == nil {
+				t.Fatal("Parse returned nil spec and nil error")
+			}
+			// Validation of any parseable spec must not panic either.
+			err = Validate(spec)
+		}
+		if err == nil {
 			return
 		}
-		if spec == nil {
-			t.Fatal("Parse returned nil spec and nil error")
+		var list scanner.ErrorList
+		if !errors.As(err, &list) || len(list) == 0 {
+			t.Fatalf("error %v is not a scanner.ErrorList", err)
 		}
-		// Validation of any parseable spec must not panic either.
-		_ = Validate(spec)
+		for _, e := range list {
+			if !e.Pos.IsValid() || e.Pos.Column < 1 {
+				t.Errorf("error %q has no position", e)
+			}
+		}
 	})
 }

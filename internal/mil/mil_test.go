@@ -2,6 +2,7 @@ package mil
 
 import (
 	"errors"
+	"go/scanner"
 	"reflect"
 	"strings"
 	"testing"
@@ -209,18 +210,32 @@ func stripPositions(s *Spec) *Spec {
 }
 
 func TestParseEndpoint(t *testing.T) {
-	e, err := ParseEndpoint("compute display")
+	e, err := parseEndpoint(token{text: "compute display"})
 	if err != nil || e.Instance != "compute" || e.Interface != "display" {
-		t.Errorf("ParseEndpoint = %+v, %v", e, err)
+		t.Errorf("parseEndpoint = %+v, %v", e, err)
 	}
-	if _, err := ParseEndpoint("justone"); err == nil {
+	if _, err := parseEndpoint(token{text: "justone"}); err == nil {
 		t.Error("single-word endpoint accepted")
 	}
-	if _, err := ParseEndpoint("a b c"); err == nil {
+	if _, err := parseEndpoint(token{text: "a b c"}); err == nil {
 		t.Error("three-word endpoint accepted")
 	}
 	if e.String() != "compute display" {
 		t.Errorf("Endpoint.String = %q", e.String())
+	}
+}
+
+// TestEndpointErrorNamesMilOnce: a malformed endpoint is refused at its
+// string, and the text names the package once, where Parse wraps it.
+func TestEndpointErrorNamesMilOnce(t *testing.T) {
+	_, err := Parse("module app {\n  instance a ::\n  bind \"a\" \"a out\"\n}")
+	want := `mil: 3:8: endpoint "a" must be "instance interface"`
+	if err == nil || err.Error() != want {
+		t.Fatalf("Parse: %v, want %q", err, want)
+	}
+	var list scanner.ErrorList
+	if !errors.As(err, &list) || len(list) != 1 || list[0].Pos.Line != 3 || list[0].Pos.Column != 8 {
+		t.Errorf("error %#v is not one scanner.Error at 3:8", err)
 	}
 }
 
@@ -297,32 +312,32 @@ module b { source = "b" :: use interface in pattern = {integer} :: }
 	cases := []struct {
 		name string
 		src  string
-		want error
+		want string
 	}{
 		{
 			"unknown module",
 			base + `module app { instance c }`,
-			ErrUnknownModule,
+			"mil: 4:14: application app instance c uses unknown module c",
 		},
 		{
 			"unknown instance in bind",
 			base + `module app { instance a :: instance b :: bind "z out" "b in" }`,
-			ErrUnknownInstance,
+			`mil: 4:42: application app binds "z out": unknown instance z`,
 		},
 		{
 			"unknown interface in bind",
 			base + `module app { instance a :: instance b :: bind "a nope" "b in" }`,
-			ErrUnknownInterface,
+			"mil: 4:42: unknown interface: module a (instance a) has no interface nope",
 		},
 		{
 			"two senders",
 			base + `module app { instance a :: instance a as a2 :: bind "a out" "a2 out" }`,
-			ErrDirection,
+			"mil: 4:48: binding direction mismatch: neither a out (define) nor a2 out (define) can receive",
 		},
 		{
 			"two receivers",
 			base + `module app { instance b :: instance b as b2 :: bind "b in" "b2 in" }`,
-			ErrDirection,
+			"mil: 4:48: binding direction mismatch: neither b in (use) nor b2 in (use) can send",
 		},
 	}
 	for _, tt := range cases {
@@ -331,8 +346,8 @@ module b { source = "b" :: use interface in pattern = {integer} :: }
 			if err == nil {
 				t.Fatal("validation passed")
 			}
-			if tt.want != nil && !errors.Is(err, tt.want) {
-				t.Errorf("error %v does not match sentinel %v", err, tt.want)
+			if err.Error() != tt.want {
+				t.Errorf("error %q, want %q", err, tt.want)
 			}
 		})
 	}
@@ -382,15 +397,15 @@ func TestStateClauseBeforePoint(t *testing.T) {
 
 func TestPositionsReported(t *testing.T) {
 	_, err := Parse("module m {\n  source = bad:\n}")
-	var pe *ParseError
-	if !errors.As(err, &pe) {
-		t.Fatalf("error %T is not a ParseError", err)
+	var list scanner.ErrorList
+	if !errors.As(err, &list) {
+		t.Fatalf("error %T is not a scanner.ErrorList", err)
 	}
-	if pe.Pos.Line != 2 {
-		t.Errorf("error line = %d, want 2", pe.Pos.Line)
+	if list[0].Pos.Line != 2 {
+		t.Errorf("error line = %d, want 2", list[0].Pos.Line)
 	}
-	if !strings.Contains(pe.Error(), "mil: 2:") {
-		t.Errorf("Error() = %q lacks position", pe.Error())
+	if !strings.HasPrefix(err.Error(), "mil: 2:") {
+		t.Errorf("Error() = %q lacks position", err.Error())
 	}
 }
 
@@ -469,9 +484,9 @@ module app { instance ghost :: bind "nope out" "ghost in" }`
 	if err == nil {
 		t.Fatal("validation passed")
 	}
-	var list ErrorList
+	var list scanner.ErrorList
 	if !errors.As(err, &list) {
-		t.Fatalf("error %T is not an ErrorList", err)
+		t.Fatalf("error %T is not a scanner.ErrorList", err)
 	}
 	if len(list) != 4 {
 		t.Fatalf("got %d errors, want 4: %v", len(list), list)
@@ -481,9 +496,9 @@ module app { instance ghost :: bind "nope out" "ghost in" }`
 			t.Errorf("error %v has no position", pe)
 		}
 	}
-	// Distinct sentinels from the same run both match.
-	if !errors.Is(err, ErrUnknownModule) || !errors.Is(err, ErrUnknownInstance) {
-		t.Errorf("sentinels not all matched in %v", err)
+	// Distinct findings of the same run are all in the list.
+	if !strings.Contains(list[2].Msg, "unknown module ghost") || !strings.Contains(list[3].Msg, "unknown instance nope") {
+		t.Errorf("findings not all listed in %v", list)
 	}
 	if !strings.Contains(err.Error(), "and 3 more errors") {
 		t.Errorf("Error() = %q", err.Error())

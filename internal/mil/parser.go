@@ -1,18 +1,22 @@
 package mil
 
-import "strconv"
+import (
+	"fmt"
+	"strconv"
+)
 
-// Parse parses a configuration specification.
+// Parse parses a configuration specification. Its error wraps a
+// scanner.ErrorList holding the first problem's line and column.
 func Parse(src string) (*Spec, error) {
 	toks, err := lexAll(src)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mil: %w", err)
 	}
 	p := &parser{toks: toks}
 	spec := &Spec{}
 	for p.peek().kind != tokEOF {
 		if err := p.parseModule(spec); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("mil: %w", err)
 		}
 	}
 	return spec, nil
@@ -398,13 +402,13 @@ func (p *parser) parseBind() (*Bind, error) {
 	if err != nil {
 		return nil, err
 	}
-	from, err := ParseEndpoint(fromTok.text)
+	from, err := parseEndpoint(fromTok)
 	if err != nil {
-		return nil, errAt(fromTok.pos, "%v", err)
+		return nil, err
 	}
-	to, err := ParseEndpoint(toTok.text)
+	to, err := parseEndpoint(toTok)
 	if err != nil {
-		return nil, errAt(toTok.pos, "%v", err)
+		return nil, err
 	}
 	return &Bind{Pos: kw.pos, From: from, To: to}, nil
 }

@@ -31,7 +31,11 @@
 // of the paper is accepted and optional.
 package mil
 
-import "fmt"
+import (
+	"fmt"
+	"go/scanner"
+	gotoken "go/token"
+)
 
 // tokenKind enumerates lexical token categories.
 type tokenKind int
@@ -94,25 +98,14 @@ type token struct {
 	pos  Pos
 }
 
-// ParseError reports a syntax or validation problem with its location. Err,
-// when non-nil, is a sentinel (e.g. ErrUnknownModule) matchable with
-// errors.Is.
-type ParseError struct {
-	Pos Pos
-	Msg string
-	Err error
-}
+// position is p as go/token states it, with no file name: the caller that
+// read the specification from a file knows it.
+func (p Pos) position() gotoken.Position { return gotoken.Position{Line: p.Line, Column: p.Col} }
 
-// Error implements error.
-func (e *ParseError) Error() string { return fmt.Sprintf("mil: %s: %s", e.Pos, e.Msg) }
-
-// Unwrap exposes the sentinel for errors.Is.
-func (e *ParseError) Unwrap() error { return e.Err }
-
+// errAt returns a syntax or validation problem at pos: a go/scanner error
+// list of one entry. Parse and Validate return what they find as such a
+// list, wrapped with this package's name, so errors.As finds every
+// problem's line and column.
 func errAt(pos Pos, format string, args ...any) error {
-	return &ParseError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
-}
-
-func wrapAt(pos Pos, sentinel error, format string, args ...any) error {
-	return &ParseError{Pos: pos, Msg: sentinel.Error() + ": " + fmt.Sprintf(format, args...), Err: sentinel}
+	return scanner.ErrorList{{Pos: pos.position(), Msg: fmt.Sprintf(format, args...)}}
 }

@@ -1,47 +1,9 @@
 package mil
 
 import (
-	"errors"
 	"fmt"
+	"go/scanner"
 )
-
-// Validation errors callers may match on.
-var (
-	// ErrUnknownModule indicates an instance of an undeclared module.
-	ErrUnknownModule = errors.New("mil: unknown module")
-	// ErrUnknownInstance indicates a binding endpoint naming no instance.
-	ErrUnknownInstance = errors.New("mil: unknown instance")
-	// ErrUnknownInterface indicates a binding endpoint naming no interface.
-	ErrUnknownInterface = errors.New("mil: unknown interface")
-	// ErrDirection indicates a binding whose endpoints cannot exchange
-	// messages (sender-to-sender or receiver-to-receiver).
-	ErrDirection = errors.New("mil: binding direction mismatch")
-)
-
-// ErrorList is every problem found in one Validate run, in source order.
-// It satisfies error, and errors.Is / errors.As search all entries, so
-// callers matching a single sentinel keep working.
-type ErrorList []*ParseError
-
-// Error implements error.
-func (l ErrorList) Error() string {
-	switch len(l) {
-	case 0:
-		return "mil: no errors"
-	case 1:
-		return l[0].Error()
-	}
-	return fmt.Sprintf("%s (and %d more errors)", l[0].Error(), len(l)-1)
-}
-
-// Unwrap exposes every collected error for errors.Is / errors.As.
-func (l ErrorList) Unwrap() []error {
-	out := make([]error, len(l))
-	for i, e := range l {
-		out[i] = e
-	}
-	return out
-}
 
 // Validate checks the structural consistency of a specification:
 //
@@ -53,19 +15,17 @@ func (l ErrorList) Unwrap() []error {
 //     labels are unique within a module; modules have a source.
 //
 // All problems are reported in one pass: the returned error, when non-nil,
-// is an ErrorList carrying a position for every finding.
+// wraps a scanner.ErrorList carrying a line and column for every finding,
+// in source order.
 func Validate(spec *Spec) error {
-	var errs ErrorList
-	add := func(err error) {
-		var pe *ParseError
-		if errors.As(err, &pe) {
-			errs = append(errs, pe)
-		}
+	var errs scanner.ErrorList
+	add := func(pos Pos, format string, args ...any) {
+		errs.Add(pos.position(), fmt.Sprintf(format, args...))
 	}
 	modNames := map[string]bool{}
 	for _, m := range spec.Modules {
 		if modNames[m.Name] {
-			add(errAt(m.Pos, "duplicate module %s", m.Name))
+			add(m.Pos, "duplicate module %s", m.Name)
 		}
 		modNames[m.Name] = true
 		validateModule(m, add)
@@ -73,7 +33,7 @@ func Validate(spec *Spec) error {
 	appNames := map[string]bool{}
 	for _, a := range spec.Applications {
 		if appNames[a.Name] || modNames[a.Name] {
-			add(errAt(a.Pos, "duplicate application %s", a.Name))
+			add(a.Pos, "duplicate application %s", a.Name)
 		}
 		appNames[a.Name] = true
 		validateApplication(spec, a, add)
@@ -81,72 +41,72 @@ func Validate(spec *Spec) error {
 	if len(errs) == 0 {
 		return nil
 	}
-	return errs
+	return fmt.Errorf("mil: %w", errs)
 }
 
-func validateModule(m *Module, add func(error)) {
+func validateModule(m *Module, add func(Pos, string, ...any)) {
 	if m.Source == "" {
-		add(errAt(m.Pos, "module %s has no source attribute", m.Name))
+		add(m.Pos, "module %s has no source attribute", m.Name)
 	}
 	ifaceNames := map[string]bool{}
 	for _, ifc := range m.Interfaces {
 		if ifaceNames[ifc.Name] {
-			add(errAt(ifc.Pos, "module %s: duplicate interface %s", m.Name, ifc.Name))
+			add(ifc.Pos, "module %s: duplicate interface %s", m.Name, ifc.Name)
 		}
 		ifaceNames[ifc.Name] = true
 		if ifc.Role == RoleServer && len(ifc.Returns) == 0 {
-			add(errAt(ifc.Pos, "module %s: server interface %s declares no returns", m.Name, ifc.Name))
+			add(ifc.Pos, "module %s: server interface %s declares no returns", m.Name, ifc.Name)
 		}
 		if ifc.Role == RoleClient && len(ifc.Accepts) == 0 {
-			add(errAt(ifc.Pos, "module %s: client interface %s declares no accepts", m.Name, ifc.Name))
+			add(ifc.Pos, "module %s: client interface %s declares no accepts", m.Name, ifc.Name)
 		}
 	}
 	labels := map[string]bool{}
 	for _, pt := range m.ReconfigPoints {
 		if labels[pt.Label] {
-			add(errAt(pt.Pos, "module %s: duplicate reconfiguration point %s", m.Name, pt.Label))
+			add(pt.Pos, "module %s: duplicate reconfiguration point %s", m.Name, pt.Label)
 		}
 		labels[pt.Label] = true
 		seen := map[string]bool{}
 		for _, v := range pt.Vars {
 			if seen[v] {
-				add(errAt(pt.Pos, "module %s point %s: duplicate state variable %s", m.Name, pt.Label, v))
+				add(pt.Pos, "module %s point %s: duplicate state variable %s", m.Name, pt.Label, v)
 			}
 			seen[v] = true
 		}
 	}
 }
 
-func validateApplication(spec *Spec, a *Application, add func(error)) {
+func validateApplication(spec *Spec, a *Application, add func(Pos, string, ...any)) {
 	if len(a.Instances) == 0 {
-		add(errAt(a.Pos, "application %s has no instances", a.Name))
+		add(a.Pos, "application %s has no instances", a.Name)
 	}
 	instByName := map[string]*Instance{}
 	for _, in := range a.Instances {
 		if _, dup := instByName[in.Name]; dup {
-			add(errAt(in.Pos, "application %s: duplicate instance %s", a.Name, in.Name))
+			add(in.Pos, "application %s: duplicate instance %s", a.Name, in.Name)
 			continue
 		}
 		if spec.Module(in.Module) == nil {
-			add(wrapAt(in.Pos, ErrUnknownModule, "application %s instance %s uses module %s",
-				a.Name, in.Name, in.Module))
+			add(in.Pos, "application %s instance %s uses unknown module %s",
+				a.Name, in.Name, in.Module)
 		}
 		// Record the instance even when its module is unknown so its
 		// bindings don't cascade into spurious unknown-instance errors.
 		instByName[in.Name] = in
 		if in.Replicas < 0 {
-			add(errAt(in.Pos, "application %s instance %s: replicas %d < 0",
-				a.Name, in.Name, in.Replicas))
+			add(in.Pos, "application %s instance %s: replicas %d < 0",
+				a.Name, in.Name, in.Replicas)
 		}
 		switch in.Policy {
 		case "", PolicyRoundRobin, PolicyLeastQueue:
 		default:
-			add(errAt(in.Pos, "application %s instance %s: unknown policy %q (want %s or %s)",
-				a.Name, in.Name, in.Policy, PolicyRoundRobin, PolicyLeastQueue))
+			add(in.Pos, "application %s instance %s: unknown policy %q (want %s or %s)",
+				a.Name, in.Name, in.Policy, PolicyRoundRobin, PolicyLeastQueue)
 		}
 		if in.Policy != "" && !in.Replicated() {
-			add(errAt(in.Pos, "application %s instance %s: policy %q without replicas >= 2",
-				a.Name, in.Name, in.Policy))
+			add(in.Pos, "application %s instance %s: policy %q without replicas >= 2",
+				a.Name, in.Name, in.Policy)
 		}
 	}
 	for _, b := range a.Binds {
@@ -156,12 +116,12 @@ func validateApplication(spec *Spec, a *Application, add func(error)) {
 			continue
 		}
 		if !fromIfc.Role.Sends() && !toIfc.Role.Sends() {
-			add(wrapAt(b.Pos, ErrDirection, "neither %s (%s) nor %s (%s) can send",
-				b.From, fromIfc.Role, b.To, toIfc.Role))
+			add(b.Pos, "binding direction mismatch: neither %s (%s) nor %s (%s) can send",
+				b.From, fromIfc.Role, b.To, toIfc.Role)
 		}
 		if !fromIfc.Role.Receives() && !toIfc.Role.Receives() {
-			add(wrapAt(b.Pos, ErrDirection, "neither %s (%s) nor %s (%s) can receive",
-				b.From, fromIfc.Role, b.To, toIfc.Role))
+			add(b.Pos, "binding direction mismatch: neither %s (%s) nor %s (%s) can receive",
+				b.From, fromIfc.Role, b.To, toIfc.Role)
 		}
 	}
 }
@@ -170,10 +130,10 @@ func validateApplication(spec *Spec, a *Application, add func(error)) {
 // reporting why it cannot be resolved. An instance whose module is unknown
 // resolves to nil silently — the instance declaration already carries the
 // error.
-func resolveEndpoint(spec *Spec, a *Application, insts map[string]*Instance, e Endpoint, pos Pos, add func(error)) *Interface {
+func resolveEndpoint(spec *Spec, a *Application, insts map[string]*Instance, e Endpoint, pos Pos, add func(Pos, string, ...any)) *Interface {
 	in, ok := insts[e.Instance]
 	if !ok {
-		add(wrapAt(pos, ErrUnknownInstance, "application %s binds %q", a.Name, e))
+		add(pos, "application %s binds %q: unknown instance %s", a.Name, e, e.Instance)
 		return nil
 	}
 	mod := spec.Module(in.Module)
@@ -182,8 +142,8 @@ func resolveEndpoint(spec *Spec, a *Application, insts map[string]*Instance, e E
 	}
 	ifc := mod.Interface(e.Interface)
 	if ifc == nil {
-		add(wrapAt(pos, ErrUnknownInterface, "module %s (instance %s) has no interface %s",
-			mod.Name, e.Instance, e.Interface))
+		add(pos, "unknown interface: module %s (instance %s) has no interface %s",
+			mod.Name, e.Instance, e.Interface)
 		return nil
 	}
 	return ifc

@@ -1,7 +1,6 @@
 package transform
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"strconv"
@@ -122,10 +121,10 @@ func (h *hoister) stmt(s ast.Stmt) ([]ast.Stmt, ast.Stmt, error) {
 		}
 		t := h.info.TypeOf(a)
 		if t == nil {
-			return nil, s, h.errf(a, "cannot type argument for hoisting")
+			return nil, s, h.prog.Errorf(a.Pos(), "cannot type argument for hoisting")
 		}
 		if _, isPtr := t.(lang.Pointer); isPtr {
-			return nil, s, h.errf(a, "pointer-valued argument expressions to instrumented calls must be &variable")
+			return nil, s, h.prog.Errorf(a.Pos(), "pointer-valued argument expressions to instrumented calls must be &variable")
 		}
 		tmp := h.newTemp(t)
 		pre = append(pre, &ast.AssignStmt{
@@ -162,7 +161,7 @@ func (h *hoister) desugarReturn(s ast.Stmt) ([]ast.Stmt, ast.Stmt, error) {
 	}
 	callee := h.prog.Funcs[call.Fun.(*ast.Ident).Name]
 	if len(callee.Results) == 0 {
-		return nil, s, h.errf(call, "instrumented call with no results cannot be a return expression")
+		return nil, s, h.prog.Errorf(call.Pos(), "instrumented call with no results cannot be a return expression")
 	}
 	lhs := make([]ast.Expr, len(callee.Results))
 	rets := make([]ast.Expr, len(callee.Results))
@@ -208,7 +207,7 @@ func (h *hoister) checkNoNestedInstrumentedCalls(body []ast.Stmt) error {
 			if !ok || call == top || !h.isInstrumented(call) {
 				return true
 			}
-			err = h.errf(call, "call to instrumented procedure %s must be a whole statement (call statement or x = f(...))",
+			err = h.prog.Errorf(call.Pos(), "call to instrumented procedure %s must be a whole statement (call statement or x = f(...))",
 				call.Fun.(*ast.Ident).Name)
 			return false
 		})
@@ -243,11 +242,6 @@ func (h *hoister) newTemp(t lang.Type) *lang.VarDef {
 			return v
 		}
 	}
-}
-
-func (h *hoister) errf(n ast.Node, format string, args ...any) error {
-	pos := h.prog.Fset.Position(n.Pos())
-	return fmt.Errorf("transform: %s: %s", pos, fmt.Sprintf(format, args...))
 }
 
 // argSafe reports whether re-evaluating the expression during restoration

@@ -3,6 +3,7 @@ package transform
 import (
 	"errors"
 	"go/format"
+	"go/scanner"
 	"reflect"
 	"runtime"
 	"strings"
@@ -164,9 +165,9 @@ func TestRuntimeErrorCitesSource(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = low.Bind(mh.New(port)).Run()
-		var rerr *interp.Error
+		var rerr *scanner.Error
 		if !errors.As(err, &rerr) {
-			t.Fatalf("mode %d: Run error = %v, want an *interp.Error", mode, err)
+			t.Fatalf("mode %d: Run error = %v, want a *scanner.Error", mode, err)
 		}
 		if rerr.Pos.Filename != "mod.go" || rerr.Pos.Line < 1 || rerr.Pos.Line > len(lines) ||
 			!strings.Contains(lines[rerr.Pos.Line-1], want) {
@@ -177,7 +178,7 @@ func TestRuntimeErrorCitesSource(t *testing.T) {
 	// With no runtime attached, the first mh call main makes is the
 	// weaver's clone check.
 	_, err := low.Bind(nil).Run()
-	var rerr *interp.Error
+	var rerr *scanner.Error
 	if !errors.As(err, &rerr) || !strings.Contains(rerr.Msg, "mh.Status called but no runtime") {
 		t.Fatalf("Run without a runtime = %v, want the clone check's error", err)
 	}

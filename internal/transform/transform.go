@@ -158,7 +158,20 @@ var (
 // Info are the output, so the program the interpreter lowers is the one the
 // checker accepted, and a pass that made an ill-typed program fails here.
 // Nothing is printed until Files is called.
+//
+// A refusal is a go/scanner error list, whichever pass made it, wrapped
+// once with this package's name: errors.As finds each entry's position in
+// the source as written.
 func Prepare(sources map[string]string, opts Options) (*Output, error) {
+	out, err := pipeline(sources, opts)
+	if err != nil {
+		return nil, fmt.Errorf("transform: %w", err)
+	}
+	return out, nil
+}
+
+// pipeline is Prepare less the wrapping.
+func pipeline(sources map[string]string, opts Options) (*Output, error) {
 	opts.Mode = ResolveMode(opts.Mode, opts.PointVars)
 	prog, err := lang.ParseFiles(sources)
 	if err != nil {
@@ -166,14 +179,14 @@ func Prepare(sources map[string]string, opts Options) (*Output, error) {
 	}
 	info, err := check(prog, lang.Sizes{})
 	if err != nil {
-		return nil, fmt.Errorf("transform: %w", err)
+		return nil, err
 	}
 
 	// The graph of the untouched source determines the node set (and is
 	// what Figure 6 draws).
 	rg0, err := callgraph.BuildReconfig(callgraph.Build(prog), info)
 	if err != nil {
-		return nil, fmt.Errorf("transform: %w", err)
+		return nil, err
 	}
 	nodeSet := map[string]bool{}
 	for _, n := range rg0.Nodes {
@@ -183,7 +196,7 @@ func Prepare(sources map[string]string, opts Options) (*Output, error) {
 	// Flatten every instrumented procedure.
 	for _, name := range rg0.Nodes {
 		if _, err := flatten.Function(prog, info, name); err != nil {
-			return nil, fmt.Errorf("transform: %w", err)
+			return nil, err
 		}
 	}
 	inspect("flatten", prog, info)
@@ -200,7 +213,7 @@ func Prepare(sources map[string]string, opts Options) (*Output, error) {
 	// it the node set, is the source's.
 	rg, err := callgraph.BuildReconfig(rg0.Graph, info)
 	if err != nil {
-		return nil, fmt.Errorf("transform: %w", err)
+		return nil, err
 	}
 
 	// Per-procedure liveness (capture-set trimming, pointer-local
@@ -209,7 +222,7 @@ func Prepare(sources map[string]string, opts Options) (*Output, error) {
 	for _, name := range rg.Nodes {
 		a, err := liveness.Analyze(prog, info, name)
 		if err != nil {
-			return nil, fmt.Errorf("transform: %w", err)
+			return nil, err
 		}
 		live[name] = a
 	}
@@ -233,7 +246,7 @@ func Prepare(sources map[string]string, opts Options) (*Output, error) {
 		Uses:  len(info.Uses) + w.added.Uses,
 	}
 	if info, err = check(prog, sizes); err != nil {
-		return nil, fmt.Errorf("transform: after weaving: %w", err)
+		return nil, fmt.Errorf("after weaving: %w", err)
 	}
 	out.Prog, out.Info = prog, info
 	return out, nil

@@ -1,7 +1,9 @@
 package transform
 
 import (
+	"errors"
 	"fmt"
+	"go/scanner"
 	"slices"
 	"strings"
 	"testing"
@@ -237,15 +239,17 @@ func eq(a, b []string) bool {
 	return true
 }
 
+// TestPrepareErrors: every refusal is one scanner.ErrorList entry at the
+// source position it names, and its text names the package once.
 func TestPrepareErrors(t *testing.T) {
 	cases := []struct {
-		name, src, want string
+		name, src, at, want string
 	}{
 		{"no points", `package p
-func main() { mh.Init() }`, "no reconfiguration points"},
+func main() { mh.Init() }`, "mod.go:2:1", "no reconfiguration points"},
 		{"unreachable point", `package p
 func main() {}
-func f() { mh.ReconfigPoint("R") }`, "unreachable"},
+func f() { mh.ReconfigPoint("R") }`, "mod.go:3:12", "unreachable"},
 		{"nested instrumented call", `package p
 func main() {
 	use(f(1))
@@ -255,7 +259,7 @@ func f(x int) int {
 	mh.ReconfigPoint("R")
 	return x
 }
-func use(x int) {}`, "must be a whole statement"},
+func use(x int) {}`, "mod.go:3:6", "must be a whole statement"},
 		// A hoisting error cites the file as the user wrote it, not the
 		// flattened intermediate text (where the call stood on line 19).
 		{"hoist error position", `package p
@@ -272,7 +276,7 @@ func main() {
 func f(x int) int {
 	mh.ReconfigPoint("R")
 	return x
-}`, "transform: mod.go:9:3: call to instrumented procedure f must be a whole statement"},
+}`, "mod.go:9:3", "transform: mod.go:9:3: call to instrumented procedure f must be a whole statement"},
 		{"pointer local live at edge", `package p
 func main() {
 	x := 1
@@ -280,7 +284,7 @@ func main() {
 	f()
 	mh.Write("out", *p)
 }
-func f() { mh.ReconfigPoint("R") }`, "pointer-typed local"},
+func f() { mh.ReconfigPoint("R") }`, "mod.go:4:2", "pointer-typed local"},
 		{"label collision", `package p
 func main() { f() }
 func f() {
@@ -290,16 +294,23 @@ R:
 	x++
 	mh.ReconfigPoint("R")
 	mh.Write("out", x)
-}`, "collides"},
+}`, "mod.go:8:2", "collides"},
 		{"bad subset", `package p
 func main() { go f() }
-func f() { mh.ReconfigPoint("R") }`, "not in the module subset"},
+func f() { mh.ReconfigPoint("R") }`, "mod.go:2:15", "not in the module subset"},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
 			_, err := Prepare(map[string]string{"mod.go": tt.src}, Options{})
 			if err == nil || !strings.Contains(err.Error(), tt.want) {
-				t.Errorf("error = %v, want mention of %q", err, tt.want)
+				t.Fatalf("error = %v, want mention of %q", err, tt.want)
+			}
+			var list scanner.ErrorList
+			if !errors.As(err, &list) || len(list) != 1 || list[0].Pos.String() != tt.at {
+				t.Errorf("error %#v is not one scanner.Error at %s", err, tt.at)
+			}
+			if want := "transform: " + tt.at + ": "; !strings.HasPrefix(err.Error(), want) || strings.Count(err.Error(), "transform") != 1 {
+				t.Errorf("error %q does not read %q once", err, want)
 			}
 		})
 	}

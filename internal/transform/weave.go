@@ -1,7 +1,6 @@
 package transform
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"slices"
@@ -43,22 +42,14 @@ func (w *weaver) weaveFunc(name string) error {
 	if err := w.captureSet(fr, w.live[name], edges); err != nil {
 		return err
 	}
-	capSet := fr.Captured
-	format := "l"
-	for _, cv := range capSet {
-		r, ok := lang.FormatRune(cv.Type)
-		if !ok {
-			return fmt.Errorf("transform: %s: variable %s has uncapturable type %s", name, cv.Name, cv.Type)
-		}
-		format += string(r)
-	}
+	capSet, format := fr.Captured, fr.Format
 
-	if _, err := zeroReturns(fn); err != nil {
+	if _, err := w.zeroReturns(fn); err != nil {
 		return err
 	}
 	// Every capture block gets its own result expressions: the passes edit
 	// the AST in place, so it has to stay a tree.
-	zeros := func() []ast.Expr { z, _ := zeroReturns(fn); return z }
+	zeros := func() []ast.Expr { z, _ := w.zeroReturns(fn); return z }
 
 	// Location variable.
 	locName := "mhLoc"
@@ -76,7 +67,7 @@ func (w *weaver) weaveFunc(name string) error {
 	for _, e := range edges {
 		if e.IsReconfig() {
 			if labels[e.Point.Label] {
-				return fmt.Errorf("transform: %s: reconfiguration point label %s collides with an existing label", name, e.Point.Label)
+				return w.prog.Errorf(e.Point.Call.Pos(), "reconfiguration point label %s collides with an existing label of %s", e.Point.Label, name)
 			}
 			labels[e.Point.Label] = true
 			edgeLabel[e.Index] = e.Point.Label
@@ -167,7 +158,7 @@ func (w *weaver) weaveFunc(name string) error {
 		emit(&ast.EmptyStmt{})
 	}
 	if wovenEdges != len(edges) {
-		return fmt.Errorf("transform: %s: wove %d of %d reconfiguration edges (instrumented call not at statement position?)", name, wovenEdges, len(edges))
+		return w.prog.Errorf(fn.Decl.Pos(), "wove %d of %d reconfiguration edges of %s (instrumented call not at statement position?)", wovenEdges, len(edges), name)
 	}
 
 	// Restore block (Figure 8), preceded in main by the clone check.
@@ -186,7 +177,6 @@ func (w *weaver) weaveFunc(name string) error {
 
 	fn.Decl.Body.List = append(append(decls, prologue...), woven...)
 
-	fr.Format = format
 	for _, e := range edges {
 		fr.Edges = append(fr.Edges, e.Index)
 	}
@@ -199,10 +189,19 @@ func (w *weaver) weaveFunc(name string) error {
 }
 
 // captureSet derives the procedure's captured variables per the options,
-// and records them with the liveness facts they were chosen from.
+// and records them, with their format string and the liveness facts they
+// were chosen from.
 func (w *weaver) captureSet(fr *FuncReport, a *liveness.Analysis, edges []callgraph.Edge) error {
 	name := fr.Name
 	vars := w.info.FuncVars[name]
+	// A variable's refusal cites its declaration; one the passes made has
+	// none, and cites its procedure's.
+	declPos := func(d *lang.VarDef) token.Pos {
+		if d.Ident != nil && d.Ident.Pos().IsValid() {
+			return d.Ident.Pos()
+		}
+		return w.prog.Funcs[name].Decl.Pos()
+	}
 
 	edgeIdx := func(e callgraph.Edge) (int, error) {
 		var target ast.Stmt
@@ -218,7 +217,7 @@ func (w *weaver) captureSet(fr *FuncReport, a *liveness.Analysis, edges []callgr
 		}
 		i := a.IndexOf(target)
 		if i < 0 {
-			return 0, fmt.Errorf("transform: %s: cannot locate edge %d in flattened body", name, e.Index)
+			return 0, w.prog.Errorf(w.prog.Funcs[name].Decl.Pos(), "cannot locate edge %d of %s in its flattened body", e.Index, name)
 		}
 		return i, nil
 	}
@@ -250,38 +249,44 @@ func (w *weaver) captureSet(fr *FuncReport, a *liveness.Analysis, edges []callgr
 	case CaptureLive:
 		selected = func(v string) bool { return slices.Contains(fr.Live, v) }
 	case CaptureSpec:
-		if specVars, ok := w.specVarsFor(name, edges); ok {
-			for _, v := range specVars {
-				if !slices.ContainsFunc(vars, func(d *lang.VarDef) bool { return d.Name == v }) {
-					return fmt.Errorf("transform: %s: specification names unknown state variable %s", name, v)
-				}
-			}
+		specVars, ok, err := w.specVarsFor(name, edges)
+		if err != nil {
+			return err
+		}
+		if ok {
 			selected = func(v string) bool { return slices.Contains(specVars, v) }
 		}
 	}
 
+	fr.Format = "l"
 	for _, d := range vars {
 		if !selected(d.Name) {
 			continue
 		}
-		if pt, isPtr := d.Type.(lang.Pointer); isPtr {
+		cv := CapturedVar{Name: d.Name, Type: d.Type}
+		if _, isPtr := d.Type.(lang.Pointer); isPtr {
 			if !d.IsParam {
 				if slices.Contains(fr.Live, d.Name) {
-					return fmt.Errorf("transform: %s: pointer-typed local %s is live at a reconfiguration edge; addresses cannot enter the abstract state (paper §3)", name, d.Name)
+					return w.prog.Errorf(declPos(d), "pointer-typed local %s of %s is live at a reconfiguration edge; addresses cannot enter the abstract state (paper §3)", d.Name, name)
 				}
 				continue // dead pointer local: safely omitted
 			}
-			fr.Captured = append(fr.Captured, CapturedVar{Name: d.Name, Type: pt, Pointer: true})
-			continue
+			cv.Pointer = true
 		}
-		fr.Captured = append(fr.Captured, CapturedVar{Name: d.Name, Type: d.Type})
+		r, ok := lang.FormatRune(cv.Type)
+		if !ok {
+			return w.prog.Errorf(declPos(d), "variable %s of %s has uncapturable type %s", d.Name, name, d.Type)
+		}
+		fr.Format += string(r)
+		fr.Captured = append(fr.Captured, cv)
 	}
 	return nil
 }
 
 // specVarsFor returns the union of the specification-declared variable
-// lists for the reconfiguration points of this procedure.
-func (w *weaver) specVarsFor(name string, edges []callgraph.Edge) ([]string, bool) {
+// lists for the reconfiguration points of this procedure. A list naming no
+// variable of the procedure is refused at its point's marker.
+func (w *weaver) specVarsFor(name string, edges []callgraph.Edge) ([]string, bool, error) {
 	var out []string
 	found := false
 	seen := map[string]bool{}
@@ -295,21 +300,24 @@ func (w *weaver) specVarsFor(name string, edges []callgraph.Edge) ([]string, boo
 		}
 		found = true
 		for _, v := range vars {
+			if !slices.ContainsFunc(w.info.FuncVars[name], func(d *lang.VarDef) bool { return d.Name == v }) {
+				return nil, false, w.prog.Errorf(e.Point.Call.Pos(), "specification names unknown state variable %s of %s", v, name)
+			}
 			if !seen[v] {
 				seen[v] = true
 				out = append(out, v)
 			}
 		}
 	}
-	return out, found
+	return out, found, nil
 }
 
-func zeroReturns(fn *lang.Func) ([]ast.Expr, error) {
+func (w *weaver) zeroReturns(fn *lang.Func) ([]ast.Expr, error) {
 	var out []ast.Expr
-	for _, rt := range fn.Results {
+	for i, rt := range fn.Results {
 		z := flatten.ZeroExpr(rt)
 		if z == nil {
-			return nil, fmt.Errorf("transform: %s: result type %s has no expressible zero value", fn.Name, rt)
+			return nil, w.prog.Errorf(fn.Decl.Type.Results.List[i].Pos(), "result type %s of %s has no expressible zero value", rt, fn.Name)
 		}
 		out = append(out, z)
 	}

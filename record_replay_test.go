@@ -14,9 +14,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -491,77 +488,3 @@ func TestControlRecordReplay(t *testing.T) {
 		t.Error("replay of unknown instance accepted")
 	}
 }
-
-// TestMhreplayCLIReproduces records a pipeline run to a spill file, then
-// drives cmd/mhreplay against it offline — the full record -> spill ->
-// replay loop through the shipped binary (acceptance criterion).
-func TestMhreplayCLIReproduces(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compiles and runs cmd/mhreplay")
-	}
-	dir := t.TempDir()
-	spill, err := os.Create(filepath.Join(dir, "run.rec"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := pipeConfig()
-	cfg.RecordSpill = spill
-	h := startPipe(t, cfg)
-	app := h.app
-	h.drive(10, 20, 30)
-	app.Stop()
-	if err := spill.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Lay out the spec and module sources the way the CLI expects them.
-	specPath := filepath.Join(dir, "app.mil")
-	if err := os.WriteFile(specPath, []byte(cliPipeSpec), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	srcRoot := filepath.Join(dir, "modules")
-	for mod, src := range map[string]string{"filter": filterSrc} {
-		if err := os.MkdirAll(filepath.Join(srcRoot, mod), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(srcRoot, mod, "main.go"), []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// -canon prints the deterministic per-queue log.
-	out, err := exec.Command("go", "run", "./cmd/mhreplay",
-		"-log", spill.Name(), "-canon").CombinedOutput()
-	if err != nil {
-		t.Fatalf("mhreplay -canon: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "queue filter.in (3)") {
-		t.Errorf("-canon output:\n%s", out)
-	}
-
-	// Replaying the filter must reproduce the recording and exit 0.
-	out, err = exec.Command("go", "run", "./cmd/mhreplay",
-		"-log", spill.Name(), "-spec", specPath, "-srcdir", srcRoot, "-inst", "filter").CombinedOutput()
-	if err != nil {
-		t.Fatalf("mhreplay replay: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "reproduced: replayed output sequence matches the recording") {
-		t.Errorf("mhreplay output:\n%s", out)
-	}
-}
-
-// cliPipeSpec is the offline replay's view of the application: only the
-// module under replay needs a runnable source.
-const cliPipeSpec = `
-module filter {
-  source = "./filter" ::
-  use interface in pattern = {^integer} ::
-  define interface out pattern = {integer} ::
-  reconfiguration point = {R} ::
-}
-
-module pipe {
-  instance filter
-}
-`

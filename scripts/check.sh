@@ -153,12 +153,15 @@ go test -count=20 -failfast -run 'TestExamplesRun/selfheal' .
 echo "== fault-injection matrix (every script killed before every step of its own table, and at each substrate failpoint, twice, racy)"
 go test -run 'Fault|Rollback|Concurrent' -race -count=2 ./...
 
-echo "== fuzzers on what a socket or a file feeds (10 s each: wire frames, both ends of a connection, record spills, portable values and states)"
+echo "== fuzzers on what a socket or a file feeds (10 s each: wire frames, both ends of a connection, record spills, portable values and states, module sources, specifications, operator requests)"
 go test -run '^$' -fuzz '^FuzzFrame$' -fuzztime 10s ./internal/bus/
 go test -run '^$' -fuzz '^FuzzConn$' -fuzztime 10s ./internal/bus/
 go test -run '^$' -fuzz '^FuzzReadLog$' -fuzztime 10s ./internal/replay/
 go test -run '^$' -fuzz '^FuzzDecodeValue$' -fuzztime 10s ./internal/codec/
 go test -run '^$' -fuzz '^FuzzDecodeState$' -fuzztime 10s ./internal/codec/
+go test -run '^$' -fuzz '^FuzzPrepare$' -fuzztime 10s ./internal/analyze/
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/mil/
+go test -run '^$' -fuzz '^FuzzOpRequest$' -fuzztime 10s .
 
 echo "== selfheal chaos matrix (replicas 3, 16 senders, crash-triggered rebuilds at checkpoint intervals 2, 4 and 32, racy)"
 go test -run 'TestSelfHeal|TestReplicasObservability' -race -count=1 .
