@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"repro/cmd/internal/modsrc"
 	"repro/internal/analyze"
@@ -92,10 +93,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Module = *moduleName
 	}
 	if *newDir != "" {
-		cfg.Replacement, err = modsrc.Read(*newDir)
+		files, err := modsrc.Read(*newDir)
 		if err != nil {
 			fmt.Fprintln(stderr, "mhlint:", err)
 			return 2
+		}
+		// Both programs may hold a mod.go: the replacement's positions
+		// name its directory, so a diagnostic says which program it is in.
+		cfg.Replacement = map[string]string{}
+		for name, text := range files {
+			cfg.Replacement[filepath.Join(*newDir, name)] = text
 		}
 	}
 

@@ -184,3 +184,41 @@ func main() {
 		t.Errorf("stdout: %s", out)
 	}
 }
+
+// TestMhlintReplacementPositionsNameTheirProgram: with a mod.go in both
+// directories, a finding in the replacement is positioned in the
+// replacement's file, named by its -new directory, not at a bare mod.go
+// that reads as the original's.
+func TestMhlintReplacementPositionsNameTheirProgram(t *testing.T) {
+	const old = `package main
+
+func main() {
+	var n int
+	for {
+		n = n + 1
+		mh.ReconfigPoint("R")
+		mh.Write("out", n)
+	}
+}
+`
+	dir := t.TempDir()
+	oldDir, newDir := filepath.Join(dir, "old"), filepath.Join(dir, "new")
+	for d, text := range map[string]string{
+		oldDir: old,
+		newDir: strings.NewReplacer("var n int", "var s string", "n = n + 1", `s = s + "x"`, `"out", n`, `"out", s`).Replace(old),
+	} {
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(d, "mod.go"), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	code, out, stderr := runLint(t, "-src", oldDir, "-new", newDir)
+	if code != 1 || !strings.Contains(out, "MH014") {
+		t.Fatalf("exit %d; stdout: %s stderr: %s", code, out, stderr)
+	}
+	if want := filepath.Join(newDir, "mod.go") + ":3:1: error[MH014]"; !strings.HasPrefix(out, want) {
+		t.Errorf("stdout: %s, want it to start %q", out, want)
+	}
+}

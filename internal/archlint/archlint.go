@@ -3,10 +3,12 @@
 // program's* reconfiguration safety (the paper's programmer obligations),
 // archlint checks the *runtime's own source* for the structural invariants
 // its safe-replacement argument rests on and the compiler cannot: the
-// message hot path wait-free and allocation-free, the ring's publish-last
-// protocol, and the routing/queueing/transport layering acyclic. Who may
-// mint a trace, fence a queue, commit a routing table or append to a log is
-// the compiler's to check: only the holder of the value can.
+// message hot path wait-free and allocation-free, and the
+// routing/queueing/transport layering acyclic. Who may mint a trace, fence
+// a queue, commit a routing table or append to a log is the compiler's to
+// check: only the holder of the value can. Whether the queue's claim,
+// publish and fence protocol keeps every message exactly once is checked by
+// running it: internal/bus's TestBusLinearizable.
 //
 // The analyzer parses and type-checks the whole module with go/parser and
 // go/types (stdlib only — go.mod stays dependency-free) and reports every
@@ -48,10 +50,6 @@ const (
 	// CodeImportLayer: a package imports a package of a higher
 	// architectural layer (e.g. telemetry importing bus).
 	CodeImportLayer = "AL010"
-	// CodeRingProtocol: a violation of the lock-free ring's atomic
-	// protocol — slot publication flags written after the publish or
-	// CAS'd, or the fence word raised outside Detach.
-	CodeRingProtocol = "AL013"
 )
 
 // Config parameterizes a run.
@@ -130,7 +128,6 @@ func Run(cfg Config) (*diag.Report, error) {
 		ann:    collectAnnotations(m),
 	}
 	a.typeErrorPass()
-	a.ringPass()
 	a.mutexPass()
 	a.hotpathPass()
 	a.spawnPass()
@@ -225,16 +222,6 @@ func funcOf(p *pkg, e ast.Expr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// fieldOwner reports the named type declaring the field selected by sel,
-// or nil if sel is not a field selection.
-func fieldOwner(p *pkg, sel *ast.SelectorExpr) *types.Named {
-	s, ok := p.info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return nil
-	}
-	return namedOf(s.Recv())
 }
 
 // pkgPathOf returns the import path of fn's package, or "" for objects in

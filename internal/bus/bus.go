@@ -545,8 +545,9 @@ type BindEdit = routing.BindEdit
 // untouched, moves no message and emits no event. A batch that validates is
 // committed in one Edit, which fences the queues it invalidates (both sides
 // of a deleted binding, a group side meaning its members' queues, and the
-// source of a cq or rmq): no message is lost to an abandoned queue and none
-// lands on a stale route.
+// source of a cq or rmq) and the queue a cq lands in: no message is lost to
+// an abandoned queue, none lands on a stale route, and a concurrent write
+// lands before or after the moved messages, never among them.
 func (b *Bus) Rebind(edits []BindEdit) error {
 	if err := b.fire("bus.rebind"); err != nil {
 		return fmt.Errorf("bus: rebind: %w", err)
@@ -946,6 +947,7 @@ func (b *Bus) writeRouted(r *route, batch [][]byte, parent TraceContext) (rest [
 	var delivered int64
 	for i, data := range batch {
 		msg.Data = data
+		before := delivered
 		for j, t := range r.Targets {
 			w, err := t.Push(&msg, r.Src, r.rt.Version())
 			woke = woke || w
@@ -954,8 +956,15 @@ func (b *Bus) writeRouted(r *route, batch [][]byte, parent TraceContext) (rest [
 				delivered++
 			case queue.ErrStaleRoute:
 				// Finishing under the writer lock also flushes the
-				// deliveries counted so far.
-				return batch[i+1:], woke, b.writeSlow(&msg, r.Src, r.Targets[:j], delivered)
+				// deliveries counted so far. A message the successor
+				// snapshot leaves unbound drops the rest of its batch with
+				// it, as an unbound route does above.
+				rest = batch[i+1:]
+				if err = b.writeSlow(&msg, r.Src, r.Targets[:j], delivered, delivered > before); errors.Is(err, ErrUnbound) {
+					b.stats.dropped.Add(int64(len(rest)))
+					rest = nil
+				}
+				return rest, woke, err
 			default:
 				// A closed queue means the receiver was deleted mid-write;
 				// the message is simply dropped, like a datagram to a dead
@@ -996,32 +1005,33 @@ func (b *Bus) writeUnboundErr(from Endpoint, n int) error {
 // concurrent topology change. It runs in the committer's Settled — by then
 // the change has published its successor snapshot — re-resolves the route,
 // and delivers to every current target not already reached on the fast
-// path. attempted holds the targets the fast path already processed
-// (delivered or dropped-closed); pre counts the fast-path deliveries for
-// the sender's sent counter.
-func (b *Bus) writeSlow(msg *Message, src *routing.Iface, attempted []routing.Target, pre int64) error {
+// path. attempted holds the targets the fast path already processed for
+// this message (delivered or dropped-closed), and landed says whether one
+// took it; pre counts the batch's fast-path deliveries for the sender's
+// sent counter. As on the fast path, the message is unbound only when it
+// landed nowhere and the route has no target: a target that takes nothing
+// (an empty group, a closed queue) drops the message silently.
+func (b *Bus) writeSlow(msg *Message, src *routing.Iface, attempted []routing.Target, pre int64, landed bool) error {
 	return b.commit.Settled(func(rt *routing.Table) error {
 		delivered := pre
 		from := msg.From
 		rs, ok := rt.Route(from)
-		if ok {
-		targets:
-			for _, t := range rs.Targets {
-				for _, done := range attempted {
-					if done.Same(t) {
-						continue targets
-					}
-				}
-				// Every fence was raised at an epoch before rt's, under the
-				// writer lock, so the routed push is never refused as stale.
-				// A reader it wakes waits for the lock's release: nothing
-				// yields here.
-				if _, err := t.Push(msg, src, rt.Version()); err == nil {
-					delivered++
+	targets:
+		for _, t := range rs.Targets {
+			for _, done := range attempted {
+				if done.Same(t) {
+					continue targets
 				}
 			}
+			// Every fence was raised at an epoch before rt's, under the
+			// writer lock, so the routed push is never refused as stale.
+			// A reader it wakes waits for the lock's release: nothing
+			// yields here.
+			if _, err := t.Push(msg, src, rt.Version()); err == nil {
+				delivered++
+			}
 		}
-		if delivered == 0 {
+		if !landed && len(rs.Targets) == 0 {
 			if !ok {
 				if _, err := rt.Lookup(from); err != nil {
 					return err

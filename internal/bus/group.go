@@ -42,7 +42,8 @@ func (b *Bus) AddGroupMember(group, member string) error {
 // the member's receiving queues are fenced at the outgoing epoch, so a sender
 // that resolved the outgoing member set is refused at the queue and retries
 // against the successor snapshot (which no longer lists the member), and
-// what the fenced queues hold is dealt round-robin over the survivors'. With
+// what the fenced queues hold is dealt round-robin over the survivors',
+// which are fenced too, so no racing delivery lands among them. With
 // no survivor the messages stay queued at the (fenced) member, where a later
 // queue move — the supervisor's replace transaction — still carries them to
 // the rebuilt replica.

@@ -94,12 +94,13 @@ const (
 
 // slot is one message cell of a segment. state is the publication flag:
 // slotEmpty while the slot is unclaimed or a producer is still writing the
-// item, then slotFull or slotDead. The producer protocol (archlint AL013)
-// is claim -> write fields -> publish: the state Store must be the slot's
-// last touch, and the consumer reads the item only after observing
-// slotFull. Consumed slots are neither cleared nor reused, so the address
-// take hands out stays good for as long as it is held; a payload reference
-// lives until its segment is collected, at most chunkCap messages later.
+// item, then slotFull or slotDead. The producer protocol is claim -> write
+// fields -> publish: the state Store is the slot's last touch, and the
+// consumer reads the item only after observing slotFull
+// (TestBusLinearizable and TestTakenItemStaysValid check it by running it).
+// Consumed slots are neither cleared nor reused, so the address take hands
+// out stays good for as long as it is held; a payload reference lives until
+// its segment is collected, at most chunkCap messages later.
 type slot struct {
 	state atomic.Uint32
 	Item
@@ -147,17 +148,20 @@ type Queue struct {
 	// fence. A topology change that invalidates this queue's routes raises
 	// it (Detach) before publishing the successor snapshot; refused writers
 	// retry through the bus's slow path against the new topology. Only
-	// Detach may advance it (archlint AL013), and only the Fence has Detach.
+	// Detach advances it, and only the Fence has Detach.
 	fence atomic.Uint64
 
 	closed atomic.Bool
 
-	// sleeping gates the producer-side wakeup: a consumer sets it before
-	// re-checking for work and parking, a producer checks it after
+	// sleepers gates the producer-side wakeup: it counts the consumers
+	// parked in Pop, each counting itself before re-checking for work and
+	// parking, and uncounting itself once woken. A producer loads it after
 	// publishing. Sequentially consistent atomics make that a Dekker pair —
 	// at least one side observes the other, so no wakeup is lost and
-	// producers touch the consumer mutex only when someone is parked.
-	sleeping atomic.Bool
+	// producers touch the consumer mutex only when someone is parked. A
+	// count, not a flag: a reader leaving Pop must not hide another still
+	// parked.
+	sleepers atomic.Int32
 
 	// absHead/frontLen mirror consumer progress for the lock-free length:
 	// occupancy = frontLen + (producer claim position - absHead) - dead,
@@ -246,13 +250,14 @@ func (q *Queue) grow(cur *chunk) {
 	q.growMu.Unlock()
 }
 
-// wakeReader wakes a parked consumer and reports whether there was one.
-// Producers call it after publishing; the sleeping gate keeps the consumer
-// mutex off the hot path entirely unless someone is actually parked.
+// wakeReader wakes the parked consumers and reports whether there were
+// any. Producers call it after publishing; the sleepers gate keeps the
+// consumer mutex off the hot path entirely unless someone is actually
+// parked.
 //
 //archlint:hotpath
 func (q *Queue) wakeReader() bool {
-	if !q.sleeping.Load() {
+	if q.sleepers.Load() == 0 {
 		return false
 	}
 	q.Wake()
@@ -292,7 +297,7 @@ func (q *Queue) PushRouted(m *Message, from *string, version uint64) (woke bool,
 	s.Msg = *m
 	s.from = from
 	s.ver = version
-	s.state.Store(slotFull) // publish: must be the slot's last write (AL013)
+	s.state.Store(slotFull) // publish: the slot's last write
 	return q.wakeReader(), nil
 }
 
@@ -393,14 +398,14 @@ func (q *Queue) Pop(m *Message, stop <-chan struct{}) error {
 			if q.closed.Load() {
 				return ErrClosed
 			}
-			q.sleeping.Store(true)
+			q.sleepers.Add(1)
 			it = q.take() // Dekker re-check against a racing publish
 			if it == nil {
 				q.cond.Wait()
-				q.sleeping.Store(false)
+				q.sleepers.Add(-1)
 				continue
 			}
-			q.sleeping.Store(false)
+			q.sleepers.Add(-1)
 		}
 		q.record(it)
 		*m = it.Msg
@@ -408,13 +413,13 @@ func (q *Queue) Pop(m *Message, stop <-chan struct{}) error {
 	}
 }
 
-// Parked reports whether the reader is blocked in Pop waiting for a
-// message. Under the consumer lock the sleeping gate is set only while Pop
-// waits on the condition variable, so the answer is exact.
+// Parked reports whether a reader is blocked in Pop waiting for a message.
+// Under the consumer lock the sleepers count holds exactly the readers
+// waiting on the condition variable, so the answer is exact.
 func (q *Queue) Parked() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.sleeping.Load()
+	return q.sleepers.Load() > 0
 }
 
 // Wake wakes the readers parked on the queue, to look again.
@@ -548,8 +553,8 @@ func (f Fence) Restore(items []Item, version uint64) {
 // publishes). It does not look at the fence: the mover is the topology
 // change. Nor at closed: the commit resolved q from its draft under the
 // control-plane lock, and a queue closes under that lock together with its
-// instance's removal. Messages from producers with a live route to q may
-// interleave with the batch; per-producer FIFO order still holds.
+// instance's removal. The commit fences q as it fences the source, so no
+// routed push interleaves with the batch: it lands contiguously.
 func (f Fence) PushAll(items []Item, version uint64) {
 	q := f.q
 	for i := range items {

@@ -132,3 +132,65 @@ func TestQueueRunsNoCallerCode(t *testing.T) {
 		}
 	}
 }
+
+// TestTwoReadersNoLostWakeup: with two readers parked on one queue, one
+// leaving Pop (with a message, or through its stop channel) must not hide
+// the other from the producers. Reader A pops once or is stopped, reader B
+// loops; m1 and m2 are pushed, A is stopped, and once B has taken what A
+// did not and parked again, m3 must wake it. A single "someone sleeps" flag
+// lost that wakeup whenever A cleared it after B had set it.
+// scripts/check.sh runs it under -race x50.
+func TestTwoReadersNoLostWakeup(t *testing.T) {
+	// eventually spins, yielding, until cond holds or a bound that only a
+	// stuck reader exhausts.
+	eventually := func(cond func() bool) bool {
+		for i := 0; i < 1<<20; i++ {
+			if cond() {
+				return true
+			}
+			runtime.Gosched()
+		}
+		return cond()
+	}
+	for iter := 0; iter < 500; iter++ {
+		q, _ := New(nil, clock.Clock{}, new(telemetry.Histogram), new(telemetry.Counter))
+		stopA := make(chan struct{})
+		tookA := make(chan bool, 1)
+		got := make(chan string, 3)
+		go func() {
+			var m Message
+			tookA <- q.Pop(&m, stopA) == nil
+		}()
+		go func() {
+			var m Message
+			for q.Pop(&m, nil) == nil {
+				got <- string(m.Data)
+			}
+		}()
+		eventually(q.Parked)
+		for i := 1; i <= 2; i++ {
+			if _, err := q.PushRouted(testMsg(i), nil, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(stopA)
+		q.Wake()
+		want := 2
+		if <-tookA {
+			want = 1
+		}
+		if !eventually(func() bool { return len(got) == want && q.Len() == 0 }) {
+			t.Fatalf("iteration %d: reader B took %d of %d messages", iter, len(got), want)
+		}
+		if !eventually(q.Parked) {
+			t.Fatalf("iteration %d: reader B waits in Pop but Parked reports false", iter)
+		}
+		if _, err := q.PushRouted(testMsg(3), nil, 1); err != nil {
+			t.Fatal(err)
+		}
+		if !eventually(func() bool { return len(got) == want+1 }) {
+			t.Fatalf("iteration %d: m3 queued (Len %d) but the parked reader was never woken", iter, q.Len())
+		}
+		q.Close()
+	}
+}

@@ -454,11 +454,13 @@ func (d *Draft) fence(e Endpoint) {
 	}
 }
 
-// stageMove stages a queue transfer, the fence on its source and the event
-// that will report it.
+// stageMove stages a queue transfer, the fences on its source and on the
+// queues it lands in (a routed write to one is retried after the commit,
+// so the moved messages land contiguously), and the event that will report
+// it.
 func (d *Draft) stageMove(mv *queueMove, kind, detail string) *queueMove {
 	mv.ev = len(d.events)
-	d.fenced = append(d.fenced, mv.from)
+	d.fenced = append(append(d.fenced, mv.from), mv.to...)
 	d.moves = append(d.moves, mv)
 	d.event(kind, "", detail)
 	return mv

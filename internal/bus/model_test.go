@@ -3,6 +3,7 @@ package bus
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -31,10 +32,11 @@ import (
 //   - the topology (instances, bindings, group members) and every live
 //     queue's depth equal the reference's.
 //
-// A failure names its seed, which replays the sequence. Out of scope: a
-// write fenced at a stale epoch needs a writer racing the commit, so
-// fencing is left to the concurrent tests (staleroute_test.go). A join to a
-// second group is in scope: the reference refuses it, as the bus must.
+// A failure names its seed, which replays the sequence. A join to a second
+// group is in scope: the reference refuses it, as the bus must. Out of
+// scope: a write fenced at a stale epoch needs a writer racing the commit,
+// so fencing is checked by running the same reference against concurrent
+// histories (TestBusLinearizable, linearizability_test.go).
 func TestModelTopologyAndTraffic(t *testing.T) {
 	seeds, ops := 200, 200
 	if testing.Short() {
@@ -62,6 +64,7 @@ func modelDir(iface string) (Direction, bool) {
 type modelMsg struct {
 	from Endpoint
 	data string
+	tid  uint64 // the trace id the write carried (0 in the sequential runs)
 }
 
 type modelInst struct {
@@ -85,6 +88,44 @@ type model struct {
 	delivered, dropped, moves, rebinds int64
 	written, read, discarded, lost     int64 // message copies, for the final ledger
 	events                             []string
+
+	// What only the linearizability checker sets: the receiving queues
+	// whose contents it follows (nil: all), the batches a dropped message
+	// cut short (by op index), and a topology change between its queue
+	// effects and its publication.
+	track map[Endpoint]bool
+	cut   map[int]bool
+	pend  *modelPend
+}
+
+// modelPend is a committed change between its fences and its published
+// count: the topology it publishes, the queue transfers it has still to
+// make, the messages drained and not yet landed, and how many it moved.
+type modelPend struct {
+	op        int
+	bindings  []Binding
+	groups    map[string]*modelGroup
+	fenced    map[Endpoint]bool // the queues it fenced, until it publishes
+	free      bool              // no call that could watch its transfers overlaps it
+	transfers []modelTransfer
+	transit   []modelTransit
+	restoring bool // the transit goes back where it was, at once
+	moved     int64
+	published bool
+}
+
+// modelTransfer is one staged queue transfer: what from holds is dealt
+// round-robin over to, discarded when to is empty, or put back when keep.
+type modelTransfer struct {
+	from Endpoint
+	to   []Endpoint
+	keep bool
+}
+
+// modelTransit is a drained message on its way to a queue.
+type modelTransit struct {
+	msg modelMsg
+	to  Endpoint
 }
 
 func (m *model) clone() *model {
@@ -105,6 +146,9 @@ func (m *model) clone() *model {
 	}
 	c.bindings = slices.Clone(m.bindings)
 	c.events = slices.Clone(m.events)
+	if m.cut != nil {
+		c.cut = maps.Clone(m.cut)
+	}
 	return &c
 }
 
@@ -148,7 +192,22 @@ func (m *model) queue(e Endpoint) (*[]modelMsg, bool) {
 	return &q, true
 }
 
-func (m *model) setQueue(e Endpoint, q []modelMsg) { m.inst[e.Instance].queues[e.Interface] = q }
+// setQueue replaces a receiving queue's contents; a queue the checker does
+// not follow stays empty.
+func (m *model) setQueue(e Endpoint, q []modelMsg) {
+	if m.track != nil && !m.track[e] {
+		return
+	}
+	m.inst[e.Instance].queues[e.Interface] = q
+}
+
+// push appends one delivered copy to a receiving queue.
+func (m *model) push(to Endpoint, msg modelMsg) {
+	q, _ := m.queue(to)
+	m.setQueue(to, append(*q, msg))
+	m.delivered++
+	m.written++
+}
 
 func (m *model) rebindEdit(e BindEdit) bool {
 	switch e.Op {
@@ -198,12 +257,14 @@ func (m *model) groupOf(inst string) string {
 	return ""
 }
 
-// write mirrors a Write on from: the route is the bindings naming from, in
-// creation order, then, for a group member, those naming its group's
-// endpoint.
-func (m *model) write(from Endpoint, data string) error {
+// targets mirrors a route: the bindings naming from, in creation order,
+// then, for a group member, those naming its group's endpoint; each far end
+// that receives is an instance or a group interface. A write on an
+// interface that does not send is ErrDirection, one with no target
+// ErrUnbound.
+func (m *model) targets(from Endpoint) ([]Endpoint, error) {
 	if dir, _ := modelDir(from.Interface); !dir.Sends() {
-		return ErrDirection
+		return nil, ErrDirection
 	}
 	var targets []Endpoint
 	addFor := func(match Endpoint) {
@@ -226,8 +287,17 @@ func (m *model) write(from Endpoint, data string) error {
 		addFor(Endpoint{Instance: g, Interface: from.Interface})
 	}
 	if len(targets) == 0 {
+		return nil, ErrUnbound
+	}
+	return targets, nil
+}
+
+// write mirrors a Write on from: one copy per target, a group's to the
+// member its policy picks, none to an empty group.
+func (m *model) write(from Endpoint, data string) error {
+	targets, err := m.targets(from)
+	if errors.Is(err, ErrUnbound) {
 		m.dropped++
-		return ErrUnbound
 	}
 	for _, to := range targets {
 		if g, ok := m.groups[to.Instance]; ok {
@@ -247,12 +317,60 @@ func (m *model) write(from Endpoint, data string) error {
 			}
 			to = Endpoint{Instance: g.members[pick], Interface: to.Interface}
 		}
-		q, _ := m.queue(to)
-		m.setQueue(to, append(*q, modelMsg{from: from, data: data}))
-		m.delivered++
-		m.written++
+		m.push(to, modelMsg{from: from, data: data})
 	}
-	return nil
+	return err
+}
+
+// rebind applies a Rebind batch's edits, all or none: false when one does
+// not validate (the caller discards the copy it applied them to).
+func (m *model) rebind(edits []BindEdit) bool {
+	for _, e := range edits {
+		if !m.rebindEdit(e) {
+			return false
+		}
+	}
+	m.events = append(m.events, routing.KindRebind)
+	return true
+}
+
+// joinGroup admits an instance into a group, one group per member.
+func (m *model) joinGroup(g, name string) bool {
+	cg := m.groups[g]
+	if m.inst[name] == nil || m.groupOf(name) != "" {
+		return false
+	}
+	cg.members = append(cg.members, name)
+	sort.Strings(cg.members)
+	m.events = append(m.events, routing.KindJoinGroup)
+	return true
+}
+
+// leaveGroup takes a member out and deals what it holds round-robin over
+// the survivors; with none it keeps it.
+func (m *model) leaveGroup(g, name string) bool {
+	cg := m.groups[g]
+	if !slices.Contains(cg.members, name) {
+		return false
+	}
+	cg.members = slices.DeleteFunc(cg.members, func(s string) bool { return s == name })
+	m.events = append(m.events, routing.KindLeaveGroup)
+	for _, n := range []string{"in", "io"} { // interface-name order
+		m.events = append(m.events, routing.KindMoveQueue)
+		if len(cg.members) == 0 {
+			continue // kept at the member
+		}
+		from := Endpoint{Instance: name, Interface: n}
+		q, _ := m.queue(from)
+		for i, msg := range *q {
+			to := Endpoint{Instance: cg.members[i%len(cg.members)], Interface: n}
+			tq, _ := m.queue(to)
+			m.setQueue(to, append(*tq, msg))
+		}
+		m.moves += int64(len(*q))
+		m.setQueue(from, nil)
+	}
+	return true
 }
 
 // runModel plays one seeded sequence and returns the first divergence.
@@ -369,53 +487,17 @@ func runModel(seed int64, ops int) (err error) {
 			}
 			desc = fmt.Sprintf("Rebind %v", edits)
 			stepErr = edit(func() error { return b.Rebind(edits) }, func(c *model) bool {
-				for _, e := range edits {
-					if !c.rebindEdit(e) {
-						return false
-					}
-				}
 				c.rebinds++
-				c.events = append(c.events, routing.KindRebind)
-				return true
+				return c.rebind(edits)
 			})
 		case r < 38:
 			g, name := pick(groups), pick(names)
 			desc = fmt.Sprintf("AddGroupMember %s %s", g, name)
-			stepErr = edit(func() error { return b.AddGroupMember(g, name) }, func(c *model) bool {
-				cg := c.groups[g]
-				if c.inst[name] == nil || c.groupOf(name) != "" {
-					return false // one group per member
-				}
-				cg.members = append(cg.members, name)
-				sort.Strings(cg.members)
-				c.events = append(c.events, routing.KindJoinGroup)
-				return true
-			})
+			stepErr = edit(func() error { return b.AddGroupMember(g, name) }, func(c *model) bool { return c.joinGroup(g, name) })
 		case r < 44:
 			g, name := pick(groups), pick(names)
 			desc = fmt.Sprintf("RemoveGroupMember %s %s", g, name)
-			stepErr = edit(func() error { return b.RemoveGroupMember(g, name) }, func(c *model) bool {
-				cg := c.groups[g]
-				if !slices.Contains(cg.members, name) {
-					return false
-				}
-				cg.members = slices.DeleteFunc(cg.members, func(s string) bool { return s == name })
-				c.events = append(c.events, routing.KindLeaveGroup)
-				for _, n := range []string{"in", "io"} { // interface-name order
-					c.events = append(c.events, routing.KindMoveQueue)
-					if len(cg.members) == 0 {
-						continue // kept at the member
-					}
-					q := c.inst[name].queues[n]
-					for i, msg := range q {
-						to := c.inst[cg.members[i%len(cg.members)]]
-						to.queues[n] = append(to.queues[n], msg)
-					}
-					c.moves += int64(len(q))
-					c.inst[name].queues[n] = nil
-				}
-				return true
-			})
+			stepErr = edit(func() error { return b.RemoveGroupMember(g, name) }, func(c *model) bool { return c.leaveGroup(g, name) })
 		case r < 75:
 			name := live()
 			if name == "" {
@@ -470,6 +552,13 @@ func runModel(seed int64, ops int) (err error) {
 // tryRead reads one message on both sides and compares.
 func (m *model) tryRead(name, iface string) error {
 	got, ok, err := m.inst[name].att.TryRead(iface)
+	return m.take(Endpoint{Instance: name, Interface: iface}, got, ok, err)
+}
+
+// take checks what a TryRead on e returned against the reference's queue
+// and takes the head the bus handed out.
+func (m *model) take(e Endpoint, got Message, ok bool, err error) error {
+	name, iface := e.Instance, e.Interface
 	q, receives := m.inst[name].queues[iface]
 	switch {
 	case !receives:
@@ -487,7 +576,7 @@ func (m *model) tryRead(name, iface string) error {
 	if want := q[0]; string(got.Data) != want.data || got.From != want.from {
 		return fmt.Errorf("read %s from %s, want %s from %s (FIFO or exactly-once broken)", got.Data, got.From, want.data, want.from)
 	}
-	m.inst[name].queues[iface] = q[1:]
+	m.setQueue(e, q[1:])
 	m.read++
 	return nil
 }

@@ -430,7 +430,10 @@ func TestStaleRouteAcrossEveryTopologyChange(t *testing.T) {
 				}
 				return b.RemoveGroupMember("g", "m1")
 			},
-			wantErr: ErrUnbound, want: map[string][]string{"m1": {"q0", "q1"}}},
+			// The route still names the group, so the write is bound: as on
+			// the fast path, an empty group takes the message and queues
+			// nothing (TestBusLinearizable holds both paths to one answer).
+			want: map[string][]string{"m1": {"q0", "q1"}}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

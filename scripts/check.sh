@@ -99,6 +99,17 @@ if [ "$passes" -ne 220 ]; then
 fi
 echo "220 of 220 runs passed"
 
+echo "== the queue's claim, publish and fence protocol, run: concurrent histories of the shipped bus checked for linearizability (racy, GOMAXPROCS 1, 2 and 4, x10 each, 20 seeds a run, counted), then two readers parked on one queue (racy x50)"
+passes=$(for procs in 1 2 4; do
+	GOMAXPROCS=$procs go test -race -count=10 -v -run '^TestBusLinearizable$' ./internal/bus/ -args -lin.seeds=20
+done | grep -cE '^--- PASS: TestBusLinearizable ' || true)
+if [ "$passes" -ne 30 ]; then
+	echo "linearizability: $passes of 30 runs passed" >&2
+	exit 1
+fi
+echo "30 of 30 runs passed"
+go test -race -count=50 -run '^TestTwoReadersNoLostWakeup$' ./internal/bus/internal/queue/
+
 echo "== every test that feeds a reading once a reconfiguration signal is pending (afterSignal): one processor, racy x100, counted"
 signal_tests='TestReplaceRollbackFaultMatrix|TestReplaceFaultFreeEmptyRollback|TestReplacePostCommitFaultCompletesForward|TestConcurrentReplaceFailsFast|TestConcurrentReplicateRemoveRefusedDuringReplace|TestRollbackQueueGaugeMatchesDrainable|TestObsMetricsEndpoint|TestMoveLogsInCommitOrder|TestQuiesceAnnotatedWithQueuedTraces|TestQueueDepthGaugesConsistentAfterRollback|TestMonitorTopologyBeforeAfter|TestIncompatibleUpdateFailsLoudly|TestCompatibleUpdateCarriesState|TestPreflightReplayCommits|TestControlProtocol'
 passes=$(GOMAXPROCS=1 go test -race -count=100 -v -run "^($signal_tests)\$" . | grep -cE "^--- PASS: ($signal_tests) " || true)
