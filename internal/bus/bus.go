@@ -1008,9 +1008,9 @@ func (b *Bus) writeUnboundErr(from Endpoint, n int) error {
 // path. attempted holds the targets the fast path already processed for
 // this message (delivered or dropped-closed), and landed says whether one
 // took it; pre counts the batch's fast-path deliveries for the sender's
-// sent counter. As on the fast path, the message is unbound only when it
-// landed nowhere and the route has no target: a target that takes nothing
-// (an empty group, a closed queue) drops the message silently.
+// sent counter, which it flushes whatever the answer. As on the fast path,
+// the message is unbound only when it landed nowhere and the route has no
+// target (a route lists no group while it has no member).
 func (b *Bus) writeSlow(msg *Message, src *routing.Iface, attempted []routing.Target, pre int64, landed bool) error {
 	return b.commit.Settled(func(rt *routing.Table) error {
 		delivered := pre
@@ -1037,6 +1037,7 @@ func (b *Bus) writeSlow(msg *Message, src *routing.Iface, attempted []routing.Ta
 					return err
 				}
 			}
+			src.Sent.Add(delivered)
 			b.stats.dropped.Add(1)
 			return fmt.Errorf("%w: %s", ErrUnbound, from)
 		}

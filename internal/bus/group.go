@@ -17,7 +17,9 @@ const (
 // AddGroup registers a replica group: a logical name bindings may target,
 // whose receiving interfaces load-balance across the group's members under
 // the given policy ("" defaults to round-robin). The group starts empty;
-// AddGroupMember admits instances whose interface sets match ifaces.
+// AddGroupMember admits instances whose interface sets match ifaces. A
+// binding to a group with no member receives nothing: a write with no other
+// receiver is unbound (ErrUnbound, counted in Stats.Dropped).
 func (b *Bus) AddGroup(name, policy string, ifaces []IfaceSpec) error {
 	return b.commit.Edit(func(d *routing.Draft) error {
 		return d.AddGroup(name, policy, ifaces)

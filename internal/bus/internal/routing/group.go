@@ -75,17 +75,15 @@ func (gr *groupRoute) first() int {
 	return start
 }
 
-// deliverGroup pushes msg to one live member, picked by the group's policy.
-// A stale fence surfaces as queue.ErrStaleRoute (the member set may have
-// changed); a closed member queue is skipped in favor of the next member,
-// and with none left queue.ErrClosed reports the message dropped.
+// deliverGroup pushes msg to one live member, picked by the group's policy;
+// a route lists a group only while it has one. A stale fence surfaces as
+// queue.ErrStaleRoute (the member set may have changed); a closed member
+// queue is skipped in favor of the next member, and with none left
+// queue.ErrClosed reports the message dropped.
 //
 //archlint:hotpath
 func deliverGroup(gr *groupRoute, msg *queue.Message, src *Iface, version uint64) (woke bool, err error) {
 	n := len(gr.members)
-	if n == 0 {
-		return false, queue.ErrClosed
-	}
 	start := gr.first()
 	for k := 0; k < n; k++ {
 		m := gr.members[(start+k)%n]

@@ -379,9 +379,11 @@ func traceIDsOf(items []queue.Item) []uint64 {
 }
 
 // build freezes the draft into a table, precomputing the route sets. Every
-// sender bound to a group endpoint shares its one groupRoute; a group member
-// also inherits its group endpoint's bindings, which routes a member's
-// replies back along a binding that names the group.
+// sender bound to a group endpoint shares its one groupRoute, listed only
+// while the group has a live member: a write whose every binding names an
+// empty group has no target, so it is unbound. A group member also inherits
+// its group endpoint's bindings, which routes a member's replies back along
+// a binding that names the group.
 func (d *Draft) build(version uint64) *Table {
 	t := d.Table // a copy: the published table does not keep the draft alive
 	t.version, t.routes = version, make(map[Endpoint]RouteSet)
@@ -411,7 +413,9 @@ func (d *Draft) build(version uint64) *Table {
 						continue
 					}
 					if gr, isGroup := groupRoutes[other]; isGroup {
-						rs.Targets = append(rs.Targets, Target{group: gr})
+						if len(gr.members) > 0 {
+							rs.Targets = append(rs.Targets, Target{group: gr})
+						}
 						continue
 					}
 					if tgt, err := t.Lookup(other); err == nil && tgt.Spec.Dir.Receives() {

@@ -40,7 +40,10 @@ import (
 //     fences and its count;
 //   - Stats reads each counter once, so each field is its own point, and
 //     Delivered, a sum of per-queue counters read one by one, lies between
-//     the count at two points of its call;
+//     the count at two points of its call; Delivered and Dropped may miss
+//     what a write still running when Stats began has linearized, and a
+//     TryRead may find a queue empty whose head such a write put there
+//     (lateDeliveries says why);
 //   - QueuedMessages snapshots one queue after another: one point per queue.
 //
 // A replica group delivers to any one live member: the cursor of a
@@ -74,7 +77,7 @@ func TestBusLinearizable(t *testing.T) {
 		}
 	}
 	for _, seed := range seeds {
-		h := runLinearizable(t, seed, 4, *linOps)
+		h := runLinearizable(t, seed, 4, linOps)
 		if msg := h.check(); msg != "" {
 			t.Fatalf("seed %d (rerun with -lin.seed=%d): %s", seed, seed, msg)
 		}
@@ -84,9 +87,11 @@ func TestBusLinearizable(t *testing.T) {
 var (
 	linSeeds = flag.Int("lin.seeds", 6, "TestBusLinearizable: seeds per run (each -count run takes new ones)")
 	linSeed  = flag.Int64("lin.seed", 0, "TestBusLinearizable: run this seed only")
-	linOps   = flag.Int("lin.ops", 40, "TestBusLinearizable: operations per goroutine")
 	linRuns  atomic.Int64
 )
+
+// linOps is the number of operations each goroutine runs.
+const linOps = 40
 
 // The workload: five instances of modelShape, two round-robin groups whose
 // members come from linMovers, and cq edits between linMovers' queues.
@@ -697,6 +702,13 @@ type linSearch struct {
 	seeds [2]maphash.Seed
 	seen  map[[4]uint64]bool
 
+	// inflight lists, for each Stats or read (by history index), the
+	// message points of the writes overlapping it; readAt maps a message
+	// to the point of the read that took it, writeOf to its write.
+	inflight map[int][]int
+	readAt   map[string]int
+	writeOf  map[string]int
+
 	// The deepest configuration reached: how many points it had
 	// linearized, its reference state and the points still pending.
 	ok           bool
@@ -720,6 +732,28 @@ func (h *linHistory) search(p linPart, cut int64, drop map[int]bool) *linSearch 
 		s.zob[i] = [2]uint64{rng.Uint64(), rng.Uint64()}
 		if sub.resp != math.MaxInt64 {
 			s.left++
+		}
+	}
+	s.inflight, s.readAt, s.writeOf = map[int][]int{}, map[string]int{}, map[string]int{}
+	for i, sub := range s.subs {
+		switch op := h.ops[sub.op]; op.kind {
+		case linWrite:
+			s.writeOf[op.data[sub.i]] = sub.op
+		case linRead:
+			if op.ok {
+				s.readAt[string(op.got.Data)] = i
+			}
+			fallthrough
+		case linStats:
+			if _, ok := s.inflight[sub.op]; ok {
+				continue
+			}
+			s.inflight[sub.op] = []int{}
+			for j, w := range s.subs {
+				if wop := h.ops[w.op]; w.kind == subMsg && wop.inv < op.resp && wop.resp > op.inv {
+					s.inflight[sub.op] = append(s.inflight[sub.op], j)
+				}
+			}
 		}
 	}
 	m := h.init.clone()
@@ -850,7 +884,7 @@ func (s *linSearch) apply(m *model, i int) (next []*model, greedy bool) {
 	case subRead:
 		q, _ := m.queue(op.at)
 		if op.err != nil || !op.ok {
-			return observe(op.err == nil && len(*q) == 0)
+			return observe(op.err == nil && (len(*q) == 0 || s.claimed(sub.op, (*q)[0])))
 		}
 		if len(*q) == 0 || (*q)[0].data != string(op.got.Data) || (*q)[0].from != op.got.From {
 			return nil, false
@@ -908,13 +942,13 @@ func (s *linSearch) apply(m *model, i int) (next []*model, greedy bool) {
 	case subVersion:
 		return observe(m.version == op.stats.SnapshotVersion)
 	case subDropped:
-		return observe(m.dropped == op.stats.Dropped)
+		return observe(m.dropped-s.lateDrops(sub.op) <= op.stats.Dropped && op.stats.Dropped <= m.dropped)
 	case subRebindsRead:
 		return observe(m.rebinds == op.stats.Rebinds)
 	case subMovesRead:
 		return observe(m.moves == op.stats.Moves)
 	case subDeliveredLo:
-		return observe(m.delivered <= op.stats.Delivered)
+		return observe(m.delivered-s.lateDeliveries(sub.op) <= op.stats.Delivered)
 	case subDeliveredHi:
 		return observe(m.delivered >= op.stats.Delivered)
 	}
@@ -971,9 +1005,6 @@ func (s *linSearch) message(m *model, sub linSub, op *linOp) ([]*model, bool) {
 				dests = append(dests, Endpoint{Instance: mem, Interface: to.Interface})
 			}
 		}
-		if len(dests) == 0 {
-			continue // an empty group queues nothing
-		}
 		var branched []*model
 		for _, st := range states {
 			for _, d := range dests {
@@ -989,6 +1020,53 @@ func (s *linSearch) message(m *model, sub linSub, op *linOp) ([]*model, bool) {
 		states = branched
 	}
 	return states, sub.free && !followed && len(states) == 1
+}
+
+// A write's message takes its place in a queue when the producer claims a
+// slot, and is counted delivered, then published, after: a producer
+// descheduled in between leaves a message that later ones queue behind,
+// that no Stats has counted and that no read can take yet. So a Stats or a
+// read may miss what a write still running when it began has linearized.
+
+// lateDrops counts the drops the Stats call obs may not see yet: one for
+// each write that returned ErrUnbound and has a message linearized (the
+// bus decides "unbound" from the snapshot it loaded and counts the drop
+// after).
+func (s *linSearch) lateDrops(obs int) int64 {
+	var n int64
+	for _, i := range s.inflight[obs] {
+		if sub := s.subs[i]; s.done[i] && sub.i == 0 && errors.Is(s.h.ops[sub.op].err, ErrUnbound) {
+			n++
+		}
+	}
+	return n
+}
+
+// lateDeliveries counts the linearized messages of writes running when the
+// Stats call obs began that no linearized read has taken: each may be
+// claimed and not yet counted. A message read was published, and so
+// counted.
+func (s *linSearch) lateDeliveries(obs int) int64 {
+	var n int64
+	for _, i := range s.inflight[obs] {
+		sub := s.subs[i]
+		op := s.h.ops[sub.op]
+		if !s.done[i] || op.err != nil && !errors.Is(op.err, ErrUnbound) {
+			continue
+		}
+		if r, ok := s.readAt[op.data[sub.i]]; !ok || !s.done[r] {
+			n++
+		}
+	}
+	return n
+}
+
+// claimed reports whether msg, at the head of a queue the read obs found
+// empty, may be claimed and not yet published: its write was still
+// running when the read began.
+func (s *linSearch) claimed(obs int, msg modelMsg) bool {
+	w, ok := s.writeOf[msg.data]
+	return ok && s.h.ops[w].resp > s.h.ops[obs].inv
 }
 
 // edit applies a committed topology change of the history to m.
@@ -1085,7 +1163,7 @@ func (m *model) staged(op *linOp) (map[Endpoint]bool, []modelTransfer) {
 				fenced[e.From], fenced[e.To] = true, true
 				transfers = append(transfers, modelTransfer{from: e.From, to: []Endpoint{e.To}})
 			case "rmq":
-				fenced[e.From] = true
+				fenced[e.From], fenced[e.To] = true, true
 				transfers = append(transfers, modelTransfer{from: e.From})
 			}
 		}
@@ -1147,9 +1225,11 @@ func (m *model) step() *model {
 }
 
 // TestLinearizabilityCheckerRefuses feeds the checker histories that are
-// not linearizable and one that is: a read of a message no write made, a
-// Stats that misses a delivery a completed read saw, and a write that
-// lands in a queue its sender's binding left before the write began.
+// not linearizable and some that are: a read of a message no write made, a
+// Stats that misses a delivery a completed read saw, a write that lands in
+// a queue its sender's binding left before the write began, one that
+// lands among the messages a queue transfer moves, and a Stats that misses
+// a message a read has taken.
 func TestLinearizabilityCheckerRefuses(t *testing.T) {
 	base := func() *model {
 		m := &model{inst: map[string]*modelInst{}, groups: map[string]*modelGroup{}}
@@ -1160,6 +1240,7 @@ func TestLinearizabilityCheckerRefuses(t *testing.T) {
 			m.inst[name] = &modelInst{queues: map[string][]modelMsg{"in": nil, "io": nil}}
 		}
 		m.addBinding(Endpoint{Instance: "a", Interface: "out"}, Endpoint{Instance: "b", Interface: "in"})
+		m.addBinding(Endpoint{Instance: "e", Interface: "out"}, Endpoint{Instance: "c", Interface: "in"})
 		m.version, m.events = 5, nil
 		return m
 	}
@@ -1171,6 +1252,32 @@ func TestLinearizabilityCheckerRefuses(t *testing.T) {
 		return &linOp{kind: linRead, inv: inv, resp: resp, at: at, ok: data != "", got: Message{From: aOut, Data: []byte(data)}}
 	}
 	swap := &linOp{kind: linRebind, inv: 3, resp: 4, edits: []BindEdit{{Op: "del", From: aOut, To: bIn}, {Op: "add", From: aOut, To: cIn}}}
+	// b.in holds x0 and x1 when a cq moves them to c.in, which e.out writes
+	// to: a write overlapping the cq lands before or after the moved
+	// messages (the cq fences c.in too), never between them.
+	eOut := Endpoint{Instance: "e", Interface: "out"}
+	cq := &linOp{kind: linRebind, inv: 5, resp: 10, edits: []BindEdit{{Op: "cq", From: bIn, To: cIn}}}
+	landing := func(order ...string) []*linOp {
+		ops := []*linOp{write(1, 2, "x0"), write(3, 4, "x1"), cq,
+			{kind: linWrite, inv: 6, resp: 7, from: eOut, data: []string{"w"}, tid: 2}}
+		for k, d := range order {
+			r := read(int64(13+2*k), int64(14+2*k), cIn, d)
+			if d == "w" {
+				r.got.From = eOut
+			}
+			ops = append(ops, r)
+		}
+		return ops
+	}
+	// f.out is unbound when a write on it begins, and bound to c.in (version
+	// 6) before it returns: its drop may be counted after a Stats that reads
+	// version 6, as long as that Stats began before the write returned.
+	fOut := Endpoint{Instance: "f", Interface: "out"}
+	unbound := func(inv, resp int64, version uint64) []*linOp {
+		return []*linOp{{kind: linWrite, inv: 1, resp: 10, from: fOut, data: []string{"u"}, tid: 3, err: ErrUnbound},
+			{kind: linRebind, inv: 2, resp: 3, edits: []BindEdit{{Op: "add", From: fOut, To: cIn}}},
+			{kind: linStats, inv: inv, resp: resp, stats: Stats{SnapshotVersion: version, Rebinds: 1}}}
+	}
 	for _, tc := range []struct {
 		name string
 		ops  []*linOp
@@ -1182,6 +1289,14 @@ func TestLinearizabilityCheckerRefuses(t *testing.T) {
 		{"stats misses a read delivery", []*linOp{write(1, 2, "m"), read(3, 4, bIn, "m"), {kind: linStats, inv: 5, resp: 6, stats: Stats{SnapshotVersion: 5}}}, false},
 		{"write lands on a dropped binding", []*linOp{write(1, 2, "m0"), swap, write(5, 6, "m1"), read(7, 8, bIn, "m0"), read(9, 10, bIn, "m1")}, false},
 		{"write follows the swap", []*linOp{write(1, 2, "m0"), swap, write(5, 6, "m1"), read(7, 8, bIn, "m0"), read(9, 10, cIn, "m1")}, true},
+		{"write lands after the moved messages", landing("x0", "x1", "w"), true},
+		{"stats misses an unbound write's drop", unbound(4, 5, 6), true},
+		{"read and stats miss a claimed message", []*linOp{write(1, 10, "w"), write(3, 4, "x"), read(5, 6, bIn, ""),
+			{kind: linStats, inv: 7, resp: 8, stats: Stats{SnapshotVersion: 5, Delivered: 1}}, read(11, 12, bIn, "w"), read(13, 14, bIn, "x")}, true},
+		{"stats misses a message a read took", []*linOp{write(1, 10, "w"), read(2, 3, bIn, "w"),
+			{kind: linStats, inv: 4, resp: 5, stats: Stats{SnapshotVersion: 5}}}, false},
+		{"stats misses a completed unbound write's drop", unbound(11, 12, 6), false},
+		{"write lands among the moved messages", landing("x0", "w", "x1"), false},
 	} {
 		h := &linHistory{ops: tc.ops, init: base()}
 		if msg := h.check(); (msg == "") != tc.ok {

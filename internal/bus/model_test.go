@@ -24,8 +24,9 @@ import (
 //
 //   - exactly-once delivery and FIFO order per (sender, receiver): every
 //     TryRead returns the reference queue's head, so each written copy is
-//     read once or the reference accounts for it (unbound, sent to an empty
-//     group, discarded by rmq, or queued at a deleted instance);
+//     read once or the reference accounts for it (unbound, which a write
+//     to an empty group is, discarded by rmq, or queued at a deleted
+//     instance);
 //   - Stats: Delivered, Dropped, Moves and Rebinds equal the reference's;
 //   - Routing().Version() rises by exactly one per accepted edit and not at
 //     all on a refused one, and the event log's kinds follow commit order;
@@ -259,9 +260,9 @@ func (m *model) groupOf(inst string) string {
 
 // targets mirrors a route: the bindings naming from, in creation order,
 // then, for a group member, those naming its group's endpoint; each far end
-// that receives is an instance or a group interface. A write on an
-// interface that does not send is ErrDirection, one with no target
-// ErrUnbound.
+// that receives is an instance or the interface of a group with a member. A
+// write on an interface that does not send is ErrDirection, one with no
+// target ErrUnbound.
 func (m *model) targets(from Endpoint) ([]Endpoint, error) {
 	if dir, _ := modelDir(from.Interface); !dir.Sends() {
 		return nil, ErrDirection
@@ -275,6 +276,9 @@ func (m *model) targets(from Endpoint) ([]Endpoint, error) {
 			case bd.B:
 				other = bd.A
 			default:
+				continue
+			}
+			if g, ok := m.groups[other.Instance]; ok && len(g.members) == 0 {
 				continue
 			}
 			if dir, _, ok := m.endpointDir(other); ok && dir.Receives() {
@@ -293,7 +297,7 @@ func (m *model) targets(from Endpoint) ([]Endpoint, error) {
 }
 
 // write mirrors a Write on from: one copy per target, a group's to the
-// member its policy picks, none to an empty group.
+// member its policy picks.
 func (m *model) write(from Endpoint, data string) error {
 	targets, err := m.targets(from)
 	if errors.Is(err, ErrUnbound) {
@@ -301,9 +305,6 @@ func (m *model) write(from Endpoint, data string) error {
 	}
 	for _, to := range targets {
 		if g, ok := m.groups[to.Instance]; ok {
-			if len(g.members) == 0 {
-				continue // dropped: an empty group queues nothing
-			}
 			pick := 0
 			if g.policy == PolicyLeastQueue {
 				for i, mem := range g.members {

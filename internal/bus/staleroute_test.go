@@ -430,10 +430,7 @@ func TestStaleRouteAcrossEveryTopologyChange(t *testing.T) {
 				}
 				return b.RemoveGroupMember("g", "m1")
 			},
-			// The route still names the group, so the write is bound: as on
-			// the fast path, an empty group takes the message and queues
-			// nothing (TestBusLinearizable holds both paths to one answer).
-			want: map[string][]string{"m1": {"q0", "q1"}}},
+			wantErr: ErrUnbound, want: map[string][]string{"m1": {"q0", "q1"}}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -458,6 +455,76 @@ func TestStaleRouteAcrossEveryTopologyChange(t *testing.T) {
 				t.Errorf("queues hold %v, want %v", got, row.want)
 			}
 		})
+	}
+}
+
+// TestSlowPathUnboundFlushesSent: when earlier messages of a batch landed
+// on the fast path and the next one meets a fence onto a route the commit
+// left with no receiver, writeRouted hands writeSlow the batch's deliveries
+// (pre) and a message that landed nowhere. The message is dropped and
+// reported unbound, and the earlier deliveries still count as sent. No
+// sequential history reaches that state (the commit that unbinds the route
+// fences every queue the earlier messages landed in), so the slow path is
+// called here as the fast path calls it; TestBatchAcrossUnbindKeepsLedger
+// reaches it by racing.
+func TestSlowPathUnboundFlushesSent(t *testing.T) {
+	w := newCommitWorld(t, "a")
+	out := Endpoint{Instance: "src", Interface: "out"}
+	r, err := w.b.routeOf(new(atomic.Pointer[route]), out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.b.Rebind([]BindEdit{{Op: "del", From: out, To: Endpoint{Instance: "a", Interface: "in"}}}); err != nil {
+		t.Fatal(err)
+	}
+	msg := Message{From: out, Data: []byte("m1")}
+	err = w.b.writeSlow(&msg, r.Src, nil, 1, false)
+	if sent, dropped := r.Src.Sent.Load(), w.b.Stats().Dropped; !errors.Is(err, ErrUnbound) || sent != 1 || dropped != 1 {
+		t.Errorf("writeSlow = %v with sent %d, dropped %d; want ErrUnbound, sent 1 (the earlier delivery), dropped 1", err, sent, dropped)
+	}
+}
+
+// TestBatchAcrossUnbindKeepsLedger writes batches to a replica group in a
+// loop while a Rebind deletes the sender's only binding, so with two Ps
+// or more the commit usually meets a batch part-way. Every message written is either queued at
+// a member or counted dropped, the sender's sent counter is what was
+// queued, and the loop ends on the first write that reports ErrUnbound.
+func TestBatchAcrossUnbindKeepsLedger(t *testing.T) {
+	out := Endpoint{Instance: "src", Interface: "out"}
+	batch := make([][]byte, 8)
+	for i := range batch {
+		batch[i] = []byte(fmt.Sprintf("m%d", i))
+	}
+	for iter := 0; iter < 50; iter++ {
+		w := newCommitWorld(t, "g")
+		rs, _ := w.b.routing.Load().Route(out)
+		started, done := make(chan struct{}), make(chan error)
+		written := 0
+		go func() { //archlint:spawn test writer; joined via done below
+			var err error
+			for err == nil {
+				err = w.src.SendBatch("out", batch)
+				if written += len(batch); written == len(batch) {
+					close(started)
+				} else if written%(64*len(batch)) == 0 {
+					runtime.Gosched() // on one P, let the Rebind in
+				}
+			}
+			done <- err
+		}()
+		<-started
+		if err := w.b.Rebind([]BindEdit{{Op: "del", From: out, To: Endpoint{Instance: "g", Interface: "in"}}}); err != nil {
+			t.Fatal(err)
+		}
+		werr := <-done
+		queued := 0
+		for _, msgs := range w.queued() {
+			queued += len(msgs)
+		}
+		sent, dropped := rs.Src.Sent.Load(), w.b.Stats().Dropped
+		if !errors.Is(werr, ErrUnbound) || int64(queued) != sent || int64(queued)+dropped != int64(written) {
+			t.Fatalf("iteration %d: %d written, %d queued, sent counter %d, %d dropped, last write returned %v", iter, written, queued, sent, dropped, werr)
+		}
 	}
 }
 
