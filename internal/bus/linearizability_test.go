@@ -31,7 +31,7 @@ import (
 //   - every message of a write or a batch is its own point (a batch cut
 //     short by a topology change resumes, re-resolved, after the message
 //     that met it), in batch order; once one is dropped as unbound, the
-//     rest of its batch is dropped with it;
+//     rest of its batch is dropped with it, all counted at that point;
 //   - a committed topology change is its fences, then each queue transfer's
 //     drain and each moved message's landing one by one (an observer can
 //     see a transfer part-way, or its messages in neither queue), then its
@@ -90,8 +90,12 @@ var (
 	linRuns  atomic.Int64
 )
 
-// linOps is the number of operations each goroutine runs.
-const linOps = 40
+// linOps is the number of operations each goroutine runs; linBudget bounds
+// a search's memo (about 100 MB), past which a history fails undecided.
+const (
+	linOps    = 40
+	linBudget = 1 << 20
+)
 
 // The workload: five instances of modelShape, two round-robin groups whose
 // members come from linMovers, and cq edits between linMovers' queues.
@@ -450,8 +454,17 @@ type linPart struct {
 // otherwise the smallest failing sub-history it finds.
 func (h *linHistory) check() string {
 	for _, p := range h.partitions() {
-		if h.linearizable(p, math.MaxInt64, nil) {
+		if s := h.search(p, math.MaxInt64, nil); s.ok {
 			continue
+		} else if s.exhausted {
+			var long []string
+			for _, op := range h.ops {
+				if op.resp-op.inv > 20 {
+					long = append(long, "  "+op.String())
+				}
+			}
+			return fmt.Sprintf("no answer within %d memoised states (%d of %d points linearized at the deepest); the operations that ran longest:\n%s",
+				linBudget, s.deepest, len(s.subs), strings.Join(long, "\n"))
 		}
 		cut, drop := h.shrink(p)
 		var queues []string
@@ -704,17 +717,20 @@ type linSearch struct {
 
 	// inflight lists, for each Stats or read (by history index), the
 	// message points of the writes overlapping it; readAt maps a message
-	// to the point of the read that took it, writeOf to its write.
+	// to the point of the read that took it, writeOf to its write, and
+	// listedAt a write's trace id to the queue listings that show it.
 	inflight map[int][]int
 	readAt   map[string]int
 	writeOf  map[string]int
+	listedAt map[uint64][]int
 
 	// The deepest configuration reached: how many points it had
 	// linearized, its reference state and the points still pending.
-	ok           bool
-	deepest      int
-	stuckState   string
-	stuckPending []int
+	// exhausted: the search gave up at linBudget states.
+	ok, exhausted bool
+	deepest       int
+	stuckState    string
+	stuckPending  []int
 }
 
 // linearizable reports whether the partition's sub-history (cut, drop: as
@@ -734,9 +750,15 @@ func (h *linHistory) search(p linPart, cut int64, drop map[int]bool) *linSearch 
 			s.left++
 		}
 	}
-	s.inflight, s.readAt, s.writeOf = map[int][]int{}, map[string]int{}, map[string]int{}
+	s.inflight, s.readAt, s.writeOf, s.listedAt = map[int][]int{}, map[string]int{}, map[string]int{}, map[uint64][]int{}
 	for i, sub := range s.subs {
 		switch op := h.ops[sub.op]; op.kind {
+		case linQueued:
+			for _, q := range op.queued {
+				if q.Endpoint == sub.q && !slices.Contains(s.listedAt[q.Trace.TraceID], i) {
+					s.listedAt[q.Trace.TraceID] = append(s.listedAt[q.Trace.TraceID], i)
+				}
+			}
 		case linWrite:
 			s.writeOf[op.data[sub.i]] = sub.op
 		case linRead:
@@ -807,6 +829,9 @@ func (s *linSearch) candidates() []int {
 }
 
 func (s *linSearch) dfs(m *model) bool {
+	if s.exhausted {
+		return false
+	}
 	// A point that only observes, or whose effect nothing pending can see
 	// or change, is taken as soon as it holds: every point that could
 	// precede it is already linearized, so taking it later can only
@@ -844,6 +869,9 @@ func (s *linSearch) dfs(m *model) bool {
 		return false
 	}
 	s.seen[memo] = true
+	if s.exhausted = len(s.seen) > linBudget; s.exhausted {
+		return false
+	}
 	if s.ndone > s.deepest {
 		s.deepest, s.stuckState, s.stuckPending = s.ndone, string(key), cands
 	}
@@ -966,13 +994,13 @@ func (s *linSearch) message(m *model, sub linSub, op *linOp) ([]*model, bool) {
 	if op.err != nil && !unbound && !direction {
 		return nil, false
 	}
-	if m.cut[sub.op] {
-		n := m.clone()
-		n.dropped++
-		if last {
-			delete(n.cut, sub.op)
+	if m.cut[sub.op] { // counted with the message that cut it
+		if !last {
+			return []*model{m}, true
 		}
-		return []*model{n}, sub.free
+		n := m.clone()
+		delete(n.cut, sub.op)
+		return []*model{n}, true
 	}
 	targets, err := m.targets(op.from)
 	switch {
@@ -986,7 +1014,7 @@ func (s *linSearch) message(m *model, sub linSub, op *linOp) ([]*model, bool) {
 			return nil, false
 		}
 		n := m.clone()
-		n.dropped++
+		n.dropped += int64(len(op.data) - sub.i)
 		if !last {
 			n.cut[sub.op] = true
 		}
@@ -1028,24 +1056,24 @@ func (s *linSearch) message(m *model, sub linSub, op *linOp) ([]*model, bool) {
 // that no Stats has counted and that no read can take yet. So a Stats or a
 // read may miss what a write still running when it began has linearized.
 
-// lateDrops counts the drops the Stats call obs may not see yet: one for
-// each write that returned ErrUnbound and has a message linearized (the
-// bus decides "unbound" from the snapshot it loaded and counts the drop
-// after).
+// lateDrops bounds the drops the Stats call obs may not see yet: a batch's
+// length for each write that returned ErrUnbound and has a message
+// linearized (the bus decides "unbound" from the snapshot it loaded and
+// counts the drops after).
 func (s *linSearch) lateDrops(obs int) int64 {
 	var n int64
 	for _, i := range s.inflight[obs] {
-		if sub := s.subs[i]; s.done[i] && sub.i == 0 && errors.Is(s.h.ops[sub.op].err, ErrUnbound) {
-			n++
+		if sub, op := s.subs[i], s.h.ops[s.subs[i].op]; s.done[i] && sub.i == 0 && errors.Is(op.err, ErrUnbound) {
+			n += int64(len(op.data))
 		}
 	}
 	return n
 }
 
 // lateDeliveries counts the linearized messages of writes running when the
-// Stats call obs began that no linearized read has taken: each may be
-// claimed and not yet counted. A message read was published, and so
-// counted.
+// Stats call obs began that no linearized read has taken and no linearized
+// queue listing shows: each may be claimed and not yet counted. A message
+// read or listed was published, and so counted.
 func (s *linSearch) lateDeliveries(obs int) int64 {
 	var n int64
 	for _, i := range s.inflight[obs] {
@@ -1054,9 +1082,10 @@ func (s *linSearch) lateDeliveries(obs int) int64 {
 		if !s.done[i] || op.err != nil && !errors.Is(op.err, ErrUnbound) {
 			continue
 		}
-		if r, ok := s.readAt[op.data[sub.i]]; !ok || !s.done[r] {
-			n++
+		if r, ok := s.readAt[op.data[sub.i]]; ok && s.done[r] || slices.ContainsFunc(s.listedAt[op.tid], func(l int) bool { return s.done[l] }) {
+			continue
 		}
+		n++
 	}
 	return n
 }
